@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench experiments obs profile
+.PHONY: all build test vet race bench bench-suite experiments obs profile
 
 all: build test vet race fuzz
 
@@ -36,8 +36,17 @@ fuzz:
 race-all:
 	$(GO) test -race ./...
 
+# The per-layer micro-benchmarks (worker kernels, store chunk scan) report
+# ns/cell beside allocs/op; the root package holds the end-to-end ones.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run=NONE -bench=. -benchmem . ./internal/cluster ./internal/storage
+
+# The standing benchmark suite is its own module under bench/, which the
+# root `go test ./...` never reaches: vet and test it, then run one short
+# checked round of the pushdown workload.
+bench-suite:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh --workload ssdb.pushdown.warm --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
 
 experiments:
 	$(GO) run ./cmd/scidb-bench -quick

@@ -367,7 +367,7 @@ func (a *Array) ChunkAligned(ch *Chunk) bool {
 
 // MergeChunk unions a prebuilt chunk into the array. A grid-aligned chunk
 // whose origin is not yet populated is adopted wholesale via PutChunk —
-// no per-cell work; anything else falls back to Set per present cell. The
+// no per-cell work; anything else is copied column-wise (MergeMasked). The
 // cluster coordinator merges decoded partition chunks with this.
 func (a *Array) MergeChunk(ch *Chunk) error {
 	if ch.CellsPresent() == 0 {
@@ -377,23 +377,7 @@ func (a *Array) MergeChunk(ch *Chunk) error {
 		a.PutChunk(ch)
 		return nil
 	}
-	var err error
-	IterBox(ch.Box(), func(c Coord) bool {
-		idx := ch.Index(c)
-		if !ch.Present.Get(idx) {
-			return true
-		}
-		cell := make(Cell, len(ch.Cols))
-		for ai, col := range ch.Cols {
-			cell[ai] = col.Get(idx)
-		}
-		if e := a.Set(c, cell); e != nil {
-			err = e
-			return false
-		}
-		return true
-	})
-	return err
+	return a.MergeMasked(ch, ch.Present)
 }
 
 // ChunkAt returns the chunk containing the coordinate, if allocated.
@@ -586,6 +570,14 @@ func (a *Array) ByteSize() int64 {
 		n += ch.ByteSize()
 	}
 	return n
+}
+
+// View returns a read-only alias of the array: it shares the chunks but
+// has its own lazy caches (sorted chunk list, last-touched chunk), which
+// reads fill in. Concurrent readers that each take a View therefore never
+// race, as long as nothing mutates the array meanwhile.
+func (a *Array) View() *Array {
+	return &Array{Schema: a.Schema, chunks: a.chunks, hwm: a.hwm, Enhancements: a.Enhancements, Shape: a.Shape}
 }
 
 // Clone deep-copies the array (enhancements and shape are shared; they are

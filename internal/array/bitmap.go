@@ -33,34 +33,20 @@ func (b *Bitmap) SetAll() {
 	b.trim()
 }
 
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int64 {
-	b.trim()
-	var n int
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return int64(n)
-}
+// Count returns the number of set bits. It only reads the bitmap, so
+// parallel readers of a shared chunk may call it.
+func (b *Bitmap) Count() int64 { return b.CountRange(0, b.n) }
 
 // CountRange returns the number of set bits in [lo, hi), clamped to the
 // bitmap's length. It is the ranged popcount the run-at-a-time operators
 // use to count present cells per RLE run.
 func (b *Bitmap) CountRange(lo, hi int64) int64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
-	if lo >= hi {
-		return 0
-	}
 	// No trim here: the hi mask already excludes bits past hi-1, and
 	// trimming would mutate a bitmap shared by parallel workers.
-	w0, w1 := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << uint(lo&63)
-	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
+	w0, w1, loMask, hiMask, ok := b.span(lo, hi)
+	if !ok {
+		return 0
+	}
 	if w0 == w1 {
 		return int64(bits.OnesCount64(b.words[w0] & loMask & hiMask))
 	}
@@ -72,8 +58,10 @@ func (b *Bitmap) CountRange(lo, hi int64) int64 {
 	return int64(n)
 }
 
-// SetRange sets every bit in [lo, hi), clamped to the bitmap's length.
-func (b *Bitmap) SetRange(lo, hi int64) {
+// span clamps [lo, hi) to the bitmap and returns the first and last word it
+// touches with the masks selecting its bits in them; ok is false when the
+// range is empty.
+func (b *Bitmap) span(lo, hi int64) (w0, w1 int64, loMask, hiMask uint64, ok bool) {
 	if lo < 0 {
 		lo = 0
 	}
@@ -81,11 +69,17 @@ func (b *Bitmap) SetRange(lo, hi int64) {
 		hi = b.n
 	}
 	if lo >= hi {
+		return 0, 0, 0, 0, false
+	}
+	return lo >> 6, (hi - 1) >> 6, ^uint64(0) << uint(lo&63), ^uint64(0) >> uint(63-(hi-1)&63), true
+}
+
+// SetRange sets every bit in [lo, hi), clamped to the bitmap's length.
+func (b *Bitmap) SetRange(lo, hi int64) {
+	w0, w1, loMask, hiMask, ok := b.span(lo, hi)
+	if !ok {
 		return
 	}
-	w0, w1 := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << uint(lo&63)
-	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
 	if w0 == w1 {
 		b.words[w0] |= loMask & hiMask
 		return
@@ -148,4 +142,59 @@ func (b *Bitmap) trim() {
 	}
 	last := len(b.words) - 1
 	b.words[last] &= (1 << uint(b.n%64)) - 1
+}
+
+// ClearRange clears every bit in [lo, hi), clamped to the bitmap's length.
+func (b *Bitmap) ClearRange(lo, hi int64) {
+	w0, w1, loMask, hiMask, ok := b.span(lo, hi)
+	if !ok {
+		return
+	}
+	if w0 == w1 {
+		b.words[w0] &^= loMask & hiMask
+		return
+	}
+	b.words[w0] &^= loMask
+	for w := w0 + 1; w < w1; w++ {
+		b.words[w] = 0
+	}
+	b.words[w1] &^= hiMask
+}
+
+// OrRange sets every bit in [lo, hi) that is set in src, a bitmap of the
+// same length: the word-at-a-time copy chunk masks are built with.
+func (b *Bitmap) OrRange(src *Bitmap, lo, hi int64) {
+	w0, w1, loMask, hiMask, ok := b.span(lo, hi)
+	if !ok {
+		return
+	}
+	if w0 == w1 {
+		b.words[w0] |= src.words[w0] & loMask & hiMask
+		return
+	}
+	b.words[w0] |= src.words[w0] & loMask
+	for w := w0 + 1; w < w1; w++ {
+		b.words[w] |= src.words[w]
+	}
+	b.words[w1] |= src.words[w1] & hiMask
+}
+
+// NextSet returns the index of the first set bit at or after i, or Len()
+// when there is none. `for i := b.NextSet(0); i < b.Len(); i = b.NextSet(i+1)`
+// visits the set bits in order, skipping clear words whole.
+func (b *Bitmap) NextSet(i int64) int64 {
+	if i < 0 {
+		i = 0
+	}
+	for i < b.n {
+		w := b.words[i>>6] >> uint(i&63)
+		if w != 0 {
+			if i += int64(bits.TrailingZeros64(w)); i < b.n {
+				return i
+			}
+			return b.n
+		}
+		i = (i | 63) + 1
+	}
+	return b.n
 }

@@ -7,6 +7,7 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/partition"
+	"scidb/internal/storage"
 )
 
 // benchGrid starts servers, loads a grid through tr, and returns a ready
@@ -121,4 +122,77 @@ func BenchmarkPingGob(b *testing.B) {
 	_, tr, stop := benchSetup(b, func(addrs []string) (Transport, error) { return DialGobTCP(addrs) })
 	defer stop()
 	benchPing(b, tr)
+}
+
+// benchRawWorker is one persisted node holding raw-shaped SS-DB data — a
+// (pass, x, y) slab of three float attributes, 88 064 cells in 64-stride
+// buckets — loaded the way the bulk loader does, with a pool big enough to
+// keep every decoded bucket resident: the worker half of ssdb.pushdown.warm
+// without the wire.
+func benchRawWorker(b *testing.B) (w *Worker, cells int64) {
+	b.Helper()
+	schema := &array.Schema{
+		Name: "raw",
+		Dims: []array.Dimension{{Name: "pass", High: 4}, {Name: "x", High: 86, ChunkLen: 64}, {Name: "y", High: 256, ChunkLen: 64}},
+		Attrs: []array.Attribute{
+			{Name: "dn", Type: array.TFloat64}, {Name: "cloud", Type: array.TFloat64}, {Name: "nadir", Type: array.TFloat64},
+		},
+	}
+	w = NewWorkerWithOptions(0, WorkerOptions{Persist: true, Stride: []int64{64, 64, 64}, CacheBytes: 64 << 20})
+	b.Cleanup(func() { _ = w.Close() })
+	if resp := w.Handle(&Message{Op: "create", Array: "raw", Schema: schema}); resp.Err != "" {
+		b.Fatal(resp.Err)
+	}
+	// The loader's chunk grid: the schema's bounds with the bucket stride,
+	// so the pass dimension makes chunks 4 deep, not 64.
+	ls := schema.Clone()
+	ls.Dims[0].ChunkLen = 64
+	a := array.MustNew(ls)
+	array.IterBox(array.WholeBox(schema), func(c array.Coord) bool {
+		v := float64(c[0]*7+c[1]*3+c[2]) / 16
+		if err := a.Set(c, array.Cell{array.Float64(v), array.Float64(v / 2), array.Float64(1)}); err != nil {
+			b.Fatal(err)
+		}
+		return true
+	})
+	load := &Message{Op: "loadchunks", Array: "raw"}
+	for _, ch := range a.Chunks() {
+		payload, err := storage.EncodeChunk(ls, ch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		load.Chunks = append(load.Chunks, payload)
+	}
+	for _, req := range []*Message{load, {Op: "flush", Array: "raw"}, {Op: "count", Array: "raw"}} {
+		if resp := w.Handle(req); resp.Err != "" {
+			b.Fatal(resp.Err)
+		}
+	}
+	return w, a.Count()
+}
+
+// benchWorkerOp times one read op against benchRawWorker with a warm pool,
+// reporting the per-cell cost ROADMAP item 1 tracks layer by layer.
+func benchWorkerOp(b *testing.B, req *Message) {
+	w, cells := benchRawWorker(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp := w.Handle(req); resp.Err != "" {
+			b.Fatal(resp.Err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*cells), "ns/cell")
+}
+
+func BenchmarkWorkerAggGrandTotal(b *testing.B) {
+	benchWorkerOp(b, &Message{Op: "agg", Array: "raw", Agg: "avg", Attr: "dn"})
+}
+
+func BenchmarkWorkerAggGroupBy(b *testing.B) {
+	benchWorkerOp(b, &Message{Op: "agg", Array: "raw", Agg: "max", Attr: "dn", GroupDims: []string{"pass"}})
+}
+
+func BenchmarkWorkerScan(b *testing.B) {
+	benchWorkerOp(b, &Message{Op: "scan", Array: "raw"})
 }

@@ -1,0 +1,480 @@
+package cluster
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"scidb/internal/array"
+	"scidb/internal/exec"
+	"scidb/internal/ops"
+	"scidb/internal/storage"
+)
+
+// The differential property test for the chunk-at-a-time read path: seeded
+// random partitions on each of the three backings, queried with random
+// boxes, exclusion boxes, zone predicates and groupings at parallelism 1
+// and 4. Every agg / scan / count answer must equal a cell-level oracle
+// written here — the reference implementation of the worker's read
+// semantics — and the two parallelisms must answer bit for bit alike.
+
+const diffExtent = 40 // cells per dimension; chunks of 16 leave a ragged edge
+
+func diffSchema() *array.Schema {
+	return &array.Schema{
+		Name: "d",
+		Dims: []array.Dimension{
+			{Name: "x", High: diffExtent, ChunkLen: 16},
+			{Name: "y", High: diffExtent, ChunkLen: 16},
+		},
+		Attrs: []array.Attribute{
+			{Name: "v", Type: array.TFloat64},
+			{Name: "k", Type: array.TInt64},
+			{Name: "tag", Type: array.TString},
+		},
+	}
+}
+
+type xy [2]int64
+
+// diffCell draws a cell whose numeric values are small dyadic rationals, so
+// sums and sums of squares are exact in any fold order and the oracle can
+// demand bit equality; NULLs and NaNs are mixed in.
+func diffCell(rng *rand.Rand) array.Cell {
+	v := array.Float64(float64(rng.Intn(801)-400) / 8)
+	switch r := rng.Intn(20); {
+	case r == 0:
+		v = array.Float64(math.NaN())
+	case r <= 2:
+		v = array.NullValue(array.TFloat64)
+	}
+	k := array.Int64(int64(rng.Intn(101) - 50))
+	if rng.Intn(8) == 0 {
+		k = array.NullValue(array.TInt64)
+	}
+	return array.Cell{v, k, array.String64(string(rune('a' + rng.Intn(3))))}
+}
+
+func randBox(rng *rand.Rand) array.Box {
+	var b array.Box
+	for d := 0; d < 2; d++ {
+		lo := 1 + rng.Int63n(diffExtent)
+		hi := lo + rng.Int63n(diffExtent-lo+1)
+		b.Lo, b.Hi = append(b.Lo, lo), append(b.Hi, hi)
+	}
+	return b
+}
+
+// diffBatches draws the write history: boxes of cells at varying density,
+// later batches overwriting earlier ones. final is the newest-wins content.
+func diffBatches(rng *rand.Rand) (batches []map[xy]array.Cell, final map[xy]array.Cell) {
+	final = map[xy]array.Cell{}
+	for b := 0; b < 5; b++ {
+		box, density := randBox(rng), 0.2+0.8*rng.Float64()
+		batch := map[xy]array.Cell{}
+		array.IterBox(box, func(c array.Coord) bool {
+			if rng.Float64() < density {
+				cell := diffCell(rng)
+				batch[xy{c[0], c[1]}], final[xy{c[0], c[1]}] = cell, cell
+			}
+			return true
+		})
+		batches = append(batches, batch)
+	}
+	return batches, final
+}
+
+func handleOK(t *testing.T, w *Worker, req *Message) *Message {
+	t.Helper()
+	resp := w.Handle(req)
+	if resp.Err != "" {
+		t.Fatalf("%s: %s", req.Op, resp.Err)
+	}
+	return resp
+}
+
+// putBatch sends cells through the worker's "put" op.
+func putBatch(t *testing.T, w *Worker, cells map[xy]array.Cell) {
+	t.Helper()
+	a := array.MustNew(partitionSchema(diffSchema()))
+	for c, cell := range cells {
+		if err := a.Set(array.Coord{c[0], c[1]}, cell); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload, err := storage.EncodeArray(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handleOK(t, w, &Message{Op: "put", Array: "d", Payload: payload})
+}
+
+// buildDiffWorker creates a worker holding final on the named backing. The
+// store backing replays the batches with flushes between them — overlapping
+// buckets, shadowed cells — and leaves the last batch in the memory buffer;
+// its bucket stride is drawn independently of the schema's chunk grid.
+func buildDiffWorker(t *testing.T, rng *rand.Rand, backing string, batches []map[xy]array.Cell, final map[xy]array.Cell) *Worker {
+	t.Helper()
+	switch backing {
+	case "array":
+		w := NewWorker(0)
+		handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
+		for _, b := range batches {
+			putBatch(t, w, b)
+		}
+		return w
+	case "store":
+		stride := []int64{8, 16, 24}[rng.Intn(3)]
+		w := NewWorkerWithOptions(0, WorkerOptions{Persist: true, Stride: []int64{stride, stride}, CacheBytes: 1 << 20, Readahead: 2})
+		handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
+		for i, b := range batches {
+			putBatch(t, w, b)
+			if i < len(batches)-1 {
+				handleOK(t, w, &Message{Op: "flush", Array: "d"})
+			}
+		}
+		return w
+	}
+	var csv strings.Builder
+	fmt.Fprintf(&csv, "# scidb-csv\n# dims: x:%d, y:%d\n# attrs: v:%s, k:%s, tag:%s\n",
+		diffExtent, diffExtent, array.TFloat64, array.TInt64, array.TString)
+	for c, cell := range final {
+		fields := []string{strconv.FormatInt(c[0], 10), strconv.FormatInt(c[1], 10), "NULL", "NULL", cell[2].Str}
+		if !cell[0].Null {
+			fields[2] = strconv.FormatFloat(cell[0].Float, 'g', -1, 64)
+		}
+		if !cell[1].Null {
+			fields[3] = strconv.FormatInt(cell[1].Int, 10)
+		}
+		csv.WriteString(strings.Join(fields, ",") + "\n")
+	}
+	path := filepath.Join(t.TempDir(), "d.csv")
+	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkerWithOptions(0, WorkerOptions{CacheBytes: 1 << 20})
+	handleOK(t, w, &Message{Op: "insitu", Array: "d", Schema: diffSchema(), Path: path, Adaptor: "csv",
+		BoxLo: []int64{1, 1}, BoxHi: []int64{diffExtent, diffExtent}})
+	return w
+}
+
+// diffQuery is one random read request.
+type diffQuery struct {
+	box    array.Box // zero value: no box on the wire
+	excl   []array.Box
+	preds  []array.ZonePred
+	attr   string
+	groups []string
+}
+
+func randQuery(rng *rand.Rand) diffQuery {
+	var q diffQuery
+	if rng.Intn(4) > 0 {
+		q.box = randBox(rng)
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		b := randBox(rng)
+		if rng.Intn(2) == 0 { // a whole grid chunk, the shape routing excludes
+			o := array.Coord{(b.Lo[0]-1)/16*16 + 1, (b.Lo[1]-1)/16*16 + 1}
+			b = array.Box{Lo: o, Hi: array.Coord{o[0] + 15, o[1] + 15}}
+		}
+		q.excl = append(q.excl, b)
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		p := array.ZonePred{Attr: rng.Intn(2), Op: []string{"=", "!=", "<", "<=", ">", ">="}[rng.Intn(6)]}
+		if p.Attr == 0 {
+			p.Val = array.Float64(float64(rng.Intn(801)-400) / 8)
+		} else {
+			p.Val = array.Int64(int64(rng.Intn(101) - 50))
+		}
+		q.preds = append(q.preds, p)
+	}
+	q.attr = []string{"v", "k", "tag", "*"}[rng.Intn(4)]
+	q.groups = [][]string{nil, {"x"}, {"y"}, {"y", "x"}}[rng.Intn(4)]
+	return q
+}
+
+func (q diffQuery) message(op string) *Message {
+	m := &Message{Op: op, Array: "d", BoxLo: q.box.Lo, BoxHi: q.box.Hi}
+	for _, b := range q.excl {
+		m.ExclLo, m.ExclHi = append(m.ExclLo, b.Lo), append(m.ExclHi, b.Hi)
+	}
+	switch op {
+	case "agg":
+		m.Agg, m.Attr, m.GroupDims = "sum", q.attr, q.groups
+	case "scan":
+		m.Preds = q.preds
+	}
+	return m
+}
+
+// visible is the oracle's cell filter: inside the box, outside every
+// exclusion.
+func (q diffQuery) visible(c xy) bool {
+	co := array.Coord{c[0], c[1]}
+	if len(q.box.Lo) > 0 && !q.box.Contains(co) {
+		return false
+	}
+	for _, b := range q.excl {
+		if b.Contains(co) {
+			return false
+		}
+	}
+	return true
+}
+
+// oracleAgg folds cell by cell, the way Worker.agg is specified: every
+// visible cell counts as scanned, NULLs do not enter a partial.
+func oracleAgg(final map[xy]array.Cell, q diffQuery) (parts []Partial, scanned int64) {
+	attr := map[string]int{"v": 0, "k": 1, "tag": 2, "*": 0}[q.attr]
+	byKey := map[string]*Partial{}
+	for c, cell := range final {
+		if !q.visible(c) {
+			continue
+		}
+		scanned++
+		if cell[attr].Null {
+			continue
+		}
+		key := make([]int64, len(q.groups))
+		for i, g := range q.groups {
+			key[i] = c[map[string]int{"x": 0, "y": 1}[g]]
+		}
+		p, ok := byKey[fmt.Sprint(key)]
+		if !ok {
+			p = &Partial{Key: key, Min: math.Inf(1), Max: math.Inf(-1)}
+			byKey[fmt.Sprint(key)] = p
+		}
+		x := cell[attr].AsFloat()
+		p.Sum += x
+		p.SumSq += x * x
+		p.Count++
+		if x < p.Min {
+			p.Min = x
+		}
+		if x > p.Max {
+			p.Max = x
+		}
+	}
+	for _, p := range byKey {
+		parts = append(parts, *p)
+	}
+	sort.Slice(parts, func(i, j int) bool { return keyCompare(parts[i].Key, parts[j].Key) < 0 })
+	return parts, scanned
+}
+
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+func samePartials(a, b []Partial) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		p, o := a[i], b[i]
+		if keyCompare(p.Key, o.Key) != 0 || p.Count != o.Count || !sameFloat(p.Sum, o.Sum) ||
+			!sameFloat(p.SumSq, o.SumSq) || !sameFloat(p.Min, o.Min) || !sameFloat(p.Max, o.Max) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameCell(a, b array.Cell) bool {
+	for i := range a {
+		if a[i].Null != b[i].Null {
+			return false
+		}
+		if !a[i].Null && (!sameFloat(a[i].Float, b[i].Float) || a[i].Int != b[i].Int || a[i].Str != b[i].Str) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestChunkPathMatchesCellOracle(t *testing.T) {
+	defer exec.SetParallelism(exec.Parallelism())
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, backing := range []string{"array", "store", "insitu"} {
+			rng := rand.New(rand.NewSource(seed))
+			batches, final := diffBatches(rng)
+			w := buildDiffWorker(t, rng, backing, batches, final)
+			for qi := 0; qi < 12; qi++ {
+				q := randQuery(rng)
+				name := fmt.Sprintf("seed %d %s query %d %+v", seed, backing, qi, q)
+				wantParts, wantScanned := oracleAgg(final, q)
+				wantCells := map[xy]array.Cell{}
+				var wantCount int64
+				for c, cell := range final {
+					if q.visible(c) {
+						wantCount++
+						if ops.CellMatchesPreds(q.preds, cell) {
+							wantCells[c] = cell
+						}
+					}
+				}
+				var first [3]*Message
+				for _, par := range []int{1, 4} {
+					exec.SetParallelism(par)
+					before := w.Stats().CellsScanned
+					agg := handleOK(t, w, q.message("agg"))
+					if !samePartials(agg.Partials, wantParts) {
+						t.Fatalf("%s par %d: agg partials\n got %+v\nwant %+v", name, par, agg.Partials, wantParts)
+					}
+					if got := w.Stats().CellsScanned - before; got != wantScanned {
+						t.Fatalf("%s par %d: agg scanned %d cells, want %d", name, par, got, wantScanned)
+					}
+					scan := handleOK(t, w, q.message("scan"))
+					got, err := storage.DecodeArray(partitionSchema(diffSchema()), scan.Payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if scan.Cells != int64(len(wantCells)) || got.Count() != scan.Cells {
+						t.Fatalf("%s par %d: scan shipped %d cells (payload holds %d), want %d", name, par, scan.Cells, got.Count(), len(wantCells))
+					}
+					got.Iter(func(c array.Coord, cell array.Cell) bool {
+						if want, ok := wantCells[xy{c[0], c[1]}]; !ok || !sameCell(cell, want) {
+							t.Fatalf("%s par %d: scan cell %v = %v, want %v (present %v)", name, par, c, cell, want, ok)
+						}
+						return true
+					})
+					count := handleOK(t, w, q.message("count"))
+					if count.Cells != wantCount {
+						t.Fatalf("%s par %d: count %d, want %d", name, par, count.Cells, wantCount)
+					}
+					if par == 1 {
+						first = [3]*Message{agg, scan, count}
+						continue
+					}
+					if !samePartials(agg.Partials, first[0].Partials) || !bytes.Equal(scan.Payload, first[1].Payload) || count.Cells != first[2].Cells {
+						t.Fatalf("%s: parallelism 4 answered differently from parallelism 1", name)
+					}
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// A put stream must not pay for the buffer's size on every cell: 256×256
+// cells with a string attribute (whose bytes the flush check has to count)
+// go into a persisted partition within seconds (the time bound is a loose
+// guard; storage's TestBufferedBytesTrackByteSize pins the mechanism), and
+// the store flushes exactly where a model of the buffer's size says it
+// should.
+func TestPutStreamIntoPersistWorker(t *testing.T) {
+	const n, memLimit = 256, 4 << 20 // storage's default MemLimit
+	schema := &array.Schema{
+		Name: "s",
+		Dims: []array.Dimension{{Name: "x", High: n, ChunkLen: 64}, {Name: "y", High: n, ChunkLen: 64}},
+		Attrs: []array.Attribute{
+			{Name: "v", Type: array.TFloat64},
+			{Name: "tag", Type: array.TString},
+		},
+	}
+	w := NewWorkerWithOptions(0, WorkerOptions{Persist: true, Dir: t.TempDir(), Stride: []int64{64, 64}})
+	defer w.Close()
+	handleOK(t, w, &Message{Op: "create", Array: "s", Schema: schema})
+	ps := partitionSchema(schema)
+	emptyChunk := array.NewChunk(ps, array.Coord{1, 1}, []int64{64, 64}).ByteSize()
+
+	var buffered, wantFlushes int64
+	allocated := map[xy]bool{}
+	start := time.Now()
+	for x := int64(1); x <= n; x++ {
+		row := array.MustNew(ps.Clone())
+		for y := int64(1); y <= n; y++ {
+			tag := strings.Repeat("t", int(16+(x*31+y*17)%64))
+			if err := row.Set(array.Coord{x, y}, array.Cell{array.Float64(float64(x + y)), array.String64(tag)}); err != nil {
+				t.Fatal(err)
+			}
+			// The model: a buffered chunk costs its empty size once, each
+			// string its bytes; reaching MemLimit flushes and empties it.
+			if o := (xy{(x - 1) / 64, (y - 1) / 64}); !allocated[o] {
+				allocated[o] = true
+				buffered += emptyChunk
+			}
+			if buffered += int64(len(tag)); buffered >= memLimit {
+				wantFlushes++
+				buffered, allocated = 0, map[xy]bool{}
+			}
+		}
+		payload, err := storage.EncodeArray(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handleOK(t, w, &Message{Op: "put", Array: "s", Payload: payload})
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("put stream took %v", d)
+	}
+	if wantFlushes == 0 {
+		t.Fatal("model predicts no flush; the test exercises nothing")
+	}
+	if got := w.StoreStats().Flushes; got != wantFlushes {
+		t.Errorf("store flushed %d times during the stream, model says %d", got, wantFlushes)
+	}
+	if got := handleOK(t, w, &Message{Op: "count", Array: "s"}).Cells; got != n*n {
+		t.Errorf("count after stream = %d, want %d", got, n*n)
+	}
+}
+
+// Read ops share the worker lock: statements pipelined onto one node must
+// run side by side and still answer as they do alone. Run under -race this
+// also pins that readers of one partition share no mutable state (lazily
+// built chunk orders, bitmap tails, counters).
+func TestConcurrentReadOpsShareWorker(t *testing.T) {
+	for _, backing := range []string{"array", "store", "insitu"} {
+		rng := rand.New(rand.NewSource(42))
+		batches, final := diffBatches(rng)
+		w := buildDiffWorker(t, rng, backing, batches, final)
+		reqs := []*Message{
+			{Op: "agg", Array: "d", Agg: "sum", Attr: "v", GroupDims: []string{"x"}},
+			{Op: "scan", Array: "d", BoxLo: []int64{3, 3}, BoxHi: []int64{30, 30}},
+			{Op: "count", Array: "d"},
+			{Op: "sjoin", Array: "d", Array2: "d", OnL: []string{"x", "y"}, OnR: []string{"x", "y"}},
+		}
+		// The concurrent requests come first, against a partition nothing
+		// has read yet, so every lazily built structure is built under
+		// contention; the answers they must match are computed afterwards.
+		const rounds = 4
+		got := make([]*Message, rounds*len(reqs))
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g] = w.Handle(reqs[g%len(reqs)])
+			}(g)
+		}
+		wg.Wait()
+		scanned := w.Stats().CellsScanned
+		for i, req := range reqs {
+			alone := handleOK(t, w, req)
+			for g := i; g < len(got); g += len(reqs) {
+				if resp := got[g]; resp.Err != "" || resp.Cells != alone.Cells || !bytes.Equal(resp.Payload, alone.Payload) ||
+					!samePartials(resp.Partials, alone.Partials) {
+					t.Errorf("%s: concurrent %s differs from the same request run alone (err %q)", backing, req.Op, resp.Err)
+				}
+			}
+		}
+		if after := w.Stats().CellsScanned; after-scanned != scanned/rounds {
+			t.Errorf("%s: %d rounds scanned %d cells, one more round %d", backing, rounds, scanned, after-scanned)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -425,18 +425,11 @@ func (co *Coordinator) AggregateCtx(ctx context.Context, name string, box array.
 			span.Graft(obs.Rebuild(resp.Spans))
 		}
 	}
-	merged := map[string]*Partial{}
-	for _, resp := range resps {
-		for _, p := range resp.Partials {
-			k := fmt.Sprint(p.Key)
-			if m, ok := merged[k]; ok {
-				m.merge(p)
-			} else {
-				cp := p
-				merged[k] = &cp
-			}
-		}
+	lists := make([][]Partial, len(resps))
+	for i, resp := range resps {
+		lists[i] = resp.Partials
 	}
+	merged := mergePartials(lists...)
 	// Build the result array.
 	outSchema := &array.Schema{Name: name + "_agg"}
 	if len(groupDims) == 0 {

@@ -57,8 +57,8 @@ func (w *Worker) loadChunks(req *Message) (*Message, error) {
 		cells += ch.CellsPresent()
 		bytesIn += int64(len(payload))
 	}
-	w.stats.CellsHeld += cells
-	w.stats.BytesIn += bytesIn
+	w.stats.cellsHeld.Add(cells)
+	w.stats.bytesIn.Add(bytesIn)
 	return &Message{Op: "loadchunks", Cells: cells}, nil
 }
 
@@ -199,54 +199,4 @@ func (p *insituPart) chunkAt(w *Worker, origin array.Coord) (*array.Chunk, func(
 		return nil, nil, err
 	}
 	return h.Chunk(), h.Release, nil
-}
-
-// insituScan visits the part's cells intersecting box, materializing grid
-// chunks lazily. fn's early-stop return is honoured.
-func (w *Worker) insituScan(p *insituPart, box array.Box, fn func(array.Coord, array.Cell) bool) error {
-	if p.empty {
-		return nil
-	}
-	q, ok := p.box.Intersect(box)
-	if !ok {
-		return nil
-	}
-	// Odometer over the grid origins covering q.
-	origin := p.gridOrigin(q.Lo)
-	for {
-		ch, release, err := p.chunkAt(w, origin)
-		if err != nil {
-			return err
-		}
-		cont := true
-		if inter, ok := ch.Box().Intersect(q); ok {
-			array.IterBox(inter, func(c array.Coord) bool {
-				cell, present := ch.Get(c)
-				if !present {
-					return true
-				}
-				if !fn(c, cell) {
-					cont = false
-					return false
-				}
-				return true
-			})
-		}
-		release()
-		if !cont {
-			return nil
-		}
-		// Advance the odometer, last dimension fastest.
-		d := len(origin) - 1
-		for ; d >= 0; d-- {
-			origin[d] += p.stride[d]
-			if origin[d] <= q.Hi[d] {
-				break
-			}
-			origin[d] = p.gridOrigin(q.Lo)[d]
-		}
-		if d < 0 {
-			return nil
-		}
-	}
 }

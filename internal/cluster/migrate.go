@@ -63,7 +63,7 @@ func (w *Worker) migrateChunks(req *Message) (*Message, error) {
 	for _, p := range payloads {
 		bytes += int64(len(p))
 	}
-	w.stats.BytesOut += bytes
+	w.stats.bytesOut.Add(bytes)
 	return &Message{Op: "migratechunks", Chunks: payloads, Cells: cells}, nil
 }
 
@@ -105,8 +105,8 @@ func (w *Worker) replicaChunk(req *Message) (*Message, error) {
 	if req.RouteVersion > w.routeVersion[req.Array] {
 		w.routeVersion[req.Array] = req.RouteVersion
 	}
-	w.stats.CellsHeld += cells
-	w.stats.BytesIn += bytesIn
+	w.stats.cellsHeld.Add(cells)
+	w.stats.bytesIn.Add(bytesIn)
 	return &Message{Op: "replicachunk", Cells: cells, RouteVersion: w.routeVersion[req.Array]}, nil
 }
 

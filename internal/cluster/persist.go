@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"scidb/internal/array"
@@ -109,8 +110,8 @@ func (w *Worker) CacheStats() bufcache.Stats {
 // StoreStats sums the storage counters of every store-backed partition on
 // this node (zero value when partitions are plain in-memory arrays).
 func (w *Worker) StoreStats() storage.Stats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.mu.RLock()
+	defer w.mu.RUnlock()
 	var sum storage.Stats
 	for _, st := range w.stores {
 		sum = sum.Add(st.Stats())
@@ -195,43 +196,43 @@ func (w *Worker) createStoreLocked(name string, schema *array.Schema) error {
 	return nil
 }
 
-// partLocked resolves a partition to its schema and a box-bounded iterator,
-// hiding whether the backing is a plain array or a storage.Store. The
-// iterator honours fn's early-stop return.
-func (w *Worker) partLocked(name string) (*array.Schema, func(array.Box, func(array.Coord, array.Cell) bool) error, error) {
+// partLocked resolves a partition to its schema and a function opening a
+// chunk-at-a-time read of it, hiding which of the three backings — a
+// storage.Store, an in-situ file, a plain array — holds the data. preds
+// prune store buckets by zone map; the other backings ignore them.
+func (w *Worker) partLocked(name string) (*array.Schema, func(array.Box, []array.ZonePred) chunkSource, error) {
 	if st, ok := w.stores[name]; ok {
-		return st.Schema(), st.Scan, nil
+		return st.Schema(), func(box array.Box, preds []array.ZonePred) chunkSource {
+			return st.ScanChunks(box, preds)
+		}, nil
 	}
 	if p, ok := w.insitus[name]; ok {
-		iter := func(box array.Box, fn func(array.Coord, array.Cell) bool) error {
-			return w.insituScan(p, box, fn)
-		}
-		return p.schema, iter, nil
+		return p.schema, func(box array.Box, _ []array.ZonePred) chunkSource {
+			return w.newInsituSource(p, box)
+		}, nil
 	}
 	a, ok := w.arrays[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("cluster: node %d has no array %q", w.ID, name)
 	}
-	iter := func(box array.Box, fn func(array.Coord, array.Cell) bool) error {
-		a.Iter(func(c array.Coord, cell array.Cell) bool {
-			if !box.Contains(c) {
-				return true
-			}
-			return fn(c, cell)
-		})
-		return nil
-	}
-	return a.Schema, iter, nil
+	return a.Schema, func(box array.Box, _ []array.ZonePred) chunkSource {
+		// A view, so concurrent readers do not share the array's lazily
+		// built chunk order.
+		return &arraySource{chunks: a.View().Chunks(), box: box}
+	}, nil
 }
 
 // materializeLocked returns the partition's full content as a plain array
-// (the shape sjoin and repartitioning work over). Array-backed partitions
-// are returned as-is; store-backed ones are scanned out through the pool.
+// (the shape sjoin works over). Array-backed partitions are aliased; the
+// other backings have their chunks adopted — by reference where a chunk is
+// live in full and nothing else contributes to its region, column-wise
+// otherwise. The result shares storage with the partition: read-only, and
+// valid only while the caller holds w.mu.
 func (w *Worker) materializeLocked(name string) (*array.Array, error) {
 	if a, ok := w.arrays[name]; ok {
-		return a, nil
+		return a.View(), nil
 	}
-	s, iter, err := w.partLocked(name)
+	s, open, err := w.partLocked(name)
 	if err != nil {
 		return nil, err
 	}
@@ -239,18 +240,17 @@ func (w *Worker) materializeLocked(name string) (*array.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	var werr error
-	if err := iter(fullBox(len(s.Dims)), func(c array.Coord, cell array.Cell) bool {
-		if err := out.Set(c.Clone(), cell); err != nil {
-			werr = err
-			return false
+	var mu sync.Mutex
+	_, err = foldChunks(open(fullBox(len(s.Dims)), nil), func(lc storage.LiveChunk) (struct{}, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if lc.Alone && lc.Live == lc.Chunk.Present {
+			return struct{}{}, out.MergeChunk(lc.Chunk)
 		}
-		return true
-	}); err != nil {
+		return struct{}{}, out.MergeMasked(lc.Chunk, lc.Live)
+	})
+	if err != nil {
 		return nil, err
-	}
-	if werr != nil {
-		return nil, werr
 	}
 	return out, nil
 }
@@ -274,8 +274,8 @@ func (w *Worker) putStoreLocked(st *storage.Store, req *Message) (*Message, erro
 	if werr != nil {
 		return nil, werr
 	}
-	w.stats.CellsHeld += n
-	w.stats.BytesIn += int64(len(req.Payload))
+	w.stats.cellsHeld.Add(n)
+	w.stats.bytesIn.Add(int64(len(req.Payload)))
 	return &Message{Op: "put", Cells: n}, nil
 }
 
@@ -287,11 +287,8 @@ func (w *Worker) replaceStoreLocked(st *storage.Store, req *Message) (*Message, 
 	if err != nil {
 		return nil, err
 	}
-	var old int64
-	if err := st.Scan(fullBox(len(st.Schema().Dims)), func(array.Coord, array.Cell) bool {
-		old++
-		return true
-	}); err != nil {
+	old, err := countChunks(st.ScanChunks(fullBox(len(st.Schema().Dims)), nil), nil)
+	if err != nil {
 		return nil, err
 	}
 	if err := st.Close(); err != nil {
@@ -320,8 +317,8 @@ func (w *Worker) replaceStoreLocked(st *storage.Store, req *Message) (*Message, 
 	if werr != nil {
 		return nil, werr
 	}
-	w.stats.CellsHeld += n - old
-	w.stats.BytesIn += int64(len(req.Payload))
+	w.stats.cellsHeld.Add(n - old)
+	w.stats.bytesIn.Add(int64(len(req.Payload)))
 	return &Message{Op: "replace", Cells: n}, nil
 }
 

@@ -22,8 +22,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scidb/internal/array"
@@ -181,11 +181,14 @@ type Worker struct {
 	// store-backed partitions (and, typically, by every node in-process).
 	cache *bufcache.Pool
 
+	// mu guards the partition maps and their content: ops that change a
+	// partition take it exclusively, read ops (scan, agg, count, sjoin)
+	// share it, so statements pipelined onto one node run side by side.
 	mu      sync.RWMutex
 	arrays  map[string]*array.Array
 	stores  map[string]*storage.Store
 	insitus map[string]*insituPart
-	stats   WorkerStats
+	stats   workerCounters
 
 	// heat tracks decayed per-chunk access scores for the rebalancer; the
 	// storage layer's OnBucketRead hook and the in-situ chunk loader feed
@@ -220,6 +223,12 @@ type WorkerStats struct {
 	Requests     int64
 }
 
+// workerCounters is the live form of WorkerStats: atomics, so concurrent
+// read ops count without the partition lock.
+type workerCounters struct {
+	cellsHeld, cellsScanned, bytesIn, bytesOut, requests atomic.Int64
+}
+
 // NewWorker creates an empty worker with array-backed partitions.
 func NewWorker(id int) *Worker {
 	return NewWorkerWithOptions(id, WorkerOptions{})
@@ -227,9 +236,13 @@ func NewWorker(id int) *Worker {
 
 // Stats snapshots the worker's counters.
 func (w *Worker) Stats() WorkerStats {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.stats
+	return WorkerStats{
+		CellsHeld:    w.stats.cellsHeld.Load(),
+		CellsScanned: w.stats.cellsScanned.Load(),
+		BytesIn:      w.stats.bytesIn.Load(),
+		BytesOut:     w.stats.bytesOut.Load(),
+		Requests:     w.stats.requests.Load(),
+	}
 }
 
 // SetSlowQuery enables the worker's slow-request log: every request is
@@ -269,9 +282,7 @@ func (w *Worker) Registry() *obs.Registry { return w.reg }
 // (cells scanned, bytes moved, cache hits). Traced responses echo the id
 // and return the flattened span tree for the coordinator to graft.
 func (w *Worker) Handle(req *Message) *Message {
-	w.mu.Lock()
-	w.stats.Requests++
-	w.mu.Unlock()
+	w.stats.requests.Add(1)
 	start := time.Now()
 	ctx := context.Background()
 	var root *obs.Span
@@ -382,8 +393,8 @@ func (w *Worker) replace(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.stats.CellsHeld += in.Count() - a.Count()
-	w.stats.BytesIn += int64(len(req.Payload))
+	w.stats.cellsHeld.Add(in.Count() - a.Count())
+	w.stats.bytesIn.Add(int64(len(req.Payload)))
 	w.arrays[req.Array] = in
 	return &Message{Op: "replace", Cells: in.Count()}, nil
 }
@@ -392,8 +403,8 @@ func (w *Worker) replace(req *Message) (*Message, error) {
 // node (the co-partitioned fast path: "comparison operations including
 // joins do not require data movement").
 func (w *Worker) sjoin(ctx context.Context, req *Message) (*Message, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.mu.RLock()
+	defer w.mu.RUnlock()
 	a, err := w.materializeLocked(req.Array)
 	if err != nil {
 		return nil, err
@@ -417,7 +428,7 @@ func (w *Worker) sjoin(ctx context.Context, req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.stats.BytesOut += int64(len(payload))
+	w.stats.bytesOut.Add(int64(len(payload)))
 	return &Message{Op: "sjoin", Payload: payload, Schema: res.Schema, Cells: res.Count()}, nil
 }
 
@@ -474,67 +485,88 @@ func (w *Worker) put(req *Message) (*Message, error) {
 	if werr != nil {
 		return nil, werr
 	}
-	w.stats.CellsHeld += n
-	w.stats.BytesIn += int64(len(req.Payload))
+	w.stats.cellsHeld.Add(n)
+	w.stats.bytesIn.Add(int64(len(req.Payload)))
 	return &Message{Op: "put", Cells: n}, nil
 }
 
+// scan ships the partition's cells inside the box, minus excluded chunks
+// and cells failing the request's predicates. Each chunk's live mask is
+// trimmed on the pool; a chunk that survives whole and sits on the result
+// grid is encoded straight from storage, anything else contributes its
+// surviving slots column-wise to a result-grid chunk that is encoded once
+// the read is done.
 func (w *Worker) scan(req *Message) (*Message, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	s, iter, err := w.partLocked(req.Array)
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	s, open, err := w.partLocked(req.Array)
 	if err != nil {
 		return nil, err
 	}
-	out, err := array.New(s.Clone())
+	rest, err := array.New(s.Clone())
 	if err != nil {
 		return nil, err
 	}
-	box := boxFrom(req, len(s.Dims))
 	excl := exclBoxes(req)
-	var n, skipped int64
-	var werr error
-	visit := func(c array.Coord, cell array.Cell) bool {
-		if cellExcluded(c, excl) {
-			return true
-		}
-		if len(req.Preds) > 0 && !ops.CellMatchesPreds(req.Preds, cell) {
-			return true
-		}
-		if err := out.Set(c.Clone(), cell); err != nil {
-			werr = err
-			return false
-		}
-		n++
-		return true
-	}
 	// A predicated scan over a store-backed partition prunes whole buckets
 	// by zone map before reading them — cells the coordinator would have
 	// paid to ship, decode, and discard.
-	if st, ok := w.stores[req.Array]; ok && len(req.Preds) > 0 {
-		skipped, err = st.ScanPruned(box, req.Preds, visit)
-	} else {
-		err = iter(box, visit)
+	src := open(boxFrom(req, len(s.Dims)), req.Preds)
+	var restMu sync.Mutex
+	type shipped struct {
+		cells   int64
+		payload []byte // the chunk encoded whole; nil if merged into rest
 	}
+	pieces, err := foldChunks(src, func(lc storage.LiveChunk) (shipped, error) {
+		ch := lc.Chunk
+		live := withoutUnmatched(ch, withoutExcluded(ch, lc.Live, excl), req.Preds, s)
+		out := shipped{cells: live.Count()}
+		if out.cells == 0 {
+			return out, nil
+		}
+		if live == ch.Present && lc.Alone && rest.ChunkAligned(ch) {
+			var err error
+			out.payload, err = storage.EncodeChunk(s, ch)
+			return out, err
+		}
+		restMu.Lock()
+		defer restMu.Unlock()
+		return out, rest.MergeMasked(ch, live)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if werr != nil {
-		return nil, werr
+	chunks := rest.Chunks()
+	payloads := make([][]byte, len(chunks), len(chunks)+len(pieces))
+	if err := exec.Default().Map(context.Background(), len(chunks), func(i int) (err error) {
+		payloads[i], err = storage.EncodeChunk(s, chunks[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	payload, err := storage.EncodeArray(out)
+	var n int64
+	for _, p := range pieces {
+		n += p.cells
+		if p.payload != nil {
+			payloads = append(payloads, p.payload)
+		}
+	}
+	payload, err := storage.FrameChunks(payloads)
 	if err != nil {
 		return nil, err
 	}
-	w.stats.CellsScanned += n
-	w.stats.BytesOut += int64(len(payload))
-	return &Message{Op: "scan", Payload: payload, Cells: n, Skipped: skipped}, nil
+	w.stats.cellsScanned.Add(n)
+	w.stats.bytesOut.Add(int64(len(payload)))
+	return &Message{Op: "scan", Payload: payload, Cells: n, Skipped: src.Skipped()}, nil
 }
 
+// agg computes the partition's combinable partials: every chunk folds its
+// typed column into per-group partials on the pool (aggChunk), and the
+// per-chunk partials merge in delivery order.
 func (w *Worker) agg(req *Message) (*Message, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	s, iter, err := w.partLocked(req.Array)
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	s, open, err := w.partLocked(req.Array)
 	if err != nil {
 		return nil, err
 	}
@@ -553,105 +585,49 @@ func (w *Worker) agg(req *Message) (*Message, error) {
 		}
 		gidx = append(gidx, d)
 	}
-	box := boxFrom(req, len(s.Dims))
 	excl := exclBoxes(req)
-	parts := map[string]*Partial{}
-	var n int64
-	if err := iter(box, func(c array.Coord, cell array.Cell) bool {
-		if cellExcluded(c, excl) {
-			return true
-		}
-		n++
-		v := cell[attr]
-		if v.Null {
-			return true
-		}
-		key := make([]int64, len(gidx))
-		for i, d := range gidx {
-			key[i] = c[d]
-		}
-		ks := fmt.Sprint(key)
-		p, ok := parts[ks]
-		if !ok {
-			p = &Partial{Key: key, Min: math.Inf(1), Max: math.Inf(-1)}
-			parts[ks] = p
-		}
-		x := v.AsFloat()
-		p.Sum += x
-		p.SumSq += x * x
-		p.Count++
-		if x < p.Min {
-			p.Min = x
-		}
-		if x > p.Max {
-			p.Max = x
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	w.stats.CellsScanned += n
-	out := make([]Partial, 0, len(parts))
-	keys := make([]string, 0, len(parts))
-	for k := range parts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, *parts[k])
-	}
-	return &Message{Op: "agg", Partials: out}, nil
-}
-
-func (w *Worker) count(req *Message) (*Message, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	// Routed queries carry a box and/or exclude-chunk list: count through
-	// the generic partition iterator so the excluded chunks (answered by
-	// another replica this query) are skipped. The unrouted fast paths below
-	// stay as they were.
-	if excl := exclBoxes(req); len(excl) > 0 || len(req.BoxLo) > 0 {
-		s, iter, err := w.partLocked(req.Array)
-		if err != nil {
-			return nil, err
-		}
-		box := boxFrom(req, len(s.Dims))
-		var n int64
-		if err := iter(box, func(c array.Coord, _ array.Cell) bool {
-			if !cellExcluded(c, excl) {
-				n++
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return &Message{Op: "count", Cells: n}, nil
-	}
-	if st, ok := w.stores[req.Array]; ok {
-		var n int64
-		if err := st.Scan(fullBox(len(st.Schema().Dims)), func(array.Coord, array.Cell) bool {
-			n++
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return &Message{Op: "count", Cells: n}, nil
-	}
-	if p, ok := w.insitus[req.Array]; ok {
-		var n int64
-		if err := w.insituScan(p, fullBox(len(p.schema.Dims)), func(array.Coord, array.Cell) bool {
-			n++
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return &Message{Op: "count", Cells: n}, nil
-	}
-	a, err := w.local(req.Array)
+	perChunk, err := foldChunks(open(boxFrom(req, len(s.Dims)), nil), func(lc storage.LiveChunk) (chunkAgg, error) {
+		return aggChunk(lc.Chunk, withoutExcluded(lc.Chunk, lc.Live, excl), attr, gidx), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Message{Op: "count", Cells: a.Count()}, nil
+	var n int64
+	lists := make([][]Partial, len(perChunk))
+	for i, c := range perChunk {
+		n += c.cells
+		lists[i] = c.parts
+	}
+	w.stats.cellsScanned.Add(n)
+	return &Message{Op: "agg", Partials: mergePartials(lists...)}, nil
+}
+
+// count sums the live cells of the partition's chunks, minus the chunks
+// another replica answers this query.
+func (w *Worker) count(req *Message) (*Message, error) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	s, open, err := w.partLocked(req.Array)
+	if err != nil {
+		return nil, err
+	}
+	n, err := countChunks(open(boxFrom(req, len(s.Dims)), nil), exclBoxes(req))
+	if err != nil {
+		return nil, err
+	}
+	return &Message{Op: "count", Cells: n}, nil
+}
+
+// countChunks drains src, summing its live cells outside the exclude boxes.
+func countChunks(src chunkSource, excl []array.Box) (int64, error) {
+	counts, err := foldChunks(src, func(lc storage.LiveChunk) (int64, error) {
+		return withoutExcluded(lc.Chunk, lc.Live, excl).Count(), nil
+	})
+	var n int64
+	for _, c := range counts {
+		n += c
+	}
+	return n, err
 }
 
 func (w *Worker) drop(req *Message) (*Message, error) {
@@ -702,14 +678,4 @@ func exclBoxes(req *Message) []array.Box {
 		out = append(out, array.Box{Lo: req.ExclLo[i], Hi: req.ExclHi[i]})
 	}
 	return out
-}
-
-// cellExcluded reports whether c falls inside any exclude box.
-func cellExcluded(c array.Coord, excl []array.Box) bool {
-	for _, b := range excl {
-		if b.Contains(c) {
-			return true
-		}
-	}
-	return false
 }

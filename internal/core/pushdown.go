@@ -70,21 +70,7 @@ func (db *Database) evalStoreFilterAggregate(ctx context.Context, n *parser.Aggr
 	if skip, _ := st.EstimateSkip(box, zpreds); skip == 0 {
 		return nil, false, nil
 	}
-	in, err := array.New(schema.Clone())
-	if err != nil {
-		return nil, false, err
-	}
-	var werr error
-	skipped, err := st.ScanPruned(box, zpreds, func(c array.Coord, cell array.Cell) bool {
-		if e := in.Set(c.Clone(), cell.Clone()); e != nil {
-			werr = e
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = werr
-	}
+	in, skipped, err := readStoreBox(st, box, zpreds)
 	if err != nil {
 		return nil, false, err
 	}

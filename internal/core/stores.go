@@ -73,56 +73,38 @@ func storeBox(s *array.Schema) array.Box {
 	return array.Box{Lo: lo, Hi: hi}
 }
 
-// scanStoreBox reads one box of a store into a fresh array.
-func scanStoreBox(st *storage.Store, box array.Box) (*array.Array, error) {
+// readStoreBox reads one box of a store into a fresh array, chunk at a
+// time, skipping buckets whose zone maps refute preds (it reports how
+// many). A chunk that is live in full is cloned out of the shared pool and
+// adopted, which skips the cell-by-cell rebuild and — because Clone
+// preserves the decoder's advisory views — hands the operators zone maps
+// and RLE/dictionary structure for compressed execution; a chunk the box
+// cuts or newer data shadows contributes its live slots column-wise.
+func readStoreBox(st *storage.Store, box array.Box, preds []array.ZonePred) (*array.Array, int64, error) {
 	out, err := array.New(st.Schema().Clone())
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var werr error
-	if err := st.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		if err := out.Set(c.Clone(), cell.Clone()); err != nil {
-			werr = err
-			return false
+	cs := st.ScanChunks(box, preds)
+	err = cs.Each(func(lc storage.LiveChunk) error {
+		if lc.Live == lc.Chunk.Present {
+			return out.MergeChunk(lc.Chunk.Clone())
 		}
-		return true
-	}); err != nil {
-		return nil, err
+		return out.MergeMasked(lc.Chunk, lc.Live)
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	if werr != nil {
-		return nil, werr
-	}
-	return out, nil
+	return out, cs.Skipped(), nil
 }
 
 // materializeStore reads a store-backed array's full extent. There is no
 // array-level cache on purpose: the chunk pool already makes repeat reads
 // memory-resident, and staying pool-backed keeps results consistent with
 // later writes to the store.
-//
-// It first tries chunk-at-a-time delivery: whole decoded buckets are
-// cloned out of the shared pool and adopted, which both skips the
-// cell-by-cell rebuild and — because Clone preserves the decoder's
-// advisory views — hands the operators zone maps and RLE/dictionary
-// structure for compressed execution. The store refuses chunk delivery
-// when shadowing is in play (pending memory-buffer cells, overlapping
-// buckets); the cell-level scan then rebuilds the array exactly.
 func (db *Database) materializeStore(st *storage.Store) (*array.Array, error) {
-	box := storeBox(st.Schema())
-	out, err := array.New(st.Schema().Clone())
-	if err != nil {
-		return nil, err
-	}
-	_, _, ok, err := st.ScanEncodedChunks(box, nil, func(ch *array.Chunk) error {
-		return out.MergeChunk(ch.Clone())
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return out, nil
-	}
-	return scanStoreBox(st, box)
+	out, _, err := readStoreBox(st, storeBox(st.Schema()), nil)
+	return out, err
 }
 
 // evalStoreSubsample is the store pushdown twin of evalAttachedSubsample:
@@ -133,7 +115,7 @@ func (db *Database) evalStoreSubsample(st *storage.Store, n *parser.SubsampleExp
 	if !ok {
 		return nil, false, nil
 	}
-	partial, err := scanStoreBox(st, box)
+	partial, _, err := readStoreBox(st, box, nil)
 	if err != nil {
 		return nil, false, err
 	}

@@ -187,7 +187,9 @@ type memDataset struct{ a *array.Array }
 func (d *memDataset) Schema() *array.Schema { return d.a.Schema }
 
 func (d *memDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
-	d.a.Iter(func(c array.Coord, cell array.Cell) bool {
+	// A view per scan: concurrent scans must not share the array's lazily
+	// built chunk order.
+	d.a.View().Iter(func(c array.Coord, cell array.Cell) bool {
 		if !box.Contains(c) {
 			return true
 		}

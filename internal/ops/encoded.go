@@ -95,8 +95,8 @@ func NoteEncChunksSkipped(ctx context.Context, n int64) {
 
 // CellMatchesPreds applies zone-map conjuncts to one boxed cell with the
 // engine's comparison semantics (evalCmp): a NULL attribute never
-// matches, and every pred must hold. Cluster workers use it to filter
-// cells out of a pruned scan before shipping them.
+// matches, and every pred must hold. It is the definition PredMatcher's
+// columnar kernels are tested against.
 func CellMatchesPreds(preds []array.ZonePred, cell array.Cell) bool {
 	for _, p := range preds {
 		if p.Attr < 0 || p.Attr >= len(cell) {
@@ -108,6 +108,36 @@ func CellMatchesPreds(preds []array.ZonePred, cell array.Cell) bool {
 		}
 	}
 	return true
+}
+
+// PredMatcher compiles zone-map conjuncts against one chunk's columns and
+// returns a per-slot test equal to CellMatchesPreds on the slot's cell:
+// the tight vector kernels of vecPred where the predicate has that shape,
+// evalCmp on the column value otherwise. Cluster workers trim a scanned
+// chunk's live mask with it before shipping cells.
+func PredMatcher(preds []array.ZonePred, s *array.Schema, ch *array.Chunk) func(idx int64) bool {
+	kernels := make([]func(int64) bool, len(preds))
+	for i, p := range preds {
+		if p.Attr < 0 || p.Attr >= len(ch.Cols) || p.Attr >= len(s.Attrs) {
+			return func(int64) bool { return false }
+		}
+		cmp := Binary{Op: BinOp(p.Op), L: AttrRef{Name: s.Attrs[p.Attr].Name}, R: Const{V: p.Val}}
+		if kernels[i] = vecPred(cmp, s, ch); kernels[i] == nil {
+			col, p := ch.Cols[p.Attr], p
+			kernels[i] = func(idx int64) bool {
+				v := evalCmp(BinOp(p.Op), col.Get(idx), p.Val)
+				return !v.Null && v.Bool
+			}
+		}
+	}
+	return func(idx int64) bool {
+		for _, k := range kernels {
+			if !k(idx) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 // attrCmpConst recognizes `attr op const` (either operand order) and

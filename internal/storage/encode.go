@@ -142,15 +142,26 @@ func DecodeChunk(s *array.Schema, data []byte) (*array.Chunk, error) {
 // EncodeArray serializes all chunks of an array (schema not included; the
 // catalog supplies it on decode).
 func EncodeArray(a *array.Array) ([]byte, error) {
-	var b bytes.Buffer
-	w := NewFieldWriter(&b)
 	chunks := a.Chunks()
-	w.U32(uint32(len(chunks)))
-	for _, ch := range chunks {
-		payload, err := EncodeChunk(a.Schema, ch)
-		if err != nil {
+	payloads := make([][]byte, len(chunks))
+	for i, ch := range chunks {
+		var err error
+		if payloads[i], err = EncodeChunk(a.Schema, ch); err != nil {
 			return nil, err
 		}
+	}
+	return FrameChunks(payloads)
+}
+
+// FrameChunks assembles EncodeChunk payloads into the EncodeArray form, for
+// producers that encode chunks themselves (in parallel, or straight from
+// stored chunks) instead of building an array first. DecodeArray installs
+// one chunk per payload, so the payloads' origins must be distinct.
+func FrameChunks(payloads [][]byte) ([]byte, error) {
+	var b bytes.Buffer
+	w := NewFieldWriter(&b)
+	w.U32(uint32(len(payloads)))
+	for _, payload := range payloads {
 		w.Bytes(payload)
 	}
 	if w.Err() != nil {

@@ -24,18 +24,10 @@ func (s *Store) ExportRegion(box array.Box) ([][]byte, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	var werr error
-	if err := s.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		if err := buf.Set(c.Clone(), cell); err != nil {
-			werr = err
-			return false
-		}
-		return true
+	if err := s.ScanChunks(box, nil).Each(func(lc LiveChunk) error {
+		return buf.MergeMasked(lc.Chunk, lc.Live)
 	}); err != nil {
 		return nil, 0, err
-	}
-	if werr != nil {
-		return nil, 0, werr
 	}
 	var payloads [][]byte
 	var cells int64

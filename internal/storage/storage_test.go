@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -518,4 +521,54 @@ func TestStorePutChunk(t *testing.T) {
 	if err != nil || !ok || cell[0].Float != 5 {
 		t.Errorf("Get = %v,%v,%v", cell, ok, err)
 	}
+}
+
+// The store's running count of buffered bytes must equal the buffer's
+// ByteSize after every write — that equality is what keeps the flush points
+// where the per-Put walk of the buffer used to put them. Strings of varying
+// length, NULLs, overwrites, region clears and PutChunk all pass through.
+func TestBufferedBytesTrackByteSize(t *testing.T) {
+	st, err := NewStore(schema2D(40), Options{Stride: []int64{8, 8}, MemLimit: 20 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	check := func(when string) {
+		t.Helper()
+		if got, want := st.memBytes, st.mem.ByteSize(); got != want {
+			t.Fatalf("%s: memBytes = %d, buffer ByteSize = %d", when, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		c := array.Coord{1 + rng.Int63n(40), 1 + rng.Int63n(40)}
+		cell := array.Cell{array.Float64(rng.Float64()), array.String64(strings.Repeat("s", rng.Intn(40)))}
+		if rng.Intn(10) == 0 {
+			cell[1] = array.NullValue(array.TString)
+		}
+		if err := st.Put(c, cell); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("put %d", i))
+		if st.memBytes >= st.opts.MemLimit {
+			t.Fatalf("put %d left %d bytes buffered, at or over the %d limit", i, st.memBytes, st.opts.MemLimit)
+		}
+		if i%500 == 250 {
+			st.ClearRegion(array.NewBox(array.Coord{1, 1}, array.Coord{12, 12}))
+			check("clear region")
+		}
+	}
+	if st.Stats().Flushes == 0 {
+		t.Fatal("no flush fired; the test exercises nothing")
+	}
+	ch := array.NewChunk(st.schema, array.Coord{9, 9}, []int64{8, 8})
+	_ = ch.Set(array.Coord{10, 10}, array.Cell{array.Float64(1), array.String64("chunked")})
+	if err := st.PutChunk(ch); err != nil {
+		t.Fatal(err)
+	}
+	check("put chunk")
+	if err := st.Put(array.Coord{99, 1}, array.Cell{array.Float64(1), array.String64("x")}); err == nil {
+		t.Fatal("out-of-bounds put accepted")
+	}
+	check("rejected put")
 }

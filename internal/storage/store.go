@@ -199,12 +199,15 @@ type Store struct {
 	cache   *bufcache.Pool
 	cacheID uint64
 
-	mu      sync.Mutex
-	mem     *array.Array
-	rt      *rtree.Tree
-	buckets map[int64]*bucketMeta
-	nextID  int64
-	stats   statCounters
+	mu  sync.Mutex
+	mem *array.Array
+	// memBytes tracks s.mem.ByteSize() incrementally (see bufferLocked), so
+	// the per-Put flush check does not walk every buffered chunk.
+	memBytes int64
+	rt       *rtree.Tree
+	buckets  map[int64]*bucketMeta
+	nextID   int64
+	stats    statCounters
 
 	mergeStop chan struct{}
 	mergeDone chan struct{}
@@ -271,7 +274,7 @@ func (s *Store) resetMem() error {
 	if err != nil {
 		return err
 	}
-	s.mem = mem
+	s.mem, s.memBytes = mem, 0
 	return nil
 }
 
@@ -306,13 +309,49 @@ func (s *Store) NumBuckets() int {
 func (s *Store) Put(c array.Coord, cell array.Cell) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.mem.Set(c, cell); err != nil {
+	if err := s.bufferLocked(c, cell); err != nil {
 		return err
 	}
-	if s.mem.ByteSize() >= s.opts.MemLimit {
+	if s.memBytes >= s.opts.MemLimit {
 		return s.flushLocked()
 	}
 	return nil
+}
+
+// bufferLocked writes one cell into the memory buffer and keeps memBytes
+// equal to s.mem.ByteSize() without walking the buffer: a chunk's size is
+// fixed when it is allocated except for its string payloads, so a write
+// adds either a whole new chunk or the change in the slot's string bytes.
+func (s *Store) bufferLocked(c array.Coord, cell array.Cell) error {
+	var ch *array.Chunk
+	var before int64
+	if s.mem.CoordInside(c) {
+		if ch, _ = s.mem.ChunkAt(c); ch != nil {
+			before = slotStringBytes(ch, ch.Index(c))
+		}
+	}
+	if err := s.mem.Set(c, cell); err != nil {
+		return err
+	}
+	if ch == nil {
+		ch, _ = s.mem.ChunkAt(c)
+		s.memBytes += ch.ByteSize()
+	} else {
+		s.memBytes += slotStringBytes(ch, ch.Index(c)) - before
+	}
+	return nil
+}
+
+// slotStringBytes is the part of Chunk.ByteSize that one slot's values
+// decide: the bytes of its strings.
+func slotStringBytes(ch *array.Chunk, idx int64) int64 {
+	var n int64
+	for _, col := range ch.Cols {
+		if col.Strs != nil {
+			n += int64(len(col.Strs[idx]))
+		}
+	}
+	return n
 }
 
 // PutChunk ingests a whole chunk (bulk-load fast path).
@@ -325,7 +364,7 @@ func (s *Store) PutChunk(ch *array.Chunk) error {
 		if !ok {
 			return true
 		}
-		if e := s.mem.Set(c, cell); e != nil {
+		if e := s.bufferLocked(c, cell); e != nil {
 			err = e
 			return false
 		}
@@ -334,7 +373,7 @@ func (s *Store) PutChunk(ch *array.Chunk) error {
 	if err != nil {
 		return err
 	}
-	if s.mem.ByteSize() >= s.opts.MemLimit {
+	if s.memBytes >= s.opts.MemLimit {
 		return s.flushLocked()
 	}
 	return nil
@@ -495,85 +534,6 @@ func (s *Store) Get(c array.Coord) (array.Cell, bool, error) {
 		best = prev
 	}
 	return nil, false, nil
-}
-
-// Scan calls fn for every stored cell intersecting the box, newest bucket
-// winning for duplicated coordinates. Memory-buffer cells win over disk.
-func (s *Store) Scan(q array.Box, fn func(array.Coord, array.Cell) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := map[string]bool{}
-	stop := false
-	// Memory buffer first.
-	s.mem.Iter(func(c array.Coord, cell array.Cell) bool {
-		if !q.Contains(c) {
-			return true
-		}
-		seen[c.Key()] = true
-		if !fn(c, cell) {
-			stop = true
-			return false
-		}
-		return true
-	})
-	if stop {
-		return nil
-	}
-	// Buckets newest-first so later writes shadow earlier ones.
-	var metas []*bucketMeta
-	s.rt.Search(q, func(e rtree.Entry) bool {
-		metas = append(metas, s.buckets[e.ID])
-		return true
-	})
-	for i := 0; i < len(metas); i++ {
-		for j := i + 1; j < len(metas); j++ {
-			if metas[j].id > metas[i].id {
-				metas[i], metas[j] = metas[j], metas[i]
-			}
-		}
-	}
-	// Readahead: warm the pool with upcoming buckets (in the scan's
-	// consumption order) while the current bucket's cells are being
-	// iterated, so disk read + decode overlap the caller's compute.
-	pf := s.newPrefetcher(metas)
-	defer pf.stop()
-	for i, m := range metas {
-		pf.advance(i)
-		pf.consume(m.id)
-		// The chunk stays pinned in the pool for the whole iteration, so
-		// concurrent eviction pressure can never yank it mid-scan.
-		ch, release, err := s.readBucketLocked(m)
-		if err != nil {
-			return err
-		}
-		inter, ok := ch.Box().Intersect(q)
-		if !ok {
-			release()
-			continue
-		}
-		done := false
-		array.IterBox(inter, func(c array.Coord) bool {
-			cell, ok := ch.Get(c)
-			if !ok {
-				return true
-			}
-			key := c.Key()
-			if seen[key] {
-				return true
-			}
-			seen[key] = true
-			if !fn(c, cell) {
-				done = true
-				return false
-			}
-			return true
-		})
-		release()
-		if done {
-			return nil
-		}
-	}
-	return nil
 }
 
 // MergeOnce performs one unit of background-merge work: it finds the best

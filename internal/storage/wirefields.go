@@ -20,6 +20,9 @@ const maxFieldLen = 1 << 30
 type FieldWriter struct {
 	w   io.Writer
 	err error
+	// buf stages fixed-width fields: a local array would escape through
+	// the io.Writer call and cost one allocation per value written.
+	buf [8]byte
 }
 
 // NewFieldWriter wraps w.
@@ -37,7 +40,10 @@ func (w *FieldWriter) Raw(p []byte) {
 }
 
 // U8 writes one byte.
-func (w *FieldWriter) U8(v uint8) { w.Raw([]byte{v}) }
+func (w *FieldWriter) U8(v uint8) {
+	w.buf[0] = v
+	w.Raw(w.buf[:1])
+}
 
 // Bool writes a bool as one byte.
 func (w *FieldWriter) Bool(v bool) {
@@ -50,16 +56,14 @@ func (w *FieldWriter) Bool(v bool) {
 
 // U32 writes a little-endian uint32.
 func (w *FieldWriter) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Raw(b[:])
+	binary.LittleEndian.PutUint32(w.buf[:4], v)
+	w.Raw(w.buf[:4])
 }
 
 // U64 writes a little-endian uint64.
 func (w *FieldWriter) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Raw(b[:])
+	binary.LittleEndian.PutUint64(w.buf[:], v)
+	w.Raw(w.buf[:])
 }
 
 // I64 writes an int64 as its two's-complement uint64 image.

@@ -87,34 +87,73 @@ func TestScanPrunedNeverUnshadows(t *testing.T) {
 	}
 }
 
-func TestScanEncodedChunks(t *testing.T) {
+// liveCells drains a chunk scan into coordinate-key → first-attribute value.
+func liveCells(t *testing.T, cs *ChunkScan) (cells map[string]float64, delivered int, alone []bool) {
+	t.Helper()
+	cells = map[string]float64{}
+	if err := cs.Each(func(lc LiveChunk) error {
+		delivered++
+		alone = append(alone, lc.Alone)
+		ch := lc.Chunk
+		for i := lc.Live.NextSet(0); i < ch.Slots(); i = lc.Live.NextSet(i + 1) {
+			key := array.CoordAt(ch.Origin, ch.Shape, i).Key()
+			if _, dup := cells[key]; dup {
+				t.Errorf("cell %s live in two chunks", key)
+			}
+			cells[key] = ch.Cols[0].Floats[i]
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return cells, delivered, alone
+}
+
+func TestScanChunks(t *testing.T) {
 	st := fourBuckets(t, "")
 	defer st.Close()
 	q := array.NewBox(array.Coord{1, 1}, array.Coord{32, 32})
 	preds := []array.ZonePred{{Attr: 0, Op: ">=", Val: array.Float64(15)}}
-	var cells int64
-	visited, skipped, ok, err := st.ScanEncodedChunks(q, preds, func(ch *array.Chunk) error {
-		cells += ch.CellsPresent()
+	cs := st.ScanChunks(q, preds)
+	cells, delivered, alone := liveCells(t, cs)
+	if delivered != 2 || cs.Skipped() != 2 || len(cells) != 2 {
+		t.Errorf("delivered/skipped/cells = %d/%d/%d, want 2/2/2", delivered, cs.Skipped(), len(cells))
+	}
+	for _, a := range alone {
+		if !a {
+			t.Error("disjoint buckets must be delivered Alone")
+		}
+	}
+
+	// Disjoint, wholly-inside chunks are delivered with their own presence
+	// bitmap as the mask: no shadow bookkeeping, nothing allocated.
+	if err := st.ScanChunks(q, nil).Each(func(lc LiveChunk) error {
+		if lc.Live != lc.Chunk.Present {
+			t.Error("unshadowed chunk inside the box got a private mask")
+		}
 		return nil
-	})
-	if err != nil || !ok {
-		t.Fatalf("ScanEncodedChunks = ok %v err %v, want ok", ok, err)
-	}
-	if visited != 2 || skipped != 2 || cells != 2 {
-		t.Errorf("visited/skipped/cells = %d/%d/%d, want 2/2/2", visited, skipped, cells)
+	}); err != nil {
+		t.Fatal(err)
 	}
 
-	// A pending memory-buffer cell inside q forces the cell-level path.
-	_ = st.Put(array.Coord{5, 5}, array.Cell{array.Float64(99), array.String64("")})
-	if _, _, ok, _ := st.ScanEncodedChunks(q, preds, func(*array.Chunk) error { return nil }); ok {
-		t.Error("ok with unflushed memory cells; chunk delivery would drop them")
+	// A pending memory-buffer cell shadows the bucket cell beneath it and is
+	// delivered itself; the bucket it overlaps is no longer Alone.
+	_ = st.Put(array.Coord{1, 1}, array.Cell{array.Float64(99), array.String64("")})
+	_ = st.Put(array.Coord{5, 5}, array.Cell{array.Float64(98), array.String64("")})
+	cells, delivered, alone = liveCells(t, st.ScanChunks(q, nil))
+	if delivered != 5 || len(cells) != 5 || cells["1,1"] != 99 || cells["5,5"] != 98 {
+		t.Errorf("with buffered cells: %d chunks, cells %v", delivered, cells)
 	}
+	if alone[0] || alone[len(alone)-1] {
+		t.Errorf("overlapping buffer chunk and bucket reported Alone: %v", alone)
+	}
+
+	// After the flush two buckets overlap on that tile: newest still wins,
+	// and a box that cuts the tile trims the masks.
 	_ = st.Flush()
-
-	// Overlapping buckets (the flush above wrote a bucket overlapping the
-	// tile that already holds one) also force the fallback.
-	if _, _, ok, _ := st.ScanEncodedChunks(q, preds, func(*array.Chunk) error { return nil }); ok {
-		t.Error("ok with overlapping buckets; chunk delivery cannot shadow")
+	cells, _, _ = liveCells(t, st.ScanChunks(array.NewBox(array.Coord{1, 1}, array.Coord{4, 32}), nil))
+	if len(cells) != 1 || cells["1,1"] != 99 {
+		t.Errorf("box-cut overlapping buckets: cells %v, want only 1,1=99", cells)
 	}
 }
 
