@@ -36,17 +36,20 @@ fuzz:
 race-all:
 	$(GO) test -race ./...
 
-# The per-layer micro-benchmarks (worker kernels, store chunk scan) report
-# ns/cell beside allocs/op; the root package holds the end-to-end ones.
+# The per-layer micro-benchmarks (operator kernels, worker kernels, store
+# chunk scan) report ns/cell beside allocs/op; the root package holds the
+# end-to-end ones.
 bench:
-	$(GO) test -run=NONE -bench=. -benchmem . ./internal/cluster ./internal/storage
+	$(GO) test -run=NONE -bench=. -benchmem . ./internal/ops ./internal/cluster ./internal/storage
 
 # The standing benchmark suite is its own module under bench/, which the
 # root `go test ./...` never reaches: vet and test it, then run one short
-# checked round of the pushdown workload.
+# checked round of the pushdown workload (worker-side execution) and of the
+# gather workload (coordinator-side ops).
 bench-suite:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload ssdb.pushdown.warm --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
+	bash bench/run.sh --workload ssdb.gather --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
 
 experiments:
 	$(GO) run ./cmd/scidb-bench -quick

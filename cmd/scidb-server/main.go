@@ -3,8 +3,8 @@
 // (cmd/scidb-load, the examples, or library users via cluster.DialTCP)
 // connects over TCP and drives it with the multiplexed binary wire
 // protocol; client sessions (cmd/scidb -connect, session.Dial) speak the
-// session protocol; legacy gob clients are still accepted (the server
-// sniffs the protocol per connection).
+// session protocol. The first four bytes of a connection select its
+// protocol; a connection that opens with neither magic is closed.
 //
 //	scidb-server -listen 127.0.0.1:7101 -id 0
 //	scidb-server -listen 127.0.0.1:7101 -id 0 -persist -data-dir /var/scidb -cache-bytes 268435456 -readahead 4

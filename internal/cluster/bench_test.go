@@ -10,9 +10,9 @@ import (
 	"scidb/internal/storage"
 )
 
-// benchGrid starts servers, loads a grid through tr, and returns a ready
+// benchSetup starts servers, loads a grid over TCP, and returns a ready
 // coordinator.
-func benchSetup(b *testing.B, dial func(addrs []string) (Transport, error)) (*Coordinator, Transport, func()) {
+func benchSetup(b *testing.B) (*Coordinator, Transport, func()) {
 	b.Helper()
 	var addrs []string
 	var srvs []*Server
@@ -26,7 +26,7 @@ func benchSetup(b *testing.B, dial func(addrs []string) (Transport, error)) (*Co
 		srvs = append(srvs, srv)
 		addrs = append(addrs, ln.Addr().String())
 	}
-	tr, err := dial(addrs)
+	tr, err := DialTCP(addrs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,13 +80,7 @@ func benchConcurrentOps(b *testing.B, co *Coordinator) {
 }
 
 func BenchmarkConcurrentFanoutBinary(b *testing.B) {
-	co, _, stop := benchSetup(b, func(addrs []string) (Transport, error) { return DialTCP(addrs) })
-	defer stop()
-	benchConcurrentOps(b, co)
-}
-
-func BenchmarkConcurrentFanoutGob(b *testing.B) {
-	co, _, stop := benchSetup(b, func(addrs []string) (Transport, error) { return DialGobTCP(addrs) })
+	co, _, stop := benchSetup(b)
 	defer stop()
 	benchConcurrentOps(b, co)
 }
@@ -113,13 +107,7 @@ func benchPing(b *testing.B, tr Transport) {
 }
 
 func BenchmarkPingBinary(b *testing.B) {
-	_, tr, stop := benchSetup(b, func(addrs []string) (Transport, error) { return DialTCP(addrs) })
-	defer stop()
-	benchPing(b, tr)
-}
-
-func BenchmarkPingGob(b *testing.B) {
-	_, tr, stop := benchSetup(b, func(addrs []string) (Transport, error) { return DialGobTCP(addrs) })
+	_, tr, stop := benchSetup(b)
 	defer stop()
 	benchPing(b, tr)
 }

@@ -604,8 +604,8 @@ func TestBoxPruningSkipsNodes(t *testing.T) {
 	}
 }
 
-// The execstats op reports each node's worker-pool counters, and the
-// process-wide parallelism knob is visible through it.
+// ExecStats reports each node's worker-pool counters, and the process-wide
+// parallelism knob is visible through it.
 func TestExecStatsOp(t *testing.T) {
 	old := exec.Parallelism()
 	exec.SetParallelism(4)

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -13,9 +17,7 @@ import (
 )
 
 // startWireServer runs a Server over real loopback sockets for n workers
-// and returns their addresses plus a shutdown function. Every server
-// speaks both the framed binary protocol and legacy gob (sniffed per
-// connection), so one fixture serves every network transport under test.
+// and returns their addresses plus a shutdown function.
 func startWireServers(t *testing.T, n int, opts ServeOptions) ([]string, func()) {
 	t.Helper()
 	var addrs []string
@@ -65,14 +67,6 @@ func transportFactories(t *testing.T) map[string]func(t *testing.T) (Transport, 
 		"tcp-compressed": func(t *testing.T) (Transport, func()) {
 			addrs, stop := startWireServers(t, 3, ServeOptions{})
 			tr, err := DialTCPOptions(addrs, DialOptions{Codec: "gzip", Conns: 1, CallTimeout: 30 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr, func() { _ = tr.Close(); stop() }
-		},
-		"gob-legacy": func(t *testing.T) (Transport, func()) {
-			addrs, stop := startWireServers(t, 3, ServeOptions{})
-			tr, err := DialGobTCP(addrs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -502,5 +496,34 @@ func TestServerCodecOverride(t *testing.T) {
 	}
 	if st.CompressedOut != 0 {
 		t.Errorf("client compressed %d frames without a codec", st.CompressedOut)
+	}
+}
+
+// TestUnknownMagicClosesConnection: a connection whose first four bytes are
+// neither the wire magic nor SessionMagic is closed by the server — within
+// IOTimeout, with nothing written back — instead of being parsed as some
+// other protocol.
+func TestUnknownMagicClosesConnection(t *testing.T) {
+	const ioTimeout = 2 * time.Second
+	addrs, stop := startWireServers(t, 1, ServeOptions{IOTimeout: ioTimeout})
+	defer stop()
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// What a client of the retired gob protocol would open with, sent in
+	// one write: the server may close as soon as it has seen four bytes.
+	var hello bytes.Buffer
+	if err := gob.NewEncoder(&hello).Encode(&Message{Op: "ping"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(hello.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(ioTimeout))
+	var buf [1]byte
+	if n, err := conn.Read(buf[:]); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read after a non-magic first frame = %d bytes, %v; want the connection closed", n, err)
 	}
 }

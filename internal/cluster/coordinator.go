@@ -693,8 +693,7 @@ func (co *Coordinator) SjoinCtx(ctx context.Context, left, right string, onL, on
 // CacheStats gathers every node's buffer-pool counters. With an in-process
 // grid all nodes share one pool, so node 0's snapshot is the whole story;
 // over TCP each node reports its own process-local pool. It is a thin
-// adapter over the unified registry read (the "metrics" op); the legacy
-// "cachestats" wire op remains answered for old coordinators.
+// adapter over the unified registry read (the "metrics" op).
 func (co *Coordinator) CacheStats() ([]bufcache.Stats, error) {
 	per, err := co.metricsPerNode()
 	if err != nil {

@@ -31,6 +31,14 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		mut[len(mut)/2] ^= 0xFF
 		f.Add(mut)
 	}
+	// The two rejections: a presence bit this decoder does not know, and
+	// bytes left after the last block.
+	plain, err := encodeMessage(&Message{Op: "ping"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append([]byte(nil), plain[:len(plain)-1]...), 1<<3))
+	f.Add(append(append([]byte(nil), plain...), 0x00, 0x42))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeMessage(data)

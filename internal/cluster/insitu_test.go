@@ -22,10 +22,10 @@ func loadTestSchema() *array.Schema {
 	}
 }
 
-// TestLoadChunksWireTolerance pins the second-presence-byte contract: a
-// chunks/insitu message round-trips, and bytes trailing the blocks this
-// decoder understands (a future peer's additions) are ignored, not rejected.
-func TestLoadChunksWireTolerance(t *testing.T) {
+// TestLoadChunksWireRoundTrip pins the second-presence-byte contract: a
+// chunks/insitu message round-trips, and bytes trailing its last block are
+// rejected.
+func TestLoadChunksWireRoundTrip(t *testing.T) {
 	m := &Message{
 		Op: "loadchunks", Array: "g", Cells: 7,
 		Chunks:  [][]byte{{0xaa, 0xbb}, {0x01}},
@@ -43,15 +43,8 @@ func TestLoadChunksWireTolerance(t *testing.T) {
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", m, got)
 	}
-	// A newer peer appends blocks after the insitu block; this decoder must
-	// ignore them.
-	future := append(append([]byte(nil), enc...), 0x99, 0x00, 0x17)
-	got2, err := decodeMessage(future)
-	if err != nil {
-		t.Fatalf("decode with future trailing bytes: %v", err)
-	}
-	if !reflect.DeepEqual(got, got2) {
-		t.Errorf("trailing bytes changed the message:\n got: %+v\nwant: %+v", got2, got)
+	if _, err := decodeMessage(append(append([]byte(nil), enc...), 0x99, 0x00, 0x17)); err == nil {
+		t.Error("decode accepted bytes trailing the insitu block")
 	}
 }
 

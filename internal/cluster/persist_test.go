@@ -128,7 +128,7 @@ func workerGet(tr *Local, name string, c array.Coord) (array.Cell, bool, error) 
 }
 
 // TestClusterSharedPoolWarmScan: scanning the same box twice serves the
-// second pass from the shared pool — observable through the cachestats op.
+// second pass from the shared pool — observable through CacheStats.
 func TestClusterSharedPoolWarmScan(t *testing.T) {
 	tr, co := persistGrid(t, 2)
 	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 16}
@@ -180,8 +180,8 @@ func TestClusterSharedPoolWarmScan(t *testing.T) {
 	}
 }
 
-// TestCacheStatsOpUncached: array-backed workers answer cachestats with the
-// zero snapshot rather than an error.
+// TestCacheStatsOpUncached: array-backed workers report the zero snapshot
+// through CacheStats rather than an error.
 func TestCacheStatsOpUncached(t *testing.T) {
 	tr := NewLocal(1)
 	co := NewCoordinator(tr, 0)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -33,11 +32,11 @@ type ServeOptions struct {
 }
 
 // Server runs one worker behind a listener, speaking the multiplexed
-// binary wire protocol. The first bytes of every connection are sniffed:
-// a wire-magic prefix selects the framed protocol (requests on one
+// binary wire protocol. The first four bytes of every connection select
+// its handler: the wire magic starts the framed protocol (requests on one
 // connection are handled concurrently and responses return in completion
-// order, keyed by request id); anything else falls back to the legacy
-// one-gob-message-at-a-time protocol, so old clients keep working.
+// order, keyed by request id), SessionMagic hands the connection to
+// ServeOptions.Session, and anything else is closed.
 type Server struct {
 	w    *Worker
 	opts ServeOptions
@@ -57,7 +56,7 @@ type Server struct {
 type serverWireStats struct {
 	framesIn, framesOut atomic.Int64
 	bytesIn, bytesOut   atomic.Int64
-	wireConns, gobConns atomic.Int64
+	wireConns           atomic.Int64
 }
 
 // NewServer wraps a worker. The codec override is validated here so a
@@ -75,7 +74,6 @@ func NewServer(w *Worker, opts ServeOptions) (*Server, error) {
 			emit(obs.Sample{Name: "scidb_transport_bytes_in_total", Value: float64(s.wire.bytesIn.Load())})
 			emit(obs.Sample{Name: "scidb_transport_bytes_out_total", Value: float64(s.wire.bytesOut.Load())})
 			emit(obs.Sample{Name: "scidb_transport_wire_conns_total", Value: float64(s.wire.wireConns.Load())})
-			emit(obs.Sample{Name: "scidb_transport_gob_conns_total", Value: float64(s.wire.gobConns.Load())})
 		})
 	return s, nil
 }
@@ -158,7 +156,8 @@ func (s *Server) beginReq() bool {
 	return true
 }
 
-// serveConn sniffs the protocol and runs the matching loop.
+// serveConn reads the connection's magic and runs the matching loop; a
+// connection that opens with neither magic is closed.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
@@ -178,8 +177,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			_ = conn.SetReadDeadline(time.Time{})
 			s.opts.Session(conn, br)
 		}
-	default:
-		s.serveGob(conn, br)
 	}
 }
 
@@ -291,32 +288,6 @@ func (w *connWriter) write(id uint64, flags uint8, body []byte) error {
 		_ = w.conn.Close()
 	}
 	return err
-}
-
-// serveGob handles one legacy connection: gob-framed request/response,
-// strictly one at a time, exactly the pre-wire-protocol behaviour.
-func (s *Server) serveGob(conn net.Conn, br *bufio.Reader) {
-	s.wire.gobConns.Add(1)
-	if s.opts.IOTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Time{})
-	}
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req Message
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		if !s.beginReq() {
-			return
-		}
-		resp := s.w.Handle(&req)
-		err := enc.Encode(resp)
-		s.reqs.Done()
-		if err != nil {
-			return
-		}
-	}
 }
 
 // Serve runs a worker on a listener with default options until the

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -130,17 +131,21 @@ func TestUntracedRequestsCarryNoSpans(t *testing.T) {
 	}
 }
 
-// TestLegacyPeerWireCompat pins the two properties that let old and new
-// peers interoperate on the binary wire: (a) a message without trace data
-// sets no new presence bits, so its encoding is byte-identical to what an
-// old encoder produces; (b) the decoder ignores bytes after the blocks it
-// understands, so a frame from a *newer* peer (with trailing blocks this
-// build has never heard of) still decodes cleanly.
-func TestLegacyPeerWireCompat(t *testing.T) {
+// TestWireStrictPresence pins the presence-bit contract. A message without
+// optional fields sets no presence bits and its encoding stays byte for
+// byte what it has always been; the decoder rejects what it cannot place —
+// a presence bit it does not know (the blocks are not self-delimiting, so
+// an unknown one cannot be skipped) and bytes left after the last block.
+func TestWireStrictPresence(t *testing.T) {
 	plain := &Message{Op: "scan", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{9}}
 	enc, err := encodeMessage(plain)
 	if err != nil {
 		t.Fatal(err)
+	}
+	const golden = "040000007363616e01000000610000000000000000000000000000000000000000000000" +
+		"00000000000000000000000000010000000100000000000000010000000900000000000000000000000000000000"
+	if got := hex.EncodeToString(enc); got != golden {
+		t.Fatalf("plain message encoding changed:\n got: %s\nwant: %s", got, golden)
 	}
 	got, err := decodeMessage(enc)
 	if err != nil {
@@ -150,18 +155,16 @@ func TestLegacyPeerWireCompat(t *testing.T) {
 		t.Fatalf("plain message decoded with trace fields: %+v", got)
 	}
 
-	// Future-peer simulation: a second presence byte whose set bits are all
-	// unknown to this build (0xf0 = bits 4-7; bits 0-3 are assigned) plus
-	// trailing bytes beyond the known blocks must be ignored, not rejected —
-	// that is exactly how a legacy decoder survives the blocks newer peers
-	// append.
-	future := append(append([]byte(nil), enc...), 0xf0, 0xfe, 0x00, 0x42)
-	got2, err := decodeMessage(future)
-	if err != nil {
-		t.Fatalf("decode with unknown trailing bytes: %v", err)
-	}
-	if !reflect.DeepEqual(got, got2) {
-		t.Errorf("trailing bytes changed the decoded message:\n got: %+v\nwant: %+v", got2, got)
+	// The first presence byte is the last byte of a plain encoding.
+	for name, bad := range map[string][]byte{
+		"unassigned bit 2 (was cachestats' block)":  append(append([]byte(nil), enc[:len(enc)-1]...), 1<<2),
+		"unassigned bit 4 (was the store block)":    append(append([]byte(nil), enc[:len(enc)-1]...), 1<<4),
+		"unknown second-byte bits":                  append(append([]byte(nil), enc...), 0xf0),
+		"trailing bytes after an empty second byte": append(append([]byte(nil), enc...), 0x00, 0x42),
+	} {
+		if _, err := decodeMessage(bad); err == nil || !strings.Contains(err.Error(), "corrupt message") {
+			t.Errorf("%s: decode error = %v, want a corrupt message error", name, err)
+		}
 	}
 
 	// Traced messages round-trip their spans and metrics in full.

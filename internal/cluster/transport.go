@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -505,102 +504,3 @@ func (t *TCP) Close() error {
 
 // TransportStats implements StatsSource.
 func (t *TCP) TransportStats() TransportStats { return t.stats.snapshot() }
-
-// GobTCP is the legacy transport kept as the NET experiment's baseline: one
-// connection per node, reflective gob encoding, and a per-node mutex held
-// across the entire round trip — so concurrent calls to one node serialize.
-// cluster.Serve still speaks this protocol (it sniffs the first bytes of
-// each connection), so old clients keep working against new servers.
-type GobTCP struct {
-	conns []*gobConn
-	stats transportCounters
-}
-
-type gobConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-// countedConn counts raw bytes crossing a connection.
-type countedConn struct {
-	net.Conn
-	counters *transportCounters
-}
-
-func (c *countedConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.counters.bytesIn.Add(int64(n))
-	return n, err
-}
-
-func (c *countedConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.counters.bytesOut.Add(int64(n))
-	return n, err
-}
-
-// DialGobTCP connects to each address with the legacy gob protocol; node i
-// is addrs[i].
-func DialGobTCP(addrs []string) (*GobTCP, error) {
-	t := &GobTCP{}
-	for _, addr := range addrs {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			_ = t.Close()
-			return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
-		}
-		cc := &countedConn{Conn: conn, counters: &t.stats}
-		t.conns = append(t.conns, &gobConn{
-			conn: conn,
-			enc:  gob.NewEncoder(cc),
-			dec:  gob.NewDecoder(cc),
-		})
-	}
-	return t, nil
-}
-
-// Call implements Transport.
-func (t *GobTCP) Call(node int, req *Message) (*Message, error) {
-	if node < 0 || node >= len(t.conns) {
-		return nil, fmt.Errorf("cluster: no node %d", node)
-	}
-	c := t.conns[node]
-	t.stats.calls.Add(1)
-	t.stats.enter()
-	start := time.Now()
-	defer t.stats.exit(start)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("cluster: send to node %d: %w", node, err)
-	}
-	var resp Message
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("cluster: recv from node %d: %w", node, err)
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("cluster: node %d: %s", node, resp.Err)
-	}
-	return &resp, nil
-}
-
-// NumNodes implements Transport.
-func (t *GobTCP) NumNodes() int { return len(t.conns) }
-
-// Close implements Transport.
-func (t *GobTCP) Close() error {
-	var first error
-	for _, c := range t.conns {
-		if c != nil && c.conn != nil {
-			if err := c.conn.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
-
-// TransportStats implements StatsSource.
-func (t *GobTCP) TransportStats() TransportStats { return t.stats.snapshot() }

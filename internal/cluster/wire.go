@@ -33,9 +33,7 @@ import (
 	"io"
 
 	"scidb/internal/array"
-	"scidb/internal/bufcache"
 	"scidb/internal/compress"
-	"scidb/internal/exec"
 	"scidb/internal/obs"
 	"scidb/internal/storage"
 )
@@ -47,8 +45,8 @@ const (
 	// SessionMagic opens the client-facing session protocol
 	// (internal/session). It shares the cluster listener: Server sniffs the
 	// first four bytes of each connection and hands session connections to
-	// ServeOptions.Session, so one port serves cluster peers, legacy gob
-	// clients, and interactive sessions.
+	// ServeOptions.Session, so one port serves cluster peers and interactive
+	// sessions.
 	SessionMagic = 0x53435345 // "SCSE"
 
 	// FrameHeaderLen is u32 length + u64 request id + u8 flags.
@@ -206,33 +204,30 @@ func decodeFrameBody(body []byte, flags uint8, codec compress.Codec) ([]byte, er
 	return codec.Decode(body)
 }
 
-// Message presence bits for the optional pointer fields. Bits are only
-// ever appended (with their guarded blocks written after all earlier
-// blocks), so a legacy decoder that predates a bit simply never reads the
-// trailing bytes — decodeMessage has always ignored unread remainder.
+// Message presence bits for the optional fields; each set bit is followed,
+// in bit order, by its block. Bits 2-4 are unassigned. decodeMessage rejects
+// a set bit it does not know: the blocks are not self-delimiting, so an
+// unknown one cannot be skipped.
 const (
 	msgHasSchema  = 1 << 0
 	msgHasStats   = 1 << 1
-	msgHasCache   = 1 << 2
-	msgHasExec    = 1 << 3
-	msgHasStore   = 1 << 4
-	msgHasTrace   = 1 << 5 // TraceID + Spans (PR 5 telemetry)
+	msgHasTrace   = 1 << 5 // TraceID + Spans
 	msgHasMetrics = 1 << 6 // Metrics registry samples
 	msgHasPreds   = 1 << 7 // Preds + Skipped (compressed-execution pruning)
+
+	msgKnownBits = msgHasSchema | msgHasStats | msgHasTrace | msgHasMetrics | msgHasPreds
 )
 
 // The first presence byte is full, so later fields chain through a second
-// one. It is written only when one of its bits is set — legacy messages
-// stay byte-identical — and read only when bytes remain after the first
-// byte's blocks, so decoders on either side of the version line interop:
-// an old decoder never looks past the blocks it knows, and a new decoder
-// ignores unknown present2 bits (and any bytes after the last block it
-// understands), the same append-only contract the first byte grew under.
+// one, written only when one of its bits is set: a message with none of
+// these fields ends after the first byte's blocks.
 const (
 	msg2HasChunks = 1 << 0 // Chunks: batched pre-encoded chunk payloads (bulk load)
 	msg2HasInsitu = 1 << 1 // Path + Adaptor (in-situ registration)
 	msg2HasRoute  = 1 << 2 // ExclLo/ExclHi + RouteVersion + Nodes + Release (online rebalancing)
 	msg2HasHeat   = 1 << 3 // Heat samples ("heat" response)
+
+	msg2KnownBits = msg2HasChunks | msg2HasInsitu | msg2HasRoute | msg2HasHeat
 )
 
 // encodePredValue writes one predicate constant. Preds are scalar
@@ -296,15 +291,6 @@ func encodeMessage(m *Message) ([]byte, error) {
 	if m.Stats != nil {
 		present |= msgHasStats
 	}
-	if m.Cache != nil {
-		present |= msgHasCache
-	}
-	if m.Exec != nil {
-		present |= msgHasExec
-	}
-	if m.Store != nil {
-		present |= msgHasStore
-	}
 	if m.TraceID != 0 || len(m.Spans) > 0 {
 		present |= msgHasTrace
 	}
@@ -324,41 +310,6 @@ func encodeMessage(m *Message) ([]byte, error) {
 		w.I64(m.Stats.BytesIn)
 		w.I64(m.Stats.BytesOut)
 		w.I64(m.Stats.Requests)
-	}
-	if m.Cache != nil {
-		c := m.Cache
-		w.I64(c.Hits)
-		w.I64(c.Misses)
-		w.I64(c.Loads)
-		w.I64(c.Evictions)
-		w.I64(c.Invalidations)
-		w.I64(c.Entries)
-		w.I64(c.BytesResident)
-		w.I64(c.PinnedBytes)
-		w.I64(c.Budget)
-	}
-	if m.Exec != nil {
-		e := m.Exec
-		w.I64(int64(e.Parallelism))
-		w.I64(e.TasksRun)
-		w.I64(e.ChunksProcessed)
-		w.I64(e.ParallelRuns)
-		w.I64(e.SerialRuns)
-		w.I64(e.Saturation)
-	}
-	if m.Store != nil {
-		st := m.Store
-		w.I64(st.BucketsWritten)
-		w.I64(st.BucketsMerged)
-		w.I64(st.BucketsRead)
-		w.I64(st.BytesWritten)
-		w.I64(st.BytesRead)
-		w.I64(st.Flushes)
-		w.I64(st.BytesRaw)
-		w.I64(st.BytesEncoded)
-		w.I64(st.PrefetchIssued)
-		w.I64(st.PrefetchHits)
-		w.I64(st.PrefetchWasted)
 	}
 	if present&msgHasTrace != 0 {
 		w.I64(int64(m.TraceID))
@@ -482,6 +433,9 @@ func decodeMessage(data []byte) (*Message, error) {
 	if r.Err() != nil {
 		return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
 	}
+	if unknown := present &^ msgKnownBits; unknown != 0 {
+		return nil, fmt.Errorf("cluster: corrupt message: unknown presence bits %#x", unknown)
+	}
 	if present&msgHasSchema != 0 {
 		s, err := DecodeSchema(r)
 		if err != nil {
@@ -496,44 +450,6 @@ func decodeMessage(data []byte) (*Message, error) {
 			BytesIn:      r.I64(),
 			BytesOut:     r.I64(),
 			Requests:     r.I64(),
-		}
-	}
-	if present&msgHasCache != 0 {
-		m.Cache = &bufcache.Stats{
-			Hits:          r.I64(),
-			Misses:        r.I64(),
-			Loads:         r.I64(),
-			Evictions:     r.I64(),
-			Invalidations: r.I64(),
-			Entries:       r.I64(),
-			BytesResident: r.I64(),
-			PinnedBytes:   r.I64(),
-			Budget:        r.I64(),
-		}
-	}
-	if present&msgHasExec != 0 {
-		m.Exec = &exec.Stats{
-			Parallelism:     int(r.I64()),
-			TasksRun:        r.I64(),
-			ChunksProcessed: r.I64(),
-			ParallelRuns:    r.I64(),
-			SerialRuns:      r.I64(),
-			Saturation:      r.I64(),
-		}
-	}
-	if present&msgHasStore != 0 {
-		m.Store = &storage.Stats{
-			BucketsWritten: r.I64(),
-			BucketsMerged:  r.I64(),
-			BucketsRead:    r.I64(),
-			BytesWritten:   r.I64(),
-			BytesRead:      r.I64(),
-			Flushes:        r.I64(),
-			BytesRaw:       r.I64(),
-			BytesEncoded:   r.I64(),
-			PrefetchIssued: r.I64(),
-			PrefetchHits:   r.I64(),
-			PrefetchWasted: r.I64(),
 		}
 	}
 	if present&msgHasTrace != 0 {
@@ -591,6 +507,9 @@ func decodeMessage(data []byte) (*Message, error) {
 	}
 	if r.Remaining() > 0 {
 		present2 := r.U8()
+		if unknown := present2 &^ msg2KnownBits; unknown != 0 {
+			return nil, fmt.Errorf("cluster: corrupt message: unknown presence bits %#x in the second byte", unknown)
+		}
 		if present2&msg2HasChunks != 0 {
 			n := int(r.U32())
 			if r.Err() != nil {
@@ -658,6 +577,9 @@ func decodeMessage(data []byte) (*Message, error) {
 	}
 	if r.Err() != nil {
 		return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
+	}
+	if n := r.Remaining(); n > 0 {
+		return nil, fmt.Errorf("cluster: corrupt message: %d trailing bytes", n)
 	}
 	return m, nil
 }

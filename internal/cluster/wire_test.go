@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"scidb/internal/array"
-	"scidb/internal/bufcache"
 	"scidb/internal/compress"
-	"scidb/internal/exec"
 	"scidb/internal/obs"
 )
 
@@ -44,11 +42,7 @@ func wireTestMessage() *Message {
 				}},
 			},
 		},
-		Stats: &WorkerStats{CellsHeld: 1, CellsScanned: 2, BytesIn: 3, BytesOut: 4, Requests: 5},
-		Cache: &bufcache.Stats{Hits: 9, Misses: 8, Loads: 7, Evictions: 6, Invalidations: 5,
-			Entries: 4, BytesResident: 3, PinnedBytes: 2, Budget: 1},
-		Exec: &exec.Stats{Parallelism: 4, TasksRun: 10, ChunksProcessed: 20,
-			ParallelRuns: 3, SerialRuns: 2, Saturation: 1},
+		Stats:   &WorkerStats{CellsHeld: 1, CellsScanned: 2, BytesIn: 3, BytesOut: 4, Requests: 5},
 		TraceID: 0xfeedbeef,
 		Spans: []obs.SpanData{
 			{Parent: -1, Node: 2, DurNanos: 1500, Name: "scan",

@@ -9,9 +9,7 @@
 // Two transports are provided: in-process (direct calls) and TCP with a
 // multiplexed binary wire protocol — length-prefixed frames tagged with a
 // request id, so many calls pipeline concurrently over each connection
-// (see DESIGN.md's "Wire protocol" section). The legacy gob protocol is
-// retained as a measured baseline (GobTCP) and servers still accept it.
-// The protocol logic is identical over every transport (see DESIGN.md's
+// (see DESIGN.md's "Wire protocol" section). The protocol logic is identical over every transport (see DESIGN.md's
 // substitution table).
 package cluster
 
@@ -36,7 +34,7 @@ import (
 
 // Message is the single request/response envelope exchanged with workers.
 type Message struct {
-	Op     string // "create", "put", "scan", "agg", "count", "drop", "ping", "cachestats", "execstats"
+	Op     string // "create", "put", "scan", "agg", "count", "drop", "ping", "metrics", ...
 	Array  string
 	Schema *array.Schema
 	BoxLo  []int64
@@ -55,19 +53,9 @@ type Message struct {
 	OnR    []string
 	// Stats response.
 	Stats *WorkerStats
-	// Cache is the "cachestats" response: the node's buffer-pool counters.
-	Cache *bufcache.Stats
-	// Exec is the "execstats" response: the node's worker-pool counters.
-	Exec *exec.Stats
-	// Store rides along in the "cachestats" response: the node's storage
-	// counters summed over its store-backed partitions (encoding ratios,
-	// prefetch hit/wasted counts, disk traffic).
-	Store *storage.Stats
 	// TraceID, when nonzero on a request, asks the worker to trace its
 	// execution; the response echoes it and carries the worker-side span
 	// tree in Spans for the coordinator to graft into the query profile.
-	// Both ride a new presence bit, so legacy peers (which ignore trailing
-	// message bytes and never set the bit) interoperate unchanged.
 	TraceID uint64
 	Spans   []obs.SpanData
 	// Metrics is the "metrics" response: the node's registry snapshot.
@@ -76,15 +64,13 @@ type Message struct {
 	// skips whole buckets whose zone maps refute them and filters the
 	// surviving cells before shipping bytes. The response's Skipped
 	// reports how many buckets were pruned without being read. Both ride
-	// one presence bit, so legacy peers interoperate unchanged (they never
-	// set it and ignore trailing bytes).
+	// one presence bit.
 	Preds   []array.ZonePred
 	Skipped int64
 	// Chunks, on a "loadchunks" request, carries a batch of pre-encoded
 	// chunk payloads (storage.EncodeChunk bytes) for the parallel bulk
 	// loader: the worker adopts each as a bucket verbatim instead of
-	// re-ingesting cell by cell. Rides the second presence byte; legacy
-	// peers interoperate unchanged.
+	// re-ingesting cell by cell. Rides the second presence byte.
 	Chunks [][]byte
 	// Path and Adaptor, on an "insitu" request, register an external file
 	// region as this node's partition of a file-backed array (distributed
@@ -361,13 +347,6 @@ func (w *Worker) handle(ctx context.Context, req *Message) (*Message, error) {
 	case "stats":
 		s := w.Stats()
 		return &Message{Op: "stats", Stats: &s}, nil
-	case "cachestats":
-		s := w.CacheStats()
-		st := w.StoreStats()
-		return &Message{Op: "cachestats", Cache: &s, Store: &st}, nil
-	case "execstats":
-		s := exec.Default().Stats()
-		return &Message{Op: "execstats", Exec: &s}, nil
 	case "metrics":
 		return &Message{Op: "metrics", Metrics: w.reg.Snapshot().Samples}, nil
 	}

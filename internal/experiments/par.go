@@ -13,8 +13,8 @@ import (
 
 // PAR measures the chunk-parallel execution layer: the same Filter,
 // Aggregate, and Regrid queries over a ~1M-cell chunked array at worker
-// bounds 1, 2, and 4. Parallelism 1 is the pre-parallel engine exactly, so
-// its row is the baseline; speedup scales with the host's cores (a
+// bounds 1, 2, and 4. Parallelism 1 runs the same per-chunk code inline on
+// the caller, so its row is the baseline; speedup scales with the host's cores (a
 // single-core container reports ~1.0x throughout — the scheduling still
 // runs, there is just nowhere to overlap). Pool counters are printed so the
 // scheduling itself is observable: parallel vs serial Map runs, chunk tasks,

@@ -20,81 +20,90 @@ func Filter(a *array.Array, pred Expr, reg *udf.Registry) (*array.Array, error) 
 // and, when the query is traced, the operator's footprint lands on the
 // context's span.
 func FilterCtx(ctx context.Context, a *array.Array, pred Expr, reg *udf.Registry) (*array.Array, error) {
-	if pool, work := parChunks(a); pool != nil {
-		spanChunks(ctx, work, true)
-		return parallelFilter(ctx, a, pred, reg, pool, work)
-	}
-	spanArray(ctx, a, false)
 	out := &array.Schema{Name: a.Schema.Name + "_filter", Dims: dimsWithHwm(a), Attrs: a.Schema.Attrs}
 	res, err := array.New(out)
 	if err != nil {
 		return nil, err
 	}
-	nullCell := make(array.Cell, len(a.Schema.Attrs))
-	for i, at := range a.Schema.Attrs {
-		nullCell[i] = array.NullValue(at.Type)
-	}
-	ec := &EvalCtx{Schema: a.Schema, Reg: reg}
+	work := liveChunks(a)
+	spanChunks(ctx, work)
 	preds := zonePreds(pred, a.Schema)
 	pure := predPure(pred, a.Schema)
-	var st encStats
-	cell := make(array.Cell, len(a.Schema.Attrs))
-	// Chunk-major walk over present cells: the same order IterReuse takes,
-	// but with the chunk in hand so the compressed-execution planner can
-	// skip or run-evaluate it. Cancellation aborts between chunks even on
-	// this serial path (a single-core box never takes the pool path, and
-	// CANCEL QUERY must still land).
-	for _, ch := range a.Chunks() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if ch.CellsPresent() == 0 {
-			continue
-		}
+	stats := make([]encStats, len(work))
+	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
+		ch := work[i]
+		oc := array.NewChunk(res.Schema, ch.Origin, res.GridShape(ch.Origin))
+		same := shapeEq(ch.Shape, oc.Shape)
 		plan := planEncFilter(pred, a.Schema, ch, preds, pure)
 		if plan == nil && chunkHasEncViews(ch) {
-			st.fallbacks++
+			stats[i].fallbacks++
 		}
 		if plan != nil && plan.skip {
-			st.skipped++
-			if err := eachPresent(ch, func(idx int64, c array.Coord) error {
-				return res.Set(c.Clone(), nullCell)
-			}); err != nil {
-				return nil, err
-			}
-			continue
+			stats[i].skipped++
+			emitNullChunk(ch, oc, same)
+			return oc, nil
 		}
-		err := eachPresent(ch, func(idx int64, c array.Coord) error {
+		// The cheapest decider the predicate's shape allows: an encoded-view
+		// plan, a vector kernel over one column, a compiled columnar closure,
+		// or the generic evaluator over a boxed cell.
+		var vec func(int64) bool
+		var eval colEval
+		var ec *EvalCtx
+		if plan != nil {
+			vec = plan.keep
+		} else if vec = vecPred(pred, a.Schema, ch); vec == nil {
+			if eval = compileExpr(pred, a.Schema, ch); eval == nil {
+				ec = &EvalCtx{Schema: a.Schema, Reg: reg, Cell: make(array.Cell, len(ch.Cols))}
+			}
+		}
+		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
 			var keep bool
-			if plan != nil {
-				keep = plan.keep(idx)
-			} else {
-				for ai, col := range ch.Cols {
-					cell[ai] = col.Get(idx)
+			switch {
+			case vec != nil:
+				keep = vec(idx)
+			case eval != nil:
+				v, err := eval(idx, c)
+				if err != nil {
+					return err
 				}
-				ec.Coord, ec.Cell = c, cell
+				keep = !v.Null && v.Bool
+			default:
+				boxedCell(ch, idx, ec.Cell)
+				ec.Coord = c
 				k, err := Truthy(pred, ec)
 				if err != nil {
 					return err
 				}
 				keep = k
 			}
-			if !keep {
-				return res.Set(c.Clone(), nullCell)
+			oidx := idx
+			if !same {
+				oidx = oc.Index(c)
 			}
-			for ai, col := range ch.Cols {
-				cell[ai] = col.Get(idx)
+			oc.Present.Set(oidx)
+			if keep {
+				for ai := range oc.Cols {
+					oc.Cols[ai].CopyFrom(ch.Cols[ai], oidx, idx)
+				}
+			} else {
+				for _, col := range oc.Cols {
+					col.Nulls.Set(oidx)
+				}
 			}
-			return res.Set(c.Clone(), cell)
+			return nil
 		})
-		if err != nil {
-			return nil, err
+		if werr != nil {
+			return nil, werr
 		}
 		if plan != nil && plan.runs != nil {
-			st.runs += *plan.runs
+			stats[i].runs = *plan.runs
 		}
+		return oc, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	st.publish(ctx)
+	publishEncStats(ctx, stats)
 	return res, nil
 }
 
@@ -104,13 +113,6 @@ type AggSpec struct {
 	Agg  string
 	Attr string
 	As   string // output attribute name; default "agg_attr"
-}
-
-// aggCol is one resolved aggregate: the input attribute it reads and the
-// accumulator factory.
-type aggCol struct {
-	attr int
-	fac  udf.AggregateFactory
 }
 
 // Aggregate (§2.2.2, Figure 2) groups an n-dimensional array on k grouping
@@ -128,7 +130,8 @@ func AggregateCtx(ctx context.Context, a *array.Array, groupDims []string, specs
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("ops: aggregate requires at least one aggregate spec")
 	}
-	gidx := make([]int, len(groupDims))
+	out := &array.Schema{Name: s.Name + "_agg"}
+	gdims := make([]groupDim, len(groupDims))
 	for i, g := range groupDims {
 		d := s.DimIndex(g)
 		if d < 0 {
@@ -137,158 +140,23 @@ func AggregateCtx(ctx context.Context, a *array.Array, groupDims []string, specs
 			}
 			return nil, fmt.Errorf("ops: unknown grouping dimension %q", g)
 		}
-		gidx[i] = d
+		gdims[i] = groupDim{dim: d, stride: 1}
+		out.Dims = append(out.Dims, array.Dimension{Name: s.Dims[d].Name, High: max64(a.Hwm(d), 1)})
 	}
-
-	out := &array.Schema{Name: s.Name + "_agg"}
 	if len(groupDims) == 0 {
 		// Grand total: a single-cell 1-D array.
 		out.Dims = []array.Dimension{{Name: "all", High: 1}}
-	} else {
-		for _, d := range gidx {
-			out.Dims = append(out.Dims, array.Dimension{Name: s.Dims[d].Name, High: max64(a.Hwm(d), 1)})
-		}
 	}
 	cols := make([]aggCol, len(specs))
 	for i, sp := range specs {
-		fac, err := reg.Aggregate(sp.Agg)
+		col, at, err := resolveAgg(s, sp, reg)
 		if err != nil {
 			return nil, err
 		}
-		attr := 0
-		if sp.Attr != "*" && sp.Attr != "" {
-			attr = s.AttrIndex(sp.Attr)
-			if attr < 0 {
-				return nil, fmt.Errorf("ops: unknown attribute %q in aggregate", sp.Attr)
-			}
-		}
-		cols[i] = aggCol{attr: attr, fac: fac}
-		name := sp.As
-		if name == "" {
-			name = sp.Agg + "_" + s.Attrs[attr].Name
-		}
-		// Aggregate output type: count is integer, others follow the input.
-		t := s.Attrs[attr].Type
-		if sp.Agg == "count" {
-			t = array.TInt64
-		}
-		if sp.Agg == "avg" || sp.Agg == "stdev" {
-			t = array.TFloat64
-		}
-		out.Attrs = append(out.Attrs, array.Attribute{Name: name, Type: t, Uncertain: s.Attrs[attr].Uncertain})
+		cols[i] = col
+		out.Attrs = append(out.Attrs, at)
 	}
-	if pool, work := parChunks(a); pool != nil && aggsMergeable(cols) {
-		spanChunks(ctx, work, true)
-		return parallelAggregate(ctx, a, gidx, cols, out, pool, work)
-	}
-	spanArray(ctx, a, false)
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
-	}
-	if len(groupDims) == 0 {
-		// Grand total: one accumulator set, fed chunk by chunk so the
-		// compressed-execution paths (zone all-NULL skip, run-at-a-time
-		// RunAggregates) can handle whole columns. Per accumulator the
-		// step order is identical to the cell-major walk: chunks in sorted
-		// order, slots ascending within each chunk.
-		var accs []udf.Aggregate
-		var st encStats
-		for _, ch := range a.Chunks() {
-			if ch.CellsPresent() == 0 {
-				continue
-			}
-			if accs == nil {
-				accs = make([]udf.Aggregate, len(cols))
-				for i, col := range cols {
-					accs[i] = col.fac()
-				}
-			}
-			var pend []int
-			for k, col := range cols {
-				if !encAggColumn(ch, col.attr, accs[k], &st) {
-					pend = append(pend, k)
-				}
-			}
-			if len(pend) > 0 {
-				if err := eachPresent(ch, func(idx int64, _ array.Coord) error {
-					for _, k := range pend {
-						accs[k].Step(ch.Cols[cols[k].attr].Get(idx))
-					}
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		st.publish(ctx)
-		if accs != nil {
-			outCell := make(array.Cell, len(accs))
-			for i, acc := range accs {
-				outCell[i] = acc.Result()
-			}
-			if err := res.Set(array.Coord{1}, outCell); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
-	}
-
-	// One accumulator set per group, held in a flat slice indexed by the
-	// row-major position of the group coordinate (group spaces are bounded
-	// by the output array's own size).
-	gShape := make([]int64, len(out.Dims))
-	gOrigin := make(array.Coord, len(out.Dims))
-	slots := int64(1)
-	for i, d := range out.Dims {
-		gShape[i] = d.High
-		gOrigin[i] = 1
-		slots *= d.High
-	}
-	groups := make([][]udf.Aggregate, slots)
-	gc := make(array.Coord, maxInt(len(gidx), 1))
-	a.IterReuse(func(c array.Coord, cell array.Cell) bool {
-		if len(gidx) == 0 {
-			gc[0] = 1
-		} else {
-			for i, d := range gidx {
-				gc[i] = c[d]
-			}
-		}
-		slot := array.RowMajorIndex(gOrigin, gShape, gc)
-		accs := groups[slot]
-		if accs == nil {
-			accs = make([]udf.Aggregate, len(cols))
-			for i, col := range cols {
-				accs[i] = col.fac()
-			}
-			groups[slot] = accs
-		}
-		for i, col := range cols {
-			accs[i].Step(cell[col.attr])
-		}
-		return true
-	})
-	for slot, accs := range groups {
-		if accs == nil {
-			continue
-		}
-		outCell := make(array.Cell, len(accs))
-		for i, acc := range accs {
-			outCell[i] = acc.Result()
-		}
-		if err := res.Set(array.CoordAt(gOrigin, gShape, int64(slot)), outCell); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return foldGroups(ctx, a, gdims, cols, out)
 }
 
 // Cjoin (§2.2.2, Figure 3) is the content-based join: its predicate is over
@@ -367,18 +235,11 @@ func Apply(a *array.Array, specs []ApplySpec, reg *udf.Registry) (*array.Array, 
 
 // ApplyCtx is Apply under a context (cancellation + span counters).
 func ApplyCtx(ctx context.Context, a *array.Array, specs []ApplySpec, reg *udf.Registry) (*array.Array, error) {
-	if pool, work := parChunks(a); pool != nil {
-		spanChunks(ctx, work, true)
-		return parallelApply(ctx, a, specs, reg, pool, work)
-	}
-	spanArray(ctx, a, false)
 	s := a.Schema
 	out := &array.Schema{Name: s.Name + "_apply", Dims: dimsWithHwm(a)}
 	out.Attrs = append([]array.Attribute(nil), s.Attrs...)
-	ec := &EvalCtx{Schema: s, Reg: reg}
-	// Infer output types from a probe evaluation lazily; default float.
-	// Computed attributes are marked Uncertain so error bars propagated by
-	// the expression arithmetic survive storage (§2.13).
+	// Computed attributes default to float and are marked Uncertain so error
+	// bars propagated by the expression arithmetic survive storage (§2.13).
 	for _, sp := range specs {
 		out.Attrs = append(out.Attrs, array.Attribute{Name: sp.Name, Type: array.TFloat64, Uncertain: true})
 	}
@@ -386,32 +247,76 @@ func ApplyCtx(ctx context.Context, a *array.Array, specs []ApplySpec, reg *udf.R
 	if err != nil {
 		return nil, err
 	}
-	typed := false
-	var evalErr error
-	a.IterReuse(func(c array.Coord, cell array.Cell) bool {
-		ec.Coord, ec.Cell = c, cell
-		newCell := cell.Clone()
+	work := liveChunks(a)
+	spanChunks(ctx, work)
+	base := len(s.Attrs)
+	if len(work) > 0 {
+		// Fix the computed attributes' declared types from the first present
+		// cell's concrete values, before any output chunk is allocated
+		// (expressions are assumed pure; the cell is evaluated again by its
+		// chunk's task).
+		ch := work[0]
+		idx := ch.Present.NextSet(0)
+		ec := &EvalCtx{Schema: s, Reg: reg, Coord: array.CoordAt(ch.Origin, ch.Shape, idx), Cell: make(array.Cell, len(ch.Cols))}
+		boxedCell(ch, idx, ec.Cell)
 		for i, sp := range specs {
 			v, err := sp.Expr.Eval(ec)
 			if err != nil {
-				evalErr = err
-				return false
+				return nil, err
 			}
-			if !typed && !v.Null {
-				// Fix the declared type from the first concrete value.
-				res.Schema.Attrs[len(s.Attrs)+i].Type = v.Type
+			if !v.Null {
+				res.Schema.Attrs[base+i].Type = v.Type
 			}
-			newCell = append(newCell, v)
 		}
-		typed = true
-		if err := res.Set(c.Clone(), newCell); err != nil {
-			evalErr = err
-			return false
+	}
+	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
+		ch := work[i]
+		oc := array.NewChunk(res.Schema, ch.Origin, res.GridShape(ch.Origin))
+		same := shapeEq(ch.Shape, oc.Shape)
+		// Expressions the columnar compiler does not cover evaluate over a
+		// boxed cell.
+		compiled := make([]colEval, len(specs))
+		var ec *EvalCtx
+		for k, sp := range specs {
+			if compiled[k] = compileExpr(sp.Expr, s, ch); compiled[k] == nil && ec == nil {
+				ec = &EvalCtx{Schema: s, Reg: reg, Cell: make(array.Cell, len(ch.Cols))}
+			}
 		}
-		return true
+		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
+			oidx := idx
+			if !same {
+				oidx = oc.Index(c)
+			}
+			oc.Present.Set(oidx)
+			for ai := 0; ai < base; ai++ {
+				oc.Cols[ai].CopyFrom(ch.Cols[ai], oidx, idx)
+			}
+			if ec != nil {
+				boxedCell(ch, idx, ec.Cell)
+				ec.Coord = c
+			}
+			for k := range specs {
+				var v array.Value
+				var err error
+				if compiled[k] != nil {
+					v, err = compiled[k](idx, c)
+				} else {
+					v, err = specs[k].Expr.Eval(ec)
+				}
+				if err != nil {
+					return err
+				}
+				oc.Cols[base+k].Set(oidx, v)
+			}
+			return nil
+		})
+		if werr != nil {
+			return nil, werr
+		}
+		return oc, nil
 	})
-	if evalErr != nil {
-		return nil, evalErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -461,81 +366,19 @@ func RegridCtx(ctx context.Context, a *array.Array, strides []int64, spec AggSpe
 	if len(strides) != len(s.Dims) {
 		return nil, fmt.Errorf("ops: regrid needs one stride per dimension")
 	}
-	for _, st := range strides {
+	out := &array.Schema{Name: s.Name + "_regrid"}
+	gdims := make([]groupDim, len(strides))
+	for d, st := range strides {
 		if st < 1 {
 			return nil, fmt.Errorf("ops: regrid strides must be >= 1")
 		}
+		gdims[d] = groupDim{dim: d, stride: st}
+		out.Dims = append(out.Dims, array.Dimension{Name: s.Dims[d].Name, High: (max64(a.Hwm(d), 1) + st - 1) / st})
 	}
-	fac, err := reg.Aggregate(spec.Agg)
+	col, at, err := resolveAgg(s, spec, reg)
 	if err != nil {
 		return nil, err
 	}
-	attr := 0
-	if spec.Attr != "*" && spec.Attr != "" {
-		attr = s.AttrIndex(spec.Attr)
-		if attr < 0 {
-			return nil, fmt.Errorf("ops: unknown attribute %q", spec.Attr)
-		}
-	}
-	out := &array.Schema{Name: s.Name + "_regrid"}
-	for d, dim := range s.Dims {
-		hi := (max64(a.Hwm(d), 1) + strides[d] - 1) / strides[d]
-		out.Dims = append(out.Dims, array.Dimension{Name: dim.Name, High: hi})
-	}
-	name := spec.As
-	if name == "" {
-		name = spec.Agg + "_" + s.Attrs[attr].Name
-	}
-	t := s.Attrs[attr].Type
-	if spec.Agg == "count" {
-		t = array.TInt64
-	}
-	if spec.Agg == "avg" || spec.Agg == "stdev" {
-		t = array.TFloat64
-	}
-	out.Attrs = []array.Attribute{{Name: name, Type: t, Uncertain: s.Attrs[attr].Uncertain}}
-	if pool, work := parChunks(a); pool != nil {
-		if _, ok := fac().(udf.MergeableAggregate); ok {
-			spanChunks(ctx, work, true)
-			return parallelRegrid(ctx, a, strides, attr, fac, out, pool, work)
-		}
-	}
-	spanArray(ctx, a, false)
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
-	}
-	// Flat accumulator slice over the (bounded) output grid.
-	gShape := make([]int64, len(out.Dims))
-	gOrigin := make(array.Coord, len(out.Dims))
-	slots := int64(1)
-	for i, d := range out.Dims {
-		gShape[i] = d.High
-		gOrigin[i] = 1
-		slots *= d.High
-	}
-	groups := make([]udf.Aggregate, slots)
-	gc := make(array.Coord, len(s.Dims))
-	a.IterReuse(func(c array.Coord, cell array.Cell) bool {
-		for d := range c {
-			gc[d] = (c[d]-1)/strides[d] + 1
-		}
-		slot := array.RowMajorIndex(gOrigin, gShape, gc)
-		acc := groups[slot]
-		if acc == nil {
-			acc = fac()
-			groups[slot] = acc
-		}
-		acc.Step(cell[attr])
-		return true
-	})
-	for slot, acc := range groups {
-		if acc == nil {
-			continue
-		}
-		if err := res.Set(array.CoordAt(gOrigin, gShape, int64(slot)), array.Cell{acc.Result()}); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	out.Attrs = []array.Attribute{at}
+	return foldGroups(ctx, a, gdims, []aggCol{col}, out)
 }

@@ -29,7 +29,7 @@ import (
 )
 
 // Process-wide compressed-execution counters, also mirrored onto the
-// query span (EXPLAIN ANALYZE) by encStats.publish.
+// query span (EXPLAIN ANALYZE) by publishEncStats.
 var (
 	encChunksSkipped   = obs.Default().Counter("scidb_enc_chunks_skipped", "Chunks whole-skipped by zone maps during operator execution.")
 	encRunsEvaluated   = obs.Default().Counter("scidb_enc_runs_evaluated", "RLE runs evaluated run-at-a-time instead of cell-at-a-time.")
@@ -54,10 +54,14 @@ func (e *encStats) add(o encStats) {
 	e.fallbacks += o.fallbacks
 }
 
-// publish flushes the stats to the process counters and, when the query
-// is traced, onto the current span. Call once per operator run from the
-// serial driver goroutine.
-func (e encStats) publish(ctx context.Context) {
+// publishEncStats sums an operator run's per-task stats and flushes them to
+// the process counters and, when the query is traced, onto the current
+// span. Call once per operator run from the driver goroutine.
+func publishEncStats(ctx context.Context, tasks []encStats) {
+	var e encStats
+	for i := range tasks {
+		e.add(tasks[i])
+	}
 	if e == (encStats{}) {
 		return
 	}

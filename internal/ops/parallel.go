@@ -1,55 +1,70 @@
 package ops
 
-// Chunk-parallel execution paths for the hot operators (Filter, Apply,
+// Chunk execution: the one body of the hot operators (Filter, Apply,
 // Aggregate, Regrid, Subsample, Sjoin). The paper's premise (§2.4, §2.10) is
-// that array operators parallelize naturally over a regular chunked layout:
-// each task processes one whole input chunk and writes one disjoint output
-// chunk, installed with PutChunk at the end — no locking on the output.
+// that array operators are per-chunk kernels over a regular chunked layout:
+// each task processes one whole input chunk and either writes one disjoint
+// output chunk, installed with PutChunk after the barrier — no locking on
+// the output — or folds the chunk into a partial accumulator table.
+// exec.Pool.Map schedules the tasks: inline and in index order on the caller
+// when the pool's parallelism is 1 or there is a single task, spread over
+// recruited workers otherwise. There is no second path to select.
 //
-// Three invariants keep the parallel results cell-identical to the serial
-// operators:
+// Three invariants make the result independent of that schedule:
 //
 //   - Input arrays are strictly read-only during a run. Tasks use PeekAt /
 //     peeker (never At, whose last-chunk cache mutates) and never call
-//     CellsPresent on shared chunks (Bitmap.Count trims in place); the
-//     drivers warm Chunks() and presence counts serially before fanning out.
-//   - Aggregate/Regrid partials merge at the barrier in chunk order, which
-//     is exactly the order the serial accumulator saw its inputs (serial
-//     iteration is chunk-major).
+//     CellsPresent on shared chunks (Bitmap.Count trims in place);
+//     liveChunks warms Chunks() and presence counts before the fan-out.
+//   - Aggregate/Regrid partials are one table per chunk, merged at the
+//     barrier in chunk order whichever worker produced them.
 //   - The columnar fast paths reuse evalArith/evalCmp/evalLogic and mirror
 //     Column.Get, so compiled and boxed evaluation are interchangeable.
 //
-// Output schemas pin the effective chunk stride explicitly (parOutDims) so
-// per-input-chunk tasks land on the output's own grid; with parallelism 1
-// the operators run their original serial code untouched.
+// Output schemas pin the effective chunk stride explicitly (dimsWithHwm) so
+// per-input-chunk tasks land on the output's own grid.
 
 import (
 	"context"
+	"fmt"
 
 	"scidb/internal/array"
 	"scidb/internal/exec"
 	"scidb/internal/udf"
 )
 
-// parChunks decides whether an operator over a should run chunk-parallel.
-// It returns the pool and the non-empty input chunks, warming the array's
-// lazy caches (sorted chunk list, presence counts) so tasks only ever read;
-// (nil, nil) means run the serial path.
-func parChunks(a *array.Array) (*exec.Pool, []*array.Chunk) {
-	pool := exec.Default()
-	if pool.Parallelism() <= 1 {
-		return nil, nil
-	}
+// liveChunks returns a's non-empty chunks in origin order, warming the
+// array's lazy caches (sorted chunk list, presence counts) so tasks only
+// ever read.
+func liveChunks(a *array.Array) []*array.Chunk {
 	var work []*array.Chunk
 	for _, ch := range a.Chunks() {
 		if ch.CellsPresent() > 0 {
 			work = append(work, ch)
 		}
 	}
-	if len(work) < 2 {
-		return nil, nil
+	return work
+}
+
+// mapChunks runs task(0..n-1) on the process pool and installs the chunks
+// they return (nil for none) into res, in task order.
+func mapChunks(ctx context.Context, res *array.Array, n int, task func(i int) (*array.Chunk, error)) error {
+	pool := exec.Default()
+	outCh := make([]*array.Chunk, n)
+	err := pool.Map(ctx, n, func(i int) (err error) {
+		outCh[i], err = task(i)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	return pool, work
+	pool.NoteChunks(int64(n))
+	for _, oc := range outCh {
+		if oc != nil {
+			res.PutChunk(oc)
+		}
+	}
+	return nil
 }
 
 // effChunkLen is the stride dimension d of a actually chunks on: the
@@ -65,15 +80,17 @@ func effChunkLen(d array.Dimension) int64 {
 	return 0
 }
 
-// parOutDims pins dimensions to the high-water mark like dimsWithHwm but
-// also pins the effective chunk stride, so the output grid coincides with
-// the input's and per-input-chunk tasks emit aligned output chunks.
-func parOutDims(a *array.Array) []array.Dimension {
-	dims := dimsWithHwm(a)
+// dimsWithHwm is the one output-dimensions rule: a's dimensions with
+// unbounded ones pinned to their current high-water marks, so operator
+// outputs are bounded, and with the effective chunk stride pinned too, so
+// the output grid coincides with the input's and a task over one input
+// chunk emits one aligned output chunk.
+func dimsWithHwm(a *array.Array) []array.Dimension {
+	out := make([]array.Dimension, len(a.Schema.Dims))
 	for i, d := range a.Schema.Dims {
-		dims[i].ChunkLen = effChunkLen(d)
+		out[i] = array.Dimension{Name: d.Name, High: max64(a.Hwm(i), 1), ChunkLen: effChunkLen(d)}
 	}
-	return dims
+	return out
 }
 
 func shapeEq(a, b []int64) bool {
@@ -109,6 +126,14 @@ func eachPresent(ch *array.Chunk, fn func(idx int64, c array.Coord) error) error
 		}
 	}
 	return nil
+}
+
+// boxedCell reads slot idx of ch into cell, one boxed Value per attribute —
+// the input of the generic expression evaluator.
+func boxedCell(ch *array.Chunk, idx int64, cell array.Cell) {
+	for ai, col := range ch.Cols {
+		cell[ai] = col.Get(idx)
+	}
 }
 
 // peeker reads cells of a shared input array through a task-private
@@ -387,572 +412,269 @@ func vecPred(pred Expr, s *array.Schema, ch *array.Chunk) func(idx int64) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Operators
+// Grouped folds (Aggregate, Regrid)
 
-func parallelFilter(ctx context.Context, a *array.Array, pred Expr, reg *udf.Registry, pool *exec.Pool, work []*array.Chunk) (*array.Array, error) {
-	out := &array.Schema{Name: a.Schema.Name + "_filter", Dims: parOutDims(a), Attrs: a.Schema.Attrs}
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
-	}
-	preds := zonePreds(pred, a.Schema)
-	pure := predPure(pred, a.Schema)
-	stats := make([]encStats, len(work))
-	outCh := make([]*array.Chunk, len(work))
-	err = pool.Map(ctx, len(work), func(i int) error {
-		ch := work[i]
-		oc := array.NewChunk(res.Schema, ch.Origin, res.GridShape(ch.Origin))
-		same := shapeEq(ch.Shape, oc.Shape)
-		plan := planEncFilter(pred, a.Schema, ch, preds, pure)
-		if plan == nil && chunkHasEncViews(ch) {
-			stats[i].fallbacks++
-		}
-		if plan != nil && plan.skip {
-			stats[i].skipped++
-			emitNullChunk(ch, oc, same)
-			outCh[i] = oc
-			return nil
-		}
-		var vec func(int64) bool
-		var eval colEval
-		var ctx *EvalCtx
-		var cell array.Cell
-		if plan != nil {
-			vec = plan.keep
-		} else if vec = vecPred(pred, a.Schema, ch); vec == nil {
-			if eval = compileExpr(pred, a.Schema, ch); eval == nil {
-				ctx = &EvalCtx{Schema: a.Schema, Reg: reg}
-				cell = make(array.Cell, len(ch.Cols))
-			}
-		}
-		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
-			var keep bool
-			switch {
-			case vec != nil:
-				keep = vec(idx)
-			case eval != nil:
-				v, err := eval(idx, c)
-				if err != nil {
-					return err
-				}
-				keep = !v.Null && v.Bool
-			default:
-				for ai, col := range ch.Cols {
-					cell[ai] = col.Get(idx)
-				}
-				ctx.Coord, ctx.Cell = c, cell
-				k, err := Truthy(pred, ctx)
-				if err != nil {
-					return err
-				}
-				keep = k
-			}
-			oidx := idx
-			if !same {
-				oidx = oc.Index(c)
-			}
-			oc.Present.Set(oidx)
-			if keep {
-				for ai := range oc.Cols {
-					oc.Cols[ai].CopyFrom(ch.Cols[ai], oidx, idx)
-				}
-			} else {
-				for _, col := range oc.Cols {
-					col.Nulls.Set(oidx)
-				}
-			}
-			return nil
-		})
-		if werr != nil {
-			return werr
-		}
-		if plan != nil && plan.runs != nil {
-			stats[i].runs = *plan.runs
-		}
-		outCh[i] = oc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool.NoteChunks(int64(len(work)))
-	var st encStats
-	for i := range stats {
-		st.add(stats[i])
-	}
-	st.publish(ctx)
-	for _, oc := range outCh {
-		if oc != nil {
-			res.PutChunk(oc)
-		}
-	}
-	return res, nil
+// aggCol is one resolved aggregate: the input attribute it reads and the
+// accumulator factory.
+type aggCol struct {
+	attr int
+	fac  udf.AggregateFactory
 }
 
-func parallelApply(ctx context.Context, a *array.Array, specs []ApplySpec, reg *udf.Registry, pool *exec.Pool, work []*array.Chunk) (*array.Array, error) {
-	s := a.Schema
-	out := &array.Schema{Name: s.Name + "_apply", Dims: parOutDims(a)}
-	out.Attrs = append([]array.Attribute(nil), s.Attrs...)
-	for _, sp := range specs {
-		out.Attrs = append(out.Attrs, array.Attribute{Name: sp.Name, Type: array.TFloat64, Uncertain: true})
-	}
-	res, err := array.New(out)
+// resolveAgg resolves one AggSpec against s: the column it folds and the
+// output attribute it produces ("*" or "" aggregates the first attribute;
+// count is integer, avg and stdev float, the rest follow the input).
+func resolveAgg(s *array.Schema, sp AggSpec, reg *udf.Registry) (aggCol, array.Attribute, error) {
+	fac, err := reg.Aggregate(sp.Agg)
 	if err != nil {
-		return nil, err
+		return aggCol{}, array.Attribute{}, err
 	}
-	// Fix the computed attributes' declared types from the first present
-	// cell, exactly as the serial probe does (expressions are assumed pure;
-	// this cell is evaluated again by its chunk's task).
-	probeCtx := &EvalCtx{Schema: s, Reg: reg}
-	probeErr := eachPresent(work[0], func(idx int64, c array.Coord) error {
-		cell := make(array.Cell, len(work[0].Cols))
-		for ai, col := range work[0].Cols {
-			cell[ai] = col.Get(idx)
-		}
-		probeCtx.Coord, probeCtx.Cell = c, cell
-		for i, sp := range specs {
-			v, err := sp.Expr.Eval(probeCtx)
-			if err != nil {
-				return err
-			}
-			if !v.Null {
-				res.Schema.Attrs[len(s.Attrs)+i].Type = v.Type
-			}
-		}
-		return errStopProbe
-	})
-	if probeErr != nil && probeErr != errStopProbe {
-		return nil, probeErr
-	}
-	base := len(s.Attrs)
-	outCh := make([]*array.Chunk, len(work))
-	err = pool.Map(ctx, len(work), func(i int) error {
-		ch := work[i]
-		oc := array.NewChunk(res.Schema, ch.Origin, res.GridShape(ch.Origin))
-		same := shapeEq(ch.Shape, oc.Shape)
-		compiled := make([]colEval, len(specs))
-		generic := false
-		for k, sp := range specs {
-			if compiled[k] = compileExpr(sp.Expr, s, ch); compiled[k] == nil {
-				generic = true
-			}
-		}
-		var ctx *EvalCtx
-		var cell array.Cell
-		if generic {
-			ctx = &EvalCtx{Schema: s, Reg: reg}
-			cell = make(array.Cell, len(ch.Cols))
-		}
-		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
-			oidx := idx
-			if !same {
-				oidx = oc.Index(c)
-			}
-			oc.Present.Set(oidx)
-			for ai := 0; ai < base; ai++ {
-				oc.Cols[ai].CopyFrom(ch.Cols[ai], oidx, idx)
-			}
-			if generic {
-				for ai, col := range ch.Cols {
-					cell[ai] = col.Get(idx)
-				}
-				ctx.Coord, ctx.Cell = c, cell
-			}
-			for k := range specs {
-				var v array.Value
-				var err error
-				if compiled[k] != nil {
-					v, err = compiled[k](idx, c)
-				} else {
-					v, err = specs[k].Expr.Eval(ctx)
-				}
-				if err != nil {
-					return err
-				}
-				oc.Cols[base+k].Set(oidx, v)
-			}
-			return nil
-		})
-		if werr != nil {
-			return werr
-		}
-		outCh[i] = oc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool.NoteChunks(int64(len(work)))
-	for _, oc := range outCh {
-		if oc != nil {
-			res.PutChunk(oc)
+	attr := 0
+	if sp.Attr != "*" && sp.Attr != "" {
+		if attr = s.AttrIndex(sp.Attr); attr < 0 {
+			return aggCol{}, array.Attribute{}, fmt.Errorf("ops: unknown attribute %q in aggregate", sp.Attr)
 		}
 	}
-	return res, nil
+	name := sp.As
+	if name == "" {
+		name = sp.Agg + "_" + s.Attrs[attr].Name
+	}
+	t := s.Attrs[attr].Type
+	switch sp.Agg {
+	case "count":
+		t = array.TInt64
+	case "avg", "stdev":
+		t = array.TFloat64
+	}
+	return aggCol{attr: attr, fac: fac}, array.Attribute{Name: name, Type: t, Uncertain: s.Attrs[attr].Uncertain}, nil
 }
 
-// errStopProbe is a sentinel used to stop eachPresent after the first cell.
-var errStopProbe = errSentinel("stop probe")
-
-type errSentinel string
-
-func (e errSentinel) Error() string { return string(e) }
-
-// aggsMergeable reports whether every factory builds a MergeableAggregate,
-// the precondition for per-chunk partial aggregation.
-func aggsMergeable(cols []aggCol) bool {
-	for _, c := range cols {
-		if _, ok := c.fac().(udf.MergeableAggregate); !ok {
-			return false
-		}
-	}
-	return true
+// groupDim is one dimension of a fold's group space: input dimension dim
+// coarsened by stride. A cell at coordinate c falls in group (c-1)/stride
+// (zero-based) along it. Aggregate groups with stride 1; Regrid coarsens
+// every dimension.
+type groupDim struct {
+	dim    int
+	stride int64
 }
 
-func parallelAggregate(ctx context.Context, a *array.Array, gidx []int, cols []aggCol, out *array.Schema, pool *exec.Pool, work []*array.Chunk) (*array.Array, error) {
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
+// aggTable is a dense table of accumulators over a box of the group space:
+// one row of len(cols) accumulators per group, rows in row-major order. A
+// row's accumulators are created when its first present cell arrives, so a
+// nil row is a group with no cells.
+type aggTable struct {
+	lo, shape []int64 // the box, in zero-based group indices per groupDim
+	cols      []aggCol
+	accs      []udf.Aggregate
+}
+
+func newAggTable(lo, shape []int64, cols []aggCol) *aggTable {
+	rows := int64(1)
+	for _, n := range shape {
+		rows *= n
 	}
-	gShape := make([]int64, len(out.Dims))
-	gOrigin := make(array.Coord, len(out.Dims))
-	slots := int64(1)
-	for i, d := range out.Dims {
-		gShape[i] = d.High
-		gOrigin[i] = 1
-		slots *= d.High
+	return &aggTable{lo: lo, shape: shape, cols: cols, accs: make([]udf.Aggregate, rows*int64(len(cols)))}
+}
+
+// chunkTable sizes a table to the groups ch's box can reach.
+func chunkTable(ch *array.Chunk, gdims []groupDim, cols []aggCol) *aggTable {
+	lo := make([]int64, len(gdims))
+	shape := make([]int64, len(gdims))
+	for k, g := range gdims {
+		lo[k] = (ch.Origin[g.dim] - 1) / g.stride
+		shape[k] = (ch.Origin[g.dim]+ch.Shape[g.dim]-2)/g.stride - lo[k] + 1
 	}
-	// One sparse partial-state map per chunk, merged at the barrier below.
-	locals := make([]map[int64][]udf.Aggregate, len(work))
-	stats := make([]encStats, len(work))
-	err = pool.Map(ctx, len(work), func(i int) error {
-		ch := work[i]
-		local := map[int64][]udf.Aggregate{}
-		if len(gidx) == 0 {
-			// Grand total: every cell lands in group slot 0, so the whole
-			// chunk can go through the compressed-execution column paths.
-			accs := make([]udf.Aggregate, len(cols))
-			for k, col := range cols {
-				accs[k] = col.fac()
-			}
-			local[0] = accs
-			var pend []int
-			for k, col := range cols {
-				if !encAggColumn(ch, col.attr, accs[k], &stats[i]) {
-					pend = append(pend, k)
-				}
-			}
-			if len(pend) > 0 {
-				if werr := eachPresent(ch, func(idx int64, _ array.Coord) error {
-					for _, k := range pend {
-						accs[k].Step(ch.Cols[cols[k].attr].Get(idx))
-					}
-					return nil
-				}); werr != nil {
-					return werr
-				}
-			}
-			locals[i] = local
-			return nil
+	return newAggTable(lo, shape, cols)
+}
+
+// row returns the accumulators of row r, creating them on first use.
+func (t *aggTable) row(r int64) []udf.Aggregate {
+	nc := int64(len(t.cols))
+	accs := t.accs[r*nc : (r+1)*nc]
+	if accs[0] == nil {
+		for k, col := range t.cols {
+			accs[k] = col.fac()
 		}
-		gc := make(array.Coord, maxInt(len(gidx), 1))
-		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
-			if len(gidx) == 0 {
-				gc[0] = 1
-			} else {
-				for k, d := range gidx {
-					gc[k] = c[d]
-				}
+	}
+	return accs
+}
+
+// fold steps every present cell of ch into its group's row, in slot order.
+// With an empty group space (a grand total) whole columns go through the
+// compressed-execution paths first.
+func (t *aggTable) fold(ch *array.Chunk, gdims []groupDim, st *encStats) {
+	if len(gdims) == 0 {
+		accs := t.row(0)
+		var pend []int
+		for k, col := range t.cols {
+			if !encAggColumn(ch, col.attr, accs[k], st) {
+				pend = append(pend, k)
 			}
-			slot := array.RowMajorIndex(gOrigin, gShape, gc)
-			accs := local[slot]
-			if accs == nil {
-				accs = make([]udf.Aggregate, len(cols))
-				for k, col := range cols {
-					accs[k] = col.fac()
-				}
-				local[slot] = accs
-			}
-			for k, col := range cols {
-				accs[k].Step(ch.Cols[col.attr].Get(idx))
-			}
-			return nil
-		})
-		if werr != nil {
-			return werr
 		}
-		locals[i] = local
-		return nil
+		if len(pend) == 0 {
+			return
+		}
+		for i := ch.Present.NextSet(0); i < ch.Slots(); i = ch.Present.NextSet(i + 1) {
+			for _, k := range pend {
+				accs[k].Step(ch.Cols[t.cols[k].attr].Get(i))
+			}
+		}
+		return
+	}
+	// rstride[k] is the row-major stride of group dimension k in t.
+	rstride := make([]int64, len(gdims))
+	rows := int64(1)
+	for k := len(gdims) - 1; k >= 0; k-- {
+		rstride[k] = rows
+		rows *= t.shape[k]
+	}
+	last := len(ch.Shape) - 1
+	ch.Rows(ch.Box(), func(start, n int64, c array.Coord) {
+		// A run varies only the innermost dimension: its first cell lands in
+		// row r0, and when that dimension is grouped the row advances by
+		// step every `every` cells, the run starting `phase` cells into one.
+		var r0, step, phase int64
+		every := int64(1)
+		for k, g := range gdims {
+			r0 += ((c[g.dim]-1)/g.stride - t.lo[k]) * rstride[k]
+			if g.dim == last {
+				step, every, phase = rstride[k], g.stride, (c[last]-1)%g.stride
+			}
+		}
+		var accs []udf.Aggregate
+		cur := int64(-1)
+		for i := ch.Present.NextSet(start); i < start+n; i = ch.Present.NextSet(i + 1) {
+			r := r0
+			if step != 0 {
+				r += (phase + i - start) / every * step
+			}
+			if r != cur {
+				accs, cur = t.row(r), r
+			}
+			t.step(accs, ch, i)
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	pool.NoteChunks(int64(len(work)))
-	var st encStats
-	for i := range stats {
-		st.add(stats[i])
-	}
-	st.publish(ctx)
-	// Merge partials in chunk order: serial iteration is chunk-major, so for
-	// any one group the per-chunk partials fold in exactly the order the
-	// serial accumulator saw its inputs.
-	groups := make([][]udf.Aggregate, slots)
-	for _, local := range locals {
-		for slot, accs := range local {
-			if groups[slot] == nil {
-				groups[slot] = accs
-				continue
-			}
-			for k := range accs {
-				if err := groups[slot][k].(udf.MergeableAggregate).Merge(accs[k]); err != nil {
-					return nil, err
-				}
-			}
+}
+
+// step feeds slot i of ch to one row's accumulators, boxing each input
+// column once however many aggregates read it.
+func (t *aggTable) step(accs []udf.Aggregate, ch *array.Chunk, i int64) {
+	var v array.Value
+	boxed := -1
+	for k, col := range t.cols {
+		if col.attr != boxed {
+			v, boxed = ch.Cols[col.attr].Get(i), col.attr
 		}
+		accs[k].Step(v)
 	}
-	for slot, accs := range groups {
-		if accs == nil {
+}
+
+// merge folds o's rows into t's rows for the same groups; o's box must lie
+// inside t's. A group t has not seen adopts o's accumulators outright.
+func (t *aggTable) merge(o *aggTable) error {
+	nc := int64(len(t.cols))
+	orows := int64(len(o.accs)) / nc
+	g := make([]int64, len(o.shape))
+	for r := int64(0); r < orows; r++ {
+		src := o.accs[r*nc : (r+1)*nc]
+		if src[0] == nil {
 			continue
 		}
-		outCell := make(array.Cell, len(accs))
-		for i, acc := range accs {
-			outCell[i] = acc.Result()
+		// Decompose r over o's box and recompose over t's.
+		rem, tr, mul := r, int64(0), int64(1)
+		for k := len(g) - 1; k >= 0; k-- {
+			g[k] = o.lo[k] + rem%o.shape[k]
+			rem /= o.shape[k]
+			tr += (g[k] - t.lo[k]) * mul
+			mul *= t.shape[k]
 		}
-		if err := res.Set(array.CoordAt(gOrigin, gShape, int64(slot)), outCell); err != nil {
-			return nil, err
+		dst := t.accs[tr*nc : (tr+1)*nc]
+		if dst[0] == nil {
+			copy(dst, src)
+			continue
+		}
+		for k := range dst {
+			if err := dst[k].(udf.MergeableAggregate).Merge(src[k]); err != nil {
+				return err
+			}
 		}
 	}
-	return res, nil
+	return nil
 }
 
-func parallelRegrid(ctx context.Context, a *array.Array, strides []int64, attr int, fac udf.AggregateFactory, out *array.Schema, pool *exec.Pool, work []*array.Chunk) (*array.Array, error) {
+// foldGroups is the body of Aggregate and Regrid: every present cell of a
+// steps the accumulators of its group, and the groups that saw a cell become
+// the cells of the result — a single chunk spanning out's dimensions, whose
+// row-major slots are the global table's rows.
+//
+// When every aggregate can Merge, each chunk folds into a table sized to its
+// own extent of the group space, as a pool task, and the partials merge in
+// chunk order. Otherwise the same kernel runs over the chunks in order on
+// the caller, stepping the global table directly.
+func foldGroups(ctx context.Context, a *array.Array, gdims []groupDim, cols []aggCol, out *array.Schema) (*array.Array, error) {
 	res, err := array.New(out)
 	if err != nil {
 		return nil, err
 	}
-	gShape := make([]int64, len(out.Dims))
-	gOrigin := make(array.Coord, len(out.Dims))
-	slots := int64(1)
-	for i, d := range out.Dims {
-		gShape[i] = d.High
-		gOrigin[i] = 1
-		slots *= d.High
+	work := liveChunks(a)
+	spanChunks(ctx, work)
+	shape := make([]int64, len(gdims))
+	for k := range gdims {
+		shape[k] = out.Dims[k].High
 	}
-	locals := make([]map[int64]udf.Aggregate, len(work))
-	err = pool.Map(ctx, len(work), func(i int) error {
-		ch := work[i]
-		local := map[int64]udf.Aggregate{}
-		gc := make(array.Coord, len(a.Schema.Dims))
-		col := ch.Cols[attr]
-		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
-			for d := range c {
-				gc[d] = (c[d]-1)/strides[d] + 1
-			}
-			slot := array.RowMajorIndex(gOrigin, gShape, gc)
-			acc := local[slot]
-			if acc == nil {
-				acc = fac()
-				local[slot] = acc
-			}
-			acc.Step(col.Get(idx))
+	global := newAggTable(make([]int64, len(gdims)), shape, cols)
+	stats := make([]encStats, len(work))
+	mergeable := true
+	for _, c := range cols {
+		if _, ok := c.fac().(udf.MergeableAggregate); !ok {
+			mergeable = false
+		}
+	}
+	if mergeable {
+		pool := exec.Default()
+		locals := make([]*aggTable, len(work))
+		err = pool.Map(ctx, len(work), func(i int) error {
+			locals[i] = chunkTable(work[i], gdims, cols)
+			locals[i].fold(work[i], gdims, &stats[i])
 			return nil
 		})
-		if werr != nil {
-			return werr
+		if err != nil {
+			return nil, err
 		}
-		locals[i] = local
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool.NoteChunks(int64(len(work)))
-	groups := make([]udf.Aggregate, slots)
-	for _, local := range locals {
-		for slot, acc := range local {
-			if groups[slot] == nil {
-				groups[slot] = acc
-				continue
-			}
-			if err := groups[slot].(udf.MergeableAggregate).Merge(acc); err != nil {
+		pool.NoteChunks(int64(len(work)))
+		for _, local := range locals {
+			if err := global.merge(local); err != nil {
 				return nil, err
 			}
 		}
+	} else {
+		for i, ch := range work {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			global.fold(ch, gdims, &stats[i])
+		}
 	}
-	for slot, acc := range groups {
-		if acc == nil {
+	publishEncStats(ctx, stats)
+
+	origin := make(array.Coord, len(out.Dims))
+	for i := range origin {
+		origin[i] = 1
+	}
+	oc := array.NewChunk(out, origin, res.GridShape(origin))
+	nc := int64(len(cols))
+	for r := int64(0); r < oc.Slots(); r++ {
+		accs := global.accs[r*nc : (r+1)*nc]
+		if accs[0] == nil {
 			continue
 		}
-		if err := res.Set(array.CoordAt(gOrigin, gShape, int64(slot)), array.Cell{acc.Result()}); err != nil {
-			return nil, err
+		oc.Present.Set(r)
+		for k, acc := range accs {
+			oc.Cols[k].Set(r, acc.Result())
 		}
 	}
-	return res, nil
-}
-
-// parallelSubsample gathers the selected slices chunk-parallel: the output
-// adopts the input's effective chunk strides and one task fills each output
-// grid chunk, copying columns directly. Returns (nil, nil) when the serial
-// path should run instead.
-func parallelSubsample(ctx context.Context, a *array.Array, sel [][]int64, out *array.Schema) (*array.Array, error) {
-	pool := exec.Default()
-	if pool.Parallelism() <= 1 {
-		return nil, nil
-	}
-	dims := append([]array.Dimension(nil), out.Dims...)
-	nChunks := int64(1)
-	for i, d := range a.Schema.Dims {
-		cl := effChunkLen(d)
-		dims[i].ChunkLen = cl
-		if cl > 0 {
-			nChunks *= (dims[i].High + cl - 1) / cl
-		}
-	}
-	if nChunks < 2 {
-		return nil, nil
-	}
-	sch := &array.Schema{Name: out.Name, Dims: dims, Attrs: out.Attrs}
-	res, err := array.New(sch)
-	if err != nil {
-		return nil, err
-	}
-	origins := gridOrigins(res)
-	outCh := make([]*array.Chunk, len(origins))
-	nd := len(dims)
-	err = pool.Map(ctx, len(origins), func(i int) error {
-		oc := array.NewChunk(sch, origins[i], res.GridShape(origins[i]))
-		pk := peeker{a: a}
-		src := make(array.Coord, nd)
-		dst := origins[i].Clone()
-		any := false
-		slots := oc.Slots()
-		for idx := int64(0); idx < slots; idx++ {
-			inSel := true
-			for d := 0; d < nd; d++ {
-				if dst[d] > int64(len(sel[d])) {
-					inSel = false
-					break
-				}
-				src[d] = sel[d][dst[d]-1]
-			}
-			if inSel {
-				if sc, sidx, ok := pk.get(src); ok {
-					oc.Present.Set(idx)
-					for ai := range oc.Cols {
-						oc.Cols[ai].CopyFrom(sc.Cols[ai], idx, sidx)
-					}
-					any = true
-				}
-			}
-			for d := nd - 1; d >= 0; d-- {
-				dst[d]++
-				if dst[d] < oc.Origin[d]+oc.Shape[d] {
-					break
-				}
-				dst[d] = oc.Origin[d]
-			}
-		}
-		if any {
-			outCh[i] = oc
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool.NoteChunks(int64(len(origins)))
-	for _, oc := range outCh {
-		if oc != nil {
-			res.PutChunk(oc)
-		}
-	}
-	return res, nil
-}
-
-// parallelSjoin runs the scan side of Sjoin chunk-parallel over A's chunks:
-// the output's A dimensions adopt A's chunk strides and its free B
-// dimensions span the full extent, so each A chunk maps to exactly one
-// disjoint output chunk. Returns (nil, nil) when the serial path should run.
-func parallelSjoin(ctx context.Context, a, b *array.Array, lidx, ridx, bFree []int, out *array.Schema) (*array.Array, error) {
-	pool, work := parChunks(a)
-	if pool == nil {
-		return nil, nil
-	}
-	dims := append([]array.Dimension(nil), out.Dims...)
-	for i, d := range a.Schema.Dims {
-		dims[i].ChunkLen = effChunkLen(d)
-	}
-	sch := &array.Schema{Name: out.Name, Dims: dims, Attrs: out.Attrs}
-	res, err := array.New(sch)
-	if err != nil {
-		return nil, err
-	}
-	na := len(a.Schema.Dims)
-	naAttrs := len(a.Schema.Attrs)
-	outCh := make([]*array.Chunk, len(work))
-	err = pool.Map(ctx, len(work), func(i int) error {
-		ch := work[i]
-		ocOrigin := make(array.Coord, len(dims))
-		copy(ocOrigin, ch.Origin)
-		for k := na; k < len(dims); k++ {
-			ocOrigin[k] = 1
-		}
-		oc := array.NewChunk(sch, ocOrigin, res.GridShape(ocOrigin))
-		pk := peeker{a: b}
-		cb := make(array.Coord, len(b.Schema.Dims))
-		dst := make(array.Coord, len(dims))
-		any := false
-		werr := eachPresent(ch, func(idx int64, ca array.Coord) error {
-			for k := range lidx {
-				cb[ridx[k]] = ca[lidx[k]]
-			}
-			copy(dst, ca)
-			var scan func(k int) error
-			scan = func(k int) error {
-				if k == len(bFree) {
-					bch, bidx, ok := pk.get(cb)
-					if !ok {
-						return nil
-					}
-					oidx := oc.Index(dst)
-					oc.Present.Set(oidx)
-					for ai := 0; ai < naAttrs; ai++ {
-						oc.Cols[ai].CopyFrom(ch.Cols[ai], oidx, idx)
-					}
-					for ai := range bch.Cols {
-						oc.Cols[naAttrs+ai].CopyFrom(bch.Cols[ai], oidx, bidx)
-					}
-					any = true
-					return nil
-				}
-				d := bFree[k]
-				for v := int64(1); v <= b.Hwm(d); v++ {
-					cb[d] = v
-					dst[na+k] = v
-					if err := scan(k + 1); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			return scan(0)
-		})
-		if werr != nil {
-			return werr
-		}
-		if any {
-			outCh[i] = oc
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool.NoteChunks(int64(len(work)))
-	for _, oc := range outCh {
-		if oc != nil {
-			res.PutChunk(oc)
-		}
+	if oc.CellsPresent() > 0 {
+		res.PutChunk(oc)
 	}
 	return res, nil
 }

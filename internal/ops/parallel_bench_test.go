@@ -12,21 +12,21 @@ import (
 	"scidb/internal/udf"
 )
 
-// benchArray builds a dense 1024x1024 (≈1M cell) chunked array, the issue's
-// benchmark workload size.
-func benchArray(b *testing.B) *array.Array {
+// benchGrid builds a dense n×n array of one float attribute, chunked every
+// chunkLen cells per dimension (0 = one chunk spanning the array).
+func benchGrid(b *testing.B, n, chunkLen int64) *array.Array {
 	b.Helper()
 	s := &array.Schema{
 		Name: "B",
 		Dims: []array.Dimension{
-			{Name: "x", High: 1024, ChunkLen: 128},
-			{Name: "y", High: 1024, ChunkLen: 128},
+			{Name: "x", High: n, ChunkLen: chunkLen},
+			{Name: "y", High: n, ChunkLen: chunkLen},
 		},
 		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
 	}
 	a := array.MustNew(s)
-	for i := int64(1); i <= 1024; i++ {
-		for j := int64(1); j <= 1024; j++ {
+	for i := int64(1); i <= n; i++ {
+		for j := int64(1); j <= n; j++ {
 			if err := a.Set(array.Coord{i, j}, array.Cell{array.Float64(float64((i*31 + j) % 997))}); err != nil {
 				b.Fatal(err)
 			}
@@ -35,25 +35,34 @@ func benchArray(b *testing.B) *array.Array {
 	return a
 }
 
-// benchPar runs fn under b at parallelism 1 ("serial") and at the machine's
-// core count ("ncpu"); on a single-core host the two sub-benchmarks
-// coincide, so the speedup column is only meaningful with 2+ cores.
+// benchPar runs fn over three inputs: the 1024² array in 128² chunks at
+// parallelism 1 ("serial") and at the machine's core count ("par=N"; on a
+// single-core host the two coincide), and a 256² array held in one chunk
+// ("onechunk", at the core count — a single task runs inline whatever the
+// pool's bound). Each row reports ns/cell over the input's cells.
 func benchPar(b *testing.B, fn func(b *testing.B, a *array.Array)) {
-	a := benchArray(b)
-	for _, par := range []int{1, runtime.NumCPU()} {
-		name := fmt.Sprintf("par=%d", par)
-		if par == 1 {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
+	big := benchGrid(b, 1024, 128)
+	one := benchGrid(b, 256, 0)
+	ncpu := runtime.NumCPU()
+	for _, row := range []struct {
+		name string
+		par  int
+		a    *array.Array
+	}{
+		{"serial", 1, big},
+		{fmt.Sprintf("par=%d", ncpu), ncpu, big},
+		{"onechunk", ncpu, one},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			old := exec.Parallelism()
-			exec.SetParallelism(par)
+			exec.SetParallelism(row.par)
 			defer exec.SetParallelism(old)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fn(b, a)
+				fn(b, row.a)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(row.a.Count()), "ns/cell")
 		})
 	}
 }
@@ -84,6 +93,16 @@ func BenchmarkParallelFilterTraced(b *testing.B) {
 	})
 }
 
+func BenchmarkParallelApply(b *testing.B) {
+	reg := udf.NewRegistry()
+	specs := []ApplySpec{{Name: "w", Expr: Binary{Op: OpMul, L: AttrRef{Name: "v"}, R: Const{V: array.Float64(2)}}}}
+	benchPar(b, func(b *testing.B, a *array.Array) {
+		if _, err := Apply(a, specs, reg); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 func BenchmarkParallelAggregate(b *testing.B) {
 	reg := udf.NewRegistry()
 	specs := []AggSpec{{Agg: "sum", Attr: "v"}, {Agg: "avg", Attr: "v"}}
@@ -98,6 +117,24 @@ func BenchmarkParallelRegrid(b *testing.B) {
 	reg := udf.NewRegistry()
 	benchPar(b, func(b *testing.B, a *array.Array) {
 		if _, err := Regrid(a, []int64{8, 8}, AggSpec{Agg: "avg", Attr: "v"}, reg); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+func BenchmarkParallelSubsample(b *testing.B) {
+	conds := []DimCond{DimEven("x"), DimRange("y", 65, 960)}
+	benchPar(b, func(b *testing.B, a *array.Array) {
+		if _, err := Subsample(a, conds); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+func BenchmarkParallelSjoin(b *testing.B) {
+	on := []DimPair{{LDim: "x", RDim: "x"}, {LDim: "y", RDim: "y"}}
+	benchPar(b, func(b *testing.B, a *array.Array) {
+		if _, err := Sjoin(a, a, on); err != nil {
 			b.Fatal(err)
 		}
 	})

@@ -102,45 +102,59 @@ func SubsampleCtx(ctx context.Context, a *array.Array, conds []DimCond) (*array.
 		}
 	}
 
-	out := &array.Schema{Name: s.Name + "_subsample", Attrs: s.Attrs}
-	for d, dim := range s.Dims {
-		out.Dims = append(out.Dims, array.Dimension{Name: dim.Name, High: max64(int64(len(sel[d])), 1)})
+	// The output keeps the input's chunk strides; one task fills each chunk
+	// of its grid, copying the selected cells' columns directly.
+	out := &array.Schema{Name: s.Name + "_subsample", Dims: dimsWithHwm(a), Attrs: s.Attrs}
+	for d := range out.Dims {
+		out.Dims[d].High = max64(int64(len(sel[d])), 1)
 	}
-	res, err := parallelSubsample(ctx, a, sel, out)
+	res, err := array.New(out)
 	if err != nil {
 		return nil, err
 	}
-	if res != nil {
-		spanArray(ctx, res, true)
-	}
-	if res == nil {
-		spanArray(ctx, a, false)
-		if res, err = array.New(out); err != nil {
-			return nil, err
-		}
-		// Copy selected cells, compacting coordinates.
-		idx := make(array.Coord, len(s.Dims))
-		var walk func(d int, src, dst array.Coord) error
-		walk = func(d int, src, dst array.Coord) error {
-			if d == len(s.Dims) {
-				if cell, ok := a.At(src); ok {
-					return res.Set(dst.Clone(), cell)
+	spanChunks(ctx, liveChunks(a))
+	origins := gridOrigins(res)
+	nd := len(out.Dims)
+	err = mapChunks(ctx, res, len(origins), func(i int) (*array.Chunk, error) {
+		oc := array.NewChunk(out, origins[i], res.GridShape(origins[i]))
+		pk := peeker{a: a}
+		src := make(array.Coord, nd)
+		dst := origins[i].Clone()
+		any := false
+		slots := oc.Slots()
+		for idx := int64(0); idx < slots; idx++ {
+			inSel := true
+			for d := 0; d < nd; d++ {
+				if dst[d] > int64(len(sel[d])) {
+					inSel = false
+					break
 				}
-				return nil
+				src[d] = sel[d][dst[d]-1]
 			}
-			for i, orig := range sel[d] {
-				src[d] = orig
-				dst[d] = int64(i + 1)
-				if err := walk(d+1, src, dst); err != nil {
-					return err
+			if inSel {
+				if sc, sidx, ok := pk.get(src); ok {
+					oc.Present.Set(idx)
+					for ai := range oc.Cols {
+						oc.Cols[ai].CopyFrom(sc.Cols[ai], idx, sidx)
+					}
+					any = true
 				}
 			}
-			return nil
+			for d := nd - 1; d >= 0; d-- {
+				dst[d]++
+				if dst[d] < oc.Origin[d]+oc.Shape[d] {
+					break
+				}
+				dst[d] = oc.Origin[d]
+			}
 		}
-		src := make(array.Coord, len(s.Dims))
-		if err := walk(0, src, idx); err != nil {
-			return nil, err
+		if !any {
+			return nil, nil
 		}
+		return oc, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Retain the original index values as pseudo-coordinates.
 	selCopy := sel
@@ -293,10 +307,10 @@ func SjoinCtx(ctx context.Context, a, b *array.Array, on []DimPair) (*array.Arra
 		joined[r] = true
 	}
 
-	out := &array.Schema{Name: sa.Name + "_sjoin_" + sb.Name}
-	for d, dim := range sa.Dims {
-		out.Dims = append(out.Dims, array.Dimension{Name: dim.Name, High: a.Hwm(d)})
-	}
+	// A's dimensions keep A's chunk strides and B's free dimensions span
+	// their full extent, so each A chunk maps to exactly one disjoint output
+	// chunk.
+	out := &array.Schema{Name: sa.Name + "_sjoin_" + sb.Name, Dims: dimsWithHwm(a)}
 	var bFree []int
 	for d, dim := range sb.Dims {
 		if joined[d] {
@@ -307,62 +321,72 @@ func SjoinCtx(ctx context.Context, a, b *array.Array, on []DimPair) (*array.Arra
 		if out.DimIndex(name) >= 0 {
 			name = sb.Name + "_" + name
 		}
-		out.Dims = append(out.Dims, array.Dimension{Name: name, High: b.Hwm(d)})
+		out.Dims = append(out.Dims, array.Dimension{Name: name, High: max64(b.Hwm(d), 1)})
 	}
 	out.Attrs = concatAttrs(sa, sb)
-	if res, err := parallelSjoin(ctx, a, b, lidx, ridx, bFree, out); err != nil || res != nil {
-		if res != nil {
-			spanArray(ctx, a, true)
-		}
-		return res, err
-	}
-	spanArray(ctx, a, false)
 	res, err := array.New(out)
 	if err != nil {
 		return nil, err
 	}
-
-	// Iterate A's cells; for each, derive B's joined coordinates and scan
-	// B's free dimensions.
-	var setErr error
-	a.IterReuse(func(ca array.Coord, cellA array.Cell) bool {
-		cb := make(array.Coord, len(sb.Dims))
-		for i := range on {
-			cb[ridx[i]] = ca[lidx[i]]
+	work := liveChunks(a)
+	spanChunks(ctx, work)
+	na, naAttrs := len(sa.Dims), len(sa.Attrs)
+	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
+		ch := work[i]
+		ocOrigin := make(array.Coord, len(out.Dims))
+		copy(ocOrigin, ch.Origin)
+		for k := na; k < len(out.Dims); k++ {
+			ocOrigin[k] = 1
 		}
-		// Enumerate free dims of B.
-		var scan func(k int) bool
-		scan = func(k int) bool {
+		oc := array.NewChunk(out, ocOrigin, res.GridShape(ocOrigin))
+		pk := peeker{a: b}
+		cb := make(array.Coord, len(sb.Dims))
+		dst := make(array.Coord, len(out.Dims))
+		any := false
+		// For each cell of the A chunk (slot idx) derive B's joined
+		// coordinates, then scan B's free dimensions.
+		var idx int64
+		var scan func(k int)
+		scan = func(k int) {
 			if k == len(bFree) {
-				cellB, ok := b.At(cb)
+				bch, bidx, ok := pk.get(cb)
 				if !ok {
-					return true
+					return
 				}
-				dst := make(array.Coord, 0, len(out.Dims))
-				dst = append(dst, ca...)
-				for _, d := range bFree {
-					dst = append(dst, cb[d])
+				oidx := oc.Index(dst)
+				oc.Present.Set(oidx)
+				for ai := 0; ai < naAttrs; ai++ {
+					oc.Cols[ai].CopyFrom(ch.Cols[ai], oidx, idx)
 				}
-				joinedCell := append(cellA.Clone(), cellB...)
-				if err := res.Set(dst, joinedCell); err != nil {
-					setErr = err
-					return false
+				for ai := range bch.Cols {
+					oc.Cols[naAttrs+ai].CopyFrom(bch.Cols[ai], oidx, bidx)
 				}
-				return true
+				any = true
+				return
 			}
 			d := bFree[k]
 			for v := int64(1); v <= b.Hwm(d); v++ {
 				cb[d] = v
-				if !scan(k + 1) {
-					return false
-				}
+				dst[na+k] = v
+				scan(k + 1)
 			}
-			return true
 		}
-		return scan(0)
+		_ = eachPresent(ch, func(slot int64, ca array.Coord) error {
+			idx = slot
+			for k := range lidx {
+				cb[ridx[k]] = ca[lidx[k]]
+			}
+			copy(dst, ca)
+			scan(0)
+			return nil
+		})
+		if !any {
+			return nil, nil
+		}
+		return oc, nil
 	})
-	if setErr != nil {
-		return nil, setErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -518,16 +542,6 @@ func CrossProduct(a, b *array.Array) (*array.Array, error) {
 		return ok
 	})
 	return res, setErr
-}
-
-// dimsWithHwm snapshots an array's dimensions with unbounded dims pinned to
-// their current high-water marks, so operator outputs are bounded.
-func dimsWithHwm(a *array.Array) []array.Dimension {
-	out := make([]array.Dimension, len(a.Schema.Dims))
-	for i, d := range a.Schema.Dims {
-		out[i] = array.Dimension{Name: d.Name, High: max64(a.Hwm(i), 1), ChunkLen: d.ChunkLen}
-	}
-	return out
 }
 
 // concatAttrs concatenates attribute lists, prefixing right-side names that

@@ -7,12 +7,13 @@ import (
 	"scidb/internal/obs"
 )
 
-// spanChunks records an operator's input footprint — chunk count, present
-// cells, execution mode — on the query's current span. Untraced queries
-// pay one context lookup; the cell totals reuse the presence counts the
-// parallel drivers warm anyway. Callers must invoke it from the serial
-// driver goroutine (CellsPresent trims bitmaps in place).
-func spanChunks(ctx context.Context, work []*array.Chunk, parallel bool) {
+// spanChunks records an operator's input footprint — chunk count and
+// present cells — on the query's current span; how the pool ran the tasks
+// is recorded by exec.Pool.Map (pool_serial_runs / pool_parallel_runs).
+// Untraced queries pay one context lookup. Callers must invoke it from the
+// driver goroutine, before the fan-out (CellsPresent trims bitmaps in
+// place).
+func spanChunks(ctx context.Context, work []*array.Chunk) {
 	span := obs.SpanFromContext(ctx)
 	if span == nil {
 		return
@@ -23,17 +24,4 @@ func spanChunks(ctx context.Context, work []*array.Chunk, parallel bool) {
 	}
 	span.Add("chunks", int64(len(work)))
 	span.Add("cells_in", cells)
-	if parallel {
-		span.Add("parallel", 1)
-	} else {
-		span.Add("serial", 1)
-	}
-}
-
-// spanArray is spanChunks over all of a's chunks (serial operator paths).
-func spanArray(ctx context.Context, a *array.Array, parallel bool) {
-	if obs.SpanFromContext(ctx) == nil {
-		return
-	}
-	spanChunks(ctx, a.Chunks(), parallel)
 }

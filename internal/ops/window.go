@@ -24,33 +24,11 @@ func Window(a *array.Array, radius []int64, spec AggSpec, reg *udf.Registry) (*a
 			return nil, fmt.Errorf("ops: window radii must be >= 0")
 		}
 	}
-	fac, err := reg.Aggregate(spec.Agg)
+	col, at, err := resolveAgg(s, spec, reg)
 	if err != nil {
 		return nil, err
 	}
-	attr := 0
-	if spec.Attr != "*" && spec.Attr != "" {
-		attr = s.AttrIndex(spec.Attr)
-		if attr < 0 {
-			return nil, fmt.Errorf("ops: unknown attribute %q", spec.Attr)
-		}
-	}
-	name := spec.As
-	if name == "" {
-		name = spec.Agg + "_" + s.Attrs[attr].Name
-	}
-	t := s.Attrs[attr].Type
-	if spec.Agg == "count" {
-		t = array.TInt64
-	}
-	if spec.Agg == "avg" || spec.Agg == "stdev" {
-		t = array.TFloat64
-	}
-	out := &array.Schema{
-		Name:  s.Name + "_window",
-		Dims:  dimsWithHwm(a),
-		Attrs: []array.Attribute{{Name: name, Type: t, Uncertain: s.Attrs[attr].Uncertain}},
-	}
+	out := &array.Schema{Name: s.Name + "_window", Dims: dimsWithHwm(a), Attrs: []array.Attribute{at}}
 	res, err := array.New(out)
 	if err != nil {
 		return nil, err
@@ -66,9 +44,9 @@ func Window(a *array.Array, radius []int64, spec AggSpec, reg *udf.Registry) (*a
 			}
 			hi[d] = c[d] + radius[d]
 		}
-		acc := fac()
+		acc := col.fac()
 		a.IterBoxReuse(array.Box{Lo: lo, Hi: hi}, func(_ array.Coord, cell array.Cell) bool {
-			acc.Step(cell[attr])
+			acc.Step(cell[col.attr])
 			return true
 		})
 		if err := res.Set(c.Clone(), array.Cell{acc.Result()}); err != nil {

@@ -169,7 +169,7 @@ func TestStorePutGetScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// MemLimit 1 forces a flush on every put: everything lands in buckets.
+	// MemLimit 1 forces a flush on every put that grows the buffer.
 	for i := int64(1); i <= 16; i++ {
 		if err := st.Put(array.Coord{i, i}, array.Cell{array.Float64(float64(i)), array.String64("d")}); err != nil {
 			t.Fatal(err)
@@ -571,4 +571,58 @@ func TestBufferedBytesTrackByteSize(t *testing.T) {
 		t.Fatal("out-of-bounds put accepted")
 	}
 	check("rejected put")
+}
+
+// A stride-chunk larger than MemLimit must not turn every put into a flush:
+// a (pass, x, y) array of three float attributes with the default 64³
+// stride allocates 6.3 MB for its first cell against the 4 MiB default, and
+// a 4 096-cell stream into it used to write 4 096 one-cell buckets (99 s).
+// The buffer admits the chunk; the limit is tested when a put grows the
+// buffer again.
+func TestPutIntoChunkLargerThanMemLimit(t *testing.T) {
+	s := &array.Schema{
+		Name: "raw",
+		Dims: []array.Dimension{{Name: "pass", High: 64}, {Name: "x", High: 256}, {Name: "y", High: 256}},
+		Attrs: []array.Attribute{
+			{Name: "a", Type: array.TFloat64}, {Name: "b", Type: array.TFloat64}, {Name: "c", Type: array.TFloat64},
+		},
+	}
+	st, err := NewStore(s, Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	start := time.Now()
+	for x := int64(1); x <= 64; x++ {
+		for y := int64(1); y <= 64; y++ {
+			v := array.Float64(float64(x*64 + y))
+			if err := st.Put(array.Coord{1, x, y}, array.Cell{v, v, v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st.memBytes < st.opts.MemLimit {
+		t.Fatalf("buffer holds %d bytes, under the %d limit; the test exercises nothing", st.memBytes, st.opts.MemLimit)
+	}
+	if got := st.Stats().Flushes; got != 0 {
+		t.Errorf("%d flushes while filling one stride-chunk, want 0", got)
+	}
+	// The next stride-chunk is growth past the limit: one flush, both
+	// chunks written.
+	if err := st.Put(array.Coord{1, 65, 1}, array.Cell{array.Float64(1), array.Float64(1), array.Float64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("put stream took %v", d)
+	}
+	if got, buckets := st.Stats().Flushes, st.NumBuckets(); got != 1 || buckets != 2 {
+		t.Errorf("after growing past the limit: %d flushes, %d buckets; want 1 and 2", got, buckets)
+	}
+	var n int
+	if err := st.Scan(array.WholeBox(s), func(array.Coord, array.Cell) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 64*64+1 {
+		t.Errorf("scan found %d cells, want %d", n, 64*64+1)
+	}
 }

@@ -137,7 +137,8 @@ type Options struct {
 	// Codec compresses buckets; nil means compress.Auto.
 	Codec compress.Codec
 	// MemLimit is the in-memory buffer budget in bytes before a flush
-	// ("when main memory is nearly full"). Zero means 4 MiB.
+	// ("when main memory is nearly full"). Zero means 4 MiB. The buffer
+	// holds at least one stride-chunk whatever its size.
 	MemLimit int64
 	// Stride is the bucket stride per dimension ("rectangular buckets,
 	// defined by a stride in each dimension"). Zero entries default to 64.
@@ -304,15 +305,16 @@ func (s *Store) NumBuckets() int {
 	return len(s.buckets)
 }
 
-// Put writes one cell. When the memory buffer exceeds the limit the store
+// Put writes one cell. When the write fills the memory buffer the store
 // flushes synchronously (the paper's loader does this per site substream).
 func (s *Store) Put(c array.Coord, cell array.Cell) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.bufferLocked(c, cell); err != nil {
+	full, err := s.bufferLocked(c, cell)
+	if err != nil {
 		return err
 	}
-	if s.memBytes >= s.opts.MemLimit {
+	if full {
 		return s.flushLocked()
 	}
 	return nil
@@ -322,7 +324,12 @@ func (s *Store) Put(c array.Coord, cell array.Cell) error {
 // equal to s.mem.ByteSize() without walking the buffer: a chunk's size is
 // fixed when it is allocated except for its string payloads, so a write
 // adds either a whole new chunk or the change in the slot's string bytes.
-func (s *Store) bufferLocked(c array.Coord, cell array.Cell) error {
+//
+// full reports that this write took the buffer to MemLimit. Only growth is
+// tested, and the buffer's first chunk is always admitted: a chunk is sized
+// by its stride, not its cells, so one that alone exceeds the limit would
+// otherwise be flushed after every cell written into it.
+func (s *Store) bufferLocked(c array.Coord, cell array.Cell) (full bool, err error) {
 	var ch *array.Chunk
 	var before int64
 	if s.mem.CoordInside(c) {
@@ -331,15 +338,19 @@ func (s *Store) bufferLocked(c array.Coord, cell array.Cell) error {
 		}
 	}
 	if err := s.mem.Set(c, cell); err != nil {
-		return err
+		return false, err
 	}
+	var grew bool
 	if ch == nil {
 		ch, _ = s.mem.ChunkAt(c)
+		grew = s.memBytes > 0
 		s.memBytes += ch.ByteSize()
 	} else {
-		s.memBytes += slotStringBytes(ch, ch.Index(c)) - before
+		d := slotStringBytes(ch, ch.Index(c)) - before
+		grew = d > 0
+		s.memBytes += d
 	}
-	return nil
+	return grew && s.memBytes >= s.opts.MemLimit, nil
 }
 
 // slotStringBytes is the part of Chunk.ByteSize that one slot's values
@@ -358,22 +369,25 @@ func slotStringBytes(ch *array.Chunk, idx int64) int64 {
 func (s *Store) PutChunk(ch *array.Chunk) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var full bool
 	var err error
 	array.IterBox(ch.Box(), func(c array.Coord) bool {
 		cell, ok := ch.Get(c)
 		if !ok {
 			return true
 		}
-		if e := s.bufferLocked(c, cell); e != nil {
+		f, e := s.bufferLocked(c, cell)
+		if e != nil {
 			err = e
 			return false
 		}
+		full = full || f
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	if s.memBytes >= s.opts.MemLimit {
+	if full {
 		return s.flushLocked()
 	}
 	return nil

@@ -275,8 +275,7 @@ func (a *stdevAgg) StepRun(v array.Value, n int64) bool {
 
 // Merge combines two Welford states with the Chan et al. pairwise update.
 // The result is algebraically the same variance but not bit-identical to a
-// single serial Welford pass; callers comparing parallel to serial stdev
-// should allow for float rounding.
+// single Welford pass over the same values.
 func (a *stdevAgg) Merge(o Aggregate) error {
 	b, ok := o.(*stdevAgg)
 	if !ok {

@@ -76,9 +76,9 @@ type AggregateFactory func() Aggregate
 // if the receiver had also Stepped every value the other one saw. This is
 // the "combinable partial state" contract that lets Aggregate and Regrid run
 // chunk-parallel (one accumulator per chunk, merged at a barrier) and that
-// the grid coordinator already relies on for distributed aggregation. The
-// executor falls back to serial accumulation for aggregates that don't
-// implement it.
+// the grid coordinator already relies on for distributed aggregation.
+// Aggregates that don't implement it run the same per-chunk kernel with the
+// chunks visited in order on the calling goroutine.
 type MergeableAggregate interface {
 	Aggregate
 	Merge(o Aggregate) error
