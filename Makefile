@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-suite experiments obs profile
+.PHONY: all build test vet race bench bench-suite experiments obs profile loc
 
 all: build test vet race fuzz
 
@@ -12,6 +12,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per internal package and in total: the number every PR
+# reports (bench/ is its own module and is not counted).
+loc:
+	@for d in internal/*/; do \
+		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	done
+	@printf '%-24s %6d\n' total $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 
 # Race detection over the concurrency-heavy packages (tier-1 verification
 # runs this alongside `test`; the full -race ./... sweep is `race-all`).

@@ -322,17 +322,23 @@ func (a *Array) PutChunk(ch *Chunk) {
 	a.chunks[ch.Origin.Key()] = ch
 	a.last = nil // the cache may point at a replaced chunk
 	a.sorted = nil
-	if ch.CellsPresent() == ch.Slots() {
-		// Dense chunk: the box is exact.
-		box := ch.Box()
-		for i := range a.hwm {
-			if box.Hi[i] > a.hwm[i] {
+	box := ch.Box()
+	dense, grows := ch.CellsPresent() == ch.Slots(), false
+	for i := range a.hwm {
+		if box.Hi[i] > a.hwm[i] {
+			grows = true
+			if dense {
+				// Dense chunk: the box is exact.
 				a.hwm[i] = box.Hi[i]
 			}
 		}
+	}
+	if dense || !grows {
+		// Nothing left to find: a box inside the marks (any chunk of a
+		// bounded array) cannot hold a cell beyond them.
 		return
 	}
-	IterBox(ch.Box(), func(c Coord) bool {
+	IterBox(box, func(c Coord) bool {
 		if ch.Present.Get(ch.Index(c)) {
 			for i := range a.hwm {
 				if c[i] > a.hwm[i] {

@@ -2,6 +2,7 @@ package array
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -139,13 +140,21 @@ func (b Box) String() string {
 	return s + "]"
 }
 
-// WholeBox returns the box spanning an entire bounded schema.
+// MaxCoord is the upper edge WholeBox gives an unbounded dimension: beyond
+// any stored coordinate, with headroom so box arithmetic cannot overflow.
+const MaxCoord int64 = math.MaxInt64 / 4
+
+// WholeBox returns the box spanning an entire schema; an unbounded
+// dimension reaches MaxCoord.
 func WholeBox(s *Schema) Box {
 	lo := make(Coord, len(s.Dims))
 	hi := make(Coord, len(s.Dims))
 	for i, d := range s.Dims {
 		lo[i] = 1
 		hi[i] = d.High
+		if d.High == Unbounded {
+			hi[i] = MaxCoord
+		}
 	}
 	return Box{Lo: lo, Hi: hi}
 }

@@ -167,58 +167,6 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 	return z
 }
 
-// Clone returns a copy of z (nil-safe).
-func (z *ZoneMap) Clone() *ZoneMap {
-	if z == nil {
-		return nil
-	}
-	out := *z
-	return &out
-}
-
-// Union widens z to also cover everything o covers, returning the merged
-// map. Either side nil (an unzoned chunk) makes the union unknown: a
-// merged summary must never claim bounds it cannot prove.
-func (z *ZoneMap) Union(o *ZoneMap) *ZoneMap {
-	if z == nil || o == nil || z.Kind != o.Kind {
-		return nil
-	}
-	out := z.Clone()
-	out.HasNaN = z.HasNaN || o.HasNaN
-	out.Nulls = z.Nulls + o.Nulls
-	out.Distinct = 0 // distinct counts do not add across chunks
-	if !o.HasRange {
-		return out
-	}
-	if !z.HasRange {
-		out.HasRange = true
-		out.MinInt, out.MaxInt = o.MinInt, o.MaxInt
-		out.MinFloat, out.MaxFloat = o.MinFloat, o.MaxFloat
-		out.MinStr, out.MaxStr = o.MinStr, o.MaxStr
-		return out
-	}
-	switch z.Kind {
-	case TFloat64:
-		out.MinFloat = math.Min(z.MinFloat, o.MinFloat)
-		out.MaxFloat = math.Max(z.MaxFloat, o.MaxFloat)
-	case TString:
-		if o.MinStr < out.MinStr {
-			out.MinStr = o.MinStr
-		}
-		if o.MaxStr > out.MaxStr {
-			out.MaxStr = o.MaxStr
-		}
-	default:
-		if o.MinInt < out.MinInt {
-			out.MinInt = o.MinInt
-		}
-		if o.MaxInt > out.MaxInt {
-			out.MaxInt = o.MaxInt
-		}
-	}
-	return out
-}
-
 // CanMatch reports whether some present, non-null value summarized by z
 // could satisfy `value op cv` under the engine's comparison semantics
 // (exact int64 for int = int, float64 conversion for ordered numeric

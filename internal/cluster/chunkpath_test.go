@@ -233,7 +233,8 @@ func (q diffQuery) visible(c xy) bool {
 }
 
 // oracleAgg folds cell by cell, the way Worker.agg is specified: every
-// visible cell counts as scanned, NULLs do not enter a partial.
+// visible cell counts as scanned and opens its group's partial, NULLs do not
+// enter it.
 func oracleAgg(final map[xy]array.Cell, q diffQuery) (parts []Partial, scanned int64) {
 	attr := map[string]int{"v": 0, "k": 1, "tag": 2, "*": 0}[q.attr]
 	byKey := map[string]*Partial{}
@@ -242,9 +243,6 @@ func oracleAgg(final map[xy]array.Cell, q diffQuery) (parts []Partial, scanned i
 			continue
 		}
 		scanned++
-		if cell[attr].Null {
-			continue
-		}
 		key := make([]int64, len(q.groups))
 		for i, g := range q.groups {
 			key[i] = c[map[string]int{"x": 0, "y": 1}[g]]
@@ -253,6 +251,9 @@ func oracleAgg(final map[xy]array.Cell, q diffQuery) (parts []Partial, scanned i
 		if !ok {
 			p = &Partial{Key: key, Min: math.Inf(1), Max: math.Inf(-1)}
 			byKey[fmt.Sprint(key)] = p
+		}
+		if cell[attr].Null {
+			continue
 		}
 		x := cell[attr].AsFloat()
 		p.Sum += x

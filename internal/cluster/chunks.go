@@ -9,6 +9,7 @@ package cluster
 import (
 	"context"
 	"math"
+	"math/bits"
 	"sort"
 
 	"scidb/internal/array"
@@ -194,7 +195,7 @@ type chunkAgg struct {
 // aggChunk folds one chunk's live cells of column attr into per-group
 // partials. Groups are indexed densely by the chunk-local coordinates of
 // the grouping dimensions gidx, so the inner loop is an array index, not a
-// map lookup; only groups that received a value are emitted.
+// map lookup; only groups that hold a live cell are emitted.
 func aggChunk(ch *array.Chunk, live *array.Bitmap, attr int, gidx []int) chunkAgg {
 	out := chunkAgg{cells: live.Count()}
 	if out.cells == 0 {
@@ -243,8 +244,30 @@ func aggChunk(ch *array.Chunk, live *array.Bitmap, attr int, gidx []int) chunkAg
 			fold(start, n, g, gstep)
 		})
 	}
+	// A group whose live cells are all NULL folded nothing yet exists: the
+	// local Aggregate gives it a row (NULL sum, zero count), so it is emitted
+	// with Count 0. Finding those takes a pass over the NULL cells only.
+	var nullOnly []bool
+	lw, nw := live.Words(), col.Nulls.Words()
+	for wi := range lw {
+		for m := lw[wi] & nw[wi]; m != 0; m &= m - 1 {
+			rest, g := int64(wi)<<6+int64(bits.TrailingZeros64(m)), int64(0)
+			for d := last; d >= 0; d-- {
+				for k, gd := range gidx {
+					if gd == d {
+						g += rest % ch.Shape[d] * gstride[k]
+					}
+				}
+				rest /= ch.Shape[d]
+			}
+			if nullOnly == nil {
+				nullOnly = make([]bool, groups)
+			}
+			nullOnly[g] = true
+		}
+	}
 	for g := range accs {
-		if accs[g].Count == 0 {
+		if accs[g].Count == 0 && (nullOnly == nil || !nullOnly[g]) {
 			continue
 		}
 		key := make([]int64, len(gidx))

@@ -128,7 +128,7 @@ func (p *Partial) merge(o Partial) {
 
 // finalize produces the aggregate value named by agg.
 func (p *Partial) finalize(agg string) (array.Value, error) {
-	if p.Count == 0 {
+	if p.Count == 0 && agg != "count" {
 		return array.NullValue(array.TFloat64), nil
 	}
 	switch agg {

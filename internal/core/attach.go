@@ -6,9 +6,7 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/insitu"
-	"scidb/internal/ops"
 	"scidb/internal/parser"
-	"scidb/internal/partition"
 )
 
 // attachedDS is an external file registered for in-situ querying (§2.9):
@@ -18,33 +16,27 @@ type attachedDS struct {
 	path    string
 	adaptor string
 	ds      insitu.Dataset
-	// cached holds the fully materialized array once some query has needed
-	// all of it; box-limited queries bypass it.
+	// cached holds the whole dataset once some query has read all of it
+	// (guarded by Database.mu).
 	cached *array.Array
 }
 
-// runAttach registers the external file. Only the header is read.
-func (db *Database) runAttach(s *parser.Attach) (*Result, error) {
-	ad, err := insitu.ByName(s.Adaptor)
+// openExternal opens a file through the named adaptor; only the header is
+// read.
+func openExternal(path, adaptor string) (insitu.Dataset, error) {
+	ad, err := insitu.ByName(adaptor)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := os.Stat(s.Path); err != nil {
+	if _, err := os.Stat(path); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ds, err := ad.Open(s.Path)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.nameTakenLocked(s.Array) || db.attached[s.Array] != nil {
-		ds.Close()
-		return nil, fmt.Errorf("core: array %q already exists", s.Array)
-	}
-	db.attached[s.Array] = &attachedDS{path: s.Path, adaptor: s.Adaptor, ds: ds}
-	return &Result{Msg: fmt.Sprintf("attached %s in situ from '%s' (%s); no load performed",
-		s.Array, s.Path, s.Adaptor)}, nil
+	return ad.Open(path)
+}
+
+// runAttach registers the external file for local in-situ querying.
+func (db *Database) runAttach(s *parser.Attach) (*Result, error) {
+	return db.attachFile(s.Array, s.Path, s.Adaptor, false)
 }
 
 // runCreateFromFile registers an external file as a first-class array
@@ -55,174 +47,34 @@ func (db *Database) runAttach(s *parser.Attach) (*Result, error) {
 // step (the file must be reachable from every worker). Otherwise the
 // file attaches locally, exactly like ATTACH.
 func (db *Database) runCreateFromFile(s *parser.CreateFromFile) (*Result, error) {
-	ad, err := insitu.ByName(s.Adaptor)
+	return db.attachFile(s.Name, s.Path, s.Adaptor, true)
+}
+
+func (db *Database) attachFile(name, path, adaptor string, distribute bool) (*Result, error) {
+	ds, err := openExternal(path, adaptor)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := os.Stat(s.Path); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	ds, err := ad.Open(s.Path)
-	if err != nil {
-		return nil, err
-	}
-	schema := ds.Schema().Clone()
-	schema.Name = s.Name
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.nameTakenLocked(s.Name) || db.attached[s.Name] != nil ||
-		(db.cluster != nil && db.cluster.Has(s.Name)) {
+	distribute = distribute && db.cluster != nil
+	if db.nameTakenLocked(name) || db.attached[name] != nil || (distribute && db.cluster.Has(name)) {
 		ds.Close()
-		return nil, fmt.Errorf("core: array %q already exists", s.Name)
+		return nil, fmt.Errorf("core: array %q already exists", name)
 	}
-	if db.cluster != nil {
-		split := -1
-		for i, d := range schema.Dims {
-			if d.High != array.Unbounded {
-				split = i
-				break
-			}
-		}
-		if split >= 0 {
+	if distribute {
+		schema := ds.Schema().Clone()
+		schema.Name = name
+		if scheme, ok := db.blockScheme(schema); ok {
 			ds.Close() // every worker opens its own handle
-			scheme := partition.Block{
-				Nodes:    db.cluster.NumNodes(),
-				SplitDim: split,
-				High:     schema.Dims[split].High,
-			}
-			if err := db.cluster.RegisterInsitu(s.Name, s.Path, s.Adaptor, schema, scheme); err != nil {
+			if err := db.cluster.RegisterInsitu(name, path, adaptor, schema, scheme); err != nil {
 				return nil, err
 			}
 			return &Result{Msg: fmt.Sprintf("registered %s in situ from '%s' (%s) across %d nodes (block-partitioned on %s); no load performed",
-				s.Name, s.Path, s.Adaptor, db.cluster.NumNodes(), schema.Dims[split].Name)}, nil
+				name, path, adaptor, scheme.Nodes, schema.Dims[scheme.SplitDim].Name)}, nil
 		}
 	}
-	db.attached[s.Name] = &attachedDS{path: s.Path, adaptor: s.Adaptor, ds: ds}
+	db.attached[name] = &attachedDS{path: path, adaptor: adaptor, ds: ds}
 	return &Result{Msg: fmt.Sprintf("attached %s in situ from '%s' (%s); no load performed",
-		s.Name, s.Path, s.Adaptor)}, nil
-}
-
-// attachedFor returns the attachment record for a Ref name, if any.
-func (db *Database) attachedFor(e parser.ArrayExpr) *attachedDS {
-	ref, ok := e.(*parser.Ref)
-	if !ok {
-		return nil
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.attached[ref.Name]
-}
-
-// materializeAttached loads the whole dataset once and caches it (a query
-// needed more than a box).
-func (db *Database) materializeAttached(name string, at *attachedDS) (*array.Array, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if at.cached != nil {
-		return at.cached, nil
-	}
-	a, err := insitu.Materialize(at.ds)
-	if err != nil {
-		return nil, err
-	}
-	a.Schema.Name = name
-	at.cached = a
-	return a, nil
-}
-
-// subsampleBox derives the contiguous coordinate box implied by a
-// subsample conjunction, when every conjunct is a range-style comparison.
-// ok is false when a conjunct (even/odd/!=) cannot be expressed as a box.
-func subsampleBox(s *array.Schema, conds []parser.DimCond) (array.Box, bool) {
-	lo := make(array.Coord, len(s.Dims))
-	hi := make(array.Coord, len(s.Dims))
-	for i, d := range s.Dims {
-		lo[i] = 1
-		if d.High == array.Unbounded {
-			hi[i] = 1 << 40
-		} else {
-			hi[i] = d.High
-		}
-	}
-	for _, c := range conds {
-		d := s.DimIndex(c.Dim)
-		if d < 0 {
-			return array.Box{}, false
-		}
-		switch c.Op {
-		case "=":
-			lo[d], hi[d] = maxI(lo[d], c.Value), minI(hi[d], c.Value)
-		case "<":
-			hi[d] = minI(hi[d], c.Value-1)
-		case "<=":
-			hi[d] = minI(hi[d], c.Value)
-		case ">":
-			lo[d] = maxI(lo[d], c.Value+1)
-		case ">=":
-			lo[d] = maxI(lo[d], c.Value)
-		default:
-			return array.Box{}, false
-		}
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			// Empty box: still pushable (scan returns nothing).
-			hi[i] = lo[i] - 1
-		}
-	}
-	return array.Box{Lo: lo, Hi: hi}, true
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// evalAttachedSubsample is the in-situ pushdown: SUBSAMPLE over an attached
-// dataset with a box-expressible predicate scans only that box from the
-// file, then applies the operator to re-index the slices.
-func (db *Database) evalAttachedSubsample(at *attachedDS, n *parser.SubsampleExpr) (*array.Array, bool, error) {
-	if at.cached != nil {
-		return nil, false, nil // already in memory: normal path is fine
-	}
-	schema := at.ds.Schema()
-	box, ok := subsampleBox(schema, n.Pred)
-	if !ok {
-		return nil, false, nil
-	}
-	partial, err := array.New(schema.Clone())
-	if err != nil {
-		return nil, false, err
-	}
-	var werr error
-	if err := at.ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		if err := partial.Set(c.Clone(), cell.Clone()); err != nil {
-			werr = err
-			return false
-		}
-		return true
-	}); err != nil {
-		return nil, false, err
-	}
-	if werr != nil {
-		return nil, false, werr
-	}
-	conds, err := dimConds(n.Pred)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := ops.Subsample(partial, conds)
-	if err != nil {
-		return nil, false, err
-	}
-	return res, true, nil
+		name, path, adaptor)}, nil
 }

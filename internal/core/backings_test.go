@@ -1,0 +1,260 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"scidb/internal/array"
+	"scidb/internal/cluster"
+	"scidb/internal/insitu"
+	"scidb/internal/partition"
+	"scidb/internal/storage"
+)
+
+func backingSchema(name string) *array.Schema {
+	return &array.Schema{
+		Name: name,
+		Dims: []array.Dimension{{Name: "x", High: 12}, {Name: "y", High: 10}},
+		Attrs: []array.Attribute{
+			{Name: "v", Type: array.TInt64},
+			{Name: "w", Type: array.TFloat64},
+		},
+	}
+}
+
+// backingCells is a 12x10 grid with v = 10x+y, w = x+y/100 and everything
+// the backings could disagree on: a hole (x 5..6, y 3..4), scattered NULLs,
+// a row whose v is NULL throughout (x = 9), a sparse row (x = 11 holds one
+// cell) and an empty last row, so the declared High is not where cells end.
+func backingCells(t *testing.T, name string) *array.Array {
+	t.Helper()
+	a := array.MustNew(backingSchema(name))
+	for x := int64(1); x <= 11; x++ {
+		for y := int64(1); y <= 10; y++ {
+			if (x == 5 || x == 6) && (y == 3 || y == 4) || x == 11 && y != 2 {
+				continue
+			}
+			v, w := array.Int64(x*10+y), array.Float64(float64(x)+float64(y)/100)
+			if x == 9 || x == 2 && y == 2 || x == 7 && y == 7 {
+				v = array.NullValue(array.TInt64)
+			}
+			if x == 3 && y == 3 {
+				w = array.NullValue(array.TFloat64)
+			}
+			if err := a.Set(array.Coord{x, y}, array.Cell{v, w}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return a
+}
+
+// fourBackings registers the same cells as "D" (and no cells as "E") in
+// four databases: a memory array, an attached store, an ATTACHed file and a
+// 2-node persisted cluster array.
+func fourBackings(t *testing.T) map[string]*Database {
+	t.Helper()
+	dbs := map[string]*Database{}
+	for _, kind := range []string{"memory", "store", "file", "cluster"} {
+		db := testDB()
+		dbs[kind] = db
+		var co *cluster.Coordinator
+		if kind == "cluster" {
+			tr := cluster.NewLocalWithOptions(2, cluster.LocalOptions{
+				Persist: true, Dir: t.TempDir(), Stride: []int64{4, 4}, CacheBytes: 8 << 20,
+			})
+			t.Cleanup(func() { tr.Close() })
+			co = cluster.NewCoordinator(tr, 0)
+			db.AttachCluster(co)
+		}
+		for _, name := range []string{"D", "E"} {
+			a := array.MustNew(backingSchema(name))
+			if name == "D" {
+				a = backingCells(t, name)
+			}
+			var err error
+			switch kind {
+			case "memory":
+				err = db.PutArray(name, a)
+			case "store":
+				var st *storage.Store
+				st, err = storage.NewStore(a.Schema, storage.Options{Dir: t.TempDir(), Stride: []int64{4, 4}, CacheBytes: 4 << 20})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Iter(func(c array.Coord, cell array.Cell) bool {
+					err = st.Put(c, cell)
+					return err == nil
+				})
+				if err == nil {
+					err = st.Flush()
+				}
+				if err == nil {
+					err = db.AttachStore(name, st)
+				}
+			case "file":
+				path := filepath.Join(t.TempDir(), name+".csv")
+				if err = insitu.WriteCSV(path, a); err == nil {
+					exec(t, db, "attach "+name+" from '"+path+"' using csv")
+				}
+			case "cluster":
+				err = co.Create(name, a.Schema, partition.Block{Nodes: 2, SplitDim: 0, High: 12})
+				a.Iter(func(c array.Coord, cell array.Cell) bool {
+					if err == nil {
+						err = co.Put(name, c, cell)
+					}
+					return err == nil
+				})
+				if err == nil {
+					err = co.Flush(name)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, name, err)
+			}
+		}
+	}
+	return dbs
+}
+
+// shapeAndCells renders what a statement's answer must agree on across
+// backings: attribute names and types, dimension names and High, and every
+// cell (floats to 9 digits: per-node partials merge in a different order,
+// and stdev from a sum of squares cancels differently than Welford's).
+func shapeAndCells(a *array.Array) string {
+	var b strings.Builder
+	for _, d := range a.Schema.Dims {
+		fmt.Fprintf(&b, "dim %s:%d ", d.Name, d.High)
+	}
+	for _, at := range a.Schema.Attrs {
+		fmt.Fprintf(&b, "attr %s:%s ", at.Name, at.Type)
+	}
+	a.Iter(func(c array.Coord, cell array.Cell) bool {
+		fmt.Fprintf(&b, "\n%v", c)
+		for _, v := range cell {
+			switch {
+			case v.Null:
+				fmt.Fprintf(&b, " %s:NULL", v.Type)
+			case v.Type == array.TFloat64 && !math.IsNaN(v.Float):
+				fmt.Fprintf(&b, " %.9g", v.Float)
+			default:
+				fmt.Fprintf(&b, " %s:%s", v.Type, v)
+			}
+		}
+		return true
+	})
+	return b.String()
+}
+
+// TestOneStatementFourBackings: the paper's one operator set must answer
+// the same over a loaded array, a store, an in-situ file and a grid — same
+// cells, same attribute names and types, same dimension bounds.
+func TestOneStatementFourBackings(t *testing.T) {
+	dbs := fourBackings(t)
+	for _, stmt := range []string{
+		"D",
+		"subsample(D, x <= 4 and y <= 4)",
+		"subsample(D, x >= 3 and x <= 7 and y = 4)",
+		"subsample(D, even(x))",
+		"subsample(D, x >= 5 and x <= 8)",   // middle slab, y unconstrained
+		"subsample(D, x >= 10 and x <= 12)", // slab whose cells end before its box does
+		"subsample(D, x > 40)",              // empty box
+		"aggregate(D, {}, max(v))",
+		"aggregate(D, {}, max(v) as m)",
+		"aggregate(D, {}, avg(w))",
+		"aggregate(D, {}, count(*))",
+		"aggregate(D, {x}, max(v))",
+		"aggregate(D, {x}, max(v) as m)",
+		"aggregate(D, {y}, sum(v) as s)",
+		"aggregate(D, {x}, count(v))",
+		"aggregate(D, {x, y}, min(w))",
+		"aggregate(D, {x}, stdev(w) as sd)",
+		"aggregate(D, {x}, sum(v), count(w) as n)",
+		"filter(aggregate(D, {x}, max(v) as m), m > 20)",
+		"aggregate(filter(D, v > 80), {}, sum(v), count(v))",          // prunes some buckets
+		"aggregate(filter(D, v > 1000), {}, sum(v), count(v))",        // prunes all
+		"aggregate(filter(D, v > 0), {}, sum(v) as s, count(w))",      // prunes none
+		"aggregate(filter(D, v > 80 and w < 10.5), {x}, count(v))",    // grouped: not pushed
+		"aggregate(subsample(D, x >= 3 and x <= 7), {}, sum(v) as s)", // box under an aggregate
+		"E",
+		"subsample(E, x <= 4)",
+		"aggregate(E, {}, sum(v))",
+		"aggregate(E, {x}, max(v) as m)",
+		"aggregate(filter(E, v > 0), {}, count(v))",
+	} {
+		want := shapeAndCells(exec(t, dbs["memory"], stmt).Array)
+		for _, kind := range []string{"store", "file", "cluster"} {
+			r, err := dbs[kind].Exec(stmt)
+			if err != nil {
+				t.Errorf("%s over %s: %v", stmt, kind, err)
+				continue
+			}
+			if got := shapeAndCells(r.Array); got != want {
+				t.Errorf("%s over %s:\n%s\nover memory:\n%s", stmt, kind, got, want)
+			}
+		}
+	}
+}
+
+// TestLocalNameShadowsClusterArray: STORE may reuse a cluster array's name,
+// and from then on the local array wins for every shape of statement —
+// pushed down or not. (The cluster E is empty: a read that reaches it
+// counts nothing.)
+func TestLocalNameShadowsClusterArray(t *testing.T) {
+	db := fourBackings(t)["cluster"]
+	if err := db.PutArray("L", backingCells(t, "L")); err != nil {
+		t.Fatal(err)
+	}
+	exec(t, db, "store filter(L, v > 100) into E")
+	if got := exec(t, db, "E").Array.Count(); got != 97 {
+		t.Errorf("bare E has %d cells, want the local array's 97", got)
+	}
+	for _, stmt := range []string{
+		"aggregate(E, {}, count(v))",
+		"aggregate(E, {}, count(v), sum(w))",
+		"aggregate(project(E, v), {}, count(v))",
+		"aggregate(filter(E, v > 0), {}, count(v))",
+		"aggregate(subsample(E, x >= 1), {}, count(v))",
+	} {
+		cell, ok := exec(t, db, stmt).Array.At(array.Coord{1})
+		if !ok || cell[0].Int != 11 {
+			t.Errorf("%s = %v, want 11 (the local E)", stmt, cell)
+		}
+	}
+	exec(t, db, "insert into E [12, 10] values (1210, 12.1)")
+	if cell, ok := exec(t, db, "aggregate(E, {}, count(v))").Array.At(array.Coord{1}); !ok || cell[0].Int != 12 {
+		t.Errorf("count(v) after insert = %v, want 12 (the write must land where reads look)", cell)
+	}
+	if r := exec(t, db, "explain aggregate(E, {}, count(v))"); !strings.Contains(r.Msg, "scan E [memory]") {
+		t.Errorf("plan does not read the local E:\n%s", r.Msg)
+	}
+}
+
+// TestExplainShowsTheScanThatRuns: plain EXPLAIN renders each leaf through
+// the same pushdown call execution uses, and EXPLAIN ANALYZE labels the
+// leaf's span the same way.
+func TestExplainShowsTheScanThatRuns(t *testing.T) {
+	for kind, db := range fourBackings(t) {
+		scan := "scan D [" + kind + "]"
+		for _, c := range []struct{ stmt, want, never string }{
+			{"subsample(D, x >= 3 and x <= 7 and y = 4)", scan + " box=[3:7,4:4]", "preds="},
+			{"aggregate(filter(D, v > 80 and w < 10.5), {}, sum(v))", scan + " preds=v>80 and w<10.5", "box="},
+			{"aggregate(filter(D, v > 80), {x}, sum(v))", scan, "preds="}, // grouped: nothing pushed
+			{"subsample(project(D, v), x <= 4)", scan, "box="},            // not directly over the reference
+		} {
+			for _, explain := range []string{"explain ", "explain analyze "} {
+				r := exec(t, db, explain+c.stmt)
+				if !strings.Contains(r.Msg, c.want) || strings.Contains(r.Msg, c.never) {
+					t.Errorf("%s%s: want %q and no %q in\n%s", explain, c.stmt, c.want, c.never, r.Msg)
+				}
+			}
+		}
+		partials := strings.Contains(exec(t, db, "explain aggregate(D, {x}, max(v) as m)").Msg, "aggregate [per-node partials]")
+		if partials != (kind == "cluster") {
+			t.Errorf("%s: per-node partials in the plan = %v", kind, partials)
+		}
+	}
+}

@@ -1,23 +1,18 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"strings"
 
 	"scidb/internal/array"
 	"scidb/internal/cluster"
-	"scidb/internal/parser"
 	"scidb/internal/partition"
 )
 
 // AttachCluster routes this database's DDL, DML, and queries over
 // distributed arrays through a coordinator. Non-updatable CREATEs become
 // cluster-wide block-partitioned arrays, INSERTs go to the owning node,
-// references gather through ScanCtx, and single-aggregate queries push
-// down to per-node partials. Local arrays (updatable, attached, stored)
-// are untouched; names resolve local-first.
+// and references read through a clusterSource. Local arrays (updatable,
+// attached, stored) are untouched; names resolve local-first.
 func (db *Database) AttachCluster(co *cluster.Coordinator) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -31,90 +26,31 @@ func (db *Database) Cluster() *cluster.Coordinator {
 	return db.cluster
 }
 
-// fullClusterBox is the everything-box for an nd-dimensional distributed
-// array (partitions are unbounded; mirrors the worker-side scan extent).
-func fullClusterBox(nd int) array.Box {
-	lo := make(array.Coord, nd)
-	hi := make(array.Coord, nd)
-	for i := range lo {
-		lo[i] = 1
-		hi[i] = math.MaxInt64 / 4
-	}
-	return array.Box{Lo: lo, Hi: hi}
-}
-
-// clusterScan resolves a name against the attached cluster; ok reports
-// whether the name was a cluster array (in which case the gather result or
-// its error is final).
-func (db *Database) clusterScan(ctx context.Context, name string) (*array.Array, bool, error) {
-	co := db.Cluster()
-	if co == nil || !co.Has(name) {
-		return nil, false, nil
-	}
-	sch, err := co.ArraySchema(name)
-	if err != nil {
-		return nil, true, err
-	}
-	a, err := co.ScanCtx(ctx, name, fullClusterBox(len(sch.Dims)))
-	return a, true, err
-}
-
-// clusterAggregate pushes a single distributable aggregate over a direct
-// cluster-array reference down to per-node partials; done reports whether
-// the pushdown applied. Anything else (multiple aggregates, computed
-// inputs, local arrays) falls back to gather-then-aggregate.
-func (db *Database) clusterAggregate(ctx context.Context, n *parser.AggregateExpr) (*array.Array, bool, error) {
-	co := db.Cluster()
-	if co == nil || len(n.Aggs) != 1 {
-		return nil, false, nil
-	}
-	ref, ok := n.In.(*parser.Ref)
-	if !ok || !co.Has(ref.Name) {
-		return nil, false, nil
-	}
-	agg := strings.ToLower(n.Aggs[0].Func)
-	switch agg {
-	case "sum", "count", "avg", "min", "max", "stdev":
-	default:
-		return nil, false, nil
-	}
-	sch, err := co.ArraySchema(ref.Name)
-	if err != nil {
-		return nil, true, err
-	}
-	attr := n.Aggs[0].Attr
-	if attr == "" || attr == "*" {
-		attr = sch.Attrs[0].Name
-	}
-	a, err := co.AggregateCtx(ctx, ref.Name, fullClusterBox(len(sch.Dims)), agg, attr, n.GroupDims)
-	return a, true, err
-}
-
-// createOnCluster distributes a new non-updatable array, block-partitioned
-// on its first bounded dimension. An all-unbounded schema has no split key
-// and stays local (empty message). Called with db.mu held.
-func (db *Database) createOnCluster(name string, schema *array.Schema) (string, error) {
-	split := -1
+// blockScheme is where a new array goes on the cluster: block-partitioned
+// on its first bounded dimension. ok is false for an all-unbounded schema,
+// which has no split key and stays local. Called with db.mu held.
+func (db *Database) blockScheme(schema *array.Schema) (scheme partition.Block, ok bool) {
 	for i, d := range schema.Dims {
 		if d.High != array.Unbounded {
-			split = i
-			break
+			return partition.Block{Nodes: db.cluster.NumNodes(), SplitDim: i, High: d.High}, true
 		}
 	}
-	if split < 0 {
+	return scheme, false
+}
+
+// createOnCluster distributes a new non-updatable array; an empty message
+// means it stays local. Called with db.mu held.
+func (db *Database) createOnCluster(name string, schema *array.Schema) (string, error) {
+	scheme, ok := db.blockScheme(schema)
+	if !ok {
 		return "", nil
 	}
 	if db.cluster.Has(name) {
 		return "", fmt.Errorf("core: cluster array %q already exists", name)
 	}
-	scheme := partition.Block{
-		Nodes:    db.cluster.NumNodes(),
-		SplitDim: split,
-		High:     schema.Dims[split].High,
-	}
 	if err := db.cluster.Create(name, schema, scheme); err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("created array %s across %d nodes (block-partitioned on %s)",
-		name, db.cluster.NumNodes(), schema.Dims[split].Name), nil
+		name, scheme.Nodes, schema.Dims[scheme.SplitDim].Name), nil
 }

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -210,7 +209,7 @@ func (db *Database) run(ctx context.Context, stmt parser.Stmt) (*Result, error) 
 // of the query.
 func (db *Database) runExplain(ctx context.Context, s *parser.Explain) (*Result, error) {
 	if !s.Analyze {
-		return &Result{Msg: planString(s.Stmt)}, nil
+		return &Result{Msg: db.planString(s.Stmt)}, nil
 	}
 	tr := obs.NewTrace(parser.Format(s.Stmt))
 	root := tr.Root()
@@ -227,8 +226,9 @@ func (db *Database) runExplain(ctx context.Context, s *parser.Explain) (*Result,
 	return &Result{Msg: msg}, nil
 }
 
-// planString renders the statement's operator tree without executing it.
-func planString(stmt parser.Stmt) string {
+// planString renders the statement's operator tree without executing it;
+// each array reference shows the read pushdown gives it, as execution would.
+func (db *Database) planString(stmt parser.Stmt) string {
 	var e parser.ArrayExpr
 	switch n := stmt.(type) {
 	case *parser.Query:
@@ -239,60 +239,26 @@ func planString(stmt parser.Stmt) string {
 		return parser.Format(stmt)
 	}
 	var b strings.Builder
-	planTree(&b, e, "", "")
+	db.planTree(&b, e, nil, "", "")
 	if st, ok := stmt.(*parser.Store); ok {
 		fmt.Fprintf(&b, "store into %s\n", st.Target)
 	}
 	return strings.TrimRight(b.String(), "\n")
 }
 
-func planTree(b *strings.Builder, e parser.ArrayExpr, selfPrefix, childPrefix string) {
-	b.WriteString(selfPrefix)
-	b.WriteString(exprName(e))
-	b.WriteByte('\n')
-	kids := exprChildren(e)
+func (db *Database) planTree(b *strings.Builder, e parser.ArrayExpr, lf *leaf, selfPrefix, childPrefix string) {
+	if lf == nil {
+		lf, _ = db.pushdown(e) // an unknown name shows as a bare scan
+	}
+	name, kids := planNode(e, lf)
+	b.WriteString(selfPrefix + name + "\n")
 	for i, k := range kids {
 		if i == len(kids)-1 {
-			planTree(b, k, childPrefix+"└─ ", childPrefix+"   ")
+			db.planTree(b, k, lf.under(k), childPrefix+"└─ ", childPrefix+"   ")
 		} else {
-			planTree(b, k, childPrefix+"├─ ", childPrefix+"│  ")
+			db.planTree(b, k, lf.under(k), childPrefix+"├─ ", childPrefix+"│  ")
 		}
 	}
-}
-
-// exprChildren lists an expression node's input subexpressions.
-func exprChildren(e parser.ArrayExpr) []parser.ArrayExpr {
-	switch n := e.(type) {
-	case *parser.SubsampleExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.FilterExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.AggregateExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.ApplyExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.ProjectExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.ReshapeExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.RegridExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.WindowExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.AddDimExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.RemDimExpr:
-		return []parser.ArrayExpr{n.In}
-	case *parser.SjoinExpr:
-		return []parser.ArrayExpr{n.L, n.R}
-	case *parser.CjoinExpr:
-		return []parser.ArrayExpr{n.L, n.R}
-	case *parser.CrossExpr:
-		return []parser.ArrayExpr{n.L, n.R}
-	case *parser.ConcatExpr:
-		return []parser.ArrayExpr{n.L, n.R}
-	}
-	return nil
 }
 
 func (db *Database) runDefine(s *parser.DefineArray) (*Result, error) {
@@ -497,15 +463,7 @@ func (db *Database) runInsert(s *parser.Insert) (*Result, error) {
 		cell[i] = scalarToValue(v)
 	}
 	coord := array.Coord(s.Coord)
-	if db.cluster != nil && db.cluster.Has(s.Array) {
-		if err := db.cluster.Put(s.Array, coord, cell); err != nil {
-			return nil, err
-		}
-		if err := db.cluster.Flush(s.Array); err != nil {
-			return nil, err
-		}
-		return &Result{Msg: "1 cell written (cluster)"}, nil
-	}
+	// Local-first, like reads (Database.resolve).
 	if a, ok := db.arrays[s.Array]; ok {
 		// Coerce nulls to the attribute types.
 		for i := range cell {
@@ -528,6 +486,15 @@ func (db *Database) runInsert(s *parser.Insert) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Msg: fmt.Sprintf("1 cell written at history %d", h)}, nil
+	}
+	if db.cluster != nil && db.cluster.Has(s.Array) {
+		if err := db.cluster.Put(s.Array, coord, cell); err != nil {
+			return nil, err
+		}
+		if err := db.cluster.Flush(s.Array); err != nil {
+			return nil, err
+		}
+		return &Result{Msg: "1 cell written (cluster)"}, nil
 	}
 	return nil, fmt.Errorf("core: unknown array %q", s.Array)
 }
@@ -556,14 +523,7 @@ func (db *Database) runDelete(s *parser.Delete) (*Result, error) {
 }
 
 func (db *Database) runLoad(s *parser.Load) (*Result, error) {
-	ad, err := insitu.ByName(s.Adaptor)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := os.Stat(s.Path); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	ds, err := ad.Open(s.Path)
+	ds, err := openExternal(s.Path, s.Adaptor)
 	if err != nil {
 		return nil, err
 	}

@@ -17,13 +17,26 @@ import (
 // so EXPLAIN ANALYZE renders the plan exactly as executed; an untraced
 // query pays one nil context lookup per node.
 func (db *Database) eval(ctx context.Context, e parser.ArrayExpr) (*array.Array, error) {
+	return db.evalUnder(ctx, e, nil)
+}
+
+// evalUnder is eval for an expression that may lie on a pushed-down path: lf
+// is the leaf an operator above already peeled off (see leaf.under), or nil.
+func (db *Database) evalUnder(ctx context.Context, e parser.ArrayExpr, lf *leaf) (*array.Array, error) {
 	// Cancellation (session cancel, client disconnect) aborts between
 	// operators; the exec pool additionally aborts between chunks.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp, ctx := obs.StartSpan(ctx, exprName(e))
-	a, err := db.evalNode(ctx, e)
+	if lf == nil {
+		var err error
+		if lf, err = db.pushdown(e); err != nil {
+			return nil, err
+		}
+	}
+	name, _ := planNode(e, lf)
+	sp, ctx := obs.StartSpan(ctx, name)
+	a, err := db.evalNode(ctx, e, lf)
 	if err == nil && a != nil {
 		sp.Add("cells_out", a.Count())
 	}
@@ -31,54 +44,61 @@ func (db *Database) eval(ctx context.Context, e parser.ArrayExpr) (*array.Array,
 	return a, err
 }
 
-// exprName labels an expression node for its profile span.
-func exprName(e parser.ArrayExpr) string {
+// planNode names an expression node and lists its inputs. EXPLAIN and the
+// node's profile span both take the name from here, so a leaf (lf, see
+// evalUnder) reads the same in the plan and in the profile.
+func planNode(e parser.ArrayExpr, lf *leaf) (string, []parser.ArrayExpr) {
 	switch n := e.(type) {
 	case *parser.Ref:
-		return "scan " + n.Name
+		if lf == nil {
+			return "scan " + n.Name, nil
+		}
+		return "scan " + n.Name + lf.describe(), nil
 	case *parser.ExistsExpr:
-		return "exists " + n.Array
+		return "exists " + n.Array, nil
 	case *parser.VersionExpr:
-		return "version " + n.Array + "@" + n.Name
+		return "version " + n.Array + "@" + n.Name, nil
 	case *parser.SubsampleExpr:
-		return "subsample"
+		return "subsample", []parser.ArrayExpr{n.In}
 	case *parser.FilterExpr:
-		return "filter"
+		return "filter", []parser.ArrayExpr{n.In}
 	case *parser.AggregateExpr:
-		return "aggregate"
+		if lf != nil && lf.partials {
+			return "aggregate [per-node partials]", []parser.ArrayExpr{n.In}
+		}
+		return "aggregate", []parser.ArrayExpr{n.In}
 	case *parser.SjoinExpr:
-		return "sjoin"
+		return "sjoin", []parser.ArrayExpr{n.L, n.R}
 	case *parser.CjoinExpr:
-		return "cjoin"
+		return "cjoin", []parser.ArrayExpr{n.L, n.R}
 	case *parser.ApplyExpr:
-		return "apply"
+		return "apply", []parser.ArrayExpr{n.In}
 	case *parser.ProjectExpr:
-		return "project"
+		return "project", []parser.ArrayExpr{n.In}
 	case *parser.ReshapeExpr:
-		return "reshape"
+		return "reshape", []parser.ArrayExpr{n.In}
 	case *parser.RegridExpr:
-		return "regrid"
+		return "regrid", []parser.ArrayExpr{n.In}
 	case *parser.WindowExpr:
-		return "window"
+		return "window", []parser.ArrayExpr{n.In}
 	case *parser.CrossExpr:
-		return "cross"
+		return "cross", []parser.ArrayExpr{n.L, n.R}
 	case *parser.ConcatExpr:
-		return "concat"
+		return "concat", []parser.ArrayExpr{n.L, n.R}
 	case *parser.AddDimExpr:
-		return "adddim"
+		return "adddim", []parser.ArrayExpr{n.In}
 	case *parser.RemDimExpr:
-		return "remdim"
-	default:
-		return fmt.Sprintf("%T", e)
+		return "remdim", []parser.ArrayExpr{n.In}
 	}
+	return fmt.Sprintf("%T", e), nil
 }
 
-func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr) (*array.Array, error) {
+func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) (*array.Array, error) {
 	switch n := e.(type) {
 	case *parser.Ref:
-		return db.resolveRef(ctx, n.Name)
+		return lf.read(ctx)
 	case *parser.ExistsExpr:
-		a, err := db.resolveRef(ctx, n.Array)
+		a, err := db.scanAll(ctx, n.Array)
 		if err != nil {
 			return nil, err
 		}
@@ -106,25 +126,7 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr) (*array.Ar
 		}
 		return v.Materialize()
 	case *parser.SubsampleExpr:
-		// In-situ pushdown: a box-expressible subsample over an attached
-		// dataset reads only the box from the file.
-		if at := db.attachedFor(n.In); at != nil {
-			if res, done, err := db.evalAttachedSubsample(at, n); err != nil {
-				return nil, err
-			} else if done {
-				return res, nil
-			}
-		}
-		// Store pushdown: box-expressible subsample over a store-backed
-		// array scans only the box (R-tree pruning, pool-resident chunks).
-		if st := db.storeBackedFor(n.In); st != nil {
-			if res, done, err := db.evalStoreSubsample(st, n); err != nil {
-				return nil, err
-			} else if done {
-				return res, nil
-			}
-		}
-		in, err := db.eval(ctx, n.In)
+		in, err := db.evalUnder(ctx, n.In, lf.under(n.In))
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +136,7 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr) (*array.Ar
 		}
 		return ops.SubsampleCtx(ctx, in, conds)
 	case *parser.FilterExpr:
-		in, err := db.eval(ctx, n.In)
+		in, err := db.evalUnder(ctx, n.In, lf.under(n.In))
 		if err != nil {
 			return nil, err
 		}
@@ -144,32 +146,16 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr) (*array.Ar
 		}
 		return ops.FilterCtx(ctx, in, lowerRefs(pred, in.Schema), db.reg)
 	case *parser.AggregateExpr:
-		// Cluster pushdown: a single distributable aggregate over a direct
-		// distributed-array reference ships per-node partials, not cells.
-		if res, done, err := db.clusterAggregate(ctx, n); done {
-			return res, err
-		}
-		// Store pushdown: a grand-total aggregate over a filtered
-		// store-backed array prunes buckets by zone map before reading.
-		if res, done, err := db.evalStoreFilterAggregate(ctx, n); err != nil {
-			return nil, err
-		} else if done {
-			return res, nil
-		}
-		// Cluster pushdown, filtered form: workers prune buckets by zone
-		// map and filter cells before shipping; aggregation stays local.
-		if res, done, err := db.evalClusterFilterAggregate(ctx, n); err != nil {
-			return nil, err
-		} else if done {
-			return res, nil
-		}
-		in, err := db.eval(ctx, n.In)
-		if err != nil {
-			return nil, err
-		}
 		specs := make([]ops.AggSpec, len(n.Aggs))
 		for i, a := range n.Aggs {
-			specs[i] = ops.AggSpec{Agg: a.Func, Attr: a.Attr, As: a.As}
+			specs[i] = aggSpec(a)
+		}
+		if lf != nil && lf.partials {
+			return lf.src.(partialAggregator).aggregate(ctx, lf.box, specs[0], n.GroupDims, db.reg)
+		}
+		in, err := db.evalUnder(ctx, n.In, lf.under(n.In))
+		if err != nil {
+			return nil, err
 		}
 		return ops.AggregateCtx(ctx, in, n.GroupDims, specs, db.reg)
 	case *parser.SjoinExpr:
@@ -235,13 +221,13 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr) (*array.Ar
 		if err != nil {
 			return nil, err
 		}
-		return ops.RegridCtx(ctx, in, n.Strides, ops.AggSpec{Agg: n.Agg.Func, Attr: n.Agg.Attr, As: n.Agg.As}, db.reg)
+		return ops.RegridCtx(ctx, in, n.Strides, aggSpec(n.Agg), db.reg)
 	case *parser.WindowExpr:
 		in, err := db.eval(ctx, n.In)
 		if err != nil {
 			return nil, err
 		}
-		return ops.Window(in, n.Radius, ops.AggSpec{Agg: n.Agg.Func, Attr: n.Agg.Attr, As: n.Agg.As}, db.reg)
+		return ops.Window(in, n.Radius, aggSpec(n.Agg), db.reg)
 	case *parser.CrossExpr:
 		l, err := db.eval(ctx, n.L)
 		if err != nil {
@@ -278,41 +264,17 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr) (*array.Ar
 	return nil, fmt.Errorf("core: unsupported array expression %T", e)
 }
 
-// resolveRef returns a plain array, or the latest snapshot of an updatable.
-func (db *Database) resolveRef(ctx context.Context, name string) (*array.Array, error) {
-	if strings.HasPrefix(name, "sys.") {
-		// Virtual system arrays (sys.queries, sys.chunks, ...) materialize
-		// on scan; they never live in the catalog and cannot be shadowed.
-		return db.sysArray(name)
+// scanAll reads the whole of a named array.
+func (db *Database) scanAll(ctx context.Context, name string) (*array.Array, error) {
+	lf, err := db.pushdown(&parser.Ref{Name: name})
+	if err != nil {
+		return nil, err
 	}
-	db.mu.RLock()
-	a, okA := db.arrays[name]
-	u, okU := db.updatables[name]
-	db.mu.RUnlock()
-	if okA {
-		return a, nil
-	}
-	if okU {
-		return u.Snapshot(u.History())
-	}
-	db.mu.RLock()
-	at, okAt := db.attached[name]
-	st, okSt := db.stores[name]
-	db.mu.RUnlock()
-	if okAt {
-		// A whole-array reference materializes (and caches) the dataset.
-		return db.materializeAttached(name, at)
-	}
-	if okSt {
-		// A store-backed reference scans the full extent through the pool.
-		return db.materializeStore(st)
-	}
-	// A distributed reference gathers through the coordinator (the node
-	// fan-out lands under the current span when the query is traced).
-	if res, ok, err := db.clusterScan(ctx, name); ok {
-		return res, err
-	}
-	return nil, fmt.Errorf("core: unknown array %q", name)
+	return lf.read(ctx)
+}
+
+func aggSpec(a parser.AggSpec) ops.AggSpec {
+	return ops.AggSpec{Agg: a.Func, Attr: a.Attr, As: a.As}
 }
 
 // dimConds converts parsed subsample conjuncts to operator predicates.
@@ -518,7 +480,7 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 			Kind: provenance.KindElementwise, Input: in, Output: target, Time: now,
 			Text: parser.Format(&parser.Store{Expr: n, Target: target}),
 		})
-		if src, err := db.resolveRef(context.Background(), in); err == nil {
+		if src, err := db.scanAll(context.Background(), in); err == nil {
 			idxs := make([]int, 0, len(n.Attrs))
 			okAll := true
 			for _, a := range n.Attrs {
@@ -540,20 +502,19 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 			Strides: n.Strides,
 			Text:    parser.Format(&parser.Store{Expr: n, Target: target}),
 		}
-		if src, err := db.resolveRef(context.Background(), in); err == nil {
+		if src, err := db.scanAll(context.Background(), in); err == nil {
 			cmd.InBounds = src.Bounds()
 			cmd.InDims = len(src.Schema.Dims)
 		}
 		db.log.Append(cmd)
-		db.registerRerun(cmd, regridRerun{strides: n.Strides,
-			spec: ops.AggSpec{Agg: n.Agg.Func, Attr: n.Agg.Attr, As: n.Agg.As}})
+		db.registerRerun(cmd, regridRerun{strides: n.Strides, spec: aggSpec(n.Agg)})
 	case *parser.AggregateExpr:
 		in := child(n.In, 1)
 		cmd := &provenance.Command{
 			Kind: provenance.KindAggregate, Input: in, Output: target, Time: now,
 			Text: parser.Format(&parser.Store{Expr: n, Target: target}),
 		}
-		if src, err := db.resolveRef(context.Background(), in); err == nil {
+		if src, err := db.scanAll(context.Background(), in); err == nil {
 			cmd.InBounds = src.Bounds()
 			cmd.InDims = len(src.Schema.Dims)
 			for _, g := range n.GroupDims {
@@ -565,7 +526,7 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 		db.log.Append(cmd)
 		aspecs := make([]ops.AggSpec, len(n.Aggs))
 		for i, a := range n.Aggs {
-			aspecs[i] = ops.AggSpec{Agg: a.Func, Attr: a.Attr, As: a.As}
+			aspecs[i] = aggSpec(a)
 		}
 		db.registerRerun(cmd, aggregateRerun{groupDims: cmd.GroupDims, specs: aspecs})
 	case *parser.SubsampleExpr:
@@ -574,7 +535,7 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 			Kind: provenance.KindSubsample, Input: in, Output: target, Time: now,
 			Text: parser.Format(&parser.Store{Expr: n, Target: target}),
 		}
-		if src, err := db.resolveRef(context.Background(), in); err == nil {
+		if src, err := db.scanAll(context.Background(), in); err == nil {
 			if conds, err := dimConds(n.Pred); err == nil {
 				cmd.Sel = selectedIndices(src, conds)
 			}

@@ -1,14 +1,8 @@
 package core
 
-// Compressed-execution pushdown: the planner fuses a grand-total
-// AGGREGATE over a FILTER of a store-backed array into one zone-pruned
-// store scan. Buckets whose zone maps prove the predicate false
-// everywhere are never read from disk; the surviving cells run through
-// the ordinary Filter and Aggregate operators so results stay
-// bit-identical to the unfused plan.
-
 import (
 	"context"
+	"strings"
 
 	"scidb/internal/array"
 	"scidb/internal/ops"
@@ -16,185 +10,195 @@ import (
 	"scidb/internal/udf"
 )
 
-// evalStoreFilterAggregate recognizes AGGREGATE(FILTER(store-ref), no
-// group dims) and executes it with storage-level bucket pruning. done is
-// false when the shape, the predicate, or the aggregates disqualify the
-// fusion (the caller then runs the generic plan, which still benefits
-// from the chunk-level encoded views).
-//
-// Correctness rests on three gates. Pruned cells are exactly those the
-// Filter would have emitted as all-NULL rows, so (1) every aggregate must
-// ignore NULLs — the RunAggregate contract — making those rows
-// no-ops; (2) the predicate must be pure, since skipped cells skip
-// evaluation and must not swallow evaluation errors; and (3) the store
-// only prunes buckets where skipping cannot unshadow older data.
-func (db *Database) evalStoreFilterAggregate(ctx context.Context, n *parser.AggregateExpr) (*array.Array, bool, error) {
-	if len(n.GroupDims) != 0 {
-		return nil, false, nil
-	}
-	f, ok := n.In.(*parser.FilterExpr)
-	if !ok {
-		return nil, false, nil
-	}
-	st := db.storeBackedFor(f.In)
-	if st == nil {
-		return nil, false, nil
-	}
-	pred, err := valExpr(f.Pred)
-	if err != nil {
-		return nil, false, nil // let the generic path surface the error
-	}
-	schema := st.Schema()
-	pred = lowerRefs(pred, schema)
-	for _, a := range n.Aggs {
-		fac, err := db.reg.Aggregate(a.Func)
-		if err != nil {
-			return nil, false, nil
-		}
-		if _, ok := fac().(udf.RunAggregate); !ok {
-			return nil, false, nil
-		}
-	}
-	if !ops.PredPure(pred, schema) {
-		return nil, false, nil
-	}
-	zpreds := ops.ZonePreds(pred, schema)
-	if len(zpreds) == 0 {
-		return nil, false, nil
-	}
-	box := storeBox(schema)
-	// Cost model: fuse only when the zone maps actually eliminate buckets;
-	// with nothing to skip the pruned scan is a plain scan and the generic
-	// plan's chunk-wise materialization is strictly better (it keeps the
-	// encoded views for the operators).
-	if skip, _ := st.EstimateSkip(box, zpreds); skip == 0 {
-		return nil, false, nil
-	}
-	in, skipped, err := readStoreBox(st, box, zpreds)
-	if err != nil {
-		return nil, false, err
-	}
-	if in.Count() == 0 {
-		// Every cell was pruned, but the store is not empty (EstimateSkip
-		// found skippable buckets, and buckets always hold cells). The
-		// unfused plan would still feed the aggregates their all-NULL
-		// filter rows and emit an occupied result row (NULL sums, zero
-		// counts); one synthetic all-NULL cell reproduces that occupancy
-		// through the identical pipeline.
-		nullCell := make(array.Cell, len(schema.Attrs))
-		for i, at := range schema.Attrs {
-			nullCell[i] = array.NullValue(at.Type)
-		}
-		if err := in.Set(box.Lo.Clone(), nullCell); err != nil {
-			return nil, false, err
-		}
-	}
-	ops.NoteEncChunksSkipped(ctx, skipped)
-	filtered, err := ops.FilterCtx(ctx, in, pred, db.reg)
-	if err != nil {
-		return nil, false, err
-	}
-	specs := make([]ops.AggSpec, len(n.Aggs))
-	for i, a := range n.Aggs {
-		specs[i] = ops.AggSpec{Agg: a.Func, Attr: a.Attr, As: a.As}
-	}
-	res, err := ops.AggregateCtx(ctx, filtered, nil, specs, db.reg)
-	if err != nil {
-		return nil, false, err
-	}
-	return res, true, nil
+// leaf is one array reference as it will be read: the source behind the
+// name, and how much of it the operators directly above need.
+type leaf struct {
+	ref *parser.Ref
+	// via is the filter between the operator that narrowed the leaf and ref,
+	// if any.
+	via *parser.FilterExpr
+	src source
+	// box is the whole array unless a subsample narrowed it (boxed).
+	box   array.Box
+	boxed bool
+	// preds are the zone conjuncts of via's predicate.
+	preds []array.ZonePred
+	// partials: the aggregate above runs as per-node partials and the leaf
+	// is never read.
+	partials bool
 }
 
-// localName reports whether a name resolves locally (local definitions
-// shadow cluster arrays, so a pushdown must not hijack them).
-func (db *Database) localName(name string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.nameTakenLocked(name) || db.attached[name] != nil
-}
-
-// evalClusterFilterAggregate is the distributed twin: a grand-total
-// aggregate over a filtered cluster array gathers only the cells whose
-// zone-map conjuncts hold — workers prune whole buckets before shipping
-// bytes — then runs the ordinary Filter and Aggregate operators locally,
-// so results stay bit-identical to the gather-everything plan (unlike the
-// float-partial pushdown, which only applies to bare references).
-//
-// The shipped conjuncts may be a subset of the predicate: workers then
-// return a superset of the matching cells and the local Filter finishes
-// the job. The same RunAggregate gate as the store pushdown makes the
-// dropped (predicate-false) cells invisible to the aggregates.
-func (db *Database) evalClusterFilterAggregate(ctx context.Context, n *parser.AggregateExpr) (*array.Array, bool, error) {
-	co := db.Cluster()
-	if co == nil || len(n.GroupDims) != 0 {
-		return nil, false, nil
-	}
-	f, ok := n.In.(*parser.FilterExpr)
-	if !ok {
-		return nil, false, nil
-	}
-	ref, ok := f.In.(*parser.Ref)
-	if !ok || !co.Has(ref.Name) || db.localName(ref.Name) {
-		return nil, false, nil
-	}
-	for _, a := range n.Aggs {
-		fac, err := db.reg.Aggregate(a.Func)
-		if err != nil {
-			return nil, false, nil
-		}
-		if _, ok := fac().(udf.RunAggregate); !ok {
-			return nil, false, nil
-		}
-	}
-	sch, err := co.ArraySchema(ref.Name)
-	if err != nil {
-		return nil, true, err
-	}
-	pred, err := valExpr(f.Pred)
-	if err != nil {
-		return nil, false, nil
-	}
-	pred = lowerRefs(pred, sch)
-	if !ops.PredPure(pred, sch) {
-		return nil, false, nil
-	}
-	zpreds := ops.ZonePreds(pred, sch)
-	if len(zpreds) == 0 {
-		return nil, false, nil
-	}
-	box := fullClusterBox(len(sch.Dims))
-	in, _, err := co.ScanPruned(ctx, ref.Name, box, zpreds)
-	if err != nil {
-		return nil, false, err
-	}
-	if in.Count() == 0 {
-		// Distinguish "everything filtered away" from "empty array": the
-		// former still occupies the grand-total row in the unfused plan.
-		total, err := co.CountCtx(ctx, ref.Name)
-		if err != nil {
-			return nil, false, err
-		}
-		if total > 0 {
-			nullCell := make(array.Cell, len(sch.Attrs))
-			for i, at := range sch.Attrs {
-				nullCell[i] = array.NullValue(at.Type)
-			}
-			if err := in.Set(box.Lo.Clone(), nullCell); err != nil {
-				return nil, false, err
+// pushdown is the one rule list. For an operator sitting directly on an
+// array reference it resolves that reference and peels off whatever the
+// source may apply while reading; every rule is a hint under the read
+// contract, so the operator still runs over what comes back. It returns nil
+// for any other expression.
+func (db *Database) pushdown(e parser.ArrayExpr) (*leaf, error) {
+	sub, _ := e.(*parser.SubsampleExpr)
+	agg, _ := e.(*parser.AggregateExpr)
+	var via *parser.FilterExpr
+	in := e
+	if sub != nil {
+		in = sub.In
+	} else if agg != nil {
+		if in = agg.In; len(agg.GroupDims) == 0 {
+			if via, _ = in.(*parser.FilterExpr); via != nil {
+				in = via.In
 			}
 		}
 	}
-	filtered, err := ops.FilterCtx(ctx, in, pred, db.reg)
+	ref, ok := in.(*parser.Ref)
+	if !ok {
+		return nil, nil
+	}
+	src, err := db.resolve(ref.Name)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	specs := make([]ops.AggSpec, len(n.Aggs))
-	for i, a := range n.Aggs {
-		specs[i] = ops.AggSpec{Agg: a.Func, Attr: a.Attr, As: a.As}
+	schema := src.schema()
+	lf := &leaf{ref: ref, via: via, src: src, box: array.WholeBox(schema)}
+	switch {
+	case sub != nil:
+		// A subsample whose conjuncts are all ranges reads only their box.
+		if box, ok := subsampleBox(schema, sub.Pred); ok {
+			lf.box, lf.boxed = box, true
+		}
+	case via != nil:
+		// A grand total over a filter reads only what the filter's zone
+		// conjuncts cannot refute. The cells left out are exactly those the
+		// filter would have turned into all-NULL rows, so every aggregate
+		// must ignore NULLs (the RunAggregate contract), and the predicate
+		// must be pure: skipped cells skip evaluation and must not swallow
+		// its errors. (Grouped aggregates need every cell's coordinates.)
+		pred, err := valExpr(via.Pred)
+		if err != nil || !db.ignoreNulls(agg.Aggs) {
+			break // a bad predicate is the filter's to report
+		}
+		if pred = lowerRefs(pred, schema); ops.PredPure(pred, schema) {
+			lf.preds = ops.ZonePreds(pred, schema)
+		}
+	case agg != nil:
+		// One distributable aggregate straight over a source that can merge
+		// per-node partials ships those, not cells.
+		_, can := src.(partialAggregator)
+		lf.partials = can && len(agg.Aggs) == 1 && distributable(schema, agg.Aggs[0])
 	}
-	res, err := ops.AggregateCtx(ctx, filtered, nil, specs, db.reg)
-	if err != nil {
-		return nil, false, err
+	return lf, nil
+}
+
+// under returns lf for the child expressions on the path from the operator
+// it was peeled off down to its reference, nil for any other child.
+func (lf *leaf) under(child parser.ArrayExpr) *leaf {
+	if lf != nil && (child == lf.ref || child == lf.via) {
+		return lf
 	}
-	return res, true, nil
+	return nil
+}
+
+// read runs the leaf. When the predicates withheld every cell, the filter
+// they came from would still have fed its aggregate all-NULL rows, and the
+// grand-total row would be occupied (NULL sums, zero counts); one synthetic
+// all-NULL cell reproduces that occupancy through the identical pipeline.
+func (lf *leaf) read(ctx context.Context) (*array.Array, error) {
+	a, withheld, err := lf.src.read(ctx, lf.box, lf.preds)
+	if err != nil || !withheld || a.Count() > 0 {
+		return a, err
+	}
+	null := make(array.Cell, len(a.Schema.Attrs))
+	for i, at := range a.Schema.Attrs {
+		null[i] = array.NullValue(at.Type)
+	}
+	return a, a.Set(lf.box.Lo.Clone(), null)
+}
+
+// describe renders the leaf's part of a plan line.
+func (lf *leaf) describe() string {
+	s := " [" + lf.src.kind() + "]"
+	if lf.boxed {
+		s += " box=" + strings.ReplaceAll(lf.box.String(), " ", "")
+	}
+	for i, p := range lf.preds {
+		sep := " and "
+		if i == 0 {
+			sep = " preds="
+		}
+		s += sep + lf.src.schema().Attrs[p.Attr].Name + p.Op + p.Val.String()
+	}
+	return s
+}
+
+// ignoreNulls reports whether every aggregate is NULL-ignoring.
+func (db *Database) ignoreNulls(aggs []parser.AggSpec) bool {
+	for _, a := range aggs {
+		fac, err := db.reg.Aggregate(a.Func)
+		if err != nil {
+			return false
+		}
+		if _, ok := fac().(udf.RunAggregate); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// distributable reports whether a's per-node partials (count, sum, sum of
+// squares, min, max — all float64) merge into the exact local answer: a
+// built-in over a plain numeric attribute. Error bars and non-numeric
+// orderings do not survive the float partials.
+func distributable(s *array.Schema, a parser.AggSpec) bool {
+	i := aggAttr(s, a.Attr)
+	if i < 0 {
+		return false // the operator reports the unknown attribute
+	}
+	switch a.Func {
+	case "count":
+		return true
+	case "sum", "avg", "min", "max", "stdev":
+		return !s.Attrs[i].Uncertain && (s.Attrs[i].Type == array.TInt64 || s.Attrs[i].Type == array.TFloat64)
+	}
+	return false
+}
+
+// aggAttr is the attribute an aggregate call folds ("*" is the first), -1
+// when the schema has none of that name.
+func aggAttr(s *array.Schema, name string) int {
+	if name == "" || name == "*" {
+		return 0
+	}
+	return s.AttrIndex(name)
+}
+
+// subsampleBox derives the contiguous coordinate box implied by a
+// subsample conjunction, when every conjunct is a range-style comparison.
+// ok is false when a conjunct (even/odd/!=) cannot be expressed as a box.
+func subsampleBox(s *array.Schema, conds []parser.DimCond) (array.Box, bool) {
+	box := array.WholeBox(s)
+	lo, hi := box.Lo, box.Hi
+	for _, c := range conds {
+		d := s.DimIndex(c.Dim)
+		if d < 0 {
+			return array.Box{}, false
+		}
+		switch c.Op {
+		case "=":
+			lo[d], hi[d] = max(lo[d], c.Value), min(hi[d], c.Value)
+		case "<":
+			hi[d] = min(hi[d], c.Value-1)
+		case "<=":
+			hi[d] = min(hi[d], c.Value)
+		case ">":
+			lo[d] = max(lo[d], c.Value+1)
+		case ">=":
+			lo[d] = max(lo[d], c.Value)
+		default:
+			return array.Box{}, false
+		}
+	}
+	for i := range lo {
+		if lo[i] > hi[i] {
+			// Empty box: still pushable (the read returns nothing).
+			hi[i] = lo[i] - 1
+		}
+	}
+	return box, true
 }

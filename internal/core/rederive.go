@@ -80,7 +80,7 @@ func (db *Database) ReDerive(ref provenance.CellRef) ([]provenance.CellRef, erro
 func (db *Database) registerRerun(cmd *provenance.Command, node interface{}) {
 	inName, outName := cmd.Input, cmd.Output
 	resolve := func() (*array.Array, *array.Array, error) {
-		in, err := db.resolveRef(context.Background(), inName)
+		in, err := db.scanAll(context.Background(), inName)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,0 +1,257 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"strings"
+
+	"scidb/internal/array"
+	"scidb/internal/cluster"
+	"scidb/internal/ops"
+	"scidb/internal/storage"
+	"scidb/internal/udf"
+)
+
+// source is what an array name resolves to: the one seam between the
+// operators and whatever holds the cells (§2.7 grid partitions, §2.9
+// in-situ files, stores, arrays in memory).
+type source interface {
+	// kind names the backing in plans.
+	kind() string
+	schema() *array.Schema
+	// read returns every cell inside box that could satisfy preds, possibly
+	// more: both are hints, and the caller always re-applies the operator a
+	// hint came from. So a memory source ignores them, a store prunes
+	// buckets, a cluster worker filters cells. withheld reports whether
+	// preds kept any stored cell out of the result; it only has to be exact
+	// when the result is empty.
+	read(ctx context.Context, box array.Box, preds []array.ZonePred) (a *array.Array, withheld bool, err error)
+}
+
+// partialAggregator is the one capability only a cluster source has: a
+// distributable aggregate computed as per-node partials, so no cell crosses
+// the wire. The result is what ops.Aggregate would build over the gathered
+// cells.
+type partialAggregator interface {
+	aggregate(ctx context.Context, box array.Box, spec ops.AggSpec, groupDims []string, reg *udf.Registry) (*array.Array, error)
+}
+
+// resolve maps a name to its source. This is the only place names meet
+// backings, so the precedence is the same for every statement: sys.* arrays
+// cannot be shadowed, then local definitions (plain, updatable, attached
+// file, store), then the cluster.
+func (db *Database) resolve(name string) (source, error) {
+	if strings.HasPrefix(name, "sys.") {
+		// Virtual system arrays are computed per scan.
+		a, err := db.sysArray(name)
+		if err != nil {
+			return nil, err
+		}
+		return held(a), nil
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if a, ok := db.arrays[name]; ok {
+		return held(a), nil
+	}
+	if u, ok := db.updatables[name]; ok {
+		return memSource{u.Schema(), func() (*array.Array, error) { return u.Snapshot(u.History()) }}, nil
+	}
+	if at, ok := db.attached[name]; ok {
+		return fileSource{db, name, at}, nil
+	}
+	if st, ok := db.stores[name]; ok {
+		return storeSource{st}, nil
+	}
+	if co := db.cluster; co != nil && co.Has(name) {
+		sch, err := co.ArraySchema(name)
+		if err != nil {
+			return nil, err
+		}
+		return clusterSource{co, name, sch}, nil
+	}
+	return nil, fmt.Errorf("core: unknown array %q", name)
+}
+
+// memSource serves what is already in memory: a plain array, the latest
+// snapshot of an updatable, a sys.* array.
+type memSource struct {
+	sch  *array.Schema
+	load func() (*array.Array, error)
+}
+
+func held(a *array.Array) memSource {
+	return memSource{a.Schema, func() (*array.Array, error) { return a, nil }}
+}
+
+func (s memSource) kind() string          { return "memory" }
+func (s memSource) schema() *array.Schema { return s.sch }
+func (s memSource) read(context.Context, array.Box, []array.ZonePred) (*array.Array, bool, error) {
+	a, err := s.load()
+	return a, false, err
+}
+
+// storeSource reads a disk-backed array through its buffer pool. There is
+// no array-level cache on purpose: the chunk pool already makes repeat reads
+// memory-resident, and staying pool-backed keeps results consistent with
+// later writes to the store.
+type storeSource struct{ st *storage.Store }
+
+func (s storeSource) kind() string          { return "store" }
+func (s storeSource) schema() *array.Schema { return s.st.Schema() }
+
+// read takes the box chunk at a time, skipping buckets whose zone maps
+// refute preds. A chunk that is live in full is cloned out of the shared
+// pool and adopted, which skips the cell-by-cell rebuild and — because Clone
+// preserves the decoder's advisory views — hands the operators zone maps
+// and RLE/dictionary structure for compressed execution; a chunk the box
+// cuts or newer data shadows contributes its live slots column-wise.
+func (s storeSource) read(ctx context.Context, box array.Box, preds []array.ZonePred) (*array.Array, bool, error) {
+	out, err := array.New(s.st.Schema().Clone())
+	if err != nil {
+		return nil, false, err
+	}
+	cs := s.st.ScanChunks(box, preds)
+	err = cs.Each(func(lc storage.LiveChunk) error {
+		if lc.Live == lc.Chunk.Present {
+			return out.MergeChunk(lc.Chunk.Clone())
+		}
+		return out.MergeMasked(lc.Chunk, lc.Live)
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	// Buckets always hold cells, so a skipped one is a withheld cell.
+	ops.NoteEncChunksSkipped(ctx, cs.Skipped())
+	return out, cs.Skipped() > 0, nil
+}
+
+// fileSource reads an attached external file through its adaptor (§2.9).
+type fileSource struct {
+	db   *Database
+	name string
+	at   *attachedDS
+}
+
+func (s fileSource) kind() string          { return "file" }
+func (s fileSource) schema() *array.Schema { return s.at.ds.Schema() }
+
+// read scans only the box from the file. A read of the whole file is kept:
+// some query needed all of it, and later ones are served from memory.
+func (s fileSource) read(_ context.Context, box array.Box, _ []array.ZonePred) (*array.Array, bool, error) {
+	s.db.mu.RLock()
+	cached := s.at.cached
+	s.db.mu.RUnlock()
+	if cached != nil {
+		return cached, false, nil
+	}
+	sch := s.schema().Clone()
+	sch.Name = s.name
+	a, err := array.New(sch)
+	if err != nil {
+		return nil, false, err
+	}
+	var werr error
+	if err := s.at.ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
+		werr = a.Set(c.Clone(), cell)
+		return werr == nil
+	}); err != nil {
+		return nil, false, err
+	}
+	if werr != nil {
+		return nil, false, werr
+	}
+	if whole := array.WholeBox(sch); box.Contains(whole.Lo) && box.Contains(whole.Hi) {
+		s.db.mu.Lock()
+		s.at.cached = a
+		s.db.mu.Unlock()
+	}
+	return a, false, nil
+}
+
+// clusterSource reads a distributed array through the coordinator.
+type clusterSource struct {
+	co   *cluster.Coordinator
+	name string
+	sch  *array.Schema
+}
+
+func (s clusterSource) kind() string          { return "cluster" }
+func (s clusterSource) schema() *array.Schema { return s.sch }
+
+// read gathers the box from every node that holds part of it; workers prune
+// buckets by zone map and drop the cells preds refute before shipping bytes.
+func (s clusterSource) read(ctx context.Context, box array.Box, preds []array.ZonePred) (*array.Array, bool, error) {
+	got, skipped, err := s.co.ScanPruned(ctx, s.name, box, preds)
+	if err != nil {
+		return nil, false, err
+	}
+	withheld := skipped > 0
+	if !withheld && len(preds) > 0 && got.Count() == 0 {
+		// Workers filter cell by cell, so an empty gather does not say the
+		// array is empty.
+		n, err := s.co.CountCtx(ctx, s.name)
+		if err != nil {
+			return nil, false, err
+		}
+		withheld = n > 0
+	}
+	// Partitions are unbounded and so is what they ship; put the declared
+	// bounds back, or operators would size their output by where the cells
+	// of this box happen to end.
+	sch := got.Schema
+	for i, d := range s.sch.Dims {
+		sch.Dims[i].High = d.High
+	}
+	out, err := array.New(sch)
+	if err != nil {
+		return nil, false, err
+	}
+	for _, ch := range got.Chunks() {
+		if err := out.MergeChunk(ch); err != nil {
+			return nil, false, err
+		}
+	}
+	return out, withheld, nil
+}
+
+// aggregate merges per-node partials. They come back as float64 under the
+// aggregate's bare name with unbounded dimensions, so the result is re-cast
+// into the array ops.Aggregate builds over an empty input of the declared
+// schema: same attribute name and type, same dimension bounds.
+func (s clusterSource) aggregate(ctx context.Context, box array.Box, spec ops.AggSpec, groupDims []string, reg *udf.Registry) (*array.Array, error) {
+	attr := s.sch.Attrs[aggAttr(s.sch, spec.Attr)].Name // pushdown checked it exists
+	parts, err := s.co.AggregateCtx(ctx, s.name, box, spec.Agg, attr, groupDims)
+	if err != nil {
+		return nil, err
+	}
+	like := s.sch.Clone()
+	for k, g := range groupDims {
+		// An unbounded grouping dimension ends at its last group, which is
+		// where a gathered copy's high-water mark would be.
+		if d := like.DimIndex(g); d >= 0 && like.Dims[d].High == array.Unbounded {
+			like.Dims[d].High = max(parts.Hwm(k), 1)
+		}
+	}
+	empty, err := array.New(like)
+	if err != nil {
+		return nil, err
+	}
+	out, err := ops.AggregateCtx(ctx, empty, groupDims, []ops.AggSpec{spec}, reg)
+	if err != nil {
+		return nil, err
+	}
+	t := out.Schema.Attrs[0].Type
+	parts.Iter(func(c array.Coord, cell array.Cell) bool {
+		v := cell[0]
+		switch {
+		case v.Null:
+			v = array.NullValue(t)
+		case t == array.TInt64:
+			v = array.Int64(v.AsInt())
+		}
+		err = out.Set(c, array.Cell{v})
+		return err == nil
+	})
+	return out, err
+}

@@ -57,7 +57,7 @@ func Materialize(ds Dataset) (*array.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	box := scanAll(s)
+	box := array.WholeBox(s)
 	var werr error
 	err = ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
 		if err := a.Set(c.Clone(), cell); err != nil {
@@ -70,22 +70,6 @@ func Materialize(ds Dataset) (*array.Array, error) {
 		return nil, err
 	}
 	return a, werr
-}
-
-// scanAll builds a box covering a schema (bounded dims, or a large range
-// for unbounded ones).
-func scanAll(s *array.Schema) array.Box {
-	lo := make(array.Coord, len(s.Dims))
-	hi := make(array.Coord, len(s.Dims))
-	for i, d := range s.Dims {
-		lo[i] = 1
-		if d.High == array.Unbounded {
-			hi[i] = 1 << 40
-		} else {
-			hi[i] = d.High
-		}
-	}
-	return array.Box{Lo: lo, Hi: hi}
 }
 
 // --- SDF: the self-describing SciDB format -------------------------------

@@ -33,7 +33,7 @@ func collect(t *testing.T, ds Dataset, box array.Box) map[string]string {
 // the whole-dataset scan with no overlaps.
 func assertShardsPartition(t *testing.T, ds Dataset, n int) {
 	t.Helper()
-	box := scanAll(ds.Schema())
+	box := array.WholeBox(ds.Schema())
 	whole := collect(t, ds, box)
 	shards, err := Split(ds, n)
 	if err != nil {
@@ -229,7 +229,7 @@ func FuzzCSVShardSplit(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer ds.Close()
-		box := scanAll(ds.Schema())
+		box := array.WholeBox(ds.Schema())
 		whole := map[string]string{}
 		if err := ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
 			whole[c.Key()] = fmt.Sprint(cell)

@@ -37,48 +37,3 @@ func prunable(m *bucketMeta, q array.Box, preds []array.ZonePred, metas []*bucke
 	}
 	return true
 }
-
-// ZoneSummary returns the merged zone maps across every bucket
-// intersecting q (element-wise union), or nil when no bucket carries
-// zones. Planners use it to estimate selectivity without any I/O.
-func (s *Store) ZoneSummary(q array.Box) []*array.ZoneMap {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*array.ZoneMap
-	for _, m := range s.searchMetasLocked(q) {
-		if m.zones == nil {
-			continue
-		}
-		if out == nil {
-			out = make([]*array.ZoneMap, len(m.zones))
-			for i, z := range m.zones {
-				out[i] = z.Clone()
-			}
-			continue
-		}
-		for i := range out {
-			if i < len(m.zones) {
-				out[i] = out[i].Union(m.zones[i])
-			}
-		}
-	}
-	return out
-}
-
-// EstimateSkip reports how many buckets intersecting q a pruned scan
-// with preds would skip versus visit, using only in-memory metadata.
-// The cost model uses it to decide whether the pruned path is worth
-// taking before issuing any reads.
-func (s *Store) EstimateSkip(q array.Box, preds []array.ZonePred) (skip, visit int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	metas := s.searchMetasLocked(q)
-	for _, m := range metas {
-		if prunable(m, q, preds, metas) {
-			skip++
-		} else {
-			visit++
-		}
-	}
-	return skip, visit
-}
