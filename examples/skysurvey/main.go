@@ -70,7 +70,7 @@ func main() {
 	avg, err := co.Aggregate("sky", whole, "avg", "flux", nil)
 	mustErr(err)
 	cell, _ := avg.At(scidb.Coord{1})
-	fmt.Printf("whole-sky mean flux: %.2f (each node computed a partial)\n", cell[0].Float)
+	fmt.Printf("whole-sky mean flux: %.2f (each node computed a partial)\n", cell[0].AsFloat())
 
 	// Co-partitioned join: zero bytes moved.
 	co.ResetBytesMoved()

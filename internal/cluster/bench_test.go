@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scidb/internal/array"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
@@ -174,11 +175,11 @@ func benchWorkerOp(b *testing.B, req *Message) {
 }
 
 func BenchmarkWorkerAggGrandTotal(b *testing.B) {
-	benchWorkerOp(b, &Message{Op: "agg", Array: "raw", Agg: "avg", Attr: "dn"})
+	benchWorkerOp(b, &Message{Op: "agg", Array: "raw", Fold: ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "avg", Attr: "dn"}}}})
 }
 
 func BenchmarkWorkerAggGroupBy(b *testing.B) {
-	benchWorkerOp(b, &Message{Op: "agg", Array: "raw", Agg: "max", Attr: "dn", GroupDims: []string{"pass"}})
+	benchWorkerOp(b, &Message{Op: "agg", Array: "raw", Fold: ops.FoldSpec{Dims: []string{"pass"}, Aggs: []ops.AggSpec{{Agg: "max", Attr: "dn"}}}})
 }
 
 func BenchmarkWorkerScan(b *testing.B) {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +17,7 @@ import (
 	"scidb/internal/exec"
 	"scidb/internal/ops"
 	"scidb/internal/storage"
+	"scidb/internal/udf"
 )
 
 // The differential property test for the chunk-at-a-time read path: seeded
@@ -210,7 +210,7 @@ func (q diffQuery) message(op string) *Message {
 	}
 	switch op {
 	case "agg":
-		m.Agg, m.Attr, m.GroupDims = "sum", q.attr, q.groups
+		m.Fold = q.aggFold()
 	case "scan":
 		m.Preds = q.preds
 	}
@@ -232,63 +232,182 @@ func (q diffQuery) visible(c xy) bool {
 	return true
 }
 
+// aggFold is the fold the query's agg request asks for: the count of its
+// attribute per group and, when the attribute is numeric, its sum, minimum,
+// maximum and mean as well.
+func (q diffQuery) aggFold() ops.FoldSpec {
+	fs := ops.FoldSpec{Dims: q.groups, Aggs: []ops.AggSpec{{Agg: "count", Attr: q.attr}}}
+	if q.attr != "tag" {
+		for _, agg := range []string{"sum", "min", "max", "avg"} {
+			fs.Aggs = append(fs.Aggs, ops.AggSpec{Agg: agg, Attr: q.attr})
+		}
+	}
+	return fs
+}
+
+// oracleGroup is one group of the cell-level oracle.
+type oracleGroup struct {
+	key      array.Coord
+	count    int64
+	sum      float64 // exact in any order: the values are small dyadic rationals
+	min, max float64
+	numbers  int64 // non-NULL, non-NaN values: what min and max range over
+}
+
 // oracleAgg folds cell by cell, the way Worker.agg is specified: every
-// visible cell counts as scanned and opens its group's partial, NULLs do not
-// enter it.
-func oracleAgg(final map[xy]array.Cell, q diffQuery) (parts []Partial, scanned int64) {
+// visible cell counts as scanned and opens its group, NULLs do not enter it,
+// and NaNs enter the count and the sum but neither extreme.
+func oracleAgg(final map[xy]array.Cell, q diffQuery) (groups map[string]*oracleGroup, scanned int64) {
 	attr := map[string]int{"v": 0, "k": 1, "tag": 2, "*": 0}[q.attr]
-	byKey := map[string]*Partial{}
+	groups = map[string]*oracleGroup{}
 	for c, cell := range final {
 		if !q.visible(c) {
 			continue
 		}
 		scanned++
-		key := make([]int64, len(q.groups))
-		for i, g := range q.groups {
-			key[i] = c[map[string]int{"x": 0, "y": 1}[g]]
+		key := array.Coord{1}
+		if len(q.groups) > 0 {
+			key = make(array.Coord, len(q.groups))
+			for i, g := range q.groups {
+				key[i] = c[map[string]int{"x": 0, "y": 1}[g]]
+			}
 		}
-		p, ok := byKey[fmt.Sprint(key)]
+		g, ok := groups[key.Key()]
 		if !ok {
-			p = &Partial{Key: key, Min: math.Inf(1), Max: math.Inf(-1)}
-			byKey[fmt.Sprint(key)] = p
+			g = &oracleGroup{key: key, min: math.Inf(1), max: math.Inf(-1)}
+			groups[key.Key()] = g
 		}
 		if cell[attr].Null {
 			continue
 		}
+		g.count++
+		if attr == 2 {
+			continue
+		}
 		x := cell[attr].AsFloat()
-		p.Sum += x
-		p.SumSq += x * x
-		p.Count++
-		if x < p.Min {
-			p.Min = x
-		}
-		if x > p.Max {
-			p.Max = x
+		g.sum += x
+		if !math.IsNaN(x) {
+			g.numbers++
+			g.min, g.max = math.Min(g.min, x), math.Max(g.max, x)
 		}
 	}
-	for _, p := range byKey {
-		parts = append(parts, *p)
+	return groups, scanned
+}
+
+// checkAgainstOracle holds the array a worker's table terminates into to the
+// oracle's groups.
+func checkAgainstOracle(t *testing.T, name string, got *array.Array, groups map[string]*oracleGroup, q diffQuery) {
+	t.Helper()
+	if got.Count() != int64(len(groups)) {
+		t.Fatalf("%s: %d groups, oracle has %d", name, got.Count(), len(groups))
 	}
-	sort.Slice(parts, func(i, j int) bool { return keyCompare(parts[i].Key, parts[j].Key) < 0 })
-	return parts, scanned
+	for _, g := range groups {
+		cell, ok := got.At(g.key)
+		if !ok {
+			t.Fatalf("%s: group %v missing", name, g.key)
+		}
+		if cell[0].Null || cell[0].Int != g.count {
+			t.Fatalf("%s: group %v count %v, oracle %d", name, g.key, cell[0], g.count)
+		}
+		if q.attr == "tag" {
+			continue
+		}
+		want := []float64{g.sum, g.min, g.max, g.sum / float64(g.count)}
+		if g.numbers == 0 {
+			want[1], want[2] = math.NaN(), math.NaN() // values, but no number among them
+		}
+		for i, w := range want {
+			v := cell[1+i]
+			if v.Null != (g.count == 0) || (!v.Null && !sameFloat(v.AsFloat(), w)) {
+				t.Fatalf("%s: group %v %s(%s) = %v, oracle %v over %d values", name, g.key, q.aggFold().Aggs[1+i].Agg, q.attr, v, w, g.count)
+			}
+		}
+	}
+}
+
+// foldResult terminates one worker's table the way the coordinator does.
+func foldResult(t *testing.T, spec ops.FoldSpec, table *ops.FoldTable) *array.Array {
+	t.Helper()
+	fold, err := ops.NewFold(diffSchema(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := fold.Result([]*ops.FoldTable{table})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// sameKernelFolds are the folds the worker must answer exactly as
+// ops.Aggregate / ops.Regrid answer over the same cells in memory — it is
+// the same kernel: each of the six aggregates over the float and the int
+// attribute, one multi-aggregate fold and one strided one.
+func sameKernelFolds(groups []string) []ops.FoldSpec {
+	var out []ops.FoldSpec
+	for _, attr := range []string{"v", "k"} {
+		for _, agg := range []string{"count", "sum", "avg", "min", "max", "stdev"} {
+			out = append(out, ops.FoldSpec{Dims: groups, Aggs: []ops.AggSpec{{Agg: agg, Attr: attr}}})
+		}
+	}
+	return append(out,
+		ops.FoldSpec{Dims: []string{"y"}, Aggs: []ops.AggSpec{
+			{Agg: "min", Attr: "v"}, {Agg: "max", Attr: "v", As: "hi"}, {Agg: "count", Attr: "tag"}, {Agg: "sum", Attr: "k"}, {Agg: "stdev", Attr: "k"}}},
+		ops.FoldSpec{Dims: []string{"x", "y"}, Strides: []int64{3, 5}, Aggs: []ops.AggSpec{{Agg: "avg", Attr: "v"}}},
+	)
+}
+
+// checkAgainstOps compares a worker's answer with the local operator's over
+// the visible cells: schema, groups, and every value to the bit — except
+// stdev where the partition's chunks are not the memory array's (exact), as
+// Welford states then merge in another order.
+func checkAgainstOps(t *testing.T, name string, spec ops.FoldSpec, got, visible *array.Array, exact bool) {
+	t.Helper()
+	var want *array.Array
+	var err error
+	if spec.Strides != nil {
+		want, err = ops.Regrid(visible, spec.Strides, spec.Aggs[0], udf.NewRegistry())
+	} else {
+		want, err = ops.Aggregate(visible, spec.Dims, spec.Aggs, udf.NewRegistry())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Schema.Dims, got.Schema.Attrs) != fmt.Sprint(want.Schema.Dims, want.Schema.Attrs) || got.Count() != want.Count() {
+		t.Fatalf("%s %+v: worker fold gives %v %v, %d cells; ops gives %v %v, %d cells", name, spec,
+			got.Schema.Dims, got.Schema.Attrs, got.Count(), want.Schema.Dims, want.Schema.Attrs, want.Count())
+	}
+	want.Iter(func(c array.Coord, cell array.Cell) bool {
+		g, _ := got.At(c)
+		for i := range cell {
+			same := g != nil && g[i].Null == cell[i].Null && g[i].Int == cell[i].Int && sameFloat(g[i].Float, cell[i].Float)
+			if !same && !exact && g != nil && spec.Aggs[i].Agg == "stdev" && !g[i].Null && !cell[i].Null {
+				same = math.Abs(g[i].Float-cell[i].Float) <= 1e-12*math.Abs(cell[i].Float)
+			}
+			if !same {
+				t.Fatalf("%s %+v: group %v is %v from the worker fold, %v from ops", name, spec, c, g, cell)
+			}
+		}
+		return true
+	})
 }
 
 func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-func samePartials(a, b []Partial) bool {
-	if len(a) != len(b) {
-		return false
+// sameTable compares partial tables by their wire image (NaN state included).
+func sameTable(t *testing.T, a, b *ops.FoldTable) bool {
+	t.Helper()
+	ea, err := encodeMessage(&Message{Table: a})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		p, o := a[i], b[i]
-		if keyCompare(p.Key, o.Key) != 0 || p.Count != o.Count || !sameFloat(p.Sum, o.Sum) ||
-			!sameFloat(p.SumSq, o.SumSq) || !sameFloat(p.Min, o.Min) || !sameFloat(p.Max, o.Max) {
-			return false
-		}
+	eb, err := encodeMessage(&Message{Table: b})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return true
+	return bytes.Equal(ea, eb)
 }
 
 func sameCell(a, b array.Cell) bool {
@@ -313,27 +432,40 @@ func TestChunkPathMatchesCellOracle(t *testing.T) {
 			for qi := 0; qi < 12; qi++ {
 				q := randQuery(rng)
 				name := fmt.Sprintf("seed %d %s query %d %+v", seed, backing, qi, q)
-				wantParts, wantScanned := oracleAgg(final, q)
+				wantGroups, wantScanned := oracleAgg(final, q)
 				wantCells := map[xy]array.Cell{}
+				visible := array.MustNew(diffSchema())
 				var wantCount int64
 				for c, cell := range final {
 					if q.visible(c) {
 						wantCount++
+						if err := visible.Set(array.Coord{c[0], c[1]}, cell); err != nil {
+							t.Fatal(err)
+						}
 						if ops.CellMatchesPreds(q.preds, cell) {
 							wantCells[c] = cell
 						}
 					}
 				}
 				var first [3]*Message
+				var firstFolds []*ops.FoldTable
 				for _, par := range []int{1, 4} {
 					exec.SetParallelism(par)
 					before := w.Stats().CellsScanned
 					agg := handleOK(t, w, q.message("agg"))
-					if !samePartials(agg.Partials, wantParts) {
-						t.Fatalf("%s par %d: agg partials\n got %+v\nwant %+v", name, par, agg.Partials, wantParts)
-					}
+					checkAgainstOracle(t, fmt.Sprintf("%s par %d: agg", name, par), foldResult(t, q.aggFold(), agg.Table), wantGroups, q)
 					if got := w.Stats().CellsScanned - before; got != wantScanned {
 						t.Fatalf("%s par %d: agg scanned %d cells, want %d", name, par, got, wantScanned)
+					}
+					var folds []*ops.FoldTable
+					for _, spec := range sameKernelFolds(q.groups) {
+						m := q.message("agg")
+						m.Fold = spec
+						table := handleOK(t, w, m).Table
+						// Only the array backing chunks its partition as the
+						// memory array is chunked.
+						checkAgainstOps(t, fmt.Sprintf("%s par %d", name, par), spec, foldResult(t, spec, table), visible, backing == "array")
+						folds = append(folds, table)
 					}
 					scan := handleOK(t, w, q.message("scan"))
 					got, err := storage.DecodeArray(partitionSchema(diffSchema()), scan.Payload)
@@ -354,11 +486,16 @@ func TestChunkPathMatchesCellOracle(t *testing.T) {
 						t.Fatalf("%s par %d: count %d, want %d", name, par, count.Cells, wantCount)
 					}
 					if par == 1 {
-						first = [3]*Message{agg, scan, count}
+						first, firstFolds = [3]*Message{agg, scan, count}, folds
 						continue
 					}
-					if !samePartials(agg.Partials, first[0].Partials) || !bytes.Equal(scan.Payload, first[1].Payload) || count.Cells != first[2].Cells {
+					if !sameTable(t, agg.Table, first[0].Table) || !bytes.Equal(scan.Payload, first[1].Payload) || count.Cells != first[2].Cells {
 						t.Fatalf("%s: parallelism 4 answered differently from parallelism 1", name)
+					}
+					for i := range folds {
+						if !sameTable(t, folds[i], firstFolds[i]) {
+							t.Fatalf("%s: fold %d at parallelism 4 differs from parallelism 1", name, i)
+						}
 					}
 				}
 			}
@@ -442,7 +579,7 @@ func TestConcurrentReadOpsShareWorker(t *testing.T) {
 		batches, final := diffBatches(rng)
 		w := buildDiffWorker(t, rng, backing, batches, final)
 		reqs := []*Message{
-			{Op: "agg", Array: "d", Agg: "sum", Attr: "v", GroupDims: []string{"x"}},
+			{Op: "agg", Array: "d", Fold: ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "sum", Attr: "v"}, {Agg: "stdev", Attr: "v"}}}},
 			{Op: "scan", Array: "d", BoxLo: []int64{3, 3}, BoxHi: []int64{30, 30}},
 			{Op: "count", Array: "d"},
 			{Op: "sjoin", Array: "d", Array2: "d", OnL: []string{"x", "y"}, OnR: []string{"x", "y"}},
@@ -466,7 +603,7 @@ func TestConcurrentReadOpsShareWorker(t *testing.T) {
 			alone := handleOK(t, w, req)
 			for g := i; g < len(got); g += len(reqs) {
 				if resp := got[g]; resp.Err != "" || resp.Cells != alone.Cells || !bytes.Equal(resp.Payload, alone.Payload) ||
-					!samePartials(resp.Partials, alone.Partials) {
+					!sameTable(t, resp.Table, alone.Table) {
 					t.Errorf("%s: concurrent %s differs from the same request run alone (err %q)", backing, req.Op, resp.Err)
 				}
 			}

@@ -3,14 +3,12 @@ package cluster
 // The worker's chunk-at-a-time read path. Every read op — agg, scan, count,
 // and the materialization behind sjoin — pulls (chunk, live-slot mask) pairs
 // from one chunkSource, whichever of the three backings holds the partition,
-// and folds typed columns under the mask. Nothing here boxes a cell, keys a
-// coordinate, or allocates per cell.
+// and works on typed columns under the mask (agg through ops.Fold, the one
+// aggregation engine). Nothing here boxes a cell, keys a coordinate, or
+// allocates per cell.
 
 import (
 	"context"
-	"math"
-	"math/bits"
-	"sort"
 
 	"scidb/internal/array"
 	"scidb/internal/exec"
@@ -183,165 +181,4 @@ func withoutUnmatched(ch *array.Chunk, live *array.Bitmap, preds []array.ZonePre
 		out.Clear(i)
 	}
 	return out
-}
-
-// chunkAgg is one chunk's share of an aggregate: the cells it visited and
-// its per-group partials in key order.
-type chunkAgg struct {
-	cells int64
-	parts []Partial
-}
-
-// aggChunk folds one chunk's live cells of column attr into per-group
-// partials. Groups are indexed densely by the chunk-local coordinates of
-// the grouping dimensions gidx, so the inner loop is an array index, not a
-// map lookup; only groups that hold a live cell are emitted.
-func aggChunk(ch *array.Chunk, live *array.Bitmap, attr int, gidx []int) chunkAgg {
-	out := chunkAgg{cells: live.Count()}
-	if out.cells == 0 {
-		return out
-	}
-	// gstride[k] is the dense-index stride of grouping dimension k.
-	gstride := make([]int64, len(gidx))
-	groups := int64(1)
-	for k := len(gidx) - 1; k >= 0; k-- {
-		gstride[k] = groups
-		groups *= ch.Shape[gidx[k]]
-	}
-	accs := make([]Partial, groups)
-	for g := range accs {
-		accs[g].Min, accs[g].Max = math.Inf(1), math.Inf(-1)
-	}
-	col := ch.Cols[attr]
-	ints, floats := col.Ints, col.Floats
-	if ints == nil && floats == nil {
-		// Non-numeric column: only its non-null count is meaningful; the
-		// values fold as Value.AsFloat gives them.
-		floats = make([]float64, ch.Slots())
-		for i := live.NextSet(0); i < ch.Slots(); i = live.NextSet(i + 1) {
-			floats[i] = col.Get(i).AsFloat()
-		}
-	}
-	fold := func(start, n, g, gstep int64) {
-		if ints != nil {
-			foldRun(ints, accs, live.Words(), col.Nulls.Words(), start, n, g, gstep)
-		} else {
-			foldRun(floats, accs, live.Words(), col.Nulls.Words(), start, n, g, gstep)
-		}
-	}
-	last := len(ch.Shape) - 1
-	if len(gidx) == 0 {
-		fold(0, ch.Slots(), 0, 0)
-	} else {
-		ch.Rows(ch.Box(), func(start, n int64, c array.Coord) {
-			var g, gstep int64
-			for k, d := range gidx {
-				if d == last {
-					gstep += gstride[k]
-				}
-				g += (c[d] - ch.Origin[d]) * gstride[k]
-			}
-			fold(start, n, g, gstep)
-		})
-	}
-	// A group whose live cells are all NULL folded nothing yet exists: the
-	// local Aggregate gives it a row (NULL sum, zero count), so it is emitted
-	// with Count 0. Finding those takes a pass over the NULL cells only.
-	var nullOnly []bool
-	lw, nw := live.Words(), col.Nulls.Words()
-	for wi := range lw {
-		for m := lw[wi] & nw[wi]; m != 0; m &= m - 1 {
-			rest, g := int64(wi)<<6+int64(bits.TrailingZeros64(m)), int64(0)
-			for d := last; d >= 0; d-- {
-				for k, gd := range gidx {
-					if gd == d {
-						g += rest % ch.Shape[d] * gstride[k]
-					}
-				}
-				rest /= ch.Shape[d]
-			}
-			if nullOnly == nil {
-				nullOnly = make([]bool, groups)
-			}
-			nullOnly[g] = true
-		}
-	}
-	for g := range accs {
-		if accs[g].Count == 0 && (nullOnly == nil || !nullOnly[g]) {
-			continue
-		}
-		key := make([]int64, len(gidx))
-		for k, d := range gidx {
-			key[k] = ch.Origin[d] + int64(g)/gstride[k]%ch.Shape[d]
-		}
-		accs[g].Key = key
-		out.parts = append(out.parts, accs[g])
-	}
-	return out
-}
-
-// foldRun accumulates slots [start, start+n) of the column vector vals —
-// those set in live and clear in nulls — into accs, slot start+j going to
-// accs[g+j*gstep].
-func foldRun[T int64 | float64](vals []T, accs []Partial, live, nulls []uint64, start, n, g, gstep int64) {
-	for i := start; i < start+n; i++ {
-		w := (live[i>>6] &^ nulls[i>>6]) >> uint(i&63)
-		if w&1 == 0 {
-			if w == 0 {
-				i |= 63 // nothing left in this word
-			}
-			continue
-		}
-		x := float64(vals[i])
-		p := &accs[g+(i-start)*gstep]
-		p.Sum += x
-		p.SumSq += x * x
-		p.Count++
-		if x < p.Min {
-			p.Min = x
-		}
-		if x > p.Max {
-			p.Max = x
-		}
-	}
-}
-
-// mergePartials folds lists of partials into one partial per group key, in
-// key order. Partials of one group are folded in list order (the sort is
-// stable), so the floating-point result depends only on the order of the
-// lists — chunk delivery order on a worker, node order on the coordinator.
-func mergePartials(lists ...[]Partial) []Partial {
-	var all []Partial
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return keyCompare(all[i].Key, all[j].Key) < 0 })
-	out := all[:0]
-	for _, p := range all {
-		if n := len(out); n > 0 && keyCompare(out[n-1].Key, p.Key) == 0 {
-			out[n-1].merge(p)
-		} else {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// keyCompare orders group keys lexicographically.
-func keyCompare(a, b []int64) int {
-	for i := range a {
-		if i >= len(b) {
-			return 1
-		}
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	if len(a) < len(b) {
-		return -1
-	}
-	return 0
 }

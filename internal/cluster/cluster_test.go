@@ -7,6 +7,7 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/exec"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
@@ -85,8 +86,8 @@ func TestDistributedAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell, _ := sum.At(array.Coord{1})
-	if cell[0].Float != 576 { // sum over 8x8 of (i+j) = 2*8*36 = 576
-		t.Errorf("sum = %v, want 576", cell[0].Float)
+	if cell[0].AsFloat() != 576 { // sum over 8x8 of (i+j) = 2*8*36 = 576
+		t.Errorf("sum = %v, want 576", cell[0].AsFloat())
 	}
 	cnt, _ := co.Aggregate("sky", all, "count", "flux", nil)
 	cell, _ = cnt.At(array.Coord{1})
@@ -95,18 +96,18 @@ func TestDistributedAggregates(t *testing.T) {
 	}
 	avg, _ := co.Aggregate("sky", all, "avg", "flux", nil)
 	cell, _ = avg.At(array.Coord{1})
-	if cell[0].Float != 9 {
-		t.Errorf("avg = %v, want 9", cell[0].Float)
+	if cell[0].AsFloat() != 9 {
+		t.Errorf("avg = %v, want 9", cell[0].AsFloat())
 	}
 	mn, _ := co.Aggregate("sky", all, "min", "flux", nil)
 	cell, _ = mn.At(array.Coord{1})
-	if cell[0].Float != 2 {
-		t.Errorf("min = %v, want 2", cell[0].Float)
+	if cell[0].AsFloat() != 2 {
+		t.Errorf("min = %v, want 2", cell[0].AsFloat())
 	}
 	mx, _ := co.Aggregate("sky", all, "max", "flux", nil)
 	cell, _ = mx.At(array.Coord{1})
-	if cell[0].Float != 16 {
-		t.Errorf("max = %v, want 16", cell[0].Float)
+	if cell[0].AsFloat() != 16 {
+		t.Errorf("max = %v, want 16", cell[0].AsFloat())
 	}
 
 	// Grouped: sum per x row = sum_j (i+j) = 8i + 36.
@@ -116,15 +117,15 @@ func TestDistributedAggregates(t *testing.T) {
 	}
 	for i := int64(1); i <= 8; i++ {
 		cell, ok := rows.At(array.Coord{i})
-		if !ok || cell[0].Float != float64(8*i+36) {
+		if !ok || cell[0].AsFloat() != float64(8*i+36) {
 			t.Errorf("row %d sum = %v,%v; want %d", i, cell, ok, 8*i+36)
 		}
 	}
 	// Box-restricted aggregate.
 	part, _ := co.Aggregate("sky", array.NewBox(array.Coord{1, 1}, array.Coord{1, 2}), "sum", "flux", nil)
 	cell, _ = part.At(array.Coord{1})
-	if cell[0].Float != 5 { // (1+1)+(1+2)
-		t.Errorf("box sum = %v, want 5", cell[0].Float)
+	if cell[0].AsFloat() != 5 { // (1+1)+(1+2)
+		t.Errorf("box sum = %v, want 5", cell[0].AsFloat())
 	}
 }
 
@@ -324,8 +325,8 @@ func TestTCPTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell, _ := agg.At(array.Coord{1})
-	if cell[0].Float != 136 {
-		t.Errorf("sum over TCP = %v, want 136", cell[0].Float)
+	if cell[0].AsFloat() != 136 {
+		t.Errorf("sum over TCP = %v, want 136", cell[0].AsFloat())
 	}
 	// Errors propagate across the wire.
 	if _, err := tr.Call(0, &Message{Op: "scan", Array: "ghost"}); err == nil {
@@ -377,12 +378,20 @@ func TestWorkerOpErrors(t *testing.T) {
 	if _, err := tr.Call(0, &Message{Op: "sjoin", Array: "a", Array2: "ghost", OnL: []string{"x"}, OnR: []string{"x"}}); err == nil {
 		t.Error("sjoin with unknown right array accepted")
 	}
-	// agg with unknown attribute / dimension
-	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a", Agg: "sum", Attr: "zzz"}); err == nil {
+	// agg with unknown attribute / dimension, without a fold, and with a fold
+	// whose state cannot travel
+	sum := func(attr string) []ops.AggSpec { return []ops.AggSpec{{Agg: "sum", Attr: attr}} }
+	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a", Fold: ops.FoldSpec{Aggs: sum("zzz")}}); err == nil {
 		t.Error("agg unknown attr accepted")
 	}
-	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a", Agg: "sum", GroupDims: []string{"zzz"}}); err == nil {
+	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a", Fold: ops.FoldSpec{Dims: []string{"zzz"}, Aggs: sum("")}}); err == nil {
 		t.Error("agg unknown dim accepted")
+	}
+	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a"}); err == nil {
+		t.Error("agg without a fold accepted")
+	}
+	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a", Fold: ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "median"}}}}); err == nil {
+		t.Error("agg of an aggregate without typed state accepted")
 	}
 	// corrupted payload
 	if _, err := tr.Call(0, &Message{Op: "put", Array: "a", Payload: []byte{1, 2, 3}}); err == nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scidb/internal/array"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 )
 
@@ -166,7 +167,7 @@ func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 	for _, bad := range []*Message{
 		{Op: "scan", Array: "ghost"},
 		{Op: "frobnicate"},
-		{Op: "agg", Array: "conf", Agg: "sum", Attr: "zzz"},
+		{Op: "agg", Array: "conf", Fold: ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "zzz"}}}},
 		{Op: "put", Array: "conf", Payload: []byte{1, 2, 3}},
 	} {
 		_, err := tr.Call(0, bad)
@@ -286,8 +287,8 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 						return
 					}
 					cell, _ := agg.At(array.Coord{1})
-					if cell[0].Float != 4352 { // sum of (i+j) over 16x16
-						errs <- fmt.Errorf("sum = %v, want 4352", cell[0].Float)
+					if cell[0].AsFloat() != 4352 { // sum of (i+j) over 16x16
+						errs <- fmt.Errorf("sum = %v, want 4352", cell[0])
 						return
 					}
 				}

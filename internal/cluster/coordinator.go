@@ -244,36 +244,43 @@ func (co *Coordinator) CountCtx(ctx context.Context, name string) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	span := obs.SpanFromContext(ctx)
-	base := &Message{Op: "count", Array: da.Name, TraceID: span.TraceID()}
-	var remote []*obs.Span
-	var grand int64
-	if err := co.withPlan(da, array.Box{}, func(plan queryPlan) error {
-		spans := make([]*obs.Span, len(plan.nodes))
-		var total atomic.Int64
-		if err := fanout(plan.nodes, func(i, n int) error {
-			// A node with exclusions counts through the iterator (its
-			// partition holds chunks another replica answers, or stale
-			// migrated copies); exclusion-free nodes keep the fast path.
-			resp, err := co.callNode(n, plan.reqFor(base, n))
-			if err != nil {
-				return err
-			}
-			total.Add(resp.Cells)
-			if len(resp.Spans) > 0 {
-				spans[i] = obs.Rebuild(resp.Spans)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		grand, remote = total.Load(), spans
-		return nil
-	}); err != nil {
-		return 0, err
+	// A node with exclusions counts through the iterator (its partition
+	// holds chunks another replica answers, or stale migrated copies);
+	// exclusion-free nodes keep the fast path.
+	resps, err := co.ask(ctx, da, array.Box{}, &Message{Op: "count", Array: da.Name})
+	var total int64
+	for _, resp := range resps {
+		total += resp.Cells
 	}
-	graftRemote(span, remote)
-	return grand, nil
+	return total, err
+}
+
+// ask sends base to every node of a plan for box and returns the responses
+// in plan order. Exactly one replica answers a routed chunk (the plan's
+// exclude lists); one dying mid-query makes withPlan re-plan and ask again.
+// A traced query's span adopts the workers' span trees after the barrier, in
+// plan order, so profiles are identical from run to run.
+func (co *Coordinator) ask(ctx context.Context, da *DistArray, box array.Box, base *Message) ([]*Message, error) {
+	span := obs.SpanFromContext(ctx)
+	base.TraceID = span.TraceID()
+	var resps []*Message
+	if err := co.withPlan(da, box, func(plan queryPlan) error {
+		fresh := make([]*Message, len(plan.nodes))
+		err := fanout(plan.nodes, func(i, n int) (err error) {
+			fresh[i], err = co.callNode(n, plan.reqFor(base, n))
+			return err
+		})
+		resps = fresh
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for _, resp := range resps {
+		if len(resp.Spans) > 0 {
+			span.Graft(obs.Rebuild(resp.Spans))
+		}
+	}
+	return resps, nil
 }
 
 // Scan gathers every cell intersecting the box into one local array.
@@ -375,93 +382,48 @@ func (co *Coordinator) scanGather(ctx context.Context, name string, box array.Bo
 	return out, skippedTotal, nil
 }
 
-// Aggregate pushes a distributable aggregate down to every node as
-// combinable partials and merges them, returning a result array with one
-// dimension per grouping dimension (or a single cell for a grand total).
+// Aggregate is Fold for one aggregate grouped on whole dimensions: agg of
+// attr per combination of groupDims, or a grand total with none.
 func (co *Coordinator) Aggregate(name string, box array.Box, agg, attr string, groupDims []string) (*array.Array, error) {
 	return co.AggregateCtx(context.Background(), name, box, agg, attr, groupDims)
 }
 
-// AggregateCtx is Aggregate under a context (traced queries adopt each
-// worker's span tree and record the nodes visited).
+// AggregateCtx is Aggregate under a context.
 func (co *Coordinator) AggregateCtx(ctx context.Context, name string, box array.Box, agg, attr string, groupDims []string) (*array.Array, error) {
+	return co.FoldCtx(ctx, name, box, ops.FoldSpec{Dims: groupDims, Aggs: []ops.AggSpec{{Agg: agg, Attr: attr}}})
+}
+
+// FoldCtx runs a grouped fold (ops.Aggregate, ops.Regrid) over the cells of
+// a distributed array inside box without moving them: each node folds its
+// own into a partial table, and the tables merge here into the array the
+// same fold builds over the gathered cells — names, types and bounds alike.
+// Only folds whose state is typed throughout (ops.NewFold with no registry)
+// can run this way.
+func (co *Coordinator) FoldCtx(ctx context.Context, name string, box array.Box, spec ops.FoldSpec) (*array.Array, error) {
 	co.mu.Lock()
 	da, err := co.dist(name)
 	co.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	span := obs.SpanFromContext(ctx)
-	// All nodes compute their partials concurrently; the merge happens at
-	// the barrier in node order so the floating-point fold is identical
-	// from run to run (partial merging is associative but not exactly
-	// commutative in float arithmetic). Routed chunks are answered by
-	// exactly one replica per the plan's exclude lists; a replica death
-	// mid-query re-plans and retries the whole fan-out.
-	base := &Message{Op: "agg", Array: name, Agg: agg, Attr: attr, GroupDims: groupDims,
-		BoxLo: box.Lo, BoxHi: box.Hi, TraceID: span.TraceID()}
-	var resps []*Message
-	var nodesVisited int
-	if err := co.withPlan(da, box, func(plan queryPlan) error {
-		fresh := make([]*Message, len(plan.nodes))
-		if err := fanout(plan.nodes, func(i, n int) error {
-			resp, err := co.callNode(n, plan.reqFor(base, n))
-			if err != nil {
-				return err
-			}
-			fresh[i] = resp
-			return nil
-		}); err != nil {
-			return err
-		}
-		resps, nodesVisited = fresh, len(plan.nodes)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	span.Add("nodes", int64(nodesVisited))
-	for _, resp := range resps {
-		if len(resp.Spans) > 0 {
-			span.Graft(obs.Rebuild(resp.Spans))
-		}
-	}
-	lists := make([][]Partial, len(resps))
-	for i, resp := range resps {
-		lists[i] = resp.Partials
-	}
-	merged := mergePartials(lists...)
-	// Build the result array.
-	outSchema := &array.Schema{Name: name + "_agg"}
-	if len(groupDims) == 0 {
-		outSchema.Dims = []array.Dimension{{Name: "all", High: 1}}
-	} else {
-		for _, g := range groupDims {
-			outSchema.Dims = append(outSchema.Dims, array.Dimension{Name: g, High: array.Unbounded})
-		}
-	}
-	t := array.TFloat64
-	if agg == "count" {
-		t = array.TInt64
-	}
-	outSchema.Attrs = []array.Attribute{{Name: agg, Type: t}}
-	out, err := array.New(outSchema)
+	fold, err := ops.NewFold(da.Schema, spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range merged {
-		v, err := p.finalize(agg)
-		if err != nil {
-			return nil, err
-		}
-		coord := array.Coord{1}
-		if len(groupDims) > 0 {
-			coord = append(array.Coord(nil), p.Key...)
-		}
-		if err := out.Set(coord, array.Cell{v}); err != nil {
-			return nil, err
-		}
+	// All nodes fold concurrently; the merge happens at the barrier in node
+	// order so the floating-point result is identical from run to run
+	// (merging is associative but not exactly commutative in float
+	// arithmetic).
+	resps, err := co.ask(ctx, da, box, &Message{Op: "agg", Array: name, Fold: spec, BoxLo: box.Lo, BoxHi: box.Hi})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	obs.SpanFromContext(ctx).Add("nodes", int64(len(resps)))
+	tables := make([]*ops.FoldTable, len(resps))
+	for i, resp := range resps {
+		tables[i] = resp.Table
+	}
+	return fold.Result(tables)
 }
 
 // Repartition changes an array's partitioning scheme ("we allow the

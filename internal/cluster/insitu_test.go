@@ -230,7 +230,7 @@ func TestRegisterInsituQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	total, ok := agg.At(array.Coord{1})
-	if !ok || total[0].Float != sum {
+	if !ok || total[0].AsFloat() != sum {
 		t.Fatalf("sum = %v, %v; want %v", total, ok, sum)
 	}
 	// Flush is a no-op for a read-through view; drop unregisters everywhere.

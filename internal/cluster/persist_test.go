@@ -63,7 +63,7 @@ func TestPersistClusterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell, ok := agg.At(array.Coord{1})
-	if !ok || cell[0].Float != 4352 { // sum of (i+j) over 16x16
+	if !ok || cell[0].AsFloat() != 4352 { // sum of (i+j) over 16x16
 		t.Errorf("sum = %v,%v; want 4352", cell, ok)
 	}
 

@@ -111,8 +111,8 @@ func TestRebalanceMigratesHotChunk(t *testing.T) {
 	}
 	b, _ := sumBefore.At(array.Coord{1})
 	a, _ := sumAfter.At(array.Coord{1})
-	if a[0].Float != b[0].Float {
-		t.Fatalf("aggregate changed across migration: %v -> %v", b[0].Float, a[0].Float)
+	if a[0].AsFloat() != b[0].AsFloat() {
+		t.Fatalf("aggregate changed across migration: %v -> %v", b[0], a[0])
 	}
 	// Writes follow the route: update a migrated cell and read it back.
 	if err := co.Put("sky", array.Coord{3}, array.Cell{array.Float64(9999)}); err != nil {

@@ -132,17 +132,21 @@ func TestUntracedRequestsCarryNoSpans(t *testing.T) {
 }
 
 // TestWireStrictPresence pins the presence-bit contract. A message without
-// optional fields sets no presence bits and its encoding stays byte for
-// byte what it has always been; the decoder rejects what it cannot place —
-// a presence bit it does not know (the blocks are not self-delimiting, so
-// an unknown one cannot be skipped) and bytes left after the last block.
+// optional fields sets no presence bits and its encoding is pinned byte for
+// byte; the decoder rejects what it cannot place — a presence bit it does
+// not know (the blocks are not self-delimiting, so an unknown one cannot be
+// skipped), bytes left after the last block, and the encoding from before
+// the fold spec and table replaced Agg/Attr/GroupDims/Partials in the fixed
+// prefix (no such peer was ever deployed, so there is no shim for it).
 func TestWireStrictPresence(t *testing.T) {
 	plain := &Message{Op: "scan", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{9}}
 	enc, err := encodeMessage(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = "040000007363616e01000000610000000000000000000000000000000000000000000000" +
+	const golden = "040000007363616e0100000061000000000000000000000000000000000000000000000000" +
+		"0100000001000000000000000100000009000000000000000000000000"
+	const beforeFolds = "040000007363616e01000000610000000000000000000000000000000000000000000000" +
 		"00000000000000000000000000010000000100000000000000010000000900000000000000000000000000000000"
 	if got := hex.EncodeToString(enc); got != golden {
 		t.Fatalf("plain message encoding changed:\n got: %s\nwant: %s", got, golden)
@@ -155,10 +159,16 @@ func TestWireStrictPresence(t *testing.T) {
 		t.Fatalf("plain message decoded with trace fields: %+v", got)
 	}
 
+	old, _ := hex.DecodeString(beforeFolds)
+	if m, err := decodeMessage(old); err == nil {
+		t.Errorf("the pre-fold wire body decoded: %+v", m)
+	}
+
 	// The first presence byte is the last byte of a plain encoding.
 	for name, bad := range map[string][]byte{
-		"unassigned bit 2 (was cachestats' block)":  append(append([]byte(nil), enc[:len(enc)-1]...), 1<<2),
+		"a fold bit with no fold after it":          append(append([]byte(nil), enc[:len(enc)-1]...), msgHasFold),
 		"unassigned bit 4 (was the store block)":    append(append([]byte(nil), enc[:len(enc)-1]...), 1<<4),
+		"a span count the frame cannot hold":        append(append([]byte(nil), enc[:len(enc)-1]...), msgHasTrace, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0xf0, 0xfa, 0x02),
 		"unknown second-byte bits":                  append(append([]byte(nil), enc...), 0xf0),
 		"trailing bytes after an empty second byte": append(append([]byte(nil), enc...), 0x00, 0x42),
 	} {

@@ -35,6 +35,7 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/compress"
 	"scidb/internal/obs"
+	"scidb/internal/ops"
 	"scidb/internal/storage"
 )
 
@@ -205,17 +206,19 @@ func decodeFrameBody(body []byte, flags uint8, codec compress.Codec) ([]byte, er
 }
 
 // Message presence bits for the optional fields; each set bit is followed,
-// in bit order, by its block. Bits 2-4 are unassigned. decodeMessage rejects
+// in bit order, by its block. Bit 4 is unassigned. decodeMessage rejects
 // a set bit it does not know: the blocks are not self-delimiting, so an
 // unknown one cannot be skipped.
 const (
 	msgHasSchema  = 1 << 0
 	msgHasStats   = 1 << 1
+	msgHasFold    = 1 << 2 // Fold: the grouped fold an "agg" request asks for
+	msgHasTable   = 1 << 3 // Table: the node's partial fold state
 	msgHasTrace   = 1 << 5 // TraceID + Spans
 	msgHasMetrics = 1 << 6 // Metrics registry samples
 	msgHasPreds   = 1 << 7 // Preds + Skipped (compressed-execution pruning)
 
-	msgKnownBits = msgHasSchema | msgHasStats | msgHasTrace | msgHasMetrics | msgHasPreds
+	msgKnownBits = msgHasSchema | msgHasStats | msgHasFold | msgHasTable | msgHasTrace | msgHasMetrics | msgHasPreds
 )
 
 // The first presence byte is full, so later fields chain through a second
@@ -265,31 +268,24 @@ func encodeMessage(m *Message) ([]byte, error) {
 	w.String(m.Array)
 	w.String(m.Array2)
 	w.String(m.Err)
-	w.String(m.Agg)
-	w.String(m.Attr)
-	w.Strings(m.GroupDims)
 	w.Strings(m.OnL)
 	w.Strings(m.OnR)
 	w.I64(m.Cells)
 	w.I64s(m.BoxLo)
 	w.I64s(m.BoxHi)
 	w.Bytes(m.Payload)
-	w.U32(uint32(len(m.Partials)))
-	for i := range m.Partials {
-		p := &m.Partials[i]
-		w.I64s(p.Key)
-		w.F64(p.Sum)
-		w.F64(p.SumSq)
-		w.I64(p.Count)
-		w.F64(p.Min)
-		w.F64(p.Max)
-	}
 	var present uint8
 	if m.Schema != nil {
 		present |= msgHasSchema
 	}
 	if m.Stats != nil {
 		present |= msgHasStats
+	}
+	if len(m.Fold.Aggs) > 0 {
+		present |= msgHasFold
+	}
+	if m.Table != nil {
+		present |= msgHasTable
 	}
 	if m.TraceID != 0 || len(m.Spans) > 0 {
 		present |= msgHasTrace
@@ -310,6 +306,29 @@ func encodeMessage(m *Message) ([]byte, error) {
 		w.I64(m.Stats.BytesIn)
 		w.I64(m.Stats.BytesOut)
 		w.I64(m.Stats.Requests)
+	}
+	if present&msgHasFold != 0 {
+		w.Strings(m.Fold.Dims)
+		w.I64s(m.Fold.Strides)
+		w.U32(uint32(len(m.Fold.Aggs)))
+		for _, a := range m.Fold.Aggs {
+			w.String(a.Agg)
+			w.String(a.Attr)
+			w.String(a.As)
+		}
+	}
+	if t := m.Table; t != nil {
+		w.I64s(t.Lo)
+		w.I64s(t.Shape)
+		w.I64s(t.Cells)
+		w.U32(uint32(len(t.Cols)))
+		for i := range t.Cols {
+			c := &t.Cols[i]
+			w.I64s(c.N)
+			w.I64s(c.I)
+			w.F64s(c.F)
+			w.F64s(c.M2)
+		}
 	}
 	if present&msgHasTrace != 0 {
 		w.I64(int64(m.TraceID))
@@ -405,30 +424,12 @@ func decodeMessage(data []byte) (*Message, error) {
 	m.Array = r.String()
 	m.Array2 = r.String()
 	m.Err = r.String()
-	m.Agg = r.String()
-	m.Attr = r.String()
-	m.GroupDims = r.Strings()
 	m.OnL = r.Strings()
 	m.OnR = r.Strings()
 	m.Cells = r.I64()
 	m.BoxLo = r.I64s()
 	m.BoxHi = r.I64s()
 	m.Payload = r.Bytes()
-	if n := int(r.U32()); n > 0 && r.Err() == nil {
-		if n > MaxFrameBody/8 {
-			return nil, fmt.Errorf("cluster: message has %d partials", n)
-		}
-		m.Partials = make([]Partial, n)
-		for i := range m.Partials {
-			p := &m.Partials[i]
-			p.Key = r.I64s()
-			p.Sum = r.F64()
-			p.SumSq = r.F64()
-			p.Count = r.I64()
-			p.Min = r.F64()
-			p.Max = r.F64()
-		}
-	}
 	present := r.U8()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
@@ -452,14 +453,34 @@ func decodeMessage(data []byte) (*Message, error) {
 			Requests:     r.I64(),
 		}
 	}
+	if present&msgHasFold != 0 {
+		m.Fold = ops.FoldSpec{Dims: r.Strings(), Strides: r.I64s()}
+		// An aggregate is three length prefixes at the least.
+		if n := int(r.U32()); n > 0 && r.Need(int64(n)*12) {
+			m.Fold.Aggs = make([]ops.AggSpec, n)
+			for i := range m.Fold.Aggs {
+				m.Fold.Aggs[i] = ops.AggSpec{Agg: r.String(), Attr: r.String(), As: r.String()}
+			}
+		}
+	}
+	if present&msgHasTable != 0 {
+		// I64s and F64s check a vector's count against the bytes that remain
+		// before allocating, so rows × columns cannot exceed the frame;
+		// whether the vectors fit the fold is for ops.Fold.Result to say.
+		m.Table = &ops.FoldTable{Lo: r.I64s(), Shape: r.I64s(), Cells: r.I64s()}
+		// A column is four count prefixes at the least.
+		if n := int(r.U32()); n > 0 && r.Need(int64(n)*16) {
+			m.Table.Cols = make([]ops.FoldState, n)
+			for i := range m.Table.Cols {
+				m.Table.Cols[i] = ops.FoldState{N: r.I64s(), I: r.I64s(), F: r.F64s(), M2: r.F64s()}
+			}
+		}
+	}
 	if present&msgHasTrace != 0 {
 		m.TraceID = uint64(r.I64())
 		n := int(r.U32())
-		if r.Err() != nil {
+		if !r.Need(int64(n) * 36) { // the bytes the shortest span takes
 			return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
-		}
-		if n > MaxFrameBody/16 {
-			return nil, fmt.Errorf("cluster: message has %d spans", n)
 		}
 		m.Spans = make([]obs.SpanData, n)
 		for i := range m.Spans {
@@ -474,11 +495,8 @@ func decodeMessage(data []byte) (*Message, error) {
 	}
 	if present&msgHasMetrics != 0 {
 		n := int(r.U32())
-		if r.Err() != nil {
+		if !r.Need(int64(n) * 16) { // the bytes the shortest sample takes
 			return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
-		}
-		if n > MaxFrameBody/16 {
-			return nil, fmt.Errorf("cluster: message has %d metric samples", n)
 		}
 		m.Metrics = make([]obs.Sample, n)
 		for i := range m.Metrics {
@@ -490,11 +508,8 @@ func decodeMessage(data []byte) (*Message, error) {
 	}
 	if present&msgHasPreds != 0 {
 		n := int(r.U32())
-		if r.Err() != nil {
+		if !r.Need(int64(n) * 43) { // the bytes the shortest predicate takes
 			return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
-		}
-		if n > MaxFrameBody/16 {
-			return nil, fmt.Errorf("cluster: message has %d predicates", n)
 		}
 		m.Preds = make([]array.ZonePred, n)
 		for i := range m.Preds {
@@ -512,11 +527,8 @@ func decodeMessage(data []byte) (*Message, error) {
 		}
 		if present2&msg2HasChunks != 0 {
 			n := int(r.U32())
-			if r.Err() != nil {
+			if !r.Need(int64(n) * 4) { // the bytes the shortest payload takes
 				return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
-			}
-			if n > MaxFrameBody/8 {
-				return nil, fmt.Errorf("cluster: message has %d chunk payloads", n)
 			}
 			m.Chunks = make([][]byte, n)
 			for i := range m.Chunks {
@@ -532,11 +544,8 @@ func decodeMessage(data []byte) (*Message, error) {
 		}
 		if present2&msg2HasRoute != 0 {
 			n := int(r.U32())
-			if r.Err() != nil {
+			if !r.Need(int64(n) * 8) { // the bytes the shortest box takes
 				return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
-			}
-			if n > MaxFrameBody/16 {
-				return nil, fmt.Errorf("cluster: message has %d exclude boxes", n)
 			}
 			if n > 0 {
 				m.ExclLo = make([][]int64, n)
@@ -555,11 +564,8 @@ func decodeMessage(data []byte) (*Message, error) {
 		}
 		if present2&msg2HasHeat != 0 {
 			n := int(r.U32())
-			if r.Err() != nil {
+			if !r.Need(int64(n) * 16) { // the bytes the shortest sample takes
 				return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
-			}
-			if n > MaxFrameBody/16 {
-				return nil, fmt.Errorf("cluster: message has %d heat samples", n)
 			}
 			if n > 0 {
 				m.Heat = make([]HeatSample, n)

@@ -8,27 +8,28 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/compress"
 	"scidb/internal/obs"
+	"scidb/internal/ops"
 )
 
 func wireTestMessage() *Message {
 	return &Message{
-		Op:        "sjoin",
-		Array:     "left",
-		Array2:    "right",
-		Err:       "",
-		Agg:       "sum",
-		Attr:      "flux",
-		GroupDims: []string{"x", "y"},
-		OnL:       []string{"x"},
-		OnR:       []string{"x"},
-		Cells:     42,
-		BoxLo:     []int64{1, 2},
-		BoxHi:     []int64{16, 32},
-		Payload:   []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01},
-		Partials: []Partial{
-			{Key: []int64{3, 4}, Sum: 1.5, SumSq: 2.25, Count: 7, Min: -1, Max: 9},
-			{Key: nil, Sum: 0, SumSq: 0, Count: 0, Min: 0, Max: 0},
-		},
+		Op:     "sjoin",
+		Array:  "left",
+		Array2: "right",
+		Err:    "",
+		Fold: ops.FoldSpec{Dims: []string{"x", "y"}, Strides: []int64{2, 3},
+			Aggs: []ops.AggSpec{{Agg: "sum", Attr: "flux"}, {Agg: "stdev", Attr: "flux", As: "sd"}}},
+		OnL:     []string{"x"},
+		OnR:     []string{"x"},
+		Cells:   42,
+		BoxLo:   []int64{1, 2},
+		BoxHi:   []int64{16, 32},
+		Payload: []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01},
+		Table: &ops.FoldTable{Lo: []int64{3, 4}, Shape: []int64{1, 2}, Cells: []int64{7, 0}, Cols: []ops.FoldState{
+			{N: []int64{7, 0}, F: []float64{1.5, 0}},
+			{N: []int64{7, 0}, F: []float64{-1, 0}, M2: []float64{2.25, 0}},
+			{N: []int64{5, 0}, I: []int64{1 << 60, 0}},
+		}},
 		Schema: &array.Schema{
 			Name:      "sessions",
 			Updatable: true,

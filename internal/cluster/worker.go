@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -40,13 +39,15 @@ type Message struct {
 	BoxLo  []int64
 	BoxHi  []int64
 	// Payload carries cells as a storage.EncodeArray blob.
-	Payload   []byte
-	Agg       string
-	Attr      string
-	GroupDims []string
-	Partials  []Partial
-	Cells     int64
-	Err       string
+	Payload []byte
+	// Fold, on an "agg" request, is the grouped fold to run over the node's
+	// cells inside the box; Table, on its response, is the node's partial
+	// state (ops.Fold's accumulate and merge steps ran here, its final merge
+	// and terminate steps run at the coordinator).
+	Fold  ops.FoldSpec
+	Table *ops.FoldTable
+	Cells int64
+	Err   string
 	// Join fields: join req.Array with Array2 on OnL[i] = OnR[i].
 	Array2 string
 	OnL    []string
@@ -94,66 +95,6 @@ type Message struct {
 	// Heat is the "heat" response: the node's decayed per-chunk access
 	// scores (second presence byte, own bit).
 	Heat []HeatSample
-}
-
-// Partial is a combinable aggregate fragment computed by one worker for one
-// group. Avg is carried as Sum+Count; stdev as Sum+SumSq+Count.
-type Partial struct {
-	Key   []int64
-	Sum   float64
-	SumSq float64
-	Count int64
-	Min   float64
-	Max   float64
-}
-
-// merge combines another partial for the same group.
-func (p *Partial) merge(o Partial) {
-	p.Sum += o.Sum
-	p.SumSq += o.SumSq
-	p.Count += o.Count
-	if o.Count > 0 {
-		if p.Count == o.Count { // p was empty before merge
-			p.Min, p.Max = o.Min, o.Max
-		} else {
-			if o.Min < p.Min {
-				p.Min = o.Min
-			}
-			if o.Max > p.Max {
-				p.Max = o.Max
-			}
-		}
-	}
-}
-
-// finalize produces the aggregate value named by agg.
-func (p *Partial) finalize(agg string) (array.Value, error) {
-	if p.Count == 0 && agg != "count" {
-		return array.NullValue(array.TFloat64), nil
-	}
-	switch agg {
-	case "sum":
-		return array.Float64(p.Sum), nil
-	case "count":
-		return array.Int64(p.Count), nil
-	case "avg":
-		return array.Float64(p.Sum / float64(p.Count)), nil
-	case "min":
-		return array.Float64(p.Min), nil
-	case "max":
-		return array.Float64(p.Max), nil
-	case "stdev":
-		if p.Count < 2 {
-			return array.NullValue(array.TFloat64), nil
-		}
-		mean := p.Sum / float64(p.Count)
-		v := (p.SumSq - float64(p.Count)*mean*mean) / float64(p.Count-1)
-		if v < 0 {
-			v = 0
-		}
-		return array.Float64(math.Sqrt(v)), nil
-	}
-	return array.Value{}, fmt.Errorf("cluster: aggregate %q is not distributable", agg)
 }
 
 // Worker is one shared-nothing node: a set of local array partitions, each
@@ -539,9 +480,10 @@ func (w *Worker) scan(req *Message) (*Message, error) {
 	return &Message{Op: "scan", Payload: payload, Cells: n, Skipped: src.Skipped()}, nil
 }
 
-// agg computes the partition's combinable partials: every chunk folds its
-// typed column into per-group partials on the pool (aggChunk), and the
-// per-chunk partials merge in delivery order.
+// agg runs the request's fold over the partition: every chunk folds its
+// live cells into a partial table on the pool, and the tables merge in
+// delivery order into the node's answer. Only folds whose state is typed
+// throughout can be answered: that is all a table carries over the wire.
 func (w *Worker) agg(req *Message) (*Message, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -549,36 +491,27 @@ func (w *Worker) agg(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	attr := 0
-	if req.Attr != "" && req.Attr != "*" {
-		attr = s.AttrIndex(req.Attr)
-		if attr < 0 {
-			return nil, fmt.Errorf("cluster: unknown attribute %q", req.Attr)
-		}
-	}
-	var gidx []int
-	for _, g := range req.GroupDims {
-		d := s.DimIndex(g)
-		if d < 0 {
-			return nil, fmt.Errorf("cluster: unknown grouping dimension %q", g)
-		}
-		gidx = append(gidx, d)
+	fold, err := ops.NewFold(s, req.Fold, nil)
+	if err != nil {
+		return nil, err
 	}
 	excl := exclBoxes(req)
-	perChunk, err := foldChunks(open(boxFrom(req, len(s.Dims)), nil), func(lc storage.LiveChunk) (chunkAgg, error) {
-		return aggChunk(lc.Chunk, withoutExcluded(lc.Chunk, lc.Live, excl), attr, gidx), nil
+	parts, err := foldChunks(open(boxFrom(req, len(s.Dims)), nil), func(lc storage.LiveChunk) (*ops.FoldTable, error) {
+		return fold.Chunk(lc.Chunk, withoutExcluded(lc.Chunk, lc.Live, excl)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var n int64
-	lists := make([][]Partial, len(perChunk))
-	for i, c := range perChunk {
-		n += c.cells
-		lists[i] = c.parts
+	table, err := fold.Merge(parts)
+	if err != nil {
+		return nil, err
 	}
-	w.stats.cellsScanned.Add(n)
-	return &Message{Op: "agg", Partials: mergePartials(lists...)}, nil
+	var scanned int64
+	for _, n := range table.Cells {
+		scanned += n
+	}
+	w.stats.cellsScanned.Add(scanned)
+	return &Message{Op: "agg", Table: table}, nil
 }
 
 // count sums the live cells of the partition's chunks, minus the chunks

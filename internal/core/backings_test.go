@@ -21,6 +21,7 @@ func backingSchema(name string) *array.Schema {
 		Attrs: []array.Attribute{
 			{Name: "v", Type: array.TInt64},
 			{Name: "w", Type: array.TFloat64},
+			{Name: "big", Type: array.TInt64},
 		},
 	}
 }
@@ -28,7 +29,10 @@ func backingSchema(name string) *array.Schema {
 // backingCells is a 12x10 grid with v = 10x+y, w = x+y/100 and everything
 // the backings could disagree on: a hole (x 5..6, y 3..4), scattered NULLs,
 // a row whose v is NULL throughout (x = 9), a sparse row (x = 11 holds one
-// cell) and an empty last row, so the declared High is not where cells end.
+// cell) and an empty last row, so the declared High is not where cells end;
+// a row whose w is NaN throughout (x = 8) and a stray NaN; and big, integers
+// no float64 holds — just above 2^53 on even rows, just below MaxInt64 on
+// odd ones (whose sums overflow, alike on every backing).
 func backingCells(t *testing.T, name string) *array.Array {
 	t.Helper()
 	a := array.MustNew(backingSchema(name))
@@ -44,7 +48,14 @@ func backingCells(t *testing.T, name string) *array.Array {
 			if x == 3 && y == 3 {
 				w = array.NullValue(array.TFloat64)
 			}
-			if err := a.Set(array.Coord{x, y}, array.Cell{v, w}); err != nil {
+			if x == 8 || x == 4 && y == 4 {
+				w = array.Float64(math.NaN())
+			}
+			big := array.Int64(1<<53 + 1 + 2*y)
+			if x%2 == 1 {
+				big = array.Int64(math.MaxInt64 - x*10 - y)
+			}
+			if err := a.Set(array.Coord{x, y}, array.Cell{v, w, big}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -101,7 +112,9 @@ func fourBackings(t *testing.T) map[string]*Database {
 					exec(t, db, "attach "+name+" from '"+path+"' using csv")
 				}
 			case "cluster":
-				err = co.Create(name, a.Schema, partition.Block{Nodes: 2, SplitDim: 0, High: 12})
+				// Nodes split between x = 5 and 6: inside a storage bucket (x
+				// 5..8) and inside the regrid tiles of stride 2 (x 5..6).
+				err = co.Create(name, a.Schema, partition.Block{Nodes: 2, SplitDim: 0, High: 10})
 				a.Iter(func(c array.Coord, cell array.Cell) bool {
 					if err == nil {
 						err = co.Put(name, c, cell)
@@ -122,8 +135,9 @@ func fourBackings(t *testing.T) map[string]*Database {
 
 // shapeAndCells renders what a statement's answer must agree on across
 // backings: attribute names and types, dimension names and High, and every
-// cell (floats to 9 digits: per-node partials merge in a different order,
-// and stdev from a sum of squares cancels differently than Welford's).
+// cell. Floats print to 12 digits, which is what merge order alone costs:
+// every backing runs the one fold, but each chunks the cells its own way, so
+// float sums add up and Welford states merge in a different order.
 func shapeAndCells(a *array.Array) string {
 	var b strings.Builder
 	for _, d := range a.Schema.Dims {
@@ -139,7 +153,7 @@ func shapeAndCells(a *array.Array) string {
 			case v.Null:
 				fmt.Fprintf(&b, " %s:NULL", v.Type)
 			case v.Type == array.TFloat64 && !math.IsNaN(v.Float):
-				fmt.Fprintf(&b, " %.9g", v.Float)
+				fmt.Fprintf(&b, " %.12g", v.Float)
 			default:
 				fmt.Fprintf(&b, " %s:%s", v.Type, v)
 			}
@@ -173,6 +187,18 @@ func TestOneStatementFourBackings(t *testing.T) {
 		"aggregate(D, {x, y}, min(w))",
 		"aggregate(D, {x}, stdev(w) as sd)",
 		"aggregate(D, {x}, sum(v), count(w) as n)",
+		"aggregate(D, {x}, min(v), max(v), count(v))",
+		"aggregate(D, {x}, min(w), max(w) as hi)", // x = 8 holds only NaNs, x = 4 one
+		"aggregate(D, {}, min(w), max(w))",
+		"aggregate(D, {x}, min(w))",
+		"aggregate(D, {x}, min(big), max(big))", // exact above 2^53
+		"aggregate(D, {x}, max(big))",
+		"aggregate(D, {y}, sum(big) as s)",
+		"aggregate(D, {}, sum(big), avg(big))",
+		"regrid(D, [2, 3], avg(v))", // tiles straddle the node boundary
+		"regrid(D, [2, 3], stdev(w) as sd)",
+		"regrid(D, [5, 4], max(big))",
+		"filter(regrid(D, [2, 3], avg(v) as m), m > 50)",
 		"filter(aggregate(D, {x}, max(v) as m), m > 20)",
 		"aggregate(filter(D, v > 80), {}, sum(v), count(v))",          // prunes some buckets
 		"aggregate(filter(D, v > 1000), {}, sum(v), count(v))",        // prunes all
@@ -183,6 +209,7 @@ func TestOneStatementFourBackings(t *testing.T) {
 		"subsample(E, x <= 4)",
 		"aggregate(E, {}, sum(v))",
 		"aggregate(E, {x}, max(v) as m)",
+		"regrid(E, [2, 3], avg(v))",
 		"aggregate(filter(E, v > 0), {}, count(v))",
 	} {
 		want := shapeAndCells(exec(t, dbs["memory"], stmt).Array)
@@ -224,7 +251,7 @@ func TestLocalNameShadowsClusterArray(t *testing.T) {
 			t.Errorf("%s = %v, want 11 (the local E)", stmt, cell)
 		}
 	}
-	exec(t, db, "insert into E [12, 10] values (1210, 12.1)")
+	exec(t, db, "insert into E [12, 10] values (1210, 12.1, 7)")
 	if cell, ok := exec(t, db, "aggregate(E, {}, count(v))").Array.At(array.Coord{1}); !ok || cell[0].Int != 12 {
 		t.Errorf("count(v) after insert = %v, want 12 (the write must land where reads look)", cell)
 	}
@@ -252,9 +279,17 @@ func TestExplainShowsTheScanThatRuns(t *testing.T) {
 				}
 			}
 		}
-		partials := strings.Contains(exec(t, db, "explain aggregate(D, {x}, max(v) as m)").Msg, "aggregate [per-node partials]")
-		if partials != (kind == "cluster") {
-			t.Errorf("%s: per-node partials in the plan = %v", kind, partials)
+		for stmt, node := range map[string]string{
+			"aggregate(D, {x}, max(v) as m)":                 "aggregate [per-node partials]",
+			"aggregate(D, {x}, min(v), max(v), count(v))":    "aggregate [per-node partials]",
+			"regrid(D, [2, 3], avg(v))":                      "regrid [per-node partials]",
+			"filter(regrid(D, [2, 3], avg(v) as m), m > 50)": "regrid [per-node partials]",
+		} {
+			for _, explain := range []string{"explain ", "explain analyze "} {
+				if partials := strings.Contains(exec(t, db, explain+stmt).Msg, node); partials != (kind == "cluster") {
+					t.Errorf("%s: %s%s: %q in the plan = %v", kind, explain, stmt, node, partials)
+				}
+			}
 		}
 	}
 }

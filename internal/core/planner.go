@@ -78,6 +78,9 @@ func planNode(e parser.ArrayExpr, lf *leaf) (string, []parser.ArrayExpr) {
 	case *parser.ReshapeExpr:
 		return "reshape", []parser.ArrayExpr{n.In}
 	case *parser.RegridExpr:
+		if lf != nil && lf.partials {
+			return "regrid [per-node partials]", []parser.ArrayExpr{n.In}
+		}
 		return "regrid", []parser.ArrayExpr{n.In}
 	case *parser.WindowExpr:
 		return "window", []parser.ArrayExpr{n.In}
@@ -94,6 +97,12 @@ func planNode(e parser.ArrayExpr, lf *leaf) (string, []parser.ArrayExpr) {
 }
 
 func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) (*array.Array, error) {
+	if lf != nil && lf.partials {
+		// e is a fold the nodes run over their own cells; its input is
+		// never gathered.
+		src := lf.src.(clusterSource)
+		return src.co.FoldCtx(ctx, src.name, lf.box, lf.fold)
+	}
 	switch n := e.(type) {
 	case *parser.Ref:
 		return lf.read(ctx)
@@ -146,18 +155,11 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		}
 		return ops.FilterCtx(ctx, in, lowerRefs(pred, in.Schema), db.reg)
 	case *parser.AggregateExpr:
-		specs := make([]ops.AggSpec, len(n.Aggs))
-		for i, a := range n.Aggs {
-			specs[i] = aggSpec(a)
-		}
-		if lf != nil && lf.partials {
-			return lf.src.(partialAggregator).aggregate(ctx, lf.box, specs[0], n.GroupDims, db.reg)
-		}
 		in, err := db.evalUnder(ctx, n.In, lf.under(n.In))
 		if err != nil {
 			return nil, err
 		}
-		return ops.AggregateCtx(ctx, in, n.GroupDims, specs, db.reg)
+		return ops.AggregateCtx(ctx, in, n.GroupDims, aggSpecs(n.Aggs), db.reg)
 	case *parser.SjoinExpr:
 		l, err := db.eval(ctx, n.L)
 		if err != nil {
@@ -217,7 +219,7 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		}
 		return ops.Reshape(in, n.Order, dims)
 	case *parser.RegridExpr:
-		in, err := db.eval(ctx, n.In)
+		in, err := db.evalUnder(ctx, n.In, lf.under(n.In))
 		if err != nil {
 			return nil, err
 		}
@@ -275,6 +277,14 @@ func (db *Database) scanAll(ctx context.Context, name string) (*array.Array, err
 
 func aggSpec(a parser.AggSpec) ops.AggSpec {
 	return ops.AggSpec{Agg: a.Func, Attr: a.Attr, As: a.As}
+}
+
+func aggSpecs(in []parser.AggSpec) []ops.AggSpec {
+	out := make([]ops.AggSpec, len(in))
+	for i, a := range in {
+		out[i] = aggSpec(a)
+	}
+	return out
 }
 
 // dimConds converts parsed subsample conjuncts to operator predicates.
@@ -507,7 +517,7 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 			cmd.InDims = len(src.Schema.Dims)
 		}
 		db.log.Append(cmd)
-		db.registerRerun(cmd, regridRerun{strides: n.Strides, spec: aggSpec(n.Agg)})
+		db.registerRerun(cmd, ops.FoldSpec{Strides: n.Strides, Aggs: []ops.AggSpec{aggSpec(n.Agg)}})
 	case *parser.AggregateExpr:
 		in := child(n.In, 1)
 		cmd := &provenance.Command{
@@ -524,11 +534,7 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 			}
 		}
 		db.log.Append(cmd)
-		aspecs := make([]ops.AggSpec, len(n.Aggs))
-		for i, a := range n.Aggs {
-			aspecs[i] = aggSpec(a)
-		}
-		db.registerRerun(cmd, aggregateRerun{groupDims: cmd.GroupDims, specs: aspecs})
+		db.registerRerun(cmd, ops.FoldSpec{Dims: n.GroupDims, Aggs: aggSpecs(n.Aggs)})
 	case *parser.SubsampleExpr:
 		in := child(n.In, 1)
 		cmd := &provenance.Command{

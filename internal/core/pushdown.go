@@ -23,24 +23,29 @@ type leaf struct {
 	boxed bool
 	// preds are the zone conjuncts of via's predicate.
 	preds []array.ZonePred
-	// partials: the aggregate above runs as per-node partials and the leaf
-	// is never read.
+	// partials: the fold above (aggregate, regrid) runs as per-node partial
+	// tables of fold and the leaf is never read.
 	partials bool
+	fold     ops.FoldSpec
 }
 
 // pushdown is the one rule list. For an operator sitting directly on an
 // array reference it resolves that reference and peels off whatever the
-// source may apply while reading; every rule is a hint under the read
-// contract, so the operator still runs over what comes back. It returns nil
-// for any other expression.
+// source may apply while reading; every rule but the last is a hint under
+// the read contract, so the operator still runs over what comes back. It
+// returns nil for any other expression.
 func (db *Database) pushdown(e parser.ArrayExpr) (*leaf, error) {
 	sub, _ := e.(*parser.SubsampleExpr)
 	agg, _ := e.(*parser.AggregateExpr)
+	rg, _ := e.(*parser.RegridExpr)
 	var via *parser.FilterExpr
 	in := e
-	if sub != nil {
+	switch {
+	case sub != nil:
 		in = sub.In
-	} else if agg != nil {
+	case rg != nil:
+		in = rg.In
+	case agg != nil:
 		if in = agg.In; len(agg.GroupDims) == 0 {
 			if via, _ = in.(*parser.FilterExpr); via != nil {
 				in = via.In
@@ -77,11 +82,19 @@ func (db *Database) pushdown(e parser.ArrayExpr) (*leaf, error) {
 		if pred = lowerRefs(pred, schema); ops.PredPure(pred, schema) {
 			lf.preds = ops.ZonePreds(pred, schema)
 		}
-	case agg != nil:
-		// One distributable aggregate straight over a source that can merge
-		// per-node partials ships those, not cells.
-		_, can := src.(partialAggregator)
-		lf.partials = can && len(agg.Aggs) == 1 && distributable(schema, agg.Aggs[0])
+	case agg != nil || rg != nil:
+		// A fold directly over a cluster array ships partial tables, not
+		// cells, when all its state is typed: what NewFold without a registry
+		// admits. (Nor is a malformed fold pushed: the operator reports it.)
+		if _, can := src.(clusterSource); can {
+			if agg != nil {
+				lf.fold = ops.FoldSpec{Dims: agg.GroupDims, Aggs: aggSpecs(agg.Aggs)}
+			} else {
+				lf.fold = ops.FoldSpec{Strides: rg.Strides, Aggs: []ops.AggSpec{aggSpec(rg.Agg)}}
+			}
+			_, err := ops.NewFold(schema, lf.fold, nil)
+			lf.partials = err == nil
+		}
 	}
 	return lf, nil
 }
@@ -139,33 +152,6 @@ func (db *Database) ignoreNulls(aggs []parser.AggSpec) bool {
 		}
 	}
 	return true
-}
-
-// distributable reports whether a's per-node partials (count, sum, sum of
-// squares, min, max — all float64) merge into the exact local answer: a
-// built-in over a plain numeric attribute. Error bars and non-numeric
-// orderings do not survive the float partials.
-func distributable(s *array.Schema, a parser.AggSpec) bool {
-	i := aggAttr(s, a.Attr)
-	if i < 0 {
-		return false // the operator reports the unknown attribute
-	}
-	switch a.Func {
-	case "count":
-		return true
-	case "sum", "avg", "min", "max", "stdev":
-		return !s.Attrs[i].Uncertain && (s.Attrs[i].Type == array.TInt64 || s.Attrs[i].Type == array.TFloat64)
-	}
-	return false
-}
-
-// aggAttr is the attribute an aggregate call folds ("*" is the first), -1
-// when the schema has none of that name.
-func aggAttr(s *array.Schema, name string) int {
-	if name == "" || name == "*" {
-		return 0
-	}
-	return s.AttrIndex(name)
 }
 
 // subsampleBox derives the contiguous coordinate box implied by a

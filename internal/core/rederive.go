@@ -9,7 +9,6 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/ops"
 	"scidb/internal/provenance"
-	"scidb/internal/udf"
 )
 
 // rerunFn recomputes the given output coordinates of one logged command
@@ -158,86 +157,38 @@ func (db *Database) registerRerun(cmd *provenance.Command, node interface{}) {
 			}
 			return nil
 		})
-	case regridRerun:
+	case ops.FoldSpec:
 		db.reruns.set(cmd.ID, func(coords []array.Coord) error {
 			in, out, err := resolve()
 			if err != nil {
 				return err
 			}
-			fac, err := db.reg.Aggregate(n.spec.Agg)
-			if err != nil {
-				return err
+			// Fold again only the box around the source cells of the groups
+			// to recompute: their blocks along the group dimensions,
+			// everything along the rest. Groups cut by the box are not read.
+			box := array.WholeBox(in.Schema)
+			for i := 0; i < max(len(n.Dims), len(n.Strides)); i++ {
+				d, stride := i, int64(1)
+				if n.Strides != nil {
+					stride = n.Strides[i]
+				} else if d = in.Schema.DimIndex(n.Dims[i]); d < 0 {
+					return fmt.Errorf("core: %s has no dimension %q to re-derive over", in.Schema.Name, n.Dims[i])
+				}
+				lo, hi := array.MaxCoord, int64(1)
+				for _, c := range coords {
+					lo, hi = min(lo, c[i]), max(hi, c[i])
+				}
+				box.Lo[d], box.Hi[d] = (lo-1)*stride+1, hi*stride
 			}
-			attr := attrIndexOrZero(in.Schema, n.spec.Attr)
-			for _, c := range coords {
-				// Recompute the whole source block of this output cell.
-				lo := make(array.Coord, len(c))
-				hi := make(array.Coord, len(c))
-				for d := range c {
-					lo[d] = (c[d]-1)*n.strides[d] + 1
-					hi[d] = c[d] * n.strides[d]
-					if b := in.Hwm(d); hi[d] > b {
-						hi[d] = b
-					}
-				}
-				acc := fac()
-				found := false
-				in.IterBoxReuse(array.Box{Lo: lo, Hi: hi}, func(_ array.Coord, cell array.Cell) bool {
-					acc.Step(cell[attr])
-					found = true
-					return true
-				})
-				if !found {
-					out.Erase(c)
-					continue
-				}
-				if err := out.Set(c.Clone(), array.Cell{acc.Result()}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	case aggregateRerun:
-		db.reruns.set(cmd.ID, func(coords []array.Coord) error {
-			in, out, err := resolve()
+			res, err := ops.FoldArray(context.Background(), in, box, n, db.reg)
 			if err != nil {
 				return err
 			}
 			for _, c := range coords {
-				// Recompute the whole input slab matching the group coords.
-				lo := make(array.Coord, len(in.Schema.Dims))
-				hi := make(array.Coord, len(in.Schema.Dims))
-				for d := range lo {
-					lo[d], hi[d] = 1, max64(in.Hwm(d), 1)
-				}
-				for i, d := range n.groupDims {
-					lo[d], hi[d] = c[i], c[i]
-				}
-				accs := make([]udf.Aggregate, len(n.specs))
-				for i, sp := range n.specs {
-					fac, err := db.reg.Aggregate(sp.Agg)
-					if err != nil {
-						return err
-					}
-					accs[i] = fac()
-				}
-				found := false
-				in.IterBoxReuse(array.Box{Lo: lo, Hi: hi}, func(_ array.Coord, cell array.Cell) bool {
-					for i, sp := range n.specs {
-						accs[i].Step(cell[attrIndexOrZero(in.Schema, sp.Attr)])
-					}
-					found = true
-					return true
-				})
-				if !found {
+				cell, ok := res.At(c)
+				if !ok {
 					out.Erase(c)
-					continue
-				}
-				newCell := make(array.Cell, len(accs))
-				for i, acc := range accs {
-					newCell[i] = acc.Result()
-				}
-				if err := out.Set(c.Clone(), newCell); err != nil {
+				} else if err := out.Set(c.Clone(), cell); err != nil {
 					return err
 				}
 			}
@@ -283,31 +234,6 @@ type (
 		specs   []ops.ApplySpec
 		project []int // post-apply projection indexes, nil = keep all
 	}
-	filterRerun struct{ pred ops.Expr }
-	regridRerun struct {
-		strides []int64
-		spec    ops.AggSpec
-	}
-	aggregateRerun struct {
-		groupDims []int
-		specs     []ops.AggSpec
-	}
+	filterRerun    struct{ pred ops.Expr }
 	subsampleRerun struct{ sel [][]int64 }
 )
-
-func attrIndexOrZero(s *array.Schema, name string) int {
-	if name == "" || name == "*" {
-		return 0
-	}
-	if i := s.AttrIndex(name); i >= 0 {
-		return i
-	}
-	return 0
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -9,7 +9,6 @@ import (
 	"scidb/internal/cluster"
 	"scidb/internal/ops"
 	"scidb/internal/storage"
-	"scidb/internal/udf"
 )
 
 // source is what an array name resolves to: the one seam between the
@@ -26,14 +25,6 @@ type source interface {
 	// preds kept any stored cell out of the result; it only has to be exact
 	// when the result is empty.
 	read(ctx context.Context, box array.Box, preds []array.ZonePred) (a *array.Array, withheld bool, err error)
-}
-
-// partialAggregator is the one capability only a cluster source has: a
-// distributable aggregate computed as per-node partials, so no cell crosses
-// the wire. The result is what ops.Aggregate would build over the gathered
-// cells.
-type partialAggregator interface {
-	aggregate(ctx context.Context, box array.Box, spec ops.AggSpec, groupDims []string, reg *udf.Registry) (*array.Array, error)
 }
 
 // resolve maps a name to its source. This is the only place names meet
@@ -213,45 +204,4 @@ func (s clusterSource) read(ctx context.Context, box array.Box, preds []array.Zo
 		}
 	}
 	return out, withheld, nil
-}
-
-// aggregate merges per-node partials. They come back as float64 under the
-// aggregate's bare name with unbounded dimensions, so the result is re-cast
-// into the array ops.Aggregate builds over an empty input of the declared
-// schema: same attribute name and type, same dimension bounds.
-func (s clusterSource) aggregate(ctx context.Context, box array.Box, spec ops.AggSpec, groupDims []string, reg *udf.Registry) (*array.Array, error) {
-	attr := s.sch.Attrs[aggAttr(s.sch, spec.Attr)].Name // pushdown checked it exists
-	parts, err := s.co.AggregateCtx(ctx, s.name, box, spec.Agg, attr, groupDims)
-	if err != nil {
-		return nil, err
-	}
-	like := s.sch.Clone()
-	for k, g := range groupDims {
-		// An unbounded grouping dimension ends at its last group, which is
-		// where a gathered copy's high-water mark would be.
-		if d := like.DimIndex(g); d >= 0 && like.Dims[d].High == array.Unbounded {
-			like.Dims[d].High = max(parts.Hwm(k), 1)
-		}
-	}
-	empty, err := array.New(like)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ops.AggregateCtx(ctx, empty, groupDims, []ops.AggSpec{spec}, reg)
-	if err != nil {
-		return nil, err
-	}
-	t := out.Schema.Attrs[0].Type
-	parts.Iter(func(c array.Coord, cell array.Cell) bool {
-		v := cell[0]
-		switch {
-		case v.Null:
-			v = array.NullValue(t)
-		case t == array.TInt64:
-			v = array.Int64(v.AsInt())
-		}
-		err = out.Set(c, array.Cell{v})
-		return err == nil
-	})
-	return out, err
 }

@@ -213,13 +213,13 @@ func init() {
 				return err
 			}
 			cell, _ := sum.At(array.Coord{1})
-			if cell[0].Float != refCell[0].Float {
-				return fmt.Errorf("skew: aggregate drifted across rebalancing: %v -> %v", refCell[0].Float, cell[0].Float)
+			if cell[0].AsFloat() != refCell[0].AsFloat() {
+				return fmt.Errorf("skew: aggregate drifted across rebalancing: %v -> %v", refCell[0], cell[0])
 			}
 			if n, err := co.Count("skew"); err != nil || n != high {
 				return fmt.Errorf("skew: count = %d, %v; want %d", n, err, high)
 			}
-			fmt.Fprintf(w, "bit-identity: scan cells verified per-op, sum %v and count %d unchanged\n", cell[0].Float, high)
+			fmt.Fprintf(w, "bit-identity: scan cells verified per-op, sum %v and count %d unchanged\n", cell[0], high)
 
 			// Kill the hot chunk's base owner mid-workload: the hot band
 			// must keep answering from the surviving replicas.

@@ -126,37 +126,7 @@ func Aggregate(a *array.Array, groupDims []string, specs []AggSpec, reg *udf.Reg
 
 // AggregateCtx is Aggregate under a context (cancellation + span counters).
 func AggregateCtx(ctx context.Context, a *array.Array, groupDims []string, specs []AggSpec, reg *udf.Registry) (*array.Array, error) {
-	s := a.Schema
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("ops: aggregate requires at least one aggregate spec")
-	}
-	out := &array.Schema{Name: s.Name + "_agg"}
-	gdims := make([]groupDim, len(groupDims))
-	for i, g := range groupDims {
-		d := s.DimIndex(g)
-		if d < 0 {
-			if s.AttrIndex(g) >= 0 {
-				return nil, fmt.Errorf("ops: cannot group on data attribute %q; grouping is by dimensions only", g)
-			}
-			return nil, fmt.Errorf("ops: unknown grouping dimension %q", g)
-		}
-		gdims[i] = groupDim{dim: d, stride: 1}
-		out.Dims = append(out.Dims, array.Dimension{Name: s.Dims[d].Name, High: max64(a.Hwm(d), 1)})
-	}
-	if len(groupDims) == 0 {
-		// Grand total: a single-cell 1-D array.
-		out.Dims = []array.Dimension{{Name: "all", High: 1}}
-	}
-	cols := make([]aggCol, len(specs))
-	for i, sp := range specs {
-		col, at, err := resolveAgg(s, sp, reg)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = col
-		out.Attrs = append(out.Attrs, at)
-	}
-	return foldGroups(ctx, a, gdims, cols, out)
+	return FoldArray(ctx, a, array.WholeBox(a.Schema), FoldSpec{Dims: groupDims, Aggs: specs}, reg)
 }
 
 // Cjoin (§2.2.2, Figure 3) is the content-based join: its predicate is over
@@ -362,23 +332,5 @@ func Regrid(a *array.Array, strides []int64, spec AggSpec, reg *udf.Registry) (*
 
 // RegridCtx is Regrid under a context (cancellation + span counters).
 func RegridCtx(ctx context.Context, a *array.Array, strides []int64, spec AggSpec, reg *udf.Registry) (*array.Array, error) {
-	s := a.Schema
-	if len(strides) != len(s.Dims) {
-		return nil, fmt.Errorf("ops: regrid needs one stride per dimension")
-	}
-	out := &array.Schema{Name: s.Name + "_regrid"}
-	gdims := make([]groupDim, len(strides))
-	for d, st := range strides {
-		if st < 1 {
-			return nil, fmt.Errorf("ops: regrid strides must be >= 1")
-		}
-		gdims[d] = groupDim{dim: d, stride: st}
-		out.Dims = append(out.Dims, array.Dimension{Name: s.Dims[d].Name, High: (max64(a.Hwm(d), 1) + st - 1) / st})
-	}
-	col, at, err := resolveAgg(s, spec, reg)
-	if err != nil {
-		return nil, err
-	}
-	out.Attrs = []array.Attribute{at}
-	return foldGroups(ctx, a, gdims, []aggCol{col}, out)
+	return FoldArray(ctx, a, array.WholeBox(a.Schema), FoldSpec{Strides: strides, Aggs: []AggSpec{spec}}, reg)
 }

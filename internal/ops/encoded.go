@@ -381,32 +381,53 @@ func emitNullChunk(ch, oc *array.Chunk, same bool) {
 	})
 }
 
-// firstPresentNonNull returns the first slot in [lo, hi) that is present
-// and non-null, or -1.
-func firstPresentNonNull(present, nulls *array.Bitmap, lo, hi int64) int64 {
-	for i := lo; i < hi; i++ {
-		if present.Get(i) && !nulls.Get(i) {
-			return i
-		}
+// stepRun folds n copies of the value in slot i — live and non-NULL — into
+// column k of the grand-total row under udf.RunAggregate's contract: true is
+// exactly the state n single steps leave, false is nothing changed. Counts
+// and exact integer sums multiply; min and max see the run's first cell once.
+func (f *Fold) stepRun(t *FoldTable, k int, ch *array.Chunk, live *array.Bitmap, i, n int64) bool {
+	c, st, col := f.cols[k], &t.Cols[k], ch.Cols[f.cols[k].attr]
+	switch {
+	case !c.typed:
+		return st.boxed[0].(udf.RunAggregate).StepRun(rawColValue(col, i), n)
+	case c.agg == "count":
+		st.N[0] += n
+	case c.agg == "sum":
+		st.I[0] += col.Ints[i] * n
+		st.N[0] += n
+	default:
+		f.foldRun(t, k, ch, live, oneRow(i, 1, 0))
+		st.N[0] += n - 1
 	}
-	return -1
+	return true
 }
 
-// encAggColumn aggregates one chunk's column into acc using its encoded
-// views, returning false when the caller must fall back to per-cell
-// Steps. Only RunAggregates qualify: their contract (ignore NULLs, exact
-// batched Steps) is what makes dropping null cells and stepping runs
-// wholesale produce bit-identical results. Serial step order over the
-// non-null cells is preserved: runs are walked in slot order and each
+// encColumn folds column k of a grand total over ch's live cells through the
+// column's encoded views; false leaves the cells to the caller. Boxed
+// accumulators qualify only as RunAggregates, whose contract (ignore NULLs,
+// exact batched steps) makes dropping null cells and stepping whole runs
+// bit-identical. Step order is kept: runs are walked in slot order and a
 // run's representative is its first stepped cell.
-func encAggColumn(ch *array.Chunk, attr int, acc udf.Aggregate, st *encStats) bool {
-	ra, ok := acc.(udf.RunAggregate)
-	if !ok || attr >= len(ch.Cols) {
+func (f *Fold) encColumn(t *FoldTable, k int, ch *array.Chunk, live *array.Bitmap, st *encStats) bool {
+	// Float sums and Welford's mean are order-sensitive and never fold a run
+	// as one step (see sumAgg, avgAgg and stdevAgg's StepRun): their columns
+	// fold fastest through the plain kernels.
+	c := f.cols[k]
+	if c.attr >= len(ch.Cols) || c.typed && !c.ints() && c.agg != "count" && c.agg != "min" && c.agg != "max" {
 		return false
 	}
-	col := ch.Cols[attr]
+	if !c.typed {
+		acc := &t.Cols[k].boxed[0]
+		if *acc == nil {
+			*acc = c.fac()
+		}
+		if _, ok := (*acc).(udf.RunAggregate); !ok {
+			return false
+		}
+	}
+	col := ch.Cols[c.attr]
 	if z := col.Zone; z != nil && !z.HasRange && !z.HasNaN {
-		// Every present cell is NULL: all Steps are no-ops.
+		// Every present cell is NULL: all steps are no-ops.
 		st.skipped++
 		return true
 	}
@@ -414,27 +435,23 @@ func encAggColumn(ch *array.Chunk, attr int, acc udf.Aggregate, st *encStats) bo
 	if enc == nil || enc.RunLens == nil {
 		return false
 	}
-	slots := col.Len()
-	if int64(len(enc.RunLens))*encRunDensityMin > slots {
+	if int64(len(enc.RunLens))*encRunDensityMin > col.Len() {
 		return false
 	}
 	lo := int64(0)
 	for _, rl := range enc.RunLens {
 		hi := lo + rl
-		n := array.CountPresentNotNull(ch.Present, col.Nulls, lo, hi)
-		if n > 0 {
-			idx0 := firstPresentNonNull(ch.Present, col.Nulls, lo, hi)
-			v := rawColValue(col, idx0)
-			if ra.StepRun(v, n) {
+		if n := array.CountPresentNotNull(live, col.Nulls, lo, hi); n > 0 {
+			idx0 := live.NextSet(lo)
+			for col.Nulls.Get(idx0) {
+				idx0 = live.NextSet(idx0 + 1)
+			}
+			if f.stepRun(t, k, ch, live, idx0, n) {
 				st.runs++
 			} else {
-				// Batched update refused (e.g. float sum): step the run's
-				// non-null cells individually, in slot order.
-				for i := idx0; i < hi; i++ {
-					if ch.Present.Get(i) && !col.Nulls.Get(i) {
-						acc.Step(rawColValue(col, i))
-					}
-				}
+				// Batched update refused (e.g. an uncertain sum): fold the
+				// run's cells individually, in slot order.
+				f.foldRun(t, k, ch, live, oneRow(idx0, hi-idx0, 0))
 			}
 		}
 		lo = hi

@@ -183,10 +183,6 @@ func TestOracleAggregateMatchesTablesim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nanRows, err := tab.Select(func(r tablesim.Row) bool { return !r[nd+1].Null && math.IsNaN(r[nd+1].Float) }, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, groupDims := range groupings {
 				label := fmt.Sprintf("%s/group%v", name, groupDims)
 				res := atBothParallelisms(t, label, func() (*array.Array, error) {
@@ -198,17 +194,6 @@ func TestOracleAggregateMatchesTablesim(t *testing.T) {
 					}
 					return rowCoord(r, len(groupDims))
 				}
-				// Groups whose f holds a NaN: min and max over one depend on
-				// where it sits (a NaN compares equal to everything, so the
-				// first value seen wins against it), which the row order of a
-				// table does not reproduce; only the bit identity across
-				// parallelisms above is demanded of them.
-				hasNaN := map[string]bool{}
-				nanGroups, err := nanRows.GroupBy(groupDims, "count", "f")
-				if err != nil {
-					t.Fatal(err)
-				}
-				nanGroups.Scan(func(_ int64, r tablesim.Row) bool { hasNaN[keyOf(r).Key()] = true; return true })
 				nonNull := map[string]map[string]int64{} // attr → group → non-null count
 				for _, attr := range []string{"i", "f"} {
 					counts, err := tab.GroupBy(groupDims, "count", attr)
@@ -248,9 +233,10 @@ func TestOracleAggregateMatchesTablesim(t *testing.T) {
 							if !got.Null {
 								t.Fatalf("%s: %s(%s) at %v = %v over no values, want NULL", label, sp.Agg, sp.Attr, c, got)
 							}
-						case (sp.Agg == "min" || sp.Agg == "max") && hasNaN[c.Key()]:
 						case sp.Agg == "min" || sp.Agg == "max":
-							if got.Null || got.Float != w.Float {
+							// NaNs are passed over like NULLs; a group of
+							// nothing but NaNs answers NaN.
+							if got.Null || (got.Float != w.Float && !(math.IsNaN(got.Float) && math.IsNaN(w.Float))) {
 								t.Fatalf("%s: %s at %v = %v, tablesim %v", label, sp.Agg, c, got, w)
 							}
 						default:
@@ -261,6 +247,7 @@ func TestOracleAggregateMatchesTablesim(t *testing.T) {
 						return true
 					})
 				}
+				checkBoxedTwin(t, label, in, groupDims, res, reg)
 				// stdev against a two-pass computation over the group's cells.
 				vals := map[string][]float64{}
 				in.Iter(func(c array.Coord, cell array.Cell) bool {
@@ -298,6 +285,46 @@ func TestOracleAggregateMatchesTablesim(t *testing.T) {
 				})
 			}
 		}
+	})
+}
+
+// checkBoxedTwin folds in's f once more as an uncertain attribute (every
+// value ± 0.5), which takes the boxed udf.Aggregate row instead of typed
+// state, and holds it to typed — columns 2..5 of the typed result are sum,
+// avg, min and max of f. The two define the same arithmetic in the same
+// order, so means agree to the bit; the boxed row also carries the error bar.
+func checkBoxedTwin(t *testing.T, label string, in *array.Array, groupDims []string, typed *array.Array, reg *udf.Registry) {
+	t.Helper()
+	s := in.Schema.Clone()
+	s.Attrs[1].Uncertain = true
+	unc := array.MustNew(s)
+	in.Iter(func(c array.Coord, cell array.Cell) bool {
+		if !cell[1].Null {
+			cell[1].Sigma = 0.5
+		}
+		if err := unc.Set(c.Clone(), cell); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	specs := []AggSpec{{Agg: "count", Attr: "f"}, {Agg: "sum", Attr: "f"}, {Agg: "avg", Attr: "f"}, {Agg: "min", Attr: "f"}, {Agg: "max", Attr: "f"}}
+	boxed := atBothParallelisms(t, label+"/uncertain", func() (*array.Array, error) { return Aggregate(unc, groupDims, specs, reg) })
+	if boxed.Count() != typed.Count() {
+		t.Fatalf("%s: %d groups over the uncertain twin, %d typed", label, boxed.Count(), typed.Count())
+	}
+	boxed.Iter(func(c array.Coord, cell array.Cell) bool {
+		want, _ := typed.At(c)
+		n := float64(cell[0].Int)
+		for k, v := range cell[1:] {
+			w := want[2+k]
+			if v.Null != w.Null || (!v.Null && math.Float64bits(v.Float) != math.Float64bits(w.Float) && !(math.IsNaN(v.Float) && math.IsNaN(w.Float))) {
+				t.Fatalf("%s: %s(f) at %v is %v boxed, %v typed", label, specs[1+k].Agg, c, v, w)
+			}
+		}
+		if n > 0 && (!floatsClose(cell[1].Sigma, 0.5*math.Sqrt(n)) || !floatsClose(cell[2].Sigma, 0.5/math.Sqrt(n))) {
+			t.Fatalf("%s: error bars at %v over %v values: sum ±%v, avg ±%v", label, c, n, cell[1].Sigma, cell[2].Sigma)
+		}
+		return true
 	})
 }
 
@@ -508,12 +535,20 @@ func TestOracleRegridMatchesCells(t *testing.T) {
 				}
 				res.Iter(func(c array.Coord, cell array.Cell) bool {
 					xs, got := blocks[c.Key()], cell[0]
+					// min and max pass over NaNs; with nothing else they are NaN.
 					var sum float64
-					lo, hi, nan := math.Inf(1), math.Inf(-1), false
+					lo, hi := math.NaN(), math.NaN()
 					for _, x := range xs {
 						sum += x
-						lo, hi = math.Min(lo, x), math.Max(hi, x)
-						nan = nan || math.IsNaN(x)
+						if !math.IsNaN(x) && !(lo <= x) {
+							lo = x
+						}
+						if !math.IsNaN(x) && !(hi >= x) {
+							hi = x
+						}
+					}
+					differs := func(got, want float64) bool {
+						return got != want && !(math.IsNaN(got) && math.IsNaN(want))
 					}
 					switch {
 					case agg == "count":
@@ -526,8 +561,8 @@ func TestOracleRegridMatchesCells(t *testing.T) {
 						}
 					case agg == "sum" && !floatsClose(got.Float, sum),
 						agg == "avg" && !floatsClose(got.Float, sum/float64(len(xs))),
-						agg == "min" && !nan && got.Float != lo,
-						agg == "max" && !nan && got.Float != hi:
+						agg == "min" && differs(got.Float, lo),
+						agg == "max" && differs(got.Float, hi):
 						t.Fatalf("%s: block %v = %v over %v", label, c, got, xs)
 					}
 					return true

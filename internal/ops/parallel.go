@@ -17,7 +17,7 @@ package ops
 //     CellsPresent on shared chunks (Bitmap.Count trims in place);
 //     liveChunks warms Chunks() and presence counts before the fan-out.
 //   - Aggregate/Regrid partials are one table per chunk, merged at the
-//     barrier in chunk order whichever worker produced them.
+//     barrier in chunk order whichever worker produced them (fold.go).
 //   - The columnar fast paths reuse evalArith/evalCmp/evalLogic and mirror
 //     Column.Get, so compiled and boxed evaluation are interchangeable.
 //
@@ -26,11 +26,9 @@ package ops
 
 import (
 	"context"
-	"fmt"
 
 	"scidb/internal/array"
 	"scidb/internal/exec"
-	"scidb/internal/udf"
 )
 
 // liveChunks returns a's non-empty chunks in origin order, warming the
@@ -409,272 +407,4 @@ func vecPred(pred Expr, s *array.Schema, ch *array.Chunk) func(idx int64) bool {
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Grouped folds (Aggregate, Regrid)
-
-// aggCol is one resolved aggregate: the input attribute it reads and the
-// accumulator factory.
-type aggCol struct {
-	attr int
-	fac  udf.AggregateFactory
-}
-
-// resolveAgg resolves one AggSpec against s: the column it folds and the
-// output attribute it produces ("*" or "" aggregates the first attribute;
-// count is integer, avg and stdev float, the rest follow the input).
-func resolveAgg(s *array.Schema, sp AggSpec, reg *udf.Registry) (aggCol, array.Attribute, error) {
-	fac, err := reg.Aggregate(sp.Agg)
-	if err != nil {
-		return aggCol{}, array.Attribute{}, err
-	}
-	attr := 0
-	if sp.Attr != "*" && sp.Attr != "" {
-		if attr = s.AttrIndex(sp.Attr); attr < 0 {
-			return aggCol{}, array.Attribute{}, fmt.Errorf("ops: unknown attribute %q in aggregate", sp.Attr)
-		}
-	}
-	name := sp.As
-	if name == "" {
-		name = sp.Agg + "_" + s.Attrs[attr].Name
-	}
-	t := s.Attrs[attr].Type
-	switch sp.Agg {
-	case "count":
-		t = array.TInt64
-	case "avg", "stdev":
-		t = array.TFloat64
-	}
-	return aggCol{attr: attr, fac: fac}, array.Attribute{Name: name, Type: t, Uncertain: s.Attrs[attr].Uncertain}, nil
-}
-
-// groupDim is one dimension of a fold's group space: input dimension dim
-// coarsened by stride. A cell at coordinate c falls in group (c-1)/stride
-// (zero-based) along it. Aggregate groups with stride 1; Regrid coarsens
-// every dimension.
-type groupDim struct {
-	dim    int
-	stride int64
-}
-
-// aggTable is a dense table of accumulators over a box of the group space:
-// one row of len(cols) accumulators per group, rows in row-major order. A
-// row's accumulators are created when its first present cell arrives, so a
-// nil row is a group with no cells.
-type aggTable struct {
-	lo, shape []int64 // the box, in zero-based group indices per groupDim
-	cols      []aggCol
-	accs      []udf.Aggregate
-}
-
-func newAggTable(lo, shape []int64, cols []aggCol) *aggTable {
-	rows := int64(1)
-	for _, n := range shape {
-		rows *= n
-	}
-	return &aggTable{lo: lo, shape: shape, cols: cols, accs: make([]udf.Aggregate, rows*int64(len(cols)))}
-}
-
-// chunkTable sizes a table to the groups ch's box can reach.
-func chunkTable(ch *array.Chunk, gdims []groupDim, cols []aggCol) *aggTable {
-	lo := make([]int64, len(gdims))
-	shape := make([]int64, len(gdims))
-	for k, g := range gdims {
-		lo[k] = (ch.Origin[g.dim] - 1) / g.stride
-		shape[k] = (ch.Origin[g.dim]+ch.Shape[g.dim]-2)/g.stride - lo[k] + 1
-	}
-	return newAggTable(lo, shape, cols)
-}
-
-// row returns the accumulators of row r, creating them on first use.
-func (t *aggTable) row(r int64) []udf.Aggregate {
-	nc := int64(len(t.cols))
-	accs := t.accs[r*nc : (r+1)*nc]
-	if accs[0] == nil {
-		for k, col := range t.cols {
-			accs[k] = col.fac()
-		}
-	}
-	return accs
-}
-
-// fold steps every present cell of ch into its group's row, in slot order.
-// With an empty group space (a grand total) whole columns go through the
-// compressed-execution paths first.
-func (t *aggTable) fold(ch *array.Chunk, gdims []groupDim, st *encStats) {
-	if len(gdims) == 0 {
-		accs := t.row(0)
-		var pend []int
-		for k, col := range t.cols {
-			if !encAggColumn(ch, col.attr, accs[k], st) {
-				pend = append(pend, k)
-			}
-		}
-		if len(pend) == 0 {
-			return
-		}
-		for i := ch.Present.NextSet(0); i < ch.Slots(); i = ch.Present.NextSet(i + 1) {
-			for _, k := range pend {
-				accs[k].Step(ch.Cols[t.cols[k].attr].Get(i))
-			}
-		}
-		return
-	}
-	// rstride[k] is the row-major stride of group dimension k in t.
-	rstride := make([]int64, len(gdims))
-	rows := int64(1)
-	for k := len(gdims) - 1; k >= 0; k-- {
-		rstride[k] = rows
-		rows *= t.shape[k]
-	}
-	last := len(ch.Shape) - 1
-	ch.Rows(ch.Box(), func(start, n int64, c array.Coord) {
-		// A run varies only the innermost dimension: its first cell lands in
-		// row r0, and when that dimension is grouped the row advances by
-		// step every `every` cells, the run starting `phase` cells into one.
-		var r0, step, phase int64
-		every := int64(1)
-		for k, g := range gdims {
-			r0 += ((c[g.dim]-1)/g.stride - t.lo[k]) * rstride[k]
-			if g.dim == last {
-				step, every, phase = rstride[k], g.stride, (c[last]-1)%g.stride
-			}
-		}
-		var accs []udf.Aggregate
-		cur := int64(-1)
-		for i := ch.Present.NextSet(start); i < start+n; i = ch.Present.NextSet(i + 1) {
-			r := r0
-			if step != 0 {
-				r += (phase + i - start) / every * step
-			}
-			if r != cur {
-				accs, cur = t.row(r), r
-			}
-			t.step(accs, ch, i)
-		}
-	})
-}
-
-// step feeds slot i of ch to one row's accumulators, boxing each input
-// column once however many aggregates read it.
-func (t *aggTable) step(accs []udf.Aggregate, ch *array.Chunk, i int64) {
-	var v array.Value
-	boxed := -1
-	for k, col := range t.cols {
-		if col.attr != boxed {
-			v, boxed = ch.Cols[col.attr].Get(i), col.attr
-		}
-		accs[k].Step(v)
-	}
-}
-
-// merge folds o's rows into t's rows for the same groups; o's box must lie
-// inside t's. A group t has not seen adopts o's accumulators outright.
-func (t *aggTable) merge(o *aggTable) error {
-	nc := int64(len(t.cols))
-	orows := int64(len(o.accs)) / nc
-	g := make([]int64, len(o.shape))
-	for r := int64(0); r < orows; r++ {
-		src := o.accs[r*nc : (r+1)*nc]
-		if src[0] == nil {
-			continue
-		}
-		// Decompose r over o's box and recompose over t's.
-		rem, tr, mul := r, int64(0), int64(1)
-		for k := len(g) - 1; k >= 0; k-- {
-			g[k] = o.lo[k] + rem%o.shape[k]
-			rem /= o.shape[k]
-			tr += (g[k] - t.lo[k]) * mul
-			mul *= t.shape[k]
-		}
-		dst := t.accs[tr*nc : (tr+1)*nc]
-		if dst[0] == nil {
-			copy(dst, src)
-			continue
-		}
-		for k := range dst {
-			if err := dst[k].(udf.MergeableAggregate).Merge(src[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// foldGroups is the body of Aggregate and Regrid: every present cell of a
-// steps the accumulators of its group, and the groups that saw a cell become
-// the cells of the result — a single chunk spanning out's dimensions, whose
-// row-major slots are the global table's rows.
-//
-// When every aggregate can Merge, each chunk folds into a table sized to its
-// own extent of the group space, as a pool task, and the partials merge in
-// chunk order. Otherwise the same kernel runs over the chunks in order on
-// the caller, stepping the global table directly.
-func foldGroups(ctx context.Context, a *array.Array, gdims []groupDim, cols []aggCol, out *array.Schema) (*array.Array, error) {
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
-	}
-	work := liveChunks(a)
-	spanChunks(ctx, work)
-	shape := make([]int64, len(gdims))
-	for k := range gdims {
-		shape[k] = out.Dims[k].High
-	}
-	global := newAggTable(make([]int64, len(gdims)), shape, cols)
-	stats := make([]encStats, len(work))
-	mergeable := true
-	for _, c := range cols {
-		if _, ok := c.fac().(udf.MergeableAggregate); !ok {
-			mergeable = false
-		}
-	}
-	if mergeable {
-		pool := exec.Default()
-		locals := make([]*aggTable, len(work))
-		err = pool.Map(ctx, len(work), func(i int) error {
-			locals[i] = chunkTable(work[i], gdims, cols)
-			locals[i].fold(work[i], gdims, &stats[i])
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		pool.NoteChunks(int64(len(work)))
-		for _, local := range locals {
-			if err := global.merge(local); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i, ch := range work {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			global.fold(ch, gdims, &stats[i])
-		}
-	}
-	publishEncStats(ctx, stats)
-
-	origin := make(array.Coord, len(out.Dims))
-	for i := range origin {
-		origin[i] = 1
-	}
-	oc := array.NewChunk(out, origin, res.GridShape(origin))
-	nc := int64(len(cols))
-	for r := int64(0); r < oc.Slots(); r++ {
-		accs := global.accs[r*nc : (r+1)*nc]
-		if accs[0] == nil {
-			continue
-		}
-		oc.Present.Set(r)
-		for k, acc := range accs {
-			oc.Cols[k].Set(r, acc.Result())
-		}
-	}
-	if oc.CellsPresent() > 0 {
-		res.PutChunk(oc)
-	}
-	return res, nil
 }

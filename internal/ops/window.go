@@ -24,7 +24,11 @@ func Window(a *array.Array, radius []int64, spec AggSpec, reg *udf.Registry) (*a
 			return nil, fmt.Errorf("ops: window radii must be >= 0")
 		}
 	}
-	col, at, err := resolveAgg(s, spec, reg)
+	attr, at, err := resolveAgg(s, spec)
+	if err != nil {
+		return nil, err
+	}
+	fac, err := reg.Aggregate(spec.Agg)
 	if err != nil {
 		return nil, err
 	}
@@ -44,9 +48,9 @@ func Window(a *array.Array, radius []int64, spec AggSpec, reg *udf.Registry) (*a
 			}
 			hi[d] = c[d] + radius[d]
 		}
-		acc := col.fac()
+		acc := fac()
 		a.IterBoxReuse(array.Box{Lo: lo, Hi: hi}, func(_ array.Coord, cell array.Cell) bool {
-			acc.Step(cell[col.attr])
+			acc.Step(cell[attr])
 			return true
 		})
 		if err := res.Set(c.Clone(), array.Cell{acc.Result()}); err != nil {

@@ -100,6 +100,14 @@ func (w *FieldWriter) I64s(vs []int64) {
 	}
 }
 
+// F64s writes a u32 count followed by each float64.
+func (w *FieldWriter) F64s(vs []float64) {
+	w.U32(uint32(len(vs)))
+	for _, v := range vs {
+		w.F64(v)
+	}
+}
+
 // FieldReader mirrors FieldWriter on the decode side, accumulating the
 // first error (including short reads) and bounding length-prefixed fields.
 // When built over a byte slice (NewFieldReaderBytes) it also knows how many
@@ -250,6 +258,22 @@ func (r *FieldReader) I64s() []int64 {
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = r.I64()
+	}
+	if r.err != nil {
+		return nil
+	}
+	return out
+}
+
+// F64s reads a u32-count-prefixed float64 slice.
+func (r *FieldReader) F64s() []float64 {
+	n := r.length()
+	if n == 0 || !r.Need(int64(n)*8) {
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r.F64()
 	}
 	if r.err != nil {
 		return nil

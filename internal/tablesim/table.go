@@ -2,6 +2,7 @@ package tablesim
 
 import (
 	"fmt"
+	"math"
 
 	"scidb/internal/array"
 )
@@ -213,7 +214,7 @@ func (t *Table) GroupBy(keyCols []string, agg, aggCol string) (*Table, error) {
 		sum        float64
 		count      int64
 		min, max   float64
-		seenMinMax bool
+		seenMinMax bool // a non-NaN value set min and max
 	}
 	groups := map[string]*acc{}
 	order := []string{}
@@ -237,6 +238,11 @@ func (t *Table) GroupBy(keyCols []string, agg, aggCol string) (*Table, error) {
 		x := v.AsFloat()
 		g.sum += x
 		g.count++
+		// min and max pass over NaNs as they pass over NULLs; a group with
+		// values but no number answers NaN.
+		if math.IsNaN(x) {
+			continue
+		}
 		if !g.seenMinMax || x < g.min {
 			g.min = x
 		}
@@ -272,16 +278,15 @@ func (t *Table) GroupBy(keyCols []string, agg, aggCol string) (*Table, error) {
 			} else {
 				v = array.Float64(g.sum / float64(g.count))
 			}
-		case "min":
-			if !g.seenMinMax {
+		case "min", "max":
+			switch {
+			case g.count == 0:
 				v = array.NullValue(array.TFloat64)
-			} else {
+			case !g.seenMinMax:
+				v = array.Float64(math.NaN())
+			case agg == "min":
 				v = array.Float64(g.min)
-			}
-		case "max":
-			if !g.seenMinMax {
-				v = array.NullValue(array.TFloat64)
-			} else {
+			default:
 				v = array.Float64(g.max)
 			}
 		default:

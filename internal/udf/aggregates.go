@@ -1,6 +1,7 @@
 package udf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -156,86 +157,68 @@ func (a *avgAgg) Result() array.Value {
 	return array.UncertainFloat(a.sum.sum.Mean/float64(a.n), a.sum.sum.Sigma/float64(a.n))
 }
 
-type minAgg struct {
+// extremeAgg is min and max. NaNs are skipped like NULLs (which is how
+// zone-map ranges treat them), so the answer does not depend on where a NaN
+// sits; a group whose non-NULL values are all NaN yields NaN.
+type extremeAgg struct {
+	max  bool
 	best array.Value
 	seen bool
 }
 
-func (a *minAgg) Step(v array.Value) {
+// beats reports whether v replaces the best so far: it is strictly better —
+// the first of equals stays, so its sigma wins, and a NaN (which Compare
+// ties with everything) never displaces a number — or the best so far is
+// itself a NaN. int64 pairs compare exactly, not through float64.
+func (a *extremeAgg) beats(v array.Value) bool {
+	if !a.seen || (a.best.Type == array.TFloat64 && math.IsNaN(a.best.Float)) {
+		return true
+	}
+	c := v.Compare(a.best)
+	if v.Type == array.TInt64 && a.best.Type == array.TInt64 {
+		c = cmp.Compare(v.Int, a.best.Int)
+	}
+	if a.max {
+		return c > 0
+	}
+	return c < 0
+}
+
+func (a *extremeAgg) Step(v array.Value) {
 	if v.Null {
 		return
 	}
-	if !a.seen || v.Compare(a.best) < 0 {
-		a.best, a.seen = v, true
+	if a.beats(v) {
+		a.best = v
 	}
+	a.seen = true
 }
 
 // StepRun is exact for any run length: repeated Steps of one value leave
-// the first occurrence in place (strict < keeps ties), so one Step with
-// the run's first value reproduces them all. Callers must pass the value
-// of the run's FIRST stepped cell so its sigma wins as in the serial pass.
-func (a *minAgg) StepRun(v array.Value, n int64) bool {
-	if !v.Null && n > 0 {
+// the first occurrence in place, so one Step with the run's first value
+// reproduces them all. Callers must pass the value of the run's FIRST
+// stepped cell so its sigma wins as in the serial pass.
+func (a *extremeAgg) StepRun(v array.Value, n int64) bool {
+	if n > 0 {
 		a.Step(v)
 	}
 	return true
 }
 
-func (a *minAgg) Merge(o Aggregate) error {
-	b, ok := o.(*minAgg)
-	if !ok {
-		return fmt.Errorf("udf: cannot merge %T into min", o)
+// Merge keeps the receiver's winner on ties, matching Step's first-seen-wins
+// when partials are merged in chunk order.
+func (a *extremeAgg) Merge(o Aggregate) error {
+	b, ok := o.(*extremeAgg)
+	if !ok || b.max != a.max {
+		return fmt.Errorf("udf: cannot merge %T into min/max", o)
 	}
-	// Strict < keeps the receiver's winner on ties, matching Step's
-	// first-seen-wins when partials are merged in chunk order.
-	if b.seen && (!a.seen || b.best.Compare(a.best) < 0) {
-		a.best, a.seen = b.best, true
-	}
-	return nil
-}
-
-func (a *minAgg) Result() array.Value {
-	if !a.seen {
-		return array.NullValue(array.TFloat64)
-	}
-	return a.best
-}
-
-type maxAgg struct {
-	best array.Value
-	seen bool
-}
-
-func (a *maxAgg) Step(v array.Value) {
-	if v.Null {
-		return
-	}
-	if !a.seen || v.Compare(a.best) > 0 {
-		a.best, a.seen = v, true
-	}
-}
-
-// StepRun mirrors minAgg.StepRun: one Step of the run's first value is
-// exact for any run length.
-func (a *maxAgg) StepRun(v array.Value, n int64) bool {
-	if !v.Null && n > 0 {
-		a.Step(v)
-	}
-	return true
-}
-
-func (a *maxAgg) Merge(o Aggregate) error {
-	b, ok := o.(*maxAgg)
-	if !ok {
-		return fmt.Errorf("udf: cannot merge %T into max", o)
-	}
-	if b.seen && (!a.seen || b.best.Compare(a.best) > 0) {
-		a.best, a.seen = b.best, true
+	if b.seen {
+		a.Step(b.best)
 	}
 	return nil
 }
 
-func (a *maxAgg) Result() array.Value {
+func (a *extremeAgg) Result() array.Value {
 	if !a.seen {
 		return array.NullValue(array.TFloat64)
 	}
@@ -307,7 +290,7 @@ func registerBuiltinAggregates(r *Registry) {
 	r.RegisterAggregate("sum", func() Aggregate { return &sumAgg{} })
 	r.RegisterAggregate("count", func() Aggregate { return &countAgg{} })
 	r.RegisterAggregate("avg", func() Aggregate { return &avgAgg{} })
-	r.RegisterAggregate("min", func() Aggregate { return &minAgg{} })
-	r.RegisterAggregate("max", func() Aggregate { return &maxAgg{} })
+	r.RegisterAggregate("min", func() Aggregate { return &extremeAgg{} })
+	r.RegisterAggregate("max", func() Aggregate { return &extremeAgg{max: true} })
 	r.RegisterAggregate("stdev", func() Aggregate { return &stdevAgg{} })
 }

@@ -75,10 +75,10 @@ type AggregateFactory func() Aggregate
 // folds another accumulator of the same concrete type into the receiver, as
 // if the receiver had also Stepped every value the other one saw. This is
 // the "combinable partial state" contract that lets Aggregate and Regrid run
-// chunk-parallel (one accumulator per chunk, merged at a barrier) and that
-// the grid coordinator already relies on for distributed aggregation.
-// Aggregates that don't implement it run the same per-chunk kernel with the
-// chunks visited in order on the calling goroutine.
+// chunk-parallel (one accumulator per group per chunk, merged in chunk
+// order). An aggregate that does not implement it still gets one answer at
+// any parallelism: the executor keeps each group's values in iteration order
+// and Steps them into a single accumulator at the end.
 type MergeableAggregate interface {
 	Aggregate
 	Merge(o Aggregate) error
