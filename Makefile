@@ -47,23 +47,27 @@ race-all:
 	$(GO) test -race ./...
 
 # The per-layer micro-benchmarks (operator kernels, worker kernels, store
-# chunk scan) report ns/cell beside allocs/op; the root package holds the
-# end-to-end ones.
+# chunk scan warm and cold, column decode per encoding) report ns/cell
+# beside allocs/op; the root package holds the end-to-end ones.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem . ./internal/ops ./internal/cluster ./internal/storage
 
 # One iteration of the fold kernels' micro-benchmarks (worker fold, local
-# Aggregate/Regrid), so CI runs what `make bench` measures.
+# Aggregate/Regrid) and of the cold read path's (column decode, cold chunk
+# scan), so CI runs what `make bench` measures.
 bench-smoke:
 	$(GO) test -run=NONE -bench 'WorkerAgg|ParallelAggregate|ParallelRegrid' -benchtime=1x ./internal/cluster ./internal/ops
+	$(GO) test -run=NONE -bench 'DecodeColumn|StoreChunkScanCold' -benchtime=1x ./internal/storage
 
 # The standing benchmark suite is its own module under bench/, which the
 # root `go test ./...` never reaches: vet and test it, then run one short
-# checked round of the pushdown workload (worker-side execution) and of the
-# gather workload (coordinator-side ops).
+# checked round of the pushdown workload warm (worker-side execution) and
+# cold (bucket read + decode under it), and of the gather workload
+# (coordinator-side ops).
 bench-suite:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload ssdb.pushdown.warm --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
+	bash bench/run.sh --workload ssdb.pushdown.cold --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
 	bash bench/run.sh --workload ssdb.gather --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
 
 experiments:

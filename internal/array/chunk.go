@@ -242,15 +242,24 @@ func (ch *Chunk) Clone() *Chunk {
 
 // ByteSize estimates the in-memory payload size of the chunk, used by the
 // storage manager's memory accounting and the version-space experiments.
+// Columns a projected read left nil cost nothing.
 func (ch *Chunk) ByteSize() int64 {
 	n := int64(len(ch.Present.Words()) * 8)
 	for _, c := range ch.Cols {
-		n += int64(len(c.Ints))*8 + int64(len(c.Floats))*8 + int64(len(c.Bools)) + int64(len(c.Sigma))*8
-		for _, s := range c.Strs {
-			n += int64(len(s)) + 16
+		if c != nil {
+			n += c.ByteSize()
 		}
-		n += int64(len(c.Arrs)) * 8
-		n += int64(len(c.Nulls.Words()) * 8)
 	}
+	return n
+}
+
+// ByteSize is one column's share of Chunk.ByteSize.
+func (c *Column) ByteSize() int64 {
+	n := int64(len(c.Ints))*8 + int64(len(c.Floats))*8 + int64(len(c.Bools)) + int64(len(c.Sigma))*8
+	for _, s := range c.Strs {
+		n += int64(len(s)) + 16
+	}
+	n += int64(len(c.Arrs)) * 8
+	n += int64(len(c.Nulls.Words()) * 8)
 	return n
 }

@@ -3,13 +3,16 @@
 // paper's storage manager (§2.5, §2.8) assumes hot buckets are served from
 // main memory — "when main memory is nearly full" is its flush trigger —
 // so repeated scans over the same region must not pay disk read plus
-// decompression every time. The pool caches decoded chunks keyed by
-// (store, bucket), with:
+// decompression every time. The pool caches decoded bucket sections keyed
+// by (store, bucket, section) — a section being what a reader can take on
+// its own: a bucket's frame and presence bitmap, or one of its columns — so
+// what is budgeted is what is resident, and a statement that needs another
+// column of a cached bucket loads just that column. It has:
 //
 //   - byte-accurate memory accounting against a configurable budget,
-//   - LRU eviction that never evicts a pinned chunk (a scan pins the chunk
+//   - LRU eviction that never evicts a pinned section (a scan pins what
 //     it is iterating, so eviction cannot yank it mid-scan),
-//   - singleflight load deduplication: concurrent readers of one bucket
+//   - singleflight load deduplication: concurrent readers of one section
 //     trigger exactly one disk read + decode,
 //   - a Stats snapshot (hits, misses, loads, evictions, resident bytes,
 //     pinned bytes) for observability.
@@ -17,15 +20,15 @@
 // The pool is sharded to keep lock contention off the read hot path. The
 // byte budget is split evenly across shards, so a single shard admits at
 // most budget/numShards unpinned bytes; summed over shards the pool stays
-// within the configured budget. Pinned chunks are never evicted, so the
-// resident total can transiently exceed the budget while readers hold pins.
+// within the configured budget. Pinned sections are never evicted, so the
+// resident total exceeds the budget by at most what readers hold pinned (a
+// store scan: the buckets in its consumer's hands plus its readahead
+// depth, each at its projected columns).
 package bufcache
 
 import (
 	"sync"
 	"sync/atomic"
-
-	"scidb/internal/array"
 )
 
 // numShards is the fixed shard count; a power of two keeps the hash cheap.
@@ -34,13 +37,24 @@ const numShards = 8
 // DefaultBudget is the pool budget when New is given a non-positive size.
 const DefaultBudget = 64 << 20
 
-// Key identifies one cached bucket: the pool-assigned id of the owning
-// store plus the store-local bucket id. Store ids come from RegisterStore,
-// so two stores sharing a pool can never alias each other's buckets.
+// Key identifies one cached section: the pool-assigned id of the owning
+// store, the store-local bucket id, and the section within the bucket — a
+// column index, or Frame. Store ids come from RegisterStore, so two stores
+// sharing a pool can never alias each other's buckets. An owner that caches
+// whole chunks (an in-situ partition) leaves Col zero.
 type Key struct {
 	Store  uint64
 	Bucket int64
+	Col    int
 }
+
+// Frame is the Col of a bucket's frame: its origin, shape and presence
+// bitmap, which every read of the bucket needs whatever it projects.
+const Frame = -1
+
+// Sized is what the pool holds: a decoded, read-only value that reports
+// the bytes it keeps resident (an *array.Chunk, an *array.Column).
+type Sized interface{ ByteSize() int64 }
 
 // Stats is a snapshot of pool activity. Hits count lookups served from
 // memory, including singleflight waiters that piggybacked on an in-flight
@@ -66,14 +80,14 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// entry is one cached bucket. An entry is born as a loading placeholder
-// (ready non-nil, chunk nil); the loader fills it in and closes ready.
+// entry is one cached section. An entry is born as a loading placeholder
+// (ready non-nil, val nil); the loader fills it in and closes ready.
 // Invalidation while pinned marks the entry doomed: it leaves the map and
 // the LRU list immediately (no new reader can find it) but its pinned
 // bytes are released only when the last pin drops.
 type entry struct {
 	key    Key
-	chunk  *array.Chunk
+	val    Sized
 	size   int64
 	pins   int
 	doomed bool
@@ -93,7 +107,7 @@ type shard struct {
 	tail   *entry // least recently used
 }
 
-// Pool is a shared buffer pool for decoded storage buckets. It is safe for
+// Pool is a shared buffer pool for decoded bucket sections. It is safe for
 // concurrent use by any number of stores and readers.
 type Pool struct {
 	budget    int64
@@ -136,12 +150,12 @@ func (p *Pool) RegisterStore() uint64 { return p.nextStore.Add(1) }
 
 // shardOf picks the shard for a key by a cheap 64-bit mix.
 func (p *Pool) shardOf(k Key) *shard {
-	h := k.Store*0x9E3779B97F4A7C15 ^ uint64(k.Bucket)*0xBF58476D1CE4E5B9
+	h := k.Store*0x9E3779B97F4A7C15 ^ uint64(k.Bucket)*0xBF58476D1CE4E5B9 ^ uint64(k.Col)*0x94D049BB133111EB
 	h ^= h >> 29
 	return &p.shards[h%numShards]
 }
 
-// Handle is a pinned reference to a cached chunk. The chunk is guaranteed
+// Handle is a pinned reference to a cached section, which is guaranteed
 // not to be evicted until Release is called. Handles are not safe for
 // concurrent use; Release is idempotent.
 type Handle struct {
@@ -150,11 +164,11 @@ type Handle struct {
 	e  *entry
 }
 
-// Chunk returns the pinned chunk. Callers must treat it as read-only: it
+// Value returns the pinned section. Callers must treat it as read-only: it
 // is shared with every other reader of the same bucket.
-func (h *Handle) Chunk() *array.Chunk { return h.e.chunk }
+func (h *Handle) Value() Sized { return h.e.val }
 
-// Release unpins the chunk. After the last pin drops the entry becomes
+// Release unpins the section. After the last pin drops the entry becomes
 // evictable (or, if it was invalidated while pinned, its bytes are
 // released immediately).
 func (h *Handle) Release() {
@@ -184,12 +198,12 @@ func (p *Pool) pinLocked(e *entry) {
 	}
 }
 
-// GetOrLoad returns a pinned handle for the bucket, loading it with load
+// GetOrLoad returns a pinned handle for the section, loading it with load
 // on a miss. Concurrent callers for the same key are deduplicated: exactly
 // one runs load, the rest wait and share the result. A load error is
 // returned to every caller that observed the failed flight, and nothing is
 // cached.
-func (p *Pool) GetOrLoad(k Key, load func() (*array.Chunk, error)) (*Handle, error) {
+func (p *Pool) GetOrLoad(k Key, load func() (Sized, error)) (*Handle, error) {
 	sh := p.shardOf(k)
 	sh.mu.Lock()
 	for {
@@ -219,7 +233,7 @@ func (p *Pool) GetOrLoad(k Key, load func() (*array.Chunk, error)) (*Handle, err
 
 	p.misses.Add(1)
 	p.loads.Add(1)
-	ch, err := load()
+	v, err := load()
 
 	sh.mu.Lock()
 	ready := e.ready
@@ -232,8 +246,8 @@ func (p *Pool) GetOrLoad(k Key, load func() (*array.Chunk, error)) (*Handle, err
 		close(ready)
 		return nil, err
 	}
-	e.chunk = ch
-	e.size = ch.ByteSize()
+	e.val = v
+	e.size = v.ByteSize()
 	if sh.m[k] != e {
 		// Invalidated while loading: serve the caller but do not cache.
 		e.doomed = true
@@ -253,10 +267,11 @@ func (p *Pool) GetOrLoad(k Key, load func() (*array.Chunk, error)) (*Handle, err
 	return &Handle{p: p, sh: sh, e: e}, nil
 }
 
-// Put inserts an already-decoded chunk (the storage manager's write-through
-// path: a freshly flushed bucket is hot by definition). The chunk must not
-// be mutated after insertion. Existing entries for the key are replaced.
-func (p *Pool) Put(k Key, ch *array.Chunk) {
+// Put inserts an already-decoded section (the storage manager's
+// write-through path: a freshly adopted bucket is hot by definition). It
+// must not be mutated after insertion. Existing entries for the key are
+// replaced.
+func (p *Pool) Put(k Key, v Sized) {
 	sh := p.shardOf(k)
 	sh.mu.Lock()
 	if old, ok := sh.m[k]; ok && old.ready == nil {
@@ -266,7 +281,7 @@ func (p *Pool) Put(k Key, ch *array.Chunk) {
 		sh.mu.Unlock()
 		return
 	}
-	e := &entry{key: k, chunk: ch, size: ch.ByteSize()}
+	e := &entry{key: k, val: v, size: v.ByteSize()}
 	sh.m[k] = e
 	sh.bytes += e.size
 	p.bytes.Add(e.size)

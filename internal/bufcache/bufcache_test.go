@@ -47,7 +47,7 @@ func keysInShard(p *Pool, store uint64, n int) []Key {
 
 func mustLoad(t *testing.T, p *Pool, k Key, loads *atomic.Int64) *Handle {
 	t.Helper()
-	h, err := p.GetOrLoad(k, func() (*array.Chunk, error) {
+	h, err := p.GetOrLoad(k, func() (Sized, error) {
 		if loads != nil {
 			loads.Add(1)
 		}
@@ -66,7 +66,7 @@ func TestHitMissAndAccounting(t *testing.T) {
 	var loads atomic.Int64
 
 	h := mustLoad(t, p, k, &loads)
-	if got := h.Chunk(); got == nil {
+	if got := h.Value(); got == nil {
 		t.Fatal("nil chunk")
 	}
 	st := p.Stats()
@@ -135,7 +135,7 @@ func TestPinnedChunksAreNeverEvicted(t *testing.T) {
 	if !p.Contains(ks[0]) {
 		t.Fatal("pinned chunk evicted")
 	}
-	if cell, ok := pinned.Chunk().Get(array.Coord{3}); !ok || cell[0].Int != ks[0].Bucket*1000+3 {
+	if cell, ok := pinned.Value().(*array.Chunk).Get(array.Coord{3}); !ok || cell[0].Int != ks[0].Bucket*1000+3 {
 		t.Fatalf("pinned chunk corrupted: %v %v", cell, ok)
 	}
 	if p.Contains(ks[1]) || p.Contains(ks[2]) {
@@ -174,7 +174,7 @@ func TestConcurrentScanSingleflight(t *testing.T) {
 			defer wg.Done()
 			for b := int64(0); b < buckets; b++ {
 				k := Key{Store: store, Bucket: b}
-				h, err := p.GetOrLoad(k, func() (*array.Chunk, error) {
+				h, err := p.GetOrLoad(k, func() (Sized, error) {
 					loads[b].Add(1)
 					time.Sleep(time.Millisecond) // widen the race window
 					return testChunk(b), nil
@@ -185,7 +185,7 @@ func TestConcurrentScanSingleflight(t *testing.T) {
 				}
 				// "Scan" the pinned chunk; it must carry bucket b's data.
 				for i := int64(1); i <= 64; i++ {
-					cell, ok := h.Chunk().Get(array.Coord{i})
+					cell, ok := h.Value().(*array.Chunk).Get(array.Coord{i})
 					if !ok || cell[0].Int != b*1000+i {
 						errs <- fmt.Errorf("bucket %d slot %d: %v %v", b, i, cell, ok)
 						h.Release()
@@ -225,7 +225,7 @@ func TestLoadErrorNotCached(t *testing.T) {
 	p := New(1 << 20)
 	k := Key{Store: p.RegisterStore(), Bucket: 1}
 	boom := fmt.Errorf("disk on fire")
-	if _, err := p.GetOrLoad(k, func() (*array.Chunk, error) { return nil, boom }); err != boom {
+	if _, err := p.GetOrLoad(k, func() (Sized, error) { return nil, boom }); err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	if p.Contains(k) || p.Len() != 0 {
@@ -270,7 +270,7 @@ func TestInvalidateWhilePinned(t *testing.T) {
 	}
 	// The pinned holder keeps a usable chunk; memory is accounted as
 	// pinned (not resident) until the pin drops.
-	if cell, ok := h.Chunk().Get(array.Coord{1}); !ok || cell[0].Int != 9001 {
+	if cell, ok := h.Value().(*array.Chunk).Get(array.Coord{1}); !ok || cell[0].Int != 9001 {
 		t.Fatalf("doomed chunk unreadable: %v %v", cell, ok)
 	}
 	st := p.Stats()
@@ -321,7 +321,7 @@ func TestPutWriteThrough(t *testing.T) {
 	p.Put(k, testChunk(6))
 	h2 := mustLoad(t, p, k, &loads)
 	defer h2.Release()
-	if cell, ok := h2.Chunk().Get(array.Coord{1}); !ok || cell[0].Int != 6001 {
+	if cell, ok := h2.Value().(*array.Chunk).Get(array.Coord{1}); !ok || cell[0].Int != 6001 {
 		t.Errorf("replaced chunk = %v %v, want bucket-6 data", cell, ok)
 	}
 }
@@ -355,14 +355,14 @@ func TestConcurrentInvalidateAndLoad(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := Key{Store: store, Bucket: int64(i % 4)}
 				if g%2 == 0 {
-					h, err := p.GetOrLoad(k, func() (*array.Chunk, error) {
+					h, err := p.GetOrLoad(k, func() (Sized, error) {
 						return testChunk(k.Bucket), nil
 					})
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if cell, ok := h.Chunk().Get(array.Coord{2}); !ok || cell[0].Int != k.Bucket*1000+2 {
+					if cell, ok := h.Value().(*array.Chunk).Get(array.Coord{2}); !ok || cell[0].Int != k.Bucket*1000+2 {
 						t.Errorf("stale or corrupt chunk: %v %v", cell, ok)
 					}
 					h.Release()

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -121,7 +123,10 @@ func putBatch(t *testing.T, w *Worker, cells map[xy]array.Cell) {
 // buildDiffWorker creates a worker holding final on the named backing. The
 // store backing replays the batches with flushes between them — overlapping
 // buckets, shadowed cells — and leaves the last batch in the memory buffer;
-// its bucket stride is drawn independently of the schema's chunk grid.
+// its bucket stride is drawn independently of the schema's chunk grid. The
+// "store, 1-byte pool" backing is the same with a pool that keeps nothing:
+// every read loads its projected sections again, and readahead's pins are
+// all that holds a bucket between its load and its use.
 func buildDiffWorker(t *testing.T, rng *rand.Rand, backing string, batches []map[xy]array.Cell, final map[xy]array.Cell) *Worker {
 	t.Helper()
 	switch backing {
@@ -132,9 +137,13 @@ func buildDiffWorker(t *testing.T, rng *rand.Rand, backing string, batches []map
 			putBatch(t, w, b)
 		}
 		return w
-	case "store":
+	case "store", "store, 1-byte pool":
 		stride := []int64{8, 16, 24}[rng.Intn(3)]
-		w := NewWorkerWithOptions(0, WorkerOptions{Persist: true, Stride: []int64{stride, stride}, CacheBytes: 1 << 20, Readahead: 2})
+		cache := int64(1 << 20)
+		if backing != "store" {
+			cache = 1
+		}
+		w := NewWorkerWithOptions(0, WorkerOptions{Persist: true, Stride: []int64{stride, stride}, CacheBytes: cache, Readahead: 2})
 		handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
 		for i, b := range batches {
 			putBatch(t, w, b)
@@ -425,7 +434,7 @@ func sameCell(a, b array.Cell) bool {
 func TestChunkPathMatchesCellOracle(t *testing.T) {
 	defer exec.SetParallelism(exec.Parallelism())
 	for seed := int64(1); seed <= 8; seed++ {
-		for _, backing := range []string{"array", "store", "insitu"} {
+		for _, backing := range []string{"array", "store", "store, 1-byte pool", "insitu"} {
 			rng := rand.New(rand.NewSource(seed))
 			batches, final := diffBatches(rng)
 			w := buildDiffWorker(t, rng, backing, batches, final)
@@ -613,6 +622,71 @@ func TestConcurrentReadOpsShareWorker(t *testing.T) {
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// A flipped byte in a bucket file reaches no answer: every read op of a
+// persisted worker fails with storage.ErrCorrupt, whichever section the
+// byte is in and whether or not the op projects that section away — the
+// header's checksum covers the table every read needs — and once the file
+// is whole again the same ops answer as before, because a failed read
+// cached nothing.
+func TestWorkerOpsReportCorruptBucket(t *testing.T) {
+	dir := t.TempDir()
+	w := NewWorkerWithOptions(0, WorkerOptions{Persist: true, Dir: dir, Stride: []int64{64, 64}, CacheBytes: 1 << 20})
+	defer w.Close()
+	handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
+	rng := rand.New(rand.NewSource(3))
+	_, final := diffBatches(rng)
+	putBatch(t, w, final)
+	handleOK(t, w, &Message{Op: "flush", Array: "d"})
+	path := filepath.Join(dir, "d", "bucket-000000.sdb")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []*Message{
+		{Op: "agg", Array: "d", Fold: ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "k"}}}},
+		{Op: "scan", Array: "d"},
+		{Op: "count", Array: "d"},
+	}
+	want := make([]*Message, len(reqs))
+	for i, req := range reqs {
+		want[i] = handleOK(t, w, req)
+	}
+	w.mu.Lock()
+	st := w.stores["d"]
+	w.mu.Unlock()
+	// One byte of the header, and the file's last, which is the tag
+	// column's: the first fails every op, the second those that read tag.
+	for _, c := range []struct {
+		off  int
+		fail []bool
+	}{{7, []bool{true, true, true}}, {len(good) - 1, []bool{false, true, false}}} {
+		mut := append([]byte(nil), good...)
+		mut[c.off] ^= 0x10
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i, req := range reqs {
+			st.ReleaseRegion(fullBox(2)) // read the file, not the pool
+			_, err := w.handle(context.Background(), req)
+			if c.fail[i] && !errors.Is(err, storage.ErrCorrupt) {
+				t.Errorf("byte %d flipped: %s error = %v, want ErrCorrupt", c.off, req.Op, err)
+			} else if !c.fail[i] && err != nil {
+				t.Errorf("byte %d flipped in a column %s does not read: %v", c.off, req.Op, err)
+			}
+		}
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st.ReleaseRegion(fullBox(2))
+	for i, req := range reqs {
+		got := handleOK(t, w, req)
+		if got.Cells != want[i].Cells || !bytes.Equal(got.Payload, want[i].Payload) || (got.Table != nil && !sameTable(t, got.Table, want[i].Table)) {
+			t.Errorf("%s answers differently once the file is restored", req.Op)
 		}
 	}
 }

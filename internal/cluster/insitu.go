@@ -160,7 +160,7 @@ func (p *insituPart) chunkAt(w *Worker, origin array.Coord) (*array.Chunk, func(
 		// Every chunk consultation scores a touch, pool hit or miss alike.
 		w.heat.Touch(p.name, origin, 1)
 	}
-	load := func() (*array.Chunk, error) {
+	load := func() (bufcache.Sized, error) {
 		shape := make([]int64, len(p.stride))
 		copy(shape, p.stride)
 		ch := array.NewChunk(p.schema, origin.Clone(), shape)
@@ -192,11 +192,14 @@ func (p *insituPart) chunkAt(w *Worker, origin array.Coord) (*array.Chunk, func(
 	}
 	if w.cache == nil || p.cacheID == 0 {
 		ch, err := load()
-		return ch, func() {}, err
+		if err != nil {
+			return nil, nil, err
+		}
+		return ch.(*array.Chunk), func() {}, nil
 	}
 	h, err := w.cache.GetOrLoad(bufcache.Key{Store: p.cacheID, Bucket: p.bucketID(origin)}, load)
 	if err != nil {
 		return nil, nil, err
 	}
-	return h.Chunk(), h.Release, nil
+	return h.Value().(*array.Chunk), h.Release, nil
 }

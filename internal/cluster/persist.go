@@ -199,15 +199,17 @@ func (w *Worker) createStoreLocked(name string, schema *array.Schema) error {
 // partLocked resolves a partition to its schema and a function opening a
 // chunk-at-a-time read of it, hiding which of the three backings — a
 // storage.Store, an in-situ file, a plain array — holds the data. preds
-// prune store buckets by zone map; the other backings ignore them.
-func (w *Worker) partLocked(name string) (*array.Schema, func(array.Box, []array.ZonePred) chunkSource, error) {
+// prune store buckets by zone map, and attrs (nil: all) names the columns
+// the op will read, so a store decodes no others; the other backings ignore
+// both and deliver whole chunks.
+func (w *Worker) partLocked(name string) (*array.Schema, func(box array.Box, preds []array.ZonePred, attrs []int) chunkSource, error) {
 	if st, ok := w.stores[name]; ok {
-		return st.Schema(), func(box array.Box, preds []array.ZonePred) chunkSource {
-			return st.ScanChunks(box, preds)
+		return st.Schema(), func(box array.Box, preds []array.ZonePred, attrs []int) chunkSource {
+			return st.ScanChunks(box, preds, attrs)
 		}, nil
 	}
 	if p, ok := w.insitus[name]; ok {
-		return p.schema, func(box array.Box, _ []array.ZonePred) chunkSource {
+		return p.schema, func(box array.Box, _ []array.ZonePred, _ []int) chunkSource {
 			return w.newInsituSource(p, box)
 		}, nil
 	}
@@ -215,7 +217,7 @@ func (w *Worker) partLocked(name string) (*array.Schema, func(array.Box, []array
 	if !ok {
 		return nil, nil, fmt.Errorf("cluster: node %d has no array %q", w.ID, name)
 	}
-	return a.Schema, func(box array.Box, _ []array.ZonePred) chunkSource {
+	return a.Schema, func(box array.Box, _ []array.ZonePred, _ []int) chunkSource {
 		// A view, so concurrent readers do not share the array's lazily
 		// built chunk order.
 		return &arraySource{chunks: a.View().Chunks(), box: box}
@@ -241,7 +243,7 @@ func (w *Worker) materializeLocked(name string) (*array.Array, error) {
 		return nil, err
 	}
 	var mu sync.Mutex
-	_, err = foldChunks(open(fullBox(len(s.Dims)), nil), func(lc storage.LiveChunk) (struct{}, error) {
+	_, err = foldChunks(open(fullBox(len(s.Dims)), nil, nil), func(lc storage.LiveChunk) (struct{}, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if lc.Alone && lc.Live == lc.Chunk.Present {
@@ -287,7 +289,7 @@ func (w *Worker) replaceStoreLocked(st *storage.Store, req *Message) (*Message, 
 	if err != nil {
 		return nil, err
 	}
-	old, err := countChunks(st.ScanChunks(fullBox(len(st.Schema().Dims)), nil), nil)
+	old, err := countChunks(st.ScanChunks(fullBox(len(st.Schema().Dims)), nil, []int{}), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -431,7 +431,7 @@ func (w *Worker) scan(req *Message) (*Message, error) {
 	// A predicated scan over a store-backed partition prunes whole buckets
 	// by zone map before reading them — cells the coordinator would have
 	// paid to ship, decode, and discard.
-	src := open(boxFrom(req, len(s.Dims)), req.Preds)
+	src := open(boxFrom(req, len(s.Dims)), req.Preds, nil)
 	var restMu sync.Mutex
 	type shipped struct {
 		cells   int64
@@ -496,7 +496,7 @@ func (w *Worker) agg(req *Message) (*Message, error) {
 		return nil, err
 	}
 	excl := exclBoxes(req)
-	parts, err := foldChunks(open(boxFrom(req, len(s.Dims)), nil), func(lc storage.LiveChunk) (*ops.FoldTable, error) {
+	parts, err := foldChunks(open(boxFrom(req, len(s.Dims)), nil, fold.Attrs()), func(lc storage.LiveChunk) (*ops.FoldTable, error) {
 		return fold.Chunk(lc.Chunk, withoutExcluded(lc.Chunk, lc.Live, excl)), nil
 	})
 	if err != nil {
@@ -515,7 +515,7 @@ func (w *Worker) agg(req *Message) (*Message, error) {
 }
 
 // count sums the live cells of the partition's chunks, minus the chunks
-// another replica answers this query.
+// another replica answers this query: presence alone, no column is read.
 func (w *Worker) count(req *Message) (*Message, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -523,7 +523,7 @@ func (w *Worker) count(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := countChunks(open(boxFrom(req, len(s.Dims)), nil), exclBoxes(req))
+	n, err := countChunks(open(boxFrom(req, len(s.Dims)), nil, []int{}), exclBoxes(req))
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Codec encodes and decodes byte buffers.
@@ -34,6 +35,30 @@ func ByName(name string) (Codec, error) {
 		return Auto{}, nil
 	}
 	return nil, fmt.Errorf("compress: unknown codec %q", name)
+}
+
+// tagNames numbers the codecs for containers that record, per stored
+// section, which codec wrote it (the storage manager's bucket files). The
+// numbers are part of that on-disk format: append, never reorder.
+var tagNames = [...]string{"none", "rle", "delta", "gzip", "auto"}
+
+// Tag returns the format number of c, found by its name, and whether it
+// has one.
+func Tag(c Codec) (uint8, bool) {
+	for t, name := range tagNames {
+		if c.Name() == name {
+			return uint8(t), true
+		}
+	}
+	return 0, false
+}
+
+// ByTag returns the codec a format number names.
+func ByTag(t uint8) (Codec, error) {
+	if int(t) >= len(tagNames) {
+		return nil, fmt.Errorf("compress: unknown codec tag %d", t)
+	}
+	return ByName(tagNames[t])
 }
 
 // All returns every concrete codec, for benchmarking sweeps.
@@ -83,11 +108,12 @@ func (RLE) Decode(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("compress: rle input too short")
 	}
 	n := binary.LittleEndian.Uint64(src[:8])
+	// A pair decodes to at most 255 bytes, which bounds the allocation.
+	if n > uint64(len(src)-8)/2*255 {
+		return nil, fmt.Errorf("compress: rle claims %d bytes from %d", n, len(src))
+	}
 	out := make([]byte, 0, n)
-	for i := 8; i+1 < len(src) || i+1 == len(src); i += 2 {
-		if i+1 >= len(src) {
-			break
-		}
+	for i := 8; i+1 < len(src); i += 2 {
 		run, b := int(src[i]), src[i+1]
 		for k := 0; k < run; k++ {
 			out = append(out, b)
@@ -136,7 +162,12 @@ func (Delta) Decode(src []byte) ([]byte, error) {
 	}
 	nWords := binary.LittleEndian.Uint64(src[:8])
 	src = src[8:]
-	out := make([]byte, 0, nWords*8)
+	// A word costs at least one varint byte, which bounds the allocation;
+	// the raw tail is under one word.
+	if nWords > uint64(len(src)) {
+		return nil, fmt.Errorf("compress: delta claims %d words from %d bytes", nWords, len(src))
+	}
+	out := make([]byte, 0, nWords*8+7)
 	var prev uint64
 	for i := uint64(0); i < nWords; i++ {
 		d, n := binary.Varint(src)
@@ -145,16 +176,18 @@ func (Delta) Decode(src []byte) ([]byte, error) {
 		}
 		src = src[n:]
 		prev += uint64(d)
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], prev)
-		out = append(out, w[:]...)
+		out = binary.LittleEndian.AppendUint64(out, prev)
 	}
 	out = append(out, src...)
 	return out, nil
 }
 
-// Gzip wraps compress/gzip at the default level.
+// Gzip wraps compress/gzip at the default level. Writers and readers are
+// pooled: a deflate compressor is over a megabyte of state and an inflater
+// tens of kilobytes, and the storage manager runs one per bucket section.
 type Gzip struct{}
+
+var gzipWriters, gzipReaders sync.Pool
 
 // Name implements Codec.
 func (Gzip) Name() string { return "gzip" }
@@ -162,20 +195,59 @@ func (Gzip) Name() string { return "gzip" }
 // Encode implements Codec.
 func (Gzip) Encode(src []byte) []byte {
 	var buf bytes.Buffer
-	w := gzip.NewWriter(&buf)
+	w, _ := gzipWriters.Get().(*gzip.Writer)
+	if w == nil {
+		w = gzip.NewWriter(&buf)
+	} else {
+		w.Reset(&buf)
+	}
 	_, _ = w.Write(src)
 	_ = w.Close()
+	gzipWriters.Put(w)
 	return buf.Bytes()
 }
 
-// Decode implements Codec.
+// maxInflate bounds deflate's expansion (1032:1 is its limit), so a
+// corrupt length cannot force a huge allocation.
+const maxInflate = 1032
+
+// Decode implements Codec. The stream's trailer records the decoded length
+// (ISIZE), so the output is allocated once at its final size.
 func (Gzip) Decode(src []byte) ([]byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(src))
+	if len(src) < 18 {
+		return nil, fmt.Errorf("compress: gzip input too short")
+	}
+	n := uint64(binary.LittleEndian.Uint32(src[len(src)-4:]))
+	if n > uint64(len(src))*maxInflate {
+		return nil, fmt.Errorf("compress: gzip claims %d bytes from %d", n, len(src))
+	}
+	br := bytes.NewReader(src)
+	r, _ := gzipReaders.Get().(*gzip.Reader)
+	var err error
+	if r == nil {
+		r, err = gzip.NewReader(br)
+	} else {
+		err = r.Reset(br)
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	return io.ReadAll(r)
+	defer gzipReaders.Put(r)
+	r.Multistream(false)
+	out := make([]byte, n)
+	if _, err := io.ReadFull(r, out); err != nil {
+		return nil, err
+	}
+	// The stream must end here; reaching its end is also what makes gzip
+	// check its own CRC and length.
+	var one [1]byte
+	if m, err := r.Read(one[:]); m != 0 || err != io.EOF {
+		if err == nil || err == io.EOF {
+			err = fmt.Errorf("compress: gzip stream longer than its recorded %d bytes", n)
+		}
+		return nil, err
+	}
+	return out, nil
 }
 
 // Auto tries delta then gzip on the delta output and keeps whichever is

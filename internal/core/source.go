@@ -102,7 +102,7 @@ func (s storeSource) read(ctx context.Context, box array.Box, preds []array.Zone
 	if err != nil {
 		return nil, false, err
 	}
-	cs := s.st.ScanChunks(box, preds)
+	cs := s.st.ScanChunks(box, preds, nil)
 	err = cs.Each(func(lc storage.LiveChunk) error {
 		if lc.Live == lc.Chunk.Present {
 			return out.MergeChunk(lc.Chunk.Clone())

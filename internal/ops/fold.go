@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"scidb/internal/array"
 	"scidb/internal/exec"
@@ -204,6 +205,18 @@ func NewFold(s *array.Schema, spec FoldSpec, reg *udf.Registry) (*Fold, error) {
 		f.out.Attrs = append(f.out.Attrs, at)
 	}
 	return f, nil
+}
+
+// Attrs returns the indexes of the attributes the fold reads, each once:
+// the projection a chunk reader needs to serve it.
+func (f *Fold) Attrs() []int {
+	attrs := make([]int, 0, len(f.cols))
+	for _, c := range f.cols {
+		if !slices.Contains(attrs, c.attr) {
+			attrs = append(attrs, c.attr)
+		}
+	}
+	return attrs
 }
 
 // FoldTable is accumulator state over a box of the group space, a row per

@@ -2,10 +2,9 @@ package storage
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"scidb/internal/array"
+	"scidb/internal/bufcache"
 )
 
 // AdoptEncoded installs a pre-encoded chunk payload as a new bucket without
@@ -13,7 +12,8 @@ import (
 // ch their decoded form (schema-validated by the caller's DecodeChunk). This
 // is the bulk-load fast path — the loader encodes chunks once at parse time,
 // ships the bytes, and the owning worker adopts them verbatim, paying only
-// the bucket codec instead of a per-cell Put storm plus a second encode.
+// the bucket codec over each section instead of a per-cell Put storm plus a
+// second encode.
 //
 // The store takes ownership of ch (it may be installed read-only in the
 // buffer pool); callers must not mutate it afterwards. Zone maps travel on
@@ -35,13 +35,6 @@ func (s *Store) AdoptEncoded(raw []byte, ch *array.Chunk) error {
 	if ch.CellsPresent() == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	enc := s.codec.Encode(raw)
-	s.stats.bytesRaw.Add(RawChunkSize(s.schema, ch))
-	s.stats.bytesEncoded.Add(int64(len(raw)))
-	id := s.nextID
-	s.nextID++
 	var zones []*array.ZoneMap
 	for i, col := range ch.Cols {
 		if col.Zone == nil {
@@ -52,23 +45,19 @@ func (s *Store) AdoptEncoded(raw []byte, ch *array.Chunk) error {
 		}
 		zones[i] = col.Zone
 	}
-	meta := &bucketMeta{id: id, box: ch.Box(), bytes: int64(len(enc)), cells: ch.CellsPresent(), zones: zones}
-	if s.opts.Dir != "" {
-		meta.path = filepath.Join(s.opts.Dir, fmt.Sprintf("bucket-%06d.sdb", id))
-		if err := os.WriteFile(meta.path, enc, 0o644); err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
-	} else {
-		meta.data = enc
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, err := s.installLocked(raw, ch, zones)
+	if err != nil {
+		return err
 	}
-	s.buckets[id] = meta
-	s.rt.Insert(meta.box, id)
-	s.stats.bucketsWritten.Add(1)
-	s.stats.bytesWritten.Add(int64(len(enc)))
 	if s.cache != nil {
 		// Freshly loaded data is the likeliest next read: install the decoded
-		// chunk directly instead of merely invalidating the slot.
-		s.cache.Put(s.cacheKey(id), ch)
+		// sections directly instead of leaving the slots empty.
+		s.cache.Put(s.cacheKey(id, bufcache.Frame), &array.Chunk{Origin: ch.Origin, Shape: ch.Shape, Present: ch.Present})
+		for a, col := range ch.Cols {
+			s.cache.Put(s.cacheKey(id, a), col)
+		}
 	}
 	return nil
 }

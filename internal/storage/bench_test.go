@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"scidb/internal/array"
@@ -49,7 +51,7 @@ func benchChunkScan(b *testing.B, shadowed bool) {
 	st, cells := benchScanStore(b, shadowed)
 	q := array.NewBox(array.Coord{1, 1}, array.Coord{256, 256})
 	scan := func() (live int64) {
-		if err := st.ScanChunks(q, nil).Each(func(lc LiveChunk) error {
+		if err := st.ScanChunks(q, nil, nil).Each(func(lc LiveChunk) error {
 			live += lc.Live.Count()
 			return nil
 		}); err != nil {
@@ -70,3 +72,115 @@ func benchChunkScan(b *testing.B, shadowed bool) {
 
 func BenchmarkStoreChunkScanWarm(b *testing.B)     { benchChunkScan(b, false) }
 func BenchmarkStoreChunkScanShadowed(b *testing.B) { benchChunkScan(b, true) }
+
+// BenchmarkDecodeColumn decodes one 4×64×64-slot column section per
+// iteration, one sub-benchmark per value encoding the chooser can pick, and
+// reports the decode's cost per cell beside allocs/op.
+func BenchmarkDecodeColumn(b *testing.B) {
+	const slots = 4 * 64 * 64
+	rng := rand.New(rand.NewSource(1))
+	floats := func(v func(i int) float64) *array.Column {
+		col := array.NewColumn(array.Attribute{Type: array.TFloat64}, slots)
+		for i := range col.Floats {
+			col.Floats[i] = v(i)
+		}
+		return col
+	}
+	ticks := array.NewColumn(array.Attribute{Type: array.TInt64}, slots)
+	for i := range ticks.Ints {
+		ticks.Ints[i] = int64(1_700_000_000_000 + 5*i + rng.Intn(4))
+	}
+	names := array.NewColumn(array.Attribute{Type: array.TString}, slots)
+	for i := range names.Strs {
+		names.Strs[i] = []string{"north", "south", "east", "west"}[rng.Intn(4)]
+	}
+	for _, c := range []struct {
+		name string
+		col  *array.Column
+		enc  uint8
+	}{
+		{"raw", floats(func(int) float64 { return rng.NormFloat64() }), encRaw},
+		{"const", floats(func(int) float64 { return 2.5 }), encConst},
+		{"rle", floats(func(i int) float64 { return float64(i / 64) }), encRLE},
+		{"delta", ticks, encDelta},
+		{"dict", names, encDict},
+	} {
+		at := array.Attribute{Name: "a", Type: c.col.Type}
+		present := array.NewBitmap(slots)
+		for i := int64(0); i < slots; i++ {
+			present.Set(i)
+		}
+		var buf bytes.Buffer
+		zone, err := encodeColumn(NewFieldWriter(&buf), at, c.col, present)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// flags byte, null bitmap, zone map, then the encoding's tag.
+		var zbuf bytes.Buffer
+		encodeZoneMap(NewFieldWriter(&zbuf), zone)
+		if got := buf.Bytes()[1+slots/8+zbuf.Len()]; got != c.enc {
+			b.Fatalf("%s column encoded with tag %d, want %d", c.name, got, c.enc)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeColumn(NewFieldReaderBytes(buf.Bytes()), at, slots); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*slots), "ns/cell")
+		})
+	}
+}
+
+// BenchmarkStoreChunkScanCold times cold chunk scans of loader-shaped
+// buckets — 4×64×64 cells, three float attributes, the default codec — with
+// a pool smaller than a column, so every iteration reads, inflates and
+// decodes what it projects: everything, or one attribute of the three.
+func BenchmarkStoreChunkScanCold(b *testing.B) {
+	s := &array.Schema{
+		Name: "cold",
+		Dims: []array.Dimension{{Name: "pass", High: 4}, {Name: "x", High: 128}, {Name: "y", High: 128}},
+		Attrs: []array.Attribute{{Name: "dn", Type: array.TFloat64}, {Name: "cloud", Type: array.TFloat64},
+			{Name: "nadir", Type: array.TFloat64}},
+	}
+	st, err := NewStore(s, Options{Dir: b.TempDir(), Stride: []int64{4, 64, 64}, CacheBytes: 64 << 10, Readahead: 4, MemLimit: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = st.Close() })
+	rng := rand.New(rand.NewSource(1))
+	q := array.NewBox(array.Coord{1, 1, 1}, array.Coord{4, 128, 128})
+	var putErr error
+	array.IterBox(q, func(c array.Coord) bool {
+		// A measured value, a mostly-clear mask, and a per-row constant.
+		cell := array.Cell{array.Float64(float64(rng.Intn(1 << 12))), array.Float64(float64(rng.Intn(50) / 49)), array.Float64(float64(c[1]))}
+		putErr = st.Put(c.Clone(), cell)
+		return putErr == nil
+	})
+	if putErr != nil {
+		b.Fatal(putErr)
+	}
+	if err := st.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	cells := q.Cells()
+	for _, c := range []struct {
+		name  string
+		attrs []int
+	}{{"all", nil}, {"one-of-three", []int{0}}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var live int64
+				if err := st.ScanChunks(q, nil, c.attrs).Each(func(lc LiveChunk) error {
+					live += lc.Live.Count()
+					return nil
+				}); err != nil || live != cells {
+					b.Fatalf("scan delivered %d live cells of %d: %v", live, cells, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*cells), "ns/cell")
+		})
+	}
+}

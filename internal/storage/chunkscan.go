@@ -18,9 +18,11 @@ import (
 
 // LiveChunk is one delivery of a chunk scan: a decoded chunk and the mask
 // of its live slots — present, inside the query box, and not shadowed by a
-// newer write. The chunk is a shared buffer-pool entry (or a memory-buffer
-// chunk) and must be treated as read-only; it stays pinned until Release.
+// newer write. The chunk is assembled from shared buffer-pool sections (or
+// is a memory-buffer chunk) and must be treated as read-only; it stays
+// pinned until Release.
 type LiveChunk struct {
+	// Chunk's columns outside the scan's projection are nil.
 	Chunk *array.Chunk
 	// Live is Chunk.Present itself (same pointer, nothing allocated) when
 	// the chunk lies wholly inside the query box and nothing shadows it.
@@ -59,6 +61,7 @@ type scanSrc struct {
 // be closed, and must not call back into the store.
 type ChunkScan struct {
 	s       *Store
+	attrs   []int
 	srcs    []scanSrc
 	next    int
 	pf      *prefetcher
@@ -77,9 +80,14 @@ type ChunkScan struct {
 // are never read. Surviving chunks are not filtered — pruning only removes
 // cells guaranteed not to match. Memory-buffer chunks carry no zone maps
 // and are always delivered.
-func (s *Store) ScanChunks(q array.Box, preds []array.ZonePred) *ChunkScan {
+//
+// attrs is the projection: the attribute indexes the consumer will read,
+// nil for all of them (an empty non-nil slice reads presence alone). Only
+// those columns are read from disk, inflated, decoded and pinned; the
+// delivered chunks have nil for the rest.
+func (s *Store) ScanChunks(q array.Box, preds []array.ZonePred, attrs []int) *ChunkScan {
 	s.mu.Lock()
-	cs := &ChunkScan{s: s}
+	cs := &ChunkScan{s: s, attrs: attrs}
 	for _, ch := range s.mem.Chunks() {
 		box := ch.Box()
 		if clip, ok := box.Intersect(q); ok && ch.CellsPresent() > 0 {
@@ -112,10 +120,10 @@ func (s *Store) ScanChunks(q array.Box, preds []array.ZonePred) *ChunkScan {
 			}
 		}
 	}
-	// Readahead: warm the pool with upcoming buckets (in the scan's
-	// consumption order) while the consumer works on the current one, so
+	// Readahead: load upcoming buckets (in the scan's consumption order,
+	// at its projection) while the consumer works on the current one, so
 	// disk read + decode overlap its compute.
-	cs.pf = s.newPrefetcher(live)
+	cs.pf = s.newPrefetcher(live, attrs)
 	return cs
 }
 
@@ -127,12 +135,19 @@ func (cs *ChunkScan) Next() (lc LiveChunk, ok bool, err error) {
 	src := &cs.srcs[cs.next]
 	cs.next++
 	ch, release := src.mem, func() {}
-	if src.meta != nil {
+	if src.meta == nil {
+		ch = projectChunk(ch, cs.attrs)
+	} else {
+		cs.s.consultLocked(src.meta)
 		cs.pf.advance(src.ord)
-		cs.pf.consume(src.meta.id)
-		// The chunk stays pinned in the pool until the consumer releases
-		// it, so concurrent eviction pressure can never yank it mid-read.
-		if ch, release, err = cs.s.readBucketLocked(src.meta); err != nil {
+		// A bucket the readahead already loaded comes with its pin; any
+		// other is loaded here. Either way it is read once.
+		if p := cs.pf.take(src.ord); p != nil {
+			ch, release, err = p.ch, p.release, p.err
+		} else {
+			ch, release, err = cs.s.pinBucket(src.meta, cs.attrs)
+		}
+		if err != nil {
 			return LiveChunk{}, false, err
 		}
 	}
@@ -152,11 +167,25 @@ func (cs *ChunkScan) Next() (lc LiveChunk, ok bool, err error) {
 	return LiveChunk{Chunk: ch, Live: live, Alone: len(src.newer) == 0 && !src.shadows, Release: release}, true, nil
 }
 
+// projectChunk returns ch with the columns outside attrs (nil: keep all)
+// dropped, sharing everything it keeps.
+func projectChunk(ch *array.Chunk, attrs []int) *array.Chunk {
+	if attrs == nil {
+		return ch
+	}
+	out := &array.Chunk{Origin: ch.Origin, Shape: ch.Shape, Present: ch.Present, Cols: make([]*array.Column, len(ch.Cols))}
+	for _, a := range attrs {
+		out.Cols[a] = ch.Cols[a]
+	}
+	return out
+}
+
 // Skipped returns the number of buckets the zone maps pruned.
 func (cs *ChunkScan) Skipped() int64 { return cs.skipped }
 
-// Close ends the scan: in-flight readahead is waited out (and charged as
-// wasted if the scan stopped early) and the store lock is released.
+// Close ends the scan: in-flight readahead is waited out (its pins dropped
+// and charged as wasted if the scan stopped early) and the store lock is
+// released.
 func (cs *ChunkScan) Close() {
 	cs.pf.stop()
 	cs.s.mu.Unlock()
@@ -204,7 +233,7 @@ func (s *Store) Scan(q array.Box, fn func(array.Coord, array.Cell) bool) error {
 // caller must still apply its predicate. Returns the number of buckets
 // skipped.
 func (s *Store) ScanPruned(q array.Box, preds []array.ZonePred, fn func(array.Coord, array.Cell) bool) (int64, error) {
-	cs := s.ScanChunks(q, preds)
+	cs := s.ScanChunks(q, preds, nil)
 	c := make(array.Coord, len(q.Lo))
 	err := cs.Each(func(lc LiveChunk) error {
 		ch := lc.Chunk

@@ -7,9 +7,9 @@ package storage
 // see: constant columns, runs, small integer deltas, low-cardinality
 // strings).
 //
-// A v1-encoded column writes one tag byte after the null bitmap:
+// A column writes one tag byte after the null bitmap and zone map:
 //
-//	encRaw   — values verbatim, identical to the legacy (v0) layout
+//	encRaw   — values verbatim
 //	encConst — a single value covering every slot
 //	encRLE   — u32 run count, then (u32 run length, value) pairs
 //	encDelta — first value, u8 bit width, zigzag deltas bit-packed into
@@ -29,7 +29,7 @@ import (
 	"scidb/internal/array"
 )
 
-// Column-encoding tags (format v1, columns flagged colFlagEncV1).
+// Column-encoding tags.
 const (
 	encRaw   = 0
 	encConst = 1
@@ -120,9 +120,7 @@ func readPackedWords(r *FieldReader, count int64, width uint) ([]uint64, error) 
 		return nil, r.Err()
 	}
 	words := make([]uint64, n)
-	for i := range words {
-		words[i] = r.U64()
-	}
+	r.U64sInto(words)
 	return words, r.Err()
 }
 
@@ -197,9 +195,7 @@ func decodeIntValues(r *FieldReader, slots int64) ([]int64, []int64, error) {
 			return nil, nil, r.Err()
 		}
 		out := make([]int64, slots)
-		for i := range out {
-			out[i] = r.I64()
-		}
+		r.I64sInto(out)
 		return out, nil, r.Err()
 	case encConst:
 		v := r.I64()
@@ -301,9 +297,7 @@ func decodeFloatValues(r *FieldReader, slots int64) ([]float64, []int64, error) 
 			return nil, nil, r.Err()
 		}
 		out := make([]float64, slots)
-		for i := range out {
-			out[i] = r.F64()
-		}
+		r.F64sInto(out)
 		return out, nil, r.Err()
 	case encConst:
 		v := r.F64()
@@ -382,8 +376,8 @@ func decodeBoolValues(r *FieldReader, slots int64) ([]bool, []int64, error) {
 			return nil, nil, r.Err()
 		}
 		out := make([]bool, slots)
-		for i := range out {
-			out[i] = r.Bool()
+		for i, b := range r.next(int(slots)) {
+			out[i] = b != 0
 		}
 		return out, nil, r.Err()
 	case encConst:

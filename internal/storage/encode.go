@@ -8,29 +8,262 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 
 	"scidb/internal/array"
+	"scidb/internal/compress"
 )
 
-const chunkMagic = 0x53434442 // "SCDB"
+// The chunk encoding — the wire form between grid nodes, the session page
+// form, and (with its sections compressed) the bucket file — is a frame, a
+// section table, and one section for the presence bitmap plus one per
+// column:
+//
+//	u32 magic | u8 version | u8 nd | nd × (i64 origin, i64 shape)
+//	u16 sections | sections × (u32 stored, u32 decoded, u8 codec, u32 crc)
+//	u32 crc of everything above
+//	section 0: presence bitmap words
+//	section 1+a: column a (flags, null bitmap, zone map, values, sigma tail)
+//
+// Every byte is covered by a CRC-32C — the header by its own, a section's
+// stored bytes by its table entry — and the sections tile the rest of the
+// encoding exactly, so a reader takes the header plus only the sections it
+// wants and trusts what it decodes. EncodeChunk stores sections verbatim
+// (codec "none"); a bucket file is the same encoding with each section
+// passed through the store's codec (sealChunk), which is why a worker can
+// adopt shipped bytes without decoding them.
+const (
+	chunkMagic   = 0x53434442 // "SCDB"
+	chunkVersion = 2          // the sectioned layout; nothing older is read
+)
 
-// Column flag bits. colFlagEncV1 versions the value layout: a v0 (legacy)
-// column stores its values verbatim; a v1 column follows the null bitmap
-// with an encoding tag byte (see colenc.go). Decoders accept both, so every
-// chunk written before the encoding layer existed still decodes.
+// ErrCorrupt marks an encoded chunk or bucket that fails its own checks: a
+// CRC mismatch, a section table that does not tile the bytes, an unknown
+// version or codec, or a section that does not decode to what the table and
+// the schema promise. Match with errors.Is.
+var ErrCorrupt = errors.New("storage: corrupt chunk")
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Column flag bits.
 const (
 	colFlagSigma  = 1 << 0
 	colFlagShared = 1 << 1
 	// colFlagZone marks a column that carries a serialized zone map
 	// (min/max, null count, distinct hint; see colenc.go) between the
-	// null bitmap and the values. v1 columns written since the
-	// compressed-execution layer always set it for zone-mappable types.
-	colFlagZone  = 1 << 6
-	colFlagEncV1 = 1 << 7
+	// null bitmap and the values: every column of a zone-mappable type.
+	colFlagZone = 1 << 6
 
-	colFlagsKnown = colFlagSigma | colFlagShared | colFlagZone | colFlagEncV1
+	colFlagsKnown = colFlagSigma | colFlagShared | colFlagZone
 )
+
+// section is one entry of the section table.
+type section struct {
+	stored, decoded uint32
+	codec           uint8 // compress.Tag of what wrote the stored bytes
+	crc             uint32
+}
+
+// chunkHeader is a decoded frame and section table.
+type chunkHeader struct {
+	origin array.Coord
+	shape  []int64
+	secs   []section
+}
+
+// headerLen is the encoded header's size, fixed by the schema.
+func headerLen(s *array.Schema) int {
+	return 4 + 1 + 1 + 16*len(s.Dims) + 2 + 13*(1+len(s.Attrs)) + 4
+}
+
+// put writes the header into dst, which is headerLen long.
+func (h *chunkHeader) put(dst []byte) {
+	le := binary.LittleEndian
+	b := le.AppendUint32(dst[:0], chunkMagic)
+	b = append(b, chunkVersion, uint8(len(h.origin)))
+	for i := range h.origin {
+		b = le.AppendUint64(b, uint64(h.origin[i]))
+		b = le.AppendUint64(b, uint64(h.shape[i]))
+	}
+	b = le.AppendUint16(b, uint16(len(h.secs)))
+	for _, sec := range h.secs {
+		b = le.AppendUint32(b, sec.stored)
+		b = le.AppendUint32(b, sec.decoded)
+		b = append(b, sec.codec)
+		b = le.AppendUint32(b, sec.crc)
+	}
+	le.PutUint32(dst[len(b):], crc32.Checksum(b, castagnoli))
+}
+
+// parseHeader reads the header that opens an encoding of total bytes, and
+// checks that its sections tile the rest.
+func parseHeader(s *array.Schema, data []byte, total int64) (*chunkHeader, error) {
+	hlen := headerLen(s)
+	if len(data) < 6 {
+		return nil, corrupt("%d-byte header", len(data))
+	}
+	r := NewFieldReaderBytes(data)
+	if m := r.U32(); m != chunkMagic {
+		return nil, corrupt("bad chunk magic %#x", m)
+	}
+	if v := r.U8(); v != chunkVersion {
+		return nil, corrupt("unknown chunk format version %d", v)
+	}
+	if len(data) < hlen {
+		return nil, corrupt("%d-byte header, schema needs %d", len(data), hlen)
+	}
+	if crc32.Checksum(data[:hlen-4], castagnoli) != binary.LittleEndian.Uint32(data[hlen-4:]) {
+		return nil, corrupt("header checksum mismatch")
+	}
+	if nd := int(r.U8()); nd != len(s.Dims) {
+		return nil, fmt.Errorf("storage: chunk has %d dims, schema %d", nd, len(s.Dims))
+	}
+	h := &chunkHeader{origin: make(array.Coord, len(s.Dims)), shape: make([]int64, len(s.Dims))}
+	slots := int64(1)
+	for i := range h.origin {
+		h.origin[i], h.shape[i] = r.I64(), r.I64()
+		if h.shape[i] < 0 || (h.shape[i] > 0 && slots > maxFieldLen/h.shape[i]) {
+			return nil, corrupt("chunk shape %v", h.shape[:i+1])
+		}
+		slots *= h.shape[i]
+	}
+	n := r.U16()
+	if int(n) != 1+len(s.Attrs) {
+		return nil, fmt.Errorf("storage: chunk has %d columns, schema %d", int(n)-1, len(s.Attrs))
+	}
+	h.secs = make([]section, n)
+	end := int64(hlen)
+	for i := range h.secs {
+		h.secs[i] = section{stored: r.U32(), decoded: r.U32(), codec: r.U8(), crc: r.U32()}
+		end += int64(h.secs[i].stored)
+	}
+	if end != total {
+		return nil, corrupt("sections end at byte %d of %d", end, total)
+	}
+	return h, nil
+}
+
+// slots is the chunk's cell-slot count.
+func (h *chunkHeader) slots() int64 {
+	n := int64(1)
+	for _, e := range h.shape {
+		n *= e
+	}
+	return n
+}
+
+// chunkReader decodes the sections of one encoded chunk on demand: the
+// whole of DecodeChunk, and the projected bucket reads of a Store.
+type chunkReader struct {
+	s   *array.Schema
+	hdr *chunkHeader
+	// codec is tried first for a section it wrote (a Store's own, so a
+	// wrapped codec sees its reads); any other section names its codec.
+	codec compress.Codec
+	// fetch returns n stored bytes at an offset of the encoding. The
+	// result is only read, and not retained past the section's decode.
+	fetch func(off int64, n int) ([]byte, error)
+}
+
+// newChunkReader reads and checks the header of an encoding of total bytes.
+func newChunkReader(s *array.Schema, codec compress.Codec, total int64, fetch func(int64, int) ([]byte, error)) (*chunkReader, error) {
+	hlen := headerLen(s)
+	if int64(hlen) > total {
+		hlen = int(total)
+	}
+	head, err := fetch(0, hlen)
+	if err != nil {
+		return nil, err
+	}
+	hdr, err := parseHeader(s, head, total)
+	if err != nil {
+		return nil, err
+	}
+	return &chunkReader{s: s, hdr: hdr, codec: codec, fetch: fetch}, nil
+}
+
+// section fetches section i, checks it against the table, and returns its
+// decoded bytes — the stored bytes themselves when they are verbatim.
+func (cr *chunkReader) section(i int) ([]byte, error) {
+	off := int64(headerLen(cr.s))
+	for _, sec := range cr.hdr.secs[:i] {
+		off += int64(sec.stored)
+	}
+	sec := cr.hdr.secs[i]
+	stored, err := cr.fetch(off, int(sec.stored))
+	if err != nil {
+		return nil, err
+	}
+	if crc32.Checksum(stored, castagnoli) != sec.crc {
+		return nil, corrupt("section %d: checksum mismatch", i)
+	}
+	c := cr.codec
+	if t, ok := compress.Tag(c); !ok || t != sec.codec {
+		if c, err = compress.ByTag(sec.codec); err != nil {
+			return nil, corrupt("section %d: %v", i, err)
+		}
+	}
+	out := stored
+	if _, verbatim := c.(compress.None); !verbatim {
+		if out, err = c.Decode(stored); err != nil {
+			return nil, corrupt("section %d: %v", i, err)
+		}
+	}
+	if len(out) != int(sec.decoded) {
+		return nil, corrupt("section %d: %d bytes, table says %d", i, len(out), sec.decoded)
+	}
+	return out, nil
+}
+
+// decodeSection runs decode over section i, all of which it must consume.
+func (cr *chunkReader) decodeSection(i int, decode func(*FieldReader) error) error {
+	data, err := cr.section(i)
+	if err != nil {
+		return err
+	}
+	r := NewFieldReaderBytes(data)
+	if err = decode(r); err == nil && r.Remaining() != 0 {
+		err = fmt.Errorf("%d trailing bytes", r.Remaining())
+	}
+	if err != nil {
+		return corrupt("section %d: %v", i, err)
+	}
+	return nil
+}
+
+// frame decodes the chunk's origin, shape and presence bitmap: a chunk
+// without columns.
+func (cr *chunkReader) frame() (*array.Chunk, error) {
+	ch := &array.Chunk{Origin: cr.hdr.origin, Shape: cr.hdr.shape}
+	err := cr.decodeSection(0, func(r *FieldReader) (err error) {
+		ch.Present, err = readBitmap(r, cr.hdr.slots())
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ch, nil
+}
+
+// column decodes attribute a's column.
+func (cr *chunkReader) column(a int) (col *array.Column, err error) {
+	err = cr.decodeSection(1+a, func(r *FieldReader) (err error) {
+		col, err = decodeColumn(r, cr.s.Attrs[a], cr.hdr.slots())
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return col, nil
+}
 
 // EncodeChunk serializes a chunk of the given schema to a portable binary
 // form (also the wire format between grid nodes), choosing a lightweight
@@ -38,7 +271,7 @@ const (
 // string dictionary) from cheap column stats. Nested-array attributes are
 // encoded recursively using the attribute's element schema.
 func EncodeChunk(s *array.Schema, ch *array.Chunk) ([]byte, error) {
-	data, _, err := encodeChunk(s, ch, false)
+	data, _, err := EncodeChunkZones(s, ch)
 	return data, err
 }
 
@@ -47,94 +280,100 @@ func EncodeChunk(s *array.Schema, ch *array.Chunk) ([]byte, error) {
 // them in its bucket metadata so scans can prune buckets before reading
 // them back from disk.
 func EncodeChunkZones(s *array.Schema, ch *array.Chunk) ([]byte, []*array.ZoneMap, error) {
-	return encodeChunk(s, ch, false)
-}
-
-// EncodeChunkRaw serializes a chunk in the legacy (v0) verbatim layout —
-// no per-column encodings. It is retained as the measured baseline for the
-// ENC experiment and for compatibility tests; DecodeChunk reads both forms.
-func EncodeChunkRaw(s *array.Schema, ch *array.Chunk) ([]byte, error) {
-	data, _, err := encodeChunk(s, ch, true)
-	return data, err
-}
-
-func encodeChunk(s *array.Schema, ch *array.Chunk, raw bool) ([]byte, []*array.ZoneMap, error) {
+	if len(ch.Cols) != len(s.Attrs) || len(ch.Origin) != len(s.Dims) {
+		return nil, nil, fmt.Errorf("storage: chunk has %d columns and %d dims, schema %d and %d",
+			len(ch.Cols), len(ch.Origin), len(s.Attrs), len(s.Dims))
+	}
+	if len(s.Attrs) >= math.MaxUint16 || len(s.Dims) > math.MaxUint8 {
+		return nil, nil, fmt.Errorf("storage: schema too wide to encode")
+	}
+	// Sections are written behind a reserved header, filled in once their
+	// lengths and checksums are known.
+	hlen := headerLen(s)
 	var b bytes.Buffer
+	b.Write(make([]byte, hlen))
 	w := NewFieldWriter(&b)
-	w.U32(chunkMagic)
-	w.U8(uint8(len(ch.Origin)))
-	for i := range ch.Origin {
-		w.I64(ch.Origin[i])
-		w.I64(ch.Shape[i])
-	}
+	ends := make([]int, 0, 1+len(ch.Cols))
 	writeBitmap(w, ch.Present)
-	if len(ch.Cols) != len(s.Attrs) {
-		return nil, nil, fmt.Errorf("storage: chunk has %d columns, schema %d", len(ch.Cols), len(s.Attrs))
-	}
-	var zones []*array.ZoneMap
-	if !raw {
-		zones = make([]*array.ZoneMap, len(ch.Cols))
-	}
+	ends = append(ends, b.Len())
+	zones := make([]*array.ZoneMap, len(ch.Cols))
 	for ai, col := range ch.Cols {
-		z, err := encodeColumn(w, s.Attrs[ai], col, ch.Present, raw)
-		if err != nil {
+		var err error
+		if zones[ai], err = encodeColumn(w, s.Attrs[ai], col, ch.Present); err != nil {
 			return nil, nil, err
 		}
-		if zones != nil {
-			zones[ai] = z
-		}
+		ends = append(ends, b.Len())
 	}
 	if w.Err() != nil {
 		return nil, nil, w.Err()
 	}
-	return b.Bytes(), zones, nil
+	data := b.Bytes()
+	hdr := chunkHeader{origin: ch.Origin, shape: ch.Shape, secs: make([]section, len(ends))}
+	verbatim, _ := compress.Tag(compress.None{})
+	start := hlen
+	for i, end := range ends {
+		if end-start > maxFieldLen {
+			return nil, nil, fmt.Errorf("storage: section of %d bytes exceeds limit", end-start)
+		}
+		n := uint32(end - start)
+		hdr.secs[i] = section{stored: n, decoded: n, codec: verbatim, crc: crc32.Checksum(data[start:end], castagnoli)}
+		start = end
+	}
+	hdr.put(data[:hlen])
+	return data, zones, nil
 }
 
-// DecodeChunk reverses EncodeChunk (and EncodeChunkRaw: the column flag
-// byte selects the layout). All counts and lengths are validated against
-// the remaining buffer before anything is allocated for them, so corrupt
-// input fails with an error instead of a huge allocation.
-func DecodeChunk(s *array.Schema, data []byte) (*array.Chunk, error) {
-	r := NewFieldReaderBytes(data)
-	if m := r.U32(); m != chunkMagic {
-		return nil, fmt.Errorf("storage: bad chunk magic %#x", m)
+// sealChunk turns EncodeChunk bytes into a bucket file: the same frame with
+// every section passed through codec on its own, so a reader can take one
+// column without inflating the others.
+func sealChunk(s *array.Schema, raw []byte, codec compress.Codec) ([]byte, error) {
+	tag, ok := compress.Tag(codec)
+	if !ok {
+		return nil, fmt.Errorf("storage: codec %q has no format tag", codec.Name())
 	}
-	nd := int(r.U8())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nd != len(s.Dims) {
-		return nil, fmt.Errorf("storage: chunk has %d dims, schema %d", nd, len(s.Dims))
-	}
-	origin := make(array.Coord, nd)
-	shape := make([]int64, nd)
-	slots := int64(1)
-	for i := 0; i < nd; i++ {
-		origin[i] = r.I64()
-		shape[i] = r.I64()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if shape[i] < 0 || (shape[i] > 0 && slots > maxFieldLen/shape[i]) {
-			return nil, fmt.Errorf("storage: corrupt chunk shape %v", shape[:i+1])
-		}
-		slots *= shape[i]
-	}
-	present, err := readBitmap(r, slots)
+	hdr, err := parseHeader(s, raw, int64(len(raw)))
 	if err != nil {
 		return nil, err
 	}
-	ch := &array.Chunk{Origin: origin, Shape: shape, Present: present}
+	hlen := headerLen(s)
+	packed := make([][]byte, len(hdr.secs))
+	total, start := hlen, hlen
+	for i := range hdr.secs {
+		sec := &hdr.secs[i]
+		packed[i] = codec.Encode(raw[start : start+int(sec.stored)])
+		start += int(sec.stored)
+		sec.stored, sec.codec, sec.crc = uint32(len(packed[i])), tag, crc32.Checksum(packed[i], castagnoli)
+		total += len(packed[i])
+	}
+	out := make([]byte, hlen, total)
+	hdr.put(out)
+	for _, p := range packed {
+		out = append(out, p...)
+	}
+	return out, nil
+}
+
+// DecodeChunk reverses EncodeChunk, and reads a bucket file's bytes just as
+// well. Every checksum is verified, and all counts and lengths are
+// validated against the remaining buffer before anything is allocated for
+// them, so corrupt input fails with an error (ErrCorrupt) instead of a
+// wrong cell or a huge allocation.
+func DecodeChunk(s *array.Schema, data []byte) (*array.Chunk, error) {
+	cr, err := newChunkReader(s, compress.None{}, int64(len(data)), func(off int64, n int) ([]byte, error) {
+		return data[off : off+int64(n)], nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ch, err := cr.frame()
+	if err != nil {
+		return nil, err
+	}
 	ch.Cols = make([]*array.Column, len(s.Attrs))
-	for ai, at := range s.Attrs {
-		col, err := decodeColumn(r, at, slots)
-		if err != nil {
+	for a := range ch.Cols {
+		if ch.Cols[a], err = cr.column(a); err != nil {
 			return nil, err
 		}
-		ch.Cols[ai] = col
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
 	}
 	return ch, nil
 }
@@ -183,7 +422,7 @@ func DecodeArray(s *array.Schema, data []byte) (*array.Array, error) {
 		return nil, r.Err()
 	}
 	for i := int64(0); i < n; i++ {
-		buf := r.Bytes()
+		buf := r.bytesView()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
@@ -196,13 +435,13 @@ func DecodeArray(s *array.Schema, data []byte) (*array.Array, error) {
 	return a, nil
 }
 
-// encodeColumn writes one column: flag byte, null bitmap, zone map (v1
-// columns of zone-mappable types), values (encoded per colenc.go unless
-// raw), then the uncertainty tail. Nested-array columns always use the raw
-// layout — their payloads are recursively encoded arrays, which compress
-// internally. It returns the zone map it computed (nil in raw mode and for
-// nested columns) so the caller can index the chunk without re-scanning.
-func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present *array.Bitmap, raw bool) (*array.ZoneMap, error) {
+// encodeColumn writes one column section: flag byte, null bitmap, zone map
+// (zone-mappable types), the values under the encoding colenc.go picks,
+// then the uncertainty tail. Nested-array columns are written verbatim —
+// their payloads are recursively encoded arrays, which compress internally.
+// It returns the zone map it computed (nil for nested columns) so the caller
+// can index the chunk without re-scanning.
+func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present *array.Bitmap) (*array.ZoneMap, error) {
 	var flags uint8
 	if col.Sigma != nil {
 		flags |= colFlagSigma
@@ -210,12 +449,9 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	if col.HasShared {
 		flags |= colFlagShared
 	}
-	var zone *array.ZoneMap
-	if !raw {
-		flags |= colFlagEncV1
-		if zone = array.ComputeZone(col, present); zone != nil {
-			flags |= colFlagZone
-		}
+	zone := array.ComputeZone(col, present)
+	if zone != nil {
+		flags |= colFlagZone
 	}
 	w.U8(flags)
 	writeBitmap(w, col.Nulls)
@@ -224,41 +460,15 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	}
 	switch at.Type {
 	case array.TInt64:
-		if raw {
-			for _, v := range col.Ints {
-				w.I64(v)
-			}
-		} else {
-			encodeIntValues(w, col.Ints)
-		}
+		encodeIntValues(w, col.Ints)
 	case array.TFloat64:
-		if raw {
-			for _, v := range col.Floats {
-				w.F64(v)
-			}
-		} else {
-			encodeFloatValues(w, col.Floats)
-		}
+		encodeFloatValues(w, col.Floats)
 	case array.TBool:
-		if raw {
-			for _, v := range col.Bools {
-				w.Bool(v)
-			}
-		} else {
-			encodeBoolValues(w, col.Bools)
-		}
+		encodeBoolValues(w, col.Bools)
 	case array.TString:
-		if raw {
-			for _, v := range col.Strs {
-				w.String(v)
-			}
-		} else {
-			encodeStringValues(w, col.Strs)
-		}
+		encodeStringValues(w, col.Strs)
 	case array.TArray:
-		if !raw {
-			w.U8(encRaw)
-		}
+		w.U8(encRaw)
 		for _, nested := range col.Arrs {
 			if nested == nil {
 				w.U8(0)
@@ -274,10 +484,8 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	default:
 		return nil, fmt.Errorf("storage: cannot encode attribute type %v", at.Type)
 	}
-	if col.Sigma != nil {
-		for _, v := range col.Sigma {
-			w.F64(v)
-		}
+	for _, v := range col.Sigma {
+		w.F64(v)
 	}
 	if col.HasShared {
 		w.F64(col.SharedSigma)
@@ -297,11 +505,10 @@ func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Colum
 	if err != nil {
 		return nil, err
 	}
-	encoded := flags&colFlagEncV1 != 0
 	col := &array.Column{Type: at.Type, Nulls: nulls}
 	if flags&colFlagZone != 0 {
-		if !encoded || at.Type == array.TArray {
-			return nil, fmt.Errorf("storage: zone map on %v column without v1 encoding", at.Type)
+		if at.Type == array.TArray {
+			return nil, fmt.Errorf("storage: zone map on a nested-array column")
 		}
 		col.Zone, err = decodeZoneMap(r, at.Type, slots)
 		if err != nil {
@@ -311,51 +518,18 @@ func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Colum
 	var runLens []int64
 	switch at.Type {
 	case array.TInt64:
-		if encoded {
-			col.Ints, runLens, err = decodeIntValues(r, slots)
-		} else if r.Need(slots * 8) {
-			col.Ints = make([]int64, slots)
-			for i := range col.Ints {
-				col.Ints[i] = r.I64()
-			}
-		}
+		col.Ints, runLens, err = decodeIntValues(r, slots)
 	case array.TFloat64:
-		if encoded {
-			col.Floats, runLens, err = decodeFloatValues(r, slots)
-		} else if r.Need(slots * 8) {
-			col.Floats = make([]float64, slots)
-			for i := range col.Floats {
-				col.Floats[i] = r.F64()
-			}
-		}
+		col.Floats, runLens, err = decodeFloatValues(r, slots)
 	case array.TBool:
-		if encoded {
-			col.Bools, runLens, err = decodeBoolValues(r, slots)
-		} else if r.Need(slots) {
-			col.Bools = make([]bool, slots)
-			for i := range col.Bools {
-				col.Bools[i] = r.Bool()
-			}
-		}
+		col.Bools, runLens, err = decodeBoolValues(r, slots)
 	case array.TString:
-		if encoded {
-			col.Strs, col.Enc, err = decodeStringValues(r, slots)
-		} else if r.Need(slots * 4) {
-			col.Strs = make([]string, slots)
-			for i := range col.Strs {
-				col.Strs[i] = r.String()
-				if r.Err() != nil {
-					return nil, r.Err()
-				}
-			}
-		}
+		col.Strs, col.Enc, err = decodeStringValues(r, slots)
 	case array.TArray:
-		if encoded {
-			// v1 nested columns carry a tag byte for forward shape parity;
-			// only the raw layout is defined for them.
-			if tag := r.U8(); r.Err() == nil && tag != encRaw {
-				return nil, fmt.Errorf("storage: unknown nested column encoding %d", tag)
-			}
+		// Nested columns carry a tag byte for shape parity with the value
+		// encodings; only the verbatim layout is defined for them.
+		if tag := r.U8(); r.Err() == nil && tag != encRaw {
+			return nil, fmt.Errorf("storage: unknown nested column encoding %d", tag)
 		}
 		if !r.Need(slots) { // one presence byte per slot minimum
 			return nil, r.Err()
@@ -365,15 +539,13 @@ func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Colum
 			if r.U8() == 0 {
 				continue
 			}
-			buf := r.Bytes()
+			buf := r.bytesView()
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			nested, err := DecodeArray(at.Nested, buf)
-			if err != nil {
+			if col.Arrs[i], err = DecodeArray(at.Nested, buf); err != nil {
 				return nil, err
 			}
-			col.Arrs[i] = nested
 		}
 	default:
 		return nil, fmt.Errorf("storage: cannot decode attribute type %v", at.Type)
@@ -392,9 +564,7 @@ func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Colum
 			return nil, r.Err()
 		}
 		col.Sigma = make([]float64, slots)
-		for i := range col.Sigma {
-			col.Sigma[i] = r.F64()
-		}
+		r.F64sInto(col.Sigma)
 	}
 	if flags&colFlagShared != 0 {
 		col.HasShared = true
@@ -403,40 +573,30 @@ func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Colum
 	return col, r.Err()
 }
 
+// writeBitmap writes a bitmap's words; the reader knows how many from the
+// chunk's slot count.
 func writeBitmap(w *FieldWriter, b *array.Bitmap) {
-	words := b.Words()
-	w.U32(uint32(len(words)))
-	for _, word := range words {
+	for _, word := range b.Words() {
 		w.U64(word)
 	}
 }
 
 func readBitmap(r *FieldReader, bits int64) (*array.Bitmap, error) {
-	n := int64(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if want := (bits + 63) / 64; n != want {
-		return nil, fmt.Errorf("storage: bitmap has %d words, want %d", n, want)
-	}
+	n := (bits + 63) / 64
 	if !r.Need(n * 8) {
 		return nil, r.Err()
 	}
 	words := make([]uint64, n)
-	for i := range words {
-		words[i] = r.U64()
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return array.FromWords(bits, words), nil
+	r.U64sInto(words)
+	return array.FromWords(bits, words), r.Err()
 }
 
-// RawChunkSize returns the exact byte length EncodeChunkRaw would produce
-// for the chunk, computed arithmetically — no encode pass. It is the "raw"
-// term of the store's encoding-ratio stats. (Nested-array attributes are
-// the one approximation: their recursive payloads are counted at the
-// encoded size actually written.)
+// RawChunkSize returns what the chunk would cost stored verbatim — a bare
+// frame, bitmaps with a word count, every value at its full width, no
+// per-column encoding — computed arithmetically. It is the "raw" term of
+// the store's encoding-ratio stats and the baseline of the ENC experiment.
+// (Nested-array attributes are the one approximation: their recursive
+// payloads are counted at the encoded size actually written.)
 func RawChunkSize(s *array.Schema, ch *array.Chunk) int64 {
 	n := int64(4 + 1 + 16*len(ch.Origin))
 	n += 4 + int64(len(ch.Present.Words()))*8

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,8 +58,8 @@ func chunkCellsEqual(t *testing.T, s *array.Schema, want, got *array.Chunk, slot
 	}
 }
 
-// roundTrip encodes with both encoders and checks DecodeChunk reproduces
-// the chunk from each, returning the two encoded sizes.
+// roundTrip checks DecodeChunk reproduces the chunk from its encoding,
+// returning the encoded size and the verbatim size it is measured against.
 func roundTrip(t *testing.T, s *array.Schema, ch *array.Chunk, slots int64) (encoded, raw int) {
 	t.Helper()
 	enc, err := EncodeChunk(s, ch)
@@ -70,16 +71,7 @@ func roundTrip(t *testing.T, s *array.Schema, ch *array.Chunk, slots int64) (enc
 		t.Fatal(err)
 	}
 	chunkCellsEqual(t, s, ch, back, slots)
-	rawBytes, err := EncodeChunkRaw(s, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := DecodeChunk(s, rawBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunkCellsEqual(t, s, ch, legacy, slots)
-	return len(enc), len(rawBytes)
+	return len(enc), int(RawChunkSize(s, ch))
 }
 
 // TestEncodingConstColumns: all-equal columns collapse to one value each.
@@ -180,8 +172,9 @@ func TestEncodingRawFallback(t *testing.T) {
 	})
 	enc, raw := roundTrip(t, s, ch, 128)
 	// Overhead per column: 1 tag byte + the zone map (2+16 header bytes
-	// plus the min/max pair — 16 for numerics, string lengths for strings).
-	if enc > raw+4+4*64 {
+	// plus the min/max pair — 16 for numerics, string lengths for strings)
+	// + its section-table entry; per chunk, the table's frame and CRC.
+	if enc > raw+16+4*(64+13) {
 		t.Errorf("random chunk grew to %d bytes, raw %d", enc, raw)
 	}
 }
@@ -233,99 +226,87 @@ func randWord(rng *rand.Rand, n int) string {
 	return string(b)
 }
 
+// randAttrs draws one to three scalar attributes and, for each, a value
+// distribution: constant, runny, monotone, or random — between them every
+// column encoding (const, RLE, delta bit-packing, dictionary, raw).
+func randAttrs(rng *rand.Rand) (attrs []array.Attribute, dist []int) {
+	types := []array.Type{array.TInt64, array.TFloat64, array.TBool, array.TString}
+	attrs = make([]array.Attribute, 1+rng.Intn(3))
+	dist = make([]int, len(attrs))
+	for i := range attrs {
+		attrs[i] = array.Attribute{Name: "a" + string(rune('0'+i)), Type: types[rng.Intn(len(types))]}
+		dist[i] = rng.Intn(4)
+	}
+	return attrs, dist
+}
+
+// randCell draws the cell for the i-th slot of a sequence under randAttrs'
+// distributions, with NULLs and — in float columns — NaNs mixed in.
+func randCell(rng *rand.Rand, attrs []array.Attribute, dist []int, i int64) array.Cell {
+	words := []string{"x", "yy", "zzz", "wwww"}
+	cell := make(array.Cell, len(attrs))
+	for ai, at := range attrs {
+		if rng.Intn(13) == 0 {
+			cell[ai] = array.NullValue(at.Type)
+			continue
+		}
+		var k int64
+		switch dist[ai] {
+		case 0:
+			k = 7
+		case 1:
+			k = i / (1 + int64(rng.Intn(3)*16))
+		case 2:
+			k = i * 3
+		default:
+			k = rng.Int63()
+		}
+		switch at.Type {
+		case array.TInt64:
+			cell[ai] = array.Int64(k)
+		case array.TFloat64:
+			cell[ai] = array.Float64(float64(k) * 0.5)
+			if dist[ai] == 3 && rng.Intn(17) == 0 {
+				cell[ai] = array.Float64(math.NaN())
+			}
+		case array.TBool:
+			cell[ai] = array.Bool64(k%2 == 0)
+		case array.TString:
+			cell[ai] = array.String64(words[int(uint64(k)%uint64(len(words)))])
+		}
+	}
+	return cell
+}
+
 // TestEncodingPropertyRandomSchemas: randomized schemas and value
-// distributions; every chunk must round-trip byte-exactly through both
-// encoders regardless of which encoding the chooser picks.
+// distributions; every chunk must round-trip byte-exactly regardless of
+// which encoding the chooser picks.
 func TestEncodingPropertyRandomSchemas(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	types := []array.Type{array.TInt64, array.TFloat64, array.TBool, array.TString}
 	for trial := 0; trial < 60; trial++ {
-		na := 1 + rng.Intn(3)
-		attrs := make([]array.Attribute, na)
-		for i := range attrs {
-			attrs[i] = array.Attribute{
-				Name: "a" + string(rune('0'+i)),
-				Type: types[rng.Intn(len(types))],
-			}
-		}
+		attrs, dist := randAttrs(rng)
 		slots := int64(1 + rng.Intn(200))
 		s := &array.Schema{
 			Name:  "R",
 			Dims:  []array.Dimension{{Name: "i", High: slots}},
 			Attrs: attrs,
 		}
-		// Per-attribute distribution: constant, runny, monotone, or random.
-		dist := make([]int, na)
-		for i := range dist {
-			dist[i] = rng.Intn(4)
-		}
-		words := []string{"x", "yy", "zzz", "wwww"}
 		ch := array.NewChunk(s, array.Coord{1}, []int64{slots})
 		for i := int64(0); i < slots; i++ {
 			if rng.Intn(5) == 0 {
 				continue // leave holes in the presence bitmap
 			}
-			cell := make(array.Cell, na)
-			for ai, at := range attrs {
-				if rng.Intn(13) == 0 {
-					cell[ai] = array.NullValue(at.Type)
-					continue
-				}
-				var k int64
-				switch dist[ai] {
-				case 0:
-					k = 7
-				case 1:
-					k = i / (1 + int64(rng.Intn(3)*16))
-				case 2:
-					k = i * 3
-				default:
-					k = rng.Int63()
-				}
-				switch at.Type {
-				case array.TInt64:
-					cell[ai] = array.Int64(k)
-				case array.TFloat64:
-					cell[ai] = array.Float64(float64(k) * 0.5)
-				case array.TBool:
-					cell[ai] = array.Bool64(k%2 == 0)
-				case array.TString:
-					cell[ai] = array.String64(words[int(uint64(k)%uint64(len(words)))])
-				}
-			}
-			_ = ch.Set(array.Coord{i + 1}, cell)
+			_ = ch.Set(array.Coord{i + 1}, randCell(rng, attrs, dist, i))
 		}
 		roundTrip(t, s, ch, slots)
 	}
 }
 
-// TestRawChunkSizeExact: the arithmetic raw size matches the bytes
-// EncodeChunkRaw actually produces.
-func TestRawChunkSizeExact(t *testing.T) {
-	s := encSchema1D(64)
-	rng := rand.New(rand.NewSource(5))
-	ch := fillChunk(s, 64, func(i int64) array.Cell {
-		return array.Cell{
-			array.Int64(rng.Int63()),
-			array.Float64(rng.Float64()),
-			array.Bool64(i%3 == 0),
-			array.String64(randWord(rng, 1+rng.Intn(9))),
-		}
-	})
-	raw, err := EncodeChunkRaw(s, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := RawChunkSize(s, ch); got != int64(len(raw)) {
-		t.Errorf("RawChunkSize = %d, want %d", got, len(raw))
-	}
-}
-
-// TestLegacyChunkFormatPinned hand-assembles a v0 (pre-encoding) chunk byte
-// stream and requires DecodeChunk to read it. This pins backward
-// compatibility against format drift: chunks written before the encoding
-// layer existed must keep decoding.
-func TestLegacyChunkFormatPinned(t *testing.T) {
+// TestLegacyChunkFormatRejected hand-assembles a v0 (pre-sectioned,
+// verbatim) chunk byte stream and requires DecodeChunk to refuse it with
+// ErrCorrupt: there is one layout, and what is not it is never guessed at.
+// The same bytes pin RawChunkSize, which prices that verbatim layout.
+func TestLegacyChunkFormatRejected(t *testing.T) {
 	s := &array.Schema{
 		Name:  "L",
 		Dims:  []array.Dimension{{Name: "i", High: 2}},
@@ -335,7 +316,7 @@ func TestLegacyChunkFormatPinned(t *testing.T) {
 	put32 := func(v uint32) { _ = binary.Write(&b, binary.LittleEndian, v) }
 	put64 := func(v uint64) { _ = binary.Write(&b, binary.LittleEndian, v) }
 	put32(0x53434442) // magic "SCDB"
-	b.WriteByte(1)    // nd
+	b.WriteByte(1)    // nd — where the version byte now sits
 	put64(1)          // origin
 	put64(2)          // shape -> 2 slots
 	put32(1)          // presence bitmap: 1 word
@@ -345,29 +326,27 @@ func TestLegacyChunkFormatPinned(t *testing.T) {
 	put64(0)          // no nulls
 	put64(123)        // slot 0 value, verbatim
 	put64(456)        // slot 1 value, verbatim
-	ch, err := DecodeChunk(s, b.Bytes())
-	if err != nil {
-		t.Fatalf("legacy chunk rejected: %v", err)
+	if _, err := DecodeChunk(s, b.Bytes()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v0 chunk: err = %v, want ErrCorrupt", err)
 	}
-	if v, ok := ch.Get(array.Coord{1}); !ok || v[0].Int != 123 {
-		t.Errorf("slot 1 = %v,%v; want 123", v, ok)
+	ch := fillChunk(s, 2, func(i int64) array.Cell { return array.Cell{array.Int64(123 + 333*i)} })
+	if got := RawChunkSize(s, ch); got != int64(b.Len()) {
+		t.Errorf("RawChunkSize = %d, want the verbatim layout's %d", got, b.Len())
 	}
-	if v, ok := ch.Get(array.Coord{2}); !ok || v[0].Int != 456 {
-		t.Errorf("slot 2 = %v,%v; want 456", v, ok)
-	}
-	// And EncodeChunkRaw must still emit exactly this layout.
-	raw, err := EncodeChunkRaw(s, ch)
+	// A future version byte is refused the same way, whatever follows it.
+	enc, err := EncodeChunk(s, ch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, b.Bytes()) {
-		t.Errorf("EncodeChunkRaw drifted from the pinned v0 layout:\n got %x\nwant %x", raw, b.Bytes())
+	enc[4] = chunkVersion + 1
+	if _, err := DecodeChunk(s, enc); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown version: err = %v, want ErrCorrupt", err)
 	}
 }
 
-// TestDecodeCorruptEncodedColumns: corrupt v1 streams fail cleanly — bad
-// tags, short buffers, over-long RLE runs, and out-of-range dict indices
-// are rejected without huge allocations.
+// TestDecodeCorruptEncodedColumns: corrupt streams fail cleanly. Every
+// byte of the encoding is under a checksum, so no truncation and no flipped
+// byte decodes at all.
 func TestDecodeCorruptEncodedColumns(t *testing.T) {
 	s := encSchema1D(64)
 	ch := fillChunk(s, 64, func(i int64) array.Cell {
@@ -383,12 +362,12 @@ func TestDecodeCorruptEncodedColumns(t *testing.T) {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
-	// Single-byte corruptions must error or decode — never panic or
-	// over-allocate. (Some flips land in value bytes and legally decode.)
 	for i := 0; i < len(good); i++ {
 		mut := append([]byte(nil), good...)
 		mut[i] ^= 0xFF
-		_, _ = DecodeChunk(s, mut)
+		if _, err := DecodeChunk(s, mut); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("byte %d flipped: err = %v, want ErrCorrupt", i, err)
+		}
 	}
 }
 

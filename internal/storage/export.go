@@ -24,7 +24,7 @@ func (s *Store) ExportRegion(box array.Box) ([][]byte, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := s.ScanChunks(box, nil).Each(func(lc LiveChunk) error {
+	if err := s.ScanChunks(box, nil, nil).Each(func(lc LiveChunk) error {
 		return buf.MergeMasked(lc.Chunk, lc.Live)
 	}); err != nil {
 		return nil, 0, err
@@ -80,7 +80,7 @@ func (s *Store) ReleaseRegion(box array.Box) int {
 	}
 	n := 0
 	for _, m := range s.searchMetasLocked(box) {
-		s.cache.Invalidate(s.cacheKey(m.id))
+		s.uncache(m.id)
 		n++
 	}
 	return n

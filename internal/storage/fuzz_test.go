@@ -2,11 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"testing"
 
 	"scidb/internal/array"
+	"scidb/internal/compress"
 )
 
 // fuzzSchema covers every scalar type plus an uncertain column, so the
@@ -38,33 +40,76 @@ func fuzzSeedChunk(s *array.Schema) *array.Chunk {
 	return ch
 }
 
-// FuzzDecodeChunk feeds arbitrary bytes to DecodeChunk: it must return an
-// error or a chunk, never panic or allocate past the buffer's implied
-// bounds; a successful decode must re-encode through both encoders.
+// withSection returns enc — EncodeChunk bytes — with section i replaced by
+// body, stored verbatim, and the table and checksums made to agree: what a
+// fuzzer needs to get arbitrary bytes past the CRCs and into the section
+// decoders.
+func withSection(t testing.TB, s *array.Schema, enc []byte, i int, body []byte) []byte {
+	t.Helper()
+	hdr, err := parseHeader(s, enc, int64(len(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlen := headerLen(s)
+	out := make([]byte, hlen)
+	off := hlen
+	for k := range hdr.secs {
+		sec := enc[off : off+int(hdr.secs[k].stored)]
+		off += len(sec)
+		if k == i {
+			sec = body
+			hdr.secs[k] = section{stored: uint32(len(body)), decoded: uint32(len(body)), crc: crc32.Checksum(body, castagnoli)}
+		}
+		out = append(out, sec...)
+	}
+	hdr.put(out[:hlen])
+	return out
+}
+
+// FuzzDecodeChunk feeds arbitrary bytes to DecodeChunk, whole and — with
+// the checksums fixed up, since no random byte string passes them — as each
+// section's content: it must return an error or a chunk, never panic or
+// allocate past the buffer's implied bounds; a successful decode must
+// re-encode.
 func FuzzDecodeChunk(f *testing.F) {
 	s := fuzzSchema()
 	ch := fuzzSeedChunk(s)
-	if enc, err := EncodeChunk(s, ch); err == nil {
-		f.Add(enc)
-		mut := append([]byte(nil), enc...)
-		mut[len(mut)/2] ^= 0xFF
-		f.Add(mut)
-		f.Add(enc[:len(enc)/2])
+	enc, err := EncodeChunk(s, ch)
+	if err != nil {
+		f.Fatal(err)
 	}
-	if raw, err := EncodeChunkRaw(s, ch); err == nil {
-		f.Add(raw)
+	f.Add(enc)
+	mut := append([]byte(nil), enc...)
+	mut[len(mut)/2] ^= 0xFF
+	f.Add(mut)
+	f.Add(enc[:len(enc)/2])
+	// The bucket-file form: the same sections, each through the codec.
+	if sealed, err := sealChunk(s, enc, compress.Auto{}); err == nil {
+		f.Add(sealed)
+	}
+	// Each section's own bytes, the seeds of the spliced decodes below.
+	hdr, err := parseHeader(s, enc, int64(len(enc)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, off := 0, headerLen(s); i < len(hdr.secs); i++ {
+		f.Add(enc[off : off+int(hdr.secs[i].stored)])
+		off += int(hdr.secs[i].stored)
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := DecodeChunk(s, data)
-		if err != nil {
-			return
+		check := func(data []byte) {
+			back, err := DecodeChunk(s, data)
+			if err != nil {
+				return
+			}
+			if _, err := EncodeChunk(s, back); err != nil {
+				t.Fatalf("decoded chunk fails to re-encode: %v", err)
+			}
 		}
-		if _, err := EncodeChunk(s, back); err != nil {
-			t.Fatalf("decoded chunk fails to re-encode: %v", err)
-		}
-		if _, err := EncodeChunkRaw(s, back); err != nil {
-			t.Fatalf("decoded chunk fails to re-encode raw: %v", err)
+		check(data)
+		for i := range hdr.secs {
+			check(withSection(t, s, enc, i, data))
 		}
 	})
 }
@@ -154,6 +199,14 @@ func FuzzDecodeArray(f *testing.F) {
 		mut := append([]byte(nil), enc...)
 		mut[4] ^= 0x7F
 		f.Add(mut)
+	}
+	// A container whose chunk is in the bucket-file form.
+	if enc, err := EncodeChunk(s, fuzzSeedChunk(s)); err == nil {
+		if sealed, err := sealChunk(s, enc, compress.Auto{}); err == nil {
+			if framed, err := FrameChunks([][]byte{sealed}); err == nil {
+				f.Add(framed)
+			}
+		}
 	}
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,54 +1,56 @@
 package storage
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"scidb/internal/array"
 )
 
-// prefetcher issues bounded-depth asynchronous loads of upcoming scan
-// buckets into the store's buffer pool, so disk read + decode of bucket
-// i+1..i+depth overlap the caller's compute over bucket i. One prefetcher
-// serves one Scan: the scan holds s.mu for its whole duration, which
-// freezes the bucket index, so the prefetch goroutines can read bucket
-// metadata and load from disk without taking the lock themselves (loads go
-// through bufcache.GetOrLoad, whose singleflight also dedups against the
-// scan's own read when it catches up to an in-flight prefetch).
+// prefetcher loads upcoming scan buckets asynchronously, so disk read +
+// decode of buckets i+1..i+depth overlap the caller's compute over bucket
+// i. One prefetcher serves one scan: the scan holds s.mu for its whole
+// duration, which freezes the bucket index, so the prefetch goroutines can
+// read bucket metadata and load from disk without taking the lock
+// themselves. A finished load keeps its pool pins until the scan takes the
+// bucket over, so however small the pool a prefetched bucket is never
+// evicted and read again; the price is up to depth buckets (at the scan's
+// projection) pinned beyond the pool's budget.
 type prefetcher struct {
 	s     *Store
 	metas []*bucketMeta // the scan's consumption order
+	attrs []int         // the scan's projection
 	depth int
 
-	next    int           // next index not yet issued
-	sem     chan struct{} // bounds in-flight loads to depth
+	next    int // next index not yet issued
 	stopped atomic.Bool
-	wg      sync.WaitGroup
+	// pending holds the issued loads the scan has not taken yet — at most
+	// depth of them, as loads are issued only up to depth past the scan.
+	// Touched only by the scan goroutine.
+	pending map[int]*prefetched
+}
 
-	// Issued/consumed bookkeeping; touched only by the scan goroutine.
-	issued   map[int64]bool
-	consumed int
+// prefetched is one issued load. The fields behind done are written by the
+// load's goroutine before it closes done.
+type prefetched struct {
+	done    chan struct{}
+	ch      *array.Chunk
+	release func()
+	err     error
 }
 
 // newPrefetcher builds a prefetcher over the scan's bucket order. Returns
-// nil when prefetch is off (no depth or no pool to warm).
-func (s *Store) newPrefetcher(metas []*bucketMeta) *prefetcher {
+// nil when prefetch is off (no depth or no pool).
+func (s *Store) newPrefetcher(metas []*bucketMeta, attrs []int) *prefetcher {
 	depth := s.opts.Readahead
 	if depth <= 0 || s.cache == nil || len(metas) < 2 {
 		return nil
 	}
-	return &prefetcher{
-		s:      s,
-		metas:  metas,
-		depth:  depth,
-		sem:    make(chan struct{}, depth),
-		issued: map[int64]bool{},
-	}
+	return &prefetcher{s: s, metas: metas, attrs: attrs, depth: depth, pending: map[int]*prefetched{}}
 }
 
 // advance tells the prefetcher the scan is about to consume index i: it
-// issues async loads for indexes up to i+depth, never exceeding depth
-// in-flight loads. Call before reading metas[i].
+// issues async loads for the indexes up to i+depth not issued yet. Call
+// before reading metas[i].
 func (pf *prefetcher) advance(i int) {
 	if pf == nil {
 		return
@@ -56,56 +58,47 @@ func (pf *prefetcher) advance(i int) {
 	if pf.next <= i {
 		pf.next = i + 1
 	}
-	for pf.next <= i+pf.depth && pf.next < len(pf.metas) {
-		select {
-		case pf.sem <- struct{}{}:
-		default:
-			return // depth loads already in flight
-		}
-		m := pf.metas[pf.next]
-		pf.next++
-		pf.issued[m.id] = true
+	for ; pf.next <= i+pf.depth && pf.next < len(pf.metas); pf.next++ {
+		m, p := pf.metas[pf.next], &prefetched{done: make(chan struct{})}
+		pf.pending[pf.next] = p
 		pf.s.stats.prefetchIssued.Add(1)
-		pf.wg.Add(1)
 		go func() {
-			defer pf.wg.Done()
-			defer func() { <-pf.sem }()
-			if pf.stopped.Load() {
-				return
-			}
-			h, err := pf.s.cache.GetOrLoad(pf.s.cacheKey(m.id), func() (*array.Chunk, error) {
-				return pf.s.loadBucket(m)
-			})
-			if err == nil {
-				h.Release()
+			defer close(p.done)
+			if !pf.stopped.Load() {
+				p.ch, p.release, p.err = pf.s.pinBucket(m, pf.attrs)
 			}
 		}()
 	}
 }
 
-// consume records that the scan read the bucket; a previously issued
-// prefetch for it counts as a hit (the load ran — or is running — off the
-// scan's critical path).
-func (pf *prefetcher) consume(id int64) {
+// take hands the scan the load issued for index i, waiting for it to
+// finish: a hit — the load ran, or is running, off the scan's critical
+// path. It returns nil when none was issued. The pins are now the scan's.
+func (pf *prefetcher) take(i int) *prefetched {
 	if pf == nil {
-		return
+		return nil
 	}
-	if pf.issued[id] {
-		pf.consumed++
+	p := pf.pending[i]
+	if p != nil {
+		delete(pf.pending, i)
 		pf.s.stats.prefetchHits.Add(1)
+		<-p.done
 	}
+	return p
 }
 
-// stop waits for in-flight loads to finish (they are bounded by depth) and
-// charges prefetches the scan never consumed — an early-stopped scan —
-// as wasted.
+// stop waits for the loads the scan never took — an early-stopped scan —
+// drops their pins, and charges them as wasted.
 func (pf *prefetcher) stop() {
 	if pf == nil {
 		return
 	}
 	pf.stopped.Store(true)
-	pf.wg.Wait()
-	if wasted := len(pf.issued) - pf.consumed; wasted > 0 {
-		pf.s.stats.prefetchWasted.Add(int64(wasted))
+	for _, p := range pf.pending {
+		<-p.done
+		if p.release != nil {
+			p.release()
+		}
 	}
+	pf.s.stats.prefetchWasted.Add(int64(len(pf.pending)))
 }

@@ -164,3 +164,40 @@ func TestScanPrefetchWarmsPool(t *testing.T) {
 		t.Errorf("warm scan re-read buckets: %d -> %d", reads, got)
 	}
 }
+
+// TestPrefetchedBucketReadOnce: with a pool smaller than one bucket, a
+// prefetched bucket would be evicted the moment its prefetch let go of it
+// and the scan would load it again. The prefetcher hands its pin to the
+// scan instead, so a full scan reads every bucket exactly once however the
+// goroutines interleave.
+func TestPrefetchedBucketReadOnce(t *testing.T) {
+	s := schema2D(64)
+	st, err := NewStore(s, Options{Dir: t.TempDir(), Stride: []int64{8, 8}, CacheBytes: 1, Readahead: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fillBuckets(t, st, 8)
+	q := array.NewBox(array.Coord{1, 1}, array.Coord{64, 8})
+	for rep := 0; rep < 100; rep++ {
+		before := st.Stats()
+		var cells int64
+		if err := st.ScanChunks(q, nil, nil).Each(func(lc LiveChunk) error {
+			cells += lc.Live.Count()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		after := st.Stats()
+		if got := after.BucketsRead - before.BucketsRead; cells != 8 || got != int64(st.NumBuckets()) {
+			t.Fatalf("rep %d: %d cells from %d bucket reads, want 8 from %d", rep, cells, got, st.NumBuckets())
+		}
+		issued, hits := after.PrefetchIssued-before.PrefetchIssued, after.PrefetchHits-before.PrefetchHits
+		if issued == 0 || hits != issued || after.PrefetchWasted != 0 {
+			t.Fatalf("rep %d: prefetch issued %d, hits %d, wasted %d", rep, issued, hits, after.PrefetchWasted)
+		}
+	}
+	if cs := st.CacheStats(); cs.PinnedBytes != 0 {
+		t.Errorf("%d bytes left pinned", cs.PinnedBytes)
+	}
+}

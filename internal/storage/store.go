@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,10 +16,12 @@ import (
 )
 
 // Stats is a snapshot of storage activity for the STORE and ENC
-// experiments. BucketsRead/BytesRead count actual disk reads: a bucket
-// served from the buffer pool does not increment them. The three byte
+// experiments. BucketsRead/BytesRead count actual disk reads: BucketsRead
+// one per bucket opened, however many of its sections that load took, and
+// BytesRead the header and section bytes actually read — sections served
+// from the buffer pool, or not projected, cost nothing. The three byte
 // counters for written buckets measure the encoding pipeline stage by
-// stage: BytesRaw is the verbatim (legacy-layout) size, BytesEncoded the
+// stage: BytesRaw is the verbatim size (RawChunkSize), BytesEncoded the
 // size after the lightweight per-column encodings, BytesWritten the
 // on-disk size after the bucket codec.
 type Stats struct {
@@ -134,7 +137,9 @@ type Options struct {
 	// Dir is the on-disk bucket directory. Empty means in-memory buckets
 	// (still encoded and compressed, held in a map instead of files).
 	Dir string
-	// Codec compresses buckets; nil means compress.Auto.
+	// Codec compresses each section of the buckets this store writes; nil
+	// means compress.Auto. Buckets record the codec that wrote them, so a
+	// store reads whatever its directory holds.
 	Codec compress.Codec
 	// MemLimit is the in-memory buffer budget in bytes before a flush
 	// ("when main memory is nearly full"). Zero means 4 MiB. The buffer
@@ -145,8 +150,8 @@ type Options struct {
 	Stride []int64
 	// MaxBucketBytes caps merged bucket size. Zero means 1 MiB.
 	MaxBucketBytes int64
-	// Cache is an optional shared buffer pool for decoded buckets: reads
-	// of a cached bucket skip both the disk read and the decompression.
+	// Cache is an optional shared buffer pool for decoded bucket sections:
+	// reads of a cached section skip both the disk read and the decode.
 	// Several stores may share one pool; each registers its own id.
 	Cache *bufcache.Pool
 	// CacheBytes sizes a private pool when Cache is nil. Zero leaves the
@@ -159,13 +164,9 @@ type Options struct {
 	// compute. Zero disables prefetch; it also requires a pool (Cache or
 	// CacheBytes) to hold the prefetched chunks.
 	Readahead int
-	// RawEncoding forces the legacy verbatim chunk layout instead of the
-	// lightweight per-column encodings — the measured baseline for the ENC
-	// experiment. Decode accepts both layouts either way.
-	RawEncoding bool
 	// OnBucketRead, when set, is called with a bucket's bounding box every
 	// time that bucket is consulted by a read (cache hit or miss alike —
-	// readBucketLocked is the single funnel). It is the access-heat sampling
+	// consultLocked is the single funnel). It is the access-heat sampling
 	// hook for online rebalancing. Called with the store lock held: the
 	// callback must be fast and must not call back into the store.
 	OnBucketRead func(box array.Box)
@@ -179,8 +180,8 @@ type bucketMeta struct {
 	path  string // file path, or "" when in-memory
 	data  []byte // in-memory payload when path == ""
 	// zones are the per-attribute zone maps computed when the bucket was
-	// encoded (nil for raw-encoded buckets, pre-zone buckets recovered
-	// from an old manifest, and nested-array columns). They let pruned
+	// encoded (nil for buckets whose manifest entry lost them, and for
+	// nested-array columns). They let pruned
 	// scans reject the bucket without reading it back from disk.
 	zones []*array.ZoneMap
 }
@@ -195,7 +196,7 @@ type Store struct {
 	opts   Options
 	codec  compress.Codec
 
-	// cache is the decoded-bucket buffer pool (nil = uncached); cacheID is
+	// cache is the decoded-section buffer pool (nil = uncached); cacheID is
 	// this store's key namespace within it.
 	cache   *bufcache.Pool
 	cacheID uint64
@@ -418,18 +419,21 @@ func (s *Store) flushLocked() error {
 }
 
 func (s *Store) writeBucketLocked(ch *array.Chunk) error {
-	var raw []byte
-	var zones []*array.ZoneMap
-	var err error
-	if s.opts.RawEncoding {
-		raw, err = EncodeChunkRaw(s.schema, ch)
-	} else {
-		raw, zones, err = EncodeChunkZones(s.schema, ch)
-	}
+	raw, zones, err := EncodeChunkZones(s.schema, ch)
 	if err != nil {
 		return err
 	}
-	enc := s.codec.Encode(raw)
+	_, err = s.installLocked(raw, ch, zones)
+	return err
+}
+
+// installLocked seals EncodeChunk bytes into a bucket — each section through
+// the store codec — writes it out, and indexes it under a fresh id.
+func (s *Store) installLocked(raw []byte, ch *array.Chunk, zones []*array.ZoneMap) (int64, error) {
+	enc, err := sealChunk(s.schema, raw, s.codec)
+	if err != nil {
+		return 0, err
+	}
 	s.stats.bytesRaw.Add(RawChunkSize(s.schema, ch))
 	s.stats.bytesEncoded.Add(int64(len(raw)))
 	id := s.nextID
@@ -438,7 +442,7 @@ func (s *Store) writeBucketLocked(ch *array.Chunk) error {
 	if s.opts.Dir != "" {
 		meta.path = filepath.Join(s.opts.Dir, fmt.Sprintf("bucket-%06d.sdb", id))
 		if err := os.WriteFile(meta.path, enc, 0o644); err != nil {
-			return fmt.Errorf("storage: %w", err)
+			return 0, fmt.Errorf("storage: %w", err)
 		}
 	} else {
 		meta.data = enc
@@ -447,65 +451,149 @@ func (s *Store) writeBucketLocked(ch *array.Chunk) error {
 	s.rt.Insert(meta.box, id)
 	s.stats.bucketsWritten.Add(1)
 	s.stats.bytesWritten.Add(int64(len(enc)))
-	if s.cache != nil {
-		// Defensive: a recycled id (possible only across manifest edits)
-		// must not serve another bucket's bytes.
-		s.cache.Invalidate(s.cacheKey(id))
+	// Defensive: a recycled id (possible only across manifest edits) must
+	// not serve another bucket's bytes.
+	s.uncache(id)
+	return id, nil
+}
+
+// cacheKey is the pool key for one section of one of this store's buckets.
+func (s *Store) cacheKey(id int64, col int) bufcache.Key {
+	return bufcache.Key{Store: s.cacheID, Bucket: id, Col: col}
+}
+
+// uncache drops every section of a bucket from the pool.
+func (s *Store) uncache(id int64) {
+	if s.cache == nil {
+		return
 	}
-	return nil
+	for col := bufcache.Frame; col < len(s.schema.Attrs); col++ {
+		s.cache.Invalidate(s.cacheKey(id, col))
+	}
 }
 
-// cacheKey is the pool key for one of this store's buckets.
-func (s *Store) cacheKey(id int64) bufcache.Key {
-	return bufcache.Key{Store: s.cacheID, Bucket: id}
-}
-
-// loadBucket reads a bucket from disk (or the in-memory payload) and
-// decodes it, counting the read. This is the path the buffer pool avoids.
-// It needs no lock: bucket metadata is immutable once inserted, the codec
-// is fixed at construction, and the stat counters are atomics — which is
-// what lets the scan prefetcher run it concurrently with a scan that holds
-// s.mu.
-func (s *Store) loadBucket(meta *bucketMeta) (*array.Chunk, error) {
-	var enc []byte
-	var err error
+// openBucket is the one place bucket bytes come off disk (or out of an
+// in-memory store's payload). It opens the bucket, reads and checks its
+// header, and returns a reader that fetches each section it is asked for
+// with one read, counting the bytes; done releases the file. It needs no
+// lock: bucket metadata is immutable once inserted, the codec is fixed at
+// construction, and the stat counters are atomics — which is what lets the
+// scan prefetcher run it beside a scan that holds s.mu.
+func (s *Store) openBucket(meta *bucketMeta) (cr *chunkReader, done func(), err error) {
+	total := int64(len(meta.data))
+	fetch := func(off int64, n int) ([]byte, error) {
+		s.stats.bytesRead.Add(int64(n))
+		return meta.data[off : off+int64(n)], nil
+	}
+	done = func() {}
 	if meta.path != "" {
-		enc, err = os.ReadFile(meta.path)
+		f, err := os.Open(meta.path)
 		if err != nil {
-			return nil, fmt.Errorf("storage: %w", err)
+			return nil, nil, fmt.Errorf("storage: %w", err)
 		}
-	} else {
-		enc = meta.data
-	}
-	raw, err := s.codec.Decode(enc)
-	if err != nil {
-		return nil, err
+		done = func() { f.Close() }
+		// The file's real length, not the manifest's: a torn or grown
+		// file then fails the header's tiling check.
+		fi, err := f.Stat()
+		if err != nil {
+			done()
+			return nil, nil, fmt.Errorf("storage: %w", err)
+		}
+		total = fi.Size()
+		fetch = func(off int64, n int) ([]byte, error) {
+			p := make([]byte, n)
+			if _, err := f.ReadAt(p, off); err != nil {
+				return nil, fmt.Errorf("storage: %w", err)
+			}
+			s.stats.bytesRead.Add(int64(n))
+			return p, nil
+		}
 	}
 	s.stats.bucketsRead.Add(1)
-	s.stats.bytesRead.Add(int64(len(enc)))
-	return DecodeChunk(s.schema, raw)
+	if cr, err = newChunkReader(s.schema, s.codec, total, fetch); err != nil {
+		done()
+		return nil, nil, err
+	}
+	return cr, done, nil
 }
 
-// readBucketLocked returns the decoded chunk for a bucket, consulting the
-// buffer pool first. The returned release func must be called once the
-// caller is done iterating the chunk: it unpins the pool entry so the
-// chunk becomes evictable again. Cached chunks are shared across readers
-// and must be treated as read-only.
-func (s *Store) readBucketLocked(meta *bucketMeta) (*array.Chunk, func(), error) {
-	if s.opts.OnBucketRead != nil {
-		s.opts.OnBucketRead(meta.box)
+// pinBucket returns a bucket as one read-only chunk holding its frame and
+// the columns attrs names (nil: all of them), the others nil. Each section
+// comes from the buffer pool, or is loaded into it — the bucket is opened
+// once, by the first section that misses — and stays pinned until release,
+// so eviction pressure can never yank it mid-read. A corrupt section fails
+// the read and leaves nothing cached.
+func (s *Store) pinBucket(meta *bucketMeta, attrs []int) (ch *array.Chunk, release func(), err error) {
+	var cr *chunkReader
+	done := func() {}
+	defer func() { done() }()
+	var pins []*bufcache.Handle
+	unpin := func() {
+		for _, h := range pins {
+			h.Release()
+		}
 	}
-	if s.cache == nil {
-		ch, err := s.loadBucket(meta)
-		return ch, func() {}, err
+	defer func() {
+		if err != nil {
+			// Sections that did load are sound, but a bucket that is
+			// corrupt anywhere is served from nowhere.
+			unpin()
+			s.uncache(meta.id)
+		}
+	}()
+	section := func(col int) (bufcache.Sized, error) {
+		load := func() (v bufcache.Sized, err error) {
+			if cr == nil {
+				var d func()
+				if cr, d, err = s.openBucket(meta); err == nil {
+					done = d
+				}
+			}
+			if err == nil && col == bufcache.Frame {
+				v, err = cr.frame()
+			} else if err == nil {
+				v, err = cr.column(col)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("bucket %d: %w", meta.id, err)
+			}
+			return v, nil
+		}
+		if s.cache == nil {
+			return load()
+		}
+		h, err := s.cache.GetOrLoad(s.cacheKey(meta.id, col), load)
+		if err != nil {
+			return nil, err
+		}
+		pins = append(pins, h)
+		return h.Value(), nil
 	}
-	h, err := s.cache.GetOrLoad(s.cacheKey(meta.id), func() (*array.Chunk, error) {
-		return s.loadBucket(meta)
-	})
+	f, err := section(bufcache.Frame)
 	if err != nil {
 		return nil, nil, err
 	}
-	return h.Chunk(), h.Release, nil
+	frame := f.(*array.Chunk)
+	ch = &array.Chunk{Origin: frame.Origin, Shape: frame.Shape, Present: frame.Present}
+	ch.Cols = make([]*array.Column, len(s.schema.Attrs))
+	for a := range ch.Cols {
+		if attrs != nil && !slices.Contains(attrs, a) {
+			continue
+		}
+		col, err := section(a)
+		if err != nil {
+			return nil, nil, err
+		}
+		ch.Cols[a] = col.(*array.Column)
+	}
+	return ch, unpin, nil
+}
+
+// consultLocked reports a read's consultation of a bucket to the heat hook.
+func (s *Store) consultLocked(meta *bucketMeta) {
+	if s.opts.OnBucketRead != nil {
+		s.opts.OnBucketRead(meta.box)
+	}
 }
 
 // Get returns one cell, consulting the memory buffer first, then newest
@@ -526,7 +614,8 @@ func (s *Store) Get(c array.Coord) (array.Cell, bool, error) {
 		return true
 	})
 	for best != nil {
-		ch, release, err := s.readBucketLocked(best)
+		s.consultLocked(best)
+		ch, release, err := s.pinBucket(best, nil)
 		if err != nil {
 			return nil, false, err
 		}
@@ -579,11 +668,13 @@ func (s *Store) MergeOnce() (bool, error) {
 	if bi == nil {
 		return false, nil
 	}
-	ci, releaseI, err := s.readBucketLocked(bi)
+	s.consultLocked(bi)
+	s.consultLocked(bj)
+	ci, releaseI, err := s.pinBucket(bi, nil)
 	if err != nil {
 		return false, err
 	}
-	cj, releaseJ, err := s.readBucketLocked(bj)
+	cj, releaseJ, err := s.pinBucket(bj, nil)
 	if err != nil {
 		releaseI()
 		return false, err
@@ -618,9 +709,7 @@ func (s *Store) MergeOnce() (bool, error) {
 	for _, m := range []*bucketMeta{bi, bj} {
 		s.rt.Delete(m.box, m.id)
 		delete(s.buckets, m.id)
-		if s.cache != nil {
-			s.cache.Invalidate(s.cacheKey(m.id))
-		}
+		s.uncache(m.id)
 		if m.path != "" {
 			_ = os.Remove(m.path)
 		}

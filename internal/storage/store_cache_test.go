@@ -8,6 +8,10 @@ import (
 	"scidb/internal/bufcache"
 )
 
+// perBucket is the pool entries one schema2D bucket makes: its frame and two
+// columns, each cached — and counted as a hit or a miss — on its own.
+const perBucket = 3
+
 // fillBuckets writes one cell per stride-aligned bucket and flushes after
 // each put, producing n distinct on-disk buckets along the x axis.
 func fillBuckets(t *testing.T, st *Store, n int64) {
@@ -54,8 +58,8 @@ func TestCachedScanZeroReads(t *testing.T) {
 		t.Fatalf("cold scan BucketsRead = %d, want 4", cold.BucketsRead)
 	}
 	cs := st.CacheStats()
-	if cs.Misses != 4 || cs.Loads != 4 {
-		t.Fatalf("cold cache stats = %+v, want 4 misses / 4 loads", cs)
+	if cs.Misses != 4*perBucket || cs.Loads != 4*perBucket {
+		t.Fatalf("cold cache stats = %+v, want a miss and a load per section of 4 buckets", cs)
 	}
 
 	// Warm: identical scan, zero disk reads, all hits.
@@ -68,11 +72,11 @@ func TestCachedScanZeroReads(t *testing.T) {
 		t.Errorf("warm scan read %d bytes from disk, want 0", got)
 	}
 	cs = st.CacheStats()
-	if cs.Hits != 4 {
-		t.Errorf("warm cache hits = %d, want 4", cs.Hits)
+	if cs.Hits != 4*perBucket {
+		t.Errorf("warm cache hits = %d, want %d", cs.Hits, 4*perBucket)
 	}
-	if cs.Misses != 4 {
-		t.Errorf("misses grew on warm scan: %d, want 4", cs.Misses)
+	if cs.Misses != 4*perBucket {
+		t.Errorf("misses grew on warm scan: %d, want %d", cs.Misses, 4*perBucket)
 	}
 	if n1 != n2 || sum1 != sum2 {
 		t.Errorf("warm scan returned different data: %d/%v vs %d/%v", n1, sum1, n2, sum2)
@@ -80,8 +84,8 @@ func TestCachedScanZeroReads(t *testing.T) {
 	if cs.PinnedBytes != 0 {
 		t.Errorf("pinned bytes leaked after scans: %d", cs.PinnedBytes)
 	}
-	if cs.Entries != 4 || cs.BytesResident <= 0 {
-		t.Errorf("resident accounting = %+v, want 4 entries and positive bytes", cs)
+	if cs.Entries != 4*perBucket || cs.BytesResident <= 0 {
+		t.Errorf("resident accounting = %+v, want %d entries and positive bytes", cs, 4*perBucket)
 	}
 }
 
@@ -104,8 +108,8 @@ func TestCachedGetWarm(t *testing.T) {
 	if got := st.Stats().BucketsRead; got != 1 {
 		t.Errorf("BucketsRead = %d after 3 Gets of one bucket, want 1", got)
 	}
-	if cs := st.CacheStats(); cs.Hits != 2 || cs.Misses != 1 {
-		t.Errorf("cache stats = %+v, want 2 hits / 1 miss", cs)
+	if cs := st.CacheStats(); cs.Hits != 2*perBucket || cs.Misses != perBucket {
+		t.Errorf("cache stats = %+v, want the bucket's sections missed once and hit twice", cs)
 	}
 }
 
@@ -131,8 +135,8 @@ func TestMergeInvalidatesCache(t *testing.T) {
 		oldIDs = append(oldIDs, id)
 	}
 	st.mu.Unlock()
-	if len(oldIDs) != 4 || pool.Len() != 4 {
-		t.Fatalf("setup: %d buckets, %d pool entries; want 4/4", len(oldIDs), pool.Len())
+	if len(oldIDs) != 4 || pool.Len() != 4*perBucket {
+		t.Fatalf("setup: %d buckets, %d pool entries; want 4/%d", len(oldIDs), pool.Len(), 4*perBucket)
 	}
 
 	merged, err := st.MergeOnce()
@@ -153,8 +157,10 @@ func TestMergeInvalidatesCache(t *testing.T) {
 		t.Fatalf("merge removed %d buckets, want 2", len(removed))
 	}
 	for _, id := range removed {
-		if pool.Contains(st.cacheKey(id)) {
-			t.Errorf("merged-away bucket %d still resident in pool", id)
+		for col := bufcache.Frame; col < len(st.schema.Attrs); col++ {
+			if pool.Contains(st.cacheKey(id, col)) {
+				t.Errorf("merged-away bucket %d section %d still resident in pool", id, col)
+			}
 		}
 	}
 	if got := st.CacheStats().Invalidations; got < 2 {
@@ -191,14 +197,14 @@ func TestSharedPoolStoreClose(t *testing.T) {
 	}
 	prime(a)
 	prime(b)
-	if pool.Len() != 4 {
-		t.Fatalf("pool entries = %d, want 4 (2 per store)", pool.Len())
+	if pool.Len() != 4*perBucket {
+		t.Fatalf("pool entries = %d, want %d (2 buckets per store)", pool.Len(), 4*perBucket)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Len() != 2 {
-		t.Errorf("pool entries after closing store A = %d, want 2", pool.Len())
+	if pool.Len() != 2*perBucket {
+		t.Errorf("pool entries after closing store A = %d, want %d", pool.Len(), 2*perBucket)
 	}
 	// Store B is untouched: its scan stays warm.
 	before := b.Stats().BucketsRead

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -110,15 +109,18 @@ func (w *FieldWriter) F64s(vs []float64) {
 
 // FieldReader mirrors FieldWriter on the decode side, accumulating the
 // first error (including short reads) and bounding length-prefixed fields.
-// When built over a byte slice (NewFieldReaderBytes) it also knows how many
+// Built over a byte slice (NewFieldReaderBytes) it reads straight from the
+// slice — no allocation or interface call per value — and knows how many
 // bytes remain, so decode paths can reject a corrupt count or length before
-// allocating for it.
+// allocating for it. Built over a stream (NewFieldReader) it stages each
+// fixed-width field in its own scratch array.
 type FieldReader struct {
+	buf []byte // slice mode: the unread bytes
 	r   io.Reader
 	err error
-	// rem reports the unread byte count, or nil when the source length is
-	// unknown (a streaming reader).
-	rem func() int
+	// scratch stages a streaming reader's fixed-width fields: a local array
+	// would escape through the io.Reader call and cost one allocation each.
+	scratch [8]byte
 }
 
 // NewFieldReader wraps r.
@@ -126,10 +128,7 @@ func NewFieldReader(r io.Reader) *FieldReader { return &FieldReader{r: r} }
 
 // NewFieldReaderBytes reads from data and tracks the remaining length, which
 // arms the Need bound checks on every size-prefixed decode.
-func NewFieldReaderBytes(data []byte) *FieldReader {
-	br := bytes.NewReader(data)
-	return &FieldReader{r: br, rem: br.Len}
-}
+func NewFieldReaderBytes(data []byte) *FieldReader { return &FieldReader{buf: data} }
 
 // Err returns the first error any read encountered.
 func (r *FieldReader) Err() error { return r.err }
@@ -138,10 +137,10 @@ func (r *FieldReader) Err() error { return r.err }
 // unknown (a streaming reader). Decoders use it to detect optional trailing
 // sections appended by newer peers: read them only when bytes remain.
 func (r *FieldReader) Remaining() int {
-	if r.rem == nil {
+	if r.r != nil {
 		return -1
 	}
-	return r.rem()
+	return len(r.buf)
 }
 
 // Need reports whether at least n more bytes remain, recording an error when
@@ -156,43 +155,85 @@ func (r *FieldReader) Need(n int64) bool {
 		r.err = fmt.Errorf("storage: negative field size %d", n)
 		return false
 	}
-	if r.rem != nil && int64(r.rem()) < n {
-		r.err = fmt.Errorf("storage: field claims %d bytes, only %d remain", n, r.rem())
+	if r.r == nil && int64(len(r.buf)) < n {
+		r.err = fmt.Errorf("storage: field claims %d bytes, only %d remain", n, len(r.buf))
 		return false
 	}
 	return true
 }
 
-// Raw fills p, recording io.ReadFull's error on a short read.
-func (r *FieldReader) Raw(p []byte) {
+// next returns the next n bytes: a view of the slice, or the stream's bytes
+// staged in the scratch array (n <= 8) or in fresh memory. The caller must
+// not modify them, and a staged result lasts only until the next read. It
+// returns nil once an error is set.
+func (r *FieldReader) next(n int) []byte {
 	if r.err != nil {
-		return
+		return nil
 	}
-	_, r.err = io.ReadFull(r.r, p)
+	if r.r != nil {
+		p := r.scratch[:min(n, len(r.scratch))]
+		if n > len(p) {
+			p = make([]byte, n)
+		}
+		if _, r.err = io.ReadFull(r.r, p); r.err != nil {
+			return nil
+		}
+		return p
+	}
+	if len(r.buf) < n {
+		r.err = io.ErrUnexpectedEOF
+		if len(r.buf) == 0 {
+			r.err = io.EOF
+		}
+		return nil
+	}
+	p := r.buf[:n]
+	r.buf = r.buf[n:]
+	return p
+}
+
+// Raw fills p, recording a short read as an error.
+func (r *FieldReader) Raw(p []byte) {
+	if r.r == nil {
+		copy(p, r.next(len(p)))
+	} else if r.err == nil {
+		_, r.err = io.ReadFull(r.r, p)
+	}
 }
 
 // U8 reads one byte.
 func (r *FieldReader) U8() uint8 {
-	var b [1]byte
-	r.Raw(b[:])
-	return b[0]
+	if p := r.next(1); p != nil {
+		return p[0]
+	}
+	return 0
 }
 
 // Bool reads a one-byte bool.
 func (r *FieldReader) Bool() bool { return r.U8() != 0 }
 
+// U16 reads a little-endian uint16.
+func (r *FieldReader) U16() uint16 {
+	if p := r.next(2); p != nil {
+		return binary.LittleEndian.Uint16(p)
+	}
+	return 0
+}
+
 // U32 reads a little-endian uint32.
 func (r *FieldReader) U32() uint32 {
-	var b [4]byte
-	r.Raw(b[:])
-	return binary.LittleEndian.Uint32(b[:])
+	if p := r.next(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
 }
 
 // U64 reads a little-endian uint64.
 func (r *FieldReader) U64() uint64 {
-	var b [8]byte
-	r.Raw(b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	if p := r.next(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
 }
 
 // I64 reads an int64.
@@ -200,6 +241,34 @@ func (r *FieldReader) I64() int64 { return int64(r.U64()) }
 
 // F64 reads a float64.
 func (r *FieldReader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// U64sInto fills dst with little-endian uint64s — one bounds check for the
+// whole vector. dst is left untouched on a short read.
+func (r *FieldReader) U64sInto(dst []uint64) {
+	if p := r.next(8 * len(dst)); p != nil {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(p[8*i:])
+		}
+	}
+}
+
+// I64sInto is U64sInto for int64s.
+func (r *FieldReader) I64sInto(dst []int64) {
+	if p := r.next(8 * len(dst)); p != nil {
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
+		}
+	}
+}
+
+// F64sInto is U64sInto for float64s.
+func (r *FieldReader) F64sInto(dst []float64) {
+	if p := r.next(8 * len(dst)); p != nil {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		}
+	}
+}
 
 // length reads and validates a u32 length prefix.
 func (r *FieldReader) length() int {
@@ -213,23 +282,25 @@ func (r *FieldReader) length() int {
 	return int(n)
 }
 
-// Bytes reads a u32-length-prefixed byte blob. A zero length returns nil.
-func (r *FieldReader) Bytes() []byte {
+// bytesView reads a u32-length-prefixed byte blob as next does: aliasing a
+// slice reader's buffer. A zero length returns nil.
+func (r *FieldReader) bytesView() []byte {
 	n := r.length()
 	if n == 0 || !r.Need(int64(n)) {
 		return nil
 	}
-	p := make([]byte, n)
-	r.Raw(p)
-	if r.err != nil {
-		return nil
-	}
-	return p
+	return r.next(n)
+}
+
+// Bytes reads a u32-length-prefixed byte blob into memory of the caller's
+// own. A zero length returns nil.
+func (r *FieldReader) Bytes() []byte {
+	return append([]byte(nil), r.bytesView()...)
 }
 
 // String reads a u32-length-prefixed string.
 func (r *FieldReader) String() string {
-	return string(r.Bytes())
+	return string(r.bytesView())
 }
 
 // Strings reads a u32-count-prefixed string slice. Each string costs at
@@ -256,9 +327,7 @@ func (r *FieldReader) I64s() []int64 {
 		return nil
 	}
 	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.I64()
-	}
+	r.I64sInto(out)
 	if r.err != nil {
 		return nil
 	}
@@ -272,9 +341,7 @@ func (r *FieldReader) F64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
-	}
+	r.F64sInto(out)
 	if r.err != nil {
 		return nil
 	}

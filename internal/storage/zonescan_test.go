@@ -114,7 +114,7 @@ func TestScanChunks(t *testing.T) {
 	defer st.Close()
 	q := array.NewBox(array.Coord{1, 1}, array.Coord{32, 32})
 	preds := []array.ZonePred{{Attr: 0, Op: ">=", Val: array.Float64(15)}}
-	cs := st.ScanChunks(q, preds)
+	cs := st.ScanChunks(q, preds, nil)
 	cells, delivered, alone := liveCells(t, cs)
 	if delivered != 2 || cs.Skipped() != 2 || len(cells) != 2 {
 		t.Errorf("delivered/skipped/cells = %d/%d/%d, want 2/2/2", delivered, cs.Skipped(), len(cells))
@@ -127,7 +127,7 @@ func TestScanChunks(t *testing.T) {
 
 	// Disjoint, wholly-inside chunks are delivered with their own presence
 	// bitmap as the mask: no shadow bookkeeping, nothing allocated.
-	if err := st.ScanChunks(q, nil).Each(func(lc LiveChunk) error {
+	if err := st.ScanChunks(q, nil, nil).Each(func(lc LiveChunk) error {
 		if lc.Live != lc.Chunk.Present {
 			t.Error("unshadowed chunk inside the box got a private mask")
 		}
@@ -140,7 +140,7 @@ func TestScanChunks(t *testing.T) {
 	// delivered itself; the bucket it overlaps is no longer Alone.
 	_ = st.Put(array.Coord{1, 1}, array.Cell{array.Float64(99), array.String64("")})
 	_ = st.Put(array.Coord{5, 5}, array.Cell{array.Float64(98), array.String64("")})
-	cells, delivered, alone = liveCells(t, st.ScanChunks(q, nil))
+	cells, delivered, alone = liveCells(t, st.ScanChunks(q, nil, nil))
 	if delivered != 5 || len(cells) != 5 || cells["1,1"] != 99 || cells["5,5"] != 98 {
 		t.Errorf("with buffered cells: %d chunks, cells %v", delivered, cells)
 	}
@@ -151,7 +151,7 @@ func TestScanChunks(t *testing.T) {
 	// After the flush two buckets overlap on that tile: newest still wins,
 	// and a box that cuts the tile trims the masks.
 	_ = st.Flush()
-	cells, _, _ = liveCells(t, st.ScanChunks(array.NewBox(array.Coord{1, 1}, array.Coord{4, 32}), nil))
+	cells, _, _ = liveCells(t, st.ScanChunks(array.NewBox(array.Coord{1, 1}, array.Coord{4, 32}), nil, nil))
 	if len(cells) != 1 || cells["1,1"] != 99 {
 		t.Errorf("box-cut overlapping buckets: cells %v, want only 1,1=99", cells)
 	}
