@@ -29,9 +29,10 @@ loc:
 race:
 	$(GO) test -race ./internal/exec ./internal/ops ./internal/bufcache ./internal/storage ./internal/cluster ./internal/obs ./internal/session ./internal/core ./internal/loader ./internal/insitu ./internal/partition ./internal/introspect
 
-# Short fuzz smoke over the chunk/array decoders. Each target must be
-# invoked separately: `go test -fuzz` refuses a pattern matching more
-# than one fuzz function.
+# Short fuzz smoke over the chunk/array decoders and, FuzzWorkerRead, the
+# worker's read against its cell oracle. Each target must be invoked
+# separately: `go test -fuzz` refuses a pattern matching more than one fuzz
+# function.
 FUZZTIME ?= 10s
 .PHONY: fuzz
 fuzz:
@@ -41,6 +42,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSessionFrame -fuzztime=$(FUZZTIME) ./internal/session
 	$(GO) test -run=NONE -fuzz=FuzzCSVShardSplit -fuzztime=$(FUZZTIME) ./internal/insitu
 	$(GO) test -run=NONE -fuzz=FuzzDecodeClusterMessage -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run=NONE -fuzz=FuzzWorkerRead -fuzztime=$(FUZZTIME) ./internal/cluster
 
 .PHONY: race-all
 race-all:
@@ -52,11 +54,11 @@ race-all:
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem . ./internal/ops ./internal/cluster ./internal/storage
 
-# One iteration of the fold kernels' micro-benchmarks (worker fold, local
-# Aggregate/Regrid) and of the cold read path's (column decode, cold chunk
-# scan), so CI runs what `make bench` measures.
+# One iteration of the fold kernels' micro-benchmarks (worker fold, whole
+# partition and boxed; local Aggregate/Regrid) and of the cold read path's
+# (column decode, cold chunk scan), so CI runs what `make bench` measures.
 bench-smoke:
-	$(GO) test -run=NONE -bench 'WorkerAgg|ParallelAggregate|ParallelRegrid' -benchtime=1x ./internal/cluster ./internal/ops
+	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|ParallelAggregate|ParallelRegrid' -benchtime=1x ./internal/cluster ./internal/ops
 	$(GO) test -run=NONE -bench 'DecodeColumn|StoreChunkScanCold' -benchtime=1x ./internal/storage
 
 # The standing benchmark suite is its own module under bench/, which the

@@ -152,7 +152,7 @@ func benchRawWorker(b *testing.B) (w *Worker, cells int64) {
 		}
 		load.Chunks = append(load.Chunks, payload)
 	}
-	for _, req := range []*Message{load, {Op: "flush", Array: "raw"}, {Op: "count", Array: "raw"}} {
+	for _, req := range []*Message{load, {Op: "flush", Array: "raw"}, {Op: "read", Array: "raw", Fold: &ops.FoldSpec{}}} {
 		if resp := w.Handle(req); resp.Err != "" {
 			b.Fatal(resp.Err)
 		}
@@ -175,13 +175,21 @@ func benchWorkerOp(b *testing.B, req *Message) {
 }
 
 func BenchmarkWorkerAggGrandTotal(b *testing.B) {
-	benchWorkerOp(b, &Message{Op: "agg", Array: "raw", Fold: ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "avg", Attr: "dn"}}}})
+	benchWorkerOp(b, &Message{Op: "read", Array: "raw", Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "avg", Attr: "dn"}}}})
 }
 
 func BenchmarkWorkerAggGroupBy(b *testing.B) {
-	benchWorkerOp(b, &Message{Op: "agg", Array: "raw", Fold: ops.FoldSpec{Dims: []string{"pass"}, Aggs: []ops.AggSpec{{Agg: "max", Attr: "dn"}}}})
+	benchWorkerOp(b, &Message{Op: "read", Array: "raw", Fold: &ops.FoldSpec{Dims: []string{"pass"}, Aggs: []ops.AggSpec{{Agg: "max", Attr: "dn"}}}})
 }
 
 func BenchmarkWorkerScan(b *testing.B) {
-	benchWorkerOp(b, &Message{Op: "scan", Array: "raw"})
+	benchWorkerOp(b, &Message{Op: "read", Array: "raw"})
+}
+
+// BenchmarkWorkerReadBoxFold is SS-DB Q1's shape: a grand total over a 64²
+// slab of one pass that straddles four buckets. ns/cell is still per cell
+// held, so it falls with the share of the partition the box leaves out.
+func BenchmarkWorkerReadBoxFold(b *testing.B) {
+	benchWorkerOp(b, &Message{Op: "read", Array: "raw", BoxLo: []int64{1, 11, 33}, BoxHi: []int64{1, 74, 96},
+		Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "avg", Attr: "dn"}}}})
 }

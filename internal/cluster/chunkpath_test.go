@@ -23,9 +23,9 @@ import (
 )
 
 // The differential property test for the chunk-at-a-time read path: seeded
-// random partitions on each of the three backings, queried with random
-// boxes, exclusion boxes, zone predicates and groupings at parallelism 1
-// and 4. Every agg / scan / count answer must equal a cell-level oracle
+// random partitions on each of the three backings, read with random
+// fragments — box × zone predicates × (fold | cells | count) — and exclusion
+// boxes at parallelism 1 and 4. Every answer must equal a cell-level oracle
 // written here — the reference implementation of the worker's read
 // semantics — and the two parallelisms must answer bit for bit alike.
 
@@ -95,7 +95,7 @@ func diffBatches(rng *rand.Rand) (batches []map[xy]array.Cell, final map[xy]arra
 	return batches, final
 }
 
-func handleOK(t *testing.T, w *Worker, req *Message) *Message {
+func handleOK(t testing.TB, w *Worker, req *Message) *Message {
 	t.Helper()
 	resp := w.Handle(req)
 	if resp.Err != "" {
@@ -105,7 +105,7 @@ func handleOK(t *testing.T, w *Worker, req *Message) *Message {
 }
 
 // putBatch sends cells through the worker's "put" op.
-func putBatch(t *testing.T, w *Worker, cells map[xy]array.Cell) {
+func putBatch(t testing.TB, w *Worker, cells map[xy]array.Cell) {
 	t.Helper()
 	a := array.MustNew(partitionSchema(diffSchema()))
 	for c, cell := range cells {
@@ -127,7 +127,7 @@ func putBatch(t *testing.T, w *Worker, cells map[xy]array.Cell) {
 // "store, 1-byte pool" backing is the same with a pool that keeps nothing:
 // every read loads its projected sections again, and readahead's pins are
 // all that holds a bucket between its load and its use.
-func buildDiffWorker(t *testing.T, rng *rand.Rand, backing string, batches []map[xy]array.Cell, final map[xy]array.Cell) *Worker {
+func buildDiffWorker(t testing.TB, rng *rand.Rand, backing string, batches []map[xy]array.Cell, final map[xy]array.Cell) *Worker {
 	t.Helper()
 	switch backing {
 	case "array":
@@ -212,16 +212,12 @@ func randQuery(rng *rand.Rand) diffQuery {
 	return q
 }
 
-func (q diffQuery) message(op string) *Message {
-	m := &Message{Op: op, Array: "d", BoxLo: q.box.Lo, BoxHi: q.box.Hi}
+// message is the query as a read request with the given sink: nil ships the
+// cells, a fold its table, a fold without aggregates the count.
+func (q diffQuery) message(fold *ops.FoldSpec) *Message {
+	m := &Message{Op: "read", Array: "d", BoxLo: q.box.Lo, BoxHi: q.box.Hi, Preds: q.preds, Fold: fold}
 	for _, b := range q.excl {
 		m.ExclLo, m.ExclHi = append(m.ExclLo, b.Lo), append(m.ExclHi, b.Hi)
-	}
-	switch op {
-	case "agg":
-		m.Fold = q.aggFold()
-	case "scan":
-		m.Preds = q.preds
 	}
 	return m
 }
@@ -241,11 +237,11 @@ func (q diffQuery) visible(c xy) bool {
 	return true
 }
 
-// aggFold is the fold the query's agg request asks for: the count of its
-// attribute per group and, when the attribute is numeric, its sum, minimum,
-// maximum and mean as well.
-func (q diffQuery) aggFold() ops.FoldSpec {
-	fs := ops.FoldSpec{Dims: q.groups, Aggs: []ops.AggSpec{{Agg: "count", Attr: q.attr}}}
+// aggFold is the fold the oracle checks cell by cell: the count of the
+// query's attribute per group and, when the attribute is numeric, its sum,
+// minimum, maximum and mean as well.
+func (q diffQuery) aggFold() *ops.FoldSpec {
+	fs := &ops.FoldSpec{Dims: q.groups, Aggs: []ops.AggSpec{{Agg: "count", Attr: q.attr}}}
 	if q.attr != "tag" {
 		for _, agg := range []string{"sum", "min", "max", "avg"} {
 			fs.Aggs = append(fs.Aggs, ops.AggSpec{Agg: agg, Attr: q.attr})
@@ -263,17 +259,14 @@ type oracleGroup struct {
 	numbers  int64 // non-NULL, non-NaN values: what min and max range over
 }
 
-// oracleAgg folds cell by cell, the way Worker.agg is specified: every
-// visible cell counts as scanned and opens its group, NULLs do not enter it,
-// and NaNs enter the count and the sum but neither extreme.
-func oracleAgg(final map[xy]array.Cell, q diffQuery) (groups map[string]*oracleGroup, scanned int64) {
+// oracleAgg folds cells (those the fragment's box, exclusions and predicates
+// leave) one by one, the way a worker's fold sink is specified: every cell
+// opens its group, NULLs do not enter it, and NaNs enter the count and the
+// sum but neither extreme.
+func oracleAgg(cells map[xy]array.Cell, q diffQuery) map[string]*oracleGroup {
 	attr := map[string]int{"v": 0, "k": 1, "tag": 2, "*": 0}[q.attr]
-	groups = map[string]*oracleGroup{}
-	for c, cell := range final {
-		if !q.visible(c) {
-			continue
-		}
-		scanned++
+	groups := map[string]*oracleGroup{}
+	for c, cell := range cells {
 		key := array.Coord{1}
 		if len(q.groups) > 0 {
 			key = make(array.Coord, len(q.groups))
@@ -300,12 +293,12 @@ func oracleAgg(final map[xy]array.Cell, q diffQuery) (groups map[string]*oracleG
 			g.min, g.max = math.Min(g.min, x), math.Max(g.max, x)
 		}
 	}
-	return groups, scanned
+	return groups
 }
 
 // checkAgainstOracle holds the array a worker's table terminates into to the
 // oracle's groups.
-func checkAgainstOracle(t *testing.T, name string, got *array.Array, groups map[string]*oracleGroup, q diffQuery) {
+func checkAgainstOracle(t testing.TB, name string, got *array.Array, groups map[string]*oracleGroup, q diffQuery) {
 	t.Helper()
 	if got.Count() != int64(len(groups)) {
 		t.Fatalf("%s: %d groups, oracle has %d", name, got.Count(), len(groups))
@@ -335,7 +328,7 @@ func checkAgainstOracle(t *testing.T, name string, got *array.Array, groups map[
 }
 
 // foldResult terminates one worker's table the way the coordinator does.
-func foldResult(t *testing.T, spec ops.FoldSpec, table *ops.FoldTable) *array.Array {
+func foldResult(t testing.TB, spec ops.FoldSpec, table *ops.FoldTable) *array.Array {
 	t.Helper()
 	fold, err := ops.NewFold(diffSchema(), spec, nil)
 	if err != nil {
@@ -349,9 +342,10 @@ func foldResult(t *testing.T, spec ops.FoldSpec, table *ops.FoldTable) *array.Ar
 }
 
 // sameKernelFolds are the folds the worker must answer exactly as
-// ops.Aggregate / ops.Regrid answer over the same cells in memory — it is
-// the same kernel: each of the six aggregates over the float and the int
-// attribute, one multi-aggregate fold and one strided one.
+// ops.FoldArray (the body of ops.Aggregate and ops.Regrid) answers over the
+// same cells in memory — it is the same kernel: each of the six aggregates
+// over the float and the int attribute, one multi-aggregate fold and one
+// strided one.
 func sameKernelFolds(groups []string) []ops.FoldSpec {
 	var out []ops.FoldSpec
 	for _, attr := range []string{"v", "k"} {
@@ -366,19 +360,13 @@ func sameKernelFolds(groups []string) []ops.FoldSpec {
 	)
 }
 
-// checkAgainstOps compares a worker's answer with the local operator's over
-// the visible cells: schema, groups, and every value to the bit — except
-// stdev where the partition's chunks are not the memory array's (exact), as
+// checkAgainstOps compares a worker's answer with the local fold's over the
+// same cells: schema, groups, and every value to the bit — except stdev
+// where the partition's chunks are not the memory array's (exact), as
 // Welford states then merge in another order.
-func checkAgainstOps(t *testing.T, name string, spec ops.FoldSpec, got, visible *array.Array, exact bool) {
+func checkAgainstOps(t testing.TB, name string, spec ops.FoldSpec, got, cells *array.Array, exact bool) {
 	t.Helper()
-	var want *array.Array
-	var err error
-	if spec.Strides != nil {
-		want, err = ops.Regrid(visible, spec.Strides, spec.Aggs[0], udf.NewRegistry())
-	} else {
-		want, err = ops.Aggregate(visible, spec.Dims, spec.Aggs, udf.NewRegistry())
-	}
+	want, err := ops.FoldArray(context.Background(), cells, array.WholeBox(cells.Schema), spec, udf.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +394,7 @@ func sameFloat(a, b float64) bool {
 }
 
 // sameTable compares partial tables by their wire image (NaN state included).
-func sameTable(t *testing.T, a, b *ops.FoldTable) bool {
+func sameTable(t testing.TB, a, b *ops.FoldTable) bool {
 	t.Helper()
 	ea, err := encodeMessage(&Message{Table: a})
 	if err != nil {
@@ -432,85 +420,121 @@ func sameCell(a, b array.Cell) bool {
 }
 
 func TestChunkPathMatchesCellOracle(t *testing.T) {
-	defer exec.SetParallelism(exec.Parallelism())
 	for seed := int64(1); seed <= 8; seed++ {
-		for _, backing := range []string{"array", "store", "store, 1-byte pool", "insitu"} {
-			rng := rand.New(rand.NewSource(seed))
-			batches, final := diffBatches(rng)
-			w := buildDiffWorker(t, rng, backing, batches, final)
-			for qi := 0; qi < 12; qi++ {
-				q := randQuery(rng)
-				name := fmt.Sprintf("seed %d %s query %d %+v", seed, backing, qi, q)
-				wantGroups, wantScanned := oracleAgg(final, q)
-				wantCells := map[xy]array.Cell{}
-				visible := array.MustNew(diffSchema())
-				var wantCount int64
-				for c, cell := range final {
-					if q.visible(c) {
-						wantCount++
-						if err := visible.Set(array.Coord{c[0], c[1]}, cell); err != nil {
-							t.Fatal(err)
-						}
-						if ops.CellMatchesPreds(q.preds, cell) {
-							wantCells[c] = cell
-						}
-					}
+		checkWorkerRead(t, seed)
+	}
+}
+
+// FuzzWorkerRead hands checkWorkerRead seeds of the fuzzer's choosing, so a
+// fragment the read path answers wrongly minimises to the one int64 that
+// draws it.
+func FuzzWorkerRead(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(checkWorkerRead)
+}
+
+// checkWorkerRead draws a write history from seed, holds it on each backing
+// and reads it with twelve random queries, each through all three sinks.
+func checkWorkerRead(t *testing.T, seed int64) {
+	defer exec.SetParallelism(exec.Parallelism())
+	for _, backing := range []string{"array", "store", "store, 1-byte pool", "insitu"} {
+		rng := rand.New(rand.NewSource(seed))
+		batches, final := diffBatches(rng)
+		w := buildDiffWorker(t, rng, backing, batches, final)
+		for qi := 0; qi < 12; qi++ {
+			q := randQuery(rng)
+			name := fmt.Sprintf("seed %d %s query %d %+v", seed, backing, qi, q)
+			// The oracle: the cells the box and the exclusions leave are
+			// seen, those of them the predicates pass are answered.
+			var wantSeen int64
+			wantCells := map[xy]array.Cell{}
+			matched := array.MustNew(diffSchema())
+			for c, cell := range final {
+				if !q.visible(c) {
+					continue
 				}
-				var first [3]*Message
-				var firstFolds []*ops.FoldTable
-				for _, par := range []int{1, 4} {
-					exec.SetParallelism(par)
-					before := w.Stats().CellsScanned
-					agg := handleOK(t, w, q.message("agg"))
-					checkAgainstOracle(t, fmt.Sprintf("%s par %d: agg", name, par), foldResult(t, q.aggFold(), agg.Table), wantGroups, q)
-					if got := w.Stats().CellsScanned - before; got != wantScanned {
-						t.Fatalf("%s par %d: agg scanned %d cells, want %d", name, par, got, wantScanned)
-					}
-					var folds []*ops.FoldTable
-					for _, spec := range sameKernelFolds(q.groups) {
-						m := q.message("agg")
-						m.Fold = spec
-						table := handleOK(t, w, m).Table
-						// Only the array backing chunks its partition as the
-						// memory array is chunked.
-						checkAgainstOps(t, fmt.Sprintf("%s par %d", name, par), spec, foldResult(t, spec, table), visible, backing == "array")
-						folds = append(folds, table)
-					}
-					scan := handleOK(t, w, q.message("scan"))
-					got, err := storage.DecodeArray(partitionSchema(diffSchema()), scan.Payload)
-					if err != nil {
+				wantSeen++
+				if ops.CellMatchesPreds(q.preds, cell) {
+					wantCells[c] = cell
+					if err := matched.Set(array.Coord{c[0], c[1]}, cell); err != nil {
 						t.Fatal(err)
 					}
-					if scan.Cells != int64(len(wantCells)) || got.Count() != scan.Cells {
-						t.Fatalf("%s par %d: scan shipped %d cells (payload holds %d), want %d", name, par, scan.Cells, got.Count(), len(wantCells))
+				}
+			}
+			wantGroups := oracleAgg(wantCells, q)
+			// checkCounters holds a response's counters to the oracle. A
+			// bucket pruned unread is not seen, so Seen is exact only
+			// without one; only stores prune.
+			checkCounters := func(par int, sink string, resp *Message) {
+				t.Helper()
+				if resp.Cells != int64(len(wantCells)) {
+					t.Fatalf("%s par %d: %s answered %d cells, want %d", name, par, sink, resp.Cells, len(wantCells))
+				}
+				if resp.Seen < resp.Cells || resp.Seen > wantSeen || resp.Skipped == 0 && resp.Seen != wantSeen {
+					t.Fatalf("%s par %d: %s saw %d cells (%d buckets skipped), oracle sees %d and answers %d", name, par, sink, resp.Seen, resp.Skipped, wantSeen, resp.Cells)
+				}
+				if resp.Skipped != 0 && (len(q.preds) == 0 || !strings.HasPrefix(backing, "store")) {
+					t.Fatalf("%s par %d: %s skipped %d buckets", name, par, sink, resp.Skipped)
+				}
+			}
+			var first [3]*Message
+			var firstFolds []*ops.FoldTable
+			for _, par := range []int{1, 4} {
+				exec.SetParallelism(par)
+				before := w.Stats().CellsScanned
+				agg := handleOK(t, w, q.message(q.aggFold()))
+				checkCounters(par, "fold", agg)
+				checkAgainstOracle(t, fmt.Sprintf("%s par %d: fold", name, par), foldResult(t, *q.aggFold(), agg.Table), wantGroups, q)
+				if got := w.Stats().CellsScanned - before; got != agg.Cells {
+					t.Fatalf("%s par %d: fold scanned %d cells, want %d", name, par, got, agg.Cells)
+				}
+				var folds []*ops.FoldTable
+				for _, spec := range sameKernelFolds(q.groups) {
+					table := handleOK(t, w, q.message(&spec)).Table
+					// Only the array backing chunks its partition as the
+					// memory array is chunked.
+					checkAgainstOps(t, fmt.Sprintf("%s par %d", name, par), spec, foldResult(t, spec, table), matched, backing == "array")
+					folds = append(folds, table)
+				}
+				cells := handleOK(t, w, q.message(nil))
+				checkCounters(par, "cells", cells)
+				got, err := storage.DecodeArray(partitionSchema(diffSchema()), cells.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Count() != cells.Cells {
+					t.Fatalf("%s par %d: cells payload holds %d cells, response says %d", name, par, got.Count(), cells.Cells)
+				}
+				got.Iter(func(c array.Coord, cell array.Cell) bool {
+					if want, ok := wantCells[xy{c[0], c[1]}]; !ok || !sameCell(cell, want) {
+						t.Fatalf("%s par %d: shipped cell %v = %v, want %v (present %v)", name, par, c, cell, want, ok)
 					}
-					got.Iter(func(c array.Coord, cell array.Cell) bool {
-						if want, ok := wantCells[xy{c[0], c[1]}]; !ok || !sameCell(cell, want) {
-							t.Fatalf("%s par %d: scan cell %v = %v, want %v (present %v)", name, par, c, cell, want, ok)
-						}
-						return true
-					})
-					count := handleOK(t, w, q.message("count"))
-					if count.Cells != wantCount {
-						t.Fatalf("%s par %d: count %d, want %d", name, par, count.Cells, wantCount)
-					}
-					if par == 1 {
-						first, firstFolds = [3]*Message{agg, scan, count}, folds
-						continue
-					}
-					if !sameTable(t, agg.Table, first[0].Table) || !bytes.Equal(scan.Payload, first[1].Payload) || count.Cells != first[2].Cells {
-						t.Fatalf("%s: parallelism 4 answered differently from parallelism 1", name)
-					}
-					for i := range folds {
-						if !sameTable(t, folds[i], firstFolds[i]) {
-							t.Fatalf("%s: fold %d at parallelism 4 differs from parallelism 1", name, i)
-						}
+					return true
+				})
+				before = w.Stats().CellsScanned
+				count := handleOK(t, w, q.message(&ops.FoldSpec{}))
+				checkCounters(par, "count", count)
+				if got := w.Stats().CellsScanned - before; got != 0 && len(q.preds) == 0 {
+					t.Fatalf("%s par %d: a count without predicates reads no column, yet scanned %d cells", name, par, got)
+				}
+				if par == 1 {
+					first, firstFolds = [3]*Message{agg, cells, count}, folds
+					continue
+				}
+				if !sameTable(t, agg.Table, first[0].Table) || !bytes.Equal(cells.Payload, first[1].Payload) || !sameTable(t, count.Table, first[2].Table) {
+					t.Fatalf("%s: parallelism 4 answered differently from parallelism 1", name)
+				}
+				for i := range folds {
+					if !sameTable(t, folds[i], firstFolds[i]) {
+						t.Fatalf("%s: fold %d at parallelism 4 differs from parallelism 1", name, i)
 					}
 				}
 			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -573,7 +597,7 @@ func TestPutStreamIntoPersistWorker(t *testing.T) {
 	if got := w.StoreStats().Flushes; got != wantFlushes {
 		t.Errorf("store flushed %d times during the stream, model says %d", got, wantFlushes)
 	}
-	if got := handleOK(t, w, &Message{Op: "count", Array: "s"}).Cells; got != n*n {
+	if got := handleOK(t, w, countReq("s")).Cells; got != n*n {
 		t.Errorf("count after stream = %d, want %d", got, n*n)
 	}
 }
@@ -588,9 +612,9 @@ func TestConcurrentReadOpsShareWorker(t *testing.T) {
 		batches, final := diffBatches(rng)
 		w := buildDiffWorker(t, rng, backing, batches, final)
 		reqs := []*Message{
-			{Op: "agg", Array: "d", Fold: ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "sum", Attr: "v"}, {Agg: "stdev", Attr: "v"}}}},
-			{Op: "scan", Array: "d", BoxLo: []int64{3, 3}, BoxHi: []int64{30, 30}},
-			{Op: "count", Array: "d"},
+			{Op: "read", Array: "d", Fold: &ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "sum", Attr: "v"}, {Agg: "stdev", Attr: "v"}}}},
+			{Op: "read", Array: "d", BoxLo: []int64{3, 3}, BoxHi: []int64{30, 30}},
+			countReq("d"),
 			{Op: "sjoin", Array: "d", Array2: "d", OnL: []string{"x", "y"}, OnR: []string{"x", "y"}},
 		}
 		// The concurrent requests come first, against a partition nothing
@@ -613,7 +637,7 @@ func TestConcurrentReadOpsShareWorker(t *testing.T) {
 			for g := i; g < len(got); g += len(reqs) {
 				if resp := got[g]; resp.Err != "" || resp.Cells != alone.Cells || !bytes.Equal(resp.Payload, alone.Payload) ||
 					!sameTable(t, resp.Table, alone.Table) {
-					t.Errorf("%s: concurrent %s differs from the same request run alone (err %q)", backing, req.Op, resp.Err)
+					t.Errorf("%s: concurrent %s differs from the same request run alone (err %q)", backing, spanName(req), resp.Err)
 				}
 			}
 		}
@@ -647,9 +671,9 @@ func TestWorkerOpsReportCorruptBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := []*Message{
-		{Op: "agg", Array: "d", Fold: ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "k"}}}},
-		{Op: "scan", Array: "d"},
-		{Op: "count", Array: "d"},
+		{Op: "read", Array: "d", Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "k"}}}},
+		{Op: "read", Array: "d"},
+		countReq("d"),
 	}
 	want := make([]*Message, len(reqs))
 	for i, req := range reqs {
@@ -670,23 +694,23 @@ func TestWorkerOpsReportCorruptBucket(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, req := range reqs {
-			st.ReleaseRegion(fullBox(2)) // read the file, not the pool
+			st.ReleaseRegion(array.WholeBox(st.Schema())) // read the file, not the pool
 			_, err := w.handle(context.Background(), req)
 			if c.fail[i] && !errors.Is(err, storage.ErrCorrupt) {
-				t.Errorf("byte %d flipped: %s error = %v, want ErrCorrupt", c.off, req.Op, err)
+				t.Errorf("byte %d flipped: %s error = %v, want ErrCorrupt", c.off, spanName(req), err)
 			} else if !c.fail[i] && err != nil {
-				t.Errorf("byte %d flipped in a column %s does not read: %v", c.off, req.Op, err)
+				t.Errorf("byte %d flipped in a column %s does not read: %v", c.off, spanName(req), err)
 			}
 		}
 	}
 	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st.ReleaseRegion(fullBox(2))
+	st.ReleaseRegion(array.WholeBox(st.Schema()))
 	for i, req := range reqs {
 		got := handleOK(t, w, req)
 		if got.Cells != want[i].Cells || !bytes.Equal(got.Payload, want[i].Payload) || (got.Table != nil && !sameTable(t, got.Table, want[i].Table)) {
-			t.Errorf("%s answers differently once the file is restored", req.Op)
+			t.Errorf("%s answers differently once the file is restored", spanName(req))
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package cluster
 
-// The worker's chunk-at-a-time read path. Every read op — agg, scan, count,
-// and the materialization behind sjoin — pulls (chunk, live-slot mask) pairs
-// from one chunkSource, whichever of the three backings holds the partition,
-// and works on typed columns under the mask (agg through ops.Fold, the one
-// aggregation engine). Nothing here boxes a cell, keys a coordinate, or
-// allocates per cell.
+// The worker's chunk-at-a-time read path. read — whichever sink its fragment
+// asks for — and the materialization behind sjoin pull (chunk, live-slot
+// mask) pairs from one chunkSource, whichever of the three backings holds the
+// partition, and work on typed columns under the mask (a fold through
+// ops.Fold, the one aggregation engine). Nothing here boxes a cell, keys a
+// coordinate, or allocates per cell.
 
 import (
 	"context"

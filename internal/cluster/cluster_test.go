@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 
 	"scidb/internal/array"
@@ -329,7 +330,7 @@ func TestTCPTransport(t *testing.T) {
 		t.Errorf("sum over TCP = %v, want 136", cell[0].AsFloat())
 	}
 	// Errors propagate across the wire.
-	if _, err := tr.Call(0, &Message{Op: "scan", Array: "ghost"}); err == nil {
+	if _, err := tr.Call(0, &Message{Op: "read", Array: "ghost"}); err == nil {
 		t.Error("remote error not propagated")
 	}
 	// Bad dial fails cleanly.
@@ -347,7 +348,7 @@ func TestDropArray(t *testing.T) {
 	if _, err := tr.Call(0, &Message{Op: "drop", Array: "sky"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Call(0, &Message{Op: "count", Array: "sky"}); err == nil {
+	if _, err := tr.Call(0, countReq("sky")); err == nil {
 		t.Error("dropped array still present")
 	}
 }
@@ -359,7 +360,7 @@ func TestWorkerOpErrors(t *testing.T) {
 		t.Error("create without schema accepted")
 	}
 	// ops against unknown arrays
-	for _, op := range []string{"put", "scan", "agg", "count", "replace"} {
+	for _, op := range []string{"put", "read", "replace"} {
 		if _, err := tr.Call(0, &Message{Op: op, Array: "ghost"}); err == nil {
 			t.Errorf("%s on unknown array accepted", op)
 		}
@@ -378,20 +379,23 @@ func TestWorkerOpErrors(t *testing.T) {
 	if _, err := tr.Call(0, &Message{Op: "sjoin", Array: "a", Array2: "ghost", OnL: []string{"x"}, OnR: []string{"x"}}); err == nil {
 		t.Error("sjoin with unknown right array accepted")
 	}
-	// agg with unknown attribute / dimension, without a fold, and with a fold
-	// whose state cannot travel
+	// the read ops "read" replaced are gone: no alias answers for them
+	for _, op := range []string{"scan", "agg", "count"} {
+		if _, err := tr.Call(0, &Message{Op: op, Array: "a"}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("%s on a held array: %v, want unknown op", op, err)
+		}
+	}
+	// a fold with an unknown attribute / dimension, and one whose state
+	// cannot travel
 	sum := func(attr string) []ops.AggSpec { return []ops.AggSpec{{Agg: "sum", Attr: attr}} }
-	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a", Fold: ops.FoldSpec{Aggs: sum("zzz")}}); err == nil {
-		t.Error("agg unknown attr accepted")
+	if _, err := tr.Call(0, &Message{Op: "read", Array: "a", Fold: &ops.FoldSpec{Aggs: sum("zzz")}}); err == nil {
+		t.Error("fold of an unknown attr accepted")
 	}
-	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a", Fold: ops.FoldSpec{Dims: []string{"zzz"}, Aggs: sum("")}}); err == nil {
-		t.Error("agg unknown dim accepted")
+	if _, err := tr.Call(0, &Message{Op: "read", Array: "a", Fold: &ops.FoldSpec{Dims: []string{"zzz"}, Aggs: sum("")}}); err == nil {
+		t.Error("fold over an unknown dim accepted")
 	}
-	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a"}); err == nil {
-		t.Error("agg without a fold accepted")
-	}
-	if _, err := tr.Call(0, &Message{Op: "agg", Array: "a", Fold: ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "median"}}}}); err == nil {
-		t.Error("agg of an aggregate without typed state accepted")
+	if _, err := tr.Call(0, &Message{Op: "read", Array: "a", Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "median"}}}}); err == nil {
+		t.Error("fold of an aggregate without typed state accepted")
 	}
 	// corrupted payload
 	if _, err := tr.Call(0, &Message{Op: "put", Array: "a", Payload: []byte{1, 2, 3}}); err == nil {
@@ -536,7 +540,7 @@ func TestWorkerConcurrentAccess(t *testing.T) {
 					done <- fmt.Errorf("put: %s", resp.Err)
 					return
 				}
-				if resp := w.Handle(&Message{Op: "count", Array: "c"}); resp.Err != "" {
+				if resp := w.Handle(countReq("c")); resp.Err != "" {
 					done <- fmt.Errorf("count: %s", resp.Err)
 					return
 				}
@@ -553,7 +557,7 @@ func TestWorkerConcurrentAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp := w.Handle(&Message{Op: "count", Array: "c"})
+	resp := w.Handle(countReq("c"))
 	if resp.Cells != 64 {
 		t.Errorf("final count = %d, want 64", resp.Cells)
 	}
@@ -561,6 +565,12 @@ func TestWorkerConcurrentAccess(t *testing.T) {
 
 func encodeForTest(a *array.Array) ([]byte, error) {
 	return storage.EncodeArray(a)
+}
+
+// countReq is the read that counts an array's cells on one node: a fold
+// with no aggregates.
+func countReq(name string) *Message {
+	return &Message{Op: "read", Array: name, Fold: &ops.FoldSpec{}}
 }
 
 func TestBoxPruningSkipsNodes(t *testing.T) {

@@ -165,9 +165,9 @@ func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 
 	// Error propagation: the worker's message must cross every transport.
 	for _, bad := range []*Message{
-		{Op: "scan", Array: "ghost"},
+		{Op: "read", Array: "ghost"},
 		{Op: "frobnicate"},
-		{Op: "agg", Array: "conf", Fold: ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "zzz"}}}},
+		{Op: "read", Array: "conf", Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "zzz"}}}},
 		{Op: "put", Array: "conf", Payload: []byte{1, 2, 3}},
 	} {
 		_, err := tr.Call(0, bad)
@@ -360,7 +360,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := tr.Call(0, &Message{Op: "count", Array: "d"})
+			_, err := tr.Call(0, countReq("d"))
 			results <- err
 		}()
 	}

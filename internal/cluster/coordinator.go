@@ -150,14 +150,7 @@ func (co *Coordinator) Put(name string, c array.Coord, cell array.Cell) error {
 	for _, node := range nodes {
 		buf, ok := da.staging[node]
 		if !ok {
-			s := da.Schema.Clone()
-			for i := range s.Dims {
-				s.Dims[i].High = array.Unbounded
-				if s.Dims[i].ChunkLen <= 0 {
-					s.Dims[i].ChunkLen = array.DefaultChunkLen
-				}
-			}
-			buf, err = array.New(s)
+			buf, err = array.New(partitionSchema(da.Schema))
 			if err != nil {
 				return err
 			}
@@ -218,69 +211,158 @@ func (co *Coordinator) flushLocked(da *DistArray) error {
 	return nil
 }
 
-// graftRemote attaches per-node span trees to the coordinator-side span in
-// node order (fan-out completion order is nondeterministic; grafting after
-// the barrier keeps profile trees identical from run to run).
-func graftRemote(span *obs.Span, remote []*obs.Span) {
-	if span == nil {
-		return
-	}
-	for _, r := range remote {
-		span.Graft(r)
-	}
+// gather is where the cells of one fan-out's responses meet. The parts are
+// disjoint — a plan has exactly one replica answer each routed chunk, a
+// join's outputs follow the left array's partitioning — so each merges in as
+// it arrives, whatever the order, and a grid-aligned chunk whose region no
+// other part has touched is adopted wholesale (MergeChunk) instead of
+// re-setting every cell through the coordinator's write path.
+type gather struct {
+	// s is the schema the cells are under; nil takes the partition form of
+	// the responses' own (a join's output).
+	s   *array.Schema
+	mu  sync.Mutex
+	out *array.Array // nil until a part arrives
 }
 
-// Count sums cell counts across nodes.
-func (co *Coordinator) Count(name string) (int64, error) {
-	return co.CountCtx(context.Background(), name)
-}
-
-// CountCtx is Count under a context; a traced query's span collects the
-// per-node worker spans.
-func (co *Coordinator) CountCtx(ctx context.Context, name string) (int64, error) {
-	co.mu.Lock()
-	da, err := co.dist(name)
-	co.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	// A node with exclusions counts through the iterator (its partition
-	// holds chunks another replica answers, or stale migrated copies);
-	// exclusion-free nodes keep the fast path.
-	resps, err := co.ask(ctx, da, array.Box{}, &Message{Op: "count", Array: da.Name})
-	var total int64
-	for _, resp := range resps {
-		total += resp.Cells
-	}
-	return total, err
-}
-
-// ask sends base to every node of a plan for box and returns the responses
-// in plan order. Exactly one replica answers a routed chunk (the plan's
-// exclude lists); one dying mid-query makes withPlan re-plan and ask again.
-// A traced query's span adopts the workers' span trees after the barrier, in
-// plan order, so profiles are identical from run to run.
-func (co *Coordinator) ask(ctx context.Context, da *DistArray, box array.Box, base *Message) ([]*Message, error) {
-	span := obs.SpanFromContext(ctx)
-	base.TraceID = span.TraceID()
-	var resps []*Message
-	if err := co.withPlan(da, box, func(plan queryPlan) error {
-		fresh := make([]*Message, len(plan.nodes))
-		err := fanout(plan.nodes, func(i, n int) (err error) {
-			fresh[i], err = co.callNode(n, plan.reqFor(base, n))
+func (g *gather) add(part *array.Array) (err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.out == nil {
+		if g.out, err = array.New(part.Schema.Clone()); err != nil {
 			return err
-		})
-		resps = fresh
-		return err
-	}); err != nil {
+		}
+	}
+	for _, ch := range part.Chunks() {
+		if err := g.out.MergeChunk(ch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// array returns what was gathered: an empty array under s if no part arrived.
+func (g *gather) array() (*array.Array, error) {
+	if g.out != nil {
+		return g.out, nil
+	}
+	return array.New(g.s.Clone())
+}
+
+// callInto is the per-response step of every gather: one transport call with
+// death bookkeeping, and the response's cells — a fold's carries none —
+// decoded and merged into g on the fan-out's own goroutine, so one node's
+// payload is decoded and merged while slower nodes are still answering.
+func (co *Coordinator) callInto(n int, req *Message, g *gather) (*Message, error) {
+	resp, err := co.callNode(n, req)
+	if err != nil || len(resp.Payload) == 0 {
+		return resp, err
+	}
+	s := g.s
+	if s == nil {
+		if resp.Schema == nil {
+			return nil, fmt.Errorf("cluster: node %d answered %s with cells but no schema", n, req.Op)
+		}
+		s = partitionSchema(resp.Schema)
+	}
+	part, err := storage.DecodeArray(s.Clone(), resp.Payload)
+	if err != nil {
 		return nil, err
 	}
+	return resp, g.add(part)
+}
+
+// graft attaches the workers' span trees to the coordinator-side span in the
+// order of resps (fan-out completion order is nondeterministic; grafting
+// after the barrier keeps profile trees identical from run to run).
+func graft(span *obs.Span, resps []*Message) {
 	for _, resp := range resps {
 		if len(resp.Spans) > 0 {
 			span.Graft(obs.Rebuild(resp.Spans))
 		}
 	}
-	return resps, nil
+}
+
+// ask is the fan-out of a read: it sends base to every node of a plan for
+// box and returns the responses in plan order and, gathered under s, the
+// cells they carried. Exactly one replica answers a routed chunk (the plan's
+// exclude lists); one dying mid-query surfaces ErrNodeDown, withPlan re-plans
+// against the survivors and every node is asked again, into a fresh gather.
+// A traced query's span adopts the workers' span trees.
+func (co *Coordinator) ask(ctx context.Context, da *DistArray, box array.Box, base *Message, s *array.Schema) (resps []*Message, g *gather, err error) {
+	span := obs.SpanFromContext(ctx)
+	base.TraceID = span.TraceID()
+	err = co.withPlan(da, box, func(plan queryPlan) error {
+		resps, g = make([]*Message, len(plan.nodes)), &gather{s: s}
+		return fanout(plan.nodes, func(i, n int) (err error) {
+			resps[i], err = co.callInto(n, plan.reqFor(base, n), g)
+			return err
+		})
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	graft(span, resps)
+	return resps, g, nil
+}
+
+// Read runs a fragment over a distributed array, moving only its answer:
+// every node holding part of frag.Box trims its chunks by the box and the
+// predicates (skipping buckets whose zone maps refute them — "prune before
+// shipping bytes") and ships the cells left, or the partial table frag.Fold
+// folds them into. Cells gather here into one array under the partition
+// schema; tables merge — in plan order, so the floating-point result is the
+// same from run to run — into the array the same fold builds over the
+// gathered cells, names, types and bounds alike (only folds whose state is
+// typed throughout, ops.NewFold with no registry, run this way). A fold
+// without aggregates builds no array: cells, which every read reports, is its
+// answer. seen counts the live cells the nodes read in the box before the
+// predicates, skipped the buckets they pruned unread.
+func (co *Coordinator) Read(ctx context.Context, name string, frag ops.Fragment) (a *array.Array, cells, seen, skipped int64, err error) {
+	co.mu.Lock()
+	da, err := co.dist(name)
+	co.mu.Unlock()
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	var fold *ops.Fold
+	if frag.Fold != nil {
+		if fold, err = ops.NewFold(da.Schema, *frag.Fold, nil); err != nil {
+			return nil, 0, 0, 0, err
+		}
+	}
+	s := partitionSchema(da.Schema)
+	resps, g, err := co.ask(ctx, da, frag.Box, &Message{Op: "read", Array: name,
+		BoxLo: frag.Box.Lo, BoxHi: frag.Box.Hi, Preds: frag.Preds, Fold: frag.Fold}, s)
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	tables := make([]*ops.FoldTable, len(resps))
+	var gathered int64
+	for i, resp := range resps {
+		tables[i] = resp.Table
+		cells, seen, skipped = cells+resp.Cells, seen+resp.Seen, skipped+resp.Skipped
+		gathered += int64(len(resp.Payload))
+	}
+	span := obs.SpanFromContext(ctx)
+	span.Add("nodes", int64(len(resps)))
+	if skipped > 0 {
+		ops.NoteEncChunksSkipped(ctx, skipped)
+	}
+	switch {
+	case fold == nil:
+		span.Add("bytes_gathered", gathered)
+		a, err = g.array()
+	case len(frag.Fold.Aggs) > 0:
+		a, err = fold.Result(tables)
+	}
+	return a, cells, seen, skipped, err
+}
+
+// Count sums cell counts across nodes.
+func (co *Coordinator) Count(name string) (int64, error) {
+	_, n, _, _, err := co.Read(context.Background(), name, ops.Fragment{Fold: &ops.FoldSpec{}})
+	return n, err
 }
 
 // Scan gathers every cell intersecting the box into one local array.
@@ -291,139 +373,29 @@ func (co *Coordinator) Scan(name string, box array.Box) (*array.Array, error) {
 // ScanCtx is Scan under a context: a traced query's span records the nodes
 // visited and payload bytes gathered, and adopts each worker's span tree.
 func (co *Coordinator) ScanCtx(ctx context.Context, name string, box array.Box) (*array.Array, error) {
-	a, _, err := co.scanGather(ctx, name, box, nil)
+	a, _, err := co.ScanPruned(ctx, name, box, nil)
 	return a, err
 }
 
-// ScanPruned gathers only the cells satisfying every pred, letting each
-// worker skip buckets whose zone maps refute the conjuncts before reading
-// them — the cluster half of compressed execution ("prune before shipping
-// bytes"). skipped totals the buckets no worker had to read. Array-backed
-// partitions filter cell-by-cell and report zero skips.
+// ScanPruned gathers only the cells satisfying every pred; skipped totals
+// the buckets no worker had to read. Array-backed partitions filter
+// cell-by-cell and report zero skips.
 func (co *Coordinator) ScanPruned(ctx context.Context, name string, box array.Box, preds []array.ZonePred) (a *array.Array, skipped int64, err error) {
-	return co.scanGather(ctx, name, box, preds)
+	a, _, _, skipped, err = co.Read(ctx, name, ops.Fragment{Box: box, Preds: preds})
+	return a, skipped, err
 }
 
-func (co *Coordinator) scanGather(ctx context.Context, name string, box array.Box, preds []array.ZonePred) (*array.Array, int64, error) {
-	co.mu.Lock()
-	da, err := co.dist(name)
-	co.mu.Unlock()
-	if err != nil {
-		return nil, 0, err
-	}
-	s := da.Schema.Clone()
-	for i := range s.Dims {
-		s.Dims[i].High = array.Unbounded
-		if s.Dims[i].ChunkLen <= 0 {
-			s.Dims[i].ChunkLen = array.DefaultChunkLen
-		}
-	}
-	var out *array.Array
-	// Nodes are queried and their payloads decoded concurrently; each
-	// decoded partition merges into the result as it arrives, chunk by
-	// chunk. The plan keeps partitions disjoint even under replication —
-	// exactly one replica answers each routed chunk, everyone else gets it
-	// on their exclude list — so arrival order cannot change the merged
-	// content, and a grid-aligned chunk whose region no other node has
-	// touched is adopted wholesale (MergeChunk) instead of re-setting every
-	// cell through the coordinator's write path. A replica that dies
-	// mid-query surfaces ErrNodeDown; withPlan re-plans against survivors
-	// and the whole gather retries into a fresh result array.
-	span := obs.SpanFromContext(ctx)
-	base := &Message{Op: "scan", Array: name, BoxLo: box.Lo, BoxHi: box.Hi, TraceID: span.TraceID(), Preds: preds}
-	var nodesVisited int
-	var bytesTotal, skippedTotal int64
-	var remote []*obs.Span
-	if err := co.withPlan(da, box, func(plan queryPlan) error {
-		fresh, err := array.New(s.Clone())
-		if err != nil {
-			return err
-		}
-		spans := make([]*obs.Span, len(plan.nodes))
-		var bytesIn, skipped atomic.Int64
-		var mu sync.Mutex
-		if err := fanout(plan.nodes, func(i, n int) error {
-			resp, err := co.callNode(n, plan.reqFor(base, n))
-			if err != nil {
-				return err
-			}
-			bytesIn.Add(int64(len(resp.Payload)))
-			skipped.Add(resp.Skipped)
-			if len(resp.Spans) > 0 {
-				spans[i] = obs.Rebuild(resp.Spans)
-			}
-			part, err := storage.DecodeArray(s.Clone(), resp.Payload)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, ch := range part.Chunks() {
-				if err := fresh.MergeChunk(ch); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		out, remote = fresh, spans
-		nodesVisited, bytesTotal, skippedTotal = len(plan.nodes), bytesIn.Load(), skipped.Load()
-		return nil
-	}); err != nil {
-		return nil, 0, err
-	}
-	span.Add("nodes", int64(nodesVisited))
-	span.Add("bytes_gathered", bytesTotal)
-	if skippedTotal > 0 {
-		ops.NoteEncChunksSkipped(ctx, skippedTotal)
-	}
-	graftRemote(span, remote)
-	return out, skippedTotal, nil
-}
-
-// Aggregate is Fold for one aggregate grouped on whole dimensions: agg of
-// attr per combination of groupDims, or a grand total with none.
+// Aggregate folds one aggregate grouped on whole dimensions across the
+// nodes: agg of attr per combination of groupDims, or a grand total with none.
 func (co *Coordinator) Aggregate(name string, box array.Box, agg, attr string, groupDims []string) (*array.Array, error) {
 	return co.AggregateCtx(context.Background(), name, box, agg, attr, groupDims)
 }
 
 // AggregateCtx is Aggregate under a context.
 func (co *Coordinator) AggregateCtx(ctx context.Context, name string, box array.Box, agg, attr string, groupDims []string) (*array.Array, error) {
-	return co.FoldCtx(ctx, name, box, ops.FoldSpec{Dims: groupDims, Aggs: []ops.AggSpec{{Agg: agg, Attr: attr}}})
-}
-
-// FoldCtx runs a grouped fold (ops.Aggregate, ops.Regrid) over the cells of
-// a distributed array inside box without moving them: each node folds its
-// own into a partial table, and the tables merge here into the array the
-// same fold builds over the gathered cells — names, types and bounds alike.
-// Only folds whose state is typed throughout (ops.NewFold with no registry)
-// can run this way.
-func (co *Coordinator) FoldCtx(ctx context.Context, name string, box array.Box, spec ops.FoldSpec) (*array.Array, error) {
-	co.mu.Lock()
-	da, err := co.dist(name)
-	co.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	fold, err := ops.NewFold(da.Schema, spec, nil)
-	if err != nil {
-		return nil, err
-	}
-	// All nodes fold concurrently; the merge happens at the barrier in node
-	// order so the floating-point result is identical from run to run
-	// (merging is associative but not exactly commutative in float
-	// arithmetic).
-	resps, err := co.ask(ctx, da, box, &Message{Op: "agg", Array: name, Fold: spec, BoxLo: box.Lo, BoxHi: box.Hi})
-	if err != nil {
-		return nil, err
-	}
-	obs.SpanFromContext(ctx).Add("nodes", int64(len(resps)))
-	tables := make([]*ops.FoldTable, len(resps))
-	for i, resp := range resps {
-		tables[i] = resp.Table
-	}
-	return fold.Result(tables)
+	a, _, _, _, err := co.Read(ctx, name, ops.Fragment{Box: box,
+		Fold: &ops.FoldSpec{Dims: groupDims, Aggs: []ops.AggSpec{{Agg: agg, Attr: attr}}}})
+	return a, err
 }
 
 // Repartition changes an array's partitioning scheme ("we allow the
@@ -449,62 +421,38 @@ func (co *Coordinator) Repartition(name string, newScheme partition.Scheme) erro
 		return err
 	}
 	nodes := co.t.NumNodes()
-	// Gather each node's content and compute new placements.
+	tmpl := partitionSchema(da.Schema)
 	newContent := make([]*array.Array, nodes)
-	tmpl := da.Schema.Clone()
-	for i := range tmpl.Dims {
-		tmpl.Dims[i].High = array.Unbounded
-		if tmpl.Dims[i].ChunkLen <= 0 {
-			tmpl.Dims[i].ChunkLen = array.DefaultChunkLen
-		}
-	}
 	for n := range newContent {
-		s := tmpl.Clone()
-		a, err := array.New(s)
-		if err != nil {
+		if newContent[n], err = array.New(tmpl.Clone()); err != nil {
 			return err
 		}
-		newContent[n] = a
 	}
-	movedProbe := tmpl.Clone()
-	moved, err := array.New(movedProbe)
+	moved, err := array.New(tmpl.Clone())
 	if err != nil {
 		return err
 	}
-	// Gather every node's content concurrently under the query plan (scan +
+	// Gather every node's content concurrently under the query plan (read +
 	// decode are the expensive half of a repartition), then redistribute
 	// serially so placement and the moved-bytes count stay deterministic.
 	// Holding co.mu across the gather keeps the repartition atomic with
-	// respect to concurrent writes, exactly as before.
+	// respect to concurrent writes, so the plan is made once, under the lock
+	// already held, and a node dying mid-gather fails the repartition.
 	pbox := queryBox(da, array.Box{})
 	plan, err := co.planQueryLocked(da, pbox)
 	if err != nil {
 		return err
 	}
-	baseReq := &Message{Op: "scan", Array: name, BoxLo: pbox.Lo, BoxHi: pbox.Hi}
-	content, err := array.New(tmpl.Clone())
-	if err != nil {
+	baseReq := &Message{Op: "read", Array: name, BoxLo: pbox.Lo, BoxHi: pbox.Hi}
+	g := &gather{s: tmpl}
+	if err := fanout(plan.nodes, func(_, n int) error {
+		_, err := co.callInto(n, plan.reqFor(baseReq, n), g)
+		return err
+	}); err != nil {
 		return err
 	}
-	var gmu sync.Mutex
-	if err := fanout(plan.nodes, func(_, n int) error {
-		resp, err := co.callNode(n, plan.reqFor(baseReq, n))
-		if err != nil {
-			return err
-		}
-		part, err := storage.DecodeArray(tmpl.Clone(), resp.Payload)
-		if err != nil {
-			return err
-		}
-		gmu.Lock()
-		defer gmu.Unlock()
-		for _, ch := range part.Chunks() {
-			if err := content.MergeChunk(ch); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	content, err := g.array()
+	if err != nil {
 		return err
 	}
 	var werr error
@@ -600,56 +548,21 @@ func (co *Coordinator) SjoinCtx(ctx context.Context, left, right string, onL, on
 		}
 	}
 	// Node-local joins run concurrently (every worker owns a disjoint slice
-	// of the left array, so the join outputs are disjoint too); the decoded
-	// pieces are unioned at the barrier in node order via whole-chunk
-	// adoption.
+	// of the left array, so the join outputs are disjoint too) and gather
+	// as they arrive.
 	span := obs.SpanFromContext(ctx)
 	req := &Message{Op: "sjoin", Array: left, Array2: right, OnL: onL, OnR: onR, TraceID: span.TraceID()}
 	nodes := allNodes(co.t.NumNodes())
-	parts := make([]*array.Array, len(nodes))
-	remote := make([]*obs.Span, len(nodes))
-	if err := fanout(nodes, func(i, n int) error {
-		resp, err := co.t.Call(n, req)
-		if err != nil {
-			return err
-		}
-		if len(resp.Spans) > 0 {
-			remote[i] = obs.Rebuild(resp.Spans)
-		}
-		s := resp.Schema.Clone()
-		for i := range s.Dims {
-			s.Dims[i].High = array.Unbounded
-			if s.Dims[i].ChunkLen <= 0 {
-				s.Dims[i].ChunkLen = array.DefaultChunkLen
-			}
-		}
-		part, err := storage.DecodeArray(s, resp.Payload)
-		if err != nil {
-			return err
-		}
-		parts[i] = part
-		return nil
+	resps, g := make([]*Message, len(nodes)), &gather{}
+	if err := fanout(nodes, func(i, n int) (err error) {
+		resps[i], err = co.callInto(n, req, g)
+		return err
 	}); err != nil {
 		return nil, err
 	}
 	span.Add("nodes", int64(len(nodes)))
-	graftRemote(span, remote)
-	var out *array.Array
-	for _, part := range parts {
-		if out == nil {
-			var err error
-			out, err = array.New(part.Schema.Clone())
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, ch := range part.Chunks() {
-			if err := out.MergeChunk(ch); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
+	graft(span, resps)
+	return g.out, nil
 }
 
 // CacheStats gathers every node's buffer-pool counters. With an in-process
@@ -891,14 +804,7 @@ func (co *Coordinator) RegisterInsitu(name, path, adaptor string, schema *array.
 	if scheme.NumNodes() > co.t.NumNodes() {
 		return fmt.Errorf("cluster: scheme wants %d nodes, transport has %d", scheme.NumNodes(), co.t.NumNodes())
 	}
-	// The file's global coordinate box: schema bounds where declared, the
-	// everything-box on unbounded dimensions.
-	box := fullBox(len(schema.Dims))
-	for i, d := range schema.Dims {
-		if d.High != array.Unbounded {
-			box.Hi[i] = d.High
-		}
-	}
+	box := array.WholeBox(schema) // the file's global coordinate box
 	if err := fanout(allNodes(co.t.NumNodes()), func(_, n int) error {
 		req := &Message{Op: "insitu", Array: name, Schema: schema, Path: path, Adaptor: adaptor}
 		if n < scheme.NumNodes() {

@@ -13,9 +13,10 @@ import (
 // length prefix; a successful decode must survive an encode/decode round
 // trip unchanged (compared as bytes: a partial table may hold NaNs, which
 // are not equal to themselves). The seeds cover the full field set
-// (including the fold spec and partial-table blocks and the route and heat
-// blocks), truncations, and a bit-flipped frame, so the fuzzer starts inside
-// every block decoder.
+// (including a read's fold spec — with aggregates and, a count, without —
+// its partial-table and seen-cells answers, and the route and heat blocks),
+// truncations, and a bit-flipped frame, so the fuzzer starts inside every
+// block decoder.
 func FuzzDecodeClusterMessage(f *testing.F) {
 	for _, m := range []*Message{
 		wireTestMessage(),
@@ -25,8 +26,10 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		{Op: "replicachunk", Array: "a", RouteVersion: 3, Nodes: []int64{0, 2},
 			Chunks: [][]byte{{0x01}}},
 		{Op: "heat", Heat: []HeatSample{{Array: "a", Origin: []int64{1, 65}, Score: 7}}},
-		{Op: "agg", Array: "a", Fold: ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "max", Attr: "v"}}}},
-		{Op: "agg", Table: &ops.FoldTable{Lo: []int64{0}, Shape: []int64{3}, Cells: []int64{4, 0, 2},
+		{Op: "read", Array: "a", Fold: &ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "max", Attr: "v"}}}},
+		{Op: "read", Array: "a", Fold: &ops.FoldSpec{}, ExclLo: [][]int64{{1}}, ExclHi: [][]int64{{64}}},
+		{Op: "read", Cells: 3, Seen: 9, Payload: []byte{0, 0, 0, 0}},
+		{Op: "read", Table: &ops.FoldTable{Lo: []int64{0}, Shape: []int64{3}, Cells: []int64{4, 0, 2},
 			Cols: []ops.FoldState{{N: []int64{4, 0, 1}, F: []float64{2.5, 0, math.NaN()}, M2: []float64{0.5, 0, 0}}}}},
 	} {
 		enc, err := encodeMessage(m)

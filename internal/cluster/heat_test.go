@@ -97,7 +97,7 @@ func TestWorkerHeatFromReads(t *testing.T) {
 		t.Fatal(resp.Err)
 	}
 	// Scan only the first chunk; its bucket read must register heat.
-	if resp = w.Handle(&Message{Op: "scan", Array: "h", BoxLo: []int64{1}, BoxHi: []int64{4}}); resp.Err != "" {
+	if resp = w.Handle(&Message{Op: "read", Array: "h", BoxLo: []int64{1}, BoxHi: []int64{4}}); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 	heat := w.Handle(&Message{Op: "heat"})

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +11,7 @@ import (
 	"scidb/internal/bufcache"
 	"scidb/internal/exec"
 	"scidb/internal/obs"
+	"scidb/internal/ops"
 	"scidb/internal/storage"
 )
 
@@ -155,13 +155,16 @@ func (w *Worker) flushOp(req *Message) (*Message, error) {
 	return &Message{Op: "flush"}, nil
 }
 
-// partitionSchema is the local shape of a distributed array: dimensions
-// unbounded (a partition holds an arbitrary sub-box) with chunking defaults.
+// partitionSchema is the shape of a distributed array wherever part of it is
+// held: dimensions unbounded (a partition, a staging buffer, a gather hold an
+// arbitrary sub-box) with chunking defaults. Workers and the coordinator
+// both derive it here, so a chunk one side builds lies on the other's grid
+// and is adopted whole.
 func partitionSchema(in *array.Schema) *array.Schema {
 	s := in.Clone()
 	for i := range s.Dims {
 		if s.Dims[i].ChunkLen <= 0 {
-			s.Dims[i].ChunkLen = 64
+			s.Dims[i].ChunkLen = array.DefaultChunkLen
 		}
 		s.Dims[i].High = array.Unbounded
 	}
@@ -238,23 +241,31 @@ func (w *Worker) materializeLocked(name string) (*array.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := array.New(s.Clone())
+	out, merge, err := liveMerger(s)
 	if err != nil {
 		return nil, err
 	}
+	_, err = foldChunks(open(array.WholeBox(s), nil, nil), func(lc storage.LiveChunk) (struct{}, error) {
+		return struct{}{}, merge(lc.Chunk, lc.Live, lc.Alone && lc.Live == lc.Chunk.Present)
+	})
+	return out, err
+}
+
+// liveMerger returns an empty array on s's grid and the step that adds a
+// chunk's live slots to it — column-wise, or the chunk itself by reference
+// when the caller knows it whole (nothing else will contribute to its
+// region). Steps may run concurrently: foldChunks tasks call them.
+func liveMerger(s *array.Schema) (*array.Array, func(ch *array.Chunk, live *array.Bitmap, whole bool) error, error) {
+	out, err := array.New(s.Clone())
 	var mu sync.Mutex
-	_, err = foldChunks(open(fullBox(len(s.Dims)), nil, nil), func(lc storage.LiveChunk) (struct{}, error) {
+	return out, func(ch *array.Chunk, live *array.Bitmap, whole bool) error {
 		mu.Lock()
 		defer mu.Unlock()
-		if lc.Alone && lc.Live == lc.Chunk.Present {
-			return struct{}{}, out.MergeChunk(lc.Chunk)
+		if whole {
+			return out.MergeChunk(ch)
 		}
-		return struct{}{}, out.MergeMasked(lc.Chunk, lc.Live)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+		return out.MergeMasked(ch, live)
+	}, err
 }
 
 // putStoreLocked ingests a payload into a store-backed partition.
@@ -289,7 +300,7 @@ func (w *Worker) replaceStoreLocked(st *storage.Store, req *Message) (*Message, 
 	if err != nil {
 		return nil, err
 	}
-	old, err := countChunks(st.ScanChunks(fullBox(len(st.Schema().Dims)), nil, []int{}), nil)
+	old, err := w.readLocked(&Message{Array: req.Array, Fold: &ops.FoldSpec{}})
 	if err != nil {
 		return nil, err
 	}
@@ -319,18 +330,7 @@ func (w *Worker) replaceStoreLocked(st *storage.Store, req *Message) (*Message, 
 	if werr != nil {
 		return nil, werr
 	}
-	w.stats.cellsHeld.Add(n - old)
+	w.stats.cellsHeld.Add(n - old.Cells)
 	w.stats.bytesIn.Add(int64(len(req.Payload)))
 	return &Message{Op: "replace", Cells: n}, nil
-}
-
-// fullBox is the everything-box for an nd-dimensional partition.
-func fullBox(nd int) array.Box {
-	lo := make(array.Coord, nd)
-	hi := make(array.Coord, nd)
-	for i := range lo {
-		lo[i] = 1
-		hi[i] = math.MaxInt64 / 4
-	}
-	return array.Box{Lo: lo, Hi: hi}
 }

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"scidb/internal/array"
 	"scidb/internal/partition"
+	"scidb/internal/storage"
 )
 
 // persistGrid builds a 4-node in-process grid with store-backed partitions
@@ -243,5 +245,83 @@ func TestClusterScanPruned(t *testing.T) {
 	}
 	if res.Count() != 36 || skipped != 0 {
 		t.Errorf("array-backed pruned scan = %d cells, %d skipped; want 36, 0", res.Count(), skipped)
+	}
+}
+
+// TestDefaultChunkLenAdoptedOnBothSides: a schema that leaves its chunk
+// length to the default is chunked by one rule wherever part of it is held,
+// so a bucket travels whole. On the worker the read's aligned-chunk path
+// encodes it straight from storage — those frames follow the scan's delivery
+// order, newest bucket first, where chunks rebuilt on the result grid would
+// come in origin order — and the coordinator adopts the decoded chunk
+// itself.
+func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
+	tr := NewLocalWithOptions(2, LocalOptions{Persist: true, CacheBytes: 8 << 20})
+	defer tr.Close()
+	co := NewCoordinator(tr, 0)
+	schema := &array.Schema{
+		Name:  "line",
+		Dims:  []array.Dimension{{Name: "x", High: 256}}, // ChunkLen 0: the default
+		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
+	}
+	if err := co.Create("line", schema, partition.Block{Nodes: 2, SplitDim: 0, High: 256}); err != nil {
+		t.Fatal(err)
+	}
+	for x := int64(1); x <= 256; x++ {
+		if err := co.Put("line", array.Coord{x}, array.Cell{array.Float64(float64(x))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := co.Flush("line"); err != nil {
+		t.Fatal(err)
+	}
+	grid := partitionSchema(schema)
+	var parts []*array.Array
+	for n, w := range tr.Workers {
+		w.mu.RLock()
+		held := w.stores["line"].Schema()
+		w.mu.RUnlock()
+		if !reflect.DeepEqual(held.Dims, grid.Dims) {
+			t.Fatalf("node %d holds dimensions %+v, the coordinator gathers under %+v", n, held.Dims, grid.Dims)
+		}
+		resp := handleOK(t, w, &Message{Op: "read", Array: "line"})
+		r := storage.NewFieldReaderBytes(resp.Payload)
+		var origins []int64
+		for i := r.U32(); i > 0; i-- {
+			ch, err := storage.DecodeChunk(grid, r.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ch.Shape[0] != array.DefaultChunkLen || ch.CellsPresent() != array.DefaultChunkLen {
+				t.Fatalf("node %d shipped a chunk of %d slots, %d cells; want whole default-length chunks", n, ch.Shape[0], ch.CellsPresent())
+			}
+			origins = append(origins, ch.Origin[0])
+		}
+		if want := []int64{int64(n)*128 + 65, int64(n)*128 + 1}; !reflect.DeepEqual(origins, want) {
+			t.Errorf("node %d shipped chunks at %v, want %v: buckets encoded whole, in delivery order", n, origins, want)
+		}
+		part, err := storage.DecodeArray(grid.Clone(), resp.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	g := &gather{s: grid}
+	for _, part := range parts {
+		if err := g.add(part); err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range part.Chunks() {
+			if got, _ := g.out.ChunkAt(ch.Origin); got != ch {
+				t.Errorf("the chunk at %v was rebuilt in the gather, not adopted", ch.Origin)
+			}
+		}
+	}
+	got, err := co.Scan("line", array.Box{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count() != 256 || len(got.Chunks()) != 4 {
+		t.Fatalf("Scan = %d cells in %d chunks; want 256 in 4", got.Count(), len(got.Chunks()))
 	}
 }

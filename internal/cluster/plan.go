@@ -54,21 +54,13 @@ func (p queryPlan) reqFor(base *Message, n int) *Message {
 	return &m
 }
 
-// queryBox widens a caller box to the array's full coordinate box when the
-// caller didn't bound the query (schema bounds where declared, the
-// everything-box on unbounded dimensions).
+// queryBox widens a caller box to the array's whole coordinate box when the
+// caller didn't bound the query.
 func queryBox(da *DistArray, box array.Box) array.Box {
-	nd := len(da.Schema.Dims)
-	if len(box.Lo) == nd {
+	if len(box.Lo) == len(da.Schema.Dims) {
 		return box
 	}
-	b := fullBox(nd)
-	for i, d := range da.Schema.Dims {
-		if d.High != array.Unbounded {
-			b.Hi[i] = d.High
-		}
-	}
-	return b
+	return array.WholeBox(da.Schema)
 }
 
 // markDown records a node whose transport failed; subsequent plans route

@@ -97,6 +97,45 @@ func TestRepartitionNodeDeathReturns(t *testing.T) {
 	verifySky(t, co, skyBox)
 }
 
+// TestSjoinNodeDeathMarksDown: a node that dies under a join must be marked
+// down like one that dies under any other read, so the next query's plan
+// stops routing to it — the join's fan-out goes through callNode, not the
+// bare transport.
+func TestSjoinNodeDeathMarksDown(t *testing.T) {
+	tr, co := rebalanceCluster(t)
+	twin := &array.Schema{
+		Name:  "twin",
+		Dims:  []array.Dimension{{Name: "x", High: 48, ChunkLen: 8}},
+		Attrs: []array.Attribute{{Name: "w", Type: array.TFloat64}},
+	}
+	if err := co.Create("twin", twin, partition.Block{Nodes: 3, SplitDim: 0, High: 48}); err != nil {
+		t.Fatal(err)
+	}
+	for x := int64(1); x <= 48; x += 5 {
+		if err := co.Put("twin", array.Coord{x}, array.Cell{array.Float64(float64(x))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := co.Flush("twin"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := co.Sjoin("sky", "twin", []string{"x"}, []string{"x"}); err != nil || got.Count() != 10 {
+		t.Fatalf("Sjoin on a healthy grid: %v cells, %v; want 10", got, err)
+	}
+	tr.Kill(1)
+	if _, err := co.Sjoin("sky", "twin", []string{"x"}, []string{"x"}); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("Sjoin with a dead node: %v; want ErrNodeDown", err)
+	}
+	if down := co.DownNodes(); len(down) != 1 || down[0] != 1 {
+		t.Fatalf("DownNodes after the join = %v; want [1]", down)
+	}
+	tr.Revive(1)
+	co.MarkUp(1)
+	if got, err := co.Sjoin("sky", "twin", []string{"x"}, []string{"x"}); err != nil || got.Count() != 10 {
+		t.Fatalf("Sjoin once the node is back: %v cells, %v; want 10", got, err)
+	}
+}
+
 // TestRebalanceRecopyNodeDeathReturns: the source dying between a
 // migration's unlocked copy and its fenced re-copy (which runs under co.mu)
 // must fail the round with ErrNodeDown, not wedge the coordinator, and the

@@ -10,6 +10,7 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/obs"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 )
 
@@ -60,7 +61,7 @@ func runTracedScenario(t *testing.T, tr Transport) []obs.SpanData {
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
 	sp, cctx := obs.StartSpan(ctx, "count")
-	if n, err := co.CountCtx(cctx, "tleft"); err != nil || n != 81 {
+	if _, n, _, _, err := co.Read(cctx, "tleft", ops.Fragment{Fold: &ops.FoldSpec{}}); err != nil || n != 81 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
 	sp.End()
@@ -106,6 +107,34 @@ func TestTraceConformanceAcrossTransports(t *testing.T) {
 	if workers < 3+2+3+3 {
 		t.Fatalf("reference trace has %d worker spans; want at least 11 (3 count + 2 pruned scan + 3 agg + 3 sjoin)", workers)
 	}
+	// A worker's root span says what its read did, not just that it read,
+	// and the counters keep their places: cells scanned and bytes shipped on
+	// the worker's span, nodes and bytes gathered on the coordinator's.
+	roots := map[string]int{}
+	counter := func(s obs.SpanData, key string) int64 {
+		for i, k := range s.Keys {
+			if k == key {
+				return s.Vals[i]
+			}
+		}
+		return -1
+	}
+	for _, s := range ref {
+		switch {
+		case s.Node >= 0 && s.Parent >= 0 && ref[s.Parent].Node < 0:
+			roots[s.Name]++
+			if scanned := counter(s, "cells_scanned"); s.Name == "read cells" && (scanned <= 0 || counter(s, "bytes_out") <= 0) ||
+				s.Name == "read fold" && scanned != 27 || s.Name == "read count" && scanned > 0 {
+				t.Errorf("worker span %q on node %d has counters %v %v", s.Name, s.Node, s.Keys, s.Vals)
+			}
+		case s.Name == "scan" && (counter(s, "nodes") != 2 || counter(s, "bytes_gathered") <= 0),
+			s.Name == "agg" && counter(s, "nodes") != 3:
+			t.Errorf("coordinator span %q has counters %v %v", s.Name, s.Keys, s.Vals)
+		}
+	}
+	if want := map[string]int{"read count": 3, "read cells": 2, "read fold": 3, "sjoin": 3}; !reflect.DeepEqual(roots, want) {
+		t.Errorf("worker root spans = %v, want %v", roots, want)
+	}
 	for name, mk := range factories {
 		if name == "local" {
 			continue
@@ -139,12 +168,12 @@ func TestUntracedRequestsCarryNoSpans(t *testing.T) {
 // the fold spec and table replaced Agg/Attr/GroupDims/Partials in the fixed
 // prefix (no such peer was ever deployed, so there is no shim for it).
 func TestWireStrictPresence(t *testing.T) {
-	plain := &Message{Op: "scan", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{9}}
+	plain := &Message{Op: "read", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{9}}
 	enc, err := encodeMessage(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = "040000007363616e0100000061000000000000000000000000000000000000000000000000" +
+	const golden = "04000000726561640100000061000000000000000000000000000000000000000000000000" +
 		"0100000001000000000000000100000009000000000000000000000000"
 	const beforeFolds = "040000007363616e01000000610000000000000000000000000000000000000000000000" +
 		"00000000000000000000000000010000000100000000000000010000000900000000000000000000000000000000"
@@ -179,9 +208,9 @@ func TestWireStrictPresence(t *testing.T) {
 
 	// Traced messages round-trip their spans and metrics in full.
 	traced := &Message{
-		Op: "count", Array: "a", TraceID: 99,
+		Op: "read", Array: "a", TraceID: 99,
 		Spans: []obs.SpanData{
-			{Parent: -1, Node: 1, DurNanos: 10, Name: "count",
+			{Parent: -1, Node: 1, DurNanos: 10, Name: "read count",
 				Keys: []string{"cells_scanned"}, Vals: []int64{81}},
 		},
 		Metrics: []obs.Sample{{Name: "scidb_worker_requests_total", Value: 5}},
@@ -264,6 +293,13 @@ func TestSlowQueryLog(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "slow request: node 3") || !strings.Contains(out, "ping") {
 		t.Fatalf("slow log missing header/tree:\n%s", out)
+	}
+	// A slow read is logged under what its fragment asked for.
+	handleOK(t, w, &Message{Op: "create", Array: "a", Schema: gridSchema()})
+	buf.Reset()
+	handleOK(t, w, countReq("a"))
+	if out := buf.String(); !strings.Contains(out, `op "read count"`) {
+		t.Fatalf("slow log names the read %s", out)
 	}
 	// Disarmed, nothing further is logged.
 	w.SetSlowQuery(0, nil)

@@ -212,11 +212,11 @@ func decodeFrameBody(body []byte, flags uint8, codec compress.Codec) ([]byte, er
 const (
 	msgHasSchema  = 1 << 0
 	msgHasStats   = 1 << 1
-	msgHasFold    = 1 << 2 // Fold: the grouped fold an "agg" request asks for
+	msgHasFold    = 1 << 2 // Fold: the fold a "read" request asks for (no aggregates: a count)
 	msgHasTable   = 1 << 3 // Table: the node's partial fold state
 	msgHasTrace   = 1 << 5 // TraceID + Spans
 	msgHasMetrics = 1 << 6 // Metrics registry samples
-	msgHasPreds   = 1 << 7 // Preds + Skipped (compressed-execution pruning)
+	msgHasPreds   = 1 << 7 // Preds + Skipped + Seen (compressed-execution pruning)
 
 	msgKnownBits = msgHasSchema | msgHasStats | msgHasFold | msgHasTable | msgHasTrace | msgHasMetrics | msgHasPreds
 )
@@ -281,7 +281,7 @@ func encodeMessage(m *Message) ([]byte, error) {
 	if m.Stats != nil {
 		present |= msgHasStats
 	}
-	if len(m.Fold.Aggs) > 0 {
+	if m.Fold != nil {
 		present |= msgHasFold
 	}
 	if m.Table != nil {
@@ -293,7 +293,7 @@ func encodeMessage(m *Message) ([]byte, error) {
 	if len(m.Metrics) > 0 {
 		present |= msgHasMetrics
 	}
-	if len(m.Preds) > 0 || m.Skipped != 0 {
+	if len(m.Preds) > 0 || m.Skipped != 0 || m.Seen != 0 {
 		present |= msgHasPreds
 	}
 	w.U8(present)
@@ -361,6 +361,7 @@ func encodeMessage(m *Message) ([]byte, error) {
 			encodePredValue(w, p.Val)
 		}
 		w.I64(m.Skipped)
+		w.I64(m.Seen)
 	}
 	var present2 uint8
 	if len(m.Chunks) > 0 {
@@ -454,7 +455,7 @@ func decodeMessage(data []byte) (*Message, error) {
 		}
 	}
 	if present&msgHasFold != 0 {
-		m.Fold = ops.FoldSpec{Dims: r.Strings(), Strides: r.I64s()}
+		m.Fold = &ops.FoldSpec{Dims: r.Strings(), Strides: r.I64s()}
 		// An aggregate is three length prefixes at the least.
 		if n := int(r.U32()); n > 0 && r.Need(int64(n)*12) {
 			m.Fold.Aggs = make([]ops.AggSpec, n)
@@ -511,7 +512,9 @@ func decodeMessage(data []byte) (*Message, error) {
 		if !r.Need(int64(n) * 43) { // the bytes the shortest predicate takes
 			return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
 		}
-		m.Preds = make([]array.ZonePred, n)
+		if n > 0 { // a response carries the counters alone
+			m.Preds = make([]array.ZonePred, n)
+		}
 		for i := range m.Preds {
 			p := &m.Preds[i]
 			p.Attr = int(r.I64())
@@ -519,6 +522,7 @@ func decodeMessage(data []byte) (*Message, error) {
 			p.Val = decodePredValue(r)
 		}
 		m.Skipped = r.I64()
+		m.Seen = r.I64()
 	}
 	if r.Remaining() > 0 {
 		present2 := r.U8()

@@ -17,7 +17,7 @@ func wireTestMessage() *Message {
 		Array:  "left",
 		Array2: "right",
 		Err:    "",
-		Fold: ops.FoldSpec{Dims: []string{"x", "y"}, Strides: []int64{2, 3},
+		Fold: &ops.FoldSpec{Dims: []string{"x", "y"}, Strides: []int64{2, 3},
 			Aggs: []ops.AggSpec{{Agg: "sum", Attr: "flux"}, {Agg: "stdev", Attr: "flux", As: "sd"}}},
 		OnL:     []string{"x"},
 		OnR:     []string{"x"},
@@ -60,6 +60,7 @@ func wireTestMessage() *Message {
 			{Attr: 2, Op: "!=", Val: array.NullValue(array.TInt64)},
 		},
 		Skipped:      11,
+		Seen:         4096,
 		Chunks:       [][]byte{{0x01, 0x02, 0x03}, {0x00}, {0xff}},
 		Path:         "/data/sky/night-042.csv",
 		Adaptor:      "csv",
@@ -80,7 +81,9 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		wireTestMessage(),
 		{},           // zero message
 		{Op: "ping"}, // minimal request
-		{Op: "scan", Err: "cluster: node 1 has no array \"ghost\""},
+		{Op: "read", Err: "cluster: node 1 has no array \"ghost\""},
+		{Op: "read", Array: "a", Fold: &ops.FoldSpec{}}, // a count: a fold with no aggregates
+		{Op: "read", Cells: 7, Seen: 9},                 // the seen-cells counter alone
 	} {
 		enc, err := encodeMessage(m)
 		if err != nil {

@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,21 +34,23 @@ import (
 
 // Message is the single request/response envelope exchanged with workers.
 type Message struct {
-	Op     string // "create", "put", "scan", "agg", "count", "drop", "ping", "metrics", ...
+	Op     string // "create", "put", "read", "sjoin", "drop", "ping", "metrics", ...
 	Array  string
 	Schema *array.Schema
-	BoxLo  []int64
-	BoxHi  []int64
+	// BoxLo/BoxHi, Preds and Fold are a "read" request's ops.Fragment: the
+	// node answers with its cells inside the box (all of them with no box)
+	// that satisfy Preds — as a Payload, or with a Fold as Table, the node's
+	// partial state (ops.Fold's accumulate and merge steps ran here, its
+	// final merge and terminate steps run at the coordinator). Cells, on the
+	// response, counts the cells answered: all a fold without aggregates asks.
+	BoxLo []int64
+	BoxHi []int64
 	// Payload carries cells as a storage.EncodeArray blob.
 	Payload []byte
-	// Fold, on an "agg" request, is the grouped fold to run over the node's
-	// cells inside the box; Table, on its response, is the node's partial
-	// state (ops.Fold's accumulate and merge steps ran here, its final merge
-	// and terminate steps run at the coordinator).
-	Fold  ops.FoldSpec
-	Table *ops.FoldTable
-	Cells int64
-	Err   string
+	Fold    *ops.FoldSpec
+	Table   *ops.FoldTable
+	Cells   int64
+	Err     string
 	// Join fields: join req.Array with Array2 on OnL[i] = OnR[i].
 	Array2 string
 	OnL    []string
@@ -61,13 +64,15 @@ type Message struct {
 	Spans   []obs.SpanData
 	// Metrics is the "metrics" response: the node's registry snapshot.
 	Metrics []obs.Sample
-	// Preds, on a "scan" request, ships zone-map conjuncts: the worker
-	// skips whole buckets whose zone maps refute them and filters the
-	// surviving cells before shipping bytes. The response's Skipped
-	// reports how many buckets were pruned without being read. Both ride
-	// one presence bit.
+	// Preds, on a "read" request, ships zone-map conjuncts: the worker
+	// skips whole buckets whose zone maps refute them and drops the cells
+	// that fail them from what it reads. The response's Skipped reports how
+	// many buckets were pruned without being read, and Seen the live cells of
+	// the buckets that were, before Preds: Seen above Cells, or any Skipped,
+	// means the predicates withheld stored cells. All ride one presence bit.
 	Preds   []array.ZonePred
 	Skipped int64
+	Seen    int64
 	// Chunks, on a "loadchunks" request, carries a batch of pre-encoded
 	// chunk payloads (storage.EncodeChunk bytes) for the parallel bulk
 	// loader: the worker adopts each as a bucket verbatim instead of
@@ -80,7 +85,7 @@ type Message struct {
 	Path    string
 	Adaptor string
 	// Routing fields (online rebalancing; second presence byte, one bit).
-	// ExclLo/ExclHi, on scan/agg/count requests, list grid-chunk boxes this
+	// ExclLo/ExclHi, on a "read" request, list grid-chunk boxes this
 	// node must NOT answer — another replica is assigned them this query,
 	// or the node holds a stale post-migration copy. RouteVersion and Nodes
 	// ride "replicachunk": the routing-table version the installed chunk
@@ -109,8 +114,8 @@ type Worker struct {
 	cache *bufcache.Pool
 
 	// mu guards the partition maps and their content: ops that change a
-	// partition take it exclusively, read ops (scan, agg, count, sjoin)
-	// share it, so statements pipelined onto one node run side by side.
+	// partition take it exclusively, the read ops (read, sjoin) share it, so
+	// statements pipelined onto one node run side by side.
 	mu      sync.RWMutex
 	arrays  map[string]*array.Array
 	stores  map[string]*storage.Store
@@ -215,7 +220,7 @@ func (w *Worker) Handle(req *Message) *Message {
 	var root *obs.Span
 	slow := w.slowThreshold()
 	if req.TraceID != 0 || slow > 0 {
-		tr := obs.NewTrace(req.Op)
+		tr := obs.NewTrace(spanName(req))
 		root = tr.Root()
 		root.SetNode(w.ID)
 		ctx = obs.ContextWithSpan(ctx, root)
@@ -244,13 +249,27 @@ func (w *Worker) Handle(req *Message) *Message {
 			resp.Spans = root.Flatten()
 		}
 		if d := time.Since(start); slow > 0 && d >= slow {
-			w.logSlow(req.Op, d, root)
+			w.logSlow(spanName(req), d, root)
 		}
 	}
 	if w.reqHist != nil {
 		w.reqHist.Observe(time.Since(start).Seconds())
 	}
 	return resp
+}
+
+// spanName names a request's root span, in profiles and the slow-request
+// log: the op, and for a read what its fragment asks for.
+func spanName(req *Message) string {
+	switch {
+	case req.Op != "read":
+		return req.Op
+	case req.Fold == nil:
+		return "read cells"
+	case len(req.Fold.Aggs) == 0:
+		return "read count"
+	}
+	return "read fold"
 }
 
 func (w *Worker) handle(ctx context.Context, req *Message) (*Message, error) {
@@ -265,12 +284,10 @@ func (w *Worker) handle(ctx context.Context, req *Message) (*Message, error) {
 		return w.loadChunks(req)
 	case "insitu":
 		return w.insituOp(req)
-	case "scan":
-		return w.scan(req)
-	case "agg":
-		return w.agg(req)
-	case "count":
-		return w.count(req)
+	case "read":
+		w.mu.RLock()
+		defer w.mu.RUnlock()
+		return w.readLocked(req)
 	case "flush":
 		return w.flushOp(req)
 	case "drop":
@@ -410,136 +427,105 @@ func (w *Worker) put(req *Message) (*Message, error) {
 	return &Message{Op: "put", Cells: n}, nil
 }
 
-// scan ships the partition's cells inside the box, minus excluded chunks
-// and cells failing the request's predicates. Each chunk's live mask is
-// trimmed on the pool; a chunk that survives whole and sits on the result
-// grid is encoded straight from storage, anything else contributes its
-// surviving slots column-wise to a result-grid chunk that is encoded once
-// the read is done.
-func (w *Worker) scan(req *Message) (*Message, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
+// readLocked answers a "read": a fragment (ops.Fragment: the request's box,
+// predicates and fold) over the node's partition, minus the chunks another
+// replica answers this query. It is the one body that reads cells: every
+// chunk's live mask is trimmed on the pool — excluded boxes, then cells
+// failing the predicates — and goes to one of two sinks. A fold folds it into
+// a partial table, and the tables merge in delivery order into the node's
+// answer (only folds whose state is typed throughout: that is all a table
+// carries over the wire). Without one the cells themselves are shipped: a
+// chunk that survives whole and sits on the result grid is encoded straight
+// from storage, anything else contributes its surviving slots column-wise to
+// a result-grid chunk that is encoded once the read is done.
+func (w *Worker) readLocked(req *Message) (*Message, error) {
 	s, open, err := w.partLocked(req.Array)
 	if err != nil {
 		return nil, err
 	}
-	rest, err := array.New(s.Clone())
+	// The projection: every column for cells; for a fold the columns it
+	// folds — none, for a count — and those its predicates test.
+	var fold *ops.Fold
+	var attrs []int
+	var rest *array.Array
+	var merge func(*array.Chunk, *array.Bitmap, bool) error
+	if req.Fold == nil {
+		rest, merge, err = liveMerger(s)
+	} else if fold, err = ops.NewFold(s, *req.Fold, nil); err == nil {
+		attrs = fold.Attrs()
+		for _, p := range req.Preds {
+			if p.Attr >= 0 && p.Attr < len(s.Attrs) && !slices.Contains(attrs, p.Attr) {
+				attrs = append(attrs, p.Attr)
+			}
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	excl := exclBoxes(req)
-	// A predicated scan over a store-backed partition prunes whole buckets
-	// by zone map before reading them — cells the coordinator would have
-	// paid to ship, decode, and discard.
-	src := open(boxFrom(req, len(s.Dims)), req.Preds, nil)
-	var restMu sync.Mutex
-	type shipped struct {
-		cells   int64
-		payload []byte // the chunk encoded whole; nil if merged into rest
+	box, excl := array.Box{Lo: req.BoxLo, Hi: req.BoxHi}, exclBoxes(req)
+	if len(box.Lo) == 0 {
+		box = array.WholeBox(s) // no box on the wire: everything
 	}
-	pieces, err := foldChunks(src, func(lc storage.LiveChunk) (shipped, error) {
+	// Predicates over a store-backed partition prune whole buckets by zone
+	// map before reading them — cells the coordinator would have paid to
+	// ship, decode, and discard.
+	src := open(box, req.Preds, attrs)
+	type piece struct {
+		seen, cells int64
+		table       *ops.FoldTable // the fold sink's
+		payload     []byte         // the cell sink's: the chunk encoded whole; nil if merged into rest
+	}
+	pieces, err := foldChunks(src, func(lc storage.LiveChunk) (p piece, err error) {
 		ch := lc.Chunk
-		live := withoutUnmatched(ch, withoutExcluded(ch, lc.Live, excl), req.Preds, s)
-		out := shipped{cells: live.Count()}
-		if out.cells == 0 {
-			return out, nil
+		live := withoutExcluded(ch, lc.Live, excl)
+		p.seen = live.Count()
+		live = withoutUnmatched(ch, live, req.Preds, s)
+		p.cells = live.Count()
+		switch {
+		case fold != nil:
+			p.table = fold.Chunk(ch, live)
+		case p.cells == 0:
+		case live == ch.Present && lc.Alone && rest.ChunkAligned(ch):
+			p.payload, err = storage.EncodeChunk(s, ch)
+		default:
+			err = merge(ch, live, false)
 		}
-		if live == ch.Present && lc.Alone && rest.ChunkAligned(ch) {
-			var err error
-			out.payload, err = storage.EncodeChunk(s, ch)
-			return out, err
-		}
-		restMu.Lock()
-		defer restMu.Unlock()
-		return out, rest.MergeMasked(ch, live)
+		return p, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	chunks := rest.Chunks()
-	payloads := make([][]byte, len(chunks), len(chunks)+len(pieces))
-	if err := exec.Default().Map(context.Background(), len(chunks), func(i int) (err error) {
-		payloads[i], err = storage.EncodeChunk(s, chunks[i])
-		return err
-	}); err != nil {
-		return nil, err
+	resp := &Message{Op: "read", Skipped: src.Skipped()}
+	tables := make([]*ops.FoldTable, len(pieces))
+	var payloads [][]byte
+	if fold == nil {
+		chunks := rest.Chunks()
+		payloads = make([][]byte, len(chunks), len(chunks)+len(pieces))
+		if err := exec.Default().Map(context.Background(), len(chunks), func(i int) (err error) {
+			payloads[i], err = storage.EncodeChunk(s, chunks[i])
+			return err
+		}); err != nil {
+			return nil, err
+		}
 	}
-	var n int64
-	for _, p := range pieces {
-		n += p.cells
+	for i, p := range pieces {
+		resp.Seen += p.seen
+		resp.Cells += p.cells
+		tables[i] = p.table
 		if p.payload != nil {
 			payloads = append(payloads, p.payload)
 		}
 	}
-	payload, err := storage.FrameChunks(payloads)
-	if err != nil {
-		return nil, err
+	if fold != nil {
+		resp.Table, err = fold.Merge(tables)
+	} else if resp.Payload, err = storage.FrameChunks(payloads); err == nil {
+		w.stats.bytesOut.Add(int64(len(resp.Payload)))
 	}
-	w.stats.cellsScanned.Add(n)
-	w.stats.bytesOut.Add(int64(len(payload)))
-	return &Message{Op: "scan", Payload: payload, Cells: n, Skipped: src.Skipped()}, nil
-}
-
-// agg runs the request's fold over the partition: every chunk folds its
-// live cells into a partial table on the pool, and the tables merge in
-// delivery order into the node's answer. Only folds whose state is typed
-// throughout can be answered: that is all a table carries over the wire.
-func (w *Worker) agg(req *Message) (*Message, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	s, open, err := w.partLocked(req.Array)
-	if err != nil {
-		return nil, err
+	// A cell whose columns were read was scanned; a count reads presence alone.
+	if attrs == nil || len(attrs) > 0 {
+		w.stats.cellsScanned.Add(resp.Cells)
 	}
-	fold, err := ops.NewFold(s, req.Fold, nil)
-	if err != nil {
-		return nil, err
-	}
-	excl := exclBoxes(req)
-	parts, err := foldChunks(open(boxFrom(req, len(s.Dims)), nil, fold.Attrs()), func(lc storage.LiveChunk) (*ops.FoldTable, error) {
-		return fold.Chunk(lc.Chunk, withoutExcluded(lc.Chunk, lc.Live, excl)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	table, err := fold.Merge(parts)
-	if err != nil {
-		return nil, err
-	}
-	var scanned int64
-	for _, n := range table.Cells {
-		scanned += n
-	}
-	w.stats.cellsScanned.Add(scanned)
-	return &Message{Op: "agg", Table: table}, nil
-}
-
-// count sums the live cells of the partition's chunks, minus the chunks
-// another replica answers this query: presence alone, no column is read.
-func (w *Worker) count(req *Message) (*Message, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	s, open, err := w.partLocked(req.Array)
-	if err != nil {
-		return nil, err
-	}
-	n, err := countChunks(open(boxFrom(req, len(s.Dims)), nil, []int{}), exclBoxes(req))
-	if err != nil {
-		return nil, err
-	}
-	return &Message{Op: "count", Cells: n}, nil
-}
-
-// countChunks drains src, summing its live cells outside the exclude boxes.
-func countChunks(src chunkSource, excl []array.Box) (int64, error) {
-	counts, err := foldChunks(src, func(lc storage.LiveChunk) (int64, error) {
-		return withoutExcluded(lc.Chunk, lc.Live, excl).Count(), nil
-	})
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	return n, err
+	return resp, err
 }
 
 func (w *Worker) drop(req *Message) (*Message, error) {
@@ -567,26 +553,12 @@ func (w *Worker) drop(req *Message) (*Message, error) {
 	return nil, nil
 }
 
-// boxFrom extracts the query box, defaulting to everything.
-func boxFrom(req *Message, nd int) array.Box {
-	if len(req.BoxLo) > 0 {
-		return array.Box{Lo: req.BoxLo, Hi: req.BoxHi}
-	}
-	return fullBox(nd)
-}
-
 // exclBoxes assembles the request's exclude-chunk boxes (chunks this node
 // must not answer because a different replica is assigned them, or because
 // this node's copy is a stale post-migration leftover).
 func exclBoxes(req *Message) []array.Box {
-	if len(req.ExclLo) == 0 {
-		return nil
-	}
-	out := make([]array.Box, 0, len(req.ExclLo))
-	for i := range req.ExclLo {
-		if i >= len(req.ExclHi) {
-			break
-		}
+	var out []array.Box
+	for i := 0; i < len(req.ExclLo) && i < len(req.ExclHi); i++ {
 		out = append(out, array.Box{Lo: req.ExclLo[i], Hi: req.ExclHi[i]})
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"scidb/internal/array"
@@ -12,7 +13,35 @@ import (
 	"scidb/internal/insitu"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
+	"scidb/internal/udf"
 )
+
+// spreadAgg is max - min of an integer attribute: an aggregate outside the
+// six with typed state, so a fold of it cannot travel as a partial table.
+type spreadAgg struct {
+	lo, hi int64
+	any    bool
+}
+
+func (a *spreadAgg) Step(v array.Value) {
+	if v.Null {
+		return
+	}
+	if !a.any || v.Int < a.lo {
+		a.lo = v.Int
+	}
+	if !a.any || v.Int > a.hi {
+		a.hi = v.Int
+	}
+	a.any = true
+}
+
+func (a *spreadAgg) Result() array.Value {
+	if !a.any {
+		return array.NullValue(array.TInt64)
+	}
+	return array.Int64(a.hi - a.lo)
+}
 
 func backingSchema(name string) *array.Schema {
 	return &array.Schema{
@@ -71,6 +100,7 @@ func fourBackings(t *testing.T) map[string]*Database {
 	dbs := map[string]*Database{}
 	for _, kind := range []string{"memory", "store", "file", "cluster"} {
 		db := testDB()
+		db.Registry().RegisterAggregate("spread", func() udf.Aggregate { return &spreadAgg{} })
 		dbs[kind] = db
 		var co *cluster.Coordinator
 		if kind == "cluster" {
@@ -212,17 +242,102 @@ func TestOneStatementFourBackings(t *testing.T) {
 		"regrid(E, [2, 3], avg(v))",
 		"aggregate(filter(E, v > 0), {}, count(v))",
 	} {
-		want := shapeAndCells(exec(t, dbs["memory"], stmt).Array)
-		for _, kind := range []string{"store", "file", "cluster"} {
-			r, err := dbs[kind].Exec(stmt)
-			if err != nil {
-				t.Errorf("%s over %s: %v", stmt, kind, err)
-				continue
-			}
-			if got := shapeAndCells(r.Array); got != want {
-				t.Errorf("%s over %s:\n%s\nover memory:\n%s", stmt, kind, got, want)
-			}
+		sameOnFourBackings(t, dbs, stmt)
+	}
+	// The fragment's one combination core builds beyond a lone rule: a
+	// grand total over a range-only subsample is folded, box and all, where
+	// the cells are. plan is what EXPLAIN must show on the grid: the leaf
+	// that runs.
+	const partials, gathered = "aggregate [per-node partials]\n└─ scan D [cluster]", "aggregate\n└─ subsample\n   └─ scan D [cluster]"
+	for _, c := range []struct{ stmt, plan string }{
+		{"aggregate(subsample(D, x >= 4 and x <= 7), {}, sum(v) as s)", partials + " box=[4:7,1:10]"}, // straddles the node split
+		{"aggregate(subsample(D, x = 6 and y = 2), {}, max(v), count(w))", partials + " box=[6:6,2:2]"},
+		{"aggregate(subsample(D, x = 5 and y = 3), {}, count(*))", partials + " box=[5:5,3:3]"}, // a box over the hole
+		{"aggregate(subsample(D, x > 40), {}, sum(v), count(v))", partials + " box=[41:40,1:10]"},
+		{"aggregate(subsample(D, x >= 2 and x <= 9), {}, sum(big), min(big), max(big), avg(big))", partials + " box=[2:9,1:10]"},
+		{"aggregate(subsample(D, x >= 3 and x <= 8 and y > 1 and y < 9), {}, min(w), max(w), avg(w), stdev(w) as sd, count(w))", partials + " box=[3:8,2:8]"},
+		{"aggregate(subsample(D, x >= 8 and x <= 8), {}, min(w), sum(w))", partials + " box=[8:8,1:10]"}, // NaNs only
+		{"aggregate(subsample(D, x >= 1), {}, count(v), count(w))", partials},                            // a box that narrows nothing
+		{"aggregate(subsample(D, x >= 4 and x <= 7), {}, spread(v))", gathered + " box=[4:7,1:10]"},      // no typed state
+		{"aggregate(subsample(D, x >= 4 and x <= 7), {}, sum(v), spread(v) as r)", gathered + " box=[4:7,1:10]"},
+		{"aggregate(subsample(D, x >= 4 and x <= 7), {x}, sum(v))", gathered + " box=[4:7,1:10]"}, // grouped: subsample re-indexes x
+		{"aggregate(subsample(D, even(x)), {}, sum(v))", gathered},                                // no box to push
+		{"aggregate(subsample(E, x >= 4 and x <= 7), {}, sum(v), count(v))", strings.ReplaceAll(partials, " D ", " E ") + " box=[4:7,1:10]"},
+	} {
+		sameOnFourBackings(t, dbs, c.stmt)
+		if got := exec(t, dbs["cluster"], "explain "+c.stmt).Msg; got != c.plan {
+			t.Errorf("explain %s on the grid:\n%s\nwant:\n%s", c.stmt, got, c.plan)
 		}
+	}
+}
+
+// sameOnFourBackings runs stmt over the memory array and demands the same
+// shape and cells from the store, the file and the grid.
+func sameOnFourBackings(t *testing.T, dbs map[string]*Database, stmt string) {
+	t.Helper()
+	want := shapeAndCells(exec(t, dbs["memory"], stmt).Array)
+	for _, kind := range []string{"store", "file", "cluster"} {
+		r, err := dbs[kind].Exec(stmt)
+		if err != nil {
+			t.Errorf("%s over %s: %v", stmt, kind, err)
+			continue
+		}
+		if got := shapeAndCells(r.Array); got != want {
+			t.Errorf("%s over %s:\n%s\nover memory:\n%s", stmt, kind, got, want)
+		}
+	}
+}
+
+// countingTransport counts the calls that reach the grid.
+type countingTransport struct {
+	cluster.Transport
+	calls atomic.Int64
+}
+
+func (c *countingTransport) Call(node int, req *cluster.Message) (*cluster.Message, error) {
+	c.calls.Add(1)
+	return c.Transport.Call(node, req)
+}
+
+// TestEmptyFilteredGatherIsOneRoundTrip: array-backed workers filter cell by
+// cell and prune nothing, so when no cell passes the filter only the cells
+// they saw can say the array is not empty. That rides the gather's own
+// responses: one call per planned node, and the grand-total row is occupied
+// (zero count, NULL sum) exactly as over the memory array.
+func TestEmptyFilteredGatherIsOneRoundTrip(t *testing.T) {
+	tr := &countingTransport{Transport: cluster.NewLocal(2)}
+	defer tr.Close()
+	co := cluster.NewCoordinator(tr, 0)
+	db, mem := testDB(), testDB()
+	db.AttachCluster(co)
+	a := backingCells(t, "D")
+	if err := mem.PutArray("D", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Create("D", a.Schema, partition.Block{Nodes: 2, SplitDim: 0, High: 10}); err != nil {
+		t.Fatal(err)
+	}
+	a.Iter(func(c array.Coord, cell array.Cell) bool {
+		if err := co.Put("D", c, cell); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	if err := co.Flush("D"); err != nil {
+		t.Fatal(err)
+	}
+	const stmt = "aggregate(filter(D, v > 1000), {}, count(v), sum(v))"
+	before := tr.calls.Load()
+	got := exec(t, db, stmt).Array
+	if calls := tr.calls.Load() - before; calls != 2 {
+		t.Errorf("%s made %d calls to a 2-node grid, want one per node", stmt, calls)
+	}
+	cell, ok := got.At(array.Coord{1})
+	if !ok || cell[0].Null || cell[0].Int != 0 || !cell[1].Null {
+		t.Errorf("%s = %v (occupied %v), want the occupied row: zero count, NULL sum", stmt, cell, ok)
+	}
+	if want := shapeAndCells(exec(t, mem, stmt).Array); shapeAndCells(got) != want {
+		t.Errorf("%s on the grid:\n%s\nover memory:\n%s", stmt, shapeAndCells(got), want)
 	}
 }
 
@@ -280,10 +395,11 @@ func TestExplainShowsTheScanThatRuns(t *testing.T) {
 			}
 		}
 		for stmt, node := range map[string]string{
-			"aggregate(D, {x}, max(v) as m)":                 "aggregate [per-node partials]",
-			"aggregate(D, {x}, min(v), max(v), count(v))":    "aggregate [per-node partials]",
-			"regrid(D, [2, 3], avg(v))":                      "regrid [per-node partials]",
-			"filter(regrid(D, [2, 3], avg(v) as m), m > 50)": "regrid [per-node partials]",
+			"aggregate(D, {x}, max(v) as m)":                              "aggregate [per-node partials]",
+			"aggregate(D, {x}, min(v), max(v), count(v))":                 "aggregate [per-node partials]",
+			"regrid(D, [2, 3], avg(v))":                                   "regrid [per-node partials]",
+			"filter(regrid(D, [2, 3], avg(v) as m), m > 50)":              "regrid [per-node partials]",
+			"aggregate(subsample(D, x >= 3 and x <= 7), {}, sum(v) as s)": "aggregate [per-node partials]", // the box rides the fold
 		} {
 			for _, explain := range []string{"explain ", "explain analyze "} {
 				if partials := strings.Contains(exec(t, db, explain+stmt).Msg, node); partials != (kind == "cluster") {

@@ -88,7 +88,7 @@ func TestExplainAnalyzeCluster(t *testing.T) {
 	// Aggregate over a direct cluster ref pushes down: per-node partials,
 	// per-node spans in the tree.
 	r = exec(t, db, "explain analyze aggregate(D, {}, sum(v))")
-	for _, want := range []string{"node 0", "node 1", "cells_scanned"} {
+	for _, want := range []string{"node 0: read fold", "node 1: read fold", "cells_scanned"} {
 		if !strings.Contains(r.Msg, want) {
 			t.Errorf("cluster profile missing %q:\n%s", want, r.Msg)
 		}
@@ -96,7 +96,7 @@ func TestExplainAnalyzeCluster(t *testing.T) {
 
 	// A filtered query gathers (ScanCtx) and still shows both nodes.
 	r = exec(t, db, "explain analyze filter(D, v > 1)")
-	if !strings.Contains(r.Msg, "node 0") || !strings.Contains(r.Msg, "node 1") {
+	if !strings.Contains(r.Msg, "node 0: read cells") || !strings.Contains(r.Msg, "node 1: read cells") {
 		t.Errorf("gather profile missing node breakdown:\n%s", r.Msg)
 	}
 

@@ -63,8 +63,9 @@ func planNode(e parser.ArrayExpr, lf *leaf) (string, []parser.ArrayExpr) {
 	case *parser.FilterExpr:
 		return "filter", []parser.ArrayExpr{n.In}
 	case *parser.AggregateExpr:
-		if lf != nil && lf.partials {
-			return "aggregate [per-node partials]", []parser.ArrayExpr{n.In}
+		if lf != nil && lf.frag.Fold != nil {
+			// A subsample in between became the fragment's box.
+			return "aggregate [per-node partials]", []parser.ArrayExpr{lf.ref}
 		}
 		return "aggregate", []parser.ArrayExpr{n.In}
 	case *parser.SjoinExpr:
@@ -78,7 +79,7 @@ func planNode(e parser.ArrayExpr, lf *leaf) (string, []parser.ArrayExpr) {
 	case *parser.ReshapeExpr:
 		return "reshape", []parser.ArrayExpr{n.In}
 	case *parser.RegridExpr:
-		if lf != nil && lf.partials {
+		if lf != nil && lf.frag.Fold != nil {
 			return "regrid [per-node partials]", []parser.ArrayExpr{n.In}
 		}
 		return "regrid", []parser.ArrayExpr{n.In}
@@ -97,11 +98,11 @@ func planNode(e parser.ArrayExpr, lf *leaf) (string, []parser.ArrayExpr) {
 }
 
 func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) (*array.Array, error) {
-	if lf != nil && lf.partials {
+	if lf != nil && lf.frag.Fold != nil {
 		// e is a fold the nodes run over their own cells; its input is
 		// never gathered.
-		src := lf.src.(clusterSource)
-		return src.co.FoldCtx(ctx, src.name, lf.box, lf.fold)
+		a, _, err := lf.src.read(ctx, lf.frag)
+		return a, err
 	}
 	switch n := e.(type) {
 	case *parser.Ref:

@@ -11,45 +11,48 @@ import (
 )
 
 // leaf is one array reference as it will be read: the source behind the
-// name, and how much of it the operators directly above need.
+// name, and the fragment of the operators directly above it that the source
+// runs while reading.
 type leaf struct {
 	ref *parser.Ref
 	// via is the filter between the operator that narrowed the leaf and ref,
 	// if any.
 	via *parser.FilterExpr
 	src source
-	// box is the whole array unless a subsample narrowed it (boxed).
-	box   array.Box
-	boxed bool
-	// preds are the zone conjuncts of via's predicate.
-	preds []array.ZonePred
-	// partials: the fold above (aggregate, regrid) runs as per-node partial
-	// tables of fold and the leaf is never read.
-	partials bool
-	fold     ops.FoldSpec
+	// frag.Box is the whole array unless a subsample narrowed it, frag.Preds
+	// the zone conjuncts of via's predicate; both are hints. With frag.Fold
+	// the fold above (aggregate, regrid) runs as per-node partial tables:
+	// the read answers for it, and nothing between it and ref is evaluated.
+	frag ops.Fragment
 }
 
 // pushdown is the one rule list. For an operator sitting directly on an
-// array reference it resolves that reference and peels off whatever the
-// source may apply while reading; every rule but the last is a hint under
-// the read contract, so the operator still runs over what comes back. It
-// returns nil for any other expression.
+// array reference — or a grand total with one filter or subsample between —
+// it resolves that reference and peels off whatever the source may apply
+// while reading; every rule but the folds is a hint under the read contract,
+// so the operator still runs over what comes back. It returns nil for any
+// other expression.
 func (db *Database) pushdown(e parser.ArrayExpr) (*leaf, error) {
-	sub, _ := e.(*parser.SubsampleExpr)
-	agg, _ := e.(*parser.AggregateExpr)
-	rg, _ := e.(*parser.RegridExpr)
+	var sub *parser.SubsampleExpr
 	var via *parser.FilterExpr
+	var aggs []parser.AggSpec
+	var fold *ops.FoldSpec
 	in := e
-	switch {
-	case sub != nil:
-		in = sub.In
-	case rg != nil:
-		in = rg.In
-	case agg != nil:
-		if in = agg.In; len(agg.GroupDims) == 0 {
-			if via, _ = in.(*parser.FilterExpr); via != nil {
-				in = via.In
-			}
+	switch n := e.(type) {
+	case *parser.SubsampleExpr:
+		sub, in = n, n.In
+	case *parser.RegridExpr:
+		fold, in = &ops.FoldSpec{Strides: n.Strides, Aggs: []ops.AggSpec{aggSpec(n.Agg)}}, n.In
+	case *parser.AggregateExpr:
+		aggs, fold, in = n.Aggs, &ops.FoldSpec{Dims: n.GroupDims, Aggs: aggSpecs(n.Aggs)}, n.In
+		if len(n.GroupDims) > 0 {
+			break // grouped aggregates need every cell at its own coordinates
+		}
+		switch m := in.(type) {
+		case *parser.FilterExpr:
+			via, in = m, m.In
+		case *parser.SubsampleExpr:
+			sub, in = m, m.In
 		}
 	}
 	ref, ok := in.(*parser.Ref)
@@ -61,42 +64,57 @@ func (db *Database) pushdown(e parser.ArrayExpr) (*leaf, error) {
 		return nil, err
 	}
 	schema := src.schema()
-	lf := &leaf{ref: ref, via: via, src: src, box: array.WholeBox(schema)}
+	lf := &leaf{ref: ref, via: via, src: src, frag: ops.Fragment{Box: array.WholeBox(schema)}}
 	switch {
-	case sub != nil:
-		// A subsample whose conjuncts are all ranges reads only their box.
+	case sub != nil && fold == nil:
+		// Rule 1: a subsample whose conjuncts are all ranges reads only
+		// their box.
 		if box, ok := subsampleBox(schema, sub.Pred); ok {
-			lf.box, lf.boxed = box, true
+			lf.frag.Box = box
 		}
 	case via != nil:
-		// A grand total over a filter reads only what the filter's zone
-		// conjuncts cannot refute. The cells left out are exactly those the
-		// filter would have turned into all-NULL rows, so every aggregate
+		// Rule 2: a grand total over a filter reads only what the filter's
+		// zone conjuncts cannot refute. The cells left out are exactly those
+		// the filter would have turned into all-NULL rows, so every aggregate
 		// must ignore NULLs (the RunAggregate contract), and the predicate
 		// must be pure: skipped cells skip evaluation and must not swallow
-		// its errors. (Grouped aggregates need every cell's coordinates.)
+		// its errors.
 		pred, err := valExpr(via.Pred)
-		if err != nil || !db.ignoreNulls(agg.Aggs) {
+		if err != nil || !db.ignoreNulls(aggs) {
 			break // a bad predicate is the filter's to report
 		}
 		if pred = lowerRefs(pred, schema); ops.PredPure(pred, schema) {
-			lf.preds = ops.ZonePreds(pred, schema)
+			lf.frag.Preds = ops.ZonePreds(pred, schema)
 		}
-	case agg != nil || rg != nil:
-		// A fold directly over a cluster array ships partial tables, not
-		// cells, when all its state is typed: what NewFold without a registry
-		// admits. (Nor is a malformed fold pushed: the operator reports it.)
-		if _, can := src.(clusterSource); can {
-			if agg != nil {
-				lf.fold = ops.FoldSpec{Dims: agg.GroupDims, Aggs: aggSpecs(agg.Aggs)}
-			} else {
-				lf.fold = ops.FoldSpec{Strides: rg.Strides, Aggs: []ops.AggSpec{aggSpec(rg.Agg)}}
-			}
-			_, err := ops.NewFold(schema, lf.fold, nil)
-			lf.partials = err == nil
+	case sub != nil:
+		// Rule 4: a grand total over a range-only subsample is the fold of
+		// rule 3 over the subsample's box. Subsample re-indexes coordinates,
+		// so only a fold that drops them all answers the same over the box
+		// as over the subsample. When it cannot run that way the subsample
+		// is its own leaf, and rule 1 applies when it is evaluated.
+		box, ok := subsampleBox(schema, sub.Pred)
+		if !ok || !pushable(src, fold) {
+			return nil, nil
 		}
+		lf.frag.Box, lf.frag.Fold = box, fold
+	case fold != nil && pushable(src, fold):
+		// Rule 3: a fold directly over an array held in partitions ships
+		// partial tables, not cells.
+		lf.frag.Fold = fold
 	}
 	return lf, nil
+}
+
+// pushable reports whether src runs fold as per-partition partial tables:
+// it folds where its cells are, and all the fold's state is typed — what
+// NewFold without a registry admits. (Nor is a malformed fold pushed: the
+// operator reports it.)
+func pushable(src source, fold *ops.FoldSpec) bool {
+	if !src.folds() || len(fold.Aggs) == 0 {
+		return false
+	}
+	_, err := ops.NewFold(src.schema(), *fold, nil)
+	return err == nil
 }
 
 // under returns lf for the child expressions on the path from the operator
@@ -113,7 +131,7 @@ func (lf *leaf) under(child parser.ArrayExpr) *leaf {
 // grand-total row would be occupied (NULL sums, zero counts); one synthetic
 // all-NULL cell reproduces that occupancy through the identical pipeline.
 func (lf *leaf) read(ctx context.Context) (*array.Array, error) {
-	a, withheld, err := lf.src.read(ctx, lf.box, lf.preds)
+	a, withheld, err := lf.src.read(ctx, lf.frag)
 	if err != nil || !withheld || a.Count() > 0 {
 		return a, err
 	}
@@ -121,16 +139,16 @@ func (lf *leaf) read(ctx context.Context) (*array.Array, error) {
 	for i, at := range a.Schema.Attrs {
 		null[i] = array.NullValue(at.Type)
 	}
-	return a, a.Set(lf.box.Lo.Clone(), null)
+	return a, a.Set(lf.frag.Box.Lo.Clone(), null)
 }
 
 // describe renders the leaf's part of a plan line.
 func (lf *leaf) describe() string {
 	s := " [" + lf.src.kind() + "]"
-	if lf.boxed {
-		s += " box=" + strings.ReplaceAll(lf.box.String(), " ", "")
+	if box := lf.frag.Box.String(); box != array.WholeBox(lf.src.schema()).String() {
+		s += " box=" + strings.ReplaceAll(box, " ", "")
 	}
-	for i, p := range lf.preds {
+	for i, p := range lf.frag.Preds {
 		sep := " and "
 		if i == 0 {
 			sep = " preds="

@@ -18,13 +18,17 @@ type source interface {
 	// kind names the backing in plans.
 	kind() string
 	schema() *array.Schema
-	// read returns every cell inside box that could satisfy preds, possibly
-	// more: both are hints, and the caller always re-applies the operator a
-	// hint came from. So a memory source ignores them, a store prunes
-	// buckets, a cluster worker filters cells. withheld reports whether
-	// preds kept any stored cell out of the result; it only has to be exact
-	// when the result is empty.
-	read(ctx context.Context, box array.Box, preds []array.ZonePred) (a *array.Array, withheld bool, err error)
+	// read returns every cell inside frag.Box that could satisfy frag.Preds,
+	// possibly more: both are hints, and the caller always re-applies the
+	// operator a hint came from. So a memory source ignores them, a store
+	// prunes buckets, a cluster worker filters cells. withheld reports
+	// whether the predicates kept any stored cell out of the result; it only
+	// has to be exact when the result is empty. frag.Fold is no hint: the
+	// result is then the fold's, over exactly the cells in the box, and only
+	// a source that folds is handed one.
+	read(ctx context.Context, frag ops.Fragment) (a *array.Array, withheld bool, err error)
+	// folds reports whether read runs a fragment's Fold.
+	folds() bool
 }
 
 // resolve maps a name to its source. This is the only place names meet
@@ -77,7 +81,8 @@ func held(a *array.Array) memSource {
 
 func (s memSource) kind() string          { return "memory" }
 func (s memSource) schema() *array.Schema { return s.sch }
-func (s memSource) read(context.Context, array.Box, []array.ZonePred) (*array.Array, bool, error) {
+func (s memSource) folds() bool           { return false }
+func (s memSource) read(context.Context, ops.Fragment) (*array.Array, bool, error) {
 	a, err := s.load()
 	return a, false, err
 }
@@ -90,6 +95,7 @@ type storeSource struct{ st *storage.Store }
 
 func (s storeSource) kind() string          { return "store" }
 func (s storeSource) schema() *array.Schema { return s.st.Schema() }
+func (s storeSource) folds() bool           { return false }
 
 // read takes the box chunk at a time, skipping buckets whose zone maps
 // refute preds. A chunk that is live in full is cloned out of the shared
@@ -97,12 +103,12 @@ func (s storeSource) schema() *array.Schema { return s.st.Schema() }
 // preserves the decoder's advisory views — hands the operators zone maps
 // and RLE/dictionary structure for compressed execution; a chunk the box
 // cuts or newer data shadows contributes its live slots column-wise.
-func (s storeSource) read(ctx context.Context, box array.Box, preds []array.ZonePred) (*array.Array, bool, error) {
+func (s storeSource) read(ctx context.Context, frag ops.Fragment) (*array.Array, bool, error) {
 	out, err := array.New(s.st.Schema().Clone())
 	if err != nil {
 		return nil, false, err
 	}
-	cs := s.st.ScanChunks(box, preds, nil)
+	cs := s.st.ScanChunks(frag.Box, frag.Preds, nil)
 	err = cs.Each(func(lc storage.LiveChunk) error {
 		if lc.Live == lc.Chunk.Present {
 			return out.MergeChunk(lc.Chunk.Clone())
@@ -126,10 +132,11 @@ type fileSource struct {
 
 func (s fileSource) kind() string          { return "file" }
 func (s fileSource) schema() *array.Schema { return s.at.ds.Schema() }
+func (s fileSource) folds() bool           { return false }
 
 // read scans only the box from the file. A read of the whole file is kept:
 // some query needed all of it, and later ones are served from memory.
-func (s fileSource) read(_ context.Context, box array.Box, _ []array.ZonePred) (*array.Array, bool, error) {
+func (s fileSource) read(_ context.Context, frag ops.Fragment) (*array.Array, bool, error) {
 	s.db.mu.RLock()
 	cached := s.at.cached
 	s.db.mu.RUnlock()
@@ -143,7 +150,7 @@ func (s fileSource) read(_ context.Context, box array.Box, _ []array.ZonePred) (
 		return nil, false, err
 	}
 	var werr error
-	if err := s.at.ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
+	if err := s.at.ds.Scan(frag.Box, func(c array.Coord, cell array.Cell) bool {
 		werr = a.Set(c.Clone(), cell)
 		return werr == nil
 	}); err != nil {
@@ -152,7 +159,7 @@ func (s fileSource) read(_ context.Context, box array.Box, _ []array.ZonePred) (
 	if werr != nil {
 		return nil, false, werr
 	}
-	if whole := array.WholeBox(sch); box.Contains(whole.Lo) && box.Contains(whole.Hi) {
+	if whole := array.WholeBox(sch); frag.Box.Contains(whole.Lo) && frag.Box.Contains(whole.Hi) {
 		s.db.mu.Lock()
 		s.at.cached = a
 		s.db.mu.Unlock()
@@ -169,23 +176,16 @@ type clusterSource struct {
 
 func (s clusterSource) kind() string          { return "cluster" }
 func (s clusterSource) schema() *array.Schema { return s.sch }
+func (s clusterSource) folds() bool           { return true }
 
-// read gathers the box from every node that holds part of it; workers prune
-// buckets by zone map and drop the cells preds refute before shipping bytes.
-func (s clusterSource) read(ctx context.Context, box array.Box, preds []array.ZonePred) (*array.Array, bool, error) {
-	got, skipped, err := s.co.ScanPruned(ctx, s.name, box, preds)
-	if err != nil {
-		return nil, false, err
-	}
-	withheld := skipped > 0
-	if !withheld && len(preds) > 0 && got.Count() == 0 {
-		// Workers filter cell by cell, so an empty gather does not say the
-		// array is empty.
-		n, err := s.co.CountCtx(ctx, s.name)
-		if err != nil {
-			return nil, false, err
-		}
-		withheld = n > 0
+// read hands the fragment to the coordinator whole: every node that holds
+// part of the box prunes buckets by zone map and drops the cells the
+// predicates refute before shipping bytes, or folds what is left into a
+// partial table and ships that.
+func (s clusterSource) read(ctx context.Context, frag ops.Fragment) (*array.Array, bool, error) {
+	got, cells, seen, skipped, err := s.co.Read(ctx, s.name, frag)
+	if err != nil || frag.Fold != nil {
+		return got, false, err
 	}
 	// Partitions are unbounded and so is what they ship; put the declared
 	// bounds back, or operators would size their output by where the cells
@@ -203,5 +203,8 @@ func (s clusterSource) read(ctx context.Context, box array.Box, preds []array.Zo
 			return nil, false, err
 		}
 	}
-	return out, withheld, nil
+	// Workers filter cell by cell, so it is what they read and did not ship
+	// that says whether an empty gather is an empty array; a bucket they
+	// pruned unread always held cells.
+	return out, skipped > 0 || seen > cells, nil
 }

@@ -47,6 +47,18 @@ type FoldSpec struct {
 	Aggs    []AggSpec
 }
 
+// Fragment is the chunk-local part of a query as one value: what a
+// coordinator ships to every node holding part of an array, and what a scan
+// leaf hands its source. Box and Preds trim each chunk's live mask. Without a
+// Fold the trimmed cells are the answer; with one, the partial table they
+// fold into — and a fold with no aggregates reads no column and keeps only
+// each group's cell count, so over no dimensions it is a count of the cells.
+type Fragment struct {
+	Box   array.Box // the zero Box is the whole array
+	Preds []array.ZonePred
+	Fold  *FoldSpec
+}
+
 // resolveAgg resolves one AggSpec against s: the attribute it folds and the
 // output attribute it produces ("*" or "" aggregates the first attribute;
 // count is integer, avg and stdev float, the rest follow the input).
@@ -140,11 +152,10 @@ func (a *replay) Result() array.Value {
 
 // NewFold resolves spec against s. A nil registry admits only folds whose
 // every column has typed state — what a worker runs and a table carries
-// over the wire; any other needs reg for its boxed accumulators.
+// over the wire; any other needs reg for its boxed accumulators. A spec
+// without aggregates resolves to a fold whose tables count cells and whose
+// Result has no attribute to build.
 func NewFold(s *array.Schema, spec FoldSpec, reg *udf.Registry) (*Fold, error) {
-	if len(spec.Aggs) == 0 {
-		return nil, fmt.Errorf("ops: aggregate requires at least one aggregate spec")
-	}
 	f := &Fold{out: &array.Schema{Name: s.Name + "_agg"}}
 	dims := spec.Dims
 	if spec.Strides != nil {
@@ -655,6 +666,9 @@ func (f *Fold) Result(parts []*FoldTable) (*array.Array, error) {
 // box. Every chunk folds into its own table, as a pool task, and the tables
 // merge in chunk order.
 func FoldArray(ctx context.Context, a *array.Array, box array.Box, spec FoldSpec, reg *udf.Registry) (*array.Array, error) {
+	if len(spec.Aggs) == 0 {
+		return nil, fmt.Errorf("ops: aggregate requires at least one aggregate spec")
+	}
 	// Unbounded dimensions are pinned to their high-water marks, so the
 	// result's extent does not depend on where the cells of box end.
 	f, err := NewFold(&array.Schema{Name: a.Schema.Name, Dims: dimsWithHwm(a), Attrs: a.Schema.Attrs}, spec, reg)
