@@ -55,11 +55,12 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem . ./internal/ops ./internal/cluster ./internal/storage
 
 # One iteration of the fold kernels' micro-benchmarks (worker fold, whole
-# partition and boxed; local Aggregate/Regrid) and of the cold read path's
-# (column decode, cold chunk scan), so CI runs what `make bench` measures.
+# partition, boxed and under predicates; local Aggregate/Regrid), of the cold
+# read path's (column decode, cold chunk scan) and of the chunk encoder's, so
+# CI runs what `make bench` measures.
 bench-smoke:
-	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|ParallelAggregate|ParallelRegrid' -benchtime=1x ./internal/cluster ./internal/ops
-	$(GO) test -run=NONE -bench 'DecodeColumn|StoreChunkScanCold' -benchtime=1x ./internal/storage
+	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|ParallelAggregate|ParallelRegrid' -benchtime=1x ./internal/cluster ./internal/ops
+	$(GO) test -run=NONE -bench 'DecodeColumn|StoreChunkScanCold|EncodeChunk' -benchtime=1x ./internal/storage
 
 # The standing benchmark suite is its own module under bench/, which the
 # root `go test ./...` never reaches: vet and test it, then run one short

@@ -23,7 +23,9 @@ type Column struct {
 	// Zone summarizes the present, non-null values for chunk skipping and
 	// Enc retains the encoded structure (RLE runs, dictionary codes) for
 	// run-at-a-time execution. Both describe the column only while it is
-	// unmodified — Set and CopyFrom drop them.
+	// unmodified — Set and CopyFrom drop them, and Chunk.Erase drops Zone,
+	// which is over the chunk's present cells — so a non-nil Zone is the
+	// column's, and the storage encoder writes it out as it stands.
 	Zone *ZoneMap
 	Enc  *ColEnc
 }
@@ -223,8 +225,17 @@ func (ch *Chunk) Set(c Coord, cell Cell) error {
 	return nil
 }
 
-// Erase marks the cell absent.
-func (ch *Chunk) Erase(c Coord) { ch.Present.Clear(ch.Index(c)) }
+// Erase marks the cell absent. A column's zone map covers present cells
+// only, so it goes the way Column.Set sends it; Enc describes the stored
+// values, which stay.
+func (ch *Chunk) Erase(c Coord) {
+	ch.Present.Clear(ch.Index(c))
+	for _, col := range ch.Cols {
+		if col != nil {
+			col.Zone = nil
+		}
+	}
+}
 
 // Clone deep-copies the chunk.
 func (ch *Chunk) Clone() *Chunk {

@@ -161,17 +161,19 @@ func benchRawWorker(b *testing.B) (w *Worker, cells int64) {
 }
 
 // benchWorkerOp times one read op against benchRawWorker with a warm pool,
-// reporting the per-cell cost ROADMAP item 1 tracks layer by layer.
-func benchWorkerOp(b *testing.B, req *Message) {
+// reporting the per-cell cost ROADMAP item 1 tracks layer by layer. It
+// returns the last response and the cells the node holds.
+func benchWorkerOp(b *testing.B, req *Message) (resp *Message, cells int64) {
 	w, cells := benchRawWorker(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if resp := w.Handle(req); resp.Err != "" {
+		if resp = w.Handle(req); resp.Err != "" {
 			b.Fatal(resp.Err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*cells), "ns/cell")
+	return resp, cells
 }
 
 func BenchmarkWorkerAggGrandTotal(b *testing.B) {
@@ -192,4 +194,18 @@ func BenchmarkWorkerScan(b *testing.B) {
 func BenchmarkWorkerReadBoxFold(b *testing.B) {
 	benchWorkerOp(b, &Message{Op: "read", Array: "raw", BoxLo: []int64{1, 11, 33}, BoxHi: []int64{1, 74, 96},
 		Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "avg", Attr: "dn"}}}})
+}
+
+// BenchmarkWorkerReadPredsFold is SS-DB Q4's shape: a count under one `>`
+// conjunct that most cells pass, over the whole partition — the filter runs
+// under the fold, where the cells are. No bucket's zone map refutes the
+// conjunct, so every cell held is seen and ns/cell is per cell seen: set it
+// beside BenchmarkWorkerScan, which ships those cells instead.
+func BenchmarkWorkerReadPredsFold(b *testing.B) {
+	resp, cells := benchWorkerOp(b, &Message{Op: "read", Array: "raw",
+		Preds: []array.ZonePred{{Attr: 0, Op: ">", Val: array.Float64(4)}},
+		Fold:  &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "count", Attr: "dn"}}}})
+	if resp.Seen != cells || resp.Cells == 0 || resp.Cells == cells {
+		b.Fatalf("read saw %d of %d cells and answered %d: want all seen, some refuted", resp.Seen, cells, resp.Cells)
+	}
 }

@@ -259,14 +259,21 @@ type oracleGroup struct {
 	numbers  int64 // non-NULL, non-NaN values: what min and max range over
 }
 
-// oracleAgg folds cells (those the fragment's box, exclusions and predicates
-// leave) one by one, the way a worker's fold sink is specified: every cell
+// oracleAgg folds seen (the cells the fragment's box and exclusions leave)
+// one by one, the way a worker's fold sink is specified. A grouped fold folds
+// the cells the predicates pass and no other. Under a grand total the
+// predicates are a filter, and a filter keeps a refuted cell, all NULL: it
+// opens the one row and adds nothing to it. Of the cells folded, every one
 // opens its group, NULLs do not enter it, and NaNs enter the count and the
 // sum but neither extreme.
-func oracleAgg(cells map[xy]array.Cell, q diffQuery) map[string]*oracleGroup {
+func oracleAgg(seen map[xy]array.Cell, q diffQuery) map[string]*oracleGroup {
 	attr := map[string]int{"v": 0, "k": 1, "tag": 2, "*": 0}[q.attr]
 	groups := map[string]*oracleGroup{}
-	for c, cell := range cells {
+	for c, cell := range seen {
+		passes := ops.CellMatchesPreds(q.preds, cell)
+		if !passes && len(q.groups) > 0 {
+			continue
+		}
 		key := array.Coord{1}
 		if len(q.groups) > 0 {
 			key = make(array.Coord, len(q.groups))
@@ -279,7 +286,7 @@ func oracleAgg(cells map[xy]array.Cell, q diffQuery) map[string]*oracleGroup {
 			g = &oracleGroup{key: key, min: math.Inf(1), max: math.Inf(-1)}
 			groups[key.Key()] = g
 		}
-		if cell[attr].Null {
+		if !passes || cell[attr].Null {
 			continue
 		}
 		g.count++
@@ -297,9 +304,14 @@ func oracleAgg(cells map[xy]array.Cell, q diffQuery) map[string]*oracleGroup {
 }
 
 // checkAgainstOracle holds the array a worker's table terminates into to the
-// oracle's groups.
-func checkAgainstOracle(t testing.TB, name string, got *array.Array, groups map[string]*oracleGroup, q diffQuery) {
+// oracle's groups: exactly those, each with the oracle's values. pruned says
+// the node skipped buckets unread: a grand total's row is then there whatever
+// the oracle saw, as a pruned bucket occupies it by itself.
+func checkAgainstOracle(t testing.TB, name string, got *array.Array, groups map[string]*oracleGroup, q diffQuery, pruned bool) {
 	t.Helper()
+	if total := (array.Coord{1}); pruned && len(q.groups) == 0 && groups[total.Key()] == nil {
+		groups[total.Key()] = &oracleGroup{key: total}
+	}
 	if got.Count() != int64(len(groups)) {
 		t.Fatalf("%s: %d groups, oracle has %d", name, got.Count(), len(groups))
 	}
@@ -389,6 +401,26 @@ func checkAgainstOps(t testing.TB, name string, spec ops.FoldSpec, got, cells *a
 	})
 }
 
+// oneNullCell is an array holding one all-NULL cell: what ops.Filter leaves
+// of a cell it refutes.
+func oneNullCell(t testing.TB) *array.Array {
+	t.Helper()
+	a := array.MustNew(diffSchema())
+	if err := a.Set(array.Coord{1, 1}, nullCell()); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+func nullCell() array.Cell {
+	s := diffSchema()
+	cell := make(array.Cell, len(s.Attrs))
+	for i, at := range s.Attrs {
+		cell[i] = array.NullValue(at.Type)
+	}
+	return cell
+}
+
 func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
@@ -447,23 +479,30 @@ func checkWorkerRead(t *testing.T, seed int64) {
 			q := randQuery(rng)
 			name := fmt.Sprintf("seed %d %s query %d %+v", seed, backing, qi, q)
 			// The oracle: the cells the box and the exclusions leave are
-			// seen, those of them the predicates pass are answered.
-			var wantSeen int64
+			// seen, those of them the predicates pass are answered — as
+			// cells, or folded; the rest a filter would leave all NULL.
+			seen := map[xy]array.Cell{}
 			wantCells := map[xy]array.Cell{}
-			matched := array.MustNew(diffSchema())
+			filtered, matched := array.MustNew(diffSchema()), array.MustNew(diffSchema())
 			for c, cell := range final {
 				if !q.visible(c) {
 					continue
 				}
-				wantSeen++
+				seen[c] = cell
+				co := array.Coord{c[0], c[1]}
 				if ops.CellMatchesPreds(q.preds, cell) {
 					wantCells[c] = cell
-					if err := matched.Set(array.Coord{c[0], c[1]}, cell); err != nil {
+					if err := matched.Set(co, cell); err != nil {
 						t.Fatal(err)
 					}
+				} else {
+					cell = nullCell()
+				}
+				if err := filtered.Set(co, cell); err != nil {
+					t.Fatal(err)
 				}
 			}
-			wantGroups := oracleAgg(wantCells, q)
+			wantSeen := int64(len(seen))
 			// checkCounters holds a response's counters to the oracle. A
 			// bucket pruned unread is not seen, so Seen is exact only
 			// without one; only stores prune.
@@ -486,17 +525,28 @@ func checkWorkerRead(t *testing.T, seed int64) {
 				before := w.Stats().CellsScanned
 				agg := handleOK(t, w, q.message(q.aggFold()))
 				checkCounters(par, "fold", agg)
-				checkAgainstOracle(t, fmt.Sprintf("%s par %d: fold", name, par), foldResult(t, *q.aggFold(), agg.Table), wantGroups, q)
-				if got := w.Stats().CellsScanned - before; got != agg.Cells {
-					t.Fatalf("%s par %d: fold scanned %d cells, want %d", name, par, got, agg.Cells)
+				checkAgainstOracle(t, fmt.Sprintf("%s par %d: fold", name, par), foldResult(t, *q.aggFold(), agg.Table), oracleAgg(seen, q), q, agg.Skipped > 0)
+				// Every cell read is scanned, refuted or not.
+				if got := w.Stats().CellsScanned - before; got != agg.Seen {
+					t.Fatalf("%s par %d: fold scanned %d cells, want the %d it saw", name, par, got, agg.Seen)
 				}
 				var folds []*ops.FoldTable
 				for _, spec := range sameKernelFolds(q.groups) {
-					table := handleOK(t, w, q.message(&spec)).Table
+					resp := handleOK(t, w, q.message(&spec))
+					// The memory side of the statement: a grouped fold over
+					// the cells that pass, a grand total over what ops.Filter
+					// leaves of the cells seen — of a pruned bucket, if the
+					// oracle sees none, one refuted cell.
+					cells := matched
+					if len(spec.Dims) == 0 && spec.Strides == nil {
+						if cells = filtered; wantSeen == 0 && resp.Skipped > 0 {
+							cells = oneNullCell(t)
+						}
+					}
 					// Only the array backing chunks its partition as the
 					// memory array is chunked.
-					checkAgainstOps(t, fmt.Sprintf("%s par %d", name, par), spec, foldResult(t, spec, table), matched, backing == "array")
-					folds = append(folds, table)
+					checkAgainstOps(t, fmt.Sprintf("%s par %d", name, par), spec, foldResult(t, spec, resp.Table), cells, backing == "array")
+					folds = append(folds, resp.Table)
 				}
 				cells := handleOK(t, w, q.message(nil))
 				checkCounters(par, "cells", cells)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -414,6 +415,41 @@ func TestStatsOpAndWorkerCounters(t *testing.T) {
 	}
 	if resp.Stats.CellsHeld != 16 || resp.Stats.Requests == 0 || resp.Stats.BytesIn == 0 {
 		t.Errorf("counters = %+v", resp.Stats)
+	}
+}
+
+// TestCellsScannedCountsCellsRead: a cell the predicates refute had its
+// column read all the same, so it is scanned on either sink; only a read that
+// projects no column (a count without predicates) scans nothing.
+func TestCellsScannedCountsCellsRead(t *testing.T) {
+	tr := NewLocal(1)
+	co := NewCoordinator(tr, 0)
+	if err := co.Create("sky", gridSchema(), partition.Block{Nodes: 1, SplitDim: 0, High: 64}); err != nil {
+		t.Fatal(err)
+	}
+	loadGrid(t, co, "sky", 8) // flux = x+y: 28 of the 64 cells are above 9
+	preds := []array.ZonePred{{Attr: 0, Op: ">", Val: array.Float64(9)}}
+	for _, c := range []struct {
+		sink    string
+		frag    ops.Fragment
+		scanned int64
+	}{
+		{"cells", ops.Fragment{Preds: preds}, 64},
+		{"fold", ops.Fragment{Preds: preds, Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "flux"}}}}, 64},
+		{"count under predicates", ops.Fragment{Preds: preds, Fold: &ops.FoldSpec{}}, 64},
+		{"count", ops.Fragment{Fold: &ops.FoldSpec{}}, 0},
+	} {
+		before := tr.Workers[0].Stats().CellsScanned
+		_, cells, seen, _, err := co.Read(context.Background(), "sky", c.frag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(28); len(c.frag.Preds) > 0 && (cells != want || seen != 64) {
+			t.Errorf("%s: answered %d of %d cells seen, want %d of 64", c.sink, cells, seen, want)
+		}
+		if got := tr.Workers[0].Stats().CellsScanned - before; got != c.scanned {
+			t.Errorf("%s: scanned %d cells, want %d", c.sink, got, c.scanned)
+		}
 	}
 }
 

@@ -314,7 +314,13 @@ func (co *Coordinator) ask(ctx context.Context, da *DistArray, box array.Box, ba
 // schema; tables merge — in plan order, so the floating-point result is the
 // same from run to run — into the array the same fold builds over the
 // gathered cells, names, types and bounds alike (only folds whose state is
-// typed throughout, ops.NewFold with no registry, run this way). A fold
+// typed throughout, ops.NewFold with no registry, run this way). Predicates
+// under a grand total are a filter under it, which keeps the cells it
+// refutes, all NULL: the one row exists if seen + skipped > 0, a pruned
+// bucket holding a cell by itself — exactly the filter's answer over the
+// whole array, while in a narrower box a pruned bucket may hold no cell of
+// it and the row (count 0, the rest NULL) is there regardless. A grouped fold
+// has the groups holding a cell that passed, and no other. A fold
 // without aggregates builds no array: cells, which every read reports, is its
 // answer. seen counts the live cells the nodes read in the box before the
 // predicates, skipped the buckets they pruned unread.

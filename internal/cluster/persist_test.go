@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"scidb/internal/array"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
@@ -193,6 +195,56 @@ func TestCacheStatsOpUncached(t *testing.T) {
 	}
 	if stats[0].Budget != 0 || stats[0].Hits != 0 {
 		t.Errorf("uncached node reported %+v, want zero value", stats[0])
+	}
+}
+
+// TestFilteredGrandTotalOccupancy pins what Read promises of predicates under
+// a grand total: the row exists if the nodes saw a cell or pruned a bucket.
+// Over the whole array that is the filter's own answer (a refuted cell stays,
+// all NULL); in a narrower box a pruned bucket counts though its one cell
+// lies outside, where a node that read the bucket answers no row. A grouped
+// fold has only the groups a passing cell opens, pruned buckets or none.
+func TestFilteredGrandTotalOccupancy(t *testing.T) {
+	preds := []array.ZonePred{{Attr: 0, Op: ">", Val: array.Float64(100)}}
+	total := &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "count", Attr: "flux"}, {Agg: "sum", Attr: "flux"}}}
+	grouped := &ops.FoldSpec{Dims: []string{"x"}, Aggs: total.Aggs}
+	corner := array.NewBox(array.Coord{5, 5}, array.Coord{8, 8}) // inside the bucket, off its one cell
+	for _, c := range []struct {
+		backing       string
+		frag          ops.Fragment
+		seen, skipped int64
+		rows          int64
+	}{
+		{"store", ops.Fragment{Preds: preds, Fold: total}, 0, 1, 1},
+		{"store", ops.Fragment{Box: corner, Preds: preds, Fold: total}, 0, 1, 1},
+		{"store", ops.Fragment{Preds: preds, Fold: grouped}, 0, 1, 0},
+		{"array", ops.Fragment{Preds: preds, Fold: total}, 1, 0, 1},
+		{"array", ops.Fragment{Box: corner, Preds: preds, Fold: total}, 0, 0, 0},
+		{"array", ops.Fragment{Preds: preds, Fold: grouped}, 1, 0, 0},
+	} {
+		var co *Coordinator
+		if c.backing == "store" {
+			_, co = persistGrid(t, 1)
+		} else {
+			tr := NewLocal(1)
+			t.Cleanup(func() { _ = tr.Close() })
+			co = NewCoordinator(tr, 0)
+		}
+		if err := co.Create("sky", gridSchema(), partition.Block{Nodes: 1, SplitDim: 0, High: 64}); err != nil {
+			t.Fatal(err)
+		}
+		loadGrid(t, co, "sky", 1) // one cell, (1,1), flux 2
+		name := fmt.Sprintf("%s %+v", c.backing, c.frag)
+		a, cells, seen, skipped, err := co.Read(context.Background(), "sky", c.frag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cells != 0 || seen != c.seen || skipped != c.skipped || a.Count() != c.rows {
+			t.Errorf("%s: %d cells of %d seen, %d buckets skipped, %d rows; want 0 of %d, %d, %d", name, cells, seen, skipped, a.Count(), c.seen, c.skipped, c.rows)
+		}
+		if row, ok := a.At(array.Coord{1}); c.rows == 1 && (!ok || row[0].Null || row[0].Int != 0 || !row[1].Null) {
+			t.Errorf("%s: row %v, want count 0 and a NULL sum", name, row)
+		}
 	}
 }
 

@@ -434,7 +434,9 @@ func (w *Worker) put(req *Message) (*Message, error) {
 // failing the predicates — and goes to one of two sinks. A fold folds it into
 // a partial table, and the tables merge in delivery order into the node's
 // answer (only folds whose state is typed throughout: that is all a table
-// carries over the wire). Without one the cells themselves are shipped: a
+// carries over the wire); a grand total's row is then marked occupied by the
+// cells the node read or pruned, see below. Without a fold the cells
+// themselves are shipped: a
 // chunk that survives whole and sits on the result grid is encoded straight
 // from storage, anything else contributes its surviving slots column-wise to
 // a result-grid chunk that is encoded once the read is done.
@@ -516,14 +518,25 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 			payloads = append(payloads, p.payload)
 		}
 	}
-	if fold != nil {
-		resp.Table, err = fold.Merge(tables)
-	} else if resp.Payload, err = storage.FrameChunks(payloads); err == nil {
-		w.stats.bytesOut.Add(int64(len(resp.Payload)))
+	if fold == nil {
+		if resp.Payload, err = storage.FrameChunks(payloads); err == nil {
+			w.stats.bytesOut.Add(int64(len(resp.Payload)))
+		}
+	} else if resp.Table, err = fold.Merge(tables); err == nil && len(resp.Table.Shape) == 0 {
+		// Predicates under a grand total are a filter under it, and a filter
+		// keeps the cells it refutes, all NULL: the one row exists if the node
+		// held any cell, passed or not — one it read, or one in a bucket it
+		// pruned unread, which always holds one. Over the whole array that is
+		// exact; in a narrower box or beside an exclusion a pruned bucket may
+		// hold no cell of the node's share, and the row is there regardless.
+		// (A grouped fold keeps the groups its passing cells open: a pruned
+		// bucket does not say which others it holds, and core builds none.)
+		resp.Table.Cells[0] = resp.Seen + resp.Skipped
 	}
-	// A cell whose columns were read was scanned; a count reads presence alone.
+	// A cell whose columns were read was scanned, whatever the predicates made
+	// of it; a count reads presence alone.
 	if attrs == nil || len(attrs) > 0 {
-		w.stats.cellsScanned.Add(resp.Cells)
+		w.stats.cellsScanned.Add(resp.Seen)
 	}
 	return resp, err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/cluster"
 	"scidb/internal/insitu"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 	"scidb/internal/udf"
@@ -230,25 +232,22 @@ func TestOneStatementFourBackings(t *testing.T) {
 		"regrid(D, [5, 4], max(big))",
 		"filter(regrid(D, [2, 3], avg(v) as m), m > 50)",
 		"filter(aggregate(D, {x}, max(v) as m), m > 20)",
-		"aggregate(filter(D, v > 80), {}, sum(v), count(v))",          // prunes some buckets
-		"aggregate(filter(D, v > 1000), {}, sum(v), count(v))",        // prunes all
 		"aggregate(filter(D, v > 0), {}, sum(v) as s, count(w))",      // prunes none
-		"aggregate(filter(D, v > 80 and w < 10.5), {x}, count(v))",    // grouped: not pushed
 		"aggregate(subsample(D, x >= 3 and x <= 7), {}, sum(v) as s)", // box under an aggregate
 		"E",
 		"subsample(E, x <= 4)",
 		"aggregate(E, {}, sum(v))",
 		"aggregate(E, {x}, max(v) as m)",
 		"regrid(E, [2, 3], avg(v))",
-		"aggregate(filter(E, v > 0), {}, count(v))",
 	} {
 		sameOnFourBackings(t, dbs, stmt)
 	}
-	// The fragment's one combination core builds beyond a lone rule: a
-	// grand total over a range-only subsample is folded, box and all, where
-	// the cells are. plan is what EXPLAIN must show on the grid: the leaf
-	// that runs.
+	// The fragment's combinations core builds beyond a lone rule: a grand
+	// total over a range-only subsample is folded, box and all, where the
+	// cells are, and so is one over a filter (below). plan is what EXPLAIN
+	// must show on the grid: the leaf that runs.
 	const partials, gathered = "aggregate [per-node partials]\n└─ scan D [cluster]", "aggregate\n└─ subsample\n   └─ scan D [cluster]"
+	const filtered = "aggregate\n└─ filter\n   └─ scan D [cluster]"
 	for _, c := range []struct{ stmt, plan string }{
 		{"aggregate(subsample(D, x >= 4 and x <= 7), {}, sum(v) as s)", partials + " box=[4:7,1:10]"}, // straddles the node split
 		{"aggregate(subsample(D, x = 6 and y = 2), {}, max(v), count(w))", partials + " box=[6:6,2:2]"},
@@ -263,11 +262,40 @@ func TestOneStatementFourBackings(t *testing.T) {
 		{"aggregate(subsample(D, x >= 4 and x <= 7), {x}, sum(v))", gathered + " box=[4:7,1:10]"}, // grouped: subsample re-indexes x
 		{"aggregate(subsample(D, even(x)), {}, sum(v))", gathered},                                // no box to push
 		{"aggregate(subsample(E, x >= 4 and x <= 7), {}, sum(v), count(v))", strings.ReplaceAll(partials, " D ", " E ") + " box=[4:7,1:10]"},
+		// A grand total over a filter whose predicate is nothing but zone
+		// conjuncts is filtered and folded where the cells are; the row is
+		// occupied if the array holds any cell, passing or not.
+		{"aggregate(filter(D, v > 80), {}, sum(v), count(v))", partials + " preds=v>80"},                         // some cells pass
+		{"aggregate(filter(D, v > 1000), {}, sum(v), count(v))", partials + " preds=v>1000"},                     // none pass, every bucket is pruned: NULL sum, zero count
+		{"aggregate(filter(E, v > 0), {}, count(v))", strings.ReplaceAll(partials, " D ", " E ") + " preds=v>0"}, // no cell, no row
+		{"aggregate(filter(D, v >= 90), {}, count(v), count(w), avg(w))", partials + " preds=v>=90"},             // x = 9: v NULL throughout
+		{"aggregate(filter(D, w >= 8), {}, count(w), min(w), max(w), sum(v))", partials + " preds=w>=8"},         // x = 8: NaNs pass >=
+		{"aggregate(filter(D, w < 4), {}, count(*), stdev(w) as sd)", partials + " preds=w<4"},                   // a NULL and a stray NaN below
+		{"aggregate(filter(D, v > 80 and w < 10.5), {}, sum(v), max(w))", partials + " preds=v>80 and w<10.5"},
+		{"aggregate(filter(D, 30 < v), {}, sum(big), min(big), max(big), avg(big), count(big))", partials + " preds=v>30"},
+		{"aggregate(filter(D, v > 80 or w < 3), {}, sum(v))", filtered},                  // not a conjunction
+		{"aggregate(filter(D, v > 80 and x > 3), {}, sum(v))", filtered + " preds=v>80"}, // a dimension: the conjunct is a hint
+		{"aggregate(filter(D, v + 1 > 3), {}, count(v))", filtered},                      // arithmetic
+		{"aggregate(filter(D, v > 80), {}, spread(v))", filtered},                        // no typed state, and no NULL contract
+		{"aggregate(filter(D, v > 80), {}, sum(v), spread(v) as r)", filtered},           //
+		{"aggregate(filter(D, v > 80 and w < 10.5), {x}, count(v))", filtered},           // grouped: a pruned bucket's groups are unknown
 	} {
 		sameOnFourBackings(t, dbs, c.stmt)
 		if got := exec(t, dbs["cluster"], "explain "+c.stmt).Msg; got != c.plan {
 			t.Errorf("explain %s on the grid:\n%s\nwant:\n%s", c.stmt, got, c.plan)
 		}
+	}
+	// Where every bucket is pruned no node sees a cell, and the buckets it
+	// skipped are all that occupies the row.
+	a, cells, seen, skipped, err := dbs["cluster"].cluster.Read(context.Background(), "D", ops.Fragment{
+		Preds: []array.ZonePred{{Attr: 0, Op: ">", Val: array.Int64(1000)}},
+		Fold:  &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "count", Attr: "v"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells != 0 || seen != 0 || skipped == 0 || a.Count() != 1 {
+		t.Errorf("v > 1000 on the grid: %d cells of %d seen, %d buckets skipped, %d rows; want none seen, some skipped, one row", cells, seen, skipped, a.Count())
 	}
 }
 
@@ -301,9 +329,11 @@ func (c *countingTransport) Call(node int, req *cluster.Message) (*cluster.Messa
 
 // TestEmptyFilteredGatherIsOneRoundTrip: array-backed workers filter cell by
 // cell and prune nothing, so when no cell passes the filter only the cells
-// they saw can say the array is not empty. That rides the gather's own
-// responses: one call per planned node, and the grand-total row is occupied
-// (zero count, NULL sum) exactly as over the memory array.
+// they saw can say the array is not empty. That rides the read's own
+// responses — each node's table when the filter folds where the cells are,
+// the gather's Seen when its cells are shipped (a dimension in the predicate)
+// — one call per planned node, and the grand-total row is occupied (zero
+// count, NULL sum) exactly as over the memory array.
 func TestEmptyFilteredGatherIsOneRoundTrip(t *testing.T) {
 	tr := &countingTransport{Transport: cluster.NewLocal(2)}
 	defer tr.Close()
@@ -326,18 +356,22 @@ func TestEmptyFilteredGatherIsOneRoundTrip(t *testing.T) {
 	if err := co.Flush("D"); err != nil {
 		t.Fatal(err)
 	}
-	const stmt = "aggregate(filter(D, v > 1000), {}, count(v), sum(v))"
-	before := tr.calls.Load()
-	got := exec(t, db, stmt).Array
-	if calls := tr.calls.Load() - before; calls != 2 {
-		t.Errorf("%s made %d calls to a 2-node grid, want one per node", stmt, calls)
-	}
-	cell, ok := got.At(array.Coord{1})
-	if !ok || cell[0].Null || cell[0].Int != 0 || !cell[1].Null {
-		t.Errorf("%s = %v (occupied %v), want the occupied row: zero count, NULL sum", stmt, cell, ok)
-	}
-	if want := shapeAndCells(exec(t, mem, stmt).Array); shapeAndCells(got) != want {
-		t.Errorf("%s on the grid:\n%s\nover memory:\n%s", stmt, shapeAndCells(got), want)
+	for _, stmt := range []string{
+		"aggregate(filter(D, v > 1000), {}, count(v), sum(v))",
+		"aggregate(filter(D, v > 1000 and x > 0), {}, count(v), sum(v))",
+	} {
+		before := tr.calls.Load()
+		got := exec(t, db, stmt).Array
+		if calls := tr.calls.Load() - before; calls != 2 {
+			t.Errorf("%s made %d calls to a 2-node grid, want one per node", stmt, calls)
+		}
+		cell, ok := got.At(array.Coord{1})
+		if !ok || cell[0].Null || cell[0].Int != 0 || !cell[1].Null {
+			t.Errorf("%s = %v (occupied %v), want the occupied row: zero count, NULL sum", stmt, cell, ok)
+		}
+		if want := shapeAndCells(exec(t, mem, stmt).Array); shapeAndCells(got) != want {
+			t.Errorf("%s on the grid:\n%s\nover memory:\n%s", stmt, shapeAndCells(got), want)
+		}
 	}
 }
 
@@ -400,6 +434,7 @@ func TestExplainShowsTheScanThatRuns(t *testing.T) {
 			"regrid(D, [2, 3], avg(v))":                                   "regrid [per-node partials]",
 			"filter(regrid(D, [2, 3], avg(v) as m), m > 50)":              "regrid [per-node partials]",
 			"aggregate(subsample(D, x >= 3 and x <= 7), {}, sum(v) as s)": "aggregate [per-node partials]", // the box rides the fold
+			"aggregate(filter(D, v > 80 and w < 10.5), {}, sum(v))":       "aggregate [per-node partials]", // and so do the predicates
 		} {
 			for _, explain := range []string{"explain ", "explain analyze "} {
 				if partials := strings.Contains(exec(t, db, explain+stmt).Msg, node); partials != (kind == "cluster") {

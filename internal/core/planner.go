@@ -100,8 +100,11 @@ func planNode(e parser.ArrayExpr, lf *leaf) (string, []parser.ArrayExpr) {
 func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) (*array.Array, error) {
 	if lf != nil && lf.frag.Fold != nil {
 		// e is a fold the nodes run over their own cells; its input is
-		// never gathered.
+		// never gathered, and the profile shows the plan's leaf doing it.
+		name, _ := planNode(lf.ref, lf)
+		sp, ctx := obs.StartSpan(ctx, name)
 		a, _, err := lf.src.read(ctx, lf.frag)
+		sp.End()
 		return a, err
 	}
 	switch n := e.(type) {

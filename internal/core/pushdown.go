@@ -22,14 +22,15 @@ type leaf struct {
 	// frag.Box is the whole array unless a subsample narrowed it, frag.Preds
 	// the zone conjuncts of via's predicate; both are hints. With frag.Fold
 	// the fold above (aggregate, regrid) runs as per-node partial tables:
-	// the read answers for it, and nothing between it and ref is evaluated.
+	// the read answers for it, and nothing between it and ref is evaluated —
+	// the box is then exact, and the conjuncts are all of via's predicate.
 	frag ops.Fragment
 }
 
 // pushdown is the one rule list. For an operator sitting directly on an
 // array reference — or a grand total with one filter or subsample between —
 // it resolves that reference and peels off whatever the source may apply
-// while reading; every rule but the folds is a hint under the read contract,
+// while reading; without a fold every rule is a hint under the read contract,
 // so the operator still runs over what comes back. It returns nil for any
 // other expression.
 func (db *Database) pushdown(e parser.ArrayExpr) (*leaf, error) {
@@ -73,18 +74,26 @@ func (db *Database) pushdown(e parser.ArrayExpr) (*leaf, error) {
 			lf.frag.Box = box
 		}
 	case via != nil:
-		// Rule 2: a grand total over a filter reads only what the filter's
-		// zone conjuncts cannot refute. The cells left out are exactly those
-		// the filter would have turned into all-NULL rows, so every aggregate
-		// must ignore NULLs (the RunAggregate contract), and the predicate
-		// must be pure: skipped cells skip evaluation and must not swallow
-		// its errors.
+		// Rule 2: a grand total over a filter. The filter's zone conjuncts go
+		// with the read, and the cells they leave out are exactly those the
+		// filter would have turned into all-NULL rows, so every aggregate must
+		// ignore NULLs (the RunAggregate contract). When the conjuncts are the
+		// whole predicate and the source folds, the fold goes too: each node
+		// filters and folds where its cells are, and the row exists if any
+		// node saw (or pruned) a cell. Otherwise they are a hint, the filter
+		// runs over what comes back, and the predicate must be pure: skipped
+		// cells skip evaluation and must not swallow its errors.
 		pred, err := valExpr(via.Pred)
 		if err != nil || !db.ignoreNulls(aggs) {
 			break // a bad predicate is the filter's to report
 		}
-		if pred = lowerRefs(pred, schema); ops.PredPure(pred, schema) {
-			lf.frag.Preds = ops.ZonePreds(pred, schema)
+		pred = lowerRefs(pred, schema)
+		preds, exact := ops.ZonePredsExact(pred, schema)
+		switch {
+		case exact && pushable(src, fold):
+			lf.frag.Preds, lf.frag.Fold = preds, fold
+		case ops.PredPure(pred, schema):
+			lf.frag.Preds = preds
 		}
 	case sub != nil:
 		// Rule 4: a grand total over a range-only subsample is the fold of

@@ -27,7 +27,7 @@ func FilterCtx(ctx context.Context, a *array.Array, pred Expr, reg *udf.Registry
 	}
 	work := liveChunks(a)
 	spanChunks(ctx, work)
-	preds := zonePreds(pred, a.Schema)
+	preds, _ := zonePreds(pred, a.Schema)
 	pure := predPure(pred, a.Schema)
 	stats := make([]encStats, len(work))
 	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {

@@ -77,7 +77,19 @@ func publishEncStats(ctx context.Context, tasks []encStats) {
 
 // ZonePreds exposes the predicate's zone-map conjuncts to the planner,
 // which pushes them down to storage-level bucket pruning.
-func ZonePreds(pred Expr, s *array.Schema) []array.ZonePred { return zonePreds(pred, s) }
+func ZonePreds(pred Expr, s *array.Schema) []array.ZonePred {
+	preds, _ := zonePreds(pred, s)
+	return preds
+}
+
+// ZonePredsExact is ZonePreds plus whether the conjuncts are all of pred: its
+// top-level AND-tree has no other leaf, so a cell passes pred exactly when
+// CellMatchesPreds holds and the conjuncts may stand in for the filter. When
+// false they are only a hint — a leaf was left out, and more cells match
+// them than match pred.
+func ZonePredsExact(pred Expr, s *array.Schema) (preds []array.ZonePred, exact bool) {
+	return zonePreds(pred, s)
+}
 
 // PredPure exposes the error-freeness check to the planner: only pure
 // predicates may have their evaluation skipped wholesale.
@@ -194,9 +206,10 @@ func mirrorCmp(op string) string {
 // conjunction. If any one of them cannot match a chunk's zone maps, the
 // whole conjunction is false (or NULL) for every cell — evalLogic's
 // three-valued AND returns false whenever one side is false — so Filter
-// would NULL the entire chunk.
-func zonePreds(pred Expr, s *array.Schema) []array.ZonePred {
-	var out []array.ZonePred
+// would NULL the entire chunk. Every other leaf is dropped, and exact
+// reports that none was: the AND is then true only where every member is.
+func zonePreds(pred Expr, s *array.Schema) (out []array.ZonePred, exact bool) {
+	exact = true
 	var walk func(e Expr)
 	walk = func(e Expr) {
 		if b, ok := e.(Binary); ok && b.Op == OpAnd {
@@ -206,10 +219,12 @@ func zonePreds(pred Expr, s *array.Schema) []array.ZonePred {
 		}
 		if ai, op, cv, ok := attrCmpConst(e, s); ok {
 			out = append(out, array.ZonePred{Attr: ai, Op: op, Val: cv})
+		} else {
+			exact = false
 		}
 	}
 	walk(pred)
-	return out
+	return out, exact
 }
 
 // predPure reports whether evaluating pred can never return an error:

@@ -237,7 +237,8 @@ type FoldTable struct {
 	// dimension. A grand total has neither and one row.
 	Lo, Shape []int64
 	// Cells counts the live cells folded into each row; a row with none is a
-	// group that does not exist.
+	// group that does not exist. (Whoever folds under a filter may count the
+	// cells it refuted too: they occupy the row and add nothing to Cols.)
 	Cells []int64
 	Cols  []FoldState
 }

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"math"
 	"testing"
 
 	"scidb/internal/array"
@@ -695,5 +696,72 @@ func TestDimCmpOps(t *testing.T) {
 	rng := DimRange("x", 2, 4)
 	if rng.Pred(1) || !rng.Pred(2) || !rng.Pred(4) || rng.Pred(5) {
 		t.Error("range predicate wrong")
+	}
+}
+
+// TestZonePredsExact: the zone conjuncts may stand in for a filter's
+// predicate only when they are all of it. Every shape of predicate reports
+// whether a leaf was left out, and where none was, the conjuncts decide each
+// cell — NULLs and NaNs included — as the predicate itself does.
+func TestZonePredsExact(t *testing.T) {
+	s := &array.Schema{
+		Name:  "P",
+		Dims:  []array.Dimension{{Name: "x", High: 8}},
+		Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}, {Name: "w", Type: array.TFloat64}},
+	}
+	cmp := func(op BinOp, l, r Expr) Expr { return Binary{Op: op, L: l, R: r} }
+	v, w, x := AttrRef{Name: "v"}, AttrRef{Name: "w"}, DimRef{Name: "x"}
+	num := func(n int64) Expr { return Const{V: array.Int64(n)} }
+	vGt3, wLt2 := cmp(OpGt, v, num(3)), cmp(OpLt, w, Const{V: array.Float64(2.5)})
+	cells := []array.Cell{
+		{array.Int64(5), array.Float64(1)},
+		{array.Int64(5), array.Float64(9)},
+		{array.Int64(1), array.Float64(1)},
+		{array.NullValue(array.TInt64), array.Float64(1)},
+		{array.Int64(5), array.NullValue(array.TFloat64)},
+		{array.Int64(5), array.Float64(math.NaN())},
+		{array.Int64(3), array.Float64(2.5)},
+	}
+	for _, c := range []struct {
+		name  string
+		pred  Expr
+		preds int
+		exact bool
+	}{
+		{"v > 3", vGt3, 1, true},
+		{"3 < v", cmp(OpLt, num(3), v), 1, true},
+		{"v > 3 and w < 2.5", cmp(OpAnd, vGt3, wLt2), 2, true},
+		{"(v > 3 and w < 2.5) and v != 7", cmp(OpAnd, cmp(OpAnd, vGt3, wLt2), cmp(OpNe, v, num(7))), 3, true},
+		{"w >= 2.5", cmp(OpGe, w, Const{V: array.Float64(2.5)}), 1, true}, // a NaN satisfies >=
+		{"v > NULL", cmp(OpGt, v, Const{V: array.NullValue(array.TInt64)}), 1, true},
+		{"v > 3 or w < 2.5", cmp(OpOr, vGt3, wLt2), 0, false},
+		{"v > 3 and (v > 9 or w < 2.5)", cmp(OpAnd, vGt3, cmp(OpOr, cmp(OpGt, v, num(9)), wLt2)), 1, false},
+		{"x > 3", cmp(OpGt, x, num(3)), 0, false},
+		{"v > 3 and x > 3", cmp(OpAnd, vGt3, cmp(OpGt, x, num(3))), 1, false},
+		{"v + 1 > 3", cmp(OpGt, cmp(OpAdd, v, num(1)), num(3)), 0, false},
+		{"v > w", cmp(OpGt, v, w), 0, false},
+		{"not v > 3", Not{E: vGt3}, 0, false},
+		{"v > 3 and f(w)", cmp(OpAnd, vGt3, Call{Name: "f", Args: []Expr{w}}), 1, false},
+		{"missing > 3", cmp(OpGt, AttrRef{Name: "missing"}, num(3)), 0, false},
+	} {
+		preds, exact := ZonePredsExact(c.pred, s)
+		if len(preds) != c.preds || exact != c.exact {
+			t.Errorf("%s: %d conjuncts, exact %v; want %d, %v", c.name, len(preds), exact, c.preds, c.exact)
+		}
+		if got := ZonePreds(c.pred, s); len(got) != len(preds) {
+			t.Errorf("%s: ZonePreds gives %d conjuncts, ZonePredsExact %d", c.name, len(got), len(preds))
+		}
+		if !exact {
+			continue
+		}
+		for _, cell := range cells {
+			want, err := Truthy(c.pred, &EvalCtx{Schema: s, Reg: reg(), Cell: cell, Coord: array.Coord{1}})
+			if err != nil {
+				t.Fatalf("%s over %v: %v", c.name, cell, err)
+			}
+			if got := CellMatchesPreds(preds, cell); got != want {
+				t.Errorf("%s over %v: the conjuncts say %v, the predicate %v", c.name, cell, got, want)
+			}
+		}
 	}
 }

@@ -13,9 +13,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scidb/internal/array"
+	"scidb/internal/storage"
 	"scidb/internal/tablesim"
 	"scidb/internal/udf"
 )
@@ -119,7 +121,29 @@ func atBothParallelisms(t *testing.T, label string, op func() (*array.Array, err
 		}
 	}
 	requireCellsEqual(t, label, r1, r4)
+	requireZonesHold(t, label, r1)
+	requireZonesHold(t, label, r4)
 	return r1
+}
+
+// requireZonesHold holds every zone map the storage encoder writes for a's
+// chunks — the one a column carries, where an operator passed one through —
+// to what array.ComputeZone makes of the column: the encoder trusts a carried
+// view, so no operator may write to a column and leave one behind.
+func requireZonesHold(t *testing.T, label string, a *array.Array) {
+	t.Helper()
+	for _, ch := range a.Chunks() {
+		_, zones, err := storage.EncodeChunkZones(a.Schema, ch)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for i, col := range ch.Cols {
+			if want := array.ComputeZone(col, ch.Present); !reflect.DeepEqual(zones[i], want) {
+				t.Fatalf("%s: chunk %v column %d is encoded with zone map %+v (carried: %v), the column's is %+v",
+					label, ch.Origin, i, zones[i], col.Zone != nil, want)
+			}
+		}
+	}
 }
 
 // oracleCmp is the engine's value ordering, restated: numbers compare as

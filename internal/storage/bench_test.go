@@ -133,6 +133,64 @@ func BenchmarkDecodeColumn(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeChunk encodes one 64×64-cell chunk per iteration and reports
+// the encode's cost per cell. raw-float and raw-int hold one incompressible
+// column built in memory, so what they time is the raw vector's write (and a
+// zone map's computation); pooled-zone and fresh-zone are the same two-column
+// chunk as a decoder hands it over — Column.Zone attached, which the encoder
+// reuses — and with the zone maps dropped, as any modified chunk has them.
+func BenchmarkEncodeChunk(b *testing.B) {
+	const n = 64
+	rng := rand.New(rand.NewSource(1))
+	chunk := func(attrs ...array.Attribute) (*array.Schema, *array.Chunk) {
+		s := &array.Schema{Name: "bench", Dims: []array.Dimension{{Name: "x", High: n}, {Name: "y", High: n}}, Attrs: attrs}
+		ch := array.NewChunk(s, array.Coord{1, 1}, []int64{n, n})
+		for i := int64(0); i < n*n; i++ {
+			ch.Present.Set(i)
+			for _, col := range ch.Cols {
+				if col.Type == array.TInt64 {
+					col.Ints[i] = rng.Int63()
+				} else {
+					col.Floats[i] = rng.NormFloat64()
+				}
+			}
+		}
+		return s, ch
+	}
+	v, k := array.Attribute{Name: "v", Type: array.TFloat64}, array.Attribute{Name: "k", Type: array.TInt64}
+	run := func(name string, s *array.Schema, ch *array.Chunk) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EncodeChunk(s, ch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*n*n), "ns/cell")
+		})
+	}
+	s, ch := chunk(v)
+	run("raw-float", s, ch)
+	s, ch = chunk(k)
+	run("raw-int", s, ch)
+	s, ch = chunk(v, k)
+	enc, err := EncodeChunk(s, ch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pooled, err := DecodeChunk(s, enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, col := range pooled.Cols {
+		if col.Zone == nil {
+			b.Fatal("decoded column carries no zone map")
+		}
+	}
+	run("pooled-zone", s, pooled)
+	run("fresh-zone", s, ch)
+}
+
 // BenchmarkStoreChunkScanCold times cold chunk scans of loader-shaped
 // buckets — 4×64×64 cells, three float attributes, the default codec — with
 // a pool smaller than a column, so every iteration reads, inflates and

@@ -104,9 +104,7 @@ func unpackBits(words []uint64, width uint, count int64) []uint64 {
 // writePackedWords writes a u32 word count followed by the words.
 func writePackedWords(w *FieldWriter, words []uint64) {
 	w.U32(uint32(len(words)))
-	for _, word := range words {
-		w.U64(word)
-	}
+	w.U64sRaw(words)
 }
 
 // readPackedWords reads the words written by writePackedWords, validating
@@ -175,9 +173,7 @@ func encodeIntValues(w *FieldWriter, vals []int64) {
 		}
 	default:
 		w.U8(encRaw)
-		for _, v := range vals {
-			w.I64(v)
-		}
+		w.I64sRaw(vals)
 	}
 }
 
@@ -279,9 +275,7 @@ func encodeFloatValues(w *FieldWriter, vals []float64) {
 		}
 	default:
 		w.U8(encRaw)
-		for _, v := range vals {
-			w.F64(v)
-		}
+		w.F64sRaw(vals)
 	}
 }
 

@@ -439,8 +439,10 @@ func DecodeArray(s *array.Schema, data []byte) (*array.Array, error) {
 // (zone-mappable types), the values under the encoding colenc.go picks,
 // then the uncertainty tail. Nested-array columns are written verbatim —
 // their payloads are recursively encoded arrays, which compress internally.
-// It returns the zone map it computed (nil for nested columns) so the caller
-// can index the chunk without re-scanning.
+// It returns the column's zone map (nil for nested columns) so the caller can
+// index the chunk without re-scanning: the one a decoder attached, which
+// Column's contract keeps only while the column is as decoded, or else one
+// computed here.
 func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present *array.Bitmap) (*array.ZoneMap, error) {
 	var flags uint8
 	if col.Sigma != nil {
@@ -449,7 +451,10 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	if col.HasShared {
 		flags |= colFlagShared
 	}
-	zone := array.ComputeZone(col, present)
+	zone := col.Zone
+	if zone == nil {
+		zone = array.ComputeZone(col, present)
+	}
 	if zone != nil {
 		flags |= colFlagZone
 	}
@@ -484,9 +489,7 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	default:
 		return nil, fmt.Errorf("storage: cannot encode attribute type %v", at.Type)
 	}
-	for _, v := range col.Sigma {
-		w.F64(v)
-	}
+	w.F64sRaw(col.Sigma)
 	if col.HasShared {
 		w.F64(col.SharedSigma)
 	}
@@ -575,11 +578,7 @@ func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Colum
 
 // writeBitmap writes a bitmap's words; the reader knows how many from the
 // chunk's slot count.
-func writeBitmap(w *FieldWriter, b *array.Bitmap) {
-	for _, word := range b.Words() {
-		w.U64(word)
-	}
-}
+func writeBitmap(w *FieldWriter, b *array.Bitmap) { w.U64sRaw(b.Words()) }
 
 func readBitmap(r *FieldReader, bits int64) (*array.Bitmap, error) {
 	n := (bits + 63) / 64

@@ -278,27 +278,34 @@ func randCell(rng *rand.Rand, attrs []array.Attribute, dist []int, i int64) arra
 	return cell
 }
 
+// randChunk draws a one-dimensional chunk of 1 to 200 slots under randAttrs'
+// schema and distributions, with holes in its presence bitmap.
+func randChunk(rng *rand.Rand) (*array.Schema, *array.Chunk) {
+	attrs, dist := randAttrs(rng)
+	slots := int64(1 + rng.Intn(200))
+	s := &array.Schema{
+		Name:  "R",
+		Dims:  []array.Dimension{{Name: "i", High: slots}},
+		Attrs: attrs,
+	}
+	ch := array.NewChunk(s, array.Coord{1}, []int64{slots})
+	for i := int64(0); i < slots; i++ {
+		if rng.Intn(5) == 0 {
+			continue // leave holes in the presence bitmap
+		}
+		_ = ch.Set(array.Coord{i + 1}, randCell(rng, attrs, dist, i))
+	}
+	return s, ch
+}
+
 // TestEncodingPropertyRandomSchemas: randomized schemas and value
 // distributions; every chunk must round-trip byte-exactly regardless of
 // which encoding the chooser picks.
 func TestEncodingPropertyRandomSchemas(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
-		attrs, dist := randAttrs(rng)
-		slots := int64(1 + rng.Intn(200))
-		s := &array.Schema{
-			Name:  "R",
-			Dims:  []array.Dimension{{Name: "i", High: slots}},
-			Attrs: attrs,
-		}
-		ch := array.NewChunk(s, array.Coord{1}, []int64{slots})
-		for i := int64(0); i < slots; i++ {
-			if rng.Intn(5) == 0 {
-				continue // leave holes in the presence bitmap
-			}
-			_ = ch.Set(array.Coord{i + 1}, randCell(rng, attrs, dist, i))
-		}
-		roundTrip(t, s, ch, slots)
+		s, ch := randChunk(rng)
+		roundTrip(t, s, ch, ch.Slots())
 	}
 }
 

@@ -22,7 +22,12 @@ type FieldWriter struct {
 	// buf stages fixed-width fields: a local array would escape through
 	// the io.Writer call and cost one allocation per value written.
 	buf [8]byte
+	// vec stages a vector of them, a block per Write; made by the first.
+	vec []byte
 }
+
+// vecBlock is how many bytes of a vector go out in one Write.
+const vecBlock = 4096
 
 // NewFieldWriter wraps w.
 func NewFieldWriter(w io.Writer) *FieldWriter { return &FieldWriter{w: w} }
@@ -71,6 +76,56 @@ func (w *FieldWriter) I64(v int64) { w.U64(uint64(v)) }
 // F64 writes a float64 via its IEEE-754 bits.
 func (w *FieldWriter) F64(v float64) { w.U64(math.Float64bits(v)) }
 
+// U64sRaw writes each uint64 with no count before them — the mirror of
+// FieldReader.U64sInto — staging a block of values per Write, so a vector
+// costs the underlying writer a call per block, not per value.
+func (w *FieldWriter) U64sRaw(vs []uint64) {
+	for len(vs) > 0 && w.err == nil {
+		b := w.block(len(vs))
+		n := len(b) / 8
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(b[8*i:], v)
+		}
+		w.Raw(b)
+		vs = vs[n:]
+	}
+}
+
+// I64sRaw is U64sRaw for int64s.
+func (w *FieldWriter) I64sRaw(vs []int64) {
+	for len(vs) > 0 && w.err == nil {
+		b := w.block(len(vs))
+		n := len(b) / 8
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+		w.Raw(b)
+		vs = vs[n:]
+	}
+}
+
+// F64sRaw is U64sRaw for float64s.
+func (w *FieldWriter) F64sRaw(vs []float64) {
+	for len(vs) > 0 && w.err == nil {
+		b := w.block(len(vs))
+		n := len(b) / 8
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		w.Raw(b)
+		vs = vs[n:]
+	}
+}
+
+// block is the staging room for the next values of a vector of n.
+func (w *FieldWriter) block(n int) []byte {
+	want := min(vecBlock, 8*n)
+	if len(w.vec) < want {
+		w.vec = make([]byte, want)
+	}
+	return w.vec[:want]
+}
+
 // Bytes writes a u32 length prefix followed by the bytes.
 func (w *FieldWriter) Bytes(p []byte) {
 	w.U32(uint32(len(p)))
@@ -94,17 +149,13 @@ func (w *FieldWriter) Strings(ss []string) {
 // I64s writes a u32 count followed by each int64.
 func (w *FieldWriter) I64s(vs []int64) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.I64(v)
-	}
+	w.I64sRaw(vs)
 }
 
 // F64s writes a u32 count followed by each float64.
 func (w *FieldWriter) F64s(vs []float64) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.F64(v)
-	}
+	w.F64sRaw(vs)
 }
 
 // FieldReader mirrors FieldWriter on the decode side, accumulating the
