@@ -65,13 +65,14 @@ bench-smoke:
 # The standing benchmark suite is its own module under bench/, which the
 # root `go test ./...` never reaches: vet and test it, then run one short
 # checked round of the pushdown workload warm (worker-side execution) and
-# cold (bucket read + decode under it), and of the gather workload
-# (coordinator-side ops).
+# cold (bucket read + decode under it), of the gather workload
+# (coordinator-side ops) and of the bulk load (the worker's write ops).
 bench-suite:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload ssdb.pushdown.warm --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
 	bash bench/run.sh --workload ssdb.pushdown.cold --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
 	bash bench/run.sh --workload ssdb.gather --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
+	bash bench/run.sh --workload load.bulk --seconds 5 --trace 0 | tail -n 1 | grep -q '"failed":0'
 
 experiments:
 	$(GO) run ./cmd/scidb-bench -quick

@@ -7,7 +7,7 @@
 // protocol; a connection that opens with neither magic is closed.
 //
 //	scidb-server -listen 127.0.0.1:7101 -id 0
-//	scidb-server -listen 127.0.0.1:7101 -id 0 -persist -data-dir /var/scidb -cache-bytes 268435456 -readahead 4
+//	scidb-server -listen 127.0.0.1:7101 -id 0 -data-dir /var/scidb -cache-bytes 268435456 -readahead 4
 //	scidb-server -listen 127.0.0.1:7101 -id 0 -parallelism 8 -wire-compress gzip -call-timeout 30s
 //	scidb-server -listen 127.0.0.1:7101 -id 0 -metrics-addr 127.0.0.1:9101 -slow-query 250ms
 //	scidb-server -listen 127.0.0.1:7101 -slots 8 -queue-depth 64 -idle-timeout 5m -drain-timeout 30s
@@ -22,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"scidb/internal/bufcache"
 	"scidb/internal/cluster"
 	"scidb/internal/exec"
 	"scidb/internal/introspect"
@@ -32,10 +33,9 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7101", "address to listen on")
 	id := flag.Int("id", 0, "node id")
-	persist := flag.Bool("persist", false, "back partitions with the bucket store instead of plain arrays")
-	dataDir := flag.String("data-dir", "", "bucket directory root for -persist (empty: in-memory buckets)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "decoded-bucket buffer pool budget for -persist (0 disables)")
-	readahead := flag.Int("readahead", 0, "scan prefetch depth for -persist: buckets loaded ahead of a scan (0 disables)")
+	dataDir := flag.String("data-dir", "", "bucket directory root (empty: in-memory buckets)")
+	cacheBytes := flag.Int64("cache-bytes", bufcache.DefaultBudget, "decoded-bucket buffer pool budget (0 disables)")
+	readahead := flag.Int("readahead", 0, "scan prefetch depth: buckets loaded ahead of a scan (0 disables)")
 	heatHalfLife := flag.Duration("heat-half-life", 0, "decay half-life of the per-chunk access-heat tracker the rebalancer polls (0 = 30s default)")
 	parallelism := flag.Int("parallelism", 0, "chunk-parallel worker bound (1 = serial, 0 = NumCPU)")
 	wireCompress := flag.String("wire-compress", "", "response-frame codec (none|rle|delta|gzip|auto; empty mirrors each client)")
@@ -56,12 +56,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	opts := cluster.WorkerOptions{HeatHalfLife: *heatHalfLife}
-	if *persist {
-		opts = cluster.WorkerOptions{Persist: true, Dir: *dataDir, CacheBytes: *cacheBytes,
-			Readahead: *readahead, HeatHalfLife: *heatHalfLife}
-	}
-	w := cluster.NewWorkerWithOptions(*id, opts)
+	w := cluster.NewWorkerWithOptions(*id, cluster.WorkerOptions{Dir: *dataDir, CacheBytes: *cacheBytes,
+		Readahead: *readahead, HeatHalfLife: *heatHalfLife})
 	if *slowQuery > 0 {
 		w.SetSlowQuery(*slowQuery, os.Stderr)
 	}
@@ -92,17 +88,13 @@ func main() {
 		metricsSrv = ms
 		fmt.Printf("scidb-server node %d metrics on http://%s/metrics (pprof under /debug/pprof/)\n", *id, *metricsAddr)
 	}
-	mode := "array partitions"
-	if *persist {
-		mode = fmt.Sprintf("store-backed partitions (cache %d bytes, readahead %d)", *cacheBytes, *readahead)
-	}
 	codec := *wireCompress
 	if codec == "" {
 		codec = "mirror-client"
 	}
 	fmt.Printf("scidb-server %s\n", introspect.Build())
-	fmt.Printf("scidb-server node %d listening on %s, %s, parallelism %d, wire codec %s\n",
-		*id, ln.Addr(), mode, exec.Parallelism(), codec)
+	fmt.Printf("scidb-server node %d listening on %s, store-backed partitions (cache %d bytes, readahead %d), parallelism %d, wire codec %s\n",
+		*id, ln.Addr(), *cacheBytes, *readahead, exec.Parallelism(), codec)
 	fmt.Printf("scidb-server sessions: %d slots, queue depth %d, idle timeout %v\n",
 		*slots, *queueDepth, *idleTimeout)
 	introspect.Emit(introspect.EvServerStart, *id, "",

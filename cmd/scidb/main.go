@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"scidb"
+	"scidb/internal/bufcache"
 	"scidb/internal/cluster"
 	"scidb/internal/introspect"
 	"scidb/internal/obs"
@@ -55,7 +56,9 @@ func main() {
 
 	db := scidb.Open()
 	if *grid > 0 {
-		tr := cluster.NewLocal(*grid)
+		// The pool a scidb-server gets by default: an interactive grid reads
+		// flushed buckets the way a served one does.
+		tr := cluster.NewLocalWithOptions(*grid, cluster.LocalOptions{CacheBytes: bufcache.DefaultBudget})
 		defer tr.Close()
 		db.AttachCluster(cluster.NewCoordinator(tr, 0))
 	}

@@ -127,7 +127,7 @@ func benchRawWorker(b *testing.B) (w *Worker, cells int64) {
 			{Name: "dn", Type: array.TFloat64}, {Name: "cloud", Type: array.TFloat64}, {Name: "nadir", Type: array.TFloat64},
 		},
 	}
-	w = NewWorkerWithOptions(0, WorkerOptions{Persist: true, Stride: []int64{64, 64, 64}, CacheBytes: 64 << 20})
+	w = NewWorkerWithOptions(0, WorkerOptions{Stride: []int64{64, 64, 64}, CacheBytes: 64 << 20})
 	b.Cleanup(func() { _ = w.Close() })
 	if resp := w.Handle(&Message{Op: "create", Array: "raw", Schema: schema}); resp.Err != "" {
 		b.Fatal(resp.Err)

@@ -23,10 +23,10 @@ import (
 )
 
 // The differential property test for the chunk-at-a-time read path: seeded
-// random partitions on each of the three backings, read with random
-// fragments — box × zone predicates × (fold | cells | count) — and exclusion
-// boxes at parallelism 1 and 4. Every answer must equal a cell-level oracle
-// written here — the reference implementation of the worker's read
+// random partitions on each backing (a store three ways, an in-situ file) read
+// with random fragments — box × zone predicates × (fold | cells | count) — and
+// exclusion boxes at parallelism 1 and 4. Every answer must equal a cell-level
+// oracle written here — the reference implementation of the worker's read
 // semantics — and the two parallelisms must answer bit for bit alike.
 
 const diffExtent = 40 // cells per dimension; chunks of 16 leave a ragged edge
@@ -121,29 +121,26 @@ func putBatch(t testing.TB, w *Worker, cells map[xy]array.Cell) {
 }
 
 // buildDiffWorker creates a worker holding final on the named backing. The
-// store backing replays the batches with flushes between them — overlapping
-// buckets, shadowed cells — and leaves the last batch in the memory buffer;
-// its bucket stride is drawn independently of the schema's chunk grid. The
-// "store, 1-byte pool" backing is the same with a pool that keeps nothing:
-// every read loads its projected sections again, and readahead's pins are
-// all that holds a bucket between its load and its use.
+// store backings replay the batches with flushes between them — overlapping
+// buckets, shadowed cells — and leave the last batch in the memory buffer;
+// the bucket stride is drawn independently of the schema's chunk grid. "store
+// on disk" keeps its buckets in files and reads them through a pool, "store
+// in memory" has neither a directory nor a pool, and "store, 1-byte pool" has
+// a pool that keeps nothing: every read loads its projected sections again,
+// and readahead's pins are all that holds a bucket between its load and its
+// use.
 func buildDiffWorker(t testing.TB, rng *rand.Rand, backing string, batches []map[xy]array.Cell, final map[xy]array.Cell) *Worker {
 	t.Helper()
-	switch backing {
-	case "array":
-		w := NewWorker(0)
-		handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
-		for _, b := range batches {
-			putBatch(t, w, b)
-		}
-		return w
-	case "store", "store, 1-byte pool":
+	if strings.HasPrefix(backing, "store") {
 		stride := []int64{8, 16, 24}[rng.Intn(3)]
-		cache := int64(1 << 20)
-		if backing != "store" {
-			cache = 1
+		opts := WorkerOptions{Stride: []int64{stride, stride}, Readahead: 2}
+		switch backing {
+		case "store on disk":
+			opts.Dir, opts.CacheBytes = t.TempDir(), 1<<20
+		case "store, 1-byte pool":
+			opts.CacheBytes = 1
 		}
-		w := NewWorkerWithOptions(0, WorkerOptions{Persist: true, Stride: []int64{stride, stride}, CacheBytes: cache, Readahead: 2})
+		w := NewWorkerWithOptions(0, opts)
 		handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
 		for i, b := range batches {
 			putBatch(t, w, b)
@@ -373,10 +370,10 @@ func sameKernelFolds(groups []string) []ops.FoldSpec {
 }
 
 // checkAgainstOps compares a worker's answer with the local fold's over the
-// same cells: schema, groups, and every value to the bit — except stdev
-// where the partition's chunks are not the memory array's (exact), as
-// Welford states then merge in another order.
-func checkAgainstOps(t testing.TB, name string, spec ops.FoldSpec, got, cells *array.Array, exact bool) {
+// same cells: schema, groups, and every value to the bit — except stdev, as
+// the partition's buckets are not the memory array's chunks and Welford
+// states then merge in another order.
+func checkAgainstOps(t testing.TB, name string, spec ops.FoldSpec, got, cells *array.Array) {
 	t.Helper()
 	want, err := ops.FoldArray(context.Background(), cells, array.WholeBox(cells.Schema), spec, udf.NewRegistry())
 	if err != nil {
@@ -390,7 +387,7 @@ func checkAgainstOps(t testing.TB, name string, spec ops.FoldSpec, got, cells *a
 		g, _ := got.At(c)
 		for i := range cell {
 			same := g != nil && g[i].Null == cell[i].Null && g[i].Int == cell[i].Int && sameFloat(g[i].Float, cell[i].Float)
-			if !same && !exact && g != nil && spec.Aggs[i].Agg == "stdev" && !g[i].Null && !cell[i].Null {
+			if !same && g != nil && spec.Aggs[i].Agg == "stdev" && !g[i].Null && !cell[i].Null {
 				same = math.Abs(g[i].Float-cell[i].Float) <= 1e-12*math.Abs(cell[i].Float)
 			}
 			if !same {
@@ -471,7 +468,7 @@ func FuzzWorkerRead(f *testing.F) {
 // and reads it with twelve random queries, each through all three sinks.
 func checkWorkerRead(t *testing.T, seed int64) {
 	defer exec.SetParallelism(exec.Parallelism())
-	for _, backing := range []string{"array", "store", "store, 1-byte pool", "insitu"} {
+	for _, backing := range []string{"store on disk", "store in memory", "store, 1-byte pool", "insitu"} {
 		rng := rand.New(rand.NewSource(seed))
 		batches, final := diffBatches(rng)
 		w := buildDiffWorker(t, rng, backing, batches, final)
@@ -543,9 +540,7 @@ func checkWorkerRead(t *testing.T, seed int64) {
 							cells = oneNullCell(t)
 						}
 					}
-					// Only the array backing chunks its partition as the
-					// memory array is chunked.
-					checkAgainstOps(t, fmt.Sprintf("%s par %d", name, par), spec, foldResult(t, spec, resp.Table), cells, backing == "array")
+					checkAgainstOps(t, fmt.Sprintf("%s par %d", name, par), spec, foldResult(t, spec, resp.Table), cells)
 					folds = append(folds, resp.Table)
 				}
 				cells := handleOK(t, w, q.message(nil))
@@ -591,11 +586,11 @@ func checkWorkerRead(t *testing.T, seed int64) {
 
 // A put stream must not pay for the buffer's size on every cell: 256×256
 // cells with a string attribute (whose bytes the flush check has to count)
-// go into a persisted partition within seconds (the time bound is a loose
+// go into a partition within seconds (the time bound is a loose
 // guard; storage's TestBufferedBytesTrackByteSize pins the mechanism), and
 // the store flushes exactly where a model of the buffer's size says it
 // should.
-func TestPutStreamIntoPersistWorker(t *testing.T) {
+func TestPutStreamFlushesAtMemLimit(t *testing.T) {
 	const n, memLimit = 256, 4 << 20 // storage's default MemLimit
 	schema := &array.Schema{
 		Name: "s",
@@ -605,7 +600,7 @@ func TestPutStreamIntoPersistWorker(t *testing.T) {
 			{Name: "tag", Type: array.TString},
 		},
 	}
-	w := NewWorkerWithOptions(0, WorkerOptions{Persist: true, Dir: t.TempDir(), Stride: []int64{64, 64}})
+	w := NewWorkerWithOptions(0, WorkerOptions{Dir: t.TempDir(), Stride: []int64{64, 64}})
 	defer w.Close()
 	handleOK(t, w, &Message{Op: "create", Array: "s", Schema: schema})
 	ps := partitionSchema(schema)
@@ -657,7 +652,7 @@ func TestPutStreamIntoPersistWorker(t *testing.T) {
 // also pins that readers of one partition share no mutable state (lazily
 // built chunk orders, bitmap tails, counters).
 func TestConcurrentReadOpsShareWorker(t *testing.T) {
-	for _, backing := range []string{"array", "store", "insitu"} {
+	for _, backing := range []string{"store on disk", "insitu"} {
 		rng := rand.New(rand.NewSource(42))
 		batches, final := diffBatches(rng)
 		w := buildDiffWorker(t, rng, backing, batches, final)
@@ -708,7 +703,7 @@ func TestConcurrentReadOpsShareWorker(t *testing.T) {
 // cached nothing.
 func TestWorkerOpsReportCorruptBucket(t *testing.T) {
 	dir := t.TempDir()
-	w := NewWorkerWithOptions(0, WorkerOptions{Persist: true, Dir: dir, Stride: []int64{64, 64}, CacheBytes: 1 << 20})
+	w := NewWorkerWithOptions(0, WorkerOptions{Dir: dir, Stride: []int64{64, 64}, CacheBytes: 1 << 20})
 	defer w.Close()
 	handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
 	rng := rand.New(rand.NewSource(3))

@@ -2,8 +2,8 @@ package cluster
 
 // The worker's chunk-at-a-time read path. read — whichever sink its fragment
 // asks for — and the materialization behind sjoin pull (chunk, live-slot
-// mask) pairs from one chunkSource, whichever of the three backings holds the
-// partition, and work on typed columns under the mask (a fold through
+// mask) pairs from one chunkSource, whether a store or an in-situ file holds
+// the partition, and work on typed columns under the mask (a fold through
 // ops.Fold, the one aggregation engine). Nothing here boxes a cell, keys a
 // coordinate, or allocates per cell.
 
@@ -19,34 +19,13 @@ import (
 // chunkSource is an open chunk-at-a-time read of one partition over a box:
 // Next delivers chunks with their live masks (storage.LiveChunk's contract),
 // Skipped counts buckets pruned by zone map, and Close ends the read. A
-// *storage.ChunkScan is one; array- and file-backed partitions get the two
-// small sources below.
+// *storage.ChunkScan is one; a file-backed partition gets the small source
+// below.
 type chunkSource interface {
 	Next() (storage.LiveChunk, bool, error)
 	Skipped() int64
 	Close()
 }
-
-// arraySource reads a plain in-memory partition: its grid chunks are
-// disjoint, so each is delivered alone and only the box can trim it.
-type arraySource struct {
-	chunks []*array.Chunk
-	box    array.Box
-}
-
-func (s *arraySource) Next() (storage.LiveChunk, bool, error) {
-	for len(s.chunks) > 0 {
-		ch := s.chunks[0]
-		s.chunks = s.chunks[1:]
-		if ch.Box().Intersects(s.box) {
-			return storage.LiveChunk{Chunk: ch, Live: ch.MaskIn(s.box), Alone: true, Release: func() {}}, true, nil
-		}
-	}
-	return storage.LiveChunk{}, false, nil
-}
-
-func (s *arraySource) Skipped() int64 { return 0 }
-func (s *arraySource) Close()         {}
 
 // insituSource reads a file-backed partition: an odometer over the grid
 // origins covering the box, each chunk materialized (or fetched from the

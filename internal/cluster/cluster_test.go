@@ -36,42 +36,6 @@ func loadGrid(t *testing.T, co *Coordinator, name string, n int64) {
 	}
 }
 
-func TestLocalClusterPutScanCount(t *testing.T) {
-	tr := NewLocal(4)
-	co := NewCoordinator(tr, 0)
-	scheme := partition.Block{Nodes: 4, SplitDim: 0, High: 16}
-	if err := co.Create("sky", gridSchema(), scheme); err != nil {
-		t.Fatal(err)
-	}
-	loadGrid(t, co, "sky", 16)
-	n, err := co.Count("sky")
-	if err != nil || n != 256 {
-		t.Fatalf("Count = %d,%v; want 256", n, err)
-	}
-	// Box scan.
-	res, err := co.Scan("sky", array.NewBox(array.Coord{1, 1}, array.Coord{4, 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count() != 16 {
-		t.Errorf("scan cells = %d, want 16", res.Count())
-	}
-	cell, ok := res.At(array.Coord{3, 4})
-	if !ok || cell[0].Float != 7 {
-		t.Errorf("scan cell = %v,%v", cell, ok)
-	}
-	// Cells are spread across nodes per the block scheme.
-	stats, err := co.NodeStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range stats {
-		if s.CellsHeld == 0 {
-			t.Errorf("node %d holds nothing", i)
-		}
-	}
-}
-
 func TestDistributedAggregates(t *testing.T) {
 	tr := NewLocal(3)
 	co := NewCoordinator(tr, 0)
@@ -340,20 +304,6 @@ func TestTCPTransport(t *testing.T) {
 	}
 }
 
-func TestDropArray(t *testing.T) {
-	tr := NewLocal(1)
-	co := NewCoordinator(tr, 0)
-	s := gridSchema()
-	_ = co.Create("sky", s, partition.Block{Nodes: 1, SplitDim: 0, High: 64})
-	loadGrid(t, co, "sky", 4)
-	if _, err := tr.Call(0, &Message{Op: "drop", Array: "sky"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Call(0, countReq("sky")); err == nil {
-		t.Error("dropped array still present")
-	}
-}
-
 func TestWorkerOpErrors(t *testing.T) {
 	tr := NewLocal(1)
 	// create without schema
@@ -380,8 +330,10 @@ func TestWorkerOpErrors(t *testing.T) {
 	if _, err := tr.Call(0, &Message{Op: "sjoin", Array: "a", Array2: "ghost", OnL: []string{"x"}, OnR: []string{"x"}}); err == nil {
 		t.Error("sjoin with unknown right array accepted")
 	}
-	// the read ops "read" replaced are gone: no alias answers for them
-	for _, op := range []string{"scan", "agg", "count"} {
+	// the read ops "read" replaced are gone, as are "stats" (NodeStats reads
+	// "metrics") and "replicachunk" (the rebalancer sends "loadchunks"): no
+	// alias answers for them
+	for _, op := range []string{"scan", "agg", "count", "stats", "replicachunk"} {
 		if _, err := tr.Call(0, &Message{Op: op, Array: "a"}); err == nil || !strings.Contains(err.Error(), "unknown op") {
 			t.Errorf("%s on a held array: %v, want unknown op", op, err)
 		}
@@ -404,17 +356,40 @@ func TestWorkerOpErrors(t *testing.T) {
 	}
 }
 
-func TestStatsOpAndWorkerCounters(t *testing.T) {
-	tr := NewLocal(1)
+// TestNodeStatsFollowWorkerCounters: NodeStats reads each node's counters
+// through its registry, and cells_held is a gauge — a dropped partition's
+// cells leave it, so rounds of create / load / drop do not grow it.
+func TestNodeStatsFollowWorkerCounters(t *testing.T) {
+	tr := NewLocal(2)
 	co := NewCoordinator(tr, 0)
-	_ = co.Create("sky", gridSchema(), partition.Block{Nodes: 1, SplitDim: 0, High: 64})
-	loadGrid(t, co, "sky", 4)
-	resp, err := tr.Call(0, &Message{Op: "stats"})
-	if err != nil || resp.Stats == nil {
-		t.Fatalf("stats = %+v, %v", resp, err)
+	held := func() (n int64) {
+		t.Helper()
+		stats, err := co.NodeStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range stats {
+			if s != tr.Workers[i].Stats() || s.Requests == 0 {
+				t.Fatalf("node %d: NodeStats %+v, the worker counts %+v", i, s, tr.Workers[i].Stats())
+			}
+			n += s.CellsHeld
+		}
+		return n
 	}
-	if resp.Stats.CellsHeld != 16 || resp.Stats.Requests == 0 || resp.Stats.BytesIn == 0 {
-		t.Errorf("counters = %+v", resp.Stats)
+	for round := 0; round < 3; round++ {
+		if err := co.Create("sky", gridSchema(), partition.Block{Nodes: 2, SplitDim: 0, High: 4}); err != nil {
+			t.Fatal(err)
+		}
+		loadGrid(t, co, "sky", 4)
+		if n := held(); n != 16 {
+			t.Fatalf("round %d: %d cells held after the load, want 16", round, n)
+		}
+		if err := co.Drop("sky"); err != nil {
+			t.Fatal(err)
+		}
+		if n := held(); n != 0 {
+			t.Fatalf("round %d: %d cells held after the drop, want 0", round, n)
+		}
 	}
 }
 
@@ -580,8 +555,8 @@ func TestWorkerConcurrentAccess(t *testing.T) {
 					done <- fmt.Errorf("count: %s", resp.Err)
 					return
 				}
-				if resp := w.Handle(&Message{Op: "stats"}); resp.Err != "" {
-					done <- fmt.Errorf("stats: %s", resp.Err)
+				if resp := w.Handle(&Message{Op: "metrics"}); resp.Err != "" {
+					done <- fmt.Errorf("metrics: %s", resp.Err)
 					return
 				}
 			}

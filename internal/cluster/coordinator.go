@@ -169,8 +169,8 @@ func (co *Coordinator) Put(name string, c array.Coord, cell array.Cell) error {
 }
 
 // Flush sends all staged cells to their nodes, then asks each node to spill
-// the array to durable storage (a no-op for array-backed partitions).
-// Batch-triggered drains skip the spill so stores can build full buckets.
+// its buffered cells into buckets (durable when the node has a data
+// directory). Batch-triggered drains skip the spill so stores can build full buckets.
 func (co *Coordinator) Flush(name string) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -384,8 +384,8 @@ func (co *Coordinator) ScanCtx(ctx context.Context, name string, box array.Box) 
 }
 
 // ScanPruned gathers only the cells satisfying every pred; skipped totals
-// the buckets no worker had to read. Array-backed partitions filter
-// cell-by-cell and report zero skips.
+// the buckets no worker had to read: a store prunes by zone map, cells still
+// in its write buffer and in-situ partitions are filtered slot by slot.
 func (co *Coordinator) ScanPruned(ctx context.Context, name string, box array.Box, preds []array.ZonePred) (a *array.Array, skipped int64, err error) {
 	a, _, _, skipped, err = co.Read(ctx, name, ops.Fragment{Box: box, Preds: preds})
 	return a, skipped, err
@@ -598,10 +598,8 @@ func (co *Coordinator) CacheStats() ([]bufcache.Stats, error) {
 }
 
 // StorageStats gathers every node's storage counters (disk traffic,
-// encoding ratios, prefetch hits), summed over the node's store-backed
-// partitions. Array-backed nodes report zeros (their registries carry no
-// nonzero scidb_store_* samples). Like CacheStats, it reads through the
-// unified registry.
+// encoding ratios, prefetch hits), summed over the node's stores. Like
+// CacheStats, it reads through the unified registry.
 func (co *Coordinator) StorageStats() ([]storage.Stats, error) {
 	per, err := co.metricsPerNode()
 	if err != nil {
@@ -627,19 +625,21 @@ func (co *Coordinator) StorageStats() ([]storage.Stats, error) {
 }
 
 // NodeStats gathers per-node counters (the PART experiment's load metric).
+// Like CacheStats, it reads through the unified registry.
 func (co *Coordinator) NodeStats() ([]WorkerStats, error) {
-	out := make([]WorkerStats, co.t.NumNodes())
-	if err := fanout(allNodes(len(out)), func(_, n int) error {
-		resp, err := co.t.Call(n, &Message{Op: "stats"})
-		if err != nil {
-			return err
-		}
-		if resp.Stats != nil {
-			out[n] = *resp.Stats
-		}
-		return nil
-	}); err != nil {
+	per, err := co.metricsPerNode()
+	if err != nil {
 		return nil, err
+	}
+	out := make([]WorkerStats, len(per))
+	for n, samples := range per {
+		out[n] = WorkerStats{
+			CellsHeld:    sampleValue(samples, "scidb_worker_cells_held"),
+			CellsScanned: sampleValue(samples, "scidb_worker_cells_scanned_total"),
+			BytesIn:      sampleValue(samples, "scidb_worker_bytes_in_total"),
+			BytesOut:     sampleValue(samples, "scidb_worker_bytes_out_total"),
+			Requests:     sampleValue(samples, "scidb_worker_requests_total"),
+		}
 	}
 	return out, nil
 }
@@ -709,7 +709,7 @@ func (co *Coordinator) metricsPerNode() ([][]obs.Sample, error) {
 }
 
 // sampleValue returns the named sample's value, or 0 when the node's
-// registry doesn't carry it (e.g. cache families on array-backed nodes).
+// registry doesn't carry it (e.g. cache families on nodes without a pool).
 func sampleValue(samples []obs.Sample, name string) int64 {
 	for _, s := range samples {
 		if s.Name == name {

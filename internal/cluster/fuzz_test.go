@@ -23,7 +23,7 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		{},
 		{Op: "ping"},
 		{Op: "migratechunks", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{64}, Release: true},
-		{Op: "replicachunk", Array: "a", RouteVersion: 3, Nodes: []int64{0, 2},
+		{Op: "loadchunks", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{64}, RouteVersion: 3, Nodes: []int64{0, 2},
 			Chunks: [][]byte{{0x01}}},
 		{Op: "heat", Heat: []HeatSample{{Array: "a", Origin: []int64{1, 65}, Score: 7}}},
 		{Op: "read", Array: "a", Fold: &ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "max", Attr: "v"}}}},
@@ -42,13 +42,13 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		mut[len(mut)/2] ^= 0xFF
 		f.Add(mut)
 	}
-	// The two rejections: a presence bit this decoder does not know, and
-	// bytes left after the last block.
+	// The two rejections: presence bits this decoder does not know (1, the
+	// retired stats block, and 4), and bytes left after the last block.
 	plain, err := encodeMessage(&Message{Op: "ping"})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append(append([]byte(nil), plain[:len(plain)-1]...), 1<<4))
+	f.Add(append(append([]byte(nil), plain[:len(plain)-1]...), 1<<1|1<<4))
 	f.Add(append(append([]byte(nil), plain...), 0x00, 0x42))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,7 +1,7 @@
 package cluster
 
 // Per-chunk access-heat tracking for online rebalancing. Every bucket read
-// on a store-backed partition (cache hit or miss — the storage layer's
+// of a partition's store (cache hit or miss — the storage layer's
 // OnBucketRead hook fires from the single read funnel) and every in-situ
 // chunk materialization touches the worker's tracker. Scores decay
 // exponentially, so heat reflects the recent workload, not lifetime

@@ -70,7 +70,7 @@ func TestHeatSnapshotOrderAndDrop(t *testing.T) {
 // checks the read path feeds the tracker: the heat op must report the
 // touched chunks, and dropping the array must clear them.
 func TestWorkerHeatFromReads(t *testing.T) {
-	w := NewWorkerWithOptions(0, WorkerOptions{Persist: true, Stride: []int64{4}})
+	w := NewWorkerWithOptions(0, WorkerOptions{Stride: []int64{4}})
 	schema := &array.Schema{
 		Name:  "h",
 		Dims:  []array.Dimension{{Name: "x", High: 8, ChunkLen: 4}},

@@ -3,9 +3,9 @@ package cluster
 // Worker-side halves of the parallel bulk loader and distributed in-situ
 // scanning (§2.8–§2.9).
 //
-// "loadchunks" adopts a batch of pre-encoded chunk payloads as buckets
-// (store-backed partitions) or merges them wholesale (array-backed), so
-// ingest pays one parse + one encode total, both on the loader side.
+// "loadchunks" adopts a batch of pre-encoded chunk payloads as buckets, so
+// ingest pays one parse + one encode total, both on the loader side — and a
+// chunk the rebalancer copies between nodes arrives bit-identical.
 //
 // "insitu" registers an external file region as a first-class partition:
 // the node materializes stride-aligned chunks of its slab lazily through
@@ -23,43 +23,44 @@ import (
 	"scidb/internal/storage"
 )
 
-// loadChunks ingests a batch of pre-encoded chunk payloads shipped by the
-// parallel bulk loader.
+// loadChunks adopts a batch of pre-encoded chunk payloads verbatim as buckets
+// of the partition's store (storage.AdoptEncoded: no re-encode). The parallel
+// bulk loader ships its chunks so; the rebalancer does too, with the box of
+// the chunk it copies and the routing-table version the copy belongs to.
 func (w *Worker) loadChunks(req *Message) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	st, isStore := w.stores[req.Array]
-	var a *array.Array
-	var schema *array.Schema
-	if isStore {
-		schema = st.Schema()
-	} else {
-		var err error
-		if a, err = w.local(req.Array); err != nil {
-			return nil, err
-		}
-		schema = a.Schema
+	st, err := w.storeLocked(req.Array)
+	if err != nil {
+		return nil, err
+	}
+	// With a box the payloads are the region's canonical newest state (the
+	// coordinator's write fence flushed and folded every live write before
+	// exporting). Clear any buffered cells left over from an earlier
+	// ownership stint first — the memory buffer outranks every bucket on
+	// reads, so a stale cell would shadow the adopted copy; the box covers
+	// sub-chunks the canonical copy holds no cells for.
+	if len(req.BoxLo) > 0 {
+		st.ClearRegion(array.Box{Lo: req.BoxLo, Hi: req.BoxHi})
 	}
 	var cells, bytesIn int64
 	for _, payload := range req.Chunks {
-		ch, err := storage.DecodeChunk(schema, payload)
+		ch, err := storage.DecodeChunk(st.Schema(), payload)
 		if err != nil {
 			return nil, err
 		}
-		if isStore {
-			// The payload bytes become the bucket verbatim — no re-encode.
-			if err := st.AdoptEncoded(payload, ch); err != nil {
-				return nil, err
-			}
-		} else if err := a.MergeChunk(ch); err != nil {
+		if err := st.AdoptEncoded(payload, ch); err != nil {
 			return nil, err
 		}
 		cells += ch.CellsPresent()
 		bytesIn += int64(len(payload))
 	}
+	if req.RouteVersion > w.routeVersion[req.Array] {
+		w.routeVersion[req.Array] = req.RouteVersion
+	}
 	w.stats.cellsHeld.Add(cells)
 	w.stats.bytesIn.Add(bytesIn)
-	return &Message{Op: "loadchunks", Cells: cells}, nil
+	return &Message{Op: "loadchunks", Cells: cells, RouteVersion: w.routeVersion[req.Array]}, nil
 }
 
 // insituPart is one node's registration of an external file: the adaptor,

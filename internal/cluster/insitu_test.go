@@ -95,80 +95,77 @@ func buildChunkPayloads(t *testing.T, schema *array.Schema, scheme partition.Sch
 }
 
 // TestLoadChunksMatchesPut: shipping pre-encoded chunk batches must leave
-// the cluster in the same queryable state as the cell-at-a-time put path,
-// on both store-backed and array-backed partitions.
+// the cluster in the same queryable state as the cell-at-a-time put path.
 func TestLoadChunksMatchesPut(t *testing.T) {
-	for _, persist := range []bool{false, true} {
-		schema := loadTestSchema()
-		scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 16}
-		gen := func(c array.Coord) (array.Cell, bool) {
-			if (c[0]+c[1])%3 == 0 { // sparse: skip a third of the grid
-				return nil, false
-			}
-			return array.Cell{array.Float64(float64(c[0]*100 + c[1]))}, true
+	schema := loadTestSchema()
+	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 16}
+	gen := func(c array.Coord) (array.Cell, bool) {
+		if (c[0]+c[1])%3 == 0 { // sparse: skip a third of the grid
+			return nil, false
 		}
-		newGrid := func() *Coordinator {
-			tr := NewLocalWithOptions(2, LocalOptions{
-				Persist: persist, Stride: []int64{4, 4}, CacheBytes: 1 << 20,
-			})
-			co := NewCoordinator(tr, 0)
-			if err := co.Create("g", schema, scheme); err != nil {
-				t.Fatal(err)
-			}
-			return co
-		}
-
-		chunked := newGrid()
-		payloads, cells := buildChunkPayloads(t, schema, scheme, gen)
-		for n := range payloads {
-			if len(payloads[n]) == 0 {
-				continue
-			}
-			if err := chunked.LoadChunks("g", n, payloads[n], cells[n]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := chunked.Flush("g"); err != nil {
-			t.Fatal(err)
-		}
-
-		puts := newGrid()
-		lo := array.Coord{1, 1}
-		hi := array.Coord{16, 16}
-		array.IterBox(array.Box{Lo: lo, Hi: hi}, func(c array.Coord) bool {
-			cell, ok := gen(c)
-			if !ok {
-				return true
-			}
-			if err := puts.Put("g", c.Clone(), cell); err != nil {
-				t.Fatal(err)
-			}
-			return true
-		})
-		if err := puts.Flush("g"); err != nil {
-			t.Fatal(err)
-		}
-
-		box := array.Box{Lo: lo, Hi: hi}
-		a, err := chunked.Scan("g", box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := puts.Scan("g", box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Count() != b.Count() || a.Count() == 0 {
-			t.Fatalf("persist=%v: loadchunks count %d, put count %d", persist, a.Count(), b.Count())
-		}
-		b.Iter(func(c array.Coord, want array.Cell) bool {
-			got, ok := a.At(c)
-			if !ok || got[0].Float != want[0].Float {
-				t.Fatalf("persist=%v: cell %v = %v,%v; want %v", persist, c, got, ok, want)
-			}
-			return true
-		})
+		return array.Cell{array.Float64(float64(c[0]*100 + c[1]))}, true
 	}
+	newGrid := func() *Coordinator {
+		tr := NewLocalWithOptions(2, LocalOptions{
+			Stride: []int64{4, 4}, CacheBytes: 1 << 20,
+		})
+		co := NewCoordinator(tr, 0)
+		if err := co.Create("g", schema, scheme); err != nil {
+			t.Fatal(err)
+		}
+		return co
+	}
+
+	chunked := newGrid()
+	payloads, cells := buildChunkPayloads(t, schema, scheme, gen)
+	for n := range payloads {
+		if len(payloads[n]) == 0 {
+			continue
+		}
+		if err := chunked.LoadChunks("g", n, payloads[n], cells[n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := chunked.Flush("g"); err != nil {
+		t.Fatal(err)
+	}
+
+	puts := newGrid()
+	lo := array.Coord{1, 1}
+	hi := array.Coord{16, 16}
+	array.IterBox(array.Box{Lo: lo, Hi: hi}, func(c array.Coord) bool {
+		cell, ok := gen(c)
+		if !ok {
+			return true
+		}
+		if err := puts.Put("g", c.Clone(), cell); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	if err := puts.Flush("g"); err != nil {
+		t.Fatal(err)
+	}
+
+	box := array.Box{Lo: lo, Hi: hi}
+	a, err := chunked.Scan("g", box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := puts.Scan("g", box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Count() != b.Count() || a.Count() == 0 {
+		t.Fatalf("loadchunks count %d, put count %d", a.Count(), b.Count())
+	}
+	b.Iter(func(c array.Coord, want array.Cell) bool {
+		got, ok := a.At(c)
+		if !ok || got[0].Float != want[0].Float {
+			t.Fatalf("cell %v = %v,%v; want %v", c, got, ok, want)
+		}
+		return true
+	})
 }
 
 // TestRegisterInsituQueries: a CSV file registered in situ answers count,

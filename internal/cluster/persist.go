@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -11,15 +9,15 @@ import (
 	"scidb/internal/bufcache"
 	"scidb/internal/exec"
 	"scidb/internal/obs"
-	"scidb/internal/ops"
 	"scidb/internal/storage"
 )
 
-// WorkerOptions configures a node's partition backing. The zero value keeps
-// the original behaviour: plain in-memory array partitions, no pool.
+// WorkerOptions configures the storage.Store (stride-aligned compressed
+// buckets + R-tree under a write buffer) that backs each of a node's
+// partitions. The zero value keeps buckets in memory and reads them unpooled.
 type WorkerOptions struct {
-	// Persist backs every partition with a storage.Store (stride-aligned
-	// compressed buckets + R-tree) instead of a plain array.
+	// Persist is unread: every partition is a store. The field remains only
+	// because the frozen bench/grid.go sets it (ROADMAP item 3 deletes it).
 	Persist bool
 	// Dir is the node's bucket-directory root; each partition gets a
 	// subdirectory. Empty keeps buckets in memory (still encoded).
@@ -47,10 +45,11 @@ func NewWorkerWithOptions(id int, opts WorkerOptions) *Worker {
 	w := &Worker{
 		ID:      id,
 		opts:    opts,
-		arrays:  map[string]*array.Array{},
 		stores:  map[string]*storage.Store{},
 		insitus: map[string]*insituPart{},
 		heat:    newHeatTracker(opts.HeatHalfLife),
+
+		routeVersion: map[string]int64{},
 	}
 	if opts.Cache != nil {
 		w.cache = opts.Cache
@@ -107,8 +106,7 @@ func (w *Worker) CacheStats() bufcache.Stats {
 	return w.cache.Stats()
 }
 
-// StoreStats sums the storage counters of every store-backed partition on
-// this node (zero value when partitions are plain in-memory arrays).
+// StoreStats sums the storage counters of the node's stores.
 func (w *Worker) StoreStats() storage.Stats {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -119,8 +117,8 @@ func (w *Worker) StoreStats() storage.Stats {
 	return sum
 }
 
-// Close shuts down every store-backed partition, flushing buffered cells and
-// releasing their pool entries.
+// Close shuts down every partition: stores flush their buffered cells, and
+// stores and in-situ views release their pool entries.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -138,8 +136,9 @@ func (w *Worker) Close() error {
 	return first
 }
 
-// flushOp spills a store-backed partition's buffered cells into disk buckets
-// so they survive a restart. Array-backed partitions have nothing to spill.
+// flushOp spills a partition's buffered cells into buckets — on disk, with a
+// Dir, where they survive a restart. An in-situ partition is a read-through
+// view of its file and has nothing to spill.
 func (w *Worker) flushOp(req *Message) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -147,10 +146,8 @@ func (w *Worker) flushOp(req *Message) (*Message, error) {
 		if err := st.Flush(); err != nil {
 			return nil, err
 		}
-	} else if _, ok := w.insitus[req.Array]; ok {
-		// In-situ partitions are read-through views of the file: no spill.
-	} else if _, err := w.local(req.Array); err != nil {
-		return nil, err
+	} else if _, ok := w.insitus[req.Array]; !ok {
+		return nil, w.noArray(req.Array)
 	}
 	return &Message{Op: "flush"}, nil
 }
@@ -171,15 +168,17 @@ func partitionSchema(in *array.Schema) *array.Schema {
 	return s
 }
 
-// createStoreLocked builds the store-backed partition for create.
-func (w *Worker) createStoreLocked(name string, schema *array.Schema) error {
+// createLocked opens the named partition's store. Under a Dir a store left
+// there by an earlier run of the node is recovered from its manifest.
+func (w *Worker) createLocked(name string, schema *array.Schema) (*storage.Store, error) {
 	if old, ok := w.stores[name]; ok {
-		_ = old.Close()
+		_ = old.Close() // superseded; the new store reads what it flushed
 	}
 	dir := ""
 	if w.opts.Dir != "" {
 		dir = filepath.Join(w.opts.Dir, name)
 	}
+	// Dimensions unbound: a partition holds an arbitrary sub-box.
 	st, err := storage.NewStore(partitionSchema(schema), storage.Options{
 		Dir:       dir,
 		Stride:    w.opts.Stride,
@@ -193,18 +192,17 @@ func (w *Worker) createStoreLocked(name string, schema *array.Schema) error {
 		},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w.stores[name] = st
-	return nil
+	return st, nil
 }
 
 // partLocked resolves a partition to its schema and a function opening a
-// chunk-at-a-time read of it, hiding which of the three backings — a
-// storage.Store, an in-situ file, a plain array — holds the data. preds
-// prune store buckets by zone map, and attrs (nil: all) names the columns
-// the op will read, so a store decodes no others; the other backings ignore
-// both and deliver whole chunks.
+// chunk-at-a-time read of it, hiding whether a storage.Store or an in-situ
+// file holds the data. preds prune store buckets by zone map, and attrs (nil:
+// all) names the columns the op will read, so a store decodes no others; an
+// in-situ view ignores both and delivers whole chunks.
 func (w *Worker) partLocked(name string) (*array.Schema, func(box array.Box, preds []array.ZonePred, attrs []int) chunkSource, error) {
 	if st, ok := w.stores[name]; ok {
 		return st.Schema(), func(box array.Box, preds []array.ZonePred, attrs []int) chunkSource {
@@ -216,27 +214,15 @@ func (w *Worker) partLocked(name string) (*array.Schema, func(box array.Box, pre
 			return w.newInsituSource(p, box)
 		}, nil
 	}
-	a, ok := w.arrays[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("cluster: node %d has no array %q", w.ID, name)
-	}
-	return a.Schema, func(box array.Box, _ []array.ZonePred, _ []int) chunkSource {
-		// A view, so concurrent readers do not share the array's lazily
-		// built chunk order.
-		return &arraySource{chunks: a.View().Chunks(), box: box}
-	}, nil
+	return nil, nil, w.noArray(name)
 }
 
 // materializeLocked returns the partition's full content as a plain array
-// (the shape sjoin works over). Array-backed partitions are aliased; the
-// other backings have their chunks adopted — by reference where a chunk is
-// live in full and nothing else contributes to its region, column-wise
-// otherwise. The result shares storage with the partition: read-only, and
-// valid only while the caller holds w.mu.
+// (the shape sjoin works over), its chunks adopted — by reference where a
+// chunk is live in full and nothing else contributes to its region,
+// column-wise otherwise. The result shares storage with the partition:
+// read-only, and valid only while the caller holds w.mu.
 func (w *Worker) materializeLocked(name string) (*array.Array, error) {
-	if a, ok := w.arrays[name]; ok {
-		return a.View(), nil
-	}
 	s, open, err := w.partLocked(name)
 	if err != nil {
 		return nil, err
@@ -266,71 +252,4 @@ func liveMerger(s *array.Schema) (*array.Array, func(ch *array.Chunk, live *arra
 		}
 		return out.MergeMasked(ch, live)
 	}, err
-}
-
-// putStoreLocked ingests a payload into a store-backed partition.
-func (w *Worker) putStoreLocked(st *storage.Store, req *Message) (*Message, error) {
-	in, err := storage.DecodeArray(st.Schema(), req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	var n int64
-	var werr error
-	in.Iter(func(c array.Coord, cell array.Cell) bool {
-		if err := st.Put(c.Clone(), cell); err != nil {
-			werr = err
-			return false
-		}
-		n++
-		return true
-	})
-	if werr != nil {
-		return nil, werr
-	}
-	w.stats.cellsHeld.Add(n)
-	w.stats.bytesIn.Add(int64(len(req.Payload)))
-	return &Message{Op: "put", Cells: n}, nil
-}
-
-// replaceStoreLocked swaps a store-backed partition's entire content for the
-// payload. The old store (and its bucket directory) is destroyed so the new
-// one cannot recover stale buckets from a prior manifest.
-func (w *Worker) replaceStoreLocked(st *storage.Store, req *Message) (*Message, error) {
-	in, err := storage.DecodeArray(st.Schema(), req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	old, err := w.readLocked(&Message{Array: req.Array, Fold: &ops.FoldSpec{}})
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Close(); err != nil {
-		return nil, err
-	}
-	if dir := filepath.Join(w.opts.Dir, req.Array); w.opts.Dir != "" {
-		if err := os.RemoveAll(dir); err != nil {
-			return nil, err
-		}
-	}
-	delete(w.stores, req.Array)
-	if err := w.createStoreLocked(req.Array, st.Schema()); err != nil {
-		return nil, err
-	}
-	fresh := w.stores[req.Array]
-	var n int64
-	var werr error
-	in.Iter(func(c array.Coord, cell array.Cell) bool {
-		if err := fresh.Put(c.Clone(), cell); err != nil {
-			werr = err
-			return false
-		}
-		n++
-		return true
-	})
-	if werr != nil {
-		return nil, werr
-	}
-	w.stats.cellsHeld.Add(n - old.Cells)
-	w.stats.bytesIn.Add(int64(len(req.Payload)))
-	return &Message{Op: "replace", Cells: n}, nil
 }

@@ -12,12 +12,11 @@ import (
 	"scidb/internal/storage"
 )
 
-// persistGrid builds a 4-node in-process grid with store-backed partitions
-// sharing one buffer pool.
+// persistGrid builds an in-process grid whose stores keep their buckets on
+// disk and read them through one shared buffer pool.
 func persistGrid(t *testing.T, nodes int) (*Local, *Coordinator) {
 	t.Helper()
 	tr := NewLocalWithOptions(nodes, LocalOptions{
-		Persist:    true,
 		Dir:        t.TempDir(),
 		Stride:     []int64{8, 8},
 		CacheBytes: 8 << 20,
@@ -26,26 +25,22 @@ func persistGrid(t *testing.T, nodes int) (*Local, *Coordinator) {
 	return tr, NewCoordinator(tr, 0)
 }
 
-// TestPersistClusterRoundTrip runs the full op set against store-backed
-// partitions: create / put / scan / agg / count / sjoin / replace / drop.
-func TestPersistClusterRoundTrip(t *testing.T) {
+// TestClusterRoundTrip runs the full op set — create / put / scan / agg /
+// count / sjoin / replace / drop — on the default grid (buckets in memory, no
+// pool) and on one with a data directory and a pool.
+func TestClusterRoundTrip(t *testing.T) {
+	tr := NewLocal(4)
+	checkClusterRoundTrip(t, tr, NewCoordinator(tr, 0))
 	tr, co := persistGrid(t, 4)
+	checkClusterRoundTrip(t, tr, co)
+}
+
+func checkClusterRoundTrip(t *testing.T, tr *Local, co *Coordinator) {
 	scheme := partition.Block{Nodes: 4, SplitDim: 0, High: 16}
 	if err := co.Create("sky", gridSchema(), scheme); err != nil {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "sky", 16)
-
-	// Every worker actually went through a store, not a plain array.
-	for i, w := range tr.Workers {
-		w.mu.RLock()
-		_, isStore := w.stores["sky"]
-		nArrays := len(w.arrays)
-		w.mu.RUnlock()
-		if !isStore || nArrays != 0 {
-			t.Fatalf("node %d: store=%v arrays=%d; want store-backed only", i, isStore, nArrays)
-		}
-	}
 
 	if n, err := co.Count("sky"); err != nil || n != 256 {
 		t.Fatalf("Count = %d,%v; want 256", n, err)
@@ -95,18 +90,17 @@ func TestPersistClusterRoundTrip(t *testing.T) {
 		t.Errorf("post-repartition cell(3,4) = %v,%v,%v; want 7", cell, ok, err)
 	}
 
-	// Drop removes the partitions everywhere.
-	for n := range tr.Workers {
+	// Drop removes the partitions everywhere; what stays is spread across
+	// the nodes per the scheme.
+	for n, w := range tr.Workers {
 		if _, err := tr.Call(n, &Message{Op: "drop", Array: "sky2"}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i, w := range tr.Workers {
-		w.mu.RLock()
-		_, still := w.stores["sky2"]
-		w.mu.RUnlock()
-		if still {
-			t.Errorf("node %d still holds dropped array", i)
+		if _, err := tr.Call(n, countReq("sky2")); err == nil {
+			t.Errorf("node %d still holds dropped array", n)
+		}
+		if held := w.Stats().CellsHeld; held != 64 {
+			t.Errorf("node %d holds %d cells, want its 64 of sky", n, held)
 		}
 	}
 }
@@ -184,7 +178,7 @@ func TestClusterSharedPoolWarmScan(t *testing.T) {
 	}
 }
 
-// TestCacheStatsOpUncached: array-backed workers report the zero snapshot
+// TestCacheStatsOpUncached: workers without a pool report the zero snapshot
 // through CacheStats rather than an error.
 func TestCacheStatsOpUncached(t *testing.T) {
 	tr := NewLocal(1)
@@ -210,37 +204,25 @@ func TestFilteredGrandTotalOccupancy(t *testing.T) {
 	grouped := &ops.FoldSpec{Dims: []string{"x"}, Aggs: total.Aggs}
 	corner := array.NewBox(array.Coord{5, 5}, array.Coord{8, 8}) // inside the bucket, off its one cell
 	for _, c := range []struct {
-		backing       string
-		frag          ops.Fragment
-		seen, skipped int64
-		rows          int64
+		frag ops.Fragment
+		rows int64
 	}{
-		{"store", ops.Fragment{Preds: preds, Fold: total}, 0, 1, 1},
-		{"store", ops.Fragment{Box: corner, Preds: preds, Fold: total}, 0, 1, 1},
-		{"store", ops.Fragment{Preds: preds, Fold: grouped}, 0, 1, 0},
-		{"array", ops.Fragment{Preds: preds, Fold: total}, 1, 0, 1},
-		{"array", ops.Fragment{Box: corner, Preds: preds, Fold: total}, 0, 0, 0},
-		{"array", ops.Fragment{Preds: preds, Fold: grouped}, 1, 0, 0},
+		{ops.Fragment{Preds: preds, Fold: total}, 1},
+		{ops.Fragment{Box: corner, Preds: preds, Fold: total}, 1},
+		{ops.Fragment{Preds: preds, Fold: grouped}, 0},
 	} {
-		var co *Coordinator
-		if c.backing == "store" {
-			_, co = persistGrid(t, 1)
-		} else {
-			tr := NewLocal(1)
-			t.Cleanup(func() { _ = tr.Close() })
-			co = NewCoordinator(tr, 0)
-		}
+		_, co := persistGrid(t, 1)
 		if err := co.Create("sky", gridSchema(), partition.Block{Nodes: 1, SplitDim: 0, High: 64}); err != nil {
 			t.Fatal(err)
 		}
 		loadGrid(t, co, "sky", 1) // one cell, (1,1), flux 2
-		name := fmt.Sprintf("%s %+v", c.backing, c.frag)
+		name := fmt.Sprintf("%+v", c.frag)
 		a, cells, seen, skipped, err := co.Read(context.Background(), "sky", c.frag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cells != 0 || seen != c.seen || skipped != c.skipped || a.Count() != c.rows {
-			t.Errorf("%s: %d cells of %d seen, %d buckets skipped, %d rows; want 0 of %d, %d, %d", name, cells, seen, skipped, a.Count(), c.seen, c.skipped, c.rows)
+		if cells != 0 || seen != 0 || skipped != 1 || a.Count() != c.rows {
+			t.Errorf("%s: %d cells of %d seen, %d buckets skipped, %d rows; want 0 of 0, 1, %d", name, cells, seen, skipped, a.Count(), c.rows)
 		}
 		if row, ok := a.At(array.Coord{1}); c.rows == 1 && (!ok || row[0].Null || row[0].Int != 0 || !row[1].Null) {
 			t.Errorf("%s: row %v, want count 0 and a NULL sum", name, row)
@@ -281,23 +263,6 @@ func TestClusterScanPruned(t *testing.T) {
 		}
 		return true
 	})
-
-	// Array-backed partitions take the same wire path: per-cell filtering,
-	// nothing to skip.
-	tr2 := NewLocal(2)
-	defer tr2.Close()
-	co2 := NewCoordinator(tr2, 0)
-	if err := co2.Create("sky", gridSchema(), partition.Block{Nodes: 2, SplitDim: 0, High: 16}); err != nil {
-		t.Fatal(err)
-	}
-	loadGrid(t, co2, "sky", 16)
-	res, skipped, err = co2.ScanPruned(context.Background(), "sky", box, preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count() != 36 || skipped != 0 {
-		t.Errorf("array-backed pruned scan = %d cells, %d skipped; want 36, 0", res.Count(), skipped)
-	}
 }
 
 // TestDefaultChunkLenAdoptedOnBothSides: a schema that leaves its chunk
@@ -308,7 +273,7 @@ func TestClusterScanPruned(t *testing.T) {
 // come in origin order — and the coordinator adopts the decoded chunk
 // itself.
 func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
-	tr := NewLocalWithOptions(2, LocalOptions{Persist: true, CacheBytes: 8 << 20})
+	tr := NewLocalWithOptions(2, LocalOptions{CacheBytes: 8 << 20})
 	defer tr.Close()
 	co := NewCoordinator(tr, 0)
 	schema := &array.Schema{

@@ -10,7 +10,7 @@ package cluster
 //  2. Rank chunks by decayed score and take the hottest few per round.
 //  3. Migrate each to the least-loaded node (Replicas == 1) or replicate it
 //     onto the k-1 least-loaded non-holders (Replicas > 1), copying the
-//     encoded bytes verbatim ("migratechunks" export → "replicachunk"
+//     encoded bytes verbatim ("migratechunks" export → "loadchunks"
 //     install, storage.AdoptEncoded on arrival) so every copy is
 //     bit-identical.
 //  4. Cut ownership over in the routing table (partition.Routing.SetNodes)
@@ -381,7 +381,7 @@ func (co *Coordinator) moveChunk(da *DistArray, rt *partition.Routing, origin ar
 			nodes64[i] = int64(nn)
 		}
 		if err := fanout(targets, func(_, t int) error {
-			_, err := co.callNode(t, &Message{Op: "replicachunk", Array: da.Name,
+			_, err := co.callNode(t, &Message{Op: "loadchunks", Array: da.Name,
 				BoxLo: cb.Lo, BoxHi: cb.Hi,
 				Chunks: resp.Chunks, Cells: resp.Cells, RouteVersion: ver, Nodes: nodes64})
 			return err

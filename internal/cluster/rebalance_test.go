@@ -8,6 +8,7 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/partition"
+	"scidb/internal/storage"
 )
 
 // rebalanceCluster builds a 3-node persistent grid holding a 48-cell 1-D
@@ -16,7 +17,13 @@ import (
 // integers so aggregate sums are exact across any merge order.
 func rebalanceCluster(t *testing.T) (*Local, *Coordinator) {
 	t.Helper()
-	tr := NewLocalWithOptions(3, LocalOptions{Persist: true, Stride: []int64{8}, CacheBytes: 1 << 20})
+	tr := NewLocalWithOptions(3, LocalOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
+	return tr, skyOn(t, tr)
+}
+
+// skyOn loads rebalanceCluster's array onto a 3-node grid.
+func skyOn(t *testing.T, tr *Local) *Coordinator {
+	t.Helper()
 	t.Cleanup(func() { tr.Close() })
 	co := NewCoordinator(tr, 0)
 	schema := &array.Schema{
@@ -35,7 +42,7 @@ func rebalanceCluster(t *testing.T) (*Local, *Coordinator) {
 	if err := co.Flush("sky"); err != nil {
 		t.Fatal(err)
 	}
-	return tr, co
+	return co
 }
 
 var hotBox = array.Box{Lo: array.Coord{1}, Hi: array.Coord{8}}
@@ -127,6 +134,69 @@ func TestRebalanceMigratesHotChunk(t *testing.T) {
 	}
 	if cell, ok := got.At(array.Coord{3}); !ok || cell[0].Float != 9999 {
 		t.Fatalf("post-migration write lost: %v, %v", cell, ok)
+	}
+}
+
+// TestRebalanceOnDefaultGrid: the grid NewLocal builds — no stride, no pool,
+// one 64-cell bucket per node where the routing grid has chunks of 8 — is as
+// eligible for live migration as a configured one: the hot chunk is cut out
+// of its bucket, moves, and every answer stays cell-identical.
+func TestRebalanceOnDefaultGrid(t *testing.T) {
+	co := skyOn(t, NewLocal(3))
+	rt, err := co.EnableRouting("sky", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heatUp(t, co, 20)
+	moved, _, err := co.RebalanceOnce("sky", RebalanceOptions{TopK: 1})
+	if err != nil || moved != 1 {
+		t.Fatalf("round moved %d chunks, %v; want 1", moved, err)
+	}
+	if owner := rt.NodeFor(array.Coord{1}); owner == 0 {
+		t.Fatal("hot chunk still owned by node 0 after migration")
+	}
+	verifySky(t, co, hotBox)
+	verifySky(t, co, skyBox)
+}
+
+// TestLoadChunksBoxClearsStaleBufferedCells: the rebalancer's "loadchunks"
+// names the region its payloads are the canonical state of. Cells an earlier
+// ownership stint left in the target's write buffer — which outranks every
+// bucket on reads — are cleared there first: none shadows the adopted copy or
+// survives where the copy holds no cell, and the buffer outside the box stays.
+func TestLoadChunksBoxClearsStaleBufferedCells(t *testing.T) {
+	w := NewWorker(0)
+	defer w.Close()
+	handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
+	stale := array.Cell{array.Float64(-1), array.Int64(-1), array.String64("stale")}
+	fresh := array.Cell{array.Float64(7), array.Int64(7), array.String64("fresh")}
+	putBatch(t, w, map[xy]array.Cell{{3, 3}: stale, {5, 5}: stale, {20, 20}: stale}) // buffered, never flushed
+	ps := partitionSchema(diffSchema())
+	canon := array.MustNew(ps)
+	if err := canon.Set(array.Coord{3, 3}, fresh); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := storage.EncodeChunk(ps, canon.Chunks()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	handleOK(t, w, &Message{Op: "loadchunks", Array: "d", BoxLo: []int64{1, 1}, BoxHi: []int64{16, 16},
+		Chunks: [][]byte{payload}, RouteVersion: 4})
+	got, err := storage.DecodeArray(ps, handleOK(t, w, &Message{Op: "read", Array: "d"}).Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[xy]array.Cell{{3, 3}: fresh, {20, 20}: stale}
+	if got.Count() != int64(len(want)) {
+		t.Errorf("partition holds %d cells, want %d", got.Count(), len(want))
+	}
+	for c, cell := range want {
+		if g, ok := got.At(array.Coord{c[0], c[1]}); !ok || !sameCell(g, cell) {
+			t.Errorf("cell %v = %v, %v; want %v", c, g, ok, cell)
+		}
+	}
+	if v := w.RouteVersion("d"); v != 4 {
+		t.Errorf("route version recorded = %d, want 4", v)
 	}
 }
 

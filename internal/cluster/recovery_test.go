@@ -47,7 +47,7 @@ func (h *hookTransport) Call(node int, req *Message) (*Message, error) {
 // coordinator and the grid.
 func hookedCluster(t *testing.T) (*Local, *hookTransport, *Coordinator) {
 	t.Helper()
-	tr := NewLocalWithOptions(3, LocalOptions{Persist: true, Stride: []int64{8}, CacheBytes: 1 << 20})
+	tr := NewLocalWithOptions(3, LocalOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
 	t.Cleanup(func() { tr.Close() })
 	hook := &hookTransport{Local: tr}
 	co := NewCoordinator(hook, 0)
@@ -149,7 +149,7 @@ func TestRebalanceRecopyNodeDeathReturns(t *testing.T) {
 	var hookErr error
 	var once sync.Once
 	hook.setBefore(func(node int, req *Message) error {
-		if req.Op == "replicachunk" {
+		if req.Op == "loadchunks" {
 			once.Do(func() {
 				// The export already ran: dirty the write fence with a
 				// value-preserving Put on a live node's slab so cutover
@@ -197,7 +197,7 @@ func TestPendingDedupeOnFailedMoves(t *testing.T) {
 	}
 	failErr := errors.New("install refused")
 	hook.setBefore(func(node int, req *Message) error {
-		if req.Op == "replicachunk" {
+		if req.Op == "loadchunks" {
 			return failErr
 		}
 		return nil

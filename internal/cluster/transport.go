@@ -118,10 +118,8 @@ func NewLocal(n int) *Local {
 	return NewLocalWithOptions(n, LocalOptions{})
 }
 
-// LocalOptions configures an in-process grid's partition backing.
+// LocalOptions configures the stores of an in-process grid's partitions.
 type LocalOptions struct {
-	// Persist backs every partition with a storage.Store.
-	Persist bool
 	// Dir is the grid's data root; node i uses Dir/node-i. Empty keeps
 	// buckets in memory.
 	Dir string
@@ -143,7 +141,7 @@ func NewLocalWithOptions(n int, opts LocalOptions) *Local {
 	}
 	ws := make([]*Worker, n)
 	for i := range ws {
-		wo := WorkerOptions{Persist: opts.Persist, Stride: opts.Stride, Cache: pool, Readahead: opts.Readahead}
+		wo := WorkerOptions{Stride: opts.Stride, Cache: pool, Readahead: opts.Readahead}
 		if opts.Dir != "" {
 			wo.Dir = filepath.Join(opts.Dir, fmt.Sprintf("node-%d", i))
 		}

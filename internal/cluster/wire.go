@@ -206,19 +206,18 @@ func decodeFrameBody(body []byte, flags uint8, codec compress.Codec) ([]byte, er
 }
 
 // Message presence bits for the optional fields; each set bit is followed,
-// in bit order, by its block. Bit 4 is unassigned. decodeMessage rejects
+// in bit order, by its block. Bits 1 and 4 are unassigned. decodeMessage rejects
 // a set bit it does not know: the blocks are not self-delimiting, so an
 // unknown one cannot be skipped.
 const (
 	msgHasSchema  = 1 << 0
-	msgHasStats   = 1 << 1
 	msgHasFold    = 1 << 2 // Fold: the fold a "read" request asks for (no aggregates: a count)
 	msgHasTable   = 1 << 3 // Table: the node's partial fold state
 	msgHasTrace   = 1 << 5 // TraceID + Spans
 	msgHasMetrics = 1 << 6 // Metrics registry samples
 	msgHasPreds   = 1 << 7 // Preds + Skipped + Seen (compressed-execution pruning)
 
-	msgKnownBits = msgHasSchema | msgHasStats | msgHasFold | msgHasTable | msgHasTrace | msgHasMetrics | msgHasPreds
+	msgKnownBits = msgHasSchema | msgHasFold | msgHasTable | msgHasTrace | msgHasMetrics | msgHasPreds
 )
 
 // The first presence byte is full, so later fields chain through a second
@@ -278,9 +277,6 @@ func encodeMessage(m *Message) ([]byte, error) {
 	if m.Schema != nil {
 		present |= msgHasSchema
 	}
-	if m.Stats != nil {
-		present |= msgHasStats
-	}
 	if m.Fold != nil {
 		present |= msgHasFold
 	}
@@ -299,13 +295,6 @@ func encodeMessage(m *Message) ([]byte, error) {
 	w.U8(present)
 	if m.Schema != nil {
 		EncodeSchema(w, m.Schema)
-	}
-	if m.Stats != nil {
-		w.I64(m.Stats.CellsHeld)
-		w.I64(m.Stats.CellsScanned)
-		w.I64(m.Stats.BytesIn)
-		w.I64(m.Stats.BytesOut)
-		w.I64(m.Stats.Requests)
 	}
 	if present&msgHasFold != 0 {
 		w.Strings(m.Fold.Dims)
@@ -444,15 +433,6 @@ func decodeMessage(data []byte) (*Message, error) {
 			return nil, err
 		}
 		m.Schema = s
-	}
-	if present&msgHasStats != 0 {
-		m.Stats = &WorkerStats{
-			CellsHeld:    r.I64(),
-			CellsScanned: r.I64(),
-			BytesIn:      r.I64(),
-			BytesOut:     r.I64(),
-			Requests:     r.I64(),
-		}
 	}
 	if present&msgHasFold != 0 {
 		m.Fold = &ops.FoldSpec{Dims: r.Strings(), Strides: r.I64s()}

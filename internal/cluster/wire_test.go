@@ -43,7 +43,6 @@ func wireTestMessage() *Message {
 				}},
 			},
 		},
-		Stats:   &WorkerStats{CellsHeld: 1, CellsScanned: 2, BytesIn: 3, BytesOut: 4, Requests: 5},
 		TraceID: 0xfeedbeef,
 		Spans: []obs.SpanData{
 			{Parent: -1, Node: 2, DurNanos: 1500, Name: "scan",

@@ -55,8 +55,6 @@ type Message struct {
 	Array2 string
 	OnL    []string
 	OnR    []string
-	// Stats response.
-	Stats *WorkerStats
 	// TraceID, when nonzero on a request, asks the worker to trace its
 	// execution; the response echoes it and carries the worker-side span
 	// tree in Spans for the coordinator to graft into the query profile.
@@ -88,8 +86,9 @@ type Message struct {
 	// ExclLo/ExclHi, on a "read" request, list grid-chunk boxes this
 	// node must NOT answer — another replica is assigned them this query,
 	// or the node holds a stale post-migration copy. RouteVersion and Nodes
-	// ride "replicachunk": the routing-table version the installed chunk
-	// belongs to and its replica node set (owner first). Release, on
+	// ride the rebalancer's "loadchunks": the routing-table version the
+	// installed chunk belongs to and its replica node set (owner first), with
+	// BoxLo/BoxHi the region to clear of buffered cells first. Release, on
 	// "migratechunks", asks the source to drop the region's buffer-pool
 	// entries after exporting (post-cutover cache release).
 	ExclLo       [][]int64
@@ -102,22 +101,22 @@ type Message struct {
 	Heat []HeatSample
 }
 
-// Worker is one shared-nothing node: a set of local array partitions, each
-// backed by either a plain in-memory array (the default) or a storage.Store
-// with a shared decoded-bucket pool (WorkerOptions.Persist).
+// Worker is one shared-nothing node: a set of local array partitions, each a
+// storage.Store (the node's own storage manager: a write buffer served ahead
+// of stride-aligned compressed buckets, on disk under WorkerOptions.Dir or
+// in memory without one) or an in-situ view of an external file.
 type Worker struct {
 	ID   int
 	opts WorkerOptions
 
-	// cache is the node's decoded-bucket pool, shared by all its
-	// store-backed partitions (and, typically, by every node in-process).
+	// cache is the node's decoded-bucket pool, shared by all its partitions
+	// (and, typically, by every node in-process).
 	cache *bufcache.Pool
 
 	// mu guards the partition maps and their content: ops that change a
 	// partition take it exclusively, the read ops (read, sjoin) share it, so
 	// statements pipelined onto one node run side by side.
 	mu      sync.RWMutex
-	arrays  map[string]*array.Array
 	stores  map[string]*storage.Store
 	insitus map[string]*insituPart
 	stats   workerCounters
@@ -128,8 +127,8 @@ type Worker struct {
 	heat *heatTracker
 
 	// routeVersion records, per array, the newest routing-table version a
-	// "replicachunk" install on this node belonged to; echoed back so the
-	// coordinator can confirm the install stuck (guarded by mu).
+	// rebalancer's "loadchunks" install on this node belonged to; echoed back
+	// so the coordinator can confirm the install stuck (guarded by mu).
 	routeVersion map[string]int64
 
 	// reg is the node's metrics registry: worker/cache/store collectors
@@ -161,7 +160,8 @@ type workerCounters struct {
 	cellsHeld, cellsScanned, bytesIn, bytesOut, requests atomic.Int64
 }
 
-// NewWorker creates an empty worker with array-backed partitions.
+// NewWorker creates an empty worker with the zero WorkerOptions: buckets in
+// memory, no pool.
 func NewWorker(id int) *Worker {
 	return NewWorkerWithOptions(id, WorkerOptions{})
 }
@@ -300,40 +300,34 @@ func (w *Worker) handle(ctx context.Context, req *Message) (*Message, error) {
 		return w.heatOp(req)
 	case "migratechunks":
 		return w.migrateChunks(req)
-	case "replicachunk":
-		return w.replicaChunk(req)
-	case "stats":
-		s := w.Stats()
-		return &Message{Op: "stats", Stats: &s}, nil
 	case "metrics":
 		return &Message{Op: "metrics", Metrics: w.reg.Snapshot().Samples}, nil
 	}
 	return nil, fmt.Errorf("cluster: unknown op %q", req.Op)
 }
 
-// replace swaps the node's entire partition content for the payload
-// (used by repartitioning).
+// replace swaps the node's entire partition content for the payload (used
+// by repartitioning): the drop, create and put bodies under one hold of the
+// lock, so no reader sees the partition missing or empty. The payload is
+// decoded before anything is destroyed.
 func (w *Worker) replace(req *Message) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.heat != nil {
-		w.heat.Drop(req.Array) // new content, stale heat
-	}
-	if st, ok := w.stores[req.Array]; ok {
-		return w.replaceStoreLocked(st, req)
-	}
-	a, err := w.local(req.Array)
+	st, err := w.storeLocked(req.Array)
 	if err != nil {
 		return nil, err
 	}
-	in, err := storage.DecodeArray(a.Schema, req.Payload)
+	in, err := storage.DecodeArray(st.Schema(), req.Payload)
 	if err != nil {
 		return nil, err
 	}
-	w.stats.cellsHeld.Add(in.Count() - a.Count())
-	w.stats.bytesIn.Add(int64(len(req.Payload)))
-	w.arrays[req.Array] = in
-	return &Message{Op: "replace", Cells: in.Count()}, nil
+	if err := w.dropLocked(req.Array); err != nil {
+		return nil, err
+	}
+	if st, err = w.createLocked(req.Array, st.Schema()); err != nil {
+		return nil, err
+	}
+	return w.putLocked(req, st, in)
 }
 
 // sjoin runs a local structured join between two partitions held on this
@@ -375,45 +369,45 @@ func (w *Worker) create(req *Message) (*Message, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.opts.Persist {
-		return nil, w.createStoreLocked(req.Array, req.Schema)
-	}
-	// Unbound all dims locally: a partition holds an arbitrary sub-box.
-	a, err := array.New(partitionSchema(req.Schema))
-	if err != nil {
-		return nil, err
-	}
-	w.arrays[req.Array] = a
-	return nil, nil
+	_, err := w.createLocked(req.Array, req.Schema)
+	return nil, err
 }
 
-func (w *Worker) local(name string) (*array.Array, error) {
-	a, ok := w.arrays[name]
+func (w *Worker) noArray(name string) error {
+	return fmt.Errorf("cluster: node %d has no array %q", w.ID, name)
+}
+
+// storeLocked resolves a partition the write ops can change: a store, not an
+// in-situ view.
+func (w *Worker) storeLocked(name string) (*storage.Store, error) {
+	st, ok := w.stores[name]
 	if !ok {
-		return nil, fmt.Errorf("cluster: node %d has no array %q", w.ID, name)
+		return nil, w.noArray(name)
 	}
-	return a, nil
+	return st, nil
 }
 
 func (w *Worker) put(req *Message) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if st, ok := w.stores[req.Array]; ok {
-		return w.putStoreLocked(st, req)
-	}
-	a, err := w.local(req.Array)
+	st, err := w.storeLocked(req.Array)
 	if err != nil {
 		return nil, err
 	}
-	in, err := storage.DecodeArray(a.Schema, req.Payload)
+	in, err := storage.DecodeArray(st.Schema(), req.Payload)
 	if err != nil {
 		return nil, err
 	}
+	return w.putLocked(req, st, in)
+}
+
+// putLocked buffers the cells of in, req's decoded payload, in the partition's
+// store, which flushes them into buckets as its buffer fills.
+func (w *Worker) putLocked(req *Message, st *storage.Store, in *array.Array) (*Message, error) {
 	var n int64
 	var werr error
 	in.Iter(func(c array.Coord, cell array.Cell) bool {
-		if err := a.Set(c.Clone(), cell); err != nil {
-			werr = err
+		if werr = st.Put(c.Clone(), cell); werr != nil {
 			return false
 		}
 		n++
@@ -424,7 +418,7 @@ func (w *Worker) put(req *Message) (*Message, error) {
 	}
 	w.stats.cellsHeld.Add(n)
 	w.stats.bytesIn.Add(int64(len(req.Payload)))
-	return &Message{Op: "put", Cells: n}, nil
+	return &Message{Op: req.Op, Cells: n}, nil
 }
 
 // readLocked answers a "read": a fragment (ops.Fragment: the request's box,
@@ -468,9 +462,9 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 	if len(box.Lo) == 0 {
 		box = array.WholeBox(s) // no box on the wire: everything
 	}
-	// Predicates over a store-backed partition prune whole buckets by zone
-	// map before reading them — cells the coordinator would have paid to
-	// ship, decode, and discard.
+	// Predicates over a store prune whole buckets by zone map before reading
+	// them — cells the coordinator would have paid to ship, decode, and
+	// discard.
 	src := open(box, req.Preds, attrs)
 	type piece struct {
 		seen, cells int64
@@ -544,26 +538,35 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 func (w *Worker) drop(req *Message) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.heat != nil {
-		w.heat.Drop(req.Array)
-	}
-	if st, ok := w.stores[req.Array]; ok {
-		if err := st.Close(); err != nil {
-			return nil, err
-		}
-		if w.opts.Dir != "" {
-			_ = os.RemoveAll(filepath.Join(w.opts.Dir, req.Array))
-		}
-		delete(w.stores, req.Array)
-		return nil, nil
-	}
-	if p, ok := w.insitus[req.Array]; ok {
+	return nil, w.dropLocked(req.Array)
+}
+
+// dropLocked destroys the named partition, bucket directory included, so a
+// later create cannot recover stale buckets from its manifest. The cells a
+// store held leave the node's cells_held gauge.
+func (w *Worker) dropLocked(name string) error {
+	defer w.heat.Drop(name) // last: the count below is itself a read
+	if p, ok := w.insitus[name]; ok {
 		p.release(w)
-		delete(w.insitus, req.Array)
-		return nil, nil
+		delete(w.insitus, name)
 	}
-	delete(w.arrays, req.Array)
-	return nil, nil
+	st, ok := w.stores[name]
+	if !ok {
+		return nil
+	}
+	// A partition that no longer reads is dropped all the same: the count
+	// only feeds the gauge.
+	if held, err := w.readLocked(&Message{Array: name, Fold: &ops.FoldSpec{}}); err == nil {
+		w.stats.cellsHeld.Add(-held.Cells)
+	}
+	if err := st.Close(); err != nil {
+		return err
+	}
+	delete(w.stores, name)
+	if w.opts.Dir != "" {
+		return os.RemoveAll(filepath.Join(w.opts.Dir, name))
+	}
+	return nil
 }
 
 // exclBoxes assembles the request's exclude-chunk boxes (chunks this node

@@ -107,7 +107,7 @@ func fourBackings(t *testing.T) map[string]*Database {
 		var co *cluster.Coordinator
 		if kind == "cluster" {
 			tr := cluster.NewLocalWithOptions(2, cluster.LocalOptions{
-				Persist: true, Dir: t.TempDir(), Stride: []int64{4, 4}, CacheBytes: 8 << 20,
+				Dir: t.TempDir(), Stride: []int64{4, 4}, CacheBytes: 8 << 20,
 			})
 			t.Cleanup(func() { tr.Close() })
 			co = cluster.NewCoordinator(tr, 0)

@@ -15,7 +15,6 @@ import (
 // produces the exact local-aggregation answer.
 func TestClusterFilterAggregatePushdown(t *testing.T) {
 	tr := cluster.NewLocalWithOptions(2, cluster.LocalOptions{
-		Persist:    true,
 		Dir:        t.TempDir(),
 		Stride:     []int64{8, 8},
 		CacheBytes: 8 << 20,

@@ -256,7 +256,6 @@ func gridEncodingStats(side int64, quick bool) ([]storage.Stats, error) {
 	}
 	defer os.RemoveAll(dir)
 	tr := cluster.NewLocalWithOptions(nodes, cluster.LocalOptions{
-		Persist:    true,
 		Dir:        dir,
 		Stride:     []int64{16},
 		CacheBytes: cacheBudget,

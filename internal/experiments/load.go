@@ -34,7 +34,6 @@ func loadServers(nodes int, delay time.Duration, stride []int64, dir string) (ad
 			return nil, nil, err
 		}
 		w := cluster.NewWorkerWithOptions(i, cluster.WorkerOptions{
-			Persist:    true,
 			Dir:        filepath.Join(dir, fmt.Sprintf("node-%d", i)),
 			Stride:     stride,
 			CacheBytes: 8 << 20,

@@ -133,10 +133,11 @@ func netServers(nodes int, delay time.Duration) (addrs []string, shutdown func()
 }
 
 // netServersWithOptions is netServers generalized: configurable worker
-// backing (persistent stores for the SKEW experiment), a caller-chosen
-// listener wrapper (per-connection delay vs shared-link serialization), and
-// per-node shutdowns so an experiment can kill one node mid-workload and
-// keep the rest serving. wrap is called once per node's listener.
+// stores (stride-8 buckets behind a pool for the SKEW experiment), a
+// caller-chosen listener wrapper (per-connection delay vs shared-link
+// serialization), and per-node shutdowns so an experiment can kill one node
+// mid-workload and keep the rest serving. wrap is called once per node's
+// listener.
 func netServersWithOptions(nodes int, wrap func(net.Listener) net.Listener, wo cluster.WorkerOptions) (addrs []string, stops []func(), err error) {
 	shutdownAll := func() {
 		for _, stop := range stops {

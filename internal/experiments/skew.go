@@ -124,7 +124,7 @@ func init() {
 				return linkListener{Listener: ln, perByte: 10 * time.Microsecond, mu: &sync.Mutex{}}
 			}
 			addrs, stops, err := netServersWithOptions(nodes, link,
-				cluster.WorkerOptions{Persist: true, Stride: []int64{8}, CacheBytes: 1 << 20})
+				cluster.WorkerOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
 			if err != nil {
 				return err
 			}

@@ -143,7 +143,7 @@ func TestLoadParallelIntoCluster(t *testing.T) {
 	box := array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{40, 20}}
 
 	tr := cluster.NewLocalWithOptions(2, cluster.LocalOptions{
-		Persist: true, Stride: []int64{8, 8}, CacheBytes: 1 << 20,
+		Stride: []int64{8, 8}, CacheBytes: 1 << 20,
 	})
 	co := cluster.NewCoordinator(tr, 0)
 	if err := co.Create("grid", schema, scheme); err != nil {

@@ -157,7 +157,7 @@ func TestScanChunks(t *testing.T) {
 	}
 }
 
-func TestManifestPersistsZones(t *testing.T) {
+func TestManifestKeepsZones(t *testing.T) {
 	dir := t.TempDir()
 	st := fourBuckets(t, dir)
 	if err := st.Close(); err != nil {
