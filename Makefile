@@ -27,18 +27,19 @@ loc:
 # runs this alongside `test`; the full -race ./... sweep is `race-all`).
 # ./internal/storage includes the scan-prefetcher stress tests.
 race:
-	$(GO) test -race ./internal/exec ./internal/ops ./internal/bufcache ./internal/storage ./internal/cluster ./internal/obs ./internal/session ./internal/core ./internal/loader ./internal/insitu ./internal/partition ./internal/introspect
+	$(GO) test -race ./internal/exec ./internal/ops ./internal/bufcache ./internal/storage ./internal/wire ./internal/cluster ./internal/obs ./internal/session ./internal/core ./internal/loader ./internal/insitu ./internal/partition ./internal/introspect
 
-# Short fuzz smoke over the chunk/array decoders and, FuzzWorkerRead, the
-# worker's read against its cell oracle. Each target must be invoked
-# separately: `go test -fuzz` refuses a pattern matching more than one fuzz
-# function.
+# Short fuzz smoke over the chunk/array decoders, both hello readers
+# (FuzzHello) and, FuzzWorkerRead, the worker's read against its cell
+# oracle. Each target must be invoked separately: `go test -fuzz` refuses a
+# pattern matching more than one fuzz function.
 FUZZTIME ?= 10s
 .PHONY: fuzz
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run=NONE -fuzz=FuzzDecodeArray -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run=NONE -fuzz=FuzzDecodeZoneMap -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run=NONE -fuzz=FuzzHello -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSessionFrame -fuzztime=$(FUZZTIME) ./internal/session
 	$(GO) test -run=NONE -fuzz=FuzzCSVShardSplit -fuzztime=$(FUZZTIME) ./internal/insitu
 	$(GO) test -run=NONE -fuzz=FuzzDecodeClusterMessage -fuzztime=$(FUZZTIME) ./internal/cluster

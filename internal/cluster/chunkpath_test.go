@@ -113,11 +113,11 @@ func putBatch(t testing.TB, w *Worker, cells map[xy]array.Cell) {
 			t.Fatal(err)
 		}
 	}
-	payload, err := storage.EncodeArray(a)
+	chunks, err := encodeForTest(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	handleOK(t, w, &Message{Op: "put", Array: "d", Payload: payload})
+	handleOK(t, w, &Message{Op: "put", Array: "d", Chunks: chunks})
 }
 
 // buildDiffWorker creates a worker holding final on the named backing. The
@@ -545,7 +545,7 @@ func checkWorkerRead(t *testing.T, seed int64) {
 				}
 				cells := handleOK(t, w, q.message(nil))
 				checkCounters(par, "cells", cells)
-				got, err := storage.DecodeArray(partitionSchema(diffSchema()), cells.Payload)
+				got, err := storage.DecodeChunks(partitionSchema(diffSchema()), cells.Chunks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -568,7 +568,7 @@ func checkWorkerRead(t *testing.T, seed int64) {
 					first, firstFolds = [3]*Message{agg, cells, count}, folds
 					continue
 				}
-				if !sameTable(t, agg.Table, first[0].Table) || !bytes.Equal(cells.Payload, first[1].Payload) || !sameTable(t, count.Table, first[2].Table) {
+				if !sameTable(t, agg.Table, first[0].Table) || !sameChunks(cells.Chunks, first[1].Chunks) || !sameTable(t, count.Table, first[2].Table) {
 					t.Fatalf("%s: parallelism 4 answered differently from parallelism 1", name)
 				}
 				for i := range folds {
@@ -627,11 +627,11 @@ func TestPutStreamFlushesAtMemLimit(t *testing.T) {
 				buffered, allocated = 0, map[xy]bool{}
 			}
 		}
-		payload, err := storage.EncodeArray(row)
+		chunks, err := encodeForTest(row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		handleOK(t, w, &Message{Op: "put", Array: "s", Payload: payload})
+		handleOK(t, w, &Message{Op: "put", Array: "s", Chunks: chunks})
 	}
 	if d := time.Since(start); d > 10*time.Second {
 		t.Errorf("put stream took %v", d)
@@ -680,7 +680,7 @@ func TestConcurrentReadOpsShareWorker(t *testing.T) {
 		for i, req := range reqs {
 			alone := handleOK(t, w, req)
 			for g := i; g < len(got); g += len(reqs) {
-				if resp := got[g]; resp.Err != "" || resp.Cells != alone.Cells || !bytes.Equal(resp.Payload, alone.Payload) ||
+				if resp := got[g]; resp.Err != "" || resp.Cells != alone.Cells || !sameChunks(resp.Chunks, alone.Chunks) ||
 					!sameTable(t, resp.Table, alone.Table) {
 					t.Errorf("%s: concurrent %s differs from the same request run alone (err %q)", backing, spanName(req), resp.Err)
 				}
@@ -754,7 +754,7 @@ func TestWorkerOpsReportCorruptBucket(t *testing.T) {
 	st.ReleaseRegion(array.WholeBox(st.Schema()))
 	for i, req := range reqs {
 		got := handleOK(t, w, req)
-		if got.Cells != want[i].Cells || !bytes.Equal(got.Payload, want[i].Payload) || (got.Table != nil && !sameTable(t, got.Table, want[i].Table)) {
+		if got.Cells != want[i].Cells || !sameChunks(got.Chunks, want[i].Chunks) || (got.Table != nil && !sameTable(t, got.Table, want[i].Table)) {
 			t.Errorf("%s answers differently once the file is restored", spanName(req))
 		}
 	}

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -246,7 +248,7 @@ func TestTCPTransport(t *testing.T) {
 		}
 		defer ln.Close()
 		w := NewWorker(i)
-		go func() { _ = Serve(ln, w) }()
+		go func() { _ = serve(ln, w) }()
 		addrs = append(addrs, ln.Addr().String())
 	}
 	tr, err := DialTCP(addrs)
@@ -351,7 +353,7 @@ func TestWorkerOpErrors(t *testing.T) {
 		t.Error("fold of an aggregate without typed state accepted")
 	}
 	// corrupted payload
-	if _, err := tr.Call(0, &Message{Op: "put", Array: "a", Payload: []byte{1, 2, 3}}); err == nil {
+	if _, err := tr.Call(0, &Message{Op: "put", Array: "a", Chunks: [][]byte{{1, 2, 3}}}); err == nil {
 		t.Error("corrupt payload accepted")
 	}
 }
@@ -489,7 +491,7 @@ func TestSjoinOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		go func(i int) { _ = Serve(ln, NewWorker(i)) }(i)
+		go func(i int) { _ = serve(ln, NewWorker(i)) }(i)
 		addrs = append(addrs, ln.Addr().String())
 	}
 	tr, err := DialTCP(addrs)
@@ -541,13 +543,13 @@ func TestWorkerConcurrentAccess(t *testing.T) {
 			for i := int64(1); i <= 16; i++ {
 				_ = src.Set(array.Coord{int64(g)*16 + i, 1}, array.Cell{array.Float64(float64(i))})
 			}
-			payload, err := encodeForTest(src)
+			chunks, err := encodeForTest(src)
 			if err != nil {
 				done <- err
 				return
 			}
 			for k := 0; k < 20; k++ {
-				if resp := w.Handle(&Message{Op: "put", Array: "c", Payload: payload}); resp.Err != "" {
+				if resp := w.Handle(&Message{Op: "put", Array: "c", Chunks: chunks}); resp.Err != "" {
 					done <- fmt.Errorf("put: %s", resp.Err)
 					return
 				}
@@ -574,8 +576,14 @@ func TestWorkerConcurrentAccess(t *testing.T) {
 	}
 }
 
-func encodeForTest(a *array.Array) ([]byte, error) {
-	return storage.EncodeArray(a)
+// encodeForTest encodes a's cells the way a message carries them.
+func encodeForTest(a *array.Array) ([][]byte, error) {
+	return storage.EncodeChunks(a.Schema, a.Chunks())
+}
+
+// sameChunks reports whether two messages carry the same encoded chunks.
+func sameChunks(a, b [][]byte) bool {
+	return slices.EqualFunc(a, b, bytes.Equal)
 }
 
 // countReq is the read that counts an array's cells on one node: a fold

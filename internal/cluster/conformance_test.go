@@ -15,6 +15,7 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/ops"
 	"scidb/internal/partition"
+	"scidb/internal/wire"
 )
 
 // startWireServer runs a Server over real loopback sockets for n workers
@@ -47,6 +48,15 @@ func startWireServers(t *testing.T, n int, opts ServeOptions) ([]string, func())
 			s()
 		}
 	}
+}
+
+// serve runs a worker on ln with default options until ln closes.
+func serve(ln net.Listener, w *Worker) error {
+	srv, err := NewServer(w, ServeOptions{})
+	if err != nil {
+		return err
+	}
+	return srv.Serve(ln)
 }
 
 // transportFactories enumerates every transport the conformance suite must
@@ -168,7 +178,7 @@ func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 		{Op: "read", Array: "ghost"},
 		{Op: "frobnicate"},
 		{Op: "read", Array: "conf", Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "zzz"}}}},
-		{Op: "put", Array: "conf", Payload: []byte{1, 2, 3}},
+		{Op: "put", Array: "conf", Chunks: [][]byte{{1, 2, 3}}},
 	} {
 		_, err := tr.Call(0, bad)
 		if err == nil {
@@ -326,7 +336,7 @@ func TestServeReturnsNilOnListenerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- Serve(ln, NewWorker(0)) }()
+	go func() { done <- serve(ln, NewWorker(0)) }()
 	time.Sleep(10 * time.Millisecond)
 	_ = ln.Close()
 	select {
@@ -404,14 +414,7 @@ func TestCallTimeout(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				var magic [4]byte
-				if _, err := conn.Read(magic[:]); err != nil {
-					return
-				}
-				if _, err := readHello(conn); err != nil {
-					return
-				}
-				if err := writeHelloReply(conn, "none", nil); err != nil {
+				if wire.Accept(conn, conn, wire.ClusterMagic, func([]byte) ([]byte, error) { return []byte("none"), nil }) != nil {
 					return
 				}
 				// Swallow frames forever, never respond.
@@ -450,29 +453,6 @@ func TestCallTimeout(t *testing.T) {
 	}
 }
 
-// TestHelloRejectsUnknownCodec pins compression negotiation failure: the
-// server refuses the connection with a useful message.
-func TestHelloRejectsUnknownCodec(t *testing.T) {
-	addrs, stop := startWireServers(t, 1, ServeOptions{})
-	defer stop()
-	// DialTCPOptions validates locally first — bypass it by dialing raw.
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeHello(conn, "no-such-codec"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readHelloReply(conn); err == nil || !strings.Contains(err.Error(), "rejected") {
-		t.Errorf("hello reply = %v, want rejection", err)
-	}
-	// And the local validation path:
-	if _, err := DialTCPOptions(addrs, DialOptions{Codec: "bogus"}); err == nil {
-		t.Error("dial with bogus codec accepted")
-	}
-}
-
 // TestServerCodecOverride pins the negotiation direction: a server with a
 // configured codec answers with it even when the client sent none.
 func TestServerCodecOverride(t *testing.T) {
@@ -501,7 +481,7 @@ func TestServerCodecOverride(t *testing.T) {
 }
 
 // TestUnknownMagicClosesConnection: a connection whose first four bytes are
-// neither the wire magic nor SessionMagic is closed by the server — within
+// neither wire.ClusterMagic nor wire.SessionMagic is closed by the server — within
 // IOTimeout, with nothing written back — instead of being parsed as some
 // other protocol.
 func TestUnknownMagicClosesConnection(t *testing.T) {

@@ -197,11 +197,12 @@ func (co *Coordinator) flushLocked(da *DistArray) error {
 	}
 	sort.Ints(nodes)
 	if err := fanout(nodes, func(_, node int) error {
-		payload, err := storage.EncodeArray(da.staging[node])
+		buf := da.staging[node]
+		chunks, err := storage.EncodeChunks(buf.Schema, buf.Chunks())
 		if err != nil {
 			return err
 		}
-		_, err = co.t.Call(node, &Message{Op: "put", Array: da.Name, Payload: payload})
+		_, err = co.t.Call(node, &Message{Op: "put", Array: da.Name, Chunks: chunks})
 		return err
 	}); err != nil {
 		return err
@@ -225,15 +226,15 @@ type gather struct {
 	out *array.Array // nil until a part arrives
 }
 
-func (g *gather) add(part *array.Array) (err error) {
+func (g *gather) add(s *array.Schema, chunks []*array.Chunk) (err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.out == nil {
-		if g.out, err = array.New(part.Schema.Clone()); err != nil {
+		if g.out, err = array.New(s.Clone()); err != nil {
 			return err
 		}
 	}
-	for _, ch := range part.Chunks() {
+	for _, ch := range chunks {
 		if err := g.out.MergeChunk(ch); err != nil {
 			return err
 		}
@@ -250,12 +251,14 @@ func (g *gather) array() (*array.Array, error) {
 }
 
 // callInto is the per-response step of every gather: one transport call with
-// death bookkeeping, and the response's cells — a fold's carries none —
-// decoded and merged into g on the fan-out's own goroutine, so one node's
-// payload is decoded and merged while slower nodes are still answering.
+// death bookkeeping, and the response's chunks — a fold's carries none —
+// decoded on the fan-out's own goroutine and merged into g, so one node's
+// cells are decoded and merged while slower nodes are still answering. A
+// response with a schema (a join's) sets the gathered array's even when it
+// carries no cell.
 func (co *Coordinator) callInto(n int, req *Message, g *gather) (*Message, error) {
 	resp, err := co.callNode(n, req)
-	if err != nil || len(resp.Payload) == 0 {
+	if err != nil || (len(resp.Chunks) == 0 && resp.Schema == nil) {
 		return resp, err
 	}
 	s := g.s
@@ -265,11 +268,13 @@ func (co *Coordinator) callInto(n int, req *Message, g *gather) (*Message, error
 		}
 		s = partitionSchema(resp.Schema)
 	}
-	part, err := storage.DecodeArray(s.Clone(), resp.Payload)
-	if err != nil {
-		return nil, err
+	chunks := make([]*array.Chunk, len(resp.Chunks))
+	for i, payload := range resp.Chunks {
+		if chunks[i], err = storage.DecodeChunk(s, payload); err != nil {
+			return nil, err
+		}
 	}
-	return resp, g.add(part)
+	return resp, g.add(s, chunks)
 }
 
 // graft attaches the workers' span trees to the coordinator-side span in the
@@ -348,7 +353,7 @@ func (co *Coordinator) Read(ctx context.Context, name string, frag ops.Fragment)
 	for i, resp := range resps {
 		tables[i] = resp.Table
 		cells, seen, skipped = cells+resp.Cells, seen+resp.Seen, skipped+resp.Skipped
-		gathered += int64(len(resp.Payload))
+		gathered += payloadBytes(resp.Chunks)
 	}
 	span := obs.SpanFromContext(ctx)
 	span.Add("nodes", int64(len(resps)))
@@ -486,11 +491,11 @@ func (co *Coordinator) Repartition(name string, newScheme partition.Scheme) erro
 		}
 	}
 	if err := fanout(allNodes(nodes), func(_, n int) error {
-		payload, err := storage.EncodeArray(newContent[n])
+		chunks, err := storage.EncodeChunks(newContent[n].Schema, newContent[n].Chunks())
 		if err != nil {
 			return err
 		}
-		_, err = co.t.Call(n, &Message{Op: "replace", Array: name, Payload: payload})
+		_, err = co.t.Call(n, &Message{Op: "replace", Array: name, Chunks: chunks})
 		return err
 	}); err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scidb/internal/array"
-	"scidb/internal/storage"
 )
 
 // fakeClock drives a heatTracker's time seam.
@@ -86,11 +85,11 @@ func TestWorkerHeatFromReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	payload, err := storage.EncodeArray(a)
+	chunks, err := encodeForTest(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp = w.Handle(&Message{Op: "put", Array: "h", Payload: payload}); resp.Err != "" {
+	if resp = w.Handle(&Message{Op: "put", Array: "h", Chunks: chunks}); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 	if resp = w.Handle(&Message{Op: "flush", Array: "h"}); resp.Err != "" {

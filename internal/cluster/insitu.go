@@ -43,7 +43,7 @@ func (w *Worker) loadChunks(req *Message) (*Message, error) {
 	if len(req.BoxLo) > 0 {
 		st.ClearRegion(array.Box{Lo: req.BoxLo, Hi: req.BoxHi})
 	}
-	var cells, bytesIn int64
+	var cells int64
 	for _, payload := range req.Chunks {
 		ch, err := storage.DecodeChunk(st.Schema(), payload)
 		if err != nil {
@@ -53,13 +53,12 @@ func (w *Worker) loadChunks(req *Message) (*Message, error) {
 			return nil, err
 		}
 		cells += ch.CellsPresent()
-		bytesIn += int64(len(payload))
 	}
 	if req.RouteVersion > w.routeVersion[req.Array] {
 		w.routeVersion[req.Array] = req.RouteVersion
 	}
 	w.stats.cellsHeld.Add(cells)
-	w.stats.bytesIn.Add(bytesIn)
+	w.stats.bytesIn.Add(payloadBytes(req.Chunks))
 	return &Message{Op: "loadchunks", Cells: cells, RouteVersion: w.routeVersion[req.Array]}, nil
 }
 

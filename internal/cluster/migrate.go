@@ -58,11 +58,7 @@ func (w *Worker) migrateChunks(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	var bytes int64
-	for _, p := range payloads {
-		bytes += int64(len(p))
-	}
-	w.stats.bytesOut.Add(bytes)
+	w.stats.bytesOut.Add(payloadBytes(payloads))
 	return &Message{Op: "migratechunks", Chunks: payloads, Cells: cells}, nil
 }
 

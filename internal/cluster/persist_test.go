@@ -302,10 +302,9 @@ func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
 			t.Fatalf("node %d holds dimensions %+v, the coordinator gathers under %+v", n, held.Dims, grid.Dims)
 		}
 		resp := handleOK(t, w, &Message{Op: "read", Array: "line"})
-		r := storage.NewFieldReaderBytes(resp.Payload)
 		var origins []int64
-		for i := r.U32(); i > 0; i-- {
-			ch, err := storage.DecodeChunk(grid, r.Bytes())
+		for _, payload := range resp.Chunks {
+			ch, err := storage.DecodeChunk(grid, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +316,7 @@ func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
 		if want := []int64{int64(n)*128 + 65, int64(n)*128 + 1}; !reflect.DeepEqual(origins, want) {
 			t.Errorf("node %d shipped chunks at %v, want %v: buckets encoded whole, in delivery order", n, origins, want)
 		}
-		part, err := storage.DecodeArray(grid.Clone(), resp.Payload)
+		part, err := storage.DecodeChunks(grid.Clone(), resp.Chunks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +324,7 @@ func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
 	}
 	g := &gather{s: grid}
 	for _, part := range parts {
-		if err := g.add(part); err != nil {
+		if err := g.add(grid, part.Chunks()); err != nil {
 			t.Fatal(err)
 		}
 		for _, ch := range part.Chunks() {

@@ -182,7 +182,7 @@ func TestLoadChunksBoxClearsStaleBufferedCells(t *testing.T) {
 	}
 	handleOK(t, w, &Message{Op: "loadchunks", Array: "d", BoxLo: []int64{1, 1}, BoxHi: []int64{16, 16},
 		Chunks: [][]byte{payload}, RouteVersion: 4})
-	got, err := storage.DecodeArray(ps, handleOK(t, w, &Message{Op: "read", Array: "d"}).Payload)
+	got, err := storage.DecodeChunks(ps, handleOK(t, w, &Message{Op: "read", Array: "d"}).Chunks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"scidb/internal/compress"
 	"scidb/internal/obs"
+	"scidb/internal/wire"
 )
 
 // ServeOptions tunes a worker server.
@@ -24,7 +25,7 @@ type ServeOptions struct {
 	// means no deadlines.
 	IOTimeout time.Duration
 	// Session, when set, receives connections whose first four bytes are
-	// SessionMagic: the client-facing session protocol served on the same
+	// wire.SessionMagic: the client-facing session protocol served on the same
 	// listener. The handler owns the connection until it returns (the
 	// server closes the conn afterwards); it must manage its own read
 	// deadlines. Nil rejects session connections.
@@ -35,7 +36,7 @@ type ServeOptions struct {
 // binary wire protocol. The first four bytes of every connection select
 // its handler: the wire magic starts the framed protocol (requests on one
 // connection are handled concurrently and responses return in completion
-// order, keyed by request id), SessionMagic hands the connection to
+// order, keyed by request id), wire.SessionMagic hands the connection to
 // ServeOptions.Session, and anything else is closed.
 type Server struct {
 	w    *Worker
@@ -47,16 +48,11 @@ type Server struct {
 	closed bool
 	reqs   sync.WaitGroup
 
-	wire serverWireStats
-}
-
-// serverWireStats counts the server side of the wire protocol, mirroring
-// the client's TransportStats so a scidb-server's /metrics covers
-// transport traffic without a coordinator in the process.
-type serverWireStats struct {
-	framesIn, framesOut atomic.Int64
-	bytesIn, bytesOut   atomic.Int64
-	wireConns           atomic.Int64
+	// stats and wireConns count the server side of the wire protocol, so a
+	// scidb-server's /metrics covers transport traffic without a
+	// coordinator in the process.
+	stats     wire.Counters
+	wireConns atomic.Int64
 }
 
 // NewServer wraps a worker. The codec override is validated here so a
@@ -69,11 +65,12 @@ func NewServer(w *Worker, opts ServeOptions) (*Server, error) {
 	s := &Server{w: w, opts: opts, conns: map[net.Conn]struct{}{}}
 	w.reg.RegisterFunc("scidb_transport", "Server-side wire protocol counters.", obs.KindGauge,
 		func(emit func(obs.Sample)) {
-			emit(obs.Sample{Name: "scidb_transport_frames_in_total", Value: float64(s.wire.framesIn.Load())})
-			emit(obs.Sample{Name: "scidb_transport_frames_out_total", Value: float64(s.wire.framesOut.Load())})
-			emit(obs.Sample{Name: "scidb_transport_bytes_in_total", Value: float64(s.wire.bytesIn.Load())})
-			emit(obs.Sample{Name: "scidb_transport_bytes_out_total", Value: float64(s.wire.bytesOut.Load())})
-			emit(obs.Sample{Name: "scidb_transport_wire_conns_total", Value: float64(s.wire.wireConns.Load())})
+			st := s.stats.Snapshot()
+			emit(obs.Sample{Name: "scidb_transport_frames_in_total", Value: float64(st.FramesIn)})
+			emit(obs.Sample{Name: "scidb_transport_frames_out_total", Value: float64(st.FramesOut)})
+			emit(obs.Sample{Name: "scidb_transport_bytes_in_total", Value: float64(st.BytesIn)})
+			emit(obs.Sample{Name: "scidb_transport_bytes_out_total", Value: float64(st.BytesOut)})
+			emit(obs.Sample{Name: "scidb_transport_wire_conns_total", Value: float64(s.wireConns.Load())})
 		})
 	return s, nil
 }
@@ -170,9 +167,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	switch binary.LittleEndian.Uint32(head) {
-	case wireMagic:
+	case wire.ClusterMagic:
 		s.serveWire(conn, br)
-	case SessionMagic:
+	case wire.SessionMagic:
 		if s.opts.Session != nil {
 			_ = conn.SetReadDeadline(time.Time{})
 			s.opts.Session(conn, br)
@@ -186,58 +183,39 @@ func (s *Server) serveConn(conn net.Conn) {
 // execution of read-mostly ops, encode, compression — overlaps across the
 // pipelined requests.
 func (s *Server) serveWire(conn net.Conn, br *bufio.Reader) {
-	if _, err := br.Discard(4); err != nil {
-		return
-	}
-	clientCodecName, err := readHello(br)
-	if err != nil {
-		return
-	}
-	clientCodec, cerr := codecByName(clientCodecName)
-	respName := s.opts.Codec
-	if respName == "" {
-		respName = clientCodecName
-	}
-	respCodec, rerr := codecByName(respName)
-	if cerr != nil || rerr != nil {
-		err := cerr
-		if err == nil {
-			err = rerr
+	var reqCodec, respCodec compress.Codec
+	if err := wire.Accept(conn, br, wire.ClusterMagic, func(hello []byte) (_ []byte, err error) {
+		if reqCodec, err = codecByName(string(hello)); err != nil {
+			return nil, err
 		}
-		_ = writeHelloReply(conn, "", err)
-		return
-	}
-	if err := writeHelloReply(conn, respName, nil); err != nil {
+		name := s.opts.Codec
+		if name == "" {
+			name = string(hello)
+		}
+		respCodec, err = codecByName(name)
+		return []byte(name), err
+	}); err != nil {
 		return
 	}
 	if s.opts.IOTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Time{})
 	}
-	s.wire.wireConns.Add(1)
-	wr := &connWriter{conn: conn, bw: bufio.NewWriterSize(conn, 64<<10), timeout: s.opts.IOTimeout, stats: &s.wire}
+	s.wireConns.Add(1)
+	wr := wire.NewWriter(conn, respCodec, s.opts.IOTimeout, &s.stats)
 	for {
-		id, flags, body, err := ReadFrame(br)
-		if err != nil {
+		id, raw, err := wire.ReadBody(br, wire.MaxFrameBody, reqCodec, &s.stats)
+		if err != nil || !s.beginReq() {
 			return
 		}
-		s.wire.framesIn.Add(1)
-		s.wire.bytesIn.Add(int64(FrameHeaderLen + len(body)))
-		raw, err := decodeFrameBody(body, flags, clientCodec)
-		if err != nil {
-			return
-		}
-		if !s.beginReq() {
-			return
-		}
-		go func(id uint64, raw []byte) {
+		go func() {
 			defer s.reqs.Done()
-			s.handleFrame(wr, respCodec, id, raw)
-		}(id, raw)
+			s.handleFrame(wr, id, raw)
+		}()
 	}
 }
 
 // handleFrame decodes one request, runs it, and frames the response.
-func (s *Server) handleFrame(wr *connWriter, respCodec compress.Codec, id uint64, raw []byte) {
+func (s *Server) handleFrame(wr *wire.Writer, id uint64, raw []byte) {
 	var resp *Message
 	req, err := decodeMessage(raw)
 	if err != nil {
@@ -252,52 +230,5 @@ func (s *Server) handleFrame(wr *connWriter, respCodec compress.Codec, id uint64
 			return
 		}
 	}
-	body, flags := encodeFrameBody(enc, respCodec)
-	_ = wr.write(id, flags, body)
-}
-
-// connWriter shares one buffered writer between the concurrent response
-// goroutines, coalescing flushes exactly like the client side.
-type connWriter struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	timeout time.Duration
-	writers atomic.Int32
-	mu      sync.Mutex
-	stats   *serverWireStats // nil in tests that build a bare writer
-}
-
-func (w *connWriter) write(id uint64, flags uint8, body []byte) error {
-	w.writers.Add(1)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.timeout > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
-	err := WriteFrame(w.bw, id, flags, body)
-	if err == nil && w.stats != nil {
-		w.stats.framesOut.Add(1)
-		w.stats.bytesOut.Add(int64(FrameHeaderLen + len(body)))
-	}
-	if w.writers.Add(-1) == 0 && err == nil {
-		err = w.bw.Flush()
-	}
-	if err != nil {
-		// A half-written frame would desynchronize the stream; kill the
-		// connection so the client fails fast instead of misparsing.
-		_ = w.conn.Close()
-	}
-	return err
-}
-
-// Serve runs a worker on a listener with default options until the
-// listener closes; closing the listener returns nil. Kept as the
-// one-call path used by tests and simple deployments — scidb-server uses
-// NewServer directly for graceful shutdown.
-func Serve(ln net.Listener, w *Worker) error {
-	srv, err := NewServer(w, ServeOptions{})
-	if err != nil {
-		return err
-	}
-	return srv.Serve(ln)
+	_ = wr.Write(id, enc)
 }

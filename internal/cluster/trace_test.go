@@ -164,9 +164,10 @@ func TestUntracedRequestsCarryNoSpans(t *testing.T) {
 // optional fields sets no presence bits and its encoding is pinned byte for
 // byte; the decoder rejects what it cannot place — a presence bit it does
 // not know (the blocks are not self-delimiting, so an unknown one cannot be
-// skipped), bytes left after the last block, and the encoding from before
+// skipped), bytes left after the last block, and the encodings from before
 // the fold spec and table replaced Agg/Attr/GroupDims/Partials in the fixed
-// prefix (no such peer was ever deployed, so there is no shim for it).
+// prefix and from before Chunks replaced its Payload blob (no such peer was
+// ever deployed, so there is no shim for either).
 func TestWireStrictPresence(t *testing.T) {
 	plain := &Message{Op: "read", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{9}}
 	enc, err := encodeMessage(plain)
@@ -174,6 +175,8 @@ func TestWireStrictPresence(t *testing.T) {
 		t.Fatal(err)
 	}
 	const golden = "04000000726561640100000061000000000000000000000000000000000000000000000000" +
+		"01000000010000000000000001000000090000000000000000"
+	const beforeChunks = "04000000726561640100000061000000000000000000000000000000000000000000000000" +
 		"0100000001000000000000000100000009000000000000000000000000"
 	const beforeFolds = "040000007363616e01000000610000000000000000000000000000000000000000000000" +
 		"00000000000000000000000000010000000100000000000000010000000900000000000000000000000000000000"
@@ -188,9 +191,11 @@ func TestWireStrictPresence(t *testing.T) {
 		t.Fatalf("plain message decoded with trace fields: %+v", got)
 	}
 
-	old, _ := hex.DecodeString(beforeFolds)
-	if m, err := decodeMessage(old); err == nil {
-		t.Errorf("the pre-fold wire body decoded: %+v", m)
+	for name, body := range map[string]string{"pre-fold": beforeFolds, "pre-chunks": beforeChunks} {
+		old, _ := hex.DecodeString(body)
+		if m, err := decodeMessage(old); err == nil {
+			t.Errorf("the %s wire body decoded: %+v", name, m)
+		}
 	}
 
 	// The first presence byte is the last byte of a plain encoding.

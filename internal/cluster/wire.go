@@ -1,144 +1,21 @@
 package cluster
 
-// The multiplexed binary wire protocol.
-//
-// A connection starts with a hello exchange that pins the protocol version
-// and negotiates per-direction payload compression:
-//
-//	client hello: u32 magic "SCWP" | u8 version | u8 len | codec name
-//	server hello: u32 magic | u8 version | u8 status | u8 len | codec name
-//	              | (status != 0) u32 len | error text
-//
-// The client announces the codec it will compress its frames with; the
-// server replies with the codec it will use for responses (its configured
-// override, or a mirror of the client's). After the hello, both directions
-// carry length-prefixed frames:
-//
-//	u32 body length | u64 request id | u8 flags | body
-//
-// The body is a hand-rolled binary Message encoding (below) — chunk
-// payloads travel in their storage.EncodeArray form untouched, so the hot
-// field is a single length-prefixed copy, never re-encoded. flagCompressed
-// marks a body that was shrunk by the direction's negotiated codec; small
-// or incompressible bodies are sent raw even when a codec is negotiated.
-// Request ids are chosen by the client; a response echoes the id of the
-// request it answers, which is what lets many calls pipeline concurrently
-// over one connection with a reader goroutine dispatching responses to
-// waiters in completion order.
+// The worker message codec: the body of every frame of the coordinator↔worker
+// protocol (frames, hello and connections are internal/wire's). It is
+// hand-rolled — chunk payloads travel in their storage.EncodeChunk form
+// untouched, so the hot field is a length-prefixed copy, never re-encoded.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"scidb/internal/array"
 	"scidb/internal/compress"
 	"scidb/internal/obs"
 	"scidb/internal/ops"
 	"scidb/internal/storage"
+	"scidb/internal/wire"
 )
-
-const (
-	wireMagic   = 0x53435750 // "SCWP"
-	wireVersion = 1
-
-	// SessionMagic opens the client-facing session protocol
-	// (internal/session). It shares the cluster listener: Server sniffs the
-	// first four bytes of each connection and hands session connections to
-	// ServeOptions.Session, so one port serves cluster peers and interactive
-	// sessions.
-	SessionMagic = 0x53435345 // "SCSE"
-
-	// FrameHeaderLen is u32 length + u64 request id + u8 flags.
-	FrameHeaderLen = 4 + 8 + 1
-
-	// MaxFrameBody caps a single frame so a corrupt length prefix cannot
-	// force a huge allocation.
-	MaxFrameBody = 1 << 30
-
-	// compressThreshold is the smallest body worth running through the
-	// negotiated codec; control messages stay raw.
-	compressThreshold = 512
-)
-
-// Frame flags.
-const (
-	flagCompressed = 1 << 0
-)
-
-// writeHello sends the client half of the hello exchange.
-func writeHello(w io.Writer, codec string) error {
-	fw := storage.NewFieldWriter(w)
-	fw.U32(wireMagic)
-	fw.U8(wireVersion)
-	if len(codec) > 255 {
-		return fmt.Errorf("cluster: codec name too long")
-	}
-	fw.U8(uint8(len(codec)))
-	fw.Raw([]byte(codec))
-	return fw.Err()
-}
-
-// readHello consumes a client hello (after the magic has already been
-// sniffed and consumed by the server) and returns the announced codec name.
-func readHello(r io.Reader) (string, error) {
-	fr := storage.NewFieldReader(r)
-	if v := fr.U8(); fr.Err() == nil && v != wireVersion {
-		return "", fmt.Errorf("cluster: wire version %d, want %d", v, wireVersion)
-	}
-	n := int(fr.U8())
-	name := make([]byte, n)
-	fr.Raw(name)
-	if fr.Err() != nil {
-		return "", fr.Err()
-	}
-	return string(name), nil
-}
-
-// writeHelloReply sends the server half: its response codec, or an error.
-func writeHelloReply(w io.Writer, codec string, helloErr error) error {
-	fw := storage.NewFieldWriter(w)
-	fw.U32(wireMagic)
-	fw.U8(wireVersion)
-	if helloErr != nil {
-		fw.U8(1)
-		fw.U8(0)
-		fw.String(helloErr.Error())
-	} else {
-		fw.U8(0)
-		fw.U8(uint8(len(codec)))
-		fw.Raw([]byte(codec))
-	}
-	return fw.Err()
-}
-
-// readHelloReply consumes the server hello and returns the server's
-// response codec name.
-func readHelloReply(r io.Reader) (string, error) {
-	fr := storage.NewFieldReader(r)
-	if m := fr.U32(); fr.Err() == nil && m != wireMagic {
-		return "", fmt.Errorf("cluster: bad hello magic %#x (not a scidb wire server?)", m)
-	}
-	if v := fr.U8(); fr.Err() == nil && v != wireVersion {
-		return "", fmt.Errorf("cluster: server speaks wire version %d, want %d", v, wireVersion)
-	}
-	status := fr.U8()
-	n := int(fr.U8())
-	name := make([]byte, n)
-	fr.Raw(name)
-	if fr.Err() != nil {
-		return "", fr.Err()
-	}
-	if status != 0 {
-		msg := fr.String()
-		if fr.Err() != nil {
-			return "", fr.Err()
-		}
-		return "", fmt.Errorf("cluster: server rejected hello: %s", msg)
-	}
-	return string(name), nil
-}
 
 // codecByName resolves a negotiated codec name; "" and "none" mean no
 // compression (nil codec).
@@ -147,62 +24,6 @@ func codecByName(name string) (compress.Codec, error) {
 		return nil, nil
 	}
 	return compress.ByName(name)
-}
-
-// encodeFrameBody runs the encoded message through the direction's codec
-// when it pays off, returning the body and its flags.
-func encodeFrameBody(enc []byte, codec compress.Codec) ([]byte, uint8) {
-	if codec == nil || len(enc) < compressThreshold {
-		return enc, 0
-	}
-	packed := codec.Encode(enc)
-	if len(packed) >= len(enc) {
-		return enc, 0
-	}
-	return packed, flagCompressed
-}
-
-// WriteFrame writes one frame. The caller owns any locking around w.
-func WriteFrame(w io.Writer, id uint64, flags uint8, body []byte) error {
-	var hdr [FrameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = flags
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// ReadFrame reads one frame header + body.
-func ReadFrame(r io.Reader) (id uint64, flags uint8, body []byte, err error) {
-	var hdr [FrameHeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	id = binary.LittleEndian.Uint64(hdr[4:12])
-	flags = hdr[12]
-	if n > MaxFrameBody {
-		return 0, 0, nil, fmt.Errorf("cluster: frame body %d bytes exceeds limit", n)
-	}
-	body = make([]byte, n)
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, err
-	}
-	return id, flags, body, nil
-}
-
-// decodeFrameBody undoes encodeFrameBody.
-func decodeFrameBody(body []byte, flags uint8, codec compress.Codec) ([]byte, error) {
-	if flags&flagCompressed == 0 {
-		return body, nil
-	}
-	if codec == nil {
-		return nil, fmt.Errorf("cluster: compressed frame on an uncompressed connection")
-	}
-	return codec.Decode(body)
 }
 
 // Message presence bits for the optional fields; each set bit is followed,
@@ -224,7 +45,7 @@ const (
 // one, written only when one of its bits is set: a message with none of
 // these fields ends after the first byte's blocks.
 const (
-	msg2HasChunks = 1 << 0 // Chunks: batched pre-encoded chunk payloads (bulk load)
+	msg2HasChunks = 1 << 0 // Chunks: storage.EncodeChunk payloads, the cells a message carries
 	msg2HasInsitu = 1 << 1 // Path + Adaptor (in-situ registration)
 	msg2HasRoute  = 1 << 2 // ExclLo/ExclHi + RouteVersion + Nodes + Release (online rebalancing)
 	msg2HasHeat   = 1 << 3 // Heat samples ("heat" response)
@@ -257,9 +78,9 @@ func decodePredValue(r *storage.FieldReader) array.Value {
 }
 
 // encodeMessage hand-rolls a Message to its wire form. Field order is
-// fixed; Payload is carried verbatim (it is already the binary
-// storage.EncodeArray / EncodeChunk form), so the dominant field costs one
-// length-prefixed copy instead of a reflective re-encode.
+// fixed; Chunks are carried verbatim (they are already the binary
+// storage.EncodeChunk form), so the dominant field costs one length-prefixed
+// copy per chunk instead of a reflective re-encode.
 func encodeMessage(m *Message) ([]byte, error) {
 	var b bytes.Buffer
 	w := storage.NewFieldWriter(&b)
@@ -272,7 +93,6 @@ func encodeMessage(m *Message) ([]byte, error) {
 	w.I64(m.Cells)
 	w.I64s(m.BoxLo)
 	w.I64s(m.BoxHi)
-	w.Bytes(m.Payload)
 	var present uint8
 	if m.Schema != nil {
 		present |= msgHasSchema
@@ -294,7 +114,7 @@ func encodeMessage(m *Message) ([]byte, error) {
 	}
 	w.U8(present)
 	if m.Schema != nil {
-		EncodeSchema(w, m.Schema)
+		wire.EncodeSchema(w, m.Schema)
 	}
 	if present&msgHasFold != 0 {
 		w.Strings(m.Fold.Dims)
@@ -419,7 +239,6 @@ func decodeMessage(data []byte) (*Message, error) {
 	m.Cells = r.I64()
 	m.BoxLo = r.I64s()
 	m.BoxHi = r.I64s()
-	m.Payload = r.Bytes()
 	present := r.U8()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
@@ -428,7 +247,7 @@ func decodeMessage(data []byte) (*Message, error) {
 		return nil, fmt.Errorf("cluster: corrupt message: unknown presence bits %#x", unknown)
 	}
 	if present&msgHasSchema != 0 {
-		s, err := DecodeSchema(r)
+		s, err := wire.DecodeSchema(r)
 		if err != nil {
 			return nil, err
 		}
@@ -572,70 +391,4 @@ func decodeMessage(data []byte) (*Message, error) {
 		return nil, fmt.Errorf("cluster: corrupt message: %d trailing bytes", n)
 	}
 	return m, nil
-}
-
-// EncodeSchema writes a schema, recursing into nested-array attributes.
-func EncodeSchema(w *storage.FieldWriter, s *array.Schema) {
-	w.String(s.Name)
-	w.Bool(s.Updatable)
-	w.U32(uint32(len(s.Dims)))
-	for _, d := range s.Dims {
-		w.String(d.Name)
-		w.I64(d.High)
-		w.I64(d.ChunkLen)
-	}
-	w.U32(uint32(len(s.Attrs)))
-	for _, a := range s.Attrs {
-		w.String(a.Name)
-		w.U8(uint8(a.Type))
-		w.Bool(a.Uncertain)
-		w.Bool(a.Nested != nil)
-		if a.Nested != nil {
-			EncodeSchema(w, a.Nested)
-		}
-	}
-}
-
-// DecodeSchema reverses EncodeSchema.
-func DecodeSchema(r *storage.FieldReader) (*array.Schema, error) {
-	s := &array.Schema{}
-	s.Name = r.String()
-	s.Updatable = r.Bool()
-	nd := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nd > 1<<16 {
-		return nil, fmt.Errorf("cluster: schema has %d dimensions", nd)
-	}
-	s.Dims = make([]array.Dimension, nd)
-	for i := range s.Dims {
-		s.Dims[i].Name = r.String()
-		s.Dims[i].High = r.I64()
-		s.Dims[i].ChunkLen = r.I64()
-	}
-	na := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if na > 1<<16 {
-		return nil, fmt.Errorf("cluster: schema has %d attributes", na)
-	}
-	s.Attrs = make([]array.Attribute, na)
-	for i := range s.Attrs {
-		s.Attrs[i].Name = r.String()
-		s.Attrs[i].Type = array.Type(r.U8())
-		s.Attrs[i].Uncertain = r.Bool()
-		if r.Bool() {
-			nested, err := DecodeSchema(r)
-			if err != nil {
-				return nil, err
-			}
-			s.Attrs[i].Nested = nested
-		}
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-	}
-	return s, r.Err()
 }

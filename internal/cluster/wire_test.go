@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"net"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"scidb/internal/compress"
 	"scidb/internal/obs"
 	"scidb/internal/ops"
+	"scidb/internal/wire"
 )
 
 func wireTestMessage() *Message {
@@ -19,12 +21,11 @@ func wireTestMessage() *Message {
 		Err:    "",
 		Fold: &ops.FoldSpec{Dims: []string{"x", "y"}, Strides: []int64{2, 3},
 			Aggs: []ops.AggSpec{{Agg: "sum", Attr: "flux"}, {Agg: "stdev", Attr: "flux", As: "sd"}}},
-		OnL:     []string{"x"},
-		OnR:     []string{"x"},
-		Cells:   42,
-		BoxLo:   []int64{1, 2},
-		BoxHi:   []int64{16, 32},
-		Payload: []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01},
+		OnL:   []string{"x"},
+		OnR:   []string{"x"},
+		Cells: 42,
+		BoxLo: []int64{1, 2},
+		BoxHi: []int64{16, 32},
 		Table: &ops.FoldTable{Lo: []int64{3, 4}, Shape: []int64{1, 2}, Cells: []int64{7, 0}, Cols: []ops.FoldState{
 			{N: []int64{7, 0}, F: []float64{1.5, 0}},
 			{N: []int64{7, 0}, F: []float64{-1, 0}, M2: []float64{2.25, 0}},
@@ -117,101 +118,65 @@ func TestMessageCodecRejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// TestFrameRoundTrip: a frame comes back with its id, flags and body, and a
+// length prefix above the reader's limit is refused.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := bytes.Repeat([]byte("scidb"), 100)
-	if err := WriteFrame(&buf, 77, flagCompressed, body); err != nil {
+	if err := wire.WriteFrame(&buf, 77, wire.FlagCompressed, body); err != nil {
 		t.Fatal(err)
 	}
-	id, flags, got, err := ReadFrame(&buf)
+	id, flags, got, err := wire.ReadFrame(&buf, wire.MaxFrameBody)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 77 || flags != flagCompressed || !bytes.Equal(got, body) {
+	if id != 77 || flags != wire.FlagCompressed || !bytes.Equal(got, body) {
 		t.Errorf("frame round trip: id=%d flags=%d len=%d", id, flags, len(got))
 	}
-	// Oversized length prefix is refused.
-	var hdr bytes.Buffer
-	if err := WriteFrame(&hdr, 1, 0, nil); err != nil {
+	if err := wire.WriteFrame(&buf, 1, 0, body); err != nil {
 		t.Fatal(err)
 	}
-	raw := hdr.Bytes()
-	raw[0], raw[1], raw[2], raw[3] = 0xff, 0xff, 0xff, 0xff
-	if _, _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, _, _, err := wire.ReadFrame(&buf, uint32(len(body)-1)); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }
 
+// TestFrameBodyCompression: a Writer compresses only bodies its codec
+// shrinks and that are worth it, ReadBody undoes it, and a compressed frame
+// on a direction without a codec is refused.
 func TestFrameBodyCompression(t *testing.T) {
 	codec, err := compress.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small bodies skip compression regardless of codec.
-	small := []byte("tiny")
-	if body, flags := encodeFrameBody(small, codec); flags != 0 || !bytes.Equal(body, small) {
-		t.Errorf("small body was compressed: flags=%d", flags)
+	small, big := []byte("tiny"), bytes.Repeat([]byte("abcdefgh"), 4096)
+	client, server := net.Pipe()
+	defer client.Close()
+	go func() {
+		defer server.Close()
+		packed, raw := wire.NewWriter(server, codec, 0, nil), wire.NewWriter(server, nil, 0, nil)
+		for _, f := range []struct {
+			w    *wire.Writer
+			body []byte
+		}{{packed, small}, {packed, big}, {packed, big}, {packed, big}, {raw, big}} {
+			if f.w.Write(1, f.body) != nil {
+				return
+			}
+		}
+	}()
+	if _, flags, body, err := wire.ReadFrame(client, wire.MaxFrameBody); err != nil || flags != 0 || !bytes.Equal(body, small) {
+		t.Errorf("small body: flags=%d, %v; want it sent raw", flags, err)
 	}
-	// Large compressible bodies shrink and round-trip.
-	big := bytes.Repeat([]byte("abcdefgh"), 4096)
-	body, flags := encodeFrameBody(big, codec)
-	if flags&flagCompressed == 0 {
-		t.Fatal("compressible body not compressed")
+	if _, flags, body, err := wire.ReadFrame(client, wire.MaxFrameBody); err != nil || flags&wire.FlagCompressed == 0 || len(body) >= len(big) {
+		t.Errorf("compressible body: flags=%d, %d bytes, %v; want it compressed", flags, len(body), err)
 	}
-	if len(body) >= len(big) {
-		t.Fatalf("compressed body %d >= raw %d", len(body), len(big))
+	if _, body, err := wire.ReadBody(client, wire.MaxFrameBody, codec, nil); err != nil || !bytes.Equal(body, big) {
+		t.Errorf("compression round trip: %d bytes, %v", len(body), err)
 	}
-	back, err := decodeFrameBody(body, flags, codec)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := wire.ReadBody(client, wire.MaxFrameBody, nil, nil); err == nil {
+		t.Error("compressed frame accepted on an uncompressed connection")
 	}
-	if !bytes.Equal(back, big) {
-		t.Error("compression round trip mismatch")
+	if _, flags, body, err := wire.ReadFrame(client, wire.MaxFrameBody); err != nil || flags != 0 || !bytes.Equal(body, big) {
+		t.Errorf("no codec: flags=%d, %v; want the body untouched", flags, err)
 	}
-	// A compressed flag without a negotiated codec is a protocol error.
-	if _, err := decodeFrameBody(body, flags, nil); err == nil {
-		t.Error("compressed frame accepted on uncompressed connection")
-	}
-	// No codec: passthrough.
-	if body, flags := encodeFrameBody(big, nil); flags != 0 || !bytes.Equal(body, big) {
-		t.Error("nil codec altered the body")
-	}
-}
-
-func TestHelloNegotiation(t *testing.T) {
-	var wire bytes.Buffer
-	if err := writeHello(&wire, "gzip"); err != nil {
-		t.Fatal(err)
-	}
-	r := bytes.NewReader(wire.Bytes())
-	var magic [4]byte
-	if _, err := r.Read(magic[:]); err != nil {
-		t.Fatal(err)
-	}
-	name, err := readHello(r)
-	if err != nil || name != "gzip" {
-		t.Fatalf("readHello = %q, %v", name, err)
-	}
-	// Server accept reply.
-	wire.Reset()
-	if err := writeHelloReply(&wire, "delta", nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readHelloReply(bytes.NewReader(wire.Bytes()))
-	if err != nil || got != "delta" {
-		t.Fatalf("readHelloReply = %q, %v", got, err)
-	}
-	// Server reject reply surfaces the message.
-	wire.Reset()
-	if err := writeHelloReply(&wire, "", errUnknownCodecForTest()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readHelloReply(bytes.NewReader(wire.Bytes())); err == nil {
-		t.Error("rejected hello decoded as success")
-	}
-}
-
-func errUnknownCodecForTest() error {
-	_, err := compress.ByName("no-such-codec")
-	return err
 }

@@ -39,18 +39,16 @@ type Message struct {
 	Schema *array.Schema
 	// BoxLo/BoxHi, Preds and Fold are a "read" request's ops.Fragment: the
 	// node answers with its cells inside the box (all of them with no box)
-	// that satisfy Preds — as a Payload, or with a Fold as Table, the node's
+	// that satisfy Preds — as Chunks, or with a Fold as Table, the node's
 	// partial state (ops.Fold's accumulate and merge steps ran here, its
 	// final merge and terminate steps run at the coordinator). Cells, on the
 	// response, counts the cells answered: all a fold without aggregates asks.
 	BoxLo []int64
 	BoxHi []int64
-	// Payload carries cells as a storage.EncodeArray blob.
-	Payload []byte
-	Fold    *ops.FoldSpec
-	Table   *ops.FoldTable
-	Cells   int64
-	Err     string
+	Fold  *ops.FoldSpec
+	Table *ops.FoldTable
+	Cells int64
+	Err   string
 	// Join fields: join req.Array with Array2 on OnL[i] = OnR[i].
 	Array2 string
 	OnL    []string
@@ -71,10 +69,11 @@ type Message struct {
 	Preds   []array.ZonePred
 	Skipped int64
 	Seen    int64
-	// Chunks, on a "loadchunks" request, carries a batch of pre-encoded
-	// chunk payloads (storage.EncodeChunk bytes) for the parallel bulk
-	// loader: the worker adopts each as a bucket verbatim instead of
-	// re-ingesting cell by cell. Rides the second presence byte.
+	// Chunks carries cells, one storage.EncodeChunk payload per chunk: a
+	// "put" or "replace" request's, a "read" or "sjoin" response's, a
+	// "migratechunks" export, and a "loadchunks" batch, whose payloads the
+	// worker adopts as buckets verbatim instead of re-ingesting cell by cell.
+	// Rides the second presence byte.
 	Chunks [][]byte
 	// Path and Adaptor, on an "insitu" request, register an external file
 	// region as this node's partition of a file-backed array (distributed
@@ -317,7 +316,7 @@ func (w *Worker) replace(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := storage.DecodeArray(st.Schema(), req.Payload)
+	in, err := storage.DecodeChunks(st.Schema(), req.Chunks)
 	if err != nil {
 		return nil, err
 	}
@@ -355,12 +354,12 @@ func (w *Worker) sjoin(ctx context.Context, req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := storage.EncodeArray(res)
+	chunks, err := storage.EncodeChunks(res.Schema, res.Chunks())
 	if err != nil {
 		return nil, err
 	}
-	w.stats.bytesOut.Add(int64(len(payload)))
-	return &Message{Op: "sjoin", Payload: payload, Schema: res.Schema, Cells: res.Count()}, nil
+	w.stats.bytesOut.Add(payloadBytes(chunks))
+	return &Message{Op: "sjoin", Chunks: chunks, Schema: res.Schema, Cells: res.Count()}, nil
 }
 
 func (w *Worker) create(req *Message) (*Message, error) {
@@ -394,14 +393,14 @@ func (w *Worker) put(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := storage.DecodeArray(st.Schema(), req.Payload)
+	in, err := storage.DecodeChunks(st.Schema(), req.Chunks)
 	if err != nil {
 		return nil, err
 	}
 	return w.putLocked(req, st, in)
 }
 
-// putLocked buffers the cells of in, req's decoded payload, in the partition's
+// putLocked buffers the cells of in, req's decoded chunks, in the partition's
 // store, which flushes them into buckets as its buffer fills.
 func (w *Worker) putLocked(req *Message, st *storage.Store, in *array.Array) (*Message, error) {
 	var n int64
@@ -417,7 +416,7 @@ func (w *Worker) putLocked(req *Message, st *storage.Store, in *array.Array) (*M
 		return nil, werr
 	}
 	w.stats.cellsHeld.Add(n)
-	w.stats.bytesIn.Add(int64(len(req.Payload)))
+	w.stats.bytesIn.Add(payloadBytes(req.Chunks))
 	return &Message{Op: req.Op, Cells: n}, nil
 }
 
@@ -493,12 +492,11 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 	}
 	resp := &Message{Op: "read", Skipped: src.Skipped()}
 	tables := make([]*ops.FoldTable, len(pieces))
-	var payloads [][]byte
 	if fold == nil {
 		chunks := rest.Chunks()
-		payloads = make([][]byte, len(chunks), len(chunks)+len(pieces))
+		resp.Chunks = make([][]byte, len(chunks), len(chunks)+len(pieces))
 		if err := exec.Default().Map(context.Background(), len(chunks), func(i int) (err error) {
-			payloads[i], err = storage.EncodeChunk(s, chunks[i])
+			resp.Chunks[i], err = storage.EncodeChunk(s, chunks[i])
 			return err
 		}); err != nil {
 			return nil, err
@@ -509,13 +507,11 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 		resp.Cells += p.cells
 		tables[i] = p.table
 		if p.payload != nil {
-			payloads = append(payloads, p.payload)
+			resp.Chunks = append(resp.Chunks, p.payload)
 		}
 	}
 	if fold == nil {
-		if resp.Payload, err = storage.FrameChunks(payloads); err == nil {
-			w.stats.bytesOut.Add(int64(len(resp.Payload)))
-		}
+		w.stats.bytesOut.Add(payloadBytes(resp.Chunks))
 	} else if resp.Table, err = fold.Merge(tables); err == nil && len(resp.Table.Shape) == 0 {
 		// Predicates under a grand total are a filter under it, and a filter
 		// keeps the cells it refutes, all NULL: the one row exists if the node
@@ -578,4 +574,14 @@ func exclBoxes(req *Message) []array.Box {
 		out = append(out, array.Box{Lo: req.ExclLo[i], Hi: req.ExclHi[i]})
 	}
 	return out
+}
+
+// payloadBytes sums the sizes of encoded chunks: the bytes a message's cells
+// take on the wire.
+func payloadBytes(chunks [][]byte) int64 {
+	var n int64
+	for _, c := range chunks {
+		n += int64(len(c))
+	}
+	return n
 }

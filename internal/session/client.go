@@ -1,22 +1,19 @@
 package session
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"scidb/internal/array"
-	"scidb/internal/cluster"
+	"scidb/internal/compress"
 	"scidb/internal/parser"
 	"scidb/internal/storage"
+	"scidb/internal/wire"
 )
 
 // ErrConnClosed reports that the session connection dropped (server gone,
 // drain, network). Callers like the REPL redial on it.
-var ErrConnClosed = errors.New("session: connection closed")
+var ErrConnClosed = wire.ErrClosed
 
 // Result is one statement's outcome on the client side.
 type Result struct {
@@ -36,27 +33,13 @@ type ClientOptions struct {
 	DialTimeout time.Duration
 }
 
-// Client is a pipelined session connection: many statements may be in
-// flight at once over one TCP connection, matched to their responses by
-// request id (the same discipline as the cluster transport). All methods
-// are safe for concurrent use.
+// Client is a pipelined session connection (a wire.Conn): many statements
+// may be in flight at once over one TCP connection, matched to their
+// responses by request id. All methods are safe for concurrent use.
 type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
+	conn *wire.Conn
 	opts ClientOptions
 	sid  uint64
-
-	writeMu sync.Mutex
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan reply
-	err     error // set once the connection fails
-}
-
-type reply struct {
-	resp *response
-	err  error
 }
 
 // Dial connects and runs the session handshake.
@@ -67,30 +50,17 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	c := &Client{opts: opts}
+	conn, err := wire.Dial(addr, wire.SessionMagic, encodeHello(opts.Name, opts.Namespace, opts.Priority),
+		wire.Options{DialTimeout: opts.DialTimeout}, func(reply []byte) (compress.Codec, error) {
+			r := storage.NewFieldReaderBytes(reply)
+			c.sid = r.U64()
+			return nil, r.Err()
+		})
 	if err != nil {
 		return nil, err
 	}
-	_ = conn.SetDeadline(time.Now().Add(opts.DialTimeout))
-	if err := writeSessionHello(conn, opts.Name, opts.Namespace, opts.Priority); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	sid, err := readSessionHelloReply(br)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	_ = conn.SetDeadline(time.Time{})
-	c := &Client{
-		conn:    conn,
-		br:      br,
-		opts:    opts,
-		sid:     sid,
-		pending: map[uint64]chan reply{},
-	}
-	go c.readLoop()
+	c.conn = conn
 	return c, nil
 }
 
@@ -99,88 +69,35 @@ func (c *Client) SessionID() uint64 { return c.sid }
 
 // Close drops the connection; in-flight calls fail with ErrConnClosed.
 func (c *Client) Close() error {
-	c.fail(ErrConnClosed)
+	c.conn.Close()
 	return nil
 }
 
-// readLoop dispatches response frames to their waiting requests.
-func (c *Client) readLoop() {
-	for {
-		id, _, body, err := cluster.ReadFrame(c.br)
-		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
-			return
-		}
-		resp, derr := decodeResponse(body)
-		c.mu.Lock()
-		ch := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- reply{resp: resp, err: derr}
-		}
-	}
-}
-
-// fail closes the connection once and fails every waiter.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.err != nil {
-		c.mu.Unlock()
-		return
-	}
-	c.err = err
-	waiters := c.pending
-	c.pending = map[uint64]chan reply{}
-	c.mu.Unlock()
-	_ = c.conn.Close()
-	for _, ch := range waiters {
-		ch <- reply{err: err}
-	}
-}
-
-// send registers a waiter and writes the request frame.
-func (c *Client) send(q *request) (uint64, chan reply, error) {
+// call frames one request without waiting for its response.
+func (c *Client) call(q *request) (*wire.Call, error) {
 	body, err := encodeRequest(q)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	ch := make(chan reply, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return 0, nil, err
-	}
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = ch
-	c.mu.Unlock()
+	return c.conn.Send(body)
+}
 
-	c.writeMu.Lock()
-	err = cluster.WriteFrame(c.conn, id, 0, body)
-	c.writeMu.Unlock()
+// wait blocks for a call's response.
+func wait(call *wire.Call) (*response, error) {
+	body, err := call.Wait()
 	if err != nil {
-		c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return 0, nil, err
+		return nil, err
 	}
-	return id, ch, nil
+	return decodeResponse(body)
 }
 
 // roundTrip sends one request and waits for its response.
 func (c *Client) roundTrip(q *request) (*response, error) {
-	_, ch, err := c.send(q)
+	call, err := c.call(q)
 	if err != nil {
 		return nil, err
 	}
-	r := <-ch
-	if r.err != nil {
-		return nil, r.err
-	}
-	return r.resp, nil
+	return wait(call)
 }
 
 // finish converts a response to a client Result.
@@ -238,36 +155,35 @@ func (c *Client) ExecPriority(sql string, pr Priority) (*Result, error) {
 // Pending is an in-flight statement started with Start: it can be waited
 // on or canceled.
 type Pending struct {
-	c  *Client
-	id uint64
-	ch chan reply
+	c    *Client
+	call *wire.Call
 }
 
 // Start sends a statement without waiting — the handle supports Cancel
 // while the server queues or executes it.
 func (c *Client) Start(sql string, pr Priority) (*Pending, error) {
-	id, ch, err := c.send(&request{Op: opExec, Priority: uint8(pr), SQL: sql})
+	call, err := c.call(&request{Op: opExec, Priority: uint8(pr), SQL: sql})
 	if err != nil {
 		return nil, err
 	}
-	return &Pending{c: c, id: id, ch: ch}, nil
+	return &Pending{c: c, call: call}, nil
 }
 
 // Cancel asks the server to abort the statement (queued: admission wait
 // aborts; running: the executor's context fires between operators/chunks).
 // Wait still returns the statement's final outcome.
 func (p *Pending) Cancel() error {
-	_, _, err := p.c.send(&request{Op: opCancel, Target: p.id})
+	_, err := p.c.call(&request{Op: opCancel, Target: p.call.ID})
 	return err
 }
 
 // Wait blocks for the statement's result.
 func (p *Pending) Wait() (*Result, error) {
-	r := <-p.ch
-	if r.err != nil {
-		return nil, r.err
+	r, err := wait(p.call)
+	if err != nil {
+		return nil, err
 	}
-	return p.c.finish(r.resp)
+	return p.c.finish(r)
 }
 
 // Prepare parses sql server-side under name, returning the template's

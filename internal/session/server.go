@@ -3,6 +3,7 @@ package session
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -11,11 +12,11 @@ import (
 	"time"
 
 	"scidb/internal/array"
-	"scidb/internal/cluster"
 	"scidb/internal/core"
 	"scidb/internal/introspect"
 	"scidb/internal/obs"
 	"scidb/internal/storage"
+	"scidb/internal/wire"
 )
 
 // ServerOptions tunes the serving front end.
@@ -159,71 +160,73 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // ServeConn runs one session to completion. br must be positioned at the
-// start of the stream with the 4-byte SessionMagic still unread (exactly
+// start of the stream with the 4-byte wire.SessionMagic still unread (exactly
 // what cluster.ServeOptions.Session delivers after sniffing). The caller
 // closes conn after ServeConn returns.
 func (s *Server) ServeConn(conn net.Conn, br *bufio.Reader) {
-	if _, err := br.Discard(4); err != nil {
-		return
-	}
-	clientName, namespace, pr, err := readSessionHello(br)
-	if err == nil {
-		s.mu.Lock()
-		if s.draining {
-			err = fmt.Errorf("server draining")
+	var ss *serverSession
+	err := wire.Accept(conn, br, wire.SessionMagic, func(hello []byte) ([]byte, error) {
+		name, ns, pr, err := decodeHello(hello)
+		if err != nil {
+			return nil, err
 		}
-		s.mu.Unlock()
-	}
-	var db *core.Database
-	if err == nil {
-		db, err = s.tenant(namespace)
-	}
-	if err != nil {
-		_ = writeSessionHelloReply(conn, 0, err)
+		if ns == "" {
+			ns = "default"
+		}
+		db, err := s.tenant(ns)
+		if err != nil {
+			return nil, err
+		}
+		ss = &serverSession{
+			srv:      s,
+			id:       s.nextSession.Add(1),
+			name:     name,
+			ns:       ns,
+			pri:      pr,
+			conn:     conn,
+			br:       br,
+			w:        wire.NewWriter(conn, nil, 0, nil),
+			exec:     core.NewExecutor(db),
+			cursors:  map[uint64]*cursor{},
+			inflight: map[uint64]context.CancelFunc{},
+		}
+		// Admitted under the lock Shutdown sets draining under, so a drain
+		// never misses a session it has to close and join.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.draining {
+			ss = nil
+			return nil, errors.New("session: server draining")
+		}
+		s.sessions[ss.id] = ss
+		s.conns.Add(1)
+		s.active.Add(1)
+		s.opened.Inc()
+		return binary.LittleEndian.AppendUint64(nil, ss.id), nil
+	})
+	if ss == nil {
 		return
 	}
-	id := s.nextSession.Add(1)
-	ns := namespace
-	if ns == "" {
-		ns = "default"
-	}
-	ss := &serverSession{
-		srv:      s,
-		id:       id,
-		name:     clientName,
-		ns:       ns,
-		pri:      pr,
-		conn:     conn,
-		br:       br,
-		exec:     core.NewExecutor(db),
-		cursors:  map[uint64]*cursor{},
-		inflight: map[uint64]context.CancelFunc{},
-	}
-	s.mu.Lock()
-	s.sessions[id] = ss
-	s.mu.Unlock()
-	s.conns.Add(1)
-	s.active.Add(1)
-	s.opened.Inc()
 	defer func() {
 		ss.cancelAll()
 		s.mu.Lock()
-		delete(s.sessions, id)
+		delete(s.sessions, ss.id)
 		s.mu.Unlock()
 		s.active.Add(-1)
 		s.conns.Done()
 	}()
-	if writeSessionHelloReply(conn, id, nil) != nil {
-		return
+	if err == nil {
+		ss.loop()
 	}
-	ss.loop()
 }
 
 // Shutdown drains the front end: new sessions are rejected, in-flight
 // statements get timeout to finish, then every session connection closes
 // and their loops are joined. It reports whether the drain was clean
-// (every statement finished inside the timeout; a dirty drain cancels the
-// stragglers first).
+// (every statement finished inside the timeout). A dirty drain cancels the
+// stragglers and closes their connections before waiting for them: a
+// statement blocked writing its result to a client that stopped reading
+// finishes only when its connection goes.
 func (s *Server) Shutdown(timeout time.Duration) bool {
 	s.mu.Lock()
 	s.draining = true
@@ -239,18 +242,14 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 	case <-done:
 	case <-time.After(timeout):
 		clean = false
-		s.mu.Lock()
-		for _, ss := range s.sessions {
-			ss.cancelAll()
-		}
-		s.mu.Unlock()
-		s.stmts.Wait()
 	}
 	s.mu.Lock()
 	for _, ss := range s.sessions {
+		ss.cancelAll()
 		_ = ss.conn.Close()
 	}
 	s.mu.Unlock()
+	<-done
 	s.conns.Wait()
 	return clean
 }
@@ -274,9 +273,8 @@ type serverSession struct {
 	pri  Priority
 	conn net.Conn
 	br   *bufio.Reader
+	w    *wire.Writer
 	exec *core.Executor
-
-	writeMu sync.Mutex
 
 	// cursorMu guards cursors (read loop fetches, exec goroutines create).
 	cursorMu   sync.Mutex
@@ -299,7 +297,7 @@ func (ss *serverSession) loop() {
 		if t := ss.srv.opts.IdleTimeout; t > 0 {
 			_ = ss.conn.SetReadDeadline(time.Now().Add(t))
 		}
-		reqID, _, body, err := cluster.ReadFrame(ss.br)
+		reqID, body, err := wire.ReadBody(ss.br, maxRequestBody, nil, nil)
 		if err != nil {
 			return
 		}
@@ -461,7 +459,7 @@ func (ss *serverSession) runStatement(ctx context.Context, cancel context.Cancel
 		})
 		return
 	}
-	chunks, err := encodeChunks(res.Array.Schema, res.Array.Chunks())
+	chunks, err := storage.EncodeChunks(res.Array.Schema, res.Array.Chunks())
 	if err != nil {
 		ss.srv.errs.Inc()
 		ss.respond(reqID, &response{Status: statusErr, Err: err.Error()})
@@ -501,27 +499,12 @@ func (ss *serverSession) fetch(reqID uint64, q *request) {
 	}
 	ss.cursorMu.Unlock()
 
-	chunks, err := encodeChunks(schema, page)
+	chunks, err := storage.EncodeChunks(schema, page)
 	if err != nil {
 		ss.respond(reqID, &response{Status: statusErr, Err: err.Error()})
 		return
 	}
 	ss.respond(reqID, &response{Kind: kindPage, Cursor: q.Cursor, Chunks: chunks, Done: done})
-}
-
-func encodeChunks(s *array.Schema, chs []*array.Chunk) ([][]byte, error) {
-	if len(chs) == 0 {
-		return nil, nil
-	}
-	out := make([][]byte, len(chs))
-	for i, ch := range chs {
-		enc, err := storage.EncodeChunk(s, ch)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = enc
-	}
-	return out, nil
 }
 
 // respond encodes and writes one response frame, tracking the peak frame
@@ -537,7 +520,5 @@ func (ss *serverSession) respond(reqID uint64, p *response) {
 			break
 		}
 	}
-	ss.writeMu.Lock()
-	defer ss.writeMu.Unlock()
-	_ = cluster.WriteFrame(ss.conn, reqID, 0, body)
+	_ = ss.w.Write(reqID, body)
 }

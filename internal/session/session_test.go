@@ -533,20 +533,3 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Fatalf("%d sessions failed", n)
 	}
 }
-
-// TestHelloRejectsBadMagic: a cluster/garbage hello must not crash the
-// session path, and the client reports a clear error against a
-// non-session port.
-func TestHelloVersionMismatch(t *testing.T) {
-	_, addr := startServer(t, ServerOptions{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Correct magic, wrong version.
-	_, _ = conn.Write([]byte{0x45, 0x53, 0x43, 0x53, 0xFF})
-	if _, err := readSessionHelloReply(conn); err == nil {
-		t.Fatal("version-mismatched hello accepted")
-	}
-}

@@ -1,16 +1,17 @@
 // Package session is the multi-tenant serving front end: the client-facing
 // protocol layer the paper's community-of-users story needs (§1, §2.14 —
 // science databases serve many concurrent analysts steering ad-hoc queries
-// at shared arrays), built on the same length-prefixed binary framing as
-// the coordinator↔worker wire protocol (internal/cluster, PR 3).
+// at shared arrays). It rides internal/wire, the connection layer the
+// coordinator↔worker protocol rides too: its frames, hello, pipelined client
+// connection and coalescing response writer.
 //
-// A connection opens with a session hello (client name + namespace +
-// default priority) answered with a session id; after that, both
-// directions carry cluster-framed messages (u32 len | u64 request id |
-// u8 flags | body) so many statements pipeline concurrently over one
-// connection. Each namespace maps to its own core.Database — tenant
-// isolation by construction — and each session gets its own
-// core.Executor, so prepared statements never collide across connections.
+// A connection opens with wire.SessionMagic and a hello whose payload is the
+// client name, namespace and default priority, answered with a session id;
+// after that many statements pipeline concurrently over the connection as
+// frames of request and response bodies (below). Each namespace maps to its
+// own core.Database — tenant isolation by construction — and each session
+// gets its own core.Executor, so prepared statements never collide across
+// connections.
 //
 // Three properties distinguish the session protocol from the cluster one:
 //
@@ -25,20 +26,16 @@
 package session
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 
 	"scidb/internal/array"
-	"scidb/internal/cluster"
 	"scidb/internal/parser"
 	"scidb/internal/storage"
+	"scidb/internal/wire"
 )
 
 const (
-	// sessionVersion pins the session protocol; bump on incompatible
-	// change.
-	sessionVersion = 1
-
 	// maxSQLLen bounds one statement's text.
 	maxSQLLen = 1 << 20
 	// maxParams bounds one bind's parameter count.
@@ -46,6 +43,14 @@ const (
 	// maxChunksPerFrame bounds a result/page chunk count before
 	// allocation.
 	maxChunksPerFrame = 1 << 20
+
+	// scalarLen is the fixed part of an encoded scalar: flags, int, float,
+	// sigma, parameter index and its string's length prefix.
+	scalarLen = 1 + 8 + 8 + 8 + 4 + 4
+	// maxRequestBody bounds a request frame before the server allocates its
+	// body: the fixed fields, a statement and a name of maxSQLLen each, and
+	// maxParams scalars whose strings share one more maxSQLLen.
+	maxRequestBody = 64 + 3*maxSQLLen + maxParams*scalarLen
 )
 
 // Priority classes. Interactive statements overtake queued batch
@@ -163,7 +168,7 @@ func decodeScalar(r *storage.FieldReader) parser.Scalar {
 
 // encodeRequest hand-rolls a request to its frame body.
 func encodeRequest(q *request) ([]byte, error) {
-	var b writerBuf
+	var b bytes.Buffer
 	w := storage.NewFieldWriter(&b)
 	w.U8(q.Op)
 	w.U8(q.Priority)
@@ -180,7 +185,7 @@ func encodeRequest(q *request) ([]byte, error) {
 	if w.Err() != nil {
 		return nil, w.Err()
 	}
-	return b.bytes, nil
+	return b.Bytes(), nil
 }
 
 // decodeRequest reverses encodeRequest, bounding every count and length
@@ -212,7 +217,7 @@ func decodeRequest(data []byte) (*request, error) {
 	}
 	// Every scalar costs at least its fixed fields plus the string length
 	// prefix.
-	if n > 0 && !r.Need(int64(n)*(1+8+8+8+4+4)) {
+	if n > 0 && !r.Need(int64(n)*scalarLen) {
 		return nil, fmt.Errorf("session: corrupt request: %w", r.Err())
 	}
 	if n > 0 {
@@ -235,7 +240,7 @@ func decodeRequest(data []byte) (*request, error) {
 
 // encodeResponse hand-rolls a response to its frame body.
 func encodeResponse(p *response) ([]byte, error) {
-	var b writerBuf
+	var b bytes.Buffer
 	w := storage.NewFieldWriter(&b)
 	w.U8(p.Status)
 	w.String(p.Err)
@@ -243,7 +248,7 @@ func encodeResponse(p *response) ([]byte, error) {
 	w.String(p.Msg)
 	w.Bool(p.Schema != nil)
 	if p.Schema != nil {
-		cluster.EncodeSchema(w, p.Schema)
+		wire.EncodeSchema(w, p.Schema)
 	}
 	w.Bool(p.Streamed)
 	w.U64(p.Cursor)
@@ -256,7 +261,7 @@ func encodeResponse(p *response) ([]byte, error) {
 	if w.Err() != nil {
 		return nil, w.Err()
 	}
-	return b.bytes, nil
+	return b.Bytes(), nil
 }
 
 // decodeResponse reverses encodeResponse.
@@ -268,7 +273,7 @@ func decodeResponse(data []byte) (*response, error) {
 	p.Kind = r.U8()
 	p.Msg = r.String()
 	if r.Bool() && r.Err() == nil {
-		s, err := cluster.DecodeSchema(r)
+		s, err := wire.DecodeSchema(r)
 		if err != nil {
 			return nil, fmt.Errorf("session: corrupt response schema: %w", err)
 		}
@@ -304,85 +309,26 @@ func decodeResponse(data []byte) (*response, error) {
 	return p, nil
 }
 
-// writeSessionHello sends the client half of the session handshake.
-func writeSessionHello(w io.Writer, clientName, namespace string, pr Priority) error {
-	fw := storage.NewFieldWriter(w)
-	fw.U32(cluster.SessionMagic)
-	fw.U8(sessionVersion)
-	fw.String(clientName)
-	fw.String(namespace)
-	fw.U8(uint8(pr))
-	return fw.Err()
+// encodeHello is a client hello's payload: name, namespace and default
+// priority.
+func encodeHello(name, namespace string, pr Priority) []byte {
+	var b bytes.Buffer
+	w := storage.NewFieldWriter(&b)
+	w.String(name)
+	w.String(namespace)
+	w.U8(uint8(pr))
+	return b.Bytes()
 }
 
-// readSessionHello consumes a client hello after the magic has been
-// sniffed and discarded.
-func readSessionHello(r io.Reader) (clientName, namespace string, pr Priority, err error) {
-	fr := storage.NewFieldReader(r)
-	if v := fr.U8(); fr.Err() == nil && v != sessionVersion {
-		return "", "", 0, fmt.Errorf("session: protocol version %d, want %d", v, sessionVersion)
+// decodeHello reverses encodeHello.
+func decodeHello(payload []byte) (name, namespace string, pr Priority, err error) {
+	r := storage.NewFieldReaderBytes(payload)
+	name, namespace, pr = r.String(), r.String(), Priority(r.U8())
+	if r.Err() != nil {
+		return "", "", 0, fmt.Errorf("session: corrupt hello: %w", r.Err())
 	}
-	clientName = fr.String()
-	namespace = fr.String()
-	p := fr.U8()
-	if fr.Err() != nil {
-		return "", "", 0, fr.Err()
-	}
-	if len(clientName) > 256 || len(namespace) > 256 {
+	if len(name) > 256 || len(namespace) > 256 {
 		return "", "", 0, fmt.Errorf("session: hello names too long")
 	}
-	if p > uint8(Batch) {
-		p = uint8(Batch)
-	}
-	return clientName, namespace, Priority(p), nil
-}
-
-// writeSessionHelloReply sends the server half: a session id, or an error.
-func writeSessionHelloReply(w io.Writer, sessionID uint64, helloErr error) error {
-	fw := storage.NewFieldWriter(w)
-	fw.U32(cluster.SessionMagic)
-	fw.U8(sessionVersion)
-	if helloErr != nil {
-		fw.U8(1)
-		fw.U64(0)
-		fw.String(helloErr.Error())
-	} else {
-		fw.U8(0)
-		fw.U64(sessionID)
-	}
-	return fw.Err()
-}
-
-// readSessionHelloReply consumes the server hello and returns the session
-// id.
-func readSessionHelloReply(r io.Reader) (uint64, error) {
-	fr := storage.NewFieldReader(r)
-	if m := fr.U32(); fr.Err() == nil && m != cluster.SessionMagic {
-		return 0, fmt.Errorf("session: bad hello magic %#x (not a scidb session server?)", m)
-	}
-	if v := fr.U8(); fr.Err() == nil && v != sessionVersion {
-		return 0, fmt.Errorf("session: server speaks protocol version %d, want %d", v, sessionVersion)
-	}
-	status := fr.U8()
-	id := fr.U64()
-	if fr.Err() != nil {
-		return 0, fr.Err()
-	}
-	if status != 0 {
-		msg := fr.String()
-		if fr.Err() != nil {
-			return 0, fr.Err()
-		}
-		return 0, fmt.Errorf("session: server rejected hello: %s", msg)
-	}
-	return id, nil
-}
-
-// writerBuf is a minimal append-only byte sink for the encoders (avoids
-// bytes.Buffer's bookkeeping on these small bodies).
-type writerBuf struct{ bytes []byte }
-
-func (b *writerBuf) Write(p []byte) (int, error) {
-	b.bytes = append(b.bytes, p...)
-	return len(p), nil
+	return name, namespace, min(pr, Batch), nil
 }

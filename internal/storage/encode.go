@@ -378,25 +378,48 @@ func DecodeChunk(s *array.Schema, data []byte) (*array.Chunk, error) {
 	return ch, nil
 }
 
-// EncodeArray serializes all chunks of an array (schema not included; the
-// catalog supplies it on decode).
-func EncodeArray(a *array.Array) ([]byte, error) {
-	chunks := a.Chunks()
+// EncodeChunks encodes each chunk under s (EncodeChunk): the form cells take
+// on the wire, one payload per chunk.
+func EncodeChunks(s *array.Schema, chunks []*array.Chunk) ([][]byte, error) {
 	payloads := make([][]byte, len(chunks))
 	for i, ch := range chunks {
 		var err error
-		if payloads[i], err = EncodeChunk(a.Schema, ch); err != nil {
+		if payloads[i], err = EncodeChunk(s, ch); err != nil {
 			return nil, err
 		}
 	}
-	return FrameChunks(payloads)
+	return payloads, nil
 }
 
-// FrameChunks assembles EncodeChunk payloads into the EncodeArray form, for
-// producers that encode chunks themselves (in parallel, or straight from
-// stored chunks) instead of building an array first. DecodeArray installs
-// one chunk per payload, so the payloads' origins must be distinct.
-func FrameChunks(payloads [][]byte) ([]byte, error) {
+// DecodeChunks reverses EncodeChunks into a fresh array of schema s, one
+// chunk per payload, so the payloads' origins must be distinct.
+func DecodeChunks(s *array.Schema, payloads [][]byte) (*array.Array, error) {
+	a, err := array.New(s)
+	if err != nil {
+		return nil, err
+	}
+	for _, payload := range payloads {
+		ch, err := DecodeChunk(s, payload)
+		if err != nil {
+			return nil, err
+		}
+		a.PutChunk(ch)
+	}
+	return a, nil
+}
+
+// EncodeArray serializes all chunks of an array as one blob (schema not
+// included; the catalog supplies it on decode): a nested-array cell's form.
+func EncodeArray(a *array.Array) ([]byte, error) {
+	payloads, err := EncodeChunks(a.Schema, a.Chunks())
+	if err != nil {
+		return nil, err
+	}
+	return frameChunks(payloads)
+}
+
+// frameChunks assembles EncodeChunk payloads into the EncodeArray form.
+func frameChunks(payloads [][]byte) ([]byte, error) {
 	var b bytes.Buffer
 	w := NewFieldWriter(&b)
 	w.U32(uint32(len(payloads)))
@@ -411,28 +434,19 @@ func FrameChunks(payloads [][]byte) ([]byte, error) {
 
 // DecodeArray reverses EncodeArray into a fresh array of schema s.
 func DecodeArray(s *array.Schema, data []byte) (*array.Array, error) {
-	a, err := array.New(s)
-	if err != nil {
-		return nil, err
-	}
 	r := NewFieldReaderBytes(data)
 	n := int64(r.U32())
 	// Every chunk costs at least its u32 length prefix.
 	if !r.Need(n * 4) {
 		return nil, r.Err()
 	}
-	for i := int64(0); i < n; i++ {
-		buf := r.bytesView()
-		if r.Err() != nil {
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		if payloads[i] = r.bytesView(); r.Err() != nil {
 			return nil, r.Err()
 		}
-		ch, err := DecodeChunk(s, buf)
-		if err != nil {
-			return nil, err
-		}
-		a.PutChunk(ch)
 	}
-	return a, nil
+	return DecodeChunks(s, payloads)
 }
 
 // encodeColumn writes one column section: flag byte, null bitmap, zone map

@@ -203,7 +203,7 @@ func FuzzDecodeArray(f *testing.F) {
 	// A container whose chunk is in the bucket-file form.
 	if enc, err := EncodeChunk(s, fuzzSeedChunk(s)); err == nil {
 		if sealed, err := sealChunk(s, enc, compress.Auto{}); err == nil {
-			if framed, err := FrameChunks([][]byte{sealed}); err == nil {
+			if framed, err := frameChunks([][]byte{sealed}); err == nil {
 				f.Add(framed)
 			}
 		}

@@ -1,0 +1,309 @@
+package wire_test
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"scidb/internal/cluster"
+	"scidb/internal/compress"
+	"scidb/internal/session"
+	"scidb/internal/wire"
+)
+
+// protocols are the two magics every conformance row runs under.
+var protocols = map[string]uint32{"cluster": wire.ClusterMagic, "session": wire.SessionMagic}
+
+// listen returns a loopback listener closed when the test ends.
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	return ln
+}
+
+// startStub serves magic the way both servers do — the hello through
+// Accept (its payload echoed as the reply), then frames read with ReadBody,
+// each handed to handle on its own goroutine and its answer written through
+// one Writer — and returns its address. handle may block; a nil answer is
+// never sent.
+func startStub(t *testing.T, magic uint32, handle func(conn net.Conn, body []byte) []byte) string {
+	t.Helper()
+	ln := listen(t)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				if wire.Accept(conn, br, magic, func(p []byte) ([]byte, error) { return p, nil }) != nil {
+					return
+				}
+				w := wire.NewWriter(conn, nil, 0, nil)
+				for {
+					id, body, err := wire.ReadBody(br, wire.MaxFrameBody, nil, nil)
+					if err != nil {
+						return
+					}
+					go func() {
+						if answer := handle(conn, body); answer != nil {
+							_ = w.Write(id, answer)
+						}
+					}()
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// dial opens a Conn to addr under magic.
+func dial(t *testing.T, addr string, magic uint32, opts wire.Options) *wire.Conn {
+	t.Helper()
+	c, err := wire.Dial(addr, magic, []byte("hello"), opts, func([]byte) (compress.Codec, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+// rawHello sends a client hello by hand, version and all, and returns the
+// server's reply: its version, status and payload.
+func rawHello(t *testing.T, addr string, magic uint32, version uint8) (uint8, uint8, string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	hello := append(binary.LittleEndian.AppendUint32(nil, magic), version, 0, 0, 0, 0)
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(conn)
+	if err != nil || len(reply) < 10 || binary.LittleEndian.Uint32(reply) != magic {
+		t.Fatalf("hello reply %x, %v", reply, err)
+	}
+	return reply[4], reply[5], string(reply[10:])
+}
+
+// conformance is the table every protocol must pass: what the shared
+// connection does for a pipelined client, a dying peer, a late answer, a
+// hello in another version and a connection in another protocol.
+var conformance = map[string]func(t *testing.T, magic uint32){
+	// N calls in flight on one connection at once: the stub answers none
+	// until all N have arrived, so a lockstep connection would never finish.
+	"pipelined": func(t *testing.T, magic uint32) {
+		const n = 16
+		arrived, release := make(chan struct{}, n), make(chan struct{})
+		addr := startStub(t, magic, func(_ net.Conn, body []byte) []byte {
+			arrived <- struct{}{}
+			<-release
+			return body
+		})
+		var st wire.Counters
+		c := dial(t, addr, magic, wire.Options{CallTimeout: 10 * time.Second, Stats: &st})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				want := fmt.Sprintf("call %d", i)
+				if got, err := c.RoundTrip([]byte(want)); err != nil || string(got) != want {
+					t.Errorf("call %d answered %q, %v", i, got, err)
+				}
+			}()
+		}
+		for i := 0; i < n; i++ {
+			<-arrived
+		}
+		close(release)
+		wg.Wait()
+		if s := st.Snapshot(); s.Calls != n || s.FramesOut != n || s.FramesIn != n || s.InFlight != 0 || s.InFlightHWM != n {
+			t.Errorf("counters after %d pipelined calls: %+v", n, s)
+		}
+	},
+	// The peer closing fails every pending call, and every later one.
+	"fail-all": func(t *testing.T, magic uint32) {
+		const n = 8
+		var mu sync.Mutex
+		seen := 0
+		addr := startStub(t, magic, func(conn net.Conn, _ []byte) []byte {
+			mu.Lock()
+			defer mu.Unlock()
+			if seen++; seen == n {
+				_ = conn.Close()
+			}
+			return nil
+		})
+		c := dial(t, addr, magic, wire.Options{})
+		errs := make(chan error, n)
+		for i := 0; i < n; i++ {
+			go func() {
+				_, err := c.RoundTrip([]byte("x"))
+				errs <- err
+			}()
+		}
+		for i := 0; i < n; i++ {
+			if err := <-errs; !errors.Is(err, wire.ErrClosed) {
+				t.Errorf("pending call ended with %v, want ErrClosed", err)
+			}
+		}
+		if _, err := c.RoundTrip([]byte("x")); !errors.Is(err, wire.ErrClosed) {
+			t.Errorf("call after the peer closed = %v, want ErrClosed", err)
+		}
+	},
+	// A call past its timeout returns; its late response is dropped on
+	// arrival, and the connection carries the next call.
+	"timeout": func(t *testing.T, magic uint32) {
+		addr := startStub(t, magic, func(_ net.Conn, body []byte) []byte {
+			if string(body) == "late" {
+				time.Sleep(300 * time.Millisecond)
+			}
+			return body
+		})
+		var st wire.Counters
+		c := dial(t, addr, magic, wire.Options{CallTimeout: 100 * time.Millisecond, Stats: &st})
+		if _, err := c.RoundTrip([]byte("late")); !errors.Is(err, wire.ErrTimeout) {
+			t.Fatalf("slow call = %v, want ErrTimeout", err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); st.Snapshot().FramesIn == 0; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the late response never arrived")
+			}
+		}
+		if got, err := c.RoundTrip([]byte("next")); err != nil || string(got) != "next" {
+			t.Errorf("call after a timeout = %q, %v; want its own answer", got, err)
+		}
+		if s := st.Snapshot(); s.Timeouts != 1 {
+			t.Errorf("timeouts = %d, want 1", s.Timeouts)
+		}
+	},
+	// A hello in another version is refused by the server with the reason,
+	// and a reply in another version by the client.
+	"version mismatch": func(t *testing.T, magic uint32) {
+		addr := startStub(t, magic, func(net.Conn, []byte) []byte { return nil })
+		if v, status, text := rawHello(t, addr, magic, 0xff); v == 0xff || status == 0 || !strings.Contains(text, "version 255") {
+			t.Errorf("a version 255 hello got reply version %d, status %d, %q; want a rejection naming version 255", v, status, text)
+		}
+		ln := listen(t)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			reply := append(binary.LittleEndian.AppendUint32(nil, magic), 0xff, 0, 0, 0, 0, 0)
+			_, _ = io.ReadFull(conn, make([]byte, 4+1+4+5))
+			_, _ = conn.Write(reply)
+		}()
+		_, err := wire.Dial(ln.Addr().String(), magic, []byte("hello"), wire.Options{DialTimeout: 5 * time.Second},
+			func([]byte) (compress.Codec, error) { return nil, nil })
+		if err == nil || !strings.Contains(err.Error(), "version 255") {
+			t.Errorf("a version 255 reply = %v, want a refusal naming version 255", err)
+		}
+	},
+	// A connection opening with another magic is closed, nothing written.
+	"unknown magic": func(t *testing.T, magic uint32) {
+		addr := startStub(t, magic, func(net.Conn, []byte) []byte { return nil })
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, magic^0xffff)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {
+			t.Errorf("another protocol's connection read %x, %v; want it closed with nothing written", got, err)
+		}
+	},
+}
+
+// TestConformance runs the table over both protocols.
+func TestConformance(t *testing.T) {
+	for proto, magic := range protocols {
+		for row, check := range conformance {
+			t.Run(proto+"/"+row, func(t *testing.T) { check(t, magic) })
+		}
+	}
+}
+
+// startCluster runs a one-node cluster server, with the session front end
+// on the same listener.
+func startCluster(t *testing.T, opts cluster.ServeOptions) string {
+	t.Helper()
+	opts.Session = session.NewServer(session.ServerOptions{}).ServeConn
+	srv, err := cluster.NewServer(cluster.NewWorker(0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := listen(t)
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(srv.Shutdown)
+	return ln.Addr().String()
+}
+
+// TestHelloNegotiation: the cluster hello announces the request codec and
+// the reply names the response codec — the client's, mirrored, unless the
+// server overrides it.
+func TestHelloNegotiation(t *testing.T) {
+	for override, want := range map[string]string{"": "gzip", "delta": "delta"} {
+		addr := startCluster(t, cluster.ServeOptions{Codec: override})
+		var got string
+		c, err := wire.Dial(addr, wire.ClusterMagic, []byte("gzip"), wire.Options{DialTimeout: 5 * time.Second},
+			func(reply []byte) (compress.Codec, error) {
+				got = string(reply)
+				return compress.ByName(got)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if got != want {
+			t.Errorf("server override %q: response codec %q, want %q", override, got, want)
+		}
+	}
+}
+
+// TestHelloRejectsUnknownCodec: a cluster server refuses a hello naming a
+// codec it does not know, with the reason; DialTCPOptions refuses one
+// before dialing.
+func TestHelloRejectsUnknownCodec(t *testing.T) {
+	addr := startCluster(t, cluster.ServeOptions{})
+	_, err := wire.Dial(addr, wire.ClusterMagic, []byte("no-such-codec"), wire.Options{DialTimeout: 5 * time.Second},
+		func([]byte) (compress.Codec, error) { return nil, nil })
+	if err == nil || !strings.Contains(err.Error(), "rejected") || !strings.Contains(err.Error(), "no-such-codec") {
+		t.Errorf("hello naming an unknown codec = %v, want a rejection naming it", err)
+	}
+	if _, err := cluster.DialTCPOptions([]string{addr}, cluster.DialOptions{Codec: "bogus"}); err == nil {
+		t.Error("dial with a bogus codec accepted")
+	}
+}
+
+// TestHelloVersionMismatch: both servers, on their shared listener, refuse a
+// hello in another version with the reason.
+func TestHelloVersionMismatch(t *testing.T) {
+	addr := startCluster(t, cluster.ServeOptions{})
+	for proto, magic := range protocols {
+		if _, status, text := rawHello(t, addr, magic, 0xff); status == 0 || !strings.Contains(text, "version 255") {
+			t.Errorf("%s server answered a version 255 hello with status %d, %q", proto, status, text)
+		}
+	}
+}
