@@ -30,7 +30,8 @@ race:
 	$(GO) test -race ./internal/exec ./internal/ops ./internal/bufcache ./internal/storage ./internal/wire ./internal/cluster ./internal/obs ./internal/session ./internal/core ./internal/loader ./internal/insitu ./internal/partition ./internal/introspect
 
 # Short fuzz smoke over the chunk/array decoders, both hello readers
-# (FuzzHello) and, FuzzWorkerRead, the worker's read against its cell
+# (FuzzHello), the CSV line parser against its Split-based oracle
+# (FuzzCSVLine) and, FuzzWorkerRead, the worker's read against its cell
 # oracle. Each target must be invoked separately: `go test -fuzz` refuses a
 # pattern matching more than one fuzz function.
 FUZZTIME ?= 10s
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzHello -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSessionFrame -fuzztime=$(FUZZTIME) ./internal/session
 	$(GO) test -run=NONE -fuzz=FuzzCSVShardSplit -fuzztime=$(FUZZTIME) ./internal/insitu
+	$(GO) test -run=NONE -fuzz=FuzzCSVLine -fuzztime=$(FUZZTIME) ./internal/insitu
 	$(GO) test -run=NONE -fuzz=FuzzDecodeClusterMessage -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=NONE -fuzz=FuzzWorkerRead -fuzztime=$(FUZZTIME) ./internal/cluster
 

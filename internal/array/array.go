@@ -201,7 +201,8 @@ func (a *Array) chunkFor(c Coord, create bool) *Chunk {
 	return ch
 }
 
-// Set writes a cell at the coordinate.
+// Set writes a cell at the coordinate. It retains neither argument, so a
+// caller may pass the reused Coord and Cell of IterReuse or a Dataset scan.
 func (a *Array) Set(c Coord, cell Cell) error {
 	if err := a.checkCoord(c); err != nil {
 		return err
@@ -289,6 +290,9 @@ func (a *Array) Count() int64 {
 	}
 	return n
 }
+
+// NumChunks returns how many chunks the array has allocated.
+func (a *Array) NumChunks() int { return len(a.chunks) }
 
 // Chunks returns the array's chunks ordered by origin (deterministic).
 // The returned slice is cached and shared; callers must not modify it.

@@ -80,10 +80,38 @@ func decodePredValue(r *storage.FieldReader) array.Value {
 // encodeMessage hand-rolls a Message to its wire form. Field order is
 // fixed; Chunks are carried verbatim (they are already the binary
 // storage.EncodeChunk form), so the dominant field costs one length-prefixed
-// copy per chunk instead of a reflective re-encode.
+// copy per chunk instead of a reflective re-encode. A first pass only counts
+// the bytes, so the buffer is allocated once at its exact size rather than
+// grown by doubling while the payloads are copied in.
 func encodeMessage(m *Message) ([]byte, error) {
-	var b bytes.Buffer
-	w := storage.NewFieldWriter(&b)
+	var size byteCount
+	w := storage.NewFieldWriter(&size)
+	if err := writeMessage(w, m); err != nil {
+		return nil, err
+	}
+	b := bytes.NewBuffer(make([]byte, 0, int(size)))
+	w.Reset(b)
+	if err := writeMessage(w, m); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
+// byteCount is an io.Writer that keeps only the number of bytes written.
+type byteCount int
+
+func (n *byteCount) Write(p []byte) (int, error) {
+	*n += byteCount(len(p))
+	return len(p), nil
+}
+
+func (n *byteCount) WriteString(s string) (int, error) {
+	*n += byteCount(len(s))
+	return len(s), nil
+}
+
+// writeMessage writes m's fields to w in their fixed order.
+func writeMessage(w *storage.FieldWriter, m *Message) error {
 	w.String(m.Op)
 	w.String(m.Array)
 	w.String(m.Array2)
@@ -181,7 +209,7 @@ func encodeMessage(m *Message) ([]byte, error) {
 	}
 	if len(m.ExclLo) > 0 || m.RouteVersion != 0 || len(m.Nodes) > 0 || m.Release {
 		if len(m.ExclLo) != len(m.ExclHi) {
-			return nil, fmt.Errorf("cluster: message has %d exclude lows but %d highs", len(m.ExclLo), len(m.ExclHi))
+			return fmt.Errorf("cluster: message has %d exclude lows but %d highs", len(m.ExclLo), len(m.ExclHi))
 		}
 		present2 |= msg2HasRoute
 	}
@@ -220,10 +248,7 @@ func encodeMessage(m *Message) ([]byte, error) {
 			}
 		}
 	}
-	if w.Err() != nil {
-		return nil, w.Err()
-	}
-	return b.Bytes(), nil
+	return w.Err()
 }
 
 // decodeMessage reverses encodeMessage.

@@ -89,6 +89,9 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
+		if cap(enc) != len(enc) {
+			t.Errorf("encoded %d bytes into a %d-byte buffer; the size pass is off", len(enc), cap(enc))
+		}
 		got, err := decodeMessage(enc)
 		if err != nil {
 			t.Fatalf("decode: %v", err)

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 )
 
@@ -135,24 +136,34 @@ type Delta struct{}
 func (Delta) Name() string { return "delta" }
 
 // Encode implements Codec.
-func (Delta) Encode(src []byte) []byte {
+func (Delta) Encode(src []byte) []byte { return appendDelta(make([]byte, 0, len(src)/2+16), src) }
+
+// appendDelta appends the Delta encoding of src to out.
+func appendDelta(out, src []byte) []byte {
 	nWords := len(src) / 8
-	tail := src[nWords*8:]
-	out := make([]byte, 0, len(src)/2+16)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(nWords))
-	out = append(out, hdr[:]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(nWords))
 	var prev uint64
-	var buf [binary.MaxVarintLen64]byte
+	for i := 0; i < nWords; i++ {
+		w := binary.LittleEndian.Uint64(src[i*8:])
+		out = binary.AppendVarint(out, int64(w-prev))
+		prev = w
+	}
+	return append(out, src[nWords*8:]...)
+}
+
+// deltaLen is len(Delta{}.Encode(src)), counted without writing it.
+func deltaLen(src []byte) int {
+	nWords := len(src) / 8
+	n := 8 + len(src) - nWords*8
+	var prev uint64
 	for i := 0; i < nWords; i++ {
 		w := binary.LittleEndian.Uint64(src[i*8:])
 		d := int64(w - prev)
 		prev = w
-		n := binary.PutVarint(buf[:], d)
-		out = append(out, buf[:n]...)
+		// A varint holds 7 bits of the zig-zagged delta per byte.
+		n += (bits.Len64(uint64(d<<1)^uint64(d>>63)|1) + 6) / 7
 	}
-	out = append(out, tail...)
-	return out
+	return n
 }
 
 // Decode implements Codec.
@@ -195,16 +206,21 @@ func (Gzip) Name() string { return "gzip" }
 // Encode implements Codec.
 func (Gzip) Encode(src []byte) []byte {
 	var buf bytes.Buffer
+	gzipInto(&buf, src)
+	return buf.Bytes()
+}
+
+// gzipInto writes the Gzip encoding of src to buf.
+func gzipInto(buf *bytes.Buffer, src []byte) {
 	w, _ := gzipWriters.Get().(*gzip.Writer)
 	if w == nil {
-		w = gzip.NewWriter(&buf)
+		w = gzip.NewWriter(buf)
 	} else {
-		w.Reset(&buf)
+		w.Reset(buf)
 	}
 	_, _ = w.Write(src)
 	_ = w.Close()
 	gzipWriters.Put(w)
-	return buf.Bytes()
 }
 
 // maxInflate bounds deflate's expansion (1032:1 is its limit), so a
@@ -250,10 +266,11 @@ func (Gzip) Decode(src []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Auto tries delta then gzip on the delta output and keeps whichever is
-// smallest (including raw), prefixing one tag byte. This is the storage
-// manager's default: the paper leaves codec choice as a research question,
-// and picking per-bucket is the pragmatic answer.
+// Auto encodes the input raw, with Delta and with Gzip — each on the raw
+// input — and keeps whichever is smallest (ties to the earlier, in that
+// order), prefixing one tag byte. This is the storage manager's default:
+// the paper leaves codec choice as a research question, and picking per
+// section is the pragmatic answer.
 type Auto struct{}
 
 // Name implements Codec.
@@ -266,16 +283,33 @@ const (
 	tagGzip  = 2
 )
 
-// Encode implements Codec.
+// autoGzipBufs holds the buffers Auto gzips into: the gzip candidate is
+// written in full to be measured, and usually loses.
+var autoGzipBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// Encode implements Codec. The delta candidate is measured without being
+// written and the gzip one goes to a pooled buffer, so the only allocation
+// is the winner's copy behind its tag.
 func (Auto) Encode(src []byte) []byte {
-	best := append([]byte{tagRaw}, src...)
-	if d := (Delta{}).Encode(src); len(d)+1 < len(best) {
-		best = append([]byte{tagDelta}, d...)
+	tag, n := byte(tagRaw), len(src)
+	if d := deltaLen(src); d < n {
+		tag, n = tagDelta, d
 	}
-	if g := (Gzip{}).Encode(src); len(g)+1 < len(best) {
-		best = append([]byte{tagGzip}, g...)
+	g := autoGzipBufs.Get().(*bytes.Buffer)
+	defer autoGzipBufs.Put(g)
+	g.Reset()
+	gzipInto(g, src)
+	if g.Len() < n {
+		tag, n = tagGzip, g.Len()
 	}
-	return best
+	out := append(make([]byte, 0, 1+n), tag)
+	switch tag {
+	case tagDelta:
+		return appendDelta(out, src)
+	case tagGzip:
+		return append(out, g.Bytes()...)
+	}
+	return append(out, src...)
 }
 
 // Decode implements Codec.

@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -110,6 +111,96 @@ func TestAutoPicksSmallest(t *testing.T) {
 	enc = (Auto{}).Encode(rnd)
 	if len(enc) > len(rnd)+1 {
 		t.Errorf("auto expanded random data: %d -> %d", len(rnd), len(enc))
+	}
+}
+
+// autoReference is Auto.Encode as it was written first: every candidate
+// materialised in full, each copied again behind its tag.
+func autoReference(src []byte) []byte {
+	best := append([]byte{tagRaw}, src...)
+	nWords := len(src) / 8
+	d := binary.LittleEndian.AppendUint64(nil, uint64(nWords))
+	var prev uint64
+	for i := 0; i < nWords; i++ {
+		w := binary.LittleEndian.Uint64(src[i*8:])
+		d = binary.AppendVarint(d, int64(w-prev))
+		prev = w
+	}
+	d = append(d, src[nWords*8:]...)
+	if len(d)+1 < len(best) {
+		best = append([]byte{tagDelta}, d...)
+	}
+	if g := (Gzip{}).Encode(src); len(g)+1 < len(best) {
+		best = append([]byte{tagGzip}, g...)
+	}
+	return best
+}
+
+// autoInputs are sections of every shape Auto meets, each named.
+func autoInputs() map[string][]byte {
+	rng := rand.New(rand.NewSource(11))
+	in := map[string][]byte{"empty": {}}
+	for n := 1; n <= 7; n++ {
+		tail := make([]byte, n)
+		rng.Read(tail)
+		in[fmt.Sprintf("tail%d", n)] = tail
+	}
+	in["constant"] = bytes.Repeat([]byte{0x2a, 0, 0, 0, 0, 0, 0, 0}, 4096)
+	inc := make([]byte, 8*4096+3) // slowly increasing int64 words, 3-byte tail
+	for i := 0; i < 4096; i++ {
+		binary.LittleEndian.PutUint64(inc[i*8:], uint64(1_000_000+i*3+rng.Intn(3)))
+	}
+	in["increasing"] = inc
+	flt := make([]byte, 8*4096)
+	for i := 0; i < 4096; i++ {
+		binary.LittleEndian.PutUint64(flt[i*8:], math.Float64bits(rng.NormFloat64()))
+	}
+	in["random-float"] = flt
+	in["gzipped"] = (Gzip{}).Encode(flt)
+	return in
+}
+
+// TestAutoEncodeUnchanged: Auto's one-allocation encoder writes the same
+// bytes, and so picks the same codec, as the reference on every input —
+// stored buckets do not change.
+func TestAutoEncodeUnchanged(t *testing.T) {
+	tags := map[byte]bool{}
+	for name, src := range autoInputs() {
+		got, want := (Auto{}).Encode(src), autoReference(src)
+		if got[0] != want[0] {
+			t.Errorf("%s: tag %d, reference %d", name, got[0], want[0])
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from the reference's %d", name, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: %d bytes in a %d-byte slice; the winner is not sized exactly", name, len(got), cap(got))
+		}
+		if d := deltaLen(src); d != len((Delta{}).Encode(src)) {
+			t.Errorf("%s: deltaLen %d, Delta writes %d", name, d, len((Delta{}).Encode(src)))
+		}
+		tags[want[0]] = true
+	}
+	if len(tags) != 3 {
+		t.Errorf("inputs chose tags %v; want raw, delta and gzip all covered", tags)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestAutoEncodeAllocations: sealing a section allocates the winner's copy
+// and little else — no candidate is materialised beside it.
+func TestAutoEncodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	src := make([]byte, 128<<10)
+	for i := 0; i < len(src)/8; i++ {
+		binary.LittleEndian.PutUint64(src[i*8:], uint64(5000+i/3))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { (Auto{}).Encode(src) }); allocs > 2 {
+		t.Errorf("Auto.Encode of 128 KiB: %.1f allocations, want ≤ 2", allocs)
 	}
 }
 

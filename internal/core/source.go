@@ -151,7 +151,7 @@ func (s fileSource) read(_ context.Context, frag ops.Fragment) (*array.Array, bo
 	}
 	var werr error
 	if err := s.at.ds.Scan(frag.Box, func(c array.Coord, cell array.Cell) bool {
-		werr = a.Set(c.Clone(), cell)
+		werr = a.Set(c, cell)
 		return werr == nil
 	}); err != nil {
 		return nil, false, err

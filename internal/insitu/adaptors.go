@@ -123,7 +123,8 @@ func (d *csvDataset) Schema() *array.Schema { return d.schema }
 func (d *csvDataset) Close() error { return nil }
 
 // Scan streams the file, parsing and filtering line by line — the in-situ
-// path: no load step, data under user control.
+// path: no load step, data under user control. Every line is parsed into
+// the same Coord and Cell (the Dataset contract).
 func (d *csvDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
 	f, err := os.Open(d.path)
 	if err != nil {
@@ -131,10 +132,11 @@ func (d *csvDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) 
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
+	c, cell := newRecord(d.schema)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		c, cell, ok, err := parseCSVRecord(d.schema, sc.Text())
+		ok, err := parseCSVLine(d.schema, sc.Text(), c, cell)
 		if err != nil {
 			return fmt.Errorf("insitu: %s:%d: %w", d.path, lineNo, err)
 		}
@@ -148,36 +150,45 @@ func (d *csvDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) 
 	return sc.Err()
 }
 
-// parseCSVRecord parses one CSV line into a coordinate and a cell. ok is
-// false for blank lines and # comments (including the header). The returned
-// error carries no file/line context; callers add it.
-func parseCSVRecord(schema *array.Schema, rawLine string) (array.Coord, array.Cell, bool, error) {
-	line := strings.TrimSpace(rawLine)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return nil, nil, false, nil
+// newRecord makes the Coord and Cell a scan of schema parses every line into.
+func newRecord(schema *array.Schema) (array.Coord, array.Cell) {
+	return make(array.Coord, len(schema.Dims)), make(array.Cell, len(schema.Attrs))
+}
+
+// parseCSVLine parses one CSV line into c and cell (newRecord's, reused from
+// line to line). ok is false for blank lines and # comments (including the
+// header). It walks the line a field at a time and allocates nothing unless
+// it fails; string values alias line. The returned error carries no
+// file/line context; callers add it.
+func parseCSVLine(schema *array.Schema, line string, c array.Coord, cell array.Cell) (bool, error) {
+	line = strings.TrimSpace(line)
+	if line == "" || line[0] == '#' {
+		return false, nil
 	}
-	nd, na := len(schema.Dims), len(schema.Attrs)
-	fields := strings.Split(line, ",")
-	if len(fields) != nd+na {
-		return nil, nil, false, fmt.Errorf("%d fields, want %d", len(fields), nd+na)
+	nd, n := len(schema.Dims), len(schema.Dims)+len(schema.Attrs)
+	if got := strings.Count(line, ",") + 1; got != n {
+		return false, fmt.Errorf("%d fields, want %d", got, n)
 	}
-	c := make(array.Coord, nd)
-	for i := 0; i < nd; i++ {
-		v, err := strconv.ParseInt(strings.TrimSpace(fields[i]), 10, 64)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("bad coordinate %q", fields[i])
+	for i := 0; i < n; i++ {
+		field := line
+		if j := strings.IndexByte(line, ','); j >= 0 {
+			field, line = line[:j], line[j+1:]
 		}
-		c[i] = v
-	}
-	cell := make(array.Cell, na)
-	for i := 0; i < na; i++ {
-		v, err := parseCSVValue(strings.TrimSpace(fields[nd+i]), schema.Attrs[i].Type)
-		if err != nil {
-			return nil, nil, false, err
+		if i < nd {
+			v, err := strconv.ParseInt(strings.TrimSpace(field), 10, 64)
+			if err != nil {
+				return false, fmt.Errorf("bad coordinate %q", field)
+			}
+			c[i] = v
+			continue
 		}
-		cell[i] = v
+		v, err := parseCSVValue(strings.TrimSpace(field), schema.Attrs[i-nd].Type)
+		if err != nil {
+			return false, err
+		}
+		cell[i-nd] = v
 	}
-	return c, cell, true, nil
+	return true, nil
 }
 
 func parseCSVValue(raw string, t array.Type) (array.Value, error) {
@@ -484,10 +495,10 @@ func (d *nclDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) 
 		shape[i] = dim.High
 	}
 	buf := make([]byte, 8)
+	cell := make(array.Cell, len(d.hdr.vars))
 	var scanErr error
 	array.IterBox(q, func(c array.Coord) bool {
 		idx := array.RowMajorIndex(origin, shape, c)
-		cell := make(array.Cell, len(d.hdr.vars))
 		for vi, at := range d.hdr.vars {
 			if _, err := d.f.ReadAt(buf, d.hdr.dataOff[vi]+idx*8); err != nil {
 				scanErr = err

@@ -24,6 +24,8 @@ type Dataset interface {
 	// Schema describes the data.
 	Schema() *array.Schema
 	// Scan visits every cell intersecting the box. Return false to stop.
+	// As with Array.IterReuse, the Coord and Cell passed to fn are valid
+	// only during the call: fn must clone anything it keeps.
 	Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error
 	// Close releases resources.
 	Close() error
@@ -60,7 +62,7 @@ func Materialize(ds Dataset) (*array.Array, error) {
 	box := array.WholeBox(s)
 	var werr error
 	err = ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		if err := a.Set(c.Clone(), cell); err != nil {
+		if err := a.Set(c, cell); err != nil {
 			werr = err
 			return false
 		}
@@ -173,7 +175,7 @@ func (d *memDataset) Schema() *array.Schema { return d.a.Schema }
 func (d *memDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
 	// A view per scan: concurrent scans must not share the array's lazily
 	// built chunk order.
-	d.a.View().Iter(func(c array.Coord, cell array.Cell) bool {
+	d.a.View().IterReuse(func(c array.Coord, cell array.Cell) bool {
 		if !box.Contains(c) {
 			return true
 		}

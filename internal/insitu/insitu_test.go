@@ -141,7 +141,7 @@ func TestCSVNullsAndUncertain(t *testing.T) {
 	}
 	var cells []array.Cell
 	_ = ds.Scan(array.NewBox(array.Coord{1}, array.Coord{10}), func(c array.Coord, cell array.Cell) bool {
-		cells = append(cells, cell)
+		cells = append(cells, cell.Clone())
 		return true
 	})
 	if len(cells) != 3 {

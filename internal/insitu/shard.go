@@ -112,6 +112,7 @@ func (sh *csvShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) e
 		pos = sh.start - 1
 	}
 	r := bufio.NewReader(f)
+	c, cell := newRecord(sh.schema)
 	if sh.start > 0 {
 		skipped, err := r.ReadString('\n')
 		pos += int64(len(skipped))
@@ -127,7 +128,7 @@ func (sh *csvShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) e
 		line, err := r.ReadString('\n')
 		pos += int64(len(line))
 		if len(line) > 0 {
-			c, cell, ok, perr := parseCSVRecord(sh.schema, line)
+			ok, perr := parseCSVLine(sh.schema, line, c, cell)
 			if perr != nil {
 				return fmt.Errorf("insitu: %s@%d: %w", sh.path, lineStart, perr)
 			}
@@ -226,6 +227,7 @@ func (sh *chunkShard) Schema() *array.Schema { return sh.schema }
 func (sh *chunkShard) Close() error { return nil }
 
 func (sh *chunkShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
+	cell := make(array.Cell, len(sh.schema.Attrs))
 	for _, ch := range sh.chunks {
 		inter, ok := ch.Box().Intersect(box)
 		if !ok {
@@ -233,9 +235,12 @@ func (sh *chunkShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool)
 		}
 		stop := false
 		array.IterBox(inter, func(c array.Coord) bool {
-			cell, present := ch.Get(c)
-			if !present {
+			i := ch.Index(c)
+			if !ch.Present.Get(i) {
 				return true
+			}
+			for a, col := range ch.Cols {
+				cell[a] = col.Get(i)
 			}
 			if !fn(c, cell) {
 				stop = true

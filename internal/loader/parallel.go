@@ -191,20 +191,24 @@ func LoadParallel(ds insitu.Dataset, box array.Box, schema *array.Schema, scheme
 	}
 	nSites := scheme.NumNodes()
 	ctr := newLoadCounters()
-	records := make([]atomic.Int64, len(shards))
 	perSite := make([]atomic.Int64, nSites)
 	err = exec.Default().Map(context.Background(), len(shards), func(si int) error {
 		shard := shards[si]
 		start := time.Now()
 		var encNanos, shipNanos time.Duration
 		builders := make([]*array.Array, nSites)
-		nChunks := make([]int, nSites)
+		staged := make([]int64, nSites) // cells routed to each site
+		defer func() {
+			for site, n := range staged {
+				perSite[site].Add(n)
+			}
+		}()
 		flushSite := func(site int) error {
 			b := builders[site]
 			if b == nil {
 				return nil
 			}
-			builders[site], nChunks[site] = nil, 0
+			builders[site] = nil
 			t0 := time.Now()
 			chunks := b.Chunks() // origin-sorted: deterministic ship order
 			payloads := make([][]byte, 0, len(chunks))
@@ -236,6 +240,8 @@ func LoadParallel(ds insitu.Dataset, box array.Box, schema *array.Schema, scheme
 			return nil
 		}
 		var innerErr error
+		// Set copies the scan's reused Coord and Cell into the builder's
+		// columns, so nothing is cloned per cell.
 		scanErr := shard.Scan(box, func(c array.Coord, cell array.Cell) bool {
 			site := scheme.NodeFor(c)
 			b := builders[site]
@@ -247,16 +253,12 @@ func LoadParallel(ds insitu.Dataset, box array.Box, schema *array.Schema, scheme
 				}
 				builders[site] = b
 			}
-			if _, exists := b.ChunkAt(c); !exists {
-				nChunks[site]++
-			}
-			if err := b.Set(c.Clone(), cell.Clone()); err != nil {
+			if err := b.Set(c, cell); err != nil {
 				innerErr = err
 				return false
 			}
-			records[si].Add(1)
-			perSite[site].Add(1)
-			if nChunks[site] >= batch {
+			staged[site]++
+			if b.NumChunks() >= batch {
 				if err := flushSite(site); err != nil {
 					innerErr = err
 					return false
@@ -284,11 +286,9 @@ func LoadParallel(ds insitu.Dataset, box array.Box, schema *array.Schema, scheme
 		return nil
 	})
 	st := Stats{PerSite: make([]int64, nSites)}
-	for i := range records {
-		st.Records += records[i].Load()
-	}
 	for i := range perSite {
 		st.PerSite[i] = perSite[i].Load()
+		st.Records += st.PerSite[i]
 	}
 	ctr.records.Add(st.Records)
 	if err != nil {

@@ -2,6 +2,7 @@ package loader
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -182,6 +183,56 @@ func TestLoadParallelIntoCluster(t *testing.T) {
 	})
 	if mismatch {
 		t.FailNow()
+	}
+}
+
+// TestLoadParallelAllocations pins the staging path: a cell is routed and
+// set into its builder without a clone or a map key, so what a load
+// allocates is per chunk, not per cell.
+func TestLoadParallelAllocations(t *testing.T) {
+	schema := &array.Schema{
+		Name:  "big",
+		Dims:  []array.Dimension{{Name: "x", High: 128, ChunkLen: 32}, {Name: "y", High: 128, ChunkLen: 32}},
+		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
+	}
+	src := array.MustNew(schema)
+	if err := src.Fill(func(c array.Coord) array.Cell { return array.Cell{array.Float64(float64(c[0]*131 + c[1]))} }); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "big.sdf")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := insitu.WriteSDF(f, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := insitu.SDFAdaptor{}.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	box := array.WholeBox(schema)
+	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 128}
+	stride := []int64{32, 32}
+	allocs := testing.AllocsPerRun(3, func() {
+		stores := make([]*storage.Store, 2)
+		for i := range stores {
+			if stores[i], err = storage.NewStore(schema, storage.Options{Stride: stride}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := LoadParallel(ds, box, schema, scheme, StoreDest{Schema: schema, Stores: stores},
+			Options{Parallelism: 1, Stride: stride})
+		if err != nil || st.Records != src.Count() {
+			t.Fatalf("loaded %d cells, %v; want %d", st.Records, err, src.Count())
+		}
+	})
+	if per := allocs / float64(src.Count()); per > 0.2 {
+		t.Errorf("LoadParallel: %.3f allocations per cell (%.0f in all), want ≤ 0.2", per, allocs)
 	}
 }
 

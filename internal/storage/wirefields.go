@@ -32,6 +32,9 @@ const vecBlock = 4096
 // NewFieldWriter wraps w.
 func NewFieldWriter(w io.Writer) *FieldWriter { return &FieldWriter{w: w} }
 
+// Reset points w at dst and clears its error; the staging room is kept.
+func (w *FieldWriter) Reset(dst io.Writer) { w.w, w.err = dst, nil }
+
 // Err returns the first error any write encountered.
 func (w *FieldWriter) Err() error { return w.err }
 
@@ -135,7 +138,9 @@ func (w *FieldWriter) Bytes(p []byte) {
 // String writes a u32 length prefix followed by the string bytes.
 func (w *FieldWriter) String(s string) {
 	w.U32(uint32(len(s)))
-	w.Raw([]byte(s))
+	if w.err == nil {
+		_, w.err = io.WriteString(w.w, s)
+	}
 }
 
 // Strings writes a u32 count followed by each string.
