@@ -29,7 +29,8 @@ loc:
 race:
 	$(GO) test -race ./internal/exec ./internal/ops ./internal/bufcache ./internal/storage ./internal/wire ./internal/cluster ./internal/obs ./internal/session ./internal/core ./internal/loader ./internal/insitu ./internal/partition ./internal/introspect
 
-# Short fuzz smoke over the chunk/array decoders, both hello readers
+# Short fuzz smoke over the chunk/array decoders, the column codec against
+# its reference (FuzzColumnRoundTrip), both hello readers
 # (FuzzHello), the CSV line parser against its Split-based oracle
 # (FuzzCSVLine) and, FuzzWorkerRead, the worker's read against its cell
 # oracle. Each target must be invoked separately: `go test -fuzz` refuses a
@@ -40,6 +41,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run=NONE -fuzz=FuzzDecodeArray -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run=NONE -fuzz=FuzzDecodeZoneMap -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run=NONE -fuzz=FuzzColumnRoundTrip -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run=NONE -fuzz=FuzzHello -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSessionFrame -fuzztime=$(FUZZTIME) ./internal/session
 	$(GO) test -run=NONE -fuzz=FuzzCSVShardSplit -fuzztime=$(FUZZTIME) ./internal/insitu

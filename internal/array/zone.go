@@ -1,6 +1,10 @@
 package array
 
-import "math"
+import (
+	"hash/maphash"
+	"math"
+	"math/bits"
+)
 
 // ZoneMap summarizes one column of one chunk for predicate pruning: the
 // min/max over present non-null values, the null count, and a capped
@@ -38,6 +42,53 @@ type ZoneMap struct {
 // computation; columns with more distinct values report Distinct == 0.
 const zoneDistinctCap = 256
 
+// distinctSet counts distinct keys up to zoneDistinctCap in a fixed
+// open-addressing table — no allocation, and one probe sequence per key —
+// and gives up once a key past the cap arrives.
+type distinctSet[K comparable] struct {
+	keys [2 * zoneDistinctCap]K
+	used [2 * zoneDistinctCap]bool
+	n    int64
+	over bool
+}
+
+// add records k, whose hash is h.
+func (d *distinctSet[K]) add(k K, h uint64) {
+	if d.over {
+		return
+	}
+	const mask = 2*zoneDistinctCap - 1
+	for i := h & mask; ; i = (i + 1) & mask {
+		if !d.used[i] {
+			if d.n == zoneDistinctCap {
+				d.over = true
+				return
+			}
+			d.keys[i], d.used[i] = k, true
+			d.n++
+			return
+		}
+		if d.keys[i] == k {
+			return
+		}
+	}
+}
+
+// count is the distinct hint: the count, or 0 past the cap.
+func (d *distinctSet[K]) count() int64 {
+	if d.over {
+		return 0
+	}
+	return d.n
+}
+
+// mix spreads a 64-bit key over the table's slots (Fibonacci hashing: the
+// top bits of the product).
+func mix(k uint64) uint64 { return (k * 0x9E3779B97F4A7C15) >> 55 }
+
+// zoneSeed keys the string hash of the distinct count.
+var zoneSeed = maphash.MakeSeed()
+
 // ComputeZone builds a zone map for col restricted to the slots marked in
 // present. Nested-array columns have no useful ordering and return nil.
 func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
@@ -50,15 +101,8 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 	n := col.Len()
 	switch col.Type {
 	case TInt64:
-		distinct := make(map[int64]struct{}, 16)
-		for i := int64(0); i < n; i++ {
-			if !present.Get(i) {
-				continue
-			}
-			if col.Nulls.Get(i) {
-				z.Nulls++
-				continue
-			}
+		var distinct distinctSet[int64]
+		eachValue(present, col.Nulls, n, z, func(i int64) {
 			v := col.Ints[i]
 			if !z.HasRange {
 				z.HasRange, z.MinInt, z.MaxInt = true, v, v
@@ -67,29 +111,16 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 			} else if v > z.MaxInt {
 				z.MaxInt = v
 			}
-			if distinct != nil {
-				if distinct[v] = struct{}{}; len(distinct) > zoneDistinctCap {
-					distinct = nil
-				}
-			}
-		}
-		if distinct != nil {
-			z.Distinct = int64(len(distinct))
-		}
+			distinct.add(v, mix(uint64(v)))
+		})
+		z.Distinct = distinct.count()
 	case TFloat64:
-		distinct := make(map[float64]struct{}, 16)
-		for i := int64(0); i < n; i++ {
-			if !present.Get(i) {
-				continue
-			}
-			if col.Nulls.Get(i) {
-				z.Nulls++
-				continue
-			}
+		var distinct distinctSet[float64]
+		eachValue(present, col.Nulls, n, z, func(i int64) {
 			v := col.Floats[i]
 			if math.IsNaN(v) {
 				z.HasNaN = true
-				continue
+				return
 			}
 			if !z.HasRange {
 				z.HasRange, z.MinFloat, z.MaxFloat = true, v, v
@@ -98,25 +129,17 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 			} else if v > z.MaxFloat {
 				z.MaxFloat = v
 			}
-			if distinct != nil {
-				if distinct[v] = struct{}{}; len(distinct) > zoneDistinctCap {
-					distinct = nil
-				}
+			// -0 == +0, so the two are one key: hash them alike.
+			k := math.Float64bits(v)
+			if v == 0 {
+				k = 0
 			}
-		}
-		if distinct != nil {
-			z.Distinct = int64(len(distinct))
-		}
+			distinct.add(v, mix(k))
+		})
+		z.Distinct = distinct.count()
 	case TString:
-		distinct := make(map[string]struct{}, 16)
-		for i := int64(0); i < n; i++ {
-			if !present.Get(i) {
-				continue
-			}
-			if col.Nulls.Get(i) {
-				z.Nulls++
-				continue
-			}
+		var distinct distinctSet[string]
+		eachValue(present, col.Nulls, n, z, func(i int64) {
 			v := col.Strs[i]
 			if !z.HasRange {
 				z.HasRange, z.MinStr, z.MaxStr = true, v, v
@@ -125,31 +148,18 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 			} else if v > z.MaxStr {
 				z.MaxStr = v
 			}
-			if distinct != nil {
-				if distinct[v] = struct{}{}; len(distinct) > zoneDistinctCap {
-					distinct = nil
-				}
-			}
-		}
-		if distinct != nil {
-			z.Distinct = int64(len(distinct))
-		}
+			distinct.add(v, maphash.String(zoneSeed, v))
+		})
+		z.Distinct = distinct.count()
 	case TBool:
 		var seenTrue, seenFalse bool
-		for i := int64(0); i < n; i++ {
-			if !present.Get(i) {
-				continue
-			}
-			if col.Nulls.Get(i) {
-				z.Nulls++
-				continue
-			}
+		eachValue(present, col.Nulls, n, z, func(i int64) {
 			if col.Bools[i] {
 				seenTrue = true
 			} else {
 				seenFalse = true
 			}
-		}
+		})
 		if seenTrue || seenFalse {
 			z.HasRange = true
 			if seenTrue {
@@ -165,6 +175,23 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 		}
 	}
 	return z
+}
+
+// eachValue counts into z.Nulls the present slots below n that are null and
+// calls fn with each present, non-null one, in slot order, a word of both
+// bitmaps at a time.
+func eachValue(present, nulls *Bitmap, n int64, z *ZoneMap, fn func(i int64)) {
+	pw, nw := present.words, nulls.words
+	for wi := int64(0); wi<<6 < n; wi++ {
+		p := pw[wi]
+		if rest := n - wi<<6; rest < 64 {
+			p &= 1<<uint(rest) - 1
+		}
+		z.Nulls += int64(bits.OnesCount64(p & nw[wi]))
+		for w := p &^ nw[wi]; w != 0; w &= w - 1 {
+			fn(wi<<6 + int64(bits.TrailingZeros64(w)))
+		}
+	}
 }
 
 // CanMatch reports whether some present, non-null value summarized by z

@@ -251,7 +251,11 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 	return w.Err()
 }
 
-// decodeMessage reverses encodeMessage.
+// decodeMessage reverses encodeMessage. Message.Chunks are views of data,
+// not copies: a message owns the frame body it was read from (wire.ReadFrame
+// allocates every body afresh), and what a payload becomes outlives it only
+// as new bytes — DecodeChunk builds chunks of their own and an adopted
+// payload is re-sealed into a bucket of its own (Store.AdoptEncoded).
 func decodeMessage(data []byte) (*Message, error) {
 	r := storage.NewFieldReaderBytes(data)
 	m := &Message{}
@@ -360,7 +364,7 @@ func decodeMessage(data []byte) (*Message, error) {
 			}
 			m.Chunks = make([][]byte, n)
 			for i := range m.Chunks {
-				m.Chunks[i] = r.Bytes()
+				m.Chunks[i] = r.BytesView()
 				if r.Err() != nil {
 					return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
 				}

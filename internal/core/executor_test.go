@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"scidb/internal/array"
 	"scidb/internal/parser"
@@ -112,5 +116,57 @@ func TestExecutorCtxCancel(t *testing.T) {
 	cancel()
 	if _, err := db.Executor().ExecCtx(ctx, "M"); err == nil {
 		t.Error("canceled context executed anyway")
+	}
+}
+
+// TestBinaryInputsRunTogether: sjoin, cjoin, cross and concat evaluate their
+// two inputs at once. Answers are unchanged, the left input's error wins
+// over the right's, a canceled statement fails with its cancellation, and no
+// goroutine is left behind.
+func TestBinaryInputsRunTogether(t *testing.T) {
+	db := seedExecDB(t)
+	exec(t, db, "create array N as T [4, 4]")
+	exec(t, db, "insert into N [2, 3] values (7)")
+	base := runtime.NumGoroutine()
+	for stmt, want := range map[string]int64{
+		"cross(M, N)":                                           16,
+		"concat(M, filter(M, v > 7), x)":                        32,
+		"sjoin(M, N, M.x = N.x and M.y = N.y)":                  1,
+		"cjoin(filter(M, v > 13), N, M.v > N.v)":                16,
+		"cross(cross(N, N), concat(N, N, x))":                   2,
+		"sjoin(filter(M, v > 5), M, M.x = M.x)":                 64,
+		"concat(subsample(M, x <= 2), subsample(N, x <= 2), x)": 9,
+	} {
+		if got := exec(t, db, stmt).Array.Count(); got != want {
+			t.Errorf("%s: %d cells, want %d", stmt, got, want)
+		}
+	}
+	for stmt, want := range map[string]string{
+		// The left input fails while it runs, the right as it resolves.
+		"cross(filter(M, nosuch > 1), Missing)": "nosuch",
+		// Both fail while they run.
+		"cross(filter(M, left > 1), filter(M, right > 1))": "left",
+		"sjoin(M, Missing, M.x = Missing.x)":               "Missing",
+	} {
+		_, err := db.Exec(stmt)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want the one naming %q", stmt, err, want)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q, err := parser.Parse("cross(M, filter(N, v > 1))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RunCtx(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled statement: %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the statements, %d before", n, base)
 	}
 }

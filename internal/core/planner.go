@@ -23,6 +23,17 @@ func (db *Database) eval(ctx context.Context, e parser.ArrayExpr) (*array.Array,
 // evalUnder is eval for an expression that may lie on a pushed-down path: lf
 // is the leaf an operator above already peeled off (see leaf.under), or nil.
 func (db *Database) evalUnder(ctx context.Context, e parser.ArrayExpr, lf *leaf) (*array.Array, error) {
+	run, err := db.open(ctx, e, lf)
+	if err != nil {
+		return nil, err
+	}
+	return run()
+}
+
+// open is evalUnder up to the evaluation itself — the leaf resolved and the
+// node's span started — and returns the evaluation to run. evalPair opens
+// both inputs of a binary operator, in plan order, before running them.
+func (db *Database) open(ctx context.Context, e parser.ArrayExpr, lf *leaf) (func() (*array.Array, error), error) {
 	// Cancellation (session cancel, client disconnect) aborts between
 	// operators; the exec pool additionally aborts between chunks.
 	if err := ctx.Err(); err != nil {
@@ -36,12 +47,52 @@ func (db *Database) evalUnder(ctx context.Context, e parser.ArrayExpr, lf *leaf)
 	}
 	name, _ := planNode(e, lf)
 	sp, ctx := obs.StartSpan(ctx, name)
-	a, err := db.evalNode(ctx, e, lf)
-	if err == nil && a != nil {
-		sp.Add("cells_out", a.Count())
+	return func() (*array.Array, error) {
+		a, err := db.evalNode(ctx, e, lf)
+		if err == nil && a != nil {
+			sp.Add("cells_out", a.Count())
+		}
+		sp.End()
+		return a, err
+	}, nil
+}
+
+// evalPair evaluates the two inputs of a binary operator at once: r on a
+// goroutine while l runs on the caller. l's error wins, and cancels r; ctx's
+// cancellation stops both. evalPair returns only once r has finished, so the
+// goroutine never outlives it.
+func (db *Database) evalPair(ctx context.Context, l, r parser.ArrayExpr) (*array.Array, *array.Array, error) {
+	runL, err := db.open(ctx, l, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	sp.End()
-	return a, err
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	runR, rerr := db.open(rctx, r, nil)
+	if rerr != nil {
+		if _, err := runL(); err != nil {
+			return nil, nil, err
+		}
+		return nil, nil, rerr
+	}
+	var ra *array.Array
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ra, rerr = runR()
+	}()
+	la, err := runL()
+	if err != nil {
+		cancel()
+	}
+	<-done
+	if err != nil {
+		return nil, nil, err
+	}
+	if rerr != nil {
+		return nil, nil, rerr
+	}
+	return la, ra, nil
 }
 
 // planNode names an expression node and lists its inputs. EXPLAIN and the
@@ -165,11 +216,7 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		}
 		return ops.AggregateCtx(ctx, in, n.GroupDims, aggSpecs(n.Aggs), db.reg)
 	case *parser.SjoinExpr:
-		l, err := db.eval(ctx, n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.eval(ctx, n.R)
+		l, r, err := db.evalPair(ctx, n.L, n.R)
 		if err != nil {
 			return nil, err
 		}
@@ -179,11 +226,7 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		}
 		return ops.SjoinCtx(ctx, l, r, pairs)
 	case *parser.CjoinExpr:
-		l, err := db.eval(ctx, n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.eval(ctx, n.R)
+		l, r, err := db.evalPair(ctx, n.L, n.R)
 		if err != nil {
 			return nil, err
 		}
@@ -233,23 +276,15 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		if err != nil {
 			return nil, err
 		}
-		return ops.Window(in, n.Radius, aggSpec(n.Agg), db.reg)
+		return ops.WindowCtx(ctx, in, n.Radius, aggSpec(n.Agg), db.reg)
 	case *parser.CrossExpr:
-		l, err := db.eval(ctx, n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.eval(ctx, n.R)
+		l, r, err := db.evalPair(ctx, n.L, n.R)
 		if err != nil {
 			return nil, err
 		}
 		return ops.CrossProduct(l, r)
 	case *parser.ConcatExpr:
-		l, err := db.eval(ctx, n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.eval(ctx, n.R)
+		l, r, err := db.evalPair(ctx, n.L, n.R)
 		if err != nil {
 			return nil, err
 		}

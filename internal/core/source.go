@@ -75,8 +75,10 @@ type memSource struct {
 	load func() (*array.Array, error)
 }
 
+// held serves a: a view of it per read, so reads running at once (the two
+// inputs of a join over one array) never share its lazy caches.
 func held(a *array.Array) memSource {
-	return memSource{a.Schema, func() (*array.Array, error) { return a, nil }}
+	return memSource{a.Schema, func() (*array.Array, error) { return a.View(), nil }}
 }
 
 func (s memSource) kind() string          { return "memory" }
@@ -141,7 +143,7 @@ func (s fileSource) read(_ context.Context, frag ops.Fragment) (*array.Array, bo
 	cached := s.at.cached
 	s.db.mu.RUnlock()
 	if cached != nil {
-		return cached, false, nil
+		return cached.View(), false, nil
 	}
 	sch := s.schema().Clone()
 	sch.Name = s.name

@@ -633,34 +633,39 @@ func (f *Fold) Result(parts []*FoldTable) (*array.Array, error) {
 	origin := array.WholeBox(out).Lo
 	oc := array.NewChunk(out, origin, res.GridShape(origin))
 	for r, cells := range t.Cells {
-		if cells == 0 {
-			continue
-		}
-		oc.Present.Set(int64(r))
-		for k, c := range f.cols {
-			st, col := &t.Cols[k], oc.Cols[k]
-			switch {
-			case !c.typed:
-				col.Set(int64(r), st.boxed[r].Result())
-			case c.agg == "count":
-				col.Ints[r] = st.N[r]
-			case st.N[r] == 0 || (c.agg == "stdev" && st.N[r] < 2):
-				col.Nulls.Set(int64(r))
-			case c.agg == "avg":
-				col.Floats[r] = st.F[r] / float64(st.N[r])
-			case c.agg == "stdev":
-				col.Floats[r] = math.Sqrt(st.M2[r] / float64(st.N[r]-1))
-			case c.ints():
-				col.Ints[r] = st.I[r]
-			default:
-				col.Floats[r] = st.F[r]
-			}
+		if cells != 0 {
+			oc.Present.Set(int64(r))
+			f.terminate(t, int64(r), oc, int64(r))
 		}
 	}
 	if oc.CellsPresent() > 0 {
 		res.PutChunk(oc)
 	}
 	return res, nil
+}
+
+// terminate writes row r of t into slot of oc's columns, one per aggregate:
+// each aggregate's final value, or NULL where it folded too few values.
+func (f *Fold) terminate(t *FoldTable, r int64, oc *array.Chunk, slot int64) {
+	for k, c := range f.cols {
+		st, col := &t.Cols[k], oc.Cols[k]
+		switch {
+		case !c.typed:
+			col.Set(slot, st.boxed[r].Result())
+		case c.agg == "count":
+			col.Ints[slot] = st.N[r]
+		case st.N[r] == 0 || (c.agg == "stdev" && st.N[r] < 2):
+			col.Nulls.Set(slot)
+		case c.agg == "avg":
+			col.Floats[slot] = st.F[r] / float64(st.N[r])
+		case c.agg == "stdev":
+			col.Floats[slot] = math.Sqrt(st.M2[r] / float64(st.N[r]-1))
+		case c.ints():
+			col.Ints[slot] = st.I[r]
+		default:
+			col.Floats[slot] = st.F[r]
+		}
+	}
 }
 
 // FoldArray is the body of Aggregate and Regrid: the fold of a's cells inside

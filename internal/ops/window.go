@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"context"
 	"fmt"
 
 	"scidb/internal/array"
@@ -15,6 +16,18 @@ import (
 // Absent input cells contribute nothing; output cells are produced only
 // where the input cell is present (matching Filter's shape-preservation).
 func Window(a *array.Array, radius []int64, spec AggSpec, reg *udf.Registry) (*array.Array, error) {
+	return WindowCtx(context.Background(), a, radius, spec, reg)
+}
+
+// WindowCtx is Window under a context (cancellation + span counters). It
+// runs on the fold engine: each input chunk is a pool task that folds every
+// present cell's window into a table with a row per slot of its output
+// chunk, a row of the window at a time (Fold.foldRun: typed state for the
+// six built-ins, a boxed accumulator for the rest), and terminates each row
+// into its slot. A window visits the input chunks in Chunks() order and
+// their slots in row-major order — the order a cell-at-a-time walk of the
+// window steps them in — so the result is that walk's, to the bit.
+func WindowCtx(ctx context.Context, a *array.Array, radius []int64, spec AggSpec, reg *udf.Registry) (*array.Array, error) {
 	s := a.Schema
 	if len(radius) != len(s.Dims) {
 		return nil, fmt.Errorf("ops: window needs one radius per dimension")
@@ -24,43 +37,79 @@ func Window(a *array.Array, radius []int64, spec AggSpec, reg *udf.Registry) (*a
 			return nil, fmt.Errorf("ops: window radii must be >= 0")
 		}
 	}
-	attr, at, err := resolveAgg(s, spec)
+	f, err := NewFold(s, FoldSpec{Aggs: []AggSpec{spec}}, reg)
 	if err != nil {
 		return nil, err
 	}
-	fac, err := reg.Aggregate(spec.Agg)
+	res, err := array.New(&array.Schema{Name: s.Name + "_window", Dims: dimsWithHwm(a), Attrs: f.out.Attrs})
 	if err != nil {
 		return nil, err
 	}
-	out := &array.Schema{Name: s.Name + "_window", Dims: dimsWithHwm(a), Attrs: []array.Attribute{at}}
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
+	work := liveChunks(a)
+	spanChunks(ctx, work)
+	boxes := make([]array.Box, len(work))
+	for i, ch := range work {
+		boxes[i] = ch.Box()
 	}
-	lo := make(array.Coord, len(s.Dims))
-	hi := make(array.Coord, len(s.Dims))
-	var werr error
-	a.IterReuse(func(c array.Coord, _ array.Cell) bool {
-		for d := range c {
-			lo[d] = c[d] - radius[d]
-			if lo[d] < 1 {
-				lo[d] = 1
+	nd := len(s.Dims)
+	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
+		ch := work[i]
+		oc := array.NewChunk(res.Schema, ch.Origin, res.GridShape(ch.Origin))
+		same := shapeEq(ch.Shape, oc.Shape)
+		t := f.newTable([]int64{0}, []int64{oc.Slots()})
+		// The input chunks some window of this chunk's cells reaches.
+		var near []int
+		for j, b := range boxes {
+			reach := true
+			for d := 0; d < nd && reach; d++ {
+				reach = b.Lo[d] <= boxes[i].Hi[d]+radius[d] && b.Hi[d] >= boxes[i].Lo[d]-radius[d]
 			}
-			hi[d] = c[d] + radius[d]
+			if reach {
+				near = append(near, j)
+			}
 		}
-		acc := fac()
-		a.IterBoxReuse(array.Box{Lo: lo, Hi: hi}, func(_ array.Coord, cell array.Cell) bool {
-			acc.Step(cell[attr])
-			return true
+		lo, hi, c := make(array.Coord, nd), make(array.Coord, nd), make(array.Coord, nd)
+		err := eachPresent(ch, func(idx int64, at array.Coord) error {
+			row := idx
+			if !same {
+				row = oc.Index(at)
+			}
+			for _, j := range near {
+				// The window's part of input chunk j, walked a row of its
+				// innermost dimension at a time.
+				in, b, empty := work[j], boxes[j], false
+				for d := 0; d < nd && !empty; d++ {
+					lo[d] = max(at[d]-radius[d], b.Lo[d])
+					hi[d] = min(at[d]+radius[d], b.Hi[d])
+					empty = lo[d] > hi[d]
+				}
+				if empty {
+					continue
+				}
+				copy(c, lo)
+				n := hi[nd-1] - lo[nd-1] + 1
+				for {
+					f.foldRun(t, 0, in, in.Present, oneRow(in.Index(c), n, row))
+					d := nd - 2
+					for ; d >= 0; d-- {
+						if c[d]++; c[d] <= hi[d] {
+							break
+						}
+						c[d] = lo[d]
+					}
+					if d < 0 {
+						break
+					}
+				}
+			}
+			oc.Present.Set(row)
+			f.terminate(t, row, oc, row)
+			return nil
 		})
-		if err := res.Set(c.Clone(), array.Cell{acc.Result()}); err != nil {
-			werr = err
-			return false
-		}
-		return true
+		return oc, err
 	})
-	if werr != nil {
-		return nil, werr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

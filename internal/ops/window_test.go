@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"scidb/internal/array"
@@ -96,4 +98,95 @@ func TestWindowErrors(t *testing.T) {
 	if _, err := Window(a, []int64{1}, AggSpec{Agg: "sum", Attr: "zzz"}, reg); err == nil {
 		t.Error("unknown attribute accepted")
 	}
+}
+
+// windowCells is Window as it was before it ran on the fold kernels — a
+// box scan and a fresh accumulator per output cell, every neighbour boxed
+// into a Value — kept as the oracle the chunk body is held to.
+func windowCells(a *array.Array, radius []int64, spec AggSpec, reg *udf.Registry) (*array.Array, error) {
+	s := a.Schema
+	attr, at, err := resolveAgg(s, spec)
+	if err != nil {
+		return nil, err
+	}
+	fac, err := reg.Aggregate(spec.Agg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := array.New(&array.Schema{Name: s.Name + "_window", Dims: dimsWithHwm(a), Attrs: []array.Attribute{at}})
+	if err != nil {
+		return nil, err
+	}
+	lo := make(array.Coord, len(s.Dims))
+	hi := make(array.Coord, len(s.Dims))
+	var werr error
+	a.IterReuse(func(c array.Coord, _ array.Cell) bool {
+		for d := range c {
+			lo[d] = max(c[d]-radius[d], 1)
+			hi[d] = c[d] + radius[d]
+		}
+		acc := fac()
+		a.IterBoxReuse(array.Box{Lo: lo, Hi: hi}, func(_ array.Coord, cell array.Cell) bool {
+			acc.Step(cell[attr])
+			return true
+		})
+		if werr = res.Set(c.Clone(), array.Cell{acc.Result()}); werr != nil {
+			return false
+		}
+		return true
+	})
+	return res, werr
+}
+
+// TestOracleWindowMatchesCells holds Window to windowCells over the oracle
+// arrays (1–3 dimensions, chunks of 2–5 cells so windows cross chunk edges,
+// absent cells, NULLs and NaNs, empty and unbounded arrays, and each one's
+// storage-decoded twin), with radii 0, 1, 2 and mixed, for every built-in
+// aggregate over int and float columns, min over strings and a UDF without
+// Merge, at parallelism 1 and 4: the same schema, chunk layout and cells, to
+// the bit.
+func TestOracleWindowMatchesCells(t *testing.T) {
+	reg := udf.NewRegistry()
+	reg.RegisterAggregate("last", func() udf.Aggregate { return &lastAgg{} })
+	specs := []AggSpec{
+		{Agg: "count", Attr: "f"}, {Agg: "sum", Attr: "i"}, {Agg: "sum", Attr: "f"}, {Agg: "avg", Attr: "i"},
+		{Agg: "avg", Attr: "f"}, {Agg: "min", Attr: "i"}, {Agg: "min", Attr: "f"}, {Agg: "max", Attr: "i"},
+		{Agg: "max", Attr: "f"}, {Agg: "stdev", Attr: "i"}, {Agg: "stdev", Attr: "f"}, {Agg: "min", Attr: "s"},
+		{Agg: "last", Attr: "f"},
+	}
+	k := 0
+	forEachOracleArray(t, func(t *testing.T, rng *rand.Rand, a *array.Array) {
+		nd := len(a.Schema.Dims)
+		radii := [][]int64{make([]int64, nd), make([]int64, nd), make([]int64, nd), make([]int64, nd)}
+		for d := 0; d < nd; d++ {
+			radii[1][d], radii[2][d], radii[3][d] = 1, 2, rng.Int63n(3)
+		}
+		for name, in := range oracleInputs(t, a) {
+			for _, r := range radii {
+				// Two aggregates per case, rotating, so every one meets every shape.
+				for _, spec := range []AggSpec{specs[k%len(specs)], specs[(k+5)%len(specs)]} {
+					label := fmt.Sprintf("%s %s(%s) radius %v", name, spec.Agg, spec.Attr, r)
+					want, err := windowCells(in, r, spec, reg)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					got := atBothParallelisms(t, label, func() (*array.Array, error) { return Window(in, r, spec, reg) })
+					if fmt.Sprint(got.Schema) != fmt.Sprint(want.Schema) {
+						t.Fatalf("%s: schema %v, want %v", label, got.Schema, want.Schema)
+					}
+					gc, wc := got.Chunks(), want.Chunks()
+					if len(gc) != len(wc) {
+						t.Fatalf("%s: %d chunks, want %d", label, len(gc), len(wc))
+					}
+					for c := range gc {
+						if !gc[c].Origin.Equal(wc[c].Origin) || !shapeEq(gc[c].Shape, wc[c].Shape) {
+							t.Fatalf("%s: chunk %d is %v+%v, want %v+%v", label, c, gc[c].Origin, gc[c].Shape, wc[c].Origin, wc[c].Shape)
+						}
+					}
+					requireCellsEqual(t, label, want, got)
+				}
+				k++
+			}
+		}
+	})
 }

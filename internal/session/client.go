@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -111,11 +112,11 @@ func (c *Client) finish(p *response) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, enc := range p.Chunks {
-			ch, err := storage.DecodeChunk(p.Schema, enc)
-			if err != nil {
-				return nil, err
-			}
+		chunks, err := decodePage(context.TODO(), p.Schema, p.Chunks)
+		if err != nil {
+			return nil, err
+		}
+		for _, ch := range chunks {
 			if err := a.MergeChunk(ch); err != nil {
 				return nil, err
 			}
@@ -275,12 +276,8 @@ func (r *Rows) NextChunk() (*array.Chunk, error) {
 			return nil, err
 		}
 		r.done = p.Done
-		for _, enc := range p.Chunks {
-			ch, err := storage.DecodeChunk(r.schema, enc)
-			if err != nil {
-				return nil, err
-			}
-			r.buf = append(r.buf, ch)
+		if r.buf, err = decodePage(context.TODO(), r.schema, p.Chunks); err != nil {
+			return nil, err
 		}
 	}
 	ch := r.buf[0]

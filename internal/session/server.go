@@ -15,7 +15,6 @@ import (
 	"scidb/internal/core"
 	"scidb/internal/introspect"
 	"scidb/internal/obs"
-	"scidb/internal/storage"
 	"scidb/internal/wire"
 )
 
@@ -459,7 +458,7 @@ func (ss *serverSession) runStatement(ctx context.Context, cancel context.Cancel
 		})
 		return
 	}
-	chunks, err := storage.EncodeChunks(res.Array.Schema, res.Array.Chunks())
+	chunks, err := encodePage(ctx, res.Array.Schema, res.Array.Chunks())
 	if err != nil {
 		ss.srv.errs.Inc()
 		ss.respond(reqID, &response{Status: statusErr, Err: err.Error()})
@@ -499,7 +498,7 @@ func (ss *serverSession) fetch(reqID uint64, q *request) {
 	}
 	ss.cursorMu.Unlock()
 
-	chunks, err := storage.EncodeChunks(schema, page)
+	chunks, err := encodePage(context.TODO(), schema, page)
 	if err != nil {
 		ss.respond(reqID, &response{Status: statusErr, Err: err.Error()})
 		return

@@ -27,9 +27,11 @@ package session
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"scidb/internal/array"
+	"scidb/internal/exec"
 	"scidb/internal/parser"
 	"scidb/internal/storage"
 	"scidb/internal/wire"
@@ -264,7 +266,10 @@ func encodeResponse(p *response) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// decodeResponse reverses encodeResponse.
+// decodeResponse reverses encodeResponse. The chunk payloads it returns are
+// views of data, not copies: a response owns the frame body it was read from
+// (wire.ReadFrame allocates every body afresh), and the client decodes the
+// payloads into chunks of their own before dropping the response.
 func decodeResponse(data []byte) (*response, error) {
 	r := storage.NewFieldReaderBytes(data)
 	p := &response{}
@@ -297,7 +302,7 @@ func decodeResponse(data []byte) (*response, error) {
 	if n > 0 {
 		p.Chunks = make([][]byte, n)
 		for i := range p.Chunks {
-			p.Chunks[i] = r.Bytes()
+			p.Chunks[i] = r.BytesView()
 			if r.Err() != nil {
 				return nil, fmt.Errorf("session: corrupt response: %w", r.Err())
 			}
@@ -307,6 +312,28 @@ func decodeResponse(data []byte) (*response, error) {
 		return nil, fmt.Errorf("session: corrupt response: %w", r.Err())
 	}
 	return p, nil
+}
+
+// encodePage encodes a result's chunks, one payload each in order, as tasks
+// of the process pool: the server's side of a result page.
+func encodePage(ctx context.Context, s *array.Schema, chunks []*array.Chunk) ([][]byte, error) {
+	out := make([][]byte, len(chunks))
+	err := exec.Default().Map(ctx, len(chunks), func(i int) (err error) {
+		out[i], err = storage.EncodeChunk(s, chunks[i])
+		return err
+	})
+	return out, err
+}
+
+// decodePage is encodePage's reverse, the client's side: the chunks of a
+// page, in order, decoded as tasks of the process pool.
+func decodePage(ctx context.Context, s *array.Schema, payloads [][]byte) ([]*array.Chunk, error) {
+	out := make([]*array.Chunk, len(payloads))
+	err := exec.Default().Map(ctx, len(payloads), func(i int) (err error) {
+		out[i], err = storage.DecodeChunk(s, payloads[i])
+		return err
+	})
+	return out, err
 }
 
 // encodeHello is a client hello's payload: name, namespace and default

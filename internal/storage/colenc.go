@@ -22,6 +22,7 @@ package storage
 // candidate's exact encoded size and keeping the smallest; encRaw is the
 // universal fallback, so every column of every type always encodes.
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -59,67 +60,83 @@ func packedWords(count int64, width uint) int64 {
 	return (count*int64(width) + 63) / 64
 }
 
-// packBits packs vals (each < 2^width) LSB-first into little-endian u64
-// words. A zero width packs nothing (every value is zero by construction).
-func packBits(vals []uint64, width uint) []uint64 {
-	if width == 0 || len(vals) == 0 {
-		return nil
+// bitPacker packs values of one bit width LSB-first into little-endian u64
+// words, a word at a time: the one pack routine, which the delta and
+// dictionary encoders feed a value (< 2^width) at a time.
+type bitPacker struct {
+	words []uint64
+	cur   uint64 // the word being filled
+	used  uint   // its bits taken
+	width uint
+}
+
+func (p *bitPacker) put(v uint64) {
+	p.cur |= v << p.used
+	if p.used += p.width; p.used >= 64 {
+		p.words = append(p.words, p.cur)
+		p.used -= 64
+		p.cur = v >> (p.width - p.used)
 	}
-	words := make([]uint64, packedWords(int64(len(vals)), width))
-	bit := 0
-	for _, v := range vals {
-		w, off := bit/64, uint(bit%64)
-		words[w] |= v << off
-		if off+width > 64 {
-			words[w+1] = v >> (64 - off)
+}
+
+// writePacked writes the values pack puts at width — a u32 word count, then
+// the words — with w's packer, whose words are reused. A zero width packs
+// nothing (every value is zero by construction).
+func writePacked(w *FieldWriter, width uint, pack func(p *bitPacker)) {
+	p := &w.pk
+	*p = bitPacker{words: p.words[:0], width: width}
+	if width > 0 {
+		pack(p)
+		if p.used > 0 {
+			p.words = append(p.words, p.cur)
 		}
-		bit += int(width)
 	}
-	return words
+	w.U32(uint32(len(p.words)))
+	w.U64sRaw(p.words)
 }
 
-// unpackBits reverses packBits into count values.
-func unpackBits(words []uint64, width uint, count int64) []uint64 {
-	out := make([]uint64, count)
-	if width == 0 {
-		return out
-	}
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = uint64(1)<<width - 1
-	}
-	bit := 0
-	for i := range out {
-		w, off := bit/64, uint(bit%64)
-		v := words[w] >> off
-		if off+width > 64 {
-			v |= words[w+1] << (64 - off)
-		}
-		out[i] = v & mask
-		bit += int(width)
-	}
-	return out
+// bitUnpacker reads packed values back a value at a time, straight from the
+// words' little-endian bytes: the one unpack routine.
+type bitUnpacker struct {
+	p     []byte // the words not yet loaded
+	cur   uint64 // the word being read
+	left  uint   // its bits not yet read
+	width uint
+	mask  uint64
 }
 
-// writePackedWords writes a u32 word count followed by the words.
-func writePackedWords(w *FieldWriter, words []uint64) {
-	w.U32(uint32(len(words)))
-	w.U64sRaw(words)
+func (u *bitUnpacker) next() uint64 {
+	if u.left == 0 {
+		u.cur, u.p, u.left = binary.LittleEndian.Uint64(u.p), u.p[8:], 64
+	}
+	v := u.cur >> (64 - u.left)
+	if u.left >= u.width {
+		u.left -= u.width
+		return v & u.mask
+	}
+	// The value straddles into the next word.
+	u.cur, u.p = binary.LittleEndian.Uint64(u.p), u.p[8:]
+	v |= u.cur << u.left
+	u.left += 64 - u.width
+	return v & u.mask
 }
 
-// readPackedWords reads the words written by writePackedWords, validating
-// the count against the expected packed size and the remaining buffer.
-func readPackedWords(r *FieldReader, count int64, width uint) ([]uint64, error) {
+// readPacked reads what writePacked wrote for count values of width: it
+// checks the word count against them and against the bytes that remain, and
+// unpacks from those bytes where they lie.
+func readPacked(r *FieldReader, count int64, width uint) (bitUnpacker, error) {
 	n := int64(r.U32())
 	if want := packedWords(count, width); n != want {
-		return nil, fmt.Errorf("storage: packed column has %d words, want %d", n, want)
+		return bitUnpacker{}, fmt.Errorf("storage: packed column has %d words, want %d", n, want)
 	}
 	if !r.Need(n * 8) {
-		return nil, r.Err()
+		return bitUnpacker{}, r.Err()
 	}
-	words := make([]uint64, n)
-	r.U64sInto(words)
-	return words, r.Err()
+	u := bitUnpacker{p: r.next(int(n * 8)), width: width, mask: ^uint64(0) >> (64 - width)}
+	if width == 0 {
+		u.left = 64 // every value is zero: no word to load
+	}
+	return u, r.Err()
 }
 
 // encodeIntValues picks and writes the cheapest encoding for an integer
@@ -154,23 +171,25 @@ func encodeIntValues(w *FieldWriter, vals []int64) {
 		w.U8(encDelta)
 		w.I64(vals[0])
 		w.U8(uint8(width))
-		zigs := make([]uint64, n-1)
-		for i := 1; i < n; i++ {
-			zigs[i-1] = zigzag(vals[i] - vals[i-1])
-		}
-		writePackedWords(w, packBits(zigs, width))
+		writePacked(w, width, func(p *bitPacker) {
+			for i := 1; i < n; i++ {
+				p.put(zigzag(vals[i] - vals[i-1]))
+			}
+		})
 	case rleSize < rawSize:
 		w.U8(encRLE)
 		w.U32(uint32(runs))
+		st := w.stage()
 		for i := 0; i < n; {
 			j := i + 1
 			for j < n && vals[j] == vals[i] {
 				j++
 			}
-			w.U32(uint32(j - i))
-			w.I64(vals[i])
+			st.room(12)
+			st.b = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(st.b, uint32(j-i)), uint64(vals[i]))
 			i = j
 		}
+		st.flush()
 	default:
 		w.U8(encRaw)
 		w.I64sRaw(vals)
@@ -204,19 +223,7 @@ func decodeIntValues(r *FieldReader, slots int64) ([]int64, []int64, error) {
 		}
 		return out, []int64{slots}, nil
 	case encRLE:
-		out := make([]int64, 0, slots)
-		var runLens []int64
-		if err := decodeRuns(r, slots, func(runLen int64) error {
-			v := r.I64()
-			runLens = append(runLens, runLen)
-			for k := int64(0); k < runLen; k++ {
-				out = append(out, v)
-			}
-			return r.Err()
-		}); err != nil {
-			return nil, nil, err
-		}
-		return out, runLens, nil
+		return decodeRLE(r, slots, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }, r.I64)
 	case encDelta:
 		first := r.I64()
 		width := uint(r.U8())
@@ -226,16 +233,14 @@ func decodeIntValues(r *FieldReader, slots int64) ([]int64, []int64, error) {
 		if width > 64 {
 			return nil, nil, fmt.Errorf("storage: delta column bit width %d", width)
 		}
-		words, err := readPackedWords(r, slots-1, width)
+		u, err := readPacked(r, slots-1, width)
 		if err != nil {
 			return nil, nil, err
 		}
 		out := make([]int64, slots)
 		out[0] = first
-		prev := first
-		for i, z := range unpackBits(words, width, slots-1) {
-			prev += unzigzag(z)
-			out[i+1] = prev
+		for i := int64(1); i < slots; i++ {
+			out[i] = out[i-1] + unzigzag(u.next())
 		}
 		return out, nil, nil
 	}
@@ -264,15 +269,18 @@ func encodeFloatValues(w *FieldWriter, vals []float64) {
 	case int64(4+runs*12) < int64(8*n):
 		w.U8(encRLE)
 		w.U32(uint32(runs))
+		st := w.stage()
 		for i := 0; i < n; {
+			v := math.Float64bits(vals[i])
 			j := i + 1
-			for j < n && math.Float64bits(vals[j]) == math.Float64bits(vals[i]) {
+			for j < n && math.Float64bits(vals[j]) == v {
 				j++
 			}
-			w.U32(uint32(j - i))
-			w.F64(vals[i])
+			st.room(12)
+			st.b = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(st.b, uint32(j-i)), v)
 			i = j
 		}
+		st.flush()
 	default:
 		w.U8(encRaw)
 		w.F64sRaw(vals)
@@ -304,19 +312,7 @@ func decodeFloatValues(r *FieldReader, slots int64) ([]float64, []int64, error) 
 		}
 		return out, []int64{slots}, nil
 	case encRLE:
-		out := make([]float64, 0, slots)
-		var runLens []int64
-		if err := decodeRuns(r, slots, func(runLen int64) error {
-			v := r.F64()
-			runLens = append(runLens, runLen)
-			for k := int64(0); k < runLen; k++ {
-				out = append(out, v)
-			}
-			return r.Err()
-		}); err != nil {
-			return nil, nil, err
-		}
-		return out, runLens, nil
+		return decodeRLE(r, slots, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }, r.F64)
 	}
 	return nil, nil, fmt.Errorf("storage: unknown float column encoding %d", tag)
 }
@@ -341,21 +337,34 @@ func encodeBoolValues(w *FieldWriter, vals []bool) {
 	case int64(4+runs*5) < int64(n):
 		w.U8(encRLE)
 		w.U32(uint32(runs))
+		st := w.stage()
 		for i := 0; i < n; {
 			j := i + 1
 			for j < n && vals[j] == vals[i] {
 				j++
 			}
-			w.U32(uint32(j - i))
-			w.Bool(vals[i])
+			st.room(5)
+			st.b = append(binary.LittleEndian.AppendUint32(st.b, uint32(j-i)), boolByte(vals[i]))
 			i = j
 		}
+		st.flush()
 	default:
 		w.U8(encRaw)
+		st := w.stage()
 		for _, v := range vals {
-			w.Bool(v)
+			st.room(1)
+			st.b = append(st.b, boolByte(v))
 		}
+		st.flush()
 	}
+}
+
+// boolByte is a bool's one-byte form.
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // decodeBoolValues reverses encodeBoolValues, retaining the RLE view.
@@ -385,19 +394,7 @@ func decodeBoolValues(r *FieldReader, slots int64) ([]bool, []int64, error) {
 		}
 		return out, []int64{slots}, nil
 	case encRLE:
-		out := make([]bool, 0, slots)
-		var runLens []int64
-		if err := decodeRuns(r, slots, func(runLen int64) error {
-			v := r.Bool()
-			runLens = append(runLens, runLen)
-			for k := int64(0); k < runLen; k++ {
-				out = append(out, v)
-			}
-			return r.Err()
-		}); err != nil {
-			return nil, nil, err
-		}
-		return out, runLens, nil
+		return decodeRLE(r, slots, 1, func(b []byte) bool { return b[0] != 0 }, r.Bool)
 	}
 	return nil, nil, fmt.Errorf("storage: unknown bool column encoding %d", tag)
 }
@@ -455,32 +452,39 @@ func encodeStringValues(w *FieldWriter, vals []string) {
 	case dictSize < rawSize && dictSize <= rleSize:
 		w.U8(encDict)
 		w.U32(uint32(len(order)))
+		st := w.stage()
 		for _, s := range order {
-			w.String(s)
+			st.str(s)
 		}
+		st.flush()
 		w.U8(uint8(width))
-		idx := make([]uint64, n)
-		for i, v := range vals {
-			idx[i] = dict[v]
-		}
-		writePackedWords(w, packBits(idx, width))
+		writePacked(w, width, func(p *bitPacker) {
+			for _, v := range vals {
+				p.put(dict[v])
+			}
+		})
 	case rleSize < rawSize:
 		w.U8(encRLE)
 		w.U32(uint32(runs))
+		st := w.stage()
 		for i := 0; i < n; {
 			j := i + 1
 			for j < n && vals[j] == vals[i] {
 				j++
 			}
-			w.U32(uint32(j - i))
-			w.String(vals[i])
+			st.room(4)
+			st.b = binary.LittleEndian.AppendUint32(st.b, uint32(j-i))
+			st.str(vals[i])
 			i = j
 		}
+		st.flush()
 	default:
 		w.U8(encRaw)
+		st := w.stage()
 		for _, v := range vals {
-			w.String(v)
+			st.str(v)
 		}
+		st.flush()
 	}
 }
 
@@ -517,16 +521,8 @@ func decodeStringValues(r *FieldReader, slots int64) ([]string, *array.ColEnc, e
 		}
 		return out, &array.ColEnc{RunLens: []int64{slots}}, nil
 	case encRLE:
-		out := make([]string, 0, slots)
-		var runLens []int64
-		if err := decodeRuns(r, slots, func(runLen int64) error {
-			v := r.String()
-			runLens = append(runLens, runLen)
-			for k := int64(0); k < runLen; k++ {
-				out = append(out, v)
-			}
-			return r.Err()
-		}); err != nil {
+		out, runLens, err := decodeRLE(r, slots, 0, nil, r.String)
+		if err != nil {
 			return nil, nil, err
 		}
 		return out, &array.ColEnc{RunLens: runLens}, nil
@@ -549,13 +545,14 @@ func decodeStringValues(r *FieldReader, slots int64) ([]string, *array.ColEnc, e
 		if width > 64 {
 			return nil, nil, fmt.Errorf("storage: dict column bit width %d", width)
 		}
-		words, err := readPackedWords(r, slots, width)
+		u, err := readPacked(r, slots, width)
 		if err != nil {
 			return nil, nil, err
 		}
 		out := make([]string, slots)
 		codes := make([]uint32, slots)
-		for i, idx := range unpackBits(words, width, slots) {
+		for i := range out {
+			idx := u.next()
 			if idx >= uint64(dictLen) {
 				return nil, nil, fmt.Errorf("storage: dict index %d out of range %d", idx, dictLen)
 			}
@@ -565,6 +562,53 @@ func decodeStringValues(r *FieldReader, slots int64) ([]string, *array.ColEnc, e
 		return out, &array.ColEnc{Dict: dict, Codes: codes}, nil
 	}
 	return nil, nil, fmt.Errorf("storage: unknown string column encoding %d", tag)
+}
+
+// decodeRLE reads a run-length vector — a u32 run count, then per run a u32
+// length and a value, the lengths summing to slots — into a vector sized to
+// the slots and a run table sized to the count, bounding the count against
+// the bytes that remain first. A run whose record (length plus size value
+// bytes, which at decodes) lies whole in a slice reader's buffer is taken
+// from it in one piece; any other, and every run when at is nil, is read
+// field by field with read, so a table cut short fails as the reader does.
+func decodeRLE[T any](r *FieldReader, slots int64, size int, at func([]byte) T, read func() T) ([]T, []int64, error) {
+	runs := int64(r.U32())
+	// Each run costs at least a u32 length plus a 1-byte value.
+	if !r.Need(runs * 5) {
+		return nil, nil, r.Err()
+	}
+	out, runLens := make([]T, slots), make([]int64, runs)
+	var total int64
+	for k := range runLens {
+		var rec []byte
+		if at != nil {
+			rec = r.whole(4 + size)
+		}
+		var n int64
+		if rec != nil {
+			n = int64(binary.LittleEndian.Uint32(rec))
+		} else if n = int64(r.U32()); r.Err() != nil {
+			return nil, nil, r.Err()
+		}
+		if n <= 0 || total+n > slots {
+			return nil, nil, fmt.Errorf("storage: RLE runs exceed %d slots", slots)
+		}
+		var v T
+		if rec != nil {
+			v = at(rec[4:])
+		} else if v = read(); r.Err() != nil {
+			return nil, nil, r.Err()
+		}
+		for i := total; i < total+n; i++ {
+			out[i] = v
+		}
+		runLens[k] = n
+		total += n
+	}
+	if total != slots {
+		return nil, nil, fmt.Errorf("storage: RLE runs cover %d of %d slots", total, slots)
+	}
+	return out, runLens, nil
 }
 
 // Zone-map kind tags (serialized behind colFlagZone, see encode.go).
@@ -707,33 +751,4 @@ func decodeZoneMap(r *FieldReader, want array.Type, slots int64) (*array.ZoneMap
 		}
 	}
 	return z, r.Err()
-}
-
-// decodeRuns drives an RLE decode: it reads the run count, validates it
-// against the remaining buffer, and calls readRun with each run length,
-// enforcing that the lengths sum exactly to slots.
-func decodeRuns(r *FieldReader, slots int64, readRun func(runLen int64) error) error {
-	runs := int64(r.U32())
-	// Each run costs at least a u32 length plus a 1-byte value.
-	if !r.Need(runs * 5) {
-		return r.Err()
-	}
-	var total int64
-	for i := int64(0); i < runs; i++ {
-		runLen := int64(r.U32())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if runLen <= 0 || total+runLen > slots {
-			return fmt.Errorf("storage: RLE runs exceed %d slots", slots)
-		}
-		total += runLen
-		if err := readRun(runLen); err != nil {
-			return err
-		}
-	}
-	if total != slots {
-		return fmt.Errorf("storage: RLE runs cover %d of %d slots", total, slots)
-	}
-	return nil
 }

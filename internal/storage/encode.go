@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
 
 	"scidb/internal/array"
 	"scidb/internal/compress"
@@ -287,40 +288,75 @@ func EncodeChunkZones(s *array.Schema, ch *array.Chunk) ([]byte, []*array.ZoneMa
 	if len(s.Attrs) >= math.MaxUint16 || len(s.Dims) > math.MaxUint8 {
 		return nil, nil, fmt.Errorf("storage: schema too wide to encode")
 	}
-	// Sections are written behind a reserved header, filled in once their
-	// lengths and checksums are known.
-	hlen := headerLen(s)
-	var b bytes.Buffer
-	b.Write(make([]byte, hlen))
-	w := NewFieldWriter(&b)
-	ends := make([]int, 0, 1+len(ch.Cols))
+	// The sections are written into a recycled buffer, then copied behind the
+	// header — filled in once their lengths and checksums are known — into
+	// the one allocation the encoding costs.
+	e := encoders.Get().(*chunkEncoder)
+	defer e.release()
+	w := &e.w
+	ends := append(e.ends[:0], 0)
 	writeBitmap(w, ch.Present)
-	ends = append(ends, b.Len())
+	ends = append(ends, e.buf.Len())
 	zones := make([]*array.ZoneMap, len(ch.Cols))
 	for ai, col := range ch.Cols {
 		var err error
 		if zones[ai], err = encodeColumn(w, s.Attrs[ai], col, ch.Present); err != nil {
 			return nil, nil, err
 		}
-		ends = append(ends, b.Len())
+		ends = append(ends, e.buf.Len())
 	}
+	e.ends = ends
 	if w.Err() != nil {
 		return nil, nil, w.Err()
 	}
-	data := b.Bytes()
-	hdr := chunkHeader{origin: ch.Origin, shape: ch.Shape, secs: make([]section, len(ends))}
+	body := e.buf.Bytes()
+	hlen := headerLen(s)
+	hdr := chunkHeader{origin: ch.Origin, shape: ch.Shape, secs: make([]section, len(ends)-1)}
 	verbatim, _ := compress.Tag(compress.None{})
-	start := hlen
-	for i, end := range ends {
+	for i := range hdr.secs {
+		start, end := ends[i], ends[i+1]
 		if end-start > maxFieldLen {
 			return nil, nil, fmt.Errorf("storage: section of %d bytes exceeds limit", end-start)
 		}
 		n := uint32(end - start)
-		hdr.secs[i] = section{stored: n, decoded: n, codec: verbatim, crc: crc32.Checksum(data[start:end], castagnoli)}
-		start = end
+		hdr.secs[i] = section{stored: n, decoded: n, codec: verbatim, crc: crc32.Checksum(body[start:end], castagnoli)}
 	}
+	data := make([]byte, hlen+len(body))
 	hdr.put(data[:hlen])
+	copy(data[hlen:], body)
 	return data, zones, nil
+}
+
+// chunkEncoder is EncodeChunkZones' recycled room: the buffer the sections
+// are written into, the writer over it (with its staging and packing room)
+// and the section ends.
+type chunkEncoder struct {
+	buf  bytes.Buffer
+	w    FieldWriter
+	ends []int
+}
+
+// encoders recycles chunkEncoders, so a chunk's encoding costs its one
+// exact-size copy however large its buffer grew while it was written.
+var encoders = sync.Pool{New: func() any {
+	e := &chunkEncoder{}
+	e.w.Reset(&e.buf)
+	return e
+}}
+
+// maxPooledEncoder is the largest buffer an encoder goes back to the pool
+// with; an encoder that grew past it (a chunk of millions of slots) is
+// dropped rather than held.
+const maxPooledEncoder = 16 << 20
+
+// release empties e and returns it to the pool.
+func (e *chunkEncoder) release() {
+	if e.buf.Cap() > maxPooledEncoder {
+		return
+	}
+	e.buf.Reset()
+	e.w.Reset(&e.buf)
+	encoders.Put(e)
 }
 
 // sealChunk turns EncodeChunk bytes into a bucket file: the same frame with
@@ -442,7 +478,7 @@ func DecodeArray(s *array.Schema, data []byte) (*array.Array, error) {
 	}
 	payloads := make([][]byte, n)
 	for i := range payloads {
-		if payloads[i] = r.bytesView(); r.Err() != nil {
+		if payloads[i] = r.BytesView(); r.Err() != nil {
 			return nil, r.Err()
 		}
 	}
@@ -556,7 +592,7 @@ func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Colum
 			if r.U8() == 0 {
 				continue
 			}
-			buf := r.bytesView()
+			buf := r.BytesView()
 			if r.Err() != nil {
 				return nil, r.Err()
 			}

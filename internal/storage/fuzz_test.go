@@ -40,6 +40,24 @@ func fuzzSeedChunk(s *array.Schema) *array.Chunk {
 	return ch
 }
 
+// fuzzRunsChunk is a second seed over the same 16 slots whose columns lean
+// on the readers that index into the bytes: 59-bit deltas wrapping past
+// MaxInt64, RLE runs of NaN, signed zeros and infinities, bool runs, and a
+// three-word dictionary.
+func fuzzRunsChunk(s *array.Schema) *array.Chunk {
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1)}
+	ch := array.NewChunk(s, array.Coord{1}, []int64{16})
+	for i := int64(0); i < 16; i++ {
+		_ = ch.Set(array.Coord{i + 1}, array.Cell{
+			array.Int64(math.MaxInt64 - 3<<57 + i<<57 + i%3),
+			array.UncertainFloat(floats[i/4], 0.25),
+			array.Bool64(i < 9),
+			array.String64([]string{"north", "south", "east"}[i*7%3]),
+		})
+	}
+	return ch
+}
+
 // withSection returns enc — EncodeChunk bytes — with section i replaced by
 // body, stored verbatim, and the table and checksums made to agree: what a
 // fuzzer needs to get arbitrary bytes past the CRCs and into the section
@@ -87,14 +105,26 @@ func FuzzDecodeChunk(f *testing.F) {
 	if sealed, err := sealChunk(s, enc, compress.Auto{}); err == nil {
 		f.Add(sealed)
 	}
-	// Each section's own bytes, the seeds of the spliced decodes below.
+	// Each section's own bytes, the seeds of the spliced decodes below, from
+	// both seed chunks.
 	hdr, err := parseHeader(s, enc, int64(len(enc)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for i, off := 0, headerLen(s); i < len(hdr.secs); i++ {
-		f.Add(enc[off : off+int(hdr.secs[i].stored)])
-		off += int(hdr.secs[i].stored)
+	runs, err := EncodeChunk(s, fuzzRunsChunk(s))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(runs)
+	for _, seed := range [][]byte{enc, runs} {
+		h, err := parseHeader(s, seed, int64(len(seed)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, off := 0, headerLen(s); i < len(h.secs); i++ {
+			f.Add(seed[off : off+int(h.secs[i].stored)])
+			off += int(h.secs[i].stored)
+		}
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -24,6 +24,8 @@ type FieldWriter struct {
 	buf [8]byte
 	// vec stages a vector of them, a block per Write; made by the first.
 	vec []byte
+	// pk is the bit packer, its words kept from one packed vector to the next.
+	pk bitPacker
 }
 
 // vecBlock is how many bytes of a vector go out in one Write.
@@ -53,13 +55,7 @@ func (w *FieldWriter) U8(v uint8) {
 }
 
 // Bool writes a bool as one byte.
-func (w *FieldWriter) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
+func (w *FieldWriter) Bool(v bool) { w.U8(boolByte(v)) }
 
 // U32 writes a little-endian uint32.
 func (w *FieldWriter) U32(v uint32) {
@@ -127,6 +123,43 @@ func (w *FieldWriter) block(n int) []byte {
 		w.vec = make([]byte, want)
 	}
 	return w.vec[:want]
+}
+
+// stager batches small fields into one Write per vecBlock bytes, staged in
+// w's vector room: the form a run table or a string list takes on its way
+// out. Flush it before anything else writes to w.
+type stager struct {
+	w *FieldWriter
+	b []byte
+}
+
+// stage starts a batch.
+func (w *FieldWriter) stage() stager { return stager{w, w.block(vecBlock / 8)[:0]} }
+
+// room makes space for n more bytes, writing out the staged ones when the
+// block lacks it.
+func (s *stager) room(n int) {
+	if len(s.b)+n > cap(s.b) {
+		s.flush()
+	}
+}
+
+// flush writes out the staged bytes.
+func (s *stager) flush() {
+	s.w.Raw(s.b)
+	s.b = s.b[:0]
+}
+
+// str stages a u32-length-prefixed string, as FieldWriter.String writes it;
+// one longer than the block goes straight through.
+func (s *stager) str(v string) {
+	if 4+len(v) > cap(s.b) {
+		s.flush()
+		s.w.String(v)
+		return
+	}
+	s.room(4 + len(v))
+	s.b = append(binary.LittleEndian.AppendUint32(s.b, uint32(len(v))), v...)
 }
 
 // Bytes writes a u32 length prefix followed by the bytes.
@@ -248,6 +281,17 @@ func (r *FieldReader) next(n int) []byte {
 	return p
 }
 
+// whole returns the next n bytes as next does when a slice reader holds
+// them all, and nil — reading nothing — when it holds fewer or streams.
+func (r *FieldReader) whole(n int) []byte {
+	if r.err != nil || r.r != nil || len(r.buf) < n {
+		return nil
+	}
+	p := r.buf[:n]
+	r.buf = r.buf[n:]
+	return p
+}
+
 // Raw fills p, recording a short read as an error.
 func (r *FieldReader) Raw(p []byte) {
 	if r.r == nil {
@@ -338,9 +382,11 @@ func (r *FieldReader) length() int {
 	return int(n)
 }
 
-// bytesView reads a u32-length-prefixed byte blob as next does: aliasing a
-// slice reader's buffer. A zero length returns nil.
-func (r *FieldReader) bytesView() []byte {
+// BytesView reads a u32-length-prefixed byte blob as next does: a slice
+// reader returns a view of its buffer — valid, and unchanged, only while the
+// buffer is — so a caller keeps it past that only by copying it. A zero
+// length returns nil.
+func (r *FieldReader) BytesView() []byte {
 	n := r.length()
 	if n == 0 || !r.Need(int64(n)) {
 		return nil
@@ -348,15 +394,9 @@ func (r *FieldReader) bytesView() []byte {
 	return r.next(n)
 }
 
-// Bytes reads a u32-length-prefixed byte blob into memory of the caller's
-// own. A zero length returns nil.
-func (r *FieldReader) Bytes() []byte {
-	return append([]byte(nil), r.bytesView()...)
-}
-
 // String reads a u32-length-prefixed string.
 func (r *FieldReader) String() string {
-	return string(r.bytesView())
+	return string(r.BytesView())
 }
 
 // Strings reads a u32-count-prefixed string slice. Each string costs at
