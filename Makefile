@@ -60,11 +60,12 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem . ./internal/ops ./internal/cluster ./internal/storage
 
 # One iteration of the fold kernels' micro-benchmarks (worker fold, whole
-# partition, boxed and under predicates; local Aggregate/Regrid), of the cold
-# read path's (column decode, cold chunk scan) and of the chunk encoder's, so
-# CI runs what `make bench` measures.
+# partition, boxed and under predicates; local Aggregate/Regrid), of the
+# structural operators' (gather, join and filter kernels), of the cold read
+# path's (column decode, cold chunk scan) and of the chunk encoder's, so CI
+# runs what `make bench` measures.
 bench-smoke:
-	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|ParallelAggregate|ParallelRegrid' -benchtime=1x ./internal/cluster ./internal/ops
+	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
 	$(GO) test -run=NONE -bench 'DecodeColumn|StoreChunkScanCold|EncodeChunk' -benchtime=1x ./internal/storage
 
 # The standing benchmark suite is its own module under bench/, which the

@@ -6,6 +6,7 @@ package scidb
 //
 //	go test -bench=. -benchmem
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -70,7 +71,7 @@ func BenchmarkFIG3Cjoin(b *testing.B) {
 	reg := udf.NewRegistry()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ops.Cjoin(l, r, pred, reg); err != nil {
+		if _, err := ops.Cjoin(context.Background(), l, r, pred, reg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -104,11 +104,16 @@ func (c *Column) Set(i int64, v Value) {
 	}
 }
 
-// CopyFrom copies slot src of o — a column of the same type — into slot dst
-// of c, preserving nulls and error bars. It is the columnar transfer
-// primitive the chunk-parallel operators use instead of boxing each cell
-// into a Value and back.
+// CopyFrom copies slot src of o into slot dst of c, preserving nulls and
+// error bars. It is the columnar transfer primitive the chunk-parallel
+// operators use instead of boxing each cell into a Value and back; a column
+// of another type (Concat's right side may have one) converts the way Set
+// converts a Value.
 func (c *Column) CopyFrom(o *Column, dst, src int64) {
+	if o.Type != c.Type {
+		c.Set(dst, o.Get(src))
+		return
+	}
 	c.Zone, c.Enc = nil, nil
 	if o.Nulls.Get(src) {
 		c.Nulls.Set(dst)

@@ -2,6 +2,22 @@ package bufcache
 
 import "scidb/internal/obs"
 
+// Fields lists the counters under their scidb_cache_* metric names: what
+// RegisterMetrics exports and a grid coordinator reads back.
+func (s *Stats) Fields() []obs.Field {
+	return []obs.Field{
+		{Name: "scidb_cache_hits_total", V: &s.Hits},
+		{Name: "scidb_cache_misses_total", V: &s.Misses},
+		{Name: "scidb_cache_loads_total", V: &s.Loads},
+		{Name: "scidb_cache_evictions_total", V: &s.Evictions},
+		{Name: "scidb_cache_invalidations_total", V: &s.Invalidations},
+		{Name: "scidb_cache_entries", V: &s.Entries},
+		{Name: "scidb_cache_resident_bytes", V: &s.BytesResident},
+		{Name: "scidb_cache_pinned_bytes", V: &s.PinnedBytes},
+		{Name: "scidb_cache_budget_bytes", V: &s.Budget},
+	}
+}
+
 // RegisterMetrics exports the pool's counters into r under the
 // scidb_cache_* family. The collector snapshots the pool's atomics only
 // when scraped — nothing is added to the Get/Put hot path. label (e.g.
@@ -11,21 +27,6 @@ func (p *Pool) RegisterMetrics(r *obs.Registry, label string) {
 	r.RegisterFunc("scidb_cache", "Decoded-bucket buffer pool counters.", obs.KindGauge,
 		func(emit func(obs.Sample)) {
 			s := p.Stats()
-			for _, m := range []struct {
-				name string
-				v    int64
-			}{
-				{"scidb_cache_hits_total", s.Hits},
-				{"scidb_cache_misses_total", s.Misses},
-				{"scidb_cache_loads_total", s.Loads},
-				{"scidb_cache_evictions_total", s.Evictions},
-				{"scidb_cache_invalidations_total", s.Invalidations},
-				{"scidb_cache_entries", s.Entries},
-				{"scidb_cache_resident_bytes", s.BytesResident},
-				{"scidb_cache_pinned_bytes", s.PinnedBytes},
-				{"scidb_cache_budget_bytes", s.Budget},
-			} {
-				emit(obs.Sample{Name: m.name, Label: label, Value: float64(m.v)})
-			}
+			obs.EmitFields(emit, label, s.Fields())
 		})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -393,6 +394,58 @@ func TestNodeStatsFollowWorkerCounters(t *testing.T) {
 			t.Fatalf("round %d: %d cells held after the drop, want 0", round, n)
 		}
 	}
+}
+
+// TestStatsAdaptersCarryEveryField: after a read whose zone predicates skip
+// buckets, every field of the four typed adapters over a grid equals the
+// workers' own snapshots summed — no counter is lost between a node's
+// registry and the coordinator's decode.
+func TestStatsAdaptersCarryEveryField(t *testing.T) {
+	tr := NewLocalWithOptions(2, LocalOptions{Stride: []int64{8, 8}, CacheBytes: 1 << 20})
+	co := NewCoordinator(tr, 0)
+	if err := co.Create("sky", gridSchema(), partition.Block{Nodes: 2, SplitDim: 0, High: 64}); err != nil {
+		t.Fatal(err)
+	}
+	loadGrid(t, co, "sky", 64) // flux = x+y: node 0 holds x ≤ 32, so flux ≤ 96
+	preds := []array.ZonePred{{Attr: 0, Op: ">", Val: array.Float64(100)}}
+	if _, _, _, _, err := co.Read(context.Background(), "sky", ops.Fragment{Preds: preds}); err != nil {
+		t.Fatal(err)
+	}
+	// sum adds up a slice of stats structs field by field, by name.
+	sum := func(v reflect.Value) map[string]int64 {
+		out := map[string]int64{}
+		for i := 0; i < v.Len(); i++ {
+			for f := 0; f < v.Index(i).NumField(); f++ {
+				out[v.Type().Elem().Field(f).Name] += v.Index(i).Field(f).Int()
+			}
+		}
+		return out
+	}
+	check := func(name string, got any, err error, own func(w *Worker) any) map[string]int64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := reflect.MakeSlice(reflect.TypeOf(got), 0, len(tr.Workers))
+		for _, w := range tr.Workers {
+			want = reflect.Append(want, reflect.ValueOf(own(w)))
+		}
+		g, w := sum(reflect.ValueOf(got)), sum(want)
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: adapter %v, the workers' own %v", name, g, w)
+		}
+		return g
+	}
+	cs, err := co.CacheStats()
+	check("CacheStats", cs, err, func(w *Worker) any { return w.CacheStats() })
+	ss, err := co.StorageStats()
+	if g := check("StorageStats", ss, err, func(w *Worker) any { return w.StoreStats() }); g["ChunksSkipped"] == 0 || g["ChunksVisited"] == 0 {
+		t.Errorf("the read skipped %d and visited %d buckets; want both", g["ChunksSkipped"], g["ChunksVisited"])
+	}
+	es, err := co.ExecStats()
+	check("ExecStats", es, err, func(*Worker) any { return exec.Default().Stats() })
+	ns, err := co.NodeStats()
+	check("NodeStats", ns, err, func(w *Worker) any { return w.Stats() })
 }
 
 // TestCellsScannedCountsCellsRead: a cell the predicates refute had its

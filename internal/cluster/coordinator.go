@@ -581,72 +581,20 @@ func (co *Coordinator) SjoinCtx(ctx context.Context, left, right string, onL, on
 // over TCP each node reports its own process-local pool. It is a thin
 // adapter over the unified registry read (the "metrics" op).
 func (co *Coordinator) CacheStats() ([]bufcache.Stats, error) {
-	per, err := co.metricsPerNode()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bufcache.Stats, len(per))
-	for n, samples := range per {
-		out[n] = bufcache.Stats{
-			Hits:          sampleValue(samples, "scidb_cache_hits_total"),
-			Misses:        sampleValue(samples, "scidb_cache_misses_total"),
-			Loads:         sampleValue(samples, "scidb_cache_loads_total"),
-			Evictions:     sampleValue(samples, "scidb_cache_evictions_total"),
-			Invalidations: sampleValue(samples, "scidb_cache_invalidations_total"),
-			Entries:       sampleValue(samples, "scidb_cache_entries"),
-			BytesResident: sampleValue(samples, "scidb_cache_resident_bytes"),
-			PinnedBytes:   sampleValue(samples, "scidb_cache_pinned_bytes"),
-			Budget:        sampleValue(samples, "scidb_cache_budget_bytes"),
-		}
-	}
-	return out, nil
+	return statsPerNode(co, (*bufcache.Stats).Fields)
 }
 
 // StorageStats gathers every node's storage counters (disk traffic,
-// encoding ratios, prefetch hits), summed over the node's stores. Like
-// CacheStats, it reads through the unified registry.
+// encoding ratios, prefetch hits, zone-pruned chunks), summed over the
+// node's stores. Like CacheStats, it reads through the unified registry.
 func (co *Coordinator) StorageStats() ([]storage.Stats, error) {
-	per, err := co.metricsPerNode()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]storage.Stats, len(per))
-	for n, samples := range per {
-		out[n] = storage.Stats{
-			BucketsWritten: sampleValue(samples, "scidb_store_buckets_written_total"),
-			BucketsMerged:  sampleValue(samples, "scidb_store_buckets_merged_total"),
-			BucketsRead:    sampleValue(samples, "scidb_store_buckets_read_total"),
-			BytesWritten:   sampleValue(samples, "scidb_store_bytes_written_total"),
-			BytesRead:      sampleValue(samples, "scidb_store_bytes_read_total"),
-			Flushes:        sampleValue(samples, "scidb_store_flushes_total"),
-			BytesRaw:       sampleValue(samples, "scidb_store_bytes_raw_total"),
-			BytesEncoded:   sampleValue(samples, "scidb_store_bytes_encoded_total"),
-			PrefetchIssued: sampleValue(samples, "scidb_store_prefetch_issued_total"),
-			PrefetchHits:   sampleValue(samples, "scidb_store_prefetch_hits_total"),
-			PrefetchWasted: sampleValue(samples, "scidb_store_prefetch_wasted_total"),
-		}
-	}
-	return out, nil
+	return statsPerNode(co, (*storage.Stats).Fields)
 }
 
 // NodeStats gathers per-node counters (the PART experiment's load metric).
 // Like CacheStats, it reads through the unified registry.
 func (co *Coordinator) NodeStats() ([]WorkerStats, error) {
-	per, err := co.metricsPerNode()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WorkerStats, len(per))
-	for n, samples := range per {
-		out[n] = WorkerStats{
-			CellsHeld:    sampleValue(samples, "scidb_worker_cells_held"),
-			CellsScanned: sampleValue(samples, "scidb_worker_cells_scanned_total"),
-			BytesIn:      sampleValue(samples, "scidb_worker_bytes_in_total"),
-			BytesOut:     sampleValue(samples, "scidb_worker_bytes_out_total"),
-			Requests:     sampleValue(samples, "scidb_worker_requests_total"),
-		}
-	}
-	return out, nil
+	return statsPerNode(co, (*WorkerStats).fields)
 }
 
 // ExecStats gathers every node's worker-pool counters. With an in-process
@@ -654,20 +602,19 @@ func (co *Coordinator) NodeStats() ([]WorkerStats, error) {
 // whole story; over TCP each node reports its own pool. Like CacheStats,
 // it is a thin adapter over the unified registry read.
 func (co *Coordinator) ExecStats() ([]exec.Stats, error) {
+	return statsPerNode(co, (*exec.Stats).Fields)
+}
+
+// statsPerNode reads every node's registry into a stats snapshot through the
+// field list its collector emits.
+func statsPerNode[T any](co *Coordinator, fields func(*T) []obs.Field) ([]T, error) {
 	per, err := co.metricsPerNode()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]exec.Stats, len(per))
+	out := make([]T, len(per))
 	for n, samples := range per {
-		out[n] = exec.Stats{
-			Parallelism:     int(sampleValue(samples, "scidb_exec_parallelism")),
-			TasksRun:        sampleValue(samples, "scidb_exec_tasks_total"),
-			ChunksProcessed: sampleValue(samples, "scidb_exec_chunks_total"),
-			ParallelRuns:    sampleValue(samples, "scidb_exec_parallel_runs_total"),
-			SerialRuns:      sampleValue(samples, "scidb_exec_serial_runs_total"),
-			Saturation:      sampleValue(samples, "scidb_exec_saturation_total"),
-		}
+		obs.ReadFields(samples, fields(&out[n]))
 	}
 	return out, nil
 }
@@ -711,17 +658,6 @@ func (co *Coordinator) metricsPerNode() ([][]obs.Sample, error) {
 		return nil, err
 	}
 	return per, nil
-}
-
-// sampleValue returns the named sample's value, or 0 when the node's
-// registry doesn't carry it (e.g. cache families on nodes without a pool).
-func sampleValue(samples []obs.Sample, name string) int64 {
-	for _, s := range samples {
-		if s.Name == name {
-			return int64(s.Value)
-		}
-	}
-	return 0
 }
 
 // Metrics fans the "metrics" op to every node and returns the union of

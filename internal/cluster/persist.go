@@ -65,11 +65,7 @@ func NewWorkerWithOptions(id int, opts WorkerOptions) *Worker {
 	w.reg.RegisterFunc("scidb_worker", "Per-node request and data-movement counters.", obs.KindGauge,
 		func(emit func(obs.Sample)) {
 			s := w.Stats()
-			emit(obs.Sample{Name: "scidb_worker_cells_held", Value: float64(s.CellsHeld)})
-			emit(obs.Sample{Name: "scidb_worker_cells_scanned_total", Value: float64(s.CellsScanned)})
-			emit(obs.Sample{Name: "scidb_worker_bytes_in_total", Value: float64(s.BytesIn)})
-			emit(obs.Sample{Name: "scidb_worker_bytes_out_total", Value: float64(s.BytesOut)})
-			emit(obs.Sample{Name: "scidb_worker_requests_total", Value: float64(s.Requests)})
+			obs.EmitFields(emit, "", s.fields())
 		})
 	w.reg.RegisterFunc("scidb_heat", "Per-node chunk access-heat tracker gauges.", obs.KindGauge,
 		func(emit func(obs.Sample)) {
@@ -85,12 +81,7 @@ func NewWorkerWithOptions(id int, opts WorkerOptions) *Worker {
 	w.reg.RegisterFunc("scidb_exec", "Process-wide worker pool scheduling counters.", obs.KindGauge,
 		func(emit func(obs.Sample)) {
 			s := exec.Default().Stats()
-			emit(obs.Sample{Name: "scidb_exec_parallelism", Value: float64(s.Parallelism)})
-			emit(obs.Sample{Name: "scidb_exec_tasks_total", Value: float64(s.TasksRun)})
-			emit(obs.Sample{Name: "scidb_exec_chunks_total", Value: float64(s.ChunksProcessed)})
-			emit(obs.Sample{Name: "scidb_exec_parallel_runs_total", Value: float64(s.ParallelRuns)})
-			emit(obs.Sample{Name: "scidb_exec_serial_runs_total", Value: float64(s.SerialRuns)})
-			emit(obs.Sample{Name: "scidb_exec_saturation_total", Value: float64(s.Saturation)})
+			obs.EmitFields(emit, "", s.Fields())
 		})
 	return w
 }

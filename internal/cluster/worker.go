@@ -153,6 +153,18 @@ type WorkerStats struct {
 	Requests     int64
 }
 
+// fields lists the counters under their scidb_worker_* metric names: what
+// the node's registry exports and NodeStats reads back.
+func (s *WorkerStats) fields() []obs.Field {
+	return []obs.Field{
+		{Name: "scidb_worker_cells_held", V: &s.CellsHeld},
+		{Name: "scidb_worker_cells_scanned_total", V: &s.CellsScanned},
+		{Name: "scidb_worker_bytes_in_total", V: &s.BytesIn},
+		{Name: "scidb_worker_bytes_out_total", V: &s.BytesOut},
+		{Name: "scidb_worker_requests_total", V: &s.Requests},
+	}
+}
+
 // workerCounters is the live form of WorkerStats: atomics, so concurrent
 // read ops count without the partition lock.
 type workerCounters struct {

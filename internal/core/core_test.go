@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -644,6 +646,43 @@ func TestReDeriveThroughFilterProjectAggregateSubsample(t *testing.T) {
 	}
 	if cell, _ := f.At(array.Coord{5}); !cell[0].Null {
 		t.Errorf("F[5] = %v, want NULL after correction below threshold", cell[0])
+	}
+}
+
+// TestReDeriveThroughUncertainApply: a correction carrying an error bar
+// reaches an apply's output with the bar propagated — the rerun runs the
+// apply operator itself, so σ goes through the same arithmetic.
+func TestReDeriveThroughUncertainApply(t *testing.T) {
+	db := testDB()
+	exec(t, db, "define array T (v = uncertain float) (x)")
+	exec(t, db, "create array A as T [4]")
+	for x := 1; x <= 4; x++ {
+		exec(t, db, fmt.Sprintf("insert into A [%d] values (%d.5 ± 0.5)", x, x))
+	}
+	exec(t, db, "store apply(A, w = v + v) into W")
+	exec(t, db, "store project(W, w) into P")
+	a, _ := db.Array("A")
+	if err := a.Set(array.Coord{2}, array.Cell{array.UncertainFloat(10, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ReDerive(provenance.CellRef{Array: "A", Coord: array.Coord{2}}); err != nil {
+		t.Fatal(err)
+	}
+	w, _ := db.Array("W")
+	cell, _ := w.At(array.Coord{2})
+	if cell[0].Float != 10 || cell[0].Sigma != 3 {
+		t.Errorf("W[2].v = %v±%v, want the corrected 10±3", cell[0].Float, cell[0].Sigma)
+	}
+	want := math.Hypot(3, 3)
+	if cell[1].Float != 20 || math.Abs(cell[1].Sigma-want) > 1e-12 {
+		t.Errorf("W[2].w = %v±%v, want 20±%v", cell[1].Float, cell[1].Sigma, want)
+	}
+	p, _ := db.Array("P")
+	if cell, _ := p.At(array.Coord{2}); cell[0].Float != 20 || math.Abs(cell[0].Sigma-want) > 1e-12 {
+		t.Errorf("P[2] = %v±%v, want 20±%v", cell[0].Float, cell[0].Sigma, want)
+	}
+	if cell, _ := w.At(array.Coord{3}); cell[1].Float != 7 || math.Abs(cell[1].Sigma-math.Hypot(0.5, 0.5)) > 1e-12 {
+		t.Errorf("unaffected W[3].w = %v±%v", cell[1].Float, cell[1].Sigma)
 	}
 }
 

@@ -170,3 +170,55 @@ func TestBinaryInputsRunTogether(t *testing.T) {
 		t.Errorf("%d goroutines after the statements, %d before", n, base)
 	}
 }
+
+// TestCanceledCrossStopsBetweenChunks: cross(M, M) over a 2048-cell M in 128
+// chunks, canceled as soon as its first chunk task has run, stops between
+// chunks, returns the cancellation and leaves no goroutine behind.
+func TestCanceledCrossStopsBetweenChunks(t *testing.T) {
+	db := testDB()
+	m := array.MustNew(&array.Schema{Name: "M", Dims: []array.Dimension{{Name: "x", High: 2048, ChunkLen: 16}},
+		Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}}})
+	if err := m.Fill(func(c array.Coord) array.Cell { return array.Cell{array.Int64(c[0])} }); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.PutArray("M", m); err != nil {
+		t.Fatal(err)
+	}
+	q, err := parser.Parse("cross(M, M)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.SetParallelism(db.Parallelism())
+	for _, par := range []int{1, 4} {
+		db.SetParallelism(par)
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		start, done := db.ExecStats().TasksRun, make(chan struct{})
+		go func() {
+			defer cancel()
+			for db.ExecStats().TasksRun == start {
+				select {
+				case <-done:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+		_, err := db.RunCtx(ctx, q)
+		close(done)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("parallelism %d: canceled cross returned %v, want context.Canceled", par, err)
+		}
+		if ran := db.ExecStats().TasksRun - start; ran >= 128 {
+			t.Errorf("parallelism %d: all %d chunk tasks ran", par, ran)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("parallelism %d: %d goroutines after the statement, %d before", par, n, base)
+		}
+	}
+}

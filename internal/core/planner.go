@@ -234,19 +234,15 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		if err != nil {
 			return nil, err
 		}
-		return ops.Cjoin(l, r, pred, db.reg)
+		return ops.Cjoin(ctx, l, r, pred, db.reg)
 	case *parser.ApplyExpr:
 		in, err := db.eval(ctx, n.In)
 		if err != nil {
 			return nil, err
 		}
-		specs := make([]ops.ApplySpec, len(n.Names))
-		for i := range n.Names {
-			ex, err := valExpr(n.Exprs[i])
-			if err != nil {
-				return nil, err
-			}
-			specs[i] = ops.ApplySpec{Name: n.Names[i], Expr: ex}
+		specs, err := applySpecs(n)
+		if err != nil {
+			return nil, err
 		}
 		return ops.ApplyCtx(ctx, in, specs, db.reg)
 	case *parser.ProjectExpr:
@@ -254,7 +250,7 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		if err != nil {
 			return nil, err
 		}
-		return ops.Project(in, n.Attrs)
+		return ops.Project(ctx, in, n.Attrs)
 	case *parser.ReshapeExpr:
 		in, err := db.eval(ctx, n.In)
 		if err != nil {
@@ -264,7 +260,7 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		for i, d := range n.NewDims {
 			dims[i] = array.Dimension{Name: d.Name, High: d.High}
 		}
-		return ops.Reshape(in, n.Order, dims)
+		return ops.Reshape(ctx, in, n.Order, dims)
 	case *parser.RegridExpr:
 		in, err := db.evalUnder(ctx, n.In, lf.under(n.In))
 		if err != nil {
@@ -282,25 +278,25 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		if err != nil {
 			return nil, err
 		}
-		return ops.CrossProduct(l, r)
+		return ops.CrossProduct(ctx, l, r)
 	case *parser.ConcatExpr:
 		l, r, err := db.evalPair(ctx, n.L, n.R)
 		if err != nil {
 			return nil, err
 		}
-		return ops.Concat(l, r, n.Dim)
+		return ops.Concat(ctx, l, r, n.Dim)
 	case *parser.AddDimExpr:
 		in, err := db.eval(ctx, n.In)
 		if err != nil {
 			return nil, err
 		}
-		return ops.AddDim(in, n.Name)
+		return ops.AddDim(ctx, in, n.Name)
 	case *parser.RemDimExpr:
 		in, err := db.eval(ctx, n.In)
 		if err != nil {
 			return nil, err
 		}
-		return ops.RemoveDim(in, n.Name)
+		return ops.RemoveDim(ctx, in, n.Name)
 	}
 	return nil, fmt.Errorf("core: unsupported array expression %T", e)
 }
@@ -324,6 +320,19 @@ func aggSpecs(in []parser.AggSpec) []ops.AggSpec {
 		out[i] = aggSpec(a)
 	}
 	return out
+}
+
+// applySpecs converts an apply's parsed expressions to operator specs.
+func applySpecs(n *parser.ApplyExpr) ([]ops.ApplySpec, error) {
+	specs := make([]ops.ApplySpec, len(n.Names))
+	for i := range n.Names {
+		ex, err := valExpr(n.Exprs[i])
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = ops.ApplySpec{Name: n.Names[i], Expr: ex}
+	}
+	return specs, nil
 }
 
 // dimConds converts parsed subsample conjuncts to operator predicates.
@@ -502,7 +511,9 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 			Text: parser.Format(&parser.Store{Expr: n, Target: target}),
 		})
 		if pred, err := valExpr(n.Pred); err == nil {
-			db.registerRerun(cmd, filterRerun{pred: pred})
+			db.registerRerun(cmd, cellRerun(func(ctx context.Context, in *array.Array) (*array.Array, error) {
+				return ops.FilterCtx(ctx, in, lowerRefs(pred, in.Schema), db.reg)
+			}))
 		}
 	case *parser.ApplyExpr:
 		in := child(n.In, 1)
@@ -510,18 +521,10 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 			Kind: provenance.KindElementwise, Input: in, Output: target, Time: now,
 			Text: parser.Format(&parser.Store{Expr: n, Target: target}),
 		})
-		specs := make([]ops.ApplySpec, 0, len(n.Names))
-		okAll := true
-		for i := range n.Names {
-			ex, err := valExpr(n.Exprs[i])
-			if err != nil {
-				okAll = false
-				break
-			}
-			specs = append(specs, ops.ApplySpec{Name: n.Names[i], Expr: ex})
-		}
-		if okAll {
-			db.registerRerun(cmd, applyRerun{specs: specs})
+		if specs, err := applySpecs(n); err == nil {
+			db.registerRerun(cmd, cellRerun(func(ctx context.Context, in *array.Array) (*array.Array, error) {
+				return ops.ApplyCtx(ctx, in, specs, db.reg)
+			}))
 		}
 	case *parser.ProjectExpr:
 		in := child(n.In, 1)
@@ -529,21 +532,9 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 			Kind: provenance.KindElementwise, Input: in, Output: target, Time: now,
 			Text: parser.Format(&parser.Store{Expr: n, Target: target}),
 		})
-		if src, err := db.scanAll(context.Background(), in); err == nil {
-			idxs := make([]int, 0, len(n.Attrs))
-			okAll := true
-			for _, a := range n.Attrs {
-				i := src.Schema.AttrIndex(a)
-				if i < 0 {
-					okAll = false
-					break
-				}
-				idxs = append(idxs, i)
-			}
-			if okAll {
-				db.registerRerun(cmd, applyRerun{project: idxs})
-			}
-		}
+		db.registerRerun(cmd, cellRerun(func(ctx context.Context, in *array.Array) (*array.Array, error) {
+			return ops.Project(ctx, in, n.Attrs)
+		}))
 	case *parser.RegridExpr:
 		in := child(n.In, 1)
 		cmd := &provenance.Command{
@@ -582,7 +573,7 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 		}
 		if src, err := db.scanAll(context.Background(), in); err == nil {
 			if conds, err := dimConds(n.Pred); err == nil {
-				cmd.Sel = selectedIndices(src, conds)
+				cmd.Sel, _ = ops.Selection(src, conds)
 			}
 		}
 		db.log.Append(cmd)
@@ -597,32 +588,4 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 		})
 	}
 	return target
-}
-
-// selectedIndices recomputes a subsample's retained original indices for
-// the provenance record.
-func selectedIndices(a *array.Array, conds []ops.DimCond) [][]int64 {
-	out := make([][]int64, len(a.Schema.Dims))
-	for d, dim := range a.Schema.Dims {
-		hi := a.Hwm(d)
-		var preds []func(int64) bool
-		for _, c := range conds {
-			if c.Dim == dim.Name {
-				preds = append(preds, c.Pred)
-			}
-		}
-		for v := int64(1); v <= hi; v++ {
-			keep := true
-			for _, p := range preds {
-				if !p(v) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out[d] = append(out[d], v)
-			}
-		}
-	}
-	return out
 }

@@ -90,72 +90,30 @@ func (db *Database) registerRerun(cmd *provenance.Command, node interface{}) {
 		return in, out, nil
 	}
 	switch n := node.(type) {
-	case applyRerun:
+	case cellRerun:
 		db.reruns.set(cmd.ID, func(coords []array.Coord) error {
 			in, out, err := resolve()
 			if err != nil {
 				return err
 			}
-			ctx := &ops.EvalCtx{Schema: in.Schema, Reg: db.reg}
+			// The affected input cells at their own coordinates, through the
+			// logged operator.
+			sub, err := array.New(in.Schema)
+			if err != nil {
+				return err
+			}
 			for _, c := range coords {
-				cell, ok := in.At(c)
-				if !ok {
-					out.Erase(c)
-					continue
-				}
-				ctx.Coord, ctx.Cell = c, cell
-				newCell := cell.Clone()
-				for _, sp := range n.specs {
-					v, err := sp.Expr.Eval(ctx)
-					if err != nil {
+				if cell, ok := in.At(c); ok {
+					if err := sub.Set(c, cell); err != nil {
 						return err
 					}
-					newCell = append(newCell, v)
-				}
-				if n.project != nil {
-					proj := make(array.Cell, len(n.project))
-					for i, idx := range n.project {
-						proj[i] = newCell[idx]
-					}
-					newCell = proj
-				}
-				if err := out.Set(c.Clone(), newCell); err != nil {
-					return err
 				}
 			}
-			return nil
-		})
-	case filterRerun:
-		db.reruns.set(cmd.ID, func(coords []array.Coord) error {
-			in, out, err := resolve()
+			res, err := n(context.Background(), sub)
 			if err != nil {
 				return err
 			}
-			ctx := &ops.EvalCtx{Schema: in.Schema, Reg: db.reg}
-			nullCell := make(array.Cell, len(in.Schema.Attrs))
-			for i, at := range in.Schema.Attrs {
-				nullCell[i] = array.NullValue(at.Type)
-			}
-			for _, c := range coords {
-				cell, ok := in.At(c)
-				if !ok {
-					out.Erase(c)
-					continue
-				}
-				ctx.Coord, ctx.Cell = c, cell
-				keep, err := ops.Truthy(n.pred, ctx)
-				if err != nil {
-					return err
-				}
-				write := nullCell
-				if keep {
-					write = cell
-				}
-				if err := out.Set(c.Clone(), write); err != nil {
-					return err
-				}
-			}
-			return nil
+			return install(out, res, coords)
 		})
 	case ops.FoldSpec:
 		db.reruns.set(cmd.ID, func(coords []array.Coord) error {
@@ -184,15 +142,7 @@ func (db *Database) registerRerun(cmd *provenance.Command, node interface{}) {
 			if err != nil {
 				return err
 			}
-			for _, c := range coords {
-				cell, ok := res.At(c)
-				if !ok {
-					out.Erase(c)
-				} else if err := out.Set(c.Clone(), cell); err != nil {
-					return err
-				}
-			}
-			return nil
+			return install(out, res, coords)
 		})
 	case subsampleRerun:
 		db.reruns.set(cmd.ID, func(coords []array.Coord) error {
@@ -228,12 +178,24 @@ func (db *Database) registerRerun(cmd *provenance.Command, node interface{}) {
 	}
 }
 
+// install copies res's cell at each of coords into out, erasing out's cell
+// where res has none.
+func install(out, res *array.Array, coords []array.Coord) error {
+	for _, c := range coords {
+		cell, ok := res.At(c)
+		if !ok {
+			out.Erase(c)
+		} else if err := out.Set(c.Clone(), cell); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Parameter carriers for registerRerun.
 type (
-	applyRerun struct {
-		specs   []ops.ApplySpec
-		project []int // post-apply projection indexes, nil = keep all
-	}
-	filterRerun    struct{ pred ops.Expr }
+	// cellRerun runs an element-wise command's operator (filter, apply,
+	// project): its output cell at c depends on the input cell at c alone.
+	cellRerun      func(ctx context.Context, in *array.Array) (*array.Array, error)
 	subsampleRerun struct{ sel [][]int64 }
 )

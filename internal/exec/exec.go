@@ -42,7 +42,7 @@ type Pool struct {
 // the bufcache hit/miss counters.
 type Stats struct {
 	// Parallelism is the pool's worker bound.
-	Parallelism int
+	Parallelism int64
 	// TasksRun counts task-function invocations (one per chunk for the
 	// chunk drivers).
 	TasksRun int64
@@ -74,12 +74,26 @@ func (p *Pool) Parallelism() int { return p.par }
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Parallelism:     p.par,
+		Parallelism:     int64(p.par),
 		TasksRun:        p.tasksRun.Load(),
 		ChunksProcessed: p.chunksDone.Load(),
 		ParallelRuns:    p.parRuns.Load(),
 		SerialRuns:      p.serialRuns.Load(),
 		Saturation:      p.saturated.Load(),
+	}
+}
+
+// Fields lists the counters under their scidb_exec_* metric names: what the
+// process registry and every grid node's registry export, and what a grid
+// coordinator reads back.
+func (s *Stats) Fields() []obs.Field {
+	return []obs.Field{
+		{Name: "scidb_exec_parallelism", V: &s.Parallelism},
+		{Name: "scidb_exec_tasks_total", V: &s.TasksRun},
+		{Name: "scidb_exec_chunks_total", V: &s.ChunksProcessed},
+		{Name: "scidb_exec_parallel_runs_total", V: &s.ParallelRuns},
+		{Name: "scidb_exec_serial_runs_total", V: &s.SerialRuns},
+		{Name: "scidb_exec_saturation_total", V: &s.Saturation},
 	}
 }
 
@@ -196,12 +210,7 @@ func init() {
 	obs.Default().RegisterFunc("scidb_exec", "Process-wide worker pool scheduling counters.", obs.KindGauge,
 		func(emit func(obs.Sample)) {
 			s := Default().Stats()
-			emit(obs.Sample{Name: "scidb_exec_parallelism", Value: float64(s.Parallelism)})
-			emit(obs.Sample{Name: "scidb_exec_tasks_total", Value: float64(s.TasksRun)})
-			emit(obs.Sample{Name: "scidb_exec_chunks_total", Value: float64(s.ChunksProcessed)})
-			emit(obs.Sample{Name: "scidb_exec_parallel_runs_total", Value: float64(s.ParallelRuns)})
-			emit(obs.Sample{Name: "scidb_exec_serial_runs_total", Value: float64(s.SerialRuns)})
-			emit(obs.Sample{Name: "scidb_exec_saturation_total", Value: float64(s.Saturation)})
+			obs.EmitFields(emit, "", s.Fields())
 		})
 }
 

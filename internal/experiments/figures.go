@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -92,7 +93,7 @@ func init() {
 			a := figVec("A", "x", 1, 2)
 			b := figVec("B", "y", 1, 2)
 			pred := ops.Binary{Op: ops.OpEq, L: ops.AttrRef{Name: "val"}, R: ops.AttrRef{Name: "B_val"}}
-			res, err := ops.Cjoin(a, b, pred, udf.NewRegistry())
+			res, err := ops.Cjoin(context.Background(), a, b, pred, udf.NewRegistry())
 			if err != nil {
 				return err
 			}

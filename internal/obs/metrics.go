@@ -222,6 +222,37 @@ type Sample struct {
 	Value float64
 }
 
+// Field is one int64 counter of a typed stats snapshot under its metric
+// name. A stats type lists its fields once, in a Fields method; the
+// collector that exports a snapshot (EmitFields) and the reader that rebuilds
+// one from a node's samples (ReadFields) both walk that list, so neither can
+// leave a counter out.
+type Field struct {
+	Name string
+	V    *int64
+}
+
+// EmitFields emits every field as a sample under label.
+func EmitFields(emit func(Sample), label string, fields []Field) {
+	for _, f := range fields {
+		emit(Sample{Name: f.Name, Label: label, Value: float64(*f.V)})
+	}
+}
+
+// ReadFields sets every field to the first sample of its name, or to 0 when
+// samples carry none (a family the node does not register).
+func ReadFields(samples []Sample, fields []Field) {
+	for _, f := range fields {
+		*f.V = 0
+		for _, s := range samples {
+			if s.Name == f.Name {
+				*f.V = int64(s.Value)
+				break
+			}
+		}
+	}
+}
+
 // CollectFunc contributes samples under a registered family; it runs only
 // during Snapshot/WriteProm, never on the data path. Silo adapters
 // (bufcache, exec, storage, transport) are CollectFuncs that read their

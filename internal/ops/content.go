@@ -20,7 +20,13 @@ func Filter(a *array.Array, pred Expr, reg *udf.Registry) (*array.Array, error) 
 // and, when the query is traced, the operator's footprint lands on the
 // context's span.
 func FilterCtx(ctx context.Context, a *array.Array, pred Expr, reg *udf.Registry) (*array.Array, error) {
-	out := &array.Schema{Name: a.Schema.Name + "_filter", Dims: dimsWithHwm(a), Attrs: a.Schema.Attrs}
+	return filter(ctx, a, &array.Schema{Name: a.Schema.Name + "_filter", Dims: dimsWithHwm(a), Attrs: a.Schema.Attrs}, pred, reg)
+}
+
+// filter is the one body of Filter and Cjoin: a task per live chunk of a
+// writes the chunk's cells into an array of schema out (a's attributes, on
+// a's grid), each kept or NULLed by pred.
+func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, reg *udf.Registry) (*array.Array, error) {
 	res, err := array.New(out)
 	if err != nil {
 		return nil, err
@@ -133,62 +139,14 @@ func AggregateCtx(ctx context.Context, a *array.Array, groupDims []string, specs
 // data values only. Joining an m-dimensional and an n-dimensional array
 // yields an (m+n)-dimensional array with concatenated cell tuples wherever
 // the predicate is true and NULL where it is false. Cells where either
-// input is absent stay absent.
-func Cjoin(a, b *array.Array, pred Expr, reg *udf.Registry) (*array.Array, error) {
-	sa, sb := a.Schema, b.Schema
-	out := &array.Schema{Name: sa.Name + "_cjoin_" + sb.Name}
-	out.Dims = append(out.Dims, dimsWithHwm(a)...)
-	for _, dim := range dimsWithHwm(b) {
-		name := dim.Name
-		if out.DimIndex(name) >= 0 {
-			name = sb.Name + "_" + name
-		}
-		out.Dims = append(out.Dims, array.Dimension{Name: name, High: dim.High})
-	}
-	out.Attrs = concatAttrs(sa, sb)
-	res, err := array.New(out)
+// input is absent stay absent. It is Filter over the cross product, whose
+// schema (named a's name, "_cjoin_", b's name) the predicate evaluates over.
+func Cjoin(ctx context.Context, a, b *array.Array, pred Expr, reg *udf.Registry) (*array.Array, error) {
+	cross, err := join(ctx, a, b, nil, "_cjoin_")
 	if err != nil {
 		return nil, err
 	}
-	// The predicate evaluates over the concatenated schema.
-	joinedSchema := out
-	nullCell := make(array.Cell, len(out.Attrs))
-	for i, at := range out.Attrs {
-		nullCell[i] = array.NullValue(at.Type)
-	}
-	ctx := &EvalCtx{Schema: joinedSchema, Reg: reg}
-	var evalErr error
-	a.IterReuse(func(ca array.Coord, cellA array.Cell) bool {
-		ok := true
-		b.IterReuse(func(cb array.Coord, cellB array.Cell) bool {
-			dst := append(ca.Clone(), cb...)
-			joined := append(cellA.Clone(), cellB...)
-			ctx.Coord, ctx.Cell = dst, joined
-			match, err := Truthy(pred, ctx)
-			if err != nil {
-				evalErr = err
-				ok = false
-				return false
-			}
-			var werr error
-			if match {
-				werr = res.Set(dst, joined)
-			} else {
-				werr = res.Set(dst, nullCell)
-			}
-			if werr != nil {
-				evalErr = werr
-				ok = false
-				return false
-			}
-			return true
-		})
-		return ok
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return res, nil
+	return filter(ctx, cross, cross.Schema, pred, reg)
 }
 
 // ApplySpec names one computed attribute: Name := Expr.
@@ -291,36 +249,49 @@ func ApplyCtx(ctx context.Context, a *array.Array, specs []ApplySpec, reg *udf.R
 	return res, nil
 }
 
-// Project (§2.2.2) keeps only the named attributes.
-func Project(a *array.Array, attrs []string) (*array.Array, error) {
+// Project (§2.2.2) keeps only the named attributes: a task per live chunk
+// copies the kept columns and the presence bitmap.
+func Project(ctx context.Context, a *array.Array, attrs []string) (*array.Array, error) {
 	s := a.Schema
-	idx := make([]int, len(attrs))
+	keep := make([]int, len(attrs))
 	out := &array.Schema{Name: s.Name + "_project", Dims: dimsWithHwm(a)}
 	for i, name := range attrs {
-		j := s.AttrIndex(name)
-		if j < 0 {
+		if keep[i] = s.AttrIndex(name); keep[i] < 0 {
 			return nil, fmt.Errorf("ops: unknown attribute %q", name)
 		}
-		idx[i] = j
-		out.Attrs = append(out.Attrs, s.Attrs[j])
+		out.Attrs = append(out.Attrs, s.Attrs[keep[i]])
 	}
 	res, err := array.New(out)
 	if err != nil {
 		return nil, err
 	}
-	var setErr error
-	a.IterReuse(func(c array.Coord, cell array.Cell) bool {
-		newCell := make(array.Cell, len(idx))
-		for i, j := range idx {
-			newCell[i] = cell[j]
+	work := liveChunks(a)
+	spanChunks(ctx, work)
+	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
+		ch := work[i]
+		oc := array.NewChunk(out, ch.Origin, res.GridShape(ch.Origin))
+		if shapeEq(ch.Shape, oc.Shape) {
+			oc.Present.OrRange(ch.Present, 0, oc.Slots())
+			for k, j := range keep {
+				oc.Cols[k].CopyMasked(ch.Cols[j], 0, 0, oc.Slots(), ch.Present)
+			}
+			return oc, nil
 		}
-		if err := res.Set(c.Clone(), newCell); err != nil {
-			setErr = err
-			return false
-		}
-		return true
+		// A chunk of an unbounded dimension reaches past the output's
+		// bound, so its slots re-index.
+		return oc, eachPresent(ch, func(idx int64, c array.Coord) error {
+			oidx := oc.Index(c)
+			oc.Present.Set(oidx)
+			for k, j := range keep {
+				oc.Cols[k].CopyFrom(ch.Cols[j], oidx, idx)
+			}
+			return nil
+		})
 	})
-	return res, setErr
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Regrid is the science operation the paper calls out in §2.3 ("science

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestFigure3Cjoin(t *testing.T) {
 	a := vec1D(t, "A", "x", 1, 2)
 	b := vec1D(t, "B", "y", 1, 2)
 	pred := Binary{Op: OpEq, L: AttrRef{Name: "val"}, R: AttrRef{Name: "B_val"}}
-	res, err := Cjoin(a, b, pred, reg())
+	res, err := Cjoin(context.Background(), a, b, pred, reg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestReshapePaperExample(t *testing.T) {
 			}
 		}
 	}
-	res, err := Reshape(g, []string{"X", "Z", "Y"},
+	res, err := Reshape(context.Background(), g, []string{"X", "Z", "Y"},
 		[]array.Dimension{{Name: "U", High: 8}, {Name: "V", High: 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestReshapeTo1D(t *testing.T) {
 	}
 	g := array.MustNew(s)
 	_ = g.Fill(func(c array.Coord) array.Cell { return array.Cell{array.Int64(c[0])} })
-	res, err := Reshape(g, []string{"X", "Y", "Z"}, []array.Dimension{{Name: "i", High: 24}})
+	res, err := Reshape(context.Background(), g, []string{"X", "Y", "Z"}, []array.Dimension{{Name: "i", High: 24}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,19 +270,19 @@ func TestReshapeTo1D(t *testing.T) {
 
 func TestReshapeErrors(t *testing.T) {
 	g := grid2D(t, "G", 2, 3, make([]int64, 6))
-	if _, err := Reshape(g, []string{"x"}, []array.Dimension{{Name: "u", High: 6}}); err == nil {
+	if _, err := Reshape(context.Background(), g, []string{"x"}, []array.Dimension{{Name: "u", High: 6}}); err == nil {
 		t.Error("short order accepted")
 	}
-	if _, err := Reshape(g, []string{"x", "x"}, []array.Dimension{{Name: "u", High: 6}}); err == nil {
+	if _, err := Reshape(context.Background(), g, []string{"x", "x"}, []array.Dimension{{Name: "u", High: 6}}); err == nil {
 		t.Error("repeated order accepted")
 	}
-	if _, err := Reshape(g, []string{"x", "q"}, []array.Dimension{{Name: "u", High: 6}}); err == nil {
+	if _, err := Reshape(context.Background(), g, []string{"x", "q"}, []array.Dimension{{Name: "u", High: 6}}); err == nil {
 		t.Error("unknown dim accepted")
 	}
-	if _, err := Reshape(g, []string{"x", "y"}, []array.Dimension{{Name: "u", High: 5}}); err == nil {
+	if _, err := Reshape(context.Background(), g, []string{"x", "y"}, []array.Dimension{{Name: "u", High: 5}}); err == nil {
 		t.Error("cell-count mismatch accepted")
 	}
-	if _, err := Reshape(g, []string{"x", "y"}, []array.Dimension{{Name: "u", High: array.Unbounded}}); err == nil {
+	if _, err := Reshape(context.Background(), g, []string{"x", "y"}, []array.Dimension{{Name: "u", High: array.Unbounded}}); err == nil {
 		t.Error("unbounded target accepted")
 	}
 }
@@ -336,7 +337,7 @@ func TestSjoinErrors(t *testing.T) {
 
 func TestAddRemoveDim(t *testing.T) {
 	a := vec1D(t, "A", "x", 7, 8)
-	up, err := AddDim(a, "layer")
+	up, err := AddDim(context.Background(), a, "layer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,22 +345,22 @@ func TestAddRemoveDim(t *testing.T) {
 		t.Fatalf("dims after AddDim = %v", up.Schema.Dims)
 	}
 	wantInt(t, up, array.Coord{1, 2}, 0, 8)
-	down, err := RemoveDim(up, "layer")
+	down, err := RemoveDim(context.Background(), up, "layer")
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantInt(t, down, array.Coord{2}, 0, 8)
-	if _, err := RemoveDim(a, "x"); err == nil {
+	if _, err := RemoveDim(context.Background(), a, "x"); err == nil {
 		t.Error("removing the last dimension accepted")
 	}
-	if _, err := AddDim(a, "x"); err == nil {
+	if _, err := AddDim(context.Background(), a, "x"); err == nil {
 		t.Error("duplicate dimension accepted")
 	}
-	if _, err := RemoveDim(up, "q"); err == nil {
+	if _, err := RemoveDim(context.Background(), up, "q"); err == nil {
 		t.Error("unknown dimension accepted")
 	}
 	wide := grid2D(t, "W", 2, 2, []int64{1, 2, 3, 4})
-	if _, err := RemoveDim(wide, "x"); err == nil {
+	if _, err := RemoveDim(context.Background(), wide, "x"); err == nil {
 		t.Error("removing extent-2 dimension accepted")
 	}
 }
@@ -367,7 +368,7 @@ func TestAddRemoveDim(t *testing.T) {
 func TestConcat(t *testing.T) {
 	a := vec1D(t, "A", "x", 1, 2)
 	b := vec1D(t, "B", "x", 3, 4, 5)
-	res, err := Concat(a, b, "x")
+	res, err := Concat(context.Background(), a, b, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,10 +381,10 @@ func TestConcat(t *testing.T) {
 	// Mismatched other-dimension extents are rejected.
 	g1 := grid2D(t, "G1", 2, 2, []int64{1, 2, 3, 4})
 	g2 := grid2D(t, "G2", 2, 3, []int64{1, 2, 3, 4, 5, 6})
-	if _, err := Concat(g1, g2, "x"); err == nil {
+	if _, err := Concat(context.Background(), g1, g2, "x"); err == nil {
 		t.Error("extent mismatch accepted")
 	}
-	if _, err := Concat(g1, g2, "q"); err == nil {
+	if _, err := Concat(context.Background(), g1, g2, "q"); err == nil {
 		t.Error("unknown dimension accepted")
 	}
 }
@@ -391,7 +392,7 @@ func TestConcat(t *testing.T) {
 func TestCrossProduct(t *testing.T) {
 	a := vec1D(t, "A", "x", 1, 2)
 	b := vec1D(t, "B", "y", 10, 20, 30)
-	res, err := CrossProduct(a, b)
+	res, err := CrossProduct(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +508,7 @@ func TestApplyAndProject(t *testing.T) {
 	}
 	wantInt(t, res, array.Coord{2, 1}, 1, 6)
 	wantInt(t, res, array.Coord{2, 1}, 2, 2)
-	proj, err := Project(res, []string{"double"})
+	proj, err := Project(context.Background(), res, []string{"double"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +516,7 @@ func TestApplyAndProject(t *testing.T) {
 		t.Fatalf("projected attrs = %d", len(proj.Schema.Attrs))
 	}
 	wantInt(t, proj, array.Coord{2, 2}, 0, 8)
-	if _, err := Project(res, []string{"nope"}); err == nil {
+	if _, err := Project(context.Background(), res, []string{"nope"}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 }

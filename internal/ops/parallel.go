@@ -1,11 +1,16 @@
 package ops
 
-// Chunk execution: the one body of the hot operators (Filter, Apply,
-// Aggregate, Regrid, Subsample, Sjoin). The paper's premise (§2.4, §2.10) is
-// that array operators are per-chunk kernels over a regular chunked layout:
-// each task processes one whole input chunk and either writes one disjoint
-// output chunk, installed with PutChunk after the barrier — no locking on
-// the output — or folds the chunk into a partial accumulator table.
+// Chunk execution: the one body of every operator. The paper's premise
+// (§2.4, §2.10) is that array operators are per-chunk kernels over a regular
+// chunked layout: each task processes one whole chunk and either writes one
+// disjoint output chunk, installed with PutChunk after the barrier — no
+// locking on the output — or folds the chunk into a partial accumulator
+// table. Operators that are special cases share a kernel: gather
+// (structural.go) places input cells by a coordinate map for Subsample,
+// Reshape, AddDim, RemoveDim and Concat; join runs Sjoin and, with no
+// dimension pairs, CrossProduct; filter runs Filter and Cjoin, a filter over
+// the cross product. Apply, Project and Window have a task of their own and
+// Aggregate/Regrid run on the fold engine (fold.go).
 // exec.Pool.Map schedules the tasks: inline and in index order on the caller
 // when the pool's parallelism is 1 or there is a single task, spread over
 // recruited workers otherwise. There is no second path to select.
@@ -86,7 +91,7 @@ func effChunkLen(d array.Dimension) int64 {
 func dimsWithHwm(a *array.Array) []array.Dimension {
 	out := make([]array.Dimension, len(a.Schema.Dims))
 	for i, d := range a.Schema.Dims {
-		out[i] = array.Dimension{Name: d.Name, High: max64(a.Hwm(i), 1), ChunkLen: effChunkLen(d)}
+		out[i] = array.Dimension{Name: d.Name, High: max(a.Hwm(i), 1), ChunkLen: effChunkLen(d)}
 	}
 	return out
 }
@@ -145,15 +150,25 @@ type peeker struct {
 
 // get resolves c to its chunk and slot; ok is false for absent cells.
 func (p *peeker) get(c array.Coord) (*array.Chunk, int64, bool) {
-	if !p.a.CoordInside(c) {
-		return nil, 0, false
-	}
 	if p.last == nil || !p.box.Contains(c) {
+		if !p.a.CoordInside(c) {
+			return nil, 0, false
+		}
 		ch, ok := p.a.ChunkAt(c)
 		if !ok {
 			return nil, 0, false
 		}
+		// The box kept is cut to the array's declared bounds, so a
+		// coordinate inside it is a legal address but for the shape function.
 		p.last, p.box = ch, ch.Box()
+		for d, dim := range p.a.Schema.Dims {
+			p.box.Lo[d] = max(p.box.Lo[d], 1)
+			if dim.High != array.Unbounded {
+				p.box.Hi[d] = min(p.box.Hi[d], dim.High)
+			}
+		}
+	} else if p.a.Shape != nil && !p.a.Shape.Contains(c) {
+		return nil, 0, false
 	}
 	idx := p.last.Index(c)
 	if !p.last.Present.Get(idx) {
@@ -162,9 +177,9 @@ func (p *peeker) get(c array.Coord) (*array.Chunk, int64, bool) {
 	return p.last, idx, true
 }
 
-// gridOrigins enumerates the chunk origins of a's grid covering its full
-// declared bounds, in origin order. The array's dimensions must be bounded.
-func gridOrigins(a *array.Array) []array.Coord {
+// gridOrigins enumerates, in origin order, the chunk origins of a's grid
+// that meet box, which must lie within a's bounded dimensions.
+func gridOrigins(a *array.Array, box array.Box) []array.Coord {
 	dims := a.Schema.Dims
 	nd := len(dims)
 	steps := make([]int64, nd)
@@ -174,20 +189,18 @@ func gridOrigins(a *array.Array) []array.Coord {
 			steps[i] = d.High
 		}
 	}
+	lo := a.GridOrigin(box.Lo)
 	var out []array.Coord
-	cur := make(array.Coord, nd)
-	for i := range cur {
-		cur[i] = 1
-	}
+	cur := lo.Clone()
 	for {
 		out = append(out, cur.Clone())
 		d := nd - 1
 		for d >= 0 {
 			cur[d] += steps[d]
-			if cur[d] <= dims[d].High {
+			if cur[d] <= box.Hi[d] {
 				break
 			}
-			cur[d] = 1
+			cur[d] = lo[d]
 			d--
 		}
 		if d < 0 {

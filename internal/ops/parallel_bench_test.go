@@ -139,3 +139,62 @@ func BenchmarkParallelSjoin(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkStructural runs the operators on the gather, join and filter
+// kernels that no suite statement reaches — reshape, concat, adddim, remdim,
+// project, cross and cjoin — at parallelism 1 ("serial") and at the
+// machine's core count ("par=N"), each row reporting ns per output cell.
+// The unary ones and concat take a 256² array in 64² chunks; cross and cjoin
+// pair a 64-cell vector in chunks of 8 with a 64² array.
+func BenchmarkStructural(b *testing.B) {
+	ctx := context.Background()
+	reg := udf.NewRegistry()
+	grid := benchGrid(b, 256, 64)
+	vec := array.MustNew(&array.Schema{Name: "A", Dims: []array.Dimension{{Name: "i", High: 64, ChunkLen: 8}},
+		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}}})
+	if err := vec.Fill(func(c array.Coord) array.Cell { return array.Cell{array.Float64(float64(c[0] * 16))} }); err != nil {
+		b.Fatal(err)
+	}
+	small := benchGrid(b, 64, 16)
+	up, err := AddDim(ctx, grid, "layer")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred := Binary{Op: OpLt, L: AttrRef{Name: "v"}, R: AttrRef{Name: "B_v"}}
+	for _, op := range []struct {
+		name string
+		run  func() (*array.Array, error)
+	}{
+		{"reshape", func() (*array.Array, error) {
+			return Reshape(ctx, grid, []string{"y", "x"}, []array.Dimension{{Name: "u", High: 256 * 256, ChunkLen: 4096}})
+		}},
+		{"concat", func() (*array.Array, error) { return Concat(ctx, grid, grid, "x") }},
+		{"adddim", func() (*array.Array, error) { return AddDim(ctx, grid, "layer") }},
+		{"remdim", func() (*array.Array, error) { return RemoveDim(ctx, up, "layer") }},
+		{"project", func() (*array.Array, error) { return Project(ctx, grid, []string{"v"}) }},
+		{"cross", func() (*array.Array, error) { return CrossProduct(ctx, vec, small) }},
+		{"cjoin", func() (*array.Array, error) { return Cjoin(ctx, vec, small, pred, reg) }},
+	} {
+		for _, par := range []int{1, runtime.NumCPU()} {
+			name := fmt.Sprintf("%s/par=%d", op.name, par)
+			if par == 1 {
+				name = op.name + "/serial"
+			}
+			b.Run(name, func(b *testing.B) {
+				old := exec.Parallelism()
+				exec.SetParallelism(par)
+				defer exec.SetParallelism(old)
+				b.ReportAllocs()
+				var cells int64
+				for i := 0; i < b.N; i++ {
+					res, err := op.run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					cells = res.Count()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+			})
+		}
+	}
+}

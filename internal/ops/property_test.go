@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -127,7 +128,7 @@ func TestPropertyReshapePreservesValues(t *testing.T) {
 	f := func(vals []int16) bool {
 		rows, cols := dims(vals)
 		a := randomGrid(vals, rows, cols)
-		r, err := Reshape(a, []string{"x", "y"}, []array.Dimension{{Name: "i", High: rows * cols}})
+		r, err := Reshape(context.Background(), a, []string{"x", "y"}, []array.Dimension{{Name: "i", High: rows * cols}})
 		if err != nil {
 			return false
 		}
@@ -383,7 +384,7 @@ func TestPropertyConcatCounts(t *testing.T) {
 		a := randomGrid(vals1, rows, cols)
 		b := randomGrid(vals2, rows, cols) // same shape
 		// Force identical bounds: randomGrid uses the same rows/cols.
-		res, err := Concat(a, b, "x")
+		res, err := Concat(context.Background(), a, b, "x")
 		if err != nil {
 			return false
 		}
@@ -399,7 +400,7 @@ func TestPropertyCrossCounts(t *testing.T) {
 	f := func(vals1, vals2 []int16) bool {
 		a := randomGrid(vals1, 3, 2)
 		b := randomGrid(vals2, 2, 3)
-		res, err := CrossProduct(a, b)
+		res, err := CrossProduct(context.Background(), a, b)
 		if err != nil {
 			return false
 		}

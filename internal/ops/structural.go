@@ -3,6 +3,7 @@ package ops
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"scidb/internal/array"
 	"scidb/internal/udf"
@@ -76,82 +77,24 @@ func Subsample(a *array.Array, conds []DimCond) (*array.Array, error) {
 // SubsampleCtx is Subsample under a context (cancellation + span counters).
 func SubsampleCtx(ctx context.Context, a *array.Array, conds []DimCond) (*array.Array, error) {
 	s := a.Schema
-	// Selected original indices per dimension.
-	sel := make([][]int64, len(s.Dims))
-	for d, dim := range s.Dims {
-		hi := a.Hwm(d)
-		var preds []func(int64) bool
-		for _, c := range conds {
-			if c.Dim == dim.Name {
-				preds = append(preds, c.Pred)
-			} else if s.DimIndex(c.Dim) < 0 {
-				return nil, fmt.Errorf("ops: subsample condition on unknown dimension %q", c.Dim)
-			}
-		}
-		for v := int64(1); v <= hi; v++ {
-			keep := true
-			for _, p := range preds {
-				if !p(v) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				sel[d] = append(sel[d], v)
-			}
-		}
-	}
-
-	// The output keeps the input's chunk strides; one task fills each chunk
-	// of its grid, copying the selected cells' columns directly.
-	out := &array.Schema{Name: s.Name + "_subsample", Dims: dimsWithHwm(a), Attrs: s.Attrs}
-	for d := range out.Dims {
-		out.Dims[d].High = max64(int64(len(sel[d])), 1)
-	}
-	res, err := array.New(out)
+	sel, err := Selection(a, conds)
 	if err != nil {
 		return nil, err
 	}
-	spanChunks(ctx, liveChunks(a))
-	origins := gridOrigins(res)
-	nd := len(out.Dims)
-	err = mapChunks(ctx, res, len(origins), func(i int) (*array.Chunk, error) {
-		oc := array.NewChunk(out, origins[i], res.GridShape(origins[i]))
-		pk := peeker{a: a}
-		src := make(array.Coord, nd)
-		dst := origins[i].Clone()
-		any := false
-		slots := oc.Slots()
-		for idx := int64(0); idx < slots; idx++ {
-			inSel := true
-			for d := 0; d < nd; d++ {
-				if dst[d] > int64(len(sel[d])) {
-					inSel = false
-					break
-				}
-				src[d] = sel[d][dst[d]-1]
+	// The output keeps the input's chunk strides; output index k of a
+	// dimension reads the k-th selected original index.
+	out := &array.Schema{Name: s.Name + "_subsample", Dims: dimsWithHwm(a), Attrs: s.Attrs}
+	for d := range out.Dims {
+		out.Dims[d].High = max(int64(len(sel[d])), 1)
+	}
+	res, err := gather(ctx, out, []*array.Array{a}, nil, func(dst, src array.Coord) int {
+		for d := range dst {
+			if dst[d] > int64(len(sel[d])) {
+				return -1
 			}
-			if inSel {
-				if sc, sidx, ok := pk.get(src); ok {
-					oc.Present.Set(idx)
-					for ai := range oc.Cols {
-						oc.Cols[ai].CopyFrom(sc.Cols[ai], idx, sidx)
-					}
-					any = true
-				}
-			}
-			for d := nd - 1; d >= 0; d-- {
-				dst[d]++
-				if dst[d] < oc.Origin[d]+oc.Shape[d] {
-					break
-				}
-				dst[d] = oc.Origin[d]
-			}
+			src[d] = sel[d][dst[d]-1]
 		}
-		if !any {
-			return nil, nil
-		}
-		return oc, nil
+		return 0
 	})
 	if err != nil {
 		return nil, err
@@ -195,17 +138,47 @@ func SubsampleCtx(ctx context.Context, a *array.Array, conds []DimCond) (*array.
 	return res, nil
 }
 
+// Selection lists, per dimension of a, the original indices a Subsample by
+// conds keeps, ascending: output index k of the dimension is the k-th.
+func Selection(a *array.Array, conds []DimCond) ([][]int64, error) {
+	s := a.Schema
+	sel := make([][]int64, len(s.Dims))
+	for d, dim := range s.Dims {
+		var preds []func(int64) bool
+		for _, c := range conds {
+			if c.Dim == dim.Name {
+				preds = append(preds, c.Pred)
+			} else if s.DimIndex(c.Dim) < 0 {
+				return nil, fmt.Errorf("ops: subsample condition on unknown dimension %q", c.Dim)
+			}
+		}
+	next:
+		for v := int64(1); v <= a.Hwm(d); v++ {
+			for _, p := range preds {
+				if !p(v) {
+					continue next
+				}
+			}
+			sel[d] = append(sel[d], v)
+		}
+	}
+	return sel, nil
+}
+
 // Reshape converts an array to a new shape with the same number of cells
 // (§2.2.1). order lists the input dimensions from slowest- to
 // fastest-iterating ("first imagine that G is linearized by iterating over
 // X most slowly and Y most quickly"); newDims gives the output dimensions.
-func Reshape(a *array.Array, order []string, newDims []array.Dimension) (*array.Array, error) {
+// Output cell k in row-major order is input cell k of that linearization.
+func Reshape(ctx context.Context, a *array.Array, order []string, newDims []array.Dimension) (*array.Array, error) {
 	s := a.Schema
 	if len(order) != len(s.Dims) {
 		return nil, fmt.Errorf("ops: reshape order lists %d dims, array has %d", len(order), len(s.Dims))
 	}
 	perm := make([]int, len(order))
+	permShape := make([]int64, len(order))
 	seen := map[string]bool{}
+	inCells := int64(1)
 	for i, name := range order {
 		d := s.DimIndex(name)
 		if d < 0 {
@@ -215,65 +188,31 @@ func Reshape(a *array.Array, order []string, newDims []array.Dimension) (*array.
 			return nil, fmt.Errorf("ops: reshape order repeats dimension %q", name)
 		}
 		seen[name] = true
-		perm[i] = d
-	}
-	inCells := int64(1)
-	for d := range s.Dims {
+		perm[i], permShape[i] = d, a.Hwm(d)
 		inCells *= a.Hwm(d)
 	}
 	outCells := int64(1)
-	for _, d := range newDims {
+	outShape := make([]int64, len(newDims))
+	ones := make(array.Coord, len(newDims))
+	for i, d := range newDims {
 		if d.High == array.Unbounded || d.High < 1 {
 			return nil, fmt.Errorf("ops: reshape target dimension %s must be bounded", d.Name)
 		}
 		outCells *= d.High
+		outShape[i], ones[i] = d.High, 1
 	}
 	if inCells != outCells {
 		return nil, fmt.Errorf("ops: reshape cell-count mismatch: %d in, %d out", inCells, outCells)
 	}
 	out := &array.Schema{Name: s.Name + "_reshape", Dims: newDims, Attrs: s.Attrs}
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
-	}
-
-	// Walk the input in the linearization order and the output row-major.
-	permShape := make([]int64, len(perm))
-	for i, d := range perm {
-		permShape[i] = a.Hwm(d)
-	}
-	outShape := make([]int64, len(newDims))
-	outOrigin := make(array.Coord, len(newDims))
-	for i, d := range newDims {
-		outShape[i] = d.High
-		outOrigin[i] = 1
-	}
-	permOrigin := make(array.Coord, len(perm))
-	for i := range permOrigin {
-		permOrigin[i] = 1
-	}
-	var linear int64
-	var iterErr error
-	array.IterBox(array.Box{Lo: permOrigin, Hi: permShape}, func(pc array.Coord) bool {
-		// pc is in permuted order; map back to the source coordinate.
-		src := make(array.Coord, len(perm))
-		for i, d := range perm {
-			src[d] = pc[i]
+	return gather(ctx, out, []*array.Array{a}, nil, func(dst, src array.Coord) int {
+		k := array.RowMajorIndex(ones, outShape, dst)
+		for i := len(perm) - 1; i >= 0; i-- {
+			src[perm[i]] = 1 + k%permShape[i]
+			k /= permShape[i]
 		}
-		if cell, ok := a.At(src); ok {
-			dst := array.CoordAt(outOrigin, outShape, linear)
-			if err := res.Set(dst, cell); err != nil {
-				iterErr = err
-				return false
-			}
-		}
-		linear++
-		return true
+		return 0
 	})
-	if iterErr != nil {
-		return nil, iterErr
-	}
-	return res, nil
 }
 
 // DimPair names one equality conjunct of an Sjoin predicate:
@@ -291,10 +230,24 @@ func Sjoin(a, b *array.Array, on []DimPair) (*array.Array, error) {
 
 // SjoinCtx is Sjoin under a context (cancellation + span counters).
 func SjoinCtx(ctx context.Context, a, b *array.Array, on []DimPair) (*array.Array, error) {
-	sa, sb := a.Schema, b.Schema
 	if len(on) == 0 {
 		return nil, fmt.Errorf("ops: sjoin requires at least one dimension pair")
 	}
+	return join(ctx, a, b, on, "_sjoin_")
+}
+
+// CrossProduct pairs every cell of a with every cell of b (§2.2.1 "cross
+// product"): an (m+n)-dimensional array of concatenated tuples — the join
+// with no dimension pairs.
+func CrossProduct(ctx context.Context, a, b *array.Array) (*array.Array, error) {
+	return join(ctx, a, b, nil, "_cross_")
+}
+
+// join is the one body of Sjoin and CrossProduct, the output named a's name,
+// infix, b's name: a pool task per live chunk of a pairs its cells with the
+// cells of b the dimension pairs name — with no pairs, every cell of b.
+func join(ctx context.Context, a, b *array.Array, on []DimPair, infix string) (*array.Array, error) {
+	sa, sb := a.Schema, b.Schema
 	lidx := make([]int, len(on))
 	ridx := make([]int, len(on))
 	joined := make(map[int]bool) // b dims consumed by the join
@@ -310,7 +263,7 @@ func SjoinCtx(ctx context.Context, a, b *array.Array, on []DimPair) (*array.Arra
 	// A's dimensions keep A's chunk strides and B's free dimensions span
 	// their full extent, so each A chunk maps to exactly one disjoint output
 	// chunk.
-	out := &array.Schema{Name: sa.Name + "_sjoin_" + sb.Name, Dims: dimsWithHwm(a)}
+	out := &array.Schema{Name: sa.Name + infix + sb.Name, Dims: dimsWithHwm(a)}
 	var bFree []int
 	for d, dim := range sb.Dims {
 		if joined[d] {
@@ -321,7 +274,7 @@ func SjoinCtx(ctx context.Context, a, b *array.Array, on []DimPair) (*array.Arra
 		if out.DimIndex(name) >= 0 {
 			name = sb.Name + "_" + name
 		}
-		out.Dims = append(out.Dims, array.Dimension{Name: name, High: max64(b.Hwm(d), 1)})
+		out.Dims = append(out.Dims, array.Dimension{Name: name, High: max(b.Hwm(d), 1)})
 	}
 	out.Attrs = concatAttrs(sa, sb)
 	res, err := array.New(out)
@@ -331,6 +284,27 @@ func SjoinCtx(ctx context.Context, a, b *array.Array, on []DimPair) (*array.Arra
 	work := liveChunks(a)
 	spanChunks(ctx, work)
 	na, naAttrs := len(sa.Dims), len(sa.Attrs)
+	// Without pairs a task walks b's live cells, not its dense extent: each
+	// is listed once with its row-major offset within that extent.
+	type bCell struct {
+		ch       *array.Chunk
+		idx, off int64
+	}
+	var bCells []bCell
+	if len(on) == 0 {
+		bWork := liveChunks(b)
+		spanChunks(ctx, bWork)
+		ones, ext := make(array.Coord, len(sb.Dims)), make([]int64, len(sb.Dims))
+		for d := range ext {
+			ones[d], ext[d] = 1, out.Dims[na+d].High
+		}
+		for _, bch := range bWork {
+			_ = eachPresent(bch, func(idx int64, cb array.Coord) error {
+				bCells = append(bCells, bCell{bch, idx, array.RowMajorIndex(ones, ext, cb)})
+				return nil
+			})
+		}
+	}
 	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
 		ch := work[i]
 		ocOrigin := make(array.Coord, len(out.Dims))
@@ -341,7 +315,7 @@ func SjoinCtx(ctx context.Context, a, b *array.Array, on []DimPair) (*array.Arra
 		oc := array.NewChunk(out, ocOrigin, res.GridShape(ocOrigin))
 		pk := peeker{a: b}
 		cb := make(array.Coord, len(sb.Dims))
-		dst := make(array.Coord, len(out.Dims))
+		dst := ocOrigin.Clone()
 		any := false
 		// For each cell of the A chunk (slot idx) derive B's joined
 		// coordinates, then scan B's free dimensions.
@@ -372,11 +346,27 @@ func SjoinCtx(ctx context.Context, a, b *array.Array, on []DimPair) (*array.Arra
 			}
 		}
 		_ = eachPresent(ch, func(slot int64, ca array.Coord) error {
+			copy(dst, ca)
+			if len(on) == 0 {
+				// dst is (ca, 1, …, 1): the first output slot of ca's row.
+				row := oc.Index(dst)
+				for _, bc := range bCells {
+					oidx := row + bc.off
+					oc.Present.Set(oidx)
+					for ai := 0; ai < naAttrs; ai++ {
+						oc.Cols[ai].CopyFrom(ch.Cols[ai], oidx, slot)
+					}
+					for ai, col := range bc.ch.Cols {
+						oc.Cols[naAttrs+ai].CopyFrom(col, oidx, bc.idx)
+					}
+				}
+				any = any || len(bCells) > 0
+				return nil
+			}
 			idx = slot
 			for k := range lidx {
 				cb[ridx[k]] = ca[lidx[k]]
 			}
-			copy(dst, ca)
 			scan(0)
 			return nil
 		})
@@ -393,32 +383,24 @@ func SjoinCtx(ctx context.Context, a, b *array.Array, on []DimPair) (*array.Arra
 
 // AddDim adds a new size-1 dimension named name at the front (§2.2.1 "add
 // dimension").
-func AddDim(a *array.Array, name string) (*array.Array, error) {
+func AddDim(ctx context.Context, a *array.Array, name string) (*array.Array, error) {
 	s := a.Schema
 	if s.DimIndex(name) >= 0 || s.AttrIndex(name) >= 0 {
 		return nil, fmt.Errorf("ops: dimension %q already exists", name)
 	}
 	out := &array.Schema{Name: s.Name + "_adddim", Attrs: s.Attrs}
 	out.Dims = append([]array.Dimension{{Name: name, High: 1}}, dimsWithHwm(a)...)
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
-	}
-	var setErr error
-	a.IterReuse(func(c array.Coord, cell array.Cell) bool {
-		dst := append(array.Coord{1}, c...)
-		if err := res.Set(dst, cell); err != nil {
-			setErr = err
-			return false
-		}
-		return true
+	return gather(ctx, out, []*array.Array{a}, func(_ int, b array.Box) array.Box {
+		return array.Box{Lo: append(array.Coord{1}, b.Lo...), Hi: append(array.Coord{1}, b.Hi...)}
+	}, func(dst, src array.Coord) int {
+		copy(src, dst[1:])
+		return 0
 	})
-	return res, setErr
 }
 
 // RemoveDim removes a dimension whose extent is 1 (§2.2.1 "remove
 // dimension").
-func RemoveDim(a *array.Array, name string) (*array.Array, error) {
+func RemoveDim(ctx context.Context, a *array.Array, name string) (*array.Array, error) {
 	s := a.Schema
 	d := s.DimIndex(name)
 	if d < 0 {
@@ -430,37 +412,22 @@ func RemoveDim(a *array.Array, name string) (*array.Array, error) {
 	if len(s.Dims) == 1 {
 		return nil, fmt.Errorf("ops: cannot remove the last dimension")
 	}
-	out := &array.Schema{Name: s.Name + "_rmdim", Attrs: s.Attrs}
-	for i, dim := range dimsWithHwm(a) {
-		if i != d {
-			out.Dims = append(out.Dims, dim)
-		}
-	}
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
-	}
-	var setErr error
-	a.IterReuse(func(c array.Coord, cell array.Cell) bool {
-		dst := make(array.Coord, 0, len(c)-1)
-		for i, v := range c {
-			if i != d {
-				dst = append(dst, v)
-			}
-		}
-		if err := res.Set(dst, cell); err != nil {
-			setErr = err
-			return false
-		}
-		return true
+	out := &array.Schema{Name: s.Name + "_rmdim", Attrs: s.Attrs, Dims: slices.Delete(dimsWithHwm(a), d, d+1)}
+	return gather(ctx, out, []*array.Array{a}, func(_ int, b array.Box) array.Box {
+		return array.Box{Lo: slices.Delete(b.Lo, d, d+1), Hi: slices.Delete(b.Hi, d, d+1)}
+	}, func(dst, src array.Coord) int {
+		copy(src, dst[:d])
+		src[d] = 1
+		copy(src[d+1:], dst[d:])
+		return 0
 	})
-	return res, setErr
 }
 
 // Concat concatenates b after a along the named dimension (§2.2.1
 // "concatenate"); b's indices in that dimension are shifted by a's extent.
-// The arrays must agree on all other dimension extents and on attributes.
-func Concat(a, b *array.Array, dim string) (*array.Array, error) {
+// The arrays must agree on all other dimension extents and on the number of
+// attributes; b's values convert to a's attribute types.
+func Concat(ctx context.Context, a, b *array.Array, dim string) (*array.Array, error) {
 	sa, sb := a.Schema, b.Schema
 	d := sa.DimIndex(dim)
 	if d < 0 || sb.DimIndex(dim) != d {
@@ -475,73 +442,98 @@ func Concat(a, b *array.Array, dim string) (*array.Array, error) {
 		}
 	}
 	shift := a.Hwm(d)
-	out := &array.Schema{Name: sa.Name + "_concat", Attrs: sa.Attrs}
-	for i, dm := range dimsWithHwm(a) {
-		if i == d {
-			dm.High = shift + b.Hwm(d)
+	out := &array.Schema{Name: sa.Name + "_concat", Attrs: sa.Attrs, Dims: dimsWithHwm(a)}
+	out.Dims[d].High = shift + b.Hwm(d)
+	return gather(ctx, out, []*array.Array{a, b}, func(k int, box array.Box) array.Box {
+		box.Lo[d] += int64(k) * shift
+		box.Hi[d] += int64(k) * shift
+		return box
+	}, func(dst, src array.Coord) int {
+		copy(src, dst)
+		if dst[d] <= shift {
+			return 0
 		}
-		out.Dims = append(out.Dims, dm)
-	}
-	res, err := array.New(out)
-	if err != nil {
-		return nil, err
-	}
-	var setErr error
-	a.IterReuse(func(c array.Coord, cell array.Cell) bool {
-		if err := res.Set(c.Clone(), cell); err != nil {
-			setErr = err
-			return false
-		}
-		return true
+		src[d] -= shift
+		return 1
 	})
-	if setErr != nil {
-		return nil, setErr
-	}
-	b.IterReuse(func(c array.Coord, cell array.Cell) bool {
-		dst := c.Clone()
-		dst[d] += shift
-		if err := res.Set(dst, cell); err != nil {
-			setErr = err
-			return false
-		}
-		return true
-	})
-	return res, setErr
 }
 
-// CrossProduct pairs every cell of a with every cell of b (§2.2.1 "cross
-// product"): an (m+n)-dimensional array of concatenated tuples.
-func CrossProduct(a, b *array.Array) (*array.Array, error) {
-	sa, sb := a.Schema, b.Schema
-	out := &array.Schema{Name: sa.Name + "_cross_" + sb.Name}
-	out.Dims = append(out.Dims, dimsWithHwm(a)...)
-	for _, dim := range dimsWithHwm(b) {
-		name := dim.Name
-		if out.DimIndex(name) >= 0 {
-			name = sb.Name + "_" + name
-		}
-		out.Dims = append(out.Dims, array.Dimension{Name: name, High: dim.High})
-	}
-	out.Attrs = concatAttrs(sa, sb)
+// gather is the one body of the operators that place input cells without
+// reading them (Subsample, Reshape, AddDim, RemoveDim, Concat). It fills an
+// array of schema out with one pool task per output chunk: the task walks
+// the chunk's slots in row-major order, from names where each slot's cell
+// lives — the index of its input in ins (-1 for none) and the coordinate
+// there, written into src — and the cell's columns are copied. to maps a box
+// of input k into out's coordinates, so only the output chunks some live
+// input chunk lands on get a task; nil gives every chunk of the output grid
+// one.
+func gather(ctx context.Context, out *array.Schema, ins []*array.Array, to func(k int, b array.Box) array.Box, from func(dst, src array.Coord) int) (*array.Array, error) {
 	res, err := array.New(out)
 	if err != nil {
 		return nil, err
 	}
-	var setErr error
-	a.IterReuse(func(ca array.Coord, cellA array.Cell) bool {
-		ok := true
-		b.IterReuse(func(cb array.Coord, cellB array.Cell) bool {
-			dst := append(ca.Clone(), cb...)
-			if err := res.Set(dst, append(cellA.Clone(), cellB...)); err != nil {
-				setErr = err
-				ok = false
-				return false
+	var origins []array.Coord
+	seen := map[string]bool{}
+	for k, in := range ins {
+		work := liveChunks(in)
+		spanChunks(ctx, work)
+		if to == nil {
+			continue
+		}
+		for _, ch := range work {
+			b := to(k, ch.Box())
+			for d, dim := range out.Dims {
+				b.Hi[d] = min(b.Hi[d], dim.High)
 			}
-			return true
-		})
-		return ok
+			for _, o := range gridOrigins(res, b) {
+				if key := o.Key(); !seen[key] {
+					seen[key] = true
+					origins = append(origins, o)
+				}
+			}
+		}
+	}
+	if to == nil {
+		origins = gridOrigins(res, array.WholeBox(out))
+	}
+	nd := len(out.Dims)
+	err = mapChunks(ctx, res, len(origins), func(i int) (*array.Chunk, error) {
+		oc := array.NewChunk(out, origins[i], res.GridShape(origins[i]))
+		pks := make([]peeker, len(ins))
+		for k, in := range ins {
+			pks[k].a = in
+		}
+		src := make(array.Coord, len(ins[0].Schema.Dims))
+		dst := origins[i].Clone()
+		any := false
+		slots := oc.Slots()
+		for idx := int64(0); idx < slots; idx++ {
+			if k := from(dst, src); k >= 0 {
+				if sc, sidx, ok := pks[k].get(src); ok {
+					oc.Present.Set(idx)
+					for ai, col := range oc.Cols {
+						col.CopyFrom(sc.Cols[ai], idx, sidx)
+					}
+					any = true
+				}
+			}
+			for d := nd - 1; d >= 0; d-- {
+				dst[d]++
+				if dst[d] < oc.Origin[d]+oc.Shape[d] {
+					break
+				}
+				dst[d] = oc.Origin[d]
+			}
+		}
+		if !any {
+			return nil, nil
+		}
+		return oc, nil
 	})
-	return res, setErr
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // concatAttrs concatenates attribute lists, prefixing right-side names that
@@ -560,11 +552,4 @@ func concatAttrs(sa, sb *array.Schema) []array.Attribute {
 		out = append(out, at)
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -78,21 +78,11 @@ func (s Stats) CompressionRatio() float64 {
 // Add returns the field-wise sum of two snapshots (aggregating the stores
 // of one node for the cachestats cluster op).
 func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		BucketsWritten: s.BucketsWritten + o.BucketsWritten,
-		BucketsMerged:  s.BucketsMerged + o.BucketsMerged,
-		BucketsRead:    s.BucketsRead + o.BucketsRead,
-		BytesWritten:   s.BytesWritten + o.BytesWritten,
-		BytesRead:      s.BytesRead + o.BytesRead,
-		Flushes:        s.Flushes + o.Flushes,
-		BytesRaw:       s.BytesRaw + o.BytesRaw,
-		BytesEncoded:   s.BytesEncoded + o.BytesEncoded,
-		PrefetchIssued: s.PrefetchIssued + o.PrefetchIssued,
-		PrefetchHits:   s.PrefetchHits + o.PrefetchHits,
-		PrefetchWasted: s.PrefetchWasted + o.PrefetchWasted,
-		ChunksVisited:  s.ChunksVisited + o.ChunksVisited,
-		ChunksSkipped:  s.ChunksSkipped + o.ChunksSkipped,
+	of := o.Fields()
+	for i, f := range s.Fields() {
+		*f.V += *of[i].V
 	}
+	return s
 }
 
 // statCounters is the store's live counter set. Counters are atomics so a
