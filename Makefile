@@ -30,7 +30,9 @@ race:
 	$(GO) test -race ./internal/exec ./internal/ops ./internal/bufcache ./internal/storage ./internal/wire ./internal/cluster ./internal/obs ./internal/session ./internal/core ./internal/loader ./internal/insitu ./internal/partition ./internal/introspect
 
 # Short fuzz smoke over the chunk/array decoders, the column codec against
-# its reference (FuzzColumnRoundTrip), both hello readers
+# its reference (FuzzColumnRoundTrip), Auto's byte-plane records
+# (FuzzAutoRecords: round trips, and arbitrary bytes behind its tag), both
+# hello readers
 # (FuzzHello), the CSV line parser against its Split-based oracle
 # (FuzzCSVLine) and, FuzzWorkerRead, the worker's read against its cell
 # oracle. Each target must be invoked separately: `go test -fuzz` refuses a
@@ -42,6 +44,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeArray -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run=NONE -fuzz=FuzzDecodeZoneMap -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run=NONE -fuzz=FuzzColumnRoundTrip -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run=NONE -fuzz=FuzzAutoRecords -fuzztime=$(FUZZTIME) ./internal/compress
 	$(GO) test -run=NONE -fuzz=FuzzHello -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSessionFrame -fuzztime=$(FUZZTIME) ./internal/session
 	$(GO) test -run=NONE -fuzz=FuzzCSVShardSplit -fuzztime=$(FUZZTIME) ./internal/insitu
@@ -62,11 +65,11 @@ bench:
 # One iteration of the fold kernels' micro-benchmarks (worker fold, whole
 # partition, boxed and under predicates; local Aggregate/Regrid), of the
 # structural operators' (gather, join and filter kernels), of the cold read
-# path's (column decode, cold chunk scan) and of the chunk encoder's, so CI
-# runs what `make bench` measures.
+# path's (column decode, cold chunk scan), of the chunk encoder's and of a
+# bucket section's seal and open, so CI runs what `make bench` measures.
 bench-smoke:
 	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
-	$(GO) test -run=NONE -bench 'DecodeColumn|StoreChunkScanCold|EncodeChunk' -benchtime=1x ./internal/storage
+	$(GO) test -run=NONE -bench 'DecodeColumn|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x ./internal/storage
 
 # The standing benchmark suite is its own module under bench/, which the
 # root `go test ./...` never reaches: vet and test it, then run one short

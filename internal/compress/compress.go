@@ -178,19 +178,49 @@ func (Delta) Decode(src []byte) ([]byte, error) {
 	if nWords > uint64(len(src)) {
 		return nil, fmt.Errorf("compress: delta claims %d words from %d bytes", nWords, len(src))
 	}
-	out := make([]byte, 0, nWords*8+7)
+	out := make([]byte, nWords*8, nWords*8+7)
+	tail, err := deltaWords(out, src)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, tail...), nil
+}
+
+// deltaInto decodes a Delta encoding into dst, which it must fill exactly.
+func deltaInto(dst, src []byte) error {
+	if len(src) < 8 {
+		return fmt.Errorf("compress: delta input too short")
+	}
+	nWords := binary.LittleEndian.Uint64(src[:8])
+	if nWords > uint64(len(dst)/8) {
+		return fmt.Errorf("compress: delta claims %d words for %d bytes", nWords, len(dst))
+	}
+	words := dst[:nWords*8]
+	tail, err := deltaWords(words, src[8:])
+	if err != nil {
+		return err
+	}
+	if len(tail) != len(dst)-len(words) {
+		return fmt.Errorf("compress: delta decodes to %d bytes, want %d", len(words)+len(tail), len(dst))
+	}
+	copy(dst[len(words):], tail)
+	return nil
+}
+
+// deltaWords decodes the varint deltas that fill words, a word per eight
+// bytes, from src and returns what follows them: the raw tail.
+func deltaWords(words, src []byte) ([]byte, error) {
 	var prev uint64
-	for i := uint64(0); i < nWords; i++ {
+	for i := 0; i < len(words); i += 8 {
 		d, n := binary.Varint(src)
 		if n <= 0 {
-			return nil, fmt.Errorf("compress: delta varint truncated at word %d", i)
+			return nil, fmt.Errorf("compress: delta varint truncated at word %d", i/8)
 		}
 		src = src[n:]
 		prev += uint64(d)
-		out = binary.LittleEndian.AppendUint64(out, prev)
+		binary.LittleEndian.PutUint64(words[i:], prev)
 	}
-	out = append(out, src...)
-	return out, nil
+	return src, nil
 }
 
 // Gzip wraps compress/gzip at the default level. Writers and readers are
@@ -237,6 +267,22 @@ func (Gzip) Decode(src []byte) ([]byte, error) {
 	if n > uint64(len(src))*maxInflate {
 		return nil, fmt.Errorf("compress: gzip claims %d bytes from %d", n, len(src))
 	}
+	out := make([]byte, n)
+	if err := gunzipInto(out, src); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// gunzipInto inflates the gzip stream src into dst, which it must fill
+// exactly.
+func gunzipInto(dst, src []byte) error {
+	if len(src) < 18 {
+		return fmt.Errorf("compress: gzip input too short")
+	}
+	if n := binary.LittleEndian.Uint32(src[len(src)-4:]); uint64(n) != uint64(len(dst)) {
+		return fmt.Errorf("compress: gzip records %d bytes, want %d", n, len(dst))
+	}
 	br := bytes.NewReader(src)
 	r, _ := gzipReaders.Get().(*gzip.Reader)
 	var err error
@@ -246,24 +292,23 @@ func (Gzip) Decode(src []byte) ([]byte, error) {
 		err = r.Reset(br)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer gzipReaders.Put(r)
 	r.Multistream(false)
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(r, dst); err != nil {
+		return err
 	}
 	// The stream must end here; reaching its end is also what makes gzip
 	// check its own CRC and length.
 	var one [1]byte
 	if m, err := r.Read(one[:]); m != 0 || err != io.EOF {
 		if err == nil || err == io.EOF {
-			err = fmt.Errorf("compress: gzip stream longer than its recorded %d bytes", n)
+			err = fmt.Errorf("compress: gzip stream longer than its recorded %d bytes", len(dst))
 		}
-		return nil, err
+		return err
 	}
-	return out, nil
+	return nil
 }
 
 // Auto encodes the input raw, with Delta and with Gzip — each on the raw
@@ -281,6 +326,9 @@ const (
 	tagRaw   = 0
 	tagDelta = 1
 	tagGzip  = 2
+	// tagPlanes is AppendRecords' layout (records.go): fixed-width records
+	// as byte planes, the bytes around them under one of the three above.
+	tagPlanes = 3
 )
 
 // autoGzipBufs holds the buffers Auto gzips into: the gzip candidate is
@@ -291,18 +339,30 @@ var autoGzipBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // written and the gzip one goes to a pooled buffer, so the only allocation
 // is the winner's copy behind its tag.
 func (Auto) Encode(src []byte) []byte {
-	tag, n := byte(tagRaw), len(src)
+	g := autoGzipBufs.Get().(*bytes.Buffer)
+	defer autoGzipBufs.Put(g)
+	tag, n := autoChoose(src, g)
+	return autoAppend(make([]byte, 0, 1+n), src, tag, g)
+}
+
+// autoChoose picks Auto's encoding of src, leaving the gzip candidate in g,
+// and returns its tag and its length behind the tag.
+func autoChoose(src []byte, g *bytes.Buffer) (tag byte, n int) {
+	tag, n = tagRaw, len(src)
 	if d := deltaLen(src); d < n {
 		tag, n = tagDelta, d
 	}
-	g := autoGzipBufs.Get().(*bytes.Buffer)
-	defer autoGzipBufs.Put(g)
 	g.Reset()
 	gzipInto(g, src)
 	if g.Len() < n {
 		tag, n = tagGzip, g.Len()
 	}
-	out := append(make([]byte, 0, 1+n), tag)
+	return tag, n
+}
+
+// autoAppend appends the encoding autoChoose picked for src to out.
+func autoAppend(out, src []byte, tag byte, g *bytes.Buffer) []byte {
+	out = append(out, tag)
 	switch tag {
 	case tagDelta:
 		return appendDelta(out, src)
@@ -324,6 +384,29 @@ func (Auto) Decode(src []byte) ([]byte, error) {
 		return Delta{}.Decode(src[1:])
 	case tagGzip:
 		return Gzip{}.Decode(src[1:])
+	case tagPlanes:
+		return decodePlanes(src[1:])
 	}
 	return nil, fmt.Errorf("compress: auto unknown tag %d", src[0])
+}
+
+// autoDecodeInto decodes an Auto encoding under one of the three whole-input
+// tags into dst, which it must fill exactly.
+func autoDecodeInto(dst, src []byte) error {
+	if len(src) == 0 {
+		return fmt.Errorf("compress: auto input empty")
+	}
+	switch src[0] {
+	case tagRaw:
+		if len(src)-1 != len(dst) {
+			return fmt.Errorf("compress: auto raw holds %d bytes, want %d", len(src)-1, len(dst))
+		}
+		copy(dst, src[1:])
+		return nil
+	case tagDelta:
+		return deltaInto(dst, src[1:])
+	case tagGzip:
+		return gunzipInto(dst, src[1:])
+	}
+	return fmt.Errorf("compress: auto tag %d where a whole-input one belongs", src[0])
 }

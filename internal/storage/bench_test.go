@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scidb/internal/array"
+	"scidb/internal/compress"
 )
 
 // benchScanStore fills a 256×256 two-attribute store in 64-stride buckets
@@ -239,6 +240,71 @@ func BenchmarkStoreChunkScanCold(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*cells), "ns/cell")
+		})
+	}
+}
+
+// BenchmarkSealSection seals (sealSection) and opens (the codec's Decode) one
+// 4×64×64-slot section per iteration under the default codec — a raw float
+// column, whose 8-byte records go out as planes; a float column of a chunk a
+// site boundary cuts, a third of its x rows present, whose 12-byte RLE runs
+// do; and that chunk's presence bitmap, sealed whole — and reports the cost
+// per section byte.
+func BenchmarkSealSection(b *testing.B) {
+	const slots = 4 * 64 * 64
+	rng := rand.New(rand.NewSource(1))
+	at := array.Attribute{Name: "v", Type: array.TFloat64}
+	full, cut := array.NewColumn(at, slots), array.NewColumn(at, slots)
+	all, part := array.NewBitmap(slots), array.NewBitmap(slots)
+	for i := int64(0); i < slots; i++ {
+		all.Set(i)
+		full.Floats[i] = 1200 + 50*rng.NormFloat64() // a measured value
+		if i/64%64 < 22 {
+			part.Set(i)
+			cut.Floats[i] = full.Floats[i]
+		}
+	}
+	section := func(col *array.Column, present *array.Bitmap) []byte {
+		var buf bytes.Buffer
+		if _, err := encodeColumn(NewFieldWriter(&buf), at, col, present); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var presence bytes.Buffer
+	writeBitmap(NewFieldWriter(&presence), part)
+	for _, c := range []struct {
+		name string
+		sec  []byte
+		at   *array.Attribute
+	}{
+		{"raw-float", section(full, all), &at},
+		{"rle-float", section(cut, part), &at},
+		{"presence", presence.Bytes(), nil},
+	} {
+		sealed := sealSection(nil, compress.Auto{}, c.sec, c.at, slots)
+		if planes := !bytes.Equal(sealed, compress.Auto{}.Encode(c.sec)); planes != (c.at != nil) {
+			b.Fatalf("%s: sealed as planes %v", c.name, planes)
+		}
+		perByte := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(c.sec))), "ns/byte")
+		}
+		b.Run(c.name+"/seal", func(b *testing.B) {
+			b.ReportAllocs()
+			var dst []byte
+			for i := 0; i < b.N; i++ {
+				dst = sealSection(dst[:0], compress.Auto{}, c.sec, c.at, slots)
+			}
+			perByte(b)
+		})
+		b.Run(c.name+"/open", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (compress.Auto{}).Decode(sealed); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perByte(b)
 		})
 	}
 }

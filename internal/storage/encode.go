@@ -360,8 +360,10 @@ func (e *chunkEncoder) release() {
 }
 
 // sealChunk turns EncodeChunk bytes into a bucket file: the same frame with
-// every section passed through codec on its own, so a reader can take one
-// column without inflating the others.
+// every section passed through codec on its own (sealSection), so a reader
+// can take one column without inflating the others. The sections are sealed
+// one after another into a recycled buffer and the bucket is copied out of it
+// once, at its size.
 func sealChunk(s *array.Schema, raw []byte, codec compress.Codec) ([]byte, error) {
 	tag, ok := compress.Tag(codec)
 	if !ok {
@@ -372,21 +374,78 @@ func sealChunk(s *array.Schema, raw []byte, codec compress.Codec) ([]byte, error
 		return nil, err
 	}
 	hlen := headerLen(s)
-	packed := make([][]byte, len(hdr.secs))
-	total, start := hlen, hlen
+	buf := sealBufs.Get().(*[]byte)
+	b := append((*buf)[:0], raw[:hlen]...) // room for the header, written last
+	start := hlen
 	for i := range hdr.secs {
 		sec := &hdr.secs[i]
-		packed[i] = codec.Encode(raw[start : start+int(sec.stored)])
+		var at *array.Attribute
+		if i > 0 {
+			at = &s.Attrs[i-1]
+		}
+		from := len(b)
+		b = sealSection(b, codec, raw[start:start+int(sec.stored)], at, hdr.slots())
 		start += int(sec.stored)
-		sec.stored, sec.codec, sec.crc = uint32(len(packed[i])), tag, crc32.Checksum(packed[i], castagnoli)
-		total += len(packed[i])
+		sec.stored, sec.codec, sec.crc = uint32(len(b)-from), tag, crc32.Checksum(b[from:], castagnoli)
 	}
-	out := make([]byte, hlen, total)
-	hdr.put(out)
-	for _, p := range packed {
-		out = append(out, p...)
+	hdr.put(b[:hlen])
+	out := make([]byte, len(b))
+	copy(out, b)
+	if cap(b) <= maxPooledEncoder {
+		*buf = b
+		sealBufs.Put(buf)
 	}
 	return out, nil
+}
+
+// sealBufs recycles the buffers sealChunk stages a bucket in.
+var sealBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// sealSection appends one section passed through codec to dst: a column of
+// attribute at whose values are fixed-width records (recordRegion) as those
+// records when the codec can take them, the presence bitmap (at nil) and
+// every other column whole.
+func sealSection(dst []byte, codec compress.Codec, sec []byte, at *array.Attribute, slots int64) []byte {
+	if rc, ok := codec.(compress.RecordEncoder); ok && at != nil {
+		if lo, hi, width, ok := recordRegion(sec, *at, slots); ok {
+			return rc.AppendRecords(dst, sec, lo, hi, width)
+		}
+	}
+	return append(dst, codec.Encode(sec)...)
+}
+
+// recordRegion finds the fixed-width records among the values of a float64
+// or int64 column section: a raw vector's 8-byte words, which the sigma tail
+// continues when there is one, or an RLE column's 12-byte (u32 length,
+// value) runs. ok is false for any other column, and for bytes that do not
+// read as one.
+func recordRegion(sec []byte, at array.Attribute, slots int64) (lo, hi, width int, ok bool) {
+	if (at.Type != array.TInt64 && at.Type != array.TFloat64) || slots == 0 {
+		return 0, 0, 0, false
+	}
+	r := NewFieldReaderBytes(sec)
+	flags, _, err := columnHead(r, at, slots, true)
+	tag := r.U8()
+	if err != nil || r.Err() != nil {
+		return 0, 0, 0, false
+	}
+	var n int64
+	switch tag {
+	case encRaw:
+		width, n = 8, slots
+		if flags&colFlagSigma != 0 {
+			n *= 2
+		}
+	case encRLE:
+		width, n = 12, int64(r.U32())
+	default:
+		return 0, 0, 0, false
+	}
+	lo = len(sec) - r.Remaining()
+	if r.Err() != nil || n > int64(r.Remaining()/width) {
+		return 0, 0, 0, false
+	}
+	return lo, lo + int(n)*width, width, true
 }
 
 // DecodeChunk reverses EncodeChunk, and reads a bucket file's bytes just as
@@ -546,27 +605,49 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	return zone, nil
 }
 
-func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Column, error) {
-	flags := r.U8()
+// columnHead reads what precedes a column's values — the flag byte, the null
+// bitmap and the zone map — checking each. col is nil when skip is set: the
+// bitmap is then passed over rather than copied out, for a caller that only
+// needs to know where the values begin.
+func columnHead(r *FieldReader, at array.Attribute, slots int64, skip bool) (flags uint8, col *array.Column, err error) {
+	flags = r.U8()
 	if r.Err() != nil {
-		return nil, r.Err()
+		return 0, nil, r.Err()
 	}
 	if flags&^uint8(colFlagsKnown) != 0 {
-		return nil, fmt.Errorf("storage: unknown column flags %#x", flags)
+		return 0, nil, fmt.Errorf("storage: unknown column flags %#x", flags)
 	}
-	nulls, err := readBitmap(r, slots)
+	if skip {
+		if n := (slots + 63) / 64 * 8; r.Need(n) {
+			r.next(int(n))
+		}
+	} else {
+		nulls, err := readBitmap(r, slots)
+		if err != nil {
+			return 0, nil, err
+		}
+		col = &array.Column{Type: at.Type, Nulls: nulls}
+	}
+	if r.Err() != nil || flags&colFlagZone == 0 {
+		return flags, col, r.Err()
+	}
+	if at.Type == array.TArray {
+		return 0, nil, fmt.Errorf("storage: zone map on a nested-array column")
+	}
+	zone, err := decodeZoneMap(r, at.Type, slots)
+	if err != nil {
+		return 0, nil, err
+	}
+	if col != nil {
+		col.Zone = zone
+	}
+	return flags, col, nil
+}
+
+func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Column, error) {
+	flags, col, err := columnHead(r, at, slots, false)
 	if err != nil {
 		return nil, err
-	}
-	col := &array.Column{Type: at.Type, Nulls: nulls}
-	if flags&colFlagZone != 0 {
-		if at.Type == array.TArray {
-			return nil, fmt.Errorf("storage: zone map on a nested-array column")
-		}
-		col.Zone, err = decodeZoneMap(r, at.Type, slots)
-		if err != nil {
-			return nil, err
-		}
 	}
 	var runLens []int64
 	switch at.Type {

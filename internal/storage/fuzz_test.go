@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -58,6 +59,21 @@ func fuzzRunsChunk(s *array.Schema) *array.Chunk {
 	return ch
 }
 
+// fuzzRecordsChunk is a seed whose int and float columns are long enough,
+// and varied enough, for the default codec to seal their values as byte
+// planes: 1100 slots of random ints and of random floats with a sigma tail.
+func fuzzRecordsChunk(s *array.Schema) *array.Chunk {
+	rng := rand.New(rand.NewSource(4))
+	ch := array.NewChunk(s, array.Coord{1}, []int64{1100})
+	for i := int64(0); i < 1100; i++ {
+		ch.Present.Set(i)
+		ch.Cols[0].Ints[i] = rng.Int63()
+		ch.Cols[1].Floats[i], ch.Cols[1].Sigma[i] = rng.NormFloat64()*1e3, rng.Float64()
+		ch.Cols[3].Strs[i] = "r"
+	}
+	return ch
+}
+
 // withSection returns enc — EncodeChunk bytes — with section i replaced by
 // body, stored verbatim, and the table and checksums made to agree: what a
 // fuzzer needs to get arbitrary bytes past the CRCs and into the section
@@ -101,10 +117,23 @@ func FuzzDecodeChunk(f *testing.F) {
 	mut[len(mut)/2] ^= 0xFF
 	f.Add(mut)
 	f.Add(enc[:len(enc)/2])
-	// The bucket-file form: the same sections, each through the codec.
+	// The bucket-file form: the same sections, each through the codec, and a
+	// bucket whose int and float sections are sealed as byte planes.
 	if sealed, err := sealChunk(s, enc, compress.Auto{}); err == nil {
 		f.Add(sealed)
 	}
+	recs, err := EncodeChunk(s, fuzzRecordsChunk(s))
+	if err != nil {
+		f.Fatal(err)
+	}
+	planes, err := sealChunk(s, recs, compress.Auto{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if whole, err := sealChunk(s, recs, wholeSections{compress.Auto{}}); err != nil || len(planes) >= len(whole) {
+		f.Fatalf("the records seed seals to %d bytes, whole sections to %d (%v)", len(planes), len(whole), err)
+	}
+	f.Add(planes)
 	// Each section's own bytes, the seeds of the spliced decodes below, from
 	// both seed chunks.
 	hdr, err := parseHeader(s, enc, int64(len(enc)))

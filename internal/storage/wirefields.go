@@ -209,11 +209,13 @@ type FieldReader struct {
 	err error
 	// scratch stages a streaming reader's fixed-width fields: a local array
 	// would escape through the io.Reader call and cost one allocation each.
-	scratch [8]byte
+	// It is allocated apart from the reader, so a slice reader, which never
+	// uses it, can live on its caller's stack.
+	scratch *[8]byte
 }
 
 // NewFieldReader wraps r.
-func NewFieldReader(r io.Reader) *FieldReader { return &FieldReader{r: r} }
+func NewFieldReader(r io.Reader) *FieldReader { return &FieldReader{r: r, scratch: new([8]byte)} }
 
 // NewFieldReaderBytes reads from data and tracks the remaining length, which
 // arms the Need bound checks on every size-prefixed decode.
