@@ -65,11 +65,12 @@ bench:
 # One iteration of the fold kernels' micro-benchmarks (worker fold, whole
 # partition, boxed and under predicates; local Aggregate/Regrid), of the
 # structural operators' (gather, join and filter kernels), of the cold read
-# path's (column decode, cold chunk scan), of the chunk encoder's and of a
-# bucket section's seal and open, so CI runs what `make bench` measures.
+# path's (column and chunk decode — full, site-boundary and catalog chunks —
+# and cold chunk scan), of the chunk encoder's and of a bucket section's seal
+# and open, so CI runs what `make bench` measures.
 bench-smoke:
 	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
-	$(GO) test -run=NONE -bench 'DecodeColumn|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x ./internal/storage
+	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x ./internal/storage
 
 # The standing benchmark suite is its own module under bench/, which the
 # root `go test ./...` never reaches: vet and test it, then run one short

@@ -213,6 +213,111 @@ func TestNonCoPartitionedJoinMovesData(t *testing.T) {
 	}
 }
 
+// requireSjoinMatchesGathered holds Coordinator.Sjoin of left and right to
+// ops.Sjoin over the two arrays gathered whole, and returns the bytes the
+// join moved.
+func requireSjoinMatchesGathered(t *testing.T, co *Coordinator, left, right string, onL, onR []string) int64 {
+	t.Helper()
+	l, err := co.Scan(left, array.Box{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := co.Scan(right, array.Box{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]ops.DimPair, len(onL))
+	for i := range onL {
+		pairs[i] = ops.DimPair{LDim: onL[i], RDim: onR[i]}
+	}
+	want, err := ops.Sjoin(l, r, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := co.BytesMoved()
+	got, err := co.Sjoin(left, right, onL, onR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count() != want.Count() || !reflect.DeepEqual(cellsOf(got), cellsOf(want)) {
+		t.Fatalf("Sjoin(%s, %s, %v = %v): %d cells, ops.Sjoin over the gathered arrays %d", left, right, onL, onR, got.Count(), want.Count())
+	}
+	return co.BytesMoved() - before
+}
+
+// TestSjoinMismatchedBlockHighs: two arrays block-partitioned on x by schemes
+// that differ only in High — as AQL CREATE makes them, each from its own
+// array's bounds — put equal x on different nodes, so they are not
+// co-located: the join repartitions the right array and matches every cell.
+func TestSjoinMismatchedBlockHighs(t *testing.T) {
+	co := NewCoordinator(NewLocal(3), 0)
+	vec := func(name string, high int64) *array.Schema {
+		return &array.Schema{Name: name, Dims: []array.Dimension{{Name: "x", High: high}},
+			Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}}}
+	}
+	for _, a := range []struct {
+		name string
+		high int64
+	}{{"A", 100}, {"B", 300}} {
+		if err := co.Create(a.name, vec(a.name, a.high), partition.Block{Nodes: 3, SplitDim: 0, High: a.high}); err != nil {
+			t.Fatal(err)
+		}
+		for x := int64(1); x <= 100; x++ {
+			if err := co.Put(a.name, array.Coord{x}, array.Cell{array.Int64(x)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := co.Flush(a.name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if moved := requireSjoinMatchesGathered(t, co, "A", "B", []string{"x"}, []string{"x"}); moved == 0 {
+		t.Error("the join moved no bytes, so it ran on arrays that were not co-located")
+	}
+	if n, err := co.Count("B"); err != nil || n != 100 {
+		t.Fatalf("B holds %d cells after the repartition (%v), want 100", n, err)
+	}
+}
+
+// TestSjoinUnpairedSplitDimension: two arrays placed by one block scheme on x
+// joined on y alone match cells on different nodes, and no placement of the
+// right array on x co-locates them: the join is answered from the gathered
+// arrays, and neither array is repartitioned.
+func TestSjoinUnpairedSplitDimension(t *testing.T) {
+	co := NewCoordinator(NewLocal(3), 0)
+	scheme := partition.Block{Nodes: 3, SplitDim: 0, High: 12}
+	for _, name := range []string{"L", "R"} {
+		s := &array.Schema{Name: name, Dims: []array.Dimension{{Name: "x", High: 12}, {Name: "y", High: 4}},
+			Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}}}
+		if err := co.Create(name, s, scheme); err != nil {
+			t.Fatal(err)
+		}
+		for x := int64(1); x <= 12; x++ {
+			for y := int64(1); y <= 4; y++ {
+				if (x+y)%3 == 0 && name == "R" {
+					continue
+				}
+				if err := co.Put(name, array.Coord{x, y}, array.Cell{array.Int64(10*x + y)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := co.Flush(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if moved := requireSjoinMatchesGathered(t, co, "L", "R", []string{"y"}, []string{"y"}); moved != 0 {
+		t.Errorf("a join answered from gathered arrays repartitioned %d bytes", moved)
+	}
+	// The split dimension paired with a dimension of another index does not
+	// co-locate either.
+	requireSjoinMatchesGathered(t, co, "L", "R", []string{"x"}, []string{"y"})
+	// Paired at the same index, it does: the join runs where the cells are.
+	if moved := requireSjoinMatchesGathered(t, co, "L", "R", []string{"x", "y"}, []string{"x", "y"}); moved != 0 {
+		t.Errorf("a co-located join moved %d bytes", moved)
+	}
+}
+
 func TestErrorsPropagate(t *testing.T) {
 	tr := NewLocal(2)
 	co := NewCoordinator(tr, 0)

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -508,10 +510,13 @@ func (co *Coordinator) Repartition(name string, newScheme partition.Scheme) erro
 }
 
 // Sjoin joins two distributed arrays on dimension pairs. When the arrays
-// are co-partitioned (same scheme — §2.7's co-partitioning research point),
-// the join runs node-locally with zero data movement; otherwise the right
-// array is first repartitioned to match the left's scheme, and the moved
-// bytes are charged to BytesMoved.
+// are co-partitioned for the join (§2.7's co-partitioning research point) —
+// placed by equal schemes, every dimension of which the join pairs with the
+// right's dimension of the same index — the join runs node-locally with zero
+// data movement. When placing the right array by the left's scheme would make
+// them so, the right array is first repartitioned, and the moved bytes are
+// charged to BytesMoved. Otherwise the two arrays are gathered and joined on
+// the coordinator.
 func (co *Coordinator) Sjoin(left, right string, onL, onR []string) (*array.Array, error) {
 	return co.SjoinCtx(context.Background(), left, right, onL, onR)
 }
@@ -519,6 +524,10 @@ func (co *Coordinator) Sjoin(left, right string, onL, onR []string) (*array.Arra
 // SjoinCtx is Sjoin under a context (traced queries adopt each worker's
 // span tree).
 func (co *Coordinator) SjoinCtx(ctx context.Context, left, right string, onL, onR []string) (*array.Array, error) {
+	pairs, err := dimPairs(onL, onR)
+	if err != nil {
+		return nil, err
+	}
 	co.mu.Lock()
 	la, err := co.dist(left)
 	if err != nil {
@@ -548,15 +557,30 @@ func (co *Coordinator) SjoinCtx(ctx context.Context, left, right string, onL, on
 			return nil, fmt.Errorf("cluster: sjoin on %q: array has live routing overrides; repartition it first", da.Name)
 		}
 	}
-	coLocated := la.Scheme.Name() == ra.Scheme.Name()
+	lp, rp := basePlacement(la.Scheme), basePlacement(ra.Scheme)
+	local := placesPairsTogether(lp, la.Schema, ra.Schema, pairs)
+	coLocated := local && reflect.DeepEqual(lp, rp)
 	co.mu.Unlock()
 
-	if !coLocated {
+	switch {
+	case coLocated:
+	case local:
 		// Data movement is required: align the right array's partitioning
 		// with the left's.
-		if err := co.Repartition(right, la.Scheme); err != nil {
+		if err := co.Repartition(right, lp); err != nil {
 			return nil, err
 		}
+	default:
+		// No placement of the right array puts the pairs on one node.
+		l, err := co.ScanCtx(ctx, left, array.Box{})
+		if err != nil {
+			return nil, err
+		}
+		r, err := co.ScanCtx(ctx, right, array.Box{})
+		if err != nil {
+			return nil, err
+		}
+		return ops.SjoinCtx(ctx, l, r, pairs)
 	}
 	// Node-local joins run concurrently (every worker owns a disjoint slice
 	// of the left array, so the join outputs are disjoint too) and gather
@@ -574,6 +598,70 @@ func (co *Coordinator) SjoinCtx(ctx context.Context, left, right string, onL, on
 	span.Add("nodes", int64(len(nodes)))
 	graft(span, resps)
 	return g.out, nil
+}
+
+// dimPairs pairs a join's left and right dimension names.
+func dimPairs(onL, onR []string) ([]ops.DimPair, error) {
+	if len(onL) != len(onR) || len(onL) == 0 {
+		return nil, fmt.Errorf("cluster: sjoin needs matching dimension pair lists")
+	}
+	pairs := make([]ops.DimPair, len(onL))
+	for i := range onL {
+		pairs[i] = ops.DimPair{LDim: onL[i], RDim: onR[i]}
+	}
+	return pairs, nil
+}
+
+// basePlacement is the scheme that places an array's cells: a routing
+// wrapper's base (a join refuses routed arrays with live overrides).
+func basePlacement(s partition.Scheme) partition.Scheme {
+	if rt, ok := s.(*partition.Routing); ok {
+		return rt.Base()
+	}
+	return s
+}
+
+// placementDims lists the dimensions a scheme reads to place a cell; ok is
+// false for a scheme whose placement it cannot name.
+func placementDims(s partition.Scheme) (dims []int, ok bool) {
+	switch s := s.(type) {
+	case partition.Block:
+		return []int{s.SplitDim}, true
+	case partition.Range:
+		return []int{s.SplitDim}, true
+	case partition.Hash:
+		return s.Dims, true
+	case partition.Epoch:
+		dims = []int{s.TimeDim}
+		for _, sub := range s.Schemes {
+			d, ok := placementDims(sub)
+			if !ok {
+				return nil, false
+			}
+			dims = append(dims, d...)
+		}
+		return dims, true
+	}
+	return nil, false
+}
+
+// placesPairsTogether reports whether scheme s, placing both arrays of a
+// join, puts every pair of cells the join matches on one node: each
+// dimension s reads is one the join pairs with the right's dimension of the
+// same index, so a matched pair agrees on everything s reads.
+func placesPairsTogether(s partition.Scheme, l, r *array.Schema, pairs []ops.DimPair) bool {
+	dims, ok := placementDims(s)
+	if !ok {
+		return false
+	}
+	for _, d := range dims {
+		if !slices.ContainsFunc(pairs, func(p ops.DimPair) bool {
+			return l.DimIndex(p.LDim) == d && r.DimIndex(p.RDim) == d
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
 // CacheStats gathers every node's buffer-pool counters. With an in-process

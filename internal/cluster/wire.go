@@ -6,7 +6,6 @@ package cluster
 // untouched, so the hot field is a length-prefixed copy, never re-encoded.
 
 import (
-	"bytes"
 	"fmt"
 
 	"scidb/internal/array"
@@ -80,34 +79,10 @@ func decodePredValue(r *storage.FieldReader) array.Value {
 // encodeMessage hand-rolls a Message to its wire form. Field order is
 // fixed; Chunks are carried verbatim (they are already the binary
 // storage.EncodeChunk form), so the dominant field costs one length-prefixed
-// copy per chunk instead of a reflective re-encode. A first pass only counts
-// the bytes, so the buffer is allocated once at its exact size rather than
-// grown by doubling while the payloads are copied in.
+// copy per chunk instead of a reflective re-encode, into a buffer allocated
+// once at its exact size (wire.SizedBody).
 func encodeMessage(m *Message) ([]byte, error) {
-	var size byteCount
-	w := storage.NewFieldWriter(&size)
-	if err := writeMessage(w, m); err != nil {
-		return nil, err
-	}
-	b := bytes.NewBuffer(make([]byte, 0, int(size)))
-	w.Reset(b)
-	if err := writeMessage(w, m); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// byteCount is an io.Writer that keeps only the number of bytes written.
-type byteCount int
-
-func (n *byteCount) Write(p []byte) (int, error) {
-	*n += byteCount(len(p))
-	return len(p), nil
-}
-
-func (n *byteCount) WriteString(s string) (int, error) {
-	*n += byteCount(len(s))
-	return len(s), nil
+	return wire.SizedBody(func(w *storage.FieldWriter) error { return writeMessage(w, m) })
 }
 
 // writeMessage writes m's fields to w in their fixed order.

@@ -355,12 +355,9 @@ func (w *Worker) sjoin(ctx context.Context, req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(req.OnL) != len(req.OnR) || len(req.OnL) == 0 {
-		return nil, fmt.Errorf("cluster: sjoin needs matching dimension pair lists")
-	}
-	pairs := make([]ops.DimPair, len(req.OnL))
-	for i := range req.OnL {
-		pairs[i] = ops.DimPair{LDim: req.OnL[i], RDim: req.OnR[i]}
+	pairs, err := dimPairs(req.OnL, req.OnR)
+	if err != nil {
+		return nil, err
 	}
 	res, err := ops.SjoinCtx(ctx, a, b, pairs)
 	if err != nil {

@@ -113,3 +113,22 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("response round trip mismatch: %+v", gp)
 	}
 }
+
+// TestEncodeResponseSizedOnce: a result body is allocated once at its
+// length, not grown by doubling while its chunk payloads are copied in.
+func TestEncodeResponseSizedOnce(t *testing.T) {
+	p := &response{Kind: kindResult, Chunks: make([][]byte, 40)}
+	for i := range p.Chunks {
+		p.Chunks[i] = bytes.Repeat([]byte{byte(i)}, 40<<10)
+	}
+	b, err := encodeResponse(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(b) != len(b) {
+		t.Errorf("a %d-byte body has capacity %d", len(b), cap(b))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = encodeResponse(p) }); allocs > 5 {
+		t.Errorf("encoding a %d-byte body allocates %.0f times, want at most 5", len(b), allocs)
+	}
+}

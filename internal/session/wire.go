@@ -240,10 +240,18 @@ func decodeRequest(data []byte) (*request, error) {
 	return q, nil
 }
 
-// encodeResponse hand-rolls a response to its frame body.
+// encodeResponse hand-rolls a response to its frame body, sized once
+// (wire.SizedBody): a result's chunk payloads are copied into a buffer
+// allocated at the body's length.
 func encodeResponse(p *response) ([]byte, error) {
-	var b bytes.Buffer
-	w := storage.NewFieldWriter(&b)
+	return wire.SizedBody(func(w *storage.FieldWriter) error {
+		writeResponse(w, p)
+		return nil
+	})
+}
+
+// writeResponse writes p's fields to w in their fixed order.
+func writeResponse(w *storage.FieldWriter, p *response) {
 	w.U8(p.Status)
 	w.String(p.Err)
 	w.U8(p.Kind)
@@ -260,10 +268,6 @@ func encodeResponse(p *response) ([]byte, error) {
 	for _, ch := range p.Chunks {
 		w.Bytes(ch)
 	}
-	if w.Err() != nil {
-		return nil, w.Err()
-	}
-	return b.Bytes(), nil
 }
 
 // decodeResponse reverses encodeResponse. The chunk payloads it returns are

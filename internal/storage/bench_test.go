@@ -7,6 +7,7 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/compress"
+	"scidb/internal/ssdb"
 )
 
 // benchScanStore fills a 256×256 two-attribute store in 64-stride buckets
@@ -125,11 +126,76 @@ func BenchmarkDecodeColumn(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := decodeColumn(NewFieldReaderBytes(buf.Bytes()), at, slots); err != nil {
+				if _, err := decodeColumn(NewFieldReaderBytes(buf.Bytes()), at, present); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*slots), "ns/cell")
+		})
+	}
+}
+
+// loaderChunk is a loader-shaped 4×64×64-slot chunk — three float
+// attributes: a measured value, a mostly-clear mask, a per-row constant —
+// with the slots present says.
+func loaderChunk(present func(i int64) bool) (*array.Schema, *array.Chunk) {
+	s := &array.Schema{
+		Name: "raw",
+		Dims: []array.Dimension{{Name: "pass", High: 4}, {Name: "x", High: 64}, {Name: "y", High: 64}},
+		Attrs: []array.Attribute{{Name: "dn", Type: array.TFloat64}, {Name: "cloud", Type: array.TFloat64},
+			{Name: "nadir", Type: array.TFloat64}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	ch := array.NewChunk(s, array.Coord{1, 1, 1}, []int64{4, 64, 64})
+	for i := int64(0); i < ch.Slots(); i++ {
+		if !present(i) {
+			continue
+		}
+		ch.Present.Set(i)
+		ch.Cols[0].Floats[i] = float64(rng.Intn(1 << 12))
+		ch.Cols[1].Floats[i] = float64(rng.Intn(50) / 49)
+		ch.Cols[2].Floats[i] = float64(i / 64 % 64)
+	}
+	return s, ch
+}
+
+// boundaryRows is a site boundary's cut of a loader chunk: 22 of its 64 x
+// rows present, as a block split at x = 86 leaves the chunk over x 65–128 on
+// the first site.
+func boundaryRows(i int64) bool { return i/64%64 < 22 }
+
+// BenchmarkDecodeChunk decodes one chunk per iteration and reports the cost
+// per slot beside allocs/op: a full loader chunk; the same chunk cut at a
+// site boundary, whose float columns are present-only; and the SS-DB
+// catalog's first chunk, about a quarter of its slots present.
+func BenchmarkDecodeChunk(b *testing.B) {
+	ds, err := ssdb.Setup(ssdb.Config{Size: 256, Passes: 4, Seed: 1, Threshold: 13, Tile: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, fullCh := loaderChunk(func(int64) bool { return true })
+	cut, cutCh := loaderChunk(boundaryRows)
+	for _, c := range []struct {
+		name string
+		s    *array.Schema
+		ch   *array.Chunk
+	}{
+		{"full", full, fullCh},
+		{"boundary", cut, cutCh},
+		{"catalog", ds.Catalog.Schema, ds.Catalog.Chunks()[0]},
+	} {
+		enc, err := EncodeChunk(c.s, c.ch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeChunk(c.s, enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*c.ch.Slots()), "ns/slot")
 		})
 	}
 }
@@ -139,7 +205,9 @@ func BenchmarkDecodeColumn(b *testing.B) {
 // column built in memory, so what they time is the raw vector's write (and a
 // zone map's computation); pooled-zone and fresh-zone are the same two-column
 // chunk as a decoder hands it over — Column.Zone attached, which the encoder
-// reuses — and with the zone maps dropped, as any modified chunk has them.
+// reuses — and with the zone maps dropped, as any modified chunk has them;
+// boundary is a loader chunk a site boundary cuts (BenchmarkDecodeChunk's),
+// whose present values are gathered out of its float columns.
 func BenchmarkEncodeChunk(b *testing.B) {
 	const n = 64
 	rng := rand.New(rand.NewSource(1))
@@ -167,7 +235,7 @@ func BenchmarkEncodeChunk(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*n*n), "ns/cell")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*ch.Slots()), "ns/cell")
 		})
 	}
 	s, ch := chunk(v)
@@ -190,6 +258,8 @@ func BenchmarkEncodeChunk(b *testing.B) {
 	}
 	run("pooled-zone", s, pooled)
 	run("fresh-zone", s, ch)
+	s, ch = loaderChunk(boundaryRows)
+	run("boundary", s, ch)
 }
 
 // BenchmarkStoreChunkScanCold times cold chunk scans of loader-shaped
@@ -247,9 +317,9 @@ func BenchmarkStoreChunkScanCold(b *testing.B) {
 // BenchmarkSealSection seals (sealSection) and opens (the codec's Decode) one
 // 4×64×64-slot section per iteration under the default codec — a raw float
 // column, whose 8-byte records go out as planes; a float column of a chunk a
-// site boundary cuts, a third of its x rows present, whose 12-byte RLE runs
-// do; and that chunk's presence bitmap, sealed whole — and reports the cost
-// per section byte.
+// site boundary cuts, 22 of its 64 x rows present, whose present values go
+// out as 8-byte records too; and that chunk's presence bitmap, sealed whole —
+// and reports the cost per section byte.
 func BenchmarkSealSection(b *testing.B) {
 	const slots = 4 * 64 * 64
 	rng := rand.New(rand.NewSource(1))
@@ -274,17 +344,23 @@ func BenchmarkSealSection(b *testing.B) {
 	var presence bytes.Buffer
 	writeBitmap(NewFieldWriter(&presence), part)
 	for _, c := range []struct {
-		name string
-		sec  []byte
-		at   *array.Attribute
+		name    string
+		sec     []byte
+		at      *array.Attribute
+		present int64
 	}{
-		{"raw-float", section(full, all), &at},
-		{"rle-float", section(cut, part), &at},
-		{"presence", presence.Bytes(), nil},
+		{"raw-float", section(full, all), &at, slots},
+		{"boundary-float", section(cut, part), &at, part.Count()},
+		{"presence", presence.Bytes(), nil, part.Count()},
 	} {
-		sealed := sealSection(nil, compress.Auto{}, c.sec, c.at, slots)
+		sealed := sealSection(nil, compress.Auto{}, c.sec, c.at, slots, c.present)
 		if planes := !bytes.Equal(sealed, compress.Auto{}.Encode(c.sec)); planes != (c.at != nil) {
 			b.Fatalf("%s: sealed as planes %v", c.name, planes)
+		}
+		if c.at != nil {
+			if _, _, width, _ := recordRegion(c.sec, *c.at, slots, c.present); width != 8 {
+				b.Fatalf("%s: sealed as %d-byte records, want 8", c.name, width)
+			}
 		}
 		perByte := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(c.sec))), "ns/byte")
@@ -293,7 +369,7 @@ func BenchmarkSealSection(b *testing.B) {
 			b.ReportAllocs()
 			var dst []byte
 			for i := 0; i < b.N; i++ {
-				dst = sealSection(dst[:0], compress.Auto{}, c.sec, c.at, slots)
+				dst = sealSection(dst[:0], compress.Auto{}, c.sec, c.at, slots, c.present)
 			}
 			perByte(b)
 		})

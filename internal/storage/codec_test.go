@@ -215,14 +215,14 @@ func decodeValues(typ array.Type, data []byte, slots int64, ref bool) decoded {
 		if ref {
 			d.ints, d.runLens, err = refDecodeIntValues(r, slots)
 		} else {
-			d.ints, d.runLens, err = decodeIntValues(r, slots)
+			d.ints, d.runLens, err = decodeIntValues(r, slots, slots)
 		}
 	case array.TFloat64:
 		var fs []float64
 		if ref {
 			fs, d.runLens, err = refDecodeFloatValues(r, slots)
 		} else {
-			fs, d.runLens, err = decodeFloatValues(r, slots)
+			fs, d.runLens, err = decodeFloatValues(r, slots, slots)
 		}
 		for _, f := range fs {
 			d.fbits = append(d.fbits, math.Float64bits(f))
@@ -271,12 +271,115 @@ func zoneBytes(t *testing.T, z *array.ZoneMap) []byte {
 	return b.Bytes()
 }
 
+// presencePatterns are the presence bitmaps the codec is held to its
+// reference under: every slot, every third, holes with NULLs among the
+// present, one slot, all but one, whole 64-slot rows (a site boundary's
+// cut) and scattered holes.
+var presencePatterns = []struct {
+	name           string
+	present, nulls func(i, slots int) bool
+}{
+	{"full", func(int, int) bool { return true }, func(int, int) bool { return false }},
+	{"sparse", func(i, _ int) bool { return i%3 == 0 }, func(int, int) bool { return false }},
+	{"sparse-nulls", func(i, _ int) bool { return i%5 != 1 }, func(i, _ int) bool { return i%7 == 2 }},
+	{"one-present", func(i, n int) bool { return i == n/2 }, func(int, int) bool { return false }},
+	{"all-but-one", func(i, n int) bool { return i != n/2 }, func(i, _ int) bool { return i%11 == 0 }},
+	{"rows", func(i, _ int) bool { return i/64%3 == 1 }, func(int, int) bool { return false }},
+	{"holes", func(i, _ int) bool { return (i*7919)%97 > 9 }, func(int, int) bool { return false }},
+}
+
+// presenceOf is a bitmap of slots bits set where f says.
+func presenceOf(slots int, f func(i, slots int) bool) *array.Bitmap {
+	b := array.NewBitmap(int64(slots))
+	for i := 0; i < slots; i++ {
+		if f(i, slots) {
+			b.Set(int64(i))
+		}
+	}
+	return b
+}
+
+// colImage is a decoded column in comparable form: floats as bit images, so
+// NaN payloads and signed zeros compare exactly, beside its views.
+type colImage struct {
+	Ints          []int64
+	Floats, Sigma []uint64
+	Bools         []bool
+	Strs          []string
+	Nulls         []uint64
+	HasShared     bool
+	SharedSigma   uint64
+	Zone          *array.ZoneMap
+	Enc           *array.ColEnc
+}
+
+func imageOf(col *array.Column) colImage {
+	if col == nil {
+		return colImage{}
+	}
+	fbits := func(fs []float64) []uint64 {
+		var out []uint64
+		for _, f := range fs {
+			out = append(out, math.Float64bits(f))
+		}
+		return out
+	}
+	return colImage{Ints: col.Ints, Floats: fbits(col.Floats), Sigma: fbits(col.Sigma), Bools: col.Bools, Strs: col.Strs,
+		Nulls: col.Nulls.Words(), HasShared: col.HasShared, SharedSigma: math.Float64bits(col.SharedSigma),
+		Zone: col.Zone, Enc: col.Enc}
+}
+
+// sameChunk fails t unless got and want are the same decoded chunk: frame,
+// presence, and every column's vectors, bitmaps and views.
+func sameChunk(t *testing.T, label string, got, want *array.Chunk) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Origin, want.Origin) || !reflect.DeepEqual(got.Shape, want.Shape) ||
+		!reflect.DeepEqual(got.Present.Words(), want.Present.Words()) || len(got.Cols) != len(want.Cols) {
+		t.Fatalf("%s: decoded frames differ", label)
+	}
+	for a := range got.Cols {
+		if !reflect.DeepEqual(imageOf(got.Cols[a]), imageOf(want.Cols[a])) {
+			t.Fatalf("%s: column %d decodes differently from the reference's", label, a)
+		}
+	}
+}
+
+// sameColumnDecode fails t unless decodeColumn and refDecodeColumn read sec
+// alike: the same column, or the same error.
+func sameColumnDecode(t *testing.T, label string, at array.Attribute, sec []byte, present *array.Bitmap) {
+	t.Helper()
+	got, gerr := decodeColumn(NewFieldReaderBytes(sec), at, present)
+	want, werr := refDecodeColumn(NewFieldReaderBytes(sec), at, present)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Fatalf("%s: decode error %v, reference %v", label, gerr, werr)
+	}
+	if gerr == nil && !reflect.DeepEqual(imageOf(got), imageOf(want)) {
+		t.Fatalf("%s: column decodes differently from the reference's", label)
+	}
+}
+
+// columnSection is section 1+a of an EncodeChunk payload: attribute a's column.
+func columnSection(t *testing.T, s *array.Schema, enc []byte, a int) []byte {
+	t.Helper()
+	hdr, err := parseHeader(s, enc, int64(len(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := headerLen(s)
+	for _, sec := range hdr.secs[:1+a] {
+		off += int(sec.stored)
+	}
+	return enc[off : off+int(hdr.secs[1+a].stored)]
+}
+
 // TestCodecMatchesReference holds the value codec to the one it replaced
 // (codecref_test.go) over the corpus: the same bytes out of every encoder;
 // the same vectors, run lengths and dictionary views out of every decoder,
 // and for every prefix of an encoding and for flipped bytes the same error;
-// the same zone maps, byte for byte, under full, sparse and NULL-holed
-// presence; and the same chunk encodings.
+// the same zone maps, byte for byte, under every presence pattern; and the
+// same chunk encodings, which decode as the reference decodes them — a
+// partial chunk's int and float columns present-only — down to the error
+// over cuts and flipped bytes of a column section.
 func TestCodecMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, c := range codecCorpus() {
@@ -312,22 +415,10 @@ func TestCodecMatchesReference(t *testing.T) {
 
 		s := &array.Schema{Name: "C", Dims: []array.Dimension{{Name: "i", High: max(slots, 1)}},
 			Attrs: []array.Attribute{{Name: "v", Type: c.typ}}}
-		for _, p := range []struct {
-			name           string
-			present, nulls func(i int) bool
-		}{
-			{"full", func(int) bool { return true }, func(int) bool { return false }},
-			{"sparse", func(i int) bool { return i%3 == 0 }, func(int) bool { return false }},
-			{"sparse-nulls", func(i int) bool { return i%5 != 1 }, func(i int) bool { return i%7 == 2 }},
-		} {
+		for _, p := range presencePatterns {
 			label := c.name + " " + p.name
-			col := c.column(p.nulls)
-			present := array.NewBitmap(slots)
-			for i := 0; i < c.len(); i++ {
-				if p.present(i) {
-					present.Set(int64(i))
-				}
-			}
+			col := c.column(func(i int) bool { return p.nulls(i, c.len()) })
+			present := presenceOf(c.len(), p.present)
 			if got, want := zoneBytes(t, array.ComputeZone(col, present)), zoneBytes(t, refComputeZone(col, present)); !bytes.Equal(got, want) {
 				t.Fatalf("%s: zone map %x, reference %x", label, got, want)
 			}
@@ -339,12 +430,35 @@ func TestCodecMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wz, err := refEncodeChunkZones(s, ch)
+			want, wz, err := refEncodeChunkZones(s, ch, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) || !bytes.Equal(zoneBytes(t, gz[0]), zoneBytes(t, wz[0])) {
 				t.Fatalf("%s: chunk encoding differs from the reference's", label)
+			}
+			back, err := DecodeChunk(s, got)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			ref, err := refDecodeChunk(s, got)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			sameChunk(t, label, back, ref)
+			sec := columnSection(t, s, got, 0)
+			step := max(1, len(sec)/50)
+			for cut := 0; cut < len(sec); cut += step {
+				sameColumnDecode(t, fmt.Sprintf("%s section cut at %d", label, cut), s.Attrs[0], sec[:cut], present)
+			}
+			for k := 0; k < 18; k++ {
+				mut := append([]byte(nil), sec...)
+				if k < 8 { // each flag bit, the present-only one included
+					mut[0] ^= 1 << k
+				} else {
+					mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
+				}
+				sameColumnDecode(t, fmt.Sprintf("%s section flip %d", label, k), s.Attrs[0], mut, present)
 			}
 		}
 	}
@@ -455,16 +569,21 @@ func TestChunkCodecAllocations(t *testing.T) {
 // the bytes must be the reference encoder's and must decode back to the
 // input, bit for bit, as the reference decodes them. kind picks the type and
 // how data becomes values: whole 8-byte words, running sums of bytes (small
-// deltas), or one small value per byte (runs and dictionaries).
+// deltas), or one small value per byte (runs and dictionaries). The vector is
+// then a chunk's one column, slot i absent where bit i%64 of holes is set: the
+// chunk must encode as the reference encodes it — a partial chunk's int or
+// float column present-only — and decode as the reference decodes it, its
+// present slots to the input's values.
 func FuzzColumnRoundTrip(f *testing.F) {
-	f.Add(uint8(0), []byte("\x01\x02\x03\x04\x05\x06\x07\x08\xff\xff\xff\xff\xff\xff\xff\x7f"))
-	f.Add(uint8(3), []byte{1, 1, 1, 2, 255, 0, 0, 7, 7, 7, 7})
-	f.Add(uint8(6), []byte{3, 3, 3, 3, 9, 9, 1, 2, 3, 3})
-	f.Add(uint8(1), []byte("\x00\x00\x00\x00\x00\x00\xf8\x7f\x00\x00\x00\x00\x00\x00\x00\x80"))
-	f.Add(uint8(4), []byte{0, 0, 254, 254, 255, 255, 1, 2, 2})
-	f.Add(uint8(2), []byte("north\x00south\x00north\x00\x00east"))
-	f.Add(uint8(5), []byte{1, 1, 1, 2, 2, 3, 4, 4, 4, 4})
-	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+	f.Add(uint8(0), uint64(0), []byte("\x01\x02\x03\x04\x05\x06\x07\x08\xff\xff\xff\xff\xff\xff\xff\x7f"))
+	f.Add(uint8(3), uint64(0b10), []byte{1, 1, 1, 2, 255, 0, 0, 7, 7, 7, 7})
+	f.Add(uint8(6), uint64(0xf0f0), []byte{3, 3, 3, 3, 9, 9, 1, 2, 3, 3})
+	f.Add(uint8(1), uint64(1), []byte("\x00\x00\x00\x00\x00\x00\xf8\x7f\x00\x00\x00\x00\x00\x00\x00\x80"))
+	f.Add(uint8(4), uint64(0b1011), []byte{0, 0, 254, 254, 255, 255, 1, 2, 2})
+	f.Add(uint8(2), uint64(0b100), []byte("north\x00south\x00north\x00\x00east"))
+	f.Add(uint8(5), uint64(0b110), []byte{1, 1, 1, 2, 2, 3, 4, 4, 4, 4})
+	f.Add(uint8(7), ^uint64(0)>>1, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Fuzz(func(t *testing.T, kind uint8, holes uint64, data []byte) {
 		if len(data) > 1<<16 {
 			return
 		}
@@ -545,6 +664,37 @@ func FuzzColumnRoundTrip(f *testing.F) {
 			}
 			if !ok {
 				t.Fatalf("slot %d does not round-trip", i)
+			}
+		}
+		if c.len() == 0 {
+			return
+		}
+		slots := int64(c.len())
+		s := &array.Schema{Name: "F", Dims: []array.Dimension{{Name: "i", High: slots}},
+			Attrs: []array.Attribute{{Name: "v", Type: c.typ}}}
+		ch := &array.Chunk{Origin: array.Coord{1}, Shape: []int64{slots},
+			Present: presenceOf(c.len(), func(i, _ int) bool { return holes>>(i%64)&1 == 0 }),
+			Cols:    []*array.Column{c.column(func(int) bool { return false })}}
+		got, _, err := EncodeChunkZones(s, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _, err := refEncodeChunkZones(s, ch, false); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("chunk encoding differs from the reference's (%v)", err)
+		}
+		back, err := DecodeChunk(s, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := refDecodeChunk(s, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameChunk(t, "chunk", back, ref)
+		for i := ch.Present.NextSet(0); i < slots; i = ch.Present.NextSet(i + 1) {
+			g, w := back.Cols[0].Get(i), ch.Cols[0].Get(i)
+			if g.Int != w.Int || g.Str != w.Str || math.Float64bits(g.Float) != math.Float64bits(w.Float) {
+				t.Fatalf("present slot %d does not round-trip", i)
 			}
 		}
 	})

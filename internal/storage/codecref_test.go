@@ -4,7 +4,9 @@ package storage
 // a run per Write, packBits/unpackBits over fresh word vectors, RLE tables
 // grown by append, zone maps' distinct counts in a Go map — kept verbatim as
 // the reference TestCodecMatchesReference and FuzzColumnRoundTrip hold the
-// rewritten codec to, byte for byte and vector for vector.
+// rewritten codec to, byte for byte and vector for vector. The present-only
+// layout of a partial chunk's int and float columns was added to it later,
+// written a slot at a time (refPresentValues, refScatter, refDecodeColumn).
 
 import (
 	"bytes"
@@ -560,8 +562,9 @@ func refDecodeRuns(r *FieldReader, slots int64, readRun func(runLen int64) error
 // refEncodeChunkZones is EncodeChunk plus the per-column zone maps computed
 // during encoding (nil entries for nested-array columns). The store keeps
 // them in its bucket metadata so scans can prune buckets before reading
-// them back from disk.
-func refEncodeChunkZones(s *array.Schema, ch *array.Chunk) ([]byte, []*array.ZoneMap, error) {
+// them back from disk. perSlot writes every column's values per slot, a
+// partial chunk's included: the layout written before present-only columns.
+func refEncodeChunkZones(s *array.Schema, ch *array.Chunk, perSlot bool) ([]byte, []*array.ZoneMap, error) {
 	if len(ch.Cols) != len(s.Attrs) || len(ch.Origin) != len(s.Dims) {
 		return nil, nil, fmt.Errorf("storage: chunk has %d columns and %d dims, schema %d and %d",
 			len(ch.Cols), len(ch.Origin), len(s.Attrs), len(s.Dims))
@@ -581,7 +584,7 @@ func refEncodeChunkZones(s *array.Schema, ch *array.Chunk) ([]byte, []*array.Zon
 	zones := make([]*array.ZoneMap, len(ch.Cols))
 	for ai, col := range ch.Cols {
 		var err error
-		if zones[ai], err = refEncodeColumn(w, s.Attrs[ai], col, ch.Present); err != nil {
+		if zones[ai], err = refEncodeColumn(w, s.Attrs[ai], col, ch.Present, perSlot); err != nil {
 			return nil, nil, err
 		}
 		ends = append(ends, b.Len())
@@ -612,14 +615,24 @@ func refEncodeChunkZones(s *array.Schema, ch *array.Chunk) ([]byte, []*array.Zon
 // It returns the column's zone map (nil for nested columns) so the caller can
 // index the chunk without re-scanning: the one a decoder attached, which
 // Column's contract keeps only while the column is as decoded, or else one
-// computed here.
-func refEncodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present *array.Bitmap) (*array.ZoneMap, error) {
+// computed here. An int64 or float64 column of a chunk with absent slots
+// writes its present slots' values and sigma tail only, unless perSlot.
+func refEncodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present *array.Bitmap, perSlot bool) (*array.ZoneMap, error) {
 	var flags uint8
 	if col.Sigma != nil {
 		flags |= colFlagSigma
 	}
 	if col.HasShared {
 		flags |= colFlagShared
+	}
+	presentOnly := false
+	if (at.Type == array.TInt64 || at.Type == array.TFloat64) && !perSlot {
+		presentOnly = refCountPresent(present) < present.Len()
+	}
+	ints, floats, sigma := col.Ints, col.Floats, col.Sigma
+	if presentOnly {
+		flags |= colFlagPresentOnly
+		ints, floats, sigma = refPresentValues(ints, present), refPresentValues(floats, present), refPresentValues(sigma, present)
 	}
 	zone := col.Zone
 	if zone == nil {
@@ -635,9 +648,9 @@ func refEncodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, pres
 	}
 	switch at.Type {
 	case array.TInt64:
-		refEncodeIntValues(w, col.Ints)
+		refEncodeIntValues(w, ints)
 	case array.TFloat64:
-		refEncodeFloatValues(w, col.Floats)
+		refEncodeFloatValues(w, floats)
 	case array.TBool:
 		refEncodeBoolValues(w, col.Bools)
 	case array.TString:
@@ -659,11 +672,155 @@ func refEncodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, pres
 	default:
 		return nil, fmt.Errorf("storage: cannot encode attribute type %v", at.Type)
 	}
-	w.F64sRaw(col.Sigma)
+	w.F64sRaw(sigma)
 	if col.HasShared {
 		w.F64(col.SharedSigma)
 	}
 	return zone, nil
+}
+
+// refCountPresent counts present's set bits a bit at a time.
+func refCountPresent(present *array.Bitmap) int64 {
+	var n int64
+	for i := int64(0); i < present.Len(); i++ {
+		if present.Get(i) {
+			n++
+		}
+	}
+	return n
+}
+
+// refPresentValues is the values of vals at present's set bits, in slot
+// order: nil for a nil vector.
+func refPresentValues[T any](vals []T, present *array.Bitmap) []T {
+	if vals == nil {
+		return nil
+	}
+	out := []T{}
+	for i := int64(0); i < present.Len(); i++ {
+		if present.Get(i) {
+			out = append(out, vals[i])
+		}
+	}
+	return out
+}
+
+// refScatter places the values of a present-only vector at present's set
+// bits, in slot order, in a zeroed vector of present's length.
+func refScatter[T any](vals []T, present *array.Bitmap) []T {
+	out := make([]T, present.Len())
+	k := 0
+	for i := range out {
+		if present.Get(int64(i)) {
+			out[i] = vals[k]
+			k++
+		}
+	}
+	return out
+}
+
+// refDecodeChunk reverses refEncodeChunkZones through refDecodeColumn, with
+// the header, checksum and section handling DecodeChunk uses.
+func refDecodeChunk(s *array.Schema, data []byte) (*array.Chunk, error) {
+	cr, err := newChunkReader(s, compress.None{}, int64(len(data)), func(off int64, n int) ([]byte, error) {
+		return data[off : off+int64(n)], nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ch, err := cr.frame()
+	if err != nil {
+		return nil, err
+	}
+	ch.Cols = make([]*array.Column, len(s.Attrs))
+	for a := range ch.Cols {
+		err := cr.decodeSection(1+a, func(r *FieldReader) (err error) {
+			ch.Cols[a], err = refDecodeColumn(r, s.Attrs[a], ch.Present)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ch, nil
+}
+
+// refDecodeColumn reverses refEncodeColumn for a chunk whose presence bitmap
+// is present: a present-only column's values are decoded as a vector of the
+// present slots and placed a slot at a time. Nested-array columns are not
+// covered.
+func refDecodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap) (*array.Column, error) {
+	slots := present.Len()
+	flags := r.U8()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if flags&^uint8(colFlagsKnown) != 0 {
+		return nil, fmt.Errorf("storage: unknown column flags %#x", flags)
+	}
+	presentOnly := flags&colFlagPresentOnly != 0
+	if presentOnly && at.Type != array.TInt64 && at.Type != array.TFloat64 {
+		return nil, fmt.Errorf("storage: present-only values in a %v column", at.Type)
+	}
+	nulls, err := readBitmap(r, slots)
+	if err != nil {
+		return nil, err
+	}
+	col := &array.Column{Type: at.Type, Nulls: nulls}
+	if flags&colFlagZone != 0 {
+		if at.Type == array.TArray {
+			return nil, fmt.Errorf("storage: zone map on a nested-array column")
+		}
+		if col.Zone, err = decodeZoneMap(r, at.Type, slots); err != nil {
+			return nil, err
+		}
+	}
+	n := slots
+	if presentOnly {
+		if n = refCountPresent(present); n == slots {
+			return nil, fmt.Errorf("storage: present-only values in a full chunk")
+		}
+	}
+	var runLens []int64
+	switch at.Type {
+	case array.TInt64:
+		col.Ints, runLens, err = refDecodeIntValues(r, n)
+		if err == nil && presentOnly {
+			col.Ints, runLens = refScatter(col.Ints, present), nil
+		}
+	case array.TFloat64:
+		col.Floats, runLens, err = refDecodeFloatValues(r, n)
+		if err == nil && presentOnly {
+			col.Floats, runLens = refScatter(col.Floats, present), nil
+		}
+	case array.TBool:
+		col.Bools, runLens, err = refDecodeBoolValues(r, slots)
+	case array.TString:
+		col.Strs, col.Enc, err = refDecodeStringValues(r, slots)
+	default:
+		return nil, fmt.Errorf("reference: no decoder for %v columns", at.Type)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if runLens != nil {
+		col.Enc = &array.ColEnc{RunLens: runLens}
+	}
+	if flags&colFlagSigma != 0 {
+		if !r.Need(n * 8) {
+			return nil, r.Err()
+		}
+		col.Sigma = make([]float64, n)
+		r.F64sInto(col.Sigma)
+		if presentOnly {
+			col.Sigma = refScatter(col.Sigma, present)
+		}
+	}
+	if flags&colFlagShared != 0 {
+		col.HasShared = true
+		col.SharedSigma = r.F64()
+	}
+	return col, r.Err()
 }
 
 // refComputeZone builds a zone map for col restricted to the slots marked in

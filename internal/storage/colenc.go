@@ -20,7 +20,9 @@ package storage
 // The encoder chooses per column from one cheap stats pass (run count,
 // all-equal, max zigzag delta width, distinct count) by computing each
 // candidate's exact encoded size and keeping the smallest; encRaw is the
-// universal fallback, so every column of every type always encodes.
+// universal fallback, so every column of every type always encodes. The
+// vector is a column's slots, or — an int64 or float64 column of a chunk with
+// absent slots (colFlagPresentOnly, encode.go) — its present slots only.
 import (
 	"encoding/binary"
 	"fmt"
@@ -196,21 +198,22 @@ func encodeIntValues(w *FieldWriter, vals []int64) {
 	}
 }
 
-// decodeIntValues reverses encodeIntValues into a slots-sized vector. The
-// second result is the retained RLE view (run lengths) when the column was
-// constant- or run-encoded, so operators can execute run-at-a-time.
-func decodeIntValues(r *FieldReader, slots int64) ([]int64, []int64, error) {
+// decodeIntValues reverses encodeIntValues of n values into the front of a
+// slots-sized vector (n is slots but for a present-only column). The second
+// result is the retained RLE view (run lengths) when the column was constant-
+// or run-encoded, so operators can execute run-at-a-time.
+func decodeIntValues(r *FieldReader, n, slots int64) ([]int64, []int64, error) {
 	tag := r.U8()
-	if slots == 0 {
-		return nil, nil, r.Err()
+	if n == 0 {
+		return emptyValues[int64](r, slots)
 	}
 	switch tag {
 	case encRaw:
-		if !r.Need(slots * 8) {
+		if !r.Need(n * 8) {
 			return nil, nil, r.Err()
 		}
 		out := make([]int64, slots)
-		r.I64sInto(out)
+		r.I64sInto(out[:n])
 		return out, nil, r.Err()
 	case encConst:
 		v := r.I64()
@@ -218,12 +221,12 @@ func decodeIntValues(r *FieldReader, slots int64) ([]int64, []int64, error) {
 			return nil, nil, r.Err()
 		}
 		out := make([]int64, slots)
-		for i := range out {
+		for i := range out[:n] {
 			out[i] = v
 		}
-		return out, []int64{slots}, nil
+		return out, []int64{n}, nil
 	case encRLE:
-		return decodeRLE(r, slots, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }, r.I64)
+		return decodeRLE(r, n, slots, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }, r.I64)
 	case encDelta:
 		first := r.I64()
 		width := uint(r.U8())
@@ -233,18 +236,27 @@ func decodeIntValues(r *FieldReader, slots int64) ([]int64, []int64, error) {
 		if width > 64 {
 			return nil, nil, fmt.Errorf("storage: delta column bit width %d", width)
 		}
-		u, err := readPacked(r, slots-1, width)
+		u, err := readPacked(r, n-1, width)
 		if err != nil {
 			return nil, nil, err
 		}
 		out := make([]int64, slots)
 		out[0] = first
-		for i := int64(1); i < slots; i++ {
+		for i := int64(1); i < n; i++ {
 			out[i] = out[i-1] + unzigzag(u.next())
 		}
 		return out, nil, nil
 	}
 	return nil, nil, fmt.Errorf("storage: unknown int column encoding %d", tag)
+}
+
+// emptyValues is what a decoder of no values returns after its tag: no
+// vector for a chunk of no slots, else a zeroed one of slots.
+func emptyValues[T any](r *FieldReader, slots int64) ([]T, []int64, error) {
+	if slots == 0 || r.Err() != nil {
+		return nil, nil, r.Err()
+	}
+	return make([]T, slots), nil, nil
 }
 
 // encodeFloatValues picks const, RLE, or raw for a float vector. Run
@@ -287,19 +299,20 @@ func encodeFloatValues(w *FieldWriter, vals []float64) {
 	}
 }
 
-// decodeFloatValues reverses encodeFloatValues, retaining the RLE view.
-func decodeFloatValues(r *FieldReader, slots int64) ([]float64, []int64, error) {
+// decodeFloatValues reverses encodeFloatValues as decodeIntValues does,
+// retaining the RLE view.
+func decodeFloatValues(r *FieldReader, n, slots int64) ([]float64, []int64, error) {
 	tag := r.U8()
-	if slots == 0 {
-		return nil, nil, r.Err()
+	if n == 0 {
+		return emptyValues[float64](r, slots)
 	}
 	switch tag {
 	case encRaw:
-		if !r.Need(slots * 8) {
+		if !r.Need(n * 8) {
 			return nil, nil, r.Err()
 		}
 		out := make([]float64, slots)
-		r.F64sInto(out)
+		r.F64sInto(out[:n])
 		return out, nil, r.Err()
 	case encConst:
 		v := r.F64()
@@ -307,12 +320,12 @@ func decodeFloatValues(r *FieldReader, slots int64) ([]float64, []int64, error) 
 			return nil, nil, r.Err()
 		}
 		out := make([]float64, slots)
-		for i := range out {
+		for i := range out[:n] {
 			out[i] = v
 		}
-		return out, []int64{slots}, nil
+		return out, []int64{n}, nil
 	case encRLE:
-		return decodeRLE(r, slots, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }, r.F64)
+		return decodeRLE(r, n, slots, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }, r.F64)
 	}
 	return nil, nil, fmt.Errorf("storage: unknown float column encoding %d", tag)
 }
@@ -394,7 +407,7 @@ func decodeBoolValues(r *FieldReader, slots int64) ([]bool, []int64, error) {
 		}
 		return out, []int64{slots}, nil
 	case encRLE:
-		return decodeRLE(r, slots, 1, func(b []byte) bool { return b[0] != 0 }, r.Bool)
+		return decodeRLE(r, slots, slots, 1, func(b []byte) bool { return b[0] != 0 }, r.Bool)
 	}
 	return nil, nil, fmt.Errorf("storage: unknown bool column encoding %d", tag)
 }
@@ -521,7 +534,7 @@ func decodeStringValues(r *FieldReader, slots int64) ([]string, *array.ColEnc, e
 		}
 		return out, &array.ColEnc{RunLens: []int64{slots}}, nil
 	case encRLE:
-		out, runLens, err := decodeRLE(r, slots, 0, nil, r.String)
+		out, runLens, err := decodeRLE(r, slots, slots, 0, nil, r.String)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -564,14 +577,15 @@ func decodeStringValues(r *FieldReader, slots int64) ([]string, *array.ColEnc, e
 	return nil, nil, fmt.Errorf("storage: unknown string column encoding %d", tag)
 }
 
-// decodeRLE reads a run-length vector — a u32 run count, then per run a u32
-// length and a value, the lengths summing to slots — into a vector sized to
-// the slots and a run table sized to the count, bounding the count against
-// the bytes that remain first. A run whose record (length plus size value
-// bytes, which at decodes) lies whole in a slice reader's buffer is taken
-// from it in one piece; any other, and every run when at is nil, is read
-// field by field with read, so a table cut short fails as the reader does.
-func decodeRLE[T any](r *FieldReader, slots int64, size int, at func([]byte) T, read func() T) ([]T, []int64, error) {
+// decodeRLE reads a run-length vector of n values — a u32 run count, then per
+// run a u32 length and a value, the lengths summing to n — into the front of
+// a vector sized to the slots and a run table sized to the count, bounding
+// the count against the bytes that remain first. A run whose record (length
+// plus size value bytes, which at decodes) lies whole in a slice reader's
+// buffer is taken from it in one piece; any other, and every run when at is
+// nil, is read field by field with read, so a table cut short fails as the
+// reader does.
+func decodeRLE[T any](r *FieldReader, n, slots int64, size int, at func([]byte) T, read func() T) ([]T, []int64, error) {
 	runs := int64(r.U32())
 	// Each run costs at least a u32 length plus a 1-byte value.
 	if !r.Need(runs * 5) {
@@ -584,14 +598,14 @@ func decodeRLE[T any](r *FieldReader, slots int64, size int, at func([]byte) T, 
 		if at != nil {
 			rec = r.whole(4 + size)
 		}
-		var n int64
+		var run int64
 		if rec != nil {
-			n = int64(binary.LittleEndian.Uint32(rec))
-		} else if n = int64(r.U32()); r.Err() != nil {
+			run = int64(binary.LittleEndian.Uint32(rec))
+		} else if run = int64(r.U32()); r.Err() != nil {
 			return nil, nil, r.Err()
 		}
-		if n <= 0 || total+n > slots {
-			return nil, nil, fmt.Errorf("storage: RLE runs exceed %d slots", slots)
+		if run <= 0 || total+run > n {
+			return nil, nil, fmt.Errorf("storage: RLE runs exceed %d slots", n)
 		}
 		var v T
 		if rec != nil {
@@ -599,14 +613,14 @@ func decodeRLE[T any](r *FieldReader, slots int64, size int, at func([]byte) T, 
 		} else if v = read(); r.Err() != nil {
 			return nil, nil, r.Err()
 		}
-		for i := total; i < total+n; i++ {
+		for i := total; i < total+run; i++ {
 			out[i] = v
 		}
-		runLens[k] = n
-		total += n
+		runLens[k] = run
+		total += run
 	}
-	if total != slots {
-		return nil, nil, fmt.Errorf("storage: RLE runs cover %d of %d slots", total, slots)
+	if total != n {
+		return nil, nil, fmt.Errorf("storage: RLE runs cover %d of %d slots", total, n)
 	}
 	return out, runLens, nil
 }

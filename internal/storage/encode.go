@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"scidb/internal/array"
@@ -29,6 +31,10 @@ import (
 //	u32 crc of everything above
 //	section 0: presence bitmap words
 //	section 1+a: column a (flags, null bitmap, zone map, values, sigma tail)
+//
+// A chunk with absent slots writes its int64 and float64 columns' values, and
+// their sigma tails, for the present slots only, in slot order
+// (colFlagPresentOnly); every other vector, and every bitmap, is per slot.
 //
 // Every byte is covered by a CRC-32C — the header by its own, a section's
 // stored bytes by its table entry — and the sections tile the rest of the
@@ -58,12 +64,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const (
 	colFlagSigma  = 1 << 0
 	colFlagShared = 1 << 1
+	// colFlagPresentOnly marks an int64 or float64 column of a chunk with
+	// absent slots: its values and sigma tail hold one entry per present
+	// slot, not per slot. It is set exactly then, so an encoding has one form.
+	colFlagPresentOnly = 1 << 2
 	// colFlagZone marks a column that carries a serialized zone map
 	// (min/max, null count, distinct hint; see colenc.go) between the
 	// null bitmap and the values: every column of a zone-mappable type.
 	colFlagZone = 1 << 6
 
-	colFlagsKnown = colFlagSigma | colFlagShared | colFlagZone
+	colFlagsKnown = colFlagSigma | colFlagShared | colFlagPresentOnly | colFlagZone
 )
 
 // section is one entry of the section table.
@@ -254,10 +264,11 @@ func (cr *chunkReader) frame() (*array.Chunk, error) {
 	return ch, nil
 }
 
-// column decodes attribute a's column.
-func (cr *chunkReader) column(a int) (col *array.Column, err error) {
+// column decodes attribute a's column; present is the chunk's presence
+// bitmap, as frame decoded it.
+func (cr *chunkReader) column(a int, present *array.Bitmap) (col *array.Column, err error) {
 	err = cr.decodeSection(1+a, func(r *FieldReader) (err error) {
-		col, err = decodeColumn(r, cr.s.Attrs[a], cr.hdr.slots())
+		col, err = decodeColumn(r, cr.s.Attrs[a], present)
 		return err
 	})
 	if err != nil {
@@ -351,7 +362,7 @@ const maxPooledEncoder = 16 << 20
 
 // release empties e and returns it to the pool.
 func (e *chunkEncoder) release() {
-	if e.buf.Cap() > maxPooledEncoder {
+	if e.buf.Cap() > maxPooledEncoder || 8*max(cap(e.w.ints), cap(e.w.floats)) > maxPooledEncoder {
 		return
 	}
 	e.buf.Reset()
@@ -374,6 +385,8 @@ func sealChunk(s *array.Schema, raw []byte, codec compress.Codec) ([]byte, error
 		return nil, err
 	}
 	hlen := headerLen(s)
+	slots := hdr.slots()
+	present := presentCount(raw[hlen:hlen+int(hdr.secs[0].stored)], slots)
 	buf := sealBufs.Get().(*[]byte)
 	b := append((*buf)[:0], raw[:hlen]...) // room for the header, written last
 	start := hlen
@@ -384,7 +397,7 @@ func sealChunk(s *array.Schema, raw []byte, codec compress.Codec) ([]byte, error
 			at = &s.Attrs[i-1]
 		}
 		from := len(b)
-		b = sealSection(b, codec, raw[start:start+int(sec.stored)], at, hdr.slots())
+		b = sealSection(b, codec, raw[start:start+int(sec.stored)], at, slots, present)
 		start += int(sec.stored)
 		sec.stored, sec.codec, sec.crc = uint32(len(b)-from), tag, crc32.Checksum(b[from:], castagnoli)
 	}
@@ -404,22 +417,33 @@ var sealBufs = sync.Pool{New: func() any { return new([]byte) }}
 // sealSection appends one section passed through codec to dst: a column of
 // attribute at whose values are fixed-width records (recordRegion) as those
 // records when the codec can take them, the presence bitmap (at nil) and
-// every other column whole.
-func sealSection(dst []byte, codec compress.Codec, sec []byte, at *array.Attribute, slots int64) []byte {
+// every other column whole. A chunk of slots has present of them present.
+func sealSection(dst []byte, codec compress.Codec, sec []byte, at *array.Attribute, slots, present int64) []byte {
 	if rc, ok := codec.(compress.RecordEncoder); ok && at != nil {
-		if lo, hi, width, ok := recordRegion(sec, *at, slots); ok {
+		if lo, hi, width, ok := recordRegion(sec, *at, slots, present); ok {
 			return rc.AppendRecords(dst, sec, lo, hi, width)
 		}
 	}
 	return append(dst, codec.Encode(sec)...)
 }
 
+// presentCount counts the present slots of an encoded presence bitmap of
+// slots bits: how many values a present-only column holds. Bytes that are
+// not whole words count what words they hold.
+func presentCount(sec []byte, slots int64) int64 {
+	var n int64
+	for w := int64(0); 8*w+8 <= int64(len(sec)) && 64*w < slots; w++ {
+		n += int64(bits.OnesCount64(binary.LittleEndian.Uint64(sec[8*w:]) & lowBits(min(slots-64*w, 64))))
+	}
+	return n
+}
+
 // recordRegion finds the fixed-width records among the values of a float64
-// or int64 column section: a raw vector's 8-byte words, which the sigma tail
-// continues when there is one, or an RLE column's 12-byte (u32 length,
-// value) runs. ok is false for any other column, and for bytes that do not
-// read as one.
-func recordRegion(sec []byte, at array.Attribute, slots int64) (lo, hi, width int, ok bool) {
+// or int64 column section of a chunk of slots, present of them present: a
+// raw vector's 8-byte words, which the sigma tail continues when there is one,
+// or an RLE column's 12-byte (u32 length, value) runs. ok is false for any
+// other column, and for bytes that do not read as one.
+func recordRegion(sec []byte, at array.Attribute, slots, present int64) (lo, hi, width int, ok bool) {
 	if (at.Type != array.TInt64 && at.Type != array.TFloat64) || slots == 0 {
 		return 0, 0, 0, false
 	}
@@ -429,10 +453,14 @@ func recordRegion(sec []byte, at array.Attribute, slots int64) (lo, hi, width in
 	if err != nil || r.Err() != nil {
 		return 0, 0, 0, false
 	}
+	values := slots
+	if flags&colFlagPresentOnly != 0 {
+		values = present
+	}
 	var n int64
 	switch tag {
 	case encRaw:
-		width, n = 8, slots
+		width, n = 8, values
 		if flags&colFlagSigma != 0 {
 			n *= 2
 		}
@@ -466,7 +494,7 @@ func DecodeChunk(s *array.Schema, data []byte) (*array.Chunk, error) {
 	}
 	ch.Cols = make([]*array.Column, len(s.Attrs))
 	for a := range ch.Cols {
-		if ch.Cols[a], err = cr.column(a); err != nil {
+		if ch.Cols[a], err = cr.column(a, ch.Present); err != nil {
 			return nil, err
 		}
 	}
@@ -546,12 +574,14 @@ func DecodeArray(s *array.Schema, data []byte) (*array.Array, error) {
 
 // encodeColumn writes one column section: flag byte, null bitmap, zone map
 // (zone-mappable types), the values under the encoding colenc.go picks,
-// then the uncertainty tail. Nested-array columns are written verbatim —
-// their payloads are recursively encoded arrays, which compress internally.
-// It returns the column's zone map (nil for nested columns) so the caller can
-// index the chunk without re-scanning: the one a decoder attached, which
-// Column's contract keeps only while the column is as decoded, or else one
-// computed here.
+// then the uncertainty tail. An int64 or float64 column of a chunk with
+// absent slots writes the values and tail of its present slots only
+// (colFlagPresentOnly), gathered into w's scratch. Nested-array columns are
+// written verbatim — their payloads are recursively encoded arrays, which
+// compress internally. It returns the column's zone map (nil for nested
+// columns) so the caller can index the chunk without re-scanning: the one a
+// decoder attached, which Column's contract keeps only while the column is as
+// decoded, or else one computed here.
 func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present *array.Bitmap) (*array.ZoneMap, error) {
 	var flags uint8
 	if col.Sigma != nil {
@@ -559,6 +589,13 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	}
 	if col.HasShared {
 		flags |= colFlagShared
+	}
+	n, presentOnly := present.Len(), false
+	if at.Type == array.TInt64 || at.Type == array.TFloat64 {
+		n = present.Count()
+		if presentOnly = n < present.Len(); presentOnly {
+			flags |= colFlagPresentOnly
+		}
 	}
 	zone := col.Zone
 	if zone == nil {
@@ -574,9 +611,19 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	}
 	switch at.Type {
 	case array.TInt64:
-		encodeIntValues(w, col.Ints)
+		vals := col.Ints
+		if presentOnly {
+			w.ints = gatherPresent(w.ints, vals, present, n)
+			vals = w.ints
+		}
+		encodeIntValues(w, vals)
 	case array.TFloat64:
-		encodeFloatValues(w, col.Floats)
+		vals := col.Floats
+		if presentOnly {
+			w.floats = gatherPresent(w.floats, vals, present, n)
+			vals = w.floats
+		}
+		encodeFloatValues(w, vals)
 	case array.TBool:
 		encodeBoolValues(w, col.Bools)
 	case array.TString:
@@ -598,7 +645,13 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	default:
 		return nil, fmt.Errorf("storage: cannot encode attribute type %v", at.Type)
 	}
-	w.F64sRaw(col.Sigma)
+	sigma := col.Sigma
+	if presentOnly && sigma != nil {
+		// The values are out, so the float scratch is free again.
+		w.floats = gatherPresent(w.floats, sigma, present, n)
+		sigma = w.floats
+	}
+	w.F64sRaw(sigma)
 	if col.HasShared {
 		w.F64(col.SharedSigma)
 	}
@@ -616,6 +669,9 @@ func columnHead(r *FieldReader, at array.Attribute, slots int64, skip bool) (fla
 	}
 	if flags&^uint8(colFlagsKnown) != 0 {
 		return 0, nil, fmt.Errorf("storage: unknown column flags %#x", flags)
+	}
+	if flags&colFlagPresentOnly != 0 && at.Type != array.TInt64 && at.Type != array.TFloat64 {
+		return 0, nil, fmt.Errorf("storage: present-only values in a %v column", at.Type)
 	}
 	if skip {
 		if n := (slots + 63) / 64 * 8; r.Need(n) {
@@ -644,17 +700,29 @@ func columnHead(r *FieldReader, at array.Attribute, slots int64, skip bool) (fla
 	return flags, col, nil
 }
 
-func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Column, error) {
+// decodeColumn reverses encodeColumn for a chunk whose presence bitmap is
+// present. A present-only column's values are decoded into the front of a
+// slot-sized vector and scattered out to their slots, the absent ones left
+// zero; it keeps no run view, since its runs are over present values, not
+// slots.
+func decodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap) (*array.Column, error) {
+	slots := present.Len()
 	flags, col, err := columnHead(r, at, slots, false)
 	if err != nil {
 		return nil, err
 	}
+	n, presentOnly := slots, flags&colFlagPresentOnly != 0
+	if presentOnly {
+		if n = present.Count(); n == slots {
+			return nil, fmt.Errorf("storage: present-only values in a full chunk")
+		}
+	}
 	var runLens []int64
 	switch at.Type {
 	case array.TInt64:
-		col.Ints, runLens, err = decodeIntValues(r, slots)
+		col.Ints, runLens, err = decodeIntValues(r, n, slots)
 	case array.TFloat64:
-		col.Floats, runLens, err = decodeFloatValues(r, slots)
+		col.Floats, runLens, err = decodeFloatValues(r, n, slots)
 	case array.TBool:
 		col.Bools, runLens, err = decodeBoolValues(r, slots)
 	case array.TString:
@@ -690,21 +758,83 @@ func decodeColumn(r *FieldReader, at array.Attribute, slots int64) (*array.Colum
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if runLens != nil {
+	switch {
+	case presentOnly && at.Type == array.TInt64:
+		scatterPresent(col.Ints, present, n)
+	case presentOnly:
+		scatterPresent(col.Floats, present, n)
+	case runLens != nil:
 		col.Enc = &array.ColEnc{RunLens: runLens}
 	}
 	if flags&colFlagSigma != 0 {
-		if !r.Need(slots * 8) {
+		if !r.Need(n * 8) {
 			return nil, r.Err()
 		}
 		col.Sigma = make([]float64, slots)
-		r.F64sInto(col.Sigma)
+		r.F64sInto(col.Sigma[:n])
+		if presentOnly {
+			scatterPresent(col.Sigma, present, n)
+		}
 	}
 	if flags&colFlagShared != 0 {
 		col.HasShared = true
 		col.SharedSigma = r.F64()
 	}
 	return col, r.Err()
+}
+
+// lowBits is a word with its k (1 to 64) low bits set.
+func lowBits(k int64) uint64 { return ^uint64(0) >> (64 - k) }
+
+// gatherPresent fills dst, grown as needed, with the n values of vals at the
+// slots present marks, in slot order, and returns it: a presence word at a
+// time, a full word's 64 values in one copy.
+func gatherPresent[T any](dst, vals []T, present *array.Bitmap, n int64) []T {
+	dst = slices.Grow(dst[:0], int(n))[:n]
+	words, slots := present.Words(), present.Len()
+	k := 0
+	for base := int64(0); base < slots; base += 64 {
+		word := words[base/64] & lowBits(min(slots-base, 64))
+		if word == ^uint64(0) {
+			k += copy(dst[k:], vals[base:base+64])
+			continue
+		}
+		for ; word != 0; word &= word - 1 {
+			dst[k] = vals[base+int64(bits.TrailingZeros64(word))]
+			k++
+		}
+	}
+	return dst
+}
+
+// scatterPresent reverses gatherPresent in place: the n values at the front of
+// vals, a slot-sized vector, move out to the slots present marks, and every
+// other slot is zeroed. It walks the presence words from the last back, so a
+// value — which only ever moves to a slot at or after its own index — moves
+// before anything overwrites it; a full word's 64 values move in one copy.
+func scatterPresent[T any](vals []T, present *array.Bitmap, n int64) {
+	words, slots := present.Words(), present.Len()
+	k := n // the values of the words before this one
+	for w := (slots+63)/64 - 1; w >= 0; w-- {
+		base := w * 64
+		hi := min(base+64, slots)
+		word := words[w] & lowBits(hi-base)
+		c := int64(bits.OnesCount64(word))
+		k -= c
+		if c == 64 {
+			copy(vals[base:hi], vals[k:k+64])
+			continue
+		}
+		for src := k + c; word != 0; {
+			top := base + 63 - int64(bits.LeadingZeros64(word))
+			clear(vals[top+1 : hi])
+			src--
+			vals[top] = vals[src]
+			hi = top
+			word &^= 1 << uint(top-base)
+		}
+		clear(vals[base:hi])
+	}
 }
 
 // writeBitmap writes a bitmap's words; the reader knows how many from the

@@ -74,6 +74,16 @@ func fuzzRecordsChunk(s *array.Schema) *array.Chunk {
 	return ch
 }
 
+// fuzzPartialChunk is fuzzSeedChunk with every third slot absent, so its int
+// and float columns — the float one with a sigma tail — are present-only.
+func fuzzPartialChunk(s *array.Schema) *array.Chunk {
+	ch := fuzzSeedChunk(s)
+	for i := int64(0); i < 16; i += 3 {
+		ch.Erase(array.Coord{i + 1})
+	}
+	return ch
+}
+
 // withSection returns enc — EncodeChunk bytes — with section i replaced by
 // body, stored verbatim, and the table and checksums made to agree: what a
 // fuzzer needs to get arbitrary bytes past the CRCs and into the section
@@ -102,8 +112,9 @@ func withSection(t testing.TB, s *array.Schema, enc []byte, i int, body []byte) 
 
 // FuzzDecodeChunk feeds arbitrary bytes to DecodeChunk, whole and — with
 // the checksums fixed up, since no random byte string passes them — as each
-// section's content: it must return an error or a chunk, never panic or
-// allocate past the buffer's implied bounds; a successful decode must
+// section's content in a full chunk and in a partial one, whose int and float
+// columns are present-only: it must return an error or a chunk, never panic
+// or allocate past the buffer's implied bounds; a successful decode must
 // re-encode.
 func FuzzDecodeChunk(f *testing.F) {
 	s := fuzzSchema()
@@ -134,8 +145,27 @@ func FuzzDecodeChunk(f *testing.F) {
 		f.Fatalf("the records seed seals to %d bytes, whole sections to %d (%v)", len(planes), len(whole), err)
 	}
 	f.Add(planes)
+	// A partial chunk, whole and sealed, and a bucket whose present-only
+	// float values and sigma tail are sealed as byte planes.
+	part, err := EncodeChunk(s, fuzzPartialChunk(s))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(part)
+	if sealed, err := sealChunk(s, part, compress.Auto{}); err == nil {
+		f.Add(sealed)
+	}
+	holed := fuzzRecordsChunk(s)
+	for i := int64(0); i < 1100; i += 4 {
+		holed.Present.Clear(i)
+	}
+	if recs, err := EncodeChunk(s, holed); err == nil {
+		if sealed, err := sealChunk(s, recs, compress.Auto{}); err == nil {
+			f.Add(sealed)
+		}
+	}
 	// Each section's own bytes, the seeds of the spliced decodes below, from
-	// both seed chunks.
+	// the three seed chunks.
 	hdr, err := parseHeader(s, enc, int64(len(enc)))
 	if err != nil {
 		f.Fatal(err)
@@ -145,7 +175,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(runs)
-	for _, seed := range [][]byte{enc, runs} {
+	for _, seed := range [][]byte{enc, runs, part} {
 		h, err := parseHeader(s, seed, int64(len(seed)))
 		if err != nil {
 			f.Fatal(err)
@@ -169,6 +199,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		check(data)
 		for i := range hdr.secs {
 			check(withSection(t, s, enc, i, data))
+			check(withSection(t, s, part, i, data))
 		}
 	})
 }

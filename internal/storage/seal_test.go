@@ -74,20 +74,22 @@ func ssdbPayloads(t testing.TB) []payload {
 }
 
 // eachSection calls f with every section of an EncodeChunk payload, the
-// attribute of a column's (nil for the presence bitmap) and the slot count.
-func eachSection(t testing.TB, s *array.Schema, enc []byte, f func(i int, sec []byte, at *array.Attribute, slots int64)) {
+// attribute of a column's (nil for the presence bitmap), the slot count and
+// the present slots' count.
+func eachSection(t testing.TB, s *array.Schema, enc []byte, f func(i int, sec []byte, at *array.Attribute, slots, present int64)) {
 	t.Helper()
 	hdr, err := parseHeader(s, enc, int64(len(enc)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	off := headerLen(s)
+	present := presentCount(enc[off:off+int(hdr.secs[0].stored)], hdr.slots())
 	for i, sec := range hdr.secs {
 		var at *array.Attribute
 		if i > 0 {
 			at = &s.Attrs[i-1]
 		}
-		f(i, enc[off:off+int(sec.stored)], at, hdr.slots())
+		f(i, enc[off:off+int(sec.stored)], at, hdr.slots(), present)
 		off += int(sec.stored)
 	}
 }
@@ -100,12 +102,12 @@ func TestSealedRecordsNoLarger(t *testing.T) {
 	var records, rle int
 	var sealed, whole int64
 	for _, p := range ssdbPayloads(t) {
-		eachSection(t, p.s, p.enc, func(i int, sec []byte, at *array.Attribute, slots int64) {
-			got, want := sealSection(nil, compress.Auto{}, sec, at, slots), compress.Auto{}.Encode(sec)
+		eachSection(t, p.s, p.enc, func(i int, sec []byte, at *array.Attribute, slots, present int64) {
+			got, want := sealSection(nil, compress.Auto{}, sec, at, slots, present), compress.Auto{}.Encode(sec)
 			sealed, whole = sealed+int64(len(got)), whole+int64(len(want))
 			var width int
 			if at != nil {
-				_, _, width, _ = recordRegion(sec, *at, slots)
+				_, _, width, _ = recordRegion(sec, *at, slots, present)
 			}
 			if width == 0 {
 				if !bytes.Equal(got, want) {
@@ -133,9 +135,9 @@ func TestSealedRecordsNoLarger(t *testing.T) {
 
 // sealCorpus is a chunk of every shape a record section comes in: random,
 // smooth and integer-valued floats, NaN payloads, signed zeros and
-// infinities, extreme ints, sigma tails, RLE runs around absent slots,
-// chunks with no cell and with one slot, and record regions below and above
-// the smallest Auto splits into planes.
+// infinities, extreme ints, sigma tails, present-only values of a chunk a
+// site boundary cuts, chunks with no cell and with one slot, and record
+// regions below and above the smallest Auto splits into planes.
 func sealCorpus() []payload {
 	rng := rand.New(rand.NewSource(9))
 	attrs := []array.Attribute{
@@ -161,7 +163,7 @@ func sealCorpus() []payload {
 			{300, func(int64) bool { return true }},
 			{2048, func(int64) bool { return true }},
 			{16384, func(int64) bool { return true }},
-			{16384, func(i int64) bool { return i%64 < 20 }}, // a site boundary: RLE
+			{16384, func(i int64) bool { return i%64 < 20 }}, // a site boundary: present-only
 			{4096, func(int64) bool { return false }},
 		} {
 			s := &array.Schema{Name: name, Dims: []array.Dimension{{Name: "i", High: shape.slots}}, Attrs: attrs}
@@ -207,8 +209,8 @@ func TestSealedBucketsRoundTrip(t *testing.T) {
 				t.Fatalf("%s, sealed as %T: decodes to another chunk (%v)", p.name, codec, err)
 			}
 		}
-		eachSection(t, p.s, p.enc, func(i int, sec []byte, at *array.Attribute, slots int64) {
-			got, was := sealSection(nil, compress.Auto{}, sec, at, slots), compress.Auto{}.Encode(sec)
+		eachSection(t, p.s, p.enc, func(i int, sec []byte, at *array.Attribute, slots, present int64) {
+			got, was := sealSection(nil, compress.Auto{}, sec, at, slots, present), compress.Auto{}.Encode(sec)
 			sealed, parent = sealed+int64(len(got)), parent+int64(len(was))
 			if r := float64(len(got)) / float64(len(was)); r > worst {
 				worst, worstName = r, p.name
@@ -286,11 +288,11 @@ func TestSealSectionAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	sec := buf.Bytes()
-	if _, _, width, ok := recordRegion(sec, at, slots); !ok || width != 8 {
+	if _, _, width, ok := recordRegion(sec, at, slots, slots); !ok || width != 8 {
 		t.Fatalf("no 8-byte records found in a raw float section")
 	}
 	dst := make([]byte, 0, len(sec))
-	allocs := testing.AllocsPerRun(20, func() { sealSection(dst, compress.Auto{}, sec, &at, slots) })
+	allocs := testing.AllocsPerRun(20, func() { sealSection(dst, compress.Auto{}, sec, &at, slots, slots) })
 	if allocs > 1 {
 		t.Errorf("sealing a %d-slot float section: %.1f allocations, want at most 1", slots, allocs)
 	}

@@ -531,7 +531,9 @@ func (s *Store) pinBucket(meta *bucketMeta, attrs []int) (ch *array.Chunk, relea
 			s.uncache(meta.id)
 		}
 	}()
-	section := func(col int) (bufcache.Sized, error) {
+	// A column's section decodes under the frame's presence bitmap, which is
+	// pinned before any column is asked for.
+	section := func(col int, present *array.Bitmap) (bufcache.Sized, error) {
 		load := func() (v bufcache.Sized, err error) {
 			if cr == nil {
 				var d func()
@@ -542,7 +544,7 @@ func (s *Store) pinBucket(meta *bucketMeta, attrs []int) (ch *array.Chunk, relea
 			if err == nil && col == bufcache.Frame {
 				v, err = cr.frame()
 			} else if err == nil {
-				v, err = cr.column(col)
+				v, err = cr.column(col, present)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("bucket %d: %w", meta.id, err)
@@ -559,7 +561,7 @@ func (s *Store) pinBucket(meta *bucketMeta, attrs []int) (ch *array.Chunk, relea
 		pins = append(pins, h)
 		return h.Value(), nil
 	}
-	f, err := section(bufcache.Frame)
+	f, err := section(bufcache.Frame, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -570,7 +572,7 @@ func (s *Store) pinBucket(meta *bucketMeta, attrs []int) (ch *array.Chunk, relea
 		if attrs != nil && !slices.Contains(attrs, a) {
 			continue
 		}
-		col, err := section(a)
+		col, err := section(a, frame.Present)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -26,6 +26,10 @@ type FieldWriter struct {
 	vec []byte
 	// pk is the bit packer, its words kept from one packed vector to the next.
 	pk bitPacker
+	// ints and floats hold a partial chunk's present values on their way out
+	// (gatherPresent), kept from one column to the next.
+	ints   []int64
+	floats []float64
 }
 
 // vecBlock is how many bytes of a vector go out in one Write.
