@@ -1,8 +1,8 @@
 // In-situ: the §2.9 scenario — "I am looking forward to getting something
 // done, but I am still trying to load my data." An external NetCDF-like
-// file is attached to the engine with no load step; box queries read only
-// what they touch; and only a whole-array analysis triggers (and caches) a
-// full materialization.
+// file is attached to the engine with no load step; the first query reads
+// the file once into an in-memory store, and every later query reads the
+// store.
 package main
 
 import (
@@ -53,32 +53,31 @@ func main() {
 	}
 	fmt.Printf("%s  (%v)\n", res.Msg, time.Since(start))
 
-	// 3. A study-area query: the subsample box is pushed down into the
-	// file scan; only ~1,600 of 262,144 cells are read.
+	// 3. A study-area query: the first query copies the file into the
+	// array's store once; the subsample box is then a store read.
 	start = time.Now()
 	res, err = db.Exec("aggregate(subsample(ocean, lat >= 100 and lat <= 139 and lon >= 200 and lon <= 239), {}, avg(sst))")
 	if err != nil {
 		log.Fatal(err)
 	}
 	cell, _ := res.Array.At(scidb.Coord{1})
-	fmt.Printf("study-area mean SST: %.3f  (in-situ box read, %v)\n", cell[0].Float, time.Since(start))
+	fmt.Printf("study-area mean SST: %.3f  (first query: one read of the file, %v)\n", cell[0].Float, time.Since(start))
 
-	// 4. A whole-array analysis needs everything: the engine materializes
-	// once, then caches.
+	// 4. A whole-array analysis reads the store, not the file.
 	start = time.Now()
 	res, err = db.Exec("aggregate(ocean, {}, max(sst), min(sst))")
 	if err != nil {
 		log.Fatal(err)
 	}
 	cell, _ = res.Array.At(scidb.Coord{1})
-	fmt.Printf("global max/min SST: %.3f / %.3f  (full materialize, %v)\n",
+	fmt.Printf("global max/min SST: %.3f / %.3f  (store read, %v)\n",
 		cell[0].Float, cell[1].Float, time.Since(start))
 
 	start = time.Now()
 	if _, err = db.Exec("aggregate(ocean, {}, count(sst))"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("repeat whole-array query: cached  (%v)\n", time.Since(start))
+	fmt.Printf("repeat whole-array query: pooled  (%v)\n", time.Since(start))
 
 	// 5. The same file can also be bulk-converted to the self-describing
 	// SDF format (what cmd/scidb-load -out does).

@@ -40,8 +40,7 @@ const DefaultBudget = 64 << 20
 // Key identifies one cached section: the pool-assigned id of the owning
 // store, the store-local bucket id, and the section within the bucket — a
 // column index, or Frame. Store ids come from RegisterStore, so two stores
-// sharing a pool can never alias each other's buckets. An owner that caches
-// whole chunks (an in-situ partition) leaves Col zero.
+// sharing a pool can never alias each other's buckets.
 type Key struct {
 	Store  uint64
 	Bucket int64

@@ -502,7 +502,7 @@ func checkWorkerRead(t *testing.T, seed int64) {
 			wantSeen := int64(len(seen))
 			// checkCounters holds a response's counters to the oracle. A
 			// bucket pruned unread is not seen, so Seen is exact only
-			// without one; only stores prune.
+			// without one; only predicates prune.
 			checkCounters := func(par int, sink string, resp *Message) {
 				t.Helper()
 				if resp.Cells != int64(len(wantCells)) {
@@ -511,7 +511,7 @@ func checkWorkerRead(t *testing.T, seed int64) {
 				if resp.Seen < resp.Cells || resp.Seen > wantSeen || resp.Skipped == 0 && resp.Seen != wantSeen {
 					t.Fatalf("%s par %d: %s saw %d cells (%d buckets skipped), oracle sees %d and answers %d", name, par, sink, resp.Seen, resp.Skipped, wantSeen, resp.Cells)
 				}
-				if resp.Skipped != 0 && (len(q.preds) == 0 || !strings.HasPrefix(backing, "store")) {
+				if resp.Skipped != 0 && len(q.preds) == 0 {
 					t.Fatalf("%s par %d: %s skipped %d buckets", name, par, sink, resp.Skipped)
 				}
 			}

@@ -392,7 +392,7 @@ func (co *Coordinator) ScanCtx(ctx context.Context, name string, box array.Box) 
 
 // ScanPruned gathers only the cells satisfying every pred; skipped totals
 // the buckets no worker had to read: a store prunes by zone map, cells still
-// in its write buffer and in-situ partitions are filtered slot by slot.
+// in its write buffer are filtered slot by slot.
 func (co *Coordinator) ScanPruned(ctx context.Context, name string, box array.Box, preds []array.ZonePred) (a *array.Array, skipped int64, err error) {
 	a, _, _, skipped, err = co.Read(ctx, name, ops.Fragment{Box: box, Preds: preds})
 	return a, skipped, err
@@ -825,7 +825,8 @@ func (co *Coordinator) LoadChunks(name string, node int, payloads [][]byte, cell
 
 // RegisterInsitu declares an external file as a distributed array without
 // loading it (§2.9 in-situ data): each node is handed its slab of the file's
-// coordinate box and materializes chunks lazily through the named adaptor.
+// coordinate box and copies it through the named adaptor into the
+// partition's store at the partition's first read.
 // The scheme must describe contiguous per-node boxes (Block or Range), and
 // the file must be reachable from every worker at the same path.
 func (co *Coordinator) RegisterInsitu(name, path, adaptor string, schema *array.Schema, scheme partition.Scheme) error {

@@ -2,8 +2,8 @@ package cluster
 
 // Per-chunk access-heat tracking for online rebalancing. Every bucket read
 // of a partition's store (cache hit or miss — the storage layer's
-// OnBucketRead hook fires from the single read funnel) and every in-situ
-// chunk materialization touches the worker's tracker. Scores decay
+// OnBucketRead hook fires from the single read funnel; an in-situ partition
+// is a store too) touches the worker's tracker. Scores decay
 // exponentially, so heat reflects the recent workload, not lifetime
 // totals: a telescope that moves on cools the chunks it leaves behind.
 // The coordinator's rebalancer polls trackers over the "heat" wire op and

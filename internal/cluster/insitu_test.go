@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scidb/internal/array"
-	"scidb/internal/insitu"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
@@ -168,11 +170,8 @@ func TestLoadChunksMatchesPut(t *testing.T) {
 	})
 }
 
-// TestRegisterInsituQueries: a CSV file registered in situ answers count,
-// box scans, and pushed-down aggregates with no load step, including on a
-// node whose slab of the file is empty.
-func TestRegisterInsituQueries(t *testing.T) {
-	schema := &array.Schema{
+func extSchema() *array.Schema {
+	return &array.Schema{
 		Name: "ext",
 		Dims: []array.Dimension{
 			{Name: "x", High: 12, ChunkLen: 4},
@@ -180,29 +179,77 @@ func TestRegisterInsituQueries(t *testing.T) {
 		},
 		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
 	}
-	src := array.MustNew(schema.Clone())
+}
+
+// writeExt writes the 12×6 grid v = 100x + y + add as a CSV file at path
+// and returns its sum. A non-empty bad replaces the value of cell (3, 2),
+// which lies in node 0's slab.
+func writeExt(t *testing.T, path string, add float64, bad string) float64 {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("# scidb-csv\n# dims: x:12, y:6\n# attrs: v:float\n")
 	var sum float64
-	for x := int64(1); x <= 12; x++ {
-		for y := int64(1); y <= 6; y++ {
-			v := float64(x*100 + y)
+	for x := 1; x <= 12; x++ {
+		for y := 1; y <= 6; y++ {
+			v := float64(x*100+y) + add
 			sum += v
-			if err := src.Set(array.Coord{x, y}, array.Cell{array.Float64(v)}); err != nil {
-				t.Fatal(err)
+			if x == 3 && y == 2 && bad != "" {
+				fmt.Fprintf(&b, "%d,%d,%s\n", x, y, bad)
+				continue
 			}
+			fmt.Fprintf(&b, "%d,%d,%g\n", x, y, v)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "ext.csv")
-	if err := insitu.WriteCSV(path, src); err != nil {
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return sum
+}
+
+// registerExt registers path in situ as "ext", split between nodes 0 (x 1..6)
+// and 1 (x 7..12).
+func registerExt(t *testing.T, co *Coordinator, path string) {
+	t.Helper()
+	if err := co.RegisterInsitu("ext", path, "csv", extSchema(), partition.Block{Nodes: 2, SplitDim: 0, High: 12}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// insituGrid registers path on two nodes whose slabs are several 4×4
+// buckets each.
+func insituGrid(t *testing.T, path string) (*Local, *Coordinator) {
+	t.Helper()
+	tr := NewLocalWithOptions(2, LocalOptions{Stride: []int64{4, 4}, CacheBytes: 1 << 20})
+	t.Cleanup(func() { tr.Close() })
+	co := NewCoordinator(tr, 0)
+	registerExt(t, co, path)
+	return tr, co
+}
+
+func extSum(t *testing.T, co *Coordinator) float64 {
+	t.Helper()
+	agg, err := co.Aggregate("ext", array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{12, 6}}, "sum", "v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, ok := agg.At(array.Coord{1})
+	if !ok {
+		t.Fatal("sum has no row")
+	}
+	return total[0].AsFloat()
+}
+
+// TestRegisterInsituQueries: a CSV file registered in situ answers count,
+// box scans, and pushed-down aggregates with no load step, including on a
+// node whose slab of the file is empty.
+func TestRegisterInsituQueries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ext.csv")
+	sum := writeExt(t, path, 0, "")
 
 	// Three nodes, two-slab scheme: node 2 owns none of the file.
 	tr := NewLocalWithOptions(3, LocalOptions{Stride: []int64{4, 4}, CacheBytes: 1 << 20})
 	co := NewCoordinator(tr, 0)
-	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 12}
-	if err := co.RegisterInsitu("ext", path, "csv", schema, scheme); err != nil {
-		t.Fatal(err)
-	}
+	registerExt(t, co, path)
 
 	n, err := co.Count("ext")
 	if err != nil || n != 72 {
@@ -222,15 +269,10 @@ func TestRegisterInsituQueries(t *testing.T) {
 		t.Fatalf("scan cell = %v, %v; want 703", cell, ok)
 	}
 	// Pushed-down aggregate over the whole file.
-	agg, err := co.Aggregate("ext", array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{12, 6}}, "sum", "v", nil)
-	if err != nil {
-		t.Fatal(err)
+	if got := extSum(t, co); got != sum {
+		t.Fatalf("sum = %v; want %v", got, sum)
 	}
-	total, ok := agg.At(array.Coord{1})
-	if !ok || total[0].AsFloat() != sum {
-		t.Fatalf("sum = %v, %v; want %v", total, ok, sum)
-	}
-	// Flush is a no-op for a read-through view; drop unregisters everywhere.
+	// Flush succeeds, with nothing to spill; drop unregisters everywhere.
 	if err := co.Flush("ext"); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -251,5 +293,159 @@ func TestRegisterInsituNeedsBoxer(t *testing.T) {
 	err := co.RegisterInsitu("ext", "/nope.csv", "csv", schema, partition.Hash{Nodes: 2, Dims: []int{0}})
 	if err == nil {
 		t.Fatal("hash scheme accepted for in-situ registration")
+	}
+}
+
+// TestInsituFileIsReadOnce: the first read copies each node's slab into its
+// partition's store, and every later read is a store read — the file can be
+// gone, and no read writes another bucket.
+func TestInsituFileIsReadOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ext.csv")
+	sum := writeExt(t, path, 0, "")
+	tr, co := insituGrid(t, path)
+	if n, err := co.Count("ext"); err != nil || n != 72 {
+		t.Fatalf("count = %d, %v; want 72", n, err)
+	}
+	written := func() (n int64) {
+		for _, w := range tr.Workers {
+			n += w.StoreStats().BucketsWritten
+		}
+		return n
+	}
+	filled := written()
+	if filled == 0 {
+		t.Fatal("the first read wrote no bucket")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := co.Count("ext"); err != nil || n != 72 {
+		t.Errorf("count after the file is gone = %d, %v; want 72", n, err)
+	}
+	got, err := co.Scan("ext", array.Box{Lo: array.Coord{5, 2}, Hi: array.Coord{8, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell, ok := got.At(array.Coord{7, 3}); got.Count() != 12 || !ok || cell[0].Float != 703 {
+		t.Errorf("box scan = %d cells, (7, 3) = %v, %v; want 12 cells and 703", got.Count(), cell, ok)
+	}
+	if got := extSum(t, co); got != sum {
+		t.Errorf("sum = %v; want %v", got, sum)
+	}
+	joined, err := co.Sjoin("ext", "ext", []string{"x", "y"}, []string{"x", "y"})
+	if err != nil || joined.Count() != 72 {
+		t.Fatalf("sjoin = %v cells, %v; want 72", joined, err)
+	}
+	if n := written(); n != filled {
+		t.Errorf("reads after the first wrote %d more buckets", n-filled)
+	}
+}
+
+// TestInsituDropBalancesCellsHeld: a read partition's cells leave the gauge
+// when it is dropped, and a partition dropped before any read opens nothing
+// and subtracts nothing.
+func TestInsituDropBalancesCellsHeld(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ext.csv")
+	writeExt(t, path, 0, "")
+	tr, co := insituGrid(t, path)
+	held := func() (n int64) {
+		for _, w := range tr.Workers {
+			n += w.Stats().CellsHeld
+		}
+		return n
+	}
+	if n, err := co.Count("ext"); err != nil || n != 72 || held() != 72 {
+		t.Fatalf("count = %d, %v, cells held %d; want 72 and 72", n, err, held())
+	}
+	if err := co.Drop("ext"); err != nil {
+		t.Fatal(err)
+	}
+	if n := held(); n != 0 {
+		t.Errorf("cells held after read and drop = %d, want 0", n)
+	}
+	registerExt(t, co, path)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Drop("ext"); err != nil {
+		t.Fatalf("drop of an unread in-situ array whose file is gone: %v", err)
+	}
+	if n := held(); n != 0 {
+		t.Errorf("cells held after an unread drop = %d, want 0", n)
+	}
+}
+
+// TestInsituFailedFillSticks: a fill that fails fails every read of that
+// node's partition with the same error and serves nothing partial; another
+// node's copy answers, and registering the file again is the retry.
+func TestInsituFailedFillSticks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ext.csv")
+	writeExt(t, path, 0, "")
+	tr, co := insituGrid(t, path)
+	if got := handleOK(t, tr.Workers[1], countReq("ext")).Cells; got != 36 {
+		t.Fatalf("node 1 count = %d, want 36", got)
+	}
+	writeExt(t, path, 0, "oops") // node 0 has not read its slab yet
+	for i := 0; i < 2; i++ {
+		if _, err := co.Count("ext"); err == nil || !strings.Contains(err.Error(), `bad float "oops"`) {
+			t.Fatalf("count %d over a malformed slab: %v, want the line's error", i, err)
+		}
+	}
+	if got := handleOK(t, tr.Workers[1], countReq("ext")).Cells; got != 36 {
+		t.Errorf("node 1 count after node 0 failed = %d, want 36", got)
+	}
+	writeExt(t, path, 0, "")
+	registerExt(t, co, path)
+	if n, err := co.Count("ext"); err != nil || n != 72 {
+		t.Errorf("count after re-registration = %d, %v; want 72", n, err)
+	}
+}
+
+// TestInsituReregistrationReadsNewFile: the file is read once, so a change to
+// it shows only once the array is registered again.
+func TestInsituReregistrationReadsNewFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ext.csv")
+	before := writeExt(t, path, 0, "")
+	_, co := insituGrid(t, path)
+	if got := extSum(t, co); got != before {
+		t.Fatalf("sum = %v; want %v", got, before)
+	}
+	after := writeExt(t, path, 0.5, "")
+	if got := extSum(t, co); got != before {
+		t.Errorf("sum after the file changed = %v; want the copy's %v", got, before)
+	}
+	registerExt(t, co, path)
+	if got := extSum(t, co); got != after {
+		t.Errorf("sum after re-registration = %v; want %v", got, after)
+	}
+}
+
+// TestInsituRefusesWrites: the four ops that write a partition's cells say
+// why they fail on an in-situ one, and leave it answering.
+func TestInsituRefusesWrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ext.csv")
+	writeExt(t, path, 0, "")
+	tr, _ := insituGrid(t, path)
+	a := array.MustNew(partitionSchema(extSchema()))
+	if err := a.Set(array.Coord{1, 1}, array.Cell{array.Float64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := encodeForTest(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tr.Workers[0]
+	for _, req := range []*Message{
+		{Op: "put", Array: "ext", Chunks: chunks},
+		{Op: "loadchunks", Array: "ext", Chunks: chunks},
+		{Op: "replace", Array: "ext", Chunks: chunks},
+		{Op: "migratechunks", Array: "ext", BoxLo: []int64{1, 1}, BoxHi: []int64{4, 4}},
+	} {
+		if got, want := w.Handle(req).Err, `cluster: "ext" is an in-situ array and cannot be written`; got != want {
+			t.Errorf("%s: error %q, want %q", req.Op, got, want)
+		}
+	}
+	if got := handleOK(t, w, countReq("ext")).Cells; got != 36 {
+		t.Errorf("count after refused writes = %d, want 36", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/bufcache"
 	"scidb/internal/exec"
+	"scidb/internal/insitu"
 	"scidb/internal/obs"
 	"scidb/internal/storage"
 )
@@ -43,11 +44,11 @@ type WorkerOptions struct {
 // NewWorkerWithOptions creates a worker with configured partition backing.
 func NewWorkerWithOptions(id int, opts WorkerOptions) *Worker {
 	w := &Worker{
-		ID:      id,
-		opts:    opts,
-		stores:  map[string]*storage.Store{},
-		insitus: map[string]*insituPart{},
-		heat:    newHeatTracker(opts.HeatHalfLife),
+		ID:     id,
+		opts:   opts,
+		stores: map[string]*storage.Store{},
+		fills:  map[string]*insitu.FillOnce{},
+		heat:   newHeatTracker(opts.HeatHalfLife),
 
 		routeVersion: map[string]int64{},
 	}
@@ -108,8 +109,9 @@ func (w *Worker) StoreStats() storage.Stats {
 	return sum
 }
 
-// Close shuts down every partition: stores flush their buffered cells, and
-// stores and in-situ views release their pool entries.
+// Close shuts down every partition: stores flush their buffered cells and
+// release their pool entries, and in-situ files no read has filled from are
+// closed.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -119,26 +121,22 @@ func (w *Worker) Close() error {
 			first = err
 		}
 		delete(w.stores, name)
-	}
-	for name, p := range w.insitus {
-		p.release(w)
-		delete(w.insitus, name)
+		w.unfillLocked(name)
 	}
 	return first
 }
 
 // flushOp spills a partition's buffered cells into buckets — on disk, with a
-// Dir, where they survive a restart. An in-situ partition is a read-through
-// view of its file and has nothing to spill.
+// Dir, where they survive a restart.
 func (w *Worker) flushOp(req *Message) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if st, ok := w.stores[req.Array]; ok {
-		if err := st.Flush(); err != nil {
-			return nil, err
-		}
-	} else if _, ok := w.insitus[req.Array]; !ok {
+	st, ok := w.stores[req.Array]
+	if !ok {
 		return nil, w.noArray(req.Array)
+	}
+	if err := st.Flush(); err != nil {
+		return nil, err
 	}
 	return &Message{Op: "flush"}, nil
 }
@@ -162,13 +160,20 @@ func partitionSchema(in *array.Schema) *array.Schema {
 // createLocked opens the named partition's store. Under a Dir a store left
 // there by an earlier run of the node is recovered from its manifest.
 func (w *Worker) createLocked(name string, schema *array.Schema) (*storage.Store, error) {
-	if old, ok := w.stores[name]; ok {
-		_ = old.Close() // superseded; the new store reads what it flushed
-	}
 	dir := ""
 	if w.opts.Dir != "" {
 		dir = filepath.Join(w.opts.Dir, name)
 	}
+	return w.openLocked(name, schema, dir)
+}
+
+// openLocked opens name's partition as a store whose buckets live under dir
+// (in memory for ""), superseding whatever held the name.
+func (w *Worker) openLocked(name string, schema *array.Schema, dir string) (*storage.Store, error) {
+	if old, ok := w.stores[name]; ok {
+		_ = old.Close() // superseded; the new store reads what it flushed
+	}
+	w.unfillLocked(name)
 	// Dimensions unbound: a partition holds an arbitrary sub-box.
 	st, err := storage.NewStore(partitionSchema(schema), storage.Options{
 		Dir:       dir,
@@ -189,23 +194,17 @@ func (w *Worker) createLocked(name string, schema *array.Schema) (*storage.Store
 	return st, nil
 }
 
-// partLocked resolves a partition to its schema and a function opening a
-// chunk-at-a-time read of it, hiding whether a storage.Store or an in-situ
-// file holds the data. preds prune store buckets by zone map, and attrs (nil:
-// all) names the columns the op will read, so a store decodes no others; an
-// in-situ view ignores both and delivers whole chunks.
-func (w *Worker) partLocked(name string) (*array.Schema, func(box array.Box, preds []array.ZonePred, attrs []int) chunkSource, error) {
-	if st, ok := w.stores[name]; ok {
-		return st.Schema(), func(box array.Box, preds []array.ZonePred, attrs []int) chunkSource {
-			return st.ScanChunks(box, preds, attrs)
-		}, nil
+// partLocked resolves a partition to its store for a read, filling an
+// in-situ partition from its file first if no read has yet.
+func (w *Worker) partLocked(name string) (*storage.Store, error) {
+	st, ok := w.stores[name]
+	if !ok {
+		return nil, w.noArray(name)
 	}
-	if p, ok := w.insitus[name]; ok {
-		return p.schema, func(box array.Box, _ []array.ZonePred, _ []int) chunkSource {
-			return w.newInsituSource(p, box)
-		}, nil
+	if err := w.fillLocked(name, st); err != nil {
+		return nil, err
 	}
-	return nil, nil, w.noArray(name)
+	return st, nil
 }
 
 // materializeLocked returns the partition's full content as a plain array
@@ -214,15 +213,16 @@ func (w *Worker) partLocked(name string) (*array.Schema, func(box array.Box, pre
 // column-wise otherwise. The result shares storage with the partition:
 // read-only, and valid only while the caller holds w.mu.
 func (w *Worker) materializeLocked(name string) (*array.Array, error) {
-	s, open, err := w.partLocked(name)
+	st, err := w.partLocked(name)
 	if err != nil {
 		return nil, err
 	}
+	s := st.Schema()
 	out, merge, err := liveMerger(s)
 	if err != nil {
 		return nil, err
 	}
-	_, err = foldChunks(open(array.WholeBox(s), nil, nil), func(lc storage.LiveChunk) (struct{}, error) {
+	_, err = foldChunks(st.ScanChunks(array.WholeBox(s), nil, nil), func(lc storage.LiveChunk) (struct{}, error) {
 		return struct{}{}, merge(lc.Chunk, lc.Live, lc.Alone && lc.Live == lc.Chunk.Present)
 	})
 	return out, err

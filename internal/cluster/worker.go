@@ -27,6 +27,7 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/bufcache"
 	"scidb/internal/exec"
+	"scidb/internal/insitu"
 	"scidb/internal/obs"
 	"scidb/internal/ops"
 	"scidb/internal/storage"
@@ -103,7 +104,8 @@ type Message struct {
 // Worker is one shared-nothing node: a set of local array partitions, each a
 // storage.Store (the node's own storage manager: a write buffer served ahead
 // of stride-aligned compressed buckets, on disk under WorkerOptions.Dir or
-// in memory without one) or an in-situ view of an external file.
+// in memory without one). An in-situ partition's store is filled from an
+// external file by its first read.
 type Worker struct {
 	ID   int
 	opts WorkerOptions
@@ -115,14 +117,15 @@ type Worker struct {
 	// mu guards the partition maps and their content: ops that change a
 	// partition take it exclusively, the read ops (read, sjoin) share it, so
 	// statements pipelined onto one node run side by side.
-	mu      sync.RWMutex
-	stores  map[string]*storage.Store
-	insitus map[string]*insituPart
-	stats   workerCounters
+	mu     sync.RWMutex
+	stores map[string]*storage.Store
+	// fills holds the fill gate of each in-situ partition's store.
+	fills map[string]*insitu.FillOnce
+	stats workerCounters
 
 	// heat tracks decayed per-chunk access scores for the rebalancer; the
-	// storage layer's OnBucketRead hook and the in-situ chunk loader feed
-	// it, the "heat" wire op drains it.
+	// storage layer's OnBucketRead hook feeds it, the "heat" wire op drains
+	// it.
 	heat *heatTracker
 
 	// routeVersion records, per array, the newest routing-table version a
@@ -385,9 +388,12 @@ func (w *Worker) noArray(name string) error {
 	return fmt.Errorf("cluster: node %d has no array %q", w.ID, name)
 }
 
-// storeLocked resolves a partition the write ops can change: a store, not an
-// in-situ view.
+// storeLocked resolves a partition the write ops can change: a store that no
+// file fills.
 func (w *Worker) storeLocked(name string) (*storage.Store, error) {
+	if _, ok := w.fills[name]; ok {
+		return nil, fmt.Errorf("cluster: %q is an in-situ array and cannot be written", name)
+	}
 	st, ok := w.stores[name]
 	if !ok {
 		return nil, w.noArray(name)
@@ -443,10 +449,11 @@ func (w *Worker) putLocked(req *Message, st *storage.Store, in *array.Array) (*M
 // from storage, anything else contributes its surviving slots column-wise to
 // a result-grid chunk that is encoded once the read is done.
 func (w *Worker) readLocked(req *Message) (*Message, error) {
-	s, open, err := w.partLocked(req.Array)
+	st, err := w.partLocked(req.Array)
 	if err != nil {
 		return nil, err
 	}
+	s := st.Schema()
 	// The projection: every column for cells; for a fold the columns it
 	// folds — none, for a count — and those its predicates test.
 	var fold *ops.Fold
@@ -473,7 +480,7 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 	// Predicates over a store prune whole buckets by zone map before reading
 	// them — cells the coordinator would have paid to ship, decode, and
 	// discard.
-	src := open(box, req.Preds, attrs)
+	src := st.ScanChunks(box, req.Preds, attrs)
 	type piece struct {
 		seen, cells int64
 		table       *ops.FoldTable // the fold sink's
@@ -551,10 +558,9 @@ func (w *Worker) drop(req *Message) (*Message, error) {
 // store held leave the node's cells_held gauge.
 func (w *Worker) dropLocked(name string) error {
 	defer w.heat.Drop(name) // last: the count below is itself a read
-	if p, ok := w.insitus[name]; ok {
-		p.release(w)
-		delete(w.insitus, name)
-	}
+	// The fill gate goes first, so the count reads what the store holds: an
+	// in-situ partition no read has filled counts 0 without opening its file.
+	w.unfillLocked(name)
 	st, ok := w.stores[name]
 	if !ok {
 		return nil

@@ -5,21 +5,11 @@ import (
 	"os"
 
 	"scidb/internal/array"
+	"scidb/internal/bufcache"
 	"scidb/internal/insitu"
 	"scidb/internal/parser"
+	"scidb/internal/storage"
 )
-
-// attachedDS is an external file registered for in-situ querying (§2.9):
-// the engine reads it through the adaptor on demand, never loading it
-// wholesale unless a query actually touches everything.
-type attachedDS struct {
-	path    string
-	adaptor string
-	ds      insitu.Dataset
-	// cached holds the whole dataset once some query has read all of it
-	// (guarded by Database.mu).
-	cached *array.Array
-}
 
 // openExternal opens a file through the named adaptor; only the header is
 // read.
@@ -42,14 +32,17 @@ func (db *Database) runAttach(s *parser.Attach) (*Result, error) {
 // runCreateFromFile registers an external file as a first-class array
 // (CREATE ARRAY name FROM FILE 'path' USING adaptor). With a cluster
 // attached and a bounded dimension to split on, the file is registered
-// in situ across all nodes — each worker materializes its block slab
-// lazily through the adaptor, so queries run distributed with no load
-// step (the file must be reachable from every worker). Otherwise the
-// file attaches locally, exactly like ATTACH.
+// in situ across all nodes — each worker copies its block slab into a store
+// at the partition's first read, so queries run distributed with no load
+// step (the file must be reachable from every worker). Otherwise the file
+// attaches locally, exactly like ATTACH.
 func (db *Database) runCreateFromFile(s *parser.CreateFromFile) (*Result, error) {
 	return db.attachFile(s.Name, s.Path, s.Adaptor, true)
 }
 
+// attachFile registers the file under name. Locally the array is a store in
+// memory, and the first read copies the whole file into it (db.attached
+// holds the fill gate); after that the file is not read again.
 func (db *Database) attachFile(name, path, adaptor string, distribute bool) (*Result, error) {
 	ds, err := openExternal(path, adaptor)
 	if err != nil {
@@ -58,13 +51,13 @@ func (db *Database) attachFile(name, path, adaptor string, distribute bool) (*Re
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	distribute = distribute && db.cluster != nil
-	if db.nameTakenLocked(name) || db.attached[name] != nil || (distribute && db.cluster.Has(name)) {
+	if db.nameTakenLocked(name) || (distribute && db.cluster.Has(name)) {
 		ds.Close()
 		return nil, fmt.Errorf("core: array %q already exists", name)
 	}
+	schema := ds.Schema().Clone()
+	schema.Name = name
 	if distribute {
-		schema := ds.Schema().Clone()
-		schema.Name = name
 		if scheme, ok := db.blockScheme(schema); ok {
 			ds.Close() // every worker opens its own handle
 			if err := db.cluster.RegisterInsitu(name, path, adaptor, schema, scheme); err != nil {
@@ -74,7 +67,26 @@ func (db *Database) attachFile(name, path, adaptor string, distribute bool) (*Re
 				name, path, adaptor, scheme.Nodes, schema.Dims[scheme.SplitDim].Name)}, nil
 		}
 	}
-	db.attached[name] = &attachedDS{path: path, adaptor: adaptor, ds: ds}
+	// Buckets are the schema's chunks, so storeSource.read adopts them whole,
+	// and a private pool keeps repeated reads in memory.
+	stride := make([]int64, len(schema.Dims))
+	for i, d := range schema.Dims {
+		switch {
+		case d.ChunkLen > 0:
+			stride[i] = d.ChunkLen
+		case d.High != array.Unbounded:
+			stride[i] = d.High
+		default:
+			stride[i] = array.DefaultChunkLen
+		}
+	}
+	st, err := storage.NewStore(schema, storage.Options{Stride: stride, CacheBytes: bufcache.DefaultBudget})
+	if err != nil {
+		ds.Close()
+		return nil, err
+	}
+	db.stores[name] = st
+	db.attached[name] = insitu.NewFillOnce(ds, array.WholeBox(schema))
 	return &Result{Msg: fmt.Sprintf("attached %s in situ from '%s' (%s); no load performed",
 		name, path, adaptor)}, nil
 }

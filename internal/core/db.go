@@ -42,10 +42,11 @@ type Database struct {
 	// updatables holds no-overwrite instances, each with a version tree.
 	updatables map[string]*version.Updatable
 	trees      map[string]*version.Tree
-	// attached holds in-situ external datasets (§2.9).
-	attached map[string]*attachedDS
 	// stores holds disk-backed arrays served through a buffer pool (§2.5).
 	stores map[string]*storage.Store
+	// attached holds the fill gate of each store an attached file fills at
+	// its first read (§2.9).
+	attached map[string]*insitu.FillOnce
 
 	reg *udf.Registry
 	log *provenance.Log
@@ -83,8 +84,8 @@ func Open() *Database {
 		arrays:     map[string]*array.Array{},
 		updatables: map[string]*version.Updatable{},
 		trees:      map[string]*version.Tree{},
-		attached:   map[string]*attachedDS{},
 		stores:     map[string]*storage.Store{},
+		attached:   map[string]*insitu.FillOnce{},
 		reg:        udf.NewRegistry(),
 		log:        provenance.NewLog(),
 		reruns:     newReruns(),
@@ -618,12 +619,11 @@ func (db *Database) Drop(name string) error {
 		delete(db.arrays, name)
 		return nil
 	}
-	if at, ok := db.attached[name]; ok {
-		_ = at.ds.Close()
-		delete(db.attached, name)
-		return nil
-	}
 	if st, ok := db.stores[name]; ok {
+		if fill, ok := db.attached[name]; ok {
+			fill.Close()
+			delete(db.attached, name)
+		}
 		_ = st.Close()
 		delete(db.stores, name)
 		return nil
@@ -648,9 +648,6 @@ func (db *Database) Names() []string {
 		out = append(out, n)
 	}
 	for n := range db.updatables {
-		out = append(out, n)
-	}
-	for n := range db.attached {
 		out = append(out, n)
 	}
 	for n := range db.stores {

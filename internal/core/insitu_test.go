@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -53,6 +54,33 @@ func TestCreateFromFileLocal(t *testing.T) {
 	}
 	// The name is now taken.
 	execErr(t, db, "create array Ext from file '"+path+"' using csv")
+}
+
+// TestAttachedFileIsReadOnce: the first query copies an attached file into
+// its store, so later queries answer with the file gone, and an attachment
+// no query read drops without its file.
+func TestAttachedFileIsReadOnce(t *testing.T) {
+	path, sum := writeExtCSV(t)
+	unread, _ := writeExtCSV(t)
+	db := testDB()
+	exec(t, db, "attach Ext from '"+path+"' using csv")
+	exec(t, db, "attach Unread from '"+unread+"' using csv")
+	exec(t, db, "aggregate(Ext, {}, count(*))")
+	for _, p := range []string{path, unread} {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := exec(t, db, "aggregate(Ext, {}, sum(v), count(*))")
+	if cell, ok := r.Array.At(array.Coord{1}); !ok || cell[0].Float != sum || cell[1].Int != 40 {
+		t.Errorf("aggregate after the file is gone = %v, %v; want sum %v count 40", cell, ok, sum)
+	}
+	if r := exec(t, db, "subsample(Ext, x >= 3 and x <= 4)"); r.Array.Count() != 8 {
+		t.Errorf("subsample after the file is gone = %d cells, want 8", r.Array.Count())
+	}
+	if err := db.Drop("Unread"); err != nil {
+		t.Errorf("drop of an unread attachment whose file is gone: %v", err)
+	}
 }
 
 // TestCreateFromFileCluster: with a cluster attached, the file is registered

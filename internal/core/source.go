@@ -7,6 +7,7 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/cluster"
+	"scidb/internal/insitu"
 	"scidb/internal/ops"
 	"scidb/internal/storage"
 )
@@ -33,8 +34,8 @@ type source interface {
 
 // resolve maps a name to its source. This is the only place names meet
 // backings, so the precedence is the same for every statement: sys.* arrays
-// cannot be shadowed, then local definitions (plain, updatable, attached
-// file, store), then the cluster.
+// cannot be shadowed, then local definitions (plain, updatable, store — an
+// attached file is one), then the cluster.
 func (db *Database) resolve(name string) (source, error) {
 	if strings.HasPrefix(name, "sys.") {
 		// Virtual system arrays are computed per scan.
@@ -52,11 +53,8 @@ func (db *Database) resolve(name string) (source, error) {
 	if u, ok := db.updatables[name]; ok {
 		return memSource{u.Schema(), func() (*array.Array, error) { return u.Snapshot(u.History()) }}, nil
 	}
-	if at, ok := db.attached[name]; ok {
-		return fileSource{db, name, at}, nil
-	}
 	if st, ok := db.stores[name]; ok {
-		return storeSource{st}, nil
+		return storeSource{st, db.attached[name]}, nil
 	}
 	if co := db.cluster; co != nil && co.Has(name) {
 		sch, err := co.ArraySchema(name)
@@ -89,13 +87,22 @@ func (s memSource) read(context.Context, ops.Fragment) (*array.Array, bool, erro
 	return a, false, err
 }
 
-// storeSource reads a disk-backed array through its buffer pool. There is
+// storeSource reads a disk-backed array through its buffer pool, or an
+// attached file's copy, which fill makes at the first read (§2.9). There is
 // no array-level cache on purpose: the chunk pool already makes repeat reads
 // memory-resident, and staying pool-backed keeps results consistent with
 // later writes to the store.
-type storeSource struct{ st *storage.Store }
+type storeSource struct {
+	st   *storage.Store
+	fill *insitu.FillOnce // nil unless a file fills the store
+}
 
-func (s storeSource) kind() string          { return "store" }
+func (s storeSource) kind() string {
+	if s.fill != nil {
+		return "file"
+	}
+	return "store"
+}
 func (s storeSource) schema() *array.Schema { return s.st.Schema() }
 func (s storeSource) folds() bool           { return false }
 
@@ -106,6 +113,11 @@ func (s storeSource) folds() bool           { return false }
 // and RLE/dictionary structure for compressed execution; a chunk the box
 // cuts or newer data shadows contributes its live slots column-wise.
 func (s storeSource) read(ctx context.Context, frag ops.Fragment) (*array.Array, bool, error) {
+	if s.fill != nil {
+		if _, err := s.fill.Do(s.st); err != nil {
+			return nil, false, err
+		}
+	}
 	out, err := array.New(s.st.Schema().Clone())
 	if err != nil {
 		return nil, false, err
@@ -123,50 +135,6 @@ func (s storeSource) read(ctx context.Context, frag ops.Fragment) (*array.Array,
 	// Buckets always hold cells, so a skipped one is a withheld cell.
 	ops.NoteEncChunksSkipped(ctx, cs.Skipped())
 	return out, cs.Skipped() > 0, nil
-}
-
-// fileSource reads an attached external file through its adaptor (§2.9).
-type fileSource struct {
-	db   *Database
-	name string
-	at   *attachedDS
-}
-
-func (s fileSource) kind() string          { return "file" }
-func (s fileSource) schema() *array.Schema { return s.at.ds.Schema() }
-func (s fileSource) folds() bool           { return false }
-
-// read scans only the box from the file. A read of the whole file is kept:
-// some query needed all of it, and later ones are served from memory.
-func (s fileSource) read(_ context.Context, frag ops.Fragment) (*array.Array, bool, error) {
-	s.db.mu.RLock()
-	cached := s.at.cached
-	s.db.mu.RUnlock()
-	if cached != nil {
-		return cached.View(), false, nil
-	}
-	sch := s.schema().Clone()
-	sch.Name = s.name
-	a, err := array.New(sch)
-	if err != nil {
-		return nil, false, err
-	}
-	var werr error
-	if err := s.at.ds.Scan(frag.Box, func(c array.Coord, cell array.Cell) bool {
-		werr = a.Set(c, cell)
-		return werr == nil
-	}); err != nil {
-		return nil, false, err
-	}
-	if werr != nil {
-		return nil, false, werr
-	}
-	if whole := array.WholeBox(sch); frag.Box.Contains(whole.Lo) && frag.Box.Contains(whole.Hi) {
-		s.db.mu.Lock()
-		s.at.cached = a
-		s.db.mu.Unlock()
-	}
-	return a, false, nil
 }
 
 // clusterSource reads a distributed array through the coordinator.

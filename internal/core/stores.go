@@ -17,7 +17,7 @@ func (db *Database) AttachStore(name string, st *storage.Store) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.nameTakenLocked(name) || db.attached[name] != nil {
+	if db.nameTakenLocked(name) {
 		return fmt.Errorf("core: array %q already exists", name)
 	}
 	db.stores[name] = st

@@ -65,8 +65,8 @@ func loadServers(nodes int, delay time.Duration, stride []int64, dir string) (ad
 // encoded — zone maps included — on the loader, and the owning worker
 // adopts the batched payloads verbatim). All three loaded arrays must be
 // cell-for-cell bit-identical. Part two registers the same file in situ:
-// a constant-time fan-out after which distributed queries answer from
-// lazy slab materialization, again bit-identical to the loaded array.
+// a constant-time fan-out after which the first distributed query copies
+// each node's slab into its store, again bit-identical to the loaded array.
 func init() {
 	register(&Experiment{
 		ID:    "LOAD",
@@ -216,7 +216,8 @@ func init() {
 			}
 
 			// Part 2: §2.9 — skip the load entirely. Registration is a
-			// constant-time fan-out; queries materialize slab chunks lazily.
+			// constant-time fan-out; the first query reads each node's slab
+			// of the file once.
 			insituSchema := s.Clone()
 			insituSchema.Name = "grid_insitu"
 			start = time.Now()

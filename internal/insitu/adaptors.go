@@ -123,31 +123,15 @@ func (d *csvDataset) Schema() *array.Schema { return d.schema }
 func (d *csvDataset) Close() error { return nil }
 
 // Scan streams the file, parsing and filtering line by line — the in-situ
-// path: no load step, data under user control. Every line is parsed into
-// the same Coord and Cell (the Dataset contract).
+// path: no load step, data under user control. It is the one byte range
+// that covers the whole file, read by the shards' line reader, so a line of
+// any length that a shard reads, Scan reads too.
 func (d *csvDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
-	f, err := os.Open(d.path)
+	fi, err := os.Stat(d.path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	c, cell := newRecord(d.schema)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		ok, err := parseCSVLine(d.schema, sc.Text(), c, cell)
-		if err != nil {
-			return fmt.Errorf("insitu: %s:%d: %w", d.path, lineNo, err)
-		}
-		if !ok || !box.Contains(c) {
-			continue
-		}
-		if !fn(c, cell) {
-			return nil
-		}
-	}
-	return sc.Err()
+	return (&csvShard{path: d.path, schema: d.schema, end: fi.Size()}).Scan(box, fn)
 }
 
 // newRecord makes the Coord and Cell a scan of schema parses every line into.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"scidb/internal/array"
 	"scidb/internal/storage"
@@ -72,6 +73,67 @@ func Materialize(ds Dataset) (*array.Array, error) {
 		return nil, err
 	}
 	return a, werr
+}
+
+// Fill copies ds's cells inside box into st and flushes them into its
+// buckets: an in-situ file's one read, after which every query reads the
+// store. It returns the cells it copied — all of them, even when it fails
+// part way.
+func Fill(ds Dataset, box array.Box, st *storage.Store) (int64, error) {
+	var n int64
+	var werr error
+	err := ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
+		if werr = st.Put(c, cell); werr != nil {
+			return false
+		}
+		n++
+		return true
+	})
+	if err == nil {
+		err = werr
+	}
+	if err == nil {
+		err = st.Flush()
+	}
+	return n, err
+}
+
+// FillOnce is an in-situ array's fill gate: the array is a store, and the
+// first read of it Fills the store from the file, once. Readers that arrive
+// during that pass wait for it, and a failed fill fails every read after it
+// with the same error, so a partial copy is never served.
+type FillOnce struct {
+	once sync.Once
+	ds   Dataset // nil: the gate has nothing to fill
+	box  array.Box
+	err  error
+}
+
+// NewFillOnce gates a fill of ds's cells inside box; the gate owns ds and
+// closes it after the fill, or at Close if no read came.
+func NewFillOnce(ds Dataset, box array.Box) *FillOnce {
+	return &FillOnce{ds: ds, box: box}
+}
+
+// Do fills st on the first call, which alone is told the cells it copied,
+// and returns the fill's error to every call.
+func (f *FillOnce) Do(st *storage.Store) (copied int64, err error) {
+	f.once.Do(func() {
+		if f.ds != nil {
+			defer f.ds.Close()
+			copied, f.err = Fill(f.ds, f.box, st)
+		}
+	})
+	return copied, f.err
+}
+
+// Close ends a gate: the file is closed unread if no read has filled from it.
+func (f *FillOnce) Close() {
+	f.once.Do(func() {
+		if f.ds != nil {
+			_ = f.ds.Close()
+		}
+	})
 }
 
 // --- SDF: the self-describing SciDB format -------------------------------

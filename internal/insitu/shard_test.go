@@ -2,6 +2,7 @@ package insitu
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,6 +107,35 @@ func TestCSVShardBoundaryAtNewline(t *testing.T) {
 	}
 	for n := 1; n <= int(fi.Size()); n++ {
 		assertShardsPartition(t, ds, n)
+	}
+}
+
+// A line past bufio.Scanner's 64 KiB token limit reads alike through the
+// whole-file scan and through one or four byte-range shards.
+func TestCSVLongLine(t *testing.T) {
+	path := writeTestCSV(t, []string{"1,1,0.5," + strings.Repeat("s", 70000), "2,1,1.5,short"})
+	ds, err := CSVAdaptor{}.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	box := array.WholeBox(ds.Schema())
+	whole := collect(t, ds, box)
+	if len(whole) != 2 {
+		t.Fatalf("whole scan read %d cells, want 2", len(whole))
+	}
+	for _, n := range []int{1, 4} {
+		shards, err := ds.(Sharder).Shards(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		union := map[string]string{}
+		for _, sh := range shards {
+			maps.Copy(union, collect(t, sh, box))
+		}
+		if !maps.Equal(union, whole) {
+			t.Errorf("%d shards read %d cells unlike the whole scan's %d", n, len(union), len(whole))
+		}
 	}
 }
 

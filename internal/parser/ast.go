@@ -72,7 +72,7 @@ func (*CreateArray) stmtNode() {}
 //
 // It registers an external file as a first-class array without a load step
 // (§2.9): the schema comes from the file itself, and on a cluster every
-// worker materializes its slab of the file lazily through the adaptor.
+// worker reads its slab of the file through the adaptor at the first query.
 type CreateFromFile struct {
 	Name    string
 	Path    string
@@ -116,8 +116,8 @@ type Delete struct {
 func (*Delete) stmtNode() {}
 
 // Attach is "ATTACH A FROM 'path' USING ncl": registers an external file
-// for in-situ querying (§2.9) — no load step; the engine reads the file on
-// demand and pushes subsample boxes down into the adaptor scan.
+// for in-situ querying (§2.9) — no load step; the first query reads the file
+// into a store, which every query then reads.
 type Attach struct {
 	Array   string
 	Path    string
