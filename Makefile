@@ -36,8 +36,9 @@ race:
 # (FuzzAutoRecords: round trips, and arbitrary bytes behind its tag), both
 # hello readers
 # (FuzzHello), the CSV line parser against its Split-based oracle
-# (FuzzCSVLine) and, FuzzWorkerRead, the worker's read against its cell
-# oracle. Each target must be invoked separately: `go test -fuzz` refuses a
+# (FuzzCSVLine), the predicate mask kernel against the cell definition it
+# stands in for (FuzzPredMask) and, FuzzWorkerRead, the worker's read against
+# its cell oracle. Each target must be invoked separately: `go test -fuzz` refuses a
 # pattern matching more than one fuzz function.
 FUZZTIME ?= 10s
 .PHONY: fuzz
@@ -52,6 +53,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCSVShardSplit -fuzztime=$(FUZZTIME) ./internal/insitu
 	$(GO) test -run=NONE -fuzz=FuzzCSVLine -fuzztime=$(FUZZTIME) ./internal/insitu
 	$(GO) test -run=NONE -fuzz=FuzzDecodeClusterMessage -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run=NONE -fuzz=FuzzPredMask -fuzztime=$(FUZZTIME) ./internal/ops
 	$(GO) test -run=NONE -fuzz=FuzzWorkerRead -fuzztime=$(FUZZTIME) ./internal/cluster
 
 .PHONY: race-all
@@ -65,13 +67,14 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem . ./internal/ops ./internal/cluster ./internal/storage
 
 # One iteration of the fold kernels' micro-benchmarks (worker fold, whole
-# partition, boxed and under predicates; local Aggregate/Regrid), of the
+# partition, boxed and under predicates; one chunk through Fold.Chunk; local
+# Aggregate/Regrid), of the
 # structural operators' (gather, join and filter kernels), of the cold read
 # path's (column and chunk decode — full, site-boundary and catalog chunks —
 # and cold chunk scan), of the chunk encoder's and of a bucket section's seal
 # and open, so CI runs what `make bench` measures.
 bench-smoke:
-	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
+	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|FoldChunk|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
 	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x ./internal/storage
 
 # The standing benchmark suite is its own module under bench/, which the

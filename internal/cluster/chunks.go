@@ -11,7 +11,6 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/exec"
-	"scidb/internal/ops"
 	"scidb/internal/storage"
 )
 
@@ -78,24 +77,4 @@ func withoutExcluded(ch *array.Chunk, live *array.Bitmap, excl []array.Box) *arr
 		ch.ClearBox(live, b)
 	}
 	return live
-}
-
-// withoutUnmatched returns live minus the slots whose cell fails any of
-// preds, with withoutExcluded's copy-on-first-clear contract.
-func withoutUnmatched(ch *array.Chunk, live *array.Bitmap, preds []array.ZonePred, s *array.Schema) *array.Bitmap {
-	if len(preds) == 0 {
-		return live
-	}
-	match := ops.PredMatcher(preds, s, ch)
-	out := live
-	for i := live.NextSet(0); i < ch.Slots(); i = live.NextSet(i + 1) {
-		if match(i) {
-			continue
-		}
-		if out == live {
-			out = live.Clone()
-		}
-		out.Clear(i)
-	}
-	return out
 }

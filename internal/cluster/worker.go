@@ -490,7 +490,7 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 		ch := lc.Chunk
 		live := withoutExcluded(ch, lc.Live, excl)
 		p.seen = live.Count()
-		live = withoutUnmatched(ch, live, req.Preds, s)
+		live = ops.PredMask(req.Preds, ch, live)
 		p.cells = live.Count()
 		switch {
 		case fold != nil:

@@ -33,7 +33,7 @@ func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, r
 	}
 	work := liveChunks(a)
 	spanChunks(ctx, work)
-	preds, _ := zonePreds(pred, a.Schema)
+	preds, exact := zonePreds(pred, a.Schema)
 	pure := predPure(pred, a.Schema)
 	stats := make([]encStats, len(work))
 	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
@@ -50,14 +50,18 @@ func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, r
 			return oc, nil
 		}
 		// The cheapest decider the predicate's shape allows: an encoded-view
-		// plan, a vector kernel over one column, a compiled columnar closure,
-		// or the generic evaluator over a boxed cell.
+		// plan, the mask of a conjunction of column-constant comparisons, a
+		// compiled columnar closure, or the generic evaluator over a boxed cell.
 		var vec func(int64) bool
+		var mask *array.Bitmap
 		var eval colEval
 		var ec *EvalCtx
-		if plan != nil {
+		switch {
+		case plan != nil:
 			vec = plan.keep
-		} else if vec = vecPred(pred, a.Schema, ch); vec == nil {
+		case exact:
+			mask = PredMask(preds, ch, ch.Present)
+		default:
 			if eval = compileExpr(pred, a.Schema, ch); eval == nil {
 				ec = &EvalCtx{Schema: a.Schema, Reg: reg, Cell: make(array.Cell, len(ch.Cols))}
 			}
@@ -67,6 +71,8 @@ func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, r
 			switch {
 			case vec != nil:
 				keep = vec(idx)
+			case mask != nil:
+				keep = mask.Get(idx)
 			case eval != nil:
 				v, err := eval(idx, c)
 				if err != nil {

@@ -22,6 +22,7 @@ package ops
 
 import (
 	"context"
+	"math/bits"
 
 	"scidb/internal/array"
 	"scidb/internal/obs"
@@ -111,8 +112,8 @@ func NoteEncChunksSkipped(ctx context.Context, n int64) {
 
 // CellMatchesPreds applies zone-map conjuncts to one boxed cell with the
 // engine's comparison semantics (evalCmp): a NULL attribute never
-// matches, and every pred must hold. It is the definition PredMatcher's
-// columnar kernels are tested against.
+// matches, and every pred must hold. It is the definition PredMask's
+// word kernels are tested against.
 func CellMatchesPreds(preds []array.ZonePred, cell array.Cell) bool {
 	for _, p := range preds {
 		if p.Attr < 0 || p.Attr >= len(cell) {
@@ -126,34 +127,131 @@ func CellMatchesPreds(preds []array.ZonePred, cell array.Cell) bool {
 	return true
 }
 
-// PredMatcher compiles zone-map conjuncts against one chunk's columns and
-// returns a per-slot test equal to CellMatchesPreds on the slot's cell:
-// the tight vector kernels of vecPred where the predicate has that shape,
-// evalCmp on the column value otherwise. Cluster workers trim a scanned
-// chunk's live mask with it before shipping cells.
-func PredMatcher(preds []array.ZonePred, s *array.Schema, ch *array.Chunk) func(idx int64) bool {
-	kernels := make([]func(int64) bool, len(preds))
-	for i, p := range preds {
-		if p.Attr < 0 || p.Attr >= len(ch.Cols) || p.Attr >= len(s.Attrs) {
-			return func(int64) bool { return false }
-		}
-		cmp := Binary{Op: BinOp(p.Op), L: AttrRef{Name: s.Attrs[p.Attr].Name}, R: Const{V: p.Val}}
-		if kernels[i] = vecPred(cmp, s, ch); kernels[i] == nil {
-			col, p := ch.Cols[p.Attr], p
-			kernels[i] = func(idx int64) bool {
-				v := evalCmp(BinOp(p.Op), col.Get(idx), p.Val)
-				return !v.Null && v.Bool
+// PredMask returns live minus every slot of ch whose cell fails some
+// conjunct of preds: CellMatchesPreds, a mask word at a time. live is never
+// written — it is often a pooled chunk's Present — and is itself the answer
+// when no slot is cleared; otherwise the first clear copies it. Filter reads
+// its keep bits from the mask, and a cluster worker trims each scanned
+// chunk's live mask with it before folding or shipping cells.
+func PredMask(preds []array.ZonePred, ch *array.Chunk, live *array.Bitmap) *array.Bitmap {
+	out, words := live, live.Words()
+	for _, p := range preds {
+		for wi := range words {
+			w := words[wi]
+			if w == 0 {
+				continue
+			}
+			if m := predWord(p, ch, wi, w&tailMask(live.Len(), wi)); m != w {
+				if out == live {
+					out = live.Clone()
+					words = out.Words()
+				}
+				words[wi] = m
 			}
 		}
 	}
-	return func(idx int64) bool {
-		for _, k := range kernels {
-			if !k(idx) {
-				return false
+	return out
+}
+
+// tailMask is the bits of word wi that stand for one of n slots: a bitmap
+// read from bytes is not trimmed, and a bit past the last slot has no value.
+func tailMask(n int64, wi int) uint64 {
+	if rest := n - int64(wi)<<6; rest < 64 {
+		return ^uint64(0) >> uint(64-rest)
+	}
+	return ^uint64(0)
+}
+
+// predWord returns the bits of w, live bits of ch's word wi, whose cell
+// matches conjunct p. An attr-cmp-const over an int64 or float64 column by a
+// numeric constant compares the typed vector (cmpWord); any other shape
+// takes evalCmp slot by slot.
+func predWord(p array.ZonePred, ch *array.Chunk, wi int, w uint64) uint64 {
+	if p.Attr < 0 || p.Attr >= len(ch.Cols) || p.Val.Null {
+		// No such column, or a comparison with NULL: nothing matches.
+		return 0
+	}
+	col, op, cv := ch.Cols[p.Attr], BinOp(p.Op), p.Val
+	switch op {
+	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		if cv.Type != array.TInt64 && cv.Type != array.TFloat64 {
+			break
+		}
+		live := w &^ col.Nulls.Words()[wi]
+		switch {
+		case col.Type == array.TInt64 && cv.Type == array.TInt64 && (op == OpEq || op == OpNe):
+			// Equal compares two ints exactly, not through AsFloat.
+			return cmpWord(op, col.Ints[wi<<6:], live, cv.Int)
+		case col.Type == array.TInt64:
+			return cmpWord(op, col.Ints[wi<<6:], live, cv.AsFloat())
+		case col.Type == array.TFloat64:
+			return cmpWord(op, col.Floats[wi<<6:], live, cv.AsFloat())
+		}
+	}
+	var m uint64
+	for ; w != 0; w &= w - 1 {
+		b := bits.TrailingZeros64(w)
+		if v := evalCmp(op, col.Get(int64(wi)<<6+int64(b)), cv); !v.Null && v.Bool {
+			m |= 1 << uint(b)
+		}
+	}
+	return m
+}
+
+// cmpWord returns the bits of w whose value in vals (the word's 64 slots
+// from its first) satisfies `value op c`, comparing in C's type. evalCmp's
+// NaN rules follow from three kernels: <= is not >, >= is not <, and != is
+// not =, each over the live bits — so a NaN fails <, > and = and passes
+// <=, >= and !=, as Compare (0 against a NaN) and Equal have it.
+func cmpWord[T, C int64 | float64](op BinOp, vals []T, w uint64, c C) uint64 {
+	switch op {
+	case OpLe:
+		return w &^ cmpWord(OpGt, vals, w, c)
+	case OpGe:
+		return w &^ cmpWord(OpLt, vals, w, c)
+	case OpNe:
+		return w &^ cmpWord(OpEq, vals, w, c)
+	}
+	if w == ^uint64(0) {
+		// Four 16-slot chains, each shifting its bits in from the top, so
+		// that the compares of one step do not wait on each other.
+		v := vals[:64]
+		var m0, m1, m2, m3 uint64
+		switch op {
+		case OpLt:
+			for i := 15; i >= 0; i-- {
+				m0, m1 = m0<<1|b2u(C(v[i]) < c), m1<<1|b2u(C(v[i+16]) < c)
+				m2, m3 = m2<<1|b2u(C(v[i+32]) < c), m3<<1|b2u(C(v[i+48]) < c)
+			}
+		case OpGt:
+			for i := 15; i >= 0; i-- {
+				m0, m1 = m0<<1|b2u(C(v[i]) > c), m1<<1|b2u(C(v[i+16]) > c)
+				m2, m3 = m2<<1|b2u(C(v[i+32]) > c), m3<<1|b2u(C(v[i+48]) > c)
+			}
+		default:
+			for i := 15; i >= 0; i-- {
+				m0, m1 = m0<<1|b2u(C(v[i]) == c), m1<<1|b2u(C(v[i+16]) == c)
+				m2, m3 = m2<<1|b2u(C(v[i+32]) == c), m3<<1|b2u(C(v[i+48]) == c)
 			}
 		}
-		return true
+		return m0 | m1<<16 | m2<<32 | m3<<48
 	}
+	var m uint64
+	for ; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros64(w)
+		x := C(vals[i])
+		if op == OpLt && x < c || op == OpGt && x > c || op == OpEq && x == c {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // attrCmpConst recognizes `attr op const` (either operand order) and

@@ -349,24 +349,40 @@ func (f *Fold) chunk(ch *array.Chunk, live *array.Bitmap, st *encStats) *FoldTab
 		rstride[k] = rows
 		rows *= t.Shape[k]
 	}
-	last := len(ch.Shape) - 1
-	ch.Rows(ch.Box(), func(start, n int64, c array.Coord) {
-		// A run of the chunk varies only the innermost dimension. Unless that
-		// dimension is grouped all of it lands in one row; when it is, the
-		// row advances every stride cells, the run starting mid-stride.
-		r := oneRow(start, n, 0)
+	// The chunk's slots fold a block at a time: the slots of the dimensions
+	// inside the innermost grouped one, which all land in one row, or — when
+	// the innermost dimension is grouped — a row of it, along which the group
+	// row advances every stride slots, the first stride cut short where the
+	// chunk starts mid-stride.
+	last, gmax := len(ch.Shape)-1, 0
+	for _, g := range f.gdims {
+		gmax = max(gmax, g.dim)
+	}
+	inner := min(gmax+1, last)
+	block := int64(1)
+	for _, n := range ch.Shape[inner:] {
+		block *= n
+	}
+	c := ch.Origin.Clone()
+	for start := int64(0); start < ch.Slots(); start += block {
+		q := start / block
+		for d := inner - 1; d >= 0; d-- {
+			c[d] = ch.Origin[d] + q%ch.Shape[d]
+			q /= ch.Shape[d]
+		}
+		r := oneRow(start, block, 0)
 		for k, g := range f.gdims {
 			r.row += ((c[g.dim]-1)/g.stride - t.Lo[k]) * rstride[k]
 			if g.dim == last {
 				r.step, r.seg = rstride[k], g.stride
-				r.first = min(n, g.stride-(c[last]-1)%g.stride)
+				r.first = min(block, g.stride-(c[last]-1)%g.stride)
 			}
 		}
 		foldCount(t.Cells, live, nil, r)
 		for k := range f.cols {
 			f.foldRun(t, k, ch, live, r)
 		}
-	})
+	}
 	return t
 }
 
@@ -411,7 +427,9 @@ func foldTyped[T int64 | float64](agg string, st *FoldState, own, vals []T, live
 
 // The kernels. Each walks the rows of r and, for a row, the slots set in
 // live and clear in nulls, a word of both masks at a time, with the row's
-// state in locals.
+// state in locals. A word whose 64 slots are all live and non-NULL folds as
+// a plain loop over its values; any other walks its set bits. Both go in
+// slot order, so a float sum is the same sum either way, to the bit.
 
 // liveWord returns word wi of live&^nulls, less the bits outside slots [s, e).
 func liveWord(live, nulls []uint64, wi, s, e int64) uint64 {
@@ -444,7 +462,15 @@ func foldSum[A, T int64 | float64](sum []A, cnt []int64, vals []T, live, nulls [
 	for s, e, row := r.start, r.start+r.first, r.row; s < end; s, e, row = e, min(e+r.seg, end), row+r.step {
 		acc, n := sum[row], cnt[row]
 		for wi := s >> 6; wi<<6 < e; wi++ {
-			for w := liveWord(live, nulls, wi, s, e); w != 0; w &= w - 1 {
+			w := liveWord(live, nulls, wi, s, e)
+			if w == ^uint64(0) {
+				for _, x := range vals[wi<<6:][:64] {
+					acc += A(x)
+				}
+				n += 64
+				continue
+			}
+			for ; w != 0; w &= w - 1 {
 				acc += A(vals[wi<<6+int64(bits.TrailingZeros64(w))])
 				n++
 			}
@@ -468,7 +494,33 @@ func foldBest[T int64 | float64](best []T, cnt []int64, vals []T, max bool, live
 	for s, e, row := r.start, r.start+r.first, r.row; s < end; s, e, row = e, min(e+r.seg, end), row+r.step {
 		b, n := best[row], cnt[row]
 		for wi := s >> 6; wi<<6 < e; wi++ {
-			for w := liveWord(live, nulls, wi, s, e); w != 0; w &= w - 1 {
+			w := liveWord(live, nulls, wi, s, e)
+			if w == ^uint64(0) {
+				v := vals[wi<<6:][:64]
+				// Until b holds a number beats decides; after, a NaN x never
+				// wins a strict compare, so the compare alone is beats.
+				for ; len(v) > 0 && (n == 0 || b != b); v, n = v[1:], n+1 {
+					if n == 0 || beats(v[0], b, max) {
+						b = v[0]
+					}
+				}
+				if max {
+					for _, x := range v {
+						if x > b {
+							b = x
+						}
+					}
+				} else {
+					for _, x := range v {
+						if x < b {
+							b = x
+						}
+					}
+				}
+				n += int64(len(v))
+				continue
+			}
+			for ; w != 0; w &= w - 1 {
 				if x := vals[wi<<6+int64(bits.TrailingZeros64(w))]; n == 0 || beats(x, b, max) {
 					b = x
 				}
@@ -484,7 +536,18 @@ func foldWelford[T int64 | float64](mean, m2 []float64, cnt []int64, vals []T, l
 	for s, e, row := r.start, r.start+r.first, r.row; s < end; s, e, row = e, min(e+r.seg, end), row+r.step {
 		m, q, n := mean[row], m2[row], cnt[row]
 		for wi := s >> 6; wi<<6 < e; wi++ {
-			for w := liveWord(live, nulls, wi, s, e); w != 0; w &= w - 1 {
+			w := liveWord(live, nulls, wi, s, e)
+			if w == ^uint64(0) {
+				for _, v := range vals[wi<<6:][:64] {
+					x := float64(v)
+					n++
+					d := x - m
+					m += d / float64(n)
+					q += d * (x - m)
+				}
+				continue
+			}
+			for ; w != 0; w &= w - 1 {
 				x := float64(vals[wi<<6+int64(bits.TrailingZeros64(w))])
 				n++
 				d := x - m

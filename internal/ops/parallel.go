@@ -338,86 +338,3 @@ func compileExpr(e Expr, s *array.Schema, ch *array.Chunk) colEval {
 	}
 	return nil
 }
-
-// vecPred recognizes the attribute-compare-constant predicate shape and
-// returns a tight vector kernel over the column (null bit → NULL → false,
-// matching Truthy); nil when the predicate has any other shape. Comparisons
-// mirror Value.Compare (AsFloat ordering, so <= is !(a > b) to keep NaN
-// behaviour) and Value.Equal (exact int64 equality for int-int).
-func vecPred(pred Expr, s *array.Schema, ch *array.Chunk) func(idx int64) bool {
-	b, ok := pred.(Binary)
-	if !ok {
-		return nil
-	}
-	switch b.Op {
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-	default:
-		return nil
-	}
-	ar, ok := b.L.(AttrRef)
-	if !ok {
-		return nil
-	}
-	co, ok := b.R.(Const)
-	if !ok {
-		return nil
-	}
-	ai := s.AttrIndex(ar.Name)
-	if ai < 0 || ai >= len(ch.Cols) {
-		return nil
-	}
-	col := ch.Cols[ai]
-	cv := co.V
-	if cv.Null {
-		// Comparing with NULL yields NULL, which Filter treats as false.
-		return func(int64) bool { return false }
-	}
-	if cv.Type != array.TInt64 && cv.Type != array.TFloat64 {
-		return nil
-	}
-	nulls := col.Nulls
-	cf := cv.AsFloat()
-	switch col.Type {
-	case array.TInt64:
-		ints := col.Ints
-		switch b.Op {
-		case OpEq:
-			if cv.Type == array.TInt64 {
-				ci := cv.Int
-				return func(i int64) bool { return !nulls.Get(i) && ints[i] == ci }
-			}
-			return func(i int64) bool { return !nulls.Get(i) && float64(ints[i]) == cf }
-		case OpNe:
-			if cv.Type == array.TInt64 {
-				ci := cv.Int
-				return func(i int64) bool { return !nulls.Get(i) && ints[i] != ci }
-			}
-			return func(i int64) bool { return !nulls.Get(i) && float64(ints[i]) != cf }
-		case OpLt:
-			return func(i int64) bool { return !nulls.Get(i) && float64(ints[i]) < cf }
-		case OpLe:
-			return func(i int64) bool { return !nulls.Get(i) && !(float64(ints[i]) > cf) }
-		case OpGt:
-			return func(i int64) bool { return !nulls.Get(i) && float64(ints[i]) > cf }
-		case OpGe:
-			return func(i int64) bool { return !nulls.Get(i) && !(float64(ints[i]) < cf) }
-		}
-	case array.TFloat64:
-		floats := col.Floats
-		switch b.Op {
-		case OpEq:
-			return func(i int64) bool { return !nulls.Get(i) && floats[i] == cf }
-		case OpNe:
-			return func(i int64) bool { return !nulls.Get(i) && floats[i] != cf }
-		case OpLt:
-			return func(i int64) bool { return !nulls.Get(i) && floats[i] < cf }
-		case OpLe:
-			return func(i int64) bool { return !nulls.Get(i) && !(floats[i] > cf) }
-		case OpGt:
-			return func(i int64) bool { return !nulls.Get(i) && floats[i] > cf }
-		case OpGe:
-			return func(i int64) bool { return !nulls.Get(i) && !(floats[i] < cf) }
-		}
-	}
-	return nil
-}

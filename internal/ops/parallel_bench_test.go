@@ -3,6 +3,7 @@ package ops
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -196,5 +197,50 @@ func BenchmarkStructural(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 			})
 		}
+	}
+}
+
+// BenchmarkFoldChunk folds one chunk shaped like SS-DB's raw — pass × x × y =
+// 4×64×64 slots, dense, float64 dn and radiance — through Fold.Chunk, the
+// kernel a worker runs per scanned chunk: a grand-total sum and max, max
+// grouped by the outer dimension (one 4 096-slot block per pass), avg grouped
+// by the inner one (the row path), and a count under the mask of
+// `radiance > 13`. Each row reports ns per slot.
+func BenchmarkFoldChunk(b *testing.B) {
+	s := &array.Schema{
+		Name:  "raw",
+		Dims:  []array.Dimension{{Name: "pass", High: 4}, {Name: "x", High: 64}, {Name: "y", High: 64}},
+		Attrs: []array.Attribute{{Name: "dn", Type: array.TFloat64}, {Name: "radiance", Type: array.TFloat64}},
+	}
+	ch := array.NewChunk(s, array.Coord{1, 1, 1}, []int64{4, 64, 64})
+	ch.Present.SetAll()
+	rng := rand.New(rand.NewSource(1))
+	for x := range ch.Cols[0].Floats {
+		ch.Cols[0].Floats[x] = float64(rng.Intn(256))
+		ch.Cols[1].Floats[x] = rng.Float64() * 26
+	}
+	over13 := []array.ZonePred{{Attr: 1, Op: ">", Val: array.Float64(13)}}
+	for _, c := range []struct {
+		name  string
+		spec  FoldSpec
+		preds []array.ZonePred
+	}{
+		{"sum", FoldSpec{Aggs: []AggSpec{{Agg: "sum", Attr: "radiance"}}}, nil},
+		{"max", FoldSpec{Aggs: []AggSpec{{Agg: "max", Attr: "dn"}}}, nil},
+		{"max-by-outer", FoldSpec{Dims: []string{"pass"}, Aggs: []AggSpec{{Agg: "max", Attr: "dn"}}}, nil},
+		{"avg-by-inner", FoldSpec{Dims: []string{"y"}, Aggs: []AggSpec{{Agg: "avg", Attr: "radiance"}}}, nil},
+		{"count-under-pred", FoldSpec{Aggs: []AggSpec{{Agg: "count", Attr: "radiance"}}}, over13},
+	} {
+		f, err := NewFold(s, c.spec, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				f.Chunk(ch, PredMask(c.preds, ch, ch.Present))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ch.Slots()), "ns/slot")
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -408,49 +407,5 @@ func TestPropertyCrossCounts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-// PredMatcher's columnar kernels against the boxed definition they stand
-// in for on the worker scan path: every comparison operator, int and float
-// columns and constants, NULLs, NaNs, a NULL constant, a string column
-// (which takes the evalCmp fallback) and an out-of-range attribute.
-func TestPropertyPredMatcherMatchesCellMatchesPreds(t *testing.T) {
-	s := &array.Schema{
-		Name: "P",
-		Dims: []array.Dimension{{Name: "x", High: 64}},
-		Attrs: []array.Attribute{
-			{Name: "f", Type: array.TFloat64}, {Name: "i", Type: array.TInt64}, {Name: "s", Type: array.TString},
-		},
-	}
-	rng := rand.New(rand.NewSource(3))
-	ch := array.NewChunk(s, array.Coord{1}, []int64{64})
-	for x := int64(1); x <= 64; x++ {
-		cell := array.Cell{array.Float64(float64(rng.Intn(9) - 4)), array.Int64(int64(rng.Intn(9) - 4)), array.String64(string(rune('a' + rng.Intn(3))))}
-		if rng.Intn(6) == 0 {
-			cell[0] = array.Float64(math.NaN())
-		}
-		if rng.Intn(6) == 0 {
-			cell[rng.Intn(3)].Null = true
-		}
-		if err := ch.Set(array.Coord{x}, cell); err != nil {
-			t.Fatal(err)
-		}
-	}
-	consts := []array.Value{array.Float64(1), array.Float64(-0.5), array.Float64(math.NaN()), array.Int64(0), array.Int64(2),
-		array.NullValue(array.TFloat64), array.String64("b")}
-	for attr := -1; attr <= 3; attr++ {
-		for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
-			for _, cv := range consts {
-				preds := []array.ZonePred{{Attr: attr, Op: op, Val: cv}, {Attr: 1, Op: ">=", Val: array.Int64(-3)}}
-				match := PredMatcher(preds, s, ch)
-				for x := int64(1); x <= 64; x++ {
-					cell, _ := ch.Get(array.Coord{x})
-					if got, want := match(x-1), CellMatchesPreds(preds, cell); got != want {
-						t.Fatalf("attr %d %s %v on %v: matcher %v, cell definition %v", attr, op, cv, cell, got, want)
-					}
-				}
-			}
-		}
 	}
 }
