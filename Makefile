@@ -36,7 +36,8 @@ race:
 # (FuzzAutoRecords: round trips, and arbitrary bytes behind its tag), both
 # hello readers
 # (FuzzHello), the CSV line parser against its Split-based oracle
-# (FuzzCSVLine), the predicate mask kernel against the cell definition it
+# (FuzzCSVLine), the CSV float kernel against strconv.ParseFloat
+# (FuzzParseFloat), the predicate mask kernel against the cell definition it
 # stands in for (FuzzPredMask) and, FuzzWorkerRead, the worker's read against
 # its cell oracle. Each target must be invoked separately: `go test -fuzz` refuses a
 # pattern matching more than one fuzz function.
@@ -52,6 +53,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSessionFrame -fuzztime=$(FUZZTIME) ./internal/session
 	$(GO) test -run=NONE -fuzz=FuzzCSVShardSplit -fuzztime=$(FUZZTIME) ./internal/insitu
 	$(GO) test -run=NONE -fuzz=FuzzCSVLine -fuzztime=$(FUZZTIME) ./internal/insitu
+	$(GO) test -run=NONE -fuzz=FuzzParseFloat -fuzztime=$(FUZZTIME) ./internal/insitu
 	$(GO) test -run=NONE -fuzz=FuzzDecodeClusterMessage -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=NONE -fuzz=FuzzPredMask -fuzztime=$(FUZZTIME) ./internal/ops
 	$(GO) test -run=NONE -fuzz=FuzzWorkerRead -fuzztime=$(FUZZTIME) ./internal/cluster
@@ -61,10 +63,11 @@ race-all:
 	$(GO) test -race ./...
 
 # The per-layer micro-benchmarks (operator kernels, worker kernels, store
-# chunk scan warm and cold, column decode per encoding) report ns/cell
+# chunk scan warm and cold, column decode per encoding, a CSV shard's line
+# scan and the float kernel) report ns/cell or ns/line
 # beside allocs/op; the root package holds the end-to-end ones.
 bench:
-	$(GO) test -run=NONE -bench=. -benchmem . ./internal/ops ./internal/cluster ./internal/storage
+	$(GO) test -run=NONE -bench=. -benchmem . ./internal/ops ./internal/cluster ./internal/storage ./internal/insitu
 
 # One iteration of the fold kernels' micro-benchmarks (worker fold, whole
 # partition, boxed and under predicates; one chunk through Fold.Chunk; local
@@ -72,10 +75,12 @@ bench:
 # structural operators' (gather, join and filter kernels), of the cold read
 # path's (column and chunk decode — full, site-boundary and catalog chunks —
 # and cold chunk scan), of the chunk encoder's and of a bucket section's seal
-# and open, so CI runs what `make bench` measures.
+# and open, and of the CSV load path's (a shard's line scan, the float
+# kernel against strconv), so CI runs what `make bench` measures.
 bench-smoke:
 	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|FoldChunk|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
 	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x ./internal/storage
+	$(GO) test -run=NONE -bench 'CSVShardScan|ParseFloat' -benchtime=1x ./internal/insitu
 
 # The standing benchmark suite is its own module under bench/, which the
 # root `go test ./...` never reaches: vet and test it, then run one short

@@ -2,6 +2,7 @@ package insitu
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -141,32 +142,33 @@ func newRecord(schema *array.Schema) (array.Coord, array.Cell) {
 
 // parseCSVLine parses one CSV line into c and cell (newRecord's, reused from
 // line to line). ok is false for blank lines and # comments (including the
-// header). It walks the line a field at a time and allocates nothing unless
-// it fails; string values alias line. The returned error carries no
-// file/line context; callers add it.
-func parseCSVLine(schema *array.Schema, line string, c array.Coord, cell array.Cell) (bool, error) {
-	line = strings.TrimSpace(line)
-	if line == "" || line[0] == '#' {
+// header). It walks the bytes once, a field at a time, and allocates only a
+// copy of each non-NULL string value — line is the scan's read buffer and is
+// overwritten by the next read — or when it fails. The returned error
+// carries no file/line context; callers add it.
+func parseCSVLine(schema *array.Schema, line []byte, c array.Coord, cell array.Cell) (bool, error) {
+	line = trimField(line)
+	if len(line) == 0 || line[0] == '#' {
 		return false, nil
 	}
 	nd, n := len(schema.Dims), len(schema.Dims)+len(schema.Attrs)
-	if got := strings.Count(line, ",") + 1; got != n {
+	if got := bytes.Count(line, []byte{','}) + 1; got != n {
 		return false, fmt.Errorf("%d fields, want %d", got, n)
 	}
 	for i := 0; i < n; i++ {
 		field := line
-		if j := strings.IndexByte(line, ','); j >= 0 {
+		if j := bytes.IndexByte(line, ','); j >= 0 {
 			field, line = line[:j], line[j+1:]
 		}
 		if i < nd {
-			v, err := strconv.ParseInt(strings.TrimSpace(field), 10, 64)
+			v, err := parseInt(trimField(field))
 			if err != nil {
 				return false, fmt.Errorf("bad coordinate %q", field)
 			}
 			c[i] = v
 			continue
 		}
-		v, err := parseCSVValue(strings.TrimSpace(field), schema.Attrs[i-nd].Type)
+		v, err := parseCSVValue(trimField(field), schema.Attrs[i-nd].Type)
 		if err != nil {
 			return false, err
 		}
@@ -175,45 +177,91 @@ func parseCSVLine(schema *array.Schema, line string, c array.Coord, cell array.C
 	return true, nil
 }
 
-func parseCSVValue(raw string, t array.Type) (array.Value, error) {
-	if raw == "" || raw == "NULL" {
+// trimField is strings.TrimSpace over bytes, checking only the edge bytes
+// on the common path: a field is trimmed only when one of them is ASCII
+// white space, a control byte or the start of a multi-byte rune.
+func trimField(b []byte) []byte {
+	if len(b) > 0 && (b[0] <= ' ' || b[0] >= 0x80 || b[len(b)-1] <= ' ' || b[len(b)-1] >= 0x80) {
+		return bytes.TrimSpace(b)
+	}
+	return b
+}
+
+// parseInt is strconv.ParseInt(string(b), 10, 64) with a decimal loop for
+// the common -?digits form of at most 18 digits, which cannot overflow.
+func parseInt(b []byte) (int64, error) {
+	d := b
+	if len(d) > 0 && d[0] == '-' {
+		d = d[1:]
+	}
+	if len(d) == 0 || len(d) > 18 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var v int64
+	for _, ch := range d {
+		if ch-'0' > 9 {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		v = v*10 + int64(ch-'0')
+	}
+	if len(d) < len(b) {
+		v = -v
+	}
+	return v, nil
+}
+
+// plusMinus is "±", which separates a float from its error bar.
+var plusMinus = []byte("±")
+
+// parseCSVValue parses one trimmed attribute field of type t. An empty
+// field or NULL is NULL; a string value is a copy of raw.
+func parseCSVValue(raw []byte, t array.Type) (array.Value, error) {
+	if len(raw) == 0 || string(raw) == "NULL" {
 		return array.NullValue(t), nil
 	}
 	switch t {
 	case array.TInt64:
-		v, err := strconv.ParseInt(raw, 10, 64)
+		v, err := parseInt(raw)
 		if err != nil {
 			return array.Value{}, fmt.Errorf("bad int %q", raw)
 		}
 		return array.Int64(v), nil
 	case array.TFloat64:
-		// "v±s" carries an error bar.
-		if i := strings.IndexRune(raw, '±'); i >= 0 {
-			m, err1 := strconv.ParseFloat(raw[:i], 64)
-			s, err2 := strconv.ParseFloat(raw[i+len("±"):], 64)
-			if err1 != nil || err2 != nil {
-				return array.Value{}, fmt.Errorf("bad uncertain float %q", raw)
+		// "v±s" carries an error bar. '±' is 0xC2 0xB1 in UTF-8, so a
+		// field without 0xC2 has none.
+		if bytes.IndexByte(raw, 0xC2) >= 0 {
+			if i := bytes.Index(raw, plusMinus); i >= 0 {
+				m, err1 := parseFloat(raw[:i])
+				s, err2 := parseFloat(raw[i+len(plusMinus):])
+				if err1 != nil || err2 != nil {
+					return array.Value{}, fmt.Errorf("bad uncertain float %q", raw)
+				}
+				return array.UncertainFloat(m, s), nil
 			}
-			return array.UncertainFloat(m, s), nil
 		}
-		v, err := strconv.ParseFloat(raw, 64)
+		v, err := parseFloat(raw)
 		if err != nil {
 			return array.Value{}, fmt.Errorf("bad float %q", raw)
 		}
 		return array.Float64(v), nil
 	case array.TBool:
-		v, err := strconv.ParseBool(raw)
+		v, err := strconv.ParseBool(string(raw))
 		if err != nil {
 			return array.Value{}, fmt.Errorf("bad bool %q", raw)
 		}
 		return array.Bool64(v), nil
 	case array.TString:
-		return array.String64(raw), nil
+		return array.String64(string(raw)), nil
 	}
 	return array.Value{}, fmt.Errorf("unsupported CSV type")
 }
 
-// WriteCSV writes an array in the adaptor's CSV dialect.
+// WriteCSV writes an array in the adaptor's CSV dialect, one line at a
+// time into a reused buffer. It fails, naming the cell and the attribute,
+// on a value the dialect cannot carry — a string that is empty or NULL, has
+// white space at an edge or holds ',' or '\n'; an error bar on a value that
+// is not a float; a nested array — so every value it writes reads back
+// identical (an error bar of zero, of either sign, is no error bar).
 func WriteCSV(path string, a *array.Array) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -235,20 +283,28 @@ func WriteCSV(path string, a *array.Array) error {
 	}
 	fmt.Fprintf(w, "# dims: %s\n", strings.Join(dims, ", "))
 	fmt.Fprintf(w, "# attrs: %s\n", strings.Join(attrs, ", "))
+	var line []byte
 	var werr error
 	a.Iter(func(c array.Coord, cell array.Cell) bool {
-		var fields []string
-		for _, v := range c {
-			fields = append(fields, strconv.FormatInt(v, 10))
+		line = line[:0]
+		for i, v := range c {
+			if i > 0 {
+				line = append(line, ',')
+			}
+			line = strconv.AppendInt(line, v, 10)
 		}
-		for _, v := range cell {
-			if v.Null {
-				fields = append(fields, "NULL")
-			} else {
-				fields = append(fields, v.String())
+		for i, v := range cell {
+			if len(c)+i > 0 {
+				line = append(line, ',')
+			}
+			var err error
+			if line, err = appendCSVValue(line, v); err != nil {
+				werr = fmt.Errorf("insitu: %s: cell %v, attribute %s: %w", path, c, a.Schema.Attrs[i].Name, err)
+				return false
 			}
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(fields, ",")); err != nil {
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
 			werr = err
 			return false
 		}
@@ -258,6 +314,41 @@ func WriteCSV(path string, a *array.Array) error {
 		return werr
 	}
 	return w.Flush()
+}
+
+// appendCSVValue appends v as parseCSVValue reads it back, or fails if the
+// dialect cannot carry it.
+func appendCSVValue(b []byte, v array.Value) ([]byte, error) {
+	if v.Null {
+		return append(b, "NULL"...), nil
+	}
+	if v.Sigma != 0 && v.Type != array.TFloat64 {
+		return b, fmt.Errorf("%s value with an error bar (±%g) has no CSV form", v.Type, v.Sigma)
+	}
+	switch v.Type {
+	case array.TInt64:
+		return strconv.AppendInt(b, v.Int, 10), nil
+	case array.TFloat64:
+		b = strconv.AppendFloat(b, v.Float, 'g', -1, 64)
+		if v.Sigma != 0 {
+			b = append(b, plusMinus...)
+			b = strconv.AppendFloat(b, v.Sigma, 'g', -1, 64)
+		}
+		return b, nil
+	case array.TBool:
+		return strconv.AppendBool(b, v.Bool), nil
+	case array.TString:
+		switch {
+		case v.Str == "" || v.Str == "NULL":
+			return b, fmt.Errorf("string %q would read back as NULL", v.Str)
+		case strings.TrimSpace(v.Str) != v.Str:
+			return b, fmt.Errorf("string %q would read back trimmed", v.Str)
+		case strings.ContainsAny(v.Str, ",\n"):
+			return b, fmt.Errorf("string %q holds a field or line separator", v.Str)
+		}
+		return append(b, v.Str...), nil
+	}
+	return b, fmt.Errorf("%s value has no CSV form", v.Type)
 }
 
 // --- NCL: a NetCDF-like dense container -----------------------------------

@@ -94,6 +94,10 @@ func (sh *csvShard) Schema() *array.Schema { return sh.schema }
 
 func (sh *csvShard) Close() error { return nil }
 
+// lineBuf is the size of the buffer a CSV scan reads its lines in place
+// from; a longer line is put together in a second buffer.
+const lineBuf = 64 << 10
+
 func (sh *csvShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
 	f, err := os.Open(sh.path)
 	if err != nil {
@@ -111,10 +115,25 @@ func (sh *csvShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) e
 		}
 		pos = sh.start - 1
 	}
-	r := bufio.NewReader(f)
+	r := bufio.NewReaderSize(f, lineBuf)
+	var long []byte
+	// readLine returns the next line, '\n' included, valid until the next
+	// call: a slice of r's buffer, or of long when the line outgrows it.
+	readLine := func() ([]byte, error) {
+		line, err := r.ReadSlice('\n')
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+		long = append(long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		return long, err
+	}
 	c, cell := newRecord(sh.schema)
 	if sh.start > 0 {
-		skipped, err := r.ReadString('\n')
+		skipped, err := readLine()
 		pos += int64(len(skipped))
 		if err == io.EOF {
 			return nil
@@ -125,7 +144,7 @@ func (sh *csvShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) e
 	}
 	for pos < sh.end {
 		lineStart := pos
-		line, err := r.ReadString('\n')
+		line, err := readLine()
 		pos += int64(len(line))
 		if len(line) > 0 {
 			ok, perr := parseCSVLine(sh.schema, line, c, cell)

@@ -2,8 +2,10 @@ package loader
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scidb/internal/array"
@@ -183,6 +185,71 @@ func TestLoadParallelIntoCluster(t *testing.T) {
 	})
 	if mismatch {
 		t.FailNow()
+	}
+}
+
+// TestLoadParallelStringsAreCopies loads a CSV several read buffers long,
+// each line with its own string, and checks every stored string against
+// the file's text: a string that aliased the scan's reused read buffer
+// would hold a later line's bytes by the time the chunk is encoded.
+func TestLoadParallelStringsAreCopies(t *testing.T) {
+	const lines = 12000
+	schema := &array.Schema{
+		Name:  "tags",
+		Dims:  []array.Dimension{{Name: "x", High: 3000, ChunkLen: 500}, {Name: "y", High: 4, ChunkLen: 4}},
+		Attrs: []array.Attribute{{Name: "tag", Type: array.TString}, {Name: "v", Type: array.TFloat64}},
+	}
+	var sb strings.Builder
+	sb.WriteString("# scidb-csv\n# dims: x:3000, y:4\n# attrs: tag:string, v:float\n")
+	want := map[string]string{}
+	for i := 0; i < lines; i++ {
+		c := array.Coord{int64(i/4 + 1), int64(i%4 + 1)}
+		tag := fmt.Sprintf("t%05d-%s", i, strings.Repeat(string(rune('a'+i%26)), i%37))
+		want[c.String()] = tag
+		fmt.Fprintf(&sb, "%d,%d,%s,%d.5\n", c[0], c[1], tag, i)
+	}
+	if sb.Len() < 4*64<<10 {
+		t.Fatalf("file is %d bytes, want several read buffers", sb.Len())
+	}
+	path := filepath.Join(t.TempDir(), "tags.csv")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	box := array.WholeBox(schema)
+	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 3000}
+	stride := []int64{500, 4}
+	for _, par := range []int{1, 3} {
+		ds, err := insitu.CSVAdaptor{}.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores := make([]*storage.Store, 2)
+		for i := range stores {
+			if stores[i], err = storage.NewStore(schema, storage.Options{Stride: stride}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := LoadParallel(ds, box, schema, scheme, StoreDest{Schema: schema, Stores: stores},
+			Options{Parallelism: par, Stride: stride})
+		ds.Close()
+		if err != nil || st.Records != lines {
+			t.Fatalf("par=%d: loaded %d cells, %v; want %d", par, st.Records, err, lines)
+		}
+		n := 0
+		for _, store := range stores {
+			if err := store.Scan(box, func(c array.Coord, cell array.Cell) bool {
+				n++
+				if got := cell[0].Str; got != want[c.String()] {
+					t.Fatalf("par=%d: cell %v holds %q, the file says %q", par, c, got, want[c.String()])
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n != lines {
+			t.Fatalf("par=%d: stores hold %d cells, want %d", par, n, lines)
+		}
 	}
 }
 
