@@ -97,10 +97,9 @@ bench-suite:
 experiments:
 	$(GO) run ./cmd/scidb-bench -quick
 
-# Telemetry checks: the OBS experiment plus the traced/untraced benchmark
-# pair that substantiates the "<3% traced, ~0% off" overhead claim.
+# Telemetry overhead: the traced/untraced benchmark pair that substantiates
+# the "<3% traced, ~0% off" overhead claim.
 obs:
-	$(GO) run ./cmd/scidb-bench -exp OBS
 	$(GO) test -run=NONE -bench 'BenchmarkParallelFilter' -benchmem ./internal/ops
 
 # Run the experiment suite with a live /metrics + pprof endpoint; point a

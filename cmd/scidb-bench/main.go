@@ -2,9 +2,7 @@
 // experiment per figure and quantified claim (see DESIGN.md and
 // EXPERIMENTS.md). With no flags it runs everything at full size.
 //
-//	scidb-bench [-exp ID[,ID...]] [-quick] [-list] [-cache-bytes N] [-parallelism N] [-readahead N]
-//	scidb-bench -exp NET [-wire-compress gzip] [-call-timeout 30s] [-net-addrs host1:7101,host2:7101,host3:7101]
-//	scidb-bench -serve-addr host:port -serve-clients 256   # open-loop load against a live session server
+//	scidb-bench [-exp ID[,ID...]] [-quick] [-list] [-parallelism N] [-bench-json DIR] [-metrics-addr host:port]
 //	scidb-bench -serve-addr host:port -serve-smoke 8       # CI: scripted concurrent client sessions
 package main
 
@@ -13,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"scidb/internal/exec"
 	"scidb/internal/experiments"
@@ -24,20 +21,17 @@ func main() {
 	exp := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	list := flag.Bool("list", false, "list experiments and exit")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "buffer-pool budget for cache-aware experiments")
-	readahead := flag.Int("readahead", 4, "scan prefetch depth for the ENC experiment (0 disables)")
 	parallelism := flag.Int("parallelism", 0, "chunk-parallel worker bound (1 = serial, 0 = NumCPU)")
-	wireCompress := flag.String("wire-compress", "", "wire codec for the NET experiment's compressed row (default gzip)")
-	callTimeout := flag.Duration("call-timeout", 0, "per-call deadline for NET transports (0 = none)")
-	netAddrs := flag.String("net-addrs", "", "comma-separated scidb-server addresses: run NET against real sockets instead of in-process listeners")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof while experiments run (profile the suite live)")
-	serveAddr := flag.String("serve-addr", "", "session-server address for -serve-clients / -serve-smoke")
-	serveClients := flag.Int("serve-clients", 0, "open-loop load: this many concurrent client sessions against -serve-addr")
-	serveStmts := flag.Int("serve-stmts", 2048, "open-loop load: total statements to offer")
-	serveGap := flag.Duration("serve-gap", time.Millisecond, "open-loop load: arrival spacing")
+	serveAddr := flag.String("serve-addr", "", "session-server address for -serve-smoke")
 	serveSmoke := flag.Int("serve-smoke", 0, "run this many scripted concurrent clients against -serve-addr and exit")
 	benchJSON := flag.String("bench-json", "", "directory to write BENCH_<ID>.json snapshots (wall time, bytes, metric deltas) per experiment")
 	flag.Parse()
+
+	if (*serveSmoke > 0) != (*serveAddr != "") {
+		fmt.Fprintln(os.Stderr, "usage: scidb-bench -serve-addr host:port -serve-smoke N (each needs the other)")
+		os.Exit(2)
+	}
 
 	if *metricsAddr != "" {
 		obs.RegisterProcessMetrics(obs.Default())
@@ -48,39 +42,12 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)\n", *metricsAddr)
 	}
 
-	experiments.SetCacheBytes(*cacheBytes)
-	experiments.SetReadahead(*readahead)
 	exec.SetParallelism(*parallelism)
-	if *wireCompress != "" {
-		experiments.SetWireCompress(*wireCompress)
-	}
-	experiments.SetCallTimeout(*callTimeout)
-	if *netAddrs != "" {
-		var addrs []string
-		for _, a := range strings.Split(*netAddrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		experiments.SetNetAddrs(addrs)
-	}
 
-	if *serveSmoke > 0 || *serveClients > 0 {
-		if *serveAddr == "" {
-			fmt.Fprintln(os.Stderr, "-serve-clients/-serve-smoke need -serve-addr host:port")
-			os.Exit(2)
-		}
-		if *serveSmoke > 0 {
-			if err := experiments.ServeSmoke(os.Stdout, *serveAddr, *serveSmoke); err != nil {
-				fmt.Fprintln(os.Stderr, "serve-smoke failed:", err)
-				os.Exit(1)
-			}
-		}
-		if *serveClients > 0 {
-			if err := experiments.ServeLoad(os.Stdout, *serveAddr, *serveClients, *serveStmts, *serveGap); err != nil {
-				fmt.Fprintln(os.Stderr, "serve-load failed:", err)
-				os.Exit(1)
-			}
+	if *serveSmoke > 0 {
+		if err := experiments.ServeSmoke(os.Stdout, *serveAddr, *serveSmoke); err != nil {
+			fmt.Fprintln(os.Stderr, "serve-smoke failed:", err)
+			os.Exit(1)
 		}
 		return
 	}

@@ -100,7 +100,7 @@ func (e *Executor) RunCtx(ctx context.Context, stmt parser.Stmt) (*Result, error
 
 	q := introspect.QueryFromContext(ctx)
 	adopted := q != nil
-	if q == nil && introspect.Enabled() {
+	if q == nil {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()

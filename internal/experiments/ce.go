@@ -10,11 +10,27 @@ import (
 	"time"
 
 	"scidb/internal/array"
+	"scidb/internal/bufcache"
 	"scidb/internal/compress"
 	"scidb/internal/core"
 	"scidb/internal/obs"
 	"scidb/internal/storage"
 )
+
+// slowCodec models a storage device with per-read latency: Decode — which a
+// store calls once per bucket section it reads — sleeps before delegating.
+// The cold scans read through it so zone-map skipping has real latency to
+// save — page-cached bucket files on the bench machine decode in
+// microseconds.
+type slowCodec struct {
+	compress.Codec
+	delay time.Duration
+}
+
+func (c slowCodec) Decode(src []byte) ([]byte, error) {
+	time.Sleep(c.delay)
+	return c.Codec.Decode(src)
+}
 
 // CE quantifies compressed execution: zone-map chunk skipping plus
 // operators that run directly on encoded chunks. Part one poses a
@@ -103,7 +119,7 @@ func init() {
 					Dir:        encDir,
 					Stride:     []int64{stride, stride},
 					Codec:      slowCodec{Codec: compress.None{}, delay: readDelay},
-					CacheBytes: cacheBudget,
+					CacheBytes: bufcache.DefaultBudget,
 				})
 				if err != nil {
 					return 0, storage.Stats{}, err
@@ -168,7 +184,7 @@ func init() {
 					Dir:        encDir,
 					Stride:     []int64{stride, stride},
 					Codec:      compress.None{},
-					CacheBytes: cacheBudget,
+					CacheBytes: bufcache.DefaultBudget,
 				})
 				if err != nil {
 					return nil, err
@@ -248,7 +264,7 @@ func explainSkips(s *array.Schema, dir string, stride int64, query string) (stri
 		Dir:        dir,
 		Stride:     []int64{stride, stride},
 		Codec:      compress.None{},
-		CacheBytes: cacheBudget,
+		CacheBytes: bufcache.DefaultBudget,
 	})
 	if err != nil {
 		return "", err

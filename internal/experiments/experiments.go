@@ -2,8 +2,7 @@
 // per figure and quantified claim in the paper (see DESIGN.md's
 // per-experiment index and EXPERIMENTS.md for expected shapes). Each
 // experiment prints the rows/series the paper's artifact corresponds to;
-// cmd/scidb-bench and the repository's bench_test.go both drive this
-// package.
+// cmd/scidb-bench drives this package.
 package experiments
 
 import (

@@ -10,8 +10,8 @@ import (
 // table. This is the repository's end-to-end reproduction check.
 func TestAllExperimentsQuick(t *testing.T) {
 	all := All()
-	want := []string{"ASAP", "CACHE", "CE", "CLICK", "COPART", "ENC", "FIG1", "FIG2", "FIG3",
-		"HIST", "INSITU", "INTROSPECT", "LOAD", "NET", "OBS", "PAR", "PART", "PROV", "SERVE", "SKEW", "SSDB", "STORE", "UNC", "VER"}
+	want := []string{"ASAP", "CE", "CLICK", "COPART", "FIG1", "FIG2", "FIG3",
+		"HIST", "INSITU", "LOAD", "PART", "PROV", "SKEW", "SSDB", "STORE", "UNC", "VER"}
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))
 	}

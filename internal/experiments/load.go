@@ -54,6 +54,36 @@ func loadServers(nodes int, delay time.Duration, stride []int64, dir string) (ad
 	return addrs, shutdown, nil
 }
 
+// delayListener emulates link latency the way netem does: every read on an
+// accepted connection is held for the configured delay, so each request
+// burst pays one link traversal. Pipelined frames arriving in one batch
+// share a delay; lockstep protocols pay it per round trip.
+type delayListener struct {
+	net.Listener
+	d time.Duration
+}
+
+func (l delayListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return delayConn{Conn: c, d: l.d}, nil
+}
+
+type delayConn struct {
+	net.Conn
+	d time.Duration
+}
+
+func (c delayConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		time.Sleep(c.d)
+	}
+	return n, err
+}
+
 // LOAD quantifies the parallel partition-on-load pipeline of §2.8 against
 // the cell-at-a-time path it replaces, and the §2.9 alternative of not
 // loading at all. Part one loads the same CSV grid three ways into a

@@ -1,373 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"scidb/internal/array"
-	"scidb/internal/core"
-	"scidb/internal/obs"
 	"scidb/internal/session"
 )
-
-// SERVE reproduces the serving-front-end claims of the multi-tenant
-// session layer (§2.14's community of concurrent analysts):
-//
-//  1. Open-loop load — many concurrent sessions issuing statements on a
-//     fixed arrival schedule (arrivals never wait for completions, the
-//     way real analysts don't), reporting client-observed p50/p99/p999.
-//  2. Admission control — batch statements saturate the execution slots
-//     and queue; interactive statements overtake them at every slot
-//     handoff, so interactive p99 stays bounded while batch waits; queue
-//     overflow is shed with a typed server-busy rejection, not latency.
-//  3. Streamed fetch — a client-driven cursor pulls one encoded page at a
-//     time, so the server's peak response buffer stays ~one page while a
-//     materialized execution's peak is the whole encoded result.
-func init() {
-	register(&Experiment{
-		ID:    "SERVE",
-		Title: "session front end: open-loop latency, admission control, streamed fetch",
-		Run:   runServe,
-	})
-}
-
-// serveFixture is one in-process session server over a seeded tenant.
-type serveFixture struct {
-	srv *session.Server
-	ln  net.Listener
-	reg *obs.Registry
-}
-
-// newServeFixture seeds one shared tenant database (an n×n float array M
-// and a larger Big for heavy statements, both chunked 16×16 so results
-// page and cancel at chunk granularity) and serves it on a loopback
-// listener.
-func newServeFixture(n, big int64, slots, queueDepth int) (*serveFixture, error) {
-	db := core.Open()
-	db.SetClock(func() int64 { return 0 })
-	for name, side := range map[string]int64{"M": n, "Big": big} {
-		s := &array.Schema{
-			Name: name,
-			Dims: []array.Dimension{
-				{Name: "x", High: side, ChunkLen: 16},
-				{Name: "y", High: side, ChunkLen: 16},
-			},
-			Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
-		}
-		a, err := array.New(s)
-		if err != nil {
-			return nil, err
-		}
-		if err := a.Fill(func(c array.Coord) array.Cell {
-			return array.Cell{array.Float64(float64(c[0]*3+c[1]) / float64(side))}
-		}); err != nil {
-			return nil, err
-		}
-		if err := db.PutArray(name, a); err != nil {
-			return nil, err
-		}
-	}
-	reg := obs.NewRegistry()
-	srv := session.NewServer(session.ServerOptions{
-		Slots:      slots,
-		QueueDepth: queueDepth,
-		Registry:   reg,
-		Tenant:     func(string) (*core.Database, error) { return db, nil },
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go srv.Serve(ln)
-	return &serveFixture{srv: srv, ln: ln, reg: reg}, nil
-}
-
-func (f *serveFixture) addr() string { return f.ln.Addr().String() }
-func (f *serveFixture) close()       { f.ln.Close(); f.srv.Shutdown(time.Second) }
-
-func runServe(w io.Writer, quick bool) error {
-	header(w, "SERVE", "session front end: open-loop latency, admission control, streamed fetch")
-
-	sessions, stmts := 256, 2048
-	big := int64(256)
-	if quick {
-		sessions, stmts = 32, 256
-		big = 64
-	}
-
-	// Part 1: open-loop latency under many sessions. Deep queue: this part
-	// measures queueing delay as latency, not shed load.
-	f, err := newServeFixture(32, big, 0, 4096)
-	if err != nil {
-		return err
-	}
-	hist := obs.NewRegistry().Histogram("serve_client_seconds", "client-observed statement latency", nil)
-	if err := openLoop(f.addr(), "", sessions, stmts, time.Millisecond,
-		"subsample(M, x < 4 and y < 4)", hist); err != nil {
-		f.close()
-		return err
-	}
-	qs := hist.Snapshot()
-	fmt.Fprintf(w, "open-loop: %d sessions, %d statements, 1ms arrival spacing\n", sessions, stmts)
-	fmt.Fprintf(w, "  client latency p50 %.2fms  p99 %.2fms  p999 %.2fms\n",
-		qs.Quantile(0.50)*1e3, qs.Quantile(0.99)*1e3, qs.Quantile(0.999)*1e3)
-	f.close()
-
-	// Part 2: admission control — batch floods the slots, interactive
-	// overtakes. Tiny slot pool so contention is real at any scale.
-	f, err = newServeFixture(32, big, 2, 64)
-	if err != nil {
-		return err
-	}
-	heavy := "aggregate(apply(Big, t = v * 2), {}, sum(t))"
-	batchClients := 8
-	interStmts := 64
-	if quick {
-		batchClients, interStmts = 4, 16
-	}
-	var wg sync.WaitGroup
-	var batchDone atomic.Int64
-	stop := make(chan struct{})
-	for i := 0; i < batchClients; i++ {
-		c, err := session.Dial(f.addr(), session.ClientOptions{Name: "batch", Priority: session.Batch})
-		if err != nil {
-			f.close()
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer c.Close()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := c.Exec(heavy); err != nil {
-					return
-				}
-				batchDone.Add(1)
-			}
-		}()
-	}
-	ic, err := session.Dial(f.addr(), session.ClientOptions{Name: "inter", Priority: session.Interactive})
-	if err != nil {
-		close(stop)
-		f.close()
-		return err
-	}
-	ih := obs.NewRegistry().Histogram("serve_interactive_seconds", "", nil)
-	time.Sleep(50 * time.Millisecond) // let batch saturate the slots
-	for i := 0; i < interStmts; i++ {
-		t0 := time.Now()
-		if _, err := ic.Exec("subsample(M, x < 4 and y < 4)"); err != nil {
-			close(stop)
-			f.close()
-			return err
-		}
-		ih.Observe(time.Since(t0).Seconds())
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(stop)
-	ic.Close()
-	wg.Wait()
-	is := ih.Snapshot()
-	free, qi, qb := f.srv.Admission().Stats()
-	fmt.Fprintf(w, "admission: 2 slots, %d batch flooders running %q\n", batchClients, "aggregate(apply(Big,...))")
-	fmt.Fprintf(w, "  interactive p50 %.2fms  p99 %.2fms while %d batch statements completed\n",
-		is.Quantile(0.50)*1e3, is.Quantile(0.99)*1e3, batchDone.Load())
-	fmt.Fprintf(w, "  controller now: free=%d queued-interactive=%d queued-batch=%d\n", free, qi, qb)
-
-	// Overload: more statements than slots+queue at once must shed with
-	// the typed busy error, never block unboundedly. Big must run longer
-	// than the runtime's preemption interval so the flood's goroutines get
-	// scheduled into the admission queue while the slot is held — even on
-	// GOMAXPROCS=1 boxes.
-	tiny, err := newServeFixture(16, 256, 1, 2)
-	if err != nil {
-		f.close()
-		return err
-	}
-	fc, err := session.Dial(tiny.addr(), session.ClientOptions{Name: "flood", Priority: session.Batch})
-	if err == nil {
-		var pend []*session.Pending
-		for i := 0; i < 16; i++ {
-			p, err := fc.Start(heavy, session.Batch)
-			if err != nil {
-				break
-			}
-			pend = append(pend, p)
-		}
-		var busy int
-		for _, p := range pend {
-			if _, err := p.Wait(); errors.Is(err, session.ErrServerBusy) {
-				busy++
-			}
-		}
-		fmt.Fprintf(w, "  overload: 16 statements at 1 slot + depth 2 -> %d server-busy rejections\n", busy)
-		fc.Close()
-	}
-	tiny.close()
-	f.close()
-
-	// Part 3: streamed fetch vs materialized result. Same statement, two
-	// transports; the server's peak response frame is the memory proxy.
-	f, err = newServeFixture(32, big, 0, 0)
-	if err != nil {
-		return err
-	}
-	sc, err := session.Dial(f.addr(), session.ClientOptions{Name: "stream"})
-	if err != nil {
-		f.close()
-		return err
-	}
-	rows, err := sc.Query("filter(Big, v >= 0)")
-	if err != nil {
-		f.close()
-		return err
-	}
-	streamed, err := rows.All()
-	if err != nil {
-		f.close()
-		return err
-	}
-	peakStream := f.srv.MaxResponseBytes()
-	res, err := sc.Exec("filter(Big, v >= 0)")
-	if err != nil {
-		f.close()
-		return err
-	}
-	peakMat := f.srv.MaxResponseBytes()
-	if streamed.Count() != res.Array.Count() {
-		f.close()
-		return fmt.Errorf("SERVE: streamed result has %d cells, materialized %d", streamed.Count(), res.Array.Count())
-	}
-	fmt.Fprintf(w, "streaming: filter(Big) with %d cells\n", streamed.Count())
-	fmt.Fprintf(w, "  peak response frame: streamed %d bytes vs materialized %d bytes (%.1fx)\n",
-		peakStream, peakMat, float64(peakMat)/float64(max64(peakStream, 1)))
-	if peakMat <= peakStream {
-		fmt.Fprintf(w, "  note: result fits one page; grow Big to see the gap\n")
-	}
-	sc.Close()
-	f.close()
-	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ServeLoad is the standalone open-loop generator behind
-// `scidb-bench -serve-clients N -serve-addr host:port`: it seeds the
-// "bench" namespace, drives the arrival schedule, and prints the client
-// latency quantiles.
-func ServeLoad(w io.Writer, addr string, clients, stmts int, gap time.Duration) error {
-	seed, err := session.Dial(addr, session.ClientOptions{Name: "load-seed", Namespace: "bench"})
-	if err != nil {
-		return err
-	}
-	if err := seedBench(seed); err != nil {
-		seed.Close()
-		return err
-	}
-	seed.Close()
-	hist := obs.NewRegistry().Histogram("serve_client_seconds", "", nil)
-	start := time.Now()
-	if err := openLoop(addr, "bench", clients, stmts, gap, "subsample(M, x < 4 and y < 4)", hist); err != nil {
-		return err
-	}
-	el := time.Since(start)
-	s := hist.Snapshot()
-	fmt.Fprintf(w, "serve-load: %d sessions, %d statements in %v (%.0f/s offered)\n",
-		clients, stmts, el.Round(time.Millisecond), float64(stmts)/el.Seconds())
-	fmt.Fprintf(w, "  client latency p50 %.2fms  p99 %.2fms  p999 %.2fms\n",
-		s.Quantile(0.50)*1e3, s.Quantile(0.99)*1e3, s.Quantile(0.999)*1e3)
-	return nil
-}
-
-// openLoop drives stmts arrivals spaced gap apart across clients sessions
-// — arrivals are scheduled by wall clock, never by completions, so queue
-// buildup shows up as latency exactly like a real overloaded front end.
-func openLoop(addr, ns string, clients, stmts int, gap time.Duration, sql string, hist *obs.Histogram) error {
-	cs := make([]*session.Client, clients)
-	for i := range cs {
-		c, err := session.Dial(addr, session.ClientOptions{Name: "load", Namespace: ns})
-		if err != nil {
-			for _, c := range cs[:i] {
-				c.Close()
-			}
-			return err
-		}
-		cs[i] = c
-	}
-	defer func() {
-		for _, c := range cs {
-			c.Close()
-		}
-	}()
-	var wg sync.WaitGroup
-	var firstErr atomic.Value
-	next := time.Now()
-	for i := 0; i < stmts; i++ {
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		next = next.Add(gap)
-		c := cs[i%clients]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			if _, err := c.Exec(sql); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
-			}
-			hist.Observe(time.Since(t0).Seconds())
-		}()
-	}
-	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
-		return err
-	}
-	return nil
-}
-
-// seedBench builds the load generator's target array over plain AQL (the
-// only surface a remote tenant exposes).
-func seedBench(c *session.Client) error {
-	if _, err := c.Exec("define array T (v = float) (x, y)"); err != nil {
-		return err
-	}
-	if _, err := c.Exec("create array M as T [16, 16]"); err != nil {
-		return err
-	}
-	if _, err := c.Prepare("ins", "insert into M [1, 1] values ($1)"); err != nil {
-		return err
-	}
-	// A handful of cells is enough for the light statement; the prepared
-	// template exercises bind-per-execution on the hot path.
-	for x := 1; x <= 8; x++ {
-		for y := 1; y <= 8; y++ {
-			stmt := fmt.Sprintf("insert into M [%d, %d] values (%g)", x, y, float64((x-1)*8+y-1)/64)
-			if _, err := c.Exec(stmt); err != nil {
-				return err
-			}
-		}
-	}
-	if _, err := c.ExecPrepared("ins", session.Float(0.5)); err != nil {
-		return err
-	}
-	return nil
-}
 
 // ServeSmoke is the CI smoke behind `scidb-bench -serve-smoke`: clients
 // concurrent scripted sessions (handshake, DDL/DML, prepared statements,

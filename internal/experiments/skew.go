@@ -27,6 +27,73 @@ func (s skewStats) throughput() float64 {
 	return float64(s.ops) / s.wall.Seconds()
 }
 
+// linkListener emulates one shared finite-bandwidth link per node the way a
+// single NIC behaves: every read that delivers n bytes holds the node-wide
+// link for n×perByte, so concurrent requests from different connections
+// serialize at the node in proportion to the bytes they ship — batching
+// buys nothing, exactly like wire serialization. This is the regime where a
+// skewed workload saturates the hot node's link while the other links idle
+// (the SKEW experiment's bottleneck model).
+type linkListener struct {
+	net.Listener
+	perByte time.Duration
+	mu      *sync.Mutex
+}
+
+func (l linkListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return linkConn{Conn: c, perByte: l.perByte, mu: l.mu}, nil
+}
+
+type linkConn struct {
+	net.Conn
+	perByte time.Duration
+	mu      *sync.Mutex
+}
+
+func (c linkConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.mu.Lock()
+		time.Sleep(time.Duration(n) * c.perByte)
+		c.mu.Unlock()
+	}
+	return n, err
+}
+
+// netServersWithOptions starts one wire-protocol server per node on a
+// loopback listener: configurable worker stores (stride-8 buckets behind a
+// pool for the SKEW experiment), a caller-chosen listener wrapper (the
+// shared-link model above), and per-node shutdowns so an experiment can kill
+// one node mid-workload and keep the rest serving. wrap is called once per
+// node's listener.
+func netServersWithOptions(nodes int, wrap func(net.Listener) net.Listener, wo cluster.WorkerOptions) (addrs []string, stops []func(), err error) {
+	shutdownAll := func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			shutdownAll()
+			return nil, nil, err
+		}
+		srv, err := cluster.NewServer(cluster.NewWorkerWithOptions(i, wo), cluster.ServeOptions{})
+		if err != nil {
+			shutdownAll()
+			return nil, nil, err
+		}
+		addrs = append(addrs, ln.Addr().String())
+		go func(use net.Listener) { _ = srv.Serve(use) }(wrap(ln))
+		stops = append(stops, srv.Shutdown)
+	}
+	return addrs, stops, nil
+}
+
 // skewWorkload runs clients × opsPer steerable 80/20 reads: 80% of ops scan
 // the hot band (one chunk on node 0), the rest rotate over the whole array.
 // Per-op latencies feed the percentile summary. Cell values are checked on
@@ -133,7 +200,7 @@ func init() {
 					stop()
 				}
 			}()
-			tr, err := cluster.DialTCPOptions(addrs, cluster.DialOptions{CallTimeout: netCallTimeout})
+			tr, err := cluster.DialTCP(addrs)
 			if err != nil {
 				return err
 			}

@@ -33,20 +33,8 @@ const (
 	StateShed     = "shed"     // rejected by admission control (server busy)
 )
 
-// enabled gates registration globally; the INTROSPECT experiment turns it
-// off to measure the overhead delta. Default on.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled toggles query registration process-wide.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether statements register.
-func Enabled() bool { return enabled.Load() }
-
 // Query is one registered statement. All methods are nil-safe so callers
-// on the statement path never branch on introspection being enabled.
+// on the statement path never branch on whether a statement registered.
 type Query struct {
 	reg *Registry
 
@@ -155,9 +143,9 @@ func (r *Registry) registerCollectors(reg *obs.Registry) {
 
 // Begin registers a statement and returns its live record. cancel, when
 // non-nil, is what CANCEL QUERY <id> fires. Returns nil (and every Query
-// method no-ops) when introspection is disabled.
+// method no-ops) on a nil registry.
 func (r *Registry) Begin(sql string, o Origin, cancel context.CancelFunc) *Query {
-	if r == nil || !enabled.Load() {
+	if r == nil {
 		return nil
 	}
 	r.initMetrics()

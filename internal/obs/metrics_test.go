@@ -181,3 +181,28 @@ func TestHTTPHandler(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotLeavesHistogramCount: a snapshot is a read, so taking one any
+// number of times leaves a histogram's count and sum where they were.
+func TestSnapshotLeavesHistogramCount(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("scidb_snap_seconds", "", nil)
+	for i := 0; i < 1000; i++ {
+		h.Observe(float64(i) / 1000)
+	}
+	before := r.Snapshot()
+	for i := 0; i < 10; i++ {
+		_ = r.Snapshot()
+	}
+	after := r.Snapshot()
+	for _, name := range []string{"scidb_snap_seconds_count", "scidb_snap_seconds_sum"} {
+		b, _ := before.Get(name)
+		a, ok := after.Get(name)
+		if !ok || a != b {
+			t.Errorf("%s = %v after snapshots, %v before", name, a, b)
+		}
+	}
+	if c, _ := after.Get("scidb_snap_seconds_count"); c != 1000 {
+		t.Errorf("count = %v, want 1000", c)
+	}
+}
