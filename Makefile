@@ -15,14 +15,15 @@ vet:
 
 # Non-test Go lines per internal package and in total: the number every PR
 # reports (bench/ is its own module and is not counted), with the subtotals
-# ROADMAP items 2 (ops + cluster + core) and 8 (cluster + core + insitu)
-# measure.
+# ROADMAP items 2 (ops + cluster + core), 8 (cluster + core + insitu) and 14
+# (loader + insitu, the ingest path) measure.
 loc:
 	@for d in internal/*/; do \
 		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done
 	@printf '%-24s %6d\n' 'ops + cluster + core' $$(find internal/ops internal/cluster internal/core -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-24s %6d\n' 'cluster + core + insitu' $$(find internal/cluster internal/core internal/insitu -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%-24s %6d\n' 'loader + insitu' $$(find internal/loader internal/insitu -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-24s %6d\n' total $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 
 # Race detection over the concurrency-heavy packages (tier-1 verification

@@ -3,19 +3,15 @@
 // it to the self-describing SDF format or loads it into a running grid of
 // scidb-server nodes, splitting the stream into site substreams.
 //
-// Grid loads run the parallel partition-on-load pipeline: the input is
-// sharded by the adaptor, shards are parsed concurrently, and chunks are
-// encoded (zone maps included) on the loader before being shipped in
-// batches to their owning workers. -parallelism caps the shard/parse
-// concurrency (0 = one shard per core); -batch sets how many chunks a
-// site accumulates before a batch ships (0 = adaptive: sized from the
-// transport's observed round-trip time, 16 on fast links up to 256 on
-// slow ones; larger batches amortize more round-trips at the cost of
-// loader memory).
+// Grid loads run the ingest pipeline (loader.LoadParallel): the input is
+// sharded by the adaptor, one shard per core, shards are parsed
+// concurrently, and chunks are encoded (zone maps included) on the loader
+// before being shipped in batches to their owning workers. A batch is sized
+// from the transport's observed round-trip time: 16 chunks on fast links,
+// up to 256 on slow ones.
 //
 //	scidb-load -in data.csv -adaptor csv -out data.sdf
 //	scidb-load -in data.ncl -adaptor ncl -array sky -nodes 127.0.0.1:7101,127.0.0.1:7102
-//	scidb-load -in data.csv -array sky -nodes host1:7101,host2:7101 -parallelism 8 -batch 32
 package main
 
 import (
@@ -38,8 +34,6 @@ func main() {
 	arrayName := flag.String("array", "", "grid load: target array name")
 	nodes := flag.String("nodes", "", "grid load: comma-separated worker addresses")
 	splitDim := flag.Int("splitdim", 0, "grid load: dimension index to block-partition on")
-	parallelism := flag.Int("parallelism", 0, "grid load: shard/parse concurrency (0 = one shard per core)")
-	batch := flag.Int("batch", 0, "grid load: chunks per shipped batch (0 = adaptive from observed RTT, 16..256)")
 	wireStats := flag.Bool("wire-stats", false, "grid load: print transport wire counters after the load")
 	flag.Parse()
 
@@ -94,10 +88,7 @@ func main() {
 		}
 		box := array.WholeBox(schemaBounded(schema))
 		dest := loader.ClusterDest{Co: co, Array: *arrayName}
-		stats, err := loader.LoadParallel(ds, box, schema, scheme, dest, loader.Options{
-			Parallelism: *parallelism,
-			BatchChunks: *batch,
-		})
+		stats, err := loader.LoadParallel(ds, box, schema, scheme, dest, loader.Options{})
 		if err != nil {
 			fail("load: %v", err)
 		}

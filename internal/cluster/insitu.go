@@ -44,21 +44,15 @@ func (w *Worker) loadChunks(req *Message) (*Message, error) {
 	if len(req.BoxLo) > 0 {
 		st.ClearRegion(array.Box{Lo: req.BoxLo, Hi: req.BoxHi})
 	}
-	var cells int64
-	for _, payload := range req.Chunks {
-		ch, err := storage.DecodeChunk(st.Schema(), payload)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.AdoptEncoded(payload, ch); err != nil {
-			return nil, err
-		}
-		cells += ch.CellsPresent()
+	cells, err := st.AdoptPayloads(req.Chunks)
+	// What was adopted before a failure stays in the store, and on the gauge.
+	w.stats.cellsHeld.Add(cells)
+	if err != nil {
+		return nil, err
 	}
 	if req.RouteVersion > w.routeVersion[req.Array] {
 		w.routeVersion[req.Array] = req.RouteVersion
 	}
-	w.stats.cellsHeld.Add(cells)
 	w.stats.bytesIn.Add(payloadBytes(req.Chunks))
 	return &Message{Op: "loadchunks", Cells: cells, RouteVersion: w.routeVersion[req.Array]}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"scidb/internal/array"
+	"scidb/internal/exec"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
@@ -372,6 +373,57 @@ func TestInsituDropBalancesCellsHeld(t *testing.T) {
 	}
 	if n := held(); n != 0 {
 		t.Errorf("cells held after an unread drop = %d, want 0", n)
+	}
+}
+
+// TestInsituFailedFillDropBalancesCellsHeld: a fill that fails part way
+// keeps the batches it adopted before the failure, and they count toward
+// scidb_worker_cells_held; drop takes exactly those off again.
+func TestInsituFailedFillDropBalancesCellsHeld(t *testing.T) {
+	old := exec.Parallelism()
+	exec.SetParallelism(1) // one shard: its first batch ships before the bad line
+	defer exec.SetParallelism(old)
+	// Node 0's slab, x 1..40 at stride 4, is 20 buckets; its last line is
+	// malformed, so a 16-chunk batch is adopted before the fill fails.
+	var b strings.Builder
+	b.WriteString("# scidb-csv\n# dims: x:80, y:8\n# attrs: v:float\n")
+	for x := 1; x <= 80; x++ {
+		for y := 1; y <= 8; y++ {
+			if x == 40 && y == 8 {
+				b.WriteString("40,8,oops\n")
+				continue
+			}
+			fmt.Fprintf(&b, "%d,%d,%d\n", x, y, x*100+y)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "ext.csv")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr := NewLocalWithOptions(2, LocalOptions{Stride: []int64{4, 4}, CacheBytes: 1 << 20})
+	defer tr.Close()
+	co := NewCoordinator(tr, 0)
+	schema := &array.Schema{
+		Name:  "ext",
+		Dims:  []array.Dimension{{Name: "x", High: 80, ChunkLen: 4}, {Name: "y", High: 8, ChunkLen: 4}},
+		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
+	}
+	if err := co.RegisterInsitu("ext", path, "csv", schema, partition.Block{Nodes: 2, SplitDim: 0, High: 80}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Count("ext"); err == nil || !strings.Contains(err.Error(), `bad float "oops"`) {
+		t.Fatalf("count over a malformed file: %v, want the line's error", err)
+	}
+	if tr.Workers[0].StoreStats().BucketsWritten == 0 {
+		t.Fatal("node 0's failed fill adopted nothing; the test exercises nothing")
+	}
+	if err := co.Drop("ext"); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range tr.Workers {
+		if n := w.Stats().CellsHeld; n != 0 {
+			t.Errorf("node %d holds %d cells after a failed fill and drop, want 0", i, n)
+		}
 	}
 }
 

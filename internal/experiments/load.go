@@ -10,6 +10,7 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/cluster"
+	"scidb/internal/exec"
 	"scidb/internal/insitu"
 	"scidb/internal/loader"
 	"scidb/internal/obs"
@@ -86,17 +87,16 @@ func (c delayConn) Read(p []byte) (int, error) {
 
 // LOAD quantifies the parallel partition-on-load pipeline of §2.8 against
 // the cell-at-a-time path it replaces, and the §2.9 alternative of not
-// loading at all. Part one loads the same CSV grid three ways into a
+// loading at all. Part one loads the same CSV grid two ways into a
 // persist-backed grid behind a modelled link: cell-at-a-time (one Put
-// round trip per cell — the link is paid per cell), the serial substream
-// loader over a staging coordinator (cells batched on the wire but parsed
-// serially and re-chunked by the destination node), and the parallel
-// pipeline (the file is sharded, shards parse concurrently, chunks are
-// encoded — zone maps included — on the loader, and the owning worker
-// adopts the batched payloads verbatim). All three loaded arrays must be
-// cell-for-cell bit-identical. Part two registers the same file in situ:
-// a constant-time fan-out after which the first distributed query copies
-// each node's slab into its store, again bit-identical to the loaded array.
+// round trip per cell — the link is paid per cell) and the ingest pipeline
+// (the file is sharded, shards parse concurrently, chunks are encoded —
+// zone maps included — on the loader, and the owning worker adopts the
+// batched payloads verbatim). Both loaded arrays must be cell-for-cell
+// bit-identical. Part two registers the same file in situ: a constant-time
+// fan-out after which the first distributed query has each node run the
+// same pipeline over its slab into its store, again bit-identical to the
+// loaded array.
 func init() {
 	register(&Experiment{
 		ID:    "LOAD",
@@ -106,7 +106,6 @@ func init() {
 			const nodes = 2
 			sideX, sideY, chunk := int64(80), int64(40), int64(8)
 			linkDelay := time.Millisecond
-			parallelism := 4
 			if quick {
 				sideX, sideY = 40, 20
 			}
@@ -160,37 +159,37 @@ func init() {
 				return err
 			}
 
-			// serialLoad runs the §2.8 substream loader into name through the
-			// given coordinator (whose batchCells setting decides how often
-			// the staged cells hit the wire).
-			serialLoad := func(through *cluster.Coordinator, name string) (loader.Stats, time.Duration, error) {
-				sc := s.Clone()
-				sc.Name = name
-				if err := through.Create(name, sc, scheme); err != nil {
-					return loader.Stats{}, 0, err
-				}
-				ds, err := ad.Open(csvPath)
-				if err != nil {
-					return loader.Stats{}, 0, err
-				}
-				defer ds.Close()
-				start := time.Now()
-				st, err := loader.Load(
-					loader.FromDataset(ds, box), scheme,
-					loader.Replicate(loader.ClusterSink{Co: through, Array: name}, nodes))
-				return st, time.Since(start), err
-			}
-
 			// Cell-at-a-time baseline: every Put is its own round trip — the
-			// path the parallel pipeline replaces.
+			// path the pipeline replaces.
 			coCell := cluster.NewCoordinator(tr, 1)
-			cellStats, cellDur, err := serialLoad(coCell, "grid_cell")
+			cellSchema := s.Clone()
+			cellSchema.Name = "grid_cell"
+			if err := coCell.Create("grid_cell", cellSchema, scheme); err != nil {
+				return err
+			}
+			cellDS, err := ad.Open(csvPath)
 			if err != nil {
 				return err
 			}
-			// Staged serial: cells batch on the wire (4096/flush) but the
-			// stream still parses serially and the node re-chunks every cell.
-			serialStats, serialDur, err := serialLoad(co, "grid_serial")
+			cellStats := loader.Stats{PerSite: make([]int64, nodes)}
+			var putErr error
+			start := time.Now()
+			err = cellDS.Scan(box, func(c array.Coord, cell array.Cell) bool {
+				if putErr = coCell.Put("grid_cell", c, cell); putErr != nil {
+					return false
+				}
+				cellStats.Records++
+				cellStats.PerSite[scheme.NodeFor(c)]++
+				return true
+			})
+			if err == nil {
+				err = putErr
+			}
+			if err == nil {
+				err = coCell.Flush("grid_cell")
+			}
+			cellDur := time.Since(start)
+			cellDS.Close()
 			if err != nil {
 				return err
 			}
@@ -208,10 +207,9 @@ func init() {
 			}
 			chunksShipped := obs.Default().Counter("scidb_load_chunks_shipped_total", "")
 			shippedBefore := chunksShipped.Value()
-			start := time.Now()
+			start = time.Now()
 			parStats, err := loader.LoadParallel(ds, box, parSchema, scheme,
-				loader.ClusterDest{Co: co, Array: "grid_par"},
-				loader.Options{Parallelism: parallelism, BatchChunks: 16, Stride: stride})
+				loader.ClusterDest{Co: co, Array: "grid_par"}, loader.Options{Stride: stride})
 			parDur := time.Since(start)
 			ds.Close()
 			if err != nil {
@@ -220,23 +218,17 @@ func init() {
 			shipped := chunksShipped.Value() - shippedBefore
 
 			fmt.Fprintf(w, "%d nodes behind %v emulated links; %dx%d grid, %d cells\n\n",
-				nodes, linkDelay, sideX, sideY, serialStats.Records)
+				nodes, linkDelay, sideX, sideY, parStats.Records)
 			fmt.Fprintf(w, "%-36s %14s %10s %12s\n", "path", "time", "cells", "per-site")
 			fmt.Fprintf(w, "%-36s %14v %10d %12v\n", "cell-at-a-time (1 RPC/cell)", cellDur,
 				cellStats.Records, cellStats.PerSite)
-			fmt.Fprintf(w, "%-36s %14v %10d %12v\n", "serial staged (node re-chunks)", serialDur,
-				serialStats.Records, serialStats.PerSite)
 			fmt.Fprintf(w, "%-36s %14v %10d %12v\n",
-				fmt.Sprintf("parallel x%d (pre-encoded batches)", parallelism), parDur,
+				fmt.Sprintf("parallel x%d (pre-encoded batches)", exec.Parallelism()), parDur,
 				parStats.Records, parStats.PerSite)
 			fmt.Fprintf(w, "speedup vs cell-at-a-time: %.2fx   chunks shipped: %d\n",
 				ratio(cellDur, parDur), shipped)
 
 			cellScan, err := coCell.Scan("grid_cell", box)
-			if err != nil {
-				return err
-			}
-			serialScan, err := co.Scan("grid_serial", box)
 			if err != nil {
 				return err
 			}
@@ -247,7 +239,11 @@ func init() {
 
 			// Part 2: §2.9 — skip the load entirely. Registration is a
 			// constant-time fan-out; the first query reads each node's slab
-			// of the file once.
+			// of the file once, through the same pipeline.
+			storedBefore, err := co.StorageStats()
+			if err != nil {
+				return err
+			}
 			insituSchema := s.Clone()
 			insituSchema.Name = "grid_insitu"
 			start = time.Now()
@@ -261,33 +257,39 @@ func init() {
 				return err
 			}
 			firstQuery := time.Since(start)
+			storedAfter, err := co.StorageStats()
+			if err != nil {
+				return err
+			}
+			filled := make([]int64, nodes)
+			for i := range filled {
+				filled[i] = storedAfter[i].BucketsWritten - storedBefore[i].BucketsWritten
+			}
 			insituScan, err := co.Scan("grid_insitu", box)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "\nin-situ registration (no load): %v; first distributed count (%d cells): %v\n",
 				regDur, n, firstQuery)
+			fmt.Fprintf(w, "in-situ fill: %v buckets per node\n", filled)
 			fmt.Fprintln(w, "claim shape: partition-on-load ships pre-encoded chunk batches, so the")
 			fmt.Fprintln(w, "link is paid per batch instead of per cell; in-situ registration answers")
-			fmt.Fprintln(w, "the first query before a load would have finished — all three paths agree")
-			fmt.Fprintln(w, "cell for cell.")
+			fmt.Fprintln(w, "the first query before a load would have finished — both loads and the")
+			fmt.Fprintln(w, "in-situ scan agree cell for cell.")
 
 			// Hard assertions.
-			if cellStats.Records != parStats.Records || serialStats.Records != parStats.Records {
-				return fmt.Errorf("LOAD: record counts diverged: cell %d, serial %d, parallel %d",
-					cellStats.Records, serialStats.Records, parStats.Records)
+			if cellStats.Records != parStats.Records {
+				return fmt.Errorf("LOAD: record counts diverged: cell %d, parallel %d",
+					cellStats.Records, parStats.Records)
 			}
-			if err := sameArray(cellScan, serialScan); err != nil {
-				return fmt.Errorf("LOAD: staged load diverged from cell-at-a-time: %w", err)
+			if err := sameArray(cellScan, parScan); err != nil {
+				return fmt.Errorf("LOAD: parallel load diverged from cell-at-a-time: %w", err)
 			}
-			if err := sameArray(serialScan, parScan); err != nil {
-				return fmt.Errorf("LOAD: parallel load diverged from serial: %w", err)
-			}
-			if err := sameArray(serialScan, insituScan); err != nil {
+			if err := sameArray(parScan, insituScan); err != nil {
 				return fmt.Errorf("LOAD: in-situ scan diverged from loaded array: %w", err)
 			}
-			if n != serialStats.Records {
-				return fmt.Errorf("LOAD: in-situ count %d != loaded %d", n, serialStats.Records)
+			if n != parStats.Records {
+				return fmt.Errorf("LOAD: in-situ count %d != loaded %d", n, parStats.Records)
 			}
 			if shipped == 0 {
 				return fmt.Errorf("LOAD: parallel path shipped no chunks")

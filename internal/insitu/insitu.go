@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"scidb/internal/array"
 	"scidb/internal/storage"
@@ -75,28 +76,34 @@ func Materialize(ds Dataset) (*array.Array, error) {
 	return a, werr
 }
 
-// Fill copies ds's cells inside box into st and flushes them into its
-// buckets: an in-situ file's one read, after which every query reads the
-// store. It returns the cells it copied — all of them, even when it fails
-// part way.
+// Fill copies ds's cells inside box into st and flushes it: an in-situ
+// file's one read, after which every query reads the store. It is the
+// ingest Pipeline with one site, on the store's own bucket grid, adopting
+// each sealed batch into st. It returns the cells now in the store — all of
+// them, even when it fails part way.
 func Fill(ds Dataset, box array.Box, st *storage.Store) (int64, error) {
-	var n int64
-	var werr error
-	err := ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		if werr = st.Put(c, cell); werr != nil {
-			return false
-		}
-		n++
-		return true
-	})
-	if err == nil {
-		err = werr
-	}
+	var copied atomic.Int64
+	_, err := Pipeline{
+		Schema: st.Schema(),
+		Stride: st.Stride(),
+		Sites:  1,
+		Route:  func(array.Coord) int { return 0 },
+		Batch:  fillBatch,
+		Ship: func(_ int, payloads [][]byte, _ int64) error {
+			n, err := st.AdoptPayloads(payloads)
+			copied.Add(n)
+			return err
+		},
+	}.Run(ds, box)
 	if err == nil {
 		err = st.Flush()
 	}
-	return n, err
+	return copied.Load(), err
 }
+
+// fillBatch is how many chunks a fill's shard seals and adopts at a time:
+// the bulk loader's batch on a link with no round trip.
+const fillBatch = 16
 
 // FillOnce is an in-situ array's fill gate: the array is a store, and the
 // first read of it Fills the store from the file, once. Readers that arrive

@@ -4,34 +4,26 @@
 // will divide the load stream into site-specific substreams. Each one will
 // appear in the main memory of the associated node."
 //
-// The loader consumes a Record stream, routes each record to its owning
-// site under a partitioning scheme, and writes into per-site sinks (a
-// storage.Store buffers in memory and spills to rectangular buckets; a
-// cluster coordinator ships batches to remote nodes).
+// LoadParallel runs the ingest pipeline (insitu.Pipeline) across the grid:
+// the input is sharded by its adaptor (byte ranges for CSV, row slabs for
+// NCL, chunk groups for SDF), the shards parse concurrently on the exec
+// pool, cells are routed into per-site chunk builders, chunks are encoded —
+// zone maps included — at load time, and the pre-encoded payloads ship to
+// their owning sites in batches. The owning worker adopts the payload bytes
+// as a bucket verbatim (storage.AdoptEncoded), so a cell is parsed once and
+// encoded once no matter how many machines the load crosses.
 package loader
 
 import (
-	"errors"
-	"fmt"
+	"time"
 
 	"scidb/internal/array"
 	"scidb/internal/cluster"
 	"scidb/internal/insitu"
+	"scidb/internal/obs"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
-
-// Record is one cell of the load stream.
-type Record struct {
-	Coord array.Coord
-	Cell  array.Cell
-}
-
-// Sink receives one site's substream.
-type Sink interface {
-	Put(c array.Coord, cell array.Cell) error
-	Flush() error
-}
 
 // Stats summarizes a load.
 type Stats struct {
@@ -39,98 +31,134 @@ type Stats struct {
 	PerSite []int64
 }
 
-// Load drains the record stream, splitting it into site substreams by the
-// scheme. sinks[i] receives site i's substream. All sinks are flushed at
-// the end.
-func Load(recs <-chan Record, scheme partition.Scheme, sinks []Sink) (Stats, error) {
-	if scheme.NumNodes() > len(sinks) {
-		return Stats{}, fmt.Errorf("loader: scheme wants %d sites, got %d sinks", scheme.NumNodes(), len(sinks))
-	}
-	st := Stats{PerSite: make([]int64, len(sinks))}
-	for r := range recs {
-		site := scheme.NodeFor(r.Coord)
-		if err := sinks[site].Put(r.Coord, r.Cell); err != nil {
-			return st, err
-		}
-		st.Records++
-		st.PerSite[site]++
-	}
-	// Every sink is flushed even when one fails: a site's flush error must
-	// not strand the buffered substreams of the sites after it.
-	var flushErr error
-	for _, s := range sinks {
-		if err := s.Flush(); err != nil {
-			flushErr = errors.Join(flushErr, err)
-		}
-	}
-	return st, flushErr
+// Options tunes LoadParallel.
+type Options struct {
+	// Stride overrides the chunk grid per dimension (zero entries keep the
+	// schema's ChunkLen). Match it to the destination store's bucket stride
+	// so shipped chunks are adopted as whole buckets.
+	Stride []int64
 }
 
-// FromDataset streams a dataset's cells (the adaptor-based load path: the
-// alternative to staying in situ).
-func FromDataset(ds insitu.Dataset, box array.Box) <-chan Record {
-	ch := make(chan Record, 256)
-	go func() {
-		defer close(ch)
-		_ = ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
-			ch <- Record{Coord: c.Clone(), Cell: cell.Clone()}
-			return true
-		})
-	}()
-	return ch
+// ChunkDest receives encoded chunk batches for one site. Implementations
+// must be safe for concurrent ShipChunks calls (shards flush
+// independently).
+type ChunkDest interface {
+	// ShipChunks delivers encoded chunk payloads (EncodeChunk bytes) owned
+	// by site; cells is the total cell count across them.
+	ShipChunks(site int, payloads [][]byte, cells int64) error
+	// Flush finalizes the destination after all shards complete (manifest
+	// saves, coordinator flush fan-out).
+	Flush() error
 }
 
-// FromSlice streams an in-memory record list (tests and generators).
-func FromSlice(recs []Record) <-chan Record {
-	ch := make(chan Record, 256)
-	go func() {
-		defer close(ch)
-		for _, r := range recs {
-			ch <- r
-		}
-	}()
-	return ch
+// RTTSource is implemented by destinations that observe their link's round
+// trips; LoadParallel sizes its batches from it.
+type RTTSource interface {
+	// AvgRTT reports the destination link's mean round-trip time so far
+	// (zero when nothing has been measured — e.g. an in-process transport).
+	AvgRTT() time.Duration
 }
 
-// StoreSink adapts a storage.Store.
-type StoreSink struct{ Store *storage.Store }
-
-// Put implements Sink.
-func (s StoreSink) Put(c array.Coord, cell array.Cell) error { return s.Store.Put(c, cell) }
-
-// Flush implements Sink.
-func (s StoreSink) Flush() error { return s.Store.Flush() }
-
-// ArraySink adapts a plain in-memory array.
-type ArraySink struct{ Array *array.Array }
-
-// Put implements Sink.
-func (s ArraySink) Put(c array.Coord, cell array.Cell) error { return s.Array.Set(c, cell) }
-
-// Flush implements Sink.
-func (s ArraySink) Flush() error { return nil }
-
-// ClusterSink routes one site's substream through a coordinator. Because
-// the coordinator re-applies the array's scheme, a single ClusterSink can
-// serve as every site's sink.
-type ClusterSink struct {
+// ClusterDest ships chunk batches to the owning workers through a
+// coordinator over the batched loadchunks wire op.
+type ClusterDest struct {
 	Co    *cluster.Coordinator
 	Array string
 }
 
-// Put implements Sink.
-func (s ClusterSink) Put(c array.Coord, cell array.Cell) error {
-	return s.Co.Put(s.Array, c, cell)
+// AvgRTT implements RTTSource from the coordinator's transport counters.
+func (d ClusterDest) AvgRTT() time.Duration {
+	ts, ok := d.Co.TransportStats()
+	if !ok || ts.Calls == 0 {
+		return 0
+	}
+	return time.Duration(ts.RoundTripNanos / ts.Calls)
 }
 
-// Flush implements Sink.
-func (s ClusterSink) Flush() error { return s.Co.Flush(s.Array) }
-
-// Replicate returns n copies of one sink, for single-destination loads.
-func Replicate(s Sink, n int) []Sink {
-	out := make([]Sink, n)
-	for i := range out {
-		out[i] = s
+// batchForRTT maps an observed link round-trip time to a chunk batch size:
+// 16 at sub-millisecond RTT, growing one base batch per millisecond, capped
+// at 256 so load-side memory stays bounded. The shape follows the round-trip
+// economics: the per-batch overhead a shipment must amortize is one RTT, so
+// batch size scales linearly with it.
+func batchForRTT(rtt time.Duration) int {
+	b := 16 * (1 + int(rtt/time.Millisecond))
+	if b < 16 {
+		b = 16
 	}
-	return out
+	if b > 256 {
+		b = 256
+	}
+	return b
+}
+
+// ShipChunks implements ChunkDest. Concurrent calls pipeline over the
+// transport's pooled connections.
+func (d ClusterDest) ShipChunks(site int, payloads [][]byte, cells int64) error {
+	return d.Co.LoadChunks(d.Array, site, payloads, cells)
+}
+
+// Flush implements ChunkDest.
+func (d ClusterDest) Flush() error { return d.Co.Flush(d.Array) }
+
+// StoreDest adopts chunk batches directly into per-site local stores — the
+// single-machine form of the same pipeline, and the unit-test harness for
+// it.
+type StoreDest struct {
+	Stores []*storage.Store
+}
+
+// ShipChunks implements ChunkDest.
+func (d StoreDest) ShipChunks(site int, payloads [][]byte, cells int64) error {
+	_, err := d.Stores[site].AdoptPayloads(payloads)
+	return err
+}
+
+// Flush implements ChunkDest.
+func (d StoreDest) Flush() error {
+	var err error
+	for _, st := range d.Stores {
+		if e := st.Flush(); e != nil && err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// LoadParallel loads ds's cells inside box into dest: the ingest pipeline
+// with one site per node of scheme, on the chunk grid of schema's ChunkLen
+// (or Options.Stride), shipping batches sized from dest's link RTT when it
+// reports one, 16 chunks otherwise. It publishes the pipeline's counts as
+// the scidb_load_* counters and ends with dest.Flush. Input cells must have
+// unique coordinates: with duplicates, which copy wins is undefined.
+func LoadParallel(ds insitu.Dataset, box array.Box, schema *array.Schema, scheme partition.Scheme, dest ChunkDest, opts Options) (Stats, error) {
+	var rtt time.Duration
+	if src, ok := dest.(RTTSource); ok {
+		rtt = src.AvgRTT()
+	}
+	n, err := insitu.Pipeline{
+		Schema: schema,
+		Stride: opts.Stride,
+		Sites:  scheme.NumNodes(),
+		Route:  scheme.NodeFor,
+		Batch:  batchForRTT(rtt),
+		Ship:   dest.ShipChunks,
+	}.Run(ds, box)
+	st := Stats{PerSite: n.PerSite}
+	for _, c := range n.PerSite {
+		st.Records += c
+	}
+	// The LOAD experiment and CI smoke grep these names from
+	// BENCH_LOAD.json; bench/ reads them per layer.
+	r := obs.Default()
+	r.Counter("scidb_load_records_total", "cells routed by the parallel bulk loader").Add(st.Records)
+	r.Counter("scidb_load_chunks_shipped_total", "encoded chunks shipped to owning sites").Add(n.Chunks)
+	r.Counter("scidb_load_batches_shipped_total", "chunk batches shipped (one ShipChunks call each)").Add(n.Batches)
+	r.Counter("scidb_load_bytes_shipped_total", "encoded chunk payload bytes shipped").Add(n.Bytes)
+	r.Counter("scidb_load_parse_nanos_total", "wall nanoseconds parsing + routing shard input").Add(int64(n.Parse))
+	r.Counter("scidb_load_encode_nanos_total", "wall nanoseconds encoding chunks at load time").Add(int64(n.Encode))
+	r.Counter("scidb_load_ship_nanos_total", "wall nanoseconds shipping chunk batches").Add(int64(n.Ship))
+	if err != nil {
+		return st, err
+	}
+	return st, dest.Flush()
 }

@@ -1,7 +1,6 @@
 package loader
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,29 +9,30 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/cluster"
+	"scidb/internal/exec"
 	"scidb/internal/insitu"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
 
-func gridSchema() *array.Schema {
+func gridSchema(sideX, sideY int64) *array.Schema {
 	return &array.Schema{
 		Name: "grid",
 		Dims: []array.Dimension{
-			{Name: "x", High: 40, ChunkLen: 8},
-			{Name: "y", High: 20, ChunkLen: 8},
+			{Name: "x", High: sideX, ChunkLen: 8},
+			{Name: "y", High: sideY, ChunkLen: 8},
 		},
 		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
 	}
 }
 
-// writeGridCSV writes a sparse grid (two thirds of cells present) and
-// returns the expected content as an array.
-func writeGridCSV(t *testing.T) (string, *array.Array) {
+// writeGridCSV writes a sparse grid over schema's bounds (two thirds of
+// cells present) and returns the expected content as an array.
+func writeGridCSV(t *testing.T, schema *array.Schema) (string, *array.Array) {
 	t.Helper()
-	a := array.MustNew(gridSchema())
-	for x := int64(1); x <= 40; x++ {
-		for y := int64(1); y <= 20; y++ {
+	a := array.MustNew(schema)
+	for x := int64(1); x <= schema.Dims[0].High; x++ {
+		for y := int64(1); y <= schema.Dims[1].High; y++ {
 			if (x+y)%3 == 0 {
 				continue
 			}
@@ -48,87 +48,79 @@ func writeGridCSV(t *testing.T) (string, *array.Array) {
 	return path, a
 }
 
-func newSiteStores(t *testing.T, n int) []*storage.Store {
-	t.Helper()
-	stores := make([]*storage.Store, n)
-	for i := range stores {
-		st, err := storage.NewStore(gridSchema(), storage.Options{Stride: []int64{8, 8}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[i] = st
-	}
-	return stores
+// setParallelism sizes the exec pool, and so the shard count, for the rest
+// of the test.
+func setParallelism(t *testing.T, n int) {
+	old := exec.Parallelism()
+	exec.SetParallelism(n)
+	t.Cleanup(func() { exec.SetParallelism(old) })
 }
 
-// scanAll drains a store's full content into a map keyed by coordinate.
-func scanAll(t *testing.T, st *storage.Store) map[string]float64 {
-	t.Helper()
-	out := map[string]float64{}
-	box := array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{40, 20}}
-	if err := st.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		out[c.String()] = cell[0].Float
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestLoadParallelDeterministic: the parallel pipeline must produce content
-// bit-identical to the serial cell-at-a-time loader, at parallelism 1 and 4
-// alike — shard boundaries and ship order may differ, the cells may not.
+// TestLoadParallelDeterministic: each site's store must hold exactly the
+// cells insitu.Materialize reads from the file and the scheme routes there,
+// at parallelism 1 and 4 alike — shard boundaries and ship order may differ,
+// the cells may not. At stride 8 the 96×48 grid has 72 chunks, 24 per site,
+// so one shard passes a site more than a 16-chunk batch.
 func TestLoadParallelDeterministic(t *testing.T) {
-	path, src := writeGridCSV(t)
-	schema := gridSchema()
-	scheme := partition.Block{Nodes: 3, SplitDim: 0, High: 40}
-	box := array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{40, 20}}
+	schema := gridSchema(96, 48)
+	path, _ := writeGridCSV(t, schema)
+	scheme := partition.Block{Nodes: 3, SplitDim: 0, High: 96}
+	box := array.WholeBox(schema)
 
-	// Serial baseline.
-	serial := newSiteStores(t, 3)
 	ds, err := (insitu.CSVAdaptor{}).Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks := make([]Sink, len(serial))
-	for i, st := range serial {
-		sinks[i] = StoreSink{st}
-	}
-	stSerial, err := Load(FromDataset(ds, box), scheme, sinks)
+	want, err := insitu.Materialize(ds)
 	ds.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stSerial.Records != src.Count() {
-		t.Fatalf("serial records = %d; want %d", stSerial.Records, src.Count())
+	wantSite := make([]map[string]float64, scheme.NumNodes())
+	for i := range wantSite {
+		wantSite[i] = map[string]float64{}
 	}
+	want.Iter(func(c array.Coord, cell array.Cell) bool {
+		wantSite[scheme.NodeFor(c)][c.String()] = cell[0].Float
+		return true
+	})
 
 	for _, par := range []int{1, 4} {
-		stores := newSiteStores(t, 3)
+		setParallelism(t, par)
+		stores := make([]*storage.Store, scheme.NumNodes())
+		for i := range stores {
+			if stores[i], err = storage.NewStore(schema, storage.Options{Stride: []int64{8, 8}}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		ds, err := (insitu.CSVAdaptor{}).Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := LoadParallel(ds, box, schema, scheme, StoreDest{Schema: schema, Stores: stores},
-			Options{Parallelism: par, BatchChunks: 4, Stride: []int64{8, 8}})
+		st, err := LoadParallel(ds, box, schema, scheme, StoreDest{Stores: stores},
+			Options{Stride: []int64{8, 8}})
 		ds.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Records != stSerial.Records {
-			t.Fatalf("par=%d records = %d; want %d", par, st.Records, stSerial.Records)
+		if st.Records != want.Count() {
+			t.Fatalf("par=%d records = %d; want %d", par, st.Records, want.Count())
 		}
-		for i := range st.PerSite {
-			if st.PerSite[i] != stSerial.PerSite[i] {
-				t.Fatalf("par=%d per-site = %v; serial %v", par, st.PerSite, stSerial.PerSite)
+		for i, store := range stores {
+			if st.PerSite[i] != int64(len(wantSite[i])) {
+				t.Fatalf("par=%d per-site = %v; site %d should get %d", par, st.PerSite, i, len(wantSite[i]))
 			}
-		}
-		for i := range stores {
-			got, want := scanAll(t, stores[i]), scanAll(t, serial[i])
-			if len(got) != len(want) {
-				t.Fatalf("par=%d site %d holds %d cells; serial %d", par, i, len(got), len(want))
+			got := map[string]float64{}
+			if err := store.Scan(box, func(c array.Coord, cell array.Cell) bool {
+				got[c.String()] = cell[0].Float
+				return true
+			}); err != nil {
+				t.Fatal(err)
 			}
-			for k, v := range want {
+			if len(got) != len(wantSite[i]) {
+				t.Fatalf("par=%d site %d holds %d cells; want %d", par, i, len(got), len(wantSite[i]))
+			}
+			for k, v := range wantSite[i] {
 				if got[k] != v {
 					t.Fatalf("par=%d site %d cell %s = %v; want %v", par, i, k, got[k], v)
 				}
@@ -140,8 +132,8 @@ func TestLoadParallelDeterministic(t *testing.T) {
 // TestLoadParallelIntoCluster: the ClusterDest path ships batches over the
 // loadchunks op and ends in the same state as a coordinator-routed load.
 func TestLoadParallelIntoCluster(t *testing.T) {
-	path, src := writeGridCSV(t)
-	schema := gridSchema()
+	schema := gridSchema(40, 20)
+	path, src := writeGridCSV(t, schema)
 	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 40}
 	box := array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{40, 20}}
 
@@ -157,8 +149,9 @@ func TestLoadParallelIntoCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
+	setParallelism(t, 4)
 	st, err := LoadParallel(ds, box, schema, scheme, ClusterDest{Co: co, Array: "grid"},
-		Options{Parallelism: 4, Stride: []int64{8, 8}})
+		Options{Stride: []int64{8, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +212,7 @@ func TestLoadParallelStringsAreCopies(t *testing.T) {
 	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 3000}
 	stride := []int64{500, 4}
 	for _, par := range []int{1, 3} {
+		setParallelism(t, par)
 		ds, err := insitu.CSVAdaptor{}.Open(path)
 		if err != nil {
 			t.Fatal(err)
@@ -229,8 +223,8 @@ func TestLoadParallelStringsAreCopies(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st, err := LoadParallel(ds, box, schema, scheme, StoreDest{Schema: schema, Stores: stores},
-			Options{Parallelism: par, Stride: stride})
+		st, err := LoadParallel(ds, box, schema, scheme, StoreDest{Stores: stores},
+			Options{Stride: stride})
 		ds.Close()
 		if err != nil || st.Records != lines {
 			t.Fatalf("par=%d: loaded %d cells, %v; want %d", par, st.Records, err, lines)
@@ -285,6 +279,7 @@ func TestLoadParallelAllocations(t *testing.T) {
 	box := array.WholeBox(schema)
 	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 128}
 	stride := []int64{32, 32}
+	setParallelism(t, 1)
 	allocs := testing.AllocsPerRun(3, func() {
 		stores := make([]*storage.Store, 2)
 		for i := range stores {
@@ -292,42 +287,13 @@ func TestLoadParallelAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st, err := LoadParallel(ds, box, schema, scheme, StoreDest{Schema: schema, Stores: stores},
-			Options{Parallelism: 1, Stride: stride})
+		st, err := LoadParallel(ds, box, schema, scheme, StoreDest{Stores: stores},
+			Options{Stride: stride})
 		if err != nil || st.Records != src.Count() {
 			t.Fatalf("loaded %d cells, %v; want %d", st.Records, err, src.Count())
 		}
 	})
 	if per := allocs / float64(src.Count()); per > 0.2 {
 		t.Errorf("LoadParallel: %.3f allocations per cell (%.0f in all), want ≤ 0.2", per, allocs)
-	}
-}
-
-// failingSink flushes with an error but must not prevent later sinks from
-// flushing.
-type failingSink struct{ err error }
-
-func (s failingSink) Put(array.Coord, array.Cell) error { return nil }
-func (s failingSink) Flush() error                      { return s.err }
-
-type flushRecorder struct{ flushed bool }
-
-func (s *flushRecorder) Put(array.Coord, array.Cell) error { return nil }
-func (s *flushRecorder) Flush() error                      { s.flushed = true; return nil }
-
-// TestLoadFlushesEverySink: one site's flush failure must not strand the
-// buffered substreams of the sites after it, and every flush error joins
-// the returned error.
-func TestLoadFlushesEverySink(t *testing.T) {
-	errA := errors.New("site 0 disk full")
-	errC := errors.New("site 2 link down")
-	rec := &flushRecorder{}
-	scheme := partition.Block{Nodes: 3, SplitDim: 0, High: 40}
-	_, err := Load(FromSlice(nil), scheme, []Sink{failingSink{errA}, rec, failingSink{errC}})
-	if !rec.flushed {
-		t.Error("sink after the failing one was not flushed")
-	}
-	if !errors.Is(err, errA) || !errors.Is(err, errC) {
-		t.Errorf("joined error = %v; want both %v and %v", err, errA, errC)
 	}
 }

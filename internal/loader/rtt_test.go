@@ -59,36 +59,26 @@ func (d *rttDest) maxBatch() int {
 	return max
 }
 
-// TestLoadParallelAdaptiveBatch: with BatchChunks unset, a slow link grows
-// the shipped batches past the base 16, and an explicit BatchChunks ignores
-// the measured RTT entirely (scidb-load -batch stays an override).
+// TestLoadParallelAdaptiveBatch: a slow link grows the shipped batches past
+// the base 16.
 func TestLoadParallelAdaptiveBatch(t *testing.T) {
-	path, _ := writeGridCSV(t)
-	schema := gridSchema()
+	schema := gridSchema(40, 20)
+	path, _ := writeGridCSV(t, schema)
 	scheme := partition.Block{Nodes: 1, SplitDim: 0, High: 40}
 	box := array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{40, 20}}
-	// The 40x20 grid at stride 8 has 5x3 = 15 chunks: a serial shard flushes
-	// them as one batch under the adaptive size (32 at 1ms RTT) but as
-	// multiple under an explicit batch of 4.
-	load := func(opts Options, dest *rttDest) {
-		t.Helper()
-		ds, err := (insitu.CSVAdaptor{}).Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ds.Close()
-		if _, err := LoadParallel(ds, box, schema, scheme, dest, opts); err != nil {
-			t.Fatal(err)
-		}
+	// The 40x20 grid at stride 4 has 10x5 = 50 chunks: a serial shard ships
+	// them in batches of the adaptive size, 32 at 1ms RTT.
+	setParallelism(t, 1)
+	ds, err := (insitu.CSVAdaptor{}).Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ds.Close()
 	adaptive := &rttDest{rtt: time.Millisecond}
-	load(Options{Parallelism: 1, Stride: []int64{8, 8}}, adaptive)
-	if got := adaptive.maxBatch(); got != 15 {
-		t.Errorf("adaptive batch at 1ms RTT shipped max %d chunks per batch, want all 15", got)
+	if _, err := LoadParallel(ds, box, schema, scheme, adaptive, Options{Stride: []int64{4, 4}}); err != nil {
+		t.Fatal(err)
 	}
-	explicit := &rttDest{rtt: time.Hour} // huge RTT must be ignored
-	load(Options{Parallelism: 1, Stride: []int64{8, 8}, BatchChunks: 4}, explicit)
-	if got := explicit.maxBatch(); got > 4+1 {
-		t.Errorf("explicit BatchChunks=4 shipped max %d chunks per batch", got)
+	if got := adaptive.maxBatch(); got != 32 {
+		t.Errorf("adaptive batch at 1ms RTT shipped max %d chunks per batch, want 32", got)
 	}
 }

@@ -61,3 +61,22 @@ func (s *Store) AdoptEncoded(raw []byte, ch *array.Chunk) error {
 	}
 	return nil
 }
+
+// AdoptPayloads decodes a batch of EncodeChunk payloads against the store's
+// schema and adopts each as a bucket (AdoptEncoded). It returns the cells of
+// the payloads it adopted — when it fails part way, those before the failure,
+// which stay in the store.
+func (s *Store) AdoptPayloads(payloads [][]byte) (int64, error) {
+	var cells int64
+	for _, p := range payloads {
+		ch, err := DecodeChunk(s.schema, p)
+		if err != nil {
+			return cells, err
+		}
+		if err := s.AdoptEncoded(p, ch); err != nil {
+			return cells, err
+		}
+		cells += ch.CellsPresent()
+	}
+	return cells, nil
+}

@@ -504,29 +504,10 @@ func TestBackgroundMerger(t *testing.T) {
 	}
 }
 
-func TestStorePutChunk(t *testing.T) {
-	s := schema2D(16)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := array.NewChunk(s, array.Coord{1, 1}, []int64{8, 8})
-	for i := int64(1); i <= 8; i++ {
-		_ = ch.Set(array.Coord{i, i}, array.Cell{array.Float64(float64(i)), array.String64("c")})
-	}
-	if err := st.PutChunk(ch); err != nil {
-		t.Fatal(err)
-	}
-	cell, ok, err := st.Get(array.Coord{5, 5})
-	if err != nil || !ok || cell[0].Float != 5 {
-		t.Errorf("Get = %v,%v,%v", cell, ok, err)
-	}
-}
-
 // The store's running count of buffered bytes must equal the buffer's
 // ByteSize after every write — that equality is what keeps the flush points
 // where the per-Put walk of the buffer used to put them. Strings of varying
-// length, NULLs, overwrites, region clears and PutChunk all pass through.
+// length, NULLs, overwrites and region clears all pass through.
 func TestBufferedBytesTrackByteSize(t *testing.T) {
 	st, err := NewStore(schema2D(40), Options{Stride: []int64{8, 8}, MemLimit: 20 << 10})
 	if err != nil {
@@ -561,12 +542,6 @@ func TestBufferedBytesTrackByteSize(t *testing.T) {
 	if st.Stats().Flushes == 0 {
 		t.Fatal("no flush fired; the test exercises nothing")
 	}
-	ch := array.NewChunk(st.schema, array.Coord{9, 9}, []int64{8, 8})
-	_ = ch.Set(array.Coord{10, 10}, array.Cell{array.Float64(1), array.String64("chunked")})
-	if err := st.PutChunk(ch); err != nil {
-		t.Fatal(err)
-	}
-	check("put chunk")
 	if err := st.Put(array.Coord{99, 1}, array.Cell{array.Float64(1), array.String64("x")}); err == nil {
 		t.Fatal("out-of-bounds put accepted")
 	}

@@ -273,6 +273,11 @@ func (s *Store) resetMem() error {
 // Schema returns the stored array's schema.
 func (s *Store) Schema() *array.Schema { return s.schema }
 
+// Stride returns the bucket stride per dimension: the grid every bucket the
+// store writes lies on, and the one a loader must chunk on for its chunks
+// to be adopted as whole buckets.
+func (s *Store) Stride() []int64 { return s.opts.Stride }
+
 // Stats returns a snapshot of activity counters. It is safe to call from
 // any goroutine, concurrently with reads and writes.
 func (s *Store) Stats() Stats { return s.stats.snapshot() }
@@ -354,34 +359,6 @@ func slotStringBytes(ch *array.Chunk, idx int64) int64 {
 		}
 	}
 	return n
-}
-
-// PutChunk ingests a whole chunk (bulk-load fast path).
-func (s *Store) PutChunk(ch *array.Chunk) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var full bool
-	var err error
-	array.IterBox(ch.Box(), func(c array.Coord) bool {
-		cell, ok := ch.Get(c)
-		if !ok {
-			return true
-		}
-		f, e := s.bufferLocked(c, cell)
-		if e != nil {
-			err = e
-			return false
-		}
-		full = full || f
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if full {
-		return s.flushLocked()
-	}
-	return nil
 }
 
 // Flush forces the memory buffer to disk buckets.
