@@ -65,7 +65,8 @@ race-all:
 
 # The per-layer micro-benchmarks (operator kernels, worker kernels, store
 # chunk scan warm and cold, column decode per encoding, a CSV shard's line
-# scan and the float kernel) report ns/cell or ns/line
+# scan, the float kernel and a CSV shard through the ingest pipeline into a
+# store) report ns/cell or ns/line
 # beside allocs/op; the root package holds the end-to-end ones.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem . ./internal/ops ./internal/cluster ./internal/storage ./internal/insitu
@@ -77,11 +78,12 @@ bench:
 # path's (column and chunk decode — full, site-boundary and catalog chunks —
 # and cold chunk scan), of the chunk encoder's and of a bucket section's seal
 # and open, and of the CSV load path's (a shard's line scan, the float
-# kernel against strconv), so CI runs what `make bench` measures.
+# kernel against strconv, a shard through the ingest pipeline), so CI runs
+# what `make bench` measures.
 bench-smoke:
 	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|FoldChunk|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
 	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x ./internal/storage
-	$(GO) test -run=NONE -bench 'CSVShardScan|ParseFloat' -benchtime=1x ./internal/insitu
+	$(GO) test -run=NONE -bench 'CSVShardScan|PipelineCSV|ParseFloat' -benchtime=1x ./internal/insitu
 
 # The standing benchmark suite is its own module under bench/, which the
 # root `go test ./...` never reaches: vet and test it, then run one short

@@ -392,7 +392,7 @@ func BenchmarkInSituBoxQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sum float64
-		if err := ds.Scan(box, func(_ array.Coord, c array.Cell) bool {
+		if err := insitu.Scan(ds, box, func(_ array.Coord, c array.Cell) bool {
 			sum += c[0].AsFloat()
 			return true
 		}); err != nil {

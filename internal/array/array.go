@@ -204,8 +204,27 @@ func (a *Array) chunkFor(c Coord, create bool) *Chunk {
 // Set writes a cell at the coordinate. It retains neither argument, so a
 // caller may pass the reused Coord and Cell of IterReuse or a Dataset scan.
 func (a *Array) Set(c Coord, cell Cell) error {
-	if err := a.checkCoord(c); err != nil {
+	if len(cell) != len(a.Schema.Attrs) {
+		return fmt.Errorf("array: cell has %d values, chunk has %d attributes", len(cell), len(a.Schema.Attrs))
+	}
+	ch, i, err := a.Slot(c)
+	if err != nil {
 		return err
+	}
+	for at, col := range ch.Cols {
+		col.Set(i, cell[at])
+	}
+	return nil
+}
+
+// Slot is Set for a writer that fills the columns itself, with the typed
+// Column setters: it checks c as Set does, allocates c's chunk on first
+// touch, raises the high-water marks, marks the cell present and returns
+// the chunk and c's slot in it. Every column's slot is then the writer's to
+// fill. It does not retain c.
+func (a *Array) Slot(c Coord) (*Chunk, int64, error) {
+	if err := a.checkCoord(c); err != nil {
+		return nil, 0, err
 	}
 	ch := a.chunkFor(c, true)
 	for i := range c {
@@ -213,7 +232,20 @@ func (a *Array) Set(c Coord, cell Cell) error {
 			a.hwm[i] = c[i]
 		}
 	}
-	return ch.Set(c, cell)
+	i := ch.Index(c)
+	ch.Present.Set(i)
+	return ch, i, nil
+}
+
+// Holds reports whether the chunk that would hold c is allocated. A
+// coordinate in the chunk last touched is answered from the cache, with no
+// allocation.
+func (a *Array) Holds(c Coord) bool {
+	if a.last != nil && a.lastBox.Contains(c) {
+		return true
+	}
+	_, ok := a.chunks[a.chunkOrigin(c).Key()]
+	return ok
 }
 
 // At returns the cell at the coordinate. ok is false for absent cells.

@@ -475,6 +475,19 @@ func TestPlumbingAccessors(t *testing.T) {
 	if _, ok := a.ChunkAt(Coord{8, 8}); ok {
 		t.Error("ChunkAt found unallocated chunk")
 	}
+	// Holds answers from the last-chunk cache and, past it, from the map.
+	if !a.Holds(Coord{4, 8}) || a.Holds(Coord{8, 8}) {
+		t.Error("Holds after one chunk: want [4 8] held, [8 8] not")
+	}
+	if _, _, err := a.Slot(Coord{8, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Holds(Coord{1, 1}) || !a.Holds(Coord{5, 5}) {
+		t.Error("Holds lost a chunk once another was touched")
+	}
+	if _, _, err := a.Slot(Coord{9, 1}); err == nil {
+		t.Error("Slot took a coordinate past the bound")
+	}
 	if a.ByteSize() == 0 || ch.ByteSize() == 0 {
 		t.Error("ByteSize = 0")
 	}

@@ -79,29 +79,66 @@ func (c *Column) Get(i int64) Value {
 	return v
 }
 
-// Set stores the value at slot i, converting numerics as needed.
+// Set stores the value at slot i, converting numerics as needed, through
+// the typed setters below.
 func (c *Column) Set(i int64, v Value) {
-	c.Zone, c.Enc = nil, nil
 	if v.Null {
-		c.Nulls.Set(i)
+		c.SetNull(i)
 		return
 	}
-	c.Nulls.Clear(i)
 	switch c.Type {
 	case TInt64:
-		c.Ints[i] = v.AsInt()
+		c.SetInt(i, v.AsInt())
 	case TFloat64:
-		c.Floats[i] = v.AsFloat()
+		c.SetFloat(i, v.AsFloat(), v.Sigma)
 	case TString:
-		c.Strs[i] = v.Str
+		c.SetString(i, v.Str)
 	case TBool:
-		c.Bools[i] = v.Bool
+		c.SetBool(i, v.Bool)
 	case TArray:
+		c.setPresent(i)
 		c.Arrs[i] = v.Arr
 	}
+}
+
+// SetNull makes slot i NULL. Like every setter it drops Zone and Enc.
+func (c *Column) SetNull(i int64) {
+	c.Zone, c.Enc = nil, nil
+	c.Nulls.Set(i)
+}
+
+// setPresent clears slot i's NULL bit for a typed setter's value.
+func (c *Column) setPresent(i int64) {
+	c.Zone, c.Enc = nil, nil
+	c.Nulls.Clear(i)
+}
+
+// SetInt stores v at slot i of an int64 column.
+func (c *Column) SetInt(i int64, v int64) {
+	c.setPresent(i)
+	c.Ints[i] = v
+}
+
+// SetFloat stores v at slot i of a float64 column, with error bar sigma
+// when the column keeps error bars.
+func (c *Column) SetFloat(i int64, v, sigma float64) {
+	c.setPresent(i)
+	c.Floats[i] = v
 	if c.Sigma != nil {
-		c.Sigma[i] = v.Sigma
+		c.Sigma[i] = sigma
 	}
+}
+
+// SetString stores v at slot i of a string column.
+func (c *Column) SetString(i int64, v string) {
+	c.setPresent(i)
+	c.Strs[i] = v
+}
+
+// SetBool stores v at slot i of a bool column.
+func (c *Column) SetBool(i int64, v bool) {
+	c.setPresent(i)
+	c.Bools[i] = v
 }
 
 // CopyFrom copies slot src of o into slot dst of c, preserving nulls and
@@ -114,12 +151,11 @@ func (c *Column) CopyFrom(o *Column, dst, src int64) {
 		c.Set(dst, o.Get(src))
 		return
 	}
-	c.Zone, c.Enc = nil, nil
 	if o.Nulls.Get(src) {
-		c.Nulls.Set(dst)
+		c.SetNull(dst)
 		return
 	}
-	c.Nulls.Clear(dst)
+	c.setPresent(dst)
 	switch c.Type {
 	case TInt64:
 		c.Ints[dst] = o.Ints[src]

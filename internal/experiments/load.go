@@ -174,7 +174,7 @@ func init() {
 			cellStats := loader.Stats{PerSite: make([]int64, nodes)}
 			var putErr error
 			start := time.Now()
-			err = cellDS.Scan(box, func(c array.Coord, cell array.Cell) bool {
+			err = insitu.Scan(cellDS, box, func(c array.Coord, cell array.Cell) bool {
 				if putErr = coCell.Put("grid_cell", c, cell); putErr != nil {
 					return false
 				}

@@ -341,7 +341,7 @@ func init() {
 			box := array.NewBox(array.Coord{1, 1}, array.Coord{16, 16})
 			sumBox := func(ds insitu.Dataset) (float64, error) {
 				var sum float64
-				err := ds.Scan(box, func(_ array.Coord, cell array.Cell) bool {
+				err := insitu.Scan(ds, box, func(_ array.Coord, cell array.Cell) bool {
 					sum += cell[0].AsFloat()
 					return true
 				})

@@ -123,58 +123,125 @@ func (d *csvDataset) Schema() *array.Schema { return d.schema }
 
 func (d *csvDataset) Close() error { return nil }
 
-// Scan streams the file, parsing and filtering line by line — the in-situ
+// fill streams the file, parsing and filtering line by line — the in-situ
 // path: no load step, data under user control. It is the one byte range
 // that covers the whole file, read by the shards' line reader, so a line of
-// any length that a shard reads, Scan reads too.
-func (d *csvDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
+// any length that a shard reads, a whole-file read reads too.
+func (d *csvDataset) fill(box array.Box, slot slotFunc) error {
 	fi, err := os.Stat(d.path)
 	if err != nil {
 		return err
 	}
-	return (&csvShard{path: d.path, schema: d.schema, end: fi.Size()}).Scan(box, fn)
+	return (&csvShard{path: d.path, schema: d.schema, end: fi.Size()}).fill(box, slot)
 }
 
-// newRecord makes the Coord and Cell a scan of schema parses every line into.
-func newRecord(schema *array.Schema) (array.Coord, array.Cell) {
-	return make(array.Coord, len(schema.Dims)), make(array.Cell, len(schema.Attrs))
-}
-
-// parseCSVLine parses one CSV line into c and cell (newRecord's, reused from
-// line to line). ok is false for blank lines and # comments (including the
-// header). It walks the bytes once, a field at a time, and allocates only a
-// copy of each non-NULL string value — line is the scan's read buffer and is
-// overwritten by the next read — or when it fails. The returned error
-// carries no file/line context; callers add it.
-func parseCSVLine(schema *array.Schema, line []byte, c array.Coord, cell array.Cell) (bool, error) {
+// parseCSVLine parses one CSV line: its coordinates into c, reused from
+// line to line, then its values into the slot that slot(c) names, written
+// with the typed Column setters. ok is false for blank lines and # comments
+// (including the header). It walks the bytes once: a coordinate, int or
+// float field is parsed where it stands, and the stop of that parse at ','
+// (or at the line's end, for the last field) is the field split. Any other
+// field — a string, a bool, NULL, "v±s", white space, or a number the fast
+// paths leave to strconv — is cut at its ',' and trimmed first. A line with
+// the wrong number of fields fails as such ahead of any field's own error.
+// It allocates only a copy of each non-NULL string value — line is the
+// scan's read buffer and is overwritten by the next read — or when it
+// fails. A parse error carries no file/line context, callers add it; an
+// error from slot is returned as it is.
+func parseCSVLine(schema *array.Schema, line []byte, c array.Coord, slot slotFunc) (bool, error) {
 	line = trimField(line)
 	if len(line) == 0 || line[0] == '#' {
 		return false, nil
 	}
 	nd, n := len(schema.Dims), len(schema.Dims)+len(schema.Attrs)
-	if got := bytes.Count(line, []byte{','}) + 1; got != n {
-		return false, fmt.Errorf("%d fields, want %d", got, n)
-	}
-	for i := 0; i < n; i++ {
-		field := line
-		if j := bytes.IndexByte(line, ','); j >= 0 {
-			field, line = line[:j], line[j+1:]
+	// rest is the line after the fields parsed so far; more is false once
+	// the last field has been cut.
+	rest, more := line, true
+	for i := 0; i < nd; i++ {
+		if !more {
+			return false, lineError(line, n, nil)
 		}
-		if i < nd {
-			v, err := parseInt(trimField(field))
-			if err != nil {
-				return false, fmt.Errorf("bad coordinate %q", field)
+		if v, k := prefixInt(rest); k > 0 {
+			if tail, m, ok := fieldEnd(rest, k); ok {
+				c[i], rest, more = v, tail, m
+				continue
 			}
-			c[i] = v
-			continue
 		}
-		v, err := parseCSVValue(trimField(field), schema.Attrs[i-nd].Type)
+		field, tail, m := cutField(rest)
+		v, err := parseInt(trimField(field))
 		if err != nil {
-			return false, err
+			return false, lineError(line, n, fmt.Errorf("bad coordinate %q", field))
 		}
-		cell[i-nd] = v
+		c[i], rest, more = v, tail, m
+	}
+	ch, slotIdx, err := slot(c)
+	if err != nil {
+		return false, err
+	}
+	for _, col := range ch.Cols {
+		if !more {
+			return false, lineError(line, n, nil)
+		}
+		switch col.Type {
+		case array.TInt64:
+			if v, k := prefixInt(rest); k > 0 {
+				if tail, m, ok := fieldEnd(rest, k); ok {
+					col.SetInt(slotIdx, v)
+					rest, more = tail, m
+					continue
+				}
+			}
+		case array.TFloat64:
+			if v, k := prefixFloat(rest); k > 0 {
+				if tail, m, ok := fieldEnd(rest, k); ok {
+					col.SetFloat(slotIdx, v, 0)
+					rest, more = tail, m
+					continue
+				}
+			}
+		}
+		field, tail, m := cutField(rest)
+		if err := setCSVValue(col, slotIdx, trimField(field)); err != nil {
+			return false, lineError(line, n, err)
+		}
+		rest, more = tail, m
+	}
+	if more {
+		return false, lineError(line, n, nil)
 	}
 	return true, nil
+}
+
+// fieldEnd reports whether a number parsed where it stands at the start of
+// rest, and stopping k bytes in, is its whole field: rest[k] is ',' or k
+// ends the line. It returns what follows the field and whether a ','
+// separated it from that.
+func fieldEnd(rest []byte, k int) (tail []byte, more, ok bool) {
+	switch {
+	case k == len(rest):
+		return nil, false, true
+	case rest[k] == ',':
+		return rest[k+1:], true, true
+	}
+	return nil, false, false
+}
+
+// cutField cuts rest at its first ',': the field, what follows it, and
+// whether there was a ','.
+func cutField(rest []byte) (field, tail []byte, more bool) {
+	if j := bytes.IndexByte(rest, ','); j >= 0 {
+		return rest[:j], rest[j+1:], true
+	}
+	return rest, nil, false
+}
+
+// lineError is err, or the field-count error when line does not hold n
+// fields: a line fails on its count ahead of any field's own error.
+func lineError(line []byte, n int, err error) error {
+	if got := bytes.Count(line, []byte{','}) + 1; got != n {
+		return fmt.Errorf("%d fields, want %d", got, n)
+	}
+	return err
 }
 
 // trimField is strings.TrimSpace over bytes, checking only the edge bytes
@@ -187,73 +254,88 @@ func trimField(b []byte) []byte {
 	return b
 }
 
-// parseInt is strconv.ParseInt(string(b), 10, 64) with a decimal loop for
-// the common -?digits form of at most 18 digits, which cannot overflow.
+// parseInt is strconv.ParseInt(string(b), 10, 64), through prefixInt when
+// that takes all of b.
 func parseInt(b []byte) (int64, error) {
-	d := b
-	if len(d) > 0 && d[0] == '-' {
-		d = d[1:]
+	if v, n := prefixInt(b); n > 0 && n == len(b) {
+		return v, nil
 	}
-	if len(d) == 0 || len(d) > 18 {
-		return strconv.ParseInt(string(b), 10, 64)
+	return strconv.ParseInt(string(b), 10, 64)
+}
+
+// prefixInt parses the -?digits at the start of b with a decimal loop and
+// returns the value and the bytes it took. n is 0 when b does not start
+// with a digit or '-' and a digit, or has more than 18 digits there — so
+// that the loop cannot overflow; strconv takes those.
+func prefixInt(b []byte) (v int64, n int) {
+	i := 0
+	if len(b) > 0 && b[0] == '-' {
+		i++
 	}
-	var v int64
-	for _, ch := range d {
-		if ch-'0' > 9 {
-			return strconv.ParseInt(string(b), 10, 64)
-		}
-		v = v*10 + int64(ch-'0')
+	start := i
+	for i < len(b) && b[i]-'0' <= 9 {
+		v = v*10 + int64(b[i]-'0')
+		i++
 	}
-	if len(d) < len(b) {
+	if i == start || i-start > 18 {
+		return 0, 0
+	}
+	if start > 0 {
 		v = -v
 	}
-	return v, nil
+	return v, i
 }
 
 // plusMinus is "±", which separates a float from its error bar.
 var plusMinus = []byte("±")
 
-// parseCSVValue parses one trimmed attribute field of type t. An empty
-// field or NULL is NULL; a string value is a copy of raw.
-func parseCSVValue(raw []byte, t array.Type) (array.Value, error) {
+// setCSVValue parses one trimmed attribute field into slot i of col, for
+// the fields the line parser's fast paths do not take. An empty field or
+// NULL is NULL; "v±s" is a float with an error bar; a string value is a
+// copy of raw.
+func setCSVValue(col *array.Column, i int64, raw []byte) error {
 	if len(raw) == 0 || string(raw) == "NULL" {
-		return array.NullValue(t), nil
+		col.SetNull(i)
+		return nil
 	}
-	switch t {
+	switch col.Type {
 	case array.TInt64:
 		v, err := parseInt(raw)
 		if err != nil {
-			return array.Value{}, fmt.Errorf("bad int %q", raw)
+			return fmt.Errorf("bad int %q", raw)
 		}
-		return array.Int64(v), nil
+		col.SetInt(i, v)
 	case array.TFloat64:
 		// "v±s" carries an error bar. '±' is 0xC2 0xB1 in UTF-8, so a
 		// field without 0xC2 has none.
 		if bytes.IndexByte(raw, 0xC2) >= 0 {
-			if i := bytes.Index(raw, plusMinus); i >= 0 {
-				m, err1 := parseFloat(raw[:i])
-				s, err2 := parseFloat(raw[i+len(plusMinus):])
+			if j := bytes.Index(raw, plusMinus); j >= 0 {
+				m, err1 := parseFloat(raw[:j])
+				s, err2 := parseFloat(raw[j+len(plusMinus):])
 				if err1 != nil || err2 != nil {
-					return array.Value{}, fmt.Errorf("bad uncertain float %q", raw)
+					return fmt.Errorf("bad uncertain float %q", raw)
 				}
-				return array.UncertainFloat(m, s), nil
+				col.SetFloat(i, m, s)
+				return nil
 			}
 		}
 		v, err := parseFloat(raw)
 		if err != nil {
-			return array.Value{}, fmt.Errorf("bad float %q", raw)
+			return fmt.Errorf("bad float %q", raw)
 		}
-		return array.Float64(v), nil
+		col.SetFloat(i, v, 0)
 	case array.TBool:
 		v, err := strconv.ParseBool(string(raw))
 		if err != nil {
-			return array.Value{}, fmt.Errorf("bad bool %q", raw)
+			return fmt.Errorf("bad bool %q", raw)
 		}
-		return array.Bool64(v), nil
+		col.SetBool(i, v)
 	case array.TString:
-		return array.String64(string(raw)), nil
+		col.SetString(i, string(raw))
+	default:
+		return fmt.Errorf("unsupported CSV type")
 	}
-	return array.Value{}, fmt.Errorf("unsupported CSV type")
+	return nil
 }
 
 // WriteCSV writes an array in the adaptor's CSV dialect, one line at a
@@ -316,7 +398,7 @@ func WriteCSV(path string, a *array.Array) error {
 	return w.Flush()
 }
 
-// appendCSVValue appends v as parseCSVValue reads it back, or fails if the
+// appendCSVValue appends v as setCSVValue reads it back, or fails if the
 // dialect cannot carry it.
 func appendCSVValue(b []byte, v array.Value) ([]byte, error) {
 	if v.Null {
@@ -537,7 +619,11 @@ func readNCLHeader(f *os.File) (*nclHeader, error) {
 			return nil, err
 		}
 		off++
-		hdr.vars = append(hdr.vars, array.Attribute{Name: name, Type: array.Type(tb[0])})
+		t := array.Type(tb[0])
+		if t != array.TInt64 && t != array.TFloat64 {
+			return nil, fmt.Errorf("insitu: NCL variable %s is %s, not numeric", name, t)
+		}
+		hdr.vars = append(hdr.vars, array.Attribute{Name: name, Type: t})
 	}
 	for i := range hdr.vars {
 		hdr.dataOff = append(hdr.dataOff, off+int64(i)*hdr.cellsPer*8)
@@ -555,9 +641,10 @@ func (d *nclDataset) Schema() *array.Schema { return d.schema }
 
 func (d *nclDataset) Close() error { return d.f.Close() }
 
-// Scan reads only the requested box from disk via random access — the
-// genuine in-situ advantage over load-everything-then-query.
-func (d *nclDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
+// fill reads only the requested box from disk via random access — the
+// genuine in-situ advantage over load-everything-then-query — writing each
+// cell's values from their bits.
+func (d *nclDataset) fill(box array.Box, slot slotFunc) error {
 	whole := array.WholeBox(d.schema)
 	q, ok := whole.Intersect(box)
 	if !ok {
@@ -570,23 +657,27 @@ func (d *nclDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) 
 		shape[i] = dim.High
 	}
 	buf := make([]byte, 8)
-	cell := make(array.Cell, len(d.hdr.vars))
 	var scanErr error
 	array.IterBox(q, func(c array.Coord) bool {
 		idx := array.RowMajorIndex(origin, shape, c)
-		for vi, at := range d.hdr.vars {
+		ch, i, err := slot(c)
+		if err != nil {
+			scanErr = err
+			return false
+		}
+		for vi, col := range ch.Cols {
 			if _, err := d.f.ReadAt(buf, d.hdr.dataOff[vi]+idx*8); err != nil {
 				scanErr = err
 				return false
 			}
 			bits := binary.LittleEndian.Uint64(buf)
-			if at.Type == array.TInt64 {
-				cell[vi] = array.Int64(int64(bits))
+			if col.Type == array.TInt64 {
+				col.SetInt(i, int64(bits))
 			} else {
-				cell[vi] = array.Float64(floatFromBits(bits))
+				col.SetFloat(i, floatFromBits(bits), 0)
 			}
 		}
-		return fn(c, cell)
+		return true
 	})
 	return scanErr
 }

@@ -15,7 +15,8 @@ import (
 // Materialize reads from the file inside the box — through every adaptor,
 // over a box narrower than the file, on a stride that divides neither the
 // box nor the file, at parallelism 1 and 4 — and every bucket it writes
-// lies on the store's stride grid.
+// lies on the store's stride grid. What Materialize reads is the source
+// array's cells in the box.
 func TestFillMatchesMaterialize(t *testing.T) {
 	s := &array.Schema{
 		Name: "fill",
@@ -84,6 +85,28 @@ func TestFillMatchesMaterialize(t *testing.T) {
 				}
 				return true
 			})
+			// Materialize runs the format's fill body too, so it is held to
+			// the array the files were written from, restricted to the box.
+			// NCL is dense: it writes an absent cell as zeros.
+			ref := map[string]string{}
+			array.IterBox(box, func(c array.Coord) bool {
+				cell, ok := src.At(c)
+				if !ok && name == "ncl" {
+					cell, ok = array.Cell{array.Float64(0), array.Int64(0)}, true
+				}
+				if ok {
+					ref[c.String()] = fmt.Sprint(cell)
+				}
+				return true
+			})
+			if len(want) != len(ref) {
+				t.Fatalf("%s par=%d: Materialize read %d cells in the box, the source holds %d", name, par, len(want), len(ref))
+			}
+			for k, v := range ref {
+				if want[k] != v {
+					t.Fatalf("%s par=%d: Materialize read cell %s = %q, the source holds %q", name, par, k, want[k], v)
+				}
+			}
 			st, err := storage.NewStore(ds.Schema(), storage.Options{Stride: stride})
 			if err != nil {
 				t.Fatal(err)
@@ -124,6 +147,65 @@ func TestFillMatchesMaterialize(t *testing.T) {
 				t.Errorf("%s par=%d: %v", name, par, err)
 			}
 			st.Close()
+		}
+	}
+}
+
+// TestPipelineBatchKeepsChunksWhole: cells in chunk order through a Batch
+// of 2 ship every chunk whole — the cell that would open a builder's third
+// chunk ships the two it holds first — so five chunks make five payloads
+// of ten cells each.
+func TestPipelineBatchKeepsChunksWhole(t *testing.T) {
+	s := &array.Schema{
+		Name:  "batch",
+		Dims:  []array.Dimension{{Name: "x", High: 50}},
+		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
+	}
+	src := array.MustNew(s)
+	for x := int64(1); x <= 50; x++ {
+		if err := src.Set(array.Coord{x}, array.Cell{array.Float64(float64(x) / 4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "batch.csv")
+	if err := WriteCSV(path, src); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := CSVAdaptor{}.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	old := exec.Parallelism()
+	defer exec.SetParallelism(old)
+	exec.SetParallelism(1)
+	var chunks []*array.Chunk
+	_, err = Pipeline{
+		Schema: s,
+		Stride: []int64{10},
+		Sites:  1,
+		Route:  func(array.Coord) int { return 0 },
+		Batch:  2,
+		Ship: func(_ int, payloads [][]byte, _ int64) error {
+			for _, p := range payloads {
+				ch, err := storage.DecodeChunk(s, p)
+				if err != nil {
+					return err
+				}
+				chunks = append(chunks, ch)
+			}
+			return nil
+		},
+	}.Run(ds, array.WholeBox(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunks) != 5 {
+		t.Errorf("shipped %d payloads, want 5", len(chunks))
+	}
+	for _, ch := range chunks {
+		if n := ch.CellsPresent(); n != 10 {
+			t.Errorf("payload at %v holds %d cells, want its whole chunk of 10", ch.Origin, n)
 		}
 	}
 }

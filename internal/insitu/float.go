@@ -21,19 +21,36 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 // (more digits, hex, inf/nan, underscores, an ambiguous halfway product,
 // overflow, underflow, a syntax error) goes to strconv.
 func parseFloat(b []byte) (float64, error) {
-	if man, exp10, neg, ok := scanDecimal(b); ok {
-		if f, ok := eiselLemire(man, exp10, neg); ok {
-			return f, nil
-		}
+	if f, n := prefixFloat(b); n > 0 && n == len(b) {
+		return f, nil
 	}
 	return strconv.ParseFloat(string(b), 64)
 }
 
-// scanDecimal splits b into a decimal mantissa and exponent:
-// b = ±man × 10^exp10. ok is false when b is not in the kernel's grammar or
-// has more than 19 significant digits (leading zeros do not count), so man
-// always fits in a uint64.
-func scanDecimal(b []byte) (man uint64, exp10 int, neg, ok bool) {
+// prefixFloat parses the decimal number at the start of b through the
+// kernel and returns it with the bytes it took; n is 0 when b does not
+// start with the kernel's grammar or the kernel cannot decide the value.
+// The line parser takes the number where it stands when b[n] ends the
+// field; parseFloat takes it when n ends b.
+func prefixFloat(b []byte) (f float64, n int) {
+	man, exp10, neg, n := scanDecimal(b)
+	if n == 0 {
+		return 0, 0
+	}
+	f, ok := eiselLemire(man, exp10, neg)
+	if !ok {
+		return 0, 0
+	}
+	return f, n
+}
+
+// scanDecimal splits the number at the start of b into a decimal mantissa
+// and exponent, b[:n] = ±man × 10^exp10, and returns where it stopped. n is
+// 0 when b does not start with the kernel's grammar, has more than 19
+// significant digits (leading zeros do not count), so that man always fits
+// in a uint64, or has an 'e' with no exponent digits, or its exponent
+// falls outside [minPow10, maxPow10].
+func scanDecimal(b []byte) (man uint64, exp10 int, neg bool, n int) {
 	i := 0
 	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
 		neg = b[0] == '-'
@@ -69,7 +86,7 @@ func scanDecimal(b []byte) (man uint64, exp10 int, neg, ok bool) {
 		digits = digits || i > frac
 	}
 	if !digits || sig > 19 {
-		return 0, 0, false, false
+		return 0, 0, false, 0
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
@@ -86,14 +103,17 @@ func scanDecimal(b []byte) (man uint64, exp10 int, neg, ok bool) {
 			edigits = true
 		}
 		if !edigits {
-			return 0, 0, false, false
+			return 0, 0, false, 0
 		}
 		if eneg {
 			e = -e
 		}
 		exp10 += e
 	}
-	return man, exp10, neg, i == len(b) && exp10 >= minPow10 && exp10 <= maxPow10
+	if exp10 < minPow10 || exp10 > maxPow10 {
+		return 0, 0, false, 0
+	}
+	return man, exp10, neg, i
 }
 
 // The powers of ten the kernel can scale by. Past them a nonzero mantissa

@@ -17,7 +17,8 @@ import (
 // concurrently, routes each cell into a per-site chunk builder on the
 // Stride grid, and every Batch chunks seals a site's builder — each chunk
 // through storage.EncodeChunkZones, zone maps included — and hands the
-// payloads to Ship. A cell is parsed once and encoded once.
+// payloads to Ship. A cell is parsed once, straight into its chunk's
+// columns, and encoded once.
 //
 // Cell-for-cell the stores end up holding the dataset; only the bucket
 // boundaries depend on where the shards were cut. Coordinates must be
@@ -33,7 +34,7 @@ type Pipeline struct {
 	Sites int
 	Route func(array.Coord) int
 	// Batch is how many chunks a site's builder takes before it is sealed
-	// and shipped.
+	// and shipped: a cell that would open one more ships the Batch first.
 	Batch int
 	// Ship delivers a site's sealed chunks (EncodeChunk payloads, in origin
 	// order); cells is their total cell count. Shards ship concurrently.
@@ -97,9 +98,6 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 			payloads := make([][]byte, 0, len(chunks))
 			var cells, payloadBytes int64
 			for _, ch := range chunks {
-				if ch.CellsPresent() == 0 {
-					continue
-				}
 				raw, _, err := storage.EncodeChunkZones(bs, ch)
 				if err != nil {
 					return err
@@ -122,38 +120,34 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 			my.Bytes += payloadBytes
 			return nil
 		}
-		var innerErr error
-		// Set copies the scan's reused Coord and Cell into the builder's
-		// columns, so nothing is cloned per cell.
-		scanErr := shards[si].Scan(box, func(c array.Coord, cell array.Cell) bool {
+		// The shard's body writes each cell straight into its site builder's
+		// slot. A cell that would open chunk Batch+1 of a builder first seals
+		// and ships the Batch it holds, so no chunk is split across batches
+		// when cells come in chunk order.
+		slot := func(c array.Coord) (*array.Chunk, int64, error) {
 			site := p.Route(c)
 			b := builders[site]
+			if b != nil && b.NumChunks() >= p.Batch && !b.Holds(c) {
+				if err := flushSite(site); err != nil {
+					return nil, 0, err
+				}
+				b = nil
+			}
 			if b == nil {
 				var err error
 				if b, err = array.New(bs); err != nil {
-					innerErr = err
-					return false
+					return nil, 0, err
 				}
 				builders[site] = b
 			}
-			if err := b.Set(c, cell); err != nil {
-				innerErr = err
-				return false
+			ch, i, err := b.Slot(c)
+			if err == nil {
+				my.PerSite[site]++
 			}
-			my.PerSite[site]++
-			if b.NumChunks() >= p.Batch {
-				if err := flushSite(site); err != nil {
-					innerErr = err
-					return false
-				}
-			}
-			return true
-		})
-		if scanErr != nil {
-			return scanErr
+			return ch, i, err
 		}
-		if innerErr != nil {
-			return innerErr
+		if err := shards[si].fill(box, slot); err != nil {
+			return err
 		}
 		for site := range builders {
 			if err := flushSite(site); err != nil {

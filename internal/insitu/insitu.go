@@ -11,9 +11,11 @@ package insitu
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,15 +24,76 @@ import (
 )
 
 // Dataset is a queryable view over external data, usable without loading.
+// Its cells are read by Scan, by Materialize and by the ingest Pipeline,
+// all through the format's one body, fill.
 type Dataset interface {
 	// Schema describes the data.
 	Schema() *array.Schema
-	// Scan visits every cell intersecting the box. Return false to stop.
-	// As with Array.IterReuse, the Coord and Cell passed to fn are valid
-	// only during the call: fn must clone anything it keeps.
-	Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error
 	// Close releases resources.
 	Close() error
+	// fill is the format's one body: for every cell inside box it parses
+	// the coordinate, asks slot for the cell's chunk and slot, and writes
+	// each of the cell's values there with the typed Column setters. An
+	// error from slot is returned as it is.
+	fill(box array.Box, slot slotFunc) error
+}
+
+// slotFunc names where a cell's values go: the chunk and the slot in it for
+// coordinate c, marked present. A fill body calls it once per cell, before
+// it writes the cell's values, and may reuse c once it returns.
+type slotFunc func(c array.Coord) (*array.Chunk, int64, error)
+
+// errStop ends a Scan whose fn returned false.
+var errStop = errors.New("insitu: scan stopped")
+
+// Scan visits every cell of ds inside box, in the format's order: the one
+// adapter from a fill body to a cell at a time. Each cell is written into a
+// one-slot row and handed to fn when the body asks for the next slot, or
+// ends. As with Array.IterReuse, the Coord and Cell passed to fn are valid
+// only during the call: fn must clone anything it keeps. Return false to
+// stop. When the body fails, fn has seen some prefix of the cells before
+// the failing one.
+func Scan(ds Dataset, box array.Box, fn func(array.Coord, array.Cell) bool) error {
+	row := newRow(ds.Schema())
+	cell := make(array.Cell, len(row.Cols))
+	c := make(array.Coord, 0, len(ds.Schema().Dims))
+	pending := false
+	emit := func() bool {
+		for a, col := range row.Cols {
+			cell[a] = col.Get(0)
+		}
+		return fn(c, cell)
+	}
+	err := ds.fill(box, func(at array.Coord) (*array.Chunk, int64, error) {
+		if pending && !emit() {
+			return nil, 0, errStop
+		}
+		c, pending = append(c[:0], at...), true
+		return row, 0, nil
+	})
+	switch {
+	case err == errStop:
+		return nil
+	case err != nil:
+		return err
+	case pending:
+		emit()
+	}
+	return nil
+}
+
+// newRow makes a one-slot chunk for one cell of schema s, a float's error
+// bar included whether or not s keeps it.
+func newRow(s *array.Schema) *array.Chunk {
+	rs := &array.Schema{Attrs: slices.Clone(s.Attrs)}
+	for i := range rs.Attrs {
+		rs.Attrs[i].Uncertain = rs.Attrs[i].Type == array.TFloat64
+	}
+	shape := make([]int64, len(s.Dims))
+	for i := range shape {
+		shape[i] = 1
+	}
+	return array.NewChunk(rs, make(array.Coord, len(s.Dims)), shape)
 }
 
 // Adaptor opens a path in one external format.
@@ -54,26 +117,17 @@ func ByName(name string) (Adaptor, error) {
 
 // Materialize loads a dataset fully into an in-memory array — the "load
 // stage" the paper's users complain about, measured by the INSITU
-// experiment.
+// experiment. The format's fill body writes straight into the array.
 func Materialize(ds Dataset) (*array.Array, error) {
 	s := ds.Schema().Clone()
 	a, err := array.New(s)
 	if err != nil {
 		return nil, err
 	}
-	box := array.WholeBox(s)
-	var werr error
-	err = ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		if err := a.Set(c, cell); err != nil {
-			werr = err
-			return false
-		}
-		return true
-	})
-	if err != nil {
+	if err := ds.fill(array.WholeBox(s), a.Slot); err != nil {
 		return nil, err
 	}
-	return a, werr
+	return a, nil
 }
 
 // Fill copies ds's cells inside box into st and flushes it: an in-situ
@@ -241,16 +295,10 @@ type memDataset struct{ a *array.Array }
 
 func (d *memDataset) Schema() *array.Schema { return d.a.Schema }
 
-func (d *memDataset) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
-	// A view per scan: concurrent scans must not share the array's lazily
-	// built chunk order.
-	d.a.View().IterReuse(func(c array.Coord, cell array.Cell) bool {
-		if !box.Contains(c) {
-			return true
-		}
-		return fn(c, cell)
-	})
-	return nil
+// fill reads the array's chunks as one chunk shard. A view per read:
+// concurrent reads must not share the array's lazily built chunk order.
+func (d *memDataset) fill(box array.Box, slot slotFunc) error {
+	return (&chunkShard{schema: d.a.Schema, chunks: d.a.View().Chunks()}).fill(box, slot)
 }
 
 func (d *memDataset) Close() error { return nil }

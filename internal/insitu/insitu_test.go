@@ -72,7 +72,7 @@ func TestSDFSelfDescribing(t *testing.T) {
 		t.Errorf("recovered schema = %s", ds.Schema())
 	}
 	n := 0
-	_ = ds.Scan(array.NewBox(array.Coord{1, 1}, array.Coord{2, 2}), func(c array.Coord, cell array.Cell) bool {
+	_ = Scan(ds, array.NewBox(array.Coord{1, 1}, array.Coord{2, 2}), func(c array.Coord, cell array.Cell) bool {
 		n++
 		return true
 	})
@@ -108,7 +108,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	// In-situ box scan without materializing.
 	var got []float64
-	err = ds.Scan(array.NewBox(array.Coord{2, 2}, array.Coord{2, 3}), func(c array.Coord, cell array.Cell) bool {
+	err = Scan(ds, array.NewBox(array.Coord{2, 2}, array.Coord{2, 3}), func(c array.Coord, cell array.Cell) bool {
 		got = append(got, cell[0].Float)
 		return true
 	})
@@ -140,7 +140,7 @@ func TestCSVNullsAndUncertain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cells []array.Cell
-	_ = ds.Scan(array.NewBox(array.Coord{1}, array.Coord{10}), func(c array.Coord, cell array.Cell) bool {
+	_ = Scan(ds, array.NewBox(array.Coord{1}, array.Coord{10}), func(c array.Coord, cell array.Cell) bool {
 		cells = append(cells, cell.Clone())
 		return true
 	})
@@ -171,13 +171,13 @@ func TestCSVErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Scan(array.NewBox(array.Coord{1}, array.Coord{5}), func(array.Coord, array.Cell) bool { return true }); err == nil {
+	if err := Scan(ds, array.NewBox(array.Coord{1}, array.Coord{5}), func(array.Coord, array.Cell) bool { return true }); err == nil {
 		t.Error("short row accepted")
 	}
 	badv := filepath.Join(dir, "badv.csv")
 	_ = os.WriteFile(badv, []byte("# scidb-csv\n# dims: i\n# attrs: v:float\n1,notafloat\n"), 0o644)
 	ds, _ = (CSVAdaptor{}).Open(badv)
-	if err := ds.Scan(array.NewBox(array.Coord{1}, array.Coord{5}), func(array.Coord, array.Cell) bool { return true }); err == nil {
+	if err := Scan(ds, array.NewBox(array.Coord{1}, array.Coord{5}), func(array.Coord, array.Cell) bool { return true }); err == nil {
 		t.Error("bad value accepted")
 	}
 	if _, err := (CSVAdaptor{}).Open(filepath.Join(dir, "missing.csv")); err == nil {
@@ -203,7 +203,7 @@ func TestNCLRoundTrip(t *testing.T) {
 	}
 	// Random-access box scan reads only the box.
 	var sum float64
-	err = ds.Scan(array.NewBox(array.Coord{4, 4}, array.Coord{4, 4}), func(c array.Coord, cell array.Cell) bool {
+	err = Scan(ds, array.NewBox(array.Coord{4, 4}, array.Coord{4, 4}), func(c array.Coord, cell array.Cell) bool {
 		sum += cell[0].Float
 		return true
 	})
@@ -214,7 +214,7 @@ func TestNCLRoundTrip(t *testing.T) {
 		t.Errorf("cell(4,4) = %v, want 44", sum)
 	}
 	// Int variable round-trips.
-	_ = ds.Scan(array.NewBox(array.Coord{2, 3}, array.Coord{2, 3}), func(c array.Coord, cell array.Cell) bool {
+	_ = Scan(ds, array.NewBox(array.Coord{2, 3}, array.Coord{2, 3}), func(c array.Coord, cell array.Cell) bool {
 		if cell[1].Int != 6 {
 			t.Errorf("int var = %v, want 6", cell[1])
 		}
@@ -274,7 +274,7 @@ func TestScanEarlyStopCSVAndNCL(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		n := 0
-		_ = ds.Scan(array.NewBox(array.Coord{1, 1}, array.Coord{4, 4}), func(array.Coord, array.Cell) bool {
+		_ = Scan(ds, array.NewBox(array.Coord{1, 1}, array.Coord{4, 4}), func(array.Coord, array.Cell) bool {
 			n++
 			return n < 3
 		})

@@ -98,7 +98,7 @@ func (sh *csvShard) Close() error { return nil }
 // from; a longer line is put together in a second buffer.
 const lineBuf = 64 << 10
 
-func (sh *csvShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
+func (sh *csvShard) fill(box array.Box, slot slotFunc) error {
 	f, err := os.Open(sh.path)
 	if err != nil {
 		return err
@@ -131,7 +131,19 @@ func (sh *csvShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) e
 		}
 		return long, err
 	}
-	c, cell := newRecord(sh.schema)
+	c := make(array.Coord, len(sh.schema.Dims))
+	// A line outside box is parsed all the same, into a spare row, so that
+	// it fails as it would inside.
+	spare := newRow(sh.schema)
+	var slotErr error
+	inBox := func(c array.Coord) (*array.Chunk, int64, error) {
+		if !box.Contains(c) {
+			return spare, 0, nil
+		}
+		ch, i, err := slot(c)
+		slotErr = err
+		return ch, i, err
+	}
 	if sh.start > 0 {
 		skipped, err := readLine()
 		pos += int64(len(skipped))
@@ -147,12 +159,11 @@ func (sh *csvShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) e
 		line, err := readLine()
 		pos += int64(len(line))
 		if len(line) > 0 {
-			ok, perr := parseCSVLine(sh.schema, line, c, cell)
-			if perr != nil {
+			if _, perr := parseCSVLine(sh.schema, line, c, inBox); perr != nil {
+				if slotErr != nil {
+					return slotErr
+				}
 				return fmt.Errorf("insitu: %s@%d: %w", sh.path, lineStart, perr)
-			}
-			if ok && box.Contains(c) && !fn(c, cell) {
-				return nil
 			}
 		}
 		if err == io.EOF {
@@ -193,7 +204,7 @@ func boxSlabs(ds Dataset, s *array.Schema, n int) []Dataset {
 }
 
 // boxShard restricts a dataset to a sub-box. Used for formats with random
-// access, where scanning a sub-box touches only that region.
+// access, where reading a sub-box touches only that region.
 type boxShard struct {
 	ds  Dataset
 	box array.Box
@@ -203,12 +214,12 @@ func (sh *boxShard) Schema() *array.Schema { return sh.ds.Schema() }
 
 func (sh *boxShard) Close() error { return nil }
 
-func (sh *boxShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
+func (sh *boxShard) fill(box array.Box, slot slotFunc) error {
 	q, ok := sh.box.Intersect(box)
 	if !ok {
 		return nil
 	}
-	return sh.ds.Scan(q, fn)
+	return sh.ds.fill(q, slot)
 }
 
 // --- SDF / in-memory chunk-group shards ------------------------------------
@@ -245,30 +256,31 @@ func (sh *chunkShard) Schema() *array.Schema { return sh.schema }
 
 func (sh *chunkShard) Close() error { return nil }
 
-func (sh *chunkShard) Scan(box array.Box, fn func(array.Coord, array.Cell) bool) error {
-	cell := make(array.Cell, len(sh.schema.Attrs))
+// fill copies each present cell inside box column by column into its slot.
+func (sh *chunkShard) fill(box array.Box, slot slotFunc) error {
+	var err error
 	for _, ch := range sh.chunks {
 		inter, ok := ch.Box().Intersect(box)
 		if !ok {
 			continue
 		}
-		stop := false
 		array.IterBox(inter, func(c array.Coord) bool {
-			i := ch.Index(c)
-			if !ch.Present.Get(i) {
+			src := ch.Index(c)
+			if !ch.Present.Get(src) {
 				return true
 			}
-			for a, col := range ch.Cols {
-				cell[a] = col.Get(i)
-			}
-			if !fn(c, cell) {
-				stop = true
+			dst, i, e := slot(c)
+			if e != nil {
+				err = e
 				return false
+			}
+			for a, col := range ch.Cols {
+				dst.Cols[a].CopyFrom(col, i, src)
 			}
 			return true
 		})
-		if stop {
-			return nil
+		if err != nil {
+			return err
 		}
 	}
 	return nil

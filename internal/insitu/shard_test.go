@@ -16,7 +16,7 @@ import (
 func collect(t *testing.T, ds Dataset, box array.Box) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	err := ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
+	err := Scan(ds, box, func(c array.Coord, cell array.Cell) bool {
 		k := c.Key()
 		if _, dup := out[k]; dup {
 			t.Fatalf("cell %v delivered twice", c)
@@ -261,7 +261,7 @@ func FuzzCSVShardSplit(f *testing.F) {
 		defer ds.Close()
 		box := array.WholeBox(ds.Schema())
 		whole := map[string]string{}
-		if err := ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
+		if err := Scan(ds, box, func(c array.Coord, cell array.Cell) bool {
 			whole[c.Key()] = fmt.Sprint(cell)
 			return true
 		}); err != nil {
@@ -273,7 +273,7 @@ func FuzzCSVShardSplit(f *testing.F) {
 		}
 		union := map[string]string{}
 		for _, sh := range shards {
-			if err := sh.Scan(box, func(c array.Coord, cell array.Cell) bool {
+			if err := Scan(sh, box, func(c array.Coord, cell array.Cell) bool {
 				k := c.Key()
 				if _, dup := union[k]; dup {
 					t.Fatalf("n=%d: cell %s delivered by two shards", n, k)

@@ -147,7 +147,7 @@ func TestWriteCSVReadsBackIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := int64(0)
-		err = ds.Scan(array.WholeBox(ds.Schema()), func(c array.Coord, got array.Cell) bool {
+		err = Scan(ds, array.WholeBox(ds.Schema()), func(c array.Coord, got array.Cell) bool {
 			n++
 			want, ok := a.At(c)
 			if !ok {
