@@ -16,7 +16,8 @@ vet:
 # Non-test Go lines per internal package and in total: the number every PR
 # reports (bench/ is its own module and is not counted), with the subtotals
 # ROADMAP items 2 (ops + cluster + core), 8 (cluster + core + insitu) and 14
-# (loader + insitu, the ingest path) measure.
+# (loader + insitu, the ingest path) measure, and the count of exported
+# Coordinator methods ROADMAP item 13 measures.
 loc:
 	@for d in internal/*/; do \
 		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
@@ -25,6 +26,7 @@ loc:
 	@printf '%-24s %6d\n' 'cluster + core + insitu' $$(find internal/cluster internal/core internal/insitu -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-24s %6d\n' 'loader + insitu' $$(find internal/loader internal/insitu -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-24s %6d\n' total $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%-24s %6d\n' 'Coordinator methods' $$(find internal/cluster -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cE '^func \([a-z]+ \*Coordinator\) [A-Z]')
 
 # Race detection over the concurrency-heavy packages (tier-1 verification
 # runs this alongside `test`; the full -race ./... sweep is `race-all`).

@@ -15,7 +15,6 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/click"
-	"scidb/internal/cluster"
 	"scidb/internal/compress"
 	"scidb/internal/cook"
 	"scidb/internal/insitu"
@@ -219,35 +218,6 @@ func BenchmarkPartitionDesigner(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := partition.Design(sample, 1, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- COPART: co-partitioned distributed join ---------------------------------
-
-func BenchmarkCoPartitionedJoin(b *testing.B) {
-	tr := cluster.NewLocal(4)
-	co := cluster.NewCoordinator(tr, 0)
-	scheme := partition.Block{Nodes: 4, SplitDim: 0, High: 256}
-	vs := func(name string) *array.Schema {
-		return &array.Schema{
-			Name:  name,
-			Dims:  []array.Dimension{{Name: "x", High: 256}},
-			Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
-		}
-	}
-	_ = co.Create("A", vs("A"), scheme)
-	_ = co.Create("B", vs("B"), scheme)
-	for i := int64(1); i <= 256; i++ {
-		_ = co.Put("A", array.Coord{i}, array.Cell{array.Float64(float64(i))})
-		_ = co.Put("B", array.Coord{i}, array.Cell{array.Float64(float64(i))})
-	}
-	_ = co.Flush("A")
-	_ = co.Flush("B")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := co.Sjoin("A", "B", []string{"x"}, []string{"x"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,10 @@
 // Sky survey: the LSST-style grid scenario of §2.7 — a survey image is
-// partitioned across a shared-nothing cluster, scanned and aggregated with
-// partial pushdown, joined co-partitioned against a catalog with zero data
-// movement, and repartitioned when the workload turns out to be skewed
-// (the steerable/El Niño case), with the automatic designer picking the
-// new scheme from a sample workload.
+// partitioned across a shared-nothing cluster and queried in AQL through a
+// database attached to it: counted and aggregated with partial pushdown,
+// joined against a co-partitioned catalog with no cell repartitioned,
+// and repartitioned when the workload turns out to be skewed (the
+// steerable/El Niño case), with the automatic designer picking the new
+// scheme from a sample workload.
 package main
 
 import (
@@ -12,7 +13,6 @@ import (
 	"math/rand"
 
 	"scidb"
-	"scidb/internal/array"
 	"scidb/internal/cluster"
 	"scidb/internal/partition"
 )
@@ -26,6 +26,8 @@ func main() {
 	// scidb-server nodes — the protocol is identical.
 	tr := cluster.NewLocal(nodes)
 	co := cluster.NewCoordinator(tr, 0)
+	db := scidb.Open()
+	db.AttachCluster(co)
 
 	skySchema := &scidb.Schema{
 		Name: "sky",
@@ -62,22 +64,19 @@ func main() {
 	}
 	mustErr(co.Flush("sky"))
 	mustErr(co.Flush("catalog"))
-	total, _ := co.Count("sky")
-	fmt.Printf("loaded %d sky pixels and %d catalog stars across %d nodes\n", total, stars, nodes)
+	fmt.Printf("loaded %d sky pixels and %d catalog stars across %d nodes\n",
+		scalar(db, "aggregate(sky, {}, count(*))").Int, stars, nodes)
 
 	// Whole-sky aggregate with partial pushdown.
-	whole := array.NewBox(scidb.Coord{1, 1}, scidb.Coord{n, n})
-	avg, err := co.Aggregate("sky", whole, "avg", "flux", nil)
-	mustErr(err)
-	cell, _ := avg.At(scidb.Coord{1})
-	fmt.Printf("whole-sky mean flux: %.2f (each node computed a partial)\n", cell[0].AsFloat())
+	avg := scalar(db, "aggregate(sky, {}, avg(flux))")
+	fmt.Printf("whole-sky mean flux: %.2f (each node computed a partial)\n", avg.AsFloat())
 
-	// Co-partitioned join: zero bytes moved.
-	co.ResetBytesMoved()
-	matches, err := co.Sjoin("catalog", "sky", []string{"ra", "dec"}, []string{"ra", "dec"})
+	// Co-partitioned join: no cell is repartitioned for it.
+	before := co.BytesMoved()
+	matches, err := db.Exec("sjoin(catalog, sky, catalog.ra = sky.ra and catalog.dec = sky.dec)")
 	mustErr(err)
 	fmt.Printf("catalog⋈sky (co-partitioned): %d matches, %d bytes moved\n",
-		matches.Count(), co.BytesMoved())
+		matches.Array.Count(), co.BytesMoved()-before)
 
 	// The workload turns steerable: 90%% of queries hit a narrow dec band.
 	var sample []partition.SampleAccess
@@ -106,17 +105,28 @@ func main() {
 		designed.Name(), partition.Imbalance(designed, sample))
 
 	// Repartition the live array; only cells that change owner move.
-	co.ResetBytesMoved()
+	before = co.BytesMoved()
 	mustErr(co.Repartition("sky", designed))
-	fmt.Printf("repartitioned sky: %d bytes moved\n", co.BytesMoved())
-	after, _ := co.Count("sky")
-	fmt.Printf("data intact after repartition: %d pixels\n", after)
+	fmt.Printf("repartitioned sky: %d bytes moved\n", co.BytesMoved()-before)
+	fmt.Printf("data intact after repartition: %d pixels\n",
+		scalar(db, "aggregate(sky, {}, count(*))").Int)
 
 	stats, _ := co.NodeStats()
 	fmt.Println("\nper-node cells held after repartition:")
 	for i, s := range stats {
 		fmt.Printf("  node %d: %d cells\n", i, s.CellsHeld)
 	}
+}
+
+// scalar runs a grand-total query and returns its one value.
+func scalar(db *scidb.DB, q string) scidb.Value {
+	res, err := db.Exec(q)
+	mustErr(err)
+	cell, ok := res.Array.At(scidb.Coord{1})
+	if !ok {
+		log.Fatalf("%s: no row", q)
+	}
+	return cell[0]
 }
 
 func mustErr(err error) {

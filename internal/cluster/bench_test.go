@@ -67,9 +67,9 @@ func benchConcurrentOps(b *testing.B, co *Coordinator) {
 				case 0:
 					_, err = co.Count("b")
 				case 1:
-					_, err = co.Scan("b", array.NewBox(array.Coord{1, 1}, array.Coord{8, 8}))
+					_, err = scan(co, "b", array.NewBox(array.Coord{1, 1}, array.Coord{8, 8}))
 				default:
-					_, err = co.Aggregate("b", array.NewBox(array.Coord{1, 1}, array.Coord{24, 24}), "sum", "flux", []string{"x"})
+					_, err = aggregate(co, "b", array.NewBox(array.Coord{1, 1}, array.Coord{24, 24}), "sum", "flux", []string{"x"})
 				}
 				if err != nil {
 					b.Error(err)

@@ -660,7 +660,7 @@ func TestConcurrentReadOpsShareWorker(t *testing.T) {
 			{Op: "read", Array: "d", Fold: &ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "sum", Attr: "v"}, {Agg: "stdev", Attr: "v"}}}},
 			{Op: "read", Array: "d", BoxLo: []int64{3, 3}, BoxHi: []int64{30, 30}},
 			countReq("d"),
-			{Op: "sjoin", Array: "d", Array2: "d", OnL: []string{"x", "y"}, OnR: []string{"x", "y"}},
+			{Op: "read", Array: "d", Preds: []array.ZonePred{{Attr: 1, Op: ">", Val: array.Int64(0)}}},
 		}
 		// The concurrent requests come first, against a partition nothing
 		// has read yet, so every lazily built structure is built under
@@ -740,7 +740,7 @@ func TestWorkerOpsReportCorruptBucket(t *testing.T) {
 		}
 		for i, req := range reqs {
 			st.ReleaseRegion(array.WholeBox(st.Schema())) // read the file, not the pool
-			_, err := w.handle(context.Background(), req)
+			_, err := w.handle(req)
 			if c.fail[i] && !errors.Is(err, storage.ErrCorrupt) {
 				t.Errorf("byte %d flipped: %s error = %v, want ErrCorrupt", c.off, spanName(req), err)
 			} else if !c.fail[i] && err != nil {

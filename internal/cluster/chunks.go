@@ -1,9 +1,8 @@
 package cluster
 
 // The worker's chunk-at-a-time read path. read — whichever sink its fragment
-// asks for — and the materialization behind sjoin pull (chunk, live-slot
-// mask) pairs from the partition's store scan, and work on typed columns
-// under the mask (a fold through ops.Fold, the one aggregation engine).
+// asks for — pulls (chunk, live-slot mask) pairs from the partition's store
+// scan, and works on typed columns under the mask (a fold through ops.Fold, the one aggregation engine).
 // Nothing here boxes a cell, keys a coordinate, or allocates per cell.
 
 import (

@@ -25,6 +25,22 @@ func gridSchema() *array.Schema {
 	}
 }
 
+// scan gathers the cells of name inside box (all of them under an empty box)
+// through Coordinator.Read.
+func scan(co *Coordinator, name string, box array.Box) (*array.Array, error) {
+	a, _, _, _, err := co.Read(context.Background(), name, ops.Fragment{Box: box})
+	return a, err
+}
+
+// aggregate folds agg of attr over the cells of name inside box, per
+// combination of groupDims (a grand total with none), through
+// Coordinator.Read.
+func aggregate(co *Coordinator, name string, box array.Box, agg, attr string, groupDims []string) (*array.Array, error) {
+	a, _, _, _, err := co.Read(context.Background(), name, ops.Fragment{Box: box,
+		Fold: &ops.FoldSpec{Dims: groupDims, Aggs: []ops.AggSpec{{Agg: agg, Attr: attr}}}})
+	return a, err
+}
+
 func loadGrid(t *testing.T, co *Coordinator, name string, n int64) {
 	t.Helper()
 	for i := int64(1); i <= n; i++ {
@@ -50,7 +66,7 @@ func TestDistributedAggregates(t *testing.T) {
 	all := array.NewBox(array.Coord{1, 1}, array.Coord{8, 8})
 
 	// Grand totals.
-	sum, err := co.Aggregate("sky", all, "sum", "flux", nil)
+	sum, err := aggregate(co, "sky", all, "sum", "flux", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,29 +74,29 @@ func TestDistributedAggregates(t *testing.T) {
 	if cell[0].AsFloat() != 576 { // sum over 8x8 of (i+j) = 2*8*36 = 576
 		t.Errorf("sum = %v, want 576", cell[0].AsFloat())
 	}
-	cnt, _ := co.Aggregate("sky", all, "count", "flux", nil)
+	cnt, _ := aggregate(co, "sky", all, "count", "flux", nil)
 	cell, _ = cnt.At(array.Coord{1})
 	if cell[0].Int != 64 {
 		t.Errorf("count = %v", cell[0])
 	}
-	avg, _ := co.Aggregate("sky", all, "avg", "flux", nil)
+	avg, _ := aggregate(co, "sky", all, "avg", "flux", nil)
 	cell, _ = avg.At(array.Coord{1})
 	if cell[0].AsFloat() != 9 {
 		t.Errorf("avg = %v, want 9", cell[0].AsFloat())
 	}
-	mn, _ := co.Aggregate("sky", all, "min", "flux", nil)
+	mn, _ := aggregate(co, "sky", all, "min", "flux", nil)
 	cell, _ = mn.At(array.Coord{1})
 	if cell[0].AsFloat() != 2 {
 		t.Errorf("min = %v, want 2", cell[0].AsFloat())
 	}
-	mx, _ := co.Aggregate("sky", all, "max", "flux", nil)
+	mx, _ := aggregate(co, "sky", all, "max", "flux", nil)
 	cell, _ = mx.At(array.Coord{1})
 	if cell[0].AsFloat() != 16 {
 		t.Errorf("max = %v, want 16", cell[0].AsFloat())
 	}
 
 	// Grouped: sum per x row = sum_j (i+j) = 8i + 36.
-	rows, err := co.Aggregate("sky", all, "sum", "flux", []string{"x"})
+	rows, err := aggregate(co, "sky", all, "sum", "flux", []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +107,7 @@ func TestDistributedAggregates(t *testing.T) {
 		}
 	}
 	// Box-restricted aggregate.
-	part, _ := co.Aggregate("sky", array.NewBox(array.Coord{1, 1}, array.Coord{1, 2}), "sum", "flux", nil)
+	part, _ := aggregate(co, "sky", array.NewBox(array.Coord{1, 1}, array.Coord{1, 2}), "sum", "flux", nil)
 	cell, _ = part.At(array.Coord{1})
 	if cell[0].AsFloat() != 5 { // (1+1)+(1+2)
 		t.Errorf("box sum = %v, want 5", cell[0].AsFloat())
@@ -112,14 +128,13 @@ func TestRepartitionMovesOnlyChangedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	noMove := co.BytesMoved()
-	co.ResetBytesMoved()
 
 	// Repartition along the other dimension: most cells move.
 	blockB := partition.Block{Nodes: 4, SplitDim: 1, High: 16}
 	if err := co.Repartition("sky", blockB); err != nil {
 		t.Fatal(err)
 	}
-	bigMove := co.BytesMoved()
+	bigMove := co.BytesMoved() - noMove
 	if bigMove <= noMove {
 		t.Errorf("cross-dim repartition moved %d bytes, same-scheme %d; expected strictly more", bigMove, noMove)
 	}
@@ -128,7 +143,7 @@ func TestRepartitionMovesOnlyChangedCells(t *testing.T) {
 	if err != nil || n != 256 {
 		t.Fatalf("Count after repartition = %d,%v", n, err)
 	}
-	res, _ := co.Scan("sky", array.NewBox(array.Coord{5, 5}, array.Coord{5, 5}))
+	res, _ := scan(co, "sky", array.NewBox(array.Coord{5, 5}, array.Coord{5, 5}))
 	cell, ok := res.At(array.Coord{5, 5})
 	if !ok || cell[0].Float != 10 {
 		t.Errorf("cell after repartition = %v,%v", cell, ok)
@@ -138,131 +153,47 @@ func TestRepartitionMovesOnlyChangedCells(t *testing.T) {
 	}
 }
 
-func TestCoPartitionedJoinNoMovement(t *testing.T) {
-	tr := NewLocal(4)
-	co := NewCoordinator(tr, 0)
-	scheme := partition.Block{Nodes: 4, SplitDim: 0, High: 32}
-	vec := func(name string) *array.Schema {
-		return &array.Schema{
-			Name:  name,
-			Dims:  []array.Dimension{{Name: "x", High: 32}},
-			Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}},
-		}
-	}
-	if err := co.Create("A", vec("A"), scheme); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Create("B", vec("B"), scheme); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 32; i++ {
-		_ = co.Put("A", array.Coord{i}, array.Cell{array.Int64(i)})
-		_ = co.Put("B", array.Coord{i}, array.Cell{array.Int64(i * 100)})
-	}
-	_ = co.Flush("A")
-	_ = co.Flush("B")
-	co.ResetBytesMoved()
-
-	res, err := co.Sjoin("A", "B", []string{"x"}, []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co.BytesMoved() != 0 {
-		t.Errorf("co-partitioned join moved %d bytes, want 0", co.BytesMoved())
-	}
-	if res.Count() != 32 {
-		t.Errorf("join cells = %d, want 32", res.Count())
-	}
-	cell, ok := res.At(array.Coord{7})
-	if !ok || cell[0].Int != 7 || cell[1].Int != 700 {
-		t.Errorf("join cell = %v,%v", cell, ok)
-	}
-}
-
-func TestNonCoPartitionedJoinMovesData(t *testing.T) {
-	tr := NewLocal(4)
-	co := NewCoordinator(tr, 0)
-	schemeA := partition.Block{Nodes: 4, SplitDim: 0, High: 32}
-	schemeB := partition.Hash{Nodes: 4, Dims: []int{0}, ChunkLen: 1}
-	vec := func(name string) *array.Schema {
-		return &array.Schema{
-			Name:  name,
-			Dims:  []array.Dimension{{Name: "x", High: 32}},
-			Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}},
-		}
-	}
-	_ = co.Create("A", vec("A"), schemeA)
-	_ = co.Create("B", vec("B"), schemeB)
-	for i := int64(1); i <= 32; i++ {
-		_ = co.Put("A", array.Coord{i}, array.Cell{array.Int64(i)})
-		_ = co.Put("B", array.Coord{i}, array.Cell{array.Int64(i * 100)})
-	}
-	_ = co.Flush("A")
-	_ = co.Flush("B")
-	co.ResetBytesMoved()
-
-	res, err := co.Sjoin("A", "B", []string{"x"}, []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co.BytesMoved() == 0 {
-		t.Error("non-co-partitioned join moved no bytes")
-	}
-	if res.Count() != 32 {
-		t.Errorf("join cells = %d, want 32", res.Count())
-	}
-}
-
-// requireSjoinMatchesGathered holds Coordinator.Sjoin of left and right to
-// ops.Sjoin over the two arrays gathered whole, and returns the bytes the
-// join moved.
-func requireSjoinMatchesGathered(t *testing.T, co *Coordinator, left, right string, onL, onR []string) int64 {
+// heldCoords lists, per node, the coordinates of the cells that node holds
+// of name, read from each node directly.
+func heldCoords(t *testing.T, tr Transport, co *Coordinator, name string) [][]string {
 	t.Helper()
-	l, err := co.Scan(left, array.Box{})
+	s, err := co.ArraySchema(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := co.Scan(right, array.Box{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := make([]ops.DimPair, len(onL))
-	for i := range onL {
-		pairs[i] = ops.DimPair{LDim: onL[i], RDim: onR[i]}
-	}
-	want, err := ops.Sjoin(l, r, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := co.BytesMoved()
-	got, err := co.Sjoin(left, right, onL, onR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != want.Count() || !reflect.DeepEqual(cellsOf(got), cellsOf(want)) {
-		t.Fatalf("Sjoin(%s, %s, %v = %v): %d cells, ops.Sjoin over the gathered arrays %d", left, right, onL, onR, got.Count(), want.Count())
-	}
-	return co.BytesMoved() - before
-}
-
-// TestSjoinMismatchedBlockHighs: two arrays block-partitioned on x by schemes
-// that differ only in High — as AQL CREATE makes them, each from its own
-// array's bounds — put equal x on different nodes, so they are not
-// co-located: the join repartitions the right array and matches every cell.
-func TestSjoinMismatchedBlockHighs(t *testing.T) {
-	co := NewCoordinator(NewLocal(3), 0)
-	vec := func(name string, high int64) *array.Schema {
-		return &array.Schema{Name: name, Dims: []array.Dimension{{Name: "x", High: high}},
-			Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}}}
-	}
-	for _, a := range []struct {
-		name string
-		high int64
-	}{{"A", 100}, {"B", 300}} {
-		if err := co.Create(a.name, vec(a.name, a.high), partition.Block{Nodes: 3, SplitDim: 0, High: a.high}); err != nil {
+	held := make([][]string, tr.NumNodes())
+	for n := range held {
+		resp, err := tr.Call(n, &Message{Op: "read", Array: name})
+		if err != nil {
 			t.Fatal(err)
 		}
-		for x := int64(1); x <= 100; x++ {
+		a, err := storage.DecodeChunks(partitionSchema(s), resp.Chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Iter(func(c array.Coord, _ array.Cell) bool {
+			held[n] = append(held[n], fmt.Sprint(c))
+			return true
+		})
+		slices.Sort(held[n])
+	}
+	return held
+}
+
+// loadVectors creates A and B, 1-D over x in 1..32, placed by schemeA and
+// schemeB, with a cell at every x.
+func loadVectors(t *testing.T, co *Coordinator, schemeA, schemeB partition.Scheme) {
+	t.Helper()
+	for _, a := range []struct {
+		name   string
+		scheme partition.Scheme
+	}{{"A", schemeA}, {"B", schemeB}} {
+		s := &array.Schema{Name: a.name, Dims: []array.Dimension{{Name: "x", High: 32}},
+			Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}}}
+		if err := co.Create(a.name, s, a.scheme); err != nil {
+			t.Fatal(err)
+		}
+		for x := int64(1); x <= 32; x++ {
 			if err := co.Put(a.name, array.Coord{x}, array.Cell{array.Int64(x)}); err != nil {
 				t.Fatal(err)
 			}
@@ -271,50 +202,49 @@ func TestSjoinMismatchedBlockHighs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if moved := requireSjoinMatchesGathered(t, co, "A", "B", []string{"x"}, []string{"x"}); moved == 0 {
-		t.Error("the join moved no bytes, so it ran on arrays that were not co-located")
+}
+
+// TestCoPartitionedJoinNoMovement: arrays placed by one scheme hold the
+// same coordinates on every node, so a join on them matches cells where
+// they lie, and nothing moves.
+func TestCoPartitionedJoinNoMovement(t *testing.T) {
+	tr := NewLocal(4)
+	co := NewCoordinator(tr, 0)
+	scheme := partition.Block{Nodes: 4, SplitDim: 0, High: 32}
+	loadVectors(t, co, scheme, scheme)
+	a, b := heldCoords(t, tr, co, "A"), heldCoords(t, tr, co, "B")
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("co-partitioned arrays hold different coordinates per node:\nA %v\nB %v", a, b)
 	}
-	if n, err := co.Count("B"); err != nil || n != 100 {
-		t.Fatalf("B holds %d cells after the repartition (%v), want 100", n, err)
+	for n, coords := range a {
+		if len(coords) != 8 {
+			t.Errorf("node %d holds %d cells of A, want 8", n, len(coords))
+		}
+	}
+	if co.BytesMoved() != 0 {
+		t.Errorf("co-partitioned arrays moved %d bytes, want 0", co.BytesMoved())
 	}
 }
 
-// TestSjoinUnpairedSplitDimension: two arrays placed by one block scheme on x
-// joined on y alone match cells on different nodes, and no placement of the
-// right array on x co-locates them: the join is answered from the gathered
-// arrays, and neither array is repartitioned.
-func TestSjoinUnpairedSplitDimension(t *testing.T) {
-	co := NewCoordinator(NewLocal(3), 0)
-	scheme := partition.Block{Nodes: 3, SplitDim: 0, High: 12}
-	for _, name := range []string{"L", "R"} {
-		s := &array.Schema{Name: name, Dims: []array.Dimension{{Name: "x", High: 12}, {Name: "y", High: 4}},
-			Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}}}
-		if err := co.Create(name, s, scheme); err != nil {
-			t.Fatal(err)
-		}
-		for x := int64(1); x <= 12; x++ {
-			for y := int64(1); y <= 4; y++ {
-				if (x+y)%3 == 0 && name == "R" {
-					continue
-				}
-				if err := co.Put(name, array.Coord{x, y}, array.Cell{array.Int64(10*x + y)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := co.Flush(name); err != nil {
-			t.Fatal(err)
-		}
+// TestNonCoPartitionedJoinMovesData: a hash-placed array holds other
+// coordinates per node than a block-placed one, and placing it by the block
+// scheme moves bytes — after which the two are co-located.
+func TestNonCoPartitionedJoinMovesData(t *testing.T) {
+	tr := NewLocal(4)
+	co := NewCoordinator(tr, 0)
+	block := partition.Block{Nodes: 4, SplitDim: 0, High: 32}
+	loadVectors(t, co, block, partition.Hash{Nodes: 4, Dims: []int{0}, ChunkLen: 1})
+	if reflect.DeepEqual(heldCoords(t, tr, co, "A"), heldCoords(t, tr, co, "B")) {
+		t.Fatal("hash- and block-placed arrays hold the same coordinates per node")
 	}
-	if moved := requireSjoinMatchesGathered(t, co, "L", "R", []string{"y"}, []string{"y"}); moved != 0 {
-		t.Errorf("a join answered from gathered arrays repartitioned %d bytes", moved)
+	if err := co.Repartition("B", block); err != nil {
+		t.Fatal(err)
 	}
-	// The split dimension paired with a dimension of another index does not
-	// co-locate either.
-	requireSjoinMatchesGathered(t, co, "L", "R", []string{"x"}, []string{"y"})
-	// Paired at the same index, it does: the join runs where the cells are.
-	if moved := requireSjoinMatchesGathered(t, co, "L", "R", []string{"x", "y"}, []string{"x", "y"}); moved != 0 {
-		t.Errorf("a co-located join moved %d bytes", moved)
+	if co.BytesMoved() == 0 {
+		t.Error("aligning a hash-placed array moved no bytes")
+	}
+	if a, b := heldCoords(t, tr, co, "A"), heldCoords(t, tr, co, "B"); !reflect.DeepEqual(a, b) {
+		t.Errorf("after the repartition the arrays hold different coordinates per node:\nA %v\nB %v", a, b)
 	}
 }
 
@@ -327,7 +257,7 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := co.Count("ghost"); err == nil {
 		t.Error("count of unknown array accepted")
 	}
-	if _, err := co.Scan("ghost", array.NewBox(array.Coord{1}, array.Coord{1})); err == nil {
+	if _, err := scan(co, "ghost", array.NewBox(array.Coord{1}, array.Coord{1})); err == nil {
 		t.Error("scan of unknown array accepted")
 	}
 	s := gridSchema()
@@ -394,7 +324,7 @@ func TestTCPTransport(t *testing.T) {
 	if err != nil || n != 16 {
 		t.Fatalf("Count over TCP = %d,%v", n, err)
 	}
-	agg, err := co.Aggregate("tcp_arr", array.NewBox(array.Coord{1}, array.Coord{16}), "sum", "v", nil)
+	agg, err := aggregate(co, "tcp_arr", array.NewBox(array.Coord{1}, array.Coord{16}), "sum", "v", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,24 +354,14 @@ func TestWorkerOpErrors(t *testing.T) {
 			t.Errorf("%s on unknown array accepted", op)
 		}
 	}
-	// sjoin argument validation
 	s := gridSchema()
 	if _, err := tr.Call(0, &Message{Op: "create", Array: "a", Schema: s}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Call(0, &Message{Op: "create", Array: "b", Schema: s}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Call(0, &Message{Op: "sjoin", Array: "a", Array2: "b"}); err == nil {
-		t.Error("sjoin without pairs accepted")
-	}
-	if _, err := tr.Call(0, &Message{Op: "sjoin", Array: "a", Array2: "ghost", OnL: []string{"x"}, OnR: []string{"x"}}); err == nil {
-		t.Error("sjoin with unknown right array accepted")
-	}
 	// the read ops "read" replaced are gone, as are "stats" (NodeStats reads
-	// "metrics") and "replicachunk" (the rebalancer sends "loadchunks"): no
-	// alias answers for them
-	for _, op := range []string{"scan", "agg", "count", "stats", "replicachunk"} {
+	// "metrics"), "replicachunk" (the rebalancer sends "loadchunks") and the
+	// node-local "sjoin" (core joins what it reads): no alias answers for them
+	for _, op := range []string{"scan", "agg", "count", "stats", "replicachunk", "sjoin"} {
 		if _, err := tr.Call(0, &Message{Op: op, Array: "a"}); err == nil || !strings.Contains(err.Error(), "unknown op") {
 			t.Errorf("%s on a held array: %v, want unknown op", op, err)
 		}
@@ -631,7 +551,7 @@ func TestEpochSchemeOnCluster(t *testing.T) {
 		t.Error("epoch boundary had no placement effect for site 5")
 	}
 	// And the data is still all queryable.
-	agg, err := co.Aggregate("ts", array.NewBox(array.Coord{1, 1}, array.Coord{100, 10}), "count", "v", nil)
+	agg, err := aggregate(co, "ts", array.NewBox(array.Coord{1, 1}, array.Coord{100, 10}), "count", "v", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,6 +561,9 @@ func TestEpochSchemeOnCluster(t *testing.T) {
 	}
 }
 
+// TestSjoinOverTCP: co-partitioned arrays loaded over TCP hold the same
+// coordinates on every node, as read back over the wire, so a join matches
+// cells where they lie; nothing moves.
 func TestSjoinOverTCP(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
@@ -658,31 +581,14 @@ func TestSjoinOverTCP(t *testing.T) {
 	}
 	defer tr.Close()
 	co := NewCoordinator(tr, 0)
-	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 8}
-	vec := func(name string) *array.Schema {
-		return &array.Schema{
-			Name:  name,
-			Dims:  []array.Dimension{{Name: "x", High: 8}},
-			Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}},
-		}
-	}
-	_ = co.Create("L", vec("L"), scheme)
-	_ = co.Create("R", vec("R"), scheme)
-	for i := int64(1); i <= 8; i++ {
-		_ = co.Put("L", array.Coord{i}, array.Cell{array.Int64(i)})
-		_ = co.Put("R", array.Coord{i}, array.Cell{array.Int64(i * 10)})
-	}
-	_ = co.Flush("L")
-	_ = co.Flush("R")
-	res, err := co.Sjoin("L", "R", []string{"x"}, []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count() != 8 {
-		t.Errorf("TCP sjoin cells = %d", res.Count())
+	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 32}
+	loadVectors(t, co, scheme, scheme)
+	l, r := heldCoords(t, tr, co, "A"), heldCoords(t, tr, co, "B")
+	if !reflect.DeepEqual(l, r) || len(l[0]) != 16 || len(l[1]) != 16 {
+		t.Errorf("co-partitioned arrays over TCP hold, per node:\nA %v\nB %v\nwant the same 16 coordinates each", l, r)
 	}
 	if co.BytesMoved() != 0 {
-		t.Errorf("co-partitioned TCP join moved %d bytes", co.BytesMoved())
+		t.Errorf("co-partitioned arrays over TCP moved %d bytes", co.BytesMoved())
 	}
 }
 
@@ -765,7 +671,7 @@ func TestBoxPruningSkipsNodes(t *testing.T) {
 		before[i] = w.Stats().Requests
 	}
 	// Box entirely inside node 0's slab (x in 1..4).
-	res, err := co.Scan("sky", array.NewBox(array.Coord{1, 1}, array.Coord{4, 16}))
+	res, err := scan(co, "sky", array.NewBox(array.Coord{1, 1}, array.Coord{4, 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,7 +688,7 @@ func TestBoxPruningSkipsNodes(t *testing.T) {
 		}
 	}
 	// Aggregates prune too, and agree with the full answer.
-	agg, err := co.Aggregate("sky", array.NewBox(array.Coord{1, 1}, array.Coord{4, 16}), "count", "flux", nil)
+	agg, err := aggregate(co, "sky", array.NewBox(array.Coord{1, 1}, array.Coord{4, 16}), "count", "flux", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -791,7 +697,7 @@ func TestBoxPruningSkipsNodes(t *testing.T) {
 		t.Errorf("pruned count = %v", cell[0])
 	}
 	// Cross-slab boxes still reach every needed node.
-	res, err = co.Scan("sky", array.NewBox(array.Coord{3, 1}, array.Coord{10, 16}))
+	res, err = scan(co, "sky", array.NewBox(array.Coord{3, 1}, array.Coord{10, 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -814,7 +720,7 @@ func TestExecStatsOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "sky", 16)
-	if _, err := co.Scan("sky", array.NewBox(array.Coord{1, 1}, array.Coord{16, 16})); err != nil {
+	if _, err := scan(co, "sky", array.NewBox(array.Coord{1, 1}, array.Coord{16, 16})); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := co.ExecStats()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -102,13 +103,13 @@ type conformanceResults struct {
 	count int64
 	scan  map[string]string
 	agg   map[string]string
-	sjoin map[string]string
+	preds map[string]string
 	errs  []string
 }
 
 // runConformanceScenario drives the full protocol over a transport:
-// create, staged puts, flush, box scan, grouped aggregate, co-partitioned
-// sjoin, and a set of must-fail calls.
+// create, staged puts, flush, box scan, grouped aggregate, a read under
+// predicates of a second array, and a set of must-fail calls.
 func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 	t.Helper()
 	co := NewCoordinator(tr, 0)
@@ -131,7 +132,7 @@ func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 	if err := co.Flush("conf"); err != nil {
 		t.Fatal(err)
 	}
-	// Second co-partitioned array for the join.
+	// A second array, read under a predicate.
 	vecSchema := &array.Schema{
 		Name:  "confR",
 		Dims:  []array.Dimension{{Name: "x", High: 12}, {Name: "y", High: 12}},
@@ -157,21 +158,22 @@ func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := co.Scan("conf", array.NewBox(array.Coord{2, 3}, array.Coord{9, 7}))
+	cells, err := scan(co, "conf", array.NewBox(array.Coord{2, 3}, array.Coord{9, 7}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.scan = cellsOf(scan)
-	agg, err := co.Aggregate("conf", array.NewBox(array.Coord{1, 1}, array.Coord{12, 12}), "sum", "v", []string{"x"})
+	res.scan = cellsOf(cells)
+	agg, err := aggregate(co, "conf", array.NewBox(array.Coord{1, 1}, array.Coord{12, 12}), "sum", "v", []string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.agg = cellsOf(agg)
-	join, err := co.Sjoin("conf", "confR", []string{"x", "y"}, []string{"x", "y"})
+	passed, _, _, _, err := co.Read(context.Background(), "confR", ops.Fragment{
+		Preds: []array.ZonePred{{Attr: 0, Op: ">", Val: array.Int64(3)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.sjoin = cellsOf(join)
+	res.preds = cellsOf(passed)
 
 	// Error propagation: the worker's message must cross every transport.
 	for _, bad := range []*Message{
@@ -203,6 +205,9 @@ func TestTransportConformance(t *testing.T) {
 	if len(ref.scan) != 8*5 {
 		t.Fatalf("reference scan cells = %d, want 40", len(ref.scan))
 	}
+	if len(ref.preds) != 36 { // w = x - y > 3
+		t.Fatalf("reference cells passing the predicate = %d, want 36", len(ref.preds))
+	}
 	for name, mk := range factories {
 		if name == "local" {
 			continue
@@ -217,7 +222,7 @@ func TestTransportConformance(t *testing.T) {
 			for field, pair := range map[string][2]map[string]string{
 				"scan":  {got.scan, ref.scan},
 				"agg":   {got.agg, ref.agg},
-				"sjoin": {got.sjoin, ref.sjoin},
+				"preds": {got.preds, ref.preds},
 			} {
 				if len(pair[0]) != len(pair[1]) {
 					t.Errorf("%s: %d cells, want %d", field, len(pair[0]), len(pair[1]))
@@ -281,7 +286,7 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 						return
 					}
 				case 1:
-					res, err := co.Scan("stress", array.NewBox(array.Coord{1, 1}, array.Coord{4, 4}))
+					res, err := scan(co, "stress", array.NewBox(array.Coord{1, 1}, array.Coord{4, 4}))
 					if err != nil {
 						errs <- err
 						return
@@ -291,7 +296,7 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 						return
 					}
 				default:
-					agg, err := co.Aggregate("stress", array.NewBox(array.Coord{1, 1}, array.Coord{16, 16}), "sum", "flux", nil)
+					agg, err := aggregate(co, "stress", array.NewBox(array.Coord{1, 1}, array.Coord{16, 16}), "sum", "flux", nil)
 					if err != nil {
 						errs <- err
 						return
@@ -468,7 +473,7 @@ func TestServerCodecOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "z", 16)
-	if _, err := co.Scan("z", array.NewBox(array.Coord{1, 1}, array.Coord{16, 16})); err != nil {
+	if _, err := scan(co, "z", array.NewBox(array.Coord{1, 1}, array.Coord{16, 16})); err != nil {
 		t.Fatal(err)
 	}
 	st := tr.TransportStats()

@@ -3,8 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"reflect"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,12 +63,6 @@ type Coordinator struct {
 	moveMu sync.Mutex
 	// readRR rotates replica reader choices so hot-chunk load spreads.
 	readRR atomic.Uint64
-
-	// Background rebalancer loop state (StartRebalancer/StopRebalancer).
-	rebMu   sync.Mutex
-	rebStop chan struct{}
-	rebDone chan struct{}
-	rebErr  error
 }
 
 // pendingChunk is one in-flight migration/replication target region.
@@ -89,18 +81,11 @@ func NewCoordinator(t Transport, batchCells int64) *Coordinator {
 }
 
 // BytesMoved reports cumulative inter-node data movement caused by
-// repartitioning and non-co-partitioned joins.
+// repartitioning: read it before and after to scope it.
 func (co *Coordinator) BytesMoved() int64 {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	return co.bytesMoved
-}
-
-// ResetBytesMoved zeroes the movement counter (per-experiment scoping).
-func (co *Coordinator) ResetBytesMoved() {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.bytesMoved = 0
 }
 
 // Create declares a distributed array on every node with the given
@@ -215,24 +200,21 @@ func (co *Coordinator) flushLocked(da *DistArray) error {
 }
 
 // gather is where the cells of one fan-out's responses meet. The parts are
-// disjoint — a plan has exactly one replica answer each routed chunk, a
-// join's outputs follow the left array's partitioning — so each merges in as
-// it arrives, whatever the order, and a grid-aligned chunk whose region no
-// other part has touched is adopted wholesale (MergeChunk) instead of
-// re-setting every cell through the coordinator's write path.
+// disjoint — a plan has exactly one replica answer each routed chunk — so
+// each merges in as it arrives, whatever the order, and a grid-aligned chunk
+// whose region no other part has touched is adopted wholesale (MergeChunk)
+// instead of re-setting every cell through the coordinator's write path.
 type gather struct {
-	// s is the schema the cells are under; nil takes the partition form of
-	// the responses' own (a join's output).
-	s   *array.Schema
+	s   *array.Schema // the schema the cells are under
 	mu  sync.Mutex
 	out *array.Array // nil until a part arrives
 }
 
-func (g *gather) add(s *array.Schema, chunks []*array.Chunk) (err error) {
+func (g *gather) add(chunks []*array.Chunk) (err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.out == nil {
-		if g.out, err = array.New(s.Clone()); err != nil {
+		if g.out, err = array.New(g.s.Clone()); err != nil {
 			return err
 		}
 	}
@@ -255,28 +237,19 @@ func (g *gather) array() (*array.Array, error) {
 // callInto is the per-response step of every gather: one transport call with
 // death bookkeeping, and the response's chunks — a fold's carries none —
 // decoded on the fan-out's own goroutine and merged into g, so one node's
-// cells are decoded and merged while slower nodes are still answering. A
-// response with a schema (a join's) sets the gathered array's even when it
-// carries no cell.
+// cells are decoded and merged while slower nodes are still answering.
 func (co *Coordinator) callInto(n int, req *Message, g *gather) (*Message, error) {
 	resp, err := co.callNode(n, req)
-	if err != nil || (len(resp.Chunks) == 0 && resp.Schema == nil) {
+	if err != nil || len(resp.Chunks) == 0 {
 		return resp, err
-	}
-	s := g.s
-	if s == nil {
-		if resp.Schema == nil {
-			return nil, fmt.Errorf("cluster: node %d answered %s with cells but no schema", n, req.Op)
-		}
-		s = partitionSchema(resp.Schema)
 	}
 	chunks := make([]*array.Chunk, len(resp.Chunks))
 	for i, payload := range resp.Chunks {
-		if chunks[i], err = storage.DecodeChunk(s, payload); err != nil {
+		if chunks[i], err = storage.DecodeChunk(g.s, payload); err != nil {
 			return nil, err
 		}
 	}
-	return resp, g.add(s, chunks)
+	return resp, g.add(chunks)
 }
 
 // graft attaches the workers' span trees to the coordinator-side span in the
@@ -372,19 +345,17 @@ func (co *Coordinator) Read(ctx context.Context, name string, frag ops.Fragment)
 	return a, cells, seen, skipped, err
 }
 
+// Count, ScanCtx, ScanPruned and AggregateCtx are Read under the shapes the
+// standing benchmark (bench/) calls; queries go through core, which calls
+// Read.
+
 // Count sums cell counts across nodes.
 func (co *Coordinator) Count(name string) (int64, error) {
 	_, n, _, _, err := co.Read(context.Background(), name, ops.Fragment{Fold: &ops.FoldSpec{}})
 	return n, err
 }
 
-// Scan gathers every cell intersecting the box into one local array.
-func (co *Coordinator) Scan(name string, box array.Box) (*array.Array, error) {
-	return co.ScanCtx(context.Background(), name, box)
-}
-
-// ScanCtx is Scan under a context: a traced query's span records the nodes
-// visited and payload bytes gathered, and adopts each worker's span tree.
+// ScanCtx gathers every cell intersecting the box into one local array.
 func (co *Coordinator) ScanCtx(ctx context.Context, name string, box array.Box) (*array.Array, error) {
 	a, _, err := co.ScanPruned(ctx, name, box, nil)
 	return a, err
@@ -398,13 +369,8 @@ func (co *Coordinator) ScanPruned(ctx context.Context, name string, box array.Bo
 	return a, skipped, err
 }
 
-// Aggregate folds one aggregate grouped on whole dimensions across the
+// AggregateCtx folds one aggregate grouped on whole dimensions across the
 // nodes: agg of attr per combination of groupDims, or a grand total with none.
-func (co *Coordinator) Aggregate(name string, box array.Box, agg, attr string, groupDims []string) (*array.Array, error) {
-	return co.AggregateCtx(context.Background(), name, box, agg, attr, groupDims)
-}
-
-// AggregateCtx is Aggregate under a context.
 func (co *Coordinator) AggregateCtx(ctx context.Context, name string, box array.Box, agg, attr string, groupDims []string) (*array.Array, error) {
 	a, _, _, _, err := co.Read(ctx, name, ops.Fragment{Box: box,
 		Fold: &ops.FoldSpec{Dims: groupDims, Aggs: []ops.AggSpec{{Agg: agg, Attr: attr}}}})
@@ -507,161 +473,6 @@ func (co *Coordinator) Repartition(name string, newScheme partition.Scheme) erro
 	// half-copied chunks are history.
 	delete(co.pending, name)
 	return nil
-}
-
-// Sjoin joins two distributed arrays on dimension pairs. When the arrays
-// are co-partitioned for the join (§2.7's co-partitioning research point) —
-// placed by equal schemes, every dimension of which the join pairs with the
-// right's dimension of the same index — the join runs node-locally with zero
-// data movement. When placing the right array by the left's scheme would make
-// them so, the right array is first repartitioned, and the moved bytes are
-// charged to BytesMoved. Otherwise the two arrays are gathered and joined on
-// the coordinator.
-func (co *Coordinator) Sjoin(left, right string, onL, onR []string) (*array.Array, error) {
-	return co.SjoinCtx(context.Background(), left, right, onL, onR)
-}
-
-// SjoinCtx is Sjoin under a context (traced queries adopt each worker's
-// span tree).
-func (co *Coordinator) SjoinCtx(ctx context.Context, left, right string, onL, onR []string) (*array.Array, error) {
-	pairs, err := dimPairs(onL, onR)
-	if err != nil {
-		return nil, err
-	}
-	co.mu.Lock()
-	la, err := co.dist(left)
-	if err != nil {
-		co.mu.Unlock()
-		return nil, err
-	}
-	ra, err := co.dist(right)
-	if err != nil {
-		co.mu.Unlock()
-		return nil, err
-	}
-	if err := co.flushLocked(la); err != nil {
-		co.mu.Unlock()
-		return nil, err
-	}
-	if err := co.flushLocked(ra); err != nil {
-		co.mu.Unlock()
-		return nil, err
-	}
-	// A join's node-local disjointness assumption breaks once chunks have
-	// been migrated or replicated off their base slabs; require callers to
-	// repartition (which folds the overrides back into a plain scheme)
-	// before joining.
-	for _, da := range []*DistArray{la, ra} {
-		if rt, ok := da.Scheme.(*partition.Routing); ok && len(rt.Overrides()) > 0 {
-			co.mu.Unlock()
-			return nil, fmt.Errorf("cluster: sjoin on %q: array has live routing overrides; repartition it first", da.Name)
-		}
-	}
-	lp, rp := basePlacement(la.Scheme), basePlacement(ra.Scheme)
-	local := placesPairsTogether(lp, la.Schema, ra.Schema, pairs)
-	coLocated := local && reflect.DeepEqual(lp, rp)
-	co.mu.Unlock()
-
-	switch {
-	case coLocated:
-	case local:
-		// Data movement is required: align the right array's partitioning
-		// with the left's.
-		if err := co.Repartition(right, lp); err != nil {
-			return nil, err
-		}
-	default:
-		// No placement of the right array puts the pairs on one node.
-		l, err := co.ScanCtx(ctx, left, array.Box{})
-		if err != nil {
-			return nil, err
-		}
-		r, err := co.ScanCtx(ctx, right, array.Box{})
-		if err != nil {
-			return nil, err
-		}
-		return ops.SjoinCtx(ctx, l, r, pairs)
-	}
-	// Node-local joins run concurrently (every worker owns a disjoint slice
-	// of the left array, so the join outputs are disjoint too) and gather
-	// as they arrive.
-	span := obs.SpanFromContext(ctx)
-	req := &Message{Op: "sjoin", Array: left, Array2: right, OnL: onL, OnR: onR, TraceID: span.TraceID()}
-	nodes := allNodes(co.t.NumNodes())
-	resps, g := make([]*Message, len(nodes)), &gather{}
-	if err := fanout(nodes, func(i, n int) (err error) {
-		resps[i], err = co.callInto(n, req, g)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	span.Add("nodes", int64(len(nodes)))
-	graft(span, resps)
-	return g.out, nil
-}
-
-// dimPairs pairs a join's left and right dimension names.
-func dimPairs(onL, onR []string) ([]ops.DimPair, error) {
-	if len(onL) != len(onR) || len(onL) == 0 {
-		return nil, fmt.Errorf("cluster: sjoin needs matching dimension pair lists")
-	}
-	pairs := make([]ops.DimPair, len(onL))
-	for i := range onL {
-		pairs[i] = ops.DimPair{LDim: onL[i], RDim: onR[i]}
-	}
-	return pairs, nil
-}
-
-// basePlacement is the scheme that places an array's cells: a routing
-// wrapper's base (a join refuses routed arrays with live overrides).
-func basePlacement(s partition.Scheme) partition.Scheme {
-	if rt, ok := s.(*partition.Routing); ok {
-		return rt.Base()
-	}
-	return s
-}
-
-// placementDims lists the dimensions a scheme reads to place a cell; ok is
-// false for a scheme whose placement it cannot name.
-func placementDims(s partition.Scheme) (dims []int, ok bool) {
-	switch s := s.(type) {
-	case partition.Block:
-		return []int{s.SplitDim}, true
-	case partition.Range:
-		return []int{s.SplitDim}, true
-	case partition.Hash:
-		return s.Dims, true
-	case partition.Epoch:
-		dims = []int{s.TimeDim}
-		for _, sub := range s.Schemes {
-			d, ok := placementDims(sub)
-			if !ok {
-				return nil, false
-			}
-			dims = append(dims, d...)
-		}
-		return dims, true
-	}
-	return nil, false
-}
-
-// placesPairsTogether reports whether scheme s, placing both arrays of a
-// join, puts every pair of cells the join matches on one node: each
-// dimension s reads is one the join pairs with the right's dimension of the
-// same index, so a matched pair agrees on everything s reads.
-func placesPairsTogether(s partition.Scheme, l, r *array.Schema, pairs []ops.DimPair) bool {
-	dims, ok := placementDims(s)
-	if !ok {
-		return false
-	}
-	for _, d := range dims {
-		if !slices.ContainsFunc(pairs, func(p ops.DimPair) bool {
-			return l.DimIndex(p.LDim) == d && r.DimIndex(p.RDim) == d
-		}) {
-			return false
-		}
-	}
-	return true
 }
 
 // CacheStats gathers every node's buffer-pool counters. With an in-process

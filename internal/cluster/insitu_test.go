@@ -151,11 +151,11 @@ func TestLoadChunksMatchesPut(t *testing.T) {
 	}
 
 	box := array.Box{Lo: lo, Hi: hi}
-	a, err := chunked.Scan("g", box)
+	a, err := scan(chunked, "g", box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := puts.Scan("g", box)
+	b, err := scan(puts, "g", box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func insituGrid(t *testing.T, path string) (*Local, *Coordinator) {
 
 func extSum(t *testing.T, co *Coordinator) float64 {
 	t.Helper()
-	agg, err := co.Aggregate("ext", array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{12, 6}}, "sum", "v", nil)
+	agg, err := aggregate(co, "ext", array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{12, 6}}, "sum", "v", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestRegisterInsituQueries(t *testing.T) {
 	}
 	// A box scan crossing the slab boundary (node 0 owns x 1..6).
 	box := array.Box{Lo: array.Coord{5, 2}, Hi: array.Coord{8, 4}}
-	got, err := co.Scan("ext", box)
+	got, err := scan(co, "ext", box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestInsituFileIsReadOnce(t *testing.T) {
 	if n, err := co.Count("ext"); err != nil || n != 72 {
 		t.Errorf("count after the file is gone = %d, %v; want 72", n, err)
 	}
-	got, err := co.Scan("ext", array.Box{Lo: array.Coord{5, 2}, Hi: array.Coord{8, 4}})
+	got, err := scan(co, "ext", array.Box{Lo: array.Coord{5, 2}, Hi: array.Coord{8, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +333,9 @@ func TestInsituFileIsReadOnce(t *testing.T) {
 	if got := extSum(t, co); got != sum {
 		t.Errorf("sum = %v; want %v", got, sum)
 	}
-	joined, err := co.Sjoin("ext", "ext", []string{"x", "y"}, []string{"x", "y"})
-	if err != nil || joined.Count() != 72 {
-		t.Fatalf("sjoin = %v cells, %v; want 72", joined, err)
+	whole, err := scan(co, "ext", array.Box{})
+	if err != nil || whole.Count() != 72 {
+		t.Fatalf("whole scan = %v cells, %v; want 72", whole, err)
 	}
 	if n := written(); n != filled {
 		t.Errorf("reads after the first wrote %d more buckets", n-filled)

@@ -87,9 +87,6 @@ func NewWorkerWithOptions(id int, opts WorkerOptions) *Worker {
 	return w
 }
 
-// CachePool exposes the worker's decoded-bucket pool (nil when uncached).
-func (w *Worker) CachePool() *bufcache.Pool { return w.cache }
-
 // CacheStats snapshots the worker's pool counters (zero value if uncached).
 func (w *Worker) CacheStats() bufcache.Stats {
 	if w.cache == nil {
@@ -205,27 +202,6 @@ func (w *Worker) partLocked(name string) (*storage.Store, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-// materializeLocked returns the partition's full content as a plain array
-// (the shape sjoin works over), its chunks adopted — by reference where a
-// chunk is live in full and nothing else contributes to its region,
-// column-wise otherwise. The result shares storage with the partition:
-// read-only, and valid only while the caller holds w.mu.
-func (w *Worker) materializeLocked(name string) (*array.Array, error) {
-	st, err := w.partLocked(name)
-	if err != nil {
-		return nil, err
-	}
-	s := st.Schema()
-	out, merge, err := liveMerger(s)
-	if err != nil {
-		return nil, err
-	}
-	_, err = foldChunks(st.ScanChunks(array.WholeBox(s), nil, nil), func(lc storage.LiveChunk) (struct{}, error) {
-		return struct{}{}, merge(lc.Chunk, lc.Live, lc.Alone && lc.Live == lc.Chunk.Present)
-	})
-	return out, err
 }
 
 // liveMerger returns an empty array on s's grid and the step that adds a

@@ -45,7 +45,7 @@ func checkClusterRoundTrip(t *testing.T, tr *Local, co *Coordinator) {
 	if n, err := co.Count("sky"); err != nil || n != 256 {
 		t.Fatalf("Count = %d,%v; want 256", n, err)
 	}
-	res, err := co.Scan("sky", array.NewBox(array.Coord{1, 1}, array.Coord{4, 4}))
+	res, err := scan(co, "sky", array.NewBox(array.Coord{1, 1}, array.Coord{4, 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func checkClusterRoundTrip(t *testing.T, tr *Local, co *Coordinator) {
 	}
 
 	// Distributed aggregate over the stores.
-	agg, err := co.Aggregate("sky", array.NewBox(array.Coord{1, 1}, array.Coord{16, 16}), "sum", "flux", nil)
+	agg, err := aggregate(co, "sky", array.NewBox(array.Coord{1, 1}, array.Coord{16, 16}), "sum", "flux", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,17 +66,17 @@ func checkClusterRoundTrip(t *testing.T, tr *Local, co *Coordinator) {
 		t.Errorf("sum = %v,%v; want 4352", cell, ok)
 	}
 
-	// Co-partitioned join runs node-locally over materialized stores.
+	// A second array gathers whole from every node's store.
 	if err := co.Create("sky2", gridSchema(), scheme); err != nil {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "sky2", 16)
-	joined, err := co.Sjoin("sky", "sky2", []string{"x", "y"}, []string{"x", "y"})
+	whole, err := scan(co, "sky2", array.Box{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if joined.Count() != 256 {
-		t.Errorf("join cells = %d, want 256", joined.Count())
+	if whole.Count() != 256 {
+		t.Errorf("whole scan cells = %d, want 256", whole.Count())
 	}
 
 	// Repartition exercises the replace path (store teardown + rebuild).
@@ -145,7 +145,7 @@ func TestClusterSharedPoolWarmScan(t *testing.T) {
 	}
 
 	box := array.NewBox(array.Coord{1, 1}, array.Coord{16, 16})
-	if _, err := co.Scan("sky", box); err != nil {
+	if _, err := scan(co, "sky", box); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := co.CacheStats()
@@ -160,7 +160,7 @@ func TestClusterSharedPoolWarmScan(t *testing.T) {
 		t.Errorf("nodes report different pools: %+v vs %+v", cold[0], cold[1])
 	}
 
-	if _, err := co.Scan("sky", box); err != nil {
+	if _, err := scan(co, "sky", box); err != nil {
 		t.Fatal(err)
 	}
 	warm, err := co.CacheStats()
@@ -246,7 +246,7 @@ func TestClusterScanPruned(t *testing.T) {
 	// skipped; the two survivors are filtered cell-by-cell.
 	box := array.NewBox(array.Coord{1, 1}, array.Coord{16, 16})
 	preds := []array.ZonePred{{Attr: 0, Op: ">", Val: array.Float64(24)}}
-	res, skipped, err := co.ScanPruned(context.Background(), "sky", box, preds)
+	res, _, _, skipped, err := co.Read(context.Background(), "sky", ops.Fragment{Box: box, Preds: preds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
 	}
 	g := &gather{s: grid}
 	for _, part := range parts {
-		if err := g.add(grid, part.Chunks()); err != nil {
+		if err := g.add(part.Chunks()); err != nil {
 			t.Fatal(err)
 		}
 		for _, ch := range part.Chunks() {
@@ -333,7 +333,7 @@ func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
 			}
 		}
 	}
-	got, err := co.Scan("line", array.Box{})
+	got, err := scan(co, "line", array.Box{})
 	if err != nil {
 		t.Fatal(err)
 	}

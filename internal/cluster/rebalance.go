@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"scidb/internal/array"
 	"scidb/internal/introspect"
@@ -446,55 +445,4 @@ func (co *Coordinator) moveChunk(da *DistArray, rt *partition.Routing, origin ar
 			BoxLo: cb.Lo, BoxHi: cb.Hi, Release: true})
 	}
 	return true, bytes, nil
-}
-
-// StartRebalancer runs RebalanceOnce for the named array every interval
-// until StopRebalancer (or Close). Round errors are remembered (see
-// RebalanceErr) but do not stop the loop — a dead node mid-round must not
-// kill the healer.
-func (co *Coordinator) StartRebalancer(name string, interval time.Duration, opts RebalanceOptions) {
-	co.rebMu.Lock()
-	defer co.rebMu.Unlock()
-	if co.rebStop != nil {
-		return // already running
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	co.rebStop, co.rebDone = stop, done
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				if _, _, err := co.RebalanceOnce(name, opts); err != nil {
-					co.rebMu.Lock()
-					co.rebErr = err
-					co.rebMu.Unlock()
-				}
-			}
-		}
-	}()
-}
-
-// StopRebalancer halts the background loop and waits for it to exit.
-func (co *Coordinator) StopRebalancer() {
-	co.rebMu.Lock()
-	stop, done := co.rebStop, co.rebDone
-	co.rebStop, co.rebDone = nil, nil
-	co.rebMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// RebalanceErr returns the most recent background round error, if any.
-func (co *Coordinator) RebalanceErr() error {
-	co.rebMu.Lock()
-	defer co.rebMu.Unlock()
-	return co.rebErr
 }

@@ -53,7 +53,7 @@ var skyBox = array.Box{Lo: array.Coord{1}, Hi: array.Coord{48}}
 // runs before and after chunks move.
 func verifySky(t *testing.T, co *Coordinator, box array.Box) {
 	t.Helper()
-	got, err := co.Scan("sky", box)
+	got, err := scan(co, "sky", box)
 	if err != nil {
 		t.Fatalf("scan %v: %v", box, err)
 	}
@@ -74,7 +74,7 @@ func verifySky(t *testing.T, co *Coordinator, box array.Box) {
 func heatUp(t *testing.T, co *Coordinator, rounds int) {
 	t.Helper()
 	for i := 0; i < rounds; i++ {
-		if _, err := co.Scan("sky", hotBox); err != nil {
+		if _, err := scan(co, "sky", hotBox); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestRebalanceMigratesHotChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumBefore, err := co.Aggregate("sky", skyBox, "sum", "v", nil)
+	sumBefore, err := aggregate(co, "sky", skyBox, "sum", "v", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRebalanceMigratesHotChunk(t *testing.T) {
 	if n, err := co.Count("sky"); err != nil || n != 48 {
 		t.Fatalf("count = %d, %v; want 48", n, err)
 	}
-	sumAfter, err := co.Aggregate("sky", skyBox, "sum", "v", nil)
+	sumAfter, err := aggregate(co, "sky", skyBox, "sum", "v", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRebalanceMigratesHotChunk(t *testing.T) {
 	if err := co.Flush("sky"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := co.Scan("sky", hotBox)
+	got, err := scan(co, "sky", hotBox)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestRebalanceReplicatesAndSurvivesNodeDeath(t *testing.T) {
 		t.Fatalf("DownNodes = %v; want [0]", down)
 	}
 	// ...but node 0's second, unreplicated chunk cannot be conjured up.
-	if _, err := co.Scan("sky", skyBox); err == nil || !strings.Contains(err.Error(), "no replica") {
+	if _, err := scan(co, "sky", skyBox); err == nil || !strings.Contains(err.Error(), "no replica") {
 		t.Fatalf("full scan with dead unreplicated chunk: %v; want a no-replica error", err)
 	}
 	// Revive and clear: the cluster heals back to full coverage.
@@ -292,7 +292,7 @@ func TestWriteFenceDuringMigration(t *testing.T) {
 	if err := co.Flush("sky"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := co.Scan("sky", hotBox)
+	got, err := scan(co, "sky", hotBox)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestConcurrentScansDuringRebalanceStress(t *testing.T) {
 				if i%4 == g%4 {
 					box = skyBox
 				}
-				got, err := co.Scan("sky", box)
+				got, err := scan(co, "sky", box)
 				if err != nil {
 					errc <- err
 					return

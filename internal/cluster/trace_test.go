@@ -26,8 +26,9 @@ func traceShape(root *obs.Span) []obs.SpanData {
 }
 
 // runTracedScenario loads a 9x9 block-partitioned grid plus a co-partitioned
-// sibling, then runs count, pruned scan, grouped aggregate, and sjoin under
-// one trace (each call inside its own child span). Returns the profile shape.
+// sibling, then runs count, pruned scan, grouped aggregate, and a read of the
+// sibling under a predicate under one trace (each call inside its own child
+// span). Returns the profile shape.
 func runTracedScenario(t *testing.T, tr Transport) []obs.SpanData {
 	t.Helper()
 	co := NewCoordinator(tr, 0)
@@ -68,17 +69,18 @@ func runTracedScenario(t *testing.T, tr Transport) []obs.SpanData {
 	// The box stays inside nodes 0-1, so the pruned fan-out (and therefore
 	// the profile tree) must show 2 grafted worker spans, not 3.
 	sp, cctx = obs.StartSpan(ctx, "scan")
-	if _, err := co.ScanCtx(cctx, "tleft", array.NewBox(array.Coord{1, 1}, array.Coord{5, 9})); err != nil {
+	if _, _, _, _, err := co.Read(cctx, "tleft", ops.Fragment{Box: array.NewBox(array.Coord{1, 1}, array.Coord{5, 9})}); err != nil {
 		t.Fatal(err)
 	}
 	sp.End()
 	sp, cctx = obs.StartSpan(ctx, "agg")
-	if _, err := co.AggregateCtx(cctx, "tleft", array.NewBox(array.Coord{1, 1}, array.Coord{9, 9}), "sum", "v", []string{"x"}); err != nil {
+	if _, _, _, _, err := co.Read(cctx, "tleft", ops.Fragment{Box: array.NewBox(array.Coord{1, 1}, array.Coord{9, 9}),
+		Fold: &ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "sum", Attr: "v"}}}}); err != nil {
 		t.Fatal(err)
 	}
 	sp.End()
-	sp, cctx = obs.StartSpan(ctx, "join")
-	if _, err := co.SjoinCtx(cctx, "tleft", "tright", []string{"x", "y"}, []string{"x", "y"}); err != nil {
+	sp, cctx = obs.StartSpan(ctx, "preds")
+	if _, _, _, _, err := co.Read(cctx, "tright", ops.Fragment{Preds: []array.ZonePred{{Attr: 0, Op: ">", Val: array.Float64(0)}}}); err != nil {
 		t.Fatal(err)
 	}
 	sp.End()
@@ -105,7 +107,7 @@ func TestTraceConformanceAcrossTransports(t *testing.T) {
 		}
 	}
 	if workers < 3+2+3+3 {
-		t.Fatalf("reference trace has %d worker spans; want at least 11 (3 count + 2 pruned scan + 3 agg + 3 sjoin)", workers)
+		t.Fatalf("reference trace has %d worker spans; want at least 11 (3 count + 2 pruned scan + 3 agg + 3 preds)", workers)
 	}
 	// A worker's root span says what its read did, not just that it read,
 	// and the counters keep their places: cells scanned and bytes shipped on
@@ -132,7 +134,7 @@ func TestTraceConformanceAcrossTransports(t *testing.T) {
 			t.Errorf("coordinator span %q has counters %v %v", s.Name, s.Keys, s.Vals)
 		}
 	}
-	if want := map[string]int{"read count": 3, "read cells": 2, "read fold": 3, "sjoin": 3}; !reflect.DeepEqual(roots, want) {
+	if want := map[string]int{"read count": 3, "read cells": 5, "read fold": 3}; !reflect.DeepEqual(roots, want) {
 		t.Errorf("worker root spans = %v, want %v", roots, want)
 	}
 	for name, mk := range factories {
@@ -166,15 +168,18 @@ func TestUntracedRequestsCarryNoSpans(t *testing.T) {
 // not know (the blocks are not self-delimiting, so an unknown one cannot be
 // skipped), bytes left after the last block, and the encodings from before
 // the fold spec and table replaced Agg/Attr/GroupDims/Partials in the fixed
-// prefix and from before Chunks replaced its Payload blob (no such peer was
-// ever deployed, so there is no shim for either).
+// prefix, from before Chunks replaced its Payload blob, and from before the
+// join fields (Array2, OnL, OnR) left the fixed prefix (no such peer is
+// deployed, and the wire version is bumped, so there is no shim for any).
 func TestWireStrictPresence(t *testing.T) {
 	plain := &Message{Op: "read", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{9}}
 	enc, err := encodeMessage(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = "04000000726561640100000061000000000000000000000000000000000000000000000000" +
+	const golden = "04000000726561640100000061000000000000000000000000" +
+		"01000000010000000000000001000000090000000000000000"
+	const withJoinFields = "04000000726561640100000061000000000000000000000000000000000000000000000000" +
 		"01000000010000000000000001000000090000000000000000"
 	const beforeChunks = "04000000726561640100000061000000000000000000000000000000000000000000000000" +
 		"0100000001000000000000000100000009000000000000000000000000"
@@ -191,7 +196,7 @@ func TestWireStrictPresence(t *testing.T) {
 		t.Fatalf("plain message decoded with trace fields: %+v", got)
 	}
 
-	for name, body := range map[string]string{"pre-fold": beforeFolds, "pre-chunks": beforeChunks} {
+	for name, body := range map[string]string{"pre-fold": beforeFolds, "pre-chunks": beforeChunks, "join-field": withJoinFields} {
 		old, _ := hex.DecodeString(body)
 		if m, err := decodeMessage(old); err == nil {
 			t.Errorf("the %s wire body decoded: %+v", name, m)

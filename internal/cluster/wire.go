@@ -89,10 +89,7 @@ func encodeMessage(m *Message) ([]byte, error) {
 func writeMessage(w *storage.FieldWriter, m *Message) error {
 	w.String(m.Op)
 	w.String(m.Array)
-	w.String(m.Array2)
 	w.String(m.Err)
-	w.Strings(m.OnL)
-	w.Strings(m.OnR)
 	w.I64(m.Cells)
 	w.I64s(m.BoxLo)
 	w.I64s(m.BoxHi)
@@ -236,10 +233,7 @@ func decodeMessage(data []byte) (*Message, error) {
 	m := &Message{}
 	m.Op = r.String()
 	m.Array = r.String()
-	m.Array2 = r.String()
 	m.Err = r.String()
-	m.OnL = r.Strings()
-	m.OnR = r.Strings()
 	m.Cells = r.I64()
 	m.BoxLo = r.I64s()
 	m.BoxHi = r.I64s()

@@ -15,14 +15,11 @@ import (
 
 func wireTestMessage() *Message {
 	return &Message{
-		Op:     "sjoin",
-		Array:  "left",
-		Array2: "right",
-		Err:    "",
+		Op:    "read",
+		Array: "left",
+		Err:   "",
 		Fold: &ops.FoldSpec{Dims: []string{"x", "y"}, Strides: []int64{2, 3},
 			Aggs: []ops.AggSpec{{Agg: "sum", Attr: "flux"}, {Agg: "stdev", Attr: "flux", As: "sd"}}},
-		OnL:   []string{"x"},
-		OnR:   []string{"x"},
 		Cells: 42,
 		BoxLo: []int64{1, 2},
 		BoxHi: []int64{16, 32},

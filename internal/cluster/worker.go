@@ -1,10 +1,10 @@
 // Package cluster implements §2.7's grid orientation: a shared-nothing
 // cluster of worker nodes coordinated over a message transport. Workers
 // hold array partitions; the coordinator routes cells by a partitioning
-// scheme, pushes aggregates down as combinable partials, executes
-// co-partitioned joins locally without data movement, and repartitions
-// arrays when the scheme changes over time (counting bytes moved, the PART
-// and COPART experiments' metric).
+// scheme, pushes fragments (box, predicates, aggregates as combinable
+// partials) down to where the cells are, and repartitions arrays when the
+// scheme changes over time (counting bytes moved, the PART and COPART
+// experiments' metric).
 //
 // Two transports are provided: in-process (direct calls) and TCP with a
 // multiplexed binary wire protocol — length-prefixed frames tagged with a
@@ -35,7 +35,7 @@ import (
 
 // Message is the single request/response envelope exchanged with workers.
 type Message struct {
-	Op     string // "create", "put", "read", "sjoin", "drop", "ping", "metrics", ...
+	Op     string // "create", "put", "read", "drop", "ping", "metrics", ...
 	Array  string
 	Schema *array.Schema
 	// BoxLo/BoxHi, Preds and Fold are a "read" request's ops.Fragment: the
@@ -50,10 +50,6 @@ type Message struct {
 	Table *ops.FoldTable
 	Cells int64
 	Err   string
-	// Join fields: join req.Array with Array2 on OnL[i] = OnR[i].
-	Array2 string
-	OnL    []string
-	OnR    []string
 	// TraceID, when nonzero on a request, asks the worker to trace its
 	// execution; the response echoes it and carries the worker-side span
 	// tree in Spans for the coordinator to graft into the query profile.
@@ -71,7 +67,7 @@ type Message struct {
 	Skipped int64
 	Seen    int64
 	// Chunks carries cells, one storage.EncodeChunk payload per chunk: a
-	// "put" or "replace" request's, a "read" or "sjoin" response's, a
+	// "put" or "replace" request's, a "read" response's, a
 	// "migratechunks" export, and a "loadchunks" batch, whose payloads the
 	// worker adopts as buckets verbatim instead of re-ingesting cell by cell.
 	// Rides the second presence byte.
@@ -115,7 +111,7 @@ type Worker struct {
 	cache *bufcache.Pool
 
 	// mu guards the partition maps and their content: ops that change a
-	// partition take it exclusively, the read ops (read, sjoin) share it, so
+	// partition take it exclusively, the read op shares it, so
 	// statements pipelined onto one node run side by side.
 	mu     sync.RWMutex
 	stores map[string]*storage.Store
@@ -230,21 +226,19 @@ func (w *Worker) Registry() *obs.Registry { return w.reg }
 func (w *Worker) Handle(req *Message) *Message {
 	w.stats.requests.Add(1)
 	start := time.Now()
-	ctx := context.Background()
 	var root *obs.Span
 	slow := w.slowThreshold()
 	if req.TraceID != 0 || slow > 0 {
 		tr := obs.NewTrace(spanName(req))
 		root = tr.Root()
 		root.SetNode(w.ID)
-		ctx = obs.ContextWithSpan(ctx, root)
 	}
 	var before WorkerStats
 	var cacheBefore bufcache.Stats
 	if root != nil {
 		before, cacheBefore = w.Stats(), w.CacheStats()
 	}
-	resp, err := w.handle(ctx, req)
+	resp, err := w.handle(req)
 	if err != nil {
 		resp = &Message{Op: req.Op, Err: err.Error()}
 	} else if resp == nil {
@@ -286,7 +280,7 @@ func spanName(req *Message) string {
 	return "read fold"
 }
 
-func (w *Worker) handle(ctx context.Context, req *Message) (*Message, error) {
+func (w *Worker) handle(req *Message) (*Message, error) {
 	switch req.Op {
 	case "ping":
 		return &Message{Op: "ping"}, nil
@@ -308,8 +302,6 @@ func (w *Worker) handle(ctx context.Context, req *Message) (*Message, error) {
 		return w.drop(req)
 	case "replace":
 		return w.replace(req)
-	case "sjoin":
-		return w.sjoin(ctx, req)
 	case "heat":
 		return w.heatOp(req)
 	case "migratechunks":
@@ -342,36 +334,6 @@ func (w *Worker) replace(req *Message) (*Message, error) {
 		return nil, err
 	}
 	return w.putLocked(req, st, in)
-}
-
-// sjoin runs a local structured join between two partitions held on this
-// node (the co-partitioned fast path: "comparison operations including
-// joins do not require data movement").
-func (w *Worker) sjoin(ctx context.Context, req *Message) (*Message, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	a, err := w.materializeLocked(req.Array)
-	if err != nil {
-		return nil, err
-	}
-	b, err := w.materializeLocked(req.Array2)
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := dimPairs(req.OnL, req.OnR)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ops.SjoinCtx(ctx, a, b, pairs)
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := storage.EncodeChunks(res.Schema, res.Chunks())
-	if err != nil {
-		return nil, err
-	}
-	w.stats.bytesOut.Add(payloadBytes(chunks))
-	return &Message{Op: "sjoin", Chunks: chunks, Schema: res.Schema, Cells: res.Count()}, nil
 }
 
 func (w *Worker) create(req *Message) (*Message, error) {

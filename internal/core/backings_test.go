@@ -239,6 +239,9 @@ func TestOneStatementFourBackings(t *testing.T) {
 		"aggregate(E, {}, sum(v))",
 		"aggregate(E, {x}, max(v) as m)",
 		"regrid(E, [2, 3], avg(v))",
+		"sjoin(D, E, D.x = E.x and D.y = E.y)", // an empty side
+		"sjoin(D, D, D.x = D.x and D.y = D.y)", // a grid array with itself, across the node split
+		"sjoin(D, D, D.y = D.y)",               // a pair that is not the split dimension
 	} {
 		sameOnFourBackings(t, dbs, stmt)
 	}

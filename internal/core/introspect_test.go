@@ -12,6 +12,7 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/cluster"
 	"scidb/internal/introspect"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 	"scidb/internal/udf"
 )
@@ -230,7 +231,7 @@ func TestSysChunksTracksRoutingDuringRebalance(t *testing.T) {
 		defer wg.Done()
 		for round := 0; round < 4; round++ {
 			for i := 0; i < 10; i++ {
-				if _, err := co.Scan("sky", hot); err != nil {
+				if _, _, _, _, err := co.Read(context.Background(), "sky", ops.Fragment{Box: hot}); err != nil {
 					t.Error(err)
 					return
 				}

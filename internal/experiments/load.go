@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"scidb/internal/insitu"
 	"scidb/internal/loader"
 	"scidb/internal/obs"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 )
 
@@ -228,11 +230,12 @@ func init() {
 			fmt.Fprintf(w, "speedup vs cell-at-a-time: %.2fx   chunks shipped: %d\n",
 				ratio(cellDur, parDur), shipped)
 
-			cellScan, err := coCell.Scan("grid_cell", box)
+			ctx := context.Background()
+			cellScan, _, _, _, err := coCell.Read(ctx, "grid_cell", ops.Fragment{Box: box})
 			if err != nil {
 				return err
 			}
-			parScan, err := co.Scan("grid_par", box)
+			parScan, _, _, _, err := co.Read(ctx, "grid_par", ops.Fragment{Box: box})
 			if err != nil {
 				return err
 			}
@@ -252,7 +255,7 @@ func init() {
 			}
 			regDur := time.Since(start)
 			start = time.Now()
-			n, err := co.Count("grid_insitu")
+			_, n, _, _, err := co.Read(ctx, "grid_insitu", ops.Fragment{Fold: &ops.FoldSpec{}})
 			if err != nil {
 				return err
 			}
@@ -265,7 +268,7 @@ func init() {
 			for i := range filled {
 				filled[i] = storedAfter[i].BucketsWritten - storedBefore[i].BucketsWritten
 			}
-			insituScan, err := co.Scan("grid_insitu", box)
+			insituScan, _, _, _, err := co.Read(ctx, "grid_insitu", ops.Fragment{Box: box})
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +11,7 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/cluster"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 )
 
@@ -118,7 +120,7 @@ func skewWorkload(co *cluster.Coordinator, high int64, clients, opsPer int) (ske
 					box = array.Box{Lo: array.Coord{ci + 1}, Hi: array.Coord{ci + 8}}
 				}
 				t0 := time.Now()
-				got, err := co.Scan("skew", box)
+				got, _, _, _, err := co.Read(context.Background(), "skew", ops.Fragment{Box: box})
 				mine = append(mine, time.Since(t0))
 				if err != nil {
 					errs <- err
@@ -224,8 +226,10 @@ func init() {
 			if err := co.Flush("skew"); err != nil {
 				return err
 			}
-			full := array.Box{Lo: array.Coord{1}, Hi: array.Coord{high}}
-			refSum, err := co.Aggregate("skew", full, "sum", "v", nil)
+			ctx := context.Background()
+			sumV := ops.Fragment{Box: array.Box{Lo: array.Coord{1}, Hi: array.Coord{high}},
+				Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "v"}}}}
+			refSum, _, _, _, err := co.Read(ctx, "skew", sumV)
 			if err != nil {
 				return err
 			}
@@ -275,7 +279,7 @@ func init() {
 			// Bit-identity across placements: the full scan content was
 			// verified cell-by-cell inside both workloads; the aggregate
 			// must not drift either.
-			sum, err := co.Aggregate("skew", full, "sum", "v", nil)
+			sum, _, _, _, err := co.Read(ctx, "skew", sumV)
 			if err != nil {
 				return err
 			}
@@ -283,7 +287,7 @@ func init() {
 			if cell[0].AsFloat() != refCell[0].AsFloat() {
 				return fmt.Errorf("skew: aggregate drifted across rebalancing: %v -> %v", refCell[0], cell[0])
 			}
-			if n, err := co.Count("skew"); err != nil || n != high {
+			if _, n, _, _, err := co.Read(ctx, "skew", ops.Fragment{Fold: &ops.FoldSpec{}}); err != nil || n != high {
 				return fmt.Errorf("skew: count = %d, %v; want %d", n, err, high)
 			}
 			fmt.Fprintf(w, "bit-identity: scan cells verified per-op, sum %v and count %d unchanged\n", cell[0], high)
@@ -293,7 +297,7 @@ func init() {
 			stops[0]()
 			hot := array.Box{Lo: array.Coord{1}, Hi: array.Coord{8}}
 			for i := 0; i < 5; i++ {
-				got, err := co.Scan("skew", hot)
+				got, _, _, _, err := co.Read(ctx, "skew", ops.Fragment{Box: hot})
 				if err != nil {
 					return fmt.Errorf("skew: hot scan after node kill: %w", err)
 				}

@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"scidb/internal/cluster"
 	"scidb/internal/exec"
 	"scidb/internal/insitu"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
@@ -162,7 +164,7 @@ func TestLoadParallelIntoCluster(t *testing.T) {
 	if err != nil || n != src.Count() {
 		t.Fatalf("cluster count = %d, %v; want %d", n, err, src.Count())
 	}
-	got, err := co.Scan("grid", box)
+	got, _, _, _, err := co.Read(context.Background(), "grid", ops.Fragment{Box: box})
 	if err != nil {
 		t.Fatal(err)
 	}

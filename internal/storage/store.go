@@ -138,8 +138,6 @@ type Options struct {
 	// Stride is the bucket stride per dimension ("rectangular buckets,
 	// defined by a stride in each dimension"). Zero entries default to 64.
 	Stride []int64
-	// MaxBucketBytes caps merged bucket size. Zero means 1 MiB.
-	MaxBucketBytes int64
 	// Cache is an optional shared buffer pool for decoded bucket sections:
 	// reads of a cached section skip both the disk read and the decode.
 	// Several stores may share one pool; each registers its own id.
@@ -205,6 +203,10 @@ type Store struct {
 	mergeDone chan struct{}
 }
 
+// maxBucketBytes caps a merged bucket's size: two buckets merge only if
+// their bytes together stay within it.
+const maxBucketBytes = 1 << 20
+
 // NewStore creates a storage manager for the schema.
 func NewStore(schema *array.Schema, opts Options) (*Store, error) {
 	if opts.Codec == nil {
@@ -212,9 +214,6 @@ func NewStore(schema *array.Schema, opts Options) (*Store, error) {
 	}
 	if opts.MemLimit <= 0 {
 		opts.MemLimit = 4 << 20
-	}
-	if opts.MaxBucketBytes <= 0 {
-		opts.MaxBucketBytes = 1 << 20
 	}
 	stride := make([]int64, len(schema.Dims))
 	for i := range stride {
@@ -621,7 +620,7 @@ func (s *Store) MergeOnce() (bool, error) {
 		mi := s.buckets[entries[i].ID]
 		for j := i + 1; j < len(entries); j++ {
 			mj := s.buckets[entries[j].ID]
-			if mi.bytes+mj.bytes > s.opts.MaxBucketBytes {
+			if mi.bytes+mj.bytes > maxBucketBytes {
 				continue
 			}
 			u := mi.box.Union(mj.box)

@@ -48,8 +48,8 @@ const (
 
 	// version pins the hello, frame and body layouts; bump on incompatible
 	// change. 2: the hello of this package, and Message.Payload folded into
-	// Chunks.
-	version = 2
+	// Chunks. 3: the cluster message header without the join fields.
+	version = 3
 
 	// MaxHello bounds a hello payload, and a rejection's text, in either
 	// direction.
