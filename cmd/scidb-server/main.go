@@ -8,7 +8,7 @@
 //
 //	scidb-server -listen 127.0.0.1:7101 -id 0
 //	scidb-server -listen 127.0.0.1:7101 -id 0 -data-dir /var/scidb -cache-bytes 268435456 -readahead 4
-//	scidb-server -listen 127.0.0.1:7101 -id 0 -parallelism 8 -wire-compress gzip -call-timeout 30s
+//	scidb-server -listen 127.0.0.1:7101 -id 0 -parallelism 8 -call-timeout 30s
 //	scidb-server -listen 127.0.0.1:7101 -id 0 -metrics-addr 127.0.0.1:9101 -slow-query 250ms
 //	scidb-server -listen 127.0.0.1:7101 -slots 8 -queue-depth 64 -idle-timeout 5m -drain-timeout 30s
 package main
@@ -36,9 +36,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "bucket directory root (empty: in-memory buckets)")
 	cacheBytes := flag.Int64("cache-bytes", bufcache.DefaultBudget, "decoded-bucket buffer pool budget (0 disables)")
 	readahead := flag.Int("readahead", 0, "scan prefetch depth: buckets loaded ahead of a scan (0 disables)")
-	heatHalfLife := flag.Duration("heat-half-life", 0, "decay half-life of the per-chunk access-heat tracker the rebalancer polls (0 = 30s default)")
 	parallelism := flag.Int("parallelism", 0, "chunk-parallel worker bound (1 = serial, 0 = NumCPU)")
-	wireCompress := flag.String("wire-compress", "", "response-frame codec (none|rle|delta|gzip|auto; empty mirrors each client)")
 	callTimeout := flag.Duration("call-timeout", 0, "per-connection I/O deadline for hello reads and response writes (0 = none)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof on this address (empty disables)")
 	slowQuery := flag.Duration("slow-query", 0, "log the profile tree of requests slower than this (0 disables)")
@@ -57,7 +55,7 @@ func main() {
 		os.Exit(1)
 	}
 	w := cluster.NewWorkerWithOptions(*id, cluster.WorkerOptions{Dir: *dataDir, CacheBytes: *cacheBytes,
-		Readahead: *readahead, HeatHalfLife: *heatHalfLife})
+		Readahead: *readahead})
 	if *slowQuery > 0 {
 		w.SetSlowQuery(*slowQuery, os.Stderr)
 	}
@@ -67,15 +65,10 @@ func main() {
 		IdleTimeout: *idleTimeout,
 		Registry:    w.Registry(),
 	})
-	srv, err := cluster.NewServer(w, cluster.ServeOptions{
-		Codec:     *wireCompress,
+	srv, _ := cluster.NewServer(w, cluster.ServeOptions{
 		IOTimeout: *callTimeout,
 		Session:   sess.ServeConn,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "server:", err)
-		os.Exit(1)
-	}
 	var metricsSrv interface{ Close() error }
 	if *metricsAddr != "" {
 		obs.RegisterProcessMetrics(w.Registry())
@@ -88,13 +81,9 @@ func main() {
 		metricsSrv = ms
 		fmt.Printf("scidb-server node %d metrics on http://%s/metrics (pprof under /debug/pprof/)\n", *id, *metricsAddr)
 	}
-	codec := *wireCompress
-	if codec == "" {
-		codec = "mirror-client"
-	}
 	fmt.Printf("scidb-server %s\n", introspect.Build())
-	fmt.Printf("scidb-server node %d listening on %s, store-backed partitions (cache %d bytes, readahead %d), parallelism %d, wire codec %s\n",
-		*id, ln.Addr(), *cacheBytes, *readahead, exec.Parallelism(), codec)
+	fmt.Printf("scidb-server node %d listening on %s, store-backed partitions (cache %d bytes, readahead %d), parallelism %d\n",
+		*id, ln.Addr(), *cacheBytes, *readahead, exec.Parallelism())
 	fmt.Printf("scidb-server sessions: %d slots, queue depth %d, idle timeout %v\n",
 		*slots, *queueDepth, *idleTimeout)
 	introspect.Emit(introspect.EvServerStart, *id, "",

@@ -76,9 +76,9 @@ func transportFactories(t *testing.T) map[string]func(t *testing.T) (Transport, 
 			}
 			return tr, func() { _ = tr.Close(); stop() }
 		},
-		"tcp-compressed": func(t *testing.T) (Transport, func()) {
+		"tcp-one-conn": func(t *testing.T) (Transport, func()) {
 			addrs, stop := startWireServers(t, 3, ServeOptions{})
-			tr, err := DialTCPOptions(addrs, DialOptions{Codec: "gzip", Conns: 1, CallTimeout: 30 * time.Second})
+			tr, err := DialTCPOptions(addrs, DialOptions{Conns: 1, CallTimeout: 30 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -455,33 +455,6 @@ func TestCallTimeout(t *testing.T) {
 	// will also time out here, proving the conn was not torn down).
 	if _, err := tr.Call(0, &Message{Op: "ping"}); err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Errorf("second call = %v, want timeout (conn alive)", err)
-	}
-}
-
-// TestServerCodecOverride pins the negotiation direction: a server with a
-// configured codec answers with it even when the client sent none.
-func TestServerCodecOverride(t *testing.T) {
-	addrs, stop := startWireServers(t, 1, ServeOptions{Codec: "gzip"})
-	defer stop()
-	tr, err := DialTCPOptions(addrs, DialOptions{Conns: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	co := NewCoordinator(tr, 0)
-	if err := co.Create("z", gridSchema(), partition.Block{Nodes: 1, SplitDim: 0, High: 64}); err != nil {
-		t.Fatal(err)
-	}
-	loadGrid(t, co, "z", 16)
-	if _, err := scan(co, "z", array.NewBox(array.Coord{1, 1}, array.Coord{16, 16})); err != nil {
-		t.Fatal(err)
-	}
-	st := tr.TransportStats()
-	if st.CompressedIn == 0 {
-		t.Errorf("no compressed response frames despite server override: %+v", st)
-	}
-	if st.CompressedOut != 0 {
-		t.Errorf("client compressed %d frames without a codec", st.CompressedOut)
 	}
 }
 

@@ -619,10 +619,14 @@ func (co *Coordinator) ArraySchema(name string) (*array.Schema, error) {
 // LoadChunks ships a batch of pre-encoded chunk payloads straight to their
 // owning node — the parallel bulk loader's fast path. Unlike Put it holds no
 // coordinator state, so concurrent calls from loader shards pipeline freely
-// over the transport.
+// over the transport. Cells Put before it and still staged ship first, so
+// the batch lands after them, in the order the writes were acknowledged.
 func (co *Coordinator) LoadChunks(name string, node int, payloads [][]byte, cells int64) error {
 	co.mu.Lock()
 	da, err := co.dist(name)
+	if err == nil && da.staged > 0 {
+		err = co.flushLocked(da)
+	}
 	if err == nil {
 		da.writeSeq++ // any in-flight migration copy must re-copy
 	}

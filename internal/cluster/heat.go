@@ -28,7 +28,7 @@ type HeatSample struct {
 }
 
 // defaultHeatHalfLife is how long a chunk's score takes to halve with no
-// further touches when WorkerOptions leaves it unset.
+// further touches on a worker.
 const defaultHeatHalfLife = 30 * time.Second
 
 // heatTracker accumulates exponentially-decayed per-chunk access scores.
@@ -51,9 +51,6 @@ type heatEntry struct {
 }
 
 func newHeatTracker(halfLife time.Duration) *heatTracker {
-	if halfLife <= 0 {
-		halfLife = defaultHeatHalfLife
-	}
 	return &heatTracker{halfLife: halfLife, now: time.Now, entries: map[string]*heatEntry{}}
 }
 

@@ -171,6 +171,40 @@ func TestLoadChunksMatchesPut(t *testing.T) {
 	})
 }
 
+// TestPutThenLoadChunksReadsLoaded: writes apply in the order they were
+// acknowledged. A cell Put and still staged on the coordinator is older than
+// a chunk batch loaded after it, so after the flush reads return the loaded
+// value.
+func TestPutThenLoadChunksReadsLoaded(t *testing.T) {
+	schema := loadTestSchema()
+	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 16}
+	co := NewCoordinator(NewLocalWithOptions(2, LocalOptions{Stride: []int64{4, 4}}), 0)
+	if err := co.Create("g", schema, scheme); err != nil {
+		t.Fatal(err)
+	}
+	c := array.Coord{2, 3}
+	if err := co.Put("g", c, array.Cell{array.Float64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	payloads, cells := buildChunkPayloads(t, schema, scheme, func(array.Coord) (array.Cell, bool) {
+		return array.Cell{array.Float64(2)}, true
+	})
+	n := scheme.NodeFor(c)
+	if err := co.LoadChunks("g", n, payloads[n], cells[n]); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Flush("g"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := scan(co, "g", array.Box{Lo: c, Hi: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := a.At(c); !ok || got[0].Float != 2 {
+		t.Errorf("cell %v = %v, %v after Put 1 then LoadChunks 2; want 2", c, got, ok)
+	}
+}
+
 func extSchema() *array.Schema {
 	return &array.Schema{
 		Name: "ext",

@@ -3,7 +3,6 @@ package cluster
 import (
 	"path/filepath"
 	"sync"
-	"time"
 
 	"scidb/internal/array"
 	"scidb/internal/bufcache"
@@ -34,11 +33,6 @@ type WorkerOptions struct {
 	// store: how many upcoming buckets a scan loads into the pool ahead of
 	// its read position. Zero disables readahead.
 	Readahead int
-	// HeatHalfLife is the decay half-life of the node's per-chunk access
-	// heat tracker (scidb-server -heat-half-life). Zero means the 30s
-	// default; heat is always tracked — the tracker is cheap and the
-	// rebalancer needs it.
-	HeatHalfLife time.Duration
 }
 
 // NewWorkerWithOptions creates a worker with configured partition backing.
@@ -48,7 +42,7 @@ func NewWorkerWithOptions(id int, opts WorkerOptions) *Worker {
 		opts:   opts,
 		stores: map[string]*storage.Store{},
 		fills:  map[string]*insitu.FillOnce{},
-		heat:   newHeatTracker(opts.HeatHalfLife),
+		heat:   newHeatTracker(defaultHeatHalfLife),
 
 		routeVersion: map[string]int64{},
 	}

@@ -89,13 +89,14 @@ func (co *Coordinator) EnableRouting(name string, stride []int64) (*partition.Ro
 	return rt, nil
 }
 
+// minHeat is the score floor below which a chunk is not worth moving: at
+// least one recent touch.
+const minHeat = 1.0
+
 // RebalanceOptions tunes one rebalancing round.
 type RebalanceOptions struct {
 	// TopK bounds how many hot chunks one round acts on (0 = 4).
 	TopK int
-	// MinHeat is the score floor below which a chunk is not worth moving
-	// (0 = 1.0 — at least one recent touch).
-	MinHeat float64
 	// Replicas is the target copy count for a hot chunk: 1 (default)
 	// migrates it to the least-loaded node, k > 1 replicates it onto the
 	// k-1 least-loaded non-holders.
@@ -109,9 +110,6 @@ func (co *Coordinator) RebalanceOnce(name string, opts RebalanceOptions) (moved,
 	rebCounters()
 	if opts.TopK <= 0 {
 		opts.TopK = 4
-	}
-	if opts.MinHeat <= 0 {
-		opts.MinHeat = 1.0
 	}
 	if opts.Replicas <= 0 {
 		opts.Replicas = 1
@@ -179,7 +177,7 @@ func (co *Coordinator) RebalanceOnce(name string, opts RebalanceOptions) (moved,
 	}
 	ranked := make([]*hot, 0, len(scores))
 	for _, h := range scores {
-		if h.score >= opts.MinHeat {
+		if h.score >= minHeat {
 			ranked = append(ranked, h)
 		}
 	}

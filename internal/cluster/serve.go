@@ -10,16 +10,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scidb/internal/compress"
 	"scidb/internal/obs"
 	"scidb/internal/wire"
 )
 
 // ServeOptions tunes a worker server.
 type ServeOptions struct {
-	// Codec overrides the response-direction compression codec. Empty
-	// mirrors whatever codec each client announced in its hello.
-	Codec string
 	// IOTimeout bounds the hello read and each response-frame write, so a
 	// stalled peer cannot wedge a connection goroutine forever. Zero
 	// means no deadlines.
@@ -55,13 +51,10 @@ type Server struct {
 	wireConns atomic.Int64
 }
 
-// NewServer wraps a worker. The codec override is validated here so a
-// misconfigured server fails at startup, not per connection. The server's
-// wire counters register into the worker's metrics registry.
+// NewServer wraps a worker; its wire counters register into the worker's
+// metrics registry. The error is always nil: the result stays only for
+// callers that destructure it (ROADMAP item 1).
 func NewServer(w *Worker, opts ServeOptions) (*Server, error) {
-	if _, err := codecByName(opts.Codec); err != nil {
-		return nil, err
-	}
 	s := &Server{w: w, opts: opts, conns: map[net.Conn]struct{}{}}
 	w.reg.RegisterFunc("scidb_transport", "Server-side wire protocol counters.", obs.KindGauge,
 		func(emit func(obs.Sample)) {
@@ -177,33 +170,22 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// serveWire handles one framed-protocol connection: hello negotiation,
-// then a read loop that hands each frame to its own goroutine. The worker
-// serializes what it must under its own lock; everything else — decode,
-// execution of read-mostly ops, encode, compression — overlaps across the
+// serveWire handles one framed-protocol connection: the hello (empty both
+// ways), then a read loop that hands each frame to its own goroutine. The
+// worker serializes what it must under its own lock; everything else —
+// decode, execution of read-mostly ops, encode — overlaps across the
 // pipelined requests.
 func (s *Server) serveWire(conn net.Conn, br *bufio.Reader) {
-	var reqCodec, respCodec compress.Codec
-	if err := wire.Accept(conn, br, wire.ClusterMagic, func(hello []byte) (_ []byte, err error) {
-		if reqCodec, err = codecByName(string(hello)); err != nil {
-			return nil, err
-		}
-		name := s.opts.Codec
-		if name == "" {
-			name = string(hello)
-		}
-		respCodec, err = codecByName(name)
-		return []byte(name), err
-	}); err != nil {
+	if wire.Accept(conn, br, wire.ClusterMagic, func([]byte) ([]byte, error) { return nil, nil }) != nil {
 		return
 	}
 	if s.opts.IOTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Time{})
 	}
 	s.wireConns.Add(1)
-	wr := wire.NewWriter(conn, respCodec, s.opts.IOTimeout, &s.stats)
+	wr := wire.NewWriter(conn, s.opts.IOTimeout, &s.stats)
 	for {
-		id, raw, err := wire.ReadBody(br, wire.MaxFrameBody, reqCodec, &s.stats)
+		id, raw, err := wire.ReadFrame(br, wire.MaxFrameBody, &s.stats)
 		if err != nil || !s.beginReq() {
 			return
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scidb/internal/bufcache"
-	"scidb/internal/compress"
 	"scidb/internal/wire"
 )
 
@@ -141,10 +140,6 @@ type DialOptions struct {
 	// Conns is the per-node connection pool size. Calls round-robin over
 	// the pool; every connection pipelines independently. Default 2.
 	Conns int
-	// Codec names an internal/compress codec used to compress outgoing
-	// frame bodies above a size threshold ("" or "none" disables). The
-	// server mirrors it for responses unless configured otherwise.
-	Codec string
 	// DialTimeout bounds connecting plus the hello exchange per
 	// connection. Zero means no deadline.
 	DialTimeout time.Duration
@@ -169,26 +164,18 @@ func DialTCP(addrs []string) (*TCP, error) {
 }
 
 // DialTCPOptions connects to each address; node i is addrs[i]. The hello
-// names the codec requests are compressed with; the server's reply names the
-// one its responses are.
+// is empty both ways.
 func DialTCPOptions(addrs []string, opts DialOptions) (*TCP, error) {
 	if opts.Conns <= 0 {
 		opts.Conns = 2
 	}
-	if opts.Codec == "" {
-		opts.Codec = "none"
-	}
-	reqCodec, err := codecByName(opts.Codec)
-	if err != nil {
-		return nil, err
-	}
 	t := &TCP{rr: make([]atomic.Uint64, len(addrs))}
-	wo := wire.Options{DialTimeout: opts.DialTimeout, CallTimeout: opts.CallTimeout, Codec: reqCodec, Stats: &t.stats}
-	respCodec := func(reply []byte) (compress.Codec, error) { return codecByName(string(reply)) }
+	wo := wire.Options{DialTimeout: opts.DialTimeout, CallTimeout: opts.CallTimeout, Stats: &t.stats}
+	accept := func([]byte) error { return nil }
 	for _, addr := range addrs {
 		var conns []*wire.Conn
 		for len(conns) < opts.Conns {
-			c, err := wire.Dial(addr, wire.ClusterMagic, []byte(opts.Codec), wo, respCodec)
+			c, err := wire.Dial(addr, wire.ClusterMagic, nil, wo, accept)
 			if err != nil {
 				t.nodes = append(t.nodes, conns)
 				_ = t.Close()

@@ -9,21 +9,11 @@ import (
 	"fmt"
 
 	"scidb/internal/array"
-	"scidb/internal/compress"
 	"scidb/internal/obs"
 	"scidb/internal/ops"
 	"scidb/internal/storage"
 	"scidb/internal/wire"
 )
-
-// codecByName resolves a negotiated codec name; "" and "none" mean no
-// compression (nil codec).
-func codecByName(name string) (compress.Codec, error) {
-	if name == "" || name == "none" {
-		return nil, nil
-	}
-	return compress.ByName(name)
-}
 
 // Message presence bits for the optional fields; each set bit is followed,
 // in bit order, by its block. Bits 1 and 4 are unassigned. decodeMessage rejects

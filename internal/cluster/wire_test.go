@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"net"
 	"reflect"
 	"testing"
 
 	"scidb/internal/array"
-	"scidb/internal/compress"
 	"scidb/internal/obs"
 	"scidb/internal/ops"
 	"scidb/internal/wire"
@@ -118,65 +116,25 @@ func TestMessageCodecRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip: a frame comes back with its id, flags and body, and a
+// TestFrameRoundTrip: a frame comes back with its id and body, and a
 // length prefix above the reader's limit is refused.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := bytes.Repeat([]byte("scidb"), 100)
-	if err := wire.WriteFrame(&buf, 77, wire.FlagCompressed, body); err != nil {
+	if err := wire.WriteFrame(&buf, 77, body); err != nil {
 		t.Fatal(err)
 	}
-	id, flags, got, err := wire.ReadFrame(&buf, wire.MaxFrameBody)
+	id, got, err := wire.ReadFrame(&buf, wire.MaxFrameBody, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 77 || flags != wire.FlagCompressed || !bytes.Equal(got, body) {
-		t.Errorf("frame round trip: id=%d flags=%d len=%d", id, flags, len(got))
+	if id != 77 || !bytes.Equal(got, body) {
+		t.Errorf("frame round trip: id=%d len=%d", id, len(got))
 	}
-	if err := wire.WriteFrame(&buf, 1, 0, body); err != nil {
+	if err := wire.WriteFrame(&buf, 1, body); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := wire.ReadFrame(&buf, uint32(len(body)-1)); err == nil {
+	if _, _, err := wire.ReadFrame(&buf, uint32(len(body)-1), nil); err == nil {
 		t.Error("oversized frame accepted")
-	}
-}
-
-// TestFrameBodyCompression: a Writer compresses only bodies its codec
-// shrinks and that are worth it, ReadBody undoes it, and a compressed frame
-// on a direction without a codec is refused.
-func TestFrameBodyCompression(t *testing.T) {
-	codec, err := compress.ByName("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, big := []byte("tiny"), bytes.Repeat([]byte("abcdefgh"), 4096)
-	client, server := net.Pipe()
-	defer client.Close()
-	go func() {
-		defer server.Close()
-		packed, raw := wire.NewWriter(server, codec, 0, nil), wire.NewWriter(server, nil, 0, nil)
-		for _, f := range []struct {
-			w    *wire.Writer
-			body []byte
-		}{{packed, small}, {packed, big}, {packed, big}, {packed, big}, {raw, big}} {
-			if f.w.Write(1, f.body) != nil {
-				return
-			}
-		}
-	}()
-	if _, flags, body, err := wire.ReadFrame(client, wire.MaxFrameBody); err != nil || flags != 0 || !bytes.Equal(body, small) {
-		t.Errorf("small body: flags=%d, %v; want it sent raw", flags, err)
-	}
-	if _, flags, body, err := wire.ReadFrame(client, wire.MaxFrameBody); err != nil || flags&wire.FlagCompressed == 0 || len(body) >= len(big) {
-		t.Errorf("compressible body: flags=%d, %d bytes, %v; want it compressed", flags, len(body), err)
-	}
-	if _, body, err := wire.ReadBody(client, wire.MaxFrameBody, codec, nil); err != nil || !bytes.Equal(body, big) {
-		t.Errorf("compression round trip: %d bytes, %v", len(body), err)
-	}
-	if _, _, err := wire.ReadBody(client, wire.MaxFrameBody, nil, nil); err == nil {
-		t.Error("compressed frame accepted on an uncompressed connection")
-	}
-	if _, flags, body, err := wire.ReadFrame(client, wire.MaxFrameBody); err != nil || flags != 0 || !bytes.Equal(body, big) {
-		t.Errorf("no codec: flags=%d, %v; want the body untouched", flags, err)
 	}
 }

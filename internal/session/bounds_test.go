@@ -19,7 +19,7 @@ import (
 // prefix claims n bytes; payload is what follows it.
 func helloBytes(magic uint32, n uint32, payload []byte) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, magic)
-	b = append(b, 3) // the version wire speaks
+	b = append(b, 4) // the version wire speaks
 	b = binary.LittleEndian.AppendUint32(b, n)
 	return append(b, payload...)
 }
@@ -45,7 +45,7 @@ func TestPreAuthReadsBounded(t *testing.T) {
 	const claim = 1 << 30
 	hello := encodeHello("bounds", "", Interactive)
 	frame := binary.LittleEndian.AppendUint32(nil, claim)
-	frame = append(frame, make([]byte, 9)...) // request id and flags
+	frame = append(frame, make([]byte, 8)...) // request id
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for name, sent := range map[string][]byte{
@@ -90,7 +90,7 @@ func TestShutdownClosesStalledReader(t *testing.T) {
 	if _, err := conn.Write(helloBytes(wire.SessionMagic, uint32(len(hello)), hello)); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, 1, 0, body); err != nil {
+	if err := wire.WriteFrame(conn, 1, body); err != nil {
 		t.Fatal(err)
 	}
 	// The statement is blocked writing once its response frame is sized.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scidb/internal/array"
-	"scidb/internal/compress"
 	"scidb/internal/parser"
 	"scidb/internal/storage"
 	"scidb/internal/wire"
@@ -53,10 +52,10 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	}
 	c := &Client{opts: opts}
 	conn, err := wire.Dial(addr, wire.SessionMagic, encodeHello(opts.Name, opts.Namespace, opts.Priority),
-		wire.Options{DialTimeout: opts.DialTimeout}, func(reply []byte) (compress.Codec, error) {
+		wire.Options{DialTimeout: opts.DialTimeout}, func(reply []byte) error {
 			r := storage.NewFieldReaderBytes(reply)
 			c.sid = r.U64()
-			return nil, r.Err()
+			return r.Err()
 		})
 	if err != nil {
 		return nil, err

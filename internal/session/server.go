@@ -184,7 +184,7 @@ func (s *Server) ServeConn(conn net.Conn, br *bufio.Reader) {
 			pri:      pr,
 			conn:     conn,
 			br:       br,
-			w:        wire.NewWriter(conn, nil, 0, nil),
+			w:        wire.NewWriter(conn, 0, nil),
 			exec:     core.NewExecutor(db),
 			cursors:  map[uint64]*cursor{},
 			inflight: map[uint64]context.CancelFunc{},
@@ -296,7 +296,7 @@ func (ss *serverSession) loop() {
 		if t := ss.srv.opts.IdleTimeout; t > 0 {
 			_ = ss.conn.SetReadDeadline(time.Now().Add(t))
 		}
-		reqID, body, err := wire.ReadBody(ss.br, maxRequestBody, nil, nil)
+		reqID, body, err := wire.ReadFrame(ss.br, maxRequestBody, nil)
 		if err != nil {
 			return
 		}

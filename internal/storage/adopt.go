@@ -22,8 +22,10 @@ import (
 // not save the manifest — callers finish a load with Flush, which does.
 //
 // Overlap with existing data is safe: an adopted bucket is newer than every
-// prior bucket, and Scan/Get resolve duplicates newest-first with absent
-// cells falling through to older buckets.
+// prior write, and Scan/Get resolve duplicates newest-first with absent
+// cells falling through to older buckets. Reads consult the memory buffer
+// ahead of every bucket, so a non-empty buffer is spilled to buckets first;
+// a load into an empty buffer pays nothing for it.
 func (s *Store) AdoptEncoded(raw []byte, ch *array.Chunk) error {
 	if ch == nil {
 		return fmt.Errorf("storage: AdoptEncoded: nil chunk")
@@ -47,6 +49,11 @@ func (s *Store) AdoptEncoded(raw []byte, ch *array.Chunk) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.memBytes > 0 {
+		if err := s.flushLocked(); err != nil {
+			return err
+		}
+	}
 	id, err := s.installLocked(raw, ch, zones)
 	if err != nil {
 		return err

@@ -149,3 +149,48 @@ func TestAdoptEncodedShadowsOlderBuckets(t *testing.T) {
 		t.Fatalf("cell outside adopted box changed: got %v, want -2", cell[0].Float)
 	}
 }
+
+// TestAdoptAfterBufferedPutWins: writes apply in the order they were
+// acknowledged. A cell still in the memory buffer is older than a bucket
+// adopted after it, so the adopted value is what Get and Scan return; a
+// buffered cell outside the adopted chunk survives, and an adopt into an
+// empty buffer flushes nothing.
+func TestAdoptAfterBufferedPutWins(t *testing.T) {
+	s := schema2D(32)
+	st, err := NewStore(s, Options{Stride: []int64{8, 8}, Codec: compress.None{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	raw, dec := encodedChunk(t, s, array.Coord{9, 9}, 0)
+	if err := st.AdoptEncoded(raw, dec); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().Flushes; got != 0 {
+		t.Errorf("adopt into an empty buffer flushed %d times, want 0", got)
+	}
+	for c, v := range map[[2]int64]float64{{2, 2}: 1, {20, 20}: -2} {
+		if err := st.Put(array.Coord{c[0], c[1]}, array.Cell{array.Float64(v), array.String64("old")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, dec = encodedChunk(t, s, array.Coord{1, 1}, 0)
+	if err := st.AdoptEncoded(raw, dec); err != nil {
+		t.Fatal(err)
+	}
+	if cell, ok, err := st.Get(array.Coord{2, 2}); err != nil || !ok || cell[0].Float != 2 {
+		t.Errorf("Get(2,2) = %v, %v, %v; want the adopted 2", cell, ok, err)
+	}
+	if cell, ok, err := st.Get(array.Coord{20, 20}); err != nil || !ok || cell[0].Float != -2 {
+		t.Errorf("Get(20,20) = %v, %v, %v; want the buffered -2", cell, ok, err)
+	}
+	err = st.Scan(array.NewBox(array.Coord{2, 2}, array.Coord{2, 2}), func(_ array.Coord, cell array.Cell) bool {
+		if cell[0].Float != 2 {
+			t.Errorf("Scan(2,2) = %v, want the adopted 2", cell[0].Float)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

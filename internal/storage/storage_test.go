@@ -467,43 +467,6 @@ func TestStoreManifestMissingBucketRejected(t *testing.T) {
 	}
 }
 
-func TestBackgroundMerger(t *testing.T) {
-	s := schema2D(32)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fragment into several buckets.
-	for k := int64(0); k < 4; k++ {
-		_ = st.Put(array.Coord{k*8 + 1, 1}, array.Cell{array.Float64(float64(k)), array.String64("")})
-		_ = st.Flush()
-	}
-	if st.NumBuckets() != 4 {
-		t.Fatalf("buckets = %d", st.NumBuckets())
-	}
-	st.StartMerger(time.Millisecond)
-	st.StartMerger(time.Millisecond) // second start is a no-op
-	deadline := time.Now().Add(2 * time.Second)
-	for st.NumBuckets() > 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	st.StopMerger()
-	st.StopMerger() // idempotent
-	if st.NumBuckets() != 1 {
-		t.Fatalf("background merger left %d buckets", st.NumBuckets())
-	}
-	// Data intact.
-	for k := int64(0); k < 4; k++ {
-		cell, ok, err := st.Get(array.Coord{k*8 + 1, 1})
-		if err != nil || !ok || cell[0].Float != float64(k) {
-			t.Errorf("k=%d: %v,%v,%v", k, cell, ok, err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The store's running count of buffered bytes must equal the buffer's
 // ByteSize after every write — that equality is what keeps the flush points
 // where the per-Put walk of the buffer used to put them. Strings of varying

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"scidb/internal/array"
 	"scidb/internal/bufcache"
@@ -178,7 +177,7 @@ type bucketMeta struct {
 // buffer in an in-memory chunked array; when the buffer exceeds the memory
 // limit it is cut into stride-aligned rectangular buckets, compressed, and
 // written out. An R-tree indexes bucket bounding boxes. MergeOnce combines
-// small adjacent buckets (the background thread's unit of work).
+// two small adjacent buckets when called.
 type Store struct {
 	schema *array.Schema
 	opts   Options
@@ -198,9 +197,6 @@ type Store struct {
 	buckets  map[int64]*bucketMeta
 	nextID   int64
 	stats    statCounters
-
-	mergeStop chan struct{}
-	mergeDone chan struct{}
 }
 
 // maxBucketBytes caps a merged bucket's size: two buckets merge only if
@@ -607,9 +603,9 @@ func (s *Store) Get(c array.Coord) (array.Cell, bool, error) {
 	return nil, false, nil
 }
 
-// MergeOnce performs one unit of background-merge work: it finds the best
-// pair of small buckets whose boxes can combine without exceeding the size
-// cap and merges them. It reports whether a merge happened.
+// MergeOnce performs one merge step: it finds the best pair of small buckets
+// whose boxes can combine without exceeding the size cap and merges them. It
+// reports whether a merge happened.
 func (s *Store) MergeOnce() (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -692,49 +688,9 @@ func (s *Store) MergeOnce() (bool, error) {
 	return true, nil
 }
 
-// StartMerger runs MergeOnce on a background goroutine every interval, in
-// the style of Vertica's tuple mover. Stop with StopMerger.
-func (s *Store) StartMerger(interval time.Duration) {
-	s.mu.Lock()
-	if s.mergeStop != nil {
-		s.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.mergeStop, s.mergeDone = stop, done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				_, _ = s.MergeOnce()
-			}
-		}
-	}()
-}
-
-// StopMerger stops the background merger and waits for it to exit.
-func (s *Store) StopMerger() {
-	s.mu.Lock()
-	stop, done := s.mergeStop, s.mergeDone
-	s.mergeStop, s.mergeDone = nil, nil
-	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// Close flushes, stops background work, and releases this store's buffer
-// pool entries (freeing budget for other stores sharing the pool).
+// Close flushes and releases this store's buffer pool entries (freeing
+// budget for other stores sharing the pool).
 func (s *Store) Close() error {
-	s.StopMerger()
 	err := s.Flush()
 	if s.cache != nil {
 		s.cache.InvalidateStore(s.cacheID)

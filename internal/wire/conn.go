@@ -7,8 +7,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"scidb/internal/compress"
 )
 
 var (
@@ -28,8 +26,6 @@ type Options struct {
 	// id: its late response is dropped, and the connection and its other
 	// calls carry on. Zero means no deadline.
 	CallTimeout time.Duration
-	// Codec compresses request bodies; nil sends them raw.
-	Codec compress.Codec
 	// Stats, when not nil, counts the connection's calls and frames.
 	Stats *Counters
 }
@@ -57,10 +53,9 @@ type result struct {
 }
 
 // Dial connects to addr, sends the hello — magic and payload — and hands the
-// server's reply payload to accept, which rejects it with an error or
-// returns the codec the server compresses responses with (nil: none). Then
+// server's reply payload to accept, which may reject it with an error. Then
 // it starts the connection's reader.
-func Dial(addr string, magic uint32, payload []byte, opts Options, accept func(reply []byte) (compress.Codec, error)) (*Conn, error) {
+func Dial(addr string, magic uint32, payload []byte, opts Options, accept func(reply []byte) error) (*Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, err
@@ -70,9 +65,8 @@ func Dial(addr string, magic uint32, payload []byte, opts Options, accept func(r
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	reply, err := hello(conn, br, magic, payload)
-	var codec compress.Codec
 	if err == nil {
-		codec, err = accept(reply)
+		err = accept(reply)
 	}
 	if err != nil {
 		_ = conn.Close()
@@ -81,21 +75,21 @@ func Dial(addr string, magic uint32, payload []byte, opts Options, accept func(r
 	_ = conn.SetDeadline(time.Time{})
 	c := &Conn{
 		conn:    conn,
-		w:       NewWriter(conn, opts.Codec, 0, opts.Stats),
+		w:       NewWriter(conn, 0, opts.Stats),
 		timeout: opts.CallTimeout,
 		stats:   opts.Stats,
 		pending: map[uint64]chan result{},
 	}
-	go c.readLoop(br, codec)
+	go c.readLoop(br)
 	return c, nil
 }
 
 // readLoop hands each response to the call waiting on its id; a response
 // whose call timed out has none and is dropped. The first read error fails
 // the connection.
-func (c *Conn) readLoop(br *bufio.Reader, codec compress.Codec) {
+func (c *Conn) readLoop(br *bufio.Reader) {
 	for {
-		id, body, err := ReadBody(br, MaxFrameBody, codec, c.stats)
+		id, body, err := ReadFrame(br, MaxFrameBody, c.stats)
 		if err != nil {
 			c.fail(err)
 			return

@@ -16,19 +16,18 @@
 // sides: the server answers it with the error text, the client refuses a
 // reply in another version. After the hello both directions carry frames:
 //
-//	u32 body length | u64 request id | u8 flags | body
+//	u32 body length | u64 request id | body
 //
 // Request ids are chosen by the client and echoed by the response, so many
 // calls pipeline over one connection and their responses return in
-// completion order. FlagCompressed marks a body shrunk by the direction's
-// codec; small or incompressible bodies travel raw.
+// completion order. Bodies travel verbatim: compression belongs to the
+// storage manager's buckets.
 package wire
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -36,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scidb/internal/compress"
 	"scidb/internal/storage"
 )
 
@@ -48,27 +46,21 @@ const (
 
 	// version pins the hello, frame and body layouts; bump on incompatible
 	// change. 2: the hello of this package, and Message.Payload folded into
-	// Chunks. 3: the cluster message header without the join fields.
-	version = 3
+	// Chunks. 3: the cluster message header without the join fields. 4:
+	// frames without a flags byte, and an empty cluster hello.
+	version = 4
 
 	// MaxHello bounds a hello payload, and a rejection's text, in either
 	// direction.
 	MaxHello = 4 << 10
 
-	// FrameHeaderLen is u32 length + u64 request id + u8 flags.
-	FrameHeaderLen = 4 + 8 + 1
+	// FrameHeaderLen is u32 length + u64 request id.
+	FrameHeaderLen = 4 + 8
 
 	// MaxFrameBody caps a frame body for a reader that trusts its peer's
 	// sizes (a cluster node, a client reading its server's results); a server
-	// reading untrusted requests passes its own, smaller, limit to ReadBody.
+	// reading untrusted requests passes its own, smaller, limit to ReadFrame.
 	MaxFrameBody = 1 << 30
-
-	// FlagCompressed marks a body shrunk by the direction's codec.
-	FlagCompressed = 1 << 0
-
-	// compressThreshold is the smallest body worth running through a codec;
-	// control messages stay raw.
-	compressThreshold = 512
 )
 
 // hello sends the client half of the hello and reads the server's reply:
@@ -161,11 +153,10 @@ func readPayload(fr *storage.FieldReader) ([]byte, error) {
 }
 
 // WriteFrame writes one frame. The caller owns any locking around w.
-func WriteFrame(w io.Writer, id uint64, flags uint8, body []byte) error {
+func WriteFrame(w io.Writer, id uint64, body []byte) error {
 	var hdr [FrameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = flags
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -173,46 +164,26 @@ func WriteFrame(w io.Writer, id uint64, flags uint8, body []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame header and body, refusing a body longer than
-// limit before allocating it.
-func ReadFrame(r io.Reader, limit uint32) (id uint64, flags uint8, body []byte, err error) {
+// ReadFrame reads one frame, refusing a body longer than limit before
+// allocating it, and counts it into st when st is not nil.
+func ReadFrame(r io.Reader, limit uint32, st *Counters) (uint64, []byte, error) {
 	var hdr [FrameHeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	if n > limit {
-		return 0, 0, nil, fmt.Errorf("wire: frame body of %d bytes exceeds %d", n, limit)
+		return 0, nil, fmt.Errorf("wire: frame body of %d bytes exceeds %d", n, limit)
 	}
-	body = make([]byte, n)
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, err
-	}
-	return binary.LittleEndian.Uint64(hdr[4:12]), hdr[12], body, nil
-}
-
-// ReadBody reads the next frame (ReadFrame under limit), counts it into st
-// when st is not nil, and returns its id and its body decompressed by codec,
-// the direction's. A compressed body on a direction without a codec is an
-// error.
-func ReadBody(r io.Reader, limit uint32, codec compress.Codec, st *Counters) (uint64, []byte, error) {
-	id, flags, body, err := ReadFrame(r, limit)
-	if err != nil {
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
-	st.frame(false, len(body), flags)
-	if flags&FlagCompressed == 0 {
-		return id, body, nil
-	}
-	if codec == nil {
-		return 0, nil, errors.New("wire: compressed frame on an uncompressed connection")
-	}
-	body, err = codec.Decode(body)
-	return id, body, err
+	st.frame(false, len(body))
+	return binary.LittleEndian.Uint64(hdr[4:12]), body, nil
 }
 
 // Writer frames bodies onto one connection for any number of goroutines. It
-// compresses each body with the direction's codec when that pays, and
 // coalesces flushes: a writer counts itself in before taking the lock, and
 // only the last one out flushes, so a burst of concurrent frames costs one
 // syscall. A frame that fails half-written would desynchronize the stream,
@@ -220,7 +191,6 @@ func ReadBody(r io.Reader, limit uint32, codec compress.Codec, st *Counters) (ui
 type Writer struct {
 	conn    net.Conn
 	bw      *bufio.Writer
-	codec   compress.Codec
 	timeout time.Duration
 	stats   *Counters
 
@@ -228,29 +198,22 @@ type Writer struct {
 	mu      sync.Mutex
 }
 
-// NewWriter buffers writes to conn. codec (nil: none) compresses bodies, a
-// positive timeout is the write deadline of each frame, and st, when not
-// nil, counts the frames.
-func NewWriter(conn net.Conn, codec compress.Codec, timeout time.Duration, st *Counters) *Writer {
-	return &Writer{conn: conn, bw: bufio.NewWriterSize(conn, 64<<10), codec: codec, timeout: timeout, stats: st}
+// NewWriter buffers writes to conn. A positive timeout is the write deadline
+// of each frame, and st, when not nil, counts the frames.
+func NewWriter(conn net.Conn, timeout time.Duration, st *Counters) *Writer {
+	return &Writer{conn: conn, bw: bufio.NewWriterSize(conn, 64<<10), timeout: timeout, stats: st}
 }
 
 // Write frames body under id, and has it flushed before it returns unless
 // another writer is queued behind it to flush both.
 func (w *Writer) Write(id uint64, body []byte) error {
-	var flags uint8
-	if w.codec != nil && len(body) >= compressThreshold {
-		if packed := w.codec.Encode(body); len(packed) < len(body) {
-			body, flags = packed, FlagCompressed
-		}
-	}
 	w.writers.Add(1)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.timeout > 0 {
 		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
 	}
-	err := WriteFrame(w.bw, id, flags, body)
+	err := WriteFrame(w.bw, id, body)
 	if w.writers.Add(-1) == 0 && err == nil {
 		err = w.bw.Flush()
 	}
@@ -258,7 +221,7 @@ func (w *Writer) Write(id uint64, body []byte) error {
 		_ = w.conn.Close()
 		return err
 	}
-	w.stats.frame(true, len(body), flags)
+	w.stats.frame(true, len(body))
 	return nil
 }
 
@@ -272,8 +235,6 @@ type Stats struct {
 	FramesIn       int64
 	BytesOut       int64
 	BytesIn        int64
-	CompressedOut  int64 // frames whose body the codec shrank
-	CompressedIn   int64
 	InFlight       int64
 	InFlightHWM    int64
 	RoundTripNanos int64 // summed per-call round-trip time
@@ -286,24 +247,21 @@ func (s Stats) RoundTrip() time.Duration { return time.Duration(s.RoundTripNanos
 // Counters is the live, atomic form of Stats. Its methods accept a nil
 // receiver and then count nothing.
 type Counters struct {
-	calls, framesOut, framesIn, bytesOut, bytesIn, compressedOut, compressedIn atomic.Int64
-	inFlight, inFlightHWM, roundTripNanos, timeouts                            atomic.Int64
+	calls, framesOut, framesIn, bytesOut, bytesIn   atomic.Int64
+	inFlight, inFlightHWM, roundTripNanos, timeouts atomic.Int64
 }
 
 // frame counts one frame of n body bytes, going out or coming in.
-func (c *Counters) frame(out bool, n int, flags uint8) {
+func (c *Counters) frame(out bool, n int) {
 	if c == nil {
 		return
 	}
-	frames, bytes, packed := &c.framesIn, &c.bytesIn, &c.compressedIn
+	frames, bytes := &c.framesIn, &c.bytesIn
 	if out {
-		frames, bytes, packed = &c.framesOut, &c.bytesOut, &c.compressedOut
+		frames, bytes = &c.framesOut, &c.bytesOut
 	}
 	frames.Add(1)
 	bytes.Add(int64(FrameHeaderLen + n))
-	if flags&FlagCompressed != 0 {
-		packed.Add(1)
-	}
 }
 
 func (c *Counters) enter() {
@@ -342,8 +300,6 @@ func (c *Counters) Snapshot() Stats {
 		FramesIn:       c.framesIn.Load(),
 		BytesOut:       c.bytesOut.Load(),
 		BytesIn:        c.bytesIn.Load(),
-		CompressedOut:  c.compressedOut.Load(),
-		CompressedIn:   c.compressedIn.Load(),
 		InFlight:       c.inFlight.Load(),
 		InFlightHWM:    c.inFlightHWM.Load(),
 		RoundTripNanos: c.roundTripNanos.Load(),

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"scidb/internal/cluster"
-	"scidb/internal/compress"
 	"scidb/internal/session"
 	"scidb/internal/wire"
 )
@@ -33,7 +33,7 @@ func listen(t *testing.T) net.Listener {
 }
 
 // startStub serves magic the way both servers do — the hello through
-// Accept (its payload echoed as the reply), then frames read with ReadBody,
+// Accept (its payload echoed as the reply), then frames read with ReadFrame,
 // each handed to handle on its own goroutine and its answer written through
 // one Writer — and returns its address. handle may block; a nil answer is
 // never sent.
@@ -52,9 +52,9 @@ func startStub(t *testing.T, magic uint32, handle func(conn net.Conn, body []byt
 				if wire.Accept(conn, br, magic, func(p []byte) ([]byte, error) { return p, nil }) != nil {
 					return
 				}
-				w := wire.NewWriter(conn, nil, 0, nil)
+				w := wire.NewWriter(conn, 0, nil)
 				for {
-					id, body, err := wire.ReadBody(br, wire.MaxFrameBody, nil, nil)
+					id, body, err := wire.ReadFrame(br, wire.MaxFrameBody, nil)
 					if err != nil {
 						return
 					}
@@ -73,7 +73,7 @@ func startStub(t *testing.T, magic uint32, handle func(conn net.Conn, body []byt
 // dial opens a Conn to addr under magic.
 func dial(t *testing.T, addr string, magic uint32, opts wire.Options) *wire.Conn {
 	t.Helper()
-	c, err := wire.Dial(addr, magic, []byte("hello"), opts, func([]byte) (compress.Codec, error) { return nil, nil })
+	c, err := wire.Dial(addr, magic, []byte("hello"), opts, func([]byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ var conformance = map[string]func(t *testing.T, magic uint32){
 			_, _ = conn.Write(reply)
 		}()
 		_, err := wire.Dial(ln.Addr().String(), magic, []byte("hello"), wire.Options{DialTimeout: 5 * time.Second},
-			func([]byte) (compress.Codec, error) { return nil, nil })
+			func([]byte) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "version 255") {
 			t.Errorf("a version 255 reply = %v, want a refusal naming version 255", err)
 		}
@@ -245,6 +245,28 @@ func TestConformance(t *testing.T) {
 	}
 }
 
+// TestFrameLayoutGolden pins the frame bytes: u32 body length | u64 request
+// id | body, little-endian behind a 12-byte header. ReadFrame reads it back
+// and counts it, header included.
+func TestFrameLayoutGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := wire.WriteFrame(&buf, 0x0102030405060708, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{3, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1, 'a', 'b', 'c'}
+	if wire.FrameHeaderLen != 12 || !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("frame %x behind a %d-byte header, want %x behind 12", buf.Bytes(), wire.FrameHeaderLen, want)
+	}
+	var st wire.Counters
+	id, body, err := wire.ReadFrame(&buf, wire.MaxFrameBody, &st)
+	if err != nil || id != 0x0102030405060708 || string(body) != "abc" {
+		t.Errorf("ReadFrame = %#x, %q, %v", id, body, err)
+	}
+	if s := st.Snapshot(); s.FramesIn != 1 || s.BytesIn != int64(len(want)) {
+		t.Errorf("ReadFrame counted %d frames, %d bytes; want 1, %d", s.FramesIn, s.BytesIn, len(want))
+	}
+}
+
 // startCluster runs a one-node cluster server, with the session front end
 // on the same listener.
 func startCluster(t *testing.T, opts cluster.ServeOptions) string {
@@ -258,43 +280,6 @@ func startCluster(t *testing.T, opts cluster.ServeOptions) string {
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(srv.Shutdown)
 	return ln.Addr().String()
-}
-
-// TestHelloNegotiation: the cluster hello announces the request codec and
-// the reply names the response codec — the client's, mirrored, unless the
-// server overrides it.
-func TestHelloNegotiation(t *testing.T) {
-	for override, want := range map[string]string{"": "gzip", "delta": "delta"} {
-		addr := startCluster(t, cluster.ServeOptions{Codec: override})
-		var got string
-		c, err := wire.Dial(addr, wire.ClusterMagic, []byte("gzip"), wire.Options{DialTimeout: 5 * time.Second},
-			func(reply []byte) (compress.Codec, error) {
-				got = string(reply)
-				return compress.ByName(got)
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-		if got != want {
-			t.Errorf("server override %q: response codec %q, want %q", override, got, want)
-		}
-	}
-}
-
-// TestHelloRejectsUnknownCodec: a cluster server refuses a hello naming a
-// codec it does not know, with the reason; DialTCPOptions refuses one
-// before dialing.
-func TestHelloRejectsUnknownCodec(t *testing.T) {
-	addr := startCluster(t, cluster.ServeOptions{})
-	_, err := wire.Dial(addr, wire.ClusterMagic, []byte("no-such-codec"), wire.Options{DialTimeout: 5 * time.Second},
-		func([]byte) (compress.Codec, error) { return nil, nil })
-	if err == nil || !strings.Contains(err.Error(), "rejected") || !strings.Contains(err.Error(), "no-such-codec") {
-		t.Errorf("hello naming an unknown codec = %v, want a rejection naming it", err)
-	}
-	if _, err := cluster.DialTCPOptions([]string{addr}, cluster.DialOptions{Codec: "bogus"}); err == nil {
-		t.Error("dial with a bogus codec accepted")
-	}
 }
 
 // TestHelloVersionMismatch: both servers, on their shared listener, refuse a
