@@ -78,15 +78,15 @@ bench:
 
 # One iteration of the fold kernels' micro-benchmarks (worker fold, whole
 # partition, boxed and under predicates; one chunk through Fold.Chunk; local
-# Aggregate/Regrid), of the
-# structural operators' (gather, join and filter kernels), of the cold read
+# Aggregate/Regrid), of the compiled-expression kernels (Filter, Apply), of
+# the structural operators' (gather, join and filter kernels), of the cold read
 # path's (column and chunk decode — full, site-boundary and catalog chunks —
 # and cold chunk scan), of the chunk encoder's and of a bucket section's seal
 # and open, and of the CSV load path's (a shard's line scan, the float
 # kernel against strconv, a shard through the ingest pipeline), so CI runs
 # what `make bench` measures.
 bench-smoke:
-	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|FoldChunk|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
+	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|FoldChunk|ParallelFilter|ParallelApply|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
 	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x ./internal/storage
 	$(GO) test -run=NONE -bench 'CSVShardScan|PipelineCSV|ParseFloat' -benchtime=1x ./internal/insitu
 

@@ -58,7 +58,7 @@ func main() {
 	if *grid > 0 {
 		// The pool a scidb-server gets by default: an interactive grid reads
 		// flushed buckets the way a served one does.
-		tr := cluster.NewLocalWithOptions(*grid, cluster.LocalOptions{CacheBytes: bufcache.DefaultBudget})
+		tr := cluster.NewLocalWithOptions(*grid, cluster.WorkerOptions{CacheBytes: bufcache.DefaultBudget})
 		defer tr.Close()
 		db.AttachCluster(cluster.NewCoordinator(tr, 0))
 	}

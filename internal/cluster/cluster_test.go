@@ -426,7 +426,7 @@ func TestNodeStatsFollowWorkerCounters(t *testing.T) {
 // workers' own snapshots summed — no counter is lost between a node's
 // registry and the coordinator's decode.
 func TestStatsAdaptersCarryEveryField(t *testing.T) {
-	tr := NewLocalWithOptions(2, LocalOptions{Stride: []int64{8, 8}, CacheBytes: 1 << 20})
+	tr := NewLocalWithOptions(2, WorkerOptions{Stride: []int64{8, 8}, CacheBytes: 1 << 20})
 	co := NewCoordinator(tr, 0)
 	if err := co.Create("sky", gridSchema(), partition.Block{Nodes: 2, SplitDim: 0, High: 64}); err != nil {
 		t.Fatal(err)

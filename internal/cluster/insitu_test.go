@@ -109,7 +109,7 @@ func TestLoadChunksMatchesPut(t *testing.T) {
 		return array.Cell{array.Float64(float64(c[0]*100 + c[1]))}, true
 	}
 	newGrid := func() *Coordinator {
-		tr := NewLocalWithOptions(2, LocalOptions{
+		tr := NewLocalWithOptions(2, WorkerOptions{
 			Stride: []int64{4, 4}, CacheBytes: 1 << 20,
 		})
 		co := NewCoordinator(tr, 0)
@@ -178,7 +178,7 @@ func TestLoadChunksMatchesPut(t *testing.T) {
 func TestPutThenLoadChunksReadsLoaded(t *testing.T) {
 	schema := loadTestSchema()
 	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 16}
-	co := NewCoordinator(NewLocalWithOptions(2, LocalOptions{Stride: []int64{4, 4}}), 0)
+	co := NewCoordinator(NewLocalWithOptions(2, WorkerOptions{Stride: []int64{4, 4}}), 0)
 	if err := co.Create("g", schema, scheme); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func registerExt(t *testing.T, co *Coordinator, path string) {
 // buckets each.
 func insituGrid(t *testing.T, path string) (*Local, *Coordinator) {
 	t.Helper()
-	tr := NewLocalWithOptions(2, LocalOptions{Stride: []int64{4, 4}, CacheBytes: 1 << 20})
+	tr := NewLocalWithOptions(2, WorkerOptions{Stride: []int64{4, 4}, CacheBytes: 1 << 20})
 	t.Cleanup(func() { tr.Close() })
 	co := NewCoordinator(tr, 0)
 	registerExt(t, co, path)
@@ -282,7 +282,7 @@ func TestRegisterInsituQueries(t *testing.T) {
 	sum := writeExt(t, path, 0, "")
 
 	// Three nodes, two-slab scheme: node 2 owns none of the file.
-	tr := NewLocalWithOptions(3, LocalOptions{Stride: []int64{4, 4}, CacheBytes: 1 << 20})
+	tr := NewLocalWithOptions(3, WorkerOptions{Stride: []int64{4, 4}, CacheBytes: 1 << 20})
 	co := NewCoordinator(tr, 0)
 	registerExt(t, co, path)
 
@@ -434,7 +434,7 @@ func TestInsituFailedFillDropBalancesCellsHeld(t *testing.T) {
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr := NewLocalWithOptions(2, LocalOptions{Stride: []int64{4, 4}, CacheBytes: 1 << 20})
+	tr := NewLocalWithOptions(2, WorkerOptions{Stride: []int64{4, 4}, CacheBytes: 1 << 20})
 	defer tr.Close()
 	co := NewCoordinator(tr, 0)
 	schema := &array.Schema{

@@ -149,13 +149,22 @@ func partitionSchema(in *array.Schema) *array.Schema {
 }
 
 // createLocked opens the named partition's store. Under a Dir a store left
-// there by an earlier run of the node is recovered from its manifest.
+// there by an earlier run of the node is recovered from its manifest, and
+// its cells join the node's cells_held gauge in place of those of the store
+// it supersedes.
 func (w *Worker) createLocked(name string, schema *array.Schema) (*storage.Store, error) {
 	dir := ""
 	if w.opts.Dir != "" {
 		dir = filepath.Join(w.opts.Dir, name)
 	}
-	return w.openLocked(name, schema, dir)
+	w.unfillLocked(name) // so the count reads the store, not the file
+	superseded := w.heldLocked(name)
+	st, err := w.openLocked(name, schema, dir)
+	if err != nil {
+		return nil, err
+	}
+	w.stats.cellsHeld.Add(w.heldLocked(name) - superseded)
+	return st, nil
 }
 
 // openLocked opens name's partition as a store whose buckets live under dir
@@ -164,7 +173,6 @@ func (w *Worker) openLocked(name string, schema *array.Schema, dir string) (*sto
 	if old, ok := w.stores[name]; ok {
 		_ = old.Close() // superseded; the new store reads what it flushed
 	}
-	w.unfillLocked(name)
 	// Dimensions unbound: a partition holds an arbitrary sub-box.
 	st, err := storage.NewStore(partitionSchema(schema), storage.Options{
 		Dir:       dir,

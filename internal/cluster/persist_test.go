@@ -16,7 +16,7 @@ import (
 // disk and read them through one shared buffer pool.
 func persistGrid(t *testing.T, nodes int) (*Local, *Coordinator) {
 	t.Helper()
-	tr := NewLocalWithOptions(nodes, LocalOptions{
+	tr := NewLocalWithOptions(nodes, WorkerOptions{
 		Dir:        t.TempDir(),
 		Stride:     []int64{8, 8},
 		CacheBytes: 8 << 20,
@@ -273,7 +273,7 @@ func TestClusterScanPruned(t *testing.T) {
 // come in origin order — and the coordinator adopts the decoded chunk
 // itself.
 func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
-	tr := NewLocalWithOptions(2, LocalOptions{CacheBytes: 8 << 20})
+	tr := NewLocalWithOptions(2, WorkerOptions{CacheBytes: 8 << 20})
 	defer tr.Close()
 	co := NewCoordinator(tr, 0)
 	schema := &array.Schema{
@@ -339,5 +339,49 @@ func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
 	}
 	if got.Count() != 256 || len(got.Chunks()) != 4 {
 		t.Fatalf("Scan = %d cells in %d chunks; want 256 in 4", got.Count(), len(got.Chunks()))
+	}
+}
+
+// TestRestartCountsRecoveredCells: a node restarted over its Dir recovers a
+// partition when create is issued again, and scidb_worker_cells_held counts
+// the recovered cells — once, also when create comes a second time over the
+// open partition — until a drop takes them off.
+func TestRestartCountsRecoveredCells(t *testing.T) {
+	dir := t.TempDir()
+	opts := WorkerOptions{Dir: dir, Stride: []int64{8, 8}}
+	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 16}
+	tr := NewLocalWithOptions(2, opts)
+	co := NewCoordinator(tr, 0)
+	if err := co.Create("sky", gridSchema(), scheme); err != nil {
+		t.Fatal(err)
+	}
+	loadGrid(t, co, "sky", 16)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tr = NewLocalWithOptions(2, opts)
+	defer tr.Close()
+	held := func() (n []int64) {
+		for _, w := range tr.Workers {
+			n = append(n, w.Stats().CellsHeld)
+		}
+		return n
+	}
+	for round := 0; round < 2; round++ {
+		if err := NewCoordinator(tr, 0).Create("sky", gridSchema(), scheme); err != nil {
+			t.Fatal(err)
+		}
+		if got := held(); !reflect.DeepEqual(got, []int64{128, 128}) {
+			t.Errorf("create %d after the restart: cells held %v, want [128 128]", round+1, got)
+		}
+	}
+	for n := range tr.Workers {
+		if _, err := tr.Call(n, &Message{Op: "drop", Array: "sky"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := held(); !reflect.DeepEqual(got, []int64{0, 0}) {
+		t.Errorf("after drop: cells held %v, want [0 0]", got)
 	}
 }

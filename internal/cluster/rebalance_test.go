@@ -17,7 +17,7 @@ import (
 // integers so aggregate sums are exact across any merge order.
 func rebalanceCluster(t *testing.T) (*Local, *Coordinator) {
 	t.Helper()
-	tr := NewLocalWithOptions(3, LocalOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
+	tr := NewLocalWithOptions(3, WorkerOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
 	return tr, skyOn(t, tr)
 }
 

@@ -47,7 +47,7 @@ func (h *hookTransport) Call(node int, req *Message) (*Message, error) {
 // coordinator and the grid.
 func hookedCluster(t *testing.T) (*Local, *hookTransport, *Coordinator) {
 	t.Helper()
-	tr := NewLocalWithOptions(3, LocalOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
+	tr := NewLocalWithOptions(3, WorkerOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
 	t.Cleanup(func() { tr.Close() })
 	hook := &hookTransport{Local: tr}
 	co := NewCoordinator(hook, 0)

@@ -50,37 +50,25 @@ type Local struct {
 
 // NewLocal creates n in-process workers and a transport over them.
 func NewLocal(n int) *Local {
-	return NewLocalWithOptions(n, LocalOptions{})
+	return NewLocalWithOptions(n, WorkerOptions{})
 }
 
-// LocalOptions configures the stores of an in-process grid's partitions.
-type LocalOptions struct {
-	// Dir is the grid's data root; node i uses Dir/node-i. Empty keeps
-	// buckets in memory.
-	Dir string
-	// Stride is the per-partition bucket stride.
-	Stride []int64
-	// CacheBytes sizes ONE decoded-bucket pool shared by all n workers —
-	// the single-process deployment the pool is built for. Zero leaves
-	// reads uncached.
-	CacheBytes int64
-	// Readahead is the per-store scan prefetch depth. Zero disables it.
-	Readahead int
-}
-
-// NewLocalWithOptions creates n in-process workers sharing one buffer pool.
-func NewLocalWithOptions(n int, opts LocalOptions) *Local {
-	var pool *bufcache.Pool
-	if opts.CacheBytes > 0 {
-		pool = bufcache.New(opts.CacheBytes)
+// NewLocalWithOptions creates n in-process workers configured by opts, with
+// two differences per node: node i keeps its buckets under Dir/node-i (in
+// memory for an empty Dir), and all n share one buffer pool — opts.Cache,
+// or one of CacheBytes when that is nil, the single-process deployment the
+// pool is built for.
+func NewLocalWithOptions(n int, opts WorkerOptions) *Local {
+	if opts.Cache == nil && opts.CacheBytes > 0 {
+		opts.Cache = bufcache.New(opts.CacheBytes)
 	}
+	dir := opts.Dir
 	ws := make([]*Worker, n)
 	for i := range ws {
-		wo := WorkerOptions{Stride: opts.Stride, Cache: pool, Readahead: opts.Readahead}
-		if opts.Dir != "" {
-			wo.Dir = filepath.Join(opts.Dir, fmt.Sprintf("node-%d", i))
+		if dir != "" {
+			opts.Dir = filepath.Join(dir, fmt.Sprintf("node-%d", i))
 		}
-		ws[i] = NewWorkerWithOptions(i, wo)
+		ws[i] = NewWorkerWithOptions(i, opts)
 	}
 	return &Local{Workers: ws}
 }

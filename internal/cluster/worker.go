@@ -527,11 +527,7 @@ func (w *Worker) dropLocked(name string) error {
 	if !ok {
 		return nil
 	}
-	// A partition that no longer reads is dropped all the same: the count
-	// only feeds the gauge.
-	if held, err := w.readLocked(&Message{Array: name, Fold: &ops.FoldSpec{}}); err == nil {
-		w.stats.cellsHeld.Add(-held.Cells)
-	}
+	w.stats.cellsHeld.Add(-w.heldLocked(name))
 	if err := st.Close(); err != nil {
 		return err
 	}
@@ -540,6 +536,17 @@ func (w *Worker) dropLocked(name string) error {
 		return os.RemoveAll(filepath.Join(w.opts.Dir, name))
 	}
 	return nil
+}
+
+// heldLocked counts the cells name's partition holds, for the cells_held
+// gauge. A partition that does not read counts 0: the count only feeds the
+// gauge, so it never stops a create or a drop.
+func (w *Worker) heldLocked(name string) int64 {
+	held, err := w.readLocked(&Message{Array: name, Fold: &ops.FoldSpec{}})
+	if err != nil {
+		return 0
+	}
+	return held.Cells
 }
 
 // exclBoxes assembles the request's exclude-chunk boxes (chunks this node

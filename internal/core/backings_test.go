@@ -106,7 +106,7 @@ func fourBackings(t *testing.T) map[string]*Database {
 		dbs[kind] = db
 		var co *cluster.Coordinator
 		if kind == "cluster" {
-			tr := cluster.NewLocalWithOptions(2, cluster.LocalOptions{
+			tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{
 				Dir: t.TempDir(), Stride: []int64{4, 4}, CacheBytes: 8 << 20,
 			})
 			t.Cleanup(func() { tr.Close() })

@@ -88,7 +88,7 @@ func TestAttachedFileIsReadOnce(t *testing.T) {
 // materialization — no cells were ever loaded.
 func TestCreateFromFileCluster(t *testing.T) {
 	path, sum := writeExtCSV(t)
-	tr := cluster.NewLocalWithOptions(2, cluster.LocalOptions{
+	tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{
 		Stride: []int64{4, 4}, CacheBytes: 1 << 20,
 	})
 	defer tr.Close()

@@ -196,7 +196,7 @@ func TestSysArraysResolveAndUnknownRejected(t *testing.T) {
 // scanning sys.chunks concurrently, then checks the final rows agree with
 // partition.Routing exactly and the moves were logged as events.
 func TestSysChunksTracksRoutingDuringRebalance(t *testing.T) {
-	tr := cluster.NewLocalWithOptions(3, cluster.LocalOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
+	tr := cluster.NewLocalWithOptions(3, cluster.WorkerOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
 	t.Cleanup(func() { tr.Close() })
 	co := cluster.NewCoordinator(tr, 0)
 	schema := &array.Schema{

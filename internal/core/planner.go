@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"scidb/internal/array"
 	"scidb/internal/obs"
@@ -208,7 +207,7 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr, lf *leaf) 
 		if err != nil {
 			return nil, err
 		}
-		return ops.FilterCtx(ctx, in, lowerRefs(pred, in.Schema), db.reg)
+		return ops.FilterCtx(ctx, in, pred, db.reg)
 	case *parser.AggregateExpr:
 		in, err := db.evalUnder(ctx, n.In, lf.under(n.In))
 		if err != nil {
@@ -355,100 +354,11 @@ func dimConds(in []parser.DimCond) ([]ops.DimCond, error) {
 	return out, nil
 }
 
-// qualifiedRef resolves "Q.name" against a (possibly join-produced) schema:
-// the right side of a join renames colliding attributes to "Q_name".
-type qualifiedRef struct {
-	qual string
-	name string
-}
-
-// Eval implements ops.Expr.
-func (r qualifiedRef) Eval(ctx *ops.EvalCtx) (array.Value, error) {
-	if i := ctx.Schema.AttrIndex(r.qual + "_" + r.name); i >= 0 {
-		return ctx.Cell[i], nil
-	}
-	if i := ctx.Schema.AttrIndex(r.name); i >= 0 {
-		return ctx.Cell[i], nil
-	}
-	if i := ctx.Schema.DimIndex(r.name); i >= 0 {
-		return array.Int64(ctx.Coord[i]), nil
-	}
-	return array.Value{}, fmt.Errorf("core: cannot resolve %s.%s", r.qual, r.name)
-}
-
-// String implements ops.Expr.
-func (r qualifiedRef) String() string { return r.qual + "." + r.name }
-
-// nameRef resolves an unqualified identifier against attributes first,
-// then dimensions.
-type nameRef struct{ name string }
-
-// Eval implements ops.Expr.
-func (r nameRef) Eval(ctx *ops.EvalCtx) (array.Value, error) {
-	if i := ctx.Schema.AttrIndex(r.name); i >= 0 {
-		return ctx.Cell[i], nil
-	}
-	if i := ctx.Schema.DimIndex(r.name); i >= 0 {
-		return array.Int64(ctx.Coord[i]), nil
-	}
-	return array.Value{}, fmt.Errorf("core: unknown attribute or dimension %q", r.name)
-}
-
-// String implements ops.Expr.
-func (r nameRef) String() string { return r.name }
-
-// lowerRefs rewrites name-based references into ops.AttrRef / ops.DimRef
-// against a concrete schema. The operators' vectorized and encoded fast
-// paths pattern-match on those node types, so without lowering a parsed
-// predicate always falls back to boxed evaluation. Resolution order
-// mirrors nameRef / qualifiedRef Eval exactly; unresolvable names are
-// left alone so evaluation reports the usual error.
-func lowerRefs(e ops.Expr, s *array.Schema) ops.Expr {
-	switch n := e.(type) {
-	case nameRef:
-		if s.AttrIndex(n.name) >= 0 {
-			return ops.AttrRef{Name: n.name}
-		}
-		if s.DimIndex(n.name) >= 0 {
-			return ops.DimRef{Name: n.name}
-		}
-		return n
-	case qualifiedRef:
-		if s.AttrIndex(n.qual+"_"+n.name) >= 0 {
-			return ops.AttrRef{Name: n.qual + "_" + n.name}
-		}
-		if s.AttrIndex(n.name) >= 0 {
-			return ops.AttrRef{Name: n.name}
-		}
-		if s.DimIndex(n.name) >= 0 {
-			return ops.DimRef{Name: n.name}
-		}
-		return n
-	case ops.Binary:
-		n.L, n.R = lowerRefs(n.L, s), lowerRefs(n.R, s)
-		return n
-	case ops.Not:
-		n.E = lowerRefs(n.E, s)
-		return n
-	case ops.Call:
-		args := make([]ops.Expr, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = lowerRefs(a, s)
-		}
-		return ops.Call{Name: n.Name, Args: args}
-	default:
-		return e
-	}
-}
-
 // valExpr converts a parsed value expression into an executable one.
 func valExpr(e parser.ValExpr) (ops.Expr, error) {
 	switch n := e.(type) {
 	case *parser.Ident:
-		if i := strings.IndexByte(n.Name, '.'); i >= 0 {
-			return qualifiedRef{qual: n.Name[:i], name: n.Name[i+1:]}, nil
-		}
-		return nameRef{name: n.Name}, nil
+		return ops.Ref{Name: n.Name}, nil
 	case *parser.Lit:
 		return ops.Const{V: scalarToValue(n.V)}, nil
 	case *parser.BinExpr:
@@ -512,7 +422,7 @@ func (db *Database) logExpr(e parser.ArrayExpr, target, prefix string) string {
 		})
 		if pred, err := valExpr(n.Pred); err == nil {
 			db.registerRerun(cmd, cellRerun(func(ctx context.Context, in *array.Array) (*array.Array, error) {
-				return ops.FilterCtx(ctx, in, lowerRefs(pred, in.Schema), db.reg)
+				return ops.FilterCtx(ctx, in, pred, db.reg)
 			}))
 		}
 	case *parser.ApplyExpr:

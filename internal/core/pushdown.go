@@ -87,7 +87,6 @@ func (db *Database) pushdown(e parser.ArrayExpr) (*leaf, error) {
 		if err != nil || !db.ignoreNulls(aggs) {
 			break // a bad predicate is the filter's to report
 		}
-		pred = lowerRefs(pred, schema)
 		preds, exact := ops.ZonePredsExact(pred, schema)
 		switch {
 		case exact && pushable(src, fold):

@@ -14,7 +14,7 @@ import (
 // zone-matching cells (workers prune buckets before shipping) and still
 // produces the exact local-aggregation answer.
 func TestClusterFilterAggregatePushdown(t *testing.T) {
-	tr := cluster.NewLocalWithOptions(2, cluster.LocalOptions{
+	tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{
 		Dir:        t.TempDir(),
 		Stride:     []int64{8, 8},
 		CacheBytes: 8 << 20,

@@ -139,7 +139,7 @@ func TestLoadParallelIntoCluster(t *testing.T) {
 	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 40}
 	box := array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{40, 20}}
 
-	tr := cluster.NewLocalWithOptions(2, cluster.LocalOptions{
+	tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{
 		Stride: []int64{8, 8}, CacheBytes: 1 << 20,
 	})
 	co := cluster.NewCoordinator(tr, 0)

@@ -31,6 +31,7 @@ func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, r
 	if err != nil {
 		return nil, err
 	}
+	pred = resolve(pred, a.Schema)
 	work := liveChunks(a)
 	spanChunks(ctx, work)
 	preds, exact := zonePreds(pred, a.Schema)
@@ -50,21 +51,18 @@ func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, r
 			return oc, nil
 		}
 		// The cheapest decider the predicate's shape allows: an encoded-view
-		// plan, the mask of a conjunction of column-constant comparisons, a
-		// compiled columnar closure, or the generic evaluator over a boxed cell.
+		// plan, the mask of a conjunction of column-constant comparisons, or
+		// the compiled predicate.
 		var vec func(int64) bool
 		var mask *array.Bitmap
 		var eval colEval
-		var ec *EvalCtx
 		switch {
 		case plan != nil:
 			vec = plan.keep
 		case exact:
 			mask = PredMask(preds, ch, ch.Present)
 		default:
-			if eval = compileExpr(pred, a.Schema, ch); eval == nil {
-				ec = &EvalCtx{Schema: a.Schema, Reg: reg, Cell: make(array.Cell, len(ch.Cols))}
-			}
+			eval = compile(pred, a.Schema, ch, reg)
 		}
 		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
 			var keep bool
@@ -73,20 +71,12 @@ func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, r
 				keep = vec(idx)
 			case mask != nil:
 				keep = mask.Get(idx)
-			case eval != nil:
+			default:
 				v, err := eval(idx, c)
 				if err != nil {
 					return err
 				}
 				keep = !v.Null && v.Bool
-			default:
-				boxedCell(ch, idx, ec.Cell)
-				ec.Coord = c
-				k, err := Truthy(pred, ec)
-				if err != nil {
-					return err
-				}
-				keep = k
 			}
 			oidx := idx
 			if !same {
@@ -181,6 +171,10 @@ func ApplyCtx(ctx context.Context, a *array.Array, specs []ApplySpec, reg *udf.R
 	if err != nil {
 		return nil, err
 	}
+	exprs := make([]Expr, len(specs))
+	for k, sp := range specs {
+		exprs[k] = resolve(sp.Expr, s)
+	}
 	work := liveChunks(a)
 	spanChunks(ctx, work)
 	base := len(s.Attrs)
@@ -191,15 +185,14 @@ func ApplyCtx(ctx context.Context, a *array.Array, specs []ApplySpec, reg *udf.R
 		// chunk's task).
 		ch := work[0]
 		idx := ch.Present.NextSet(0)
-		ec := &EvalCtx{Schema: s, Reg: reg, Coord: array.CoordAt(ch.Origin, ch.Shape, idx), Cell: make(array.Cell, len(ch.Cols))}
-		boxedCell(ch, idx, ec.Cell)
-		for i, sp := range specs {
-			v, err := sp.Expr.Eval(ec)
+		c := array.CoordAt(ch.Origin, ch.Shape, idx)
+		for k, e := range exprs {
+			v, err := compile(e, s, ch, reg)(idx, c)
 			if err != nil {
 				return nil, err
 			}
 			if !v.Null {
-				res.Schema.Attrs[base+i].Type = v.Type
+				res.Schema.Attrs[base+k].Type = v.Type
 			}
 		}
 	}
@@ -207,14 +200,9 @@ func ApplyCtx(ctx context.Context, a *array.Array, specs []ApplySpec, reg *udf.R
 		ch := work[i]
 		oc := array.NewChunk(res.Schema, ch.Origin, res.GridShape(ch.Origin))
 		same := shapeEq(ch.Shape, oc.Shape)
-		// Expressions the columnar compiler does not cover evaluate over a
-		// boxed cell.
-		compiled := make([]colEval, len(specs))
-		var ec *EvalCtx
-		for k, sp := range specs {
-			if compiled[k] = compileExpr(sp.Expr, s, ch); compiled[k] == nil && ec == nil {
-				ec = &EvalCtx{Schema: s, Reg: reg, Cell: make(array.Cell, len(ch.Cols))}
-			}
+		compiled := make([]colEval, len(exprs))
+		for k, e := range exprs {
+			compiled[k] = compile(e, s, ch, reg)
 		}
 		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
 			oidx := idx
@@ -225,18 +213,8 @@ func ApplyCtx(ctx context.Context, a *array.Array, specs []ApplySpec, reg *udf.R
 			for ai := 0; ai < base; ai++ {
 				oc.Cols[ai].CopyFrom(ch.Cols[ai], oidx, idx)
 			}
-			if ec != nil {
-				boxedCell(ch, idx, ec.Cell)
-				ec.Coord = c
-			}
-			for k := range specs {
-				var v array.Value
-				var err error
-				if compiled[k] != nil {
-					v, err = compiled[k](idx, c)
-				} else {
-					v, err = specs[k].Expr.Eval(ec)
-				}
+			for k, eval := range compiled {
+				v, err := eval(idx, c)
 				if err != nil {
 					return err
 				}

@@ -77,9 +77,10 @@ func publishEncStats(ctx context.Context, tasks []encStats) {
 }
 
 // ZonePreds exposes the predicate's zone-map conjuncts to the planner,
-// which pushes them down to storage-level bucket pruning.
+// which pushes them down to storage-level bucket pruning. Like every entry
+// taking an expression, it resolves pred's names against s first.
 func ZonePreds(pred Expr, s *array.Schema) []array.ZonePred {
-	preds, _ := zonePreds(pred, s)
+	preds, _ := zonePreds(resolve(pred, s), s)
 	return preds
 }
 
@@ -89,12 +90,12 @@ func ZonePreds(pred Expr, s *array.Schema) []array.ZonePred {
 // false they are only a hint — a leaf was left out, and more cells match
 // them than match pred.
 func ZonePredsExact(pred Expr, s *array.Schema) (preds []array.ZonePred, exact bool) {
-	return zonePreds(pred, s)
+	return zonePreds(resolve(pred, s), s)
 }
 
 // PredPure exposes the error-freeness check to the planner: only pure
 // predicates may have their evaluation skipped wholesale.
-func PredPure(pred Expr, s *array.Schema) bool { return predPure(pred, s) }
+func PredPure(pred Expr, s *array.Schema) bool { return predPure(resolve(pred, s), s) }
 
 // NoteEncChunksSkipped records n chunks skipped before decode — the
 // storage-level half of compressed execution, called by the planner's
@@ -378,7 +379,7 @@ func chunkHasEncViews(ch *array.Chunk) bool {
 // rawColValue reads the stored value at slot idx ignoring the null bit —
 // the RLE paths use it to read a run's representative value, which is
 // well-defined for every slot of the run regardless of per-slot nullness.
-// Construction mirrors compileExpr's column leaves (sigma included, which
+// Construction mirrors compile's typed column leaves (sigma included, which
 // evalCmp ignores but keeps the Values interchangeable).
 func rawColValue(col *array.Column, idx int64) array.Value {
 	v := array.Value{Type: col.Type, Sigma: colSigma(col, idx)}
@@ -398,9 +399,10 @@ func rawColValue(col *array.Column, idx int64) array.Value {
 // encFilterPlan is the compressed-execution plan for one chunk of a
 // Filter: either skip (the predicate is provably false for every cell —
 // emit the all-NULL output without evaluating anything) or keep, a
-// decider equivalent to Truthy(pred) that reads the encoded view. The
-// keep decider must be called with ascending slot indices (it carries an
-// RLE run cursor) and only from one goroutine.
+// decider equivalent to the compiled predicate (NULL counting as false)
+// that reads the encoded view. The keep decider must be called with
+// ascending slot indices (it carries an RLE run cursor) and only from one
+// goroutine.
 type encFilterPlan struct {
 	skip bool
 	keep func(idx int64) bool
@@ -418,7 +420,7 @@ func planEncFilter(pred Expr, s *array.Schema, ch *array.Chunk, preds []array.Zo
 		}
 	}
 	// The per-cell encoded deciders require the predicate to be exactly
-	// one attr-cmp-const comparison, so keep == Truthy(pred).
+	// one attr-cmp-const comparison, so keep is the predicate's truth.
 	ai, op, cv, ok := attrCmpConst(pred, s)
 	if !ok || ai >= len(ch.Cols) {
 		return nil
@@ -432,7 +434,8 @@ func planEncFilter(pred Expr, s *array.Schema, ch *array.Chunk, preds []array.Zo
 	if enc.Dict != nil && enc.Codes != nil && col.Type == array.TString {
 		// Evaluate the comparison once per dictionary entry; cells then
 		// select by code. evalCmp on the dictionary string is exactly what
-		// the boxed path computes per cell (NULL handled by the null bit).
+		// the compiled predicate computes per cell (NULL handled by the null
+		// bit).
 		match := make([]bool, len(enc.Dict))
 		for k, s := range enc.Dict {
 			v := evalCmp(BinOp(op), array.Value{Type: array.TString, Str: s}, cv)

@@ -8,64 +8,44 @@ package ops
 
 import (
 	"fmt"
+	"strings"
 
 	"scidb/internal/array"
 	"scidb/internal/udf"
 	"scidb/internal/uncertain"
 )
 
-// EvalCtx carries one cell's evaluation context: its schema, coordinate,
-// record, and the UDF registry for Call nodes.
-type EvalCtx struct {
-	Schema *array.Schema
-	Coord  array.Coord
-	Cell   array.Cell
-	Reg    *udf.Registry
-}
-
 // Expr is an expression over one cell, used by Filter predicates, Apply
-// computations, and Cjoin predicates (where the context holds the
-// concatenated cell).
+// computations, and Cjoin predicates (where the cell is the concatenated
+// one). Its node types are this package's own, a closed set: an operator
+// resolves the Refs in an expression against its input's schema on entry
+// (resolve) and compiles the result per chunk (compile).
 type Expr interface {
-	Eval(ctx *EvalCtx) (array.Value, error)
 	String() string
+	node() // unexported: no type outside this package is an Expr
 }
 
 // Const is a literal value.
 type Const struct{ V array.Value }
 
-// Eval implements Expr.
-func (e Const) Eval(*EvalCtx) (array.Value, error) { return e.V, nil }
-
 // String implements Expr.
 func (e Const) String() string { return e.V.String() }
 
+// Ref is an identifier as a query writes it, "name" or "Q.name", before an
+// operator resolves it to an attribute or a dimension of its input.
+type Ref struct{ Name string }
+
+// String implements Expr.
+func (e Ref) String() string { return e.Name }
+
 // AttrRef references an attribute of the current cell by name.
 type AttrRef struct{ Name string }
-
-// Eval implements Expr.
-func (e AttrRef) Eval(ctx *EvalCtx) (array.Value, error) {
-	i := ctx.Schema.AttrIndex(e.Name)
-	if i < 0 {
-		return array.Value{}, fmt.Errorf("ops: unknown attribute %q", e.Name)
-	}
-	return ctx.Cell[i], nil
-}
 
 // String implements Expr.
 func (e AttrRef) String() string { return e.Name }
 
 // DimRef references a dimension value of the current cell's coordinate.
 type DimRef struct{ Name string }
-
-// Eval implements Expr.
-func (e DimRef) Eval(ctx *EvalCtx) (array.Value, error) {
-	i := ctx.Schema.DimIndex(e.Name)
-	if i < 0 {
-		return array.Value{}, fmt.Errorf("ops: unknown dimension %q", e.Name)
-	}
-	return array.Int64(ctx.Coord[i]), nil
-}
 
 // String implements Expr.
 func (e DimRef) String() string { return e.Name }
@@ -95,27 +75,6 @@ const (
 type Binary struct {
 	Op   BinOp
 	L, R Expr
-}
-
-// Eval implements Expr.
-func (e Binary) Eval(ctx *EvalCtx) (array.Value, error) {
-	l, err := e.L.Eval(ctx)
-	if err != nil {
-		return array.Value{}, err
-	}
-	r, err := e.R.Eval(ctx)
-	if err != nil {
-		return array.Value{}, err
-	}
-	switch e.Op {
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-		return evalArith(e.Op, l, r)
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		return evalCmp(e.Op, l, r), nil
-	case OpAnd, OpOr:
-		return evalLogic(e.Op, l, r), nil
-	}
-	return array.Value{}, fmt.Errorf("ops: unknown operator %q", e.Op)
 }
 
 // String implements Expr.
@@ -219,18 +178,6 @@ func evalLogic(op BinOp, l, r array.Value) array.Value {
 // Not negates a boolean expression.
 type Not struct{ E Expr }
 
-// Eval implements Expr.
-func (e Not) Eval(ctx *EvalCtx) (array.Value, error) {
-	v, err := e.E.Eval(ctx)
-	if err != nil {
-		return array.Value{}, err
-	}
-	if v.Null {
-		return v, nil
-	}
-	return array.Bool64(!v.Bool), nil
-}
-
 // String implements Expr.
 func (e Not) String() string { return "not " + e.E.String() }
 
@@ -239,31 +186,6 @@ func (e Not) String() string { return "not " + e.E.String() }
 type Call struct {
 	Name string
 	Args []Expr
-}
-
-// Eval implements Expr.
-func (e Call) Eval(ctx *EvalCtx) (array.Value, error) {
-	if ctx.Reg == nil {
-		return array.Value{}, fmt.Errorf("ops: no UDF registry for call to %s", e.Name)
-	}
-	f, err := ctx.Reg.Func(e.Name)
-	if err != nil {
-		return array.Value{}, err
-	}
-	args := make([]array.Value, len(e.Args))
-	for i, a := range e.Args {
-		if args[i], err = a.Eval(ctx); err != nil {
-			return array.Value{}, err
-		}
-	}
-	out, err := f.Call(args)
-	if err != nil {
-		return array.Value{}, err
-	}
-	if len(out) == 0 {
-		return array.NullValue(array.TFloat64), nil
-	}
-	return out[0], nil
 }
 
 // String implements Expr.
@@ -278,12 +200,210 @@ func (e Call) String() string {
 	return s + ")"
 }
 
-// Truthy evaluates a predicate expression to a definite boolean:
-// NULL counts as false (SQL WHERE semantics).
-func Truthy(e Expr, ctx *EvalCtx) (bool, error) {
-	v, err := e.Eval(ctx)
-	if err != nil {
-		return false, err
+func (Const) node()   {}
+func (Ref) node()     {}
+func (AttrRef) node() {}
+func (DimRef) node()  {}
+func (Binary) node()  {}
+func (Not) node()     {}
+func (Call) node()    {}
+
+// resolve rewrites the Refs in e into AttrRef and DimRef nodes against s. It
+// is the one name rule, which every operator applies on entry: "Q.name" is
+// the attribute Q_name (a join's name for a colliding right-side attribute),
+// then the attribute name, then the dimension name; a plain name is an
+// attribute, then a dimension. A Ref that names nothing stays, and compiles
+// to an evaluator that reports it.
+func resolve(e Expr, s *array.Schema) Expr {
+	switch n := e.(type) {
+	case Ref:
+		name := n.Name
+		if q, rest, ok := strings.Cut(name, "."); ok {
+			if s.AttrIndex(q+"_"+rest) >= 0 {
+				return AttrRef{Name: q + "_" + rest}
+			}
+			name = rest
+		}
+		if s.AttrIndex(name) >= 0 {
+			return AttrRef{Name: name}
+		}
+		if s.DimIndex(name) >= 0 {
+			return DimRef{Name: name}
+		}
+	case Binary:
+		n.L, n.R = resolve(n.L, s), resolve(n.R, s)
+		return n
+	case Not:
+		n.E = resolve(n.E, s)
+		return n
+	case Call:
+		args := make([]Expr, len(n.Args))
+		for i, a := range n.Args {
+			args[i] = resolve(a, s)
+		}
+		return Call{Name: n.Name, Args: args}
 	}
-	return !v.Null && v.Bool, nil
+	return e
+}
+
+// colEval is a compiled expression over one chunk: it reads attribute
+// vectors and null bitmaps in place, by slot index and coordinate.
+type colEval func(idx int64, c array.Coord) (array.Value, error)
+
+// errEval evaluates every cell to err. An expression that cannot run
+// compiles to it, so the error surfaces at the first cell evaluated and an
+// empty input does not fail.
+func errEval(err error) colEval {
+	return func(int64, array.Coord) (array.Value, error) { return array.Value{}, err }
+}
+
+func colSigma(col *array.Column, idx int64) float64 {
+	switch {
+	case col.HasShared:
+		return col.SharedSigma
+	case col.Sigma != nil:
+		return col.Sigma[idx]
+	}
+	return 0
+}
+
+// compile compiles e, resolved against s, over the columns of ch, a chunk
+// of s; reg supplies the UDFs of Call nodes, each looked up once here. The
+// leaves yield what Column.Get does — int, float and bool columns through
+// typed readers — and the operators are evalArith, evalCmp and evalLogic.
+func compile(e Expr, s *array.Schema, ch *array.Chunk, reg *udf.Registry) colEval {
+	switch n := e.(type) {
+	case Const:
+		v := n.V
+		return func(int64, array.Coord) (array.Value, error) { return v, nil }
+	case Ref:
+		if strings.Contains(n.Name, ".") {
+			return errEval(fmt.Errorf("ops: cannot resolve %s", n.Name))
+		}
+		return errEval(fmt.Errorf("ops: unknown attribute or dimension %q", n.Name))
+	case AttrRef:
+		ai := s.AttrIndex(n.Name)
+		if ai < 0 {
+			return errEval(fmt.Errorf("ops: unknown attribute %q", n.Name))
+		}
+		col := ch.Cols[ai]
+		switch col.Type {
+		case array.TInt64:
+			return func(idx int64, _ array.Coord) (array.Value, error) {
+				if col.Nulls.Get(idx) {
+					return array.Value{Type: array.TInt64, Null: true}, nil
+				}
+				return array.Value{Type: array.TInt64, Int: col.Ints[idx], Sigma: colSigma(col, idx)}, nil
+			}
+		case array.TFloat64:
+			return func(idx int64, _ array.Coord) (array.Value, error) {
+				if col.Nulls.Get(idx) {
+					return array.Value{Type: array.TFloat64, Null: true}, nil
+				}
+				return array.Value{Type: array.TFloat64, Float: col.Floats[idx], Sigma: colSigma(col, idx)}, nil
+			}
+		case array.TBool:
+			return func(idx int64, _ array.Coord) (array.Value, error) {
+				if col.Nulls.Get(idx) {
+					return array.Value{Type: array.TBool, Null: true}, nil
+				}
+				return array.Value{Type: array.TBool, Bool: col.Bools[idx], Sigma: colSigma(col, idx)}, nil
+			}
+		}
+		return func(idx int64, _ array.Coord) (array.Value, error) { return col.Get(idx), nil }
+	case DimRef:
+		d := s.DimIndex(n.Name)
+		if d < 0 {
+			return errEval(fmt.Errorf("ops: unknown dimension %q", n.Name))
+		}
+		return func(_ int64, c array.Coord) (array.Value, error) { return array.Int64(c[d]), nil }
+	case Binary:
+		l, r := compile(n.L, s, ch, reg), compile(n.R, s, ch, reg)
+		op := n.Op
+		switch op {
+		case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+			return func(idx int64, c array.Coord) (array.Value, error) {
+				lv, err := l(idx, c)
+				if err != nil {
+					return array.Value{}, err
+				}
+				rv, err := r(idx, c)
+				if err != nil {
+					return array.Value{}, err
+				}
+				return evalArith(op, lv, rv)
+			}
+		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+			return func(idx int64, c array.Coord) (array.Value, error) {
+				lv, err := l(idx, c)
+				if err != nil {
+					return array.Value{}, err
+				}
+				rv, err := r(idx, c)
+				if err != nil {
+					return array.Value{}, err
+				}
+				return evalCmp(op, lv, rv), nil
+			}
+		case OpAnd, OpOr:
+			return func(idx int64, c array.Coord) (array.Value, error) {
+				lv, err := l(idx, c)
+				if err != nil {
+					return array.Value{}, err
+				}
+				rv, err := r(idx, c)
+				if err != nil {
+					return array.Value{}, err
+				}
+				return evalLogic(op, lv, rv), nil
+			}
+		}
+		return errEval(fmt.Errorf("ops: unknown operator %q", op))
+	case Not:
+		inner := compile(n.E, s, ch, reg)
+		return func(idx int64, c array.Coord) (array.Value, error) {
+			v, err := inner(idx, c)
+			if err != nil || v.Null {
+				return v, err
+			}
+			return array.Bool64(!v.Bool), nil
+		}
+	case Call:
+		return compileCall(n, s, ch, reg)
+	}
+	return errEval(fmt.Errorf("ops: unsupported expression %T", e))
+}
+
+// compileCall invokes the UDF with the evaluated arguments, taking its
+// first output value. A missing registry or UDF fails at the first cell.
+func compileCall(n Call, s *array.Schema, ch *array.Chunk, reg *udf.Registry) colEval {
+	if reg == nil {
+		return errEval(fmt.Errorf("ops: no UDF registry for call to %s", n.Name))
+	}
+	f, err := reg.Func(n.Name)
+	if err != nil {
+		return errEval(err)
+	}
+	args := make([]colEval, len(n.Args))
+	for i, a := range n.Args {
+		args[i] = compile(a, s, ch, reg)
+	}
+	return func(idx int64, c array.Coord) (array.Value, error) {
+		// A fresh slice per call: the UDF body may keep its arguments.
+		vals := make([]array.Value, len(args))
+		for i, a := range args {
+			var err error
+			if vals[i], err = a(idx, c); err != nil {
+				return array.Value{}, err
+			}
+		}
+		out, err := f.Call(vals)
+		if err != nil {
+			return array.Value{}, err
+		}
+		if len(out) == 0 {
+			return array.NullValue(array.TFloat64), nil
+		}
+		return out[0], nil
+	}
 }

@@ -581,16 +581,28 @@ func TestRegridUnevenEdge(t *testing.T) {
 	}
 }
 
-func TestExprArithmeticAndLogic(t *testing.T) {
-	ctx := &EvalCtx{
-		Schema: &array.Schema{
-			Name:  "E",
-			Dims:  []array.Dimension{{Name: "i", High: 1}},
-			Attrs: []array.Attribute{{Name: "a", Type: array.TInt64}, {Name: "b", Type: array.TFloat64}},
-		},
-		Coord: array.Coord{1},
-		Cell:  array.Cell{array.Int64(7), array.Float64(2.5)},
+// evalCell evaluates e on one cell through the compiler: a one-slot chunk
+// of s at coordinate c holds cell.
+func evalCell(e Expr, s *array.Schema, c array.Coord, cell array.Cell, reg *udf.Registry) (array.Value, error) {
+	shape := make([]int64, len(c))
+	for i := range shape {
+		shape[i] = 1
 	}
+	ch := array.NewChunk(s, c, shape)
+	if err := ch.Set(c, cell); err != nil {
+		return array.Value{}, err
+	}
+	return compile(resolve(e, s), s, ch, reg)(0, c)
+}
+
+func TestExprArithmeticAndLogic(t *testing.T) {
+	s := &array.Schema{
+		Name:  "E",
+		Dims:  []array.Dimension{{Name: "i", High: 1}},
+		Attrs: []array.Attribute{{Name: "a", Type: array.TInt64}, {Name: "b", Type: array.TFloat64}},
+	}
+	cell := array.Cell{array.Int64(7), array.Float64(2.5)}
+	eval := func(e Expr) (array.Value, error) { return evalCell(e, s, array.Coord{1}, cell, nil) }
 	cases := []struct {
 		e    Expr
 		want float64
@@ -602,7 +614,7 @@ func TestExprArithmeticAndLogic(t *testing.T) {
 		{Binary{Op: OpMod, L: AttrRef{Name: "a"}, R: Const{V: array.Int64(4)}}, 3},
 	}
 	for _, c := range cases {
-		v, err := c.e.Eval(ctx)
+		v, err := eval(c.e)
 		if err != nil {
 			t.Fatalf("%s: %v", c.e, err)
 		}
@@ -614,49 +626,45 @@ func TestExprArithmeticAndLogic(t *testing.T) {
 	null := Const{V: array.NullValue(array.TBool)}
 	tru := Const{V: array.Bool64(true)}
 	fls := Const{V: array.Bool64(false)}
-	if v, _ := (Binary{Op: OpAnd, L: null, R: fls}).Eval(ctx); v.Null || v.Bool {
+	if v, _ := eval(Binary{Op: OpAnd, L: null, R: fls}); v.Null || v.Bool {
 		t.Error("NULL and false != false")
 	}
-	if v, _ := (Binary{Op: OpOr, L: null, R: tru}).Eval(ctx); v.Null || !v.Bool {
+	if v, _ := eval(Binary{Op: OpOr, L: null, R: tru}); v.Null || !v.Bool {
 		t.Error("NULL or true != true")
 	}
-	if v, _ := (Binary{Op: OpAnd, L: null, R: tru}).Eval(ctx); !v.Null {
+	if v, _ := eval(Binary{Op: OpAnd, L: null, R: tru}); !v.Null {
 		t.Error("NULL and true should be NULL")
 	}
-	if v, _ := (Not{E: tru}).Eval(ctx); v.Bool {
+	if v, _ := eval(Not{E: tru}); v.Bool {
 		t.Error("not true != false")
 	}
-	if v, _ := (Not{E: null}).Eval(ctx); !v.Null {
+	if v, _ := eval(Not{E: null}); !v.Null {
 		t.Error("not NULL should be NULL")
 	}
 	// Division by zero -> NULL, not panic.
-	if v, _ := (Binary{Op: OpDiv, L: Const{V: array.Int64(1)}, R: Const{V: array.Int64(0)}}).Eval(ctx); !v.Null {
+	if v, _ := eval(Binary{Op: OpDiv, L: Const{V: array.Int64(1)}, R: Const{V: array.Int64(0)}}); !v.Null {
 		t.Error("int div by zero should be NULL")
 	}
-	if v, _ := (Binary{Op: OpMod, L: Const{V: array.Int64(1)}, R: Const{V: array.Int64(0)}}).Eval(ctx); !v.Null {
+	if v, _ := eval(Binary{Op: OpMod, L: Const{V: array.Int64(1)}, R: Const{V: array.Int64(0)}}); !v.Null {
 		t.Error("mod by zero should be NULL")
 	}
 	// Unknown attribute errors.
-	if _, err := (AttrRef{Name: "zzz"}).Eval(ctx); err == nil {
+	if _, err := eval(AttrRef{Name: "zzz"}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
-	if _, err := (DimRef{Name: "zzz"}).Eval(ctx); err == nil {
+	if _, err := eval(DimRef{Name: "zzz"}); err == nil {
 		t.Error("unknown dimension accepted")
 	}
 }
 
 func TestExprUncertainPropagation(t *testing.T) {
-	ctx := &EvalCtx{
-		Schema: &array.Schema{
-			Name:  "E",
-			Dims:  []array.Dimension{{Name: "i", High: 1}},
-			Attrs: []array.Attribute{{Name: "u", Type: array.TFloat64, Uncertain: true}},
-		},
-		Coord: array.Coord{1},
-		Cell:  array.Cell{array.UncertainFloat(10, 3)},
+	s := &array.Schema{
+		Name:  "E",
+		Dims:  []array.Dimension{{Name: "i", High: 1}},
+		Attrs: []array.Attribute{{Name: "u", Type: array.TFloat64, Uncertain: true}},
 	}
 	e := Binary{Op: OpAdd, L: AttrRef{Name: "u"}, R: Const{V: array.UncertainFloat(20, 4)}}
-	v, err := e.Eval(ctx)
+	v, err := evalCell(e, s, array.Coord{1}, array.Cell{array.UncertainFloat(10, 3)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,10 +764,11 @@ func TestZonePredsExact(t *testing.T) {
 			continue
 		}
 		for _, cell := range cells {
-			want, err := Truthy(c.pred, &EvalCtx{Schema: s, Reg: reg(), Cell: cell, Coord: array.Coord{1}})
+			v, err := evalCell(c.pred, s, array.Coord{1}, cell, reg())
 			if err != nil {
 				t.Fatalf("%s over %v: %v", c.name, cell, err)
 			}
+			want := !v.Null && v.Bool
 			if got := CellMatchesPreds(preds, cell); got != want {
 				t.Errorf("%s over %v: the conjuncts say %v, the predicate %v", c.name, cell, got, want)
 			}

@@ -23,8 +23,8 @@ package ops
 //     liveChunks warms Chunks() and presence counts before the fan-out.
 //   - Aggregate/Regrid partials are one table per chunk, merged at the
 //     barrier in chunk order whichever worker produced them (fold.go).
-//   - The columnar fast paths reuse evalArith/evalCmp/evalLogic and mirror
-//     Column.Get, so compiled and boxed evaluation are interchangeable.
+//   - Each task compiles its own expression evaluators (compile, expr.go),
+//     so no evaluator is shared between workers.
 //
 // Output schemas pin the effective chunk stride explicitly (dimsWithHwm) so
 // per-input-chunk tasks land on the output's own grid.
@@ -131,14 +131,6 @@ func eachPresent(ch *array.Chunk, fn func(idx int64, c array.Coord) error) error
 	return nil
 }
 
-// boxedCell reads slot idx of ch into cell, one boxed Value per attribute —
-// the input of the generic expression evaluator.
-func boxedCell(ch *array.Chunk, idx int64, cell array.Cell) {
-	for ai, col := range ch.Cols {
-		cell[ai] = col.Get(idx)
-	}
-}
-
 // peeker reads cells of a shared input array through a task-private
 // last-chunk cache, so concurrent tasks never touch the array's own mutable
 // cache (Array.At is not safe for concurrent use; PeekAt and this are).
@@ -208,133 +200,4 @@ func gridOrigins(a *array.Array, box array.Box) []array.Coord {
 		}
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Columnar expression compilation
-
-// colEval is a compiled per-chunk expression: it reads attribute vectors and
-// null bitmaps directly instead of boxing the whole cell into a Cell.
-type colEval func(idx int64, c array.Coord) (array.Value, error)
-
-func colSigma(col *array.Column, idx int64) float64 {
-	switch {
-	case col.HasShared:
-		return col.SharedSigma
-	case col.Sigma != nil:
-		return col.Sigma[idx]
-	}
-	return 0
-}
-
-// compileExpr compiles e against one chunk's columns. It returns nil when
-// the expression uses features the columnar path doesn't cover (string or
-// nested-array attributes, UDF calls); callers fall back to the generic
-// boxed-cell evaluator. Compiled evaluation produces identical Values: leaf
-// access mirrors Column.Get / DimRef.Eval and operators reuse evalArith,
-// evalCmp, and evalLogic.
-func compileExpr(e Expr, s *array.Schema, ch *array.Chunk) colEval {
-	switch n := e.(type) {
-	case Const:
-		v := n.V
-		return func(int64, array.Coord) (array.Value, error) { return v, nil }
-	case AttrRef:
-		ai := s.AttrIndex(n.Name)
-		if ai < 0 || ai >= len(ch.Cols) {
-			return nil
-		}
-		col := ch.Cols[ai]
-		switch col.Type {
-		case array.TInt64:
-			return func(idx int64, _ array.Coord) (array.Value, error) {
-				if col.Nulls.Get(idx) {
-					return array.Value{Type: array.TInt64, Null: true}, nil
-				}
-				return array.Value{Type: array.TInt64, Int: col.Ints[idx], Sigma: colSigma(col, idx)}, nil
-			}
-		case array.TFloat64:
-			return func(idx int64, _ array.Coord) (array.Value, error) {
-				if col.Nulls.Get(idx) {
-					return array.Value{Type: array.TFloat64, Null: true}, nil
-				}
-				return array.Value{Type: array.TFloat64, Float: col.Floats[idx], Sigma: colSigma(col, idx)}, nil
-			}
-		case array.TBool:
-			return func(idx int64, _ array.Coord) (array.Value, error) {
-				if col.Nulls.Get(idx) {
-					return array.Value{Type: array.TBool, Null: true}, nil
-				}
-				return array.Value{Type: array.TBool, Bool: col.Bools[idx], Sigma: colSigma(col, idx)}, nil
-			}
-		}
-		return nil
-	case DimRef:
-		d := s.DimIndex(n.Name)
-		if d < 0 {
-			return nil
-		}
-		return func(_ int64, c array.Coord) (array.Value, error) { return array.Int64(c[d]), nil }
-	case Binary:
-		l := compileExpr(n.L, s, ch)
-		if l == nil {
-			return nil
-		}
-		r := compileExpr(n.R, s, ch)
-		if r == nil {
-			return nil
-		}
-		op := n.Op
-		switch op {
-		case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-			return func(idx int64, c array.Coord) (array.Value, error) {
-				lv, err := l(idx, c)
-				if err != nil {
-					return array.Value{}, err
-				}
-				rv, err := r(idx, c)
-				if err != nil {
-					return array.Value{}, err
-				}
-				return evalArith(op, lv, rv)
-			}
-		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-			return func(idx int64, c array.Coord) (array.Value, error) {
-				lv, err := l(idx, c)
-				if err != nil {
-					return array.Value{}, err
-				}
-				rv, err := r(idx, c)
-				if err != nil {
-					return array.Value{}, err
-				}
-				return evalCmp(op, lv, rv), nil
-			}
-		case OpAnd, OpOr:
-			return func(idx int64, c array.Coord) (array.Value, error) {
-				lv, err := l(idx, c)
-				if err != nil {
-					return array.Value{}, err
-				}
-				rv, err := r(idx, c)
-				if err != nil {
-					return array.Value{}, err
-				}
-				return evalLogic(op, lv, rv), nil
-			}
-		}
-		return nil
-	case Not:
-		inner := compileExpr(n.E, s, ch)
-		if inner == nil {
-			return nil
-		}
-		return func(idx int64, c array.Coord) (array.Value, error) {
-			v, err := inner(idx, c)
-			if err != nil || v.Null {
-				return v, err
-			}
-			return array.Bool64(!v.Bool), nil
-		}
-	}
-	return nil
 }

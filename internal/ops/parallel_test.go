@@ -130,7 +130,7 @@ func TestParallelFilterMatchesSerial(t *testing.T) {
 		"compiled": Binary{Op: OpAnd,
 			L: Binary{Op: OpLt, L: Binary{Op: OpMul, L: AttrRef{Name: "v"}, R: Const{V: array.Int64(2)}}, R: AttrRef{Name: "f"}},
 			R: Binary{Op: OpGt, L: DimRef{Name: "x"}, R: Const{V: array.Int64(2)}}},
-		// UDF call forces the generic boxed-cell path.
+		// UDF call runs the compiled Call.
 		"generic": Binary{Op: OpGe, L: Call{Name: "half", Args: []Expr{AttrRef{Name: "v"}}}, R: Const{V: array.Int64(10)}},
 	}
 	for seed := int64(1); seed <= 4; seed++ {

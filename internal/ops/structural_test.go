@@ -261,15 +261,14 @@ func cjoinCells(a, b *array.Array, pred Expr, reg *udf.Registry) (*array.Array, 
 	for i, at := range out.Attrs {
 		nullCell[i] = array.NullValue(at.Type)
 	}
-	ctx := &EvalCtx{Schema: joinedSchema, Reg: reg}
 	var evalErr error
 	a.IterReuse(func(ca array.Coord, cellA array.Cell) bool {
 		ok := true
 		b.IterReuse(func(cb array.Coord, cellB array.Cell) bool {
 			dst := append(ca.Clone(), cb...)
 			joined := append(cellA.Clone(), cellB...)
-			ctx.Coord, ctx.Cell = dst, joined
-			match, err := Truthy(pred, ctx)
+			v, err := evalCell(pred, joinedSchema, dst, joined, reg)
+			match := !v.Null && v.Bool
 			if err != nil {
 				evalErr = err
 				ok = false

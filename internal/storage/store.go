@@ -560,47 +560,20 @@ func (s *Store) consultLocked(meta *bucketMeta) {
 	}
 }
 
-// Get returns one cell, consulting the memory buffer first, then newest
-// buckets.
-func (s *Store) Get(c array.Coord) (array.Cell, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cell, ok := s.mem.At(c); ok {
-		return cell, true, nil
-	}
-	pt := array.Box{Lo: c, Hi: c}
-	var best *bucketMeta
-	s.rt.Search(pt, func(e rtree.Entry) bool {
-		m := s.buckets[e.ID]
-		if best == nil || m.id > best.id {
-			best = m
+// Get returns one cell: a chunk scan over the point's box, where the memory
+// buffer comes first and newer buckets shadow older ones.
+func (s *Store) Get(c array.Coord) (cell array.Cell, ok bool, err error) {
+	err = s.ScanChunks(array.Box{Lo: c, Hi: c}, nil, nil).Each(func(lc LiveChunk) error {
+		if !lc.Live.Get(lc.Chunk.Index(c)) {
+			return nil
 		}
-		return true
+		cell, ok = lc.Chunk.Get(c)
+		return errStopScan
 	})
-	for best != nil {
-		s.consultLocked(best)
-		ch, release, err := s.pinBucket(best, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		cell, ok := ch.Get(c)
-		release()
-		if ok {
-			return cell, true, nil
-		}
-		// The newest bucket covering the box may not hold the cell; fall
-		// back to scanning all covering buckets newest-first.
-		var prev *bucketMeta
-		s.rt.Search(pt, func(e rtree.Entry) bool {
-			m := s.buckets[e.ID]
-			if m.id < best.id && (prev == nil || m.id > prev.id) {
-				prev = m
-			}
-			return true
-		})
-		best = prev
+	if err == errStopScan {
+		err = nil
 	}
-	return nil, false, nil
+	return cell, ok, err
 }
 
 // MergeOnce performs one merge step: it finds the best pair of small buckets
