@@ -686,17 +686,26 @@ func TestReDeriveThroughUncertainApply(t *testing.T) {
 	}
 }
 
+// TestReDeriveUnrunnableCommand: ReDerive re-runs a correction whole or not
+// at all. A command logged by hand has no rerun, so a correction reaching it
+// fails before the re-runnable command upstream of it touches its target.
 func TestReDeriveUnrunnableCommand(t *testing.T) {
 	db := testDB()
 	exec(t, db, "define array T (v = float) (x)")
 	exec(t, db, "create array A as T [4]")
 	a, _ := db.Array("A")
 	_ = a.Fill(func(c array.Coord) array.Cell { return array.Cell{array.Float64(1)} })
-	// Nested store produces a synthetic intermediate that is not
-	// re-runnable (its array is never stored).
-	exec(t, db, "store filter(regrid(A, [2], sum(v)), sum_v > 0) into F")
+	exec(t, db, "store apply(A, w = v * 2) into W")
+	db.Provenance().Append(&provenance.Command{
+		Kind: provenance.KindElementwise, Input: "W", Output: "X", Text: "an external program over W",
+	})
+	_ = a.Set(array.Coord{1}, array.Cell{array.Float64(5)})
 	_, err := db.ReDerive(provenance.CellRef{Array: "A", Coord: array.Coord{1}})
-	if err == nil {
-		t.Error("re-derivation through a synthetic intermediate should report it is not re-runnable")
+	if err == nil || !strings.Contains(err.Error(), "not re-runnable") {
+		t.Errorf("ReDerive through a command with no rerun: %v, want it not re-runnable", err)
+	}
+	w, _ := db.Array("W")
+	if cell, _ := w.At(array.Coord{1}); cell[1].Float != 2 {
+		t.Errorf("W[1].w = %v after the refused ReDerive, want the unchanged 2", cell[1])
 	}
 }

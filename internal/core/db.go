@@ -188,7 +188,11 @@ func (db *Database) run(ctx context.Context, stmt parser.Stmt) (*Result, error) 
 	case *parser.Store:
 		return db.runStore(ctx, s)
 	case *parser.Query:
-		a, err := db.eval(ctx, s.Expr)
+		p, err := db.lower(s.Expr)
+		if err != nil {
+			return nil, err
+		}
+		a, err := db.eval(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +214,11 @@ func (db *Database) run(ctx context.Context, stmt parser.Stmt) (*Result, error) 
 // of the query.
 func (db *Database) runExplain(ctx context.Context, s *parser.Explain) (*Result, error) {
 	if !s.Analyze {
-		return &Result{Msg: db.planString(s.Stmt)}, nil
+		msg, err := db.planString(s.Stmt)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Msg: msg}, nil
 	}
 	tr := obs.NewTrace(parser.Format(s.Stmt))
 	root := tr.Root()
@@ -227,9 +235,9 @@ func (db *Database) runExplain(ctx context.Context, s *parser.Explain) (*Result,
 	return &Result{Msg: msg}, nil
 }
 
-// planString renders the statement's operator tree without executing it;
-// each array reference shows the read pushdown gives it, as execution would.
-func (db *Database) planString(stmt parser.Stmt) string {
+// planString renders the statement's plan without executing it: the tree
+// execution would run, each read showing the fragment pushdown gave it.
+func (db *Database) planString(stmt parser.Stmt) (string, error) {
 	var e parser.ArrayExpr
 	switch n := stmt.(type) {
 	case *parser.Query:
@@ -237,29 +245,18 @@ func (db *Database) planString(stmt parser.Stmt) string {
 	case *parser.Store:
 		e = n.Expr
 	default:
-		return parser.Format(stmt)
+		return parser.Format(stmt), nil
+	}
+	p, err := db.lower(e)
+	if err != nil {
+		return "", err
 	}
 	var b strings.Builder
-	db.planTree(&b, e, nil, "", "")
+	p.render(&b, "", "")
 	if st, ok := stmt.(*parser.Store); ok {
 		fmt.Fprintf(&b, "store into %s\n", st.Target)
 	}
-	return strings.TrimRight(b.String(), "\n")
-}
-
-func (db *Database) planTree(b *strings.Builder, e parser.ArrayExpr, lf *leaf, selfPrefix, childPrefix string) {
-	if lf == nil {
-		lf, _ = db.pushdown(e) // an unknown name shows as a bare scan
-	}
-	name, kids := planNode(e, lf)
-	b.WriteString(selfPrefix + name + "\n")
-	for i, k := range kids {
-		if i == len(kids)-1 {
-			db.planTree(b, k, lf.under(k), childPrefix+"└─ ", childPrefix+"   ")
-		} else {
-			db.planTree(b, k, lf.under(k), childPrefix+"├─ ", childPrefix+"│  ")
-		}
-	}
+	return strings.TrimRight(b.String(), "\n"), nil
 }
 
 func (db *Database) runDefine(s *parser.DefineArray) (*Result, error) {
@@ -553,7 +550,15 @@ func (db *Database) runLoad(s *parser.Load) (*Result, error) {
 }
 
 func (db *Database) runStore(ctx context.Context, s *parser.Store) (*Result, error) {
-	a, err := db.eval(ctx, s.Expr)
+	p, err := db.lower(s.Expr)
+	if err != nil {
+		return nil, err
+	}
+	a, err := db.eval(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	cmds, _, err := db.derivation(ctx, p, s.Target, true)
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +570,12 @@ func (db *Database) runStore(ctx context.Context, s *parser.Store) (*Result, err
 	a.Schema.Name = s.Target
 	db.arrays[s.Target] = a
 	db.mu.Unlock()
-	db.logDerivation(s.Expr, s.Target)
+	for _, l := range cmds {
+		db.log.Append(l.cmd)
+		if l.rerun != nil {
+			db.reruns.set(l.cmd.ID, l.rerun)
+		}
+	}
 	return &Result{Msg: fmt.Sprintf("stored %d cells into %s", a.Count(), s.Target)}, nil
 }
 
