@@ -60,7 +60,7 @@ func BenchmarkAblationChunkStride(b *testing.B) {
 	}
 }
 
-// --- storage stride: buckets written and range-read cost ---------------------
+// --- storage chunk grid: buckets written and range-read cost -----------------
 
 func BenchmarkAblationBucketStride(b *testing.B) {
 	const n = 64
@@ -69,9 +69,9 @@ func BenchmarkAblationBucketStride(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st, err := storage.NewStore(&array.Schema{
 					Name:  "ab",
-					Dims:  []array.Dimension{{Name: "t", High: n}, {Name: "s", High: n}},
+					Dims:  []array.Dimension{{Name: "t", High: n, ChunkLen: stride}, {Name: "s", High: n, ChunkLen: stride}},
 					Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
-				}, storage.Options{Stride: []int64{stride, stride}})
+				}, storage.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -129,9 +129,9 @@ func BenchmarkAblationMerge(b *testing.B) {
 		const n = 64
 		st, _ := storage.NewStore(&array.Schema{
 			Name:  "ab",
-			Dims:  []array.Dimension{{Name: "t", High: n}, {Name: "s", High: n}},
+			Dims:  []array.Dimension{{Name: "t", High: n, ChunkLen: 16}, {Name: "s", High: n, ChunkLen: 16}},
 			Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
-		}, storage.Options{Stride: []int64{16, 16}})
+		}, storage.Options{})
 		k := 0
 		for t := int64(1); t <= n; t++ {
 			for s := int64(1); s <= n; s++ {

@@ -228,7 +228,7 @@ func BenchmarkPartitionDesigner(b *testing.B) {
 func storeBenchData() (*array.Schema, []array.Coord, []array.Cell) {
 	s := &array.Schema{
 		Name:  "sensor",
-		Dims:  []array.Dimension{{Name: "t", High: 64}, {Name: "site", High: 64}},
+		Dims:  []array.Dimension{{Name: "t", High: 64, ChunkLen: 32}, {Name: "site", High: 64, ChunkLen: 32}},
 		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
 	}
 	var coords []array.Coord
@@ -246,7 +246,7 @@ func benchStoreCodec(b *testing.B, codec compress.Codec) {
 	s, coords, cells := storeBenchData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := storage.NewStore(s, storage.Options{Codec: codec, Stride: []int64{32, 32}})
+		st, err := storage.NewStore(s, storage.Options{Codec: codec})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func BenchmarkStorageCodecAuto(b *testing.B)  { benchStoreCodec(b, compress.Auto
 
 func BenchmarkStoragePointRead(b *testing.B) {
 	s, coords, cells := storeBenchData()
-	st, _ := storage.NewStore(s, storage.Options{Stride: []int64{32, 32}})
+	st, _ := storage.NewStore(s, storage.Options{})
 	for k := range coords {
 		_ = st.Put(coords[k], cells[k])
 	}
@@ -286,7 +286,6 @@ func benchDiskStore(b *testing.B, cacheBytes int64) *storage.Store {
 	s, coords, cells := storeBenchData()
 	st, err := storage.NewStore(s, storage.Options{
 		Dir:        b.TempDir(),
-		Stride:     []int64{32, 32},
 		CacheBytes: cacheBytes,
 	})
 	if err != nil {

@@ -102,14 +102,7 @@ const DefaultChunkLen = 64
 func (a *Array) chunkOrigin(c Coord) Coord {
 	o := make(Coord, len(c))
 	for i, d := range a.Schema.Dims {
-		cl := d.ChunkLen
-		if cl <= 0 {
-			if d.High != Unbounded {
-				o[i] = 1
-				continue
-			}
-			cl = DefaultChunkLen
-		}
+		cl := d.GridLen()
 		o[i] = ((c[i]-1)/cl)*cl + 1
 	}
 	return o
@@ -119,16 +112,8 @@ func (a *Array) chunkOrigin(c Coord) Coord {
 func (a *Array) chunkShape(origin Coord) []int64 {
 	sh := make([]int64, len(origin))
 	for i, d := range a.Schema.Dims {
-		cl := d.ChunkLen
-		if cl <= 0 {
-			if d.High != Unbounded {
-				sh[i] = d.High
-				continue
-			}
-			cl = DefaultChunkLen
-		}
-		sh[i] = cl
-		if d.High != Unbounded && origin[i]+cl-1 > d.High {
+		sh[i] = d.GridLen()
+		if d.High != Unbounded && origin[i]+sh[i]-1 > d.High {
 			sh[i] = d.High - origin[i] + 1
 		}
 	}

@@ -28,6 +28,18 @@ type Dimension struct {
 	ChunkLen int64
 }
 
+// GridLen is the dimension's chunk grid step: ChunkLen, or when that is
+// unset the whole dimension if it is bounded and DefaultChunkLen if not.
+func (d Dimension) GridLen() int64 {
+	switch {
+	case d.ChunkLen > 0:
+		return d.ChunkLen
+	case d.High != Unbounded:
+		return d.High
+	}
+	return DefaultChunkLen
+}
+
 // Bounded reports whether the dimension has a fixed high-water mark.
 func (d Dimension) Bounded() bool { return d.High != Unbounded }
 

@@ -107,7 +107,7 @@ func handleOK(t testing.TB, w *Worker, req *Message) *Message {
 // putBatch sends cells through the worker's "put" op.
 func putBatch(t testing.TB, w *Worker, cells map[xy]array.Cell) {
 	t.Helper()
-	a := array.MustNew(partitionSchema(diffSchema()))
+	a := array.MustNew(PartitionSchema(diffSchema()))
 	for c, cell := range cells {
 		if err := a.Set(array.Coord{c[0], c[1]}, cell); err != nil {
 			t.Fatal(err)
@@ -123,7 +123,8 @@ func putBatch(t testing.TB, w *Worker, cells map[xy]array.Cell) {
 // buildDiffWorker creates a worker holding final on the named backing. The
 // store backings replay the batches with flushes between them — overlapping
 // buckets, shadowed cells — and leave the last batch in the memory buffer;
-// the bucket stride is drawn independently of the schema's chunk grid. "store
+// the stored array's chunk grid is drawn independently of the one the
+// batches and the oracle are built on. "store
 // on disk" keeps its buckets in files and reads them through a pool, "store
 // in memory" has neither a directory nor a pool, and "store, 1-byte pool" has
 // a pool that keeps nothing: every read loads its projected sections again,
@@ -132,8 +133,10 @@ func putBatch(t testing.TB, w *Worker, cells map[xy]array.Cell) {
 func buildDiffWorker(t testing.TB, rng *rand.Rand, backing string, batches []map[xy]array.Cell, final map[xy]array.Cell) *Worker {
 	t.Helper()
 	if strings.HasPrefix(backing, "store") {
-		stride := []int64{8, 16, 24}[rng.Intn(3)]
-		opts := WorkerOptions{Stride: []int64{stride, stride}, Readahead: 2}
+		stored := diffSchema()
+		stored.Dims[0].ChunkLen = []int64{8, 16, 24}[rng.Intn(3)]
+		stored.Dims[1].ChunkLen = stored.Dims[0].ChunkLen
+		opts := WorkerOptions{Readahead: 2}
 		switch backing {
 		case "store on disk":
 			opts.Dir, opts.CacheBytes = t.TempDir(), 1<<20
@@ -141,7 +144,7 @@ func buildDiffWorker(t testing.TB, rng *rand.Rand, backing string, batches []map
 			opts.CacheBytes = 1
 		}
 		w := NewWorkerWithOptions(0, opts)
-		handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
+		handleOK(t, w, &Message{Op: "create", Array: "d", Schema: stored})
 		for i, b := range batches {
 			putBatch(t, w, b)
 			if i < len(batches)-1 {
@@ -545,7 +548,7 @@ func checkWorkerRead(t *testing.T, seed int64) {
 				}
 				cells := handleOK(t, w, q.message(nil))
 				checkCounters(par, "cells", cells)
-				got, err := storage.DecodeChunks(partitionSchema(diffSchema()), cells.Chunks)
+				got, err := storage.DecodeChunks(PartitionSchema(diffSchema()), cells.Chunks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -603,7 +606,7 @@ func TestPutStreamFlushesAtMemLimit(t *testing.T) {
 	w := NewWorkerWithOptions(0, WorkerOptions{Dir: t.TempDir(), Stride: []int64{64, 64}})
 	defer w.Close()
 	handleOK(t, w, &Message{Op: "create", Array: "s", Schema: schema})
-	ps := partitionSchema(schema)
+	ps := PartitionSchema(schema)
 	emptyChunk := array.NewChunk(ps, array.Coord{1, 1}, []int64{64, 64}).ByteSize()
 
 	var buffered, wantFlushes int64
@@ -703,9 +706,11 @@ func TestConcurrentReadOpsShareWorker(t *testing.T) {
 // cached nothing.
 func TestWorkerOpsReportCorruptBucket(t *testing.T) {
 	dir := t.TempDir()
-	w := NewWorkerWithOptions(0, WorkerOptions{Dir: dir, Stride: []int64{64, 64}, CacheBytes: 1 << 20})
+	w := NewWorkerWithOptions(0, WorkerOptions{Dir: dir, CacheBytes: 1 << 20})
 	defer w.Close()
-	handleOK(t, w, &Message{Op: "create", Array: "d", Schema: diffSchema()})
+	one := diffSchema() // one bucket
+	one.Dims[0].ChunkLen, one.Dims[1].ChunkLen = 64, 64
+	handleOK(t, w, &Message{Op: "create", Array: "d", Schema: one})
 	rng := rand.New(rand.NewSource(3))
 	_, final := diffBatches(rng)
 	putBatch(t, w, final)

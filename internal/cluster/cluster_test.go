@@ -167,7 +167,7 @@ func heldCoords(t *testing.T, tr Transport, co *Coordinator, name string) [][]st
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := storage.DecodeChunks(partitionSchema(s), resp.Chunks)
+		a, err := storage.DecodeChunks(PartitionSchema(s), resp.Chunks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,9 +426,9 @@ func TestNodeStatsFollowWorkerCounters(t *testing.T) {
 // workers' own snapshots summed — no counter is lost between a node's
 // registry and the coordinator's decode.
 func TestStatsAdaptersCarryEveryField(t *testing.T) {
-	tr := NewLocalWithOptions(2, WorkerOptions{Stride: []int64{8, 8}, CacheBytes: 1 << 20})
+	tr := NewLocalWithOptions(2, WorkerOptions{CacheBytes: 1 << 20})
 	co := NewCoordinator(tr, 0)
-	if err := co.Create("sky", gridSchema(), partition.Block{Nodes: 2, SplitDim: 0, High: 64}); err != nil {
+	if err := co.Create("sky", gridSchema8(), partition.Block{Nodes: 2, SplitDim: 0, High: 64}); err != nil {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "sky", 64) // flux = x+y: node 0 holds x ≤ 32, so flux ≤ 96

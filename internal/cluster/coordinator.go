@@ -137,7 +137,7 @@ func (co *Coordinator) Put(name string, c array.Coord, cell array.Cell) error {
 	for _, node := range nodes {
 		buf, ok := da.staging[node]
 		if !ok {
-			buf, err = array.New(partitionSchema(da.Schema))
+			buf, err = array.New(PartitionSchema(da.Schema))
 			if err != nil {
 				return err
 			}
@@ -317,7 +317,7 @@ func (co *Coordinator) Read(ctx context.Context, name string, frag ops.Fragment)
 			return nil, 0, 0, 0, err
 		}
 	}
-	s := partitionSchema(da.Schema)
+	s := PartitionSchema(da.Schema)
 	resps, g, err := co.ask(ctx, da, frag.Box, &Message{Op: "read", Array: name,
 		BoxLo: frag.Box.Lo, BoxHi: frag.Box.Hi, Preds: frag.Preds, Fold: frag.Fold}, s)
 	if err != nil {
@@ -400,7 +400,7 @@ func (co *Coordinator) Repartition(name string, newScheme partition.Scheme) erro
 		return err
 	}
 	nodes := co.t.NumNodes()
-	tmpl := partitionSchema(da.Schema)
+	tmpl := PartitionSchema(da.Schema)
 	newContent := make([]*array.Array, nodes)
 	for n := range newContent {
 		if newContent[n], err = array.New(tmpl.Clone()); err != nil {

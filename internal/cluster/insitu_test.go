@@ -512,7 +512,7 @@ func TestInsituRefusesWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ext.csv")
 	writeExt(t, path, 0, "")
 	tr, _ := insituGrid(t, path)
-	a := array.MustNew(partitionSchema(extSchema()))
+	a := array.MustNew(PartitionSchema(extSchema()))
 	if err := a.Set(array.Coord{1, 1}, array.Cell{array.Float64(1)}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,17 +12,20 @@ import (
 	"scidb/internal/storage"
 )
 
-// WorkerOptions configures the storage.Store (stride-aligned compressed
-// buckets + R-tree under a write buffer) that backs each of a node's
-// partitions. The zero value keeps buckets in memory and reads them unpooled.
+// WorkerOptions configures the storage.Store (compressed buckets, one per
+// chunk of the partition's grid, indexed by chunk origin under a write
+// buffer) that backs each of a node's partitions. The zero value keeps
+// buckets in memory and reads them unpooled.
 type WorkerOptions struct {
 	// Persist is unread: every partition is a store. The field remains only
-	// because the frozen bench/grid.go sets it (ROADMAP item 3 deletes it).
+	// because the frozen bench/grid.go sets it (ROADMAP item 1 deletes it).
 	Persist bool
 	// Dir is the node's bucket-directory root; each partition gets a
 	// subdirectory. Empty keeps buckets in memory (still encoded).
 	Dir string
-	// Stride is the bucket stride handed to each partition's store.
+	// Stride is unread but for storage.CheckStride at create: a partition's
+	// buckets are chunks of its PartitionSchema grid, and a stride may only
+	// restate that grid. The frozen bench/grid.go sets it (ROADMAP item 1).
 	Stride []int64
 	// Cache is a decoded-bucket pool shared with other nodes (one pool per
 	// process is the intended deployment). Nil with CacheBytes > 0 builds a
@@ -132,12 +135,13 @@ func (w *Worker) flushOp(req *Message) (*Message, error) {
 	return &Message{Op: "flush"}, nil
 }
 
-// partitionSchema is the shape of a distributed array wherever part of it is
+// PartitionSchema is the shape of a distributed array wherever part of it is
 // held: dimensions unbounded (a partition, a staging buffer, a gather hold an
-// arbitrary sub-box) with chunking defaults. Workers and the coordinator
-// both derive it here, so a chunk one side builds lies on the other's grid
-// and is adopted whole.
-func partitionSchema(in *array.Schema) *array.Schema {
+// arbitrary sub-box) with chunking defaults. It fixes the array's one grid:
+// workers store each chunk of it as a bucket, the coordinator gathers on it,
+// the loader ships it (loader.ClusterDest) and routing moves it, so a chunk
+// one side builds is adopted whole by the other.
+func PartitionSchema(in *array.Schema) *array.Schema {
 	s := in.Clone()
 	for i := range s.Dims {
 		if s.Dims[i].ChunkLen <= 0 {
@@ -174,9 +178,12 @@ func (w *Worker) openLocked(name string, schema *array.Schema, dir string) (*sto
 		_ = old.Close() // superseded; the new store reads what it flushed
 	}
 	// Dimensions unbound: a partition holds an arbitrary sub-box.
-	st, err := storage.NewStore(partitionSchema(schema), storage.Options{
+	grid := PartitionSchema(schema)
+	if err := storage.CheckStride(grid, w.opts.Stride); err != nil {
+		return nil, err
+	}
+	st, err := storage.NewStore(grid, storage.Options{
 		Dir:       dir,
-		Stride:    w.opts.Stride,
 		Cache:     w.cache,
 		Readahead: w.opts.Readahead,
 		// Heat sampling: every bucket consulted by a read (cache hit or

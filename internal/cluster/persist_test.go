@@ -12,13 +12,20 @@ import (
 	"scidb/internal/storage"
 )
 
+// gridSchema8 is gridSchema on an 8x8 chunk grid: the arrays persistGrid's
+// tests create, so each node holds several buckets.
+func gridSchema8() *array.Schema {
+	s := gridSchema()
+	s.Dims[0].ChunkLen, s.Dims[1].ChunkLen = 8, 8
+	return s
+}
+
 // persistGrid builds an in-process grid whose stores keep their buckets on
 // disk and read them through one shared buffer pool.
 func persistGrid(t *testing.T, nodes int) (*Local, *Coordinator) {
 	t.Helper()
 	tr := NewLocalWithOptions(nodes, WorkerOptions{
 		Dir:        t.TempDir(),
-		Stride:     []int64{8, 8},
 		CacheBytes: 8 << 20,
 	})
 	t.Cleanup(func() { _ = tr.Close() })
@@ -30,14 +37,14 @@ func persistGrid(t *testing.T, nodes int) (*Local, *Coordinator) {
 // pool) and on one with a data directory and a pool.
 func TestClusterRoundTrip(t *testing.T) {
 	tr := NewLocal(4)
-	checkClusterRoundTrip(t, tr, NewCoordinator(tr, 0))
+	checkClusterRoundTrip(t, tr, NewCoordinator(tr, 0), gridSchema())
 	tr, co := persistGrid(t, 4)
-	checkClusterRoundTrip(t, tr, co)
+	checkClusterRoundTrip(t, tr, co, gridSchema8())
 }
 
-func checkClusterRoundTrip(t *testing.T, tr *Local, co *Coordinator) {
+func checkClusterRoundTrip(t *testing.T, tr *Local, co *Coordinator, schema *array.Schema) {
 	scheme := partition.Block{Nodes: 4, SplitDim: 0, High: 16}
-	if err := co.Create("sky", gridSchema(), scheme); err != nil {
+	if err := co.Create("sky", schema, scheme); err != nil {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "sky", 16)
@@ -67,7 +74,7 @@ func checkClusterRoundTrip(t *testing.T, tr *Local, co *Coordinator) {
 	}
 
 	// A second array gathers whole from every node's store.
-	if err := co.Create("sky2", gridSchema(), scheme); err != nil {
+	if err := co.Create("sky2", schema, scheme); err != nil {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "sky2", 16)
@@ -130,7 +137,7 @@ func workerGet(tr *Local, name string, c array.Coord) (array.Cell, bool, error) 
 func TestClusterSharedPoolWarmScan(t *testing.T) {
 	tr, co := persistGrid(t, 2)
 	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 16}
-	if err := co.Create("sky", gridSchema(), scheme); err != nil {
+	if err := co.Create("sky", gridSchema8(), scheme); err != nil {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "sky", 16)
@@ -212,7 +219,7 @@ func TestFilteredGrandTotalOccupancy(t *testing.T) {
 		{ops.Fragment{Preds: preds, Fold: grouped}, 0},
 	} {
 		_, co := persistGrid(t, 1)
-		if err := co.Create("sky", gridSchema(), partition.Block{Nodes: 1, SplitDim: 0, High: 64}); err != nil {
+		if err := co.Create("sky", gridSchema8(), partition.Block{Nodes: 1, SplitDim: 0, High: 64}); err != nil {
 			t.Fatal(err)
 		}
 		loadGrid(t, co, "sky", 1) // one cell, (1,1), flux 2
@@ -236,7 +243,7 @@ func TestFilteredGrandTotalOccupancy(t *testing.T) {
 func TestClusterScanPruned(t *testing.T) {
 	_, co := persistGrid(t, 4)
 	scheme := partition.Block{Nodes: 4, SplitDim: 0, High: 16}
-	if err := co.Create("sky", gridSchema(), scheme); err != nil {
+	if err := co.Create("sky", gridSchema8(), scheme); err != nil {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "sky", 16) // flux = x + y, so per-bucket ranges differ
@@ -292,7 +299,7 @@ func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
 	if err := co.Flush("line"); err != nil {
 		t.Fatal(err)
 	}
-	grid := partitionSchema(schema)
+	grid := PartitionSchema(schema)
 	var parts []*array.Array
 	for n, w := range tr.Workers {
 		w.mu.RLock()
@@ -348,11 +355,11 @@ func TestDefaultChunkLenAdoptedOnBothSides(t *testing.T) {
 // open partition — until a drop takes them off.
 func TestRestartCountsRecoveredCells(t *testing.T) {
 	dir := t.TempDir()
-	opts := WorkerOptions{Dir: dir, Stride: []int64{8, 8}}
+	opts := WorkerOptions{Dir: dir}
 	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 16}
 	tr := NewLocalWithOptions(2, opts)
 	co := NewCoordinator(tr, 0)
-	if err := co.Create("sky", gridSchema(), scheme); err != nil {
+	if err := co.Create("sky", gridSchema8(), scheme); err != nil {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "sky", 16)
@@ -369,7 +376,7 @@ func TestRestartCountsRecoveredCells(t *testing.T) {
 		return n
 	}
 	for round := 0; round < 2; round++ {
-		if err := NewCoordinator(tr, 0).Create("sky", gridSchema(), scheme); err != nil {
+		if err := NewCoordinator(tr, 0).Create("sky", gridSchema8(), scheme); err != nil {
 			t.Fatal(err)
 		}
 		if got := held(); !reflect.DeepEqual(got, []int64{128, 128}) {

@@ -57,12 +57,11 @@ func rebCounters() {
 
 // EnableRouting layers a versioned chunk→nodes routing table over the
 // array's current scheme, making it eligible for live migration and
-// replication. stride fixes the routing grid (nil/zero entries default to
-// the schema's ChunkLen, then 64) and should match the workers' bucket
-// stride so a routed chunk is a whole bucket. Idempotent. Note the bulk
-// loader's LoadChunks path targets nodes chosen by the caller — ingest
-// should finish before rebalancing begins.
-func (co *Coordinator) EnableRouting(name string, stride []int64) (*partition.Routing, error) {
+// replication. The routing grid is the array's PartitionSchema grid, so a
+// routed chunk is one bucket on every node that holds it. Idempotent. Note
+// the bulk loader's LoadChunks path targets nodes chosen by the caller —
+// ingest should finish before rebalancing begins.
+func (co *Coordinator) EnableRouting(name string) (*partition.Routing, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	da, err := co.dist(name)
@@ -72,19 +71,11 @@ func (co *Coordinator) EnableRouting(name string, stride []int64) (*partition.Ro
 	if rt, ok := da.Scheme.(*partition.Routing); ok {
 		return rt, nil
 	}
-	nd := len(da.Schema.Dims)
-	st := make([]int64, nd)
-	for i := range st {
-		switch {
-		case i < len(stride) && stride[i] > 0:
-			st[i] = stride[i]
-		case da.Schema.Dims[i].ChunkLen > 0:
-			st[i] = da.Schema.Dims[i].ChunkLen
-		default:
-			st[i] = 64
-		}
+	var grid []int64
+	for _, d := range PartitionSchema(da.Schema).Dims {
+		grid = append(grid, d.ChunkLen)
 	}
-	rt := partition.NewRouting(da.Scheme, nd, st)
+	rt := partition.NewRouting(da.Scheme, len(grid), grid)
 	da.Scheme = rt
 	return rt, nil
 }

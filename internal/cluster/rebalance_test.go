@@ -85,7 +85,7 @@ func heatUp(t *testing.T, co *Coordinator, rounds int) {
 // bit-identical before and after, and writes following the new owner.
 func TestRebalanceMigratesHotChunk(t *testing.T) {
 	_, co := rebalanceCluster(t)
-	rt, err := co.EnableRouting("sky", nil)
+	rt, err := co.EnableRouting("sky")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRebalanceMigratesHotChunk(t *testing.T) {
 // of its bucket, moves, and every answer stays cell-identical.
 func TestRebalanceOnDefaultGrid(t *testing.T) {
 	co := skyOn(t, NewLocal(3))
-	rt, err := co.EnableRouting("sky", nil)
+	rt, err := co.EnableRouting("sky")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestLoadChunksBoxClearsStaleBufferedCells(t *testing.T) {
 	stale := array.Cell{array.Float64(-1), array.Int64(-1), array.String64("stale")}
 	fresh := array.Cell{array.Float64(7), array.Int64(7), array.String64("fresh")}
 	putBatch(t, w, map[xy]array.Cell{{3, 3}: stale, {5, 5}: stale, {20, 20}: stale}) // buffered, never flushed
-	ps := partitionSchema(diffSchema())
+	ps := PartitionSchema(diffSchema())
 	canon := array.MustNew(ps)
 	if err := canon.Set(array.Coord{3, 3}, fresh); err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestLoadChunksBoxClearsStaleBufferedCells(t *testing.T) {
 // a query touching the dead node's unreplicated chunks still fails loudly.
 func TestRebalanceReplicatesAndSurvivesNodeDeath(t *testing.T) {
 	tr, co := rebalanceCluster(t)
-	rt, err := co.EnableRouting("sky", nil)
+	rt, err := co.EnableRouting("sky")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestRebalanceReplicatesAndSurvivesNodeDeath(t *testing.T) {
 // landed after the export.
 func TestWriteFenceDuringMigration(t *testing.T) {
 	_, co := rebalanceCluster(t)
-	if _, err := co.EnableRouting("sky", nil); err != nil {
+	if _, err := co.EnableRouting("sky"); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -312,7 +312,7 @@ func TestWriteFenceDuringMigration(t *testing.T) {
 // `make race` (the cluster package is on the Makefile race list).
 func TestConcurrentScansDuringRebalanceStress(t *testing.T) {
 	_, co := rebalanceCluster(t)
-	if _, err := co.EnableRouting("sky", nil); err != nil {
+	if _, err := co.EnableRouting("sky"); err != nil {
 		t.Fatal(err)
 	}
 	iters := 40

@@ -103,7 +103,7 @@ func TestRepartitionNodeDeathReturns(t *testing.T) {
 // cluster must heal once the node revives.
 func TestRebalanceRecopyNodeDeathReturns(t *testing.T) {
 	tr, hook, co := hookedCluster(t)
-	if _, err := co.EnableRouting("sky", nil); err != nil {
+	if _, err := co.EnableRouting("sky"); err != nil {
 		t.Fatal(err)
 	}
 	heatUp(t, co, 20)
@@ -153,7 +153,7 @@ func TestRebalanceRecopyNodeDeathReturns(t *testing.T) {
 // drains it.
 func TestPendingDedupeOnFailedMoves(t *testing.T) {
 	_, hook, co := hookedCluster(t)
-	if _, err := co.EnableRouting("sky", nil); err != nil {
+	if _, err := co.EnableRouting("sky"); err != nil {
 		t.Fatal(err)
 	}
 	failErr := errors.New("install refused")
@@ -200,7 +200,7 @@ func TestPendingDedupeOnFailedMoves(t *testing.T) {
 // live node and drops the dead node from the route.
 func TestReplicateHealsAfterHolderDeath(t *testing.T) {
 	tr, co := rebalanceCluster(t)
-	rt, err := co.EnableRouting("sky", nil)
+	rt, err := co.EnableRouting("sky")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestReplicateHealsAfterHolderDeath(t *testing.T) {
 // release cells the source owns after it. Content must survive unchanged.
 func TestRepartitionDuringRebalanceStress(t *testing.T) {
 	_, co := rebalanceCluster(t)
-	if _, err := co.EnableRouting("sky", nil); err != nil {
+	if _, err := co.EnableRouting("sky"); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -273,7 +273,7 @@ func TestRepartitionDuringRebalanceStress(t *testing.T) {
 		if err := co.Repartition("sky", partition.Block{Nodes: 3, SplitDim: 0, High: 48}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := co.EnableRouting("sky", nil); err != nil {
+		if _, err := co.EnableRouting("sky"); err != nil {
 			t.Fatal(err)
 		}
 	}

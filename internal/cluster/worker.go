@@ -99,9 +99,9 @@ type Message struct {
 
 // Worker is one shared-nothing node: a set of local array partitions, each a
 // storage.Store (the node's own storage manager: a write buffer served ahead
-// of stride-aligned compressed buckets, on disk under WorkerOptions.Dir or
-// in memory without one). An in-situ partition's store is filled from an
-// external file by its first read.
+// of compressed buckets, one per chunk of the array's grid, on disk under
+// WorkerOptions.Dir or in memory without one). An in-situ partition's store
+// is filled from an external file by its first read.
 type Worker struct {
 	ID   int
 	opts WorkerOptions

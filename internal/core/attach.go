@@ -69,18 +69,7 @@ func (db *Database) attachFile(name, path, adaptor string, distribute bool) (*Re
 	}
 	// Buckets are the schema's chunks, so storeSource.read adopts them whole,
 	// and a private pool keeps repeated reads in memory.
-	stride := make([]int64, len(schema.Dims))
-	for i, d := range schema.Dims {
-		switch {
-		case d.ChunkLen > 0:
-			stride[i] = d.ChunkLen
-		case d.High != array.Unbounded:
-			stride[i] = d.High
-		default:
-			stride[i] = array.DefaultChunkLen
-		}
-	}
-	st, err := storage.NewStore(schema, storage.Options{Stride: stride, CacheBytes: bufcache.DefaultBudget})
+	st, err := storage.NewStore(schema, storage.Options{CacheBytes: bufcache.DefaultBudget})
 	if err != nil {
 		ds.Close()
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -107,7 +108,7 @@ func fourBackings(t *testing.T) map[string]*Database {
 		var co *cluster.Coordinator
 		if kind == "cluster" {
 			tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{
-				Dir: t.TempDir(), Stride: []int64{4, 4}, CacheBytes: 8 << 20,
+				Dir: t.TempDir(), CacheBytes: 8 << 20,
 			})
 			t.Cleanup(func() { tr.Close() })
 			co = cluster.NewCoordinator(tr, 0)
@@ -118,13 +119,16 @@ func fourBackings(t *testing.T) map[string]*Database {
 			if name == "D" {
 				a = backingCells(t, name)
 			}
+			// The store and the cluster hold D on a 4x4 chunk grid.
+			grid := a.Schema.Clone()
+			grid.Dims[0].ChunkLen, grid.Dims[1].ChunkLen = 4, 4
 			var err error
 			switch kind {
 			case "memory":
 				err = db.PutArray(name, a)
 			case "store":
 				var st *storage.Store
-				st, err = storage.NewStore(a.Schema, storage.Options{Dir: t.TempDir(), Stride: []int64{4, 4}, CacheBytes: 4 << 20})
+				st, err = storage.NewStore(grid, storage.Options{Dir: t.TempDir(), CacheBytes: 4 << 20})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,7 +150,7 @@ func fourBackings(t *testing.T) map[string]*Database {
 			case "cluster":
 				// Nodes split between x = 5 and 6: inside a storage bucket (x
 				// 5..8) and inside the regrid tiles of stride 2 (x 5..6).
-				err = co.Create(name, a.Schema, partition.Block{Nodes: 2, SplitDim: 0, High: 10})
+				err = co.Create(name, grid, partition.Block{Nodes: 2, SplitDim: 0, High: 10})
 				a.Iter(func(c array.Coord, cell array.Cell) bool {
 					if err == nil {
 						err = co.Put(name, c, cell)
@@ -167,9 +171,10 @@ func fourBackings(t *testing.T) map[string]*Database {
 
 // shapeAndCells renders what a statement's answer must agree on across
 // backings: attribute names and types, dimension names and High, and every
-// cell. Floats print to 12 digits, which is what merge order alone costs:
-// every backing runs the one fold, but each chunks the cells its own way, so
-// float sums add up and Welford states merge in a different order.
+// cell, in coordinate order whatever chunk grid the answer is on. Floats
+// print to 12 digits, which is what merge order alone costs: every backing
+// runs the one fold, but each chunks the cells its own way, so float sums
+// add up and Welford states merge in a different order.
 func shapeAndCells(a *array.Array) string {
 	var b strings.Builder
 	for _, d := range a.Schema.Dims {
@@ -178,20 +183,28 @@ func shapeAndCells(a *array.Array) string {
 	for _, at := range a.Schema.Attrs {
 		fmt.Fprintf(&b, "attr %s:%s ", at.Name, at.Type)
 	}
+	var cells []array.Coord
+	rows := map[string]string{}
 	a.Iter(func(c array.Coord, cell array.Cell) bool {
-		fmt.Fprintf(&b, "\n%v", c)
+		var row strings.Builder
 		for _, v := range cell {
 			switch {
 			case v.Null:
-				fmt.Fprintf(&b, " %s:NULL", v.Type)
+				fmt.Fprintf(&row, " %s:NULL", v.Type)
 			case v.Type == array.TFloat64 && !math.IsNaN(v.Float):
-				fmt.Fprintf(&b, " %.12g", v.Float)
+				fmt.Fprintf(&row, " %.12g", v.Float)
 			default:
-				fmt.Fprintf(&b, " %s:%s", v.Type, v)
+				fmt.Fprintf(&row, " %s:%s", v.Type, v)
 			}
 		}
+		cells = append(cells, c)
+		rows[c.Key()] = row.String()
 		return true
 	})
+	slices.SortFunc(cells, func(p, q array.Coord) int { return slices.Compare(p, q) })
+	for _, c := range cells {
+		fmt.Fprintf(&b, "\n%v%s", c, rows[c.Key()])
+	}
 	return b.String()
 }
 

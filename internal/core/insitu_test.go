@@ -88,9 +88,9 @@ func TestAttachedFileIsReadOnce(t *testing.T) {
 // materialization — no cells were ever loaded.
 func TestCreateFromFileCluster(t *testing.T) {
 	path, sum := writeExtCSV(t)
-	tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{
-		Stride: []int64{4, 4}, CacheBytes: 1 << 20,
-	})
+	// The file's schema sets no ChunkLen: its partitions sit on the
+	// default 64-wide grid.
+	tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{CacheBytes: 1 << 20})
 	defer tr.Close()
 	co := cluster.NewCoordinator(tr, 0)
 	db := testDB()

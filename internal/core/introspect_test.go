@@ -215,7 +215,7 @@ func TestSysChunksTracksRoutingDuringRebalance(t *testing.T) {
 	if err := co.Flush("sky"); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := co.EnableRouting("sky", nil)
+	rt, err := co.EnableRouting("sky")
 	if err != nil {
 		t.Fatal(err)
 	}

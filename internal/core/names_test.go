@@ -18,14 +18,14 @@ import (
 // v = i and w = 10i for i in 1..3, so cjoin(A, B, …) names B's v "B_v".
 func TestNamesResolveByOneRule(t *testing.T) {
 	db := testDB()
-	tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{Stride: []int64{4, 4}})
+	tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{})
 	defer tr.Close()
 	co := cluster.NewCoordinator(tr, 0)
 	db.AttachCluster(co)
 	for _, name := range []string{"A", "E"} {
 		s := &array.Schema{
 			Name: name,
-			Dims: []array.Dimension{{Name: "x", High: 6}, {Name: "y", High: 4}},
+			Dims: []array.Dimension{{Name: "x", High: 6, ChunkLen: 4}, {Name: "y", High: 4, ChunkLen: 4}},
 			Attrs: []array.Attribute{
 				{Name: "v", Type: array.TInt64}, {Name: "Q_v", Type: array.TInt64}, {Name: "Q_x", Type: array.TInt64},
 			},

@@ -16,7 +16,6 @@ import (
 func TestClusterFilterAggregatePushdown(t *testing.T) {
 	tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{
 		Dir:        t.TempDir(),
-		Stride:     []int64{8, 8},
 		CacheBytes: 8 << 20,
 	})
 	defer tr.Close()
@@ -26,7 +25,7 @@ func TestClusterFilterAggregatePushdown(t *testing.T) {
 
 	schema := &array.Schema{
 		Name:  "D",
-		Dims:  []array.Dimension{{Name: "x", High: 16}, {Name: "y", High: 16}},
+		Dims:  []array.Dimension{{Name: "x", High: 16, ChunkLen: 8}, {Name: "y", High: 16, ChunkLen: 8}},
 		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
 	}
 	if err := co.Create("D", schema, partition.Block{Nodes: 2, SplitDim: 0, High: 16}); err != nil {

@@ -7,18 +7,17 @@ import (
 	"scidb/internal/storage"
 )
 
-// storeBacked builds a store with an 8x8 grid of v = x*10+y, flushed to
-// buckets, attached to the database as name.
+// storeBacked builds a store with an 8x8 array of v = x*10+y on a 4x4 chunk
+// grid, flushed to buckets, attached to the database as name.
 func storeBacked(t *testing.T, db *Database, name string) *storage.Store {
 	t.Helper()
 	s := &array.Schema{
 		Name:  name,
-		Dims:  []array.Dimension{{Name: "x", High: 8}, {Name: "y", High: 8}},
+		Dims:  []array.Dimension{{Name: "x", High: 8, ChunkLen: 4}, {Name: "y", High: 8, ChunkLen: 4}},
 		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
 	}
 	st, err := storage.NewStore(s, storage.Options{
 		Dir:        t.TempDir(),
-		Stride:     []int64{4, 4},
 		CacheBytes: 4 << 20,
 	})
 	if err != nil {

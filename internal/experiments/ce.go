@@ -52,15 +52,15 @@ func init() {
 			if quick {
 				side = 64
 			}
-			stride := side / 8 // 8x8 grid of buckets
+			stride := side / 8 // 8x8 grid of chunks, one bucket each
 			dir, err := os.MkdirTemp("", "scidb-ce-exp")
 			if err != nil {
 				return err
 			}
 			defer os.RemoveAll(dir)
-			// ChunkLen matches the store stride so gathered buckets are
-			// grid-aligned and adopted wholesale, advisory views intact —
-			// the operators then see the dictionary/RLE structure.
+			// Buckets are the schema's chunks, so gathered buckets are
+			// adopted wholesale, advisory views intact — the operators then
+			// see the dictionary/RLE structure.
 			s := &array.Schema{
 				Name: "plume",
 				Dims: []array.Dimension{
@@ -78,9 +78,8 @@ func init() {
 				return err
 			}
 			st, err := storage.NewStore(s, storage.Options{
-				Dir:    encDir,
-				Stride: []int64{stride, stride},
-				Codec:  compress.None{},
+				Dir:   encDir,
+				Codec: compress.None{},
 			})
 			if err != nil {
 				return err
@@ -117,7 +116,6 @@ func init() {
 			cold := func(run func(*storage.Store) error) (time.Duration, storage.Stats, error) {
 				st, err := storage.NewStore(s, storage.Options{
 					Dir:        encDir,
-					Stride:     []int64{stride, stride},
 					Codec:      slowCodec{Codec: compress.None{}, delay: readDelay},
 					CacheBytes: bufcache.DefaultBudget,
 				})
@@ -168,7 +166,7 @@ func init() {
 			fmt.Fprintf(w, "speedup: %.2fx   skip ratio: %.2f\n", ratio(rawDur, encDur), encIO.SkipRatio())
 
 			// The skip decision is visible in the profile tree.
-			profile, err := explainSkips(s, encDir, stride, query)
+			profile, err := explainSkips(s, encDir, query)
 			if err != nil {
 				return err
 			}
@@ -182,7 +180,6 @@ func init() {
 			warmQuery := func(q string) (*core.Result, error) {
 				st, err := storage.NewStore(s, storage.Options{
 					Dir:        encDir,
-					Stride:     []int64{stride, stride},
 					Codec:      compress.None{},
 					CacheBytes: bufcache.DefaultBudget,
 				})
@@ -259,10 +256,9 @@ func init() {
 
 // explainSkips reopens the encoded store without the latency model and
 // returns the EXPLAIN ANALYZE line carrying the skip counter.
-func explainSkips(s *array.Schema, dir string, stride int64, query string) (string, error) {
+func explainSkips(s *array.Schema, dir string, query string) (string, error) {
 	st, err := storage.NewStore(s, storage.Options{
 		Dir:        dir,
-		Stride:     []int64{stride, stride},
 		Codec:      compress.None{},
 		CacheBytes: bufcache.DefaultBudget,
 	})

@@ -21,9 +21,9 @@ import (
 
 // loadServers starts one persist-backed wire-protocol server per node, each
 // behind an emulated link delay (the regime a shared-nothing grid loads
-// across). Workers share no state; every partition is a stride-aligned
-// encoded store with a private decoded-bucket pool.
-func loadServers(nodes int, delay time.Duration, stride []int64, dir string) (addrs []string, shutdown func(), err error) {
+// across). Workers share no state; every partition is an encoded store of
+// the array's grid chunks with a private decoded-bucket pool.
+func loadServers(nodes int, delay time.Duration, dir string) (addrs []string, shutdown func(), err error) {
 	var srvs []*cluster.Server
 	shutdown = func() {
 		for _, s := range srvs {
@@ -38,7 +38,6 @@ func loadServers(nodes int, delay time.Duration, stride []int64, dir string) (ad
 		}
 		w := cluster.NewWorkerWithOptions(i, cluster.WorkerOptions{
 			Dir:        filepath.Join(dir, fmt.Sprintf("node-%d", i)),
-			Stride:     stride,
 			CacheBytes: 8 << 20,
 		})
 		srv, err := cluster.NewServer(w, cluster.ServeOptions{})
@@ -111,7 +110,6 @@ func init() {
 			if quick {
 				sideX, sideY = 40, 20
 			}
-			stride := []int64{chunk, chunk}
 
 			// The external file: a sparse bounded grid ((x+y)%3 == 0 holes)
 			// written through the CSV adaptor, dimension bounds in the header.
@@ -143,7 +141,7 @@ func init() {
 				return err
 			}
 
-			addrs, shutdown, err := loadServers(nodes, linkDelay, stride, dir)
+			addrs, shutdown, err := loadServers(nodes, linkDelay, dir)
 			if err != nil {
 				return err
 			}
@@ -211,7 +209,7 @@ func init() {
 			shippedBefore := chunksShipped.Value()
 			start = time.Now()
 			parStats, err := loader.LoadParallel(ds, box, parSchema, scheme,
-				loader.ClusterDest{Co: co, Array: "grid_par"}, loader.Options{Stride: stride})
+				loader.ClusterDest{Co: co, Array: "grid_par"}, loader.Options{})
 			parDur := time.Since(start)
 			ds.Close()
 			if err != nil {

@@ -264,13 +264,13 @@ func cellLines(arrays ...*array.Array) []string {
 }
 
 // STORE reproduces §2.8: bucket formation from a load stream, the codec
-// trade-off, and background merging's effect on buckets visited per read.
+// trade-off, and compaction's effect on buckets visited per read.
 func init() {
 	register(&Experiment{
 		ID:    "STORE",
-		Title: "§2.8 bucket storage: codecs, R-tree reads, background merge",
+		Title: "§2.8 bucket storage: codecs, chunk-origin reads, compaction",
 		Run: func(w io.Writer, quick bool) error {
-			header(w, "STORE", "compression sweep + merge ablation")
+			header(w, "STORE", "compression sweep + compaction ablation")
 			n := int64(128)
 			if quick {
 				n = 64
@@ -279,6 +279,13 @@ func init() {
 				Name:  "sensor",
 				Dims:  []array.Dimension{{Name: "t", High: n}, {Name: "site", High: n}},
 				Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
+			}
+			// Each part stores the array on its own chunk grid: a bucket is
+			// one chunk.
+			onGrid := func(cl int64) *array.Schema {
+				s := schema.Clone()
+				s.Dims[0].ChunkLen, s.Dims[1].ChunkLen = cl, cl
+				return s
 			}
 			// Smooth time-ordered data (the loader's dominant-dimension
 			// assumption) so delta compression has something to find.
@@ -307,10 +314,9 @@ func init() {
 			fmt.Fprintf(w, "%-8s %12s %10s %12s %12s\n", "codec", "bytes", "vs raw", "write", "point read")
 			codecs := append(compress.All(), compress.Auto{})
 			for _, codec := range codecs {
-				st, err := storage.NewStore(schema, storage.Options{
+				st, err := storage.NewStore(onGrid(32), storage.Options{
 					Dir:      filepath.Join(dir, codec.Name()),
 					Codec:    codec,
-					Stride:   []int64{32, 32},
 					MemLimit: 64 << 10,
 				})
 				if err != nil {
@@ -343,10 +349,9 @@ func init() {
 				_ = st.Close()
 			}
 
-			// Merge ablation: fragmented store vs merged store, range read.
-			st, err := storage.NewStore(schema, storage.Options{
-				Stride: []int64{16, 16}, MemLimit: 1 << 30,
-			})
+			// Compaction ablation: a store whose chunks hold several
+			// versions each vs the same store compacted, range read.
+			st, err := storage.NewStore(onGrid(16), storage.Options{MemLimit: 1 << 30})
 			if err != nil {
 				return err
 			}
@@ -382,7 +387,7 @@ func init() {
 			}
 			fmt.Fprintf(w, "merge: %d buckets -> %d; half-array scan %v -> %v\n",
 				before, after, preDur, postDur)
-			fmt.Fprintln(w, "claim shape: delta/auto win on smooth load streams; merging shrinks")
+			fmt.Fprintln(w, "claim shape: delta/auto win on smooth load streams; compaction shrinks")
 			fmt.Fprintln(w, "the bucket population a range read must visit.")
 			if after >= before {
 				return fmt.Errorf("STORE: merge did not reduce buckets (%d -> %d)", before, after)

@@ -67,7 +67,7 @@ func (c linkConn) Read(p []byte) (int, error) {
 }
 
 // netServersWithOptions starts one wire-protocol server per node on a
-// loopback listener: configurable worker stores (stride-8 buckets behind a
+// loopback listener: configurable worker stores (buckets behind a
 // pool for the SKEW experiment), a caller-chosen listener wrapper (the
 // shared-link model above), and per-node shutdowns so an experiment can kill
 // one node mid-workload and keep the rest serving. wrap is called once per
@@ -193,7 +193,7 @@ func init() {
 				return linkListener{Listener: ln, perByte: 10 * time.Microsecond, mu: &sync.Mutex{}}
 			}
 			addrs, stops, err := netServersWithOptions(nodes, link,
-				cluster.WorkerOptions{Stride: []int64{8}, CacheBytes: 1 << 20})
+				cluster.WorkerOptions{CacheBytes: 1 << 20})
 			if err != nil {
 				return err
 			}
@@ -252,7 +252,7 @@ func init() {
 			// The static phase already heated the workers' trackers; close
 			// the loop: migrate the hot chunk off its overloaded owner, then
 			// replicate it across the grid so reads rotate over every link.
-			if _, err := co.EnableRouting("skew", nil); err != nil {
+			if _, err := co.EnableRouting("skew"); err != nil {
 				return err
 			}
 			moved, _, err := co.RebalanceOnce("skew", cluster.RebalanceOptions{TopK: 1})

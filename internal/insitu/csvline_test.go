@@ -340,7 +340,7 @@ func BenchmarkCSVShardScan(b *testing.B) {
 }
 
 // BenchmarkPipelineCSV runs the bench file through Pipeline.Run on one
-// shard (parallelism 1) and one site, on a 64-cell stride grid, adopting
+// shard (parallelism 1) and one site, on a 64-cell grid, adopting
 // into an in-memory store: the ingest path a bulk load's shard runs, parse
 // to bucket. Its Batch is the loader's largest, 256, so the file's 32
 // chunks ship as one batch and no batch edge is measured. ns/cell and
@@ -351,19 +351,21 @@ func BenchmarkPipelineCSV(b *testing.B) {
 	old := exec.Parallelism()
 	defer exec.SetParallelism(old)
 	exec.SetParallelism(1)
-	stride := []int64{64, 64, 64}
+	grid := sh.schema.Clone()
+	for i := range grid.Dims {
+		grid.Dims[i].ChunkLen = 64
+	}
 	box := array.WholeBox(sh.schema)
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := storage.NewStore(sh.schema, storage.Options{Stride: stride})
+		st, err := storage.NewStore(grid, storage.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		n, err := Pipeline{
-			Schema: sh.schema,
-			Stride: stride,
+			Schema: grid,
 			Sites:  1,
 			Route:  func(array.Coord) int { return 0 },
 			Batch:  256,

@@ -13,9 +13,9 @@ import (
 
 // TestFillMatchesMaterialize: a fill leaves in the store exactly the cells
 // Materialize reads from the file inside the box — through every adaptor,
-// over a box narrower than the file, on a stride that divides neither the
+// over a box narrower than the file, on a grid that divides neither the
 // box nor the file, at parallelism 1 and 4 — and every bucket it writes
-// lies on the store's stride grid. What Materialize reads is the source
+// lies on the store's grid. What Materialize reads is the source
 // array's cells in the box.
 func TestFillMatchesMaterialize(t *testing.T) {
 	s := &array.Schema{
@@ -107,7 +107,9 @@ func TestFillMatchesMaterialize(t *testing.T) {
 					t.Fatalf("%s par=%d: Materialize read cell %s = %q, the source holds %q", name, par, k, want[k], v)
 				}
 			}
-			st, err := storage.NewStore(ds.Schema(), storage.Options{Stride: stride})
+			grid := ds.Schema().Clone()
+			grid.Dims[0].ChunkLen, grid.Dims[1].ChunkLen = stride[0], stride[1]
+			st, err := storage.NewStore(grid, storage.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +160,7 @@ func TestFillMatchesMaterialize(t *testing.T) {
 func TestPipelineBatchKeepsChunksWhole(t *testing.T) {
 	s := &array.Schema{
 		Name:  "batch",
-		Dims:  []array.Dimension{{Name: "x", High: 50}},
+		Dims:  []array.Dimension{{Name: "x", High: 50, ChunkLen: 10}},
 		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
 	}
 	src := array.MustNew(s)
@@ -182,7 +184,6 @@ func TestPipelineBatchKeepsChunksWhole(t *testing.T) {
 	var chunks []*array.Chunk
 	_, err = Pipeline{
 		Schema: s,
-		Stride: []int64{10},
 		Sites:  1,
 		Route:  func(array.Coord) int { return 0 },
 		Batch:  2,

@@ -14,8 +14,8 @@ import (
 // §2.9): the bulk loader runs it across the grid's sites, and an in-situ
 // fill runs it with one site into the partition's own store. Run splits the
 // dataset with Split, one shard per exec pool worker, parses the shards
-// concurrently, routes each cell into a per-site chunk builder on the
-// Stride grid, and every Batch chunks seals a site's builder — each chunk
+// concurrently, routes each cell into a per-site chunk builder on Schema's
+// grid, and every Batch chunks seals a site's builder — each chunk
 // through storage.EncodeChunkZones, zone maps included — and hands the
 // payloads to Ship. A cell is parsed once, straight into its chunk's
 // columns, and encoded once.
@@ -24,12 +24,9 @@ import (
 // boundaries depend on where the shards were cut. Coordinates must be
 // unique: with duplicates, which copy wins is undefined.
 type Pipeline struct {
-	// Schema is the destination array's.
+	// Schema is the destination stores' schema: its grid is the one every
+	// shipped chunk lies on, so each is adopted as one bucket.
 	Schema *array.Schema
-	// Stride is the chunk grid per dimension; zero (or missing) entries keep
-	// Schema's ChunkLen. Match it to the destination store's bucket stride
-	// so shipped chunks are adopted as whole buckets.
-	Stride []int64
 	// Sites is the number of destinations; Route names a cell's.
 	Sites int
 	Route func(array.Coord) int
@@ -66,11 +63,6 @@ func (c *Counts) add(o Counts) {
 func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 	bs := p.Schema.Clone()
 	bs.Name = p.Schema.Name + "_loadbuf"
-	for i := range bs.Dims {
-		if i < len(p.Stride) && p.Stride[i] > 0 {
-			bs.Dims[i].ChunkLen = p.Stride[i]
-		}
-	}
 	shards, err := Split(ds, exec.Parallelism())
 	if err != nil {
 		return Counts{}, err

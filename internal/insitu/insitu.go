@@ -132,14 +132,13 @@ func Materialize(ds Dataset) (*array.Array, error) {
 
 // Fill copies ds's cells inside box into st and flushes it: an in-situ
 // file's one read, after which every query reads the store. It is the
-// ingest Pipeline with one site, on the store's own bucket grid, adopting
+// ingest Pipeline with one site, on the store's own grid, adopting
 // each sealed batch into st. It returns the cells now in the store — all of
 // them, even when it fails part way.
 func Fill(ds Dataset, box array.Box, st *storage.Store) (int64, error) {
 	var copied atomic.Int64
 	_, err := Pipeline{
 		Schema: st.Schema(),
-		Stride: st.Stride(),
 		Sites:  1,
 		Route:  func(array.Coord) int { return 0 },
 		Batch:  fillBatch,

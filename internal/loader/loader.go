@@ -33,9 +33,9 @@ type Stats struct {
 
 // Options tunes LoadParallel.
 type Options struct {
-	// Stride overrides the chunk grid per dimension (zero entries keep the
-	// schema's ChunkLen). Match it to the destination store's bucket stride
-	// so shipped chunks are adopted as whole buckets.
+	// Stride is unread but for storage.CheckStride: chunks are the
+	// destination's grid chunks, and a stride may only restate that grid.
+	// The frozen bench/env.go sets it (ROADMAP item 1).
 	Stride []int64
 }
 
@@ -43,6 +43,9 @@ type Options struct {
 // must be safe for concurrent ShipChunks calls (shards flush
 // independently).
 type ChunkDest interface {
+	// Grid returns the schema the destination stores an array of schema
+	// under: its chunk grid is the one every shipped chunk lies on.
+	Grid(schema *array.Schema) *array.Schema
 	// ShipChunks delivers encoded chunk payloads (EncodeChunk bytes) owned
 	// by site; cells is the total cell count across them.
 	ShipChunks(site int, payloads [][]byte, cells int64) error
@@ -91,6 +94,17 @@ func batchForRTT(rtt time.Duration) int {
 	return b
 }
 
+// Grid implements ChunkDest: schema on the chunk grid the workers store its
+// partitions on (cluster.PartitionSchema's). It keeps the declared bounds,
+// so a chunk at a bound is clipped there, inside its partition cell.
+func (d ClusterDest) Grid(schema *array.Schema) *array.Schema {
+	g := schema.Clone()
+	for i, pd := range cluster.PartitionSchema(schema).Dims {
+		g.Dims[i].ChunkLen = pd.ChunkLen
+	}
+	return g
+}
+
 // ShipChunks implements ChunkDest. Concurrent calls pipeline over the
 // transport's pooled connections.
 func (d ClusterDest) ShipChunks(site int, payloads [][]byte, cells int64) error {
@@ -106,6 +120,10 @@ func (d ClusterDest) Flush() error { return d.Co.Flush(d.Array) }
 type StoreDest struct {
 	Stores []*storage.Store
 }
+
+// Grid implements ChunkDest: the stores' own schema (every store holds the
+// same array).
+func (d StoreDest) Grid(*array.Schema) *array.Schema { return d.Stores[0].Schema() }
 
 // ShipChunks implements ChunkDest.
 func (d StoreDest) ShipChunks(site int, payloads [][]byte, cells int64) error {
@@ -125,19 +143,22 @@ func (d StoreDest) Flush() error {
 }
 
 // LoadParallel loads ds's cells inside box into dest: the ingest pipeline
-// with one site per node of scheme, on the chunk grid of schema's ChunkLen
-// (or Options.Stride), shipping batches sized from dest's link RTT when it
-// reports one, 16 chunks otherwise. It publishes the pipeline's counts as
+// with one site per node of scheme, on dest's grid for schema, shipping
+// batches sized from dest's link RTT when it reports one, 16 chunks
+// otherwise. It publishes the pipeline's counts as
 // the scidb_load_* counters and ends with dest.Flush. Input cells must have
 // unique coordinates: with duplicates, which copy wins is undefined.
 func LoadParallel(ds insitu.Dataset, box array.Box, schema *array.Schema, scheme partition.Scheme, dest ChunkDest, opts Options) (Stats, error) {
+	grid := dest.Grid(schema)
+	if err := storage.CheckStride(grid, opts.Stride); err != nil {
+		return Stats{}, err
+	}
 	var rtt time.Duration
 	if src, ok := dest.(RTTSource); ok {
 		rtt = src.AvgRTT()
 	}
 	n, err := insitu.Pipeline{
-		Schema: schema,
-		Stride: opts.Stride,
+		Schema: grid,
 		Sites:  scheme.NumNodes(),
 		Route:  scheme.NodeFor,
 		Batch:  batchForRTT(rtt),

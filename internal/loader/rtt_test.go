@@ -38,8 +38,9 @@ type rttDest struct {
 	batches []int
 }
 
-func (d *rttDest) AvgRTT() time.Duration { return d.rtt }
-func (d *rttDest) Flush() error          { return nil }
+func (d *rttDest) AvgRTT() time.Duration                   { return d.rtt }
+func (d *rttDest) Flush() error                            { return nil }
+func (d *rttDest) Grid(schema *array.Schema) *array.Schema { return schema }
 func (d *rttDest) ShipChunks(site int, payloads [][]byte, cells int64) error {
 	d.mu.Lock()
 	d.batches = append(d.batches, len(payloads))
@@ -63,6 +64,7 @@ func (d *rttDest) maxBatch() int {
 // the base 16.
 func TestLoadParallelAdaptiveBatch(t *testing.T) {
 	schema := gridSchema(40, 20)
+	schema.Dims[0].ChunkLen, schema.Dims[1].ChunkLen = 4, 4
 	path, _ := writeGridCSV(t, schema)
 	scheme := partition.Block{Nodes: 1, SplitDim: 0, High: 40}
 	box := array.Box{Lo: array.Coord{1, 1}, Hi: array.Coord{40, 20}}
@@ -75,7 +77,7 @@ func TestLoadParallelAdaptiveBatch(t *testing.T) {
 	}
 	defer ds.Close()
 	adaptive := &rttDest{rtt: time.Millisecond}
-	if _, err := LoadParallel(ds, box, schema, scheme, adaptive, Options{Stride: []int64{4, 4}}); err != nil {
+	if _, err := LoadParallel(ds, box, schema, scheme, adaptive, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := adaptive.maxBatch(); got != 32 {

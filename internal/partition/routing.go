@@ -44,8 +44,8 @@ type Routing struct {
 
 // NewRouting wraps base with an empty override table. stride fixes the
 // chunk grid the overrides are keyed on (zero/missing entries default to
-// 64, matching the storage bucket default); it should match the workers'
-// bucket stride so a routed chunk is a whole bucket.
+// 64, the default chunk length); the coordinator passes the array's
+// partition grid, so a routed chunk is one bucket on every holder.
 func NewRouting(base Scheme, nd int, stride []int64) *Routing {
 	st := make([]int64, nd)
 	for i := range st {

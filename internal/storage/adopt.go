@@ -9,7 +9,9 @@ import (
 
 // AdoptEncoded installs a pre-encoded chunk payload as a new bucket without
 // re-encoding it: raw must be the EncodeChunk/EncodeChunkZones wire bytes and
-// ch their decoded form (schema-validated by the caller's DecodeChunk). This
+// ch their decoded form (schema-validated by the caller's DecodeChunk), one
+// chunk of the store's grid — an origin that is not a grid origin, or a box
+// that leaves its origin's grid cell, fails with ErrOffGrid. This
 // is the bulk-load fast path — the loader encodes chunks once at parse time,
 // ships the bytes, and the owning worker adopts them verbatim, paying only
 // the bucket codec over each section instead of a per-cell Put storm plus a
@@ -21,11 +23,11 @@ import (
 // exactly as on locally written ones. Like writeBucketLocked, adoption does
 // not save the manifest — callers finish a load with Flush, which does.
 //
-// Overlap with existing data is safe: an adopted bucket is newer than every
-// prior write, and Scan/Get resolve duplicates newest-first with absent
-// cells falling through to older buckets. Reads consult the memory buffer
-// ahead of every bucket, so a non-empty buffer is spilled to buckets first;
-// a load into an empty buffer pays nothing for it.
+// Adopting a chunk the store already holds is safe: the adopted bucket is
+// the newest version at its origin, and Scan/Get resolve versions
+// newest-first with absent cells falling through to older ones. Reads
+// consult the memory buffer ahead of every bucket, so a non-empty buffer is
+// spilled to buckets first; a load into an empty buffer pays nothing for it.
 func (s *Store) AdoptEncoded(raw []byte, ch *array.Chunk) error {
 	if ch == nil {
 		return fmt.Errorf("storage: AdoptEncoded: nil chunk")
@@ -33,6 +35,9 @@ func (s *Store) AdoptEncoded(raw []byte, ch *array.Chunk) error {
 	if len(ch.Origin) != len(s.schema.Dims) {
 		return fmt.Errorf("storage: AdoptEncoded: chunk has %d dims, schema %d",
 			len(ch.Origin), len(s.schema.Dims))
+	}
+	if !s.onGrid(ch.Box()) {
+		return fmt.Errorf("storage: AdoptEncoded: chunk %v: %w", ch.Box(), ErrOffGrid)
 	}
 	if ch.CellsPresent() == 0 {
 		return nil

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"testing"
 
 	"scidb/internal/array"
@@ -35,7 +36,7 @@ func encodedChunk(t *testing.T, s *array.Schema, origin array.Coord, base float6
 func TestAdoptEncodedScanAndReopen(t *testing.T) {
 	s := schema2D(32)
 	dir := t.TempDir()
-	st, err := NewStore(s, Options{Dir: dir, Stride: []int64{8, 8}, Codec: compress.None{}})
+	st, err := NewStore(s, Options{Dir: dir, Codec: compress.None{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestAdoptEncodedScanAndReopen(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := NewStore(s, Options{Dir: dir, Stride: []int64{8, 8}, Codec: compress.None{}})
+	st2, err := NewStore(s, Options{Dir: dir, Codec: compress.None{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestAdoptEncodedScanAndReopen(t *testing.T) {
 
 func TestAdoptEncodedZonesPrune(t *testing.T) {
 	s := schema2D(32)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}, Codec: compress.None{}})
+	st, err := NewStore(s, Options{Codec: compress.None{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestAdoptEncodedZonesPrune(t *testing.T) {
 
 func TestAdoptEncodedShadowsOlderBuckets(t *testing.T) {
 	s := schema2D(32)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}, Codec: compress.None{}})
+	st, err := NewStore(s, Options{Codec: compress.None{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestAdoptEncodedShadowsOlderBuckets(t *testing.T) {
 // empty buffer flushes nothing.
 func TestAdoptAfterBufferedPutWins(t *testing.T) {
 	s := schema2D(32)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}, Codec: compress.None{}})
+	st, err := NewStore(s, Options{Codec: compress.None{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,5 +193,87 @@ func TestAdoptAfterBufferedPutWins(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdoptEncodedRefusesOffGrid: a bucket is one chunk of the store's grid.
+// A chunk at an origin off the grid, or with a box that leaves its grid
+// cell, is refused with ErrOffGrid and leaves the store as it was; a chunk
+// clipped at a dimension's High is on the grid.
+func TestAdoptEncodedRefusesOffGrid(t *testing.T) {
+	s := schema2D(20)
+	st, err := NewStore(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	adopt := func(origin array.Coord, shape []int64) error {
+		ch := array.NewChunk(s, origin, shape)
+		if err := ch.Set(origin, array.Cell{array.Float64(1), array.String64("t")}); err != nil {
+			t.Fatal(err)
+		}
+		raw, _, err := EncodeChunkZones(s, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeChunk(s, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.AdoptEncoded(raw, dec)
+	}
+	for _, c := range []struct {
+		origin array.Coord
+		shape  []int64
+	}{
+		{array.Coord{3, 1}, []int64{8, 8}},   // not a grid origin
+		{array.Coord{1, 1}, []int64{16, 8}},  // spans two cells
+		{array.Coord{17, 17}, []int64{8, 8}}, // past High
+	} {
+		if err := adopt(c.origin, c.shape); !errors.Is(err, ErrOffGrid) {
+			t.Errorf("adopt at %v shape %v = %v, want ErrOffGrid", c.origin, c.shape, err)
+		}
+	}
+	if n := st.NumBuckets(); n != 0 {
+		t.Fatalf("refused chunks left %d buckets", n)
+	}
+	for _, c := range []struct {
+		origin array.Coord
+		shape  []int64
+	}{
+		{array.Coord{17, 17}, []int64{4, 4}}, // the cell clipped at High
+		{array.Coord{9, 1}, []int64{2, 8}},   // inside its cell
+	} {
+		if err := adopt(c.origin, c.shape); err != nil {
+			t.Errorf("adopt at %v shape %v: %v", c.origin, c.shape, err)
+		}
+	}
+}
+
+// TestOffGridManifestAndStride: a store refuses to open over buckets that
+// are not chunks of its grid, and a Stride option that does not restate the
+// grid.
+func TestOffGridManifestAndStride(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(schema2D(32), Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(array.Coord{9, 1}, array.Cell{array.Float64(1), array.String64("")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	coarse := schema2D(32)
+	coarse.Dims[0].ChunkLen = 16
+	if _, err := NewStore(coarse, Options{Dir: dir}); !errors.Is(err, ErrOffGrid) {
+		t.Errorf("open over a bucket at x 9 on a 16-wide grid = %v, want ErrOffGrid", err)
+	}
+	if _, err := NewStore(schema2D(32), Options{Stride: []int64{8, 16}}); !errors.Is(err, ErrOffGrid) {
+		t.Errorf("stride 8x16 on an 8x8 grid = %v, want ErrOffGrid", err)
+	}
+	if _, err := NewStore(schema2D(32), Options{Stride: []int64{8, 0, 64}}); err != nil {
+		t.Errorf("stride restating the grid: %v", err)
 	}
 }

@@ -269,11 +269,11 @@ func BenchmarkEncodeChunk(b *testing.B) {
 func BenchmarkStoreChunkScanCold(b *testing.B) {
 	s := &array.Schema{
 		Name: "cold",
-		Dims: []array.Dimension{{Name: "pass", High: 4}, {Name: "x", High: 128}, {Name: "y", High: 128}},
+		Dims: []array.Dimension{{Name: "pass", High: 4}, {Name: "x", High: 128, ChunkLen: 64}, {Name: "y", High: 128, ChunkLen: 64}},
 		Attrs: []array.Attribute{{Name: "dn", Type: array.TFloat64}, {Name: "cloud", Type: array.TFloat64},
 			{Name: "nadir", Type: array.TFloat64}},
 	}
-	st, err := NewStore(s, Options{Dir: b.TempDir(), Stride: []int64{4, 64, 64}, CacheBytes: 64 << 10, Readahead: 4, MemLimit: 64 << 20})
+	st, err := NewStore(s, Options{Dir: b.TempDir(), CacheBytes: 64 << 10, Readahead: 4, MemLimit: 64 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"scidb/internal/array"
-	"scidb/internal/rtree"
 )
 
 // This file is the store's one read path for ranges: a chunk-at-a-time
@@ -27,9 +26,9 @@ type LiveChunk struct {
 	// Live is Chunk.Present itself (same pointer, nothing allocated) when
 	// the chunk lies wholly inside the query box and nothing shadows it.
 	Live *array.Bitmap
-	// Alone reports that no other chunk of this scan overlaps this one's
-	// region: a consumer assembling output on the same grid may take the
-	// chunk whole, because nothing else will contribute to its cells.
+	// Alone reports that this is the scan's one source at its chunk origin:
+	// a consumer assembling output on the same grid may take the chunk
+	// whole, because nothing else will contribute to its cells.
 	Alone bool
 	// Release unpins the chunk. The consumer may hold several deliveries
 	// at once (to fan them out on a worker pool) but must release each
@@ -38,15 +37,17 @@ type LiveChunk struct {
 }
 
 // scanSrc is one chunk a scan will deliver: a memory-buffer chunk or a
-// bucket, with the overlap structure that decides its live mask.
+// bucket, with the versions of its chunk that decide its live mask.
 type scanSrc struct {
-	box, clip array.Box    // the chunk's box, and its part inside the query
-	meta      *bucketMeta  // nil for a memory-buffer chunk
-	mem       *array.Chunk // set for a memory-buffer chunk
-	ord       int          // index among the scan's buckets (prefetch order)
-	// newer lists the earlier-delivered sources overlapping clip; shadows
-	// marks a source some later one overlaps, whose presence bitmap is
-	// therefore kept (origin/shape/present) after its pin is released.
+	key  string       // the chunk origin's Coord.Key
+	clip array.Box    // the chunk's part inside the query
+	meta *bucketMeta  // nil for a memory-buffer chunk
+	mem  *array.Chunk // set for a memory-buffer chunk
+	ord  int          // index among the scan's buckets (prefetch order)
+	// newer lists the earlier-delivered sources at the same origin: newer
+	// versions of the chunk. shadows marks a source some later one lists,
+	// whose presence bitmap is therefore kept (origin/shape/present) after
+	// its pin is released.
 	newer   []int
 	shadows bool
 	origin  array.Coord
@@ -70,10 +71,10 @@ type ChunkScan struct {
 
 // ScanChunks opens a chunk scan over q. Sources are delivered newest first:
 // memory-buffer chunks, then buckets by descending id, with upcoming buckets
-// read ahead into the pool. Newest-write-wins is resolved per chunk, and
-// only where chunks actually overlap: an older chunk's mask loses the slots
-// a newer overlapping chunk has present, so disjoint data — the common
-// case — costs no shadow bookkeeping at all.
+// read ahead into the pool. Newest-write-wins is resolved between the
+// versions of one chunk origin, the only chunks that can overlap: an older
+// version's mask loses the slots a newer one has present, so a chunk with
+// one version — the common case — costs no shadow bookkeeping at all.
 //
 // Non-empty preds prune buckets whose zone maps prove no cell can satisfy
 // every predicate, when that is shadow-safe (see prunable); pruned buckets
@@ -89,35 +90,33 @@ func (s *Store) ScanChunks(q array.Box, preds []array.ZonePred, attrs []int) *Ch
 	s.mu.Lock()
 	cs := &ChunkScan{s: s, attrs: attrs}
 	for _, ch := range s.mem.Chunks() {
-		box := ch.Box()
-		if clip, ok := box.Intersect(q); ok && ch.CellsPresent() > 0 {
-			cs.srcs = append(cs.srcs, scanSrc{box: box, clip: clip, mem: ch})
+		if clip, ok := ch.Box().Intersect(q); ok && ch.CellsPresent() > 0 {
+			cs.srcs = append(cs.srcs, scanSrc{key: ch.Origin.Key(), clip: clip, mem: ch})
 		}
 	}
-	metas := s.searchMetasLocked(q)
 	var live []*bucketMeta
-	for _, m := range metas {
-		clip, ok := m.box.Intersect(q)
-		if !ok {
-			continue
-		}
-		if prunable(m, q, preds, metas) {
+	for _, m := range s.searchMetasLocked(q) {
+		if prunable(m, preds, s.index[m.key]) {
 			cs.skipped++
 			continue
 		}
-		cs.srcs = append(cs.srcs, scanSrc{box: m.box, clip: clip, meta: m, ord: len(live)})
+		clip, _ := m.box.Intersect(q)
+		cs.srcs = append(cs.srcs, scanSrc{key: m.key, clip: clip, meta: m, ord: len(live)})
 		live = append(live, m)
 	}
 	if len(preds) > 0 {
 		s.stats.chunksSkipped.Add(cs.skipped)
 		s.stats.chunksVisited.Add(int64(len(live)))
 	}
-	for i := range cs.srcs {
-		for j := 0; j < i; j++ {
-			if cs.srcs[j].box.Intersects(cs.srcs[i].clip) {
-				cs.srcs[i].newer = append(cs.srcs[i].newer, j)
+	if len(cs.srcs) > 1 {
+		at := make(map[string][]int, len(cs.srcs)) // origin -> its sources so far
+		for i := range cs.srcs {
+			src := &cs.srcs[i]
+			src.newer = at[src.key]
+			for _, j := range src.newer {
 				cs.srcs[j].shadows = true
 			}
+			at[src.key] = append(src.newer, i)
 		}
 	}
 	// Readahead: load upcoming buckets (in the scan's consumption order,
@@ -209,15 +208,67 @@ func (cs *ChunkScan) Each(fn func(LiveChunk) error) error {
 	}
 }
 
-// searchMetasLocked collects the buckets intersecting q, newest first.
+// searchMetasLocked collects the buckets intersecting q, newest first. It
+// looks up the grid cells q covers when they are fewer than the indexed
+// origins — a point is one lookup — and walks the index otherwise.
 func (s *Store) searchMetasLocked(q array.Box) []*bucketMeta {
 	var metas []*bucketMeta
-	s.rt.Search(q, func(e rtree.Entry) bool {
-		metas = append(metas, s.buckets[e.ID])
-		return true
-	})
+	visit := func(vs []*bucketMeta) {
+		for _, m := range vs {
+			if m.box.Intersects(q) {
+				metas = append(metas, m)
+			}
+		}
+	}
+	if !s.eachGridCell(q, len(s.index), func(origin array.Coord) { visit(s.index[origin.Key()]) }) {
+		for _, vs := range s.index {
+			visit(vs)
+		}
+	}
 	sort.Slice(metas, func(i, j int) bool { return metas[i].id > metas[j].id })
 	return metas
+}
+
+// eachGridCell calls fn with the origin of every grid cell q touches inside
+// the schema's bounds (the Coord is reused) and reports true — unless there
+// are limit or more of them, when it calls nothing and reports false.
+func (s *Store) eachGridCell(q array.Box, limit int, fn func(array.Coord)) bool {
+	dims := s.schema.Dims
+	if len(q.Lo) != len(dims) || len(q.Hi) != len(dims) {
+		return false
+	}
+	lo, hi := make(array.Coord, len(dims)), make(array.Coord, len(dims))
+	cells := int64(1)
+	for i, d := range dims {
+		cl := d.GridLen()
+		lo[i], hi[i] = max(q.Lo[i], 1), q.Hi[i]
+		if d.Bounded() {
+			hi[i] = min(hi[i], d.High)
+		}
+		if lo[i] > hi[i] {
+			return true // q holds no cell
+		}
+		lo[i] = (lo[i]-1)/cl*cl + 1
+		n := (hi[i]-lo[i])/cl + 1
+		if n >= int64(limit) || cells*n >= int64(limit) {
+			return false
+		}
+		cells *= n
+	}
+	c := lo.Clone()
+	for {
+		fn(c)
+		d := len(c) - 1
+		for ; d >= 0; d-- {
+			if c[d] += dims[d].GridLen(); c[d] <= hi[d] {
+				break
+			}
+			c[d] = lo[d]
+		}
+		if d < 0 {
+			return true
+		}
+	}
 }
 
 // Scan calls fn for every stored cell intersecting the box, newest bucket

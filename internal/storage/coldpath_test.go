@@ -74,7 +74,7 @@ func TestProjectedScanMatchesFullScan(t *testing.T) {
 		attrs, dist := randAttrs(rng)
 		s := &array.Schema{
 			Name:  "P",
-			Dims:  []array.Dimension{{Name: "x", High: side}, {Name: "y", High: side}},
+			Dims:  []array.Dimension{{Name: "x", High: side, ChunkLen: stride}, {Name: "y", High: side, ChunkLen: stride}},
 			Attrs: attrs,
 		}
 		dir := t.TempDir()
@@ -87,7 +87,7 @@ func TestProjectedScanMatchesFullScan(t *testing.T) {
 		}
 		for _, cache := range []int64{0, 1, 8 << 20} {
 			name := fmt.Sprintf("trial %d, pool %d", trial, cache)
-			st, err := NewStore(s, Options{Dir: filepath.Join(dir, fmt.Sprint(cache)), Stride: []int64{stride, stride},
+			st, err := NewStore(s, Options{Dir: filepath.Join(dir, fmt.Sprint(cache)),
 				CacheBytes: cache, Readahead: 2, MemLimit: 64 << 20})
 			if err != nil {
 				t.Fatal(err)
@@ -163,11 +163,11 @@ func TestProjectedScanMatchesFullScan(t *testing.T) {
 func TestProjectionReadsOnlyItsColumns(t *testing.T) {
 	s := &array.Schema{
 		Name: "W",
-		Dims: []array.Dimension{{Name: "x", High: 32}, {Name: "y", High: 32}},
+		Dims: []array.Dimension{{Name: "x", High: 32, ChunkLen: 16}, {Name: "y", High: 32, ChunkLen: 16}},
 		Attrs: []array.Attribute{{Name: "a", Type: array.TFloat64}, {Name: "b", Type: array.TFloat64},
 			{Name: "c", Type: array.TFloat64}},
 	}
-	st, err := NewStore(s, Options{Dir: t.TempDir(), Stride: []int64{16, 16}, Codec: compress.None{}})
+	st, err := NewStore(s, Options{Dir: t.TempDir(), Codec: compress.None{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestFlippedBucketByteIsErrCorrupt(t *testing.T) {
 	}
 	dir := t.TempDir()
 	pool := bufcache.New(1 << 20)
-	st, err := NewStore(s, Options{Dir: dir, Stride: []int64{8, 8}, Cache: pool})
+	st, err := NewStore(s, Options{Dir: dir, Cache: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package storage implements the within-a-node storage manager of §2.8:
 // incoming load streams buffer in memory, and when memory is nearly full
 // the manager forms the data into rectangular buckets defined by a stride
-// in each dimension, compresses each bucket, and writes it to disk. An
-// R-tree keeps track of the buckets, and a background merger combines small
-// buckets into larger ones in the style of Vertica.
+// in each dimension, compresses each bucket, and writes it to disk. Here the
+// stride is the schema's chunk grid, so a bucket is one chunk; buckets are
+// indexed by chunk origin (where the paper keeps an R-tree), and MergeOnce
+// compacts the versions of one chunk into one bucket.
 package storage
 
 import (

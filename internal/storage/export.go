@@ -5,22 +5,16 @@ import (
 )
 
 // ExportRegion re-chunks every cell the store holds inside box onto the
-// store's bucket stride and returns the encoded chunk payloads
+// store's grid and returns the encoded chunk payloads
 // (EncodeChunkZones bytes) plus the total cell count. The payloads are the
 // migration/replication wire unit: a receiving store adopts them verbatim
 // via AdoptEncoded, so the copy is bit-identical to what a local encode
 // would have produced. Scanning (rather than shipping raw buckets) folds
 // newest-bucket shadowing and the memory buffer into one canonical copy,
-// so the export is correct even when the region spans overlapping buckets
-// or unflushed writes.
+// so the export is correct even when the region holds several versions of
+// a chunk or unflushed writes.
 func (s *Store) ExportRegion(box array.Box) ([][]byte, int64, error) {
-	es := s.schema.Clone()
-	for i := range es.Dims {
-		if i < len(s.opts.Stride) && s.opts.Stride[i] > 0 {
-			es.Dims[i].ChunkLen = s.opts.Stride[i]
-		}
-	}
-	buf, err := array.New(es)
+	buf, err := array.New(s.schema.Clone())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -35,7 +29,7 @@ func (s *Store) ExportRegion(box array.Box) ([][]byte, int64, error) {
 		if ch.CellsPresent() == 0 {
 			continue
 		}
-		raw, _, err := EncodeChunkZones(es, ch)
+		raw, _, err := EncodeChunkZones(s.schema, ch)
 		if err != nil {
 			return nil, 0, err
 		}

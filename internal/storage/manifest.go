@@ -1,14 +1,15 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"scidb/internal/array"
-	"scidb/internal/rtree"
 )
 
 // manifestName is the bucket index file inside a store directory. It makes
@@ -138,15 +139,17 @@ func (s *Store) saveManifestLocked() error {
 		return nil
 	}
 	m := manifest{NextID: s.nextID}
-	for _, b := range s.buckets {
-		e := manifestEntry{
-			ID: b.id, Lo: b.box.Lo, Hi: b.box.Hi,
-			Bytes: b.bytes, Cells: b.cells, File: filepath.Base(b.path),
+	for _, vs := range s.index {
+		for _, b := range vs {
+			e := manifestEntry{
+				ID: b.id, Lo: b.box.Lo, Hi: b.box.Hi,
+				Bytes: b.bytes, Cells: b.cells, File: filepath.Base(b.path),
+			}
+			for _, z := range b.zones {
+				e.Zones = append(e.Zones, zoneToEntry(z))
+			}
+			m.Buckets = append(m.Buckets, e)
 		}
-		for _, z := range b.zones {
-			e.Zones = append(e.Zones, zoneToEntry(z))
-		}
-		m.Buckets = append(m.Buckets, e)
 	}
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
@@ -160,7 +163,8 @@ func (s *Store) saveManifestLocked() error {
 }
 
 // loadManifestLocked rebuilds the bucket index from a prior run's manifest.
-// Missing bucket files are skipped with an error; a missing manifest means
+// A missing bucket file fails the open, and so, with ErrOffGrid, does a
+// bucket that is not one chunk of the store's grid; a missing manifest means
 // a fresh store.
 func (s *Store) loadManifestLocked() error {
 	if s.opts.Dir == "" {
@@ -178,16 +182,18 @@ func (s *Store) loadManifestLocked() error {
 		return fmt.Errorf("storage: corrupt manifest: %w", err)
 	}
 	s.nextID = m.NextID
-	s.rt = rtree.New()
-	s.buckets = map[int64]*bucketMeta{}
+	s.index = map[string][]*bucketMeta{}
 	for _, e := range m.Buckets {
 		path := filepath.Join(s.opts.Dir, e.File)
 		if _, err := os.Stat(path); err != nil {
 			return fmt.Errorf("storage: manifest names missing bucket %s: %w", e.File, err)
 		}
+		box := array.Box{Lo: e.Lo, Hi: e.Hi}
+		if !s.onGrid(box) {
+			return fmt.Errorf("storage: manifest bucket %s at %v: %w", e.File, box, ErrOffGrid)
+		}
 		meta := &bucketMeta{
-			id:    e.ID,
-			box:   array.Box{Lo: e.Lo, Hi: e.Hi},
+			id: e.ID, box: box, key: box.Lo.Key(),
 			bytes: e.Bytes, cells: e.Cells, path: path,
 		}
 		if len(e.Zones) == len(s.schema.Attrs) {
@@ -196,8 +202,10 @@ func (s *Store) loadManifestLocked() error {
 				meta.zones[i] = zoneFromEntry(ze)
 			}
 		}
-		s.buckets[e.ID] = meta
-		s.rt.Insert(meta.box, e.ID)
+		s.index[meta.key] = append(s.index[meta.key], meta)
+	}
+	for _, vs := range s.index {
+		slices.SortFunc(vs, func(a, b *bucketMeta) int { return cmp.Compare(b.id, a.id) })
 	}
 	return nil
 }

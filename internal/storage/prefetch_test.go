@@ -14,7 +14,6 @@ func prefetchStore(t *testing.T, dir string, nbuckets int64, readahead int) *Sto
 	s := schema2D(nbuckets * 8)
 	st, err := NewStore(s, Options{
 		Dir:        dir,
-		Stride:     []int64{8, 8},
 		CacheBytes: 1 << 20,
 		Readahead:  readahead,
 	})
@@ -172,7 +171,7 @@ func TestScanPrefetchWarmsPool(t *testing.T) {
 // goroutines interleave.
 func TestPrefetchedBucketReadOnce(t *testing.T) {
 	s := schema2D(64)
-	st, err := NewStore(s, Options{Dir: t.TempDir(), Stride: []int64{8, 8}, CacheBytes: 1, Readahead: 4})
+	st, err := NewStore(s, Options{Dir: t.TempDir(), CacheBytes: 1, Readahead: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,11 @@ import (
 	"scidb/internal/compress"
 )
 
+// schema2D is a hi x hi array on an 8x8 chunk grid.
 func schema2D(hi int64) *array.Schema {
 	return &array.Schema{
 		Name: "S",
-		Dims: []array.Dimension{{Name: "x", High: hi}, {Name: "y", High: hi}},
+		Dims: []array.Dimension{{Name: "x", High: hi, ChunkLen: 8}, {Name: "y", High: hi, ChunkLen: 8}},
 		Attrs: []array.Attribute{
 			{Name: "v", Type: array.TFloat64},
 			{Name: "tag", Type: array.TString},
@@ -164,7 +165,7 @@ func TestDecodeCorruptChunk(t *testing.T) {
 
 func TestStorePutGetScan(t *testing.T) {
 	s := schema2D(32)
-	st, err := NewStore(s, Options{Dir: t.TempDir(), Stride: []int64{8, 8}, MemLimit: 1})
+	st, err := NewStore(s, Options{Dir: t.TempDir(), MemLimit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestStorePutGetScan(t *testing.T) {
 
 func TestStoreMemoryAndDiskVisibility(t *testing.T) {
 	s := schema2D(16)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}}) // in-memory buckets, big limit
+	st, err := NewStore(s, Options{}) // in-memory buckets, big limit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestStoreMemoryAndDiskVisibility(t *testing.T) {
 
 func TestStoreShadowingAcrossBuckets(t *testing.T) {
 	s := schema2D(8)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}})
+	st, err := NewStore(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,45 +254,42 @@ func TestStoreShadowingAcrossBuckets(t *testing.T) {
 
 func TestMergeOnce(t *testing.T) {
 	s := schema2D(32)
-	st, err := NewStore(s, Options{Dir: t.TempDir(), Stride: []int64{8, 8}})
+	st, err := NewStore(s, Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// Write 4 separate buckets by flushing between puts.
+	// Four versions of the first chunk, one cell each, and one bucket of
+	// another chunk.
 	for k := int64(0); k < 4; k++ {
-		_ = st.Put(array.Coord{k*8 + 1, 1}, array.Cell{array.Float64(float64(k)), array.String64("")})
+		_ = st.Put(array.Coord{k + 1, 1}, array.Cell{array.Float64(float64(k)), array.String64("")})
 		_ = st.Flush()
 	}
-	if st.NumBuckets() != 4 {
-		t.Fatalf("buckets = %d, want 4", st.NumBuckets())
+	_ = st.Put(array.Coord{9, 1}, array.Cell{array.Float64(9), array.String64("")})
+	_ = st.Flush()
+	if st.NumBuckets() != 5 {
+		t.Fatalf("buckets = %d, want 5", st.NumBuckets())
 	}
 	merged, err := st.MergeOnce()
 	if err != nil || !merged {
 		t.Fatalf("MergeOnce = %v,%v", merged, err)
 	}
-	if st.NumBuckets() != 3 {
-		t.Fatalf("buckets after merge = %d, want 3", st.NumBuckets())
+	if st.NumBuckets() != 2 {
+		t.Fatalf("buckets after merge = %d, want 2", st.NumBuckets())
 	}
 	// All data still readable.
 	for k := int64(0); k < 4; k++ {
-		cell, ok, err := st.Get(array.Coord{k*8 + 1, 1})
+		cell, ok, err := st.Get(array.Coord{k + 1, 1})
 		if err != nil || !ok || cell[0].Float != float64(k) {
 			t.Errorf("after merge Get(k=%d) = %v,%v,%v", k, cell, ok, err)
 		}
 	}
-	// Merge to completion.
-	for {
-		m, err := st.MergeOnce()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m {
-			break
-		}
+	// Every chunk is down to one version: nothing left to compact.
+	if m, err := st.MergeOnce(); err != nil || m {
+		t.Fatalf("second MergeOnce = %v,%v, want false", m, err)
 	}
-	if st.NumBuckets() != 1 {
-		t.Errorf("buckets after full merge = %d, want 1", st.NumBuckets())
+	if st.NumBuckets() != 2 {
+		t.Errorf("buckets after full merge = %d, want 2", st.NumBuckets())
 	}
 	if st.Stats().BucketsMerged != 3 {
 		t.Errorf("merged count = %d, want 3", st.Stats().BucketsMerged)
@@ -300,7 +298,7 @@ func TestMergeOnce(t *testing.T) {
 
 func TestMergeRespectsNewestWins(t *testing.T) {
 	s := schema2D(8)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}})
+	st, err := NewStore(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +320,7 @@ func TestStoreWithEachCodec(t *testing.T) {
 		c := c
 		t.Run(c.Name(), func(t *testing.T) {
 			s := schema2D(16)
-			st, err := NewStore(s, Options{Codec: c, Stride: []int64{8, 8}})
+			st, err := NewStore(s, Options{Codec: c})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,7 +338,7 @@ func TestStoreWithEachCodec(t *testing.T) {
 
 func TestScanEarlyStop(t *testing.T) {
 	s := schema2D(8)
-	st, _ := NewStore(s, Options{Stride: []int64{8, 8}})
+	st, _ := NewStore(s, Options{})
 	for i := int64(1); i <= 8; i++ {
 		_ = st.Put(array.Coord{i, 1}, array.Cell{array.Float64(0), array.String64("")})
 	}
@@ -399,7 +397,7 @@ func TestChunkRoundTripProperty(t *testing.T) {
 func TestStoreRecoversFromManifest(t *testing.T) {
 	dir := t.TempDir()
 	s := schema2D(32)
-	st, err := NewStore(s, Options{Dir: dir, Stride: []int64{8, 8}})
+	st, err := NewStore(s, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +414,7 @@ func TestStoreRecoversFromManifest(t *testing.T) {
 
 	// Reopen: the manifest restores the bucket index — recovery, the DBMS
 	// service in-situ data does not get.
-	st2, err := NewStore(s, Options{Dir: dir, Stride: []int64{8, 8}})
+	st2, err := NewStore(s, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +451,7 @@ func TestStoreCorruptManifestRejected(t *testing.T) {
 
 func TestStoreManifestMissingBucketRejected(t *testing.T) {
 	dir := t.TempDir()
-	st, _ := NewStore(schema2D(8), Options{Dir: dir, Stride: []int64{8, 8}})
+	st, _ := NewStore(schema2D(8), Options{Dir: dir})
 	_ = st.Put(array.Coord{1, 1}, array.Cell{array.Float64(1), array.String64("")})
 	_ = st.Close()
 	// Delete a bucket file out from under the manifest.
@@ -472,7 +470,7 @@ func TestStoreManifestMissingBucketRejected(t *testing.T) {
 // where the per-Put walk of the buffer used to put them. Strings of varying
 // length, NULLs, overwrites and region clears all pass through.
 func TestBufferedBytesTrackByteSize(t *testing.T) {
-	st, err := NewStore(schema2D(40), Options{Stride: []int64{8, 8}, MemLimit: 20 << 10})
+	st, err := NewStore(schema2D(40), Options{MemLimit: 20 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +518,7 @@ func TestBufferedBytesTrackByteSize(t *testing.T) {
 func TestPutIntoChunkLargerThanMemLimit(t *testing.T) {
 	s := &array.Schema{
 		Name: "raw",
-		Dims: []array.Dimension{{Name: "pass", High: 64}, {Name: "x", High: 256}, {Name: "y", High: 256}},
+		Dims: []array.Dimension{{Name: "pass", High: 64, ChunkLen: 64}, {Name: "x", High: 256, ChunkLen: 64}, {Name: "y", High: 256, ChunkLen: 64}},
 		Attrs: []array.Attribute{
 			{Name: "a", Type: array.TFloat64}, {Name: "b", Type: array.TFloat64}, {Name: "c", Type: array.TFloat64},
 		},

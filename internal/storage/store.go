@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,8 +12,11 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/bufcache"
 	"scidb/internal/compress"
-	"scidb/internal/rtree"
 )
+
+// ErrOffGrid reports a bucket that is not one chunk of its store's grid, or
+// a stride setting that differs from that grid.
+var ErrOffGrid = errors.New("storage: off the chunk grid")
 
 // Stats is a snapshot of storage activity for the STORE and ENC
 // experiments. BucketsRead/BytesRead count actual disk reads: BucketsRead
@@ -132,10 +136,10 @@ type Options struct {
 	Codec compress.Codec
 	// MemLimit is the in-memory buffer budget in bytes before a flush
 	// ("when main memory is nearly full"). Zero means 4 MiB. The buffer
-	// holds at least one stride-chunk whatever its size.
+	// holds at least one grid chunk whatever its size.
 	MemLimit int64
-	// Stride is the bucket stride per dimension ("rectangular buckets,
-	// defined by a stride in each dimension"). Zero entries default to 64.
+	// Stride is unread but for CheckStride: buckets are the schema's grid
+	// chunks, and a stride may only restate that grid.
 	Stride []int64
 	// Cache is an optional shared buffer pool for decoded bucket sections:
 	// reads of a cached section skip both the disk read and the decode.
@@ -161,7 +165,8 @@ type Options struct {
 
 type bucketMeta struct {
 	id    int64
-	box   array.Box
+	box   array.Box // inside the grid cell at box.Lo
+	key   string    // box.Lo.Key(): the bucket's slot in the index
 	bytes int64
 	cells int64
 	path  string // file path, or "" when in-memory
@@ -173,11 +178,13 @@ type bucketMeta struct {
 	zones []*array.ZoneMap
 }
 
-// Store is the per-node storage manager for one array's partition. Writes
-// buffer in an in-memory chunked array; when the buffer exceeds the memory
-// limit it is cut into stride-aligned rectangular buckets, compressed, and
-// written out. An R-tree indexes bucket bounding boxes. MergeOnce combines
-// two small adjacent buckets when called.
+// Store is the per-node storage manager for one array's partition. Its
+// schema fixes one chunk grid (ChunkLen per dimension, see
+// array.Dimension.GridLen) and every bucket is one chunk of it. Writes
+// buffer in an in-memory array on that grid; when the buffer exceeds the
+// memory limit each of its chunks is compressed and written out as a
+// bucket. Buckets are indexed by chunk origin, so one origin holds the
+// no-overwrite versions of its chunk, and MergeOnce compacts them.
 type Store struct {
 	schema *array.Schema
 	opts   Options
@@ -193,15 +200,12 @@ type Store struct {
 	// memBytes tracks s.mem.ByteSize() incrementally (see bufferLocked), so
 	// the per-Put flush check does not walk every buffered chunk.
 	memBytes int64
-	rt       *rtree.Tree
-	buckets  map[int64]*bucketMeta
-	nextID   int64
-	stats    statCounters
+	// index maps a chunk origin (Coord.Key) to the buckets holding versions
+	// of that chunk, newest first.
+	index  map[string][]*bucketMeta
+	nextID int64
+	stats  statCounters
 }
-
-// maxBucketBytes caps a merged bucket's size: two buckets merge only if
-// their bytes together stay within it.
-const maxBucketBytes = 1 << 20
 
 // NewStore creates a storage manager for the schema.
 func NewStore(schema *array.Schema, opts Options) (*Store, error) {
@@ -211,15 +215,9 @@ func NewStore(schema *array.Schema, opts Options) (*Store, error) {
 	if opts.MemLimit <= 0 {
 		opts.MemLimit = 4 << 20
 	}
-	stride := make([]int64, len(schema.Dims))
-	for i := range stride {
-		if i < len(opts.Stride) && opts.Stride[i] > 0 {
-			stride[i] = opts.Stride[i]
-		} else {
-			stride[i] = 64
-		}
+	if err := CheckStride(schema, opts.Stride); err != nil {
+		return nil, err
 	}
-	opts.Stride = stride
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("storage: %w", err)
@@ -229,12 +227,11 @@ func NewStore(schema *array.Schema, opts Options) (*Store, error) {
 		opts.Cache = bufcache.New(opts.CacheBytes)
 	}
 	s := &Store{
-		schema:  schema,
-		opts:    opts,
-		codec:   opts.Codec,
-		cache:   opts.Cache,
-		rt:      rtree.New(),
-		buckets: map[int64]*bucketMeta{},
+		schema: schema,
+		opts:   opts,
+		codec:  opts.Codec,
+		cache:  opts.Cache,
+		index:  map[string][]*bucketMeta{},
 	}
 	if s.cache != nil {
 		s.cacheID = s.cache.RegisterStore()
@@ -249,14 +246,40 @@ func NewStore(schema *array.Schema, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// resetMem builds a fresh in-memory buffer array chunked at the bucket
-// stride, so a flush can emit chunks directly as buckets.
+// CheckStride is the check behind the Stride option fields kept for old
+// callers: the one grid is the schema's, so a stride may only restate it. A
+// non-zero entry that differs from its dimension's GridLen fails with
+// ErrOffGrid; entries past the schema's dimensions are ignored.
+func CheckStride(schema *array.Schema, stride []int64) error {
+	for i, d := range schema.Dims {
+		if i < len(stride) && stride[i] != 0 && stride[i] != d.GridLen() {
+			return fmt.Errorf("storage: stride %v differs from the chunk grid of %s: %w", stride, schema.Name, ErrOffGrid)
+		}
+	}
+	return nil
+}
+
+// onGrid reports whether box is one chunk of the store's grid: its Lo a grid
+// origin, and its extent inside that origin's cell (a cell is clipped at a
+// bounded dimension's High).
+func (s *Store) onGrid(box array.Box) bool {
+	if len(box.Lo) != len(s.schema.Dims) || len(box.Hi) != len(box.Lo) {
+		return false
+	}
+	for i, d := range s.schema.Dims {
+		cl, lo, hi := d.GridLen(), box.Lo[i], box.Hi[i]
+		if lo < 1 || (lo-1)%cl != 0 || hi < lo || hi-lo >= cl || (d.Bounded() && hi > d.High) {
+			return false
+		}
+	}
+	return true
+}
+
+// resetMem builds a fresh in-memory buffer array on the store's grid, so a
+// flush can emit its chunks directly as buckets.
 func (s *Store) resetMem() error {
 	ms := s.schema.Clone()
 	ms.Name = s.schema.Name + "_membuf"
-	for i := range ms.Dims {
-		ms.Dims[i].ChunkLen = s.opts.Stride[i]
-	}
 	mem, err := array.New(ms)
 	if err != nil {
 		return err
@@ -267,11 +290,6 @@ func (s *Store) resetMem() error {
 
 // Schema returns the stored array's schema.
 func (s *Store) Schema() *array.Schema { return s.schema }
-
-// Stride returns the bucket stride per dimension: the grid every bucket the
-// store writes lies on, and the one a loader must chunk on for its chunks
-// to be adopted as whole buckets.
-func (s *Store) Stride() []int64 { return s.opts.Stride }
 
 // Stats returns a snapshot of activity counters. It is safe to call from
 // any goroutine, concurrently with reads and writes.
@@ -293,7 +311,11 @@ func (s *Store) CacheStats() bufcache.Stats {
 func (s *Store) NumBuckets() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.buckets)
+	n := 0
+	for _, vs := range s.index {
+		n += len(vs)
+	}
+	return n
 }
 
 // Put writes one cell. When the write fills the memory buffer the store
@@ -318,7 +340,7 @@ func (s *Store) Put(c array.Coord, cell array.Cell) error {
 //
 // full reports that this write took the buffer to MemLimit. Only growth is
 // tested, and the buffer's first chunk is always admitted: a chunk is sized
-// by its stride, not its cells, so one that alone exceeds the limit would
+// by the grid, not its cells, so one that alone exceeds the limit would
 // otherwise be flushed after every cell written into it.
 func (s *Store) bufferLocked(c array.Coord, cell array.Cell) (full bool, err error) {
 	var ch *array.Chunk
@@ -390,7 +412,8 @@ func (s *Store) writeBucketLocked(ch *array.Chunk) error {
 }
 
 // installLocked seals EncodeChunk bytes into a bucket — each section through
-// the store codec — writes it out, and indexes it under a fresh id.
+// the store codec — writes it out, and indexes it under a fresh id as the
+// newest version of its chunk, which must lie on the grid.
 func (s *Store) installLocked(raw []byte, ch *array.Chunk, zones []*array.ZoneMap) (int64, error) {
 	enc, err := sealChunk(s.schema, raw, s.codec)
 	if err != nil {
@@ -400,7 +423,7 @@ func (s *Store) installLocked(raw []byte, ch *array.Chunk, zones []*array.ZoneMa
 	s.stats.bytesEncoded.Add(int64(len(raw)))
 	id := s.nextID
 	s.nextID++
-	meta := &bucketMeta{id: id, box: ch.Box(), bytes: int64(len(enc)), cells: ch.CellsPresent(), zones: zones}
+	meta := &bucketMeta{id: id, box: ch.Box(), key: ch.Origin.Key(), bytes: int64(len(enc)), cells: ch.CellsPresent(), zones: zones}
 	if s.opts.Dir != "" {
 		meta.path = filepath.Join(s.opts.Dir, fmt.Sprintf("bucket-%06d.sdb", id))
 		if err := os.WriteFile(meta.path, enc, 0o644); err != nil {
@@ -409,8 +432,7 @@ func (s *Store) installLocked(raw []byte, ch *array.Chunk, zones []*array.ZoneMa
 	} else {
 		meta.data = enc
 	}
-	s.buckets[id] = meta
-	s.rt.Insert(meta.box, id)
+	s.index[meta.key] = append([]*bucketMeta{meta}, s.index[meta.key]...)
 	s.stats.bucketsWritten.Add(1)
 	s.stats.bytesWritten.Add(int64(len(enc)))
 	// Defensive: a recycled id (possible only across manifest edits) must
@@ -576,85 +598,52 @@ func (s *Store) Get(c array.Coord) (cell array.Cell, ok bool, err error) {
 	return cell, ok, err
 }
 
-// MergeOnce performs one merge step: it finds the best pair of small buckets
-// whose boxes can combine without exceeding the size cap and merges them. It
-// reports whether a merge happened.
+// MergeOnce compacts the chunk with the most bucket versions (the oldest
+// such chunk on a tie) into one bucket, the newest version of each cell
+// winning. It reports whether any chunk had more than one version.
 func (s *Store) MergeOnce() (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries := s.rt.All()
-	var bi, bj *bucketMeta
-	var bestWaste int64 = 1 << 62
-	for i := 0; i < len(entries); i++ {
-		mi := s.buckets[entries[i].ID]
-		for j := i + 1; j < len(entries); j++ {
-			mj := s.buckets[entries[j].ID]
-			if mi.bytes+mj.bytes > maxBucketBytes {
-				continue
-			}
-			u := mi.box.Union(mj.box)
-			waste := u.Cells() - mi.box.Cells() - mj.box.Cells()
-			if waste < 0 {
-				waste = 0
-			}
-			if waste < bestWaste {
-				bestWaste, bi, bj = waste, mi, mj
-			}
+	var versions []*bucketMeta
+	for _, vs := range s.index {
+		if len(vs) > len(versions) || (len(vs) == len(versions) && vs[len(vs)-1].id < versions[len(vs)-1].id) {
+			versions = vs
 		}
 	}
-	if bi == nil {
+	if len(versions) < 2 {
 		return false, nil
 	}
-	s.consultLocked(bi)
-	s.consultLocked(bj)
-	ci, releaseI, err := s.pinBucket(bi, nil)
+	merged, err := array.New(s.schema.Clone())
 	if err != nil {
 		return false, err
 	}
-	cj, releaseJ, err := s.pinBucket(bj, nil)
-	if err != nil {
-		releaseI()
-		return false, err
-	}
-	defer releaseI()
-	defer releaseJ()
-	u := bi.box.Union(bj.box)
-	merged := array.NewChunk(s.schema, u.Lo, u.Shape())
-	// Older bucket first so the newer one wins on overlap.
-	first, second := ci, cj
-	if bi.id > bj.id {
-		first, second = cj, ci
-	}
-	for _, src := range []*array.Chunk{first, second} {
-		var copyErr error
-		array.IterBox(src.Box(), func(c array.Coord) bool {
-			if cell, ok := src.Get(c); ok {
-				if err := merged.Set(c, cell); err != nil {
-					copyErr = err
-					return false
-				}
-			}
-			return true
-		})
-		if copyErr != nil {
-			return false, copyErr
+	// Oldest first, so each version overwrites the older cells it holds.
+	for i := len(versions) - 1; i >= 0; i-- {
+		s.consultLocked(versions[i])
+		ch, release, err := s.pinBucket(versions[i], nil)
+		if err != nil {
+			return false, err
+		}
+		err = merged.MergeMasked(ch, ch.Present)
+		release()
+		if err != nil {
+			return false, err
 		}
 	}
-	// Remove the old buckets, then write the merged one. The pool entries
-	// for the merged-away ids must go too: their boxes are no longer in
-	// the R-tree, and a recycled id must never serve their stale cells.
-	for _, m := range []*bucketMeta{bi, bj} {
-		s.rt.Delete(m.box, m.id)
-		delete(s.buckets, m.id)
+	if err := s.writeBucketLocked(merged.Chunks()[0]); err != nil {
+		return false, err
+	}
+	// The compacted bucket replaces every version. Their pool entries go
+	// too, so a recycled id never serves their stale cells.
+	key := versions[0].key
+	s.index[key] = s.index[key][:1]
+	for _, m := range versions {
 		s.uncache(m.id)
 		if m.path != "" {
 			_ = os.Remove(m.path)
 		}
 	}
-	if err := s.writeBucketLocked(merged); err != nil {
-		return false, err
-	}
-	s.stats.bucketsMerged.Add(1)
+	s.stats.bucketsMerged.Add(int64(len(versions) - 1))
 	if err := s.saveManifestLocked(); err != nil {
 		return false, err
 	}

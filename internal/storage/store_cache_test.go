@@ -12,8 +12,8 @@ import (
 // columns, each cached — and counted as a hit or a miss — on its own.
 const perBucket = 3
 
-// fillBuckets writes one cell per stride-aligned bucket and flushes after
-// each put, producing n distinct on-disk buckets along the x axis.
+// fillBuckets writes one cell per grid chunk and flushes after each put,
+// producing n distinct on-disk buckets along the x axis.
 func fillBuckets(t *testing.T, st *Store, n int64) {
 	t.Helper()
 	for k := int64(0); k < n; k++ {
@@ -31,7 +31,7 @@ func fillBuckets(t *testing.T, st *Store, n int64) {
 // reads, with the pool reporting the corresponding hits.
 func TestCachedScanZeroReads(t *testing.T) {
 	s := schema2D(64)
-	st, err := NewStore(s, Options{Dir: t.TempDir(), Stride: []int64{8, 8}, CacheBytes: 8 << 20})
+	st, err := NewStore(s, Options{Dir: t.TempDir(), CacheBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCachedScanZeroReads(t *testing.T) {
 // TestCachedGetWarm mirrors the scan test for the point-read path.
 func TestCachedGetWarm(t *testing.T) {
 	s := schema2D(64)
-	st, err := NewStore(s, Options{Dir: t.TempDir(), Stride: []int64{8, 8}, CacheBytes: 8 << 20})
+	st, err := NewStore(s, Options{Dir: t.TempDir(), CacheBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,28 +113,46 @@ func TestCachedGetWarm(t *testing.T) {
 	}
 }
 
+// bucketIDs returns the ids of the store's buckets.
+func bucketIDs(st *Store) map[int64]bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	ids := map[int64]bool{}
+	for _, vs := range st.index {
+		for _, m := range vs {
+			ids[m.id] = true
+		}
+	}
+	return ids
+}
+
 // TestMergeInvalidatesCache is the regression test for the satellite fix: a
 // merged-away bucket must never be served stale from the pool.
 func TestMergeInvalidatesCache(t *testing.T) {
 	s := schema2D(64)
 	pool := bufcache.New(8 << 20)
-	st, err := NewStore(s, Options{Dir: t.TempDir(), Stride: []int64{8, 8}, Cache: pool})
+	st, err := NewStore(s, Options{Dir: t.TempDir(), Cache: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	fillBuckets(t, st, 4)
+	fillBuckets(t, st, 3)
+	// A second version of the first chunk, for MergeOnce to compact.
+	if err := st.Put(array.Coord{2, 1}, array.Cell{array.Float64(100), array.String64("")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Prime the pool with every bucket and note their ids.
 	if err := st.Scan(array.NewBox(array.Coord{1, 1}, array.Coord{32, 8}), func(array.Coord, array.Cell) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	st.mu.Lock()
 	var oldIDs []int64
-	for id := range st.buckets {
+	for id := range bucketIDs(st) {
 		oldIDs = append(oldIDs, id)
 	}
-	st.mu.Unlock()
 	if len(oldIDs) != 4 || pool.Len() != 4*perBucket {
 		t.Fatalf("setup: %d buckets, %d pool entries; want 4/%d", len(oldIDs), pool.Len(), 4*perBucket)
 	}
@@ -145,14 +163,13 @@ func TestMergeInvalidatesCache(t *testing.T) {
 	}
 
 	// The two merged-away ids must be gone from both the store and the pool.
-	st.mu.Lock()
 	var removed []int64
+	live := bucketIDs(st)
 	for _, id := range oldIDs {
-		if _, live := st.buckets[id]; !live {
+		if !live[id] {
 			removed = append(removed, id)
 		}
 	}
-	st.mu.Unlock()
 	if len(removed) != 2 {
 		t.Fatalf("merge removed %d buckets, want 2", len(removed))
 	}
@@ -168,11 +185,14 @@ func TestMergeInvalidatesCache(t *testing.T) {
 	}
 
 	// Re-reading returns the merged data, not stale cells.
-	for k := int64(0); k < 4; k++ {
+	for k := int64(0); k < 3; k++ {
 		cell, ok, err := st.Get(array.Coord{k*8 + 1, 1})
 		if err != nil || !ok || cell[0].Float != float64(k) {
 			t.Errorf("post-merge Get(k=%d) = %v,%v,%v", k, cell, ok, err)
 		}
+	}
+	if cell, ok, err := st.Get(array.Coord{2, 1}); err != nil || !ok || cell[0].Float != 100 {
+		t.Errorf("post-merge Get(2,1) = %v,%v,%v", cell, ok, err)
 	}
 }
 
@@ -181,7 +201,7 @@ func TestMergeInvalidatesCache(t *testing.T) {
 func TestSharedPoolStoreClose(t *testing.T) {
 	pool := bufcache.New(8 << 20)
 	mk := func() *Store {
-		st, err := NewStore(schema2D(64), Options{Dir: t.TempDir(), Stride: []int64{8, 8}, Cache: pool})
+		st, err := NewStore(schema2D(64), Options{Dir: t.TempDir(), Cache: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +242,7 @@ func TestSharedPoolStoreClose(t *testing.T) {
 // mutate the store; meaningful under -race (satellite: race-safe Stats).
 func TestStatsRaceSafety(t *testing.T) {
 	s := schema2D(64)
-	st, err := NewStore(s, Options{Dir: t.TempDir(), Stride: []int64{8, 8}, CacheBytes: 4 << 20, MemLimit: 1})
+	st, err := NewStore(s, Options{Dir: t.TempDir(), CacheBytes: 4 << 20, MemLimit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +287,7 @@ func TestStatsRaceSafety(t *testing.T) {
 // TestUncachedStoreStillWorks: CacheBytes 0 and no shared pool leaves the
 // store uncached and fully functional.
 func TestUncachedStoreStillWorks(t *testing.T) {
-	st, err := NewStore(schema2D(64), Options{Dir: t.TempDir(), Stride: []int64{8, 8}})
+	st, err := NewStore(schema2D(64), Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,11 +55,13 @@ func noise() func(i, j int64) (array.Cell, bool) {
 	}
 }
 
-// writeStore fills a side² store of s in stride-32 buckets under codec with
+// writeStore fills a side² store of s on a 32x32 chunk grid under codec with
 // the cells cell yields, flushes it and returns its counters.
 func writeStore(t *testing.T, s *array.Schema, codec compress.Codec, cell func(i, j int64) (array.Cell, bool)) Stats {
 	t.Helper()
-	st, err := NewStore(s, Options{Dir: t.TempDir(), Codec: codec, Stride: []int64{32, 32}})
+	grid := s.Clone()
+	grid.Dims[0].ChunkLen, grid.Dims[1].ChunkLen = 32, 32
+	st, err := NewStore(grid, Options{Dir: t.TempDir(), Codec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}

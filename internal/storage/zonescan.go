@@ -11,29 +11,14 @@ import "scidb/internal/array"
 
 // prunable reports whether bucket m can be skipped for preds: its zone
 // maps must prove no cell matches, and skipping must not unshadow older
-// data. In Scan semantics a newer bucket's cells shadow older buckets'
-// cells at the same coordinate; dropping m would let an older overlapping
-// bucket's (possibly matching) cells through where the full scan would
-// have delivered m's non-matching ones. m is therefore only prunable when
-// no older candidate bucket overlaps m's box inside the query.
-func prunable(m *bucketMeta, q array.Box, preds []array.ZonePred, metas []*bucketMeta) bool {
-	if len(preds) == 0 || m.zones == nil {
+// data. A newer version of a chunk shadows the older versions' cells at the
+// same coordinate; dropping m would let an older version's (possibly
+// matching) cells through where the full scan would have delivered m's
+// non-matching ones. m is therefore only prunable as the oldest of its
+// chunk's versions (newest first).
+func prunable(m *bucketMeta, preds []array.ZonePred, versions []*bucketMeta) bool {
+	if len(preds) == 0 || m.zones == nil || array.CanMatchAll(m.zones, preds) {
 		return false
 	}
-	if array.CanMatchAll(m.zones, preds) {
-		return false
-	}
-	minter, ok := m.box.Intersect(q)
-	if !ok {
-		return true // nothing inside the query anyway
-	}
-	for _, o := range metas {
-		if o.id >= m.id {
-			continue
-		}
-		if _, overlap := o.box.Intersect(minter); overlap {
-			return false
-		}
-	}
-	return true
+	return versions[len(versions)-1] == m
 }

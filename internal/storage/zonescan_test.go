@@ -11,7 +11,7 @@ import (
 func fourBuckets(t *testing.T, dir string) *Store {
 	t.Helper()
 	s := schema2D(32)
-	st, err := NewStore(s, Options{Dir: dir, Stride: []int64{8, 8}})
+	st, err := NewStore(s, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestScanPrunedNeverUnshadows(t *testing.T) {
 	// bucket's zones cannot match the predicate, but skipping it would
 	// unshadow the stale matching cell — ScanPruned must read it instead.
 	s := schema2D(8)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}})
+	st, err := NewStore(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestManifestKeepsZones(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := NewStore(schema2D(32), Options{Dir: dir, Stride: []int64{8, 8}})
+	st2, err := NewStore(schema2D(32), Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRatioGuardsOnEmptyStore(t *testing.T) {
 	// Both derived ratios must be defined before any write or pruned scan:
 	// a fresh store has every counter at zero.
 	s := schema2D(8)
-	st, err := NewStore(s, Options{Stride: []int64{8, 8}})
+	st, err := NewStore(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
