@@ -47,8 +47,9 @@ race:
 # (FuzzHello), the CSV line parser against its Split-based oracle
 # (FuzzCSVLine), the CSV float kernel against strconv.ParseFloat
 # (FuzzParseFloat), the predicate mask kernel against the cell definition it
-# stands in for (FuzzPredMask) and, FuzzWorkerRead, the worker's read against
-# its cell oracle. Each target must be invoked separately: `go test -fuzz` refuses a
+# stands in for (FuzzPredMask), Filter against its per-cell definition
+# (FuzzFilter) and, FuzzWorkerRead, the worker's read against its cell
+# oracle. Each target must be invoked separately: `go test -fuzz` refuses a
 # pattern matching more than one fuzz function.
 FUZZTIME ?= 10s
 .PHONY: fuzz
@@ -65,6 +66,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseFloat -fuzztime=$(FUZZTIME) ./internal/insitu
 	$(GO) test -run=NONE -fuzz=FuzzDecodeClusterMessage -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=NONE -fuzz=FuzzPredMask -fuzztime=$(FUZZTIME) ./internal/ops
+	$(GO) test -run=NONE -fuzz=FuzzFilter -fuzztime=$(FUZZTIME) ./internal/ops
 	$(GO) test -run=NONE -fuzz=FuzzWorkerRead -fuzztime=$(FUZZTIME) ./internal/cluster
 
 .PHONY: race-all

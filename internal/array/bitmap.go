@@ -38,8 +38,8 @@ func (b *Bitmap) SetAll() {
 func (b *Bitmap) Count() int64 { return b.CountRange(0, b.n) }
 
 // CountRange returns the number of set bits in [lo, hi), clamped to the
-// bitmap's length. It is the ranged popcount the run-at-a-time operators
-// use to count present cells per RLE run.
+// bitmap's length. It is the ranged popcount the fold's count kernel uses
+// per run of slots.
 func (b *Bitmap) CountRange(lo, hi int64) int64 {
 	// No trim here: the hi mask already excludes bits past hi-1, and
 	// trimming would mutate a bitmap shared by parallel workers.

@@ -19,15 +19,13 @@ type Column struct {
 	SharedSigma float64
 	HasShared   bool
 
-	// Zone and Enc are advisory views attached by the storage decoder:
-	// Zone summarizes the present, non-null values for chunk skipping and
-	// Enc retains the encoded structure (RLE runs, dictionary codes) for
-	// run-at-a-time execution. Both describe the column only while it is
-	// unmodified — Set and CopyFrom drop them, and Chunk.Erase drops Zone,
-	// which is over the chunk's present cells — so a non-nil Zone is the
-	// column's, and the storage encoder writes it out as it stands.
+	// Zone is the advisory view attached by the storage decoder: it
+	// summarizes the present, non-null values for chunk skipping. It
+	// describes the column only while it is unmodified — Set and CopyFrom
+	// drop it, and so does Chunk.Erase, since it is over the chunk's present
+	// cells — so a non-nil Zone is the column's, and the storage encoder
+	// writes it out as it stands.
 	Zone *ZoneMap
-	Enc  *ColEnc
 }
 
 // NewColumn allocates a column of n slots for attribute a.
@@ -101,15 +99,15 @@ func (c *Column) Set(i int64, v Value) {
 	}
 }
 
-// SetNull makes slot i NULL. Like every setter it drops Zone and Enc.
+// SetNull makes slot i NULL. Like every setter it drops Zone.
 func (c *Column) SetNull(i int64) {
-	c.Zone, c.Enc = nil, nil
+	c.Zone = nil
 	c.Nulls.Set(i)
 }
 
 // setPresent clears slot i's NULL bit for a typed setter's value.
 func (c *Column) setPresent(i int64) {
-	c.Zone, c.Enc = nil, nil
+	c.Zone = nil
 	c.Nulls.Clear(i)
 }
 
@@ -186,7 +184,7 @@ func (c *Column) Len() int64 { return c.Nulls.Len() }
 // Clone deep-copies the column (nested arrays are shared).
 func (c *Column) Clone() *Column {
 	out := &Column{Type: c.Type, Nulls: c.Nulls.Clone(), SharedSigma: c.SharedSigma, HasShared: c.HasShared,
-		Zone: c.Zone, Enc: c.Enc} // views stay valid for an identical copy
+		Zone: c.Zone} // the zone map stays valid for an identical copy
 	out.Ints = append([]int64(nil), c.Ints...)
 	out.Floats = append([]float64(nil), c.Floats...)
 	out.Strs = append([]string(nil), c.Strs...)
@@ -267,8 +265,7 @@ func (ch *Chunk) Set(c Coord, cell Cell) error {
 }
 
 // Erase marks the cell absent. A column's zone map covers present cells
-// only, so it goes the way Column.Set sends it; Enc describes the stored
-// values, which stay.
+// only, so it goes the way Column.Set sends it.
 func (ch *Chunk) Erase(c Coord) {
 	ch.Present.Clear(ch.Index(c))
 	for _, col := range ch.Cols {

@@ -87,7 +87,7 @@ func (ch *Chunk) ClearShadowed(mask *Bitmap, box Box, origin Coord, shape []int6
 // preserving nulls and error bars: CopyFrom for a masked run, with the type
 // dispatched once per run instead of once per cell.
 func (c *Column) CopyMasked(o *Column, dst, src, n int64, live *Bitmap) {
-	c.Zone, c.Enc = nil, nil
+	c.Zone = nil
 	shift := dst - src
 	for i := live.NextSet(src); i < src+n; i = live.NextSet(i + 1) {
 		if o.Nulls.Get(i) {

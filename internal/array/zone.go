@@ -323,20 +323,3 @@ func CanMatchAll(zones []*ZoneMap, preds []ZonePred) bool {
 	}
 	return true
 }
-
-// ColEnc is the encoded-structure view the storage decoder retains beside
-// a materialized column so operators can execute run-at-a-time or on
-// dictionary codes without re-deriving the structure. It is advisory and
-// describes the column only until the column is mutated (Set/CopyFrom
-// drop it).
-type ColEnc struct {
-	// RunLens, when non-nil, is the RLE view: run k covers RunLens[k]
-	// consecutive slots, the lengths sum to the column's slot count, and
-	// every slot in a run holds the same value (read it from the
-	// materialized vector at the run's first slot).
-	RunLens []int64
-	// Dict and Codes, when non-nil, are the dictionary view for string
-	// columns: Codes[i] indexes Dict and Strs[i] == Dict[Codes[i]].
-	Dict  []string
-	Codes []uint32
-}

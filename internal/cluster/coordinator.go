@@ -332,9 +332,7 @@ func (co *Coordinator) Read(ctx context.Context, name string, frag ops.Fragment)
 	}
 	span := obs.SpanFromContext(ctx)
 	span.Add("nodes", int64(len(resps)))
-	if skipped > 0 {
-		ops.NoteEncChunksSkipped(ctx, skipped)
-	}
+	ops.NoteEncChunksSkipped(ctx, skipped)
 	switch {
 	case fold == nil:
 		span.Add("bytes_gathered", gathered)

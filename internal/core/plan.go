@@ -245,7 +245,7 @@ func boxRule(p *plan) {
 // filterRule is rule 2: a grand total over a filter. The filter's zone
 // conjuncts go with the read, and the cells they leave out are exactly those
 // the filter would have turned into all-NULL rows, so every aggregate must
-// ignore NULLs (the RunAggregate contract). When the conjuncts are the whole
+// ignore NULLs (udf.NullIgnoring). When the conjuncts are the whole
 // predicate and the source folds, the fold goes too: each node filters and
 // folds where its cells are, and the row exists if any node saw (or pruned)
 // a cell. Otherwise they are a hint, the filter runs over what comes back,
@@ -477,7 +477,7 @@ func (db *Database) ignoreNulls(aggs []ops.AggSpec) bool {
 		if err != nil {
 			return false
 		}
-		if _, ok := fac().(udf.RunAggregate); !ok {
+		if _, ok := fac().(udf.NullIgnoring); !ok {
 			return false
 		}
 	}

@@ -109,9 +109,9 @@ func (s storeSource) folds() bool           { return false }
 // read takes the box chunk at a time, skipping buckets whose zone maps
 // refute preds. A chunk that is live in full is cloned out of the shared
 // pool and adopted, which skips the cell-by-cell rebuild and — because Clone
-// preserves the decoder's advisory views — hands the operators zone maps
-// and RLE/dictionary structure for compressed execution; a chunk the box
-// cuts or newer data shadows contributes its live slots column-wise.
+// keeps the decoder's zone maps — lets Filter skip chunks they refute; a
+// chunk the box cuts or newer data shadows contributes its live slots
+// column-wise.
 func (s storeSource) read(ctx context.Context, frag ops.Fragment) (*array.Array, bool, error) {
 	if s.fill != nil {
 		if _, err := s.fill.Do(s.st); err != nil {

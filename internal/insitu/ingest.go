@@ -2,6 +2,7 @@ package insitu
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,9 +21,9 @@ import (
 // payloads to Ship. A cell is parsed once, straight into its chunk's
 // columns, and encoded once.
 //
-// Cell-for-cell the stores end up holding the dataset; only the bucket
-// boundaries depend on where the shards were cut. Coordinates must be
-// unique: with duplicates, which copy wins is undefined.
+// Cell-for-cell the stores end up holding the dataset, and input in chunk
+// order is stored one bucket per chunk wherever the shards were cut.
+// Coordinates must be unique: with duplicates, which copy wins is undefined.
 type Pipeline struct {
 	// Schema is the destination stores' schema: its grid is the one every
 	// shipped chunk lies on, so each is adopted as one bucket.
@@ -60,6 +61,15 @@ func (c *Counts) add(o Counts) {
 }
 
 // Run moves ds's cells inside box through the pipeline.
+//
+// A shard cut can fall inside a chunk, and the shards on both sides then
+// hold a part of it: with input in chunk order, a shard's first and last
+// chunk at each site. Unless such a chunk is whole — it has every cell of
+// its box that routes to its site, so no other shard has one — a shard
+// does not seal it but merges it into edges, the parts held so far. The
+// shard whose part makes a chunk there whole seals it; a chunk still
+// partial when the last shard is done is sealed then. Either way it is
+// stored as one bucket.
 func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 	bs := p.Schema.Clone()
 	bs.Name = p.Schema.Name + "_loadbuf"
@@ -67,50 +77,68 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 	if err != nil {
 		return Counts{}, err
 	}
-	var mu sync.Mutex // guards n
+	var mu sync.Mutex // guards n and edges
 	n := Counts{PerSite: make([]int64, p.Sites)}
+	type edgeKey struct {
+		site   int
+		origin string
+	}
+	edges := map[edgeKey]*array.Chunk{}
 	err = exec.Default().Map(context.Background(), len(shards), func(si int) error {
 		start := time.Now()
 		my := Counts{PerSite: make([]int64, p.Sites)}
 		builders := make([]*array.Array, p.Sites)
+		first, last := make([]*array.Chunk, p.Sites), make([]*array.Chunk, p.Sites)
 		defer func() {
 			my.Parse = max(time.Since(start)-my.Encode-my.Ship, 0)
 			mu.Lock()
 			n.add(my)
 			mu.Unlock()
 		}()
-		flushSite := func(site int) error {
+		// shared reports whether a neighbouring shard may have cells of ch:
+		// it is the shard's first chunk at site, or, once the shard is done,
+		// its last, and it is not whole.
+		shared := func(site int, ch *array.Chunk, done bool) bool {
+			return (si > 0 && ch == first[site] || done && si < len(shards)-1 && ch == last[site]) && !p.whole(site, ch)
+		}
+		// hold merges ch into the part of its chunk in edges and returns the
+		// chunk once it is whole, for the caller to seal, or nil.
+		hold := func(site int, ch *array.Chunk) *array.Chunk {
+			mu.Lock()
+			defer mu.Unlock()
+			k := edgeKey{site, ch.Origin.Key()}
+			if part := edges[k]; part != nil {
+				part.Present.OrRange(ch.Present, 0, ch.Slots())
+				for a, col := range part.Cols {
+					col.CopyMasked(ch.Cols[a], 0, 0, ch.Slots(), ch.Present)
+				}
+				ch = part
+			}
+			if p.whole(site, ch) {
+				delete(edges, k)
+				return ch
+			}
+			edges[k] = ch
+			return nil
+		}
+		// flushSite seals and ships a site's builder, but for the chunks a
+		// neighbouring shard may share.
+		flushSite := func(site int, done bool) error {
 			b := builders[site]
 			if b == nil {
 				return nil
 			}
 			builders[site] = nil
-			t0 := time.Now()
-			chunks := b.Chunks() // origin-sorted: deterministic ship order
-			payloads := make([][]byte, 0, len(chunks))
-			var cells, payloadBytes int64
-			for _, ch := range chunks {
-				raw, _, err := storage.EncodeChunkZones(bs, ch)
-				if err != nil {
-					return err
+			chunks := make([]*array.Chunk, 0, b.NumChunks())
+			for _, ch := range b.Chunks() {
+				if shared(site, ch, done) {
+					if ch = hold(site, ch); ch == nil {
+						continue
+					}
 				}
-				payloads = append(payloads, raw)
-				cells += ch.CellsPresent()
-				payloadBytes += int64(len(raw))
+				chunks = append(chunks, ch)
 			}
-			my.Encode += time.Since(t0)
-			if len(payloads) == 0 {
-				return nil
-			}
-			t0 = time.Now()
-			if err := p.Ship(site, payloads, cells); err != nil {
-				return err
-			}
-			my.Ship += time.Since(t0)
-			my.Chunks += int64(len(payloads))
-			my.Batches++
-			my.Bytes += payloadBytes
-			return nil
+			return p.seal(bs, site, chunks, &my)
 		}
 		// The shard's body writes each cell straight into its site builder's
 		// slot. A cell that would open chunk Batch+1 of a builder first seals
@@ -120,7 +148,7 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 			site := p.Route(c)
 			b := builders[site]
 			if b != nil && b.NumChunks() >= p.Batch && !b.Holds(c) {
-				if err := flushSite(site); err != nil {
+				if err := flushSite(site, false); err != nil {
 					return nil, 0, err
 				}
 				b = nil
@@ -135,6 +163,10 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 			ch, i, err := b.Slot(c)
 			if err == nil {
 				my.PerSite[site]++
+				if first[site] == nil {
+					first[site] = ch
+				}
+				last[site] = ch
 			}
 			return ch, i, err
 		}
@@ -142,11 +174,72 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 			return err
 		}
 		for site := range builders {
-			if err := flushSite(site); err != nil {
+			if err := flushSite(site, true); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	return n, err
+	if err != nil {
+		return n, err
+	}
+	rest := make([][]*array.Chunk, p.Sites)
+	for k, ch := range edges {
+		rest[k.site] = append(rest[k.site], ch)
+	}
+	for site, chunks := range rest {
+		slices.SortFunc(chunks, func(a, b *array.Chunk) int { return slices.Compare(a.Origin, b.Origin) })
+		for len(chunks) > 0 {
+			k := min(p.Batch, len(chunks))
+			if err := p.seal(bs, site, chunks[:k], &n); err != nil {
+				return n, err
+			}
+			chunks = chunks[k:]
+		}
+	}
+	return n, nil
+}
+
+// whole reports whether ch has every cell of its box that routes to site.
+// Coordinates are unique, so then no other shard has a cell of it.
+func (p Pipeline) whole(site int, ch *array.Chunk) bool {
+	if ch.CellsPresent() == ch.Slots() {
+		return true
+	}
+	whole := true
+	array.IterBox(ch.Box(), func(c array.Coord) bool {
+		whole = ch.Present.Get(ch.Index(c)) || p.Route(c) != site
+		return whole
+	})
+	return whole
+}
+
+// seal encodes chunks — each through storage.EncodeChunkZones, zone maps
+// included — ships them to site as one batch, and counts it in my.
+func (p Pipeline) seal(bs *array.Schema, site int, chunks []*array.Chunk, my *Counts) error {
+	if len(chunks) == 0 {
+		return nil
+	}
+	t0 := time.Now()
+	payloads := make([][]byte, 0, len(chunks))
+	var cells, payloadBytes int64
+	for _, ch := range chunks {
+		raw, _, err := storage.EncodeChunkZones(bs, ch)
+		if err != nil {
+			return err
+		}
+		payloads = append(payloads, raw)
+		cells += ch.CellsPresent()
+		payloadBytes += int64(len(raw))
+	}
+	my.Encode += time.Since(t0)
+	t0 = time.Now()
+	if err := p.Ship(site, payloads, cells); err != nil {
+		return err
+	}
+	my.Ship += time.Since(t0)
+	my.Chunks += int64(len(payloads))
+	my.Batches++
+	my.Bytes += payloadBytes
+	return nil
 }

@@ -3,6 +3,7 @@ package ops
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"scidb/internal/array"
 	"scidb/internal/udf"
@@ -25,7 +26,10 @@ func FilterCtx(ctx context.Context, a *array.Array, pred Expr, reg *udf.Registry
 
 // filter is the one body of Filter and Cjoin: a task per live chunk of a
 // writes the chunk's cells into an array of schema out (a's attributes, on
-// a's grid), each kept or NULLed by pred.
+// a's grid), each kept or NULLed by one keep mask per chunk — empty when the
+// chunk's zone maps refute pure conjuncts of pred, PredMask's when the
+// conjuncts are all of pred, and otherwise the compiled predicate's, NULL
+// counting as false.
 func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, reg *udf.Registry) (*array.Array, error) {
 	res, err := array.New(out)
 	if err != nil {
@@ -36,54 +40,39 @@ func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, r
 	spanChunks(ctx, work)
 	preds, exact := zonePreds(pred, a.Schema)
 	pure := predPure(pred, a.Schema)
-	stats := make([]encStats, len(work))
+	var skipped atomic.Int64
 	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
 		ch := work[i]
+		var keep *array.Bitmap
+		switch zones := chunkZones(ch); {
+		case pure && len(preds) > 0 && zones != nil && !array.CanMatchAll(zones, preds):
+			keep = array.NewBitmap(ch.Slots())
+			skipped.Add(1)
+		case exact:
+			keep = PredMask(preds, ch, ch.Present)
+		default:
+			keep = array.NewBitmap(ch.Slots())
+			eval := compile(pred, a.Schema, ch, reg)
+			err := eachPresent(ch, func(idx int64, c array.Coord) error {
+				v, err := eval(idx, c)
+				if err == nil && !v.Null && v.Bool {
+					keep.Set(idx)
+				}
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
 		oc := array.NewChunk(res.Schema, ch.Origin, res.GridShape(ch.Origin))
 		same := shapeEq(ch.Shape, oc.Shape)
-		plan := planEncFilter(pred, a.Schema, ch, preds, pure)
-		if plan == nil && chunkHasEncViews(ch) {
-			stats[i].fallbacks++
-		}
-		if plan != nil && plan.skip {
-			stats[i].skipped++
-			emitNullChunk(ch, oc, same)
-			return oc, nil
-		}
-		// The cheapest decider the predicate's shape allows: an encoded-view
-		// plan, the mask of a conjunction of column-constant comparisons, or
-		// the compiled predicate.
-		var vec func(int64) bool
-		var mask *array.Bitmap
-		var eval colEval
-		switch {
-		case plan != nil:
-			vec = plan.keep
-		case exact:
-			mask = PredMask(preds, ch, ch.Present)
-		default:
-			eval = compile(pred, a.Schema, ch, reg)
-		}
-		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
-			var keep bool
-			switch {
-			case vec != nil:
-				keep = vec(idx)
-			case mask != nil:
-				keep = mask.Get(idx)
-			default:
-				v, err := eval(idx, c)
-				if err != nil {
-					return err
-				}
-				keep = !v.Null && v.Bool
-			}
+		_ = eachPresent(ch, func(idx int64, c array.Coord) error {
 			oidx := idx
 			if !same {
 				oidx = oc.Index(c)
 			}
 			oc.Present.Set(oidx)
-			if keep {
+			if keep.Get(idx) {
 				for ai := range oc.Cols {
 					oc.Cols[ai].CopyFrom(ch.Cols[ai], oidx, idx)
 				}
@@ -94,18 +83,12 @@ func filter(ctx context.Context, a *array.Array, out *array.Schema, pred Expr, r
 			}
 			return nil
 		})
-		if werr != nil {
-			return nil, werr
-		}
-		if plan != nil && plan.runs != nil {
-			stats[i].runs = *plan.runs
-		}
 		return oc, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	publishEncStats(ctx, stats)
+	NoteEncChunksSkipped(ctx, skipped.Load())
 	return res, nil
 }
 

@@ -321,10 +321,6 @@ func oneRow(start, n, row int64) run { return run{start: start, n: n, row: row, 
 // Chunk folds the live cells of ch into a table over ch's own extent of the
 // group space: a worker's (and a pool task's) unit of work.
 func (f *Fold) Chunk(ch *array.Chunk, live *array.Bitmap) *FoldTable {
-	return f.chunk(ch, live, &encStats{})
-}
-
-func (f *Fold) chunk(ch *array.Chunk, live *array.Bitmap, st *encStats) *FoldTable {
 	lo := make([]int64, len(f.gdims))
 	shape := make([]int64, len(f.gdims))
 	for k, g := range f.gdims {
@@ -333,12 +329,9 @@ func (f *Fold) chunk(ch *array.Chunk, live *array.Bitmap, st *encStats) *FoldTab
 	}
 	t := f.newTable(lo, shape)
 	if len(f.gdims) == 0 {
-		// A grand total tries the compressed-execution paths first.
 		t.Cells[0] = live.Count()
 		for k := range f.cols {
-			if t.Cells[0] > 0 && !f.encColumn(t, k, ch, live, st) {
-				f.foldRun(t, k, ch, live, oneRow(0, ch.Slots(), 0))
-			}
+			f.foldRun(t, k, ch, live, oneRow(0, ch.Slots(), 0))
 		}
 		return t
 	}
@@ -751,12 +744,10 @@ func FoldArray(ctx context.Context, a *array.Array, box array.Box, spec FoldSpec
 		}
 	}
 	spanChunks(ctx, work)
-	stats := make([]encStats, len(work))
-	defer publishEncStats(ctx, stats)
 	pool := exec.Default()
 	parts := make([]*FoldTable, len(work))
 	err = pool.Map(ctx, len(work), func(i int) error {
-		parts[i] = f.chunk(work[i], work[i].MaskIn(box), &stats[i])
+		parts[i] = f.Chunk(work[i], work[i].MaskIn(box))
 		return nil
 	})
 	if err != nil {

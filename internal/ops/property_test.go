@@ -232,7 +232,8 @@ func TestPropertyFilterPartition(t *testing.T) {
 
 // encParityGrid builds a plain array whose columns compress well: v carries
 // the raw seed stream (delta- and zone-friendly), level repeats per row
-// (run-length-friendly), and tag draws from two values (dictionary-friendly).
+// (run-length-friendly), and tag draws from two values (dictionary-friendly),
+// so its store-backed twin exercises every value encoding.
 func encParityGrid(vals []int16, rows, cols int64) *array.Array {
 	s := &array.Schema{
 		Name: "EP",
@@ -266,9 +267,8 @@ func encParityGrid(vals []int16, rows, cols int64) *array.Array {
 }
 
 // encodedTwin round-trips every chunk of a through the storage codec so the
-// copy carries zone-map and encoded-structure views while the original stays
-// plain. A non-empty twin with no views would make the parity check vacuous,
-// so that is an error.
+// copy carries zone maps while the original stays plain. A non-empty twin
+// with no zone map would make the parity check vacuous, so that is an error.
 func encodedTwin(a *array.Array) (*array.Array, error) {
 	b := array.MustNew(a.Schema.Clone())
 	viewed := false
@@ -282,14 +282,14 @@ func encodedTwin(a *array.Array) (*array.Array, error) {
 			return nil, err
 		}
 		for _, col := range dec.Cols {
-			if col.Zone != nil || col.Enc != nil {
+			if col.Zone != nil {
 				viewed = true
 			}
 		}
 		b.PutChunk(dec)
 	}
 	if a.Count() > 0 && !viewed {
-		return nil, fmt.Errorf("storage round trip attached no views")
+		return nil, fmt.Errorf("storage round trip attached no zone maps")
 	}
 	return b, nil
 }
@@ -328,10 +328,10 @@ func sameCells(x, y *array.Array) bool {
 	return same
 }
 
-// The encoded fast paths must be invisible: Filter (numeric and dictionary
+// Decoding must be invisible: Filter (numeric and dictionary-encoded string
 // predicates), grand-total Aggregate, and Regrid produce bit-identical
-// results on a view-bearing array and its plain twin, serial and
-// chunk-parallel alike.
+// results on a store-decoded array, zone maps attached, and its plain twin,
+// serial and chunk-parallel alike.
 func TestPropertyEncodedDecodedParity(t *testing.T) {
 	reg := udf.NewRegistry()
 	for _, par := range []int{1, 4} {

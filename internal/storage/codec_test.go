@@ -195,13 +195,11 @@ func encodeValues(t testing.TB, c colCase, ref bool) []byte {
 // decoded is what a value decoder returns, floats as bit images so NaN
 // payloads and signed zeros compare exactly.
 type decoded struct {
-	ints    []int64
-	fbits   []uint64
-	bools   []bool
-	strs    []string
-	runLens []int64
-	enc     *array.ColEnc
-	err     string
+	ints  []int64
+	fbits []uint64
+	bools []bool
+	strs  []string
+	err   string
 }
 
 // decodeValues decodes data as a typ vector of slots with the codec or, ref
@@ -213,31 +211,31 @@ func decodeValues(typ array.Type, data []byte, slots int64, ref bool) decoded {
 	switch typ {
 	case array.TInt64:
 		if ref {
-			d.ints, d.runLens, err = refDecodeIntValues(r, slots)
+			d.ints, err = refDecodeIntValues(r, slots)
 		} else {
-			d.ints, d.runLens, err = decodeIntValues(r, slots, slots)
+			d.ints, err = decodeIntValues(r, slots, slots)
 		}
 	case array.TFloat64:
 		var fs []float64
 		if ref {
-			fs, d.runLens, err = refDecodeFloatValues(r, slots)
+			fs, err = refDecodeFloatValues(r, slots)
 		} else {
-			fs, d.runLens, err = decodeFloatValues(r, slots, slots)
+			fs, err = decodeFloatValues(r, slots, slots)
 		}
 		for _, f := range fs {
 			d.fbits = append(d.fbits, math.Float64bits(f))
 		}
 	case array.TBool:
 		if ref {
-			d.bools, d.runLens, err = refDecodeBoolValues(r, slots)
+			d.bools, err = refDecodeBoolValues(r, slots)
 		} else {
-			d.bools, d.runLens, err = decodeBoolValues(r, slots)
+			d.bools, err = decodeBoolValues(r, slots)
 		}
 	case array.TString:
 		if ref {
-			d.strs, d.enc, err = refDecodeStringValues(r, slots)
+			d.strs, err = refDecodeStringValues(r, slots)
 		} else {
-			d.strs, d.enc, err = decodeStringValues(r, slots)
+			d.strs, err = decodeStringValues(r, slots)
 		}
 	}
 	if err != nil {
@@ -247,7 +245,7 @@ func decodeValues(typ array.Type, data []byte, slots int64, ref bool) decoded {
 }
 
 // sameDecode fails t unless the codec and its reference decode data alike:
-// the same vectors and encoded views, or the same error.
+// the same vectors, or the same error.
 func sameDecode(t *testing.T, label string, typ array.Type, data []byte, slots int64) decoded {
 	t.Helper()
 	got, want := decodeValues(typ, data, slots, false), decodeValues(typ, data, slots, true)
@@ -300,7 +298,7 @@ func presenceOf(slots int, f func(i, slots int) bool) *array.Bitmap {
 }
 
 // colImage is a decoded column in comparable form: floats as bit images, so
-// NaN payloads and signed zeros compare exactly, beside its views.
+// NaN payloads and signed zeros compare exactly, beside its zone map.
 type colImage struct {
 	Ints          []int64
 	Floats, Sigma []uint64
@@ -310,7 +308,6 @@ type colImage struct {
 	HasShared     bool
 	SharedSigma   uint64
 	Zone          *array.ZoneMap
-	Enc           *array.ColEnc
 }
 
 func imageOf(col *array.Column) colImage {
@@ -326,11 +323,11 @@ func imageOf(col *array.Column) colImage {
 	}
 	return colImage{Ints: col.Ints, Floats: fbits(col.Floats), Sigma: fbits(col.Sigma), Bools: col.Bools, Strs: col.Strs,
 		Nulls: col.Nulls.Words(), HasShared: col.HasShared, SharedSigma: math.Float64bits(col.SharedSigma),
-		Zone: col.Zone, Enc: col.Enc}
+		Zone: col.Zone}
 }
 
 // sameChunk fails t unless got and want are the same decoded chunk: frame,
-// presence, and every column's vectors, bitmaps and views.
+// presence, and every column's vectors, bitmaps and zone map.
 func sameChunk(t *testing.T, label string, got, want *array.Chunk) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Origin, want.Origin) || !reflect.DeepEqual(got.Shape, want.Shape) ||
@@ -374,7 +371,7 @@ func columnSection(t *testing.T, s *array.Schema, enc []byte, a int) []byte {
 
 // TestCodecMatchesReference holds the value codec to the one it replaced
 // (codecref_test.go) over the corpus: the same bytes out of every encoder;
-// the same vectors, run lengths and dictionary views out of every decoder,
+// the same vectors out of every decoder,
 // and for every prefix of an encoding and for flipped bytes the same error;
 // the same zone maps, byte for byte, under every presence pattern; and the
 // same chunk encodings, which decode as the reference decodes them — a

@@ -140,58 +140,54 @@ func refEncodeIntValues(w *FieldWriter, vals []int64) {
 	}
 }
 
-// refDecodeIntValues reverses refEncodeIntValues into a slots-sized vector. The
-// second result is the retained RLE view (run lengths) when the column was
-// constant- or run-encoded, so operators can execute run-at-a-time.
-func refDecodeIntValues(r *FieldReader, slots int64) ([]int64, []int64, error) {
+// refDecodeIntValues reverses refEncodeIntValues into a slots-sized vector.
+func refDecodeIntValues(r *FieldReader, slots int64) ([]int64, error) {
 	tag := r.U8()
 	if slots == 0 {
-		return nil, nil, r.Err()
+		return nil, r.Err()
 	}
 	switch tag {
 	case encRaw:
 		if !r.Need(slots * 8) {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]int64, slots)
 		r.I64sInto(out)
-		return out, nil, r.Err()
+		return out, r.Err()
 	case encConst:
 		v := r.I64()
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]int64, slots)
 		for i := range out {
 			out[i] = v
 		}
-		return out, []int64{slots}, nil
+		return out, nil
 	case encRLE:
 		out := make([]int64, 0, slots)
-		var runLens []int64
 		if err := refDecodeRuns(r, slots, func(runLen int64) error {
 			v := r.I64()
-			runLens = append(runLens, runLen)
 			for k := int64(0); k < runLen; k++ {
 				out = append(out, v)
 			}
 			return r.Err()
 		}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return out, runLens, nil
+		return out, nil
 	case encDelta:
 		first := r.I64()
 		width := uint(r.U8())
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		if width > 64 {
-			return nil, nil, fmt.Errorf("storage: delta column bit width %d", width)
+			return nil, fmt.Errorf("storage: delta column bit width %d", width)
 		}
 		words, err := refReadPackedWords(r, slots-1, width)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out := make([]int64, slots)
 		out[0] = first
@@ -200,9 +196,9 @@ func refDecodeIntValues(r *FieldReader, slots int64) ([]int64, []int64, error) {
 			prev += unzigzag(z)
 			out[i+1] = prev
 		}
-		return out, nil, nil
+		return out, nil
 	}
-	return nil, nil, fmt.Errorf("storage: unknown int column encoding %d", tag)
+	return nil, fmt.Errorf("storage: unknown int column encoding %d", tag)
 }
 
 // refEncodeFloatValues picks const, RLE, or raw for a float vector. Run
@@ -242,46 +238,44 @@ func refEncodeFloatValues(w *FieldWriter, vals []float64) {
 	}
 }
 
-// refDecodeFloatValues reverses refEncodeFloatValues, retaining the RLE view.
-func refDecodeFloatValues(r *FieldReader, slots int64) ([]float64, []int64, error) {
+// refDecodeFloatValues reverses refEncodeFloatValues.
+func refDecodeFloatValues(r *FieldReader, slots int64) ([]float64, error) {
 	tag := r.U8()
 	if slots == 0 {
-		return nil, nil, r.Err()
+		return nil, r.Err()
 	}
 	switch tag {
 	case encRaw:
 		if !r.Need(slots * 8) {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]float64, slots)
 		r.F64sInto(out)
-		return out, nil, r.Err()
+		return out, r.Err()
 	case encConst:
 		v := r.F64()
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]float64, slots)
 		for i := range out {
 			out[i] = v
 		}
-		return out, []int64{slots}, nil
+		return out, nil
 	case encRLE:
 		out := make([]float64, 0, slots)
-		var runLens []int64
 		if err := refDecodeRuns(r, slots, func(runLen int64) error {
 			v := r.F64()
-			runLens = append(runLens, runLen)
 			for k := int64(0); k < runLen; k++ {
 				out = append(out, v)
 			}
 			return r.Err()
 		}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return out, runLens, nil
+		return out, nil
 	}
-	return nil, nil, fmt.Errorf("storage: unknown float column encoding %d", tag)
+	return nil, fmt.Errorf("storage: unknown float column encoding %d", tag)
 }
 
 // refEncodeBoolValues picks const, RLE, or raw for a bool vector.
@@ -321,48 +315,46 @@ func refEncodeBoolValues(w *FieldWriter, vals []bool) {
 	}
 }
 
-// refDecodeBoolValues reverses refEncodeBoolValues, retaining the RLE view.
-func refDecodeBoolValues(r *FieldReader, slots int64) ([]bool, []int64, error) {
+// refDecodeBoolValues reverses refEncodeBoolValues.
+func refDecodeBoolValues(r *FieldReader, slots int64) ([]bool, error) {
 	tag := r.U8()
 	if slots == 0 {
-		return nil, nil, r.Err()
+		return nil, r.Err()
 	}
 	switch tag {
 	case encRaw:
 		if !r.Need(slots) {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]bool, slots)
 		for i, b := range r.next(int(slots)) {
 			out[i] = b != 0
 		}
-		return out, nil, r.Err()
+		return out, r.Err()
 	case encConst:
 		v := r.Bool()
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]bool, slots)
 		for i := range out {
 			out[i] = v
 		}
-		return out, []int64{slots}, nil
+		return out, nil
 	case encRLE:
 		out := make([]bool, 0, slots)
-		var runLens []int64
 		if err := refDecodeRuns(r, slots, func(runLen int64) error {
 			v := r.Bool()
-			runLens = append(runLens, runLen)
 			for k := int64(0); k < runLen; k++ {
 				out = append(out, v)
 			}
 			return r.Err()
 		}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return out, runLens, nil
+		return out, nil
 	}
-	return nil, nil, fmt.Errorf("storage: unknown bool column encoding %d", tag)
+	return nil, fmt.Errorf("storage: unknown bool column encoding %d", tag)
 }
 
 // refEncodeStringValues picks const, dict, RLE, or raw for a string vector.
@@ -447,87 +439,81 @@ func refEncodeStringValues(w *FieldWriter, vals []string) {
 	}
 }
 
-// refDecodeStringValues reverses refEncodeStringValues. The second result is the
-// retained encoded-structure view: run lengths for const/RLE columns, the
-// dictionary plus per-slot codes for dict columns.
-func refDecodeStringValues(r *FieldReader, slots int64) ([]string, *array.ColEnc, error) {
+// refDecodeStringValues reverses refEncodeStringValues.
+func refDecodeStringValues(r *FieldReader, slots int64) ([]string, error) {
 	tag := r.U8()
 	if slots == 0 {
-		return nil, nil, r.Err()
+		return nil, r.Err()
 	}
 	switch tag {
 	case encRaw:
 		// Every string costs at least its 4-byte length prefix.
 		if !r.Need(slots * 4) {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]string, slots)
 		for i := range out {
 			out[i] = r.String()
 			if r.Err() != nil {
-				return nil, nil, r.Err()
+				return nil, r.Err()
 			}
 		}
-		return out, nil, nil
+		return out, nil
 	case encConst:
 		v := r.String()
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]string, slots)
 		for i := range out {
 			out[i] = v
 		}
-		return out, &array.ColEnc{RunLens: []int64{slots}}, nil
+		return out, nil
 	case encRLE:
 		out := make([]string, 0, slots)
-		var runLens []int64
 		if err := refDecodeRuns(r, slots, func(runLen int64) error {
 			v := r.String()
-			runLens = append(runLens, runLen)
 			for k := int64(0); k < runLen; k++ {
 				out = append(out, v)
 			}
 			return r.Err()
 		}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return out, &array.ColEnc{RunLens: runLens}, nil
+		return out, nil
 	case encDict:
 		dictLen := int64(r.U32())
 		if dictLen <= 0 || !r.Need(dictLen*4) {
 			if r.Err() == nil {
-				return nil, nil, fmt.Errorf("storage: dict column with empty dictionary")
+				return nil, fmt.Errorf("storage: dict column with empty dictionary")
 			}
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		dict := make([]string, dictLen)
 		for i := range dict {
 			dict[i] = r.String()
 			if r.Err() != nil {
-				return nil, nil, r.Err()
+				return nil, r.Err()
 			}
 		}
 		width := uint(r.U8())
 		if width > 64 {
-			return nil, nil, fmt.Errorf("storage: dict column bit width %d", width)
+			return nil, fmt.Errorf("storage: dict column bit width %d", width)
 		}
 		words, err := refReadPackedWords(r, slots, width)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out := make([]string, slots)
-		codes := make([]uint32, slots)
 		for i, idx := range refUnpackBits(words, width, slots) {
 			if idx >= uint64(dictLen) {
-				return nil, nil, fmt.Errorf("storage: dict index %d out of range %d", idx, dictLen)
+				return nil, fmt.Errorf("storage: dict index %d out of range %d", idx, dictLen)
 			}
 			out[i] = dict[idx]
-			codes[i] = uint32(idx)
 		}
-		return out, &array.ColEnc{Dict: dict, Codes: codes}, nil
+		return out, nil
 	}
-	return nil, nil, fmt.Errorf("storage: unknown string column encoding %d", tag)
+	return nil, fmt.Errorf("storage: unknown string column encoding %d", tag)
 }
 
 // refDecodeRuns drives an RLE decode: it reads the run count, validates it
@@ -781,30 +767,26 @@ func refDecodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap) 
 			return nil, fmt.Errorf("storage: present-only values in a full chunk")
 		}
 	}
-	var runLens []int64
 	switch at.Type {
 	case array.TInt64:
-		col.Ints, runLens, err = refDecodeIntValues(r, n)
+		col.Ints, err = refDecodeIntValues(r, n)
 		if err == nil && presentOnly {
-			col.Ints, runLens = refScatter(col.Ints, present), nil
+			col.Ints = refScatter(col.Ints, present)
 		}
 	case array.TFloat64:
-		col.Floats, runLens, err = refDecodeFloatValues(r, n)
+		col.Floats, err = refDecodeFloatValues(r, n)
 		if err == nil && presentOnly {
-			col.Floats, runLens = refScatter(col.Floats, present), nil
+			col.Floats = refScatter(col.Floats, present)
 		}
 	case array.TBool:
-		col.Bools, runLens, err = refDecodeBoolValues(r, slots)
+		col.Bools, err = refDecodeBoolValues(r, slots)
 	case array.TString:
-		col.Strs, col.Enc, err = refDecodeStringValues(r, slots)
+		col.Strs, err = refDecodeStringValues(r, slots)
 	default:
 		return nil, fmt.Errorf("reference: no decoder for %v columns", at.Type)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if runLens != nil {
-		col.Enc = &array.ColEnc{RunLens: runLens}
 	}
 	if flags&colFlagSigma != 0 {
 		if !r.Need(n * 8) {

@@ -17,7 +17,7 @@ import (
 )
 
 // sameColumn reports whether two decoded columns are bit-identical, the
-// advisory views (zone map, run lengths, dictionary) included.
+// zone map included.
 func sameColumn(a, b *array.Column) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -32,7 +32,7 @@ func sameColumn(a, b *array.Column) bool {
 		slices.Equal(a.Strs, b.Strs) && slices.Equal(a.Bools, b.Bools) &&
 		slices.Equal(a.Nulls.Words(), b.Nulls.Words()) && floats(a.Sigma, b.Sigma) &&
 		a.HasShared == b.HasShared && a.SharedSigma == b.SharedSigma &&
-		reflect.DeepEqual(a.Zone, b.Zone) && reflect.DeepEqual(a.Enc, b.Enc)
+		reflect.DeepEqual(a.Zone, b.Zone)
 }
 
 // delivery is one chunk of a scan, copied out so it outlives its pin.

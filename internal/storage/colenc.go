@@ -199,10 +199,8 @@ func encodeIntValues(w *FieldWriter, vals []int64) {
 }
 
 // decodeIntValues reverses encodeIntValues of n values into the front of a
-// slots-sized vector (n is slots but for a present-only column). The second
-// result is the retained RLE view (run lengths) when the column was constant-
-// or run-encoded, so operators can execute run-at-a-time.
-func decodeIntValues(r *FieldReader, n, slots int64) ([]int64, []int64, error) {
+// slots-sized vector (n is slots but for a present-only column).
+func decodeIntValues(r *FieldReader, n, slots int64) ([]int64, error) {
 	tag := r.U8()
 	if n == 0 {
 		return emptyValues[int64](r, slots)
@@ -210,53 +208,53 @@ func decodeIntValues(r *FieldReader, n, slots int64) ([]int64, []int64, error) {
 	switch tag {
 	case encRaw:
 		if !r.Need(n * 8) {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]int64, slots)
 		r.I64sInto(out[:n])
-		return out, nil, r.Err()
+		return out, r.Err()
 	case encConst:
 		v := r.I64()
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]int64, slots)
 		for i := range out[:n] {
 			out[i] = v
 		}
-		return out, []int64{n}, nil
+		return out, nil
 	case encRLE:
 		return decodeRLE(r, n, slots, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }, r.I64)
 	case encDelta:
 		first := r.I64()
 		width := uint(r.U8())
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		if width > 64 {
-			return nil, nil, fmt.Errorf("storage: delta column bit width %d", width)
+			return nil, fmt.Errorf("storage: delta column bit width %d", width)
 		}
 		u, err := readPacked(r, n-1, width)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out := make([]int64, slots)
 		out[0] = first
 		for i := int64(1); i < n; i++ {
 			out[i] = out[i-1] + unzigzag(u.next())
 		}
-		return out, nil, nil
+		return out, nil
 	}
-	return nil, nil, fmt.Errorf("storage: unknown int column encoding %d", tag)
+	return nil, fmt.Errorf("storage: unknown int column encoding %d", tag)
 }
 
 // emptyValues is what a decoder of no values returns after its tag: no
 // vector for a chunk of no slots, else a zeroed one of slots.
-func emptyValues[T any](r *FieldReader, slots int64) ([]T, []int64, error) {
+func emptyValues[T any](r *FieldReader, slots int64) ([]T, error) {
 	if slots == 0 || r.Err() != nil {
-		return nil, nil, r.Err()
+		return nil, r.Err()
 	}
-	return make([]T, slots), nil, nil
+	return make([]T, slots), nil
 }
 
 // encodeFloatValues picks const, RLE, or raw for a float vector. Run
@@ -299,9 +297,8 @@ func encodeFloatValues(w *FieldWriter, vals []float64) {
 	}
 }
 
-// decodeFloatValues reverses encodeFloatValues as decodeIntValues does,
-// retaining the RLE view.
-func decodeFloatValues(r *FieldReader, n, slots int64) ([]float64, []int64, error) {
+// decodeFloatValues reverses encodeFloatValues as decodeIntValues does.
+func decodeFloatValues(r *FieldReader, n, slots int64) ([]float64, error) {
 	tag := r.U8()
 	if n == 0 {
 		return emptyValues[float64](r, slots)
@@ -309,25 +306,25 @@ func decodeFloatValues(r *FieldReader, n, slots int64) ([]float64, []int64, erro
 	switch tag {
 	case encRaw:
 		if !r.Need(n * 8) {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]float64, slots)
 		r.F64sInto(out[:n])
-		return out, nil, r.Err()
+		return out, r.Err()
 	case encConst:
 		v := r.F64()
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]float64, slots)
 		for i := range out[:n] {
 			out[i] = v
 		}
-		return out, []int64{n}, nil
+		return out, nil
 	case encRLE:
 		return decodeRLE(r, n, slots, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }, r.F64)
 	}
-	return nil, nil, fmt.Errorf("storage: unknown float column encoding %d", tag)
+	return nil, fmt.Errorf("storage: unknown float column encoding %d", tag)
 }
 
 // encodeBoolValues picks const, RLE, or raw for a bool vector.
@@ -380,36 +377,36 @@ func boolByte(v bool) byte {
 	return 0
 }
 
-// decodeBoolValues reverses encodeBoolValues, retaining the RLE view.
-func decodeBoolValues(r *FieldReader, slots int64) ([]bool, []int64, error) {
+// decodeBoolValues reverses encodeBoolValues.
+func decodeBoolValues(r *FieldReader, slots int64) ([]bool, error) {
 	tag := r.U8()
 	if slots == 0 {
-		return nil, nil, r.Err()
+		return nil, r.Err()
 	}
 	switch tag {
 	case encRaw:
 		if !r.Need(slots) {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]bool, slots)
 		for i, b := range r.next(int(slots)) {
 			out[i] = b != 0
 		}
-		return out, nil, r.Err()
+		return out, r.Err()
 	case encConst:
 		v := r.Bool()
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]bool, slots)
 		for i := range out {
 			out[i] = v
 		}
-		return out, []int64{slots}, nil
+		return out, nil
 	case encRLE:
 		return decodeRLE(r, slots, slots, 1, func(b []byte) bool { return b[0] != 0 }, r.Bool)
 	}
-	return nil, nil, fmt.Errorf("storage: unknown bool column encoding %d", tag)
+	return nil, fmt.Errorf("storage: unknown bool column encoding %d", tag)
 }
 
 // encodeStringValues picks const, dict, RLE, or raw for a string vector.
@@ -501,99 +498,90 @@ func encodeStringValues(w *FieldWriter, vals []string) {
 	}
 }
 
-// decodeStringValues reverses encodeStringValues. The second result is the
-// retained encoded-structure view: run lengths for const/RLE columns, the
-// dictionary plus per-slot codes for dict columns.
-func decodeStringValues(r *FieldReader, slots int64) ([]string, *array.ColEnc, error) {
+// decodeStringValues reverses encodeStringValues.
+func decodeStringValues(r *FieldReader, slots int64) ([]string, error) {
 	tag := r.U8()
 	if slots == 0 {
-		return nil, nil, r.Err()
+		return nil, r.Err()
 	}
 	switch tag {
 	case encRaw:
 		// Every string costs at least its 4-byte length prefix.
 		if !r.Need(slots * 4) {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]string, slots)
 		for i := range out {
 			out[i] = r.String()
 			if r.Err() != nil {
-				return nil, nil, r.Err()
+				return nil, r.Err()
 			}
 		}
-		return out, nil, nil
+		return out, nil
 	case encConst:
 		v := r.String()
 		if r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		out := make([]string, slots)
 		for i := range out {
 			out[i] = v
 		}
-		return out, &array.ColEnc{RunLens: []int64{slots}}, nil
+		return out, nil
 	case encRLE:
-		out, runLens, err := decodeRLE(r, slots, slots, 0, nil, r.String)
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, &array.ColEnc{RunLens: runLens}, nil
+		return decodeRLE(r, slots, slots, 0, nil, r.String)
 	case encDict:
 		dictLen := int64(r.U32())
 		if dictLen <= 0 || !r.Need(dictLen*4) {
 			if r.Err() == nil {
-				return nil, nil, fmt.Errorf("storage: dict column with empty dictionary")
+				return nil, fmt.Errorf("storage: dict column with empty dictionary")
 			}
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		dict := make([]string, dictLen)
 		for i := range dict {
 			dict[i] = r.String()
 			if r.Err() != nil {
-				return nil, nil, r.Err()
+				return nil, r.Err()
 			}
 		}
 		width := uint(r.U8())
 		if width > 64 {
-			return nil, nil, fmt.Errorf("storage: dict column bit width %d", width)
+			return nil, fmt.Errorf("storage: dict column bit width %d", width)
 		}
 		u, err := readPacked(r, slots, width)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out := make([]string, slots)
-		codes := make([]uint32, slots)
 		for i := range out {
 			idx := u.next()
 			if idx >= uint64(dictLen) {
-				return nil, nil, fmt.Errorf("storage: dict index %d out of range %d", idx, dictLen)
+				return nil, fmt.Errorf("storage: dict index %d out of range %d", idx, dictLen)
 			}
 			out[i] = dict[idx]
-			codes[i] = uint32(idx)
 		}
-		return out, &array.ColEnc{Dict: dict, Codes: codes}, nil
+		return out, nil
 	}
-	return nil, nil, fmt.Errorf("storage: unknown string column encoding %d", tag)
+	return nil, fmt.Errorf("storage: unknown string column encoding %d", tag)
 }
 
 // decodeRLE reads a run-length vector of n values — a u32 run count, then per
 // run a u32 length and a value, the lengths summing to n — into the front of
-// a vector sized to the slots and a run table sized to the count, bounding
-// the count against the bytes that remain first. A run whose record (length
-// plus size value bytes, which at decodes) lies whole in a slice reader's
-// buffer is taken from it in one piece; any other, and every run when at is
-// nil, is read field by field with read, so a table cut short fails as the
-// reader does.
-func decodeRLE[T any](r *FieldReader, n, slots int64, size int, at func([]byte) T, read func() T) ([]T, []int64, error) {
+// a vector sized to the slots, bounding the count against the bytes that
+// remain first. A run whose record (length plus size value bytes, which at
+// decodes) lies whole in a slice reader's buffer is taken from it in one
+// piece; any other, and every run when at is nil, is read field by field
+// with read, so a table cut short fails as the reader does.
+func decodeRLE[T any](r *FieldReader, n, slots int64, size int, at func([]byte) T, read func() T) ([]T, error) {
 	runs := int64(r.U32())
 	// Each run costs at least a u32 length plus a 1-byte value.
 	if !r.Need(runs * 5) {
-		return nil, nil, r.Err()
+		return nil, r.Err()
 	}
-	out, runLens := make([]T, slots), make([]int64, runs)
+	out := make([]T, slots)
 	var total int64
-	for k := range runLens {
+	for range runs {
 		var rec []byte
 		if at != nil {
 			rec = r.whole(4 + size)
@@ -602,27 +590,26 @@ func decodeRLE[T any](r *FieldReader, n, slots int64, size int, at func([]byte) 
 		if rec != nil {
 			run = int64(binary.LittleEndian.Uint32(rec))
 		} else if run = int64(r.U32()); r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		if run <= 0 || total+run > n {
-			return nil, nil, fmt.Errorf("storage: RLE runs exceed %d slots", n)
+			return nil, fmt.Errorf("storage: RLE runs exceed %d slots", n)
 		}
 		var v T
 		if rec != nil {
 			v = at(rec[4:])
 		} else if v = read(); r.Err() != nil {
-			return nil, nil, r.Err()
+			return nil, r.Err()
 		}
 		for i := total; i < total+run; i++ {
 			out[i] = v
 		}
-		runLens[k] = run
 		total += run
 	}
 	if total != n {
-		return nil, nil, fmt.Errorf("storage: RLE runs cover %d of %d slots", total, n)
+		return nil, fmt.Errorf("storage: RLE runs cover %d of %d slots", total, n)
 	}
-	return out, runLens, nil
+	return out, nil
 }
 
 // Zone-map kind tags (serialized behind colFlagZone, see encode.go).

@@ -704,8 +704,7 @@ func columnHead(r *FieldReader, at array.Attribute, slots int64, skip bool) (fla
 // decodeColumn reverses encodeColumn for a chunk whose presence bitmap is
 // present. A present-only column's values are decoded into the front of a
 // slot-sized vector and scattered out to their slots, the absent ones left
-// zero; it keeps no run view, since its runs are over present values, not
-// slots.
+// zero.
 func decodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap) (*array.Column, error) {
 	slots := present.Len()
 	flags, col, err := columnHead(r, at, slots, false)
@@ -718,16 +717,15 @@ func decodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap) (*a
 			return nil, fmt.Errorf("storage: present-only values in a full chunk")
 		}
 	}
-	var runLens []int64
 	switch at.Type {
 	case array.TInt64:
-		col.Ints, runLens, err = decodeIntValues(r, n, slots)
+		col.Ints, err = decodeIntValues(r, n, slots)
 	case array.TFloat64:
-		col.Floats, runLens, err = decodeFloatValues(r, n, slots)
+		col.Floats, err = decodeFloatValues(r, n, slots)
 	case array.TBool:
-		col.Bools, runLens, err = decodeBoolValues(r, slots)
+		col.Bools, err = decodeBoolValues(r, slots)
 	case array.TString:
-		col.Strs, col.Enc, err = decodeStringValues(r, slots)
+		col.Strs, err = decodeStringValues(r, slots)
 	case array.TArray:
 		// Nested columns carry a tag byte for shape parity with the value
 		// encodings; only the verbatim layout is defined for them.
@@ -764,8 +762,6 @@ func decodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap) (*a
 		scatterPresent(col.Ints, present, n)
 	case presentOnly:
 		scatterPresent(col.Floats, present, n)
-	case runLens != nil:
-		col.Enc = &array.ColEnc{RunLens: runLens}
 	}
 	if flags&colFlagSigma != 0 {
 		if !r.Need(n * 8) {

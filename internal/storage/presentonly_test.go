@@ -196,8 +196,8 @@ func TestPresentOnlySizeBound(t *testing.T) {
 // TestPerSlotPartialChunkStillDecodes: a partial chunk written the way every
 // chunk was before present-only columns — every value per slot, no flag,
 // built by the reference encoder — decodes as the reference decodes it, to
-// the same cells, with its run views; re-encoded it takes the present-only
-// layout.
+// the same cells, its run-length column included; re-encoded it takes the
+// present-only layout.
 func TestPerSlotPartialChunkStillDecodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, p := range presencePatterns[1:] {
@@ -225,8 +225,9 @@ func TestPerSlotPartialChunkStillDecodes(t *testing.T) {
 		}
 		sameChunk(t, p.name, back, ref)
 		requireSameCells(t, p.name, back, ch)
-		if back.Cols[1].Enc == nil {
-			t.Fatalf("%s: a per-slot RLE column decodes without its run view", p.name)
+		r := NewFieldReaderBytes(columnSection(t, s, old, 1))
+		if _, _, err := columnHead(r, s.Attrs[1], ch.Slots(), true); err != nil || r.U8() != encRLE {
+			t.Fatalf("%s: the per-slot layout does not run-length encode column 1", p.name)
 		}
 		now, err := EncodeChunk(s, back)
 		if err != nil {

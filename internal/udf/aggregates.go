@@ -35,28 +35,7 @@ func (a *sumAgg) Step(v array.Value) {
 	a.sum = a.sum.Add(uncertain.New(v.AsFloat(), v.Sigma))
 }
 
-// StepRun folds a run of n identical values. Exact (and therefore
-// accepted) cases: nulls (no-op), single values, and integer runs while
-// the accumulator is still on its exact-integer path — Result then reads
-// intSum, so the batched float shadow sum (algebraically equal, but not
-// bit-identical to n sequential adds) is never observable. Float runs
-// fall back: sequential float addition is order-sensitive.
-func (a *sumAgg) StepRun(v array.Value, n int64) bool {
-	if v.Null || n <= 0 {
-		return true
-	}
-	if n == 1 {
-		a.Step(v)
-		return true
-	}
-	if v.Type == array.TInt64 && v.Sigma == 0 && (!a.seen || a.isInt) {
-		a.seen, a.isInt = true, true
-		a.intSum += v.Int * n
-		a.sum = a.sum.Add(uncertain.New(float64(v.Int)*float64(n), 0))
-		return true
-	}
-	return false
-}
+func (*sumAgg) IgnoresNulls() {}
 
 func (a *sumAgg) Merge(o Aggregate) error {
 	b, ok := o.(*sumAgg)
@@ -95,13 +74,7 @@ func (a *countAgg) Step(v array.Value) {
 }
 func (a *countAgg) Result() array.Value { return array.Int64(a.n) }
 
-// StepRun counts a whole run at once; always exact.
-func (a *countAgg) StepRun(v array.Value, n int64) bool {
-	if !v.Null && n > 0 {
-		a.n += n
-	}
-	return true
-}
+func (*countAgg) IgnoresNulls() {}
 
 func (a *countAgg) Merge(o Aggregate) error {
 	b, ok := o.(*countAgg)
@@ -125,18 +98,7 @@ func (a *avgAgg) Step(v array.Value) {
 	a.n++
 }
 
-// StepRun accepts only nulls and single values: the mean is read from the
-// float sum, whose batched update is not bit-identical to sequential adds.
-func (a *avgAgg) StepRun(v array.Value, n int64) bool {
-	if v.Null || n <= 0 {
-		return true
-	}
-	if n == 1 {
-		a.Step(v)
-		return true
-	}
-	return false
-}
+func (*avgAgg) IgnoresNulls() {}
 
 func (a *avgAgg) Merge(o Aggregate) error {
 	b, ok := o.(*avgAgg)
@@ -194,16 +156,7 @@ func (a *extremeAgg) Step(v array.Value) {
 	a.seen = true
 }
 
-// StepRun is exact for any run length: repeated Steps of one value leave
-// the first occurrence in place, so one Step with the run's first value
-// reproduces them all. Callers must pass the value of the run's FIRST
-// stepped cell so its sigma wins as in the serial pass.
-func (a *extremeAgg) StepRun(v array.Value, n int64) bool {
-	if n > 0 {
-		a.Step(v)
-	}
-	return true
-}
+func (*extremeAgg) IgnoresNulls() {}
 
 // Merge keeps the receiver's winner on ties, matching Step's first-seen-wins
 // when partials are merged in chunk order.
@@ -243,18 +196,7 @@ func (a *stdevAgg) Step(v array.Value) {
 	a.m2 += d * (x - a.mean)
 }
 
-// StepRun accepts only nulls and single values: Welford's running mean is
-// order-sensitive, so batching would not be bit-identical.
-func (a *stdevAgg) StepRun(v array.Value, n int64) bool {
-	if v.Null || n <= 0 {
-		return true
-	}
-	if n == 1 {
-		a.Step(v)
-		return true
-	}
-	return false
-}
+func (*stdevAgg) IgnoresNulls() {}
 
 // Merge combines two Welford states with the Chan et al. pairwise update.
 // The result is algebraically the same variance but not bit-identical to a

@@ -84,18 +84,11 @@ type MergeableAggregate interface {
 	Merge(o Aggregate) error
 }
 
-// RunAggregate is an Aggregate that can consume a run of identical values
-// at once, which is what lets the executor aggregate run-length encoded
-// chunks run-at-a-time instead of cell-at-a-time. The contract is
-// all-or-nothing: StepRun(v, n) either produces exactly the state n
-// consecutive Step(v) calls would (bit-identical results) and returns
-// true, or leaves the state completely untouched and returns false so the
-// caller falls back to per-cell Steps for that run. Implementations must
-// also treat NULL as Step does — a no-op — and return true for a null v,
-// which lets the executor drop null cells from runs wholesale.
-type RunAggregate interface {
+// NullIgnoring marks an Aggregate whose Step treats a NULL value as a no-op,
+// so dropping NULL cells before they are stepped leaves its result unchanged.
+type NullIgnoring interface {
 	Aggregate
-	StepRun(v array.Value, n int64) bool
+	IgnoresNulls()
 }
 
 // Registry holds UDFs, aggregates, enhancement builders, and shape-function
