@@ -48,8 +48,9 @@ race:
 # (FuzzCSVLine), the CSV float kernel against strconv.ParseFloat
 # (FuzzParseFloat), the predicate mask kernel against the cell definition it
 # stands in for (FuzzPredMask), Filter against its per-cell definition
-# (FuzzFilter) and, FuzzWorkerRead, the worker's read against its cell
-# oracle. Each target must be invoked separately: `go test -fuzz` refuses a
+# (FuzzFilter), a sealed chunk against its open twin through every chunk
+# reader (FuzzChunkSeal) and, FuzzWorkerRead, the worker's read against its
+# cell oracle. Each target must be invoked separately: `go test -fuzz` refuses a
 # pattern matching more than one fuzz function.
 FUZZTIME ?= 10s
 .PHONY: fuzz
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeClusterMessage -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run=NONE -fuzz=FuzzPredMask -fuzztime=$(FUZZTIME) ./internal/ops
 	$(GO) test -run=NONE -fuzz=FuzzFilter -fuzztime=$(FUZZTIME) ./internal/ops
+	$(GO) test -run=NONE -fuzz=FuzzChunkSeal -fuzztime=$(FUZZTIME) ./internal/ops
 	$(GO) test -run=NONE -fuzz=FuzzWorkerRead -fuzztime=$(FUZZTIME) ./internal/cluster
 
 .PHONY: race-all
@@ -85,14 +87,14 @@ bench:
 # partition, boxed and under predicates; one chunk through Fold.Chunk; local
 # Aggregate/Regrid), of the compiled-expression kernels (Filter, Apply), of
 # the structural operators' (gather, join and filter kernels), of the cold read
-# path's (column and chunk decode — full, site-boundary and catalog chunks —
-# and cold chunk scan), of the chunk encoder's and of a bucket section's seal
+# path's (column and chunk decode — full, site-boundary and catalog chunks,
+# and a 27 %-occupied chunk's allocations — and cold chunk scan), of the chunk encoder's and of a bucket section's seal
 # and open, and of the CSV load path's (a shard's line scan, the float
 # kernel against strconv, a shard through the ingest pipeline), so CI runs
 # what `make bench` measures.
 bench-smoke:
 	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadPredsFold|FoldChunk|ParallelFilter|ParallelApply|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
-	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x ./internal/storage
+	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|DecodePartialChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x -benchmem ./internal/storage
 	$(GO) test -run=NONE -bench 'CSVShardScan|PipelineCSV|ParseFloat' -benchtime=1x ./internal/insitu
 
 # The standing benchmark suite is its own module under bench/, which the

@@ -1,12 +1,16 @@
 package array
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Column holds one attribute's values for every cell slot of a chunk, as a
-// typed vector plus a null bitmap. Uncertain attributes carry a parallel
-// Sigma vector; when every cell shares one error bar the chunk stores a
-// single SharedSigma instead ("arrays with the same error bounds for all
-// values will require negligible extra space", §2.13).
+// Column holds one attribute's values for the present cells of a chunk, as
+// typed vectors plus a slot-indexed null bitmap — open or sealed (rank.go).
+// Uncertain attributes carry a parallel Sigma vector; when every cell shares
+// one error bar the chunk stores a single SharedSigma instead ("arrays with
+// the same error bounds for all values will require negligible extra
+// space", §2.13).
 type Column struct {
 	Type        Type
 	Ints        []int64
@@ -26,54 +30,57 @@ type Column struct {
 	// cells — so a non-nil Zone is the column's, and the storage encoder
 	// writes it out as it stands.
 	Zone *ZoneMap
+
+	// rank places a sealed column's values; nil for one value per slot.
+	rank *Rank
 }
 
-// NewColumn allocates a column of n slots for attribute a.
-func NewColumn(a Attribute, n int64) *Column {
-	c := &Column{Type: a.Type, Nulls: NewBitmap(n)}
+// NewColumn allocates an open column of n slots for attribute a.
+func NewColumn(a Attribute, n int64) *Column { return newColumn(a, n, n, n) }
+
+// newColumn allocates a column of attribute a for a chunk of slots slots,
+// its vectors of n values with room for size.
+func newColumn(a Attribute, slots, n, size int64) *Column {
+	c := &Column{Type: a.Type, Nulls: NewBitmap(slots)}
 	switch a.Type {
 	case TInt64:
-		c.Ints = make([]int64, n)
+		c.Ints = make([]int64, n, size)
 	case TFloat64:
-		c.Floats = make([]float64, n)
+		c.Floats = make([]float64, n, size)
 	case TString:
-		c.Strs = make([]string, n)
+		c.Strs = make([]string, n, size)
 	case TBool:
-		c.Bools = make([]bool, n)
+		c.Bools = make([]bool, n, size)
 	case TArray:
-		c.Arrs = make([]*Array, n)
+		c.Arrs = make([]*Array, n, size)
 	}
 	if a.Uncertain && a.Type == TFloat64 {
-		c.Sigma = make([]float64, n)
+		c.Sigma = make([]float64, n, size)
 	}
 	return c
 }
 
-// Get returns the value at slot i.
+// Get returns the value at slot i, which must be present.
 func (c *Column) Get(i int64) Value {
 	v := Value{Type: c.Type}
 	if c.Nulls.Get(i) {
 		v.Null = true
 		return v
 	}
+	k := c.rank.Of(i)
 	switch c.Type {
 	case TInt64:
-		v.Int = c.Ints[i]
+		v.Int = c.Ints[k]
 	case TFloat64:
-		v.Float = c.Floats[i]
+		v.Float = c.Floats[k]
 	case TString:
-		v.Str = c.Strs[i]
+		v.Str = c.Strs[k]
 	case TBool:
-		v.Bool = c.Bools[i]
+		v.Bool = c.Bools[k]
 	case TArray:
-		v.Arr = c.Arrs[i]
+		v.Arr = c.Arrs[k]
 	}
-	switch {
-	case c.HasShared:
-		v.Sigma = c.SharedSigma
-	case c.Sigma != nil:
-		v.Sigma = c.Sigma[i]
-	}
+	v.Sigma = c.sigmaAt(k)
 	return v
 }
 
@@ -94,8 +101,7 @@ func (c *Column) Set(i int64, v Value) {
 	case TBool:
 		c.SetBool(i, v.Bool)
 	case TArray:
-		c.setPresent(i)
-		c.Arrs[i] = v.Arr
+		c.Arrs[c.write(i)] = v.Arr
 	}
 }
 
@@ -105,39 +111,38 @@ func (c *Column) SetNull(i int64) {
 	c.Nulls.Set(i)
 }
 
-// setPresent clears slot i's NULL bit for a typed setter's value.
-func (c *Column) setPresent(i int64) {
+// write clears slot i's NULL bit for a typed setter's value, drops Zone, and
+// returns where the value goes: i, since the setters write open columns
+// only. A sealed column has no place for an absent slot, so a writer opens
+// its chunk first (Chunk.Open; Array.Set and Slot do), and a setter on a
+// sealed column panics.
+func (c *Column) write(i int64) int64 {
+	if c.rank != nil {
+		panic("array: a typed setter on a sealed column; open its chunk first")
+	}
 	c.Zone = nil
 	c.Nulls.Clear(i)
+	return i
 }
 
 // SetInt stores v at slot i of an int64 column.
-func (c *Column) SetInt(i int64, v int64) {
-	c.setPresent(i)
-	c.Ints[i] = v
-}
+func (c *Column) SetInt(i int64, v int64) { c.Ints[c.write(i)] = v }
 
 // SetFloat stores v at slot i of a float64 column, with error bar sigma
 // when the column keeps error bars.
 func (c *Column) SetFloat(i int64, v, sigma float64) {
-	c.setPresent(i)
-	c.Floats[i] = v
+	k := c.write(i)
+	c.Floats[k] = v
 	if c.Sigma != nil {
-		c.Sigma[i] = sigma
+		c.Sigma[k] = sigma
 	}
 }
 
 // SetString stores v at slot i of a string column.
-func (c *Column) SetString(i int64, v string) {
-	c.setPresent(i)
-	c.Strs[i] = v
-}
+func (c *Column) SetString(i int64, v string) { c.Strs[c.write(i)] = v }
 
 // SetBool stores v at slot i of a bool column.
-func (c *Column) SetBool(i int64, v bool) {
-	c.setPresent(i)
-	c.Bools[i] = v
-}
+func (c *Column) SetBool(i int64, v bool) { c.Bools[c.write(i)] = v }
 
 // CopyFrom copies slot src of o into slot dst of c, preserving nulls and
 // error bars. It is the columnar transfer primitive the chunk-parallel
@@ -153,28 +158,21 @@ func (c *Column) CopyFrom(o *Column, dst, src int64) {
 		c.SetNull(dst)
 		return
 	}
-	c.setPresent(dst)
+	d, s := c.write(dst), o.rank.Of(src)
 	switch c.Type {
 	case TInt64:
-		c.Ints[dst] = o.Ints[src]
+		c.Ints[d] = o.Ints[s]
 	case TFloat64:
-		c.Floats[dst] = o.Floats[src]
+		c.Floats[d] = o.Floats[s]
 	case TString:
-		c.Strs[dst] = o.Strs[src]
+		c.Strs[d] = o.Strs[s]
 	case TBool:
-		c.Bools[dst] = o.Bools[src]
+		c.Bools[d] = o.Bools[s]
 	case TArray:
-		c.Arrs[dst] = o.Arrs[src]
+		c.Arrs[d] = o.Arrs[s]
 	}
 	if c.Sigma != nil {
-		switch {
-		case o.HasShared:
-			c.Sigma[dst] = o.SharedSigma
-		case o.Sigma != nil:
-			c.Sigma[dst] = o.Sigma[src]
-		default:
-			c.Sigma[dst] = 0
-		}
+		c.Sigma[d] = o.sigmaAt(s)
 	}
 }
 
@@ -184,13 +182,10 @@ func (c *Column) Len() int64 { return c.Nulls.Len() }
 // Clone deep-copies the column (nested arrays are shared).
 func (c *Column) Clone() *Column {
 	out := &Column{Type: c.Type, Nulls: c.Nulls.Clone(), SharedSigma: c.SharedSigma, HasShared: c.HasShared,
-		Zone: c.Zone} // the zone map stays valid for an identical copy
-	out.Ints = append([]int64(nil), c.Ints...)
-	out.Floats = append([]float64(nil), c.Floats...)
-	out.Strs = append([]string(nil), c.Strs...)
-	out.Bools = append([]bool(nil), c.Bools...)
-	out.Arrs = append([]*Array(nil), c.Arrs...)
-	out.Sigma = append([]float64(nil), c.Sigma...)
+		Zone: c.Zone, // the zone map stays valid for an identical copy
+		rank: c.rank} // and so does the rank directory, whose bitmap is never written
+	out.Ints, out.Floats, out.Strs = slices.Clone(c.Ints), slices.Clone(c.Floats), slices.Clone(c.Strs)
+	out.Bools, out.Arrs, out.Sigma = slices.Clone(c.Bools), slices.Clone(c.Arrs), slices.Clone(c.Sigma)
 	return out
 }
 
@@ -251,11 +246,13 @@ func (ch *Chunk) Get(c Coord) (Cell, bool) {
 	return cell, true
 }
 
-// Set writes the cell at the coordinate, marking it present.
+// Set writes the cell at the coordinate, marking it present; a sealed chunk
+// opens first.
 func (ch *Chunk) Set(c Coord, cell Cell) error {
 	if len(cell) != len(ch.Cols) {
 		return fmt.Errorf("array: cell has %d values, chunk has %d attributes", len(cell), len(ch.Cols))
 	}
+	ch.Open()
 	i := ch.Index(c)
 	ch.Present.Set(i)
 	for a, col := range ch.Cols {
@@ -264,9 +261,10 @@ func (ch *Chunk) Set(c Coord, cell Cell) error {
 	return nil
 }
 
-// Erase marks the cell absent. A column's zone map covers present cells
-// only, so it goes the way Column.Set sends it.
+// Erase marks the cell absent; a sealed chunk opens first. A column's zone
+// map covers present cells only, so it goes the way Column.Set sends it.
 func (ch *Chunk) Erase(c Coord) {
+	ch.Open()
 	ch.Present.Clear(ch.Index(c))
 	for _, col := range ch.Cols {
 		if col != nil {
@@ -290,8 +288,9 @@ func (ch *Chunk) Clone() *Chunk {
 }
 
 // ByteSize estimates the in-memory payload size of the chunk, used by the
-// storage manager's memory accounting and the version-space experiments.
-// Columns a projected read left nil cost nothing.
+// storage manager's memory accounting and the version-space experiments: a
+// sealed chunk's columns count their present values only. Columns a
+// projected read left nil cost nothing.
 func (ch *Chunk) ByteSize() int64 {
 	n := int64(len(ch.Present.Words()) * 8)
 	for _, c := range ch.Cols {
@@ -309,6 +308,6 @@ func (c *Column) ByteSize() int64 {
 		n += int64(len(s)) + 16
 	}
 	n += int64(len(c.Arrs)) * 8
-	n += int64(len(c.Nulls.Words()) * 8)
+	n += int64(len(c.Nulls.Words())*8) + c.rank.Bytes()
 	return n
 }

@@ -85,9 +85,13 @@ func (ch *Chunk) ClearShadowed(mask *Bitmap, box Box, origin Coord, shape []int6
 // CopyMasked copies slots [src, src+n) of o — a column of the same type —
 // into slots [dst, dst+n) of c wherever live has the source slot set,
 // preserving nulls and error bars: CopyFrom for a masked run, with the type
-// dispatched once per run instead of once per cell.
+// dispatched once per run instead of once per cell. c must be open (a
+// sealed c opens); o may be either.
 func (c *Column) CopyMasked(o *Column, dst, src, n int64, live *Bitmap) {
 	c.Zone = nil
+	if c.rank != nil {
+		c.open()
+	}
 	shift := dst - src
 	for i := live.NextSet(src); i < src+n; i = live.NextSet(i + 1) {
 		if o.Nulls.Get(i) {
@@ -98,38 +102,30 @@ func (c *Column) CopyMasked(o *Column, dst, src, n int64, live *Bitmap) {
 	}
 	switch c.Type {
 	case TInt64:
-		for i := live.NextSet(src); i < src+n; i = live.NextSet(i + 1) {
-			c.Ints[i+shift] = o.Ints[i]
-		}
+		copyMasked(c.Ints, o.Ints, o.rank, src, n, shift, live)
 	case TFloat64:
-		for i := live.NextSet(src); i < src+n; i = live.NextSet(i + 1) {
-			c.Floats[i+shift] = o.Floats[i]
-		}
+		copyMasked(c.Floats, o.Floats, o.rank, src, n, shift, live)
 	case TString:
-		for i := live.NextSet(src); i < src+n; i = live.NextSet(i + 1) {
-			c.Strs[i+shift] = o.Strs[i]
-		}
+		copyMasked(c.Strs, o.Strs, o.rank, src, n, shift, live)
 	case TBool:
-		for i := live.NextSet(src); i < src+n; i = live.NextSet(i + 1) {
-			c.Bools[i+shift] = o.Bools[i]
-		}
+		copyMasked(c.Bools, o.Bools, o.rank, src, n, shift, live)
 	case TArray:
-		for i := live.NextSet(src); i < src+n; i = live.NextSet(i + 1) {
-			c.Arrs[i+shift] = o.Arrs[i]
-		}
+		copyMasked(c.Arrs, o.Arrs, o.rank, src, n, shift, live)
 	}
 	if c.Sigma == nil {
 		return
 	}
 	for i := live.NextSet(src); i < src+n; i = live.NextSet(i + 1) {
-		switch {
-		case o.HasShared:
-			c.Sigma[i+shift] = o.SharedSigma
-		case o.Sigma != nil:
-			c.Sigma[i+shift] = o.Sigma[i]
-		default:
-			c.Sigma[i+shift] = 0
-		}
+		c.Sigma[i+shift] = o.sigmaAt(o.rank.Of(i))
+	}
+}
+
+// copyMasked is CopyMasked's value copy over one vector type: the value of
+// each live slot i of [src, src+n), at r.Of(i) in from, goes to slot i+shift
+// of to.
+func copyMasked[T any](to, from []T, r *Rank, src, n, shift int64, live *Bitmap) {
+	for i := live.NextSet(src); i < src+n; i = live.NextSet(i + 1) {
+		to[i+shift] = from[r.Of(i)]
 	}
 }
 
@@ -153,7 +149,7 @@ func (a *Array) MergeMasked(ch *Chunk, live *Bitmap) error {
 			if err = a.checkCoord(c); err != nil {
 				break
 			}
-			dst := a.chunkFor(c, true)
+			dst := a.writable(c)
 			seg := dst.Origin[last] + dst.Shape[last] - c[last]
 			if seg > end-i {
 				seg = end - i

@@ -98,12 +98,11 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 		return nil
 	}
 	z := &ZoneMap{Kind: col.Type}
-	n := col.Len()
 	switch col.Type {
 	case TInt64:
 		var distinct distinctSet[int64]
-		eachValue(present, col.Nulls, n, z, func(i int64) {
-			v := col.Ints[i]
+		eachValue(col, present, z, func(k int64) {
+			v := col.Ints[k]
 			if !z.HasRange {
 				z.HasRange, z.MinInt, z.MaxInt = true, v, v
 			} else if v < z.MinInt {
@@ -116,8 +115,8 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 		z.Distinct = distinct.count()
 	case TFloat64:
 		var distinct distinctSet[float64]
-		eachValue(present, col.Nulls, n, z, func(i int64) {
-			v := col.Floats[i]
+		eachValue(col, present, z, func(k int64) {
+			v := col.Floats[k]
 			if math.IsNaN(v) {
 				z.HasNaN = true
 				return
@@ -130,17 +129,17 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 				z.MaxFloat = v
 			}
 			// -0 == +0, so the two are one key: hash them alike.
-			k := math.Float64bits(v)
+			h := math.Float64bits(v)
 			if v == 0 {
-				k = 0
+				h = 0
 			}
-			distinct.add(v, mix(k))
+			distinct.add(v, mix(h))
 		})
 		z.Distinct = distinct.count()
 	case TString:
 		var distinct distinctSet[string]
-		eachValue(present, col.Nulls, n, z, func(i int64) {
-			v := col.Strs[i]
+		eachValue(col, present, z, func(k int64) {
+			v := col.Strs[k]
 			if !z.HasRange {
 				z.HasRange, z.MinStr, z.MaxStr = true, v, v
 			} else if v < z.MinStr {
@@ -153,8 +152,8 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 		z.Distinct = distinct.count()
 	case TBool:
 		var seenTrue, seenFalse bool
-		eachValue(present, col.Nulls, n, z, func(i int64) {
-			if col.Bools[i] {
+		eachValue(col, present, z, func(k int64) {
+			if col.Bools[k] {
 				seenTrue = true
 			} else {
 				seenFalse = true
@@ -177,19 +176,27 @@ func ComputeZone(col *Column, present *Bitmap) *ZoneMap {
 	return z
 }
 
-// eachValue counts into z.Nulls the present slots below n that are null and
-// calls fn with each present, non-null one, in slot order, a word of both
-// bitmaps at a time.
-func eachValue(present, nulls *Bitmap, n int64, z *ZoneMap, fn func(i int64)) {
-	pw, nw := present.words, nulls.words
+// eachValue counts into z.Nulls the slots of col set in present that are
+// null and calls fn with the value index of each one that is not, in slot
+// order, a word of both bitmaps at a time: for a word's slot b, its rank —
+// for a full word, the word's first index plus b.
+func eachValue(col *Column, present *Bitmap, z *ZoneMap, fn func(k int64)) {
+	pw, nw, n, r := present.words, col.Nulls.words, col.Len(), col.rank
 	for wi := int64(0); wi<<6 < n; wi++ {
 		p := pw[wi]
 		if rest := n - wi<<6; rest < 64 {
 			p &= 1<<uint(rest) - 1
 		}
 		z.Nulls += int64(bits.OnesCount64(p & nw[wi]))
-		for w := p &^ nw[wi]; w != 0; w &= w - 1 {
-			fn(wi<<6 + int64(bits.TrailingZeros64(w)))
+		w := p &^ nw[wi]
+		if r == nil {
+			for ; w != 0; w &= w - 1 {
+				fn(wi<<6 + int64(bits.TrailingZeros64(w)))
+			}
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			fn(r.At(wi, bits.TrailingZeros64(w)))
 		}
 	}
 }

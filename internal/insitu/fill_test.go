@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"scidb/internal/array"
 	"scidb/internal/exec"
@@ -208,5 +211,102 @@ func TestPipelineBatchKeepsChunksWhole(t *testing.T) {
 		if n := ch.CellsPresent(); n != 10 {
 			t.Errorf("payload at %v holds %d cells, want its whole chunk of 10", ch.Origin, n)
 		}
+	}
+}
+
+// TestPipelineSealsSitesEndsTogether: sparse input over three sites, cut
+// into four shards, leaves every site chunks no shard made whole, which the
+// end of Run seals — a site per pool task. Ship holds each call until as
+// many calls as there are sites are in flight (or a timeout passes), and the
+// last batch of each site, the end pass's, must have met the other two.
+func TestPipelineSealsSitesEndsTogether(t *testing.T) {
+	const sites = 3
+	s := &array.Schema{
+		Name:  "ends",
+		Dims:  []array.Dimension{{Name: "x", High: 40, ChunkLen: 10}, {Name: "y", High: 30, ChunkLen: 10}},
+		Attrs: []array.Attribute{{Name: "v", Type: array.TInt64}},
+	}
+	src := array.MustNew(s)
+	for x := int64(1); x <= 40; x++ {
+		for y := int64(1); y <= 30; y++ {
+			if (x+y)%5 != 0 {
+				if err := src.Set(array.Coord{x, y}, array.Cell{array.Int64(x*100 + y)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	path := filepath.Join(t.TempDir(), "ends.csv")
+	if err := WriteCSV(path, src); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := CSVAdaptor{}.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	old := exec.Parallelism()
+	defer exec.SetParallelism(old)
+	exec.SetParallelism(4)
+
+	type call struct {
+		site     int
+		start    time.Time
+		together bool
+	}
+	var (
+		mu     sync.Mutex
+		calls  []*call
+		active = map[*call]bool{}
+		cells  int64
+	)
+	n, err := Pipeline{
+		Schema: s,
+		Sites:  sites,
+		Route:  func(c array.Coord) int { return int((c[1]-1)/10) % sites },
+		Batch:  100,
+		Ship: func(site int, _ [][]byte, n int64) error {
+			c := &call{site: site, start: time.Now()}
+			mu.Lock()
+			calls, active[c], cells = append(calls, c), true, cells+n
+			if len(active) >= sites {
+				for a := range active {
+					a.together = true
+				}
+			}
+			mu.Unlock()
+			for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				mu.Lock()
+				met := c.together
+				mu.Unlock()
+				if met {
+					break
+				}
+			}
+			mu.Lock()
+			delete(active, c)
+			mu.Unlock()
+			return nil
+		},
+	}.Run(ds, array.WholeBox(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells != src.Count() || n.PerSite[0]+n.PerSite[1]+n.PerSite[2] != src.Count() {
+		t.Fatalf("shipped %d cells, routed %v, want %d", cells, n.PerSite, src.Count())
+	}
+	slices.SortFunc(calls, func(a, b *call) int { return a.start.Compare(b.start) })
+	if len(calls) < sites {
+		t.Fatalf("%d ship calls, want the end pass's %d at least", len(calls), sites)
+	}
+	seen := map[int]bool{}
+	for _, c := range calls[len(calls)-sites:] {
+		seen[c.site] = true
+		if !c.together {
+			t.Errorf("site %d's end batch shipped alone", c.site)
+		}
+	}
+	if len(seen) != sites {
+		t.Errorf("the last %d batches went to sites %v, want one each", sites, seen)
 	}
 }

@@ -183,21 +183,32 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 	if err != nil {
 		return n, err
 	}
+	// The chunks still partial are sealed a site per pool task, each site's
+	// batches in origin order.
 	rest := make([][]*array.Chunk, p.Sites)
 	for k, ch := range edges {
 		rest[k.site] = append(rest[k.site], ch)
 	}
-	for site, chunks := range rest {
+	ends := make([]Counts, p.Sites)
+	err = exec.Default().Map(context.Background(), p.Sites, func(site int) error {
+		ends[site] = Counts{PerSite: make([]int64, p.Sites)}
+		chunks := rest[site]
 		slices.SortFunc(chunks, func(a, b *array.Chunk) int { return slices.Compare(a.Origin, b.Origin) })
 		for len(chunks) > 0 {
 			k := min(p.Batch, len(chunks))
-			if err := p.seal(bs, site, chunks[:k], &n); err != nil {
-				return n, err
+			if err := p.seal(bs, site, chunks[:k], &ends[site]); err != nil {
+				return err
 			}
 			chunks = chunks[k:]
 		}
+		return nil
+	})
+	for _, c := range ends {
+		if c.PerSite != nil {
+			n.add(c)
+		}
 	}
-	return n, nil
+	return n, err
 }
 
 // whole reports whether ch has every cell of its box that routes to site.

@@ -126,11 +126,11 @@ func predWord(p array.ZonePred, ch *array.Chunk, wi int, w uint64) uint64 {
 		switch {
 		case col.Type == array.TInt64 && cv.Type == array.TInt64 && (op == OpEq || op == OpNe):
 			// Equal compares two ints exactly, not through AsFloat.
-			return cmpWord(op, col.Ints[wi<<6:], live, cv.Int)
+			return cmpRanked(op, col.Ints, col.Rank(), int64(wi), live, cv.Int)
 		case col.Type == array.TInt64:
-			return cmpWord(op, col.Ints[wi<<6:], live, cv.AsFloat())
+			return cmpRanked(op, col.Ints, col.Rank(), int64(wi), live, cv.AsFloat())
 		case col.Type == array.TFloat64:
-			return cmpWord(op, col.Floats[wi<<6:], live, cv.AsFloat())
+			return cmpRanked(op, col.Floats, col.Rank(), int64(wi), live, cv.AsFloat())
 		}
 	}
 	var m uint64
@@ -141,6 +141,22 @@ func predWord(p array.ZonePred, ch *array.Chunk, wi int, w uint64) uint64 {
 		}
 	}
 	return m
+}
+
+// cmpRanked is cmpWord over word wi of a column whose values rk places: on
+// the vector from the word's base value index when all the word's slots have
+// a value (every word of a full chunk), else on a copy of the live slots'
+// values, each at its slot.
+func cmpRanked[T, C int64 | float64](op BinOp, vals []T, rk *array.Rank, wi int64, live uint64, c C) uint64 {
+	if rk.Word(wi) == ^uint64(0) {
+		return cmpWord(op, vals[rk.Base(wi):], live, c)
+	}
+	var buf [64]T
+	for w := live; w != 0; w &= w - 1 {
+		b := bits.TrailingZeros64(w)
+		buf[b] = vals[rk.At(wi, b)]
+	}
+	return cmpWord(op, buf[:], live, c)
 }
 
 // cmpWord returns the bits of w whose value in vals (the word's 64 slots

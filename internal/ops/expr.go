@@ -257,12 +257,13 @@ func errEval(err error) colEval {
 	return func(int64, array.Coord) (array.Value, error) { return array.Value{}, err }
 }
 
-func colSigma(col *array.Column, idx int64) float64 {
+// colSigma is the error bar of col's value at index k.
+func colSigma(col *array.Column, k int64) float64 {
 	switch {
 	case col.HasShared:
 		return col.SharedSigma
 	case col.Sigma != nil:
-		return col.Sigma[idx]
+		return col.Sigma[k]
 	}
 	return 0
 }
@@ -293,21 +294,24 @@ func compile(e Expr, s *array.Schema, ch *array.Chunk, reg *udf.Registry) colEva
 				if col.Nulls.Get(idx) {
 					return array.Value{Type: array.TInt64, Null: true}, nil
 				}
-				return array.Value{Type: array.TInt64, Int: col.Ints[idx], Sigma: colSigma(col, idx)}, nil
+				k := col.Index(idx)
+				return array.Value{Type: array.TInt64, Int: col.Ints[k], Sigma: colSigma(col, k)}, nil
 			}
 		case array.TFloat64:
 			return func(idx int64, _ array.Coord) (array.Value, error) {
 				if col.Nulls.Get(idx) {
 					return array.Value{Type: array.TFloat64, Null: true}, nil
 				}
-				return array.Value{Type: array.TFloat64, Float: col.Floats[idx], Sigma: colSigma(col, idx)}, nil
+				k := col.Index(idx)
+				return array.Value{Type: array.TFloat64, Float: col.Floats[k], Sigma: colSigma(col, k)}, nil
 			}
 		case array.TBool:
 			return func(idx int64, _ array.Coord) (array.Value, error) {
 				if col.Nulls.Get(idx) {
 					return array.Value{Type: array.TBool, Null: true}, nil
 				}
-				return array.Value{Type: array.TBool, Bool: col.Bools[idx], Sigma: colSigma(col, idx)}, nil
+				k := col.Index(idx)
+				return array.Value{Type: array.TBool, Bool: col.Bools[k], Sigma: colSigma(col, k)}, nil
 			}
 		}
 		return func(idx int64, _ array.Coord) (array.Value, error) { return col.Get(idx), nil }

@@ -397,32 +397,34 @@ func (f *Fold) foldRun(t *FoldTable, k int, ch *array.Chunk, live *array.Bitmap,
 	case c.agg == "count":
 		foldCount(st.N, live, col.Nulls, r)
 	case c.isInt:
-		foldTyped(c.agg, st, st.I, col.Ints, lw, nw, r)
+		foldTyped(c.agg, st, st.I, col.Ints, col.Rank(), lw, nw, r)
 	default:
-		foldTyped(c.agg, st, st.F, col.Floats, lw, nw, r)
+		foldTyped(c.agg, st, st.F, col.Floats, col.Rank(), lw, nw, r)
 	}
 }
 
 // foldTyped is foldRun over a column of either numeric type; own is the state
-// vector of that type (sum, min, max).
-func foldTyped[T int64 | float64](agg string, st *FoldState, own, vals []T, live, nulls []uint64, r run) {
+// vector of that type (sum, min, max); rk places the column's values.
+func foldTyped[T int64 | float64](agg string, st *FoldState, own, vals []T, rk *array.Rank, live, nulls []uint64, r run) {
 	switch agg {
 	case "sum":
-		foldSum(own, st.N, vals, live, nulls, r)
+		foldSum(own, st.N, vals, rk, live, nulls, r)
 	case "avg":
-		foldSum(st.F, st.N, vals, live, nulls, r)
+		foldSum(st.F, st.N, vals, rk, live, nulls, r)
 	case "min", "max":
-		foldBest(own, st.N, vals, agg == "max", live, nulls, r)
+		foldBest(own, st.N, vals, rk, agg == "max", live, nulls, r)
 	case "stdev":
-		foldWelford(st.F, st.M2, st.N, vals, live, nulls, r)
+		foldWelford(st.F, st.M2, st.N, vals, rk, live, nulls, r)
 	}
 }
 
 // The kernels. Each walks the rows of r and, for a row, the slots set in
 // live and clear in nulls, a word of both masks at a time, with the row's
 // state in locals. A word whose 64 slots are all live and non-NULL folds as
-// a plain loop over its values; any other walks its set bits. Both go in
-// slot order, so a float sum is the same sum either way, to the bit.
+// a plain loop over its 64 values, from the word's base value index rk.Base
+// (wi<<6 for a full chunk); any other walks its set bits, each slot's value
+// at rk.At. Both go in slot order, so a float sum is the same sum either
+// way, to the bit.
 
 // liveWord returns word wi of live&^nulls, less the bits outside slots [s, e).
 func liveWord(live, nulls []uint64, wi, s, e int64) uint64 {
@@ -450,21 +452,21 @@ func foldCount(cnt []int64, live, nulls *array.Bitmap, r run) {
 
 // foldSum adds in the accumulator's type: exactly for an int64 sum of an
 // int64 column, in float64 otherwise.
-func foldSum[A, T int64 | float64](sum []A, cnt []int64, vals []T, live, nulls []uint64, r run) {
+func foldSum[A, T int64 | float64](sum []A, cnt []int64, vals []T, rk *array.Rank, live, nulls []uint64, r run) {
 	end := r.start + r.n
 	for s, e, row := r.start, r.start+r.first, r.row; s < end; s, e, row = e, min(e+r.seg, end), row+r.step {
 		acc, n := sum[row], cnt[row]
 		for wi := s >> 6; wi<<6 < e; wi++ {
 			w := liveWord(live, nulls, wi, s, e)
 			if w == ^uint64(0) {
-				for _, x := range vals[wi<<6:][:64] {
+				for _, x := range vals[rk.Base(wi):][:64] {
 					acc += A(x)
 				}
 				n += 64
 				continue
 			}
 			for ; w != 0; w &= w - 1 {
-				acc += A(vals[wi<<6+int64(bits.TrailingZeros64(w))])
+				acc += A(vals[rk.At(wi, bits.TrailingZeros64(w))])
 				n++
 			}
 		}
@@ -482,14 +484,14 @@ func beats[T int64 | float64](x, best T, max bool) bool {
 	return x < best || best != best
 }
 
-func foldBest[T int64 | float64](best []T, cnt []int64, vals []T, max bool, live, nulls []uint64, r run) {
+func foldBest[T int64 | float64](best []T, cnt []int64, vals []T, rk *array.Rank, max bool, live, nulls []uint64, r run) {
 	end := r.start + r.n
 	for s, e, row := r.start, r.start+r.first, r.row; s < end; s, e, row = e, min(e+r.seg, end), row+r.step {
 		b, n := best[row], cnt[row]
 		for wi := s >> 6; wi<<6 < e; wi++ {
 			w := liveWord(live, nulls, wi, s, e)
 			if w == ^uint64(0) {
-				v := vals[wi<<6:][:64]
+				v := vals[rk.Base(wi):][:64]
 				// Until b holds a number beats decides; after, a NaN x never
 				// wins a strict compare, so the compare alone is beats.
 				for ; len(v) > 0 && (n == 0 || b != b); v, n = v[1:], n+1 {
@@ -514,7 +516,7 @@ func foldBest[T int64 | float64](best []T, cnt []int64, vals []T, max bool, live
 				continue
 			}
 			for ; w != 0; w &= w - 1 {
-				if x := vals[wi<<6+int64(bits.TrailingZeros64(w))]; n == 0 || beats(x, b, max) {
+				if x := vals[rk.At(wi, bits.TrailingZeros64(w))]; n == 0 || beats(x, b, max) {
 					b = x
 				}
 				n++
@@ -524,14 +526,14 @@ func foldBest[T int64 | float64](best []T, cnt []int64, vals []T, max bool, live
 	}
 }
 
-func foldWelford[T int64 | float64](mean, m2 []float64, cnt []int64, vals []T, live, nulls []uint64, r run) {
+func foldWelford[T int64 | float64](mean, m2 []float64, cnt []int64, vals []T, rk *array.Rank, live, nulls []uint64, r run) {
 	end := r.start + r.n
 	for s, e, row := r.start, r.start+r.first, r.row; s < end; s, e, row = e, min(e+r.seg, end), row+r.step {
 		m, q, n := mean[row], m2[row], cnt[row]
 		for wi := s >> 6; wi<<6 < e; wi++ {
 			w := liveWord(live, nulls, wi, s, e)
 			if w == ^uint64(0) {
-				for _, v := range vals[wi<<6:][:64] {
+				for _, v := range vals[rk.Base(wi):][:64] {
 					x := float64(v)
 					n++
 					d := x - m
@@ -541,7 +543,7 @@ func foldWelford[T int64 | float64](mean, m2 []float64, cnt []int64, vals []T, l
 				continue
 			}
 			for ; w != 0; w &= w - 1 {
-				x := float64(vals[wi<<6+int64(bits.TrailingZeros64(w))])
+				x := float64(vals[rk.At(wi, bits.TrailingZeros64(w))])
 				n++
 				d := x - m
 				m += d / float64(n)
@@ -686,40 +688,47 @@ func (f *Fold) Result(parts []*FoldTable) (*array.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	origin := array.WholeBox(out).Lo
-	oc := array.NewChunk(out, origin, res.GridShape(origin))
-	for r, cells := range t.Cells {
+	groups := int64(0)
+	for _, cells := range t.Cells {
 		if cells != 0 {
-			oc.Present.Set(int64(r))
-			f.terminate(t, int64(r), oc, int64(r))
+			groups++
 		}
 	}
-	if oc.CellsPresent() > 0 {
+	origin := array.WholeBox(out).Lo
+	b := array.NewChunkBuilder(out, origin, res.GridShape(origin), groups)
+	for r, cells := range t.Cells {
+		if cells != 0 {
+			b.Add(int64(r))
+			f.terminate(t, int64(r), b.Cols(), int64(r))
+		}
+	}
+	if oc := b.Chunk(); oc != nil {
 		res.PutChunk(oc)
 	}
 	return res, nil
 }
 
-// terminate writes row r of t into slot of oc's columns, one per aggregate:
-// each aggregate's final value, or NULL where it folded too few values.
-func (f *Fold) terminate(t *FoldTable, r int64, oc *array.Chunk, slot int64) {
+// terminate appends row r of t as slot of cols, one column per aggregate,
+// the slot just added to their ChunkBuilder: each aggregate's final value,
+// or NULL where it folded too few values.
+func (f *Fold) terminate(t *FoldTable, r int64, cols []*array.Column, slot int64) {
 	for k, c := range f.cols {
-		st, col := &t.Cols[k], oc.Cols[k]
+		st, col := &t.Cols[k], cols[k]
 		switch {
 		case !c.typed:
-			col.Set(slot, st.boxed[r].Result())
+			col.Append(slot, st.boxed[r].Result())
 		case c.agg == "count":
-			col.Ints[slot] = st.N[r]
+			col.AppendInt(slot, st.N[r])
 		case st.N[r] == 0 || (c.agg == "stdev" && st.N[r] < 2):
-			col.Nulls.Set(slot)
+			col.AppendNull(slot)
 		case c.agg == "avg":
-			col.Floats[slot] = st.F[r] / float64(st.N[r])
+			col.AppendFloat(slot, st.F[r]/float64(st.N[r]), 0)
 		case c.agg == "stdev":
-			col.Floats[slot] = math.Sqrt(st.M2[r] / float64(st.N[r]-1))
+			col.AppendFloat(slot, math.Sqrt(st.M2[r]/float64(st.N[r]-1)), 0)
 		case c.ints():
-			col.Ints[slot] = st.I[r]
+			col.AppendInt(slot, st.I[r])
 		default:
-			col.Floats[slot] = st.F[r]
+			col.AppendFloat(slot, st.F[r], 0)
 		}
 	}
 }

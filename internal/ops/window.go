@@ -54,9 +54,14 @@ func WindowCtx(ctx context.Context, a *array.Array, radius []int64, spec AggSpec
 	nd := len(s.Dims)
 	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
 		ch := work[i]
-		oc := array.NewChunk(res.Schema, ch.Origin, res.GridShape(ch.Origin))
-		same := shapeEq(ch.Shape, oc.Shape)
-		t := f.newTable([]int64{0}, []int64{oc.Slots()})
+		shape := res.GridShape(ch.Origin)
+		same := shapeEq(ch.Shape, shape)
+		b := array.NewChunkBuilder(res.Schema, ch.Origin, shape, ch.CellsPresent())
+		slots := int64(1)
+		for _, e := range shape {
+			slots *= e
+		}
+		t := f.newTable([]int64{0}, []int64{slots})
 		// The input chunks some window of this chunk's cells reaches.
 		var near []int
 		for j, b := range boxes {
@@ -72,7 +77,7 @@ func WindowCtx(ctx context.Context, a *array.Array, radius []int64, spec AggSpec
 		err := eachPresent(ch, func(idx int64, at array.Coord) error {
 			row := idx
 			if !same {
-				row = oc.Index(at)
+				row = array.RowMajorIndex(ch.Origin, shape, at)
 			}
 			for _, j := range near {
 				// The window's part of input chunk j, walked a row of its
@@ -102,11 +107,14 @@ func WindowCtx(ctx context.Context, a *array.Array, radius []int64, spec AggSpec
 					}
 				}
 			}
-			oc.Present.Set(row)
-			f.terminate(t, row, oc, row)
+			b.Add(row)
+			f.terminate(t, row, b.Cols(), row)
 			return nil
 		})
-		return oc, err
+		if err != nil {
+			return nil, err
+		}
+		return b.Chunk(), nil
 	})
 	if err != nil {
 		return nil, err

@@ -126,7 +126,7 @@ func BenchmarkDecodeColumn(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := decodeColumn(NewFieldReaderBytes(buf.Bytes()), at, present); err != nil {
+				if _, err := decodeColumn(NewFieldReaderBytes(buf.Bytes()), at, present, array.NewRank(present)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -213,14 +213,14 @@ func decodeValues(typ array.Type, data []byte, slots int64, ref bool) decoded {
 		if ref {
 			d.ints, err = refDecodeIntValues(r, slots)
 		} else {
-			d.ints, err = decodeIntValues(r, slots, slots)
+			d.ints, err = decodeIntValues(r, slots)
 		}
 	case array.TFloat64:
 		var fs []float64
 		if ref {
 			fs, err = refDecodeFloatValues(r, slots)
 		} else {
-			fs, err = decodeFloatValues(r, slots, slots)
+			fs, err = decodeFloatValues(r, slots)
 		}
 		for _, f := range fs {
 			d.fbits = append(d.fbits, math.Float64bits(f))
@@ -310,9 +310,17 @@ type colImage struct {
 	Zone          *array.ZoneMap
 }
 
-func imageOf(col *array.Column) colImage {
+// imageOf is col's image as a column of a chunk whose presence bitmap is
+// present: its vectors hold present cells' values only, whether the column
+// is sealed (as the decoder leaves it) or one value per slot (as the
+// reference decodes it), so the two compare by what the cells hold.
+func imageOf(col *array.Column, present *array.Bitmap) colImage {
 	if col == nil {
 		return colImage{}
+	}
+	if col.Rank() == nil && present.Count() < present.Len() {
+		col = col.Clone()
+		col.Seal(array.NewRank(present))
 	}
 	fbits := func(fs []float64) []uint64 {
 		var out []uint64
@@ -321,7 +329,7 @@ func imageOf(col *array.Column) colImage {
 		}
 		return out
 	}
-	return colImage{Ints: col.Ints, Floats: fbits(col.Floats), Sigma: fbits(col.Sigma), Bools: col.Bools, Strs: col.Strs,
+	return colImage{Ints: nilIfEmpty(col.Ints), Floats: fbits(col.Floats), Sigma: fbits(col.Sigma), Bools: nilIfEmpty(col.Bools), Strs: nilIfEmpty(col.Strs),
 		Nulls: col.Nulls.Words(), HasShared: col.HasShared, SharedSigma: math.Float64bits(col.SharedSigma),
 		Zone: col.Zone}
 }
@@ -335,7 +343,7 @@ func sameChunk(t *testing.T, label string, got, want *array.Chunk) {
 		t.Fatalf("%s: decoded frames differ", label)
 	}
 	for a := range got.Cols {
-		if !reflect.DeepEqual(imageOf(got.Cols[a]), imageOf(want.Cols[a])) {
+		if !reflect.DeepEqual(imageOf(got.Cols[a], got.Present), imageOf(want.Cols[a], want.Present)) {
 			t.Fatalf("%s: column %d decodes differently from the reference's", label, a)
 		}
 	}
@@ -345,12 +353,12 @@ func sameChunk(t *testing.T, label string, got, want *array.Chunk) {
 // alike: the same column, or the same error.
 func sameColumnDecode(t *testing.T, label string, at array.Attribute, sec []byte, present *array.Bitmap) {
 	t.Helper()
-	got, gerr := decodeColumn(NewFieldReaderBytes(sec), at, present)
+	got, gerr := decodeColumn(NewFieldReaderBytes(sec), at, present, array.NewRank(present))
 	want, werr := refDecodeColumn(NewFieldReaderBytes(sec), at, present)
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 		t.Fatalf("%s: decode error %v, reference %v", label, gerr, werr)
 	}
-	if gerr == nil && !reflect.DeepEqual(imageOf(got), imageOf(want)) {
+	if gerr == nil && !reflect.DeepEqual(imageOf(got, present), imageOf(want, present)) {
 		t.Fatalf("%s: column decodes differently from the reference's", label)
 	}
 }

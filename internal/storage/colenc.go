@@ -198,33 +198,33 @@ func encodeIntValues(w *FieldWriter, vals []int64) {
 	}
 }
 
-// decodeIntValues reverses encodeIntValues of n values into the front of a
-// slots-sized vector (n is slots but for a present-only column).
-func decodeIntValues(r *FieldReader, n, slots int64) ([]int64, error) {
+// decodeIntValues reverses encodeIntValues of n values (n is the chunk's
+// slots but for a present-only column).
+func decodeIntValues(r *FieldReader, n int64) ([]int64, error) {
 	tag := r.U8()
 	if n == 0 {
-		return emptyValues[int64](r, slots)
+		return nil, r.Err()
 	}
 	switch tag {
 	case encRaw:
 		if !r.Need(n * 8) {
 			return nil, r.Err()
 		}
-		out := make([]int64, slots)
-		r.I64sInto(out[:n])
+		out := make([]int64, n)
+		r.I64sInto(out)
 		return out, r.Err()
 	case encConst:
 		v := r.I64()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		out := make([]int64, slots)
-		for i := range out[:n] {
+		out := make([]int64, n)
+		for i := range out {
 			out[i] = v
 		}
 		return out, nil
 	case encRLE:
-		return decodeRLE(r, n, slots, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }, r.I64)
+		return decodeRLE(r, n, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }, r.I64)
 	case encDelta:
 		first := r.I64()
 		width := uint(r.U8())
@@ -238,7 +238,7 @@ func decodeIntValues(r *FieldReader, n, slots int64) ([]int64, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]int64, slots)
+		out := make([]int64, n)
 		out[0] = first
 		for i := int64(1); i < n; i++ {
 			out[i] = out[i-1] + unzigzag(u.next())
@@ -246,15 +246,6 @@ func decodeIntValues(r *FieldReader, n, slots int64) ([]int64, error) {
 		return out, nil
 	}
 	return nil, fmt.Errorf("storage: unknown int column encoding %d", tag)
-}
-
-// emptyValues is what a decoder of no values returns after its tag: no
-// vector for a chunk of no slots, else a zeroed one of slots.
-func emptyValues[T any](r *FieldReader, slots int64) ([]T, error) {
-	if slots == 0 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	return make([]T, slots), nil
 }
 
 // encodeFloatValues picks const, RLE, or raw for a float vector. Run
@@ -298,31 +289,31 @@ func encodeFloatValues(w *FieldWriter, vals []float64) {
 }
 
 // decodeFloatValues reverses encodeFloatValues as decodeIntValues does.
-func decodeFloatValues(r *FieldReader, n, slots int64) ([]float64, error) {
+func decodeFloatValues(r *FieldReader, n int64) ([]float64, error) {
 	tag := r.U8()
 	if n == 0 {
-		return emptyValues[float64](r, slots)
+		return nil, r.Err()
 	}
 	switch tag {
 	case encRaw:
 		if !r.Need(n * 8) {
 			return nil, r.Err()
 		}
-		out := make([]float64, slots)
-		r.F64sInto(out[:n])
+		out := make([]float64, n)
+		r.F64sInto(out)
 		return out, r.Err()
 	case encConst:
 		v := r.F64()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		out := make([]float64, slots)
-		for i := range out[:n] {
+		out := make([]float64, n)
+		for i := range out {
 			out[i] = v
 		}
 		return out, nil
 	case encRLE:
-		return decodeRLE(r, n, slots, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }, r.F64)
+		return decodeRLE(r, n, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }, r.F64)
 	}
 	return nil, fmt.Errorf("storage: unknown float column encoding %d", tag)
 }
@@ -404,7 +395,7 @@ func decodeBoolValues(r *FieldReader, slots int64) ([]bool, error) {
 		}
 		return out, nil
 	case encRLE:
-		return decodeRLE(r, slots, slots, 1, func(b []byte) bool { return b[0] != 0 }, r.Bool)
+		return decodeRLE(r, slots, 1, func(b []byte) bool { return b[0] != 0 }, r.Bool)
 	}
 	return nil, fmt.Errorf("storage: unknown bool column encoding %d", tag)
 }
@@ -529,7 +520,7 @@ func decodeStringValues(r *FieldReader, slots int64) ([]string, error) {
 		}
 		return out, nil
 	case encRLE:
-		return decodeRLE(r, slots, slots, 0, nil, r.String)
+		return decodeRLE(r, slots, 0, nil, r.String)
 	case encDict:
 		dictLen := int64(r.U32())
 		if dictLen <= 0 || !r.Need(dictLen*4) {
@@ -567,19 +558,18 @@ func decodeStringValues(r *FieldReader, slots int64) ([]string, error) {
 }
 
 // decodeRLE reads a run-length vector of n values — a u32 run count, then per
-// run a u32 length and a value, the lengths summing to n — into the front of
-// a vector sized to the slots, bounding the count against the bytes that
-// remain first. A run whose record (length plus size value bytes, which at
+// run a u32 length and a value, the lengths summing to n — bounding the
+// count against the bytes that remain first. A run whose record (length plus size value bytes, which at
 // decodes) lies whole in a slice reader's buffer is taken from it in one
 // piece; any other, and every run when at is nil, is read field by field
 // with read, so a table cut short fails as the reader does.
-func decodeRLE[T any](r *FieldReader, n, slots int64, size int, at func([]byte) T, read func() T) ([]T, error) {
+func decodeRLE[T any](r *FieldReader, n int64, size int, at func([]byte) T, read func() T) ([]T, error) {
 	runs := int64(r.U32())
 	// Each run costs at least a u32 length plus a 1-byte value.
 	if !r.Need(runs * 5) {
 		return nil, r.Err()
 	}
-	out := make([]T, slots)
+	out := make([]T, n)
 	var total int64
 	for range runs {
 		var rec []byte

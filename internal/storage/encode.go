@@ -15,7 +15,6 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"scidb/internal/array"
@@ -183,6 +182,10 @@ type chunkReader struct {
 	// fetch returns n stored bytes at an offset of the encoding. The
 	// result is only read, and not retained past the section's decode.
 	fetch func(off int64, n int) ([]byte, error)
+	// ranked is the presence bitmap rank is the directory of, so the
+	// columns of one chunk share one.
+	ranked *array.Bitmap
+	rank   *array.Rank
 }
 
 // newChunkReader reads and checks the header of an encoding of total bytes.
@@ -268,8 +271,11 @@ func (cr *chunkReader) frame() (*array.Chunk, error) {
 // column decodes attribute a's column; present is the chunk's presence
 // bitmap, as frame decoded it.
 func (cr *chunkReader) column(a int, present *array.Bitmap) (col *array.Column, err error) {
+	if cr.ranked != present {
+		cr.ranked, cr.rank = present, array.NewRank(present)
+	}
 	err = cr.decodeSection(1+a, func(r *FieldReader) (err error) {
-		col, err = decodeColumn(r, cr.s.Attrs[a], present)
+		col, err = decodeColumn(r, cr.s.Attrs[a], present, cr.rank)
 		return err
 	})
 	if err != nil {
@@ -577,12 +583,14 @@ func DecodeArray(s *array.Schema, data []byte) (*array.Array, error) {
 // (zone-mappable types), the values under the encoding colenc.go picks,
 // then the uncertainty tail. An int64 or float64 column of a chunk with
 // absent slots writes the values and tail of its present slots only
-// (colFlagPresentOnly), gathered into w's scratch. Nested-array columns are
-// written verbatim — their payloads are recursively encoded arrays, which
-// compress internally. It returns the column's zone map (nil for nested
-// columns) so the caller can index the chunk without re-scanning: the one a
-// decoder attached, which Column's contract keeps only while the column is as
-// decoded, or else one computed here.
+// (colFlagPresentOnly): a sealed column's vectors as they are, an open one's
+// packed into w's scratch. Bool, string and nested columns are stored one
+// value per slot, so a sealed one is unpacked on its way out. Nested-array
+// columns are written verbatim — their payloads are recursively encoded
+// arrays, which compress internally. It returns the column's zone map (nil
+// for nested columns) so the caller can index the chunk without re-scanning:
+// the one a decoder attached, which Column's contract keeps only while the
+// column is as decoded, or else one computed here.
 func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present *array.Bitmap) (*array.ZoneMap, error) {
 	var flags uint8
 	if col.Sigma != nil {
@@ -591,10 +599,9 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	if col.HasShared {
 		flags |= colFlagShared
 	}
-	n, presentOnly := present.Len(), false
+	presentOnly := false
 	if at.Type == array.TInt64 || at.Type == array.TFloat64 {
-		n = present.Count()
-		if presentOnly = n < present.Len(); presentOnly {
+		if presentOnly = present.Count() < present.Len(); presentOnly {
 			flags |= colFlagPresentOnly
 		}
 	}
@@ -610,28 +617,29 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 	if zone != nil {
 		encodeZoneMap(w, zone)
 	}
+	sealed := col.Rank() != nil
 	switch at.Type {
 	case array.TInt64:
 		vals := col.Ints
-		if presentOnly {
-			w.ints = gatherPresent(w.ints, vals, present, n)
+		if presentOnly && !sealed {
+			w.ints = array.Pack(w.ints, vals, present)
 			vals = w.ints
 		}
 		encodeIntValues(w, vals)
 	case array.TFloat64:
 		vals := col.Floats
-		if presentOnly {
-			w.floats = gatherPresent(w.floats, vals, present, n)
+		if presentOnly && !sealed {
+			w.floats = array.Pack(w.floats, vals, present)
 			vals = w.floats
 		}
 		encodeFloatValues(w, vals)
 	case array.TBool:
-		encodeBoolValues(w, col.Bools)
+		encodeBoolValues(w, perSlot(col.Bools, sealed, present))
 	case array.TString:
-		encodeStringValues(w, col.Strs)
+		encodeStringValues(w, perSlot(col.Strs, sealed, present))
 	case array.TArray:
 		w.U8(encRaw)
-		for _, nested := range col.Arrs {
+		for _, nested := range perSlot(col.Arrs, sealed, present) {
 			if nested == nil {
 				w.U8(0)
 				continue
@@ -647,16 +655,29 @@ func encodeColumn(w *FieldWriter, at array.Attribute, col *array.Column, present
 		return nil, fmt.Errorf("storage: cannot encode attribute type %v", at.Type)
 	}
 	sigma := col.Sigma
-	if presentOnly && sigma != nil {
+	switch {
+	case sigma == nil:
+	case presentOnly && !sealed:
 		// The values are out, so the float scratch is free again.
-		w.floats = gatherPresent(w.floats, sigma, present, n)
+		w.floats = array.Pack(w.floats, sigma, present)
 		sigma = w.floats
+	case !presentOnly && sealed:
+		sigma = array.Unpack(sigma, present)
 	}
 	w.F64sRaw(sigma)
 	if col.HasShared {
 		w.F64(col.SharedSigma)
 	}
 	return zone, nil
+}
+
+// perSlot returns a vector stored one value per slot as the store writes
+// it: unpacked when the column is sealed.
+func perSlot[T any](vals []T, sealed bool, present *array.Bitmap) []T {
+	if sealed {
+		return array.Unpack(vals, present)
+	}
+	return vals
 }
 
 // columnHead reads what precedes a column's values — the flag byte, the null
@@ -702,10 +723,10 @@ func columnHead(r *FieldReader, at array.Attribute, slots int64, skip bool) (fla
 }
 
 // decodeColumn reverses encodeColumn for a chunk whose presence bitmap is
-// present. A present-only column's values are decoded into the front of a
-// slot-sized vector and scattered out to their slots, the absent ones left
-// zero.
-func decodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap) (*array.Column, error) {
+// present, into a column sealed under rank, present's rank directory (nil
+// for a full chunk): a present-only column's values are adopted as decoded,
+// and a vector stored one value per slot of a partial chunk is packed.
+func decodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap, rank *array.Rank) (*array.Column, error) {
 	slots := present.Len()
 	flags, col, err := columnHead(r, at, slots, false)
 	if err != nil {
@@ -719,9 +740,9 @@ func decodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap) (*a
 	}
 	switch at.Type {
 	case array.TInt64:
-		col.Ints, err = decodeIntValues(r, n, slots)
+		col.Ints, err = decodeIntValues(r, n)
 	case array.TFloat64:
-		col.Floats, err = decodeFloatValues(r, n, slots)
+		col.Floats, err = decodeFloatValues(r, n)
 	case array.TBool:
 		col.Bools, err = decodeBoolValues(r, slots)
 	case array.TString:
@@ -757,82 +778,30 @@ func decodeColumn(r *FieldReader, at array.Attribute, present *array.Bitmap) (*a
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	switch {
-	case presentOnly && at.Type == array.TInt64:
-		scatterPresent(col.Ints, present, n)
-	case presentOnly:
-		scatterPresent(col.Floats, present, n)
-	}
 	if flags&colFlagSigma != 0 {
 		if !r.Need(n * 8) {
 			return nil, r.Err()
 		}
-		col.Sigma = make([]float64, slots)
-		r.F64sInto(col.Sigma[:n])
-		if presentOnly {
-			scatterPresent(col.Sigma, present, n)
-		}
+		col.Sigma = make([]float64, n)
+		r.F64sInto(col.Sigma)
 	}
 	if flags&colFlagShared != 0 {
 		col.HasShared = true
 		col.SharedSigma = r.F64()
 	}
-	return col, r.Err()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if rank != nil && !presentOnly {
+		col.Seal(rank)
+	} else {
+		col.Packed(rank)
+	}
+	return col, nil
 }
 
 // lowBits is a word with its k (1 to 64) low bits set.
 func lowBits(k int64) uint64 { return ^uint64(0) >> (64 - k) }
-
-// gatherPresent fills dst, grown as needed, with the n values of vals at the
-// slots present marks, in slot order, and returns it: a presence word at a
-// time, a full word's 64 values in one copy.
-func gatherPresent[T any](dst, vals []T, present *array.Bitmap, n int64) []T {
-	dst = slices.Grow(dst[:0], int(n))[:n]
-	words, slots := present.Words(), present.Len()
-	k := 0
-	for base := int64(0); base < slots; base += 64 {
-		word := words[base/64] & lowBits(min(slots-base, 64))
-		if word == ^uint64(0) {
-			k += copy(dst[k:], vals[base:base+64])
-			continue
-		}
-		for ; word != 0; word &= word - 1 {
-			dst[k] = vals[base+int64(bits.TrailingZeros64(word))]
-			k++
-		}
-	}
-	return dst
-}
-
-// scatterPresent reverses gatherPresent in place: the n values at the front of
-// vals, a slot-sized vector, move out to the slots present marks, and every
-// other slot is zeroed. It walks the presence words from the last back, so a
-// value — which only ever moves to a slot at or after its own index — moves
-// before anything overwrites it; a full word's 64 values move in one copy.
-func scatterPresent[T any](vals []T, present *array.Bitmap, n int64) {
-	words, slots := present.Words(), present.Len()
-	k := n // the values of the words before this one
-	for w := (slots+63)/64 - 1; w >= 0; w-- {
-		base := w * 64
-		hi := min(base+64, slots)
-		word := words[w] & lowBits(hi-base)
-		c := int64(bits.OnesCount64(word))
-		k -= c
-		if c == 64 {
-			copy(vals[base:hi], vals[k:k+64])
-			continue
-		}
-		for src := k + c; word != 0; {
-			top := base + 63 - int64(bits.LeadingZeros64(word))
-			clear(vals[top+1 : hi])
-			src--
-			vals[top] = vals[src]
-			hi = top
-			word &^= 1 << uint(top-base)
-		}
-		clear(vals[base:hi])
-	}
-}
 
 // writeBitmap writes a bitmap's words; the reader knows how many from the
 // chunk's slot count.
@@ -849,12 +818,13 @@ func readBitmap(r *FieldReader, bits int64) (*array.Bitmap, error) {
 }
 
 // RawChunkSize returns what the chunk would cost stored verbatim — a bare
-// frame, bitmaps with a word count, every value at its full width, no
+// frame, bitmaps with a word count, every slot's value at its full width, no
 // per-column encoding — computed arithmetically. It is the "raw" term of
 // the store's encoding-ratio stats and the baseline of the ENC experiment.
 // (Nested-array attributes are the one approximation: their recursive
 // payloads are counted at the encoded size actually written.)
 func RawChunkSize(s *array.Schema, ch *array.Chunk) int64 {
+	slots := ch.Slots()
 	n := int64(4 + 1 + 16*len(ch.Origin))
 	n += 4 + int64(len(ch.Present.Words()))*8
 	for ai, col := range ch.Cols {
@@ -864,19 +834,18 @@ func RawChunkSize(s *array.Schema, ch *array.Chunk) int64 {
 		n += 1 // flags
 		n += 4 + int64(len(col.Nulls.Words()))*8
 		switch s.Attrs[ai].Type {
-		case array.TInt64:
-			n += int64(len(col.Ints)) * 8
-		case array.TFloat64:
-			n += int64(len(col.Floats)) * 8
+		case array.TInt64, array.TFloat64:
+			n += slots * 8
 		case array.TBool:
-			n += int64(len(col.Bools))
+			n += slots
 		case array.TString:
+			n += slots * 4
 			for _, v := range col.Strs {
-				n += 4 + int64(len(v))
+				n += int64(len(v))
 			}
 		case array.TArray:
+			n += slots
 			for _, nested := range col.Arrs {
-				n++
 				if nested != nil {
 					if payload, err := EncodeArray(nested); err == nil {
 						n += 4 + int64(len(payload))
@@ -885,7 +854,7 @@ func RawChunkSize(s *array.Schema, ch *array.Chunk) int64 {
 			}
 		}
 		if col.Sigma != nil {
-			n += int64(len(col.Sigma)) * 8
+			n += slots * 8
 		}
 		if col.HasShared {
 			n += 8

@@ -55,6 +55,18 @@ func presentOnlyChunk(rng *rand.Rand, slots int, p func(i, slots int) bool) (*ar
 	return s, ch
 }
 
+// clearAbsent returns ch, an open chunk of presentOnlySchema, with its bool
+// and string columns' absent slots zeroed: what a sealed chunk of the same
+// cells, which keeps no value for an absent slot, stores there.
+func clearAbsent(ch *array.Chunk) *array.Chunk {
+	for i := range ch.Slots() {
+		if !ch.Present.Get(i) {
+			ch.Cols[2].Bools[i], ch.Cols[3].Strs[i] = false, ""
+		}
+	}
+	return ch
+}
+
 // requireSameCells fails t unless got holds want's cells: the same presence,
 // and at every present slot the same NULLs, values and error bars, floats bit
 // for bit.
@@ -145,13 +157,19 @@ func TestPresentOnlyRoundTrip(t *testing.T) {
 		}
 		sameChunk(t, label, back, ref)
 		requireSameCells(t, label, back, ch)
-		for i := int64(0); i < ch.Slots(); i++ {
-			sigma := back.Cols[0].Sigma != nil && back.Cols[0].Sigma[i] != 0
-			if !back.Present.Get(i) && (back.Cols[0].Floats[i] != 0 || sigma || back.Cols[1].Ints[i] != 0) {
-				t.Fatalf("%s: absent slot %d decodes to a value", label, i)
+		// A decoded column holds a value per present slot and none for an
+		// absent one.
+		n := int(ch.Present.Count())
+		for _, col := range back.Cols {
+			if l := len(col.Floats) + len(col.Ints) + len(col.Bools) + len(col.Strs); l != n || col.Sigma != nil && len(col.Sigma) != n {
+				t.Fatalf("%s: a %v column decodes to %d values for %d present slots", label, col.Type, l, n)
 			}
 		}
-		if again, err := EncodeChunk(s, back); err != nil || !bytes.Equal(again, enc) {
+		want, err := EncodeChunk(s, clearAbsent(ch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := EncodeChunk(s, back); err != nil || !bytes.Equal(again, want) {
 			t.Fatalf("%s: the decoded chunk encodes to other bytes (%v)", label, err)
 		}
 		bucket, err := sealChunk(s, enc, compress.Auto{})
@@ -233,7 +251,7 @@ func TestPerSlotPartialChunkStillDecodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, _, _ := refEncodeChunkZones(s, ch, false); !bytes.Equal(now, want) {
+		if want, _, _ := refEncodeChunkZones(s, clearAbsent(ch), false); !bytes.Equal(now, want) {
 			t.Fatalf("%s: re-encoded, the chunk is not in the present-only layout", p.name)
 		}
 	}
@@ -287,6 +305,86 @@ func TestPresentOnlyNonCanonicalIsErrCorrupt(t *testing.T) {
 	} {
 		if _, err := DecodeChunk(s, enc); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: decode returned %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// sparseChunk is a 64×64-slot chunk of an int and a float column with about
+// 27 % of its slots present — the SS-DB catalog's occupancy — one NULL in
+// eleven, in its open form: one value per slot.
+func sparseChunk() (*array.Schema, *array.Chunk) {
+	s := &array.Schema{Name: "sparse", Dims: []array.Dimension{{Name: "x", High: 64}, {Name: "y", High: 64}},
+		Attrs: []array.Attribute{{Name: "id", Type: array.TInt64}, {Name: "mag", Type: array.TFloat64}}}
+	rng := rand.New(rand.NewSource(27))
+	ch := array.NewChunk(s, array.Coord{1, 1}, []int64{64, 64})
+	for i := range ch.Slots() {
+		if rng.Intn(100) >= 27 {
+			continue
+		}
+		ch.Present.Set(i)
+		ch.Cols[0].SetInt(i, rng.Int63())
+		if rng.Intn(11) == 0 {
+			ch.Cols[1].SetNull(i)
+		} else {
+			ch.Cols[1].SetFloat(i, rng.NormFloat64(), 0)
+		}
+	}
+	return s, ch
+}
+
+// TestDecodedPartialChunkIsPacked pins the representation a partial chunk
+// decodes to: each column holds one value per present cell, its values in
+// slot order, and the chunk's ByteSize — what the buffer pool charges it —
+// counts those values, not the box, so a pool budget holds more sparse
+// buckets per byte than their open twins would take.
+func TestDecodedPartialChunkIsPacked(t *testing.T) {
+	s, open := sparseChunk()
+	enc, err := EncodeChunk(s, open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := DecodeChunk(s, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ch.CellsPresent()
+	if frac := float64(n) / float64(ch.Slots()); frac < 0.24 || frac > 0.30 {
+		t.Fatalf("%d of %d slots present: not the catalog's occupancy", n, ch.Slots())
+	}
+	if int64(len(ch.Cols[0].Ints)) != n || int64(len(ch.Cols[1].Floats)) != n || ch.Cols[0].Rank() == nil {
+		t.Fatalf("decoded columns hold %d and %d values for %d present cells", len(ch.Cols[0].Ints), len(ch.Cols[1].Floats), n)
+	}
+	k := 0
+	for i := open.Present.NextSet(0); i < open.Slots(); i = open.Present.NextSet(i + 1) {
+		if ch.Cols[0].Ints[k] != open.Cols[0].Ints[i] || ch.Cols[1].Floats[k] != open.Cols[1].Floats[i] {
+			t.Fatalf("present slot %d (value %d) decodes to %d, %g; want %d, %g", i, k,
+				ch.Cols[0].Ints[k], ch.Cols[1].Floats[k], open.Cols[0].Ints[i], open.Cols[1].Floats[i])
+		}
+		k++
+	}
+	bitmap := int64(len(ch.Present.Words())) * 8
+	want := bitmap + 2*(n*8+bitmap+ch.Cols[0].Rank().Bytes())
+	if got := ch.ByteSize(); got != want {
+		t.Fatalf("ByteSize %d, want %d: the present values, the bitmaps and the rank directory", got, want)
+	}
+	if got, slotSized := ch.ByteSize(), open.ByteSize(); 3*got > slotSized {
+		t.Fatalf("sealed chunk charged %d bytes, its open twin %d: want under a third", got, slotSized)
+	}
+}
+
+// BenchmarkDecodePartialChunk decodes sparseChunk's encoding once per
+// iteration: the allocations and bytes per op are what a decoded partial
+// chunk costs, its value vectors sized to its present cells.
+func BenchmarkDecodePartialChunk(b *testing.B) {
+	s, ch := sparseChunk()
+	enc, err := EncodeChunk(s, ch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeChunk(s, enc); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -26,8 +26,8 @@ type FieldWriter struct {
 	vec []byte
 	// pk is the bit packer, its words kept from one packed vector to the next.
 	pk bitPacker
-	// ints and floats hold a partial chunk's present values on their way out
-	// (gatherPresent), kept from one column to the next.
+	// ints and floats hold an open partial chunk's present values on their
+	// way out (array.Pack), kept from one column to the next.
 	ints   []int64
 	floats []float64
 }
