@@ -1,6 +1,7 @@
 package array
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -386,42 +387,42 @@ func (a *Array) PutChunk(ch *Chunk) {
 	})
 }
 
-// ChunkAligned reports whether ch's origin and shape land exactly on this
-// array's chunking grid, i.e. whether PutChunk may adopt it wholesale.
-func (a *Array) ChunkAligned(ch *Chunk) bool {
-	if len(ch.Origin) != len(a.Schema.Dims) {
+// ErrOffGrid reports a chunk that is not one chunk of an array's grid: its
+// origin is not a grid origin, or its shape is not the grid's there, which a
+// bounded dimension clips at High.
+var ErrOffGrid = errors.New("array: chunk off the array's grid")
+
+// chunkAligned reports whether ch's origin and shape land exactly on this
+// array's chunking grid, inside its bounds.
+func (a *Array) chunkAligned(ch *Chunk) bool {
+	if len(ch.Origin) != len(a.Schema.Dims) || len(ch.Shape) != len(ch.Origin) {
 		return false
 	}
-	want := a.chunkOrigin(ch.Origin)
+	want, shape := a.chunkOrigin(ch.Origin), a.chunkShape(ch.Origin)
 	for i := range want {
-		if ch.Origin[i] != want[i] {
-			return false
-		}
-	}
-	shape := a.chunkShape(ch.Origin)
-	for i := range shape {
-		if ch.Shape[i] != shape[i] {
+		if ch.Origin[i] < 1 || ch.Origin[i] != want[i] || ch.Shape[i] != shape[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// MergeChunk unions a prebuilt chunk into the array, its cells winning. A
-// grid-aligned chunk whose origin is not yet populated is adopted wholesale
-// via PutChunk — no per-cell work; one whose origin is populated replaces
-// that chunk with the two merged into a sealed chunk (mergeParts); anything
-// else is copied column-wise (MergeMasked). The cluster coordinator merges
-// decoded partition chunks with this.
+// MergeChunk unions a chunk of the array's grid into the array, its
+// cells winning: adopted whole via PutChunk — no per-cell work — when its
+// origin is not yet populated, merged with the chunk there into a fresh one
+// (MergeParts) when it is. An off-grid chunk fails with ErrOffGrid; a nil
+// one, as Select returns for no cell, holds no cell. Cells move between
+// arrays only this way, as whole chunks: a part of a chunk is first taken
+// out of it by Select.
 func (a *Array) MergeChunk(ch *Chunk) error {
-	if ch.CellsPresent() == 0 {
+	if ch == nil || ch.CellsPresent() == 0 {
 		return nil
 	}
-	if !a.ChunkAligned(ch) {
-		return a.MergeMasked(ch, ch.Present)
+	if !a.chunkAligned(ch) {
+		return fmt.Errorf("array %s: chunk %v of shape %v: %w", a.Schema.Name, ch.Origin, ch.Shape, ErrOffGrid)
 	}
 	if old, taken := a.chunks[ch.Origin.Key()]; taken {
-		ch = mergeParts(a.Schema, old, ch)
+		ch = MergeParts(old, ch)
 	}
 	a.PutChunk(ch)
 	return nil

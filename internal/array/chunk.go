@@ -38,6 +38,13 @@ type Column struct {
 // NewColumn allocates an open column of n slots for attribute a.
 func NewColumn(a Attribute, n int64) *Column { return newColumn(a, n, n, n) }
 
+// NewPackedColumn allocates a column of attribute a for a chunk of slots
+// slots whose rank directory is r (nil for a full chunk): no values yet, room
+// for n, which the Append methods add in slot order.
+func NewPackedColumn(a Attribute, slots, n int64, r *Rank) *Column {
+	return newColumn(a, slots, 0, n).Packed(r)
+}
+
 // newColumn allocates a column of attribute a for a chunk of slots slots,
 // its vectors of n values with room for size.
 func newColumn(a Attribute, slots, n, size int64) *Column {

@@ -1,6 +1,7 @@
 package array
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -63,7 +64,7 @@ func TestBitmapRangeOps(t *testing.T) {
 func maskTestSchema() *Schema {
 	return &Schema{
 		Name: "m",
-		Dims: []Dimension{{Name: "x", High: Unbounded, ChunkLen: 5}, {Name: "y", High: Unbounded, ChunkLen: 7}},
+		Dims: []Dimension{{Name: "x", High: Unbounded, ChunkLen: 9}, {Name: "y", High: Unbounded, ChunkLen: 11}},
 		Attrs: []Attribute{
 			{Name: "f", Type: TFloat64, Uncertain: true}, {Name: "i", Type: TInt64},
 			{Name: "s", Type: TString}, {Name: "b", Type: TBool},
@@ -71,9 +72,10 @@ func maskTestSchema() *Schema {
 	}
 }
 
-// Mask building, shadow clearing and the masked column-wise merge against
-// per-cell Get/Set: a chunk on one grid is cut by a box, shadowed by a
-// newer overlapping chunk, and merged into an array on another grid.
+// Mask building, shadow clearing, Select and MergeChunk against per-cell
+// Get/Set: a chunk of the array's grid is cut by a box and shadowed by a
+// newer chunk off that grid, and what is left of it is selected and merged
+// into an array; the off-grid chunk itself is refused.
 func TestChunkMasksMatchCellModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := maskTestSchema()
@@ -95,7 +97,7 @@ func TestChunkMasksMatchCellModel(t *testing.T) {
 		return ch
 	}
 	for trial := 0; trial < 40; trial++ {
-		older := randChunk(Coord{3, 4}, []int64{9, 11})
+		older := randChunk(Coord{1, 1}, []int64{9, 11})
 		newer := randChunk(Coord{1 + rng.Int63n(8), 1 + rng.Int63n(10)}, []int64{6, 6})
 		box := Box{Lo: Coord{2 + rng.Int63n(5), 3 + rng.Int63n(5)}, Hi: Coord{8 + rng.Int63n(6), 9 + rng.Int63n(8)}}
 
@@ -125,8 +127,11 @@ func TestChunkMasksMatchCellModel(t *testing.T) {
 			}
 			return true
 		})
-		if err := got.MergeMasked(older, live); err != nil {
+		if err := got.MergeChunk(older.Select(live)); err != nil {
 			t.Fatal(err)
+		}
+		if err := got.MergeChunk(newer); !errors.Is(err, ErrOffGrid) {
+			t.Fatalf("trial %d: MergeChunk of a chunk at %v shape %v = %v, want ErrOffGrid", trial, newer.Origin, newer.Shape, err)
 		}
 		if got.Count() != want.Count() || got.Hwm(0) != want.Hwm(0) || got.Hwm(1) != want.Hwm(1) {
 			t.Fatalf("trial %d: merged %d cells hwm %v, want %d cells hwm %v", trial, got.Count(), got.Bounds(), want.Count(), want.Bounds())
@@ -134,7 +139,7 @@ func TestChunkMasksMatchCellModel(t *testing.T) {
 		want.Iter(func(c Coord, cell Cell) bool {
 			g, ok := got.At(c)
 			if !ok {
-				t.Fatalf("trial %d: cell %v missing after MergeMasked", trial, c)
+				t.Fatalf("trial %d: cell %v missing after MergeChunk", trial, c)
 			}
 			for a := range cell {
 				if g[a].Null != cell[a].Null || (!cell[a].Null && (g[a] != cell[a])) {

@@ -3,6 +3,7 @@ package array
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Column representation. A column is open or sealed. An open column's value
@@ -411,24 +412,17 @@ func (c *Column) sigmaAt(k int64) float64 {
 	return 0
 }
 
-// mergeParts merges two chunks at one origin into a sealed chunk of schema s,
-// in slot order: each present slot of either, the value newer's where it has
-// one and older's otherwise. It goes a presence word at a time: a word one
-// part supplies whole — every word of a part a node boundary along an outer
-// dimension cut — is one copy of that part's values; a word both parts
-// supply goes a slot at a time. A column keeps older's error bars the way
-// MergeMasked into older would: its shared one, and per-cell ones only if
-// older has them. Neither part is written.
-func mergeParts(s *Schema, older, newer *Chunk) *Chunk {
+// MergeParts merges two chunks at one origin, of one shape, into a sealed
+// chunk in slot order: each present slot of either, the value newer's where
+// it has one and older's otherwise. It goes a presence word at a time: a
+// word one part supplies whole — every word of a part a node boundary along
+// an outer dimension cut — is one copy of that part's values; a word both
+// parts supply goes a slot at a time. The columns take older's form of
+// error bars: its shared one, and per-cell ones only if older has them.
+// Neither part is written.
+func MergeParts(older, newer *Chunk) *Chunk {
 	n := older.Present.n
-	b := NewChunkBuilder(s, newer.Origin, newer.Shape, older.Present.Count()+newer.Present.Count())
-	for ai, col := range b.Cols() {
-		o := older.Cols[ai]
-		col.HasShared, col.SharedSigma = o.HasShared, o.SharedSigma
-		if o.Sigma == nil {
-			col.Sigma = nil
-		}
-	}
+	b := builderLike(older, older.Present.Count()+newer.Present.Count())
 	for wi := range b.words {
 		tail := ^uint64(0)
 		if rest := n - int64(wi)<<6; rest < 64 {
@@ -456,6 +450,51 @@ func mergeParts(s *Schema, older, newer *Chunk) *Chunk {
 		}
 	}
 	return b.Chunk()
+}
+
+// Select returns a fresh sealed chunk at ch's origin and shape holding the
+// cells of ch that live marks, a subset of its present ones, or nil when it
+// marks none; every column of ch must be there (no projection). It is how cells move from one array to another: the result
+// shares no vector or bitmap with ch, so ch may be a shared read-only chunk
+// (a buffer-pool entry), and it is a whole chunk that MergeChunk adopts or
+// unions. It goes a presence word at a time, a word ch supplies whole in one
+// copy. A selection of every present cell keeps ch's zone maps, as Clone
+// does; a strict subset carries none, since they summarize cells it lacks.
+func (ch *Chunk) Select(live *Bitmap) *Chunk {
+	n := live.Count()
+	b := builderLike(ch, n)
+	for wi, w := range live.words {
+		if rest := live.n - int64(wi)<<6; rest < 64 {
+			w &= 1<<uint(rest) - 1
+		}
+		b.words[wi] = w
+		for ai, col := range b.Cols() {
+			col.appendWord(ch.Cols[ai], int64(wi), w)
+		}
+	}
+	out := b.Chunk()
+	if out != nil && n == ch.Present.Count() {
+		for ai, col := range out.Cols {
+			col.Zone = ch.Cols[ai].Zone
+		}
+	}
+	return out
+}
+
+// builderLike starts a ChunkBuilder at ch's origin and shape whose columns
+// have the types and the form of error bars of ch's; hint is the number of
+// cells expected.
+func builderLike(ch *Chunk, hint int64) *ChunkBuilder {
+	slots := ch.Slots()
+	hint = min(max(hint, 0), slots)
+	out := &Chunk{Origin: ch.Origin.Clone(), Shape: slices.Clone(ch.Shape), Present: NewBitmap(slots)}
+	out.Cols = make([]*Column, len(ch.Cols))
+	for i, o := range ch.Cols {
+		c := newColumn(Attribute{Type: o.Type, Uncertain: o.Sigma != nil}, slots, 0, hint)
+		c.HasShared, c.SharedSigma = o.HasShared, o.SharedSigma
+		out.Cols[i] = c
+	}
+	return &ChunkBuilder{ch: out, words: out.Present.words}
 }
 
 // appendWord appends the values of o's slots that word wi's marks name, as

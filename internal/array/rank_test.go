@@ -110,7 +110,7 @@ func TestChunkBuilderRejectsOutOfOrder(t *testing.T) {
 
 // TestMergeChunkKeepsSharedSigma: merging a part into a chunk whose error
 // bars are one shared value, as a decoded chunk's are, adds no per-cell
-// error bars, just as MergeMasked into that chunk would not.
+// error bars: the merge takes the form of the older part's.
 func TestMergeChunkKeepsSharedSigma(t *testing.T) {
 	a, older := sealedCase(t)
 	older.Cols[1].Sigma, older.Cols[1].HasShared, older.Cols[1].SharedSigma = nil, true, 0.5

@@ -196,6 +196,17 @@ func BenchmarkWorkerReadBoxFold(b *testing.B) {
 		Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "avg", Attr: "dn"}}}})
 }
 
+// BenchmarkWorkerReadBoxCells ships the cells of Q1's box instead of folding
+// them: the box cuts each of its four buckets, and each is taken out of the
+// pool by Select and encoded as one chunk. ns/cell is per cell held, as in
+// BenchmarkWorkerReadBoxFold.
+func BenchmarkWorkerReadBoxCells(b *testing.B) {
+	resp, _ := benchWorkerOp(b, &Message{Op: "read", Array: "raw", BoxLo: []int64{1, 11, 33}, BoxHi: []int64{1, 74, 96}})
+	if resp.Cells != 64*64 || len(resp.Chunks) != 4 {
+		b.Fatalf("read shipped %d cells in %d chunks, want the box's 4096 in 4", resp.Cells, len(resp.Chunks))
+	}
+}
+
 // BenchmarkWorkerReadPredsFold is SS-DB Q4's shape: a count under one `>`
 // conjunct that most cells pass, over the whole partition — the filter runs
 // under the fold, where the cells are. No bucket's zone map refutes the

@@ -765,3 +765,32 @@ func TestExecStatsOp(t *testing.T) {
 		}
 	}
 }
+
+// TestPutOutsideBoundsIsRefused: a cluster array refuses a cell outside its
+// declared bounds where Put stages it, as a memory array refuses it, and
+// holds no more cells afterwards.
+func TestPutOutsideBoundsIsRefused(t *testing.T) {
+	tr := NewLocal(2)
+	defer tr.Close()
+	co := NewCoordinator(tr, 0)
+	schema := &array.Schema{
+		Name:  "A",
+		Dims:  []array.Dimension{{Name: "x", High: 10}, {Name: "y", High: 10}},
+		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
+	}
+	if err := co.Create("A", schema, partition.Block{Nodes: 2, SplitDim: 0, High: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Put("A", array.Coord{3, 3}, array.Cell{array.Float64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Put("A", array.Coord{12, 3}, array.Cell{array.Float64(2)}); err == nil {
+		t.Error("Put at x 12 into x = 1:10 succeeded")
+	}
+	if err := co.Flush("A"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := co.Count("A"); err != nil || n != 1 {
+		t.Errorf("Count = %d, %v; want the 1 cell inside the bounds", n, err)
+	}
+}

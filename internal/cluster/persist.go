@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"path/filepath"
-	"sync"
 
 	"scidb/internal/array"
 	"scidb/internal/bufcache"
@@ -136,18 +135,19 @@ func (w *Worker) flushOp(req *Message) (*Message, error) {
 }
 
 // PartitionSchema is the shape of a distributed array wherever part of it is
-// held: dimensions unbounded (a partition, a staging buffer, a gather hold an
-// arbitrary sub-box) with chunking defaults. It fixes the array's one grid:
-// workers store each chunk of it as a bucket, the coordinator gathers on it,
-// the loader ships it (loader.ClusterDest) and routing moves it, so a chunk
-// one side builds is adopted whole by the other.
+// held: its declared bounds, with chunking defaults. It fixes the array's one
+// grid, whose chunk at each origin has one box, clipped at a bounded
+// dimension's High: workers store each chunk of it as a bucket, the
+// coordinator stages and gathers on it, the loader ships it
+// (loader.ClusterDest) and routing moves it, so a chunk one side builds is
+// adopted whole by the other, and a cell outside the bounds is refused where
+// it is first staged.
 func PartitionSchema(in *array.Schema) *array.Schema {
 	s := in.Clone()
 	for i := range s.Dims {
 		if s.Dims[i].ChunkLen <= 0 {
 			s.Dims[i].ChunkLen = array.DefaultChunkLen
 		}
-		s.Dims[i].High = array.Unbounded
 	}
 	return s
 }
@@ -177,7 +177,6 @@ func (w *Worker) openLocked(name string, schema *array.Schema, dir string) (*sto
 	if old, ok := w.stores[name]; ok {
 		_ = old.Close() // superseded; the new store reads what it flushed
 	}
-	// Dimensions unbound: a partition holds an arbitrary sub-box.
 	grid := PartitionSchema(schema)
 	if err := storage.CheckStride(grid, w.opts.Stride); err != nil {
 		return nil, err
@@ -211,21 +210,4 @@ func (w *Worker) partLocked(name string) (*storage.Store, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-// liveMerger returns an empty array on s's grid and the step that adds a
-// chunk's live slots to it — column-wise, or the chunk itself by reference
-// when the caller knows it whole (nothing else will contribute to its
-// region). Steps may run concurrently: foldChunks tasks call them.
-func liveMerger(s *array.Schema) (*array.Array, func(ch *array.Chunk, live *array.Bitmap, whole bool) error, error) {
-	out, err := array.New(s.Clone())
-	var mu sync.Mutex
-	return out, func(ch *array.Chunk, live *array.Bitmap, whole bool) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if whole {
-			return out.MergeChunk(ch)
-		}
-		return out.MergeMasked(ch, live)
-	}, err
 }

@@ -425,10 +425,11 @@ func heldOf(st *storage.Store, in *array.Array) (int64, error) {
 // answer (only folds whose state is typed throughout: that is all a table
 // carries over the wire); a grand total's row is then marked occupied by the
 // cells the node read or pruned, see below. Without a fold the cells
-// themselves are shipped: a
-// chunk that survives whole and sits on the result grid is encoded straight
-// from storage, anything else contributes its surviving slots column-wise to
-// a result-grid chunk that is encoded once the read is done.
+// themselves are shipped, a whole chunk of the grid at a time: a chunk that
+// survives whole is encoded straight from storage, one the box, an exclusion
+// or the predicates cut is first taken out of the pool by Select, and the
+// versions of a chunk that share its origin — their live masks disjoint —
+// are unioned by MergeChunk and encoded once the read is done.
 func (w *Worker) readLocked(req *Message) (*Message, error) {
 	st, err := w.partLocked(req.Array)
 	if err != nil {
@@ -439,10 +440,10 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 	// folds — none, for a count — and those its predicates test.
 	var fold *ops.Fold
 	var attrs []int
-	var rest *array.Array
-	var merge func(*array.Chunk, *array.Bitmap, bool) error
+	var shared *array.Array // the cell sink's chunks that are not Alone
+	var mu sync.Mutex       // guards shared
 	if req.Fold == nil {
-		rest, merge, err = liveMerger(s)
+		shared, err = array.New(s.Clone())
 	} else if fold, err = ops.NewFold(s, *req.Fold, nil); err == nil {
 		attrs = fold.Attrs()
 		for _, p := range req.Preds {
@@ -465,7 +466,7 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 	type piece struct {
 		seen, cells int64
 		table       *ops.FoldTable // the fold sink's
-		payload     []byte         // the cell sink's: the chunk encoded whole; nil if merged into rest
+		payload     []byte         // the cell sink's: the chunk encoded; nil if merged into shared
 	}
 	pieces, err := foldChunks(src, func(lc storage.LiveChunk) (p piece, err error) {
 		ch := lc.Chunk
@@ -477,10 +478,15 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 		case fold != nil:
 			p.table = fold.Chunk(ch, live)
 		case p.cells == 0:
-		case live == ch.Present && lc.Alone && rest.ChunkAligned(ch):
-			p.payload, err = storage.EncodeChunk(s, ch)
+		case !lc.Alone:
+			sel := ch.Select(live)
+			mu.Lock()
+			err = shared.MergeChunk(sel)
+			mu.Unlock()
+		case p.cells < ch.CellsPresent():
+			p.payload, err = storage.EncodeChunk(s, ch.Select(live))
 		default:
-			err = merge(ch, live, false)
+			p.payload, err = storage.EncodeChunk(s, ch)
 		}
 		return p, err
 	})
@@ -490,7 +496,7 @@ func (w *Worker) readLocked(req *Message) (*Message, error) {
 	resp := &Message{Op: "read", Skipped: src.Skipped()}
 	tables := make([]*ops.FoldTable, len(pieces))
 	if fold == nil {
-		chunks := rest.Chunks()
+		chunks := shared.Chunks()
 		resp.Chunks = make([][]byte, len(chunks), len(chunks)+len(pieces))
 		if err := exec.Default().Map(context.Background(), len(chunks), func(i int) (err error) {
 			resp.Chunks[i], err = storage.EncodeChunk(s, chunks[i])

@@ -460,3 +460,18 @@ func TestExplainShowsTheScanThatRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertOutsideBoundsIsRefused: an insert past the declared bounds
+// (x = 1:12) is refused by a cluster array as by a memory array, and the
+// array holds the cells it held.
+func TestInsertOutsideBoundsIsRefused(t *testing.T) {
+	dbs := fourBackings(t)
+	for _, kind := range []string{"memory", "cluster"} {
+		db := dbs[kind]
+		before := exec(t, db, "D").Array.Count()
+		execErr(t, db, "insert into D [13, 1] values (1, 1.5, 2)")
+		if after := exec(t, db, "D").Array.Count(); after != before {
+			t.Errorf("%s: D holds %d cells after the refused insert, %d before", kind, after, before)
+		}
+	}
+}

@@ -107,11 +107,9 @@ func (s storeSource) schema() *array.Schema { return s.st.Schema() }
 func (s storeSource) folds() bool           { return false }
 
 // read takes the box chunk at a time, skipping buckets whose zone maps
-// refute preds. A chunk that is live in full is cloned out of the shared
-// pool and adopted, which skips the cell-by-cell rebuild and — because Clone
-// keeps the decoder's zone maps — lets Filter skip chunks they refute; a
-// chunk the box cuts or newer data shadows contributes its live slots
-// column-wise.
+// refute preds. Each chunk's live cells are taken out of the shared pool by
+// Select and adopted or unioned whole: a chunk live in full keeps the
+// decoder's zone maps, which lets Filter skip chunks they refute.
 func (s storeSource) read(ctx context.Context, frag ops.Fragment) (*array.Array, bool, error) {
 	if s.fill != nil {
 		if _, err := s.fill.Do(s.st); err != nil {
@@ -124,10 +122,7 @@ func (s storeSource) read(ctx context.Context, frag ops.Fragment) (*array.Array,
 	}
 	cs := s.st.ScanChunks(frag.Box, frag.Preds, nil)
 	err = cs.Each(func(lc storage.LiveChunk) error {
-		if lc.Live == lc.Chunk.Present {
-			return out.MergeChunk(lc.Chunk.Clone())
-		}
-		return out.MergeMasked(lc.Chunk, lc.Live)
+		return out.MergeChunk(lc.Chunk.Select(lc.Live))
 	})
 	if err != nil {
 		return nil, false, err
@@ -157,24 +152,8 @@ func (s clusterSource) read(ctx context.Context, frag ops.Fragment) (*array.Arra
 	if err != nil || frag.Fold != nil {
 		return got, false, err
 	}
-	// Partitions are unbounded and so is what they ship; put the declared
-	// bounds back, or operators would size their output by where the cells
-	// of this box happen to end.
-	sch := got.Schema
-	for i, d := range s.sch.Dims {
-		sch.Dims[i].High = d.High
-	}
-	out, err := array.New(sch)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, ch := range got.Chunks() {
-		if err := out.MergeChunk(ch); err != nil {
-			return nil, false, err
-		}
-	}
 	// Workers filter cell by cell, so it is what they read and did not ship
 	// that says whether an empty gather is an empty array; a bucket they
 	// pruned unread always held cells.
-	return out, skipped > 0 || seen > cells, nil
+	return got, skipped > 0 || seen > cells, nil
 }

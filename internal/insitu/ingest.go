@@ -101,18 +101,15 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 		shared := func(site int, ch *array.Chunk, done bool) bool {
 			return (si > 0 && ch == first[site] || done && si < len(shards)-1 && ch == last[site]) && !p.whole(site, ch)
 		}
-		// hold merges ch into the part of its chunk in edges and returns the
-		// chunk once it is whole, for the caller to seal, or nil.
+		// hold unions ch with the part of its chunk in edges (MergeParts:
+		// the two hold disjoint cells) and returns the chunk once it is
+		// whole, for the caller to seal, or nil.
 		hold := func(site int, ch *array.Chunk) *array.Chunk {
 			mu.Lock()
 			defer mu.Unlock()
 			k := edgeKey{site, ch.Origin.Key()}
 			if part := edges[k]; part != nil {
-				part.Present.OrRange(ch.Present, 0, ch.Slots())
-				for a, col := range part.Cols {
-					col.CopyMasked(ch.Cols[a], 0, 0, ch.Slots(), ch.Present)
-				}
-				ch = part
+				ch = array.MergeParts(part, ch)
 			}
 			if p.whole(site, ch) {
 				delete(edges, k)

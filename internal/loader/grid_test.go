@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -53,7 +54,8 @@ func TestLoadParallelChunksOnPartitionGrid(t *testing.T) {
 			if _, err := LoadParallel(ds, array.WholeBox(schema), schema, scheme, ClusterDest{Co: co, Array: "wide"}, Options{}); err != nil {
 				t.Fatal(err)
 			}
-			// The partitions' grid: every dimension unbounded, x at the default 64.
+			// The partitions' grid, x at the default 64, opened with its bounds
+			// left off: a bucket clipped at a bound still lies in its grid cell.
 			grid := schema.Clone()
 			grid.Dims[0].ChunkLen = array.DefaultChunkLen
 			for i := range grid.Dims {
@@ -90,6 +92,113 @@ func TestLoadParallelChunksOnPartitionGrid(t *testing.T) {
 				t.Errorf("stores hold %d cells, want %d", cells, src.Count())
 			}
 		})
+	}
+}
+
+// TestEdgeChunkHasOneBox: x = 1:100 on a 64-wide grid ends in a chunk at
+// x 65 that the bound clips to 36 rows, and every writer of a cluster array
+// builds it in that one box: the loader, a Put into it, a move of the chunk
+// to another node (migratechunks' export, loadchunks' adopt) and a
+// compaction of its versions, after which a scan takes it whole. A chunk in
+// the unclipped box is off the grid.
+func TestEdgeChunkHasOneBox(t *testing.T) {
+	schema := &array.Schema{
+		Name:  "edge",
+		Dims:  []array.Dimension{{Name: "x", High: 100, ChunkLen: 64}, {Name: "y", High: 4, ChunkLen: 4}},
+		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
+	}
+	path, _ := writeDenseCSV(t, schema)
+	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 100}
+	dir := t.TempDir()
+	tr := cluster.NewLocalWithOptions(2, cluster.WorkerOptions{Dir: dir})
+	co := cluster.NewCoordinator(tr, 0)
+	if err := co.Create("edge", schema, scheme); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := (insitu.CSVAdaptor{}).Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if _, err := LoadParallel(ds, array.WholeBox(schema), schema, scheme, ClusterDest{Co: co, Array: "edge"}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Put("edge", array.Coord{90, 2}, array.Cell{array.Float64(-1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Flush("edge"); err != nil {
+		t.Fatal(err)
+	}
+	// Node 1 holds x 51..100, so the edge chunk; move a copy to node 0.
+	box := []int64{65, 1}
+	moved := tr.Workers[1].Handle(&cluster.Message{Op: "migratechunks", Array: "edge", BoxLo: box, BoxHi: []int64{128, 4}})
+	if moved.Err != "" || len(moved.Chunks) == 0 {
+		t.Fatalf("migratechunks: %q, %d chunks", moved.Err, len(moved.Chunks))
+	}
+	if resp := tr.Workers[0].Handle(&cluster.Message{Op: "loadchunks", Array: "edge", BoxLo: box, BoxHi: []int64{128, 4},
+		Chunks: moved.Chunks, RouteVersion: 1}); resp.Err != "" {
+		t.Fatalf("loadchunks: %s", resp.Err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	grid := cluster.PartitionSchema(schema)
+	edge := array.Coord{65, 1}
+	for node := 0; node < 2; node++ {
+		st, err := storage.NewStore(grid, storage.Options{Dir: filepath.Join(dir, fmt.Sprintf("node-%d", node), "edge")})
+		if err != nil {
+			t.Fatalf("node %d: %v", node, err)
+		}
+		// Every version at the edge origin, then the compacted one.
+		for _, compact := range []bool{false, true} {
+			for more := compact; more; {
+				if more, err = st.MergeOnce(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			versions := 0
+			err = st.ScanChunks(array.WholeBox(grid), nil, nil).Each(func(lc storage.LiveChunk) error {
+				ch := lc.Chunk
+				if !ch.Origin.Equal(edge) {
+					return nil
+				}
+				versions++
+				if ch.Shape[0] != 36 || ch.Shape[1] != 4 {
+					return fmt.Errorf("node %d holds a bucket at %v of shape %v, want the grid's 36x4", node, edge, ch.Shape)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := map[bool]int{false: 1 + node, true: 1}[compact]; versions != want {
+				t.Fatalf("node %d holds %d buckets at %v (compacted %v), want %d", node, versions, edge, compact, want)
+			}
+		}
+		err = st.ScanChunks(array.WholeBox(grid), nil, nil).Each(func(lc storage.LiveChunk) error {
+			if lc.Chunk.Origin.Equal(edge) && (!lc.Alone || lc.Live != lc.Chunk.Present) {
+				return fmt.Errorf("node %d: the compacted edge chunk is not delivered whole (alone %v)", node, lc.Alone)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := st.Get(array.Coord{90, 2}); err != nil || !ok || got[0].Float != -1 {
+			t.Errorf("node %d: cell (90, 2) = %v, %v, %v; want the value Put wrote", node, got, ok, err)
+		}
+		st.Close()
+	}
+
+	// The unclipped box at the edge origin is not a chunk of the grid.
+	a := array.MustNew(grid)
+	full := array.NewChunk(grid, edge, []int64{64, 4})
+	if err := full.Set(array.Coord{65, 1}, array.Cell{array.Float64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.MergeChunk(full); !errors.Is(err, array.ErrOffGrid) {
+		t.Errorf("MergeChunk of a 64x4 chunk at %v = %v, want ErrOffGrid", edge, err)
 	}
 }
 

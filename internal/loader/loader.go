@@ -94,16 +94,9 @@ func batchForRTT(rtt time.Duration) int {
 	return b
 }
 
-// Grid implements ChunkDest: schema on the chunk grid the workers store its
-// partitions on (cluster.PartitionSchema's). It keeps the declared bounds,
-// so a chunk at a bound is clipped there, inside its partition cell.
-func (d ClusterDest) Grid(schema *array.Schema) *array.Schema {
-	g := schema.Clone()
-	for i, pd := range cluster.PartitionSchema(schema).Dims {
-		g.Dims[i].ChunkLen = pd.ChunkLen
-	}
-	return g
-}
+// Grid implements ChunkDest: the chunk grid the workers store schema's
+// partitions on.
+func (d ClusterDest) Grid(schema *array.Schema) *array.Schema { return cluster.PartitionSchema(schema) }
 
 // ShipChunks implements ChunkDest. Concurrent calls pipeline over the
 // transport's pooled connections.

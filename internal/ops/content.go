@@ -199,18 +199,44 @@ func ApplyCtx(ctx context.Context, a *array.Array, specs []ApplySpec, reg *udf.R
 	err = mapChunks(ctx, res, len(work), func(i int) (*array.Chunk, error) {
 		ch := work[i]
 		shape := res.GridShape(ch.Origin)
-		same := shapeEq(ch.Shape, shape)
-		b := array.NewChunkBuilder(res.Schema, ch.Origin, shape, ch.CellsPresent())
-		cols := b.Cols()
 		compiled := make([]colEval, len(exprs))
 		for k, e := range exprs {
 			compiled[k] = compile(e, s, ch, reg)
 		}
-		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
-			oidx := idx
-			if !same {
-				oidx = array.RowMajorIndex(ch.Origin, shape, c)
+		if shapeEq(ch.Shape, shape) {
+			// As Project: the input's columns and presence, sealed, and each
+			// computed column appended packed, in slot order, under the
+			// chunk's rank directory.
+			n := ch.CellsPresent()
+			oc := &array.Chunk{Origin: ch.Origin.Clone(), Shape: shape, Present: ch.Present.Clone(), Cols: make([]*array.Column, len(res.Schema.Attrs))}
+			for ai := range base {
+				oc.Cols[ai] = ch.Cols[ai].Clone()
 			}
+			oc.Seal()
+			for k := range compiled {
+				oc.Cols[base+k] = array.NewPackedColumn(res.Schema.Attrs[base+k], ch.Slots(), n, oc.Cols[0].Rank())
+			}
+			werr := eachPresent(ch, func(idx int64, c array.Coord) error {
+				for k, eval := range compiled {
+					v, err := eval(idx, c)
+					if err != nil {
+						return err
+					}
+					oc.Cols[base+k].Append(idx, v)
+				}
+				return nil
+			})
+			if werr != nil {
+				return nil, werr
+			}
+			return oc, nil
+		}
+		// A chunk of an unbounded dimension reaches past the output's
+		// bound, so its slots re-index.
+		b := array.NewChunkBuilder(res.Schema, ch.Origin, shape, ch.CellsPresent())
+		cols := b.Cols()
+		werr := eachPresent(ch, func(idx int64, c array.Coord) error {
+			oidx := array.RowMajorIndex(ch.Origin, shape, c)
 			b.Add(oidx)
 			for ai := 0; ai < base; ai++ {
 				cols[ai].AppendFrom(ch.Cols[ai], oidx, idx)

@@ -118,7 +118,7 @@ func arrayOf(s *array.Schema, ch *array.Chunk) *array.Array {
 
 // FuzzChunkSeal holds a sealed chunk to its open twin — the same cells, one
 // value per slot — through every reader of a chunk: Get and IterReuse,
-// CopyMasked and MergeMasked (with a second part at the same origin),
+// Select (and MergeChunk of one from a second part at the same origin),
 // PredMask, a grand-total and a grouped Fold, and the bytes EncodeChunk
 // writes.
 func FuzzChunkSeal(f *testing.F) {
@@ -152,27 +152,51 @@ func FuzzChunkSeal(f *testing.F) {
 		}
 		requireSameArrays(t, "IterReuse", arrayOf(s, open), arrayOf(s, sealed))
 
-		// CopyMasked of a random live subset into fresh open columns.
+		// Select of a random live subset, from the chunk and from its twin:
+		// the live cells and no other, equal cell for cell and in the bytes
+		// stored.
 		live := open.Present.Clone()
 		for i := live.NextSet(0); i < live.Len(); i = live.NextSet(i + 1) {
 			if rng.Intn(3) == 0 {
 				live.Clear(i)
 			}
 		}
-		for a, at := range s.Attrs {
-			x, y := array.NewColumn(at, open.Slots()), array.NewColumn(at, open.Slots())
-			x.CopyMasked(open.Cols[a], 0, 0, open.Slots(), live)
-			y.CopyMasked(sealed.Cols[a], 0, 0, open.Slots(), live)
-			for i := live.NextSet(0); i < live.Len(); i = live.NextSet(i + 1) {
-				if !sameCell(x.Get(i), y.Get(i)) {
-					t.Fatalf("CopyMasked attr %d slot %d: from open %v, from sealed %v", a, i, x.Get(i), y.Get(i))
+		sx, sy := open.Select(live), sealed.Select(live)
+		if sx == nil || sy == nil {
+			if sx != sy || live.Count() > 0 {
+				t.Fatalf("Select of %d cells: from open %v, from sealed %v", live.Count(), sx, sy)
+			}
+		} else {
+			for i := range open.Slots() {
+				if sx.Present.Get(i) != live.Get(i) || sy.Present.Get(i) != live.Get(i) {
+					t.Fatalf("Select slot %d: live %v, present from open %v, from sealed %v", i, live.Get(i), sx.Present.Get(i), sy.Present.Get(i))
 				}
+				if !live.Get(i) {
+					continue
+				}
+				for a := range open.Cols {
+					if want := open.Cols[a].Get(i); !sameCell(sx.Cols[a].Get(i), want) || !sameCell(sy.Cols[a].Get(i), want) {
+						t.Fatalf("Select attr %d slot %d: from open %v, from sealed %v, want %v", a, i, sx.Cols[a].Get(i), sy.Cols[a].Get(i), want)
+					}
+				}
+			}
+			xb, err := storage.EncodeChunk(s, sx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			yb, err := storage.EncodeChunk(s, sy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(xb, yb) {
+				t.Fatalf("Select from the sealed chunk encodes to %d bytes unlike that from its open twin's %d", len(yb), len(xb))
 			}
 		}
 
-		// MergeMasked of a random live subset of a second part at the same
-		// origin, open or sealed, into an array holding either twin; and
-		// MergeChunk of the part.
+		// MergeChunk of a random selection of a second part at the same
+		// origin, open or sealed, into an array holding either twin, against
+		// the part's live cells written one at a time; and MergeChunk of the
+		// whole part.
 		part := openCase(s, rng, int(density)/2+1, false)
 		partSealed := part.Clone()
 		partSealed.Seal()
@@ -182,23 +206,29 @@ func FuzzChunkSeal(f *testing.F) {
 				partLive.Clear(i)
 			}
 		}
-		want := arrayOf(s, open.Clone())
-		if err := want.MergeMasked(part, partLive); err != nil {
-			t.Fatal(err)
+		setCells := func(a *array.Array, ch *array.Chunk, live *array.Bitmap) *array.Array {
+			array.IterBox(ch.Box(), func(c array.Coord) bool {
+				if live.Get(ch.Index(c)) {
+					cell, _ := ch.Get(c)
+					if err := a.Set(c, cell); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return true
+			})
+			return a
 		}
+		want := setCells(arrayOf(s, open.Clone()), part, partLive)
 		for _, base := range []*array.Chunk{open, sealed} {
 			for _, p := range []*array.Chunk{part, partSealed} {
 				got := arrayOf(s, base.Clone())
-				if err := got.MergeMasked(p, partLive); err != nil {
+				if err := got.MergeChunk(p.Select(partLive)); err != nil {
 					t.Fatal(err)
 				}
-				requireSameArrays(t, "MergeMasked", want, got)
+				requireSameArrays(t, "MergeChunk of a Select", want, got)
 			}
 		}
-		wantAll := arrayOf(s, open.Clone())
-		if err := wantAll.MergeMasked(part, part.Present); err != nil {
-			t.Fatal(err)
-		}
+		wantAll := setCells(arrayOf(s, open.Clone()), part, part.Present)
 		for _, base := range []*array.Chunk{open, sealed} {
 			got := arrayOf(s, base)
 			if err := got.MergeChunk(partSealed); err != nil {

@@ -4,8 +4,8 @@ import (
 	"scidb/internal/array"
 )
 
-// ExportRegion re-chunks every cell the store holds inside box onto the
-// store's grid and returns the encoded chunk payloads
+// ExportRegion gathers every cell the store holds inside box, a grid chunk
+// at a time (Select, then MergeChunk), and returns the encoded chunk payloads
 // (EncodeChunkZones bytes) plus the total cell count. The payloads are the
 // migration/replication wire unit: a receiving store adopts them verbatim
 // via AdoptEncoded, so the copy is bit-identical to what a local encode
@@ -19,7 +19,7 @@ func (s *Store) ExportRegion(box array.Box) ([][]byte, int64, error) {
 		return nil, 0, err
 	}
 	if err := s.ScanChunks(box, nil, nil).Each(func(lc LiveChunk) error {
-		return buf.MergeMasked(lc.Chunk, lc.Live)
+		return buf.MergeChunk(lc.Chunk.Select(lc.Live))
 	}); err != nil {
 		return nil, 0, err
 	}

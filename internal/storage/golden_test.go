@@ -120,8 +120,9 @@ func requireZones(t *testing.T, label string, s *array.Schema, ch *array.Chunk) 
 // so nothing may change a column — or the presence mask its zone map was
 // computed under — and leave the view behind. Chunks are taken from a store
 // scan (decoded, views attached) and through every way the engine hands them
-// on: as delivered, cloned, adopted by an array (MergeChunk), copied into one
-// under a mask (MergeMasked), and then written to and erased from.
+// on: as delivered, cloned, adopted by an array (MergeChunk), taken out under
+// its live mask (Select: a whole selection keeps its zones, a strict subset
+// carries none) and merged into one, and then written to and erased from.
 func TestCarriedZonesDescribeTheirColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	attrs, dist := randAttrs(rng)
@@ -144,7 +145,7 @@ func TestCarriedZonesDescribeTheirColumns(t *testing.T) {
 		}
 	}
 	adopted, masked := array.MustNew(s.Clone()), array.MustNew(s.Clone())
-	carried := 0
+	carried, cut := 0, 0
 	err = st.ScanChunks(array.WholeBox(s), nil, nil).Each(func(lc LiveChunk) error {
 		for _, col := range lc.Chunk.Cols {
 			if col.Zone != nil {
@@ -158,13 +159,25 @@ func TestCarriedZonesDescribeTheirColumns(t *testing.T) {
 				return err
 			}
 		}
-		return masked.MergeMasked(lc.Chunk, lc.Live)
+		sel := lc.Chunk.Select(lc.Live)
+		requireZones(t, "selected", s, sel)
+		whole := lc.Live.Count() == lc.Chunk.CellsPresent()
+		if !whole {
+			cut++
+		}
+		for i, col := range sel.Cols {
+			if whole && col.Zone != lc.Chunk.Cols[i].Zone || !whole && col.Zone != nil {
+				t.Errorf("selection of %d of %d cells at %v: column %d carries zone %p, the scanned one %p",
+					lc.Live.Count(), lc.Chunk.CellsPresent(), lc.Chunk.Origin, i, col.Zone, lc.Chunk.Cols[i].Zone)
+			}
+		}
+		return masked.MergeChunk(sel)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if carried == 0 || adopted.Count() == 0 {
-		t.Fatalf("%d scanned columns carry a zone map and %d cells were adopted: nothing is checked", carried, adopted.Count())
+	if carried == 0 || adopted.Count() == 0 || cut == 0 {
+		t.Fatalf("%d scanned columns carry a zone map, %d cells were adopted and %d chunks cut: nothing is checked", carried, adopted.Count(), cut)
 	}
 	for label, a := range map[string]*array.Array{"adopted": adopted, "masked": masked} {
 		for _, ch := range a.Chunks() {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,7 +15,7 @@ import (
 
 // ErrOffGrid reports a bucket that is not one chunk of its store's grid, or
 // a stride setting that differs from that grid.
-var ErrOffGrid = errors.New("storage: off the chunk grid")
+var ErrOffGrid = fmt.Errorf("storage: %w", array.ErrOffGrid)
 
 // Stats is a snapshot of storage activity for the STORE and ENC
 // experiments. BucketsRead/BytesRead count actual disk reads: BucketsRead
@@ -655,14 +654,15 @@ func (s *Store) MergeOnce() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// Oldest first, so each version overwrites the older cells it holds.
+	// Oldest first, so MergeChunk lets each version win over the older
+	// cells it holds. A pinned chunk is the pool's: only a copy enters.
 	for i := len(versions) - 1; i >= 0; i-- {
 		s.consultLocked(versions[i])
 		ch, release, err := s.pinBucket(versions[i], nil)
 		if err != nil {
 			return false, err
 		}
-		err = merged.MergeMasked(ch, ch.Present)
+		err = merged.MergeChunk(ch.Select(ch.Present))
 		release()
 		if err != nil {
 			return false, err
