@@ -15,8 +15,9 @@ vet:
 
 # Non-test Go lines per internal package and in total: the number every PR
 # reports (bench/ is its own module and is not counted), with the subtotals
-# ROADMAP items 2 (ops + cluster + core), 8 (cluster + core + insitu) and 14
-# (loader + insitu, the ingest path) measure, the switches over the parse
+# ROADMAP items 2 (ops + cluster + core), 8 (cluster + core + insitu), 14
+# (loader + insitu, the ingest path) and 18 (partition + cluster, placement)
+# measure, the switches over the parse
 # tree in internal/core (each walk has one `case *parser.RegridExpr`; the
 # one lowering is the only walk left), the count of exported
 # Coordinator methods ROADMAP item 13 measures, and the knobs: the fields of
@@ -28,6 +29,7 @@ loc:
 	@printf '%-24s %6d\n' 'ops + cluster + core' $$(find internal/ops internal/cluster internal/core -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-24s %6d\n' 'cluster + core + insitu' $$(find internal/cluster internal/core internal/insitu -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-24s %6d\n' 'loader + insitu' $$(find internal/loader internal/insitu -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%-24s %6d\n' 'partition + cluster' $$(find internal/partition internal/cluster -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-24s %6d\n' total $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-24s %6d\n' 'core ArrayExpr walks' $$(find internal/core -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -c 'case \*parser.RegridExpr')
 	@printf '%-24s %6d\n' 'Coordinator methods' $$(find internal/cluster -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cE '^func \([a-z]+ \*Coordinator\) [A-Z]')

@@ -20,9 +20,12 @@ import (
 type DistArray struct {
 	Name   string
 	Schema *array.Schema
+	// Scheme places the array's chunks: a partition.Chunked bound to its
+	// PartitionSchema grid, or a partition.Routing over one.
 	Scheme partition.Scheme
-	// staging buffers cells per node until Flush.
-	staging map[int]*array.Array
+	// staging buffers Put cells on the partition grid until a flush ships
+	// each of its chunks whole to the chunk's holders.
+	staging *array.Array
 	staged  int64
 	// writeSeq counts writes (Put cells and LoadChunks batches) under
 	// co.mu. The rebalancer records it before an unlocked chunk copy and
@@ -89,7 +92,8 @@ func (co *Coordinator) BytesMoved() int64 {
 }
 
 // Create declares a distributed array on every node with the given
-// partitioning scheme.
+// partitioning scheme, bound to the array's partition grid so that it
+// places whole chunks.
 func (co *Coordinator) Create(name string, schema *array.Schema, scheme partition.Scheme) error {
 	if err := schema.Validate(); err != nil {
 		return err
@@ -106,7 +110,7 @@ func (co *Coordinator) Create(name string, schema *array.Schema, scheme partitio
 	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.arrays[name] = &DistArray{Name: name, Schema: schema, Scheme: scheme, staging: map[int]*array.Array{}}
+	co.arrays[name] = &DistArray{Name: name, Schema: schema, Scheme: partition.Bind(scheme, PartitionSchema(schema))}
 	return nil
 }
 
@@ -118,8 +122,8 @@ func (co *Coordinator) dist(name string) (*DistArray, error) {
 	return da, nil
 }
 
-// Put stages one cell for its owning node (per the scheme) and flushes the
-// staging buffer when it reaches the batch size.
+// Put stages one cell and flushes the staging buffer when it reaches the
+// batch size.
 func (co *Coordinator) Put(name string, c array.Coord, cell array.Cell) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -127,25 +131,13 @@ func (co *Coordinator) Put(name string, c array.Coord, cell array.Cell) error {
 	if err != nil {
 		return err
 	}
-	// Replicating schemes (Routing overrides, Replicated) place a cell on
-	// several nodes; the write fans to all of them so every replica stays
-	// bit-identical. Plain schemes stage to the single owner as before.
-	nodes := []int{da.Scheme.NodeFor(c)}
-	if rep, ok := da.Scheme.(partition.Replicator); ok {
-		nodes = rep.NodesFor(c)
-	}
-	for _, node := range nodes {
-		buf, ok := da.staging[node]
-		if !ok {
-			buf, err = array.New(PartitionSchema(da.Schema))
-			if err != nil {
-				return err
-			}
-			da.staging[node] = buf
-		}
-		if err := buf.Set(c, cell); err != nil {
+	if da.staging == nil {
+		if da.staging, err = array.New(PartitionSchema(da.Schema)); err != nil {
 			return err
 		}
+	}
+	if err := da.staging.Set(c, cell); err != nil {
+		return err
 	}
 	da.staged++
 	da.writeSeq++
@@ -175,26 +167,44 @@ func (co *Coordinator) Flush(name string) error {
 	})
 }
 
+// chunkHolders are the nodes the chunk at origin lives on: its owner, or
+// under a routing table every replica, so that replicas stay bit-identical.
+func chunkHolders(da *DistArray, origin array.Coord) []int {
+	if rt, ok := da.Scheme.(*partition.Routing); ok {
+		return rt.NodesFor(origin)
+	}
+	return []int{da.Scheme.NodeFor(origin)}
+}
+
+// flushLocked encodes each staged chunk once and ships it whole to its
+// holders, one put per node, the nodes concurrently.
 func (co *Coordinator) flushLocked(da *DistArray) error {
-	// Every staged buffer targets a distinct node, so the encode+put calls
-	// fan out concurrently; node order only fixes which error is reported.
-	nodes := make([]int, 0, len(da.staging))
-	for node := range da.staging {
-		nodes = append(nodes, node)
+	if da.staging == nil {
+		return nil
+	}
+	chunks := da.staging.Chunks()
+	payloads, err := storage.EncodeChunks(da.staging.Schema, chunks)
+	if err != nil {
+		return err
+	}
+	perNode := map[int][][]byte{}
+	for i, ch := range chunks {
+		for _, n := range chunkHolders(da, ch.Origin) {
+			perNode[n] = append(perNode[n], payloads[i])
+		}
+	}
+	nodes := make([]int, 0, len(perNode))
+	for n := range perNode {
+		nodes = append(nodes, n)
 	}
 	sort.Ints(nodes)
-	if err := fanout(nodes, func(_, node int) error {
-		buf := da.staging[node]
-		chunks, err := storage.EncodeChunks(buf.Schema, buf.Chunks())
-		if err != nil {
-			return err
-		}
-		_, err = co.t.Call(node, &Message{Op: "put", Array: da.Name, Chunks: chunks})
+	if err := fanout(nodes, func(_, n int) error {
+		_, err := co.t.Call(n, &Message{Op: "put", Array: da.Name, Chunks: perNode[n]})
 		return err
 	}); err != nil {
 		return err
 	}
-	da.staging = map[int]*array.Array{}
+	da.staging = nil
 	da.staged = 0
 	return nil
 }
@@ -376,11 +386,12 @@ func (co *Coordinator) AggregateCtx(ctx context.Context, name string, box array.
 }
 
 // Repartition changes an array's partitioning scheme ("we allow the
-// partitioning to change over time"), moving only the cells whose owner
-// changes and counting the moved bytes. On a routed array the gather honours
-// the override table (replica-served chunks read once, stale migrated copies
-// excluded) and the overrides are dropped with the old scheme: after a
-// repartition the array is placed purely by newScheme.
+// partitioning to change over time"), binding it to the array's grid: every
+// chunk goes whole to its new owner, and the encoded bytes of the chunks
+// whose owner changes are counted as moved. On a routed array the gather
+// honours the override table (replica-served chunks read once, stale
+// migrated copies excluded) and the overrides are dropped with the old
+// scheme: after a repartition the array is placed purely by newScheme.
 func (co *Coordinator) Repartition(name string, newScheme partition.Scheme) error {
 	// Exclude in-flight chunk moves for the whole repartition: a migration
 	// copy racing the scheme swap would install pre-repartition payloads
@@ -397,18 +408,8 @@ func (co *Coordinator) Repartition(name string, newScheme partition.Scheme) erro
 	if err := co.flushLocked(da); err != nil {
 		return err
 	}
-	nodes := co.t.NumNodes()
 	tmpl := PartitionSchema(da.Schema)
-	newContent := make([]*array.Array, nodes)
-	for n := range newContent {
-		if newContent[n], err = array.New(tmpl.Clone()); err != nil {
-			return err
-		}
-	}
-	moved, err := array.New(tmpl.Clone())
-	if err != nil {
-		return err
-	}
+	bound := partition.Bind(newScheme, tmpl)
 	// Gather every node's content concurrently under the query plan (read +
 	// decode are the expensive half of a repartition), then redistribute
 	// serially so placement and the moved-bytes count stay deterministic.
@@ -432,41 +433,26 @@ func (co *Coordinator) Repartition(name string, newScheme partition.Scheme) erro
 	if err != nil {
 		return err
 	}
-	var werr error
-	content.Iter(func(c array.Coord, cell array.Cell) bool {
-		target := newScheme.NodeFor(c)
-		if err := newContent[target].Set(c.Clone(), cell); err != nil {
-			werr = err
-			return false
-		}
-		if target != da.Scheme.NodeFor(c) {
-			if err := moved.Set(c.Clone(), cell); err != nil {
-				werr = err
-				return false
-			}
-		}
-		return true
-	})
-	if werr != nil {
-		return werr
-	}
-	// Count moved bytes via the wire encoding of the moved cells.
-	if moved.Count() > 0 {
-		if movedPayload, err := storage.EncodeArray(moved); err == nil {
-			co.bytesMoved += int64(len(movedPayload))
-		}
-	}
-	if err := fanout(allNodes(nodes), func(_, n int) error {
-		chunks, err := storage.EncodeChunks(newContent[n].Schema, newContent[n].Chunks())
+	nodes := co.t.NumNodes()
+	perNode := make([][][]byte, nodes)
+	for _, ch := range content.Chunks() {
+		payload, err := storage.EncodeChunk(tmpl, ch)
 		if err != nil {
 			return err
 		}
-		_, err = co.t.Call(n, &Message{Op: "replace", Array: name, Chunks: chunks})
+		target := bound.NodeFor(ch.Origin)
+		perNode[target] = append(perNode[target], payload)
+		if target != da.Scheme.NodeFor(ch.Origin) {
+			co.bytesMoved += int64(len(payload))
+		}
+	}
+	if err := fanout(allNodes(nodes), func(_, n int) error {
+		_, err := co.t.Call(n, &Message{Op: "replace", Array: name, Chunks: perNode[n]})
 		return err
 	}); err != nil {
 		return err
 	}
-	da.Scheme = newScheme
+	da.Scheme = bound
 	// Replace rebuilt every node from scratch, so routing overrides and any
 	// half-copied chunks are history.
 	delete(co.pending, name)
@@ -638,7 +624,8 @@ func (co *Coordinator) LoadChunks(name string, node int, payloads [][]byte, cell
 
 // RegisterInsitu declares an external file as a distributed array without
 // loading it (§2.9 in-situ data): each node is handed its slab of the file's
-// coordinate box and copies it through the named adaptor into the
+// coordinate box — the union of the chunks the scheme, bound to the array's
+// grid, places on it — and copies it through the named adaptor into the
 // partition's store at the partition's first read.
 // The scheme must describe contiguous per-node boxes (Block or Range), and
 // the file must be reachable from every worker at the same path.
@@ -646,8 +633,8 @@ func (co *Coordinator) RegisterInsitu(name, path, adaptor string, schema *array.
 	if err := schema.Validate(); err != nil {
 		return err
 	}
-	boxer, ok := scheme.(partition.Boxer)
-	if !ok {
+	bound := partition.Bind(scheme, PartitionSchema(schema))
+	if _, ok := bound.Scheme.(partition.Boxer); !ok {
 		return fmt.Errorf("cluster: in-situ registration needs a contiguous scheme (Block or Range), got %s", scheme.Name())
 	}
 	if scheme.NumNodes() > co.t.NumNodes() {
@@ -657,7 +644,7 @@ func (co *Coordinator) RegisterInsitu(name, path, adaptor string, schema *array.
 	if err := fanout(allNodes(co.t.NumNodes()), func(_, n int) error {
 		req := &Message{Op: "insitu", Array: name, Schema: schema, Path: path, Adaptor: adaptor}
 		if n < scheme.NumNodes() {
-			if lo, hi, ok := boxer.BoxFor(n, box.Lo, box.Hi); ok {
+			if lo, hi, ok := bound.BoxFor(n, box.Lo, box.Hi); ok {
 				req.BoxLo, req.BoxHi = lo, hi
 			}
 		}
@@ -668,7 +655,7 @@ func (co *Coordinator) RegisterInsitu(name, path, adaptor string, schema *array.
 	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.arrays[name] = &DistArray{Name: name, Schema: schema, Scheme: scheme, staging: map[int]*array.Array{}}
+	co.arrays[name] = &DistArray{Name: name, Schema: schema, Scheme: bound}
 	return nil
 }
 

@@ -51,10 +51,12 @@ func TestLoadChunksWireRoundTrip(t *testing.T) {
 	}
 }
 
-// buildChunkPayloads routes the grid's cells per scheme and encodes each
-// node's chunks exactly like the parallel loader does.
+// buildChunkPayloads routes the grid's cells per scheme, bound to the
+// partition grid, and encodes each node's chunks exactly like the parallel
+// loader does.
 func buildChunkPayloads(t *testing.T, schema *array.Schema, scheme partition.Scheme, gen func(array.Coord) (array.Cell, bool)) (payloads [][][]byte, cells []int64) {
 	t.Helper()
+	scheme = partition.Bind(scheme, PartitionSchema(schema))
 	bs := schema.Clone()
 	for i := range bs.Dims {
 		bs.Dims[i].High = array.Unbounded
@@ -241,8 +243,10 @@ func writeExt(t *testing.T, path string, add float64, bad string) float64 {
 	return sum
 }
 
-// registerExt registers path in situ as "ext", split between nodes 0 (x 1..6)
-// and 1 (x 7..12).
+// registerExt registers path in situ as "ext", split between nodes 0 (x 1..8,
+// 48 cells) and 1 (x 9..12, 24 cells): the block scheme cuts x at 6 | 7, and
+// a chunk goes whole to the node of its origin, so the chunk at x = 5 is
+// node 0's.
 func registerExt(t *testing.T, co *Coordinator, path string) {
 	t.Helper()
 	if err := co.RegisterInsitu("ext", path, "csv", extSchema(), partition.Block{Nodes: 2, SplitDim: 0, High: 12}); err != nil {
@@ -290,8 +294,8 @@ func TestRegisterInsituQueries(t *testing.T) {
 	if err != nil || n != 72 {
 		t.Fatalf("count = %d, %v; want 72", n, err)
 	}
-	// A box scan crossing the slab boundary (node 0 owns x 1..6).
-	box := array.Box{Lo: array.Coord{5, 2}, Hi: array.Coord{8, 4}}
+	// A box scan crossing the slab boundary (node 0 owns x 1..8).
+	box := array.Box{Lo: array.Coord{7, 2}, Hi: array.Coord{10, 4}}
 	got, err := scan(co, "ext", box)
 	if err != nil {
 		t.Fatal(err)
@@ -299,9 +303,9 @@ func TestRegisterInsituQueries(t *testing.T) {
 	if got.Count() != 4*3 {
 		t.Fatalf("box scan count = %d; want 12", got.Count())
 	}
-	cell, ok := got.At(array.Coord{7, 3})
-	if !ok || cell[0].Float != 703 {
-		t.Fatalf("scan cell = %v, %v; want 703", cell, ok)
+	cell, ok := got.At(array.Coord{9, 3})
+	if !ok || cell[0].Float != 903 {
+		t.Fatalf("scan cell = %v, %v; want 903", cell, ok)
 	}
 	// Pushed-down aggregate over the whole file.
 	if got := extSum(t, co); got != sum {
@@ -468,8 +472,8 @@ func TestInsituFailedFillSticks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ext.csv")
 	writeExt(t, path, 0, "")
 	tr, co := insituGrid(t, path)
-	if got := handleOK(t, tr.Workers[1], countReq("ext")).Cells; got != 36 {
-		t.Fatalf("node 1 count = %d, want 36", got)
+	if got := handleOK(t, tr.Workers[1], countReq("ext")).Cells; got != 24 {
+		t.Fatalf("node 1 count = %d, want 24", got)
 	}
 	writeExt(t, path, 0, "oops") // node 0 has not read its slab yet
 	for i := 0; i < 2; i++ {
@@ -477,8 +481,8 @@ func TestInsituFailedFillSticks(t *testing.T) {
 			t.Fatalf("count %d over a malformed slab: %v, want the line's error", i, err)
 		}
 	}
-	if got := handleOK(t, tr.Workers[1], countReq("ext")).Cells; got != 36 {
-		t.Errorf("node 1 count after node 0 failed = %d, want 36", got)
+	if got := handleOK(t, tr.Workers[1], countReq("ext")).Cells; got != 24 {
+		t.Errorf("node 1 count after node 0 failed = %d, want 24", got)
 	}
 	writeExt(t, path, 0, "")
 	registerExt(t, co, path)
@@ -531,7 +535,7 @@ func TestInsituRefusesWrites(t *testing.T) {
 			t.Errorf("%s: error %q, want %q", req.Op, got, want)
 		}
 	}
-	if got := handleOK(t, w, countReq("ext")).Cells; got != 36 {
-		t.Errorf("count after refused writes = %d, want 36", got)
+	if got := handleOK(t, w, countReq("ext")).Cells; got != 48 {
+		t.Errorf("count after refused writes = %d, want 48", got)
 	}
 }

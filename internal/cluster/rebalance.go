@@ -57,8 +57,8 @@ func rebCounters() {
 
 // EnableRouting layers a versioned chunk→nodes routing table over the
 // array's current scheme, making it eligible for live migration and
-// replication. The routing grid is the array's PartitionSchema grid, so a
-// routed chunk is one bucket on every node that holds it. Idempotent. Note
+// replication. The scheme is bound to the array's PartitionSchema grid, so
+// a routed chunk is one bucket on every node that holds it. Idempotent. Note
 // the bulk loader's LoadChunks path targets nodes chosen by the caller —
 // ingest should finish before rebalancing begins.
 func (co *Coordinator) EnableRouting(name string) (*partition.Routing, error) {
@@ -71,11 +71,7 @@ func (co *Coordinator) EnableRouting(name string) (*partition.Routing, error) {
 	if rt, ok := da.Scheme.(*partition.Routing); ok {
 		return rt, nil
 	}
-	var grid []int64
-	for _, d := range PartitionSchema(da.Schema).Dims {
-		grid = append(grid, d.ChunkLen)
-	}
-	rt := partition.NewRouting(da.Scheme, len(grid), grid)
+	rt := partition.NewRouting(da.Scheme.(*partition.Chunked))
 	da.Scheme = rt
 	return rt, nil
 }
@@ -153,7 +149,7 @@ func (co *Coordinator) RebalanceOnce(name string, opts RebalanceOptions) (moved,
 			if s.Array != name {
 				continue
 			}
-			o := rt.OriginOf(array.Coord(s.Origin))
+			o := rt.Base().OriginOf(array.Coord(s.Origin))
 			k := o.Key()
 			if h, ok := scores[k]; ok {
 				h.score += s.Score
@@ -219,13 +215,7 @@ func (co *Coordinator) RebalanceOnce(name string, opts RebalanceOptions) (moved,
 		for _, n := range holders {
 			holderSet[n] = true
 		}
-		// Only reroute chunks wholly owned by one base node: a chunk
-		// straddling a slab boundary has cells on two nodes and a single
-		// export would miss half of it.
-		cb := rt.ChunkBox(h.origin)
-		if rt.Base().NodeFor(cb.Lo) != rt.Base().NodeFor(cb.Hi) {
-			continue
-		}
+		cb := rt.Base().ChunkBox(h.origin)
 		var targets, newNodes []int
 		if opts.Replicas == 1 {
 			t, ok := coldest(map[int]bool{source: true})

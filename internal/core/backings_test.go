@@ -360,7 +360,11 @@ func TestEmptyFilteredGatherIsOneRoundTrip(t *testing.T) {
 	if err := mem.PutArray("D", a); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.Create("D", a.Schema, partition.Block{Nodes: 2, SplitDim: 0, High: 10}); err != nil {
+	// Chunks 5 long on x: the block scheme's two slabs are whole chunk
+	// columns, so both nodes hold cells.
+	s := a.Schema.Clone()
+	s.Dims[0].ChunkLen = 5
+	if err := co.Create("D", s, partition.Block{Nodes: 2, SplitDim: 0, High: 10}); err != nil {
 		t.Fatal(err)
 	}
 	a.Iter(func(c array.Coord, cell array.Cell) bool {

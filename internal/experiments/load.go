@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"scidb/internal/array"
@@ -171,6 +172,8 @@ func init() {
 			if err != nil {
 				return err
 			}
+			// A cell's site is its chunk's: the scheme bound to the grid.
+			bound := partition.Bind(scheme, cluster.PartitionSchema(cellSchema))
 			cellStats := loader.Stats{PerSite: make([]int64, nodes)}
 			var putErr error
 			start := time.Now()
@@ -179,7 +182,7 @@ func init() {
 					return false
 				}
 				cellStats.Records++
-				cellStats.PerSite[scheme.NodeFor(c)]++
+				cellStats.PerSite[bound.NodeFor(c)]++
 				return true
 			})
 			if err == nil {
@@ -282,6 +285,10 @@ func init() {
 			if cellStats.Records != parStats.Records {
 				return fmt.Errorf("LOAD: record counts diverged: cell %d, parallel %d",
 					cellStats.Records, parStats.Records)
+			}
+			if !slices.Equal(cellStats.PerSite, parStats.PerSite) {
+				return fmt.Errorf("LOAD: per-site counts diverged: cell %v, parallel %v",
+					cellStats.PerSite, parStats.PerSite)
 			}
 			if err := sameArray(cellScan, parScan); err != nil {
 				return fmt.Errorf("LOAD: parallel load diverged from cell-at-a-time: %w", err)

@@ -15,8 +15,8 @@ import (
 // §2.9): the bulk loader runs it across the grid's sites, and an in-situ
 // fill runs it with one site into the partition's own store. Run splits the
 // dataset with Split, one shard per exec pool worker, parses the shards
-// concurrently, routes each cell into a per-site chunk builder on Schema's
-// grid, and every Batch chunks seals a site's builder — each chunk
+// concurrently, routes each chunk of Schema's grid into the builder of its
+// site, and every Batch chunks seals a site's builder — each chunk
 // through storage.EncodeChunkZones, zone maps included — and hands the
 // payloads to Ship. A cell is parsed once, straight into its chunk's
 // columns, and encoded once.
@@ -28,7 +28,9 @@ type Pipeline struct {
 	// Schema is the destination stores' schema: its grid is the one every
 	// shipped chunk lies on, so each is adopted as one bucket.
 	Schema *array.Schema
-	// Sites is the number of destinations; Route names a cell's.
+	// Sites is the number of destinations; Route names a cell's, and gives
+	// every cell of a chunk the same site, so it is asked once per run of
+	// cells in one chunk.
 	Sites int
 	Route func(array.Coord) int
 	// Batch is how many chunks a site's builder takes before it is sealed
@@ -65,11 +67,10 @@ func (c *Counts) add(o Counts) {
 // A shard cut can fall inside a chunk, and the shards on both sides then
 // hold a part of it: with input in chunk order, a shard's first and last
 // chunk at each site. Unless such a chunk is whole — it has every cell of
-// its box that routes to its site, so no other shard has one — a shard
-// does not seal it but merges it into edges, the parts held so far. The
-// shard whose part makes a chunk there whole seals it; a chunk still
-// partial when the last shard is done is sealed then. Either way it is
-// stored as one bucket.
+// its box, so no other shard has one — a shard does not seal it but merges
+// it into edges, the parts held so far. The shard whose part makes a chunk
+// there whole seals it; a chunk still partial when the last shard is done
+// is sealed then. Either way it is stored as one bucket.
 func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 	bs := p.Schema.Clone()
 	bs.Name = p.Schema.Name + "_loadbuf"
@@ -99,7 +100,7 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 		// it is the shard's first chunk at site, or, once the shard is done,
 		// its last, and it is not whole.
 		shared := func(site int, ch *array.Chunk, done bool) bool {
-			return (si > 0 && ch == first[site] || done && si < len(shards)-1 && ch == last[site]) && !p.whole(site, ch)
+			return (si > 0 && ch == first[site] || done && si < len(shards)-1 && ch == last[site]) && !whole(ch)
 		}
 		// hold unions ch with the part of its chunk in edges (MergeParts:
 		// the two hold disjoint cells) and returns the chunk once it is
@@ -111,7 +112,7 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 			if part := edges[k]; part != nil {
 				ch = array.MergeParts(part, ch)
 			}
-			if p.whole(site, ch) {
+			if whole(ch) {
 				delete(edges, k)
 				return ch
 			}
@@ -140,9 +141,14 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 		// The shard's body writes each cell straight into its site builder's
 		// slot. A cell that would open chunk Batch+1 of a builder first seals
 		// and ships the Batch it holds, so no chunk is split across batches
-		// when cells come in chunk order.
+		// when cells come in chunk order. A cell in the chunk the last cell
+		// went to goes to the same site, unrouted.
+		var routed *array.Chunk
+		site := 0
 		slot := func(c array.Coord) (*array.Chunk, int64, error) {
-			site := p.Route(c)
+			if routed == nil || !inChunk(routed, c) {
+				routed, site = nil, p.Route(c)
+			}
 			b := builders[site]
 			if b != nil && b.NumChunks() >= p.Batch && !b.Holds(c) {
 				if err := flushSite(site, false); err != nil {
@@ -159,6 +165,7 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 			}
 			ch, i, err := b.Slot(c)
 			if err == nil {
+				routed = ch
 				my.PerSite[site]++
 				if first[site] == nil {
 					first[site] = ch
@@ -208,18 +215,18 @@ func (p Pipeline) Run(ds Dataset, box array.Box) (Counts, error) {
 	return n, err
 }
 
-// whole reports whether ch has every cell of its box that routes to site.
-// Coordinates are unique, so then no other shard has a cell of it.
-func (p Pipeline) whole(site int, ch *array.Chunk) bool {
-	if ch.CellsPresent() == ch.Slots() {
-		return true
+// whole reports whether ch has every cell of its box. Coordinates are
+// unique, so then no other shard has a cell of it.
+func whole(ch *array.Chunk) bool { return ch.CellsPresent() == ch.Slots() }
+
+// inChunk reports whether c lies in ch's box.
+func inChunk(ch *array.Chunk, c array.Coord) bool {
+	for i, o := range ch.Origin {
+		if c[i] < o || c[i] >= o+ch.Shape[i] {
+			return false
+		}
 	}
-	whole := true
-	array.IterBox(ch.Box(), func(c array.Coord) bool {
-		whole = ch.Present.Get(ch.Index(c)) || p.Route(c) != site
-		return whole
-	})
-	return whole
+	return true
 }
 
 // seal encodes chunks — each through storage.EncodeChunkZones, zone maps

@@ -61,8 +61,19 @@ func TestLoadParallelChunksOnPartitionGrid(t *testing.T) {
 			for i := range grid.Dims {
 				grid.Dims[i].High = array.Unbounded
 			}
+			// A chunk goes whole to the node of its origin: the chunk columns
+			// at x = 1, 65, 129 and 193 lie on scheme.NodeFor of those x, so
+			// on 3 nodes, whose slabs are cut at 86 | 87 and 172 | 173, node 0
+			// holds two of them.
 			var cells int64
+			holder := map[int64]int{}
 			for node := 0; node < tc.nodes; node++ {
+				want := 0
+				for x := int64(1); x <= 256; x += 64 {
+					if scheme.NodeFor(array.Coord{x, 1}) == node {
+						want++
+					}
+				}
 				st, err := storage.NewStore(grid, storage.Options{Dir: filepath.Join(dir, fmt.Sprintf("node-%d", node), "wide")})
 				if err != nil {
 					t.Fatal(err)
@@ -77,14 +88,18 @@ func TestLoadParallelChunksOnPartitionGrid(t *testing.T) {
 					if !lc.Alone || lc.Live != ch.Present {
 						return fmt.Errorf("node %d bucket %v is not delivered whole (alone %v)", node, ch.Box(), lc.Alone)
 					}
+					if other, ok := holder[ch.Origin[0]]; ok {
+						return fmt.Errorf("chunk %v is on nodes %d and %d", ch.Origin, other, node)
+					}
+					holder[ch.Origin[0]] = node
 					cells += lc.Live.Count()
 					return nil
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if chunks != 2 || st.NumBuckets() != 2 {
-					t.Errorf("node %d: %d buckets delivered, %d stored; want the 2 chunks its columns touch", node, chunks, st.NumBuckets())
+				if chunks != want || st.NumBuckets() != want {
+					t.Errorf("node %d: %d buckets delivered, %d stored; want the %d chunks placed on it", node, chunks, st.NumBuckets(), want)
 				}
 				st.Close()
 			}

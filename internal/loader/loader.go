@@ -7,7 +7,8 @@
 // LoadParallel runs the ingest pipeline (insitu.Pipeline) across the grid:
 // the input is sharded by its adaptor (byte ranges for CSV, row slabs for
 // NCL, chunk groups for SDF), the shards parse concurrently on the exec
-// pool, cells are routed into per-site chunk builders, chunks are encoded —
+// pool, cells go into the chunk builders of the sites their chunks are
+// placed on (the scheme bound to the destination's grid), chunks are encoded —
 // zone maps included — at load time, and the pre-encoded payloads ship to
 // their owning sites in batches. The owning worker adopts the payload bytes
 // as a bucket verbatim (storage.AdoptEncoded), so a cell is parsed once and
@@ -136,7 +137,8 @@ func (d StoreDest) Flush() error {
 }
 
 // LoadParallel loads ds's cells inside box into dest: the ingest pipeline
-// with one site per node of scheme, on dest's grid for schema, shipping
+// with one site per node of scheme, on dest's grid for schema, to which the
+// scheme is bound so that each chunk goes whole to one site, shipping
 // batches sized from dest's link RTT when it reports one, 16 chunks
 // otherwise. It publishes the pipeline's counts as
 // the scidb_load_* counters and ends with dest.Flush. Input cells must have
@@ -153,7 +155,7 @@ func LoadParallel(ds insitu.Dataset, box array.Box, schema *array.Schema, scheme
 	n, err := insitu.Pipeline{
 		Schema: grid,
 		Sites:  scheme.NumNodes(),
-		Route:  scheme.NodeFor,
+		Route:  partition.Bind(scheme, grid).NodeFor,
 		Batch:  batchForRTT(rtt),
 		Ship:   dest.ShipChunks,
 	}.Run(ds, box)

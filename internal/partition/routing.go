@@ -8,24 +8,15 @@ import (
 	"scidb/internal/array"
 )
 
-// Replicator is implemented by schemes that place a cell on more than one
-// node. NodesFor returns every node that must hold a copy of the cell at c,
-// primary owner first; writers fan each cell to all of them, readers may
-// consult any. Replicated (uncertain-location replication, §2.13) and
-// Routing (online rebalancing) both satisfy it.
-type Replicator interface {
-	NodesFor(c array.Coord) []int
-}
-
-// ChunkRoute is one routing-table override: the chunk at Origin (grid-
-// aligned, stride-sized) lives on Nodes, owner first. A single node means
-// the chunk was migrated; several mean it is k-replicated.
+// ChunkRoute is one routing-table override: the chunk at Origin (an origin
+// of the base's grid) lives on Nodes, owner first. A single node means the
+// chunk was migrated; several mean it is k-replicated.
 type ChunkRoute struct {
 	Origin array.Coord
 	Nodes  []int
 }
 
-// Routing is a versioned chunk→nodes map layered over a base Scheme — the
+// Routing is a versioned chunk→nodes map layered over a bound Scheme — the
 // placement structure that makes rebalancing live. Placement starts as the
 // base scheme's; the rebalancer overrides individual chunks (migrating or
 // k-replicating them) without touching the rest of the coordinate space.
@@ -34,35 +25,21 @@ type ChunkRoute struct {
 // set. Every override bumps Version, so cooperating caches and peers can
 // detect staleness cheaply. Safe for concurrent use.
 type Routing struct {
-	base   Scheme
-	stride []int64
+	base *Chunked
 
 	mu        sync.RWMutex
 	version   int64
 	overrides map[string]ChunkRoute
 }
 
-// NewRouting wraps base with an empty override table. stride fixes the
-// chunk grid the overrides are keyed on (zero/missing entries default to
-// 64, the default chunk length); the coordinator passes the array's
-// partition grid, so a routed chunk is one bucket on every holder.
-func NewRouting(base Scheme, nd int, stride []int64) *Routing {
-	st := make([]int64, nd)
-	for i := range st {
-		if i < len(stride) && stride[i] > 0 {
-			st[i] = stride[i]
-		} else {
-			st[i] = 64
-		}
-	}
-	return &Routing{base: base, stride: st, overrides: map[string]ChunkRoute{}}
+// NewRouting wraps base with an empty override table keyed on base's grid,
+// so a routed chunk is one bucket on every holder.
+func NewRouting(base *Chunked) *Routing {
+	return &Routing{base: base, overrides: map[string]ChunkRoute{}}
 }
 
-// Base returns the underlying scheme.
-func (r *Routing) Base() Scheme { return r.base }
-
-// Stride returns the chunk grid stride the overrides are keyed on.
-func (r *Routing) Stride() []int64 { return append([]int64(nil), r.stride...) }
+// Base returns the underlying bound scheme.
+func (r *Routing) Base() *Chunked { return r.base }
 
 // Name implements Scheme.
 func (r *Routing) Name() string { return "routed(" + r.base.Name() + ")" }
@@ -70,58 +47,22 @@ func (r *Routing) Name() string { return "routed(" + r.base.Name() + ")" }
 // NumNodes implements Scheme.
 func (r *Routing) NumNodes() int { return r.base.NumNodes() }
 
-// OriginOf floors c to the routing chunk grid (1-based strides).
-func (r *Routing) OriginOf(c array.Coord) array.Coord {
-	o := make(array.Coord, len(c))
-	for i := range c {
-		cl := int64(64)
-		if i < len(r.stride) {
-			cl = r.stride[i]
-		}
-		v := c[i]
-		if v < 1 {
-			v = 1
-		}
-		o[i] = ((v-1)/cl)*cl + 1
-	}
-	return o
-}
-
-// ChunkBox is the grid-aligned box of the chunk at origin.
-func (r *Routing) ChunkBox(origin array.Coord) array.Box {
-	hi := make(array.Coord, len(origin))
-	for i := range origin {
-		cl := int64(64)
-		if i < len(r.stride) {
-			cl = r.stride[i]
-		}
-		hi[i] = origin[i] + cl - 1
-	}
-	return array.Box{Lo: append(array.Coord(nil), origin...), Hi: hi}
-}
-
 // NodeFor implements Scheme: the owner is the override's first node when
 // the cell's chunk has been rerouted, the base scheme's owner otherwise.
-func (r *Routing) NodeFor(c array.Coord) int {
-	r.mu.RLock()
-	route, ok := r.overrides[r.OriginOf(c).Key()]
-	r.mu.RUnlock()
-	if ok && len(route.Nodes) > 0 {
-		return route.Nodes[0]
-	}
-	return r.base.NodeFor(c)
-}
+func (r *Routing) NodeFor(c array.Coord) int { return r.NodesFor(c)[0] }
 
-// NodesFor implements Replicator: the full replica set of the cell's
-// chunk (owner first), or just the base owner when unrouted.
+// NodesFor returns the full replica set of the cell's chunk (owner first),
+// or just the base owner when unrouted: writes fan to all of them, readers
+// may consult any.
 func (r *Routing) NodesFor(c array.Coord) []int {
+	o := r.base.OriginOf(c)
 	r.mu.RLock()
-	route, ok := r.overrides[r.OriginOf(c).Key()]
+	route, ok := r.overrides[o.Key()]
 	r.mu.RUnlock()
 	if ok && len(route.Nodes) > 0 {
 		return append([]int(nil), route.Nodes...)
 	}
-	return []int{r.base.NodeFor(c)}
+	return []int{r.base.Scheme.NodeFor(o)}
 }
 
 // SetNodes installs (or updates) the override for the chunk at origin and
@@ -143,7 +84,7 @@ func (r *Routing) SetNodes(origin array.Coord, nodes []int) (int64, error) {
 		}
 		seen[n] = true
 	}
-	o := r.OriginOf(origin)
+	o := r.base.OriginOf(origin)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.version++
@@ -154,7 +95,7 @@ func (r *Routing) SetNodes(origin array.Coord, nodes []int) (int64, error) {
 // ClearNodes drops the override for the chunk at origin, returning
 // placement to the base scheme, and bumps the version.
 func (r *Routing) ClearNodes(origin array.Coord) int64 {
-	o := r.OriginOf(origin)
+	o := r.base.OriginOf(origin)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.overrides[o.Key()]; ok {
@@ -198,7 +139,7 @@ func (r *Routing) OverridesIn(box array.Box) []ChunkRoute {
 	all := r.Overrides()
 	out := all[:0]
 	for _, route := range all {
-		if _, ok := r.ChunkBox(route.Origin).Intersect(box); ok {
+		if _, ok := r.base.ChunkBox(route.Origin).Intersect(box); ok {
 			out = append(out, route)
 		}
 	}
@@ -210,15 +151,7 @@ func (r *Routing) OverridesIn(box array.Box) []ChunkRoute {
 // refines this to per-chunk reader assignments, but the union is already a
 // correct (if unspread) visit set.
 func (r *Routing) NodesForBox(lo, hi array.Coord) []int {
-	var base []int
-	if p, ok := r.base.(Pruner); ok {
-		base = p.NodesForBox(lo, hi)
-	} else {
-		base = make([]int, r.base.NumNodes())
-		for i := range base {
-			base[i] = i
-		}
-	}
+	base := r.base.NodesForBox(lo, hi)
 	seen := map[int]bool{}
 	for _, n := range base {
 		seen[n] = true

@@ -9,7 +9,8 @@ import (
 
 func testRouting(t *testing.T) *Routing {
 	t.Helper()
-	return NewRouting(Block{Nodes: 3, SplitDim: 0, High: 192}, 2, []int64{64, 64})
+	grid := &array.Schema{Dims: []array.Dimension{{Name: "x", High: 192, ChunkLen: 64}, {Name: "y", High: 192, ChunkLen: 64}}}
+	return NewRouting(Bind(Block{Nodes: 3, SplitDim: 0, High: 192}, grid))
 }
 
 func TestRoutingOriginAndChunkBox(t *testing.T) {
@@ -24,11 +25,11 @@ func TestRoutingOriginAndChunkBox(t *testing.T) {
 		{array.Coord{130, 70}, array.Coord{129, 65}},
 		{array.Coord{0, -5}, array.Coord{1, 1}}, // clamped below the grid
 	} {
-		if got := rt.OriginOf(tc.c); !reflect.DeepEqual(got, tc.want) {
+		if got := rt.Base().OriginOf(tc.c); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("OriginOf(%v) = %v, want %v", tc.c, got, tc.want)
 		}
 	}
-	box := rt.ChunkBox(array.Coord{65, 129})
+	box := rt.Base().ChunkBox(array.Coord{65, 129})
 	want := array.Box{Lo: array.Coord{65, 129}, Hi: array.Coord{128, 192}}
 	if !reflect.DeepEqual(box, want) {
 		t.Errorf("ChunkBox = %v, want %v", box, want)
@@ -111,61 +112,8 @@ func TestRoutingOverridesInAndPruning(t *testing.T) {
 	}
 }
 
-// TestReplicatedNodesForDeterminism pins the two invariants coordinator
-// write fan-out depends on (§2.13 uncertain-location replication shares the
-// Replicator interface with routed rebalancing): the replica set for a
-// coordinate is deterministic across calls, never contains a duplicate
-// node, and always leads with the primary owner.
-func TestReplicatedNodesForDeterminism(t *testing.T) {
-	r := Replicated{Scheme: Block{Nodes: 4, SplitDim: 0, High: 64}, MaxErr: 2}
-	coords := []array.Coord{
-		{1, 1}, {16, 5}, {17, 5}, {32, 32}, {33, 1}, {48, 9}, {49, 9}, {64, 64},
-	}
-	for _, c := range coords {
-		first := r.NodesFor(c)
-		if len(first) == 0 {
-			t.Fatalf("NodesFor(%v) empty", c)
-		}
-		if first[0] != r.NodeFor(c) {
-			t.Errorf("NodesFor(%v)[0] = %d, want primary %d", c, first[0], r.NodeFor(c))
-		}
-		seen := map[int]bool{}
-		for _, n := range first {
-			if n < 0 || n >= r.NumNodes() {
-				t.Errorf("NodesFor(%v) returned out-of-range node %d", c, n)
-			}
-			if seen[n] {
-				t.Errorf("NodesFor(%v) repeats node %d: %v", c, n, first)
-			}
-			seen[n] = true
-		}
-		for i := 0; i < 5; i++ {
-			if again := r.NodesFor(c); !reflect.DeepEqual(again, first) {
-				t.Fatalf("NodesFor(%v) not deterministic: %v then %v", c, first, again)
-			}
-		}
-	}
-	// A boundary-straddling error radius replicates to both neighbours; a
-	// deep-interior cell stays single-copy.
-	if got := r.NodesFor(array.Coord{17, 5}); len(got) < 2 {
-		t.Errorf("boundary cell NodesFor = %v, want both slab owners", got)
-	}
-	if got := r.NodesFor(array.Coord{8, 8}); len(got) != 1 {
-		t.Errorf("interior cell NodesFor = %v, want single copy", got)
-	}
-	// Zero error radius degenerates to the base scheme exactly.
-	r0 := Replicated{Scheme: Block{Nodes: 4, SplitDim: 0, High: 64}}
-	for _, c := range coords {
-		if got := r0.NodesFor(c); !reflect.DeepEqual(got, []int{r0.NodeFor(c)}) {
-			t.Errorf("MaxErr=0 NodesFor(%v) = %v", c, got)
-		}
-	}
-}
-
 // Routing must satisfy the interfaces the coordinator type-asserts.
 var (
-	_ Scheme     = (*Routing)(nil)
-	_ Pruner     = (*Routing)(nil)
-	_ Replicator = (*Routing)(nil)
-	_ Replicator = Replicated{}
+	_ Scheme = (*Routing)(nil)
+	_ Pruner = (*Routing)(nil)
 )
