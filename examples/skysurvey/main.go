@@ -21,6 +21,9 @@ func main() {
 	const (
 		nodes = 4
 		n     = 128
+		// A chunk is placed whole on one node, so each dimension has one
+		// chunk column per node.
+		chunk = n / nodes
 	)
 	// An in-process grid; swap cluster.DialTCP(addrs) to run against real
 	// scidb-server nodes — the protocol is identical.
@@ -32,16 +35,16 @@ func main() {
 	skySchema := &scidb.Schema{
 		Name: "sky",
 		Dims: []scidb.Dimension{
-			{Name: "ra", High: n},
-			{Name: "dec", High: n},
+			{Name: "ra", High: n, ChunkLen: chunk},
+			{Name: "dec", High: n, ChunkLen: chunk},
 		},
 		Attrs: []scidb.Attribute{{Name: "flux", Type: scidb.TFloat64}},
 	}
 	catSchema := &scidb.Schema{
 		Name: "catalog",
 		Dims: []scidb.Dimension{
-			{Name: "ra", High: n},
-			{Name: "dec", High: n},
+			{Name: "ra", High: n, ChunkLen: chunk},
+			{Name: "dec", High: n, ChunkLen: chunk},
 		},
 		Attrs: []scidb.Attribute{{Name: "starid", Type: scidb.TInt64}},
 	}
@@ -90,21 +93,29 @@ func main() {
 			Weight: 1,
 		})
 	}
+	// Placement is per chunk: the imbalances are those of the schemes bound
+	// to the array's chunk grid, the grain at which cells actually move.
+	grid := cluster.PartitionSchema(skySchema)
 	fmt.Printf("\nhotspot workload imbalance under fixed ra-blocks: %.2fx\n",
-		partition.Imbalance(fixed, sample))
+		partition.Imbalance(partition.Bind(fixed, grid), sample))
 
 	// Note the fixed scheme splits ra, so a dec hotspot is actually spread —
 	// but a dec-partitioned survey (common for drift scans) would suffer:
 	fixedDec := partition.Block{Nodes: nodes, SplitDim: 1, High: n}
-	fmt.Printf("...and under fixed dec-blocks: %.2fx\n", partition.Imbalance(fixedDec, sample))
+	fmt.Printf("...and under fixed dec-blocks: %.2fx\n",
+		partition.Imbalance(partition.Bind(fixedDec, grid), sample))
 
-	// The automatic designer derives a balanced scheme from the sample.
-	designed, err := partition.Design(sample, 1, nodes)
+	// The automatic designer derives a scheme from the sample, splitting
+	// dec at chunk boundaries. The hot band lies almost all in one chunk
+	// column, and a chunk lives whole on one node, so no range of whole
+	// chunks does better than the fixed blocks here: a hot chunk is spread
+	// by replicas (cluster.RebalanceOptions.Replicas), not by placement.
+	designed, err := partition.DesignChunks(sample, grid, 1, nodes)
 	mustErr(err)
 	fmt.Printf("designer-derived scheme %s imbalance: %.2fx\n",
 		designed.Name(), partition.Imbalance(designed, sample))
 
-	// Repartition the live array; only cells that change owner move.
+	// Repartition the live array; only chunks that change owner move.
 	before = co.BytesMoved()
 	mustErr(co.Repartition("sky", designed))
 	fmt.Printf("repartitioned sky: %d bytes moved\n", co.BytesMoved()-before)

@@ -32,7 +32,7 @@ func benchSetup(b *testing.B) (*Coordinator, Transport, func()) {
 		b.Fatal(err)
 	}
 	co := NewCoordinator(tr, 0)
-	if err := co.Create("b", gridSchema(), partition.Block{Nodes: 3, SplitDim: 0, High: 24}); err != nil {
+	if err := co.Create("b", gridSchema8(), partition.Block{Nodes: 3, SplitDim: 0, High: 24}); err != nil {
 		b.Fatal(err)
 	}
 	for i := int64(1); i <= 24; i++ {

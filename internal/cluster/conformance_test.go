@@ -116,7 +116,7 @@ func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 	scheme := partition.Block{Nodes: 3, SplitDim: 0, High: 12}
 	schema := &array.Schema{
 		Name:  "conf",
-		Dims:  []array.Dimension{{Name: "x", High: 12}, {Name: "y", High: 12}},
+		Dims:  []array.Dimension{{Name: "x", High: 12, ChunkLen: 4}, {Name: "y", High: 12, ChunkLen: 4}},
 		Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
 	}
 	if err := co.Create("conf", schema, scheme); err != nil {
@@ -135,7 +135,7 @@ func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 	// A second array, read under a predicate.
 	vecSchema := &array.Schema{
 		Name:  "confR",
-		Dims:  []array.Dimension{{Name: "x", High: 12}, {Name: "y", High: 12}},
+		Dims:  []array.Dimension{{Name: "x", High: 12, ChunkLen: 4}, {Name: "y", High: 12, ChunkLen: 4}},
 		Attrs: []array.Attribute{{Name: "w", Type: array.TInt64}},
 	}
 	if err := co.Create("confR", vecSchema, scheme); err != nil {
@@ -150,6 +150,12 @@ func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 	}
 	if err := co.Flush("confR"); err != nil {
 		t.Fatal(err)
+	}
+
+	for _, name := range []string{"conf", "confR"} {
+		if n := holding(t, tr, name); n != 3 {
+			t.Fatalf("%d node(s) hold cells of %s, want 3", n, name)
+		}
 	}
 
 	var res conformanceResults
@@ -260,10 +266,13 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	defer tr.Close()
 	co := NewCoordinator(tr, 0)
 	scheme := partition.Block{Nodes: 2, SplitDim: 0, High: 16}
-	if err := co.Create("stress", gridSchema(), scheme); err != nil {
+	if err := co.Create("stress", gridSchema8(), scheme); err != nil {
 		t.Fatal(err)
 	}
 	loadGrid(t, co, "stress", 16)
+	if n := holding(t, tr, "stress"); n != 2 {
+		t.Fatalf("%d node(s) hold cells, want 2", n)
+	}
 
 	const goroutines = 16
 	const callsPer = 25

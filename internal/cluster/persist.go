@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 
 	"scidb/internal/array"
@@ -167,8 +171,41 @@ func (w *Worker) createLocked(name string, schema *array.Schema) (*storage.Store
 	if err != nil {
 		return nil, err
 	}
+	if dir != "" {
+		if err := markPlacement(dir, st); err != nil {
+			_ = st.Close()
+			delete(w.stores, name)
+			w.stats.cellsHeld.Add(-superseded)
+			return nil, fmt.Errorf("array %q under %s: %w", name, dir, err)
+		}
+	}
 	w.stats.cellsHeld.Add(w.heldLocked(name) - superseded)
 	return st, nil
+}
+
+// placementFile, in a partition's directory, records that its buckets were
+// written under chunk placement, every chunk whole on one node
+// (partition.Chunked).
+const placementFile = "PLACEMENT"
+
+// ErrCellPlacement reports a partition directory written under cell
+// placement. There, a chunk column that a node cut crossed is held in part
+// by the neighbouring node, whose cells box reads pruned to the chunk's
+// owner would skip while whole-array reads count them; such a directory
+// holds buckets but no placement mark, and is refused rather than served.
+var ErrCellPlacement = errors.New("cluster: partition written under cell placement; reload it")
+
+// markPlacement checks a partition directory's placement mark, and marks a
+// directory that holds no bucket yet.
+func markPlacement(dir string, st *storage.Store) error {
+	path := filepath.Join(dir, placementFile)
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if st.NumBuckets() > 0 {
+		return ErrCellPlacement
+	}
+	return os.WriteFile(path, []byte("chunk\n"), 0o644)
 }
 
 // openLocked opens name's partition as a store whose buckets live under dir

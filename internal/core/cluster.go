@@ -28,12 +28,21 @@ func (db *Database) Cluster() *cluster.Coordinator {
 
 // blockScheme is where a new array goes on the cluster: block-partitioned
 // on its first bounded dimension. ok is false for an all-unbounded schema,
-// which has no split key and stays local. Called with db.mu held.
+// which has no split key and stays local. The chunk is the unit of
+// placement, so a split dimension that sets no chunk length and is too
+// short for one default-long chunk column per node is chunked in place into
+// one column per node. Called with db.mu held.
 func (db *Database) blockScheme(schema *array.Schema) (scheme partition.Block, ok bool) {
-	for i, d := range schema.Dims {
-		if d.High != array.Unbounded {
-			return partition.Block{Nodes: db.cluster.NumNodes(), SplitDim: i, High: d.High}, true
+	for i := range schema.Dims {
+		d := &schema.Dims[i]
+		if d.High == array.Unbounded {
+			continue
 		}
+		scheme = partition.Block{Nodes: db.cluster.NumNodes(), SplitDim: i, High: d.High}
+		if per := (d.High + int64(scheme.Nodes) - 1) / int64(scheme.Nodes); d.ChunkLen <= 0 && per < array.DefaultChunkLen {
+			d.ChunkLen = per
+		}
+		return scheme, true
 	}
 	return scheme, false
 }
