@@ -88,7 +88,8 @@ bench:
 # One iteration of the fold kernels' micro-benchmarks (worker fold, whole
 # partition, boxed and under predicates; one chunk through Fold.Chunk; local
 # Aggregate/Regrid), of the worker's boxed read of cells (each bucket the box
-# cuts taken out by Select), of the compiled-expression kernels (Filter, Apply), of
+# cuts taken out by Select), of the worker's join of two partitions' chunk
+# pairs (SS-DB Q7's node half), of the compiled-expression kernels (Filter, Apply), of
 # the structural operators' (gather, join and filter kernels), of the cold read
 # path's (column and chunk decode — full, site-boundary and catalog chunks,
 # and a 27 %-occupied chunk's allocations — and cold chunk scan), of the chunk encoder's and of a bucket section's seal
@@ -96,7 +97,7 @@ bench:
 # kernel against strconv, a shard through the ingest pipeline), so CI runs
 # what `make bench` measures.
 bench-smoke:
-	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadBoxCells|WorkerReadPredsFold|FoldChunk|ParallelFilter|ParallelApply|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
+	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadBoxCells|WorkerReadPredsFold|WorkerSjoin|FoldChunk|ParallelFilter|ParallelApply|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
 	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|DecodePartialChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x -benchmem ./internal/storage
 	$(GO) test -run=NONE -bench 'CSVShardScan|PipelineCSV|ParseFloat' -benchtime=1x ./internal/insitu
 

@@ -179,6 +179,15 @@ func (b *Bitmap) OrRange(src *Bitmap, lo, hi int64) {
 	b.words[w1] |= src.words[w1] & hiMask
 }
 
+// AndNot clears every bit that is set in o, a bitmap of the same length: a
+// word at a time, the mask of a chunk version minus the slots a newer
+// version of the same chunk holds.
+func (b *Bitmap) AndNot(o *Bitmap) {
+	for i, w := range o.words {
+		b.words[i] &^= w
+	}
+}
+
 // NextSet returns the index of the first set bit at or after i, or Len()
 // when there is none. `for i := b.NextSet(0); i < b.Len(); i = b.NextSet(i+1)`
 // visits the set bits in order, skipping clear words whole.

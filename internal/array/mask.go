@@ -60,24 +60,3 @@ func (ch *Chunk) ClearBox(mask *Bitmap, box Box) {
 		})
 	}
 }
-
-// ClearShadowed clears the mask's slots, within box, whose coordinate is
-// present in a newer chunk laid out at (origin, shape) with the given
-// presence bitmap: newest-write-wins resolved on bitmaps, with no per-cell
-// key.
-func (ch *Chunk) ClearShadowed(mask *Bitmap, box Box, origin Coord, shape []int64, present *Bitmap) {
-	newer := Chunk{Origin: origin, Shape: shape}
-	inter, ok := ch.Box().Intersect(box)
-	if ok {
-		inter, ok = inter.Intersect(newer.Box())
-	}
-	if !ok {
-		return
-	}
-	ch.Rows(inter, func(start, n int64, c Coord) {
-		from := newer.Index(c)
-		for k := present.NextSet(from); k < from+n; k = present.NextSet(k + 1) {
-			mask.Clear(start + k - from)
-		}
-	})
-}

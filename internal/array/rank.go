@@ -282,6 +282,18 @@ func (b *ChunkBuilder) Add(slot int64) {
 	b.next = slot + 1
 }
 
+// AddWord marks present the slots of presence word wi that w names: Add for
+// 64 slots at once, under the same order, and every column must then append
+// one value for each of them (AppendWord).
+func (b *ChunkBuilder) AddWord(wi int64, w uint64) {
+	if w == 0 {
+		return
+	}
+	b.unordered = b.unordered || wi<<6+int64(bits.TrailingZeros64(w)) < b.next
+	b.words[wi] |= w
+	b.next = wi<<6 + 64 - int64(bits.LeadingZeros64(w))
+}
+
 // Chunk seals and returns the chunk built, or nil when no cell was added.
 // The builder must not be used afterwards.
 func (b *ChunkBuilder) Chunk() *Chunk {
@@ -430,13 +442,13 @@ func MergeParts(older, newer *Chunk) *Chunk {
 		}
 		nw := newer.Present.words[wi] & tail
 		ow := older.Present.words[wi] &^ nw & tail
-		b.words[wi] = nw | ow
+		b.AddWord(int64(wi), nw|ow)
 		for ai, col := range b.Cols() {
 			switch {
 			case ow == 0:
-				col.appendWord(newer.Cols[ai], int64(wi), nw)
+				col.AppendWord(newer.Cols[ai], int64(wi), nw)
 			case nw == 0:
-				col.appendWord(older.Cols[ai], int64(wi), ow)
+				col.AppendWord(older.Cols[ai], int64(wi), ow)
 			default:
 				for w := nw | ow; w != 0; w &= w - 1 {
 					i := int64(wi)<<6 + int64(bits.TrailingZeros64(w))
@@ -467,9 +479,9 @@ func (ch *Chunk) Select(live *Bitmap) *Chunk {
 		if rest := live.n - int64(wi)<<6; rest < 64 {
 			w &= 1<<uint(rest) - 1
 		}
-		b.words[wi] = w
+		b.AddWord(int64(wi), w)
 		for ai, col := range b.Cols() {
-			col.appendWord(ch.Cols[ai], int64(wi), w)
+			col.AppendWord(ch.Cols[ai], int64(wi), w)
 		}
 	}
 	out := b.Chunk()
@@ -497,12 +509,14 @@ func builderLike(ch *Chunk, hint int64) *ChunkBuilder {
 	return &ChunkBuilder{ch: out, words: out.Present.words}
 }
 
-// appendWord appends the values of o's slots that word wi's marks name, as
+// AppendWord appends the values of o's slots that word wi's marks name, as
+// the values of the same slots of c's chunk — a chunk of o's shape — as
 // AppendFrom would one at a time: one copy of o's vector when they are all
 // of o's values in the word (its rank's word, or a full word of an open
 // column), slot by slot otherwise. A copied NULL cell carries whatever value
-// o holds under it; it reads as NULL.
-func (c *Column) appendWord(o *Column, wi int64, marks uint64) {
+// o holds under it; it reads as NULL. c is a ChunkBuilder's column, and the
+// slots are the ones its builder took last (AddWord).
+func (c *Column) AppendWord(o *Column, wi int64, marks uint64) {
 	if marks == 0 {
 		return
 	}

@@ -220,3 +220,54 @@ func BenchmarkWorkerReadPredsFold(b *testing.B) {
 		b.Fatalf("read saw %d of %d cells and answered %d: want all seen, some refuted", resp.Seen, cells, resp.Cells)
 	}
 }
+
+// BenchmarkWorkerSjoin is SS-DB Q7's node half: a persisted node holding an
+// 86×256 slab of a dense cooked image and of a sparse catalog (one cell in
+// four) on 64² chunks, joined on both dimensions where they lie, the joined
+// chunks encoded for the wire. ns/cell is per input cell read.
+func BenchmarkWorkerSjoin(b *testing.B) {
+	w := NewWorkerWithOptions(0, WorkerOptions{Dir: b.TempDir(), CacheBytes: 64 << 20})
+	b.Cleanup(func() { _ = w.Close() })
+	var held int64
+	for _, name := range []string{"catalog", "cooked"} {
+		schema := &array.Schema{Name: name,
+			Dims:  []array.Dimension{{Name: "x", High: 86, ChunkLen: 64}, {Name: "y", High: 256, ChunkLen: 64}},
+			Attrs: []array.Attribute{{Name: name + "_v", Type: array.TFloat64}}}
+		a := array.MustNew(schema)
+		array.IterBox(array.WholeBox(schema), func(c array.Coord) bool {
+			if name == "cooked" || (c[0]*7+c[1]*3)%4 == 0 {
+				if err := a.Set(c, array.Cell{array.Float64(float64(c[0]*c[1]) / 16)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return true
+		})
+		held += a.Count()
+		load := &Message{Op: "loadchunks", Array: name}
+		for _, ch := range a.Chunks() {
+			payload, err := storage.EncodeChunk(schema, ch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			load.Chunks = append(load.Chunks, payload)
+		}
+		for _, req := range []*Message{{Op: "create", Array: name, Schema: schema}, load, {Op: "flush", Array: name}} {
+			if resp := w.Handle(req); resp.Err != "" {
+				b.Fatal(resp.Err)
+			}
+		}
+	}
+	req := &Message{Op: "read", Array: "catalog", Join: "cooked"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var resp *Message
+	for i := 0; i < b.N; i++ {
+		if resp = w.Handle(req); resp.Err != "" {
+			b.Fatal(resp.Err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*held), "ns/cell")
+	if resp.Seen != held || resp.Cells == 0 || resp.Cells >= held/4+1 {
+		b.Fatalf("join read %d of %d cells and answered %d", resp.Seen, held, resp.Cells)
+	}
+}

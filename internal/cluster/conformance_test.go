@@ -104,12 +104,16 @@ type conformanceResults struct {
 	scan  map[string]string
 	agg   map[string]string
 	preds map[string]string
+	join  map[string]string
 	errs  []string
 }
 
 // runConformanceScenario drives the full protocol over a transport:
 // create, staged puts, flush, box scan, grouped aggregate, a read under
-// predicates of a second array, and a set of must-fail calls.
+// predicates of a second array, the two arrays' join pushed to the nodes
+// (the Local transport hands a *Message over without the codec, so only the
+// TCP runs prove the join's field crosses the wire), and a set of must-fail
+// calls.
 func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 	t.Helper()
 	co := NewCoordinator(tr, 0)
@@ -180,10 +184,19 @@ func runConformanceScenario(t *testing.T, tr Transport) conformanceResults {
 		t.Fatal(err)
 	}
 	res.preds = cellsOf(passed)
+	if !co.CoPlaced("conf", "confR") {
+		t.Fatal("conf and confR are not co-placed")
+	}
+	joined, _, _, _, err := co.Read(context.Background(), "conf", ops.Fragment{Join: "confR"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.join = cellsOf(joined)
 
 	// Error propagation: the worker's message must cross every transport.
 	for _, bad := range []*Message{
 		{Op: "read", Array: "ghost"},
+		{Op: "read", Array: "conf", Join: "ghost"},
 		{Op: "frobnicate"},
 		{Op: "read", Array: "conf", Fold: &ops.FoldSpec{Aggs: []ops.AggSpec{{Agg: "sum", Attr: "zzz"}}}},
 		{Op: "put", Array: "conf", Chunks: [][]byte{{1, 2, 3}}},
@@ -214,6 +227,9 @@ func TestTransportConformance(t *testing.T) {
 	if len(ref.preds) != 36 { // w = x - y > 3
 		t.Fatalf("reference cells passing the predicate = %d, want 36", len(ref.preds))
 	}
+	if len(ref.join) != 144 {
+		t.Fatalf("reference join cells = %d, want 144", len(ref.join))
+	}
 	for name, mk := range factories {
 		if name == "local" {
 			continue
@@ -229,6 +245,7 @@ func TestTransportConformance(t *testing.T) {
 				"scan":  {got.scan, ref.scan},
 				"agg":   {got.agg, ref.agg},
 				"preds": {got.preds, ref.preds},
+				"join":  {got.join, ref.join},
 			} {
 				if len(pair[0]) != len(pair[1]) {
 					t.Errorf("%s: %d cells, want %d", field, len(pair[0]), len(pair[1]))

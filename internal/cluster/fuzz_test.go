@@ -14,7 +14,8 @@ import (
 // trip unchanged (compared as bytes: a partial table may hold NaNs, which
 // are not equal to themselves). The seeds cover the full field set
 // (including a read's fold spec — with aggregates and, a count, without —
-// its partial-table and seen-cells answers, and the route and heat blocks),
+// its partial-table and seen-cells answers, a join read, and the route and
+// heat blocks),
 // truncations, and a bit-flipped frame, so the fuzzer starts inside every
 // block decoder.
 func FuzzDecodeClusterMessage(f *testing.F) {
@@ -28,6 +29,7 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		{Op: "heat", Heat: []HeatSample{{Array: "a", Origin: []int64{1, 65}, Score: 7}}},
 		{Op: "read", Array: "a", Fold: &ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "max", Attr: "v"}}}},
 		{Op: "read", Array: "a", Fold: &ops.FoldSpec{}, ExclLo: [][]int64{{1}}, ExclHi: [][]int64{{64}}},
+		{Op: "read", Array: "a", Join: "b"},
 		{Op: "read", Cells: 3, Seen: 9, Chunks: [][]byte{{0, 0, 0, 0}}},
 		{Op: "read", Table: &ops.FoldTable{Lo: []int64{0}, Shape: []int64{3}, Cells: []int64{4, 0, 2},
 			Cols: []ops.FoldState{{N: []int64{4, 0, 1}, F: []float64{2.5, 0, math.NaN()}, M2: []float64{0.5, 0, 0}}}}},

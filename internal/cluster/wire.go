@@ -38,8 +38,9 @@ const (
 	msg2HasInsitu = 1 << 1 // Path + Adaptor (in-situ registration)
 	msg2HasRoute  = 1 << 2 // ExclLo/ExclHi + RouteVersion + Nodes + Release (online rebalancing)
 	msg2HasHeat   = 1 << 3 // Heat samples ("heat" response)
+	msg2HasJoin   = 1 << 4 // Join: the right-hand array of a "read"
 
-	msg2KnownBits = msg2HasChunks | msg2HasInsitu | msg2HasRoute | msg2HasHeat
+	msg2KnownBits = msg2HasChunks | msg2HasInsitu | msg2HasRoute | msg2HasHeat | msg2HasJoin
 )
 
 // encodePredValue writes one predicate constant. Preds are scalar
@@ -178,6 +179,9 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 	if len(m.Heat) > 0 {
 		present2 |= msg2HasHeat
 	}
+	if m.Join != "" {
+		present2 |= msg2HasJoin
+	}
 	if present2 != 0 {
 		w.U8(present2)
 		if present2&msg2HasChunks != 0 {
@@ -208,6 +212,9 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 				w.I64s(h.Origin)
 				w.F64(h.Score)
 			}
+		}
+		if present2&msg2HasJoin != 0 {
+			w.String(m.Join)
 		}
 	}
 	return w.Err()
@@ -370,6 +377,9 @@ func decodeMessage(data []byte) (*Message, error) {
 					}
 				}
 			}
+		}
+		if present2&msg2HasJoin != 0 {
+			m.Join = r.String()
 		}
 	}
 	if r.Err() != nil {

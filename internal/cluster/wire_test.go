@@ -68,6 +68,7 @@ func wireTestMessage() *Message {
 			{Array: "sky", Origin: []int64{1, 65}, Score: 42.5},
 			{Array: "sky", Origin: []int64{65, 65}, Score: 1},
 		},
+		Join: "right",
 	}
 }
 

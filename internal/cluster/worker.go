@@ -2,9 +2,9 @@
 // cluster of worker nodes coordinated over a message transport. Workers
 // hold array partitions; the coordinator routes cells by a partitioning
 // scheme, pushes fragments (box, predicates, aggregates as combinable
-// partials) down to where the cells are, and repartitions arrays when the
-// scheme changes over time (counting bytes moved, the PART and COPART
-// experiments' metric).
+// partials, the join of two co-placed arrays) down to where the cells are,
+// and repartitions arrays when the scheme changes over time (counting bytes
+// moved, the PART and COPART experiments' metric).
 //
 // Two transports are provided: in-process (direct calls) and TCP with a
 // multiplexed binary wire protocol — length-prefixed frames tagged with a
@@ -95,6 +95,10 @@ type Message struct {
 	// Heat is the "heat" response: the node's decayed per-chunk access
 	// scores (second presence byte, own bit).
 	Heat []HeatSample
+	// Join, on a "read" request, names a right-hand array: the node answers
+	// with Array's join with it on every dimension in order, its chunk pairs
+	// joined where they lie (joinLocked). Second presence byte, own bit.
+	Join string
 }
 
 // Worker is one shared-nothing node: a set of local array partitions, each a
@@ -272,6 +276,8 @@ func spanName(req *Message) string {
 	switch {
 	case req.Op != "read":
 		return req.Op
+	case req.Join != "":
+		return "read join"
 	case req.Fold == nil:
 		return "read cells"
 	case len(req.Fold.Aggs) == 0:
@@ -295,6 +301,9 @@ func (w *Worker) handle(req *Message) (*Message, error) {
 	case "read":
 		w.mu.RLock()
 		defer w.mu.RUnlock()
+		if req.Join != "" {
+			return w.joinLocked(req)
+		}
 		return w.readLocked(req)
 	case "flush":
 		return w.flushOp(req)

@@ -95,9 +95,9 @@ func backingCells(t *testing.T, name string) *array.Array {
 	return a
 }
 
-// fourBackings registers the same cells as "D" (and no cells as "E") in
-// four databases: a memory array, an attached store, an ATTACHed file and a
-// 2-node persisted cluster array.
+// fourBackings registers the same cells as "D" (no cells as "E", and D's
+// cells but every third as "F") in four databases: a memory array, an
+// attached store, an ATTACHed file and a 2-node persisted cluster array.
 func fourBackings(t *testing.T) map[string]*Database {
 	t.Helper()
 	dbs := map[string]*Database{}
@@ -114,10 +114,18 @@ func fourBackings(t *testing.T) map[string]*Database {
 			co = cluster.NewCoordinator(tr, 0)
 			db.AttachCluster(co)
 		}
-		for _, name := range []string{"D", "E"} {
+		for _, name := range []string{"D", "E", "F"} {
 			a := array.MustNew(backingSchema(name))
-			if name == "D" {
+			if name != "E" {
 				a = backingCells(t, name)
+			}
+			if name == "F" {
+				array.IterBox(array.WholeBox(a.Schema), func(c array.Coord) bool {
+					if (c[0]+c[1])%3 == 0 {
+						a.Erase(c)
+					}
+					return true
+				})
 			}
 			// The store and the cluster hold D on a 4x4 chunk grid.
 			grid := a.Schema.Clone()
@@ -295,6 +303,8 @@ func TestOneStatementFourBackings(t *testing.T) {
 		{"aggregate(filter(D, v > 80), {}, spread(v))", filtered},                        // no typed state, and no NULL contract
 		{"aggregate(filter(D, v > 80), {}, sum(v), spread(v) as r)", filtered},           //
 		{"aggregate(filter(D, v > 80 and w < 10.5), {x}, count(v))", filtered},           // grouped: a pruned bucket's groups are unknown
+		// Two arrays placed alike join their chunk pairs where they lie.
+		{"sjoin(D, F, D.x = F.x and D.y = F.y)", "sjoin [per-node chunk pairs]\n├─ scan D [cluster]\n└─ scan F [cluster]"},
 	} {
 		sameOnFourBackings(t, dbs, c.stmt)
 		if got := exec(t, dbs["cluster"], "explain "+c.stmt).Msg; got != c.plan {

@@ -14,8 +14,9 @@ import (
 )
 
 // ssdbStatements are the ten statement shapes of the standing benchmark
-// (bench/workloads.go): its four pushed-down statements and six gathered
-// ones, with the slab offsets fixed.
+// (bench/workloads.go): the four of its pushdown workloads and the six of
+// its gather workload, of which Q7's sjoin runs on the nodes too, with the
+// slab offsets fixed.
 var ssdbStatements = []string{
 	"aggregate(raw, {}, avg(dn))",
 	"aggregate(raw, {pass}, max(dn))",
@@ -112,7 +113,7 @@ regrid [per-node partials]
 aggregate [per-node partials]
 └─ scan cooked [cluster] box=[7:26,7:26]
 > sjoin(catalog, cooked, catalog.x = cooked.x and catalog.y = cooked.y)
-sjoin
+sjoin [per-node chunk pairs]
 ├─ scan catalog [cluster]
 └─ scan cooked [cluster]
 > filter(regrid(cooked, [8, 8], avg(radiance) as mean), mean > 13)

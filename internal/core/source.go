@@ -149,7 +149,7 @@ func (s clusterSource) folds() bool           { return true }
 // partial table and ships that.
 func (s clusterSource) read(ctx context.Context, frag ops.Fragment) (*array.Array, bool, error) {
 	got, cells, seen, skipped, err := s.co.Read(ctx, s.name, frag)
-	if err != nil || frag.Fold != nil {
+	if err != nil || frag.Fold != nil || frag.Join != "" {
 		return got, false, err
 	}
 	// Workers filter cell by cell, so it is what they read and did not ship

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"time"
 
 	"scidb/internal/array"
@@ -15,7 +16,9 @@ import (
 	"scidb/internal/compress"
 	"scidb/internal/core"
 	"scidb/internal/insitu"
+	"scidb/internal/obs"
 	"scidb/internal/ops"
+	"scidb/internal/parser"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
@@ -109,24 +112,24 @@ func init() {
 }
 
 // COPART reproduces §2.7's co-partitioning point: arrays partitioned the
-// same way join node by node with zero data movement; misaligned arrays pay
-// a repartition first. Each node joins its own two partitions in process
-// (ops.SjoinCtx), and the union of those joins must be the AQL join, which
-// core answers over the arrays gathered whole.
+// same way join without moving their cells. AQL's sjoin over two arrays
+// placed alike runs on the nodes — each joins the chunk pairs it holds — and
+// only the joined cells travel to the coordinator; over independently (hash-)
+// placed arrays both inputs are gathered whole to be joined there, until a
+// repartition places B by A's scheme. Every answer is the memory join's.
 func init() {
 	register(&Experiment{
 		ID:    "COPART",
 		Title: "§2.7 co-partitioned joins avoid data movement",
 		Run: func(w io.Writer, quick bool) error {
-			header(w, "COPART", "bytes moved before per-node joins answer sjoin(A, B)")
+			header(w, "COPART", "bytes the coordinator gathers to answer sjoin(A, B)")
 			nodes := 4
 			n := int64(256)
 			if quick {
 				n = 64
 			}
 			// One chunk column per node, as the block scheme places whole
-			// chunks, set on the schema so a node's chunks decode under the
-			// array's own schema.
+			// chunks. A holds every x, B every third one.
 			vecSchema := func(name string) *array.Schema {
 				return &array.Schema{
 					Name:  name,
@@ -134,8 +137,63 @@ func init() {
 					Attrs: []array.Attribute{{Name: "v", Type: array.TFloat64}},
 				}
 			}
+			cells := map[string]func(i int64) (array.Cell, bool){
+				"A": func(i int64) (array.Cell, bool) { return array.Cell{array.Float64(float64(i))}, true },
+				"B": func(i int64) (array.Cell, bool) { return array.Cell{array.Float64(float64(i * 2))}, i%3 == 0 },
+			}
+			const stmt = "sjoin(A, B, A.x = B.x)"
+			mem := map[string]*array.Array{}
+			for _, name := range []string{"A", "B"} {
+				mem[name] = array.MustNew(vecSchema(name))
+				for i := int64(1); i <= n; i++ {
+					if cell, ok := cells[name](i); ok {
+						if err := mem[name].Set(array.Coord{i}, cell); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			ref, err := ops.Sjoin(mem["A"], mem["B"], []ops.DimPair{{LDim: "x", RDim: "x"}})
+			if err != nil {
+				return err
+			}
+			want := cellLines(ref)
 			block := partition.Block{Nodes: nodes, SplitDim: 0, High: n}
-			run := func(coPartitioned bool) (moved int64, dur time.Duration, cells int, err error) {
+			type row struct {
+				placement, plan string
+				gathered, moved int64
+				cells           int
+			}
+			// answer runs the AQL join on db, traced, and checks it against the
+			// memory join: its plan, the bytes its reads gathered, its cells.
+			answer := func(db *core.Database, placement string, moved int64) (row, error) {
+				r := row{placement: placement, moved: moved}
+				plan, err := db.Exec("explain " + stmt)
+				if err != nil {
+					return r, err
+				}
+				r.plan = "gathered"
+				if head, _, _ := strings.Cut(plan.Msg, "\n"); head == "sjoin [per-node chunk pairs]" {
+					r.plan = "pushed"
+				}
+				parsed, err := parser.Parse(stmt)
+				if err != nil {
+					return r, err
+				}
+				root := obs.NewTrace(stmt).Root()
+				res, err := db.RunCtx(obs.ContextWithSpan(context.Background(), root), parsed)
+				root.End()
+				if err != nil {
+					return r, err
+				}
+				r.gathered = root.Totals()["bytes_gathered"]
+				got := cellLines(res.Array)
+				if r.cells = len(got); !slices.Equal(got, want) {
+					return r, fmt.Errorf("COPART: %s: the join has %d cells, the memory join %d, or they differ", placement, len(got), len(want))
+				}
+				return r, nil
+			}
+			run := func(coPartitioned bool) ([]row, error) {
 				schemeB := partition.Scheme(block)
 				if !coPartitioned {
 					schemeB = partition.Hash{Nodes: nodes, Dims: []int{0}}
@@ -143,111 +201,71 @@ func init() {
 				tr := cluster.NewLocal(nodes)
 				defer tr.Close()
 				co := cluster.NewCoordinator(tr, 0)
-				if err := co.Create("A", vecSchema("A"), block); err != nil {
-					return 0, 0, 0, err
-				}
-				if err := co.Create("B", vecSchema("B"), schemeB); err != nil {
-					return 0, 0, 0, err
-				}
-				for i := int64(1); i <= n; i++ {
-					if err := co.Put("A", array.Coord{i}, array.Cell{array.Float64(float64(i))}); err != nil {
-						return 0, 0, 0, err
+				for _, name := range []string{"A", "B"} {
+					scheme := partition.Scheme(block)
+					if name == "B" {
+						scheme = schemeB
 					}
-					if err := co.Put("B", array.Coord{i}, array.Cell{array.Float64(float64(i * 2))}); err != nil {
-						return 0, 0, 0, err
+					if err := co.Create(name, vecSchema(name), scheme); err != nil {
+						return nil, err
 					}
-				}
-				if err := co.Flush("A"); err != nil {
-					return 0, 0, 0, err
-				}
-				if err := co.Flush("B"); err != nil {
-					return 0, 0, 0, err
+					var err error
+					mem[name].Iter(func(c array.Coord, cell array.Cell) bool {
+						err = co.Put(name, c.Clone(), cell)
+						return err == nil
+					})
+					if err == nil {
+						err = co.Flush(name)
+					}
+					if err != nil {
+						return nil, err
+					}
 				}
 				db := core.Open()
 				db.AttachCluster(co)
-				res, err := db.Exec("sjoin(A, B, A.x = B.x)")
+				if coPartitioned {
+					r, err := answer(db, "co-partitioned", co.BytesMoved())
+					return []row{r}, err
+				}
+				first, err := answer(db, "independently partitioned", co.BytesMoved())
 				if err != nil {
-					return 0, 0, 0, err
+					return nil, err
 				}
-				want := cellLines(res.Array)
-				if !coPartitioned {
-					parts, err := nodeLocalJoin(tr, vecSchema)
-					if err != nil {
-						return 0, 0, 0, err
-					}
-					if slices.Equal(cellLines(parts...), want) {
-						return 0, 0, 0, fmt.Errorf("COPART: per-node joins of misaligned arrays answered the join before a repartition")
-					}
+				if err := co.Repartition("B", block); err != nil {
+					return nil, err
 				}
-				// Timed: what it takes to answer where the cells are — a
-				// repartition when misaligned, then the per-node joins.
-				before := co.BytesMoved()
-				start := time.Now()
-				if !coPartitioned {
-					if err := co.Repartition("B", block); err != nil {
-						return 0, 0, 0, err
-					}
-				}
-				parts, err := nodeLocalJoin(tr, vecSchema)
-				if err != nil {
-					return 0, 0, 0, err
-				}
-				dur = time.Since(start)
-				got := cellLines(parts...)
-				if !slices.Equal(got, want) {
-					return 0, 0, 0, fmt.Errorf("COPART: the union of per-node joins under %s has %d cells, the AQL join %d", schemeB.Name(), len(got), len(want))
-				}
-				return co.BytesMoved() - before, dur, len(got), nil
+				then, err := answer(db, "  after Repartition(B)", co.BytesMoved())
+				return []row{first, then}, err
 			}
-			coMoved, coDur, coCells, err := run(true)
+			co, err := run(true)
 			if err != nil {
 				return err
 			}
-			unMoved, unDur, unCells, err := run(false)
+			un, err := run(false)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%-28s %12s %12s %10s\n", "placement", "bytes moved", "join time", "cells")
-			fmt.Fprintf(w, "%-28s %12d %12v %10d\n", "co-partitioned", coMoved, coDur, coCells)
-			fmt.Fprintf(w, "%-28s %12d %12v %10d\n", "independently partitioned", unMoved, unDur, unCells)
-			fmt.Fprintln(w, "claim shape: co-partitioned arrays join node by node moving zero bytes;")
-			fmt.Fprintln(w, "misaligned arrays pay a repartition before the per-node joins answer.")
-			if coMoved != 0 {
-				return fmt.Errorf("COPART: co-partitioned join moved %d bytes", coMoved)
+			rows := append(co, un...)
+			fmt.Fprintf(w, "%-28s %-9s %15s %12s %6s\n", "placement", "plan", "bytes gathered", "bytes moved", "cells")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%-28s %-9s %15d %12d %6d\n", r.placement, r.plan, r.gathered, r.moved, r.cells)
 			}
-			if unMoved == 0 {
-				return fmt.Errorf("COPART: misaligned join moved nothing")
+			fmt.Fprintln(w, "claim shape: co-partitioned arrays join where they lie, moving no cells")
+			fmt.Fprintln(w, "and gathering only the joined ones; misaligned arrays are gathered whole,")
+			fmt.Fprintln(w, "or pay a repartition before they join where they lie.")
+			pushed, gathered, after := rows[0], rows[1], rows[2]
+			if pushed.plan != "pushed" || gathered.plan != "gathered" || after.plan != "pushed" {
+				return fmt.Errorf("COPART: plans %s, %s, %s; want pushed, gathered, pushed", pushed.plan, gathered.plan, after.plan)
 			}
-			if coCells != unCells {
-				return fmt.Errorf("COPART: result cells differ: %d vs %d", coCells, unCells)
+			if pushed.moved != 0 || after.moved == 0 {
+				return fmt.Errorf("COPART: the co-partitioned join moved %d bytes, the repartition %d", pushed.moved, after.moved)
+			}
+			if pushed.gathered >= gathered.gathered || after.gathered != pushed.gathered {
+				return fmt.Errorf("COPART: the pushed join gathered %d bytes (%d after the repartition), the gather %d", pushed.gathered, after.gathered, gathered.gathered)
 			}
 			return nil
 		},
 	})
-}
-
-// nodeLocalJoin joins A and B on x where each node holds them: every node's
-// two partitions, read in process and decoded under schema(name), through
-// ops.SjoinCtx. It returns the per-node answers.
-func nodeLocalJoin(tr *cluster.Local, schema func(name string) *array.Schema) ([]*array.Array, error) {
-	parts := make([]*array.Array, len(tr.Workers))
-	for n := range parts {
-		var in [2]*array.Array
-		for i, name := range []string{"A", "B"} {
-			resp, err := tr.Call(n, &cluster.Message{Op: "read", Array: name})
-			if err != nil {
-				return nil, err
-			}
-			if in[i], err = storage.DecodeChunks(schema(name), resp.Chunks); err != nil {
-				return nil, err
-			}
-		}
-		var err error
-		if parts[n], err = ops.SjoinCtx(context.Background(), in[0], in[1], []ops.DimPair{{LDim: "x", RDim: "x"}}); err != nil {
-			return nil, err
-		}
-	}
-	return parts, nil
 }
 
 // cellLines renders the cells of arrays one per line, sorted: what two joins

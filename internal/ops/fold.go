@@ -53,10 +53,15 @@ type FoldSpec struct {
 // Fold the trimmed cells are the answer; with one, the partial table they
 // fold into — and a fold with no aggregates reads no column and keeps only
 // each group's cell count, so over no dimensions it is a count of the cells.
+// Join names a second array, on the same nodes and the same grid, that the
+// read joins with every dimension paired in order (Paired): each node joins
+// its chunk pairs (JoinChunks), and the joined cells are the answer, under
+// PairedSchema; a join fragment has no other field.
 type Fragment struct {
 	Box   array.Box // the zero Box is the whole array
 	Preds []array.ZonePred
 	Fold  *FoldSpec
+	Join  string
 }
 
 // resolveAgg resolves one AggSpec against s: the attribute it folds and the

@@ -83,15 +83,18 @@ func effChunkLen(d array.Dimension) int64 {
 	return 0
 }
 
-// dimsWithHwm is the one output-dimensions rule: a's dimensions with
-// unbounded ones pinned to their current high-water marks, so operator
-// outputs are bounded, and with the effective chunk stride pinned too, so
-// the output grid coincides with the input's and a task over one input
-// chunk emits one aligned output chunk.
-func dimsWithHwm(a *array.Array) []array.Dimension {
-	out := make([]array.Dimension, len(a.Schema.Dims))
-	for i, d := range a.Schema.Dims {
-		out[i] = array.Dimension{Name: d.Name, High: max(a.Hwm(i), 1), ChunkLen: effChunkLen(d)}
+// dimsWithHwm is boundedDims under a's current high-water marks.
+func dimsWithHwm(a *array.Array) []array.Dimension { return boundedDims(a.Schema, a.Bounds()) }
+
+// boundedDims is the one output-dimensions rule: s's dimensions with each
+// pinned to its high-water mark in hwm (at least 1), so operator outputs are
+// bounded, and with the effective chunk stride pinned too, so the output
+// grid coincides with the input's and a task over one input chunk emits one
+// aligned output chunk.
+func boundedDims(s *array.Schema, hwm []int64) []array.Dimension {
+	out := make([]array.Dimension, len(s.Dims))
+	for i, d := range s.Dims {
+		out[i] = array.Dimension{Name: d.Name, High: max(hwm[i], 1), ChunkLen: effChunkLen(d)}
 	}
 	return out
 }

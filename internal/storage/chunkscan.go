@@ -45,13 +45,11 @@ type scanSrc struct {
 	mem  *array.Chunk // set for a memory-buffer chunk
 	ord  int          // index among the scan's buckets (prefetch order)
 	// newer lists the earlier-delivered sources at the same origin: newer
-	// versions of the chunk. shadows marks a source some later one lists,
-	// whose presence bitmap is therefore kept (origin/shape/present) after
-	// its pin is released.
+	// versions of the chunk, each of the same box. shadows marks a source
+	// some later one lists, whose presence bitmap is therefore kept after its
+	// pin is released.
 	newer   []int
 	shadows bool
-	origin  array.Coord
-	shape   []int64
 	present *array.Bitmap
 }
 
@@ -150,18 +148,19 @@ func (cs *ChunkScan) Next() (lc LiveChunk, ok bool, err error) {
 			return LiveChunk{}, false, err
 		}
 	}
+	// Every version at an origin is the chunk of the grid there, so a newer
+	// one shadows the slots its presence bitmap marks, a word at a time.
 	live := ch.MaskIn(src.clip)
 	if len(src.newer) > 0 {
 		if live == ch.Present {
 			live = live.Clone()
 		}
 		for _, j := range src.newer {
-			n := &cs.srcs[j]
-			ch.ClearShadowed(live, src.clip, n.origin, n.shape, n.present)
+			live.AndNot(cs.srcs[j].present)
 		}
 	}
 	if src.shadows {
-		src.origin, src.shape, src.present = ch.Origin, ch.Shape, ch.Present
+		src.present = ch.Present
 	}
 	return LiveChunk{Chunk: ch, Live: live, Alone: len(src.newer) == 0 && !src.shadows, Release: release}, true, nil
 }
