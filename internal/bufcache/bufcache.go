@@ -23,7 +23,8 @@
 // within the configured budget. Pinned sections are never evicted, so the
 // resident total exceeds the budget by at most what readers hold pinned (a
 // store scan: the buckets in its consumer's hands plus its readahead
-// depth, each at its projected columns).
+// depth, each at its projected columns; a cluster join read also holds its
+// right-hand partition's single-version buckets until it ends).
 package bufcache
 
 import (

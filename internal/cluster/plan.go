@@ -128,11 +128,16 @@ func (co *Coordinator) callNode(n int, req *Message) (*Message, error) {
 // withPlan plans the query, runs attempt, and — when a node dies mid-flight
 // — re-plans against surviving replicas and retries, bounded by the grid
 // size. Planning errors (no live replica for a touched chunk) are terminal.
-func (co *Coordinator) withPlan(da *DistArray, box array.Box, attempt func(plan queryPlan) error) error {
+// A join read names its right-hand array in join: each plan is made only if
+// the two are co-placed under the same hold of co.mu, else ErrNotCoPlaced.
+func (co *Coordinator) withPlan(da *DistArray, box array.Box, join string, attempt func(plan queryPlan) error) error {
 	pbox := queryBox(da, box)
 	for tries := 0; ; tries++ {
 		co.mu.Lock()
 		plan, err := co.planQueryLocked(da, pbox)
+		if err == nil && join != "" && !co.coPlacedLocked(da.Name, join) {
+			err = fmt.Errorf("%w: %q and %q", ErrNotCoPlaced, da.Name, join)
+		}
 		co.mu.Unlock()
 		if err != nil {
 			return err
