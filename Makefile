@@ -51,8 +51,9 @@ race:
 # (FuzzParseFloat), the predicate mask kernel against the cell definition it
 # stands in for (FuzzPredMask), Filter against its per-cell definition
 # (FuzzFilter), a sealed chunk against its open twin through every chunk
-# reader, Select and MergeChunk of a selection included (FuzzChunkSeal) and, FuzzWorkerRead, the worker's read against its
-# cell oracle. Each target must be invoked separately: `go test -fuzz` refuses a
+# reader, Select and MergeChunk of a selection included (FuzzChunkSeal), FuzzWorkerRead, the worker's read against its
+# cell oracle, and FuzzStoreModel, a seeded sequence of store batches, puts,
+# flushes, compactions and reopens against a newest-wins map. Each target must be invoked separately: `go test -fuzz` refuses a
 # pattern matching more than one fuzz function.
 FUZZTIME ?= 10s
 .PHONY: fuzz
@@ -72,6 +73,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFilter -fuzztime=$(FUZZTIME) ./internal/ops
 	$(GO) test -run=NONE -fuzz=FuzzChunkSeal -fuzztime=$(FUZZTIME) ./internal/ops
 	$(GO) test -run=NONE -fuzz=FuzzWorkerRead -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run=NONE -fuzz=FuzzStoreModel -fuzztime=$(FUZZTIME) ./internal/storage
 
 .PHONY: race-all
 race-all:
@@ -90,14 +92,16 @@ bench:
 # Aggregate/Regrid), of the worker's boxed read of cells (each bucket the box
 # cuts taken out by Select), of the worker's join of two partitions' chunk
 # pairs (SS-DB Q7's node half), of the compiled-expression kernels (Filter, Apply), of
-# the structural operators' (gather, join and filter kernels), of the cold read
+# the structural operators' (gather, join and filter kernels), of the worker's
+# put of one coordinator drain into an empty, a buffered and a flushed
+# origin, of the cold read
 # path's (column and chunk decode — full, site-boundary and catalog chunks,
 # and a 27 %-occupied chunk's allocations — and cold chunk scan), of the chunk encoder's and of a bucket section's seal
 # and open, and of the CSV load path's (a shard's line scan, the float
 # kernel against strconv, a shard through the ingest pipeline), so CI runs
 # what `make bench` measures.
 bench-smoke:
-	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadBoxCells|WorkerReadPredsFold|WorkerSjoin|FoldChunk|ParallelFilter|ParallelApply|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
+	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadBoxCells|WorkerReadPredsFold|WorkerSjoin|WorkerPut|FoldChunk|ParallelFilter|ParallelApply|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
 	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|DecodePartialChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x -benchmem ./internal/storage
 	$(GO) test -run=NONE -bench 'CSVShardScan|PipelineCSV|ParseFloat' -benchtime=1x ./internal/insitu
 

@@ -387,6 +387,13 @@ func (a *Array) PutChunk(ch *Chunk) {
 	})
 }
 
+// DropChunk removes the chunk at origin, if allocated. The high-water marks
+// stay where they are, as Erase leaves them.
+func (a *Array) DropChunk(origin Coord) {
+	delete(a.chunks, origin.Key())
+	a.last, a.sorted = nil, nil
+}
+
 // ErrOffGrid reports a chunk that is not one chunk of an array's grid: its
 // origin is not a grid origin, or its shape is not the grid's there, which a
 // bounded dimension clips at High.

@@ -140,6 +140,20 @@ func (c *Column) SetInt(i int64, v int64) { c.Ints[c.write(i)] = v }
 func (c *Column) SetFloat(i int64, v, sigma float64) {
 	k := c.write(i)
 	c.Floats[k] = v
+	c.setSigma(k, sigma)
+}
+
+// setSigma gives the value at k error bar sigma when the column keeps error
+// bars. A column that shares one bar other than sigma first spreads it over a
+// vector of one bar per value, so every other value keeps its own.
+func (c *Column) setSigma(k int64, sigma float64) {
+	if c.HasShared && sigma != c.SharedSigma {
+		c.Sigma = make([]float64, len(c.Floats))
+		for j := range c.Sigma {
+			c.Sigma[j] = c.SharedSigma
+		}
+		c.HasShared, c.SharedSigma = false, 0
+	}
 	if c.Sigma != nil {
 		c.Sigma[k] = sigma
 	}
@@ -178,8 +192,8 @@ func (c *Column) CopyFrom(o *Column, dst, src int64) {
 	case TArray:
 		c.Arrs[d] = o.Arrs[s]
 	}
-	if c.Sigma != nil {
-		c.Sigma[d] = o.sigmaAt(s)
+	if c.Type == TFloat64 {
+		c.setSigma(d, o.sigmaAt(s))
 	}
 }
 

@@ -429,12 +429,19 @@ func (c *Column) sigmaAt(k int64) float64 {
 // it has one and older's otherwise. It goes a presence word at a time: a
 // word one part supplies whole — every word of a part a node boundary along
 // an outer dimension cut — is one copy of that part's values; a word both
-// parts supply goes a slot at a time. The columns take older's form of
-// error bars: its shared one, and per-cell ones only if older has them.
-// Neither part is written.
+// parts supply goes a slot at a time. A column takes older's form of error
+// bars — one shared bar, one per cell, or none — unless a cell of newer
+// carries a bar that form cannot hold: then it keeps one per cell, so every
+// cell keeps its own. Neither part is written.
 func MergeParts(older, newer *Chunk) *Chunk {
 	n := older.Present.n
 	b := builderLike(older, older.Present.Count()+newer.Present.Count())
+	for ai, col := range b.Cols() {
+		if o := older.Cols[ai]; o.Sigma == nil && !sharesSigma(newer, ai, o.SharedSigma) {
+			col.HasShared, col.SharedSigma = false, 0
+			col.Sigma = make([]float64, 0, cap(col.Floats))
+		}
+	}
 	for wi := range b.words {
 		tail := ^uint64(0)
 		if rest := n - int64(wi)<<6; rest < 64 {
@@ -462,6 +469,24 @@ func MergeParts(older, newer *Chunk) *Chunk {
 		}
 	}
 	return b.Chunk()
+}
+
+// sharesSigma reports whether every present cell of ch carries error bar
+// sigma in column ai; a column without error bars carries 0.
+func sharesSigma(ch *Chunk, ai int, sigma float64) bool {
+	c := ch.Cols[ai]
+	switch {
+	case c.HasShared:
+		return c.SharedSigma == sigma
+	case c.Sigma == nil:
+		return sigma == 0
+	}
+	for i := ch.Present.NextSet(0); i < ch.Present.n; i = ch.Present.NextSet(i + 1) {
+		if c.Sigma[c.rank.Of(i)] != sigma {
+			return false
+		}
+	}
+	return true
 }
 
 // Select returns a fresh sealed chunk at ch's origin and shape holding the

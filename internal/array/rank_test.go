@@ -110,7 +110,8 @@ func TestChunkBuilderRejectsOutOfOrder(t *testing.T) {
 
 // TestMergeChunkKeepsSharedSigma: merging a part into a chunk whose error
 // bars are one shared value, as a decoded chunk's are, adds no per-cell
-// error bars: the merge takes the form of the older part's.
+// error bars when the part's cells carry that value: the merge takes the
+// form of the older part's. A cell carrying another keeps it.
 func TestMergeChunkKeepsSharedSigma(t *testing.T) {
 	a, older := sealedCase(t)
 	older.Cols[1].Sigma, older.Cols[1].HasShared, older.Cols[1].SharedSigma = nil, true, 0.5
@@ -131,5 +132,36 @@ func TestMergeChunkKeepsSharedSigma(t *testing.T) {
 	}
 	if n := merged.CellsPresent(); n != 35 {
 		t.Fatalf("%d cells after merging one into 34", n)
+	}
+
+	// A cell whose error bar is not the shared one keeps its own, in a merge
+	// and in a write; the other cells keep the shared one.
+	shared := func(a *Array) *Chunk {
+		ch, _ := a.ChunkAt(Coord{1, 1})
+		ch.Cols[1].Sigma, ch.Cols[1].HasShared, ch.Cols[1].SharedSigma = nil, true, 0.25
+		return ch
+	}
+	a, _ = sealedCase(t)
+	shared(a)
+	newer = NewChunk(a.Schema, older.Origin, older.Shape)
+	if err := newer.Set(Coord{1, 3}, Cell{Int64(-2), UncertainFloat(2, 0.75)}); err != nil {
+		t.Fatal(err)
+	}
+	newer.Seal()
+	if err := a.MergeChunk(newer); err != nil {
+		t.Fatal(err)
+	}
+	written, _ := sealedCase(t)
+	shared(written).Open()
+	if err := written.Set(Coord{1, 3}, Cell{Int64(-2), UncertainFloat(2, 0.75)}); err != nil {
+		t.Fatal(err)
+	}
+	for how, a := range map[string]*Array{"merged": a, "written": written} {
+		if cell, ok := a.At(Coord{1, 3}); !ok || cell[1].Float != 2 || cell[1].Sigma != 0.75 {
+			t.Errorf("%s 2±0.75 over a chunk sharing 0.25 reads %v", how, cell)
+		}
+		if cell, ok := a.At(Coord{1, 4}); !ok || cell[1].Sigma != 0.25 {
+			t.Errorf("%s: a cell of the chunk sharing 0.25 reads %v", how, cell)
+		}
 	}
 }

@@ -271,3 +271,73 @@ func BenchmarkWorkerSjoin(b *testing.B) {
 		b.Fatalf("join read %d of %d cells and answered %d", resp.Seen, held, resp.Cells)
 	}
 }
+
+// BenchmarkWorkerPut times the worker's "put" of one coordinator drain: 4 096
+// staged cells, every other cell of two 64² chunks, so each chunk arrives
+// sealed and half full. The drain lands on an origin the store has never
+// held, on one whose chunk sits in the memory buffer (the other half of
+// each chunk, then the drain itself, after the first put), and on one whose
+// chunk was flushed to a bucket. Only the put is timed; ns/cell is per cell
+// put.
+func BenchmarkWorkerPut(b *testing.B) {
+	schema := &array.Schema{Name: "put",
+		Dims: []array.Dimension{{Name: "x", High: 128, ChunkLen: 64}, {Name: "y", High: 64, ChunkLen: 64}},
+		Attrs: []array.Attribute{
+			{Name: "dn", Type: array.TFloat64}, {Name: "cloud", Type: array.TFloat64}, {Name: "nadir", Type: array.TFloat64},
+		},
+	}
+	drain := func(parity int64) *Message {
+		a := array.MustNew(schema.Clone())
+		array.IterBox(array.WholeBox(schema), func(c array.Coord) bool {
+			if (c[0]+c[1])%2 == parity {
+				v := float64(c[0]*7+c[1]*3) / 16
+				if err := a.Set(c, array.Cell{array.Float64(v), array.Float64(v / 2), array.Float64(1)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return true
+		})
+		payloads, err := encodeForTest(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return &Message{Op: "put", Array: "put", Chunks: payloads}
+	}
+	put, other := drain(0), drain(1)
+	create := &Message{Op: "create", Array: "put", Schema: schema}
+	drop := &Message{Op: "drop", Array: "put"}
+	flush := &Message{Op: "flush", Array: "put"}
+	for _, c := range []struct {
+		name    string
+		setup   []*Message // once, before the timer starts
+		prepare []*Message // before each put, the timer stopped
+	}{
+		{"empty", []*Message{create}, []*Message{drop, create}},
+		{"buffered", []*Message{create, other}, nil},
+		{"flushed", []*Message{create}, []*Message{drop, create, other, flush}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w := NewWorkerWithOptions(0, WorkerOptions{CacheBytes: 64 << 20})
+			b.Cleanup(func() { _ = w.Close() })
+			handle := func(reqs []*Message) {
+				for _, req := range reqs {
+					if resp := w.Handle(req); resp.Err != "" {
+						b.Fatal(resp.Err)
+					}
+				}
+			}
+			handle(c.setup)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.prepare != nil {
+					b.StopTimer()
+					handle(c.prepare)
+					b.StartTimer()
+				}
+				handle([]*Message{put})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*4096), "ns/cell")
+		})
+	}
+}

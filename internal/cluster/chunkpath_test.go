@@ -104,10 +104,14 @@ func handleOK(t testing.TB, w *Worker, req *Message) *Message {
 	return resp
 }
 
-// putBatch sends cells through the worker's "put" op.
+// putBatch sends cells through the worker's "put" op, staged on the grid of
+// the worker's partition as a coordinator stages them.
 func putBatch(t testing.TB, w *Worker, cells map[xy]array.Cell) {
 	t.Helper()
-	a := array.MustNew(PartitionSchema(diffSchema()))
+	w.mu.RLock()
+	s := w.stores["d"].Schema()
+	w.mu.RUnlock()
+	a := array.MustNew(s.Clone())
 	for c, cell := range cells {
 		if err := a.Set(array.Coord{c[0], c[1]}, cell); err != nil {
 			t.Fatal(err)
@@ -124,7 +128,7 @@ func putBatch(t testing.TB, w *Worker, cells map[xy]array.Cell) {
 // store backings replay the batches with flushes between them — overlapping
 // buckets, shadowed cells — and leave the last batch in the memory buffer;
 // the stored array's chunk grid is drawn independently of the one the
-// batches and the oracle are built on. "store
+// oracle is built on, and the batches are staged on it. "store
 // on disk" keeps its buckets in files and reads them through a pool, "store
 // in memory" has neither a directory nor a pool, and "store, 1-byte pool" has
 // a pool that keeps nothing: every read loads its projected sections again,
@@ -732,6 +736,14 @@ func TestWorkerOpsReportCorruptBucket(t *testing.T) {
 	w.mu.Lock()
 	st := w.stores["d"]
 	w.mu.Unlock()
+	// A batch clearing the whole array drops every pool entry; the flush
+	// left no cell in the buffer for it to drop.
+	release := func() {
+		t.Helper()
+		if _, err := st.Apply(storage.Batch{Clear: array.WholeBox(st.Schema())}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// One byte of the header, and the file's last, which is the tag
 	// column's: the first fails every op, the second those that read tag.
 	for _, c := range []struct {
@@ -744,7 +756,7 @@ func TestWorkerOpsReportCorruptBucket(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, req := range reqs {
-			st.ReleaseRegion(array.WholeBox(st.Schema())) // read the file, not the pool
+			release() // read the file, not the pool
 			_, err := w.handle(req)
 			if c.fail[i] && !errors.Is(err, storage.ErrCorrupt) {
 				t.Errorf("byte %d flipped: %s error = %v, want ErrCorrupt", c.off, spanName(req), err)
@@ -756,7 +768,7 @@ func TestWorkerOpsReportCorruptBucket(t *testing.T) {
 	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st.ReleaseRegion(array.WholeBox(st.Schema()))
+	release()
 	for i, req := range reqs {
 		got := handleOK(t, w, req)
 		if got.Cells != want[i].Cells || !sameChunks(got.Chunks, want[i].Chunks) || (got.Table != nil && !sameTable(t, got.Table, want[i].Table)) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -479,6 +480,65 @@ func TestCellsHeldCountsDistinctCells(t *testing.T) {
 		if heat := w.heat.Snapshot(); len(heat) != 0 {
 			t.Fatalf("node %d: puts left heat %+v", w.ID, heat)
 		}
+	}
+}
+
+// TestLoadChunksCountsDistinctCells: loadchunks grows cells_held by the
+// cells the node did not hold, as put does. A batch retried with the same
+// payload adds nothing, and neither does one meeting the node's on-disk copy
+// of the chunk — a chunk migrating back to a former owner — so a drop leaves
+// the gauge at 0.
+func TestLoadChunksCountsDistinctCells(t *testing.T) {
+	w := NewWorkerWithOptions(0, WorkerOptions{Dir: t.TempDir(), CacheBytes: 1 << 20})
+	defer w.Close()
+	s := PartitionSchema(gridSchema())
+	handleOK(t, w, &Message{Op: "create", Array: "sky", Schema: s})
+	a := array.MustNew(s.Clone())
+	for x := int64(1); x <= 4; x++ {
+		for y := int64(1); y <= 4; y++ {
+			if err := a.Set(array.Coord{x, y}, array.Cell{array.Float64(float64(x + y))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	payloads, err := encodeForTest(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := &Message{Op: "loadchunks", Array: "sky", Chunks: payloads}
+	back := &Message{Op: "loadchunks", Array: "sky", Chunks: payloads, BoxLo: []int64{1, 1}, BoxHi: []int64{64, 64}}
+	for _, step := range []struct {
+		what string
+		req  *Message
+	}{{"load", load}, {"retry", load}, {"flush", &Message{Op: "flush", Array: "sky"}}, {"migrate back", back}} {
+		handleOK(t, w, step.req)
+		if n := w.Stats().CellsHeld; n != 16 {
+			t.Fatalf("after %s: %d cells held, want 16", step.what, n)
+		}
+	}
+	handleOK(t, w, &Message{Op: "drop", Array: "sky"})
+	if n := w.Stats().CellsHeld; n != 0 {
+		t.Fatalf("after the drop: %d cells held, want 0", n)
+	}
+	// A put lands whole chunks of the partition's grid, so one staged on
+	// another grid is refused, and nothing of it is written.
+	handleOK(t, w, &Message{Op: "create", Array: "sky", Schema: s})
+	fine := gridSchema()
+	fine.Dims[0].ChunkLen, fine.Dims[1].ChunkLen = 2, 2
+	b := array.MustNew(fine)
+	for _, c := range []array.Coord{{1, 1}, {3, 3}} {
+		if err := b.Set(c, array.Cell{array.Float64(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if payloads, err = encodeForTest(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.handle(&Message{Op: "put", Array: "sky", Chunks: payloads}); !errors.Is(err, storage.ErrOffGrid) {
+		t.Fatalf("put staged on a 2x2 grid: %v, want storage.ErrOffGrid", err)
+	}
+	if n := w.Stats().CellsHeld; n != 0 {
+		t.Fatalf("a refused put left %d cells held", n)
 	}
 }
 

@@ -24,8 +24,9 @@ import (
 	"scidb/internal/storage"
 )
 
-// loadChunks adopts a batch of pre-encoded chunk payloads verbatim as buckets
-// of the partition's store (storage.AdoptEncoded: no re-encode). The parallel
+// loadChunks writes a batch of pre-encoded chunk payloads into the
+// partition's store in one Apply, which adopts each as a bucket verbatim
+// where the buffer holds nothing at its origin: no re-encode. The parallel
 // bulk loader ships its chunks so; the rebalancer does too, with the box of
 // the chunk it copies and the routing-table version the copy belongs to.
 func (w *Worker) loadChunks(req *Message) (*Message, error) {
@@ -35,26 +36,27 @@ func (w *Worker) loadChunks(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
+	b, err := storage.DecodeBatch(st.Schema(), req.Chunks)
+	if err != nil {
+		return nil, err
+	}
 	// With a box the payloads are the region's canonical newest state (the
 	// coordinator's write fence flushed and folded every live write before
-	// exporting). Clear any buffered cells left over from an earlier
-	// ownership stint first — the memory buffer outranks every bucket on
-	// reads, so a stale cell would shadow the adopted copy; the box covers
+	// exporting), so the batch first clears any buffered cells left over from
+	// an earlier ownership stint (storage.Batch.Clear); the box covers
 	// sub-chunks the canonical copy holds no cells for.
 	if len(req.BoxLo) > 0 {
-		st.ClearRegion(array.Box{Lo: req.BoxLo, Hi: req.BoxHi})
+		b.Clear = array.Box{Lo: req.BoxLo, Hi: req.BoxHi}
 	}
-	cells, err := st.AdoptPayloads(req.Chunks)
-	// What was adopted before a failure stays in the store, and on the gauge.
-	w.stats.cellsHeld.Add(cells)
+	resp, err := w.applyLocked(req, st, b)
 	if err != nil {
 		return nil, err
 	}
 	if req.RouteVersion > w.routeVersion[req.Array] {
 		w.routeVersion[req.Array] = req.RouteVersion
 	}
-	w.stats.bytesIn.Add(payloadBytes(req.Chunks))
-	return &Message{Op: "loadchunks", Cells: cells, RouteVersion: w.routeVersion[req.Array]}, nil
+	resp.RouteVersion = w.routeVersion[req.Array]
+	return resp, nil
 }
 
 // insituOp registers (or replaces) an in-situ partition on this node: it

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"scidb/internal/array"
+	"scidb/internal/storage"
 )
 
 // heatOp reports the node's chunk heat snapshot.
@@ -50,8 +51,9 @@ func (w *Worker) migrateChunks(req *Message) (*Message, error) {
 		// The caller discards payloads on this path, so skip the export —
 		// re-encoding a just-migrated (recently hot) region only to throw
 		// it away is pure wasted CPU on the source.
-		st.ReleaseRegion(box)
-		st.ClearRegion(box)
+		if _, err := st.Apply(storage.Batch{Clear: box}); err != nil {
+			return nil, err
+		}
 		return &Message{Op: "migratechunks"}, nil
 	}
 	payloads, cells, err := st.ExportRegion(box)

@@ -11,7 +11,7 @@ package cluster
 //  3. Migrate each to the least-loaded node (Replicas == 1) or replicate it
 //     onto the k-1 least-loaded non-holders (Replicas > 1), copying the
 //     encoded bytes verbatim ("migratechunks" export → "loadchunks"
-//     install, storage.AdoptEncoded on arrival) so every copy is
+//     install, adopted by storage.Store.Apply on arrival) so every copy is
 //     bit-identical.
 //  4. Cut ownership over in the routing table (partition.Routing.SetNodes)
 //     and invalidate the source's buffer-pool entries.

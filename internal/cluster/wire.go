@@ -224,7 +224,7 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 // not copies: a message owns the frame body it was read from (wire.ReadFrame
 // allocates every body afresh), and what a payload becomes outlives it only
 // as new bytes — DecodeChunk builds chunks of their own and an adopted
-// payload is re-sealed into a bucket of its own (Store.AdoptEncoded).
+// payload is re-sealed into a bucket of its own (Store.Apply).
 func decodeMessage(data []byte) (*Message, error) {
 	r := storage.NewFieldReaderBytes(data)
 	m := &Message{}

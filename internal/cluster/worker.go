@@ -332,7 +332,7 @@ func (w *Worker) replace(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := storage.DecodeChunks(st.Schema(), req.Chunks)
+	b, err := storage.DecodeBatch(st.Schema(), req.Chunks)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +342,7 @@ func (w *Worker) replace(req *Message) (*Message, error) {
 	if st, err = w.createLocked(req.Array, st.Schema()); err != nil {
 		return nil, err
 	}
-	return w.putLocked(req, st, in)
+	return w.applyLocked(req, st, b)
 }
 
 func (w *Worker) create(req *Message) (*Message, error) {
@@ -372,6 +372,10 @@ func (w *Worker) storeLocked(name string) (*storage.Store, error) {
 	return st, nil
 }
 
+// put writes the coordinator's staged cells. A drain is a partial chunk of
+// a few thousand cells, so it is merged into the store's buffer rather than
+// adopted as a bucket of its own: a bucket per drain would add a version of
+// the chunk every time.
 func (w *Worker) put(req *Message) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -379,50 +383,30 @@ func (w *Worker) put(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := storage.DecodeChunks(st.Schema(), req.Chunks)
+	b, err := storage.DecodeBatch(st.Schema(), req.Chunks)
 	if err != nil {
 		return nil, err
 	}
-	return w.putLocked(req, st, in)
+	b.Raw = nil
+	return w.applyLocked(req, st, b)
 }
 
-// putLocked buffers the cells of in, req's decoded chunks, in the partition's
-// store, which flushes them into buckets as its buffer fills. The cells_held
-// gauge grows by the cells the store did not hold before: a put that
-// overwrites a cell holds no more of them.
-func (w *Worker) putLocked(req *Message, st *storage.Store, in *array.Array) (*Message, error) {
-	held, err := heldOf(st, in)
+// applyLocked writes b, req's decoded chunks, into the partition's store in
+// one Apply. The cells_held gauge grows by the cells the store did not hold
+// before — a write that overwrites a cell holds no more of them — and keeps
+// those a failed batch wrote before it stopped.
+func (w *Worker) applyLocked(req *Message, st *storage.Store, b storage.Batch) (*Message, error) {
+	added, err := st.Apply(b)
+	w.stats.cellsHeld.Add(added)
 	if err != nil {
 		return nil, err
 	}
-	var n int64
-	var werr error
-	in.Iter(func(c array.Coord, cell array.Cell) bool {
-		if werr = st.Put(c.Clone(), cell); werr != nil {
-			return false
-		}
-		n++
-		return true
-	})
-	if werr != nil {
-		return nil, werr
-	}
-	w.stats.cellsHeld.Add(n - held)
 	w.stats.bytesIn.Add(payloadBytes(req.Chunks))
-	return &Message{Op: req.Op, Cells: n}, nil
-}
-
-// heldOf counts the cells of in that st already holds.
-func heldOf(st *storage.Store, in *array.Array) (int64, error) {
-	var held int64
-	for _, ch := range in.Chunks() {
-		n, err := st.Held(ch)
-		if err != nil {
-			return 0, err
-		}
-		held += n
+	var cells int64
+	for _, ch := range b.Chunks {
+		cells += ch.CellsPresent()
 	}
-	return held, nil
+	return &Message{Op: req.Op, Cells: cells}, nil
 }
 
 // readLocked answers a "read": a fragment (ops.Fragment: the request's box,

@@ -370,7 +370,10 @@ func BenchmarkPipelineCSV(b *testing.B) {
 			Route:  func(array.Coord) int { return 0 },
 			Batch:  256,
 			Ship: func(_ int, payloads [][]byte, _ int64) error {
-				_, err := st.AdoptPayloads(payloads)
+				batch, err := storage.DecodeBatch(grid, payloads)
+				if err == nil {
+					_, err = st.Apply(batch)
+				}
 				return err
 			},
 		}.Run(sh, box)

@@ -132,9 +132,9 @@ func Materialize(ds Dataset) (*array.Array, error) {
 
 // Fill copies ds's cells inside box into st and flushes it: an in-situ
 // file's one read, after which every query reads the store. It is the
-// ingest Pipeline with one site, on the store's own grid, adopting
-// each sealed batch into st. It returns the cells now in the store — all of
-// them, even when it fails part way.
+// ingest Pipeline with one site, on the store's own grid, applying each
+// sealed batch to st. It returns the cells now in the store — all of them,
+// even when it fails part way.
 func Fill(ds Dataset, box array.Box, st *storage.Store) (int64, error) {
 	var copied atomic.Int64
 	_, err := Pipeline{
@@ -143,7 +143,11 @@ func Fill(ds Dataset, box array.Box, st *storage.Store) (int64, error) {
 		Route:  func(array.Coord) int { return 0 },
 		Batch:  fillBatch,
 		Ship: func(_ int, payloads [][]byte, _ int64) error {
-			n, err := st.AdoptPayloads(payloads)
+			b, err := storage.DecodeBatch(st.Schema(), payloads)
+			if err != nil {
+				return err
+			}
+			n, err := st.Apply(b)
 			copied.Add(n)
 			return err
 		},

@@ -11,7 +11,7 @@
 // placed on (the scheme bound to the destination's grid), chunks are encoded —
 // zone maps included — at load time, and the pre-encoded payloads ship to
 // their owning sites in batches. The owning worker adopts the payload bytes
-// as a bucket verbatim (storage.AdoptEncoded), so a cell is parsed once and
+// as a bucket verbatim (storage.Store.Apply), so a cell is parsed once and
 // encoded once no matter how many machines the load crosses.
 package loader
 
@@ -121,7 +121,11 @@ func (d StoreDest) Grid(*array.Schema) *array.Schema { return d.Stores[0].Schema
 
 // ShipChunks implements ChunkDest.
 func (d StoreDest) ShipChunks(site int, payloads [][]byte, cells int64) error {
-	_, err := d.Stores[site].AdoptPayloads(payloads)
+	st := d.Stores[site]
+	b, err := storage.DecodeBatch(st.Schema(), payloads)
+	if err == nil {
+		_, err = st.Apply(b)
+	}
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scidb/internal/array"
+	"scidb/internal/bufcache"
 )
 
 // TestExportRegionCanonicalCopy: ExportRegion must fold newest-bucket
@@ -56,14 +57,12 @@ func TestExportRegionCanonicalCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range payloads {
-		ch, err := DecodeChunk(schema, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.AdoptEncoded(p, ch); err != nil {
-			t.Fatal(err)
-		}
+	b, err := DecodeBatch(schema, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Apply(b); err != nil {
+		t.Fatal(err)
 	}
 	want := map[int64]float64{1: 1, 2: 2, 3: 300, 4: 4, 5: 5, 6: 600, 7: 7, 8: 8}
 	got := map[int64]float64{}
@@ -87,13 +86,13 @@ func TestExportRegionCanonicalCopy(t *testing.T) {
 	}
 }
 
-// TestClearRegionUnshadowsAdoptedCopy pins the migration staleness rule:
+// TestApplyClearUnshadowsAdoptedCopy pins the migration staleness rule:
 // a store re-adopting a region it once owned may still hold that region's
 // cells in its memory buffer from the earlier stint, and the buffer outranks
-// every bucket on reads — so without ClearRegion the stale cells shadow the
-// newer adopted copy (and poison the next export). This is the storage-level
-// half of cluster.TestWriteFenceDuringMigration.
-func TestClearRegionUnshadowsAdoptedCopy(t *testing.T) {
+// every bucket on reads — so without the batch's Clear the stale cells shadow
+// the newer adopted copy (and poison the next export). This is the
+// storage-level half of cluster.TestWriteFenceDuringMigration.
+func TestApplyClearUnshadowsAdoptedCopy(t *testing.T) {
 	schema := &array.Schema{
 		Name:      "c",
 		Updatable: true,
@@ -125,26 +124,32 @@ func TestClearRegionUnshadowsAdoptedCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Migrating back: clear the old stint's buffered cells, then adopt.
-	if n := old.ClearRegion(box); n != 8 {
-		t.Fatalf("ClearRegion dropped %d buffered cells, want 8", n)
-	}
-	for _, p := range payloads {
-		ch, err := DecodeChunk(schema, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := old.AdoptEncoded(p, ch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[int64]float64{}
-	if err := old.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		got[c[0]] = cell[0].Float
-		return true
-	}); err != nil {
+	// Migrating back: one batch clears the old stint's buffered cells, then
+	// adopts. Every adopted cell is new to the store once the 8 stale ones
+	// are gone.
+	b, err := DecodeBatch(schema, payloads)
+	if err != nil {
 		t.Fatal(err)
 	}
+	b.Clear = box
+	if added, err := old.Apply(b); err != nil || added != 8 {
+		t.Fatalf("Apply with Clear added %d cells (%v), want the 8 the clear dropped", added, err)
+	}
+	if n := old.mem.Count(); n != 0 {
+		t.Fatalf("%d stale cells still buffered", n)
+	}
+	got := map[int64]float64{}
+	scan := func() {
+		t.Helper()
+		got = map[int64]float64{}
+		if err := old.Scan(box, func(c array.Coord, cell array.Cell) bool {
+			got[c[0]] = cell[0].Float
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
 	if len(got) != 8 {
 		t.Fatalf("re-adopted region holds %d cells, want 8: %v", len(got), got)
 	}
@@ -154,15 +159,18 @@ func TestClearRegionUnshadowsAdoptedCopy(t *testing.T) {
 		}
 	}
 	// Clearing an untouched region is a no-op.
-	if n := old.ClearRegion(array.Box{Lo: array.Coord{9}, Hi: array.Coord{16}}); n != 0 {
-		t.Fatalf("ClearRegion on an empty region dropped %d cells", n)
+	if added, err := old.Apply(Batch{Clear: array.Box{Lo: array.Coord{9}, Hi: array.Coord{16}}}); err != nil || added != 0 {
+		t.Fatalf("Apply clearing an empty region: added %d, %v", added, err)
+	}
+	if scan(); len(got) != 8 {
+		t.Fatalf("clearing an empty region left %d cells, want 8", len(got))
 	}
 }
 
-// TestReleaseRegionDropsPoolEntries: after a read warms the pool, releasing
-// the region invalidates the intersecting buckets' entries (count > 0) and
-// a later read still works from disk.
-func TestReleaseRegionDropsPoolEntries(t *testing.T) {
+// TestApplyClearDropsPoolEntries: after a read warms the pool, a batch
+// clearing a region invalidates the entries of the buckets it meets, and
+// only theirs, and a later read still works from disk.
+func TestApplyClearDropsPoolEntries(t *testing.T) {
 	schema := &array.Schema{
 		Name:  "r",
 		Dims:  []array.Dimension{{Name: "x", High: 16, ChunkLen: 4}},
@@ -189,11 +197,23 @@ func TestReleaseRegionDropsPoolEntries(t *testing.T) {
 		}
 		return n
 	}
+	region, rest := array.Box{Lo: array.Coord{1}, Hi: array.Coord{8}}, array.Box{Lo: array.Coord{9}, Hi: array.Coord{16}}
+	cached := func(box array.Box) (n int) {
+		for _, m := range st.searchMetasLocked(box) {
+			if st.cache.Contains(st.cacheKey(m.id, bufcache.Frame)) {
+				n++
+			}
+		}
+		return n
+	}
 	if n := count(); n != 16 {
 		t.Fatalf("warmup scan saw %d cells", n)
 	}
-	if released := st.ReleaseRegion(array.Box{Lo: array.Coord{1}, Hi: array.Coord{8}}); released < 2 {
-		t.Fatalf("released %d buckets, want the region's 2", released)
+	if _, err := st.Apply(Batch{Clear: region}); err != nil {
+		t.Fatal(err)
+	}
+	if n, m := cached(region), cached(rest); n != 0 || m != 2 {
+		t.Fatalf("after the clear %d of the region's 2 buckets and %d of the other 2 are cached, want 0 and 2", n, m)
 	}
 	if n := count(); n != 16 {
 		t.Fatalf("post-release scan saw %d cells; release must not lose data", n)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -19,7 +20,7 @@ func modelSchema() *array.Schema {
 }
 
 // storeModel is what a store must answer, kept as two maps: the cells in
-// the memory buffer (which ClearRegion drops) and the newest flushed or
+// the memory buffer (which a batch's Clear drops) and the newest flushed or
 // adopted value of every other cell.
 type storeModel struct {
 	buffered, stored map[[2]int64]int64
@@ -40,16 +41,41 @@ func (m *storeModel) get(c [2]int64) (int64, bool) {
 	return v, ok
 }
 
-// TestStoreMatchesMapModel drives seeded sequences of writes, flushes,
-// adoptions, compactions, region clears and reopens against a store and
-// checks every Get and ScanChunks — random boxes, with and without zone
-// predicates — against a newest-wins map.
+// buffers reports whether the buffer holds a cell inside box: the store then
+// holds a chunk at box's origin.
+func (m *storeModel) buffers(box array.Box) bool {
+	for c := range m.buffered {
+		if box.Contains(array.Coord{c[0], c[1]}) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStoreMatchesMapModel drives seeded sequences of puts, batches, flushes,
+// compactions and reopens against a store and checks every Get and
+// ScanChunks — random boxes, with and without zone predicates — against a
+// newest-wins map, and every batch's added count against the model's count
+// of new cells. A batch mixes chunks with and without their encoded bytes,
+// some at origins the buffer holds, behind an optional Clear that covers
+// whole chunks or cuts them.
 func TestStoreMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			runStoreModel(t, seed, 80)
 		})
 	}
+}
+
+// FuzzStoreModel runs the model sequence from any seed, so a failing
+// sequence of batches minimises to the seed that makes it.
+func FuzzStoreModel(f *testing.F) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		runStoreModel(t, seed, 40)
+	})
 }
 
 func runStoreModel(t *testing.T, seed int64, steps int) {
@@ -63,69 +89,143 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 	defer func() { st.Close() }()
 	m := &storeModel{buffered: map[[2]int64]int64{}, stored: map[[2]int64]int64{}}
 	coord := func() [2]int64 { return [2]int64{1 + rng.Int63n(20), 1 + rng.Int63n(20)} }
-	adopt := func(origin array.Coord, shape []int64) (string, error) {
-		ch := array.NewChunk(s, origin, shape)
-		cells := map[[2]int64]int64{}
+	randBox := func() array.Box {
+		a, b := coord(), coord()
+		return array.NewBox(array.Coord{min(a[0], b[0]), min(a[1], b[1])}, array.Coord{max(a[0], b[0]), max(a[1], b[1])})
+	}
+	gridBox := func(o array.Coord) array.Box {
+		return array.NewBox(o, array.Coord{min(o[0]+7, 20), min(o[1]+7, 20)})
+	}
+	// origin picks a grid origin, half the time one whose chunk the buffer
+	// holds.
+	origin := func() array.Coord {
+		var held []array.Coord
+		for x := int64(1); x <= 17; x += 8 {
+			for y := int64(1); y <= 17; y += 8 {
+				if o := (array.Coord{x, y}); m.buffers(gridBox(o)) {
+					held = append(held, o)
+				}
+			}
+		}
+		if len(held) > 0 && rng.Intn(2) == 0 {
+			return held[rng.Intn(len(held))]
+		}
+		return array.Coord{1 + 8*rng.Int63n(3), 1 + 8*rng.Int63n(3)}
+	}
+	// entry fills a chunk at origin with random cells, adding it to b with
+	// its encoded bytes when raw; shape nil is the grid cell's.
+	type cells = map[[2]int64]int64
+	entry := func(b *Batch, o array.Coord, shape []int64, raw bool) cells {
+		if shape == nil {
+			shape = []int64{min(8, 21-o[0]), min(8, 21-o[1])}
+		}
+		ch := array.NewChunk(s, o, shape)
+		got := cells{}
+		density := rng.Intn(4)
 		array.IterBox(ch.Box(), func(c array.Coord) bool {
-			if rng.Intn(2) == 0 {
+			if rng.Intn(4) < density {
 				v := rng.Int63n(100)
-				cells[[2]int64{c[0], c[1]}] = v
+				got[[2]int64{c[0], c[1]}] = v
 				if err := ch.Set(c, array.Cell{array.Int64(v)}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			return true
 		})
-		raw, _, err := EncodeChunkZones(s, ch)
+		enc, _, err := EncodeChunkZones(s, ch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecodeChunk(s, raw)
+		dec, err := DecodeChunk(s, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.AdoptEncoded(raw, dec); err != nil {
-			return fmt.Sprintf("adopt %v refused (%v)", ch.Box(), err), err
+		b.Chunks = append(b.Chunks, dec)
+		if raw {
+			b.Raw = append(b.Raw, enc)
+		} else {
+			b.Raw = append(b.Raw, nil)
 		}
-		if len(cells) > 0 {
-			m.flush() // the store spills its buffer ahead of the adopted bucket
+		return got
+	}
+	apply := func(b Batch, entries []cells) string {
+		if len(b.Clear.Lo) > 0 {
+			for c := range m.buffered {
+				if b.Clear.Contains(array.Coord{c[0], c[1]}) {
+					delete(m.buffered, c)
+				}
+			}
 		}
-		for c, v := range cells {
-			m.stored[c] = v
+		var want int64
+		for i, cs := range entries {
+			box := b.Chunks[i].Box()
+			into := m.buffered
+			if b.Raw[i] != nil && !m.buffers(box) {
+				into = m.stored
+			}
+			for c, v := range cs {
+				if _, ok := m.get(c); !ok {
+					want++
+				}
+				into[c] = v
+			}
 		}
-		return fmt.Sprintf("adopt %v (%d cells)", ch.Box(), len(cells)), nil
+		flushes := st.Stats().Flushes
+		added, err := st.Apply(b)
+		if err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		if added != want {
+			t.Fatalf("apply of %d chunks (clear %v) added %d cells, the model %d", len(entries), b.Clear, added, want)
+		}
+		if st.Stats().Flushes > flushes {
+			m.flush() // the batch took the buffer to MemLimit
+		}
+		return fmt.Sprintf("apply %d chunks, clear %v, added %d", len(entries), b.Clear, added)
 	}
 	for step := 0; step < steps; step++ {
 		var what string
 		switch r := rng.Intn(20); {
-		case r < 9:
+		case r < 7:
 			c, v := coord(), rng.Int63n(100)
 			if err := st.Put(array.Coord{c[0], c[1]}, array.Cell{array.Int64(v)}); err != nil {
 				t.Fatal(err)
 			}
 			m.buffered[c] = v
 			what = fmt.Sprintf("put %v = %d", c, v)
-		case r < 11:
+		case r < 9:
 			if err := st.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			m.flush()
 			what = "flush"
 		case r < 14:
-			o := array.Coord{1 + 8*rng.Int63n(3), 1 + 8*rng.Int63n(3)}
-			shape := []int64{min(8, 21-o[0]), min(8, 21-o[1])}
-			var err error
-			if what, err = adopt(o, shape); err != nil {
-				t.Fatalf("step %d: on-grid %s", step, what)
+			var b Batch
+			switch rng.Intn(3) {
+			case 0:
+				b.Clear = randBox()
+			case 1:
+				b.Clear = gridBox(origin())
 			}
+			var entries []cells
+			for n := rng.Intn(4); n > 0; n-- {
+				entries = append(entries, entry(&b, origin(), nil, rng.Intn(2) == 0))
+			}
+			what = apply(b, entries)
 		case r < 15:
-			// Not a grid origin: a store on the grid refuses it, and a store
-			// that takes it must still answer newest-wins.
+			// Not a grid origin: the store refuses the whole batch and
+			// writes nothing of it.
 			o := array.Coord{2 + rng.Int63n(12), 2 + rng.Int63n(12)}
 			if (o[0]-1)%8 == 0 {
 				o[0]++
 			}
-			what, _ = adopt(o, []int64{8, 8})
+			var b Batch
+			entry(&b, origin(), nil, true)
+			entry(&b, o, []int64{8, 8}, rng.Intn(2) == 0)
+			if added, err := st.Apply(b); !errors.Is(err, ErrOffGrid) || added != 0 {
+				t.Fatalf("step %d: batch with a chunk at %v: added %d, %v; want ErrOffGrid", step, o, added, err)
+			}
+			what = fmt.Sprintf("refused chunk at %v", o)
 		case r < 17:
 			merged, err := st.MergeOnce()
 			if err != nil {
@@ -133,15 +233,7 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 			}
 			what = fmt.Sprintf("merge (%v)", merged)
 		case r < 19:
-			a, b := coord(), coord()
-			box := array.NewBox(array.Coord{min(a[0], b[0]), min(a[1], b[1])}, array.Coord{max(a[0], b[0]), max(a[1], b[1])})
-			st.ClearRegion(box)
-			for c := range m.buffered {
-				if box.Contains(array.Coord{c[0], c[1]}) {
-					delete(m.buffered, c)
-				}
-			}
-			what = fmt.Sprintf("clear %v", box)
+			what = apply(Batch{Clear: randBox()}, nil)
 		default:
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -151,6 +243,9 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 				t.Fatal(err)
 			}
 			what = "reopen"
+		}
+		if st.memBytes != st.mem.ByteSize() {
+			t.Fatalf("step %d (%s): memBytes %d, buffer ByteSize %d", step, what, st.memBytes, st.mem.ByteSize())
 		}
 		checkStoreModel(t, rng, st, m, fmt.Sprintf("step %d (%s)", step, what))
 		if t.Failed() {

@@ -496,7 +496,9 @@ func TestBufferedBytesTrackByteSize(t *testing.T) {
 			t.Fatalf("put %d left %d bytes buffered, at or over the %d limit", i, st.memBytes, st.opts.MemLimit)
 		}
 		if i%500 == 250 {
-			st.ClearRegion(array.NewBox(array.Coord{1, 1}, array.Coord{12, 12}))
+			if _, err := st.Apply(Batch{Clear: array.NewBox(array.Coord{1, 1}, array.Coord{12, 12})}); err != nil {
+				t.Fatal(err)
+			}
 			check("clear region")
 		}
 	}

@@ -346,6 +346,12 @@ func (s *Store) bufferLocked(c array.Coord, cell array.Cell) (full bool, err err
 	var before int64
 	if s.mem.CoordInside(c) {
 		if ch, _ = s.mem.ChunkAt(c); ch != nil {
+			if ch.Sealed() {
+				// A chunk Apply merged in opens for its first Put.
+				s.memBytes -= ch.ByteSize()
+				ch.Open()
+				s.memBytes += ch.ByteSize()
+			}
 			before = slotStringBytes(ch, ch.Index(c))
 		}
 	}
@@ -595,44 +601,6 @@ func (s *Store) Get(c array.Coord) (cell array.Cell, ok bool, err error) {
 		err = nil
 	}
 	return cell, ok, err
-}
-
-// Held counts the present cells of ch that the store already holds, in its
-// memory buffer or in any version of a bucket. It reads bucket frames —
-// presence alone — and is a write's bookkeeping, not a read: the heat hook
-// does not see it.
-func (s *Store) Held(ch *array.Chunk) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var held int64
-	seen := array.NewBitmap(ch.Slots())
-	mark := func(src *array.Chunk) {
-		inter, ok := src.Box().Intersect(ch.Box())
-		if !ok {
-			return
-		}
-		src.Rows(inter, func(start, n int64, c array.Coord) {
-			at := ch.Index(c) - start
-			for k := src.Present.NextSet(start); k < start+n; k = src.Present.NextSet(k + 1) {
-				if i := at + k; ch.Present.Get(i) && !seen.Get(i) {
-					seen.Set(i)
-					held++
-				}
-			}
-		})
-	}
-	for _, m := range s.mem.Chunks() {
-		mark(m)
-	}
-	for _, m := range s.searchMetasLocked(ch.Box()) {
-		frame, release, err := s.pinBucket(m, []int{})
-		if err != nil {
-			return 0, err
-		}
-		mark(frame)
-		release()
-	}
-	return held, nil
 }
 
 // MergeOnce compacts the chunk with the most bucket versions (the oldest
