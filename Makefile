@@ -38,13 +38,16 @@ loc:
 
 # Race detection over the concurrency-heavy packages (tier-1 verification
 # runs this alongside `test`; the full -race ./... sweep is `race-all`).
-# ./internal/storage includes the scan-prefetcher stress tests.
+# ./internal/storage includes the scan-prefetcher stress tests, and
+# ./internal/compress the codecs' pooled readers, writers and rooms, which
+# the prefetch goroutines share.
 race:
-	$(GO) test -race ./internal/exec ./internal/ops ./internal/bufcache ./internal/storage ./internal/wire ./internal/cluster ./internal/obs ./internal/session ./internal/core ./internal/loader ./internal/insitu ./internal/partition ./internal/introspect
+	$(GO) test -race ./internal/compress ./internal/exec ./internal/ops ./internal/bufcache ./internal/storage ./internal/wire ./internal/cluster ./internal/obs ./internal/session ./internal/core ./internal/loader ./internal/insitu ./internal/partition ./internal/introspect
 
 # Short fuzz smoke over the chunk/array decoders, the column codec against
 # its reference (FuzzColumnRoundTrip), Auto's byte-plane records
-# (FuzzAutoRecords: round trips, and arbitrary bytes behind its tag), both
+# (FuzzAutoRecords: round trips, and arbitrary bytes behind its tag, each
+# decoded alike into a nil, short, exact, long or dirty room), both
 # hello readers
 # (FuzzHello), the CSV line parser against its Split-based oracle
 # (FuzzCSVLine), the CSV float kernel against strconv.ParseFloat

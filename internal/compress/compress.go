@@ -18,7 +18,21 @@ import (
 type Codec interface {
 	Name() string
 	Encode(src []byte) []byte
-	Decode(src []byte) ([]byte, error)
+	// Decode decodes src into the room of dst — its whole capacity, whatever
+	// its length — and returns the decoded bytes. It allocates only when that
+	// room is too short, checking every length the input claims against the
+	// input first; the result never shares src. On an error it returns nil,
+	// and the room's content is undefined.
+	Decode(dst, src []byte) ([]byte, error)
+}
+
+// room returns dst's room cut to n bytes, or, when its capacity is short, a
+// fresh slice of n bytes with capacity c ≥ n.
+func room(dst []byte, n, c int) []byte {
+	if cap(dst) >= n {
+		return dst[:n]
+	}
+	return make([]byte, n, c)
 }
 
 // ByName returns a codec by its registered name.
@@ -75,7 +89,7 @@ func (None) Name() string { return "none" }
 func (None) Encode(src []byte) []byte { return append([]byte(nil), src...) }
 
 // Decode implements Codec.
-func (None) Decode(src []byte) ([]byte, error) { return append([]byte(nil), src...), nil }
+func (None) Decode(dst, src []byte) ([]byte, error) { return append(dst[:0], src...), nil }
 
 // RLE is byte-level run-length encoding: pairs of (count, byte). Effective
 // for sparse presence bitmaps and constant slabs (e.g. cloud-free masks).
@@ -104,7 +118,7 @@ func (RLE) Encode(src []byte) []byte {
 }
 
 // Decode implements Codec.
-func (RLE) Decode(src []byte) ([]byte, error) {
+func (RLE) Decode(dst, src []byte) ([]byte, error) {
 	if len(src) < 8 {
 		return nil, fmt.Errorf("compress: rle input too short")
 	}
@@ -113,15 +127,20 @@ func (RLE) Decode(src []byte) ([]byte, error) {
 	if n > uint64(len(src)-8)/2*255 {
 		return nil, fmt.Errorf("compress: rle claims %d bytes from %d", n, len(src))
 	}
-	out := make([]byte, 0, n)
+	out := room(dst, int(n), int(n))
+	at := 0
 	for i := 8; i+1 < len(src); i += 2 {
 		run, b := int(src[i]), src[i+1]
-		for k := 0; k < run; k++ {
-			out = append(out, b)
+		if run > len(out)-at {
+			return nil, fmt.Errorf("compress: rle decodes past its %d bytes", n)
 		}
+		for k := range out[at : at+run] {
+			out[at+k] = b
+		}
+		at += run
 	}
-	if uint64(len(out)) != n {
-		return nil, fmt.Errorf("compress: rle decoded %d bytes, want %d", len(out), n)
+	if at != len(out) {
+		return nil, fmt.Errorf("compress: rle decoded %d bytes, want %d", at, n)
 	}
 	return out, nil
 }
@@ -167,7 +186,7 @@ func deltaLen(src []byte) int {
 }
 
 // Decode implements Codec.
-func (Delta) Decode(src []byte) ([]byte, error) {
+func (Delta) Decode(dst, src []byte) ([]byte, error) {
 	if len(src) < 8 {
 		return nil, fmt.Errorf("compress: delta input too short")
 	}
@@ -178,49 +197,18 @@ func (Delta) Decode(src []byte) ([]byte, error) {
 	if nWords > uint64(len(src)) {
 		return nil, fmt.Errorf("compress: delta claims %d words from %d bytes", nWords, len(src))
 	}
-	out := make([]byte, nWords*8, nWords*8+7)
-	tail, err := deltaWords(out, src)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, tail...), nil
-}
-
-// deltaInto decodes a Delta encoding into dst, which it must fill exactly.
-func deltaInto(dst, src []byte) error {
-	if len(src) < 8 {
-		return fmt.Errorf("compress: delta input too short")
-	}
-	nWords := binary.LittleEndian.Uint64(src[:8])
-	if nWords > uint64(len(dst)/8) {
-		return fmt.Errorf("compress: delta claims %d words for %d bytes", nWords, len(dst))
-	}
-	words := dst[:nWords*8]
-	tail, err := deltaWords(words, src[8:])
-	if err != nil {
-		return err
-	}
-	if len(tail) != len(dst)-len(words) {
-		return fmt.Errorf("compress: delta decodes to %d bytes, want %d", len(words)+len(tail), len(dst))
-	}
-	copy(dst[len(words):], tail)
-	return nil
-}
-
-// deltaWords decodes the varint deltas that fill words, a word per eight
-// bytes, from src and returns what follows them: the raw tail.
-func deltaWords(words, src []byte) ([]byte, error) {
+	out := room(dst, int(nWords*8), int(nWords*8+7))
 	var prev uint64
-	for i := 0; i < len(words); i += 8 {
+	for i := 0; i < len(out); i += 8 {
 		d, n := binary.Varint(src)
 		if n <= 0 {
 			return nil, fmt.Errorf("compress: delta varint truncated at word %d", i/8)
 		}
 		src = src[n:]
 		prev += uint64(d)
-		binary.LittleEndian.PutUint64(words[i:], prev)
+		binary.LittleEndian.PutUint64(out[i:], prev)
 	}
-	return src, nil
+	return append(out, src...), nil
 }
 
 // Gzip wraps compress/gzip at the default level. Writers and readers are
@@ -228,7 +216,16 @@ func deltaWords(words, src []byte) ([]byte, error) {
 // tens of kilobytes, and the storage manager runs one per bucket section.
 type Gzip struct{}
 
-var gzipWriters, gzipReaders sync.Pool
+var gzipWriters sync.Pool
+
+// gunzipper is a pooled inflater with the reader it reads its input
+// through. Both zero values are ready: Reset sets up the inflater.
+type gunzipper struct {
+	br bytes.Reader
+	zr gzip.Reader
+}
+
+var gunzippers = sync.Pool{New: func() any { return new(gunzipper) }}
 
 // Name implements Codec.
 func (Gzip) Name() string { return "gzip" }
@@ -258,8 +255,8 @@ func gzipInto(buf *bytes.Buffer, src []byte) {
 const maxInflate = 1032
 
 // Decode implements Codec. The stream's trailer records the decoded length
-// (ISIZE), so the output is allocated once at its final size.
-func (Gzip) Decode(src []byte) ([]byte, error) {
+// (ISIZE), so a short room is replaced once, at the final size.
+func (Gzip) Decode(dst, src []byte) ([]byte, error) {
 	if len(src) < 18 {
 		return nil, fmt.Errorf("compress: gzip input too short")
 	}
@@ -267,48 +264,28 @@ func (Gzip) Decode(src []byte) ([]byte, error) {
 	if n > uint64(len(src))*maxInflate {
 		return nil, fmt.Errorf("compress: gzip claims %d bytes from %d", n, len(src))
 	}
-	out := make([]byte, n)
-	if err := gunzipInto(out, src); err != nil {
+	out := room(dst, int(n), int(n))
+	g := gunzippers.Get().(*gunzipper)
+	defer gunzippers.Put(g)
+	g.br.Reset(src)
+	r := &g.zr
+	if err := r.Reset(&g.br); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// gunzipInto inflates the gzip stream src into dst, which it must fill
-// exactly.
-func gunzipInto(dst, src []byte) error {
-	if len(src) < 18 {
-		return fmt.Errorf("compress: gzip input too short")
-	}
-	if n := binary.LittleEndian.Uint32(src[len(src)-4:]); uint64(n) != uint64(len(dst)) {
-		return fmt.Errorf("compress: gzip records %d bytes, want %d", n, len(dst))
-	}
-	br := bytes.NewReader(src)
-	r, _ := gzipReaders.Get().(*gzip.Reader)
-	var err error
-	if r == nil {
-		r, err = gzip.NewReader(br)
-	} else {
-		err = r.Reset(br)
-	}
-	if err != nil {
-		return err
-	}
-	defer gzipReaders.Put(r)
 	r.Multistream(false)
-	if _, err := io.ReadFull(r, dst); err != nil {
-		return err
+	if _, err := io.ReadFull(r, out); err != nil {
+		return nil, err
 	}
 	// The stream must end here; reaching its end is also what makes gzip
 	// check its own CRC and length.
 	var one [1]byte
 	if m, err := r.Read(one[:]); m != 0 || err != io.EOF {
 		if err == nil || err == io.EOF {
-			err = fmt.Errorf("compress: gzip stream longer than its recorded %d bytes", len(dst))
+			err = fmt.Errorf("compress: gzip stream longer than its recorded %d bytes", n)
 		}
-		return err
+		return nil, err
 	}
-	return nil
+	return out, nil
 }
 
 // Auto encodes the input raw, with Delta and with Gzip — each on the raw
@@ -373,40 +350,33 @@ func autoAppend(out, src []byte, tag byte, g *bytes.Buffer) []byte {
 }
 
 // Decode implements Codec.
-func (Auto) Decode(src []byte) ([]byte, error) {
+func (Auto) Decode(dst, src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return nil, fmt.Errorf("compress: auto input empty")
 	}
 	switch src[0] {
 	case tagRaw:
-		return append([]byte(nil), src[1:]...), nil
+		return append(dst[:0], src[1:]...), nil
 	case tagDelta:
-		return Delta{}.Decode(src[1:])
+		return Delta{}.Decode(dst, src[1:])
 	case tagGzip:
-		return Gzip{}.Decode(src[1:])
+		return Gzip{}.Decode(dst, src[1:])
 	case tagPlanes:
-		return decodePlanes(src[1:])
+		return decodePlanes(dst, src[1:])
 	}
 	return nil, fmt.Errorf("compress: auto unknown tag %d", src[0])
 }
 
 // autoDecodeInto decodes an Auto encoding under one of the three whole-input
-// tags into dst, which it must fill exactly.
+// tags into dst, which it must fill exactly: a decode of that length is one
+// into dst's room.
 func autoDecodeInto(dst, src []byte) error {
-	if len(src) == 0 {
-		return fmt.Errorf("compress: auto input empty")
+	if len(src) > 0 && src[0] == tagPlanes {
+		return fmt.Errorf("compress: auto tag %d where a whole-input one belongs", src[0])
 	}
-	switch src[0] {
-	case tagRaw:
-		if len(src)-1 != len(dst) {
-			return fmt.Errorf("compress: auto raw holds %d bytes, want %d", len(src)-1, len(dst))
-		}
-		copy(dst, src[1:])
-		return nil
-	case tagDelta:
-		return deltaInto(dst, src[1:])
-	case tagGzip:
-		return gunzipInto(dst, src[1:])
+	out, err := Auto{}.Decode(dst[:0:len(dst)], src)
+	if err == nil && len(out) != len(dst) {
+		err = fmt.Errorf("compress: auto decodes to %d bytes, want %d", len(out), len(dst))
 	}
-	return fmt.Errorf("compress: auto tag %d where a whole-input one belongs", src[0])
+	return err
 }

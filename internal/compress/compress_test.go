@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,13 +15,61 @@ import (
 func roundTrip(t *testing.T, c Codec, data []byte) {
 	t.Helper()
 	enc := c.Encode(data)
-	dec, err := c.Decode(enc)
+	dec, err := sameInEveryRoom(t, c, enc)
 	if err != nil {
 		t.Fatalf("%s: decode: %v", c.Name(), err)
 	}
 	if !bytes.Equal(dec, data) {
 		t.Fatalf("%s: round trip mismatch: %d bytes in, %d out", c.Name(), len(data), len(dec))
 	}
+}
+
+// testRoom is a destination a decode is tried into.
+type testRoom struct {
+	name string
+	dst  []byte
+}
+
+// rooms returns fresh destinations for a decode of n bytes: none, too short,
+// exactly n, longer, and n and more full of bytes the decode must not serve.
+func rooms(n int) []testRoom {
+	return []testRoom{
+		{"nil", nil},
+		{"short", make([]byte, 0, n/2)},
+		{"exact", make([]byte, 0, n)},
+		{"long", make([]byte, 3, 2*n+16)},
+		{"dirty", bytes.Repeat([]byte{0xa5}, n+9)[:5]},
+	}
+}
+
+// sameInEveryRoom decodes src with c into nil, then into every room, and
+// fails unless each decode agrees with the first: the same bytes — in the
+// room itself where it holds them — or an error with no bytes at all. It
+// returns the decode into nil.
+func sameInEveryRoom(t testing.TB, c Codec, src []byte) ([]byte, error) {
+	t.Helper()
+	want, werr := c.Decode(nil, src)
+	if werr != nil && want != nil {
+		t.Fatalf("%s: error %v with %d bytes", c.Name(), werr, len(want))
+	}
+	n := len(want)
+	if werr != nil {
+		n = len(src)
+	}
+	for _, r := range rooms(n) {
+		got, err := c.Decode(r.dst, src)
+		switch {
+		case (err == nil) != (werr == nil):
+			t.Fatalf("%s, %s room: error %v, into nil %v", c.Name(), r.name, err, werr)
+		case err != nil && got != nil:
+			t.Fatalf("%s, %s room: error %v with %d bytes of the room", c.Name(), r.name, err, len(got))
+		case err == nil && !bytes.Equal(got, want):
+			t.Fatalf("%s, %s room: %d bytes differ from the %d decoded into nil", c.Name(), r.name, len(got), len(want))
+		case err == nil && n > 0 && cap(r.dst) >= n && &got[0] != &r.dst[:1][0]:
+			t.Fatalf("%s, %s room: %d bytes allocated beside a room of %d", c.Name(), r.name, n, cap(r.dst))
+		}
+	}
+	return want, werr
 }
 
 func TestRoundTripAllCodecs(t *testing.T) {
@@ -57,8 +107,7 @@ func TestRoundTripProperty(t *testing.T) {
 	for _, c := range codecs {
 		c := c
 		f := func(data []byte) bool {
-			enc := c.Encode(data)
-			dec, err := c.Decode(enc)
+			dec, err := sameInEveryRoom(t, c, c.Encode(data))
 			return err == nil && bytes.Equal(dec, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -216,25 +265,79 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestDecodeCorrupt: each codec refuses a damaged input into every room,
+// serving none of the room's bytes.
 func TestDecodeCorrupt(t *testing.T) {
-	if _, err := (RLE{}).Decode([]byte{1, 2}); err == nil {
-		t.Error("short rle accepted")
+	rle := (RLE{}).Encode(bytes.Repeat([]byte{3}, 600))
+	gz := (Gzip{}).Encode(bytes.Repeat([]byte("abc"), 100))
+	for _, c := range []struct {
+		name  string
+		codec Codec
+		in    []byte
+	}{
+		{"short rle", RLE{}, []byte{1, 2}},
+		{"rle runs past its length", RLE{}, append(slices.Clone(rle), 1, 3)},
+		{"rle short of its length", RLE{}, rle[:len(rle)-2]},
+		{"short delta", Delta{}, []byte{1}},
+		// Truncated delta varint stream.
+		{"truncated delta", Delta{}, (Delta{}).Encode(bytes.Repeat([]byte{0xFF}, 64))[:9]},
+		{"bad gzip", Gzip{}, []byte("not gzip")},
+		{"gzip length off by one", Gzip{}, func() []byte {
+			b := slices.Clone(gz)
+			b[len(b)-4]++
+			return b
+		}()},
+		{"empty auto", Auto{}, nil},
+		{"bad auto tag", Auto{}, []byte{9}},
+		{"auto delta truncated", Auto{}, append([]byte{tagDelta}, (Delta{}).Encode(bytes.Repeat([]byte{0xFF}, 64))[:9]...)},
+	} {
+		if _, err := sameInEveryRoom(t, c.codec, c.in); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := (Delta{}).Decode([]byte{1}); err == nil {
-		t.Error("short delta accepted")
+}
+
+// TestDecodeIntoRoomAllocations: a section sealed as planes — its head
+// gzipped — decodes into a room that holds it with next to no allocation:
+// what is left is the standard inflater's Huffman tables for long codes,
+// not the output.
+func TestDecodeIntoRoomAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
 	}
-	if _, err := (Gzip{}).Decode([]byte("not gzip")); err == nil {
-		t.Error("bad gzip accepted")
+	rng := rand.New(rand.NewSource(9))
+	const slots = 16384
+	src := make([]byte, 2100+8*slots)
+	for i := 0; i < 2100; i++ {
+		src[i] = byte(i % 7)
 	}
-	if _, err := (Auto{}).Decode(nil); err == nil {
-		t.Error("empty auto accepted")
+	for i := 0; i < slots; i++ {
+		binary.LittleEndian.PutUint64(src[2100+8*i:], math.Float64bits(rng.NormFloat64()))
 	}
-	if _, err := (Auto{}).Decode([]byte{9}); err == nil {
-		t.Error("bad auto tag accepted")
+	enc := (Auto{}).AppendRecords(nil, src, 2100, len(src), 8)
+	if enc[0] != tagPlanes || enc[1+planesHeader+4] != tagGzip {
+		t.Fatalf("tag %d, head tag %d: want planes behind a gzipped head", enc[0], enc[1+planesHeader+4])
 	}
-	// Truncated delta varint stream.
-	good := (Delta{}).Encode(bytes.Repeat([]byte{0xFF}, 64))
-	if _, err := (Delta{}).Decode(good[:9]); err == nil {
-		t.Error("truncated delta accepted")
+	dst := make([]byte, len(src))
+	decode := func() {
+		if _, err := (Auto{}).Decode(dst, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	// The least of five trials: a collection between runs empties the pools.
+	const runs = 20
+	per := uint64(math.MaxUint64)
+	for trial := 0; trial < 5; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			decode()
+		}
+		runtime.ReadMemStats(&after)
+		per = min(per, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	if per > uint64(len(src))/16 {
+		t.Errorf("Auto.Decode of a %d-byte section into its room: %d bytes allocated, want under %d", len(src), per, len(src)/16)
 	}
 }

@@ -275,11 +275,12 @@ func log2Fixed(x uint64) uint64 {
 	return r
 }
 
-// decodePlanes reverses planeWriter.seal; src is what follows the tag byte.
-// Every length is checked against the input before the output is allocated:
-// a raw plane must be all there, a deflated one — like the head and tail —
-// cannot claim more than deflate's 1032:1, and the planes must end the input.
-func decodePlanes(src []byte) ([]byte, error) {
+// decodePlanes reverses planeWriter.seal into dst's room; src is what follows
+// the tag byte. Every length is checked against the input before the room is
+// cut or grown: a raw plane must be all there, a deflated one — like the head
+// and tail — cannot claim more than deflate's 1032:1, and the planes must end
+// the input.
+func decodePlanes(dst, src []byte) ([]byte, error) {
 	if len(src) < planesHeader {
 		return nil, fmt.Errorf("compress: planes input too short")
 	}
@@ -331,7 +332,8 @@ func decodePlanes(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("compress: head and tail claim %d and %d bytes from %d and %d", lo, tail, len(headBlob), len(tailBlob))
 	}
 	recs := int(n) * width
-	out := make([]byte, int(lo)+recs+int(tail))
+	size := int(lo) + recs + int(tail)
+	out := room(dst, size, size)
 	if err := autoDecodeInto(out[:lo], headBlob); err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ func TestAppendRecordsRoundTrip(t *testing.T) {
 		if enc[0] == tagPlanes {
 			planes++
 		}
-		dec, err := (Auto{}).Decode(enc)
+		dec, err := sameInEveryRoom(t, Auto{}, enc)
 		if err != nil || !bytes.Equal(dec, c.src) {
 			t.Fatalf("%s, %d bytes (tag %d): round trip failed: %v", c.name, len(c.src), enc[0], err)
 		}
@@ -146,7 +146,7 @@ func planesInput(width, n int) ([]byte, []byte) {
 // stream that does not end where its plane does are all rejected.
 func TestAutoRecordsDecodeStrict(t *testing.T) {
 	good, recs := planesInput(3, 5)
-	if dec, err := (Auto{}).Decode(good); err != nil || !bytes.Equal(dec, recs) {
+	if dec, err := sameInEveryRoom(t, Auto{}, good); err != nil || !bytes.Equal(dec, recs) {
 		t.Fatalf("well-formed input: %v", err)
 	}
 	// Two 64-byte planes, the first deflated with extra bytes in its stream.
@@ -165,7 +165,7 @@ func TestAutoRecordsDecodeStrict(t *testing.T) {
 		in = append(in, raw...)
 		return append(append(in, planeRaw), make([]byte, 64)...)
 	}
-	if _, err := (Auto{}).Decode(deflated(nil)); err != nil {
+	if _, err := sameInEveryRoom(t, Auto{}, deflated(nil)); err != nil {
 		t.Fatalf("well-formed deflated plane: %v", err)
 	}
 	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
@@ -185,7 +185,7 @@ func TestAutoRecordsDecodeStrict(t *testing.T) {
 		"plane length cut":  deflated(nil)[:27],
 		"deflate claims 2x": func() []byte { b := deflated(nil); b[2] = 128; return b }(),
 	} {
-		if _, err := (Auto{}).Decode(in); err == nil {
+		if _, err := sameInEveryRoom(t, Auto{}, in); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -207,7 +207,7 @@ func TestAutoRecordsDecodeBounded(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := (Auto{}).Decode(in)
+	_, err := (Auto{}).Decode(nil, in)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a 1 GiB claim from a few bytes was accepted")
@@ -241,7 +241,10 @@ func TestAppendRecordsAllocations(t *testing.T) {
 
 // FuzzAutoRecords: arbitrary records round-trip through AppendRecords and
 // Decode within Auto's bound, and arbitrary bytes behind the planes tag
-// decode or fail, never panic.
+// decode or fail, never panic. Every decode — of the encoding, of the bytes
+// behind the planes tag, and of the bytes themselves by every codec — gives
+// the same answer into a nil, short, exact, long or dirty room, an error
+// with none of the room's bytes included.
 func FuzzAutoRecords(f *testing.F) {
 	for _, c := range recordCases() {
 		if len(c.src) < 16<<10 {
@@ -256,10 +259,13 @@ func FuzzAutoRecords(f *testing.F) {
 		if len(enc) > 1+len(src) {
 			t.Fatalf("%d bytes encoded to %d", len(src), len(enc))
 		}
-		dec, err := (Auto{}).Decode(enc)
+		dec, err := sameInEveryRoom(t, Auto{}, enc)
 		if err != nil || !bytes.Equal(dec, src) {
 			t.Fatalf("round trip failed (tag %d): %v", enc[0], err)
 		}
-		_, _ = (Auto{}).Decode(append([]byte{tagPlanes}, src...))
+		_, _ = sameInEveryRoom(t, Auto{}, append([]byte{tagPlanes}, src...))
+		for _, c := range append(All(), Auto{}) {
+			_, _ = sameInEveryRoom(t, c, src)
+		}
 	})
 }

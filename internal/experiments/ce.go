@@ -26,9 +26,9 @@ type slowCodec struct {
 	delay time.Duration
 }
 
-func (c slowCodec) Decode(src []byte) ([]byte, error) {
+func (c slowCodec) Decode(dst, src []byte) ([]byte, error) {
 	time.Sleep(c.delay)
-	return c.Codec.Decode(src)
+	return c.Codec.Decode(dst, src)
 }
 
 // CE quantifies compressed execution: zone-map chunk skipping over encoded

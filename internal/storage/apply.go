@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 
 	"scidb/internal/array"
 	"scidb/internal/bufcache"
@@ -39,8 +38,8 @@ func DecodeBatch(s *array.Schema, payloads [][]byte) (Batch, error) {
 // them as a bucket, its sections put in the pool — no encode; every other
 // chunk is unioned into the buffer's chunk at its origin (MergeChunk). The
 // buffer flushes if the batch leaves it at MemLimit. A chunk off the grid
-// fails the batch with ErrOffGrid before anything is written; one the
-// buffer takes must have its grid cell's whole shape. added counts the
+// fails the batch with ErrOffGrid before anything is written: every chunk
+// must have its grid cell's whole shape, clipped at High. added counts the
 // cells the store did not hold, including those of chunks written before a
 // failure. No manifest is saved until a flush.
 func (s *Store) Apply(b Batch) (added int64, err error) {
@@ -92,28 +91,18 @@ func (s *Store) newCellsLocked(ch *array.Chunk) (int64, error) {
 	if !buffered && len(srcs) == 0 {
 		return ch.CellsPresent(), nil
 	}
+	// Every version at an origin has the grid cell's shape (onGrid), so one
+	// masks another a word at a time.
 	fresh := ch.Present.Clone()
-	drop := func(src *array.Chunk) {
-		if slices.Equal(src.Shape, ch.Shape) {
-			fresh.AndNot(src.Present)
-			return
-		}
-		inter, _ := src.Box().Intersect(ch.Box()) // both hold their origin
-		src.Rows(inter, func(start, n int64, c array.Coord) {
-			for k, at := src.Present.NextSet(start), ch.Index(c)-start; k < start+n; k = src.Present.NextSet(k + 1) {
-				fresh.Clear(at + k)
-			}
-		})
-	}
 	if buffered {
-		drop(mem)
+		fresh.AndNot(mem.Present)
 	}
 	for _, m := range srcs {
 		frame, release, err := s.pinBucket(m, []int{})
 		if err != nil {
 			return 0, err
 		}
-		drop(frame)
+		fresh.AndNot(frame.Present)
 		release()
 	}
 	return fresh.Count(), nil

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"testing"
 
 	"scidb/internal/array"
@@ -204,9 +206,9 @@ func TestAdoptAfterBufferedPutWins(t *testing.T) {
 }
 
 // TestAdoptEncodedRefusesOffGrid: a bucket is one chunk of the store's grid.
-// A chunk at an origin off the grid, or with a box that leaves its grid
-// cell, is refused with ErrOffGrid and leaves the store as it was; a chunk
-// clipped at a dimension's High is on the grid.
+// A chunk at an origin off the grid, with a box that leaves its grid cell,
+// or with one narrower than the cell, is refused with ErrOffGrid and leaves
+// the store as it was; a chunk clipped at a dimension's High is on the grid.
 func TestAdoptEncodedRefusesOffGrid(t *testing.T) {
 	s := schema2D(20)
 	st, err := NewStore(s, Options{})
@@ -236,6 +238,7 @@ func TestAdoptEncodedRefusesOffGrid(t *testing.T) {
 		{array.Coord{3, 1}, []int64{8, 8}},   // not a grid origin
 		{array.Coord{1, 1}, []int64{16, 8}},  // spans two cells
 		{array.Coord{17, 17}, []int64{8, 8}}, // past High
+		{array.Coord{9, 1}, []int64{2, 8}},   // inside its cell, narrower
 	} {
 		if err := adopt(c.origin, c.shape); !errors.Is(err, ErrOffGrid) {
 			t.Errorf("adopt at %v shape %v = %v, want ErrOffGrid", c.origin, c.shape, err)
@@ -249,11 +252,67 @@ func TestAdoptEncodedRefusesOffGrid(t *testing.T) {
 		shape  []int64
 	}{
 		{array.Coord{17, 17}, []int64{4, 4}}, // the cell clipped at High
-		{array.Coord{9, 1}, []int64{2, 8}},   // inside its cell
 	} {
 		if err := adopt(c.origin, c.shape); err != nil {
 			t.Errorf("adopt at %v shape %v: %v", c.origin, c.shape, err)
 		}
+	}
+}
+
+// TestNarrowChunkRefused: a chunk narrower than its grid cell is refused,
+// not adopted beside the cell-shaped buffer chunk a later Put makes at its
+// origin. A scan masks one version at an origin with another's presence a
+// word at a time, which reads a narrower chunk's slots as the wrong cells:
+// adopted, an 8×2 chunk at (1, 9) served (2, 9) twice and lost (5, 9).
+func TestNarrowChunkRefused(t *testing.T) {
+	s := schema2D(32)
+	st, err := NewStore(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	want := map[string]float64{}
+	narrow := array.NewChunk(s, array.Coord{1, 9}, []int64{8, 2})
+	array.IterBox(narrow.Box(), func(c array.Coord) bool {
+		v := float64(c[0]*100 + c[1])
+		if err := narrow.Set(c, array.Cell{array.Float64(v), array.String64("n")}); err != nil {
+			t.Fatal(err)
+		}
+		want[fmt.Sprint(c)] = v
+		return true
+	})
+	raw, _, err := EncodeChunkZones(s, narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeChunk(s, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := applyRaw(st, raw, dec); err == nil {
+		t.Error("an 8×2 chunk in an 8×8 grid cell was adopted")
+	} else if errors.Is(err, ErrOffGrid) {
+		clear(want)
+	} else {
+		t.Fatalf("adopting the narrow chunk: %v, want ErrOffGrid", err)
+	}
+	if err := st.Put(array.Coord{2, 9}, array.Cell{array.Float64(-1), array.String64("p")}); err != nil {
+		t.Fatal(err)
+	}
+	want[fmt.Sprint(array.Coord{2, 9})] = -1
+	got := map[string]float64{}
+	if err := st.Scan(array.NewBox(array.Coord{1, 1}, array.Coord{32, 32}), func(c array.Coord, cell array.Cell) bool {
+		k := fmt.Sprint(c)
+		if _, dup := got[k]; dup {
+			t.Errorf("%s served twice", k)
+		}
+		got[k] = cell[0].AsFloat()
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("scan served %v, want %v", got, want)
 	}
 }
 

@@ -375,8 +375,10 @@ func BenchmarkSealSection(b *testing.B) {
 		})
 		b.Run(c.name+"/open", func(b *testing.B) {
 			b.ReportAllocs()
+			var dst []byte
 			for i := 0; i < b.N; i++ {
-				if _, err := (compress.Auto{}).Decode(sealed); err != nil {
+				var err error
+				if dst, err = (compress.Auto{}).Decode(dst, sealed); err != nil {
 					b.Fatal(err)
 				}
 			}

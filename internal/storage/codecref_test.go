@@ -708,9 +708,7 @@ func refScatter[T any](vals []T, present *array.Bitmap) []T {
 // refDecodeChunk reverses refEncodeChunkZones through refDecodeColumn, with
 // the header, checksum and section handling DecodeChunk uses.
 func refDecodeChunk(s *array.Schema, data []byte) (*array.Chunk, error) {
-	cr, err := newChunkReader(s, compress.None{}, int64(len(data)), func(off int64, n int) ([]byte, error) {
-		return data[off : off+int64(n)], nil
-	})
+	cr, err := newChunkReader(s, compress.None{}, int64(len(data)), viewFetch(data))
 	if err != nil {
 		return nil, err
 	}

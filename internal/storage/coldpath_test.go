@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"scidb/internal/array"
@@ -204,7 +205,9 @@ func TestProjectionReadsOnlyItsColumns(t *testing.T) {
 // TestFlippedBucketByteIsErrCorrupt writes a three-column bucket and flips
 // each byte of its file in turn: every read path must answer ErrCorrupt or
 // exactly the original cells — never different ones — and a failed read
-// must leave nothing in the pool.
+// must leave nothing in the pool. Each read follows one of a longer, good
+// bucket, so the rooms sections are read and inflated into hold that
+// bucket's bytes: a damaged or torn read must not serve them either.
 func TestFlippedBucketByteIsErrCorrupt(t *testing.T) {
 	s := &array.Schema{
 		Name: "C",
@@ -227,7 +230,26 @@ func TestFlippedBucketByteIsErrCorrupt(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	long := &array.Schema{Name: "L", Dims: []array.Dimension{{Name: "x", High: 64}, {Name: "y", High: 64}}, Attrs: s.Attrs}
+	lst, err := NewStore(long, Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lst.Close()
+	lq := array.NewBox(array.Coord{1, 1}, array.Coord{64, 64})
+	rng := rand.New(rand.NewSource(4))
+	array.IterBox(lq, func(c array.Coord) bool {
+		_ = lst.Put(c.Clone(), array.Cell{array.Int64(rng.Int63()), array.Float64(rng.NormFloat64()), array.String64(fmt.Sprint("long", rng.Intn(100)))})
+		return true
+	})
+	if err := lst.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	cells := func() (map[string]array.Cell, error) {
+		var n int64
+		if err := lst.Scan(lq, func(array.Coord, array.Cell) bool { n++; return true }); err != nil || n != lq.Cells() {
+			t.Fatalf("the long bucket read %d cells: %v", n, err)
+		}
 		// Every read must go to the file, as after a restart.
 		pool.InvalidateStore(st.cacheID)
 		out := map[string]array.Cell{}
@@ -309,5 +331,200 @@ func TestDecodeChunkAllocations(t *testing.T) {
 	})
 	if allocs > 40 {
 		t.Errorf("DecodeChunk of 4096 cells x 2 columns: %.0f allocations, want O(columns)", allocs)
+	}
+}
+
+// sameValue reports whether two values are the same, a nested array by its
+// encoding.
+func sameValue(a, b array.Value) bool {
+	if a.Type != b.Type || a.Null != b.Null || a.Int != b.Int || math.Float64bits(a.Float) != math.Float64bits(b.Float) ||
+		a.Str != b.Str || a.Bool != b.Bool || a.Sigma != b.Sigma || (a.Arr == nil) != (b.Arr == nil) {
+		return false
+	}
+	if a.Arr == nil {
+		return true
+	}
+	ea, errA := EncodeArray(a.Arr)
+	eb, errB := EncodeArray(b.Arr)
+	return errA == nil && errB == nil && slices.Equal(ea, eb)
+}
+
+// autoTags counts the Auto encodings — raw, delta, gzip, planes — of the
+// sections of the bucket files in dir.
+func autoTags(t *testing.T, s *array.Schema, dir string) map[byte]int {
+	files, err := filepath.Glob(filepath.Join(dir, "bucket-*.sdb"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no buckets in %s: %v", dir, err)
+	}
+	auto, _ := compress.Tag(compress.Auto{})
+	tags := map[byte]int{}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := parseHeader(s, data, int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := headerLen(s)
+		for _, sec := range h.secs {
+			if sec.codec == auto && sec.stored > 0 {
+				tags[data[off]]++
+			}
+			off += int(sec.stored)
+		}
+	}
+	return tags
+}
+
+// TestSectionRoomsNeverLeak: a section's stored and inflated bytes live in
+// rooms every bucket read shares, so a decoded chunk must hold none of them.
+// Five persisted stores — Auto, whose sections here take its raw, delta,
+// gzip and planes forms, and the RLE, Delta, Gzip and None codecs — share a
+// pool smaller than one bucket and read four buckets ahead. Their columns
+// are int, float with a sigma tail, string, bool and nested, over two
+// flushed versions. Two scans run at once on each store: every chunk they
+// deliver holds the cells that were written, and the chunks they keep still
+// hold them after every later bucket has been read through the same rooms.
+func TestSectionRoomsNeverLeak(t *testing.T) {
+	inner := &array.Schema{Name: "in", Dims: []array.Dimension{{Name: "k", High: 4}},
+		Attrs: []array.Attribute{{Name: "n", Type: array.TInt64}}}
+	s := &array.Schema{
+		Name: "R",
+		Dims: []array.Dimension{{Name: "x", High: 257, ChunkLen: 32}, {Name: "y", High: 64, ChunkLen: 64}},
+		Attrs: []array.Attribute{{Name: "i", Type: array.TInt64}, {Name: "f", Type: array.TFloat64, Uncertain: true},
+			{Name: "m", Type: array.TFloat64}, {Name: "s", Type: array.TString}, {Name: "b", Type: array.TBool},
+			{Name: "n", Type: array.TArray, Nested: inner}},
+	}
+	all := array.NewBox(array.Coord{1, 1}, array.Coord{257, 64})
+	// A version of every chunk missing one cell in ten, then a sparse one
+	// over it: records past Auto's planes threshold, and records under it —
+	// in the one-row chunk at the edge too few for any codec to shrink the
+	// random ints.
+	layers := []struct {
+		box  array.Box
+		skip int // one cell in skip is left out; 0 writes every cell
+	}{{all, 10}, {array.NewBox(array.Coord{1, 1}, array.Coord{257, 8}), 0}}
+	rng := rand.New(rand.NewSource(23))
+	want := map[string]array.Cell{}
+	words := []string{"alpha", "beta", "gamma", "delta"}
+	pool := bufcache.New(4 << 10)
+	codecs := []compress.Codec{compress.Auto{}, compress.RLE{}, compress.Delta{}, compress.Gzip{}, compress.None{}}
+	stores := make([]*Store, len(codecs))
+	dir := t.TempDir()
+	for i, c := range codecs {
+		st, err := NewStore(s, Options{Dir: filepath.Join(dir, c.Name()), Codec: c, Cache: pool, Readahead: 4, MemLimit: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		stores[i] = st
+	}
+	var seq int64
+	for _, l := range layers {
+		array.IterBox(l.box, func(c array.Coord) bool {
+			if seq++; l.skip > 0 && rng.Intn(l.skip) == 0 {
+				return true
+			}
+			cell := array.Cell{
+				array.Int64(rng.Int63()),
+				array.UncertainFloat(rng.NormFloat64()*1e3, float64(rng.Intn(4))/8),
+				array.Float64(float64(1<<20 + seq)),
+				array.String64(words[rng.Intn(len(words))]),
+				array.Bool64(rng.Intn(3) == 0),
+				array.NullValue(array.TArray),
+			}
+			if rng.Intn(16) == 0 {
+				nested := array.MustNew(inner)
+				_ = nested.Set(array.Coord{1 + rng.Int63n(4)}, array.Cell{array.Int64(seq)})
+				cell[5] = array.Nested(nested)
+			}
+			for _, st := range stores {
+				if err := st.Put(c.Clone(), cell); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want[fmt.Sprint(c)] = cell
+			return true
+		})
+		for _, st := range stores {
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tags := autoTags(t, s, filepath.Join(dir, "auto"))
+	t.Logf("Auto sections by form (0 raw, 1 delta, 2 gzip, 3 planes): %v", tags)
+	if len(tags) != 4 {
+		t.Fatalf("Auto sections took the forms %v; want raw, delta, gzip and planes", tags)
+	}
+	// check holds one delivery to the written cells: each live slot, and no
+	// more of them than written.
+	type kept struct {
+		ch   *array.Chunk
+		live *array.Bitmap
+	}
+	check := func(k kept) error {
+		c := make(array.Coord, 2)
+		for i := k.live.NextSet(0); i < k.ch.Slots(); i = k.live.NextSet(i + 1) {
+			c[0], c[1] = k.ch.Origin[0]+i/k.ch.Shape[1], k.ch.Origin[1]+i%k.ch.Shape[1]
+			w, ok := want[fmt.Sprint(c)]
+			if !ok {
+				return fmt.Errorf("cell %v was never written", c)
+			}
+			for a, col := range k.ch.Cols {
+				if got := col.Get(i); !sameValue(got, w[a]) {
+					return fmt.Errorf("cell %v, attribute %d: %+v, written %+v", c, a, got, w[a])
+				}
+			}
+		}
+		return nil
+	}
+	scan := func(st *Store) ([]kept, error) {
+		var out []kept
+		var n int64
+		err := st.ScanChunks(all, nil, nil).Each(func(lc LiveChunk) error {
+			k := kept{lc.Chunk, lc.Live.Clone()}
+			n += k.live.Count()
+			out = append(out, k)
+			return check(k)
+		})
+		if err == nil && n != int64(len(want)) {
+			err = fmt.Errorf("scan delivered %d cells, %d written", n, len(want))
+		}
+		return out, err
+	}
+	var wg sync.WaitGroup
+	keptBy := make([][]kept, 2*len(stores))
+	errs := make([]error, len(keptBy))
+	for i := range keptBy {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keptBy[i], errs[i] = scan(stores[i/2])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s store, scan %d: %v", codecs[i/2].Name(), i%2, err)
+		}
+	}
+	// Read every bucket again through the rooms, then the kept chunks.
+	for _, st := range stores {
+		if _, err := scan(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, ks := range keptBy {
+		for _, k := range ks {
+			if err := check(k); err != nil {
+				t.Fatalf("%s store, scan %d, chunk at %v kept past later reads: %v", codecs[i/2].Name(), i%2, k.ch.Origin, err)
+			}
+		}
+	}
+	if cs := pool.Stats(); cs.PinnedBytes != 0 {
+		t.Errorf("%d bytes left pinned", cs.PinnedBytes)
 	}
 }

@@ -179,22 +179,50 @@ type chunkReader struct {
 	// codec is tried first for a section it wrote (a Store's own, so a
 	// wrapped codec sees its reads); any other section names its codec.
 	codec compress.Codec
-	// fetch returns n stored bytes at an offset of the encoding. The
-	// result is only read, and not retained past the section's decode.
-	fetch func(off int64, n int) ([]byte, error)
+	// fetch returns n stored bytes at an offset of the encoding: read into
+	// the room, which it grows when short, or — where the encoding is
+	// already in memory — a view of them that leaves the room as it is.
+	// Either way the result is only read, and not retained past the
+	// section's decode.
+	fetch func(room *[]byte, off int64, n int) ([]byte, error)
 	// ranked is the presence bitmap rank is the directory of, so the
 	// columns of one chunk share one.
 	ranked *array.Bitmap
 	rank   *array.Rank
 }
 
+// sectionRoom is the recycled room a section's stored bytes are read into
+// and its decoded bytes inflated into. Both are scratch — the decoders copy
+// every value out — so a room serves one section and goes back to the pool,
+// and a bucket read allocates only what the buffer pool keeps.
+type sectionRoom struct{ stored, decoded []byte }
+
+var sectionRooms = sync.Pool{New: func() any { return new(sectionRoom) }}
+
+// maxPooledRoom is the largest room that goes back to the pool; one grown
+// past it is dropped rather than held.
+const maxPooledRoom = 16 << 20
+
+func (rm *sectionRoom) release() {
+	if cap(rm.stored) <= maxPooledRoom && cap(rm.decoded) <= maxPooledRoom {
+		sectionRooms.Put(rm)
+	}
+}
+
+// viewFetch is the fetch of an encoding held in memory: a view of data.
+func viewFetch(data []byte) func(*[]byte, int64, int) ([]byte, error) {
+	return func(_ *[]byte, off int64, n int) ([]byte, error) { return data[off : off+int64(n)], nil }
+}
+
 // newChunkReader reads and checks the header of an encoding of total bytes.
-func newChunkReader(s *array.Schema, codec compress.Codec, total int64, fetch func(int64, int) ([]byte, error)) (*chunkReader, error) {
+func newChunkReader(s *array.Schema, codec compress.Codec, total int64, fetch func(*[]byte, int64, int) ([]byte, error)) (*chunkReader, error) {
 	hlen := headerLen(s)
 	if int64(hlen) > total {
 		hlen = int(total)
 	}
-	head, err := fetch(0, hlen)
+	rm := sectionRooms.Get().(*sectionRoom)
+	defer rm.release()
+	head, err := fetch(&rm.stored, 0, hlen)
 	if err != nil {
 		return nil, err
 	}
@@ -205,15 +233,16 @@ func newChunkReader(s *array.Schema, codec compress.Codec, total int64, fetch fu
 	return &chunkReader{s: s, hdr: hdr, codec: codec, fetch: fetch}, nil
 }
 
-// section fetches section i, checks it against the table, and returns its
-// decoded bytes — the stored bytes themselves when they are verbatim.
-func (cr *chunkReader) section(i int) ([]byte, error) {
+// section fetches section i into rm, checks it against the table, and
+// returns its decoded bytes, inflated into rm — or the stored bytes
+// themselves when they are verbatim, which a view fetch leaves out of rm.
+func (cr *chunkReader) section(i int, rm *sectionRoom) ([]byte, error) {
 	off := int64(headerLen(cr.s))
 	for _, sec := range cr.hdr.secs[:i] {
 		off += int64(sec.stored)
 	}
 	sec := cr.hdr.secs[i]
-	stored, err := cr.fetch(off, int(sec.stored))
+	stored, err := cr.fetch(&rm.stored, off, int(sec.stored))
 	if err != nil {
 		return nil, err
 	}
@@ -228,9 +257,10 @@ func (cr *chunkReader) section(i int) ([]byte, error) {
 	}
 	out := stored
 	if _, verbatim := c.(compress.None); !verbatim {
-		if out, err = c.Decode(stored); err != nil {
+		if out, err = c.Decode(rm.decoded, stored); err != nil {
 			return nil, corrupt("section %d: %v", i, err)
 		}
+		rm.decoded = out
 	}
 	if len(out) != int(sec.decoded) {
 		return nil, corrupt("section %d: %d bytes, table says %d", i, len(out), sec.decoded)
@@ -238,9 +268,12 @@ func (cr *chunkReader) section(i int) ([]byte, error) {
 	return out, nil
 }
 
-// decodeSection runs decode over section i, all of which it must consume.
+// decodeSection runs decode over section i, all of which it must consume,
+// and puts the room the section was read into back in the pool.
 func (cr *chunkReader) decodeSection(i int, decode func(*FieldReader) error) error {
-	data, err := cr.section(i)
+	rm := sectionRooms.Get().(*sectionRoom)
+	defer rm.release()
+	data, err := cr.section(i, rm)
 	if err != nil {
 		return err
 	}
@@ -489,9 +522,7 @@ func recordRegion(sec []byte, at array.Attribute, slots, present int64) (lo, hi,
 // them, so corrupt input fails with an error (ErrCorrupt) instead of a
 // wrong cell or a huge allocation.
 func DecodeChunk(s *array.Schema, data []byte) (*array.Chunk, error) {
-	cr, err := newChunkReader(s, compress.None{}, int64(len(data)), func(off int64, n int) ([]byte, error) {
-		return data[off : off+int64(n)], nil
-	})
+	cr, err := newChunkReader(s, compress.None{}, int64(len(data)), viewFetch(data))
 	if err != nil {
 		return nil, err
 	}

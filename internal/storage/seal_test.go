@@ -122,7 +122,7 @@ func TestSealedRecordsNoLarger(t *testing.T) {
 			if len(got) > len(want) {
 				t.Errorf("%s section %d (%d-byte records): sealed %d bytes, Auto.Encode %d", p.name, i, width, len(got), len(want))
 			}
-			if back, err := (compress.Auto{}).Decode(got); err != nil || !bytes.Equal(back, sec) {
+			if back, err := (compress.Auto{}).Decode(nil, got); err != nil || !bytes.Equal(back, sec) {
 				t.Fatalf("%s section %d: sealed records do not decode back: %v", p.name, i, err)
 			}
 		})

@@ -259,15 +259,20 @@ func CheckStride(schema *array.Schema, stride []int64) error {
 }
 
 // onGrid reports whether box is one chunk of the store's grid: its Lo a grid
-// origin, and its extent inside that origin's cell (a cell is clipped at a
-// bounded dimension's High).
+// origin, and its extent that origin's whole cell, clipped at a bounded
+// dimension's High. Every version at an origin then has one shape, which is
+// what lets a scan mask one against another a word at a time.
 func (s *Store) onGrid(box array.Box) bool {
 	if len(box.Lo) != len(s.schema.Dims) || len(box.Hi) != len(box.Lo) {
 		return false
 	}
 	for i, d := range s.schema.Dims {
 		cl, lo, hi := d.GridLen(), box.Lo[i], box.Hi[i]
-		if lo < 1 || (lo-1)%cl != 0 || hi < lo || hi-lo >= cl || (d.Bounded() && hi > d.High) {
+		extent := cl - 1
+		if d.Bounded() && d.High-lo < extent {
+			extent = d.High - lo
+		}
+		if lo < 1 || (lo-1)%cl != 0 || extent < 0 || hi-lo != extent {
 			return false
 		}
 	}
@@ -464,13 +469,14 @@ func (s *Store) uncache(id int64) {
 // openBucket is the one place bucket bytes come off disk (or out of an
 // in-memory store's payload). It opens the bucket, reads and checks its
 // header, and returns a reader that fetches each section it is asked for
-// with one read, counting the bytes; done releases the file. It needs no
-// lock: bucket metadata is immutable once inserted, the codec is fixed at
-// construction, and the stat counters are atomics — which is what lets the
-// scan prefetcher run it beside a scan that holds s.mu.
+// with one read into the section's room (a view of an in-memory payload),
+// counting the bytes; done releases the file. It needs no lock: bucket
+// metadata is immutable once inserted, the codec is fixed at construction,
+// and the stat counters are atomics — which is what lets the scan
+// prefetcher run it beside a scan that holds s.mu.
 func (s *Store) openBucket(meta *bucketMeta) (cr *chunkReader, done func(), err error) {
 	total := int64(len(meta.data))
-	fetch := func(off int64, n int) ([]byte, error) {
+	fetch := func(_ *[]byte, off int64, n int) ([]byte, error) {
 		s.stats.bytesRead.Add(int64(n))
 		return meta.data[off : off+int64(n)], nil
 	}
@@ -489,8 +495,11 @@ func (s *Store) openBucket(meta *bucketMeta) (cr *chunkReader, done func(), err 
 			return nil, nil, fmt.Errorf("storage: %w", err)
 		}
 		total = fi.Size()
-		fetch = func(off int64, n int) ([]byte, error) {
-			p := make([]byte, n)
+		fetch = func(room *[]byte, off int64, n int) ([]byte, error) {
+			if cap(*room) < n {
+				*room = make([]byte, n)
+			}
+			p := (*room)[:n]
 			if _, err := f.ReadAt(p, off); err != nil {
 				return nil, fmt.Errorf("storage: %w", err)
 			}
