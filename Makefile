@@ -20,8 +20,10 @@ vet:
 # measure, the switches over the parse
 # tree in internal/core (each walk has one `case *parser.RegridExpr`; the
 # one lowering is the only walk left), the count of exported
-# Coordinator methods ROADMAP item 13 measures, and the knobs: the fields of
-# every `type …Options struct` in internal/ and the flags cmd/ defines.
+# Coordinator methods ROADMAP item 13 measures, the worker's wire ops (the
+# cases of Worker.handle) and the fields of its Message envelope, which item 7
+# counts, and the knobs: the fields of every `type …Options struct` in
+# internal/ and the flags cmd/ defines.
 loc:
 	@for d in internal/*/; do \
 		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
@@ -33,6 +35,8 @@ loc:
 	@printf '%-24s %6d\n' total $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-24s %6d\n' 'core ArrayExpr walks' $$(find internal/core -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -c 'case \*parser.RegridExpr')
 	@printf '%-24s %6d\n' 'Coordinator methods' $$(find internal/cluster -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cE '^func \([a-z]+ \*Coordinator\) [A-Z]')
+	@printf '%-24s %6d\n' 'worker ops' $$(find internal/cluster -name '*.go' ! -name '*_test.go' -exec cat {} + | awk '/^func \(w \*Worker\) handle\(/ {f = 1; next} f && /^\}/ {f = 0} f && /^\tcase "/ {n++} END {print n + 0}')
+	@printf '%-24s %6d\n' 'Message fields' $$(find internal/cluster -name '*.go' ! -name '*_test.go' -exec cat {} + | awk '/^type Message struct \{/ {f = 1; next} f && /^\}/ {f = 0} f && !/^[ \t]*(\/\/|$$)/ {n++} END {print n + 0}')
 	@printf '%-24s %6d\n' 'option fields' $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | awk '/^type [A-Za-z]*Options struct \{/ {f = 1; next} f && /^\}/ {f = 0} f && !/^[ \t]*(\/\/|$$)/ {n++} END {print n + 0}')
 	@printf '%-24s %6d\n' 'CLI flags' $$(cat cmd/*/main.go | grep -cE 'flag\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)\(')
 

@@ -392,9 +392,11 @@ func TestWorkerOpErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// the read ops "read" replaced are gone, as are "stats" (NodeStats reads
-	// "metrics"), "replicachunk" (the rebalancer sends "loadchunks") and the
-	// node-local "sjoin" (core joins what it reads): no alias answers for them
-	for _, op := range []string{"scan", "agg", "count", "stats", "replicachunk", "sjoin"} {
+	// "metrics"), "replicachunk" (the rebalancer sends "loadchunks"), the
+	// node-local "sjoin" (core joins what it reads) and "migratechunks" (the
+	// rebalancer copies a chunk with "read" and releases it with
+	// "loadchunks"): no alias answers for them
+	for _, op := range []string{"scan", "agg", "count", "stats", "replicachunk", "sjoin", "migratechunks"} {
 		if _, err := tr.Call(0, &Message{Op: op, Array: "a"}); err == nil || !strings.Contains(err.Error(), "unknown op") {
 			t.Errorf("%s on a held array: %v, want unknown op", op, err)
 		}

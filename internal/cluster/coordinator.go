@@ -683,7 +683,7 @@ func (co *Coordinator) ArraySchema(name string) (*array.Schema, error) {
 // coordinator state, so concurrent calls from loader shards pipeline freely
 // over the transport. Cells Put before it and still staged ship first, so
 // the batch lands after them, in the order the writes were acknowledged.
-func (co *Coordinator) LoadChunks(name string, node int, payloads [][]byte, cells int64) error {
+func (co *Coordinator) LoadChunks(name string, node int, payloads [][]byte) error {
 	co.mu.Lock()
 	da, err := co.dist(name)
 	if err == nil && da.staged > 0 {
@@ -696,7 +696,7 @@ func (co *Coordinator) LoadChunks(name string, node int, payloads [][]byte, cell
 	if err != nil {
 		return err
 	}
-	_, err = co.t.Call(node, &Message{Op: "loadchunks", Array: name, Chunks: payloads, Cells: cells})
+	_, err = co.t.Call(node, &Message{Op: "loadchunks", Array: name, Chunks: payloads})
 	return err
 }
 

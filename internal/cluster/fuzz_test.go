@@ -14,8 +14,8 @@ import (
 // trip unchanged (compared as bytes: a partial table may hold NaNs, which
 // are not equal to themselves). The seeds cover the full field set
 // (including a read's fold spec — with aggregates and, a count, without —
-// its partial-table and seen-cells answers, a join read, and the route and
-// heat blocks),
+// its partial-table and seen-cells answers, a join read, and the exclusion
+// and heat blocks),
 // truncations, and a bit-flipped frame, so the fuzzer starts inside every
 // block decoder.
 func FuzzDecodeClusterMessage(f *testing.F) {
@@ -23,9 +23,8 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		wireTestMessage(),
 		{},
 		{Op: "ping"},
-		{Op: "migratechunks", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{64}, Release: true},
-		{Op: "loadchunks", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{64}, RouteVersion: 3, Nodes: []int64{0, 2},
-			Chunks: [][]byte{{0x01}}},
+		{Op: "loadchunks", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{64}}, // a migrated chunk's release
+		{Op: "loadchunks", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{64}, Chunks: [][]byte{{0x01}}},
 		{Op: "heat", Heat: []HeatSample{{Array: "a", Origin: []int64{1, 65}, Score: 7}}},
 		{Op: "read", Array: "a", Fold: &ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "max", Attr: "v"}}}},
 		{Op: "read", Array: "a", Fold: &ops.FoldSpec{}, ExclLo: [][]int64{{1}}, ExclHi: [][]int64{{64}}},

@@ -131,3 +131,8 @@ func (t *heatTracker) Drop(name string) {
 		}
 	}
 }
+
+// heatOp reports the node's chunk heat snapshot.
+func (w *Worker) heatOp(req *Message) (*Message, error) {
+	return &Message{Op: "heat", Heat: w.heat.Snapshot()}, nil
+}

@@ -28,7 +28,8 @@ import (
 // partition's store in one Apply, which adopts each as a bucket verbatim
 // where the buffer holds nothing at its origin: no re-encode. The parallel
 // bulk loader ships its chunks so; the rebalancer does too, with the box of
-// the chunk it copies and the routing-table version the copy belongs to.
+// the chunk it copies — and, to release a migrated chunk on its source, sends
+// the box with no chunks.
 func (w *Worker) loadChunks(req *Message) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -41,22 +42,16 @@ func (w *Worker) loadChunks(req *Message) (*Message, error) {
 		return nil, err
 	}
 	// With a box the payloads are the region's canonical newest state (the
-	// coordinator's write fence flushed and folded every live write before
-	// exporting), so the batch first clears any buffered cells left over from
-	// an earlier ownership stint (storage.Batch.Clear); the box covers
-	// sub-chunks the canonical copy holds no cells for.
+	// coordinator's write fence flushed every live write before the read that
+	// copied them), so the batch first clears any buffered cells left over
+	// from an earlier ownership stint (storage.Batch.Clear); the box covers
+	// sub-chunks the canonical copy holds no cells for. With no payloads the
+	// clear is all there is: the source's release of a migrated chunk, whose
+	// buffered cells and pool entries go while its buckets stay on disk.
 	if len(req.BoxLo) > 0 {
 		b.Clear = array.Box{Lo: req.BoxLo, Hi: req.BoxHi}
 	}
-	resp, err := w.applyLocked(req, st, b)
-	if err != nil {
-		return nil, err
-	}
-	if req.RouteVersion > w.routeVersion[req.Array] {
-		w.routeVersion[req.Array] = req.RouteVersion
-	}
-	resp.RouteVersion = w.routeVersion[req.Array]
-	return resp, nil
+	return w.applyLocked(req, st, b)
 }
 
 // insituOp registers (or replaces) an in-situ partition on this node: it

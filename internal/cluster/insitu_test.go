@@ -54,7 +54,7 @@ func TestLoadChunksWireRoundTrip(t *testing.T) {
 // buildChunkPayloads routes the grid's cells per scheme, bound to the
 // partition grid, and encodes each node's chunks exactly like the parallel
 // loader does.
-func buildChunkPayloads(t *testing.T, schema *array.Schema, scheme partition.Scheme, gen func(array.Coord) (array.Cell, bool)) (payloads [][][]byte, cells []int64) {
+func buildChunkPayloads(t *testing.T, schema *array.Schema, scheme partition.Scheme, gen func(array.Coord) (array.Cell, bool)) [][][]byte {
 	t.Helper()
 	scheme = partition.Bind(scheme, PartitionSchema(schema))
 	bs := schema.Clone()
@@ -78,8 +78,7 @@ func buildChunkPayloads(t *testing.T, schema *array.Schema, scheme partition.Sch
 		}
 		return true
 	})
-	payloads = make([][][]byte, len(builders))
-	cells = make([]int64, len(builders))
+	payloads := make([][][]byte, len(builders))
 	for n, b := range builders {
 		if b == nil {
 			continue
@@ -93,10 +92,9 @@ func buildChunkPayloads(t *testing.T, schema *array.Schema, scheme partition.Sch
 				t.Fatal(err)
 			}
 			payloads[n] = append(payloads[n], raw)
-			cells[n] += ch.CellsPresent()
 		}
 	}
-	return payloads, cells
+	return payloads
 }
 
 // TestLoadChunksMatchesPut: shipping pre-encoded chunk batches must leave
@@ -122,12 +120,12 @@ func TestLoadChunksMatchesPut(t *testing.T) {
 	}
 
 	chunked := newGrid()
-	payloads, cells := buildChunkPayloads(t, schema, scheme, gen)
+	payloads := buildChunkPayloads(t, schema, scheme, gen)
 	for n := range payloads {
 		if len(payloads[n]) == 0 {
 			continue
 		}
-		if err := chunked.LoadChunks("g", n, payloads[n], cells[n]); err != nil {
+		if err := chunked.LoadChunks("g", n, payloads[n]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,11 +186,11 @@ func TestPutThenLoadChunksReadsLoaded(t *testing.T) {
 	if err := co.Put("g", c, array.Cell{array.Float64(1)}); err != nil {
 		t.Fatal(err)
 	}
-	payloads, cells := buildChunkPayloads(t, schema, scheme, func(array.Coord) (array.Cell, bool) {
+	payloads := buildChunkPayloads(t, schema, scheme, func(array.Coord) (array.Cell, bool) {
 		return array.Cell{array.Float64(2)}, true
 	})
 	n := scheme.NodeFor(c)
-	if err := co.LoadChunks("g", n, payloads[n], cells[n]); err != nil {
+	if err := co.LoadChunks("g", n, payloads[n]); err != nil {
 		t.Fatal(err)
 	}
 	if err := co.Flush("g"); err != nil {
@@ -510,8 +508,10 @@ func TestInsituReregistrationReadsNewFile(t *testing.T) {
 	}
 }
 
-// TestInsituRefusesWrites: the four ops that write a partition's cells say
-// why they fail on an in-situ one, and leave it answering.
+// TestInsituRefusesWrites: the ops that write a partition's cells — put,
+// loadchunks, replace, and loadchunks with a box and no chunks (the release
+// of a migrated chunk) — say why they fail on an in-situ one, and leave it
+// answering.
 func TestInsituRefusesWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ext.csv")
 	writeExt(t, path, 0, "")
@@ -529,7 +529,7 @@ func TestInsituRefusesWrites(t *testing.T) {
 		{Op: "put", Array: "ext", Chunks: chunks},
 		{Op: "loadchunks", Array: "ext", Chunks: chunks},
 		{Op: "replace", Array: "ext", Chunks: chunks},
-		{Op: "migratechunks", Array: "ext", BoxLo: []int64{1, 1}, BoxHi: []int64{4, 4}},
+		{Op: "loadchunks", Array: "ext", BoxLo: []int64{1, 1}, BoxHi: []int64{4, 4}},
 	} {
 		if got, want := w.Handle(req).Err, `cluster: "ext" is an in-situ array and cannot be written`; got != want {
 			t.Errorf("%s: error %q, want %q", req.Op, got, want)

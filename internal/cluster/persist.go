@@ -49,8 +49,6 @@ func NewWorkerWithOptions(id int, opts WorkerOptions) *Worker {
 		stores: map[string]*storage.Store{},
 		fills:  map[string]*insitu.FillOnce{},
 		heat:   newHeatTracker(defaultHeatHalfLife),
-
-		routeVersion: map[string]int64{},
 	}
 	if opts.Cache != nil {
 		w.cache = opts.Cache

@@ -9,19 +9,20 @@ package cluster
 //     reported bucket origins onto the array's routing grid.
 //  2. Rank chunks by decayed score and take the hottest few per round.
 //  3. Migrate each to the least-loaded node (Replicas == 1) or replicate it
-//     onto the k-1 least-loaded non-holders (Replicas > 1), copying the
-//     encoded bytes verbatim ("migratechunks" export → "loadchunks"
-//     install, adopted by storage.Store.Apply on arrival) so every copy is
-//     bit-identical.
+//     onto the k-1 least-loaded non-holders (Replicas > 1): a "read" of the
+//     chunk box on the source ships its canonical encoded chunks, and a
+//     "loadchunks" with the box installs them on each target (adopted
+//     verbatim by storage.Store.Apply), so every copy is bit-identical.
 //  4. Cut ownership over in the routing table (partition.Routing.SetNodes)
-//     and invalidate the source's buffer-pool entries.
+//     and release a migrated chunk on the source: a "loadchunks" with the
+//     box and no chunks drops its buffered cells and buffer-pool entries.
 //
 // In-flight queries are never blocked: the copy runs without the
 // coordinator lock, with the chunk held in the pending set so a
 // half-installed copy is never served. Writes are fenced by DistArray's
 // writeSeq — recorded after a pre-copy flush, re-checked under co.mu at
-// cutover; if anything was written meanwhile the chunk is re-exported and
-// re-installed while the lock briefly blocks further Puts (reads are
+// cutover; if anything was written meanwhile the chunk is read and
+// installed again while the lock briefly blocks further Puts (reads are
 // unaffected — they only take co.mu to look up the plan).
 
 import (
@@ -208,7 +209,7 @@ func (co *Coordinator) RebalanceOnce(name string, opts RebalanceOptions) (moved,
 			}
 		}
 		if len(liveHolders) == 0 {
-			continue // can't export from a dead holder
+			continue // can't copy from a dead holder
 		}
 		source := liveHolders[0]
 		holderSet := map[int]bool{}
@@ -292,7 +293,7 @@ func (co *Coordinator) moveChunk(da *DistArray, rt *partition.Routing, origin ar
 	co.moveMu.Lock()
 	defer co.moveMu.Unlock()
 
-	// Pre-copy: flush staged writes so the export sees them, record the
+	// Pre-copy: flush staged writes so the copy sees them, record the
 	// write fence, and shield the chunk in the pending set so a
 	// half-installed copy is never served. A retry of a previously failed
 	// move finds its orphaned pending entry still in place and reuses it —
@@ -342,31 +343,21 @@ func (co *Coordinator) moveChunk(da *DistArray, rt *partition.Routing, origin ar
 	}
 
 	copyOnce := func() (int64, int64, error) {
-		resp, err := co.callNode(source, &Message{Op: "migratechunks", Array: da.Name, BoxLo: cb.Lo, BoxHi: cb.Hi})
+		resp, err := co.callNode(source, &Message{Op: "read", Array: da.Name, BoxLo: cb.Lo, BoxHi: cb.Hi})
 		if err != nil {
 			return 0, 0, err
 		}
 		if resp.Cells == 0 {
 			return 0, 0, nil
 		}
-		var n int64
-		for _, p := range resp.Chunks {
-			n += int64(len(p))
-		}
-		ver := rt.Version() + 1
-		nodes64 := make([]int64, len(newNodes))
-		for i, nn := range newNodes {
-			nodes64[i] = int64(nn)
-		}
 		if err := fanout(targets, func(_, t int) error {
 			_, err := co.callNode(t, &Message{Op: "loadchunks", Array: da.Name,
-				BoxLo: cb.Lo, BoxHi: cb.Hi,
-				Chunks: resp.Chunks, Cells: resp.Cells, RouteVersion: ver, Nodes: nodes64})
+				BoxLo: cb.Lo, BoxHi: cb.Hi, Chunks: resp.Chunks})
 			return err
 		}); err != nil {
 			return 0, 0, err
 		}
-		return resp.Cells, n, nil
+		return resp.Cells, payloadBytes(resp.Chunks), nil
 	}
 
 	// Unlocked copy: queries and writes proceed while the bytes travel. A
@@ -397,7 +388,7 @@ func (co *Coordinator) moveChunk(da *DistArray, rt *partition.Routing, origin ar
 	}
 	if da.writeSeq != seq {
 		introspect.Emit(introspect.EvWriteFenceRecopy, source, da.Name,
-			fmt.Sprintf("chunk %v written during copy; re-exporting under lock", origin))
+			fmt.Sprintf("chunk %v written during copy; re-copying under lock", origin))
 		if err := co.flushLocked(da); err != nil {
 			co.mu.Unlock()
 			return false, 0, err
@@ -409,19 +400,19 @@ func (co *Coordinator) moveChunk(da *DistArray, rt *partition.Routing, origin ar
 			bytes += n2
 		}
 	}
-	if _, err := rt.SetNodes(origin, newNodes); err != nil {
+	if err := rt.SetNodes(origin, newNodes); err != nil {
 		co.mu.Unlock()
 		return false, 0, err
 	}
 	co.mu.Unlock()
 	clearPending()
 
-	// Post-cutover: release the source's pool entries for a migrated chunk
+	// Post-cutover: release a migrated chunk on the source — a "loadchunks"
+	// of the box with no chunks clears its buffered cells and pool entries
 	// (its on-disk buckets stay, permanently excluded by the route). Best
 	// effort — a failure costs pool budget, not correctness.
 	if migrate {
-		_, _ = co.callNode(source, &Message{Op: "migratechunks", Array: da.Name,
-			BoxLo: cb.Lo, BoxHi: cb.Hi, Release: true})
+		_, _ = co.callNode(source, &Message{Op: "loadchunks", Array: da.Name, BoxLo: cb.Lo, BoxHi: cb.Hi})
 	}
 	return true, bytes, nil
 }

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -181,7 +184,7 @@ func TestLoadChunksBoxClearsStaleBufferedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	handleOK(t, w, &Message{Op: "loadchunks", Array: "d", BoxLo: []int64{1, 1}, BoxHi: []int64{16, 16},
-		Chunks: [][]byte{payload}, RouteVersion: 4})
+		Chunks: [][]byte{payload}})
 	got, err := storage.DecodeChunks(ps, handleOK(t, w, &Message{Op: "read", Array: "d"}).Chunks)
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +198,140 @@ func TestLoadChunksBoxClearsStaleBufferedCells(t *testing.T) {
 			t.Errorf("cell %v = %v, %v; want %v", c, g, ok, cell)
 		}
 	}
-	if v := w.RouteVersion("d"); v != 4 {
-		t.Errorf("route version recorded = %d, want 4", v)
+}
+
+// lineSchema is a 1-D array of 32 cells on a grid of 4-cell chunks.
+func lineSchema() *array.Schema {
+	return &array.Schema{
+		Name:      "e",
+		Updatable: true,
+		Dims:      []array.Dimension{{Name: "x", High: 32, ChunkLen: 4}},
+		Attrs:     []array.Attribute{{Name: "v", Type: array.TFloat64}},
+	}
+}
+
+// putLine writes cells of lineSchema's array "e" through the worker's "put"
+// op, and flushes the store afterwards if flush is set.
+func putLine(t *testing.T, w *Worker, cells map[int64]float64, flush bool) {
+	t.Helper()
+	a := array.MustNew(PartitionSchema(lineSchema()))
+	for x, v := range cells {
+		if err := a.Set(array.Coord{x}, array.Cell{array.Float64(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks, err := encodeForTest(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handleOK(t, w, &Message{Op: "put", Array: "e", Chunks: chunks})
+	if flush {
+		handleOK(t, w, &Message{Op: "flush", Array: "e"})
+	}
+}
+
+// readLine reads the cells of "e" inside [lo, hi] on one worker.
+func readLine(t *testing.T, w *Worker, lo, hi int64) map[int64]float64 {
+	t.Helper()
+	resp := handleOK(t, w, &Message{Op: "read", Array: "e", BoxLo: []int64{lo}, BoxHi: []int64{hi}})
+	a, err := storage.DecodeChunks(PartitionSchema(lineSchema()), resp.Chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int64]float64{}
+	a.Iter(func(c array.Coord, cell array.Cell) bool {
+		got[c[0]] = cell[0].Float
+		return true
+	})
+	return got
+}
+
+// TestReadCopiesChunksCanonically: the rebalancer's copy of a region is a
+// "read" of its box. A flushed bucket, a newer bucket shadowing one of its
+// cells and a cell still in the write buffer fold into one payload per chunk
+// of the grid, which a second node adopts with "loadchunks" into the same
+// cells; an empty box ships no payload and counts no cell.
+func TestReadCopiesChunksCanonically(t *testing.T) {
+	src, dst := NewWorker(0), NewWorker(1)
+	defer src.Close()
+	defer dst.Close()
+	for _, w := range []*Worker{src, dst} {
+		handleOK(t, w, &Message{Op: "create", Array: "e", Schema: lineSchema()})
+	}
+	base := map[int64]float64{}
+	for x := int64(1); x <= 16; x++ {
+		base[x] = float64(x)
+	}
+	putLine(t, src, base, true)
+	putLine(t, src, map[int64]float64{3: 300}, true)  // a shadowing bucket
+	putLine(t, src, map[int64]float64{6: 600}, false) // left in the buffer
+
+	copied := handleOK(t, src, &Message{Op: "read", Array: "e", BoxLo: []int64{1}, BoxHi: []int64{8}})
+	if copied.Cells != 8 || len(copied.Chunks) != 2 {
+		t.Fatalf("read of the box shipped %d cells in %d payloads, want 8 in the 2 chunks of the box", copied.Cells, len(copied.Chunks))
+	}
+	handleOK(t, dst, &Message{Op: "loadchunks", Array: "e", BoxLo: []int64{1}, BoxHi: []int64{8}, Chunks: copied.Chunks})
+	want := map[int64]float64{1: 1, 2: 2, 3: 300, 4: 4, 5: 5, 6: 600, 7: 7, 8: 8}
+	if got := readLine(t, dst, 1, 32); !maps.Equal(got, want) {
+		t.Fatalf("adopted copy holds %v, want %v (shadow/buffer fold)", got, want)
+	}
+	if empty := handleOK(t, src, &Message{Op: "read", Array: "e", BoxLo: []int64{25}, BoxHi: []int64{32}}); empty.Cells != 0 || len(empty.Chunks) != 0 {
+		t.Fatalf("read of an empty box shipped %d payloads, %d cells", len(empty.Chunks), empty.Cells)
+	}
+}
+
+// TestLoadChunksReleaseClearsSource: a "loadchunks" with a box and no chunks
+// is the release of a migrated chunk on its source. The buffered cells inside
+// the box and the pool entries of its buckets go; the cells outside the box
+// stay as they were, and the box's buckets stay on disk, where the next read
+// of the box finds them.
+func TestLoadChunksReleaseClearsSource(t *testing.T) {
+	dir := t.TempDir()
+	w := NewWorkerWithOptions(0, WorkerOptions{Dir: dir, CacheBytes: 1 << 20})
+	defer w.Close()
+	handleOK(t, w, &Message{Op: "create", Array: "e", Schema: lineSchema()})
+	base := map[int64]float64{}
+	for x := int64(1); x <= 16; x++ {
+		base[x] = float64(x)
+	}
+	putLine(t, w, base, true)
+	putLine(t, w, map[int64]float64{2: -2, 10: -10}, false) // buffered, in and outside the box
+	buckets := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "e", "bucket-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	onDisk := buckets()
+	if len(onDisk) != 4 {
+		t.Fatalf("%d buckets on disk, want the 4 chunks of x 1..16", len(onDisk))
+	}
+	readLine(t, w, 1, 32) // warm the pool
+	misses := func() int64 { return w.CacheStats().Misses }
+
+	if resp := handleOK(t, w, &Message{Op: "loadchunks", Array: "e", BoxLo: []int64{1}, BoxHi: []int64{8}}); resp.Cells != 0 {
+		t.Fatalf("release answered %d cells, want 0", resp.Cells)
+	}
+	before := misses()
+	outside := map[int64]float64{9: 9, 10: -10, 11: 11, 12: 12, 13: 13, 14: 14, 15: 15, 16: 16}
+	if got := readLine(t, w, 9, 32); !maps.Equal(got, outside) {
+		t.Errorf("outside the box the release left %v, want %v", got, outside)
+	}
+	if n := misses() - before; n != 0 {
+		t.Errorf("reading outside the box missed the pool %d times, want 0", n)
+	}
+	before = misses()
+	inside := map[int64]float64{1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8}
+	if got := readLine(t, w, 1, 8); !maps.Equal(got, inside) {
+		t.Errorf("inside the box the release left %v, want the flushed %v", got, inside)
+	}
+	if misses() == before {
+		t.Error("reading the box after the release hit the pool; its buckets' entries should be gone")
+	}
+	if got := buckets(); !slices.Equal(got, onDisk) {
+		t.Errorf("buckets on disk after the release: %v, want %v", got, onDisk)
 	}
 }
 

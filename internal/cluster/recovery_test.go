@@ -110,12 +110,14 @@ func TestRebalanceRecopyNodeDeathReturns(t *testing.T) {
 	var hookErr error
 	var once sync.Once
 	hook.setBefore(func(node int, req *Message) error {
-		if req.Op == "loadchunks" {
+		// The first install (a "loadchunks" carrying chunks; the source's
+		// release carries none and comes only after cutover).
+		if req.Op == "loadchunks" && len(req.Chunks) > 0 {
 			once.Do(func() {
-				// The export already ran: dirty the write fence with a
+				// The copy's read already ran: dirty the write fence with a
 				// value-preserving Put on a live node's slab so cutover
 				// must re-copy under co.mu, then kill the source so that
-				// locked re-export hits a dead node.
+				// locked re-read hits a dead node.
 				hookErr = co.Put("sky", array.Coord{47}, array.Cell{array.Float64(470)})
 				tr.Kill(0)
 			})
@@ -158,7 +160,7 @@ func TestPendingDedupeOnFailedMoves(t *testing.T) {
 	}
 	failErr := errors.New("install refused")
 	hook.setBefore(func(node int, req *Message) error {
-		if req.Op == "loadchunks" {
+		if req.Op == "loadchunks" && len(req.Chunks) > 0 { // an install, not a release
 			return failErr
 		}
 		return nil

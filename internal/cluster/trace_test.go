@@ -170,9 +170,11 @@ func TestUntracedRequestsCarryNoSpans(t *testing.T) {
 // not know (the blocks are not self-delimiting, so an unknown one cannot be
 // skipped), bytes left after the last block, and the encodings from before
 // the fold spec and table replaced Agg/Attr/GroupDims/Partials in the fixed
-// prefix, from before Chunks replaced its Payload blob, and from before the
-// join fields (Array2, OnL, OnR) left the fixed prefix (no such peer is
-// deployed, and the wire version is bumped, so there is no shim for any).
+// prefix, from before Chunks replaced its Payload blob, from before the
+// join fields (Array2, OnL, OnR) left the fixed prefix, and from before the
+// route block shed its route version, node set and release flag (no such
+// peer is deployed, and the wire version is bumped, so there is no shim for
+// any).
 func TestWireStrictPresence(t *testing.T) {
 	plain := &Message{Op: "read", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{9}}
 	enc, err := encodeMessage(plain)
@@ -187,6 +189,11 @@ func TestWireStrictPresence(t *testing.T) {
 		"0100000001000000000000000100000009000000000000000000000000"
 	const beforeFolds = "040000007363616e01000000610000000000000000000000000000000000000000000000" +
 		"00000000000000000000000000010000000100000000000000010000000900000000000000000000000000000000"
+	// Wire version 4's rebalancer install: a route block with an empty
+	// exclusion list, then route version 3, node set [0 2] and the release
+	// flag.
+	const v4Route = "0a0000006c6f61646368756e6b7301000000610000000000000000000000000100000001000000000000000100000040000000000000000004" +
+		"000000000300000000000000020000000000000000000000020000000000000001"
 	if got := hex.EncodeToString(enc); got != golden {
 		t.Fatalf("plain message encoding changed:\n got: %s\nwant: %s", got, golden)
 	}
@@ -198,7 +205,7 @@ func TestWireStrictPresence(t *testing.T) {
 		t.Fatalf("plain message decoded with trace fields: %+v", got)
 	}
 
-	for name, body := range map[string]string{"pre-fold": beforeFolds, "pre-chunks": beforeChunks, "join-field": withJoinFields} {
+	for name, body := range map[string]string{"pre-fold": beforeFolds, "pre-chunks": beforeChunks, "join-field": withJoinFields, "v4 route block": v4Route} {
 		old, _ := hex.DecodeString(body)
 		if m, err := decodeMessage(old); err == nil {
 			t.Errorf("the %s wire body decoded: %+v", name, m)

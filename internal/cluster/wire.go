@@ -36,11 +36,11 @@ const (
 const (
 	msg2HasChunks = 1 << 0 // Chunks: storage.EncodeChunk payloads, the cells a message carries
 	msg2HasInsitu = 1 << 1 // Path + Adaptor (in-situ registration)
-	msg2HasRoute  = 1 << 2 // ExclLo/ExclHi + RouteVersion + Nodes + Release (online rebalancing)
+	msg2HasExcl   = 1 << 2 // ExclLo/ExclHi: the chunks a "read" must not answer (online rebalancing)
 	msg2HasHeat   = 1 << 3 // Heat samples ("heat" response)
 	msg2HasJoin   = 1 << 4 // Join: the right-hand array of a "read"
 
-	msg2KnownBits = msg2HasChunks | msg2HasInsitu | msg2HasRoute | msg2HasHeat | msg2HasJoin
+	msg2KnownBits = msg2HasChunks | msg2HasInsitu | msg2HasExcl | msg2HasHeat | msg2HasJoin
 )
 
 // encodePredValue writes one predicate constant. Preds are scalar
@@ -170,11 +170,11 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 	if m.Path != "" || m.Adaptor != "" {
 		present2 |= msg2HasInsitu
 	}
-	if len(m.ExclLo) > 0 || m.RouteVersion != 0 || len(m.Nodes) > 0 || m.Release {
+	if len(m.ExclLo) > 0 {
 		if len(m.ExclLo) != len(m.ExclHi) {
 			return fmt.Errorf("cluster: message has %d exclude lows but %d highs", len(m.ExclLo), len(m.ExclHi))
 		}
-		present2 |= msg2HasRoute
+		present2 |= msg2HasExcl
 	}
 	if len(m.Heat) > 0 {
 		present2 |= msg2HasHeat
@@ -194,15 +194,12 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 			w.String(m.Path)
 			w.String(m.Adaptor)
 		}
-		if present2&msg2HasRoute != 0 {
+		if present2&msg2HasExcl != 0 {
 			w.U32(uint32(len(m.ExclLo)))
 			for i := range m.ExclLo {
 				w.I64s(m.ExclLo[i])
 				w.I64s(m.ExclHi[i])
 			}
-			w.I64(m.RouteVersion)
-			w.I64s(m.Nodes)
-			w.Bool(m.Release)
 		}
 		if present2&msg2HasHeat != 0 {
 			w.U32(uint32(len(m.Heat)))
@@ -340,7 +337,7 @@ func decodeMessage(data []byte) (*Message, error) {
 			m.Path = r.String()
 			m.Adaptor = r.String()
 		}
-		if present2&msg2HasRoute != 0 {
+		if present2&msg2HasExcl != 0 {
 			n := int(r.U32())
 			if !r.Need(int64(n) * 8) { // the bytes the shortest box takes
 				return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
@@ -356,9 +353,6 @@ func decodeMessage(data []byte) (*Message, error) {
 					}
 				}
 			}
-			m.RouteVersion = r.I64()
-			m.Nodes = r.I64s()
-			m.Release = r.Bool()
 		}
 		if present2&msg2HasHeat != 0 {
 			n := int(r.U32())

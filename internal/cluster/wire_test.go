@@ -54,16 +54,13 @@ func wireTestMessage() *Message {
 			{Attr: 1, Op: "=", Val: array.String64("hot")},
 			{Attr: 2, Op: "!=", Val: array.NullValue(array.TInt64)},
 		},
-		Skipped:      11,
-		Seen:         4096,
-		Chunks:       [][]byte{{0x01, 0x02, 0x03}, {0x00}, {0xff}},
-		Path:         "/data/sky/night-042.csv",
-		Adaptor:      "csv",
-		ExclLo:       [][]int64{{1, 1}, {65, 1}},
-		ExclHi:       [][]int64{{64, 64}, {128, 64}},
-		RouteVersion: 12,
-		Nodes:        []int64{2, 0, 1},
-		Release:      true,
+		Skipped: 11,
+		Seen:    4096,
+		Chunks:  [][]byte{{0x01, 0x02, 0x03}, {0x00}, {0xff}},
+		Path:    "/data/sky/night-042.csv",
+		Adaptor: "csv",
+		ExclLo:  [][]int64{{1, 1}, {65, 1}},
+		ExclHi:  [][]int64{{64, 64}, {128, 64}},
 		Heat: []HeatSample{
 			{Array: "sky", Origin: []int64{1, 65}, Score: 42.5},
 			{Array: "sky", Origin: []int64{65, 65}, Score: 1},

@@ -67,10 +67,10 @@ type Message struct {
 	Skipped int64
 	Seen    int64
 	// Chunks carries cells, one storage.EncodeChunk payload per chunk: a
-	// "put" or "replace" request's, a "read" response's, a
-	// "migratechunks" export, and a "loadchunks" batch, whose payloads the
-	// worker adopts as buckets verbatim instead of re-ingesting cell by cell.
-	// Rides the second presence byte.
+	// "put" or "replace" request's, a "read" response's (the rebalancer's
+	// copy of a chunk is a read of its box), and a "loadchunks" batch, whose
+	// payloads the worker adopts as buckets verbatim instead of re-ingesting
+	// cell by cell. Rides the second presence byte.
 	Chunks [][]byte
 	// Path and Adaptor, on an "insitu" request, register an external file
 	// region as this node's partition of a file-backed array (distributed
@@ -78,20 +78,12 @@ type Message struct {
 	// byte as well.
 	Path    string
 	Adaptor string
-	// Routing fields (online rebalancing; second presence byte, one bit).
-	// ExclLo/ExclHi, on a "read" request, list grid-chunk boxes this
-	// node must NOT answer — another replica is assigned them this query,
-	// or the node holds a stale post-migration copy. RouteVersion and Nodes
-	// ride the rebalancer's "loadchunks": the routing-table version the
-	// installed chunk belongs to and its replica node set (owner first), with
-	// BoxLo/BoxHi the region to clear of buffered cells first. Release, on
-	// "migratechunks", asks the source to drop the region's buffer-pool
-	// entries after exporting (post-cutover cache release).
-	ExclLo       [][]int64
-	ExclHi       [][]int64
-	RouteVersion int64
-	Nodes        []int64
-	Release      bool
+	// ExclLo/ExclHi, on a "read" request, list grid-chunk boxes this node
+	// must NOT answer — another replica is assigned them this query, or the
+	// node holds a stale post-migration copy (online rebalancing; second
+	// presence byte, one bit).
+	ExclLo [][]int64
+	ExclHi [][]int64
 	// Heat is the "heat" response: the node's decayed per-chunk access
 	// scores (second presence byte, own bit).
 	Heat []HeatSample
@@ -127,11 +119,6 @@ type Worker struct {
 	// storage layer's OnBucketRead hook feeds it, the "heat" wire op drains
 	// it.
 	heat *heatTracker
-
-	// routeVersion records, per array, the newest routing-table version a
-	// rebalancer's "loadchunks" install on this node belonged to; echoed back
-	// so the coordinator can confirm the install stuck (guarded by mu).
-	routeVersion map[string]int64
 
 	// reg is the node's metrics registry: worker/cache/store collectors
 	// plus the request-latency histogram. The "metrics" op snapshots it so
@@ -313,8 +300,6 @@ func (w *Worker) handle(req *Message) (*Message, error) {
 		return w.replace(req)
 	case "heat":
 		return w.heatOp(req)
-	case "migratechunks":
-		return w.migrateChunks(req)
 	case "metrics":
 		return &Message{Op: "metrics", Metrics: w.reg.Snapshot().Samples}, nil
 	}

@@ -162,7 +162,7 @@ func loadJoinArray(t *testing.T, mem *Database, co *cluster.Coordinator, a *arra
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := co.LoadChunks(s.Name, bound.NodeFor(ch.Origin), [][]byte{payload}, ch.CellsPresent()); err != nil {
+		if err := co.LoadChunks(s.Name, bound.NodeFor(ch.Origin), [][]byte{payload}); err != nil {
 			t.Fatal(err)
 		}
 	}

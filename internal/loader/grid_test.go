@@ -113,7 +113,7 @@ func TestLoadParallelChunksOnPartitionGrid(t *testing.T) {
 // TestEdgeChunkHasOneBox: x = 1:100 on a 64-wide grid ends in a chunk at
 // x 65 that the bound clips to 36 rows, and every writer of a cluster array
 // builds it in that one box: the loader, a Put into it, a move of the chunk
-// to another node (migratechunks' export, loadchunks' adopt) and a
+// to another node (a read of its box, loadchunks' adopt) and a
 // compaction of its versions, after which a scan takes it whole. A chunk in
 // the unclipped box is off the grid.
 func TestEdgeChunkHasOneBox(t *testing.T) {
@@ -146,12 +146,12 @@ func TestEdgeChunkHasOneBox(t *testing.T) {
 	}
 	// Node 1 holds x 51..100, so the edge chunk; move a copy to node 0.
 	box := []int64{65, 1}
-	moved := tr.Workers[1].Handle(&cluster.Message{Op: "migratechunks", Array: "edge", BoxLo: box, BoxHi: []int64{128, 4}})
+	moved := tr.Workers[1].Handle(&cluster.Message{Op: "read", Array: "edge", BoxLo: box, BoxHi: []int64{128, 4}})
 	if moved.Err != "" || len(moved.Chunks) == 0 {
-		t.Fatalf("migratechunks: %q, %d chunks", moved.Err, len(moved.Chunks))
+		t.Fatalf("read: %q, %d chunks", moved.Err, len(moved.Chunks))
 	}
 	if resp := tr.Workers[0].Handle(&cluster.Message{Op: "loadchunks", Array: "edge", BoxLo: box, BoxHi: []int64{128, 4},
-		Chunks: moved.Chunks, RouteVersion: 1}); resp.Err != "" {
+		Chunks: moved.Chunks}); resp.Err != "" {
 		t.Fatalf("loadchunks: %s", resp.Err)
 	}
 	if err := tr.Close(); err != nil {

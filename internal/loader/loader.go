@@ -101,8 +101,8 @@ func (d ClusterDest) Grid(schema *array.Schema) *array.Schema { return cluster.P
 
 // ShipChunks implements ChunkDest. Concurrent calls pipeline over the
 // transport's pooled connections.
-func (d ClusterDest) ShipChunks(site int, payloads [][]byte, cells int64) error {
-	return d.Co.LoadChunks(d.Array, site, payloads, cells)
+func (d ClusterDest) ShipChunks(site int, payloads [][]byte, _ int64) error {
+	return d.Co.LoadChunks(d.Array, site, payloads)
 }
 
 // Flush implements ChunkDest.

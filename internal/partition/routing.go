@@ -70,17 +70,17 @@ func (r *Routing) NodesFor(c array.Coord) []int {
 // non-empty, in-range, and duplicate-free — owner first. An override whose
 // set is exactly the base owner still counts as an override (it pins the
 // chunk, e.g. after a migration back home).
-func (r *Routing) SetNodes(origin array.Coord, nodes []int) (int64, error) {
+func (r *Routing) SetNodes(origin array.Coord, nodes []int) error {
 	if len(nodes) == 0 {
-		return 0, fmt.Errorf("partition: routing override needs at least one node")
+		return fmt.Errorf("partition: routing override needs at least one node")
 	}
 	seen := map[int]bool{}
 	for _, n := range nodes {
 		if n < 0 || n >= r.base.NumNodes() {
-			return 0, fmt.Errorf("partition: routing override node %d out of range [0,%d)", n, r.base.NumNodes())
+			return fmt.Errorf("partition: routing override node %d out of range [0,%d)", n, r.base.NumNodes())
 		}
 		if seen[n] {
-			return 0, fmt.Errorf("partition: routing override repeats node %d", n)
+			return fmt.Errorf("partition: routing override repeats node %d", n)
 		}
 		seen[n] = true
 	}
@@ -89,20 +89,7 @@ func (r *Routing) SetNodes(origin array.Coord, nodes []int) (int64, error) {
 	defer r.mu.Unlock()
 	r.version++
 	r.overrides[o.Key()] = ChunkRoute{Origin: o, Nodes: append([]int(nil), nodes...)}
-	return r.version, nil
-}
-
-// ClearNodes drops the override for the chunk at origin, returning
-// placement to the base scheme, and bumps the version.
-func (r *Routing) ClearNodes(origin array.Coord) int64 {
-	o := r.base.OriginOf(origin)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.overrides[o.Key()]; ok {
-		delete(r.overrides, o.Key())
-		r.version++
-	}
-	return r.version
+	return nil
 }
 
 // Version returns the override-table version (0 = never modified).

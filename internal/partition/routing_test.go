@@ -51,9 +51,8 @@ func TestRoutingOverridesAndVersion(t *testing.T) {
 		t.Fatalf("unrouted NodesFor = %v, want [%d]", got, baseOwner)
 	}
 	// Override the chunk: any coordinate inside it re-routes, version bumps.
-	v, err := rt.SetNodes(c, []int{2, 0})
-	if err != nil || v != 1 {
-		t.Fatalf("SetNodes = %d, %v", v, err)
+	if err := rt.SetNodes(c, []int{2, 0}); err != nil || rt.Version() != 1 {
+		t.Fatalf("SetNodes: version %d, %v", rt.Version(), err)
 	}
 	if got := rt.NodeFor(array.Coord{70, 60}); got != 2 {
 		t.Errorf("routed NodeFor = %d, want owner 2", got)
@@ -67,31 +66,21 @@ func TestRoutingOverridesAndVersion(t *testing.T) {
 	}
 	// Invalid overrides are rejected without a version bump.
 	for _, nodes := range [][]int{nil, {3}, {-1}, {1, 1}} {
-		if _, err := rt.SetNodes(c, nodes); err == nil {
+		if err := rt.SetNodes(c, nodes); err == nil {
 			t.Errorf("SetNodes(%v) accepted", nodes)
 		}
 	}
 	if rt.Version() != 1 {
 		t.Errorf("rejected overrides bumped version to %d", rt.Version())
 	}
-	// ClearNodes returns the chunk to base placement.
-	if v := rt.ClearNodes(c); v != 2 {
-		t.Errorf("ClearNodes version = %d, want 2", v)
-	}
-	if got := rt.NodeFor(c); got != baseOwner {
-		t.Errorf("cleared NodeFor = %d, want base %d", got, baseOwner)
-	}
-	if len(rt.Overrides()) != 0 {
-		t.Errorf("overrides remain after clear: %v", rt.Overrides())
-	}
 }
 
 func TestRoutingOverridesInAndPruning(t *testing.T) {
 	rt := testRouting(t)
-	if _, err := rt.SetNodes(array.Coord{1, 1}, []int{1}); err != nil {
+	if err := rt.SetNodes(array.Coord{1, 1}, []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.SetNodes(array.Coord{129, 129}, []int{0, 1}); err != nil {
+	if err := rt.SetNodes(array.Coord{129, 129}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	in := rt.OverridesIn(array.NewBox(array.Coord{1, 1}, array.Coord{64, 64}))

@@ -9,11 +9,11 @@ import (
 
 // This file is the store's one read path for ranges: a chunk-at-a-time
 // scan. Every range reader — the cell adapters Scan and ScanPruned below,
-// region export, the cluster worker's aggregate/scan/count kernels, the
-// planner's store materialization — consumes whole decoded chunks plus a
-// mask of the slots it may read, so the per-cell costs of a scan (boxing a
-// cell, keying its coordinate, a "seen" set for shadowing) exist only in
-// the adapters that still promise cells.
+// the cluster worker's read (its folds, and the cells it ships, a migrating
+// chunk's copy among them), the planner's store materialization — consumes
+// whole decoded chunks plus a mask of the slots it may read, so the per-cell
+// costs of a scan (boxing a cell, keying its coordinate, a "seen" set for
+// shadowing) exist only in the adapters that still promise cells.
 
 // LiveChunk is one delivery of a chunk scan: a decoded chunk and the mask
 // of its live slots — present, inside the query box, and not shadowed by a

@@ -47,8 +47,10 @@ const (
 	// version pins the hello, frame and body layouts; bump on incompatible
 	// change. 2: the hello of this package, and Message.Payload folded into
 	// Chunks. 3: the cluster message header without the join fields. 4:
-	// frames without a flags byte, and an empty cluster hello.
-	version = 4
+	// frames without a flags byte, and an empty cluster hello. 5: the
+	// cluster route block without the route version, node set and release
+	// flag.
+	version = 5
 
 	// MaxHello bounds a hello payload, and a rejection's text, in either
 	// direction.
