@@ -219,7 +219,19 @@ type Chunk struct {
 	Shape   []int64 // extent per dimension
 	Cols    []*Column
 	Present *Bitmap
+
+	encoded   []byte  // the payload KeepEncoded kept, read-only
+	encodedAs *Schema // the schema it was decoded under
 }
+
+// KeepEncoded keeps payload, the canonical encoding under s the chunk was
+// just decoded from, for an encoder to hand on instead of encoding the chunk
+// again; no one may write payload afterwards. Open forgets it, and a chunk
+// made from this one (Clone, Select, MergeParts, a builder) never has it.
+func (ch *Chunk) KeepEncoded(s *Schema, payload []byte) { ch.encoded, ch.encodedAs = payload, s }
+
+// Encoded returns the payload KeepEncoded kept and its schema, or nils.
+func (ch *Chunk) Encoded() (*Schema, []byte) { return ch.encodedAs, ch.encoded }
 
 // NewChunk allocates an empty (all-absent) chunk for the given schema region.
 func NewChunk(s *Schema, origin Coord, shape []int64) *Chunk {

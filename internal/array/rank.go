@@ -229,8 +229,10 @@ func (ch *Chunk) Seal() {
 // Open unpacks a sealed chunk's columns to one value per slot, so that
 // cells may be written and erased, and gives the chunk a copy of its
 // presence bitmap to write: the one the rank directories refer to stays as
-// it was, for any other holder of them.
+// it was, for any other holder of them. The chunk forgets the payload it
+// kept (KeepEncoded), which its writes would leave stale.
 func (ch *Chunk) Open() {
+	ch.encoded, ch.encodedAs = nil, nil
 	if !ch.Sealed() {
 		return
 	}

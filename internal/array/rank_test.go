@@ -165,3 +165,55 @@ func TestMergeChunkKeepsSharedSigma(t *testing.T) {
 		}
 	}
 }
+
+// TestKeptPayloadDroppedOnWrite: a chunk's kept payload (KeepEncoded) lives
+// only as long as the chunk is as decoded. Every write path opens the chunk
+// and so forgets it, a merge at an occupied origin builds a chunk without
+// one, and a clone or a selection never carries it.
+func TestKeptPayloadDroppedOnWrite(t *testing.T) {
+	payload := []byte("as decoded")
+	kept := func(t *testing.T) (*Array, *Chunk) {
+		t.Helper()
+		a, ch := sealedCase(t)
+		ch.KeepEncoded(a.Schema, payload)
+		if s, b := ch.Encoded(); s != a.Schema || string(b) != string(payload) {
+			t.Fatalf("Encoded = %v, %q; want the schema and payload kept", s, b)
+		}
+		return a, ch
+	}
+	cell := Cell{Int64(-1), UncertainFloat(-1, 0.25)}
+	for name, write := range map[string]func(*testing.T, *Array, *Chunk) *Chunk{
+		"Open":        func(_ *testing.T, _ *Array, ch *Chunk) *Chunk { ch.Open(); return ch },
+		"Chunk.Set":   func(_ *testing.T, _ *Array, ch *Chunk) *Chunk { _ = ch.Set(Coord{1, 2}, cell); return ch },
+		"Chunk.Erase": func(_ *testing.T, _ *Array, ch *Chunk) *Chunk { ch.Erase(Coord{1, 1}); return ch },
+		"Array.Set":   func(_ *testing.T, a *Array, ch *Chunk) *Chunk { _ = a.Set(Coord{1, 2}, cell); return ch },
+		"Array.Slot": func(_ *testing.T, a *Array, ch *Chunk) *Chunk {
+			_, _, _ = a.Slot(Coord{1, 2})
+			return ch
+		},
+		"MergeChunk": func(t *testing.T, a *Array, _ *Chunk) *Chunk {
+			_, newer := sealedCase(t)
+			newer.KeepEncoded(a.Schema, payload)
+			if err := a.MergeChunk(newer); err != nil {
+				t.Fatal(err)
+			}
+			return a.Chunks()[0]
+		},
+		"Clone":  func(_ *testing.T, _ *Array, ch *Chunk) *Chunk { return ch.Clone() },
+		"Select": func(_ *testing.T, _ *Array, ch *Chunk) *Chunk { return ch.Select(ch.Present) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, ch := kept(t)
+			if s, b := write(t, a, ch).Encoded(); s != nil || b != nil {
+				t.Errorf("after %s the chunk still has a kept payload of %d bytes", name, len(b))
+			}
+		})
+	}
+	// Reading leaves it.
+	a, ch := kept(t)
+	a.At(Coord{1, 1})
+	_ = cellsOf(ch)
+	if _, b := ch.Encoded(); b == nil {
+		t.Error("a read dropped the kept payload")
+	}
+}

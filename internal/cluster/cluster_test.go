@@ -369,6 +369,17 @@ func TestTCPTransport(t *testing.T) {
 	if _, err := tr.Call(0, &Message{Op: "read", Array: "ghost"}); err == nil {
 		t.Error("remote error not propagated")
 	}
+	// A request that does not encode fails alone: not as a dead node, and
+	// both of the node's connections carry the calls after it.
+	bad := &Message{Op: "read", Array: "tcp_arr", ExclLo: [][]int64{{1}}}
+	if _, err := tr.Call(0, bad); err == nil || errors.Is(err, ErrNodeDown) || !strings.Contains(err.Error(), "encode for node 0") {
+		t.Errorf("an unencodable request = %v, want an encode error, not ErrNodeDown", err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := tr.Call(0, &Message{Op: "ping"}); err != nil {
+			t.Errorf("ping %d after an unencodable request: %v", i, err)
+		}
+	}
 	// Bad dial fails cleanly.
 	if _, err := DialTCP([]string{"127.0.0.1:1"}); err == nil {
 		t.Error("dial to closed port succeeded")

@@ -249,7 +249,9 @@ func (g *gather) array() (*array.Array, error) {
 // callInto is the per-response step of every gather: one transport call with
 // death bookkeeping, and the response's chunks — a fold's carries none —
 // decoded on the fan-out's own goroutine and merged into g, so one node's
-// cells are decoded and merged while slower nodes are still answering.
+// cells are decoded and merged while slower nodes are still answering. Each
+// chunk keeps its payload, EncodeChunk output no one writes once it is read,
+// so a chunk the gather adopts whole leaves for a client as those bytes.
 func (co *Coordinator) callInto(n int, req *Message, g *gather) (*Message, error) {
 	resp, err := co.callNode(n, req)
 	if err != nil || len(resp.Chunks) == 0 {
@@ -260,6 +262,7 @@ func (co *Coordinator) callInto(n int, req *Message, g *gather) (*Message, error
 		if chunks[i], err = storage.DecodeChunk(g.s, payload); err != nil {
 			return nil, err
 		}
+		chunks[i].KeepEncoded(g.s, payload)
 	}
 	return resp, g.add(chunks)
 }

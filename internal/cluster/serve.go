@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"scidb/internal/obs"
+	"scidb/internal/storage"
 	"scidb/internal/wire"
 )
 
@@ -205,12 +206,9 @@ func (s *Server) handleFrame(wr *wire.Writer, id uint64, raw []byte) {
 	} else {
 		resp = s.w.Handle(req)
 	}
-	enc, err := encodeMessage(resp)
-	if err != nil {
-		enc, err = encodeMessage(&Message{Op: resp.Op, Err: fmt.Sprintf("cluster: encode response: %v", err)})
-		if err != nil {
-			return
-		}
+	err = wr.Write(id, func(w *storage.FieldWriter) error { return writeMessage(w, resp) })
+	if err != nil && !errors.Is(err, wire.ErrClosed) {
+		resp = &Message{Op: resp.Op, Err: fmt.Sprintf("cluster: encode response: %v", err)}
+		_ = wr.Write(id, func(w *storage.FieldWriter) error { return writeMessage(w, resp) })
 	}
-	_ = wr.Write(id, enc)
 }

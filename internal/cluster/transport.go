@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"scidb/internal/bufcache"
+	"scidb/internal/storage"
 	"scidb/internal/wire"
 )
 
@@ -176,19 +177,19 @@ func DialTCPOptions(addrs []string, opts DialOptions) (*TCP, error) {
 	return t, nil
 }
 
-// Call implements Transport: encode, round-trip over the node's next
-// connection, decode. A broken connection, a timeout or an undecodable
-// response is ErrNodeDown; a worker's own error is not.
+// Call implements Transport: round-trip over the node's next connection,
+// the request written straight into it, and decode. A broken connection, a
+// timeout or an undecodable response is ErrNodeDown; a request that does not
+// encode (the connection then carries on) and a worker's own error are not.
 func (t *TCP) Call(node int, req *Message) (*Message, error) {
 	if node < 0 || node >= len(t.nodes) {
 		return nil, fmt.Errorf("cluster: no node %d", node)
 	}
-	enc, err := encodeMessage(req)
-	if err != nil {
+	conns := t.nodes[node]
+	body, err := conns[t.rr[node].Add(1)%uint64(len(conns))].RoundTrip(func(w *storage.FieldWriter) error { return writeMessage(w, req) })
+	if err != nil && !errors.Is(err, wire.ErrClosed) && !errors.Is(err, wire.ErrTimeout) {
 		return nil, fmt.Errorf("cluster: encode for node %d: %w", node, err)
 	}
-	conns := t.nodes[node]
-	body, err := conns[t.rr[node].Add(1)%uint64(len(conns))].RoundTrip(enc)
 	var resp *Message
 	if err == nil {
 		resp, err = decodeMessage(body)

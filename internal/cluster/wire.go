@@ -67,16 +67,11 @@ func decodePredValue(r *storage.FieldReader) array.Value {
 	}
 }
 
-// encodeMessage hand-rolls a Message to its wire form. Field order is
-// fixed; Chunks are carried verbatim (they are already the binary
-// storage.EncodeChunk form), so the dominant field costs one length-prefixed
-// copy per chunk instead of a reflective re-encode, into a buffer allocated
-// once at its exact size (wire.SizedBody).
-func encodeMessage(m *Message) ([]byte, error) {
-	return wire.SizedBody(func(w *storage.FieldWriter) error { return writeMessage(w, m) })
-}
-
-// writeMessage writes m's fields to w in their fixed order.
+// writeMessage hand-rolls a Message to its wire form, its fields in their
+// fixed order, as the body a wire.Writer streams. Chunks are carried
+// verbatim (they are already the binary storage.EncodeChunk form), so the
+// dominant field costs one length-prefixed write per chunk instead of a
+// reflective re-encode.
 func writeMessage(w *storage.FieldWriter, m *Message) error {
 	w.String(m.Op)
 	w.String(m.Array)
@@ -217,11 +212,12 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 	return w.Err()
 }
 
-// decodeMessage reverses encodeMessage. Message.Chunks are views of data,
+// decodeMessage reverses writeMessage. Message.Chunks are views of data,
 // not copies: a message owns the frame body it was read from (wire.ReadFrame
-// allocates every body afresh), and what a payload becomes outlives it only
-// as new bytes — DecodeChunk builds chunks of their own and an adopted
-// payload is re-sealed into a bucket of its own (Store.Apply).
+// allocates every body afresh), and what a payload becomes outlives it as
+// new bytes — DecodeChunk builds chunks of their own and an adopted payload
+// is re-sealed into a bucket of its own (Store.Apply) — or, in a gathered
+// chunk's kept bytes (callInto), as the view itself, which no one writes.
 func decodeMessage(data []byte) (*Message, error) {
 	r := storage.NewFieldReaderBytes(data)
 	m := &Message{}

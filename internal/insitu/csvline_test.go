@@ -369,7 +369,7 @@ func BenchmarkPipelineCSV(b *testing.B) {
 			Sites:  1,
 			Route:  func(array.Coord) int { return 0 },
 			Batch:  256,
-			Ship: func(_ int, payloads [][]byte, _ int64) error {
+			Ship: func(_ int, payloads [][]byte) error {
 				batch, err := storage.DecodeBatch(grid, payloads)
 				if err == nil {
 					_, err = st.Apply(batch)

@@ -190,7 +190,7 @@ func TestPipelineBatchKeepsChunksWhole(t *testing.T) {
 		Sites:  1,
 		Route:  func(array.Coord) int { return 0 },
 		Batch:  2,
-		Ship: func(_ int, payloads [][]byte, _ int64) error {
+		Ship: func(_ int, payloads [][]byte) error {
 			for _, p := range payloads {
 				ch, err := storage.DecodeChunk(s, p)
 				if err != nil {
@@ -265,7 +265,15 @@ func TestPipelineSealsSitesEndsTogether(t *testing.T) {
 		Sites:  sites,
 		Route:  func(c array.Coord) int { return int((c[1]-1)/10) % sites },
 		Batch:  100,
-		Ship: func(site int, _ [][]byte, n int64) error {
+		Ship: func(site int, payloads [][]byte) error {
+			var n int64
+			for _, p := range payloads {
+				ch, err := storage.DecodeChunk(s, p)
+				if err != nil {
+					return err
+				}
+				n += ch.CellsPresent()
+			}
 			c := &call{site: site, start: time.Now()}
 			mu.Lock()
 			calls, active[c], cells = append(calls, c), true, cells+n

@@ -37,8 +37,8 @@ type Pipeline struct {
 	// and shipped: a cell that would open one more ships the Batch first.
 	Batch int
 	// Ship delivers a site's sealed chunks (EncodeChunk payloads, in origin
-	// order); cells is their total cell count. Shards ship concurrently.
-	Ship func(site int, payloads [][]byte, cells int64) error
+	// order). Shards ship concurrently.
+	Ship func(site int, payloads [][]byte) error
 }
 
 // Counts is what a Run did: the cells it routed to each site, the chunks,
@@ -237,19 +237,18 @@ func (p Pipeline) seal(bs *array.Schema, site int, chunks []*array.Chunk, my *Co
 	}
 	t0 := time.Now()
 	payloads := make([][]byte, 0, len(chunks))
-	var cells, payloadBytes int64
+	var payloadBytes int64
 	for _, ch := range chunks {
 		raw, _, err := storage.EncodeChunkZones(bs, ch)
 		if err != nil {
 			return err
 		}
 		payloads = append(payloads, raw)
-		cells += ch.CellsPresent()
 		payloadBytes += int64(len(raw))
 	}
 	my.Encode += time.Since(t0)
 	t0 = time.Now()
-	if err := p.Ship(site, payloads, cells); err != nil {
+	if err := p.Ship(site, payloads); err != nil {
 		return err
 	}
 	my.Ship += time.Since(t0)

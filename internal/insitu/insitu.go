@@ -142,7 +142,7 @@ func Fill(ds Dataset, box array.Box, st *storage.Store) (int64, error) {
 		Sites:  1,
 		Route:  func(array.Coord) int { return 0 },
 		Batch:  fillBatch,
-		Ship: func(_ int, payloads [][]byte, _ int64) error {
+		Ship: func(_ int, payloads [][]byte) error {
 			b, err := storage.DecodeBatch(st.Schema(), payloads)
 			if err != nil {
 				return err

@@ -48,8 +48,8 @@ type ChunkDest interface {
 	// under: its chunk grid is the one every shipped chunk lies on.
 	Grid(schema *array.Schema) *array.Schema
 	// ShipChunks delivers encoded chunk payloads (EncodeChunk bytes) owned
-	// by site; cells is the total cell count across them.
-	ShipChunks(site int, payloads [][]byte, cells int64) error
+	// by site.
+	ShipChunks(site int, payloads [][]byte) error
 	// Flush finalizes the destination after all shards complete (manifest
 	// saves, coordinator flush fan-out).
 	Flush() error
@@ -101,7 +101,7 @@ func (d ClusterDest) Grid(schema *array.Schema) *array.Schema { return cluster.P
 
 // ShipChunks implements ChunkDest. Concurrent calls pipeline over the
 // transport's pooled connections.
-func (d ClusterDest) ShipChunks(site int, payloads [][]byte, _ int64) error {
+func (d ClusterDest) ShipChunks(site int, payloads [][]byte) error {
 	return d.Co.LoadChunks(d.Array, site, payloads)
 }
 
@@ -120,7 +120,7 @@ type StoreDest struct {
 func (d StoreDest) Grid(*array.Schema) *array.Schema { return d.Stores[0].Schema() }
 
 // ShipChunks implements ChunkDest.
-func (d StoreDest) ShipChunks(site int, payloads [][]byte, cells int64) error {
+func (d StoreDest) ShipChunks(site int, payloads [][]byte) error {
 	st := d.Stores[site]
 	b, err := storage.DecodeBatch(st.Schema(), payloads)
 	if err == nil {

@@ -41,7 +41,7 @@ type rttDest struct {
 func (d *rttDest) AvgRTT() time.Duration                   { return d.rtt }
 func (d *rttDest) Flush() error                            { return nil }
 func (d *rttDest) Grid(schema *array.Schema) *array.Schema { return schema }
-func (d *rttDest) ShipChunks(site int, payloads [][]byte, cells int64) error {
+func (d *rttDest) ShipChunks(site int, payloads [][]byte) error {
 	d.mu.Lock()
 	d.batches = append(d.batches, len(payloads))
 	d.mu.Unlock()

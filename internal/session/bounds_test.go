@@ -12,6 +12,7 @@ import (
 
 	"scidb/internal/cluster"
 	"scidb/internal/core"
+	"scidb/internal/storage"
 	"scidb/internal/wire"
 )
 
@@ -83,14 +84,11 @@ func TestShutdownClosesStalledReader(t *testing.T) {
 	}
 	defer conn.Close()
 	hello := encodeHello("stalled", "", Interactive)
-	body, err := encodeRequest(&request{Op: opExec, SQL: "filter(M, v >= 0)"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := conn.Write(helloBytes(wire.SessionMagic, uint32(len(hello)), hello)); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, 1, body); err != nil {
+	q := &request{Op: opExec, SQL: "filter(M, v >= 0)"}
+	if err := wire.NewWriter(conn, 0, nil).Write(1, func(w *storage.FieldWriter) error { return writeRequest(w, q) }); err != nil {
 		t.Fatal(err)
 	}
 	// The statement is blocked writing once its response frame is sized.

@@ -75,11 +75,7 @@ func (c *Client) Close() error {
 
 // call frames one request without waiting for its response.
 func (c *Client) call(q *request) (*wire.Call, error) {
-	body, err := encodeRequest(q)
-	if err != nil {
-		return nil, err
-	}
-	return c.conn.Send(body)
+	return c.conn.Send(func(w *storage.FieldWriter) error { return writeRequest(w, q) })
 }
 
 // wait blocks for a call's response.

@@ -2,10 +2,17 @@ package session
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"net"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"scidb/internal/array"
 	"scidb/internal/parser"
+	"scidb/internal/storage"
+	"scidb/internal/wire"
 )
 
 // FuzzDecodeSessionFrame hammers both session frame-body decoders with
@@ -114,21 +121,67 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodeResponseSizedOnce: a result body is allocated once at its
-// length, not grown by doubling while its chunk payloads are copied in.
-func TestEncodeResponseSizedOnce(t *testing.T) {
+// TestRespondStreamsChunkPayloads: a result's chunk payloads go from the
+// response straight into the connection's buffer — the server builds no
+// body — and the client reads them back as they were.
+func TestRespondStreamsChunkPayloads(t *testing.T) {
 	p := &response{Kind: kindResult, Chunks: make([][]byte, 40)}
 	for i := range p.Chunks {
 		p.Chunks[i] = bytes.Repeat([]byte{byte(i)}, 40<<10)
 	}
-	b, err := encodeResponse(p)
-	if err != nil {
+	client, server := net.Pipe()
+	defer client.Close()
+	ss := &serverSession{srv: NewServer(ServerOptions{}), w: wire.NewWriter(server, 0, nil)}
+	read := make(chan error, 1)
+	go func() {
+		// The first frame is checked, the rest drained without allocating.
+		_, body, err := wire.ReadFrame(client, wire.MaxFrameBody, nil)
+		if err == nil {
+			var got *response
+			if got, err = decodeResponse(body); err == nil && !reflect.DeepEqual(got.Chunks, p.Chunks) {
+				err = errors.New("the payloads read back differ from those written")
+			}
+		}
+		_, _ = io.Copy(io.Discard, client)
+		read <- err
+	}()
+	ss.respond(1, p)
+	var body int64
+	for _, c := range p.Chunks {
+		body += 4 + int64(len(c))
+	}
+	if got := ss.srv.MaxResponseBytes(); got < body {
+		t.Errorf("peak response %d bytes, want at least the %d its payloads take", got, body)
+	}
+	var before, after runtime.MemStats
+	const runs = 10
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ss.respond(1, p)
+	}
+	runtime.ReadMemStats(&after)
+	_ = server.Close()
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Errorf("writing a %d-byte response allocates %d bytes, want under 64 KiB", body, per)
+	}
+	if err := <-read; err != nil {
 		t.Fatal(err)
 	}
-	if cap(b) != len(b) {
-		t.Errorf("a %d-byte body has capacity %d", len(b), cap(b))
-	}
-	if allocs := testing.AllocsPerRun(10, func() { _, _ = encodeResponse(p) }); allocs > 5 {
-		t.Errorf("encoding a %d-byte body allocates %.0f times, want at most 5", len(b), allocs)
-	}
+}
+
+// encodeRequest is writeRequest into bytes, for the tests and fuzzers that
+// need a request body whole.
+func encodeRequest(q *request) ([]byte, error) {
+	var b bytes.Buffer
+	err := writeRequest(storage.NewFieldWriter(&b), q)
+	return b.Bytes(), err
+}
+
+// encodeResponse is writeResponse into bytes, for the tests and fuzzers
+// that need a response body whole; the server streams it instead.
+func encodeResponse(p *response) ([]byte, error) {
+	var b bytes.Buffer
+	w := storage.NewFieldWriter(&b)
+	writeResponse(w, p)
+	return b.Bytes(), w.Err()
 }

@@ -15,6 +15,7 @@ import (
 	"scidb/internal/core"
 	"scidb/internal/introspect"
 	"scidb/internal/obs"
+	"scidb/internal/storage"
 	"scidb/internal/wire"
 )
 
@@ -506,18 +507,16 @@ func (ss *serverSession) fetch(reqID uint64, q *request) {
 	ss.respond(reqID, &response{Kind: kindPage, Cursor: q.Cursor, Chunks: chunks, Done: done})
 }
 
-// respond encodes and writes one response frame, tracking the peak frame
-// size.
+// respond writes one response frame, tracking the peak frame size: its
+// body is recorded from the writer's sizing run, before a byte is written.
 func (ss *serverSession) respond(reqID uint64, p *response) {
-	body, err := encodeResponse(p)
-	if err != nil {
-		body, _ = encodeResponse(&response{Status: statusErr, Err: err.Error()})
-	}
-	for {
-		cur := ss.srv.maxResp.Load()
-		if int64(len(body)) <= cur || ss.srv.maxResp.CompareAndSwap(cur, int64(len(body))) {
-			break
+	_ = ss.w.Write(reqID, func(w *storage.FieldWriter) error {
+		writeResponse(w, p)
+		for n := w.Written(); ; {
+			cur := ss.srv.maxResp.Load()
+			if n <= cur || ss.srv.maxResp.CompareAndSwap(cur, n) {
+				return nil
+			}
 		}
-	}
-	_ = ss.w.Write(reqID, body)
+	})
 }

@@ -168,10 +168,8 @@ func decodeScalar(r *storage.FieldReader) parser.Scalar {
 	return s
 }
 
-// encodeRequest hand-rolls a request to its frame body.
-func encodeRequest(q *request) ([]byte, error) {
-	var b bytes.Buffer
-	w := storage.NewFieldWriter(&b)
+// writeRequest hand-rolls a request to its frame body.
+func writeRequest(w *storage.FieldWriter, q *request) error {
 	w.U8(q.Op)
 	w.U8(q.Priority)
 	w.Bool(q.Stream)
@@ -184,13 +182,10 @@ func encodeRequest(q *request) ([]byte, error) {
 	for _, p := range q.Params {
 		encodeScalar(w, p)
 	}
-	if w.Err() != nil {
-		return nil, w.Err()
-	}
-	return b.Bytes(), nil
+	return w.Err()
 }
 
-// decodeRequest reverses encodeRequest, bounding every count and length
+// decodeRequest reverses writeRequest, bounding every count and length
 // against the remaining buffer before allocating (mirrors the
 // fuzz-hardened chunk decoders of PR 4; FuzzDecodeSessionFrame drives it).
 func decodeRequest(data []byte) (*request, error) {
@@ -240,17 +235,9 @@ func decodeRequest(data []byte) (*request, error) {
 	return q, nil
 }
 
-// encodeResponse hand-rolls a response to its frame body, sized once
-// (wire.SizedBody): a result's chunk payloads are copied into a buffer
-// allocated at the body's length.
-func encodeResponse(p *response) ([]byte, error) {
-	return wire.SizedBody(func(w *storage.FieldWriter) error {
-		writeResponse(w, p)
-		return nil
-	})
-}
-
-// writeResponse writes p's fields to w in their fixed order.
+// writeResponse hand-rolls a response to its frame body, its fields in
+// their fixed order, as the body a wire.Writer streams: a result's chunk
+// payloads are written straight into the connection's buffer.
 func writeResponse(w *storage.FieldWriter, p *response) {
 	w.U8(p.Status)
 	w.String(p.Err)
@@ -270,7 +257,7 @@ func writeResponse(w *storage.FieldWriter, p *response) {
 	}
 }
 
-// decodeResponse reverses encodeResponse. The chunk payloads it returns are
+// decodeResponse reverses writeResponse. The chunk payloads it returns are
 // views of data, not copies: a response owns the frame body it was read from
 // (wire.ReadFrame allocates every body afresh), and the client decodes the
 // payloads into chunks of their own before dropping the response.

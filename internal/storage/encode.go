@@ -321,10 +321,30 @@ func (cr *chunkReader) column(a int, present *array.Bitmap) (col *array.Column, 
 // form (also the wire format between grid nodes), choosing a lightweight
 // per-column value encoding (constant elision, RLE, delta+bit-packing,
 // string dictionary) from cheap column stats. Nested-array attributes are
-// encoded recursively using the attribute's element schema.
+// encoded recursively using the attribute's element schema. A chunk that
+// kept the payload it was decoded from (array.Chunk.KeepEncoded) returns it,
+// when s encodes as the schema it was decoded under does, unencoded again.
 func EncodeChunk(s *array.Schema, ch *array.Chunk) ([]byte, error) {
+	if as, kept := ch.Encoded(); kept != nil && sameEncoding(as, s) {
+		return kept, nil
+	}
 	data, _, err := EncodeChunkZones(s, ch)
 	return data, err
+}
+
+// sameEncoding reports whether a chunk encodes alike under schemas a and b:
+// as many dimensions, and attributes alike in type, error bars and nested
+// schema. Names and bounds are not in a chunk's encoding.
+func sameEncoding(a, b *array.Schema) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	same := len(a.Dims) == len(b.Dims) && len(a.Attrs) == len(b.Attrs)
+	for i := 0; same && i < len(a.Attrs); i++ {
+		x, y := a.Attrs[i], b.Attrs[i]
+		same = x.Type == y.Type && x.Uncertain == y.Uncertain && sameEncoding(x.Nested, y.Nested)
+	}
+	return same
 }
 
 // EncodeChunkZones is EncodeChunk plus the per-column zone maps computed

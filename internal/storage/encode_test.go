@@ -413,3 +413,47 @@ func TestUncertainColumnsStillEncoded(t *testing.T) {
 		t.Errorf("sigma = %v,%v; want 1.0", v, ok)
 	}
 }
+
+// TestEncodeChunkForwardsKeptPayload: a decoded chunk does not keep its
+// input, and one given its payload (array.Chunk.KeepEncoded) encodes to
+// those very bytes under any schema that encodes alike — names and bounds
+// may differ — and is encoded afresh under one whose attribute type or
+// error bars differ.
+func TestEncodeChunkForwardsKeptPayload(t *testing.T) {
+	s := encSchema1D(8)
+	ch := fillChunk(s, 8, func(i int64) array.Cell {
+		return array.Cell{array.Int64(i), array.Float64(float64(i) / 2), array.Bool64(i%2 == 0), array.String64("s")}
+	})
+	enc, err := EncodeChunk(s, ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeChunk(s, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, kept := back.Encoded(); kept != nil {
+		t.Fatal("DecodeChunk kept its input")
+	}
+	back.KeepEncoded(s, enc)
+	same := func(b []byte) bool { return len(b) == len(enc) && &b[0] == &enc[0] }
+
+	renamed := encSchema1D(100)
+	renamed.Name = "F"
+	for i := range renamed.Attrs {
+		renamed.Attrs[i].Name += "2"
+	}
+	if out, err := EncodeChunk(renamed, back); err != nil || !same(out) {
+		t.Errorf("under a schema that encodes alike: %d bytes (%v), want the kept %d", len(out), err, len(enc))
+	}
+	retyped := encSchema1D(8)
+	retyped.Attrs[0].Type = array.TFloat64
+	if out, err := EncodeChunk(retyped, back); err == nil && (same(out) || bytes.Equal(out, enc)) {
+		t.Error("under a schema whose attribute type differs, the kept payload was forwarded")
+	}
+	uncertain := encSchema1D(8)
+	uncertain.Attrs[1].Uncertain = true
+	if out, err := EncodeChunk(uncertain, back); err != nil || same(out) || !bytes.Equal(out, enc) {
+		t.Errorf("under a schema with error bars: forwarded %v (%v); want an encoding afresh, alike", same(out), err)
+	}
+}

@@ -19,6 +19,7 @@ const maxFieldLen = 1 << 30
 type FieldWriter struct {
 	w   io.Writer
 	err error
+	n   int64 // bytes written since the last Reset
 	// buf stages fixed-width fields: a local array would escape through
 	// the io.Writer call and cost one allocation per value written.
 	buf [8]byte
@@ -38,18 +39,23 @@ const vecBlock = 4096
 // NewFieldWriter wraps w.
 func NewFieldWriter(w io.Writer) *FieldWriter { return &FieldWriter{w: w} }
 
-// Reset points w at dst and clears its error; the staging room is kept.
-func (w *FieldWriter) Reset(dst io.Writer) { w.w, w.err = dst, nil }
+// Reset points w at dst and clears its error and count; the staging room
+// is kept.
+func (w *FieldWriter) Reset(dst io.Writer) { w.w, w.err, w.n = dst, nil, 0 }
 
 // Err returns the first error any write encountered.
 func (w *FieldWriter) Err() error { return w.err }
+
+// Written returns the number of bytes written since w was made or Reset.
+func (w *FieldWriter) Written() int64 { return w.n }
 
 // Raw writes p verbatim.
 func (w *FieldWriter) Raw(p []byte) {
 	if w.err != nil {
 		return
 	}
-	_, w.err = w.w.Write(p)
+	n, err := w.w.Write(p)
+	w.n, w.err = w.n+int64(n), err
 }
 
 // U8 writes one byte.
@@ -176,7 +182,8 @@ func (w *FieldWriter) Bytes(p []byte) {
 func (w *FieldWriter) String(s string) {
 	w.U32(uint32(len(s)))
 	if w.err == nil {
-		_, w.err = io.WriteString(w.w, s)
+		n, err := io.WriteString(w.w, s)
+		w.n, w.err = w.n+int64(n), err
 	}
 }
 

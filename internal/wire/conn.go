@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"scidb/internal/storage"
 )
 
 var (
@@ -132,8 +134,10 @@ type Call struct {
 	start time.Time
 }
 
-// Send frames body as a new request and returns its call without waiting.
-func (c *Conn) Send(body []byte) (*Call, error) {
+// Send frames the body write writes (Writer.Write) as a new request and
+// returns its call without waiting. An error of write fails this call only:
+// nothing was sent, and the connection is up.
+func (c *Conn) Send(write func(*storage.FieldWriter) error) (*Call, error) {
 	call := &Call{c: c, done: make(chan result, 1), start: time.Now()}
 	c.mu.Lock()
 	if err := c.broken; err != nil {
@@ -145,9 +149,16 @@ func (c *Conn) Send(body []byte) (*Call, error) {
 	c.pending[call.ID] = call.done
 	c.mu.Unlock()
 	c.stats.enter()
-	if err := c.w.Write(call.ID, body); err != nil {
-		c.fail(err)
-		_, err = call.Wait() // what fail just handed every pending call
+	if err := c.w.Write(call.ID, write); err != nil {
+		if errors.Is(err, ErrClosed) {
+			c.fail(err)
+			_, err = call.Wait() // what fail just handed every pending call
+			return nil, err
+		}
+		c.mu.Lock()
+		delete(c.pending, call.ID)
+		c.mu.Unlock()
+		c.stats.exit(call.start)
 		return nil, err
 	}
 	return call, nil
@@ -175,9 +186,9 @@ func (call *Call) Wait() ([]byte, error) {
 	}
 }
 
-// RoundTrip sends body and waits for the response.
-func (c *Conn) RoundTrip(body []byte) ([]byte, error) {
-	call, err := c.Send(body)
+// RoundTrip sends the body write writes and waits for the response.
+func (c *Conn) RoundTrip(write func(*storage.FieldWriter) error) ([]byte, error) {
+	call, err := c.Send(write)
 	if err != nil {
 		return nil, err
 	}

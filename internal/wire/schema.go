@@ -1,43 +1,11 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 
 	"scidb/internal/array"
 	"scidb/internal/storage"
 )
-
-// SizedBody encodes a frame body with write, which it runs twice: first
-// into a writer that only counts the bytes, then into a buffer allocated at
-// that count. A body that carries chunk payloads is then allocated once, not
-// grown by doubling while the payloads are copied in.
-func SizedBody(write func(w *storage.FieldWriter) error) ([]byte, error) {
-	var size byteCount
-	w := storage.NewFieldWriter(&size)
-	if err := write(w); err != nil {
-		return nil, err
-	}
-	b := bytes.NewBuffer(make([]byte, 0, int(size)))
-	w.Reset(b)
-	if err := write(w); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), w.Err()
-}
-
-// byteCount is an io.Writer that keeps only the number of bytes written.
-type byteCount int
-
-func (n *byteCount) Write(p []byte) (int, error) {
-	*n += byteCount(len(p))
-	return len(p), nil
-}
-
-func (n *byteCount) WriteString(s string) (int, error) {
-	*n += byteCount(len(s))
-	return len(s), nil
-}
 
 // EncodeSchema writes a schema, recursing into nested-array attributes.
 func EncodeSchema(w *storage.FieldWriter, s *array.Schema) {

@@ -21,13 +21,16 @@
 // Request ids are chosen by the client and echoed by the response, so many
 // calls pipeline over one connection and their responses return in
 // completion order. Bodies travel verbatim: compression belongs to the
-// storage manager's buckets.
+// storage manager's buckets. A body is never built: Writer.Write, the one way
+// to send a frame, sizes it and then streams it into the connection.
 package wire
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -154,18 +157,6 @@ func readPayload(fr *storage.FieldReader) ([]byte, error) {
 	return p, fr.Err()
 }
 
-// WriteFrame writes one frame. The caller owns any locking around w.
-func WriteFrame(w io.Writer, id uint64, body []byte) error {
-	var hdr [FrameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint64(hdr[4:12], id)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
 // ReadFrame reads one frame, refusing a body longer than limit before
 // allocating it, and counts it into st when st is not nil.
 func ReadFrame(r io.Reader, limit uint32, st *Counters) (uint64, []byte, error) {
@@ -206,25 +197,74 @@ func NewWriter(conn net.Conn, timeout time.Duration, st *Counters) *Writer {
 	return &Writer{conn: conn, bw: bufio.NewWriterSize(conn, 64<<10), timeout: timeout, stats: st}
 }
 
-// Write frames body under id, and has it flushed before it returns unless
-// another writer is queued behind it to flush both.
-func (w *Writer) Write(id uint64, body []byte) error {
+// Write frames under id the body that write writes, and has it flushed
+// before it returns unless another writer is queued behind it to flush both.
+// write runs twice: once to size the body, then under the lock straight into
+// the connection's buffer, so no body is built. An error of the first run is
+// returned as is, nothing written. Any later failure, a second run of another
+// length included, closes the connection, so the stream never loses its
+// framing, and returns an error wrapping ErrClosed.
+func (w *Writer) Write(id uint64, write func(*storage.FieldWriter) error) error {
+	fw := storage.NewFieldWriter(io.Discard)
+	if err := write(fw); err != nil {
+		return err
+	}
+	size := fw.Written()
+	if size > MaxFrameBody {
+		return fmt.Errorf("wire: frame body of %d bytes exceeds %d", size, MaxFrameBody)
+	}
 	w.writers.Add(1)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.timeout > 0 {
 		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
 	}
-	err := WriteFrame(w.bw, id, body)
+	var hdr [FrameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(size))
+	binary.LittleEndian.PutUint64(hdr[4:12], id)
+	_, err := w.bw.Write(hdr[:])
+	if err == nil {
+		body := frameBody{bw: w.bw, left: int(size)}
+		fw.Reset(&body)
+		if err = cmp.Or(write(fw), fw.Err()); err == nil && body.left > 0 {
+			err = errBodyLength
+		}
+	}
 	if w.writers.Add(-1) == 0 && err == nil {
 		err = w.bw.Flush()
 	}
 	if err != nil {
 		_ = w.conn.Close()
-		return err
+		return fmt.Errorf("%w: %v", ErrClosed, err)
 	}
-	w.stats.frame(true, len(body))
+	w.stats.frame(true, int(size))
 	return nil
+}
+
+// frameBody passes a frame's body on to the connection's buffer, refusing
+// any byte past the length its header announced.
+type frameBody struct {
+	bw   *bufio.Writer
+	left int // bytes the header still announces
+}
+
+var errBodyLength = errors.New("wire: a frame body wrote another length than it was sized at")
+
+func (b *frameBody) Write(p []byte) (int, error) {
+	if len(p) > b.left {
+		return 0, errBodyLength
+	}
+	b.left -= len(p)
+	return b.bw.Write(p)
+}
+
+// WriteString spares FieldWriter.String a copy of each string.
+func (b *frameBody) WriteString(s string) (int, error) {
+	if len(s) > b.left {
+		return 0, errBodyLength
+	}
+	b.left -= len(s)
+	return b.bw.WriteString(s)
 }
 
 // Stats are the wire counters of one side of a set of connections. All

@@ -8,13 +8,16 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"scidb/internal/cluster"
 	"scidb/internal/session"
+	"scidb/internal/storage"
 	"scidb/internal/wire"
 )
 
@@ -60,7 +63,7 @@ func startStub(t *testing.T, magic uint32, handle func(conn net.Conn, body []byt
 					}
 					go func() {
 						if answer := handle(conn, body); answer != nil {
-							_ = w.Write(id, answer)
+							_ = w.Write(id, raw(answer))
 						}
 					}()
 				}
@@ -68,6 +71,14 @@ func startStub(t *testing.T, magic uint32, handle func(conn net.Conn, body []byt
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// raw is a frame body of the bytes b.
+func raw(b []byte) func(*storage.FieldWriter) error {
+	return func(w *storage.FieldWriter) error {
+		w.Raw(b)
+		return w.Err()
+	}
 }
 
 // dial opens a Conn to addr under magic.
@@ -124,7 +135,7 @@ var conformance = map[string]func(t *testing.T, magic uint32){
 			go func() {
 				defer wg.Done()
 				want := fmt.Sprintf("call %d", i)
-				if got, err := c.RoundTrip([]byte(want)); err != nil || string(got) != want {
+				if got, err := c.RoundTrip(raw([]byte(want))); err != nil || string(got) != want {
 					t.Errorf("call %d answered %q, %v", i, got, err)
 				}
 			}()
@@ -155,7 +166,7 @@ var conformance = map[string]func(t *testing.T, magic uint32){
 		errs := make(chan error, n)
 		for i := 0; i < n; i++ {
 			go func() {
-				_, err := c.RoundTrip([]byte("x"))
+				_, err := c.RoundTrip(raw([]byte("x")))
 				errs <- err
 			}()
 		}
@@ -164,7 +175,7 @@ var conformance = map[string]func(t *testing.T, magic uint32){
 				t.Errorf("pending call ended with %v, want ErrClosed", err)
 			}
 		}
-		if _, err := c.RoundTrip([]byte("x")); !errors.Is(err, wire.ErrClosed) {
+		if _, err := c.RoundTrip(raw([]byte("x"))); !errors.Is(err, wire.ErrClosed) {
 			t.Errorf("call after the peer closed = %v, want ErrClosed", err)
 		}
 	},
@@ -179,7 +190,7 @@ var conformance = map[string]func(t *testing.T, magic uint32){
 		})
 		var st wire.Counters
 		c := dial(t, addr, magic, wire.Options{CallTimeout: 100 * time.Millisecond, Stats: &st})
-		if _, err := c.RoundTrip([]byte("late")); !errors.Is(err, wire.ErrTimeout) {
+		if _, err := c.RoundTrip(raw([]byte("late"))); !errors.Is(err, wire.ErrTimeout) {
 			t.Fatalf("slow call = %v, want ErrTimeout", err)
 		}
 		for deadline := time.Now().Add(5 * time.Second); st.Snapshot().FramesIn == 0; time.Sleep(5 * time.Millisecond) {
@@ -187,7 +198,7 @@ var conformance = map[string]func(t *testing.T, magic uint32){
 				t.Fatal("the late response never arrived")
 			}
 		}
-		if got, err := c.RoundTrip([]byte("next")); err != nil || string(got) != "next" {
+		if got, err := c.RoundTrip(raw([]byte("next"))); err != nil || string(got) != "next" {
 			t.Errorf("call after a timeout = %q, %v; want its own answer", got, err)
 		}
 		if s := st.Snapshot(); s.Timeouts != 1 {
@@ -246,24 +257,176 @@ func TestConformance(t *testing.T) {
 }
 
 // TestFrameLayoutGolden pins the frame bytes: u32 body length | u64 request
-// id | body, little-endian behind a 12-byte header. ReadFrame reads it back
-// and counts it, header included.
+// id | body, little-endian behind a 12-byte header. Writer writes it and
+// counts it, ReadFrame reads it back and counts it, header included.
 func TestFrameLayoutGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := wire.WriteFrame(&buf, 0x0102030405060708, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
+	client, server := net.Pipe()
+	defer server.Close()
+	var out wire.Counters
+	go func() {
+		_ = wire.NewWriter(client, 0, &out).Write(0x0102030405060708, raw([]byte("abc")))
+		_ = client.Close()
+	}()
+	got, err := io.ReadAll(server)
 	want := []byte{3, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1, 'a', 'b', 'c'}
-	if wire.FrameHeaderLen != 12 || !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("frame %x behind a %d-byte header, want %x behind 12", buf.Bytes(), wire.FrameHeaderLen, want)
+	if err != nil || wire.FrameHeaderLen != 12 || !bytes.Equal(got, want) {
+		t.Fatalf("frame %x behind a %d-byte header (%v), want %x behind 12", got, wire.FrameHeaderLen, err, want)
 	}
 	var st wire.Counters
-	id, body, err := wire.ReadFrame(&buf, wire.MaxFrameBody, &st)
+	id, body, err := wire.ReadFrame(bytes.NewReader(got), wire.MaxFrameBody, &st)
 	if err != nil || id != 0x0102030405060708 || string(body) != "abc" {
 		t.Errorf("ReadFrame = %#x, %q, %v", id, body, err)
 	}
-	if s := st.Snapshot(); s.FramesIn != 1 || s.BytesIn != int64(len(want)) {
-		t.Errorf("ReadFrame counted %d frames, %d bytes; want 1, %d", s.FramesIn, s.BytesIn, len(want))
+	for side, c := range map[string]wire.Stats{"Writer": out.Snapshot(), "ReadFrame": st.Snapshot()} {
+		if frames, bytes := c.FramesOut+c.FramesIn, c.BytesOut+c.BytesIn; frames != 1 || bytes != int64(len(want)) {
+			t.Errorf("%s counted %d frames, %d bytes; want 1, %d", side, frames, bytes, len(want))
+		}
+	}
+}
+
+// tcpWriter is a Writer over one end of a loopback connection; the other
+// end is returned for the test to read.
+func tcpWriter(t *testing.T) (*wire.Writer, net.Conn) {
+	t.Helper()
+	ln := listen(t)
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- conn
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() { _ = conn.Close(); _ = peer.Close() })
+	return wire.NewWriter(conn, 0, nil), peer
+}
+
+// TestWriterStreamsPayload: a frame carrying a 1 MiB payload is written
+// without building its body — the payload goes from the caller's slice to
+// the connection — so writing it allocates under 64 KiB, and the peer reads
+// the payload back whole.
+func TestWriterStreamsPayload(t *testing.T) {
+	w, peer := tcpWriter(t)
+	payload := bytes.Repeat([]byte("scidb"), (1<<20)/5)
+	body := func(fw *storage.FieldWriter) error {
+		fw.String("read")
+		fw.Bytes(payload)
+		return nil
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, got, err := wire.ReadFrame(peer, wire.MaxFrameBody, nil)
+		if err == nil && (len(got) != 4+4+4+len(payload) || !bytes.Equal(got[12:], payload)) {
+			err = fmt.Errorf("read a %d-byte body, want the %d-byte payload behind two fields", len(got), len(payload))
+		}
+		first <- err
+		_, _ = io.Copy(io.Discard, peer) // the rest, without allocating
+	}()
+	if err := w.Write(1, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := w.Write(uint64(2+i), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Errorf("writing a frame with a %d-byte payload allocates %d bytes, want under 64 KiB", len(payload), per)
+	}
+}
+
+// TestWriterClosesOnBodyLengthChange: a body whose second run writes more
+// or fewer bytes than its first closes the connection, and so does every
+// frame after it. The peer reads whole frames — at most the announced bytes
+// of the body that ran long — and then the end of the stream, never a frame
+// cut from the wrong bytes, whether the body is small enough to sit in the
+// buffer or large enough to pass straight through.
+func TestWriterClosesOnBodyLengthChange(t *testing.T) {
+	for _, size := range []int{10, 1 << 20} {
+		for _, delta := range []int{+1, -1} {
+			t.Run(fmt.Sprintf("%d%+d", size, delta), func(t *testing.T) {
+				w, peer := tcpWriter(t)
+				if err := w.Write(1, raw([]byte("first"))); err != nil {
+					t.Fatal(err)
+				}
+				runs := 0
+				err := w.Write(2, func(fw *storage.FieldWriter) error {
+					switch runs++; {
+					case runs == 1:
+						fw.Raw(make([]byte, size))
+					case delta > 0: // a whole body's bytes, then more
+						fw.Raw(make([]byte, size))
+						fw.Raw(make([]byte, delta))
+					default:
+						fw.Raw(make([]byte, size+delta))
+					}
+					return nil
+				})
+				if !errors.Is(err, wire.ErrClosed) {
+					t.Errorf("a body that changed length = %v, want ErrClosed", err)
+				}
+				if err := w.Write(3, raw([]byte("after"))); !errors.Is(err, wire.ErrClosed) {
+					t.Errorf("a frame after the close = %v, want ErrClosed", err)
+				}
+				_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+				br := bufio.NewReader(peer)
+				for {
+					id, body, err := wire.ReadFrame(br, wire.MaxFrameBody, nil)
+					if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+						break
+					}
+					if err != nil {
+						t.Fatalf("the peer read %v, want the end of the stream", err)
+					}
+					whole := id == 2 && delta > 0 && bytes.Equal(body, make([]byte, size))
+					if !whole && (id != 1 || string(body) != "first") {
+						t.Fatalf("the peer read frame %d of %d bytes, want frame 1, or 2 as sized, before the end", id, len(body))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestWriterSizingErrorWritesNothing: a body that fails its sizing run
+// returns its own error, writes no byte, and leaves the connection up: the
+// next call on the same Conn succeeds, and so does the next frame.
+func TestWriterSizingErrorWritesNothing(t *testing.T) {
+	for proto, magic := range protocols {
+		t.Run(proto, func(t *testing.T) {
+			var frames atomic.Int64
+			addr := startStub(t, magic, func(_ net.Conn, body []byte) []byte {
+				frames.Add(1)
+				return body
+			})
+			c := dial(t, addr, magic, wire.Options{CallTimeout: 10 * time.Second})
+			bad := errors.New("unencodable")
+			if _, err := c.RoundTrip(func(*storage.FieldWriter) error { return bad }); !errors.Is(err, bad) || errors.Is(err, wire.ErrClosed) {
+				t.Fatalf("a body failing its sizing run = %v, want its own error", err)
+			}
+			if got, err := c.RoundTrip(raw([]byte("next"))); err != nil || string(got) != "next" {
+				t.Fatalf("the call after = %q, %v; want its own answer", got, err)
+			}
+			if n := frames.Load(); n != 1 {
+				t.Errorf("the server read %d frames, want 1", n)
+			}
+		})
 	}
 }
 
