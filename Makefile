@@ -105,14 +105,19 @@ bench:
 # path's (column and chunk decode — full, site-boundary and catalog chunks,
 # and a 27 %-occupied chunk's allocations — and cold chunk scan), of the chunk encoder's and of a bucket section's seal
 # and open, and of the CSV load path's (a shard's line scan, the float
-# kernel against strconv, a shard through the ingest pipeline), and of one
+# kernel against strconv, a shard through the ingest pipeline, with its B/op:
+# a batch's payloads are encoded into a recycled buffer), of the worker's
+# write of one 16-chunk loadchunks batch over TCP into a store on disk, with
+# its B/op (the server reads each request into a recycled buffer and writes
+# each bucket out of the one it was sealed in), and of one
 # page of a gathered result through a session's writer, with its B/op (the
 # server forwards the workers' chunk payloads, so a page costs it only its
 # frame), so CI runs what `make bench` measures.
 bench-smoke:
 	$(GO) test -run=NONE -bench 'WorkerAgg|WorkerReadBoxFold|WorkerReadBoxCells|WorkerReadPredsFold|WorkerSjoin|WorkerPut|FoldChunk|ParallelFilter|ParallelApply|ParallelAggregate|ParallelRegrid|Structural' -benchtime=1x ./internal/cluster ./internal/ops
+	$(GO) test -run=NONE -bench 'WorkerLoadChunks' -benchtime=1x -benchmem ./internal/cluster
 	$(GO) test -run=NONE -bench 'DecodeColumn|DecodeChunk|DecodePartialChunk|StoreChunkScanCold|EncodeChunk|SealSection' -benchtime=1x -benchmem ./internal/storage
-	$(GO) test -run=NONE -bench 'CSVShardScan|PipelineCSV|ParseFloat' -benchtime=1x ./internal/insitu
+	$(GO) test -run=NONE -bench 'CSVShardScan|PipelineCSV|ParseFloat' -benchtime=1x -benchmem ./internal/insitu
 	$(GO) test -run=NONE -bench 'SessionGatherPage' -benchtime=1x -benchmem ./internal/session
 
 # The standing benchmark suite is its own module under bench/, which the

@@ -74,23 +74,6 @@ func (b *Bitmap) span(lo, hi int64) (w0, w1 int64, loMask, hiMask uint64, ok boo
 	return lo >> 6, (hi - 1) >> 6, ^uint64(0) << uint(lo&63), ^uint64(0) >> uint(63-(hi-1)&63), true
 }
 
-// SetRange sets every bit in [lo, hi), clamped to the bitmap's length.
-func (b *Bitmap) SetRange(lo, hi int64) {
-	w0, w1, loMask, hiMask, ok := b.span(lo, hi)
-	if !ok {
-		return
-	}
-	if w0 == w1 {
-		b.words[w0] |= loMask & hiMask
-		return
-	}
-	b.words[w0] |= loMask
-	for w := w0 + 1; w < w1; w++ {
-		b.words[w] = ^uint64(0)
-	}
-	b.words[w1] |= hiMask
-}
-
 // CountPresentNotNull returns the number of slots in [lo, hi) that are set
 // in present and clear in nulls — the cells an aggregate actually steps.
 func CountPresentNotNull(present, nulls *Bitmap, lo, hi int64) int64 {

@@ -67,12 +67,6 @@ type Schema struct {
 	Updatable bool // declared "define updatable ..." (§2.5)
 }
 
-// NDims returns the dimensionality.
-func (s *Schema) NDims() int { return len(s.Dims) }
-
-// NAttrs returns the number of attributes per cell.
-func (s *Schema) NAttrs() int { return len(s.Attrs) }
-
 // DimIndex returns the position of the named dimension, or -1.
 func (s *Schema) DimIndex(name string) int {
 	for i, d := range s.Dims {

@@ -341,3 +341,63 @@ func BenchmarkWorkerPut(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWorkerLoadChunks is the bulk loader's write on one node: a
+// 16-chunk "loadchunks" batch of 64×64 chunks (three float columns, every
+// cell present) sent over TCP to a real server, whose worker adopts each
+// payload as a bucket of a store on disk. The array is dropped and created
+// again before each batch, the timer stopped. B/op covers both ends of the
+// connection: the request frame the server reads, the buckets it seals and
+// writes, the response.
+func BenchmarkWorkerLoadChunks(b *testing.B) {
+	schema := &array.Schema{Name: "load",
+		Dims: []array.Dimension{{Name: "x", High: 256, ChunkLen: 64}, {Name: "y", High: 256, ChunkLen: 64}},
+		Attrs: []array.Attribute{
+			{Name: "dn", Type: array.TFloat64}, {Name: "cloud", Type: array.TFloat64}, {Name: "nadir", Type: array.TFloat64},
+		},
+	}
+	a := array.MustNew(schema.Clone())
+	array.IterBox(array.WholeBox(schema), func(c array.Coord) bool {
+		v := float64(c[0]*7+c[1]*3) / 16
+		if err := a.Set(c, array.Cell{array.Float64(v), array.Float64(float64(c[0] % 5)), array.Float64(1)}); err != nil {
+			b.Fatal(err)
+		}
+		return true
+	})
+	payloads, err := encodeForTest(a)
+	if err != nil || len(payloads) != 16 {
+		b.Fatalf("%d payloads: %v", len(payloads), err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := NewWorkerWithOptions(0, WorkerOptions{Dir: b.TempDir()})
+	srv, _ := NewServer(w, ServeOptions{})
+	go func() { _ = srv.Serve(ln) }()
+	tr, err := DialTCP([]string{ln.Addr().String()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		_ = tr.Close()
+		srv.Shutdown()
+		_ = w.Close()
+	})
+	call := func(req *Message) {
+		if _, err := tr.Call(0, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	load := &Message{Op: "loadchunks", Array: "load", Chunks: payloads}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		call(&Message{Op: "drop", Array: "load"})
+		call(&Message{Op: "create", Array: "load", Schema: schema})
+		b.StartTimer()
+		call(load)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*a.Count()), "ns/cell")
+}

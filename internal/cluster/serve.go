@@ -186,18 +186,27 @@ func (s *Server) serveWire(conn net.Conn, br *bufio.Reader) {
 	s.wireConns.Add(1)
 	wr := wire.NewWriter(conn, s.opts.IOTimeout, &s.stats)
 	for {
-		id, raw, err := wire.ReadFrame(br, wire.MaxFrameBody, &s.stats)
+		room := frameRooms.Get()
+		id, raw, err := wire.ReadFrame(br, wire.MaxFrameBody, &s.stats, *room)
 		if err != nil || !s.beginReq() {
+			frameRooms.Put(room)
 			return
 		}
+		*room = raw
 		go func() {
 			defer s.reqs.Done()
+			defer frameRooms.Put(room)
 			s.handleFrame(wr, id, raw)
 		}()
 	}
 }
 
-// handleFrame decodes one request, runs it, and frames the response.
+// frameRooms recycles request bodies: each is read into one and goes back
+// once handleFrame has written its response (see decodeMessage).
+var frameRooms storage.Rooms
+
+// handleFrame decodes one request, runs it, and frames the response. What
+// the request carries is a view of raw, valid until handleFrame returns.
 func (s *Server) handleFrame(wr *wire.Writer, id uint64, raw []byte) {
 	var resp *Message
 	req, err := decodeMessage(raw)

@@ -213,11 +213,14 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 }
 
 // decodeMessage reverses writeMessage. Message.Chunks are views of data,
-// not copies: a message owns the frame body it was read from (wire.ReadFrame
-// allocates every body afresh), and what a payload becomes outlives it as
-// new bytes — DecodeChunk builds chunks of their own and an adopted payload
-// is re-sealed into a bucket of its own (Store.Apply) — or, in a gathered
-// chunk's kept bytes (callInto), as the view itself, which no one writes.
+// not copies, and who owns data decides how long they live. A worker's
+// server reads each request body into a recycled buffer (frameRooms) that
+// goes back to its pool once the response is written, so nothing a request
+// carries may be kept past the handler: what a payload becomes outlives it
+// as new bytes — DecodeChunk builds chunks of their own and an adopted
+// payload is re-sealed into a bucket of its own (Store.Apply). A client
+// (wire.Conn) allocates each response body afresh, so there a gathered
+// chunk's kept bytes (callInto) are the view itself, which no one writes.
 func decodeMessage(data []byte) (*Message, error) {
 	r := storage.NewFieldReaderBytes(data)
 	m := &Message{}

@@ -137,14 +137,14 @@ func TestFrameRoundTrip(t *testing.T) {
 			})
 		}
 	}()
-	id, got, err := wire.ReadFrame(server, wire.MaxFrameBody, nil)
+	id, got, err := wire.ReadFrame(server, wire.MaxFrameBody, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 77 || !bytes.Equal(got, body) {
 		t.Errorf("frame round trip: id=%d len=%d", id, len(got))
 	}
-	if _, _, err := wire.ReadFrame(server, uint32(len(body)-1), nil); err == nil {
+	if _, _, err := wire.ReadFrame(server, uint32(len(body)-1), nil, nil); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }

@@ -558,6 +558,14 @@ func (db *Database) runStore(ctx context.Context, s *parser.Store) (*Result, err
 	if err != nil {
 		return nil, err
 	}
+	// A stored array outlives the statement, so a gathered chunk forgets the
+	// payload it kept (array.Chunk.KeepEncoded): a view of its worker's
+	// response frame, which it would otherwise pin whole beside its columns.
+	for _, ch := range a.Chunks() {
+		if _, kept := ch.Encoded(); kept != nil {
+			ch.KeepEncoded(nil, nil)
+		}
+	}
 	cmds, _, err := db.derivation(ctx, p, s.Target, true)
 	if err != nil {
 		return nil, err

@@ -317,3 +317,37 @@ func TestPushedJoinGathersOncePlacedApart(t *testing.T) {
 	}
 	requireSameJoin(t, stmt+" planned before R was routed", got, exec(t, mem, stmt).Array)
 }
+
+// TestStoreForgetsKeptPayloads: a pushed sjoin over a 3-node grid gathers
+// chunks that keep their workers' payloads, and `store … into T` keeps the
+// result as a memory array: no chunk of T may hold a kept payload (each
+// would pin its whole response frame), and T reads the cells memory does.
+func TestStoreForgetsKeptPayloads(t *testing.T) {
+	mem, grid, _ := joinGrid(t)
+	const stmt = "sjoin(L, R, L.x = R.x and L.y = R.y)"
+	kept := 0
+	for _, ch := range exec(t, grid, stmt).Array.Chunks() {
+		if _, p := ch.Encoded(); p != nil {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatalf("%s gathered no chunk that keeps its payload: the test shows nothing", stmt)
+	}
+	exec(t, grid, "store "+stmt+" into T")
+	exec(t, mem, "store "+stmt+" into T")
+	got, err := grid.Array("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range got.Chunks() {
+		if _, p := ch.Encoded(); p != nil {
+			t.Errorf("stored chunk at %v keeps a payload of %d bytes", ch.Origin, len(p))
+		}
+	}
+	want, err := mem.Array("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameJoin(t, "store "+stmt+" into T", got, want)
+}

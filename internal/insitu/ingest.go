@@ -17,9 +17,9 @@ import (
 // dataset with Split, one shard per exec pool worker, parses the shards
 // concurrently, routes each chunk of Schema's grid into the builder of its
 // site, and every Batch chunks seals a site's builder — each chunk
-// through storage.EncodeChunkZones, zone maps included — and hands the
-// payloads to Ship. A cell is parsed once, straight into its chunk's
-// columns, and encoded once.
+// through storage.AppendChunkZones, zone maps included, into one recycled
+// buffer — and hands the payloads to Ship. A cell is parsed once, straight
+// into its chunk's columns, and encoded once.
 //
 // Cell-for-cell the stores end up holding the dataset, and input in chunk
 // order is stored one bucket per chunk wherever the shards were cut.
@@ -37,7 +37,10 @@ type Pipeline struct {
 	// and shipped: a cell that would open one more ships the Batch first.
 	Batch int
 	// Ship delivers a site's sealed chunks (EncodeChunk payloads, in origin
-	// order). Shards ship concurrently.
+	// order). Shards ship concurrently. The payloads are views of a buffer
+	// the pipeline reuses once Ship returns, so they are valid only until
+	// then: a Ship that keeps a payload, or anything that aliases one, must
+	// copy it.
 	Ship func(site int, payloads [][]byte) error
 }
 
@@ -229,22 +232,35 @@ func inChunk(ch *array.Chunk, c array.Coord) bool {
 	return true
 }
 
-// seal encodes chunks — each through storage.EncodeChunkZones, zone maps
-// included — ships them to site as one batch, and counts it in my.
+// seal encodes chunks — each through storage.AppendChunkZones, zone maps
+// included, into one recycled buffer — ships them to site as one batch,
+// counts it in my, and recycles the buffer: Ship's payloads are views of it.
 func (p Pipeline) seal(bs *array.Schema, site int, chunks []*array.Chunk, my *Counts) error {
 	if len(chunks) == 0 {
 		return nil
 	}
 	t0 := time.Now()
-	payloads := make([][]byte, 0, len(chunks))
-	var payloadBytes int64
-	for _, ch := range chunks {
-		raw, _, err := storage.EncodeChunkZones(bs, ch)
+	room := payloadRooms.Get()
+	defer payloadRooms.Put(room)
+	ends := make([]int, len(chunks))
+	for i, ch := range chunks {
+		var err error
+		*room, _, err = storage.AppendChunkZones(*room, bs, ch)
 		if err != nil {
 			return err
 		}
-		payloads = append(payloads, raw)
-		payloadBytes += int64(len(raw))
+		ends[i] = len(*room)
+		if i == 0 {
+			// The batch's chunks share a grid: room for the rest at the
+			// first's size, so a buffer short of room grows about once.
+			*room = slices.Grow(*room, ends[0]*(len(chunks)-1))
+		}
+	}
+	payloads := make([][]byte, len(chunks))
+	start := 0
+	for i, end := range ends {
+		payloads[i] = (*room)[start:end:end]
+		start = end
 	}
 	my.Encode += time.Since(t0)
 	t0 = time.Now()
@@ -254,6 +270,9 @@ func (p Pipeline) seal(bs *array.Schema, site int, chunks []*array.Chunk, my *Co
 	my.Ship += time.Since(t0)
 	my.Chunks += int64(len(payloads))
 	my.Batches++
-	my.Bytes += payloadBytes
+	my.Bytes += int64(start)
 	return nil
 }
+
+// payloadRooms recycles the buffers seal encodes a batch into.
+var payloadRooms storage.Rooms

@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"scidb/internal/array"
 	"scidb/internal/cluster"
 	"scidb/internal/insitu"
+	"scidb/internal/ops"
 	"scidb/internal/partition"
 	"scidb/internal/storage"
 )
@@ -19,12 +21,20 @@ import (
 // chunk and a full scan takes each whole — Alone, nothing masked off — though
 // four shards cut the file inside chunks: over a sparse grid on 2 nodes, and
 // over a dense one on 3, whose node boundaries (x = 86, 172) cut chunks too.
+// Each runs in process and over TCP, the latter with every request frame
+// overwritten once its response is written, and reads back the file's cells.
 func TestLoadParallelChunksOnPartitionGrid(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		nodes int
 		dense bool
-	}{{"sparse on 2 nodes", 2, false}, {"dense on 3 nodes", 3, true}} {
+		tcp   bool
+	}{
+		{"sparse on 2 nodes", 2, false, false},
+		{"dense on 3 nodes", 3, true, false},
+		{"sparse on 2 nodes over TCP, scribbled", 2, false, true},
+		{"dense on 3 nodes over TCP, scribbled", 3, true, true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema := &array.Schema{
 				Name: "wide",
@@ -40,7 +50,15 @@ func TestLoadParallelChunksOnPartitionGrid(t *testing.T) {
 			}
 			scheme := partition.Block{Nodes: tc.nodes, SplitDim: 0, High: 256}
 			dir := t.TempDir()
-			co := cluster.NewCoordinator(cluster.NewLocalWithOptions(tc.nodes, cluster.WorkerOptions{Dir: dir}), 0)
+			var co *cluster.Coordinator
+			if tc.tcp {
+				// Every request frame the workers read is overwritten as it
+				// goes back to its pool.
+				defer storage.ScribbleRooms(0xA5)()
+				co = tcpGrid(t, tc.nodes, dir)
+			} else {
+				co = cluster.NewCoordinator(cluster.NewLocalWithOptions(tc.nodes, cluster.WorkerOptions{Dir: dir}), 0)
+			}
 			if err := co.Create("wide", schema, scheme); err != nil {
 				t.Fatal(err)
 			}
@@ -54,6 +72,11 @@ func TestLoadParallelChunksOnPartitionGrid(t *testing.T) {
 			if _, err := LoadParallel(ds, array.WholeBox(schema), schema, scheme, ClusterDest{Co: co, Array: "wide"}, Options{}); err != nil {
 				t.Fatal(err)
 			}
+			got, _, _, _, err := co.Read(context.Background(), "wide", ops.Fragment{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireCells(t, "read back", got, src)
 			// The partitions' grid, x at the default 64, opened with its bounds
 			// left off: a bucket clipped at a bound still lies in its grid cell.
 			grid := schema.Clone()

@@ -48,7 +48,11 @@ type ChunkDest interface {
 	// under: its chunk grid is the one every shipped chunk lies on.
 	Grid(schema *array.Schema) *array.Schema
 	// ShipChunks delivers encoded chunk payloads (EncodeChunk bytes) owned
-	// by site.
+	// by site. The payloads are views of a buffer the loader reuses once
+	// ShipChunks returns (insitu.Pipeline.Ship), so they are valid only until
+	// then: a destination that keeps one copies it. A store adopting one
+	// (storage.Store.Apply) seals it into a bucket of its own, and a
+	// transport writes it out before the call returns.
 	ShipChunks(site int, payloads [][]byte) error
 	// Flush finalizes the destination after all shards complete (manifest
 	// saves, coordinator flush fan-out).

@@ -135,7 +135,7 @@ func TestRespondStreamsChunkPayloads(t *testing.T) {
 	read := make(chan error, 1)
 	go func() {
 		// The first frame is checked, the rest drained without allocating.
-		_, body, err := wire.ReadFrame(client, wire.MaxFrameBody, nil)
+		_, body, err := wire.ReadFrame(client, wire.MaxFrameBody, nil, nil)
 		if err == nil {
 			var got *response
 			if got, err = decodeResponse(body); err == nil && !reflect.DeepEqual(got.Chunks, p.Chunks) {

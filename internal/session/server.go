@@ -297,7 +297,7 @@ func (ss *serverSession) loop() {
 		if t := ss.srv.opts.IdleTimeout; t > 0 {
 			_ = ss.conn.SetReadDeadline(time.Now().Add(t))
 		}
-		reqID, body, err := wire.ReadFrame(ss.br, maxRequestBody, nil)
+		reqID, body, err := wire.ReadFrame(ss.br, maxRequestBody, nil, nil)
 		if err != nil {
 			return
 		}

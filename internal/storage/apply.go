@@ -15,7 +15,10 @@ type Batch struct {
 	// of that stint there, and the buffer outranks every bucket on reads.
 	Clear  array.Box
 	Chunks []*array.Chunk // of the store's grid; the store takes ownership
-	Raw    [][]byte       // optional: Raw[i] is the EncodeChunk bytes of Chunks[i]
+	// Raw, optional, holds the EncodeChunk bytes of each chunk. The store
+	// only reads them while Apply runs — an adopted chunk is sealed into a
+	// bucket of its own — so they may be views of a buffer the caller reuses.
+	Raw [][]byte
 }
 
 // DecodeBatch decodes EncodeChunk payloads into a Batch that carries them as

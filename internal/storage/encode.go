@@ -15,6 +15,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"scidb/internal/array"
@@ -350,18 +351,25 @@ func sameEncoding(a, b *array.Schema) bool {
 // EncodeChunkZones is EncodeChunk plus the per-column zone maps computed
 // during encoding (nil entries for nested-array columns). The store keeps
 // them in its bucket metadata so scans can prune buckets before reading
-// them back from disk.
+// them back from disk. The encoding is one allocation of its own size.
 func EncodeChunkZones(s *array.Schema, ch *array.Chunk) ([]byte, []*array.ZoneMap, error) {
+	return AppendChunkZones(nil, s, ch)
+}
+
+// AppendChunkZones is EncodeChunkZones appending the encoding to dst: into
+// a recycled buffer (Rooms), it allocates nothing for the bytes once the
+// buffer has grown to hold them. On error dst comes back as it was.
+func AppendChunkZones(dst []byte, s *array.Schema, ch *array.Chunk) ([]byte, []*array.ZoneMap, error) {
 	if len(ch.Cols) != len(s.Attrs) || len(ch.Origin) != len(s.Dims) {
-		return nil, nil, fmt.Errorf("storage: chunk has %d columns and %d dims, schema %d and %d",
+		return dst, nil, fmt.Errorf("storage: chunk has %d columns and %d dims, schema %d and %d",
 			len(ch.Cols), len(ch.Origin), len(s.Attrs), len(s.Dims))
 	}
 	if len(s.Attrs) >= math.MaxUint16 || len(s.Dims) > math.MaxUint8 {
-		return nil, nil, fmt.Errorf("storage: schema too wide to encode")
+		return dst, nil, fmt.Errorf("storage: schema too wide to encode")
 	}
 	// The sections are written into a recycled buffer, then copied behind the
-	// header — filled in once their lengths and checksums are known — into
-	// the one allocation the encoding costs.
+	// header — filled in once their lengths and checksums are known — onto
+	// dst.
 	e := encoders.Get().(*chunkEncoder)
 	defer e.release()
 	w := &e.w
@@ -372,13 +380,13 @@ func EncodeChunkZones(s *array.Schema, ch *array.Chunk) ([]byte, []*array.ZoneMa
 	for ai, col := range ch.Cols {
 		var err error
 		if zones[ai], err = encodeColumn(w, s.Attrs[ai], col, ch.Present); err != nil {
-			return nil, nil, err
+			return dst, nil, err
 		}
 		ends = append(ends, e.buf.Len())
 	}
 	e.ends = ends
 	if w.Err() != nil {
-		return nil, nil, w.Err()
+		return dst, nil, w.Err()
 	}
 	body := e.buf.Bytes()
 	hlen := headerLen(s)
@@ -387,15 +395,16 @@ func EncodeChunkZones(s *array.Schema, ch *array.Chunk) ([]byte, []*array.ZoneMa
 	for i := range hdr.secs {
 		start, end := ends[i], ends[i+1]
 		if end-start > maxFieldLen {
-			return nil, nil, fmt.Errorf("storage: section of %d bytes exceeds limit", end-start)
+			return dst, nil, fmt.Errorf("storage: section of %d bytes exceeds limit", end-start)
 		}
 		n := uint32(end - start)
 		hdr.secs[i] = section{stored: n, decoded: n, codec: verbatim, crc: crc32.Checksum(body[start:end], castagnoli)}
 	}
-	data := make([]byte, hlen+len(body))
-	hdr.put(data[:hlen])
-	copy(data[hlen:], body)
-	return data, zones, nil
+	at := len(dst)
+	dst = slices.Grow(dst, hlen+len(body))[:at+hlen+len(body)]
+	hdr.put(dst[at : at+hlen])
+	copy(dst[at+hlen:], body)
+	return dst, zones, nil
 }
 
 // chunkEncoder is EncodeChunkZones' recycled room: the buffer the sections
@@ -407,8 +416,8 @@ type chunkEncoder struct {
 	ends []int
 }
 
-// encoders recycles chunkEncoders, so a chunk's encoding costs its one
-// exact-size copy however large its buffer grew while it was written.
+// encoders recycles chunkEncoders, so a chunk's encoding costs at most its
+// one copy onto dst however large its buffer grew while it was written.
 var encoders = sync.Pool{New: func() any {
 	e := &chunkEncoder{}
 	e.w.Reset(&e.buf)
@@ -430,25 +439,27 @@ func (e *chunkEncoder) release() {
 	encoders.Put(e)
 }
 
-// sealChunk turns EncodeChunk bytes into a bucket file: the same frame with
-// every section passed through codec on its own (sealSection), so a reader
-// can take one column without inflating the others. The sections are sealed
-// one after another into a recycled buffer and the bucket is copied out of it
-// once, at its size.
-func sealChunk(s *array.Schema, raw []byte, codec compress.Codec) ([]byte, error) {
+// sealChunk turns EncodeChunk bytes into a bucket file, appended to dst:
+// the same frame with every section passed through codec on its own
+// (sealSection), so a reader can take one column without inflating the
+// others. The store seals into a recycled buffer (sealRooms) and writes the
+// bucket out of it.
+func sealChunk(dst []byte, s *array.Schema, raw []byte, codec compress.Codec) ([]byte, error) {
 	tag, ok := compress.Tag(codec)
 	if !ok {
-		return nil, fmt.Errorf("storage: codec %q has no format tag", codec.Name())
+		return dst, fmt.Errorf("storage: codec %q has no format tag", codec.Name())
 	}
 	hdr, err := parseHeader(s, raw, int64(len(raw)))
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	hlen := headerLen(s)
 	slots := hdr.slots()
 	present := presentCount(raw[hlen:hlen+int(hdr.secs[0].stored)], slots)
-	buf := sealBufs.Get().(*[]byte)
-	b := append((*buf)[:0], raw[:hlen]...) // room for the header, written last
+	base := len(dst)
+	// Auto seals a section into at most one byte more than it holds, so a
+	// buffer short of room grows once. The header is written last.
+	b := append(slices.Grow(dst, len(raw)+len(hdr.secs)), raw[:hlen]...)
 	start := hlen
 	for i := range hdr.secs {
 		sec := &hdr.secs[i]
@@ -461,18 +472,9 @@ func sealChunk(s *array.Schema, raw []byte, codec compress.Codec) ([]byte, error
 		start += int(sec.stored)
 		sec.stored, sec.codec, sec.crc = uint32(len(b)-from), tag, crc32.Checksum(b[from:], castagnoli)
 	}
-	hdr.put(b[:hlen])
-	out := make([]byte, len(b))
-	copy(out, b)
-	if cap(b) <= maxPooledEncoder {
-		*buf = b
-		sealBufs.Put(buf)
-	}
-	return out, nil
+	hdr.put(b[base : base+hlen])
+	return b, nil
 }
-
-// sealBufs recycles the buffers sealChunk stages a bucket in.
-var sealBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // sealSection appends one section passed through codec to dst: a column of
 // attribute at whose values are fixed-width records (recordRegion) as those

@@ -130,18 +130,18 @@ func FuzzDecodeChunk(f *testing.F) {
 	f.Add(enc[:len(enc)/2])
 	// The bucket-file form: the same sections, each through the codec, and a
 	// bucket whose int and float sections are sealed as byte planes.
-	if sealed, err := sealChunk(s, enc, compress.Auto{}); err == nil {
+	if sealed, err := sealChunk(nil, s, enc, compress.Auto{}); err == nil {
 		f.Add(sealed)
 	}
 	recs, err := EncodeChunk(s, fuzzRecordsChunk(s))
 	if err != nil {
 		f.Fatal(err)
 	}
-	planes, err := sealChunk(s, recs, compress.Auto{})
+	planes, err := sealChunk(nil, s, recs, compress.Auto{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if whole, err := sealChunk(s, recs, wholeSections{compress.Auto{}}); err != nil || len(planes) >= len(whole) {
+	if whole, err := sealChunk(nil, s, recs, wholeSections{compress.Auto{}}); err != nil || len(planes) >= len(whole) {
 		f.Fatalf("the records seed seals to %d bytes, whole sections to %d (%v)", len(planes), len(whole), err)
 	}
 	f.Add(planes)
@@ -152,7 +152,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(part)
-	if sealed, err := sealChunk(s, part, compress.Auto{}); err == nil {
+	if sealed, err := sealChunk(nil, s, part, compress.Auto{}); err == nil {
 		f.Add(sealed)
 	}
 	holed := fuzzRecordsChunk(s)
@@ -160,7 +160,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		holed.Present.Clear(i)
 	}
 	if recs, err := EncodeChunk(s, holed); err == nil {
-		if sealed, err := sealChunk(s, recs, compress.Auto{}); err == nil {
+		if sealed, err := sealChunk(nil, s, recs, compress.Auto{}); err == nil {
 			f.Add(sealed)
 		}
 	}
@@ -292,7 +292,7 @@ func FuzzDecodeArray(f *testing.F) {
 	}
 	// A container whose chunk is in the bucket-file form.
 	if enc, err := EncodeChunk(s, fuzzSeedChunk(s)); err == nil {
-		if sealed, err := sealChunk(s, enc, compress.Auto{}); err == nil {
+		if sealed, err := sealChunk(nil, s, enc, compress.Auto{}); err == nil {
 			if framed, err := frameChunks([][]byte{sealed}); err == nil {
 				f.Add(framed)
 			}

@@ -172,7 +172,7 @@ func TestPresentOnlyRoundTrip(t *testing.T) {
 		if again, err := EncodeChunk(s, back); err != nil || !bytes.Equal(again, want) {
 			t.Fatalf("%s: the decoded chunk encodes to other bytes (%v)", label, err)
 		}
-		bucket, err := sealChunk(s, enc, compress.Auto{})
+		bucket, err := sealChunk(nil, s, enc, compress.Auto{})
 		if err != nil {
 			t.Fatal(err)
 		}

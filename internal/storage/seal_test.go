@@ -197,7 +197,7 @@ func TestSealedBucketsRoundTrip(t *testing.T) {
 	worst, worstName := 0.0, ""
 	for _, p := range sealCorpus() {
 		for _, codec := range []compress.Codec{compress.Auto{}, wholeSections{compress.Auto{}}} {
-			bucket, err := sealChunk(p.s, p.enc, codec)
+			bucket, err := sealChunk(nil, p.s, p.enc, codec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +233,7 @@ func TestDamagedPlanesAreErrCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bucket, err := sealChunk(s, enc, compress.Auto{})
+	bucket, err := sealChunk(nil, s, enc, compress.Auto{})
 	if err != nil {
 		t.Fatal(err)
 	}

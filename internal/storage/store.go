@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -412,8 +413,12 @@ func (s *Store) flushLocked() error {
 	return s.resetMem()
 }
 
+// writeBucketLocked encodes ch into a recycled buffer and installs it.
 func (s *Store) writeBucketLocked(ch *array.Chunk) error {
-	raw, zones, err := EncodeChunkZones(s.schema, ch)
+	room := rawRooms.Get()
+	defer rawRooms.Put(room)
+	raw, zones, err := AppendChunkZones(*room, s.schema, ch)
+	*room = raw
 	if err != nil {
 		return err
 	}
@@ -421,11 +426,20 @@ func (s *Store) writeBucketLocked(ch *array.Chunk) error {
 	return err
 }
 
+// rawRooms recycles the buffers a flush encodes a chunk into, and sealRooms
+// those installLocked seals a bucket in: a Dir store writes the bucket file
+// straight out of it, an in-memory store keeps a copy.
+var rawRooms, sealRooms Rooms
+
 // installLocked seals EncodeChunk bytes into a bucket — each section through
 // the store codec — writes it out, and indexes it under a fresh id as the
-// newest version of its chunk, which must lie on the grid.
+// newest version of its chunk, which must lie on the grid. raw is only read:
+// the caller may reuse it once installLocked returns.
 func (s *Store) installLocked(raw []byte, ch *array.Chunk, zones []*array.ZoneMap) (int64, error) {
-	enc, err := sealChunk(s.schema, raw, s.codec)
+	room := sealRooms.Get()
+	defer sealRooms.Put(room)
+	enc, err := sealChunk(*room, s.schema, raw, s.codec)
+	*room = enc
 	if err != nil {
 		return 0, err
 	}
@@ -440,7 +454,7 @@ func (s *Store) installLocked(raw []byte, ch *array.Chunk, zones []*array.ZoneMa
 			return 0, fmt.Errorf("storage: %w", err)
 		}
 	} else {
-		meta.data = enc
+		meta.data = bytes.Clone(enc)
 	}
 	s.index[meta.key] = append([]*bucketMeta{meta}, s.index[meta.key]...)
 	s.stats.bucketsWritten.Add(1)

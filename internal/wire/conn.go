@@ -91,7 +91,7 @@ func Dial(addr string, magic uint32, payload []byte, opts Options, accept func(r
 // the connection.
 func (c *Conn) readLoop(br *bufio.Reader) {
 	for {
-		id, body, err := ReadFrame(br, MaxFrameBody, c.stats)
+		id, body, err := ReadFrame(br, MaxFrameBody, c.stats, nil)
 		if err != nil {
 			c.fail(err)
 			return

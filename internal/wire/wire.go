@@ -158,8 +158,10 @@ func readPayload(fr *storage.FieldReader) ([]byte, error) {
 }
 
 // ReadFrame reads one frame, refusing a body longer than limit before
-// allocating it, and counts it into st when st is not nil.
-func ReadFrame(r io.Reader, limit uint32, st *Counters) (uint64, []byte, error) {
+// allocating it, and counts it into st when st is not nil. The body is read
+// into room when its capacity holds it — a server recycles its request
+// bodies so — and into a fresh buffer otherwise, or when room is nil.
+func ReadFrame(r io.Reader, limit uint32, st *Counters, room []byte) (uint64, []byte, error) {
 	var hdr [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -168,7 +170,11 @@ func ReadFrame(r io.Reader, limit uint32, st *Counters) (uint64, []byte, error) 
 	if n > limit {
 		return 0, nil, fmt.Errorf("wire: frame body of %d bytes exceeds %d", n, limit)
 	}
-	body := make([]byte, n)
+	body := room
+	if body == nil || uint32(cap(body)) < n {
+		body = make([]byte, n)
+	}
+	body = body[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}

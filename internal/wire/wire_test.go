@@ -57,7 +57,7 @@ func startStub(t *testing.T, magic uint32, handle func(conn net.Conn, body []byt
 				}
 				w := wire.NewWriter(conn, 0, nil)
 				for {
-					id, body, err := wire.ReadFrame(br, wire.MaxFrameBody, nil)
+					id, body, err := wire.ReadFrame(br, wire.MaxFrameBody, nil, nil)
 					if err != nil {
 						return
 					}
@@ -273,7 +273,7 @@ func TestFrameLayoutGolden(t *testing.T) {
 		t.Fatalf("frame %x behind a %d-byte header (%v), want %x behind 12", got, wire.FrameHeaderLen, err, want)
 	}
 	var st wire.Counters
-	id, body, err := wire.ReadFrame(bytes.NewReader(got), wire.MaxFrameBody, &st)
+	id, body, err := wire.ReadFrame(bytes.NewReader(got), wire.MaxFrameBody, &st, nil)
 	if err != nil || id != 0x0102030405060708 || string(body) != "abc" {
 		t.Errorf("ReadFrame = %#x, %q, %v", id, body, err)
 	}
@@ -281,6 +281,23 @@ func TestFrameLayoutGolden(t *testing.T) {
 		if frames, bytes := c.FramesOut+c.FramesIn, c.BytesOut+c.BytesIn; frames != 1 || bytes != int64(len(want)) {
 			t.Errorf("%s counted %d frames, %d bytes; want 1, %d", side, frames, bytes, len(want))
 		}
+	}
+}
+
+// TestReadFrameIntoRoom: a body is read into the room passed when its
+// capacity holds it, and into a fresh buffer when it does not, the room
+// then left as it was.
+func TestReadFrameIntoRoom(t *testing.T) {
+	frame := []byte{3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 'a', 'b', 'c'}
+	room := make([]byte, 0, 8)
+	_, body, err := wire.ReadFrame(bytes.NewReader(frame), wire.MaxFrameBody, nil, room)
+	if err != nil || string(body) != "abc" || &body[0] != &room[:1][0] {
+		t.Fatalf("ReadFrame into an 8-byte room = %q, %v; want \"abc\" read into the room", body, err)
+	}
+	small := make([]byte, 0, 2)
+	_, body, err = wire.ReadFrame(bytes.NewReader(frame), wire.MaxFrameBody, nil, small)
+	if err != nil || string(body) != "abc" || &body[0] == &small[:1][0] {
+		t.Fatalf("ReadFrame past a 2-byte room = %q, %v; want \"abc\" in a fresh buffer", body, err)
 	}
 }
 
@@ -324,7 +341,7 @@ func TestWriterStreamsPayload(t *testing.T) {
 	}
 	first := make(chan error, 1)
 	go func() {
-		_, got, err := wire.ReadFrame(peer, wire.MaxFrameBody, nil)
+		_, got, err := wire.ReadFrame(peer, wire.MaxFrameBody, nil, nil)
 		if err == nil && (len(got) != 4+4+4+len(payload) || !bytes.Equal(got[12:], payload)) {
 			err = fmt.Errorf("read a %d-byte body, want the %d-byte payload behind two fields", len(got), len(payload))
 		}
@@ -387,7 +404,7 @@ func TestWriterClosesOnBodyLengthChange(t *testing.T) {
 				_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
 				br := bufio.NewReader(peer)
 				for {
-					id, body, err := wire.ReadFrame(br, wire.MaxFrameBody, nil)
+					id, body, err := wire.ReadFrame(br, wire.MaxFrameBody, nil, nil)
 					if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 						break
 					}
