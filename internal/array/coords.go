@@ -117,17 +117,6 @@ func (b Box) Cells() int64 {
 	return n
 }
 
-// Union returns the smallest box covering both.
-func (b Box) Union(o Box) Box {
-	lo := make(Coord, len(b.Lo))
-	hi := make(Coord, len(b.Hi))
-	for i := range b.Lo {
-		lo[i] = min64(b.Lo[i], o.Lo[i])
-		hi[i] = max64(b.Hi[i], o.Hi[i])
-	}
-	return Box{Lo: lo, Hi: hi}
-}
-
 // String renders the box as [lo..hi] per dimension.
 func (b Box) String() string {
 	s := "["

@@ -153,20 +153,6 @@ func (s *Schema) Clone() *Schema {
 	return out
 }
 
-// SameShape reports whether two schemas have identical dimension bounds
-// (names may differ).
-func (s *Schema) SameShape(o *Schema) bool {
-	if len(s.Dims) != len(o.Dims) {
-		return false
-	}
-	for i := range s.Dims {
-		if s.Dims[i].High != o.Dims[i].High {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the schema in the paper's define/create syntax, e.g.
 //
 //	Remote (s1 = float, s2 = float, s3 = float) [I=1024, J=1024]

@@ -393,7 +393,7 @@ func TestWorkerOpErrors(t *testing.T) {
 		t.Error("create without schema accepted")
 	}
 	// ops against unknown arrays
-	for _, op := range []string{"put", "read", "replace"} {
+	for _, op := range []string{"put", "read", "chunks"} {
 		if _, err := tr.Call(0, &Message{Op: op, Array: "ghost"}); err == nil {
 			t.Errorf("%s on unknown array accepted", op)
 		}
@@ -404,10 +404,12 @@ func TestWorkerOpErrors(t *testing.T) {
 	}
 	// the read ops "read" replaced are gone, as are "stats" (NodeStats reads
 	// "metrics"), "replicachunk" (the rebalancer sends "loadchunks"), the
-	// node-local "sjoin" (core joins what it reads) and "migratechunks" (the
+	// node-local "sjoin" (core joins what it reads), "migratechunks" (the
 	// rebalancer copies a chunk with "read" and releases it with
-	// "loadchunks"): no alias answers for them
-	for _, op := range []string{"scan", "agg", "count", "stats", "replicachunk", "sjoin", "migratechunks"} {
+	// "loadchunks"), "replace" (Repartition is a set of chunk moves) and
+	// "heat" (a node's chunk list, "chunks", carries its heat): no alias
+	// answers for them
+	for _, op := range []string{"scan", "agg", "count", "stats", "replicachunk", "sjoin", "migratechunks", "replace", "heat"} {
 		if _, err := tr.Call(0, &Message{Op: op, Array: "a"}); err == nil || !strings.Contains(err.Error(), "unknown op") {
 			t.Errorf("%s on a held array: %v, want unknown op", op, err)
 		}

@@ -25,7 +25,7 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		{Op: "ping"},
 		{Op: "loadchunks", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{64}}, // a migrated chunk's release
 		{Op: "loadchunks", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{64}, Chunks: [][]byte{{0x01}}},
-		{Op: "heat", Heat: []HeatSample{{Array: "a", Origin: []int64{1, 65}, Score: 7}}},
+		{Op: "chunks", Held: []HeatSample{{Array: "a", Origin: []int64{1, 65}, Score: 7}}},
 		{Op: "read", Array: "a", Fold: &ops.FoldSpec{Dims: []string{"x"}, Aggs: []ops.AggSpec{{Agg: "max", Attr: "v"}}}},
 		{Op: "read", Array: "a", Fold: &ops.FoldSpec{}, ExclLo: [][]int64{{1}}, ExclHi: [][]int64{{64}}},
 		{Op: "read", Array: "a", Join: "b"},

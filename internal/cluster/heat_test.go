@@ -66,8 +66,9 @@ func TestHeatSnapshotOrderAndDrop(t *testing.T) {
 }
 
 // TestWorkerHeatFromReads drives scans through a persistent worker and
-// checks the read path feeds the tracker: the heat op must report the
-// touched chunks, and dropping the array must clear them.
+// checks the read path feeds the tracker: the chunks op must report both
+// chunks the node holds, the touched one hot and the other cold, and
+// dropping the array must clear the tracker.
 func TestWorkerHeatFromReads(t *testing.T) {
 	w := NewWorkerWithOptions(0, WorkerOptions{Stride: []int64{4}})
 	schema := &array.Schema{
@@ -99,23 +100,23 @@ func TestWorkerHeatFromReads(t *testing.T) {
 	if resp = w.Handle(&Message{Op: "read", Array: "h", BoxLo: []int64{1}, BoxHi: []int64{4}}); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	heat := w.Handle(&Message{Op: "heat"})
-	if heat.Err != "" {
-		t.Fatal(heat.Err)
+	held := w.Handle(&Message{Op: "chunks", Array: "h"})
+	if held.Err != "" {
+		t.Fatal(held.Err)
 	}
-	found := false
-	for _, s := range heat.Heat {
-		if s.Array == "h" && len(s.Origin) == 1 && s.Origin[0] == 1 && s.Score > 0 {
-			found = true
+	scores := map[int64]float64{}
+	for _, s := range held.Held {
+		if s.Array == "h" && len(s.Origin) == 1 {
+			scores[s.Origin[0]] = s.Score
 		}
 	}
-	if !found {
-		t.Fatalf("heat op missing touched chunk: %+v", heat.Heat)
+	if len(scores) != 2 || scores[1] <= 0 || scores[5] != 0 {
+		t.Fatalf("chunks op = %+v; want chunk 1 hot and chunk 5 cold", held.Held)
 	}
 	if resp = w.Handle(&Message{Op: "drop", Array: "h"}); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	if heat = w.Handle(&Message{Op: "heat"}); len(heat.Heat) != 0 {
-		t.Fatalf("heat survived drop: %+v", heat.Heat)
+	if heat := w.heat.Snapshot(); len(heat) != 0 {
+		t.Fatalf("heat survived drop: %+v", heat)
 	}
 }

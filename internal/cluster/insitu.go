@@ -27,9 +27,9 @@ import (
 // loadChunks writes a batch of pre-encoded chunk payloads into the
 // partition's store in one Apply, which adopts each as a bucket verbatim
 // where the buffer holds nothing at its origin: no re-encode. The parallel
-// bulk loader ships its chunks so; the rebalancer does too, with the box of
-// the chunk it copies — and, to release a migrated chunk on its source, sends
-// the box with no chunks.
+// bulk loader ships its chunks so. A chunk move sends the box of the chunk it
+// moves: with the chunk, to install it on a target, and with no chunks, to
+// release it on a holder it leaves.
 func (w *Worker) loadChunks(req *Message) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -41,13 +41,12 @@ func (w *Worker) loadChunks(req *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	// With a box the payloads are the region's canonical newest state (the
+	// With a box the batch first removes the chunk there (storage.Batch.Clear):
+	// an install's payload is the chunk's canonical newest state (the
 	// coordinator's write fence flushed every live write before the read that
-	// copied them), so the batch first clears any buffered cells left over
-	// from an earlier ownership stint (storage.Batch.Clear); the box covers
-	// sub-chunks the canonical copy holds no cells for. With no payloads the
-	// clear is all there is: the source's release of a migrated chunk, whose
-	// buffered cells and pool entries go while its buckets stay on disk.
+	// copied it), so nothing an earlier stint left there may outrank it, and a
+	// release, with no payload, is that removal alone — buffered cells and
+	// buckets, files included, saved before the response.
 	if len(req.BoxLo) > 0 {
 		b.Clear = array.Box{Lo: req.BoxLo, Hi: req.BoxHi}
 	}

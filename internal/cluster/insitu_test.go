@@ -509,8 +509,8 @@ func TestInsituReregistrationReadsNewFile(t *testing.T) {
 }
 
 // TestInsituRefusesWrites: the ops that write a partition's cells — put,
-// loadchunks, replace, and loadchunks with a box and no chunks (the release
-// of a migrated chunk) — say why they fail on an in-situ one, and leave it
+// loadchunks, and loadchunks with a box and no chunks (the release of a
+// moved chunk) — say why they fail on an in-situ one, and leave it
 // answering.
 func TestInsituRefusesWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ext.csv")
@@ -528,7 +528,6 @@ func TestInsituRefusesWrites(t *testing.T) {
 	for _, req := range []*Message{
 		{Op: "put", Array: "ext", Chunks: chunks},
 		{Op: "loadchunks", Array: "ext", Chunks: chunks},
-		{Op: "replace", Array: "ext", Chunks: chunks},
 		{Op: "loadchunks", Array: "ext", BoxLo: []int64{1, 1}, BoxHi: []int64{4, 4}},
 	} {
 		if got, want := w.Handle(req).Err, `cluster: "ext" is an in-situ array and cannot be written`; got != want {

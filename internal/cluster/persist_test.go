@@ -45,7 +45,7 @@ func persistGrid(t *testing.T, nodes int) (*Local, *Coordinator) {
 }
 
 // TestClusterRoundTrip runs the full op set — create / put / scan / agg /
-// count / sjoin / replace / drop — on the default grid (buckets in memory, no
+// count / sjoin / repartition / drop — on the default grid (buckets in memory, no
 // pool) and on one with a data directory and a pool.
 func TestClusterRoundTrip(t *testing.T) {
 	tr := NewLocal(4)
@@ -98,7 +98,7 @@ func checkClusterRoundTrip(t *testing.T, tr *Local, co *Coordinator, schema *arr
 		t.Errorf("whole scan cells = %d, want 256", whole.Count())
 	}
 
-	// Repartition exercises the replace path (store teardown + rebuild).
+	// Repartition moves every chunk whose owner changes.
 	if err := co.Repartition("sky", partition.Block{Nodes: 4, SplitDim: 1, High: 16}); err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,10 @@ const (
 	msg2HasChunks = 1 << 0 // Chunks: storage.EncodeChunk payloads, the cells a message carries
 	msg2HasInsitu = 1 << 1 // Path + Adaptor (in-situ registration)
 	msg2HasExcl   = 1 << 2 // ExclLo/ExclHi: the chunks a "read" must not answer (online rebalancing)
-	msg2HasHeat   = 1 << 3 // Heat samples ("heat" response)
+	msg2HasHeld   = 1 << 3 // Held: the chunks a node holds ("chunks" response)
 	msg2HasJoin   = 1 << 4 // Join: the right-hand array of a "read"
 
-	msg2KnownBits = msg2HasChunks | msg2HasInsitu | msg2HasExcl | msg2HasHeat | msg2HasJoin
+	msg2KnownBits = msg2HasChunks | msg2HasInsitu | msg2HasExcl | msg2HasHeld | msg2HasJoin
 )
 
 // encodePredValue writes one predicate constant. Preds are scalar
@@ -171,8 +171,8 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 		}
 		present2 |= msg2HasExcl
 	}
-	if len(m.Heat) > 0 {
-		present2 |= msg2HasHeat
+	if len(m.Held) > 0 {
+		present2 |= msg2HasHeld
 	}
 	if m.Join != "" {
 		present2 |= msg2HasJoin
@@ -196,13 +196,14 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 				w.I64s(m.ExclHi[i])
 			}
 		}
-		if present2&msg2HasHeat != 0 {
-			w.U32(uint32(len(m.Heat)))
-			for i := range m.Heat {
-				h := &m.Heat[i]
+		if present2&msg2HasHeld != 0 {
+			w.U32(uint32(len(m.Held)))
+			for i := range m.Held {
+				h := &m.Held[i]
 				w.String(h.Array)
 				w.I64s(h.Origin)
 				w.F64(h.Score)
+				w.Bool(h.Held)
 			}
 		}
 		if present2&msg2HasJoin != 0 {
@@ -220,7 +221,7 @@ func writeMessage(w *storage.FieldWriter, m *Message) error {
 // as new bytes — DecodeChunk builds chunks of their own and an adopted
 // payload is re-sealed into a bucket of its own (Store.Apply). A client
 // (wire.Conn) allocates each response body afresh, so there a gathered
-// chunk's kept bytes (callInto) are the view itself, which no one writes.
+// chunk's kept bytes (ask) are the view itself, which no one writes.
 func decodeMessage(data []byte) (*Message, error) {
 	r := storage.NewFieldReaderBytes(data)
 	m := &Message{}
@@ -353,18 +354,19 @@ func decodeMessage(data []byte) (*Message, error) {
 				}
 			}
 		}
-		if present2&msg2HasHeat != 0 {
+		if present2&msg2HasHeld != 0 {
 			n := int(r.U32())
-			if !r.Need(int64(n) * 16) { // the bytes the shortest sample takes
+			if !r.Need(int64(n) * 17) { // the bytes the shortest sample takes
 				return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
 			}
 			if n > 0 {
-				m.Heat = make([]HeatSample, n)
-				for i := range m.Heat {
-					h := &m.Heat[i]
+				m.Held = make([]HeatSample, n)
+				for i := range m.Held {
+					h := &m.Held[i]
 					h.Array = r.String()
 					h.Origin = r.I64s()
 					h.Score = r.F64()
+					h.Held = r.Bool()
 					if r.Err() != nil {
 						return nil, fmt.Errorf("cluster: corrupt message: %w", r.Err())
 					}

@@ -71,8 +71,8 @@ func wireTestMessage() *Message {
 		Adaptor: "csv",
 		ExclLo:  [][]int64{{1, 1}, {65, 1}},
 		ExclHi:  [][]int64{{64, 64}, {128, 64}},
-		Heat: []HeatSample{
-			{Array: "sky", Origin: []int64{1, 65}, Score: 42.5},
+		Held: []HeatSample{
+			{Array: "sky", Origin: []int64{1, 65}, Score: 42.5, Held: true},
 			{Array: "sky", Origin: []int64{65, 65}, Score: 1},
 		},
 		Join: "right",

@@ -67,10 +67,10 @@ type Message struct {
 	Skipped int64
 	Seen    int64
 	// Chunks carries cells, one storage.EncodeChunk payload per chunk: a
-	// "put" or "replace" request's, a "read" response's (the rebalancer's
-	// copy of a chunk is a read of its box), and a "loadchunks" batch, whose
-	// payloads the worker adopts as buckets verbatim instead of re-ingesting
-	// cell by cell. Rides the second presence byte.
+	// "put" request's, a "read" response's (a move's copy of a chunk is a
+	// read of its box), and a "loadchunks" batch, whose payloads the worker
+	// adopts as buckets verbatim instead of re-ingesting cell by cell. Rides
+	// the second presence byte.
 	Chunks [][]byte
 	// Path and Adaptor, on an "insitu" request, register an external file
 	// region as this node's partition of a file-backed array (distributed
@@ -84,9 +84,9 @@ type Message struct {
 	// presence byte, one bit).
 	ExclLo [][]int64
 	ExclHi [][]int64
-	// Heat is the "heat" response: the node's decayed per-chunk access
-	// scores (second presence byte, own bit).
-	Heat []HeatSample
+	// Held is the "chunks" response: the chunks of Array the node's store
+	// holds or has heat for (second presence byte, own bit).
+	Held []HeatSample
 	// Join, on a "read" request, names a right-hand array: the node answers
 	// with Array's join with it on every dimension in order, its chunk pairs
 	// joined where they lie (joinLocked). Second presence byte, own bit.
@@ -116,8 +116,8 @@ type Worker struct {
 	stats workerCounters
 
 	// heat tracks decayed per-chunk access scores for the rebalancer; the
-	// storage layer's OnBucketRead hook feeds it, the "heat" wire op drains
-	// it.
+	// storage layer's OnBucketRead hook feeds it, the "chunks" wire op
+	// reports it.
 	heat *heatTracker
 
 	// reg is the node's metrics registry: worker/cache/store collectors
@@ -296,38 +296,12 @@ func (w *Worker) handle(req *Message) (*Message, error) {
 		return w.flushOp(req)
 	case "drop":
 		return w.drop(req)
-	case "replace":
-		return w.replace(req)
-	case "heat":
-		return w.heatOp(req)
+	case "chunks":
+		return w.chunksOp(req)
 	case "metrics":
 		return &Message{Op: "metrics", Metrics: w.reg.Snapshot().Samples}, nil
 	}
 	return nil, fmt.Errorf("cluster: unknown op %q", req.Op)
-}
-
-// replace swaps the node's entire partition content for the payload (used
-// by repartitioning): the drop, create and put bodies under one hold of the
-// lock, so no reader sees the partition missing or empty. The payload is
-// decoded before anything is destroyed.
-func (w *Worker) replace(req *Message) (*Message, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st, err := w.storeLocked(req.Array)
-	if err != nil {
-		return nil, err
-	}
-	b, err := storage.DecodeBatch(st.Schema(), req.Chunks)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.dropLocked(req.Array); err != nil {
-		return nil, err
-	}
-	if st, err = w.createLocked(req.Array, st.Schema()); err != nil {
-		return nil, err
-	}
-	return w.applyLocked(req, st, b)
 }
 
 func (w *Worker) create(req *Message) (*Message, error) {
@@ -377,12 +351,12 @@ func (w *Worker) put(req *Message) (*Message, error) {
 }
 
 // applyLocked writes b, req's decoded chunks, into the partition's store in
-// one Apply. The cells_held gauge grows by the cells the store did not hold
-// before — a write that overwrites a cell holds no more of them — and keeps
-// those a failed batch wrote before it stopped.
+// one Apply. The cells_held gauge moves by the change in the cells the store
+// holds — a write that overwrites a cell holds no more of them, a release
+// holds fewer — and keeps those a failed batch wrote before it stopped.
 func (w *Worker) applyLocked(req *Message, st *storage.Store, b storage.Batch) (*Message, error) {
-	added, err := st.Apply(b)
-	w.stats.cellsHeld.Add(added)
+	held, err := st.Apply(b)
+	w.stats.cellsHeld.Add(held)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scidb/internal/array"
@@ -173,7 +174,12 @@ func TestEdgeChunkHasOneBox(t *testing.T) {
 	if moved.Err != "" || len(moved.Chunks) == 0 {
 		t.Fatalf("read: %q, %d chunks", moved.Err, len(moved.Chunks))
 	}
-	if resp := tr.Workers[0].Handle(&cluster.Message{Op: "loadchunks", Array: "edge", BoxLo: box, BoxHi: []int64{128, 4},
+	// The install names the chunk's clipped box, as a move does: a clear of
+	// the unclipped one is off the grid.
+	if resp := tr.Workers[0].Handle(&cluster.Message{Op: "loadchunks", Array: "edge", BoxLo: box, BoxHi: []int64{128, 4}}); !strings.Contains(resp.Err, "off the array's grid") {
+		t.Fatalf("loadchunks of the unclipped box: %q, want off the grid", resp.Err)
+	}
+	if resp := tr.Workers[0].Handle(&cluster.Message{Op: "loadchunks", Array: "edge", BoxLo: box, BoxHi: []int64{100, 4},
 		Chunks: moved.Chunks}); resp.Err != "" {
 		t.Fatalf("loadchunks: %s", resp.Err)
 	}

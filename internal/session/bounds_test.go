@@ -20,7 +20,7 @@ import (
 // prefix claims n bytes; payload is what follows it.
 func helloBytes(magic uint32, n uint32, payload []byte) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, magic)
-	b = append(b, 5) // the version wire speaks
+	b = append(b, 6) // the version wire speaks
 	b = binary.LittleEndian.AppendUint32(b, n)
 	return append(b, payload...)
 }

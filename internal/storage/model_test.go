@@ -20,8 +20,8 @@ func modelSchema() *array.Schema {
 }
 
 // storeModel is what a store must answer, kept as two maps: the cells in
-// the memory buffer (which a batch's Clear drops) and the newest flushed or
-// adopted value of every other cell.
+// the memory buffer and the newest flushed or adopted value of every other
+// cell. A batch's Clear drops the cells of its chunk from both.
 type storeModel struct {
 	buffered, stored map[[2]int64]int64
 }
@@ -56,9 +56,10 @@ func (m *storeModel) buffers(box array.Box) bool {
 // compactions and reopens against a store and checks every Get and
 // ScanChunks — random boxes, with and without zone predicates — against a
 // newest-wins map, and every batch's added count against the model's count
-// of new cells. A batch mixes chunks with and without their encoded bytes,
-// some at origins the buffer holds, behind an optional Clear that covers
-// whole chunks or cuts them.
+// of new cells less those its Clear removed. A batch mixes chunks with and
+// without their encoded bytes, some at origins the buffer holds, behind an
+// optional Clear of one whole chunk; a Clear of any other box is refused and
+// writes nothing of the batch.
 func TestStoreMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -149,14 +150,24 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 		return got
 	}
 	apply := func(b Batch, entries []cells) string {
-		if len(b.Clear.Lo) > 0 {
-			for c := range m.buffered {
-				if b.Clear.Contains(array.Coord{c[0], c[1]}) {
-					delete(m.buffered, c)
-				}
-			}
-		}
 		var want int64
+		if len(b.Clear.Lo) > 0 {
+			if o := b.Clear.Lo; (o[0]-1)%8 != 0 || (o[1]-1)%8 != 0 || !b.Clear.Hi.Equal(gridBox(o).Hi) {
+				if held, err := st.Apply(b); !errors.Is(err, ErrOffGrid) || held != 0 {
+					t.Fatalf("apply with clear %v: held %d, %v; want ErrOffGrid", b.Clear, held, err)
+				}
+				return fmt.Sprintf("refused clear %v", b.Clear)
+			}
+			array.IterBox(b.Clear, func(c array.Coord) bool {
+				k := [2]int64{c[0], c[1]}
+				if _, ok := m.get(k); ok {
+					want--
+				}
+				delete(m.buffered, k)
+				delete(m.stored, k)
+				return true
+			})
+		}
 		for i, cs := range entries {
 			box := b.Chunks[i].Box()
 			into := m.buffered
@@ -176,7 +187,7 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 			t.Fatalf("apply: %v", err)
 		}
 		if added != want {
-			t.Fatalf("apply of %d chunks (clear %v) added %d cells, the model %d", len(entries), b.Clear, added, want)
+			t.Fatalf("apply of %d chunks (clear %v) changed the cells held by %d, the model %d", len(entries), b.Clear, added, want)
 		}
 		if st.Stats().Flushes > flushes {
 			m.flush() // the batch took the buffer to MemLimit

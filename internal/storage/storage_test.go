@@ -468,7 +468,7 @@ func TestStoreManifestMissingBucketRejected(t *testing.T) {
 // The store's running count of buffered bytes must equal the buffer's
 // ByteSize after every write — that equality is what keeps the flush points
 // where the per-Put walk of the buffer used to put them. Strings of varying
-// length, NULLs, overwrites and region clears all pass through.
+// length, NULLs, overwrites and whole-chunk clears all pass through.
 func TestBufferedBytesTrackByteSize(t *testing.T) {
 	st, err := NewStore(schema2D(40), Options{MemLimit: 20 << 10})
 	if err != nil {
@@ -496,10 +496,10 @@ func TestBufferedBytesTrackByteSize(t *testing.T) {
 			t.Fatalf("put %d left %d bytes buffered, at or over the %d limit", i, st.memBytes, st.opts.MemLimit)
 		}
 		if i%500 == 250 {
-			if _, err := st.Apply(Batch{Clear: array.NewBox(array.Coord{1, 1}, array.Coord{12, 12})}); err != nil {
+			if _, err := st.Apply(Batch{Clear: array.NewBox(array.Coord{9, 9}, array.Coord{16, 16})}); err != nil {
 				t.Fatal(err)
 			}
-			check("clear region")
+			check("clear chunk")
 		}
 	}
 	if st.Stats().Flushes == 0 {

@@ -49,15 +49,6 @@ type Stats struct {
 	ChunksSkipped int64
 }
 
-// EncodingRatio returns BytesRaw / BytesEncoded (the lightweight-encoding
-// win alone), or 1 before any write.
-func (s Stats) EncodingRatio() float64 {
-	if s.BytesEncoded == 0 {
-		return 1
-	}
-	return float64(s.BytesRaw) / float64(s.BytesEncoded)
-}
-
 // SkipRatio returns the fraction of pruned-scan candidate buckets the
 // zone maps eliminated, or 0 before any pruned scan (empty stores and
 // stores never scanned with predicates divide by zero otherwise).
@@ -67,15 +58,6 @@ func (s Stats) SkipRatio() float64 {
 		return 0
 	}
 	return float64(s.ChunksSkipped) / float64(total)
-}
-
-// CompressionRatio returns BytesRaw / BytesWritten (lightweight encodings
-// plus the bucket codec), or 1 before any write.
-func (s Stats) CompressionRatio() float64 {
-	if s.BytesWritten == 0 {
-		return 1
-	}
-	return float64(s.BytesRaw) / float64(s.BytesWritten)
 }
 
 // Add returns the field-wise sum of two snapshots (aggregating the stores
@@ -321,6 +303,23 @@ func (s *Store) NumBuckets() int {
 		n += len(vs)
 	}
 	return n
+}
+
+// Origins lists the origins of the chunks the store holds cells of, in
+// buckets or in its buffer, each once.
+func (s *Store) Origins() []array.Coord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]array.Coord, 0, len(s.index))
+	for _, vs := range s.index {
+		out = append(out, vs[0].box.Lo.Clone())
+	}
+	for _, ch := range s.mem.Chunks() {
+		if _, ok := s.index[ch.Origin.Key()]; !ok && ch.CellsPresent() > 0 {
+			out = append(out, ch.Origin.Clone())
+		}
+	}
+	return out
 }
 
 // Put writes one cell. When the write fills the memory buffer the store

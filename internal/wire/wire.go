@@ -52,8 +52,9 @@ const (
 	// Chunks. 3: the cluster message header without the join fields. 4:
 	// frames without a flags byte, and an empty cluster hello. 5: the
 	// cluster route block without the route version, node set and release
-	// flag.
-	version = 5
+	// flag. 6: the worker ops without "replace", and "heat" become "chunks",
+	// whose response block is the chunks a node holds.
+	version = 6
 
 	// MaxHello bounds a hello payload, and a rejection's text, in either
 	// direction.
